@@ -9,6 +9,30 @@
 #include "wire/writer.h"
 
 namespace dauth::core {
+namespace {
+
+// Persisted batch record: "batch/<home>/<root>" -> the batch's leaf hashes.
+std::string batch_record(const std::string& home, const crypto::MerkleTree& tree) {
+  return "batch/" + home + "/" + to_hex(tree.root());
+}
+
+Bytes encode_leaves(const crypto::MerkleTree& tree) {
+  wire::Writer w;
+  w.u32(static_cast<std::uint32_t>(tree.leaf_count()));
+  for (const auto& leaf : tree.leaves()) w.fixed(leaf);
+  return std::move(w).take();
+}
+
+std::vector<crypto::Sha256Digest> decode_leaves(ByteView data) {
+  wire::Reader r(data);
+  const std::uint32_t count = r.u32();
+  std::vector<crypto::Sha256Digest> leaves;
+  for (std::uint32_t i = 0; i < count; ++i) leaves.push_back(r.fixed<32>());
+  r.expect_done();
+  return leaves;
+}
+
+}  // namespace
 
 BackupNetwork::BackupNetwork(sim::Rpc& rpc, sim::NodeIndex node, NetworkId id,
                              directory::DirectoryClient& directory, FederationConfig config,
@@ -39,28 +63,64 @@ void BackupNetwork::restore_from_store() {
     if (value && value->size() == 32) homes_[home].suci_secret = take<32>(*value);
   }
 
+  // Batch trees next, indexed by leaf, so each restored bundle finds the
+  // tree its inclusion path is rebuilt from.
+  std::map<crypto::Sha256Digest, BatchTree> tree_of_leaf;
+  for (const auto& key : store_->keys_with_prefix("batch/")) {
+    try {
+      const auto tree = std::make_shared<const crypto::MerkleTree>(
+          decode_leaves(*store_->get(key)));
+      for (const auto& leaf : tree->leaves()) tree_of_leaf.emplace(leaf, tree);
+    } catch (const std::exception&) {
+      // Corrupt or empty record: its bundles are skipped below.
+    }
+  }
+  // The bundle's batch tree (null for a one-leaf batch), or nullopt when
+  // its batch record is missing and the bundle could not be served
+  // verifiably.
+  const auto tree_for = [&](const auto& bundle) -> std::optional<BatchTree> {
+    if (bundle.batch.leaf_count == 1) return BatchTree{};
+    const auto leaf = crypto::merkle_leaf_hash(bundle.signed_payload());
+    const auto it = tree_of_leaf.find(leaf);
+    if (it == tree_of_leaf.end() || it->second->leaf_count() != bundle.batch.leaf_count ||
+        bundle.batch.leaf_index >= it->second->leaf_count() ||
+        it->second->leaves()[bundle.batch.leaf_index] != leaf) {
+      return std::nullopt;
+    }
+    return it->second;
+  };
+
   // Vector bundles: key layout "vec/<home>/<supi>/<hxres>". Rebuild each
   // user's queue ordered by SQN (the dissemination order), floods first.
   for (const auto& key : store_->keys_with_prefix("vec/")) {
     try {
-      const auto bundle = AuthVectorBundle::decode(*store_->get(key));
-      users_[{bundle.home_network, bundle.supi}].vectors.push_back(bundle);
+      auto bundle = AuthVectorBundle::decode(*store_->get(key));
+      auto tree = tree_for(bundle);
+      if (!tree) continue;
+      UserState& user = users_[{bundle.home_network, bundle.supi}];
+      user.vectors.push_back({std::move(bundle), std::move(*tree)});
     } catch (const wire::WireError&) {
       // Skip corrupt records; the WAL already filtered torn writes.
     }
   }
   for (auto& [key, user] : users_) {
     std::stable_sort(user.vectors.begin(), user.vectors.end(),
-                     [](const AuthVectorBundle& a, const AuthVectorBundle& b) {
-                       if (a.flood != b.flood) return a.flood;  // floods first
-                       return a.sqn < b.sqn;
+                     [](const HeldVector& a, const HeldVector& b) {
+                       if (a.bundle.flood != b.bundle.flood) {
+                         return a.bundle.flood;  // floods first
+                       }
+                       return a.bundle.sqn < b.bundle.sqn;
                      });
   }
 
   for (const auto& key : store_->keys_with_prefix("share/")) {
     try {
-      const auto bundle = KeyShareBundle::decode(*store_->get(key));
-      users_[{bundle.home_network, bundle.supi}].shares[to_hex(bundle.hxres_star)] = bundle;
+      Bytes wire = *store_->get(key);
+      const auto bundle = KeyShareBundle::decode(wire);
+      auto tree = tree_for(bundle);
+      if (!tree) continue;
+      users_[{bundle.home_network, bundle.supi}].shares[bundle.hxres_star] = {std::move(wire),
+                                                                              std::move(*tree)};
     } catch (const wire::WireError&) {
     }
   }
@@ -104,36 +164,42 @@ void BackupNetwork::handle_store(ByteView request, sim::Responder responder) {
     responder.fail(sim::AppErrorCode::kMalformed, "malformed store request");
     return;
   }
+  // Rebuild each batch's Merkle tree from the bundles themselves (one leaf
+  // hash per bundle), so one root signature per batch covers them all.
+  auto batches = split_batches(req);
+  if (!batches) {
+    ++metrics_.rejected_requests;
+    responder.fail(sim::AppErrorCode::kMalformed, "inconsistent bundle batches");
+    return;
+  }
 
-  // Fetch (usually cached) the home network's key and verify every bundle's
-  // signature before accepting it. (Copy the id first: the move-capture and
+  // Fetch (usually cached) the home network's key and verify every batch
+  // root before accepting anything. (Copy the id first: the move-capture and
   // the first argument are indeterminately sequenced.)
   const NetworkId home_id = req.home_network;
-  directory_.get_network(home_id, [this, req = std::move(req), responder](
-                                               std::optional<directory::NetworkEntry> home) {
+  directory_.get_network(home_id, [this, req = std::move(req), batches = std::move(*batches),
+                                   responder](
+                                      std::optional<directory::NetworkEntry> home) mutable {
     if (!home) {
       ++metrics_.rejected_requests;
       responder.fail(sim::AppErrorCode::kNotFound, "unknown home network");
       return;
     }
     const crypto::Ed25519PublicKey home_key = home->signing_key;
-    const Time cost = config_.costs.signature_verify *
-                      static_cast<Time>(req.vectors.size() + req.shares.size() + 1);
-    rpc_.network().node(node_).execute(cost, [this, req = std::move(req), home_key,
-                                              responder] {
-      for (const AuthVectorBundle& vector : req.vectors) {
-        if (!vector.verify(home_key)) {
+    const Time cost = config_.costs.signature_verify * static_cast<Time>(batches.size());
+    rpc_.network().node(node_).execute(cost, [this, req = std::move(req),
+                                              batches = std::move(batches), home_key,
+                                              responder]() mutable {
+      // Batch root verified over every received bundle.
+      for (const BundleBatch& batch : batches) {
+        if (!batch.verify_root(req.home_network, home_key)) {
           ++metrics_.rejected_requests;
-          responder.fail(sim::AppErrorCode::kUnauthorized, "invalid vector signature");
+          responder.fail(sim::AppErrorCode::kUnauthorized, "invalid batch signature");
           return;
         }
+        ++metrics_.batches_verified;
       }
       for (const KeyShareBundle& share : req.shares) {
-        if (!share.verify(home_key)) {
-          ++metrics_.rejected_requests;
-          responder.fail(sim::AppErrorCode::kUnauthorized, "invalid share signature");
-          return;
-        }
         // Verifiable-share extension: check the Feldman commitment so a
         // tampering dealer/peer is caught at store time.
         if (share.feldman_share && share.feldman_commitments &&
@@ -158,30 +224,44 @@ void BackupNetwork::handle_store(ByteView request, sim::Responder responder) {
         }
       }
 
-      for (const AuthVectorBundle& vector : req.vectors) {
-        UserState& user = users_[{req.home_network, vector.supi}];
-        if (vector.flood) {
-          user.vectors.push_front(vector);  // §4.3: flood vectors served first
-        } else {
-          user.vectors.push_back(vector);
+      // Bundle i (vectors first, then shares) shares its batch's tree.
+      std::vector<BatchTree> trees(req.vectors.size() + req.shares.size());
+      for (BundleBatch& batch : batches) {
+        if (batch.tree.leaf_count() == 1) continue;
+        auto tree = std::make_shared<const crypto::MerkleTree>(std::move(batch.tree));
+        if (store_ != nullptr) {
+          store_->put(batch_record(req.home_network.str(), *tree), encode_leaves(*tree));
         }
-        ++metrics_.bundles_stored;
+        std::fill_n(trees.begin() + static_cast<std::ptrdiff_t>(batch.first), tree->leaf_count(),
+                    tree);
+      }
+      std::size_t position = 0;
+      for (AuthVectorBundle& vector : req.vectors) {
         if (store_ != nullptr) {
           store_->put("vec/" + req.home_network.str() + "/" + vector.supi.str() + "/" +
                           to_hex(vector.hxres_star),
                       vector.encode());
         }
+        UserState& user = users_[{req.home_network, vector.supi}];
+        HeldVector held{std::move(vector), std::move(trees[position++])};
+        if (held.bundle.flood) {
+          user.vectors.push_front(std::move(held));  // §4.3: flood vectors served first
+        } else {
+          user.vectors.push_back(std::move(held));
+        }
+        ++metrics_.bundles_stored;
       }
       for (const KeyShareBundle& share : req.shares) {
-        UserState& user = users_[{req.home_network, share.supi}];
-        user.shares[to_hex(share.hxres_star)] = share;
-        ++metrics_.bundles_stored;
+        Bytes wire = share.encode();
         if (store_ != nullptr) {
           // DAUTH_DISCLOSE(persisting the signed share bundle is the backup's entire job, §4.2.1)
           store_->put("share/" + req.home_network.str() + "/" + share.supi.str() + "/" +
                           to_hex(share.hxres_star),
-                      share.encode());
+                      wire);
         }
+        users_[{req.home_network, share.supi}].shares[share.hxres_star] = {
+            std::move(wire), std::move(trees[position++])};
+        ++metrics_.bundles_stored;
       }
       if (journal_ != nullptr && (!req.vectors.empty() || !req.shares.empty())) {
         journal_->append(obs::EventKind::kBundleStored, id_.str(),
@@ -192,6 +272,26 @@ void BackupNetwork::handle_store(ByteView request, sim::Responder responder) {
       responder.reply({});
     });
   });
+}
+
+Bytes BackupNetwork::served(const HeldVector& held) {
+  if (!held.batch) return held.bundle.encode();
+  AuthVectorBundle bundle = held.bundle;
+  bundle.batch.siblings = held.batch->path(bundle.batch.leaf_index);
+  return bundle.encode();
+}
+
+Bytes BackupNetwork::served(const HeldShare& held) {
+  if (!held.batch) return to_bytes(ByteView(held.wire));
+  KeyShareBundle bundle = KeyShareBundle::decode(held.wire);
+  bundle.batch.siblings = held.batch->path(bundle.batch.leaf_index);
+  return bundle.encode();
+}
+
+void BackupNetwork::release_batch(const NetworkId& home, const BatchTree& batch) {
+  if (store_ != nullptr && batch != nullptr && batch.use_count() == 1) {
+    store_->erase(batch_record(home.str(), *batch));
+  }
 }
 
 void BackupNetwork::handle_get_vector(ByteView request, sim::Responder responder) {
@@ -242,17 +342,18 @@ void BackupNetwork::handle_get_vector(ByteView request, sim::Responder responder
         responder.fail(sim::AppErrorCode::kExhausted, "no vectors remaining");
         return;
       }
-      const AuthVectorBundle bundle = user.vectors.front();
+      const HeldVector held = std::move(user.vectors.front());
       user.vectors.pop_front();
       if (store_ != nullptr) {
         store_->erase("vec/" + id.home.str() + "/" + supi.str() + "/" +
-                      to_hex(bundle.hxres_star));
+                      to_hex(held.bundle.hxres_star));
       }
+      release_batch(id.home, held.batch);
       ++metrics_.vectors_served;
       if (journal_ != nullptr) {
         journal_->append(obs::EventKind::kVectorServed, id_.str(), supi.str());
       }
-      responder.reply(bundle.encode());
+      responder.reply(served(held));
       return;
     }
     ++metrics_.rejected_requests;
@@ -289,7 +390,7 @@ void BackupNetwork::handle_get_share(ByteView request, sim::Responder responder)
     rpc_.network().node(node_).execute(config_.costs.share_fetch, [this, proof, responder] {
       for (auto& [id, user] : users_) {
         if (id.supi != proof.supi) continue;
-        const auto bundle_it = user.shares.find(to_hex(proof.hxres_star));
+        const auto bundle_it = user.shares.find(proof.hxres_star);
         if (bundle_it == user.shares.end()) continue;
 
         // Persist the proof for later reporting (§4.2.2: "backups store the
@@ -299,7 +400,8 @@ void BackupNetwork::handle_get_share(ByteView request, sim::Responder responder)
         // copy WE hold (flood vectors are replicated to every backup, §4.3).
         auto& vectors = user.vectors;
         for (auto vec_it = vectors.begin(); vec_it != vectors.end(); ++vec_it) {
-          if (ct_equal(vec_it->hxres_star, proof.hxres_star)) {
+          if (ct_equal(vec_it->bundle.hxres_star, proof.hxres_star)) {
+            release_batch(id.home, vec_it->batch);
             vectors.erase(vec_it);
             break;
           }
@@ -310,7 +412,7 @@ void BackupNetwork::handle_get_share(ByteView request, sim::Responder responder)
                            "to " + proof.serving_network.str());
         }
         // DAUTH_DISCLOSE(key-share release after RES* preimage and signature checks, §4.2.2)
-        responder.reply(bundle_it->second.encode());
+        responder.reply(served(bundle_it->second));
         return;
       }
       ++metrics_.rejected_requests;
@@ -344,18 +446,24 @@ void BackupNetwork::handle_revoke_shares(ByteView request, sim::Responder respon
 
   const auto user_it = users_.find({req.home_network, req.supi});
   if (user_it != users_.end()) {
+    auto& shares = user_it->second.shares;
     for (const auto& hxres : req.hxres_indices) {
-      const std::string index = to_hex(hxres);
-      if (user_it->second.shares.erase(index) > 0) ++metrics_.shares_revoked;
+      if (const auto share_it = shares.find(hxres); share_it != shares.end()) {
+        release_batch(req.home_network, share_it->second.batch);
+        shares.erase(share_it);
+        ++metrics_.shares_revoked;
+      }
       // Also drop a matching stored vector (flood-vector replacement path).
       auto& vectors = user_it->second.vectors;
       for (auto it = vectors.begin(); it != vectors.end(); ++it) {
-        if (ct_equal(it->hxres_star, hxres)) {
+        if (ct_equal(it->bundle.hxres_star, hxres)) {
+          release_batch(req.home_network, it->batch);
           vectors.erase(it);
           break;
         }
       }
       if (store_ != nullptr) {
+        const std::string index = to_hex(hxres);
         store_->erase("share/" + req.home_network.str() + "/" + req.supi.str() + "/" + index);
         store_->erase("vec/" + req.home_network.str() + "/" + req.supi.str() + "/" + index);
       }

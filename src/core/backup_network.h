@@ -11,6 +11,7 @@
 
 #include <deque>
 #include <map>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -69,9 +70,25 @@ class BackupNetwork {
       return std::tie(home, supi) < std::tie(other.home, other.supi);
     }
   };
+  /// The Merkle tree of a stored bundle's batch, shared by all of the
+  /// batch's bundles; null for a one-leaf batch (its path is empty).
+  using BatchTree = std::shared_ptr<const crypto::MerkleTree>;
+  /// Stored bundles keep an empty path: it is rebuilt from the batch tree
+  /// whenever the bundle is served.
+  struct HeldVector {
+    AuthVectorBundle bundle;
+    BatchTree batch;
+  };
+  /// A share is kept in wire form (self-wiping): once checked at store
+  /// time the backup only serves it, so a decoded copy would cost ~150 B
+  /// more per share for nothing.
+  struct HeldShare {
+    SecretBytes wire;
+    BatchTree batch;
+  };
   struct UserState {
-    std::deque<AuthVectorBundle> vectors;          // flood vectors at the front
-    std::map<std::string, KeyShareBundle> shares;  // by hxres hex
+    std::deque<HeldVector> vectors;                // flood vectors at the front
+    std::map<ByteArray<16>, HeldShare> shares;     // by H(XRES*)
   };
   struct HomeState {
     std::optional<crypto::X25519Scalar> suci_secret;
@@ -90,6 +107,12 @@ class BackupNetwork {
   /// simulator queue drains once nothing is pending.
   void arm_report(const NetworkId& home);
   void persist_proof(const NetworkId& home, const UsageProof& proof);
+  /// Encodes a stored bundle with its inclusion path attached.
+  static Bytes served(const HeldVector& held);
+  static Bytes served(const HeldShare& held);
+  /// Called before a held bundle is dropped: erases the persisted batch
+  /// record once no stored bundle references the batch any more.
+  void release_batch(const NetworkId& home, const BatchTree& batch);
   /// Rebuilds in-memory state from the persistent store (called at
   /// construction when a store is present).
   void restore_from_store();

@@ -40,7 +40,9 @@ struct CostModel {
   // Home network: verify the RES* preimage and release K_seaf (home-online
   // GetKey leg, Fig. 8).
   Time key_release = ms(6);
-  // Serving network: verify one Ed25519 bundle signature.
+  // Verify one Ed25519 signature. A bundle's home signature covers its
+  // batch's Merkle root, so a backup pays this once per stored batch and a
+  // serving network once per bundle whose root is not already cached.
   Time signature_verify = msf(0.8);
   // Serving network: signature check answered by the verification cache
   // (two SHA-256 fingerprint hashes plus a hash-table probe; see
@@ -49,8 +51,8 @@ struct CostModel {
   // Serving network: combine Shamir shares into K_seaf.
   Time share_combine_base = msf(0.5);
   Time share_combine_per_share = usf(150);
-  // Home network: generate + sign one vector/share bundle during
-  // dissemination (background work).
+  // Home network: generate one vector and its share bundles during
+  // dissemination (background work; batch signing is amortized into it).
   Time dissemination_per_vector = ms(6);
   // Home network: process one reported usage proof.
   Time report_processing = ms(4);

@@ -90,8 +90,6 @@ HomeNetwork::GeneratedMaterial HomeNetwork::generate_material(const Supi& supi,
   material.vector.autn = av.autn;
   material.vector.hxres_star = index;
   material.vector.flood = flood;
-  material.vector.home_signature =
-      crypto::ed25519_sign(material.vector.signed_payload(), signing_key_);
 
   const ByteView secret(av.k_seaf);
   std::optional<crypto::FeldmanSharing> feldman;
@@ -116,7 +114,6 @@ HomeNetwork::GeneratedMaterial HomeNetwork::generate_material(const Supi& supi,
     } else {
       bundle.share = shamir_shares[i];
     }
-    bundle.home_signature = crypto::ed25519_sign(bundle.signed_payload(), signing_key_);
   }
 
   DisseminatedVector record;
@@ -124,6 +121,17 @@ HomeNetwork::GeneratedMaterial HomeNetwork::generate_material(const Supi& supi,
   record.sqn = sqn;
   subscriber.outstanding[to_hex(index)] = record;  // holder set by caller
   return material;
+}
+
+void HomeNetwork::sign_as_batch(std::span<AuthVectorBundle> vectors,
+                                std::span<KeyShareBundle> shares) {
+  core::sign_batch(vectors, shares, signing_key_);
+  ++metrics_.batches_signed;
+}
+
+void HomeNetwork::sign_each(GeneratedMaterial& material) {
+  sign_as_batch({&material.vector, 1}, {});
+  for (KeyShareBundle& share : material.shares) sign_as_batch({}, {&share, 1});
 }
 
 void HomeNetwork::disseminate(const Supi& supi, std::function<void(std::size_t)> done) {
@@ -162,17 +170,22 @@ void HomeNetwork::disseminate(const Supi& supi, std::function<void(std::size_t)>
   }
   metrics_.vectors_disseminated += total_vectors;
   metrics_.shares_disseminated += total_vectors * backup_ids_.size();
+  // One signature per (user, backup) batch, over the Merkle root of its
+  // bundles (§4.2.1).
+  for (StoreMaterialRequest& request : requests) sign_as_batch(request.vectors, request.shares);
 
-  // Model the precompute cost, then push to every backup.
+  // Model the precompute cost, then push to every backup. Each request moves
+  // into its directory callback, so no batch is held twice.
   const Time generation_cost =
       config_.costs.dissemination_per_vector * static_cast<Time>(total_vectors);
   auto remaining = std::make_shared<std::size_t>(backup_ids_.size());
   auto ok_count = std::make_shared<std::size_t>(0);
   rpc_.network().node(node_).execute(generation_cost, [this, requests = std::move(requests),
-                                                       remaining, ok_count, done] {
+                                                       remaining, ok_count, done]() mutable {
     for (std::size_t b = 0; b < backup_ids_.size(); ++b) {
       const NetworkId backup = backup_ids_[b];
-      directory_.get_network(backup, [this, request = requests[b], remaining, ok_count, done](
+      directory_.get_network(backup, [this, request = std::move(requests[b]), remaining,
+                                      ok_count, done](
                                          std::optional<directory::NetworkEntry> entry) {
         auto finish_one = [remaining, ok_count, done](bool ok) {
           if (ok) ++*ok_count;
@@ -320,7 +333,7 @@ void HomeNetwork::handle_resync(ByteView request, sim::Responder responder) {
     bundle.rand = fresh_rand;
     bundle.autn = av.autn;
     bundle.hxres_star = hxres_index(av.xres_star);
-    bundle.home_signature = crypto::ed25519_sign(bundle.signed_payload(), signing_key_);
+    sign_as_batch({&bundle, 1}, {});
     sub.pending_keys[to_hex(bundle.hxres_star)] = av.k_seaf;
     ++metrics_.vectors_served;
     responder.reply(bundle.encode());
@@ -390,7 +403,7 @@ void HomeNetwork::handle_get_vector(ByteView request, sim::Responder responder) 
     bundle.rand = rand;
     bundle.autn = av.autn;
     bundle.hxres_star = hxres_index(av.xres_star);
-    bundle.home_signature = crypto::ed25519_sign(bundle.signed_payload(), signing_key_);
+    sign_as_batch({&bundle, 1}, {});
 
     subscriber.pending_keys[to_hex(bundle.hxres_star)] = av.k_seaf;
     ++metrics_.vectors_served;
@@ -546,6 +559,7 @@ void HomeNetwork::replenish(const Supi& supi, const NetworkId& holder) {
   if (slice < 0) return;  // holder no longer a backup
 
   GeneratedMaterial material = generate_material(supi, it->second, slice, /*flood=*/false);
+  sign_each(material);
   it->second.outstanding[to_hex(material.vector.hxres_star)].holder = holder;
   ++metrics_.replenishments;
   if (journal_ != nullptr) {
@@ -628,6 +642,7 @@ void HomeNetwork::revoke_backup(const NetworkId& revoked, std::function<void()> 
     if (!backup_ids_.empty() && backup_ids_.size() >= config_.threshold) {
       GeneratedMaterial material =
           generate_material(supi, subscriber, revoked_slice, /*flood=*/true);
+      sign_each(material);
       // All remaining backups can serve the flood vector.
       subscriber.outstanding[to_hex(material.vector.hxres_star)].holder = backup_ids_.front();
       for (std::size_t b = 0; b < backup_ids_.size(); ++b) {

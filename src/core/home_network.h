@@ -138,13 +138,19 @@ class HomeNetwork {
     std::map<std::string, NetworkId> seen_proofs;
   };
 
-  /// Generates one vector + its N key-share bundles for `slice`.
+  /// Generates one vector + its N key-share bundles for `slice`, unsigned.
   struct GeneratedMaterial {
     AuthVectorBundle vector;
     std::vector<KeyShareBundle> shares;  // one per backup (share i -> backup i)
   };
   GeneratedMaterial generate_material(const Supi& supi, Subscriber& subscriber, int slice,
                                       bool flood);
+  /// Signs bundles as one batch (core::sign_batch) and counts it.
+  void sign_as_batch(std::span<AuthVectorBundle> vectors, std::span<KeyShareBundle> shares);
+  /// Signs every bundle of `material` as its own one-leaf batch: replenished
+  /// and flood bundles travel alone, and a flood vector must stay
+  /// byte-identical at every backup.
+  void sign_each(GeneratedMaterial& material);
 
   void handle_get_vector(ByteView request, sim::Responder responder);
   void handle_get_key(ByteView request, sim::Responder responder);

@@ -1,10 +1,48 @@
 #include "core/messages.h"
 
+#include <stdexcept>
+
 #include "wire/reader.h"
 #include "wire/writer.h"
 
 namespace dauth::core {
 namespace {
+
+// A path has one sibling per tree level: 32 covers 2^32 leaves.
+constexpr std::size_t kMaxPathLength = 32;
+
+void write_batch_path(wire::Writer& w, const BatchPath& path) {
+  w.u32(path.leaf_index);
+  w.u32(path.leaf_count);
+  w.u8(static_cast<std::uint8_t>(path.siblings.size()));
+  for (const auto& sibling : path.siblings) w.fixed(sibling);
+}
+
+BatchPath read_batch_path(wire::Reader& r) {
+  BatchPath path;
+  path.leaf_index = r.u32();
+  path.leaf_count = r.u32();
+  const std::uint8_t length = r.u8();
+  if (length > kMaxPathLength) throw wire::WireError("batch path too long");
+  path.siblings.reserve(length);
+  for (std::uint8_t i = 0; i < length; ++i) path.siblings.push_back(r.fixed<32>());
+  return path;
+}
+
+template <typename Bundle>
+std::optional<Bytes> root_payload(const Bundle& bundle) {
+  const auto root = crypto::merkle_root_from_path(
+      crypto::merkle_leaf_hash(bundle.signed_payload()), bundle.batch.leaf_index,
+      bundle.batch.leaf_count, bundle.batch.siblings);
+  if (!root) return std::nullopt;
+  return batch_signed_payload(bundle.home_network, bundle.batch.leaf_count, *root);
+}
+
+template <typename Bundle>
+bool verify_bundle(const Bundle& bundle, const crypto::Ed25519PublicKey& home_key) {
+  const auto payload = root_payload(bundle);
+  return payload && crypto::ed25519_verify(*payload, bundle.home_signature, home_key);
+}
 
 void write_shamir_share(wire::Writer& w, const crypto::ShamirShare& share) {
   w.u8(share.x);
@@ -81,6 +119,7 @@ Bytes AuthVectorBundle::encode() const {
   w.fixed(autn);
   w.fixed(hxres_star);
   w.boolean(flood);
+  write_batch_path(w, batch);
   w.fixed(home_signature);
   return std::move(w).take();
 }
@@ -95,13 +134,16 @@ AuthVectorBundle AuthVectorBundle::decode(ByteView data) {
   b.autn = r.fixed<16>();
   b.hxres_star = r.fixed<16>();
   b.flood = r.boolean();
+  b.batch = read_batch_path(r);
   b.home_signature = r.fixed<64>();
   r.expect_done();
   return b;
 }
 
+std::optional<Bytes> AuthVectorBundle::batch_payload() const { return root_payload(*this); }
+
 bool AuthVectorBundle::verify(const crypto::Ed25519PublicKey& home_key) const {
-  return crypto::ed25519_verify(signed_payload(), home_signature, home_key);
+  return verify_bundle(*this, home_key);
 }
 
 // ---- KeyShareBundle ---------------------------------------------------------
@@ -130,6 +172,7 @@ Bytes KeyShareBundle::encode() const {
   if (feldman_share) write_feldman_share(w, *feldman_share);
   w.boolean(feldman_commitments.has_value());
   if (feldman_commitments) write_feldman_commitments(w, *feldman_commitments);
+  write_batch_path(w, batch);
   w.fixed(home_signature);
   return std::move(w).take();
 }
@@ -143,13 +186,66 @@ KeyShareBundle KeyShareBundle::decode(ByteView data) {
   b.share = read_shamir_share(r);
   if (r.boolean()) b.feldman_share = read_feldman_share(r);
   if (r.boolean()) b.feldman_commitments = read_feldman_commitments(r);
+  b.batch = read_batch_path(r);
   b.home_signature = r.fixed<64>();
   r.expect_done();
   return b;
 }
 
+std::optional<Bytes> KeyShareBundle::batch_payload() const { return root_payload(*this); }
+
 bool KeyShareBundle::verify(const crypto::Ed25519PublicKey& home_key) const {
-  return crypto::ed25519_verify(signed_payload(), home_signature, home_key);
+  return verify_bundle(*this, home_key);
+}
+
+// ---- Dissemination batches --------------------------------------------------
+
+Bytes batch_signed_payload(const NetworkId& home, std::uint32_t leaf_count,
+                           const crypto::Sha256Digest& root) {
+  wire::Writer w;
+  w.string("bundle-batch-v1");
+  w.string(home.str());
+  w.u32(leaf_count);
+  w.fixed(root);
+  return std::move(w).take();
+}
+
+void sign_batch(std::span<AuthVectorBundle> vectors, std::span<KeyShareBundle> shares,
+                const crypto::Ed25519KeyPair& key) {
+  const std::size_t count = vectors.size() + shares.size();
+  if (count == 0) return;
+  const NetworkId& home = vectors.empty() ? shares.front().home_network
+                                          : vectors.front().home_network;
+  std::vector<crypto::Sha256Digest> leaves;
+  leaves.reserve(count);
+  const auto add_leaf = [&](const auto& bundle) {
+    if (bundle.home_network != home) {
+      throw std::invalid_argument("sign_batch: bundles of different home networks");
+    }
+    leaves.push_back(crypto::merkle_leaf_hash(bundle.signed_payload()));
+  };
+  for (const auto& v : vectors) add_leaf(v);
+  for (const auto& s : shares) add_leaf(s);
+
+  const auto leaf_count = static_cast<std::uint32_t>(count);
+  const crypto::MerkleTree tree(std::move(leaves));
+  const crypto::Ed25519Signature signature =
+      crypto::ed25519_sign(batch_signed_payload(home, leaf_count, tree.root()), key);
+  std::uint32_t index = 0;
+  const auto place = [&](auto& bundle) {
+    bundle.batch = BatchPath{index++, leaf_count, {}};
+    bundle.home_signature = signature;
+  };
+  for (auto& v : vectors) place(v);
+  for (auto& s : shares) place(s);
+}
+
+void sign_single(AuthVectorBundle& bundle, const crypto::Ed25519KeyPair& key) {
+  sign_batch({&bundle, 1}, {}, key);
+}
+
+void sign_single(KeyShareBundle& bundle, const crypto::Ed25519KeyPair& key) {
+  sign_batch({}, {&bundle, 1}, key);
 }
 
 // ---- UsageProof -------------------------------------------------------------
@@ -221,6 +317,57 @@ StoreMaterialRequest StoreMaterialRequest::decode(ByteView data) {
   req.suci_secret = r.bytes();
   r.expect_done();
   return req;
+}
+
+bool BundleBatch::verify_root(const NetworkId& home,
+                              const crypto::Ed25519PublicKey& home_key) const {
+  return crypto::ed25519_verify(
+      batch_signed_payload(home, static_cast<std::uint32_t>(tree.leaf_count()), tree.root()),
+      signature, home_key);
+}
+
+std::optional<std::vector<BundleBatch>> split_batches(const StoreMaterialRequest& request) {
+  struct Open {
+    std::size_t first;
+    std::uint32_t count;
+    crypto::Ed25519Signature signature;
+    std::vector<crypto::Sha256Digest> leaves;
+  };
+  const std::size_t total = request.vectors.size() + request.shares.size();
+  if (total == 0) return std::nullopt;  // nothing signed: nothing to accept
+  std::vector<BundleBatch> batches;
+  std::optional<Open> open;
+  std::size_t position = 0;
+  const auto add = [&](const auto& bundle) {
+    const BatchPath& path = bundle.batch;
+    if (bundle.home_network != request.home_network || !path.siblings.empty()) return false;
+    if (!open) {
+      if (path.leaf_index != 0 || path.leaf_count == 0 || path.leaf_count > total - position) {
+        return false;
+      }
+      open = Open{position, path.leaf_count, bundle.home_signature, {}};
+      open->leaves.reserve(path.leaf_count);
+    } else if (path.leaf_index != open->leaves.size() || path.leaf_count != open->count ||
+               bundle.home_signature != open->signature) {
+      return false;
+    }
+    open->leaves.push_back(crypto::merkle_leaf_hash(bundle.signed_payload()));
+    ++position;
+    if (open->leaves.size() == open->count) {
+      batches.push_back({open->first, crypto::MerkleTree(std::move(open->leaves)),
+                         open->signature});
+      open.reset();
+    }
+    return true;
+  };
+  for (const auto& v : request.vectors) {
+    if (!add(v)) return std::nullopt;
+  }
+  for (const auto& s : request.shares) {
+    if (!add(s)) return std::nullopt;
+  }
+  if (open) return std::nullopt;  // the last batch is missing bundles
+  return batches;
 }
 
 Bytes GetVectorRequest::encode() const {

@@ -11,10 +11,18 @@
 //     reported back to the home network (§4.2.3).
 // Every struct encodes deterministically (wire::Writer) and signatures
 // cover a domain-separated payload.
+//
+// The home network signs bundles in batches: one Ed25519 signature over the
+// Merkle root (crypto/merkle.h) of a batch's bundle payloads, one batch per
+// (user, backup) dissemination request. Each bundle carries that signature
+// and its BatchPath, so every bundle stays individually verifiable and
+// attributable to the home. A lone bundle (home-online vectors, resync,
+// replenishment, flood vectors) is a one-leaf batch with an empty path.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "aka/auth_vector.h"
@@ -23,9 +31,25 @@
 #include "common/time.h"
 #include "crypto/ed25519.h"
 #include "crypto/feldman.h"
+#include "crypto/merkle.h"
 #include "crypto/shamir.h"
 
 namespace dauth::core {
+
+/// A bundle's place in the home-signed batch it was disseminated in. The
+/// leaf is SHA-256(0x00 || signed_payload()); `home_signature` covers
+/// "bundle-batch-v1" || home || leaf_count || root.
+struct BatchPath {
+  std::uint32_t leaf_index = 0;
+  std::uint32_t leaf_count = 1;
+  /// Inclusion path, leaf level first. Empty for a one-leaf batch and inside
+  /// a StoreMaterialRequest, whose receiver rebuilds the whole tree.
+  std::vector<crypto::Sha256Digest> siblings;
+};
+
+/// The message a batch's home signature covers.
+Bytes batch_signed_payload(const NetworkId& home, std::uint32_t leaf_count,
+                           const crypto::Sha256Digest& root);
 
 /// One pre-generated authentication vector as disseminated to a backup.
 struct AuthVectorBundle {
@@ -36,9 +60,14 @@ struct AuthVectorBundle {
   aka::Autn autn{};
   ByteArray<16> hxres_star{};
   bool flood = false;  // §4.3: flood vectors jump the queue
-  crypto::Ed25519Signature home_signature{};
+  BatchPath batch;
+  crypto::Ed25519Signature home_signature{};  // over the batch root
 
+  /// The batch leaf: every field above `batch`, domain-separated.
   Bytes signed_payload() const;
+  /// The message `home_signature` covers, with the root recomputed from this
+  /// bundle's leaf and path; nullopt when the path cannot fit the batch.
+  std::optional<Bytes> batch_payload() const;
   Bytes encode() const;
   static AuthVectorBundle decode(ByteView data);
   bool verify(const crypto::Ed25519PublicKey& home_key) const;
@@ -54,13 +83,27 @@ struct KeyShareBundle {
   // with Feldman VSS enabled.
   std::optional<crypto::FeldmanShare> feldman_share;
   std::optional<crypto::FeldmanCommitments> feldman_commitments;
-  crypto::Ed25519Signature home_signature{};
+  BatchPath batch;
+  crypto::Ed25519Signature home_signature{};  // over the batch root
 
+  /// The batch leaf: every field above `batch`, domain-separated.
   Bytes signed_payload() const;
+  /// See AuthVectorBundle::batch_payload.
+  std::optional<Bytes> batch_payload() const;
   Bytes encode() const;
   static KeyShareBundle decode(ByteView data);
   bool verify(const crypto::Ed25519PublicKey& home_key) const;
 };
+
+/// Signs `vectors` then `shares` as ONE batch: a single Ed25519 signature
+/// over the Merkle root of their leaves. Sets every bundle's home_signature
+/// and batch position, with empty paths (see BatchPath). All bundles must
+/// name the same home network (std::invalid_argument otherwise).
+void sign_batch(std::span<AuthVectorBundle> vectors, std::span<KeyShareBundle> shares,
+                const crypto::Ed25519KeyPair& key);
+/// A lone bundle: a one-leaf batch.
+void sign_single(AuthVectorBundle& bundle, const crypto::Ed25519KeyPair& key);
+void sign_single(KeyShareBundle& bundle, const crypto::Ed25519KeyPair& key);
 
 /// Serving network's proof that the UE was present and answered correctly.
 struct UsageProof {
@@ -92,6 +135,24 @@ struct StoreMaterialRequest {
   Bytes encode() const;
   static StoreMaterialRequest decode(ByteView data);
 };
+
+/// One home-signed batch of a StoreMaterialRequest, rebuilt by the receiving
+/// backup from the bundles themselves.
+struct BundleBatch {
+  std::size_t first = 0;  // its first bundle's position in [vectors..., shares...]
+  crypto::MerkleTree tree;
+  crypto::Ed25519Signature signature{};
+
+  /// True when `signature` is `home`'s signature over this batch's root.
+  bool verify_root(const NetworkId& home, const crypto::Ed25519PublicKey& home_key) const;
+};
+
+/// Splits a store request's bundles (vectors, then shares) into the batches
+/// their positions declare, hashing each bundle once. nullopt for a request
+/// without bundles (its other fields are unsigned) and when the positions
+/// are inconsistent: a gap, a leaf count or signature that changes inside a
+/// batch, a carried path, or a bundle of another home network.
+std::optional<std::vector<BundleBatch>> split_batches(const StoreMaterialRequest& request);
 
 /// serving -> home or backup: request the next auth vector for a user.
 /// The user is identified by SUPI (or by SUCI ciphertext, which home/backup

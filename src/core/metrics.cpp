@@ -13,6 +13,7 @@ void register_metrics(obs::MetricsRegistry& registry, const std::string& prefix,
                             &metrics.vectors_disseminated);
   registry.register_counter(prefix + ".shares_disseminated",
                             &metrics.shares_disseminated);
+  registry.register_counter(prefix + ".batches_signed", &metrics.batches_signed);
   registry.register_counter(prefix + ".reports_processed", &metrics.reports_processed);
   registry.register_counter(prefix + ".replenishments", &metrics.replenishments);
   registry.register_counter(prefix + ".revocations", &metrics.revocations);
@@ -22,6 +23,7 @@ void register_metrics(obs::MetricsRegistry& registry, const std::string& prefix,
 void register_metrics(obs::MetricsRegistry& registry, const std::string& prefix,
                       const BackupMetrics& metrics) {
   registry.register_counter(prefix + ".bundles_stored", &metrics.bundles_stored);
+  registry.register_counter(prefix + ".batches_verified", &metrics.batches_verified);
   registry.register_counter(prefix + ".vectors_served", &metrics.vectors_served);
   registry.register_counter(prefix + ".shares_served", &metrics.shares_served);
   registry.register_counter(prefix + ".shares_revoked", &metrics.shares_revoked);

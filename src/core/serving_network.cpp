@@ -125,6 +125,14 @@ ServingNetwork::SigCheck ServingNetwork::check_signature(
   return {result.ok, config_.costs.signature_verify};
 }
 
+template <typename Bundle>
+ServingNetwork::SigCheck ServingNetwork::check_bundle(const Bundle& bundle,
+                                                      const crypto::Ed25519PublicKey& home_key) {
+  const auto payload = bundle.batch_payload();
+  if (!payload) return {false, config_.costs.signature_verify};  // path cannot fit its batch
+  return check_signature(*payload, bundle.home_signature, home_key);
+}
+
 void ServingNetwork::bind_services() {
   rpc_.register_service(node_, "serving.attach_request",
                         [this](ByteView req, sim::Responder r) { handle_attach_request(req, r); });
@@ -419,8 +427,7 @@ void ServingNetwork::try_home_auth(const std::shared_ptr<Attach>& attach) {
         }
         set_home_health(attach->home, true);
         const AuthVectorBundle& bundle = result.value();
-        const SigCheck sig = check_signature(bundle.signed_payload(), bundle.home_signature,
-                                             attach->home_entry->signing_key);
+        const SigCheck sig = check_bundle(bundle, attach->home_entry->signing_key);
         rpc_.network().node(node_).execute(sig.cost, [this, attach, bundle, sig] {
           if (!sig.ok) {
             finish(attach, {false, AuthPath::kHomeOnline, {}, "bad home signature"});
@@ -542,8 +549,7 @@ void ServingNetwork::race_backup_vector(const std::shared_ptr<Attach>& attach,
           const AuthVectorBundle& bundle = result.value();
           // Raced backups serve byte-identical flood bundles, so the losing
           // racers' checks are usually answered by the verification cache.
-          const SigCheck sig = check_signature(bundle.signed_payload(), bundle.home_signature,
-                                               attach->home_entry->signing_key);
+          const SigCheck sig = check_bundle(bundle, attach->home_entry->signing_key);
           rpc_.network().node(node_).execute(
               sig.cost, [this, attach, got_vector, racer_failed, bundle, sig] {
                 if (attach->done || *got_vector) return;
@@ -612,8 +618,7 @@ void ServingNetwork::hedge_backup_vector(const std::shared_ptr<Attach>& attach,
             return;
           }
           const AuthVectorBundle& bundle = result.value();
-          const SigCheck sig = check_signature(bundle.signed_payload(), bundle.home_signature,
-                                               attach->home_entry->signing_key);
+          const SigCheck sig = check_bundle(bundle, attach->home_entry->signing_key);
           rpc_.network().node(node_).execute(
               sig.cost, [this, attach, hedge, leg, bundle, sig] {
                 if (attach->done || hedge->won) return;
@@ -932,9 +937,7 @@ void ServingNetwork::handle_auth_response(ByteView request, sim::Responder respo
               return;
             }
             const AuthVectorBundle& fresh = result.value();
-            if (!check_signature(fresh.signed_payload(), fresh.home_signature,
-                                 attach->home_entry->signing_key)
-                     .ok) {
+            if (!check_bundle(fresh, attach->home_entry->signing_key).ok) {
               finish(attach, {false, AuthPath::kHomeOnline, {}, "bad resync signature"});
               return;
             }
@@ -1102,9 +1105,9 @@ void ServingNetwork::collect_key_shares(const std::shared_ptr<Attach>& attach,
   options.use_breaker = config_.resilience.enabled;
   options.trace_parent = proof_span;
 
-  // Fires whenever a backup leg concludes without contributing a share; if
-  // every leg has concluded and we never reached the threshold, fail.
-  auto share_rejected = [this, attach, state, end_proof_span] {
+  // Fires whenever a backup leg concludes short of the threshold; if every
+  // leg has concluded and we never reached it, fail.
+  auto leg_concluded = [this, attach, state, end_proof_span] {
     if (state->combined || attach->done) return;
     if (state->outstanding == 0 && state->bundles.size() < config_.threshold) {
       end_proof_span(false);
@@ -1155,7 +1158,7 @@ void ServingNetwork::collect_key_shares(const std::shared_ptr<Attach>& attach,
     // DAUTH_DISCLOSE(usage proof releases the RES* preimage to redeem key shares, §4.2.2)
     backup_share_stub_.call(
         static_cast<sim::NodeIndex>(backup->address), proof, options,
-        [this, attach, state, share_rejected, combine_shares](
+        [this, attach, state, leg_concluded, combine_shares](
             CallResult<KeyShareBundle> result) {
           if (state->combined || attach->done) {
             --state->outstanding;
@@ -1163,28 +1166,27 @@ void ServingNetwork::collect_key_shares(const std::shared_ptr<Attach>& attach,
           }
           if (!result.ok()) {
             --state->outstanding;
-            share_rejected();
+            leg_concluded();
             return;
           }
           const KeyShareBundle& bundle = result.value();
-          const SigCheck sig = check_signature(bundle.signed_payload(), bundle.home_signature,
-                                               attach->home_entry->signing_key);
+          const SigCheck sig = check_bundle(bundle, attach->home_entry->signing_key);
           const Time verify_cost =
               sig.cost + (config_.use_verifiable_shares ? config_.costs.feldman_verify_per_share
                                                         : Time{0});
           rpc_.network().node(node_).execute(
-              verify_cost, [this, attach, state, share_rejected, combine_shares, bundle, sig] {
+              verify_cost, [this, attach, state, leg_concluded, combine_shares, bundle, sig] {
                 --state->outstanding;
                 if (state->combined || attach->done) return;
                 if (!sig.ok) {
-                  share_rejected();
+                  leg_concluded();
                   return;
                 }
                 if (config_.use_verifiable_shares &&
                     (!bundle.feldman_share || !bundle.feldman_commitments ||
                      !crypto::feldman_verify(*bundle.feldman_share,
                                              *bundle.feldman_commitments))) {
-                  share_rejected();
+                  leg_concluded();
                   return;
                 }
                 // Distinct x-coordinates only.
@@ -1196,12 +1198,16 @@ void ServingNetwork::collect_key_shares(const std::shared_ptr<Attach>& attach,
                                               ? existing.feldman_share->x
                                               : existing.share.x;
                   if (ex == x) {
-                    share_rejected();
+                    leg_concluded();
                     return;
                   }
                 }
                 state->bundles.push_back(bundle);
-                if (state->bundles.size() >= config_.threshold) combine_shares();
+                if (state->bundles.size() >= config_.threshold) {
+                  combine_shares();
+                } else {
+                  leg_concluded();  // the last leg may be an accepted one
+                }
               });
         },
         resilience_observer());

@@ -139,6 +139,10 @@ class ServingNetwork {
   /// signature_verify on a miss.
   SigCheck check_signature(ByteView payload, const crypto::Ed25519Signature& signature,
                            const crypto::Ed25519PublicKey& signer);
+  /// A bundle's home signature over its batch root (core/messages.h): a
+  /// vector and a share from the same backup batch share one cache entry.
+  template <typename Bundle>
+  SigCheck check_bundle(const Bundle& bundle, const crypto::Ed25519PublicKey& home_key);
 
   bool home_reachable(const NetworkId& home) const;
   /// Fires an asynchronous liveness probe ("home.ping") so an expired

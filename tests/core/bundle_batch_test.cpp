@@ -1,0 +1,350 @@
+// Batch signing of disseminated bundles: the Merkle tree itself (checked
+// against RFC 6962's recursive definition), inclusion paths, and every way a
+// peer might try to pass off a bundle the home network did not sign.
+#include <gtest/gtest.h>
+
+#include <cmath>
+#include <functional>
+
+#include "core/messages.h"
+#include "crypto/drbg.h"
+#include "crypto/merkle.h"
+
+namespace dauth::core {
+namespace {
+
+using crypto::MerkleTree;
+using crypto::Sha256Digest;
+
+crypto::Ed25519KeyPair keys(std::uint64_t seed) {
+  crypto::DeterministicDrbg rng("batch-test", seed);
+  return crypto::ed25519_generate(rng);
+}
+
+std::vector<Sha256Digest> leaves_of(std::size_t n) {
+  std::vector<Sha256Digest> out;
+  for (std::size_t i = 0; i < n; ++i) {
+    const Bytes data(i + 1, static_cast<std::uint8_t>(i));
+    out.push_back(crypto::merkle_leaf_hash(data));
+  }
+  return out;
+}
+
+/// RFC 6962 §2.1 MTH, written recursively as the RFC states it.
+Sha256Digest reference_root(std::span<const Sha256Digest> leaves) {
+  if (leaves.size() == 1) return leaves[0];
+  std::size_t k = 1;
+  while (k * 2 < leaves.size()) k *= 2;
+  return crypto::merkle_node_hash(reference_root(leaves.subspan(0, k)),
+                                  reference_root(leaves.subspan(k)));
+}
+
+AuthVectorBundle vector_for(const char* supi, std::uint64_t sqn) {
+  AuthVectorBundle b;
+  b.home_network = NetworkId("home-net");
+  b.supi = Supi(supi);
+  b.sqn = sqn;
+  b.rand[0] = static_cast<std::uint8_t>(sqn);
+  b.hxres_star[0] = static_cast<std::uint8_t>(sqn);
+  return b;
+}
+
+KeyShareBundle share_for(const char* supi, std::uint8_t index) {
+  KeyShareBundle b;
+  b.home_network = NetworkId("home-net");
+  b.supi = Supi(supi);
+  b.hxres_star[0] = index;
+  b.share.x = 1;
+  b.share.y = Bytes(32, index);
+  return b;
+}
+
+/// One (user, backup) dissemination batch, signed, with every bundle's
+/// inclusion path attached as a backup would serve it.
+struct ServedBatch {
+  std::vector<AuthVectorBundle> vectors;
+  std::vector<KeyShareBundle> shares;
+};
+
+ServedBatch served_batch(const char* supi, std::size_t vectors, std::size_t shares,
+                         const crypto::Ed25519KeyPair& signer) {
+  ServedBatch batch;
+  for (std::size_t i = 0; i < vectors; ++i) {
+    batch.vectors.push_back(vector_for(supi, 32 * i + 1));
+  }
+  for (std::size_t i = 0; i < shares; ++i) {
+    batch.shares.push_back(share_for(supi, static_cast<std::uint8_t>(i + 1)));
+  }
+  sign_batch(batch.vectors, batch.shares, signer);
+  std::vector<Sha256Digest> leaves;
+  const auto add_leaf = [&](const auto& b) {
+    leaves.push_back(crypto::merkle_leaf_hash(b.signed_payload()));
+  };
+  for (const auto& v : batch.vectors) add_leaf(v);
+  for (const auto& s : batch.shares) add_leaf(s);
+  const MerkleTree tree(std::move(leaves));
+  for (auto& v : batch.vectors) v.batch.siblings = tree.path(v.batch.leaf_index);
+  for (auto& s : batch.shares) s.batch.siblings = tree.path(s.batch.leaf_index);
+  return batch;
+}
+
+// ---- The tree ------------------------------------------------------------
+
+// Every size up to 40, plus a dissemination batch (16 vectors + 8 x 16
+// shares) and sizes around a power of two.
+std::vector<std::size_t> tree_sizes() {
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 1; n <= 40; ++n) sizes.push_back(n);
+  for (std::size_t n : {144, 255, 256, 257}) sizes.push_back(n);
+  return sizes;
+}
+
+TEST(MerkleTree, RootMatchesRfc6962ForEverySize) {
+  for (std::size_t n : tree_sizes()) {
+    const auto leaves = leaves_of(n);
+    EXPECT_EQ(MerkleTree(leaves).root(), reference_root(leaves)) << n << " leaves";
+  }
+}
+
+TEST(MerkleTree, EveryPathLeadsToTheRoot) {
+  for (std::size_t n : tree_sizes()) {
+    const MerkleTree tree(leaves_of(n));
+    const auto height = static_cast<std::size_t>(std::ceil(std::log2(static_cast<double>(n))));
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto path = tree.path(i);
+      EXPECT_LE(path.size(), height);
+      const auto root = crypto::merkle_root_from_path(tree.leaves()[i], i, n, path);
+      ASSERT_TRUE(root.has_value()) << "leaf " << i << " of " << n;
+      EXPECT_EQ(*root, tree.root()) << "leaf " << i << " of " << n;
+    }
+  }
+}
+
+TEST(MerkleTree, PathOfTheWrongShapeIsRejected) {
+  const MerkleTree tree(leaves_of(9));
+  const Sha256Digest leaf = tree.leaves()[4];
+  auto path = tree.path(4);
+  EXPECT_FALSE(crypto::merkle_root_from_path(leaf, 9, 9, path));  // index out of range
+  auto shorter = path;
+  shorter.pop_back();
+  EXPECT_FALSE(crypto::merkle_root_from_path(leaf, 4, 9, shorter));
+  auto longer = path;
+  longer.push_back(tree.root());
+  EXPECT_FALSE(crypto::merkle_root_from_path(leaf, 4, 9, longer));
+  // The right shape at the wrong position reaches some other root.
+  const auto moved = crypto::merkle_root_from_path(leaf, 5, 9, path);
+  EXPECT_TRUE(!moved || *moved != tree.root());
+}
+
+TEST(MerkleTree, InteriorNodeIsNeverALeaf) {
+  const MerkleTree tree(leaves_of(4));
+  const auto l = tree.leaves();
+  const Sha256Digest interior = crypto::merkle_node_hash(l[0], l[1]);
+  // Domain separation: hashing the node's preimage as leaf data does not
+  // reproduce the node...
+  Bytes preimage(l[0].begin(), l[0].end());
+  preimage.insert(preimage.end(), l[1].begin(), l[1].end());
+  EXPECT_NE(crypto::merkle_leaf_hash(preimage), interior);
+  // ...and the node cannot stand in for a leaf of the four-leaf tree.
+  const auto path = tree.path(0);
+  const std::vector<Sha256Digest> upper(path.begin() + 1, path.end());
+  EXPECT_FALSE(crypto::merkle_root_from_path(interior, 0, 4, upper));
+}
+
+TEST(MerkleTree, EmptyTreeAndBadIndexThrow) {
+  EXPECT_THROW(MerkleTree({}), std::invalid_argument);
+  EXPECT_THROW((void)MerkleTree(leaves_of(3)).path(3), std::out_of_range);
+}
+
+// ---- Signed bundles --------------------------------------------------------
+
+TEST(BundleBatch, OneSignatureCoversEveryBundle) {
+  const auto home = keys(1);
+  const ServedBatch batch = served_batch("901550000000001", 3, 5, home);
+  for (std::size_t i = 0; i < batch.vectors.size(); ++i) {
+    EXPECT_EQ(batch.vectors[i].batch.leaf_index, i);
+    EXPECT_EQ(batch.vectors[i].batch.leaf_count, 8u);
+    EXPECT_EQ(batch.vectors[i].home_signature, batch.vectors[0].home_signature);
+    EXPECT_TRUE(AuthVectorBundle::decode(batch.vectors[i].encode()).verify(home.public_key));
+  }
+  for (const auto& s : batch.shares) {
+    EXPECT_EQ(s.home_signature, batch.vectors[0].home_signature);
+    EXPECT_EQ(s.batch.siblings.size(), 3u);
+    EXPECT_TRUE(KeyShareBundle::decode(s.encode()).verify(home.public_key));
+  }
+}
+
+TEST(BundleBatch, OneLeafBatchRoundTrip) {
+  const auto home = keys(2);
+  AuthVectorBundle v = vector_for("901550000000001", 7);
+  sign_single(v, home);
+  EXPECT_EQ(v.batch.leaf_index, 0u);
+  EXPECT_EQ(v.batch.leaf_count, 1u);
+  EXPECT_TRUE(v.batch.siblings.empty());
+  const AuthVectorBundle decoded = AuthVectorBundle::decode(v.encode());
+  EXPECT_EQ(decoded.encode(), v.encode());
+  EXPECT_TRUE(decoded.verify(home.public_key));
+
+  KeyShareBundle s = share_for("901550000000001", 9);
+  sign_single(s, home);
+  EXPECT_TRUE(KeyShareBundle::decode(s.encode()).verify(home.public_key));
+}
+
+TEST(BundleBatch, MixedHomesCannotShareABatch) {
+  std::vector<AuthVectorBundle> vectors = {vector_for("901550000000001", 1)};
+  std::vector<KeyShareBundle> shares = {share_for("901550000000001", 1)};
+  shares[0].home_network = NetworkId("other-home");
+  EXPECT_THROW(sign_batch(vectors, shares, keys(3)), std::invalid_argument);
+}
+
+// Each attack is applied to a vector and a share of the same batch; both
+// must fail verification against the home's key.
+struct Attack {
+  const char* name;
+  std::function<void(BatchPath&, crypto::Ed25519Signature&)> on_batch;
+};
+
+TEST(BundleBatch, AdversarialBundlesAreRejected) {
+  const auto home = keys(4);
+  const ServedBatch alice = served_batch("901550000000001", 4, 6, home);
+  const ServedBatch bob = served_batch("901550000000002", 4, 6, home);
+  const ServedBatch alice_elsewhere = served_batch("901550000000001", 2, 6, home);
+
+  const std::vector<Attack> attacks = {
+      {"path lifted from another user's batch",
+       [&](BatchPath& p, crypto::Ed25519Signature& sig) {
+         p = bob.shares[1].batch;
+         sig = bob.shares[1].home_signature;
+       }},
+      {"path lifted from another backup's batch",
+       [&](BatchPath& p, crypto::Ed25519Signature& sig) {
+         p = alice_elsewhere.shares[1].batch;
+         sig = alice_elsewhere.shares[1].home_signature;
+       }},
+      {"wrong index", [](BatchPath& p, auto&) { p.leaf_index ^= 1; }},
+      {"wrong leaf count", [](BatchPath& p, auto&) { ++p.leaf_count; }},
+      {"interior node as leaf",
+       [](BatchPath& p, auto&) {
+         p.siblings.erase(p.siblings.begin());
+         p.leaf_index /= 2;
+         p.leaf_count = (p.leaf_count + 1) / 2;
+       }},
+      {"forged root signature",
+       [&](BatchPath& p, crypto::Ed25519Signature& sig) {
+         const AuthVectorBundle& v = alice.vectors[0];
+         const auto root = crypto::merkle_root_from_path(
+             crypto::merkle_leaf_hash(v.signed_payload()), v.batch.leaf_index,
+             v.batch.leaf_count, v.batch.siblings);
+         sig = crypto::ed25519_sign(batch_signed_payload(v.home_network, p.leaf_count, *root),
+                                    keys(99));
+       }},
+  };
+  for (const Attack& attack : attacks) {
+    AuthVectorBundle v = alice.vectors[2];
+    attack.on_batch(v.batch, v.home_signature);
+    EXPECT_FALSE(v.verify(home.public_key)) << "vector: " << attack.name;
+    KeyShareBundle s = alice.shares[3];
+    attack.on_batch(s.batch, s.home_signature);
+    EXPECT_FALSE(s.verify(home.public_key)) << "share: " << attack.name;
+  }
+
+  AuthVectorBundle tampered_vector = alice.vectors[2];
+  tampered_vector.autn[0] ^= 1;
+  EXPECT_FALSE(tampered_vector.verify(home.public_key));
+  KeyShareBundle tampered_share = alice.shares[3];
+  tampered_share.share.y[0] ^= 1;
+  EXPECT_FALSE(tampered_share.verify(home.public_key));
+}
+
+// ---- Store requests --------------------------------------------------------
+
+StoreMaterialRequest signed_request(const crypto::Ed25519KeyPair& home) {
+  StoreMaterialRequest req;
+  req.home_network = NetworkId("home-net");
+  for (std::uint64_t i = 0; i < 3; ++i) req.vectors.push_back(vector_for("901550000000001", i));
+  for (std::uint8_t i = 0; i < 5; ++i) req.shares.push_back(share_for("901550000000001", i));
+  sign_batch(req.vectors, req.shares, home);
+  return req;
+}
+
+TEST(SplitBatches, DisseminationRequestIsOneBatch) {
+  const auto home = keys(5);
+  const StoreMaterialRequest req = signed_request(home);
+  const auto batches = split_batches(req);
+  ASSERT_TRUE(batches.has_value());
+  ASSERT_EQ(batches->size(), 1u);
+  EXPECT_EQ(batches->front().tree.leaf_count(), 8u);
+  EXPECT_TRUE(batches->front().verify_root(req.home_network, home.public_key));
+  EXPECT_FALSE(batches->front().verify_root(req.home_network, keys(6).public_key));
+  EXPECT_FALSE(batches->front().verify_root(NetworkId("other-home"), home.public_key));
+}
+
+TEST(SplitBatches, FloodRequestIsOneLeafBatches) {
+  // A flood vector is signed alone (byte-identical at every backup), and so
+  // is the backup's share of it.
+  const auto home = keys(7);
+  StoreMaterialRequest req;
+  req.home_network = NetworkId("home-net");
+  req.vectors.push_back(vector_for("901550000000001", 5));
+  req.shares.push_back(share_for("901550000000001", 5));
+  sign_single(req.vectors[0], home);
+  sign_single(req.shares[0], home);
+  const auto batches = split_batches(req);
+  ASSERT_TRUE(batches.has_value());
+  ASSERT_EQ(batches->size(), 2u);
+  EXPECT_EQ((*batches)[1].first, 1u);
+  for (const BundleBatch& batch : *batches) {
+    EXPECT_TRUE(batch.verify_root(req.home_network, home.public_key));
+  }
+}
+
+TEST(SplitBatches, InconsistentLayoutsAreRejected) {
+  const auto home = keys(8);
+  const std::vector<std::pair<const char*, std::function<void(StoreMaterialRequest&)>>> cases =
+      {
+          {"swapped indices",
+           [](StoreMaterialRequest& r) {
+             std::swap(r.shares[0].batch.leaf_index, r.shares[1].batch.leaf_index);
+           }},
+          {"changed count inside the batch",
+           [](StoreMaterialRequest& r) { ++r.shares[2].batch.leaf_count; }},
+          {"signature changes inside the batch",
+           [](StoreMaterialRequest& r) { r.shares[4].home_signature[0] ^= 1; }},
+          {"bundle of another home",
+           [](StoreMaterialRequest& r) { r.vectors[1].home_network = NetworkId("other"); }},
+          {"carried path",
+           [](StoreMaterialRequest& r) { r.vectors[0].batch.siblings.push_back({}); }},
+          {"truncated batch", [](StoreMaterialRequest& r) { r.shares.pop_back(); }},
+          {"zero leaf count",
+           [](StoreMaterialRequest& r) {
+             for (auto& v : r.vectors) v.batch.leaf_count = 0;
+             for (auto& s : r.shares) s.batch.leaf_count = 0;
+           }},
+          {"count beyond the request",
+           [](StoreMaterialRequest& r) {
+             for (auto& v : r.vectors) v.batch.leaf_count = 0xffffffffu;
+             for (auto& s : r.shares) s.batch.leaf_count = 0xffffffffu;
+           }},
+      };
+  for (const auto& [name, mutate] : cases) {
+    StoreMaterialRequest req = signed_request(home);
+    mutate(req);
+    EXPECT_FALSE(split_batches(StoreMaterialRequest::decode(req.encode())).has_value()) << name;
+  }
+}
+
+TEST(SplitBatches, ConsistentLayoutWithWrongCountFailsTheSignature) {
+  // Relabelling every bundle as part of a smaller batch is a valid layout,
+  // but not the batch the home signed.
+  const auto home = keys(9);
+  StoreMaterialRequest req = signed_request(home);
+  req.shares.resize(3);
+  for (auto& v : req.vectors) v.batch.leaf_count = 6;
+  for (auto& s : req.shares) s.batch.leaf_count = 6;
+  const auto batches = split_batches(req);
+  ASSERT_TRUE(batches.has_value());
+  EXPECT_FALSE(batches->front().verify_root(req.home_network, home.public_key));
+}
+
+}  // namespace
+}  // namespace dauth::core

@@ -26,8 +26,20 @@ Bytes valid_vector_bundle() {
   b.rand = array_from_hex<16>("00112233445566778899aabbccddeeff");
   b.autn = array_from_hex<16>("ffeeddccbbaa99887766554433221100");
   b.hxres_star = array_from_hex<16>("000102030405060708090a0b0c0d0e0f");
-  b.home_signature = crypto::ed25519_sign(b.signed_payload(), signer());
+  sign_single(b, signer());
   return b.encode();
+}
+
+/// Leaf 2 of a five-bundle batch, as a backup serves it: with its path.
+Bytes valid_batched_vector_bundle() {
+  std::vector<AuthVectorBundle> batch(5, AuthVectorBundle::decode(valid_vector_bundle()));
+  for (std::size_t i = 0; i < batch.size(); ++i) batch[i].sqn += i;
+  sign_batch(batch, {}, signer());
+  std::vector<crypto::Sha256Digest> leaves;
+  for (const auto& b : batch) leaves.push_back(crypto::merkle_leaf_hash(b.signed_payload()));
+  AuthVectorBundle served = batch[2];
+  served.batch.siblings = crypto::MerkleTree(std::move(leaves)).path(2);
+  return served.encode();
 }
 
 Bytes valid_store_request() {
@@ -39,8 +51,8 @@ Bytes valid_store_request() {
   share.supi = Supi("315010000000001");
   share.share.x = 1;
   share.share.y = Bytes(32, 0xaa);
-  share.home_signature = crypto::ed25519_sign(share.signed_payload(), signer());
   req.shares.push_back(share);
+  sign_batch(req.vectors, req.shares, signer());
   req.suci_secret = Bytes(32, 0x55);
   return req.encode();
 }
@@ -62,6 +74,20 @@ void expect_all_truncations_throw(const Bytes& valid, Decoder decode) {
 TEST(FuzzDecode, AuthVectorBundleTruncations) {
   expect_all_truncations_throw(valid_vector_bundle(),
                                [](ByteView d) { return AuthVectorBundle::decode(d); });
+}
+
+TEST(FuzzDecode, BatchedVectorBundleTruncations) {
+  const Bytes frame = valid_batched_vector_bundle();
+  ASSERT_TRUE(AuthVectorBundle::decode(frame).verify(signer().public_key));
+  expect_all_truncations_throw(frame, [](ByteView d) { return AuthVectorBundle::decode(d); });
+}
+
+TEST(FuzzDecode, OverlongBatchPathIsRejected) {
+  // The sibling count is one byte, but no tree is taller than 32 levels:
+  // a longer declared path must throw before anything is read into it.
+  AuthVectorBundle b = AuthVectorBundle::decode(valid_vector_bundle());
+  b.batch.siblings.assign(33, crypto::Sha256Digest{});
+  EXPECT_THROW((void)AuthVectorBundle::decode(b.encode()), wire::WireError);
 }
 
 TEST(FuzzDecode, StoreMaterialRequestTruncations) {
@@ -94,25 +120,24 @@ TEST(FuzzDecode, RandomMutationsNeverCrash) {
   // mutation hit a don't-care byte, e.g. inside the signature — which then
   // fails verification) or throw WireError. Anything else is a bug.
   const auto keys = signer();
-  const Bytes frames[] = {valid_vector_bundle(), valid_store_request()};
+  const Bytes frames[] = {valid_vector_bundle(), valid_batched_vector_bundle()};
   Xoshiro256StarStar rng(0xf022);
   for (const Bytes& frame : frames) {
+    ASSERT_TRUE(AuthVectorBundle::decode(frame).verify(keys.public_key));
     for (int trial = 0; trial < 2000; ++trial) {
       Bytes mutated = frame;
       const std::size_t pos = rng.next_below(mutated.size());
       mutated[pos] ^= static_cast<std::uint8_t>(1 + rng.next_below(255));
       try {
         const auto decoded = AuthVectorBundle::decode(mutated);
-        // Decoded despite mutation: the signature must now be invalid
-        // unless the flipped byte was outside the signed payload AND the
-        // signature — impossible for this format except... nothing: every
-        // byte is either signed content or the signature itself.
+        // Decoded despite mutation: verification must now fail. Every byte
+        // is signed leaf content, part of the batch path (which the root
+        // recomputation covers) or the signature itself.
         EXPECT_FALSE(decoded.verify(keys.public_key)) << "mutation at " << pos;
       } catch (const wire::WireError&) {
         // fine
       }
     }
-    break;  // the mutation-verify check only applies to the first frame
   }
 }
 

@@ -74,6 +74,15 @@ crypto::FeldmanCommitments random_feldman_commitments(Rng& rng) {
   return c;
 }
 
+BatchPath random_batch_path(Rng& rng) {
+  BatchPath path;
+  path.leaf_count = static_cast<std::uint32_t>(1 + rng.next_below(300));
+  path.leaf_index = static_cast<std::uint32_t>(rng.next_below(path.leaf_count));
+  const std::size_t siblings = rng.next_below(10);
+  for (std::size_t i = 0; i < siblings; ++i) path.siblings.push_back(random_array<32>(rng));
+  return path;
+}
+
 AuthVectorBundle random_vector_bundle(Rng& rng) {
   AuthVectorBundle b;
   b.home_network = random_network(rng);
@@ -83,6 +92,7 @@ AuthVectorBundle random_vector_bundle(Rng& rng) {
   b.autn = random_array<16>(rng);
   b.hxres_star = random_array<16>(rng);
   b.flood = rng.next_below(2) == 1;
+  b.batch = random_batch_path(rng);
   b.home_signature = random_array<64>(rng);  // round-trip only; not verified
   return b;
 }
@@ -95,6 +105,7 @@ KeyShareBundle random_share_bundle(Rng& rng) {
   b.share = random_share(rng);
   if (rng.next_below(2) == 1) b.feldman_share = random_feldman_share(rng);
   if (rng.next_below(2) == 1) b.feldman_commitments = random_feldman_commitments(rng);
+  b.batch = random_batch_path(rng);
   b.home_signature = random_array<64>(rng);
   return b;
 }

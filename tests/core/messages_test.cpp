@@ -23,7 +23,7 @@ AuthVectorBundle sample_vector(const crypto::Ed25519KeyPair& keys) {
   b.autn = array_from_hex<16>("ffeeddccbbaa99887766554433221100");
   b.hxres_star = array_from_hex<16>("0102030405060708090a0b0c0d0e0f10");
   b.flood = false;
-  b.home_signature = crypto::ed25519_sign(b.signed_payload(), keys);
+  sign_single(b, keys);
   return b;
 }
 
@@ -71,7 +71,7 @@ TEST(Messages, KeyShareBundleRoundTrip) {
   b.hxres_star = array_from_hex<16>("aa0102030405060708090a0b0c0d0eff");
   b.share.x = 3;
   b.share.y = Bytes(32, 0x5a);
-  b.home_signature = crypto::ed25519_sign(b.signed_payload(), keys);
+  sign_single(b, keys);
 
   const KeyShareBundle decoded = KeyShareBundle::decode(b.encode());
   EXPECT_EQ(decoded.share.x, 3);
@@ -97,7 +97,7 @@ TEST(Messages, KeyShareBundleWithFeldmanRoundTrip) {
   b.share.x = sharing.shares[1].x;
   b.feldman_share = sharing.shares[1];
   b.feldman_commitments = sharing.commitments;
-  b.home_signature = crypto::ed25519_sign(b.signed_payload(), keys);
+  sign_single(b, keys);
 
   const KeyShareBundle decoded = KeyShareBundle::decode(b.encode());
   ASSERT_TRUE(decoded.feldman_share.has_value());
@@ -148,8 +148,8 @@ TEST(Messages, StoreMaterialRequestRoundTrip) {
   share.supi = Supi("901550000000001");
   share.share.x = 1;
   share.share.y = Bytes(32, 0x11);
-  share.home_signature = crypto::ed25519_sign(share.signed_payload(), keys);
   req.shares.push_back(share);
+  sign_batch(req.vectors, req.shares, keys);
   req.suci_secret = Bytes(32, 0x77);
 
   const StoreMaterialRequest decoded = StoreMaterialRequest::decode(req.encode());
@@ -157,8 +157,14 @@ TEST(Messages, StoreMaterialRequestRoundTrip) {
   ASSERT_EQ(decoded.vectors.size(), 2u);
   ASSERT_EQ(decoded.shares.size(), 1u);
   EXPECT_TRUE(ct_equal(decoded.suci_secret, req.suci_secret));
-  EXPECT_TRUE(decoded.vectors[0].verify(keys.public_key));
-  EXPECT_TRUE(decoded.shares[0].verify(keys.public_key));
+  // One batch of three leaves; inside a store request the paths are empty,
+  // and the receiver rebuilds the tree to check the single root signature.
+  EXPECT_EQ(decoded.shares[0].batch.leaf_index, 2u);
+  EXPECT_EQ(decoded.shares[0].batch.leaf_count, 3u);
+  const auto batches = split_batches(decoded);
+  ASSERT_TRUE(batches.has_value());
+  ASSERT_EQ(batches->size(), 1u);
+  EXPECT_TRUE(batches->front().verify_root(decoded.home_network, keys.public_key));
 }
 
 TEST(Messages, GetVectorRequestRoundTrip) {

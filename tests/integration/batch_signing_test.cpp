@@ -1,0 +1,379 @@
+// Batch-signed dissemination end to end (§4.2.1): the home signs one Merkle
+// root per (user, backup) batch, each backup checks one signature per batch,
+// and a bundle served later carries the inclusion path that ties it to that
+// root. A peer that tampers with a bundle, its path or the root signature
+// is refused by the backup at store time and by the serving network at
+// attach time.
+#include <gtest/gtest.h>
+
+#include <functional>
+
+#include "federation_fixture.h"
+#include "store/kv_store.h"
+
+namespace dauth::testing {
+namespace {
+
+const Supi kAlice("901550000000001");
+const Supi kBob("901550000000002");
+
+std::uint64_t batches_verified(Federation& f) {
+  std::uint64_t total = 0;
+  for (const auto& net : f.nets) total += net->backup().metrics().batches_verified;
+  return total;
+}
+
+// ---- Counters ----------------------------------------------------------------
+
+TEST(BatchSigning, OneSignatureAndOneVerifyPerBackupBatch) {
+  Federation f(9);
+  const std::vector<std::size_t> backups = {1, 2, 3, 4, 5, 6, 7, 8};
+  f.provision(kAlice, 0, backups);
+
+  // 8 backups x (4 own vectors + 8 x 4 shares) bundles, in 8 batches.
+  EXPECT_EQ(f.net(0).home().metrics().batches_signed, 8u);
+  EXPECT_EQ(batches_verified(f), 8u);
+  std::uint64_t stored = 0;
+  for (std::size_t b : backups) {
+    EXPECT_EQ(f.net(b).backup().metrics().batches_verified, 1u);
+    stored += f.net(b).backup().metrics().bundles_stored;
+  }
+  EXPECT_EQ(stored, 8u * (4 + 8 * 4));
+}
+
+TEST(BatchSigning, VectorAndShareFromOneBackupShareACacheEntry) {
+  Federation f(5);
+  const auto keys = f.provision(kAlice, 0, {1, 2, 3});
+  f.network.node(f.net(0).node()).set_online(false);
+  auto ue = f.make_ue(kAlice, keys, 4);
+  const auto record = f.attach(*ue);
+  ASSERT_TRUE(record.success) << record.failure;
+  ASSERT_TRUE(record.key_confirmed);
+  // The share from the backup that served the vector is under the same
+  // root signature: its check is a cache hit.
+  EXPECT_GE(f.net(4).serving().metrics().signature_cache_hits, 1u);
+}
+
+// ---- Store-time rejection at the backup -------------------------------------
+
+/// A home-signed dissemination batch for `supi` that no backup holds yet.
+core::StoreMaterialRequest fresh_batch(Federation& f, const Supi& supi, std::uint8_t tag,
+                                       const crypto::Ed25519KeyPair& signer) {
+  core::StoreMaterialRequest req;
+  req.home_network = f.net(0).id();
+  for (std::uint8_t i = 0; i < 3; ++i) {
+    core::AuthVectorBundle v;
+    v.home_network = req.home_network;
+    v.supi = supi;
+    v.sqn = 100 + i;
+    v.hxres_star[0] = tag;
+    v.hxres_star[1] = i;
+    req.vectors.push_back(v);
+  }
+  for (std::uint8_t i = 0; i < 5; ++i) {
+    core::KeyShareBundle s;
+    s.home_network = req.home_network;
+    s.supi = supi;
+    s.hxres_star[0] = tag;
+    s.hxres_star[1] = static_cast<std::uint8_t>(16 + i);
+    s.share.x = 1;
+    s.share.y = Bytes(32, i);
+    req.shares.push_back(s);
+  }
+  core::sign_batch(req.vectors, req.shares, signer);
+  return req;
+}
+
+/// Sends a store request to net-2 as the home would; true when accepted.
+bool store_at_backup(Federation& f, const core::StoreMaterialRequest& req) {
+  std::optional<bool> accepted;
+  f.rpc.call(f.net(0).node(), f.net(1).node(), "backup.store", req.encode(), {},
+             [&](Bytes) { accepted = true; },
+             [&](sim::RpcError e) {
+               EXPECT_EQ(e.code, sim::RpcErrorCode::kRejected);
+               accepted = false;
+             });
+  f.simulator.run();
+  return accepted.value();
+}
+
+TEST(BatchSigning, BackupRejectsForgedBatches) {
+  Federation f(5);
+  f.provision(kAlice, 0, {1, 2, 3});
+  const auto& home_keys = f.net(0).signing_keys();
+  core::BackupNetwork& backup = f.net(1).backup();
+
+  const std::vector<std::pair<const char*, std::function<void(core::StoreMaterialRequest&)>>>
+      attacks = {
+          {"tampered leaf", [](core::StoreMaterialRequest& r) { r.shares[1].share.y[0] ^= 1; }},
+          {"signature lifted from another user's batch",
+           [&](core::StoreMaterialRequest& r) {
+             const auto other = fresh_batch(f, kAlice, 2, home_keys);
+             for (auto& v : r.vectors) v.home_signature = other.vectors[0].home_signature;
+             for (auto& s : r.shares) s.home_signature = other.vectors[0].home_signature;
+           }},
+          {"signature lifted from another backup's batch",
+           [&](core::StoreMaterialRequest& r) {
+             const auto other = fresh_batch(f, kBob, 3, home_keys);
+             for (auto& v : r.vectors) v.home_signature = other.vectors[0].home_signature;
+             for (auto& s : r.shares) s.home_signature = other.vectors[0].home_signature;
+           }},
+          {"swapped leaf indices",
+           [](core::StoreMaterialRequest& r) {
+             std::swap(r.shares[0].batch.leaf_index, r.shares[3].batch.leaf_index);
+           }},
+          {"wrong leaf count",
+           [](core::StoreMaterialRequest& r) {
+             for (auto& v : r.vectors) ++v.batch.leaf_count;
+             for (auto& s : r.shares) ++s.batch.leaf_count;
+             r.shares.push_back(r.shares.back());
+             r.shares.back().batch.leaf_index = 8;
+           }},
+          {"subtree presented as the batch",
+           [](core::StoreMaterialRequest& r) {
+             r.shares.clear();
+             for (auto& v : r.vectors) v.batch.leaf_count = 3;
+           }},
+          {"path carried into the store",
+           [](core::StoreMaterialRequest& r) { r.vectors[0].batch.siblings.push_back({}); }},
+          {"forged root signature",
+           [&](core::StoreMaterialRequest& r) {
+             core::sign_batch(r.vectors, r.shares, f.net(3).signing_keys());
+           }},
+      };
+  for (const auto& [name, attack] : attacks) {
+    core::StoreMaterialRequest req = fresh_batch(f, kBob, 1, home_keys);
+    attack(req);
+    const std::uint64_t verified = backup.metrics().batches_verified;
+    EXPECT_FALSE(store_at_backup(f, req)) << name;
+    EXPECT_EQ(backup.stored_vectors(f.net(0).id(), kBob), 0u) << name;
+    EXPECT_EQ(backup.stored_shares(f.net(0).id(), kBob), 0u) << name;
+    EXPECT_EQ(backup.metrics().batches_verified, verified) << name;
+  }
+
+  // The untouched batch is accepted with a single verify.
+  const std::uint64_t verified = backup.metrics().batches_verified;
+  EXPECT_TRUE(store_at_backup(f, fresh_batch(f, kBob, 1, home_keys)));
+  EXPECT_EQ(backup.stored_vectors(f.net(0).id(), kBob), 3u);
+  EXPECT_EQ(backup.stored_shares(f.net(0).id(), kBob), 5u);
+  EXPECT_EQ(backup.metrics().batches_verified, verified + 1);
+}
+
+// ---- Attach-time rejection at the serving network ---------------------------
+
+/// The path and signature of one bundle, grafted onto another.
+template <typename Bundle, typename Donor>
+void graft(Bundle& b, const Donor& donor) {
+  b.batch = donor.batch;
+  b.home_signature = donor.home_signature;
+}
+
+/// Applies one of the shared attacks to a served bundle.
+template <typename Bundle>
+using BundleAttack = std::function<void(Bundle&)>;
+
+template <typename Bundle>
+std::vector<std::pair<const char*, BundleAttack<Bundle>>> path_attacks(
+    const Bundle& other_user, const Bundle& other_backup, const crypto::Ed25519KeyPair& forger) {
+  return {
+      {"path lifted from another user's batch", [=](Bundle& b) { graft(b, other_user); }},
+      {"path lifted from another backup's batch", [=](Bundle& b) { graft(b, other_backup); }},
+      {"wrong index", [](Bundle& b) { b.batch.leaf_index ^= 1; }},
+      {"wrong leaf count", [](Bundle& b) { ++b.batch.leaf_count; }},
+      {"interior node as leaf",
+       [](Bundle& b) {
+         b.batch.siblings.erase(b.batch.siblings.begin());
+         b.batch.leaf_index /= 2;
+       }},
+      {"forged root signature",
+       [forger](Bundle& b) {
+         const auto root = crypto::merkle_root_from_path(
+             crypto::merkle_leaf_hash(b.signed_payload()), b.batch.leaf_index,
+             b.batch.leaf_count, b.batch.siblings);
+         b.home_signature = crypto::ed25519_sign(
+             core::batch_signed_payload(b.home_network, b.batch.leaf_count, *root), forger);
+       }},
+  };
+}
+
+/// Pulls the next stored vector for `supi` straight from a backup, as a
+/// serving network would receive it.
+core::AuthVectorBundle pull_vector(Federation& f, std::size_t backup, const Supi& supi) {
+  core::GetVectorRequest req;
+  req.serving_network = f.net(4).id();
+  req.supi = supi;
+  std::optional<core::AuthVectorBundle> bundle;
+  f.rpc.call(f.net(4).node(), f.net(backup).node(), "backup.get_vector", req.encode(), {},
+             [&](Bytes reply) { bundle = core::AuthVectorBundle::decode(reply); }, nullptr);
+  f.simulator.run();
+  return bundle.value();
+}
+
+TEST(BatchSigning, ServingNetworkRejectsForgedVectors) {
+  Federation f(5);
+  const auto keys = f.provision(kAlice, 0, {1, 2, 3});
+  f.provision(kBob, 0, {1, 2, 3});
+  f.network.node(f.net(0).node()).set_online(false);
+
+  const core::AuthVectorBundle vector = pull_vector(f, 1, kAlice);
+  ASSERT_FALSE(vector.batch.siblings.empty());
+  ASSERT_TRUE(vector.verify(f.net(0).signing_keys().public_key));
+  const core::AuthVectorBundle bobs = pull_vector(f, 1, kBob);
+  const core::AuthVectorBundle other_backup = pull_vector(f, 2, kAlice);
+
+  // Every backup now serves the same doctored copy of a real vector.
+  core::AuthVectorBundle served;
+  for (std::size_t b : {1u, 2u, 3u}) {
+    f.rpc.register_service(f.net(b).node(), "backup.get_vector",
+                           [&](ByteView, sim::Responder r) { r.reply(served.encode()); });
+  }
+  auto ue = f.make_ue(kAlice, keys, 4);
+
+  auto attacks = path_attacks(bobs, other_backup, f.net(3).signing_keys());
+  attacks.insert(attacks.begin(), {"tampered leaf", [](core::AuthVectorBundle& b) {
+                                     b.autn[0] ^= 1;
+                                   }});
+  for (const auto& [name, attack] : attacks) {
+    served = vector;
+    attack(served);
+    const auto record = f.attach(*ue);
+    EXPECT_FALSE(record.success) << name;
+    EXPECT_NE(record.failure.find("bad home signature"), std::string::npos)
+        << name << ": " << record.failure;
+  }
+  EXPECT_EQ(f.net(4).serving().metrics().ue_rejected, 0u);
+
+  // The undoctored vector still authenticates: only the attacks differed.
+  served = vector;
+  const auto record = f.attach(*ue);
+  EXPECT_TRUE(record.success) << record.failure;
+  EXPECT_TRUE(record.key_confirmed);
+}
+
+TEST(BatchSigning, ServingNetworkRejectsForgedShares) {
+  // Threshold 3 of 3: the attach needs net-2's share, which net-2 now
+  // builds itself — a correctly batch-signed share (the home's key stands
+  // in for a leaked signature) that the attacks then doctor.
+  core::FederationConfig cfg = Federation::test_config();
+  cfg.threshold = 3;
+  Federation f(5, cfg);
+  const auto keys = f.provision(kAlice, 0, {1, 2, 3});
+  f.network.node(f.net(0).node()).set_online(false);
+  const auto& home_keys = f.net(0).signing_keys();
+
+  const auto make_share = [&](const Supi& supi, const ByteArray<16>& hxres, std::size_t index) {
+    std::vector<core::KeyShareBundle> batch(6);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      batch[i].home_network = f.net(0).id();
+      batch[i].supi = supi;
+      batch[i].hxres_star[0] = static_cast<std::uint8_t>(i);
+      batch[i].share.x = 200;
+      batch[i].share.y = Bytes(32, 0x5a);
+    }
+    batch[index].hxres_star = hxres;
+    core::sign_batch({}, batch, home_keys);
+    std::vector<crypto::Sha256Digest> leaves;
+    for (const auto& s : batch) leaves.push_back(crypto::merkle_leaf_hash(s.signed_payload()));
+    core::KeyShareBundle share = batch[index];
+    share.batch.siblings = crypto::MerkleTree(std::move(leaves)).path(index);
+    return share;
+  };
+
+  BundleAttack<core::KeyShareBundle> attack;
+  f.rpc.register_service(f.net(1).node(), "backup.get_share",
+                         [&](ByteView request, sim::Responder r) {
+                           const auto proof = core::UsageProof::decode(request);
+                           core::KeyShareBundle share = make_share(proof.supi, proof.hxres_star, 2);
+                           if (attack) attack(share);
+                           r.reply(share.encode());
+                         });
+  auto ue = f.make_ue(kAlice, keys, 4);
+
+  const ByteArray<16> any_index = array_from_hex<16>("eeeeeeeeeeeeeeeeeeeeeeeeeeeeeeee");
+  auto attacks = path_attacks(make_share(kBob, any_index, 3), make_share(kAlice, any_index, 4),
+                              f.net(3).signing_keys());
+  attacks.insert(attacks.begin(), {"tampered leaf", [](core::KeyShareBundle& b) {
+                                     b.share.y[0] ^= 1;
+                                   }});
+  for (const auto& [name, share_attack] : attacks) {
+    attack = share_attack;
+    const auto record = f.attach(*ue);
+    EXPECT_FALSE(record.success) << name;
+    EXPECT_NE(record.failure.find("insufficient key shares"), std::string::npos)
+        << name << ": " << record.failure;
+  }
+
+  // Control: the same share undoctored passes the signature check and only
+  // fails later, when its bogus ordinate yields the wrong K_seaf.
+  attack = nullptr;
+  const auto record = f.attach(*ue);
+  EXPECT_FALSE(record.key_confirmed);
+  EXPECT_EQ(record.failure.find("insufficient key shares"), std::string::npos) << record.failure;
+}
+
+// ---- Persistence -------------------------------------------------------------
+
+TEST(BatchSigning, RestartedBackupServesVerifiablePaths) {
+  Federation f(5);
+  store::KvStore durable;
+  auto backup = std::make_unique<core::BackupNetwork>(
+      f.rpc, f.net(1).node(), f.net(1).id(), f.net(1).directory(), f.config, &durable);
+  backup->bind_services();
+  const auto keys = f.provision(kAlice, 0, {1, 2});
+  ASSERT_EQ(durable.keys_with_prefix("batch/").size(), 1u);
+
+  backup.reset();  // crash; restart over the same store
+  backup = std::make_unique<core::BackupNetwork>(f.rpc, f.net(1).node(), f.net(1).id(),
+                                                 f.net(1).directory(), f.config, &durable);
+  backup->bind_services();
+
+  const core::AuthVectorBundle vector = pull_vector(f, 1, kAlice);
+  EXPECT_FALSE(vector.batch.siblings.empty());
+  EXPECT_TRUE(vector.verify(f.net(0).signing_keys().public_key));
+
+  // Threshold 2 of 2: the attach succeeds only if the restarted backup's
+  // share verifies at the serving network.
+  f.network.node(f.net(0).node()).set_online(false);
+  auto ue = f.make_ue(kAlice, keys, 4);
+  const auto record = f.attach(*ue);
+  EXPECT_TRUE(record.success) << record.failure;
+  EXPECT_TRUE(record.key_confirmed);
+  EXPECT_EQ(backup->metrics().shares_served, 1u);
+}
+
+TEST(BatchSigning, BatchRecordIsErasedWithItsLastBundle) {
+  Federation f(5);
+  store::KvStore durable;
+  auto backup = std::make_unique<core::BackupNetwork>(
+      f.rpc, f.net(1).node(), f.net(1).id(), f.net(1).directory(), f.config, &durable);
+  backup->bind_services();
+  f.provision(kAlice, 0, {1, 2});
+  ASSERT_EQ(durable.keys_with_prefix("batch/").size(), 1u);
+
+  // Revoking net-3 deletes every share of the vectors it held, but net-2
+  // still holds its own vectors and their shares: the batch stays.
+  bool revoked = false;
+  f.net(0).home().revoke_backup(f.net(2).id(), [&] { revoked = true; });
+  f.simulator.run();
+  ASSERT_TRUE(revoked);
+  EXPECT_EQ(durable.keys_with_prefix("batch/").size(), 1u);
+
+  // Draining net-2's own vectors and revoking their shares releases the
+  // batch's last bundles, and with them the record.
+  for (std::size_t i = 0; i < f.config.vectors_per_backup; ++i) pull_vector(f, 1, kAlice);
+  core::RevokeSharesRequest revoke;
+  revoke.home_network = f.net(0).id();
+  revoke.supi = kAlice;
+  for (const auto& key : durable.keys_with_prefix("share/")) {
+    revoke.hxres_indices.push_back(array_from_hex<16>(key.substr(key.rfind('/') + 1)));
+  }
+  revoke.home_signature = crypto::ed25519_sign(revoke.signed_payload(), f.net(0).signing_keys());
+  f.rpc.call(f.net(0).node(), f.net(1).node(), "backup.revoke_shares", revoke.encode(), {},
+             nullptr, nullptr);
+  f.simulator.run();
+  EXPECT_EQ(backup->stored_shares(f.net(0).id(), kAlice), 0u);
+  EXPECT_TRUE(durable.keys_with_prefix("batch/").empty());
+}
+
+}  // namespace
+}  // namespace dauth::testing

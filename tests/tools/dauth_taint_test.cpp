@@ -653,6 +653,52 @@ TEST(ContractClean, DefaultTableCoversProtocolSurface) {
             get_share->guards.end());
 }
 
+// The shipped backup.store contract: one batch root signature must be
+// verified over every received bundle before any material is kept.
+std::vector<HandlerContract> backup_store_contract() {
+  auto table = default_contracts();
+  table.erase(std::remove_if(table.begin(), table.end(),
+                             [](const HandlerContract& c) { return c.service != "backup.store"; }),
+              table.end());
+  return table;
+}
+
+const char* kStoreRegistration =
+    "void BackupNetwork::bind_services() {\n"
+    "  rpc_.register_service(node_, \"backup.store\", [this](ByteView q, sim::Responder r) {\n"
+    "    handle_store(q, r);\n"
+    "  });\n"
+    "}\n";
+
+TEST(ContractH3, StoreBeforeBatchRootVerifyIsFlagged) {
+  const auto a = run(std::string(kStoreRegistration) +
+                         "void BackupNetwork::handle_store(ByteView q, sim::Responder r) {\n"
+                         "  auto batches = split_batches(req);\n"
+                         "  users_[{req.home_network, supi}].vectors.push_back(v);\n"
+                         "  for (const BundleBatch& batch : *batches) {\n"
+                         "    if (!batch.verify_root(req.home_network, k)) { r.fail(); return; }\n"
+                         "  }\n"
+                         "}\n",
+                     contracts_only(backup_store_contract()));
+  ASSERT_EQ(count_rule(a, "H3"), 1);
+  EXPECT_NE(a.findings[0].message.find("batch root verified over every received bundle"),
+            std::string::npos);
+}
+
+TEST(ContractClean, StoreAfterBatchRootVerifyPasses) {
+  const auto a = run(std::string(kStoreRegistration) +
+                         "void BackupNetwork::handle_store(ByteView q, sim::Responder r) {\n"
+                         "  auto batches = split_batches(req);\n"
+                         "  for (const BundleBatch& batch : *batches) {\n"
+                         "    if (!batch.verify_root(req.home_network, k)) { r.fail(); return; }\n"
+                         "  }\n"
+                         "  users_[{req.home_network, supi}].vectors.push_back(v);\n"
+                         "  store_->put(\"batch/\", leaves);\n"
+                         "}\n",
+                     contracts_only(backup_store_contract()));
+  EXPECT_TRUE(a.findings.empty());
+}
+
 // ===========================================================================
 // Parser sanity: the function summaries the passes depend on.
 

@@ -1595,10 +1595,10 @@ std::vector<HandlerContract> default_contracts() {
   return {
       {"backup.store",
        "BackupNetwork::handle_store",
-       {"verify"},
+       {"verify_root"},
        {"homes_[", "users_[", "store_.put"},
-       "only the home network that Ed25519-signed the vector/share bundles may "
-       "store material (§4.2.1)"},
+       "batch root verified over every received bundle: only the home network "
+       "that Ed25519-signed the batch's Merkle root may store material (§4.2.1)"},
       {"backup.get_vector",
        "BackupNetwork::handle_get_vector",
        {},
