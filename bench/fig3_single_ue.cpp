@@ -188,7 +188,7 @@ int main(int argc, char** argv) {
                     options.backup_count = 6;
                     options.backup_pool = bench::BackupPool::kNonCloud;
                     options.config.threshold = threshold;
-                    // The race burns two vectors per attach.
+                    // Headroom for hedged legs that burn a second vector.
                     options.config.vectors_per_backup = 2 * kSamples + 16;
                     options.config.report_interval = 0;  // home never returns
                     return run_dauth(options);

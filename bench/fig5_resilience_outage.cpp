@@ -4,15 +4,14 @@
 // the Fig. 5 backup points; the only differences are the announced outage
 // on one of the eight backups and the policy toggle.
 //
-// Both arms run with vector_race_width=1 so the ablation isolates the
-// resilience layer itself: hedged fan-out replaces the pre-existing
-// vector race (which would mask a dead backup by always burning a second
-// vector), and the breaker feed replaces nothing — the legacy path has no
-// liveness input at all. With the policy disabled, every attach whose
-// shuffled ladder starts at the dead backup burns the full
-// backup_auth_timeout and fails; with it enabled, the force-opened breaker
-// sorts the dead backup to the back and hedging covers silent stragglers,
-// so the outage is invisible to the UE.
+// Both arms run the same backup ladder; the toggle is its preset. Disabled,
+// the ladder is one leg wide and ignores the breakers: an attach whose
+// primary is the dead backup burns the full backup_auth_timeout and fails.
+// That happens until a share-broadcast timeout has marked the dead backup
+// slow in the serving network's RTT estimate (a peer with no sample ranks
+// first). Enabled, the force-opened breaker sorts the dead backup to the
+// back and hedging covers silent stragglers, so the outage is invisible to
+// the UE.
 //
 // Each (load, arm) pair shares one deterministic seed: identical worlds,
 // identical arrival processes, policy toggle only. The comparison rows at
@@ -45,7 +44,6 @@ ArmOutcome run_arm(double load, bool resilient, std::uint64_t seed) {
   options.config.threshold = 4;
   options.config.vectors_per_backup = 10;
   options.config.report_interval = 0;  // home stays down
-  options.config.vector_race_width = 1;
   options.config.resilience.enabled = resilient;
   options.backup_outages = 1;
   options.outage_start = 0;

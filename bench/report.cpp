@@ -1,12 +1,14 @@
 #include "report.h"
 
+#include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 
-#ifndef DAUTH_BUILD_COMMIT
-#define DAUTH_BUILD_COMMIT "unknown"
+#ifndef DAUTH_SOURCE_DIR
+#define DAUTH_SOURCE_DIR "."
 #endif
 
 namespace dauth::bench {
@@ -28,6 +30,21 @@ std::string json_escape(const std::string& s) {
     if (static_cast<unsigned char>(c) < 0x20) continue;  // drop control chars
     out.push_back(c);
   }
+  return out;
+}
+
+/// Trimmed output of a read-only git query against the source tree, or
+/// nullopt when git is unavailable or the tree is not a checkout.
+std::optional<std::string> git(const std::string& args) {
+  const std::string command = "git --no-optional-locks -C \"" DAUTH_SOURCE_DIR "\" " + args +
+                              " 2>/dev/null";
+  FILE* pipe = popen(command.c_str(), "r");
+  if (pipe == nullptr) return std::nullopt;
+  std::string out;
+  char buf[256];
+  while (std::fgets(buf, sizeof buf, pipe) != nullptr) out += buf;
+  if (pclose(pipe) != 0) return std::nullopt;
+  while (!out.empty() && std::isspace(static_cast<unsigned char>(out.back()))) out.pop_back();
   return out;
 }
 
@@ -79,10 +96,15 @@ std::string BenchReport::write() const {
   std::ofstream out(path);
   if (!out) return "";
 
+  // Provenance is taken now, not when the binary was configured: the commit
+  // checked out and whether tracked files differ from it.
+  const auto commit = git("rev-parse --short HEAD");
+  const auto status = git("status --porcelain --untracked-files=no");
   const double wall = now_seconds() - start_monotonic_;
   out << "{\n"
       << "  \"bench\": \"" << json_escape(name_) << "\",\n"
-      << "  \"commit\": \"" << json_escape(DAUTH_BUILD_COMMIT) << "\",\n"
+      << "  \"commit\": \"" << json_escape(commit.value_or("unknown")) << "\",\n"
+      << "  \"dirty\": " << (status ? (status->empty() ? "false" : "true") : "null") << ",\n"
       << "  \"threads\": " << threads_ << ",\n"
       << "  \"wall_clock_seconds\": " << json_number(wall) << ",\n"
       << "  \"rows\": [\n";

@@ -3,9 +3,10 @@
 // output, seeding the perf-trajectory tracking (docs/PERFORMANCE.md).
 //
 // The JSON record carries enough to compare runs across commits: the bench
-// name, the commit the binary was configured from, thread count, total
-// wall-clock, and one structured row per printed text row (series label,
-// sweep coordinate, sample count, latency quantiles in milliseconds).
+// name, the commit checked out when the record was written and whether
+// tracked files differed from it (dirty), thread count, total wall-clock,
+// and one structured row per printed text row (series label, sweep
+// coordinate, sample count, latency quantiles in milliseconds).
 #pragma once
 
 #include <cstddef>

@@ -45,7 +45,6 @@ int main() {
   core::FederationConfig config;
   config.threshold = 2;
   config.vectors_per_backup = 31;     // sized for multi-day outages (§7.3)
-  config.vector_race_width = 1;       // don't burn two vectors per probe
   config.report_interval = minutes(10);
 
   std::vector<sim::NodeIndex> site_nodes;

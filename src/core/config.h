@@ -61,9 +61,9 @@ struct CostModel {
   Time feldman_verify_per_share = ms(3);
 };
 
-/// Resilient-RPC knobs (docs/RESILIENCE.md). `enabled=false` reproduces the
-/// pre-resilience serving path exactly — single-shot RPCs, simultaneous
-/// `vector_race_width` racing, no breakers, no fast-fail — which is what the
+/// Resilient-RPC knobs (docs/RESILIENCE.md). `enabled=false` is the
+/// pre-resilience preset of the same serving path — single-shot RPCs, a
+/// one-leg vector ladder, no breakers, no fast-fail — which is what the
 /// ablation benches compare against.
 struct ResilienceConfig {
   bool enabled = true;
@@ -71,9 +71,9 @@ struct ResilienceConfig {
   /// fetches, GUTI + handover context lookups). Only kTimeout/kUnreachable
   /// are retried; jitter comes from the sim RNG so runs stay reproducible.
   sim::RetryPolicy retry;
-  /// Hedged backup fan-out: launch the GetVector to the next-best backup
-  /// after this delay instead of waiting out the full timeout; first success
-  /// wins, the losing legs are cancelled.
+  /// Hedged backup fan-out (§5.1 optimization 3): launch the GetVector to
+  /// the next-best backup after this delay instead of waiting out the full
+  /// timeout; first success wins, the losing legs are cancelled.
   Time hedge_delay = ms(250);
   /// Cap on hedged legs per vector fetch (including the primary).
   std::size_t hedge_width = 4;
@@ -97,9 +97,6 @@ struct FederationConfig {
   // §4.2.1 / §7.3: vectors pre-disseminated per backup network per user.
   std::size_t vectors_per_backup = 16;
 
-  // §5.1 optimization 3: how many backups to race a GetAuthVector against.
-  std::size_t vector_race_width = 2;
-
   // §4.2.3: backup networks poll/report to the home network at this cadence.
   Time report_interval = minutes(5);
 
@@ -113,10 +110,10 @@ struct FederationConfig {
   bool use_verifiable_shares = false;
 
   // Memoize successful bundle/directory signature verifications (the same
-  // signed artifact reaches a serving core several times: raced backup
-  // replies, resync re-fetches, TTL-refreshed directory entries). Bounds
-  // the per-network cache; 0 disables memoization. See crypto/verify_cache.h
-  // and the ablation bench.
+  // signed artifact reaches a serving core several times: hedged backup
+  // replies, a vector and a share from one batch, resync re-fetches,
+  // TTL-refreshed directory entries). Bounds the per-network cache; 0
+  // disables memoization. See crypto/verify_cache.h and the ablation bench.
   std::size_t verify_cache_entries = 256;
 
   // Retry/hedging/circuit-breaker policy for all federation RPC flows.

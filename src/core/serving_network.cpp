@@ -11,6 +11,24 @@
 
 namespace dauth::core {
 
+void PeerRtt::observe(sim::NodeIndex peer, Time sample) {
+  const auto [it, first] = srtt_.try_emplace(peer, sample);
+  if (!first) it->second += (sample - it->second) / 4;
+}
+
+std::optional<Time> PeerRtt::estimate(sim::NodeIndex peer) const {
+  const auto it = srtt_.find(peer);
+  if (it == srtt_.end()) return std::nullopt;
+  return it->second;
+}
+
+bool PeerRtt::before(sim::NodeIndex a, sim::NodeIndex b) const {
+  const auto rtt_a = estimate(a);
+  const auto rtt_b = estimate(b);
+  if (!rtt_a) return rtt_b.has_value();
+  return rtt_b && *rtt_a < *rtt_b;
+}
+
 const char* to_string(AuthPath path) noexcept {
   switch (path) {
     case AuthPath::kLocal: return "local";
@@ -90,16 +108,16 @@ sim::ResilienceObserver ServingNetwork::resilience_observer() {
   };
 }
 
+bool ServingNetwork::breaker_available(const directory::NetworkEntry& backup, Time now) const {
+  return rpc_.breakers().available(node_, static_cast<sim::NodeIndex>(backup.address), now);
+}
+
 std::size_t ServingNetwork::reachable_backups(
     const std::vector<directory::NetworkEntry>& backups) const {
   const Time now = rpc_.network().simulator().now();
-  std::size_t count = 0;
-  for (const directory::NetworkEntry& backup : backups) {
-    if (rpc_.breakers().available(node_, static_cast<sim::NodeIndex>(backup.address), now)) {
-      ++count;
-    }
-  }
-  return count;
+  return static_cast<std::size_t>(std::count_if(
+      backups.begin(), backups.end(),
+      [&](const directory::NetworkEntry& backup) { return breaker_available(backup, now); }));
 }
 
 void ServingNetwork::set_observability(obs::MetricsRegistry* registry,
@@ -489,7 +507,7 @@ void ServingNetwork::request_backup_vector(const std::shared_ptr<Attach>& attach
   request.suci = attach->suci;
 
   // §5.1 optimization 3 ordering: deterministic shuffle (sim RNG) spreads
-  // vector consumption across slices; with resilience on, breaker-available
+  // vector consumption across slices; with breakers on, breaker-available
   // backups are then moved to the front so a known-down peer is never the
   // primary leg.
   std::vector<std::size_t> order(attach->backups.size());
@@ -498,83 +516,37 @@ void ServingNetwork::request_backup_vector(const std::shared_ptr<Attach>& attach
   for (std::size_t i = order.size(); i > 1; --i) {
     std::swap(order[i - 1], order[rng.next_below(i)]);
   }
-
-  if (!config_.resilience.enabled) {
-    race_backup_vector(attach, request, order);
-    return;
-  }
+  const bool breakers = config_.resilience.enabled;
   const Time now = rpc_.network().simulator().now();
-  std::stable_partition(order.begin(), order.end(), [&](std::size_t i) {
-    return rpc_.breakers().available(
-        node_, static_cast<sim::NodeIndex>(attach->backups[i].address), now);
-  });
+  if (breakers) {
+    std::stable_partition(order.begin(), order.end(), [&](std::size_t i) {
+      return breaker_available(attach->backups[i], now);
+    });
+  }
+  // Power of two choices (Mitzenmacher, IEEE TPDS 2001): of the first two
+  // available candidates, the one with the lower smoothed share RTT leads,
+  // so a slow backup rarely makes the attach's critical path.
+  if (order.size() >= 2 && (!breakers || breaker_available(attach->backups[order[1]], now))) {
+    const auto address = [&](std::size_t i) {
+      return static_cast<sim::NodeIndex>(attach->backups[order[i]].address);
+    };
+    if (peer_rtt_.before(address(1), address(0))) std::swap(order[0], order[1]);
+  }
   hedge_backup_vector(attach, request, order);
 }
 
-/// Pre-resilience fan-out: `vector_race_width` simultaneous single-shot
-/// calls; first verified bundle wins, all-failed fails the attach.
-void ServingNetwork::race_backup_vector(const std::shared_ptr<Attach>& attach,
-                                        const GetVectorRequest& request,
-                                        const std::vector<std::size_t>& order) {
-  const std::size_t race_width =
-      std::max<std::size_t>(1, std::min(config_.vector_race_width, order.size()));
-
-  auto got_vector = std::make_shared<bool>(false);
-  auto failures = std::make_shared<std::size_t>(0);
-  auto options = sim::RpcOptions::oneshot(config_.backup_auth_timeout);
-  options.use_breaker = false;
-  options.trace_parent = attach->span;
-
-  // A racer that errors, returns garbage, or fails signature verification
-  // counts as a failure; when every racer has failed, the attach fails fast
-  // instead of waiting out the UE's timeout.
-  auto racer_failed = [this, attach, got_vector, failures, race_width](
-                          const std::string& reason) {
-    if (attach->done || *got_vector) return;
-    if (++*failures == race_width) {
-      finish(attach, {false, AuthPath::kBackup, {}, "no backup vector: " + reason});
-    }
-  };
-
-  for (std::size_t i = 0; i < race_width; ++i) {
-    const directory::NetworkEntry& backup = attach->backups[order[i]];
-    backup_vector_stub_.call(
-        static_cast<sim::NodeIndex>(backup.address), request, options,
-        [this, attach, got_vector, racer_failed](CallResult<AuthVectorBundle> result) {
-          if (attach->done || *got_vector) return;  // a racer already won
-          if (!result.ok()) {
-            racer_failed(result.error().message);
-            return;
-          }
-          const AuthVectorBundle& bundle = result.value();
-          // Raced backups serve byte-identical flood bundles, so the losing
-          // racers' checks are usually answered by the verification cache.
-          const SigCheck sig = check_bundle(bundle, attach->home_entry->signing_key);
-          rpc_.network().node(node_).execute(
-              sig.cost, [this, attach, got_vector, racer_failed, bundle, sig] {
-                if (attach->done || *got_vector) return;
-                if (!sig.ok) {
-                  racer_failed("bad home signature");
-                  return;
-                }
-                *got_vector = true;
-                attach->supi = bundle.supi;
-                send_challenge(attach, bundle);
-              });
-        });
-  }
-}
-
-/// Hedged fan-out (resilience on): launch to the best backup, arm a hedge
-/// timer; if the leg is still pending after `hedge_delay` — or fails outright
-/// — promote the next-best backup. First verified bundle wins and cancels
-/// every losing leg, so a slow or silently-dead backup costs one hedge delay
-/// instead of a full timeout.
+/// Hedged fan-out: launch to the best backup, arm a hedge timer; if the leg
+/// is still pending after `hedge_delay` — or fails outright — promote the
+/// next-best backup. First verified bundle wins and cancels every losing
+/// leg, so a slow or silently-dead backup costs one hedge delay instead of
+/// a full timeout. With resilience off the ladder is one leg wide and
+/// ignores the breakers: a failed leg fails the attach.
 void ServingNetwork::hedge_backup_vector(const std::shared_ptr<Attach>& attach,
                                          const GetVectorRequest& request,
                                          const std::vector<std::size_t>& order) {
-  const std::size_t width = std::max<std::size_t>(
-      1, std::min(config_.resilience.hedge_width, order.size()));
+  const std::size_t ladder_width =
+      config_.resilience.enabled ? config_.resilience.hedge_width : 1;
+  const std::size_t width = std::max<std::size_t>(1, std::min(ladder_width, order.size()));
 
   struct Hedge {
     bool won = false;
@@ -590,6 +562,7 @@ void ServingNetwork::hedge_backup_vector(const std::shared_ptr<Attach>& attach,
   // a breaker skip resolves in the same tick, promoting the next backup for
   // free (the "known-down backup skipped instantly" path).
   auto leg_options = sim::RpcOptions::oneshot(config_.backup_auth_timeout);
+  leg_options.use_breaker = config_.resilience.enabled;
   leg_options.trace_parent = attach->span;
 
   state->launch = [this, attach, weak = std::weak_ptr<Hedge>(state), request, leg_options,
@@ -1063,8 +1036,7 @@ void ServingNetwork::collect_key_shares(const std::shared_ptr<Attach>& attach,
   if (config_.resilience.enabled) {
     const Time now = rpc_.network().simulator().now();
     for (const directory::NetworkEntry& backup : attach->backups) {
-      if (rpc_.breakers().available(node_, static_cast<sim::NodeIndex>(backup.address),
-                                    now)) {
+      if (breaker_available(backup, now)) {
         targets.push_back(&backup);
       } else {
         ++metrics_.breaker_skips;
@@ -1155,11 +1127,21 @@ void ServingNetwork::collect_key_shares(const std::shared_ptr<Attach>& attach,
   // §6.4: the proof is broadcast to ALL (reachable) backups concurrently;
   // the first `threshold` distinct valid shares reconstruct K_seaf.
   for (const directory::NetworkEntry* backup : targets) {
+    const auto peer = static_cast<sim::NodeIndex>(backup->address);
+    const Time sent = rpc_.network().simulator().now();
     // DAUTH_DISCLOSE(usage proof releases the RES* preimage to redeem key shares, §4.2.2)
     backup_share_stub_.call(
-        static_cast<sim::NodeIndex>(backup->address), proof, options,
-        [this, attach, state, leg_concluded, combine_shares](
+        peer, proof, options,
+        [this, attach, state, leg_concluded, combine_shares, peer, sent](
             CallResult<KeyShareBundle> result) {
+          // Every concluded leg refreshes the peer's RTT estimate. A reply or
+          // a rejection samples its elapsed time; a transport failure or
+          // timeout samples the whole deadline, so a silently dead backup
+          // stops leading vector fetches after one attach.
+          const bool answered =
+              result.ok() || result.error().code == sim::RpcErrorCode::kRejected;
+          peer_rtt_.observe(peer, answered ? rpc_.network().simulator().now() - sent
+                                           : config_.key_share_timeout);
           if (state->combined || attach->done) {
             --state->outstanding;
             return;

@@ -5,10 +5,12 @@
 //   2. if the user is local, generates the vector itself (LocalAuth);
 //   3. else tries the home network directly (§4.1); on failure or on a
 //      cached "home is down" hint it falls back to the backup scheme
-//      (§4.2.2): race GetVector across `vector_race_width` backups, verify
-//      the home signature, challenge the UE, then broadcast the signed
-//      RES* usage proof to ALL backups and combine the first `threshold`
-//      valid key shares into K_seaf.
+//      (§4.2.2): fetch a vector through the hedged backup ladder (the
+//      faster of two random candidates by smoothed share RTT leads; a
+//      slow or failed leg promotes the next backup), verify the home
+//      signature, challenge the UE, then broadcast the signed RES* usage
+//      proof to ALL backups and combine the first `threshold` valid key
+//      shares into K_seaf.
 //
 // The UE-facing side is exposed as two RPC services so a gNB/UE emulator
 // can drive it over the simulated network:
@@ -66,6 +68,23 @@ struct AttachOutcome {
   std::string failure;
 };
 
+/// Smoothed round-trip time per backup peer, in virtual time: an EWMA with
+/// a fixed gain of 1/4 (RFC 6298's SRTT uses 1/8), seeded by the first
+/// sample. The serving network feeds it from every concluded share leg and
+/// reads it to pick which of two candidates leads a vector fetch.
+class PeerRtt {
+ public:
+  void observe(sim::NodeIndex peer, Time sample);
+  /// The smoothed estimate, or nullopt before the peer's first sample.
+  std::optional<Time> estimate(sim::NodeIndex peer) const;
+  /// Whether `a` should lead before `b`: an unsampled peer ranks first,
+  /// then the lower estimate; ties keep the current order (false).
+  bool before(sim::NodeIndex a, sim::NodeIndex b) const;
+
+ private:
+  std::map<sim::NodeIndex, Time> srtt_;
+};
+
 class ServingNetwork {
  public:
   /// `local_home` is this network's own HomeNetwork role (for LocalAuth);
@@ -92,6 +111,9 @@ class ServingNetwork {
 
   const ServingMetrics& metrics() const noexcept { return metrics_; }
 
+  /// Per-backup share RTT estimates that rank vector-fetch candidates.
+  const PeerRtt& peer_rtt() const noexcept { return peer_rtt_; }
+
   /// Wires this role into the observability layer (docs/OBSERVABILITY.md):
   /// registers the counters as registry views, opens the attach-latency
   /// histogram, and records attach lifecycle events in the journal. Either
@@ -115,9 +137,6 @@ class ServingNetwork {
   void try_home_auth(const std::shared_ptr<Attach>& attach);
   void start_backup_auth(const std::shared_ptr<Attach>& attach);
   void request_backup_vector(const std::shared_ptr<Attach>& attach);
-  void race_backup_vector(const std::shared_ptr<Attach>& attach,
-                          const GetVectorRequest& request,
-                          const std::vector<std::size_t>& order);
   void hedge_backup_vector(const std::shared_ptr<Attach>& attach,
                            const GetVectorRequest& request,
                            const std::vector<std::size_t>& order);
@@ -156,6 +175,8 @@ class ServingNetwork {
   sim::RpcOptions policy_options(Time deadline) const;
   /// Observer translating policy-layer events into ServingMetrics counters.
   sim::ResilienceObserver resilience_observer();
+  /// Whether the circuit breaker would let us call `backup` right now.
+  bool breaker_available(const directory::NetworkEntry& backup, Time now) const;
   /// How many of `backups` the circuit breakers would let us call right now.
   std::size_t reachable_backups(const std::vector<directory::NetworkEntry>& backups) const;
 
@@ -201,12 +222,13 @@ class ServingNetwork {
   std::map<NetworkId, HealthEntry> home_health_;
   Time health_ttl_ = sec(30);
 
-  // Memoizes successful bundle-signature verifications (raced backup
+  // Memoizes successful bundle-signature verifications (hedged backup
   // replies and resync re-fetches re-verify byte-identical artifacts).
   // Sized by FederationConfig::verify_cache_entries in the constructor.
   crypto::VerifyCache verify_cache_;
 
   ServingMetrics metrics_;
+  PeerRtt peer_rtt_;
 
   // Observability (null = off): end-to-end attach latency histogram and the
   // auditable event journal. The tracer itself rides on the Rpc layer.

@@ -1,7 +1,7 @@
 // Bounded memoization of successful Ed25519 verifications.
 //
 // A federation core re-checks the *same* signed artifact many times: flood
-// vectors are replicated to every backup and raced (§5.1 opt. 3), directory
+// vectors are replicated to every backup and hedged (§5.1 opt. 3), directory
 // entries are re-fetched after TTL expiry, and resync paths re-verify the
 // bundle they already accepted. The group equation costs tens of
 // microseconds of real CPU (and a calibrated ~0.8 ms in the simulator's

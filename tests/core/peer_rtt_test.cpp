@@ -1,0 +1,45 @@
+// Unit tests for core::PeerRtt, the smoothed per-backup RTT estimate that
+// ranks the two vector-fetch candidates.
+#include <gtest/gtest.h>
+
+#include "core/serving_network.h"
+
+namespace dauth::core {
+namespace {
+
+TEST(PeerRtt, FirstSampleSeedsThenQuarterGainSmooths) {
+  PeerRtt rtt;
+  EXPECT_FALSE(rtt.estimate(3).has_value());
+  rtt.observe(3, ms(40));
+  EXPECT_EQ(rtt.estimate(3), ms(40));
+  rtt.observe(3, ms(80));  // 40 + (80 - 40) / 4
+  EXPECT_EQ(rtt.estimate(3), ms(50));
+  rtt.observe(3, ms(10));  // 50 + (10 - 50) / 4
+  EXPECT_EQ(rtt.estimate(3), ms(40));
+  EXPECT_FALSE(rtt.estimate(4).has_value());  // peers are independent
+}
+
+TEST(PeerRtt, OneTimeoutSampleOutweighsAFastHistory) {
+  PeerRtt rtt;
+  for (int i = 0; i < 20; ++i) {
+    rtt.observe(1, ms(8));
+    rtt.observe(2, ms(60));
+  }
+  EXPECT_TRUE(rtt.before(1, 2));
+  rtt.observe(1, sec(2));  // a share leg that timed out
+  EXPECT_TRUE(rtt.before(2, 1));
+}
+
+TEST(PeerRtt, UnsampledRanksFirstAndTiesKeepOrder) {
+  PeerRtt rtt;
+  EXPECT_FALSE(rtt.before(1, 2));  // both unsampled: keep the order
+  rtt.observe(1, ms(5));
+  EXPECT_TRUE(rtt.before(2, 1));   // unsampled 2 ranks before sampled 1
+  EXPECT_FALSE(rtt.before(1, 2));
+  rtt.observe(2, ms(5));
+  EXPECT_FALSE(rtt.before(1, 2));  // tie: neither moves
+  EXPECT_FALSE(rtt.before(2, 1));
+}
+
+}  // namespace
+}  // namespace dauth::core

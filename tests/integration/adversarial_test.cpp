@@ -16,9 +16,7 @@ namespace {
 const Supi kAlice("901550000000001");
 
 TEST(Adversarial, TamperedVectorFromBackupIsRejected) {
-  core::FederationConfig cfg = Federation::test_config();
-  cfg.vector_race_width = 1;
-  Federation f(5, cfg);
+  Federation f(5);
   const auto keys = f.provision(kAlice, 0, {1, 2, 3});
   f.network.node(f.net(0).node()).set_online(false);
 
@@ -34,10 +32,10 @@ TEST(Adversarial, TamperedVectorFromBackupIsRejected) {
                          });
 
   auto ue = f.make_ue(kAlice, keys, 4);
-  // Racing width 1: some attaches hit the malicious backup and fail the
-  // signature check; the serving network must never forward a bogus
-  // challenge to the UE. Over several attaches at least one must traverse
-  // an honest backup and succeed; none may succeed with a bad bundle.
+  // Some attaches lead with the malicious backup and fail the signature
+  // check there; the serving network must never forward a bogus challenge
+  // to the UE. Over several attaches at least one must traverse an honest
+  // backup and succeed; none may succeed with a bad bundle.
   int successes = 0;
   for (int i = 0; i < 6; ++i) {
     const auto record = f.attach(*ue);

@@ -49,9 +49,7 @@ TEST(Federation, BackupAuthWhenHomeOffline) {
 }
 
 TEST(Federation, RepeatedBackupAuthsConsumeVectors) {
-  core::FederationConfig cfg = Federation::test_config();
-  cfg.vector_race_width = 1;  // exactly one vector consumed per attach
-  Federation f(5, cfg);
+  Federation f(5);
   const auto keys = f.provision(kAlice, 0, {1, 2, 3});
   f.network.node(f.net(0).node()).set_online(false);
 

@@ -90,7 +90,6 @@ TEST(Resync, BackupPathRetriesWithDifferentSliceVector) {
   // from the other slices. The observable contract: attaches keep
   // succeeding and none hang.
   core::FederationConfig cfg = Federation::test_config();
-  cfg.vector_race_width = 1;
   cfg.vectors_per_backup = 2;
   Federation f(5, cfg);
   const auto keys = f.provision(kAlice, 0, {1, 2, 3});
