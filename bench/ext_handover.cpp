@@ -19,9 +19,10 @@ using namespace dauth;
 namespace {
 
 constexpr int kMoves = 200;
+constexpr std::uint64_t kSeed = 99;
 
 struct MobilityWorld {
-  sim::Simulator simulator{99};
+  sim::Simulator simulator{kSeed};
   sim::Network network{simulator};
   sim::Rpc rpc{network};
   directory::DirectoryServer directory_server;
@@ -32,6 +33,7 @@ struct MobilityWorld {
   const Supi supi{"315010000000001"};
 
   explicit MobilityWorld(bool home_offline) {
+    bench::note_seed(kSeed);
     auto cfg = sim::profile(sim::NodeClass::kCloud, "directory");
     dir_node = network.add_node(cfg);
     directory_server.bind(rpc, dir_node);

@@ -95,6 +95,7 @@ struct DauthBench::Impl {
   std::unique_ptr<obs::EventJournal> journal;
 
   explicit Impl(const DauthOptions& opts) : options(opts), simulator(opts.seed) {
+    note_seed(opts.seed);
     rpc.set_connection_reuse(opts.connection_reuse);
     placement = build_placement(network, opts.scenario, /*serving_workers=*/2);
     directory_server.bind(rpc, placement.directory_node);
@@ -244,6 +245,7 @@ struct BaselineBench::Impl {
   std::unique_ptr<ran::LoadGenerator> generator;
 
   explicit Impl(const BaselineOptions& opts) : options(opts), simulator(opts.seed) {
+    note_seed(opts.seed);
     // Open5GS's auth path is single-threaded: one worker.
     placement = build_placement(network, opts.scenario, /*serving_workers=*/1);
 

@@ -5,7 +5,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <mutex>
 #include <optional>
+#include <set>
 
 #ifndef DAUTH_SOURCE_DIR
 #define DAUTH_SOURCE_DIR "."
@@ -48,6 +50,9 @@ std::optional<std::string> git(const std::string& args) {
   return out;
 }
 
+std::mutex seeds_mutex;
+std::set<std::uint64_t> seeds_run;
+
 std::string json_number(double v) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.6g", v);
@@ -55,6 +60,11 @@ std::string json_number(double v) {
 }
 
 }  // namespace
+
+void note_seed(std::uint64_t seed) {
+  const std::lock_guard<std::mutex> lock(seeds_mutex);
+  seeds_run.insert(seed);
+}
 
 ReportRow make_row(const std::string& series, double x, SampleSet& samples,
                    const std::string& kind) {
@@ -100,11 +110,19 @@ std::string BenchReport::write() const {
   // checked out and whether tracked files differ from it.
   const auto commit = git("rev-parse --short HEAD");
   const auto status = git("status --porcelain --untracked-files=no");
+  std::string seeds;
+  {
+    const std::lock_guard<std::mutex> lock(seeds_mutex);
+    for (const std::uint64_t seed : seeds_run) {
+      seeds += (seeds.empty() ? "" : ", ") + std::to_string(seed);
+    }
+  }
   const double wall = now_seconds() - start_monotonic_;
   out << "{\n"
       << "  \"bench\": \"" << json_escape(name_) << "\",\n"
       << "  \"commit\": \"" << json_escape(commit.value_or("unknown")) << "\",\n"
       << "  \"dirty\": " << (status ? (status->empty() ? "false" : "true") : "null") << ",\n"
+      << "  \"seeds\": [" << seeds << "],\n"
       << "  \"threads\": " << threads_ << ",\n"
       << "  \"wall_clock_seconds\": " << json_number(wall) << ",\n"
       << "  \"rows\": [\n";

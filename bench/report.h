@@ -4,12 +4,14 @@
 //
 // The JSON record carries enough to compare runs across commits: the bench
 // name, the commit checked out when the record was written and whether
-// tracked files differed from it (dirty), thread count, total wall-clock,
-// and one structured row per printed text row (series label, sweep
-// coordinate, sample count, latency quantiles in milliseconds).
+// tracked files differed from it (dirty), the simulation seeds the process
+// ran, thread count, total wall-clock, and one structured row per printed
+// text row (series label, sweep coordinate, sample count, latency
+// quantiles in milliseconds).
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -28,6 +30,11 @@ struct ReportRow {
   double mean = 0, min = 0, max = 0;
   double value = 0;  // "scalar" rows: the single reported number
 };
+
+/// Records that a simulated bench world was built from `seed` (DauthBench
+/// and BaselineBench call this). Thread-safe; every record written later in
+/// the process stamps the sorted set of seeds noted so far.
+void note_seed(std::uint64_t seed);
 
 /// Builds a quantile/summary row from a sample set (values in ms).
 ReportRow make_row(const std::string& series, double x, SampleSet& samples,

@@ -48,7 +48,9 @@ int main() {
   };
   const Time kHorizon = 365 * kDay;
 
-  sim::Simulator simulator(20240804);
+  constexpr std::uint64_t kSeed = 20240804;
+  bench::note_seed(kSeed);
+  sim::Simulator simulator(kSeed);
   sim::Network network(simulator);
   std::vector<sim::NodeIndex> nodes;
   for (const Site& site : sites) {

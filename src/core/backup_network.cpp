@@ -520,8 +520,7 @@ void BackupNetwork::report_now(const NetworkId& home) {
     // Reports already have an application-level retry loop (arm_report), so
     // a single attempt per firing is enough even with resilience enabled;
     // the breaker still short-circuits firings at a known-down home.
-    auto options = sim::RpcOptions::oneshot();
-    options.use_breaker = config_.resilience.enabled;
+    const auto options = config_.resilience.call_options(sec(5));
     // DAUTH_DISCLOSE(usage report carries spent RES* preimages back to the home network, §4.2.3)
     report_stub_.call(
         static_cast<sim::NodeIndex>(e->address), report, options,

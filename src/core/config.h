@@ -17,7 +17,7 @@
 #include <string>
 
 #include "common/time.h"
-#include "sim/resilience.h"
+#include "sim/rpc.h"
 
 namespace dauth::core {
 
@@ -81,6 +81,20 @@ struct ResilienceConfig {
   /// attach immediately with a distinct outcome instead of burning the
   /// full deadline on calls that cannot reach quorum.
   bool fast_fail = true;
+
+  /// Options for one federation call whose single attempt times out after
+  /// `timeout`. Enabled: breaker-gated and, when `retry_budget` is nonzero,
+  /// retried under `retry` inside that budget instead. Disabled: that one
+  /// attempt, breakers ignored.
+  sim::RpcOptions call_options(Time timeout, Time retry_budget = 0) const {
+    if (!enabled) {
+      auto options = sim::RpcOptions::oneshot(timeout);
+      options.use_breaker = false;
+      return options;
+    }
+    if (retry_budget == 0) return sim::RpcOptions::oneshot(timeout);
+    return sim::RpcOptions::durable(retry_budget, retry);
+  }
 };
 
 struct FederationConfig {

@@ -8,6 +8,15 @@
 #include "wire/writer.h"
 
 namespace dauth::core {
+namespace {
+
+// Background pushes to backups (dissemination, replenishment, revocation)
+// are idempotent: store/revoke are keyed by H(XRES*). With resilience on
+// they retry freely inside a generous budget.
+constexpr Time kPushTimeout = sec(5);
+constexpr Time kPushBudget = sec(10);
+
+}  // namespace
 
 ByteArray<16> hxres_index(const crypto::ResStar& res_star) {
   return take<16>(crypto::sha256(res_star));
@@ -34,17 +43,6 @@ HomeNetwork::HomeNetwork(sim::Rpc& rpc, sim::NodeIndex node, NetworkId id,
       rng_(std::move(rng)),
       store_stub_(rpc_, node_, "backup.store"),
       revoke_stub_(rpc_, node_, "backup.revoke_shares") {}
-
-sim::RpcOptions HomeNetwork::push_options() const {
-  if (!config_.resilience.enabled) {
-    auto options = sim::RpcOptions::oneshot();
-    options.use_breaker = false;
-    return options;
-  }
-  // Background pushes are idempotent (store/revoke are keyed by H(XRES*)),
-  // so retry freely inside a generous budget.
-  return sim::RpcOptions::durable(sec(10), config_.resilience.retry);
-}
 
 void HomeNetwork::provision_subscriber(const Supi& supi, const aka::SubscriberKeys& keys) {
   Subscriber subscriber;
@@ -197,7 +195,7 @@ void HomeNetwork::disseminate(const Supi& supi, std::function<void(std::size_t)>
         }
         // DAUTH_DISCLOSE(dissemination sends each backup its own share of K_seaf, §4.2.1)
         store_stub_.call(static_cast<sim::NodeIndex>(entry->address), request,
-                         push_options(),
+                         config_.resilience.call_options(kPushTimeout, kPushBudget),
                          [finish_one](CallResult<Ack> result) { finish_one(result.ok()); });
       });
     }
@@ -545,7 +543,8 @@ void HomeNetwork::process_proof(const NetworkId& reporter, const UsageProof& pro
   for (const NetworkId& backup : backup_ids_) {
     directory_.get_network(backup, [this, revoke](std::optional<directory::NetworkEntry> e) {
       if (!e) return;
-      revoke_stub_.call(static_cast<sim::NodeIndex>(e->address), revoke, push_options(), {});
+      revoke_stub_.call(static_cast<sim::NodeIndex>(e->address), revoke,
+                        config_.resilience.call_options(kPushTimeout, kPushBudget), {});
     });
   }
   subscriber.outstanding.erase(outstanding_it);
@@ -582,8 +581,10 @@ void HomeNetwork::replenish(const Supi& supi, const NetworkId& holder) {
                              [this, request](std::optional<directory::NetworkEntry> e) {
                                if (!e) return;
                                // DAUTH_DISCLOSE(replenishment sends each backup its own share of K_seaf, §4.2.1)
-                               store_stub_.call(static_cast<sim::NodeIndex>(e->address),
-                                                request, push_options(), {});
+                               store_stub_.call(
+                                   static_cast<sim::NodeIndex>(e->address), request,
+                                   config_.resilience.call_options(kPushTimeout, kPushBudget),
+                                   {});
                              });
     }
   });
@@ -631,7 +632,7 @@ void HomeNetwork::revoke_backup(const NetworkId& revoked, std::function<void()> 
             backup, [this, revoke](std::optional<directory::NetworkEntry> e) {
               if (!e) return;
               revoke_stub_.call(static_cast<sim::NodeIndex>(e->address), revoke,
-                                push_options(), {});
+                                config_.resilience.call_options(kPushTimeout, kPushBudget), {});
             });
       }
     }
@@ -655,7 +656,7 @@ void HomeNetwork::revoke_backup(const NetworkId& revoked, std::function<void()> 
               if (!e) return;
               // DAUTH_DISCLOSE(flood dissemination sends each backup its own share of K_seaf, §4.3)
               store_stub_.call(static_cast<sim::NodeIndex>(e->address), request,
-                               push_options(), {});
+                               config_.resilience.call_options(kPushTimeout, kPushBudget), {});
             });
       }
     }

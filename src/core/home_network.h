@@ -163,10 +163,6 @@ class HomeNetwork {
   void note_anomaly(std::string what);
   int slice_of(const NetworkId& backup) const;
 
-  /// Options for background pushes to backups (dissemination, replenishment,
-  /// revocation): retrying when resilience is enabled, single-shot when not.
-  sim::RpcOptions push_options() const;
-
   sim::Rpc& rpc_;
   sim::NodeIndex node_;
   NetworkId id_;

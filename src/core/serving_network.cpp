@@ -88,15 +88,6 @@ ServingNetwork::ServingNetwork(sim::Rpc& rpc, sim::NodeIndex node, NetworkId id,
       home_ping_stub_(rpc_, node_, "home.ping"),
       verify_cache_(config_.verify_cache_entries) {}
 
-sim::RpcOptions ServingNetwork::policy_options(Time deadline) const {
-  if (!config_.resilience.enabled) {
-    auto options = sim::RpcOptions::oneshot(deadline);
-    options.use_breaker = false;
-    return options;
-  }
-  return sim::RpcOptions::durable(deadline, config_.resilience.retry);
-}
-
 sim::ResilienceObserver ServingNetwork::resilience_observer() {
   return [this](sim::ResilienceEvent event) {
     switch (event) {
@@ -419,7 +410,8 @@ void ServingNetwork::try_home_auth(const std::shared_ptr<Attach>& attach) {
   request.supi = attach->supi;
   request.suci = attach->suci;
 
-  auto options = policy_options(config_.home_auth_timeout);
+  auto options =
+      config_.resilience.call_options(config_.home_auth_timeout, config_.home_auth_timeout);
   options.trace_parent = attach->span;
   home_vector_stub_.call(
       static_cast<sim::NodeIndex>(attach->home_entry->address), request, options,
@@ -507,30 +499,48 @@ void ServingNetwork::request_backup_vector(const std::shared_ptr<Attach>& attach
   request.suci = attach->suci;
 
   // §5.1 optimization 3 ordering: deterministic shuffle (sim RNG) spreads
-  // vector consumption across slices; with breakers on, breaker-available
-  // backups are then moved to the front so a known-down peer is never the
-  // primary leg.
-  std::vector<std::size_t> order(attach->backups.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  // vector consumption across slices.
+  const std::size_t n = attach->backups.size();
+  std::vector<std::size_t> order(n);
+  for (std::size_t i = 0; i < n; ++i) order[i] = i;
   auto& rng = rpc_.network().simulator().rng();
-  for (std::size_t i = order.size(); i > 1; --i) {
+  for (std::size_t i = n; i > 1; --i) {
     std::swap(order[i - 1], order[rng.next_below(i)]);
   }
-  const bool breakers = config_.resilience.enabled;
+  // Liveness tier per backup: closed circuits first, then half-open ones
+  // (probe-only: the §6.4 share broadcast probes them, a vector fetch
+  // reaches them only when every closed backup has failed), then open ones,
+  // which the ladder's breaker-gated legs skip. With resilience off every
+  // backup is tier 0.
   const Time now = rpc_.network().simulator().now();
-  if (breakers) {
-    std::stable_partition(order.begin(), order.end(), [&](std::size_t i) {
-      return breaker_available(attach->backups[i], now);
-    });
+  const auto address = [&](std::size_t i) {
+    return static_cast<sim::NodeIndex>(attach->backups[i].address);
+  };
+  std::vector<int> tier(n, 0);
+  if (config_.resilience.enabled) {
+    for (std::size_t i = 0; i < n; ++i) {
+      switch (rpc_.breakers().state(node_, address(i), now)) {
+        case sim::BreakerState::kClosed: tier[i] = 0; break;
+        case sim::BreakerState::kHalfOpen: tier[i] = 1; break;
+        case sim::BreakerState::kOpen: tier[i] = 2; break;
+      }
+    }
   }
-  // Power of two choices (Mitzenmacher, IEEE TPDS 2001): of the first two
-  // available candidates, the one with the lower smoothed share RTT leads,
-  // so a slow backup rarely makes the attach's critical path.
-  if (order.size() >= 2 && (!breakers || breaker_available(attach->backups[order[1]], now))) {
-    const auto address = [&](std::size_t i) {
-      return static_cast<sim::NodeIndex>(attach->backups[order[i]].address);
-    };
-    if (peer_rtt_.before(address(1), address(0))) std::swap(order[0], order[1]);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) { return tier[a] < tier[b]; });
+  if (n >= 2) {
+    // Power of two choices (Mitzenmacher, IEEE TPDS 2001): of the first two
+    // closed candidates, the one with the lower smoothed share RTT leads,
+    // so a slow backup rarely makes the attach's critical path.
+    if (tier[order[1]] == 0 && peer_rtt_.before(address(order[1]), address(order[0]))) {
+      std::swap(order[0], order[1]);
+    }
+    // Every later rung (hedge, failure or exhaustion promotion) takes the
+    // fastest remaining backup of the best tier.
+    std::stable_sort(order.begin() + 1, order.end(), [&](std::size_t a, std::size_t b) {
+      if (tier[a] != tier[b]) return tier[a] < tier[b];
+      return peer_rtt_.before(address(a), address(b));
+    });
   }
   hedge_backup_vector(attach, request, order);
 }
@@ -561,8 +571,7 @@ void ServingNetwork::hedge_backup_vector(const std::shared_ptr<Attach>& attach,
   // Per leg: single breaker-gated attempt. The ladder itself is the retry —
   // a breaker skip resolves in the same tick, promoting the next backup for
   // free (the "known-down backup skipped instantly" path).
-  auto leg_options = sim::RpcOptions::oneshot(config_.backup_auth_timeout);
-  leg_options.use_breaker = config_.resilience.enabled;
+  auto leg_options = config_.resilience.call_options(config_.backup_auth_timeout);
   leg_options.trace_parent = attach->span;
 
   state->launch = [this, attach, weak = std::weak_ptr<Hedge>(state), request, leg_options,
@@ -634,7 +643,8 @@ void ServingNetwork::resolve_foreign_guti(const std::shared_ptr<Attach>& attach,
     }
     GutiResolveRequest lookup;
     lookup.guti = value;
-    auto options = policy_options(config_.home_auth_timeout);
+    auto options =
+        config_.resilience.call_options(config_.home_auth_timeout, config_.home_auth_timeout);
     options.trace_parent = attach->span;
     guti_stub_.call(
         static_cast<sim::NodeIndex>(prior->address), lookup, options,
@@ -733,7 +743,8 @@ void ServingNetwork::handle_handover_request(ByteView request, sim::Responder re
 
     handover_stub_.call(
         static_cast<sim::NodeIndex>(source->address), context_request,
-        policy_options(config_.home_auth_timeout),
+        config_.resilience.call_options(config_.home_auth_timeout,
+                                        config_.home_auth_timeout),
         [this, responder](CallResult<HandoverContextReply> result) {
           if (!result.ok()) {
             responder.fail(sim::AppErrorCode::kUpstream,
@@ -894,7 +905,8 @@ void ServingNetwork::handle_auth_response(ByteView request, sim::Responder respo
       resync.rand = attach->bundle.rand;
       resync.sqn_ms_xor_ak_star = auts_sqn;
       resync.mac_s = auts_mac;
-      auto resync_options = policy_options(config_.home_auth_timeout);
+      auto resync_options =
+          config_.resilience.call_options(config_.home_auth_timeout, config_.home_auth_timeout);
       resync_options.trace_parent = attach->span;
       home_resync_stub_.call(
           static_cast<sim::NodeIndex>(attach->home_entry->address), resync,
@@ -978,7 +990,8 @@ void ServingNetwork::complete_with_home_key(const std::shared_ptr<Attach>& attac
   const UsageProof proof =
       make_proof(id_, nullptr, attach->supi, attach->bundle.hxres_star, res_star,
                  rpc_.network().simulator().now(), signing_key_);
-  auto options = policy_options(config_.key_share_timeout);
+  auto options =
+      config_.resilience.call_options(config_.key_share_timeout, config_.key_share_timeout);
   options.trace_parent = attach->span;
   // DAUTH_DISCLOSE(usage proof releases the RES* preimage to redeem K_seaf, §4.2.2)
   home_key_stub_.call(
@@ -1073,8 +1086,7 @@ void ServingNetwork::collect_key_shares(const std::shared_ptr<Attach>& attach,
   // Single attempt per backup: the broadcast is already redundant (N legs
   // for `threshold` shares), and a share fetch is not blindly retryable —
   // the proof consumes server-side state.
-  auto options = sim::RpcOptions::oneshot(config_.key_share_timeout);
-  options.use_breaker = config_.resilience.enabled;
+  auto options = config_.resilience.call_options(config_.key_share_timeout);
   options.trace_parent = proof_span;
 
   // Fires whenever a backup leg concludes short of the threshold; if every

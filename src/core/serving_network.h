@@ -5,12 +5,15 @@
 //   2. if the user is local, generates the vector itself (LocalAuth);
 //   3. else tries the home network directly (§4.1); on failure or on a
 //      cached "home is down" hint it falls back to the backup scheme
-//      (§4.2.2): fetch a vector through the hedged backup ladder (the
-//      faster of two random candidates by smoothed share RTT leads; a
-//      slow or failed leg promotes the next backup), verify the home
-//      signature, challenge the UE, then broadcast the signed RES* usage
-//      proof to ALL backups and combine the first `threshold` valid key
-//      shares into K_seaf.
+//      (§4.2.2): fetch a vector through the hedged backup ladder, verify
+//      the home signature, challenge the UE, then broadcast the signed
+//      RES* usage proof to ALL backups and combine the first `threshold`
+//      valid key shares into K_seaf. The ladder ranks backups by circuit
+//      state, then smoothed share RTT: the faster of two random
+//      closed-circuit candidates leads; a hedge, a failed leg or an
+//      exhausted slice promotes the fastest remaining closed backup;
+//      half-open backups are probe-only, reached only after every closed
+//      one (the share broadcast probes them); open ones are skipped.
 //
 // The UE-facing side is exposed as two RPC services so a gNB/UE emulator
 // can drive it over the simulated network:
@@ -71,7 +74,7 @@ struct AttachOutcome {
 /// Smoothed round-trip time per backup peer, in virtual time: an EWMA with
 /// a fixed gain of 1/4 (RFC 6298's SRTT uses 1/8), seeded by the first
 /// sample. The serving network feeds it from every concluded share leg and
-/// reads it to pick which of two candidates leads a vector fetch.
+/// reads it to rank the rungs of each vector fetch.
 class PeerRtt {
  public:
   void observe(sim::NodeIndex peer, Time sample);
@@ -169,10 +172,6 @@ class ServingNetwork {
   /// the discovery timeout.
   void probe_home(const NetworkId& home, sim::NodeIndex address);
 
-  /// Options for a federation call with overall budget `deadline`: retrying
-  /// + breaker-gated when resilience is enabled, the pre-resilience single
-  /// shot when it is not.
-  sim::RpcOptions policy_options(Time deadline) const;
   /// Observer translating policy-layer events into ServingMetrics counters.
   sim::ResilienceObserver resilience_observer();
   /// Whether the circuit breaker would let us call `backup` right now.

@@ -1,12 +1,15 @@
-// End-to-end tests of the backup vector ladder's primary pick: the faster
-// of two random candidates, ranked by the serving network's smoothed
-// share RTT (core::PeerRtt), leads each vector fetch.
+// End-to-end tests of the backup vector ladder's ranking: closed-circuit
+// backups first, half-open ones probe-only behind them; the faster of two
+// random closed candidates, by the serving network's smoothed share RTT
+// (core::PeerRtt), leads each vector fetch, and every later rung goes to
+// the fastest remaining backup.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
 
 #include "federation_fixture.h"
+#include "sim/failure.h"
 
 namespace dauth::testing {
 namespace {
@@ -109,39 +112,103 @@ TEST(BackupLadder, SilentlyDeadBackupStopsLeadingAfterOneShareTimeout) {
   }
 }
 
-TEST(BackupLadder, ExhaustedFastestBackupPromotesOnce) {
-  // Two backups: both are always the two candidates, so once sampled the
-  // faster one leads every fetch until its slice for the user runs dry.
-  core::FederationConfig cfg = Federation::test_config();
-  cfg.vectors_per_backup = 3;
-  Federation f(4, cfg);
-  const auto keys = f.provision(kAlice, 0, {1, 2});
-  sim::LatencyModel slow;
-  slow.base = ms(20);
-  f.network.set_link(f.net(3).node(), f.net(2).node(), slow);
-  f.network.node(f.net(0).node()).set_online(false);
-  auto& serving = f.net(3).serving();
-  serving.set_home_health(f.net(0).id(), false);
-  auto ue = f.make_ue(kAlice, keys, 3);
+TEST(BackupLadder, HalfOpenBackupIsProbeOnly) {
+  // net-5 has the fastest link but dies after the warm-up; net-2 sits
+  // behind a 30 ms link. Neither may lead a vector fetch.
+  LadderFederation lf(ladder_config(), 1, {30, 2, 2, 1, 2});
+  const sim::NodeIndex dead = lf.f.net(4).node();
+  auto ue = lf.f.make_ue(kAlice, lf.keys, 6);
+  ASSERT_GE(lf.attach_and_find_server(*ue), 0);
+  ASSERT_TRUE(lf.serving().peer_rtt().estimate(dead).has_value());
 
-  auto stored = [&] {
-    return f.net(1).backup().stored_vectors(f.net(0).id(), kAlice) +
-           f.net(2).backup().stored_vectors(f.net(0).id(), kAlice);
-  };
-  // Drain the fast backup (net-2). The warm-up attach may take from either.
-  while (f.net(1).backup().stored_vectors(f.net(0).id(), kAlice) > 0) {
-    ASSERT_TRUE(f.attach(*ue).success);
+  // The outage is announced (its circuit force-opens) and lapses after one
+  // breaker cooldown, but the backup stays silently dead.
+  sim::FailureInjector injector(lf.f.network, &lf.f.rpc);
+  const Time cooldown = lf.f.rpc.breakers().config().cooldown;
+  injector.schedule_outage(dead, lf.f.simulator.now(), cooldown);
+  lf.f.simulator.run();
+  lf.f.network.node(dead).set_online(false);
+
+  const std::uint64_t slow_served = lf.served(1);
+  for (int i = 0; i < 12; ++i) {
+    // Each attach's share broadcast probes the dead backup and reopens its
+    // circuit; wait out the cooldown so every fetch sees it half-open.
+    lf.f.simulator.run_until(lf.f.simulator.now() + cooldown);
+    ASSERT_EQ(lf.f.rpc.breakers().state(lf.serving_node(), dead, lf.f.simulator.now()),
+              sim::BreakerState::kHalfOpen);
+    const int server = lf.attach_and_find_server(*ue);
+    ASSERT_GE(server, 0) << "attach " << i;
+    EXPECT_NE(server, 0) << "the slow backup led attach " << i;
   }
-  ASSERT_GT(f.net(2).backup().stored_vectors(f.net(0).id(), kAlice), 0u);
-  EXPECT_EQ(serving.metrics().hedges_launched, 0u);
+  EXPECT_EQ(lf.served(1), slow_served);
+  // A dead leader would have cost a hedge (or a promotion) every time.
+  EXPECT_EQ(lf.serving().metrics().hedges_launched, 0u);
+}
 
-  const std::size_t before = stored();
-  const auto record = f.attach(*ue);
-  EXPECT_TRUE(record.success) << record.failure;
-  EXPECT_TRUE(record.key_confirmed);
-  EXPECT_EQ(serving.metrics().hedges_launched, 1u);  // the one promotion
-  EXPECT_EQ(serving.metrics().hedge_wins, 1u);
-  EXPECT_EQ(stored(), before - 1);
+TEST(BackupLadder, ExhaustedFastestBackupPromotesOnce) {
+  // Four backups with distinct links. The fastest one (net-2) leads every
+  // fetch it is drawn for until its slice for the user runs dry; from then
+  // on each of its fetches is rejected as exhausted and promotes exactly
+  // one leg, to the fastest remaining backup (net-4), not the next one in
+  // shuffle order.
+  core::FederationConfig cfg = Federation::test_config();
+  cfg.vectors_per_backup = 8;
+  Federation f(6, cfg);
+  const std::vector<std::size_t> backups{1, 2, 3, 4};
+  const auto keys = f.provision(kAlice, 0, backups);
+  const std::vector<int> link_ms{1, 40, 5, 20};
+  for (std::size_t i = 0; i < backups.size(); ++i) {
+    sim::LatencyModel link;
+    link.base = ms(link_ms[i]);
+    f.network.set_link(f.net(5).node(), f.net(backups[i]).node(), link);
+  }
+  f.network.node(f.net(0).node()).set_online(false);
+  auto& serving = f.net(5).serving();
+  serving.set_home_health(f.net(0).id(), false);
+  auto ue = f.make_ue(kAlice, keys, 5);
+
+  auto stored = [&](std::size_t b) {
+    return f.net(b).backup().stored_vectors(f.net(0).id(), kAlice);
+  };
+  auto served = [&](std::size_t b) { return f.net(b).backup().metrics().vectors_served; };
+  // Warm-up: one attach's share broadcast samples every backup's RTT.
+  ASSERT_TRUE(f.attach(*ue).success);
+  const auto rtt = [&](std::size_t b) { return *serving.peer_rtt().estimate(f.net(b).node()); };
+  ASSERT_LT(rtt(1), rtt(3));
+  ASSERT_LT(rtt(3), std::min(rtt(2), rtt(4)));
+  // Drain net-2's slice with direct fetches, so the others keep theirs.
+  core::TypedStub<core::GetVectorRequest, core::AuthVectorBundle> fetch(f.rpc, f.ran_node,
+                                                                         "backup.get_vector");
+  core::GetVectorRequest request;
+  request.serving_network = serving.id();
+  request.supi = kAlice;
+  for (std::size_t i = 0; stored(1) > 0; ++i) {
+    ASSERT_LT(i, cfg.vectors_per_backup);
+    fetch.call(f.net(1).node(), request, sim::RpcOptions::oneshot(), [](auto) {});
+    f.simulator.run();
+  }
+
+  int promotions = 0;
+  for (int i = 0; i < 24 && promotions < 3; ++i) {
+    ASSERT_GT(stored(3), 0u);
+    const std::uint64_t hedges = serving.metrics().hedges_launched;
+    const std::uint64_t wins = serving.metrics().hedge_wins;
+    const std::uint64_t fastest_left_served = served(3);
+    std::size_t total = 0;
+    for (std::size_t b : backups) total += stored(b);
+    const auto record = f.attach(*ue);
+    ASSERT_TRUE(record.success) << record.failure;
+    EXPECT_TRUE(record.key_confirmed);
+    std::size_t total_after = 0;
+    for (std::size_t b : backups) total_after += stored(b);
+    EXPECT_EQ(total_after, total - 1) << "attach " << i << " consumed more than one vector";
+    if (serving.metrics().hedges_launched == hedges) continue;
+    ++promotions;
+    EXPECT_EQ(serving.metrics().hedges_launched, hedges + 1);  // the one promotion
+    EXPECT_EQ(serving.metrics().hedge_wins, wins + 1);
+    EXPECT_EQ(served(3), fastest_left_served + 1) << "promotion " << promotions;
+  }
+  EXPECT_EQ(promotions, 3);
 }
 
 TEST(BackupLadder, SameSeedPicksSamePrimaries) {

@@ -7,7 +7,8 @@ Usage:
 
 One row per quantile/summary/box row in the record, in file order:
 series | n | p50 / p90 / p99 (ms). The first line names the record's
-commit and dirty flag, so a table pasted into the docs says what produced it.
+commit, dirty flag and seed set, so a table pasted into the docs says what
+produced it.
 """
 import json
 import sys
@@ -19,8 +20,11 @@ def main():
     with open(sys.argv[1]) as f:
         record = json.load(f)
     dirty = {True: ", dirty", False: "", None: ", dirty unknown"}[record.get("dirty")]
+    seeds = ""
+    if "seeds" in record:
+        seeds = ", seeds " + " ".join(str(seed) for seed in record["seeds"])
     print(f"<!-- generated by tools/bench_table.py from {record['bench']} "
-          f"@ {record['commit']}{dirty} -->")
+          f"@ {record['commit']}{dirty}{seeds} -->")
     print("| series | n | p50 / p90 / p99 (ms) |")
     print("|---|---|---|")
     for row in record["rows"]:
