@@ -14,6 +14,7 @@
 #include "crypto/feldman.h"
 #include "crypto/hmac.h"
 #include "crypto/kdf_3gpp.h"
+#include "crypto/merkle.h"
 #include "crypto/milenage.h"
 #include "crypto/sha256.h"
 #include "crypto/sha512.h"
@@ -32,6 +33,36 @@ void BM_Sha256_1KiB(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 1024);
 }
 BENCHMARK(BM_Sha256_1KiB);
+
+/// One 64-byte compression through the dispatched kernel Sha256 uses.
+void BM_Sha256Block(benchmark::State& state) {
+  DeterministicDrbg rng("bench", 14);
+  const auto block = rng.array<64>();
+  std::uint32_t h[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                        0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  for (auto _ : state) {
+    detail::sha256_compress(h, block.data());
+    benchmark::DoNotOptimize(h);
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_Sha256Block);
+
+/// One dissemination batch root: 144 bundles per (user, backup) batch as in
+/// fedbench backup_steady (16 vectors + 16 x 8 shares), 96-byte payloads
+/// (the size class of a bundle's signed payload), leaf hashes plus the tree.
+void BM_MerkleRoot(benchmark::State& state) {
+  DeterministicDrbg rng("bench", 15);
+  std::vector<Bytes> payloads(static_cast<std::size_t>(state.range(0)));
+  for (auto& p : payloads) p = rng.bytes(96);
+  for (auto _ : state) {
+    std::vector<Sha256Digest> leaves;
+    leaves.reserve(payloads.size());
+    for (const auto& p : payloads) leaves.push_back(merkle_leaf_hash(p));
+    benchmark::DoNotOptimize(MerkleTree(std::move(leaves)).root());
+  }
+}
+BENCHMARK(BM_MerkleRoot)->Arg(144);
 
 void BM_Sha512_1KiB(benchmark::State& state) {
   DeterministicDrbg rng("bench", 2);
@@ -169,14 +200,19 @@ BENCHMARK(BM_FeldmanVerifyShare)->Arg(2)->Arg(4);
 }  // namespace dauth::crypto
 
 int main(int argc, char** argv) {
-  // ns/op measured at the pre-optimization commit (ladder verify, linear
-  // base-table sign, per-byte SHA buffering) on the reference runner; the
-  // JSON record carries these so each run self-reports its speedups.
+  // ns/op of each benchmark at the commit before its latest optimization,
+  // so each run self-reports its speedups. Ed25519 and SHA-512: the seed
+  // revision (ladder verify, linear base-table sign, per-byte SHA
+  // buffering). SHA-256, HMAC, the KDF and the Shamir split: 6181edc, the
+  // portable compression and byte-serial split (docs/PERFORMANCE.md §9).
   const std::map<std::string, double> baselines = {
       {"BM_Ed25519Verify", 128841.0},
       {"BM_Ed25519Sign", 34732.0},
-      {"BM_Sha256_1KiB", 5280.0},
       {"BM_Sha512_1KiB", 3918.0},
+      {"BM_Sha256_1KiB", 7068.0},
+      {"BM_HmacSha256", 3651.0},
+      {"BM_Kdf5gKeyHierarchy", 5992.0},
+      {"BM_ShamirSplit/4/8", 27906.0},
   };
   return dauth::bench::run_micro_benchmarks(argc, argv, "micro_crypto", baselines);
 }

@@ -2,6 +2,10 @@
 
 #include <cstring>
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 namespace dauth::crypto {
 namespace {
 
@@ -49,7 +53,9 @@ void Sha256::reset() noexcept {
   buffer_len_ = 0;
 }
 
-void Sha256::process_block(const std::uint8_t* block) noexcept {
+namespace detail {
+
+void sha256_compress_portable(std::uint32_t state[8], const std::uint8_t* block) noexcept {
   std::uint32_t w[64];
   for (int i = 0; i < 16; ++i) w[i] = load_be32(block + 4 * i);
   for (int i = 16; i < 64; ++i) {
@@ -58,8 +64,8 @@ void Sha256::process_block(const std::uint8_t* block) noexcept {
     w[i] = w[i - 16] + s0 + w[i - 7] + s1;
   }
 
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
+  std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+  std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
   std::uint32_t t;
 
 // One round with explicit variable roles: unrolling 8 rounds with rotated
@@ -83,15 +89,90 @@ void Sha256::process_block(const std::uint8_t* block) noexcept {
   }
 #undef DAUTH_SHA256_ROUND
 
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
+  state[5] += f;
+  state[6] += g;
+  state[7] += h;
 }
+
+#if defined(__x86_64__)
+// SHA Extensions compression after Intel's reference (Gulley et al., "Intel
+// SHA Extensions", 2013). SHA256RNDS2 runs two rounds on the state held as
+// ABEF/CDGH halves; SHA256MSG1/MSG2 extend the schedule four words at a time.
+// Compiled for this function only: the dispatch below calls it only on CPUs
+// that report SHA-NI, so the build needs no -march flag.
+__attribute__((target("sha,sse4.1"))) void sha256_compress_shani(
+    std::uint32_t state[8], const std::uint8_t* block) noexcept {
+  const __m128i byte_swap = _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+
+  // {A,B,C,D},{E,F,G,H} -> {A,B,E,F},{C,D,G,H} in the lane order RNDS2 wants.
+  __m128i tmp = _mm_shuffle_epi32(_mm_loadu_si128(reinterpret_cast<const __m128i*>(state)), 0xB1);
+  __m128i cdgh = _mm_shuffle_epi32(_mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4)), 0x1B);
+  __m128i abef = _mm_alignr_epi8(tmp, cdgh, 8);
+  cdgh = _mm_blend_epi16(cdgh, tmp, 0xF0);
+  const __m128i abef_in = abef;
+  const __m128i cdgh_in = cdgh;
+
+  // msg[g % 4] holds schedule words W[4g..4g+3] while group g runs.
+  __m128i msg[4];
+#pragma GCC unroll 16
+  for (int g = 0; g < 16; ++g) {
+    if (g < 4) {
+      msg[g] = _mm_shuffle_epi8(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(block + 16 * g)), byte_swap);
+    }
+    __m128i wk = _mm_add_epi32(msg[g % 4],
+                               _mm_loadu_si128(reinterpret_cast<const __m128i*>(kK + 4 * g)));
+    cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+    if (g >= 3 && g < 15) {
+      // The next group's words W[t], t = 4g+4..4g+7: MSG1 added sigma0(W[t-15])
+      // to W[t-16] two groups ago; add W[t-7], and MSG2 adds sigma1(W[t-2]).
+      const __m128i w_minus_7 = _mm_alignr_epi8(msg[g % 4], msg[(g + 3) % 4], 4);
+      msg[(g + 1) % 4] =
+          _mm_sha256msg2_epu32(_mm_add_epi32(msg[(g + 1) % 4], w_minus_7), msg[g % 4]);
+    }
+    abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+    if (g >= 1 && g < 13) msg[(g + 3) % 4] = _mm_sha256msg1_epu32(msg[(g + 3) % 4], msg[g % 4]);
+  }
+
+  abef = _mm_add_epi32(abef, abef_in);
+  cdgh = _mm_add_epi32(cdgh, cdgh_in);
+
+  // Back to {A,B,C,D},{E,F,G,H}.
+  tmp = _mm_shuffle_epi32(abef, 0x1B);
+  cdgh = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state), _mm_blend_epi16(tmp, cdgh, 0xF0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4), _mm_alignr_epi8(cdgh, tmp, 8));
+}
+#endif
+
+bool sha256_shani_available() noexcept {
+#if defined(__x86_64__)
+  static const bool available = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1");
+  }();
+  return available;
+#else
+  return false;
+#endif
+}
+
+void sha256_compress(std::uint32_t state[8], const std::uint8_t* block) noexcept {
+#if defined(__x86_64__)
+  if (sha256_shani_available()) {
+    sha256_compress_shani(state, block);
+    return;
+  }
+#endif
+  sha256_compress_portable(state, block);
+}
+
+}  // namespace detail
 
 void Sha256::update(ByteView data) noexcept {
   total_len_ += data.size();
@@ -106,12 +187,12 @@ void Sha256::update(ByteView data) noexcept {
     buffer_len_ += take_n;
     offset += take_n;
     if (buffer_len_ == 64) {
-      process_block(buffer_);
+      detail::sha256_compress(state_, buffer_);
       buffer_len_ = 0;
     }
   }
   while (offset + 64 <= data.size()) {
-    process_block(data.data() + offset);
+    detail::sha256_compress(state_, data.data() + offset);
     offset += 64;
   }
   if (offset < data.size()) {
@@ -128,13 +209,13 @@ Sha256Digest Sha256::finish() noexcept {
   buffer_[buffer_len_++] = 0x80;
   if (buffer_len_ > 56) {
     for (std::size_t i = buffer_len_; i < 64; ++i) buffer_[i] = 0;
-    process_block(buffer_);
+    detail::sha256_compress(state_, buffer_);
     buffer_len_ = 0;
   }
   for (std::size_t i = buffer_len_; i < 56; ++i) buffer_[i] = 0;
   for (int i = 0; i < 8; ++i)
     buffer_[56 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
-  process_block(buffer_);
+  detail::sha256_compress(state_, buffer_);
 
   Sha256Digest digest;
   for (int i = 0; i < 8; ++i) store_be32(digest.data() + 4 * i, state_[i]);

@@ -26,8 +26,6 @@ class Sha256 {
   Sha256Digest finish() noexcept;
 
  private:
-  void process_block(const std::uint8_t* block) noexcept;
-
   std::uint32_t state_[8];
   std::uint64_t total_len_ = 0;
   std::uint8_t buffer_[64];
@@ -36,5 +34,27 @@ class Sha256 {
 
 /// One-shot convenience wrapper.
 Sha256Digest sha256(ByteView data) noexcept;
+
+/// The FIPS 180-4 compression function, exposed so the differential test
+/// can pin every implementation to the portable one. Each call folds one
+/// 64-byte block into `state`.
+namespace detail {
+
+/// Portable C++ compression: the fallback on every CPU without SHA-NI.
+void sha256_compress_portable(std::uint32_t state[8], const std::uint8_t* block) noexcept;
+
+#if defined(__x86_64__)
+/// x86-64 SHA Extensions compression. Only call it when
+/// sha256_shani_available() is true.
+void sha256_compress_shani(std::uint32_t state[8], const std::uint8_t* block) noexcept;
+#endif
+
+/// Whether this CPU runs the SHA-NI compression (decided once per process).
+bool sha256_shani_available() noexcept;
+
+/// The compression Sha256 uses: SHA-NI when available, else portable.
+void sha256_compress(std::uint32_t state[8], const std::uint8_t* block) noexcept;
+
+}  // namespace detail
 
 }  // namespace dauth::crypto

@@ -1,10 +1,50 @@
 #include "crypto/shamir.h"
 
+#include <cstring>
 #include <stdexcept>
 
 #include "crypto/gf256.h"
 
 namespace dauth::crypto {
+namespace {
+
+// Word-parallel GF(2^8) arithmetic: one std::uint64_t carries 8 independent
+// byte lanes (SIMD within a register). Secret lanes only ever pass through
+// shifts, masks, XORs and a multiply by the constant 0x1b, so no secret byte
+// drives a branch or a table index; the loops branch on the public
+// multiplier alone (a share's x in split, a Lagrange basis value in combine).
+constexpr std::uint64_t kLaneLow7 = 0x7f7f7f7f7f7f7f7fULL;
+constexpr std::uint64_t kLaneBit0 = 0x0101010101010101ULL;
+
+/// Every lane times x, reduced mod 0x11b.
+constexpr std::uint64_t xtime8(std::uint64_t lanes) noexcept {
+  return ((lanes & kLaneLow7) << 1) ^ (((lanes >> 7) & kLaneBit0) * 0x1b);
+}
+
+/// Every lane times the public constant `m`.
+constexpr std::uint64_t mul8(std::uint64_t lanes, std::uint8_t m) noexcept {
+  std::uint64_t product = 0;
+  for (; m != 0; m >>= 1) {
+    if (m & 1) product ^= lanes;
+    lanes = xtime8(lanes);
+  }
+  return product;
+}
+
+/// Loads up to 8 bytes at `offset` as lanes; missing tail lanes read as 0.
+std::uint64_t load8(ByteView bytes, std::size_t offset) noexcept {
+  std::uint64_t lanes = 0;
+  const std::size_t n = bytes.size() - offset < 8 ? bytes.size() - offset : 8;
+  std::memcpy(&lanes, bytes.data() + offset, n);
+  return lanes;
+}
+
+void store8(MutableByteView bytes, std::size_t offset, std::uint64_t lanes) noexcept {
+  const std::size_t n = bytes.size() - offset < 8 ? bytes.size() - offset : 8;
+  std::memcpy(bytes.data() + offset, &lanes, n);
+}
+
+}  // namespace
 
 std::vector<ShamirShare> shamir_split(ByteView secret, std::size_t threshold,
                                       std::size_t share_count, RandomSource& random) {
@@ -28,14 +68,13 @@ std::vector<ShamirShare> shamir_split(ByteView secret, std::size_t threshold,
     const auto x = static_cast<std::uint8_t>(s + 1);
     shares[s].x = x;
     shares[s].y.resize(secret.size());
-    for (std::size_t i = 0; i < secret.size(); ++i) {
+    for (std::size_t i = 0; i < secret.size(); i += 8) {
       // Horner evaluation: ((c_{k-1} x + c_{k-2}) x + ...) x + secret.
-      std::uint8_t acc = 0;
+      std::uint64_t acc = 0;
       for (std::size_t d = coefficients.size(); d-- > 0;) {
-        acc = gf256::add(gf256::mul(acc, x), coefficients[d][i]);
+        acc = mul8(acc, x) ^ load8(coefficients[d], i);
       }
-      acc = gf256::add(gf256::mul(acc, x), secret[i]);
-      shares[s].y[i] = acc;
+      store8(shares[s].y.mutable_view(), i, mul8(acc, x) ^ load8(secret, i));
     }
   }
   return shares;
@@ -70,10 +109,10 @@ SecretBytes shamir_combine(const std::vector<ShamirShare>& shares) {
   }
 
   SecretBytes secret(length);
-  for (std::size_t i = 0; i < shares.size(); ++i) {
-    for (std::size_t b = 0; b < length; ++b) {
-      secret[b] = gf256::add(secret[b], gf256::mul(basis[i], shares[i].y[b]));
-    }
+  for (std::size_t b = 0; b < length; b += 8) {
+    std::uint64_t acc = 0;
+    for (std::size_t i = 0; i < shares.size(); ++i) acc ^= mul8(load8(shares[i].y, b), basis[i]);
+    store8(secret.mutable_view(), b, acc);
   }
   return secret;
 }

@@ -20,6 +20,8 @@ class Writer {
  public:
   Writer() = default;
 
+  void reserve(std::size_t size) { buffer_.reserve(size); }
+
   void u8(std::uint8_t v) { buffer_.push_back(v); }
   void u16(std::uint16_t v);
   void u32(std::uint32_t v);

@@ -38,7 +38,9 @@ std::vector<SweepPoint> small_sweep() {
   for (std::size_t threshold : {2u, 4u}) {
     for (double load : {200.0, 600.0}) {
       const std::uint64_t s = seed++;
-      points.push_back({"t" + std::to_string(threshold),
+      // Appended, not "t" + std::to_string(...): GCC 12 at -O3 flags that
+      // operator+ with a false -Wrestrict.
+      points.push_back({std::string("t").append(std::to_string(threshold)),
                         [threshold, load, s] { return run_small_point(threshold, load, s); }});
     }
   }

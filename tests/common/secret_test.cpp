@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <new>
 #include <sstream>
 #include <utility>
@@ -54,11 +56,19 @@ TEST(SecureWipe, ZeroLengthAndNullAreSafe) {
 // defensible in a test, and only because the buffer itself is still alive.
 
 TEST(Secret, DestructorWipesStorage) {
+  // Non-zero sentinel: the all-zero check below can only pass because the
+  // destructor wiped, never because the buffer happened to start at zero.
   alignas(Secret<16>) unsigned char storage[sizeof(Secret<16>)];
+  std::fill(std::begin(storage), std::end(storage), 0xA5);
   auto* s = new (storage) Secret<16>(pattern16());
   EXPECT_EQ((*s)[0], 1);
   s->~Secret<16>();
-  EXPECT_TRUE(all_zero(storage, sizeof(storage)));
+  // The destructor ended the object's lifetime, so an optimizing compiler
+  // treats the buffer as indeterminate (-Wmaybe-uninitialized at -O3). Read
+  // it through an opaque pointer to see the bytes actually left in memory.
+  const unsigned char* left = storage;
+  __asm__ __volatile__("" : "+r"(left) : : "memory");
+  EXPECT_TRUE(all_zero(left, sizeof(storage)));
 }
 
 TEST(Secret, MoveWipesSource) {

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "crypto/drbg.h"
+#include "crypto/gf256.h"
 
 namespace dauth::crypto {
 namespace {
@@ -125,6 +127,105 @@ TEST(Shamir, SharesDifferAcrossRandomness) {
   const auto a = shamir_split(secret, 2, 3, rng1);
   const auto b = shamir_split(secret, 2, 3, rng2);
   EXPECT_FALSE(ct_equal(a[0].y, b[0].y));  // fresh polynomial each time
+}
+
+// ---- Differential tests: word-parallel kernels vs a byte-wise reference ----
+//
+// The reference is the textbook byte-serial evaluation with gf256::mul. It
+// draws the coefficient rows from the RandomSource in the same order and
+// sizes as shamir_split, so equal seeds must give byte-identical shares.
+
+std::vector<ShamirShare> reference_split(ByteView secret, std::size_t threshold,
+                                         std::size_t share_count, RandomSource& random) {
+  std::vector<SecretBytes> coefficients(threshold - 1);
+  for (auto& row : coefficients) {
+    row.resize(secret.size());
+    random.fill(row.mutable_view());
+  }
+  std::vector<ShamirShare> shares(share_count);
+  for (std::size_t s = 0; s < share_count; ++s) {
+    const auto x = static_cast<std::uint8_t>(s + 1);
+    shares[s].x = x;
+    shares[s].y.resize(secret.size());
+    for (std::size_t i = 0; i < secret.size(); ++i) {
+      std::uint8_t acc = 0;
+      for (std::size_t d = coefficients.size(); d-- > 0;)
+        acc = gf256::add(gf256::mul(acc, x), coefficients[d][i]);
+      shares[s].y[i] = gf256::add(gf256::mul(acc, x), secret[i]);
+    }
+  }
+  return shares;
+}
+
+Bytes reference_combine(const std::vector<ShamirShare>& shares) {
+  Bytes secret(shares.front().y.size(), 0);
+  for (std::size_t i = 0; i < shares.size(); ++i) {
+    std::uint8_t numerator = 1;
+    std::uint8_t denominator = 1;
+    for (std::size_t j = 0; j < shares.size(); ++j) {
+      if (j == i) continue;
+      numerator = gf256::mul(numerator, shares[j].x);
+      denominator = gf256::mul(denominator, gf256::add(shares[j].x, shares[i].x));
+    }
+    const std::uint8_t basis = gf256::div(numerator, denominator);
+    for (std::size_t b = 0; b < secret.size(); ++b)
+      secret[b] = gf256::add(secret[b], gf256::mul(basis, shares[i].y[b]));
+  }
+  return secret;
+}
+
+void expect_same_shares(const std::vector<ShamirShare>& got,
+                        const std::vector<ShamirShare>& want, const std::string& where) {
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (std::size_t s = 0; s < got.size(); ++s) {
+    EXPECT_EQ(got[s].x, want[s].x) << where << " share " << s;
+    EXPECT_TRUE(ct_equal(got[s].y, want[s].y)) << where << " share " << s;
+  }
+}
+
+TEST(ShamirDiff, SplitMatchesByteReference) {
+  // Lengths 1-65 hit every tail-lane count (1-8 bytes in the last word) and
+  // up to 9 words; share counts reach 255, so x = 255 is evaluated.
+  for (std::size_t len = 1; len <= 65; ++len) {
+    DeterministicDrbg secrets("shamir-diff-secret", len);
+    const Bytes secret = secrets.bytes(len);
+    for (std::size_t threshold = 1; threshold <= 8; ++threshold) {
+      for (const std::size_t count : {threshold, threshold + len % 7, std::size_t{255}}) {
+        const std::string where = "len " + std::to_string(len) + " threshold " +
+                                  std::to_string(threshold) + " count " + std::to_string(count);
+        DeterministicDrbg rng_a("shamir-diff", len * 1000 + threshold);
+        DeterministicDrbg rng_b("shamir-diff", len * 1000 + threshold);
+        const auto shares = shamir_split(secret, threshold, count, rng_a);
+        expect_same_shares(shares, reference_split(secret, threshold, count, rng_b), where);
+        const std::vector<ShamirShare> last(shares.end() - static_cast<std::ptrdiff_t>(threshold),
+                                            shares.end());
+        EXPECT_TRUE(ct_equal(shamir_combine(last), secret)) << where;
+      }
+    }
+  }
+}
+
+TEST(ShamirDiff, CombineMatchesByteReference) {
+  // Arbitrary share sets (not only consistent ones): combine is a fixed
+  // linear map of the y values for given x's, so it must agree on any input.
+  DeterministicDrbg rng("shamir-diff-combine", 1);
+  for (std::size_t len = 1; len <= 65; ++len) {
+    for (std::size_t count = 1; count <= 8; ++count) {
+      // Distinct x's drawn from 1..255, always including 255.
+      std::vector<std::uint8_t> xs = {255};
+      while (xs.size() < count) {
+        const auto x = static_cast<std::uint8_t>(1 + rng.next_u64() % 255);
+        if (std::find(xs.begin(), xs.end(), x) == xs.end()) xs.push_back(x);
+      }
+      std::vector<ShamirShare> shares(count);
+      for (std::size_t s = 0; s < count; ++s) {
+        shares[s].x = xs[s];
+        shares[s].y = SecretBytes(rng.bytes(len));
+      }
+      EXPECT_TRUE(ct_equal(shamir_combine(shares), reference_combine(shares)))
+          << "len " << len << " count " << count;
+    }
+  }
 }
 
 // Parameterized sweep over (threshold, share_count) pairs.

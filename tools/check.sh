@@ -9,21 +9,24 @@
 #      project compiling ../src against the bundle and metrics API) and run
 #      its fedbench_selftest, so an API break fails here rather than in a
 #      benchmark run
-#   3. ASan+UBSan build of everything, -Werror, full ctest suite
+#   3. Release build of everything, -Werror, then the crypto tests: -O3
+#      raises warnings the other build types do not, and this is the
+#      optimized build of the SHA-NI and word-parallel Shamir kernels
+#   4. ASan+UBSan build of everything, -Werror, full ctest suite
 #      (re-runs dauth_lint_check / dauth_taint_check plus their self-tests)
-#   4. Bench smoke: one short deterministically-seeded fig6 sweep on the
+#   5. Bench smoke: one short deterministically-seeded fig6 sweep on the
 #      parallel harness under ASan (crypto hot path + thread pool + JSON
 #      reporter end to end)
-#   5. Traced scenario: fig3_single_ue --trace under ASan — one backup-mode
+#   6. Traced scenario: fig3_single_ue --trace under ASan — one backup-mode
 #      attach with the full observability stack on; the binary itself
 #      validates the exported Chrome trace and the TraceAssert invariants
 #      (docs/OBSERVABILITY.md), the gate checks it said so and wrote the file
-#   6. TSan build, event-loop/simulator-facing tests only (includes the
+#   7. TSan build, event-loop/simulator-facing tests only (includes the
 #      bench_determinism_test thread-pool gate)
 #
 # Usage: tools/check.sh [--skip-tsan]
-# Build trees land in build-fedbench/, build-asan/ and build-tsan/ so the
-# default build/ stays untouched for local iteration.
+# Build trees land in build-fedbench/, build-release/, build-asan/ and
+# build-tsan/ so the default build/ stays untouched for local iteration.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -38,31 +41,39 @@ done
 
 JOBS="$(nproc 2>/dev/null || echo 4)"
 
-echo "==> [1/6] static analysis (dauth-lint + dauth-taint)"
+echo "==> [1/7] static analysis (dauth-lint + dauth-taint)"
 cmake -B build -S . > /dev/null
 cmake --build build -j "$JOBS" --target dauth_lint_cli dauth_taint_cli
 ./build/tools/dauth-lint --allowlist tools/lint_allowlist.txt src tools bench
 ./build/tools/dauth-taint --allowlist tools/taint_allowlist.txt src
 
-echo "==> [2/6] benchmark package (fedbench/ build + self-test)"
+echo "==> [2/7] benchmark package (fedbench/ build + self-test)"
 cmake -S fedbench -B build-fedbench -DCMAKE_BUILD_TYPE=Release > /dev/null
 cmake --build build-fedbench -j "$JOBS"
 ./build-fedbench/fedbench_selftest
 
-echo "==> [3/6] ASan+UBSan build + full test suite"
+echo "==> [3/7] Release -Werror build + crypto tests"
+cmake -B build-release -S . \
+  -DCMAKE_BUILD_TYPE=Release \
+  -DDAUTH_WERROR=ON > /dev/null
+cmake --build build-release -j "$JOBS"
+ctest --test-dir build-release --output-on-failure \
+  -R 'sha256|hmac|kdf|shamir|merkle|ed25519|drbg'
+
+echo "==> [4/7] ASan+UBSan build + full test suite"
 cmake -B build-asan -S . \
   -DDAUTH_SANITIZE="address;undefined" \
   -DDAUTH_WERROR=ON > /dev/null
 cmake --build build-asan -j "$JOBS"
 ctest --test-dir build-asan --output-on-failure
 
-echo "==> [4/6] bench smoke (short seeded parallel sweep under ASan)"
+echo "==> [5/7] bench smoke (short seeded parallel sweep under ASan)"
 DAUTH_BENCH_SMOKE=1 DAUTH_BENCH_THREADS=4 DAUTH_BENCH_OUT=build-asan \
   ./build-asan/bench/fig6_threshold_sweep > build-asan/bench_smoke.txt
 grep -q '^quant,thresh' build-asan/bench_smoke.txt \
   || { echo "bench smoke produced no rows" >&2; exit 1; }
 
-echo "==> [5/6] traced scenario (fig3 --trace: exporter + TraceAssert under ASan)"
+echo "==> [6/7] traced scenario (fig3 --trace: exporter + TraceAssert under ASan)"
 DAUTH_BENCH_OUT=build-asan \
   ./build-asan/bench/fig3_single_ue --trace > build-asan/trace_smoke.txt
 grep -q '^trace,ok,' build-asan/trace_smoke.txt \
@@ -71,9 +82,9 @@ grep -q '^trace,ok,' build-asan/trace_smoke.txt \
   || { echo "no trace JSON written" >&2; exit 1; }
 
 if [[ "$SKIP_TSAN" == 1 ]]; then
-  echo "==> [6/6] TSan pass skipped (--skip-tsan)"
+  echo "==> [7/7] TSan pass skipped (--skip-tsan)"
 else
-  echo "==> [6/6] TSan build + event-loop/simulator tests"
+  echo "==> [7/7] TSan build + event-loop/simulator tests"
   cmake -B build-tsan -S . \
     -DDAUTH_SANITIZE="thread" \
     -DDAUTH_WERROR=ON > /dev/null
