@@ -281,11 +281,10 @@ Bytes BackupNetwork::served(const HeldVector& held) {
   return bundle.encode();
 }
 
-Bytes BackupNetwork::served(const HeldShare& held) {
-  if (!held.batch) return to_bytes(ByteView(held.wire));
+KeyShareBundle BackupNetwork::served(const HeldShare& held) {
   KeyShareBundle bundle = KeyShareBundle::decode(held.wire);
-  bundle.batch.siblings = held.batch->path(bundle.batch.leaf_index);
-  return bundle.encode();
+  if (held.batch) bundle.batch.siblings = held.batch->path(bundle.batch.leaf_index);
+  return bundle;
 }
 
 void BackupNetwork::release_batch(const NetworkId& home, const BatchTree& batch) {
@@ -411,8 +410,11 @@ void BackupNetwork::handle_get_share(ByteView request, sim::Responder responder)
           journal_->append(obs::EventKind::kShareReleased, id_.str(), proof.supi.str(),
                            "to " + proof.serving_network.str());
         }
+        ShareReply reply;
+        reply.share = served(bundle_it->second);
+        reply.vectors_left = static_cast<std::uint32_t>(vectors.size());
         // DAUTH_DISCLOSE(key-share release after RES* preimage and signature checks, §4.2.2)
-        responder.reply(served(bundle_it->second));
+        responder.reply(reply.encode());
         return;
       }
       ++metrics_.rejected_requests;

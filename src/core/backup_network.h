@@ -107,9 +107,10 @@ class BackupNetwork {
   /// simulator queue drains once nothing is pending.
   void arm_report(const NetworkId& home);
   void persist_proof(const NetworkId& home, const UsageProof& proof);
-  /// Encodes a stored bundle with its inclusion path attached.
+  /// A stored bundle with its inclusion path attached: a vector encoded,
+  /// a share decoded (it rides inside a ShareReply).
   static Bytes served(const HeldVector& held);
-  static Bytes served(const HeldShare& held);
+  static KeyShareBundle served(const HeldShare& held);
   /// Called before a held bundle is dropped: erases the persisted batch
   /// record once no stored bundle references the batch any more.
   void release_batch(const NetworkId& home, const BatchTree& batch);

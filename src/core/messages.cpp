@@ -93,6 +93,34 @@ crypto::FeldmanCommitments read_feldman_commitments(wire::Reader& r) {
   return c;
 }
 
+// A KeyShareBundle's wire form, shared by its own encoding and by the
+// ShareReply that carries it.
+void write_share_bundle(wire::Writer& w, const KeyShareBundle& b) {
+  w.string(b.home_network.str());
+  w.string(b.supi.str());
+  w.fixed(b.hxres_star);
+  write_shamir_share(w, b.share);
+  w.boolean(b.feldman_share.has_value());
+  if (b.feldman_share) write_feldman_share(w, *b.feldman_share);
+  w.boolean(b.feldman_commitments.has_value());
+  if (b.feldman_commitments) write_feldman_commitments(w, *b.feldman_commitments);
+  write_batch_path(w, b.batch);
+  w.fixed(b.home_signature);
+}
+
+KeyShareBundle read_share_bundle(wire::Reader& r) {
+  KeyShareBundle b;
+  b.home_network = NetworkId(r.string());
+  b.supi = Supi(r.string());
+  b.hxres_star = r.fixed<16>();
+  b.share = read_shamir_share(r);
+  if (r.boolean()) b.feldman_share = read_feldman_share(r);
+  if (r.boolean()) b.feldman_commitments = read_feldman_commitments(r);
+  b.batch = read_batch_path(r);
+  b.home_signature = r.fixed<64>();
+  return b;
+}
+
 }  // namespace
 
 // ---- AuthVectorBundle -------------------------------------------------------
@@ -164,30 +192,13 @@ Bytes KeyShareBundle::signed_payload() const {
 
 Bytes KeyShareBundle::encode() const {
   wire::Writer w;
-  w.string(home_network.str());
-  w.string(supi.str());
-  w.fixed(hxres_star);
-  write_shamir_share(w, share);
-  w.boolean(feldman_share.has_value());
-  if (feldman_share) write_feldman_share(w, *feldman_share);
-  w.boolean(feldman_commitments.has_value());
-  if (feldman_commitments) write_feldman_commitments(w, *feldman_commitments);
-  write_batch_path(w, batch);
-  w.fixed(home_signature);
+  write_share_bundle(w, *this);
   return std::move(w).take();
 }
 
 KeyShareBundle KeyShareBundle::decode(ByteView data) {
   wire::Reader r(data);
-  KeyShareBundle b;
-  b.home_network = NetworkId(r.string());
-  b.supi = Supi(r.string());
-  b.hxres_star = r.fixed<16>();
-  b.share = read_shamir_share(r);
-  if (r.boolean()) b.feldman_share = read_feldman_share(r);
-  if (r.boolean()) b.feldman_commitments = read_feldman_commitments(r);
-  b.batch = read_batch_path(r);
-  b.home_signature = r.fixed<64>();
+  KeyShareBundle b = read_share_bundle(r);
   r.expect_done();
   return b;
 }
@@ -386,6 +397,22 @@ GetVectorRequest GetVectorRequest::decode(ByteView data) {
   req.suci = r.bytes();
   r.expect_done();
   return req;
+}
+
+Bytes ShareReply::encode() const {
+  wire::Writer w;
+  write_share_bundle(w, share);
+  w.u32(vectors_left);
+  return std::move(w).take();
+}
+
+ShareReply ShareReply::decode(ByteView data) {
+  wire::Reader r(data);
+  ShareReply reply;
+  reply.share = read_share_bundle(r);
+  reply.vectors_left = r.u32();
+  r.expect_done();
+  return reply;
 }
 
 Bytes ReportRequest::encode() const {

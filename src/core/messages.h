@@ -166,6 +166,21 @@ struct GetVectorRequest {
   static GetVectorRequest decode(ByteView data);
 };
 
+/// backup -> serving: the key share released against a usage proof, plus
+/// `vectors_left`, the number of vectors the backup still holds for the
+/// user after this attach. The count is outside the home signature and is
+/// a ranking hint only: a backup that reports 0 stops leading the user's
+/// vector fetches, so a lying backup can demote only itself, or cost one
+/// promotion per share reply that lies. Wire form: the share bundle's
+/// encoding, then the count as a u32.
+struct ShareReply {
+  KeyShareBundle share;
+  std::uint32_t vectors_left = 0;
+
+  Bytes encode() const;
+  static ShareReply decode(ByteView data);
+};
+
 /// backup -> home (report, §4.2.3): consumed vectors + proofs.
 struct ReportRequest {
   NetworkId backup_network;

@@ -25,8 +25,8 @@ std::optional<Time> PeerRtt::estimate(sim::NodeIndex peer) const {
 bool PeerRtt::before(sim::NodeIndex a, sim::NodeIndex b) const {
   const auto rtt_a = estimate(a);
   const auto rtt_b = estimate(b);
-  if (!rtt_a) return rtt_b.has_value();
-  return rtt_b && *rtt_a < *rtt_b;
+  if (!rtt_a) return false;
+  return !rtt_b || *rtt_a < *rtt_b;
 }
 
 const char* to_string(AuthPath path) noexcept {
@@ -498,8 +498,11 @@ void ServingNetwork::request_backup_vector(const std::shared_ptr<Attach>& attach
   request.supi = attach->supi;
   request.suci = attach->suci;
 
-  // §5.1 optimization 3 ordering: deterministic shuffle (sim RNG) spreads
-  // vector consumption across slices.
+  // §5.1 optimization 3 ordering, one ranking for every rung (adaptive
+  // replica selection, as in C3, Suresh et al., NSDI 2015): liveness tier,
+  // then slices known to be empty last, then the lower smoothed share RTT,
+  // unsampled backups last. The deterministic shuffle (sim RNG) orders
+  // only the ties.
   const std::size_t n = attach->backups.size();
   std::vector<std::size_t> order(n);
   for (std::size_t i = 0; i < n; ++i) order[i] = i;
@@ -507,41 +510,32 @@ void ServingNetwork::request_backup_vector(const std::shared_ptr<Attach>& attach
   for (std::size_t i = n; i > 1; --i) {
     std::swap(order[i - 1], order[rng.next_below(i)]);
   }
-  // Liveness tier per backup: closed circuits first, then half-open ones
-  // (probe-only: the §6.4 share broadcast probes them, a vector fetch
+  // Rank per backup. Liveness tier: closed circuits first, then half-open
+  // ones (probe-only: the §6.4 share broadcast probes them, a vector fetch
   // reaches them only when every closed backup has failed), then open ones,
-  // which the ladder's breaker-gated legs skip. With resilience off every
-  // backup is tier 0.
+  // which the ladder's breaker-gated legs skip; with resilience off every
+  // backup is closed. Inside a tier, a slice known to be empty for the user
+  // ranks after every other.
   const Time now = rpc_.network().simulator().now();
   const auto address = [&](std::size_t i) {
     return static_cast<sim::NodeIndex>(attach->backups[i].address);
   };
-  std::vector<int> tier(n, 0);
-  if (config_.resilience.enabled) {
-    for (std::size_t i = 0; i < n; ++i) {
+  std::vector<int> rank(n, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    int tier = 0;
+    if (config_.resilience.enabled) {
       switch (rpc_.breakers().state(node_, address(i), now)) {
-        case sim::BreakerState::kClosed: tier[i] = 0; break;
-        case sim::BreakerState::kHalfOpen: tier[i] = 1; break;
-        case sim::BreakerState::kOpen: tier[i] = 2; break;
+        case sim::BreakerState::kClosed: tier = 0; break;
+        case sim::BreakerState::kHalfOpen: tier = 1; break;
+        case sim::BreakerState::kOpen: tier = 2; break;
       }
     }
+    rank[i] = 2 * tier + (empty_slices_.contains({attach->supi, address(i)}) ? 1 : 0);
   }
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) { return tier[a] < tier[b]; });
-  if (n >= 2) {
-    // Power of two choices (Mitzenmacher, IEEE TPDS 2001): of the first two
-    // closed candidates, the one with the lower smoothed share RTT leads,
-    // so a slow backup rarely makes the attach's critical path.
-    if (tier[order[1]] == 0 && peer_rtt_.before(address(order[1]), address(order[0]))) {
-      std::swap(order[0], order[1]);
-    }
-    // Every later rung (hedge, failure or exhaustion promotion) takes the
-    // fastest remaining backup of the best tier.
-    std::stable_sort(order.begin() + 1, order.end(), [&](std::size_t a, std::size_t b) {
-      if (tier[a] != tier[b]) return tier[a] < tier[b];
-      return peer_rtt_.before(address(a), address(b));
-    });
-  }
+  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    if (rank[a] != rank[b]) return rank[a] < rank[b];
+    return peer_rtt_.before(address(a), address(b));
+  });
   hedge_backup_vector(attach, request, order);
 }
 
@@ -549,24 +543,30 @@ void ServingNetwork::request_backup_vector(const std::shared_ptr<Attach>& attach
 /// is still pending after `hedge_delay` — or fails outright — promote the
 /// next-best backup. First verified bundle wins and cancels every losing
 /// leg, so a slow or silently-dead backup costs one hedge delay instead of
-/// a full timeout. With resilience off the ladder is one leg wide and
-/// ignores the breakers: a failed leg fails the attach.
+/// a full timeout. A backup that answers without a vector (an exhausted
+/// slice, or any other rejection) is no failed leg: it promotes the next
+/// backup without using up the ladder's width, so an attach fails for lack
+/// of vectors only once every candidate has turned it away. With
+/// resilience off the ladder is one leg wide and ignores the breakers: a
+/// leg that times out, fails in transport or serves a bad signature fails
+/// the attach.
 void ServingNetwork::hedge_backup_vector(const std::shared_ptr<Attach>& attach,
                                          const GetVectorRequest& request,
                                          const std::vector<std::size_t>& order) {
   const std::size_t ladder_width =
       config_.resilience.enabled ? config_.resilience.hedge_width : 1;
-  const std::size_t width = std::max<std::size_t>(1, std::min(ladder_width, order.size()));
 
   struct Hedge {
     bool won = false;
     std::size_t next = 0;         // next candidate (index into `order`)
+    std::size_t width = 0;        // legs the ladder may launch
     std::size_t outstanding = 0;  // legs in flight
     std::vector<sim::CallHandle> legs;
     std::string last_error = "no candidates";
     std::function<void()> launch;  // holds only a weak self-reference
   };
   auto state = std::make_shared<Hedge>();
+  state->width = std::max<std::size_t>(1, std::min(ladder_width, order.size()));
 
   // Per leg: single breaker-gated attempt. The ladder itself is the retry —
   // a breaker skip resolves in the same tick, promoting the next backup for
@@ -575,10 +575,10 @@ void ServingNetwork::hedge_backup_vector(const std::shared_ptr<Attach>& attach,
   leg_options.trace_parent = attach->span;
 
   state->launch = [this, attach, weak = std::weak_ptr<Hedge>(state), request, leg_options,
-                   width, order] {
+                   order] {
     const auto hedge = weak.lock();
     if (!hedge || attach->done || hedge->won) return;
-    if (hedge->next >= width) {
+    if (hedge->next >= hedge->width) {
       if (hedge->outstanding == 0) {
         finish(attach,
                {false, AuthPath::kBackup, {}, "no backup vector: " + hedge->last_error});
@@ -586,13 +586,21 @@ void ServingNetwork::hedge_backup_vector(const std::shared_ptr<Attach>& attach,
       return;
     }
     const std::size_t leg = hedge->next++;
-    const directory::NetworkEntry& backup = attach->backups[order[leg]];
+    const auto peer = static_cast<sim::NodeIndex>(attach->backups[order[leg]].address);
     if (leg > 0) ++metrics_.hedges_launched;
     ++hedge->outstanding;
     hedge->legs.push_back(backup_vector_stub_.call(
-        static_cast<sim::NodeIndex>(backup.address), request, leg_options,
-        [this, attach, hedge, leg](CallResult<AuthVectorBundle> result) {
+        peer, request, leg_options,
+        [this, attach, hedge, leg, peer](CallResult<AuthVectorBundle> result) {
           --hedge->outstanding;
+          // The backup answered without a vector (exhausted, or any other
+          // rejection): rank it last for this user until its next share
+          // reply counts vectors again, and promote the next backup without
+          // using up the ladder's width.
+          if (!result.ok() && result.app_error()) {
+            if (!attach->supi.empty()) empty_slices_.insert({attach->supi, peer});
+            if (hedge->width < attach->backups.size()) ++hedge->width;
+          }
           if (attach->done || hedge->won) return;
           if (!result.ok()) {
             hedge->last_error = result.error().message;
@@ -619,7 +627,7 @@ void ServingNetwork::hedge_backup_vector(const std::shared_ptr<Attach>& attach,
         resilience_observer()));
     // Arm the hedge timer: if nothing else has advanced the ladder by then
     // (a failure promotes instantly), launch the next-best backup anyway.
-    if (hedge->next < width) {
+    if (hedge->next < hedge->width) {
       const std::size_t expected_next = hedge->next;
       rpc_.network().simulator().after(
           config_.resilience.hedge_delay, [attach, hedge, expected_next] {
@@ -1145,7 +1153,7 @@ void ServingNetwork::collect_key_shares(const std::shared_ptr<Attach>& attach,
     backup_share_stub_.call(
         peer, proof, options,
         [this, attach, state, leg_concluded, combine_shares, peer, sent](
-            CallResult<KeyShareBundle> result) {
+            CallResult<ShareReply> result) {
           // Every concluded leg refreshes the peer's RTT estimate. A reply or
           // a rejection samples its elapsed time; a transport failure or
           // timeout samples the whole deadline, so a silently dead backup
@@ -1154,6 +1162,14 @@ void ServingNetwork::collect_key_shares(const std::shared_ptr<Attach>& attach,
               result.ok() || result.error().code == sim::RpcErrorCode::kRejected;
           peer_rtt_.observe(peer, answered ? rpc_.network().simulator().now() - sent
                                            : config_.key_share_timeout);
+          // Every reply also refreshes the peer's slice hint for the user.
+          if (result.ok()) {
+            if (result->vectors_left == 0) {
+              empty_slices_.insert({attach->supi, peer});
+            } else {
+              empty_slices_.erase({attach->supi, peer});
+            }
+          }
           if (state->combined || attach->done) {
             --state->outstanding;
             return;
@@ -1163,7 +1179,7 @@ void ServingNetwork::collect_key_shares(const std::shared_ptr<Attach>& attach,
             leg_concluded();
             return;
           }
-          const KeyShareBundle& bundle = result.value();
+          const KeyShareBundle& bundle = result->share;
           const SigCheck sig = check_bundle(bundle, attach->home_entry->signing_key);
           const Time verify_cost =
               sig.cost + (config_.use_verifiable_shares ? config_.costs.feldman_verify_per_share

@@ -8,12 +8,17 @@
 //      (§4.2.2): fetch a vector through the hedged backup ladder, verify
 //      the home signature, challenge the UE, then broadcast the signed
 //      RES* usage proof to ALL backups and combine the first `threshold`
-//      valid key shares into K_seaf. The ladder ranks backups by circuit
-//      state, then smoothed share RTT: the faster of two random
-//      closed-circuit candidates leads; a hedge, a failed leg or an
-//      exhausted slice promotes the fastest remaining closed backup;
-//      half-open backups are probe-only, reached only after every closed
-//      one (the share broadcast probes them); open ones are skipped.
+//      valid key shares into K_seaf. One ranking orders every rung of
+//      the ladder: circuit state (closed, then half-open backups, which
+//      are probe-only because the share broadcast probes them, then open
+//      ones, which are skipped); then slices known to be empty for the
+//      user (from the `vectors_left` count in each share reply, or an
+//      exhausted rejection) last; then smoothed share RTT, unsampled
+//      backups last. So the fastest live backup that still holds a vector
+//      leads, and a hedge, failed leg or exhausted slice promotes the next
+//      one; a backup that rejects the fetch (an exhausted slice, say)
+//      does so without using up the ladder's width. A sim-RNG shuffle
+//      orders only the ties.
 //
 // The UE-facing side is exposed as two RPC services so a gNB/UE emulator
 // can drive it over the simulated network:
@@ -41,6 +46,8 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "core/config.h"
@@ -80,8 +87,10 @@ class PeerRtt {
   void observe(sim::NodeIndex peer, Time sample);
   /// The smoothed estimate, or nullopt before the peer's first sample.
   std::optional<Time> estimate(sim::NodeIndex peer) const;
-  /// Whether `a` should lead before `b`: an unsampled peer ranks first,
-  /// then the lower estimate; ties keep the current order (false).
+  /// Whether `a` should lead before `b`: the lower estimate first, an
+  /// unsampled peer last (the §6.4 share broadcast samples every live
+  /// backup, so no fetch needs to explore); ties keep the current order
+  /// (false).
   bool before(sim::NodeIndex a, sim::NodeIndex b) const;
 
  private:
@@ -193,7 +202,7 @@ class ServingNetwork {
   TypedStub<ResyncRequest, AuthVectorBundle> home_resync_stub_;
   TypedStub<UsageProof, KeyReply> home_key_stub_;
   TypedStub<GetVectorRequest, AuthVectorBundle> backup_vector_stub_;
-  TypedStub<UsageProof, KeyShareBundle> backup_share_stub_;
+  TypedStub<UsageProof, ShareReply> backup_share_stub_;
   TypedStub<GutiResolveRequest, GutiResolveReply> guti_stub_;
   TypedStub<HandoverContextRequest, HandoverContextReply> handover_stub_;
   TypedStub<Ack, Ack> home_ping_stub_;
@@ -228,6 +237,12 @@ class ServingNetwork {
 
   ServingMetrics metrics_;
   PeerRtt peer_rtt_;
+  // (SUPI, backup) pairs whose vector slice is known to be empty: that
+  // backup's last share reply for the user reported 0 vectors left, or it
+  // rejected a vector fetch. A later nonzero report clears the pair. It
+  // only ranks vector-fetch candidates. At most one pair per user and
+  // backup ever seen, so it grows no faster than guti_table_.
+  std::set<std::pair<Supi, sim::NodeIndex>> empty_slices_;
 
   // Observability (null = off): end-to-end attach latency histogram and the
   // auditable event journal. The tracer itself rides on the Rpc layer.

@@ -11,11 +11,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/messages.h"
+#include "core/typed_stub.h"
 #include "wire/reader.h"
 
 namespace dauth::core {
@@ -151,6 +153,13 @@ ReportRequest random_report(Rng& rng) {
   return r;
 }
 
+ShareReply random_share_reply(Rng& rng) {
+  ShareReply r;
+  r.share = random_share_bundle(rng);
+  r.vectors_left = static_cast<std::uint32_t>(rng.next());
+  return r;
+}
+
 RevokeSharesRequest random_revoke(Rng& rng) {
   RevokeSharesRequest r;
   r.home_network = random_network(rng);
@@ -198,6 +207,42 @@ TEST(MessagesRoundTrip, StoreMaterialRequest) {
 
 TEST(MessagesRoundTrip, GetVectorRequest) {
   check_round_trip<GetVectorRequest>(0xA5, 25, random_get_vector);
+}
+
+TEST(MessagesRoundTrip, ShareReply) {
+  check_round_trip<ShareReply>(0xA8, 25, random_share_reply);
+}
+
+TEST(MessagesRoundTrip, TruncatedShareReplyIsBadReply) {
+  // A backup.get_share reply cut short anywhere, including inside the
+  // trailing vectors_left count, reaches the caller as kBadReply.
+  sim::Simulator simulator{1};
+  sim::Network network{simulator};
+  sim::Rpc rpc{network};
+  sim::NodeConfig config;
+  config.name = "serving";
+  const sim::NodeIndex serving = network.add_node(config);
+  config.name = "backup";
+  const sim::NodeIndex backup = network.add_node(config);
+
+  Rng rng(0xA9);
+  const Bytes encoded = random_share_reply(rng).encode();
+  std::size_t cut = 0;
+  rpc.register_service(backup, "backup.get_share", [&](ByteView, sim::Responder r) {
+    r.reply(Bytes(encoded.begin(), encoded.begin() + static_cast<std::ptrdiff_t>(cut)));
+  });
+  const TypedStub<UsageProof, ShareReply> stub(rpc, serving, "backup.get_share");
+  for (const std::size_t length : {std::size_t{0}, encoded.size() / 2, encoded.size() - 1}) {
+    cut = length;
+    std::optional<sim::RpcErrorCode> code;
+    stub.call(backup, UsageProof{}, sim::RpcOptions::oneshot(),
+              [&](CallResult<ShareReply> result) {
+                ASSERT_FALSE(result.ok()) << "cut at " << cut;
+                code = result.error().code;
+              });
+    simulator.run();
+    EXPECT_EQ(code, sim::RpcErrorCode::kBadReply) << "cut at " << cut;
+  }
 }
 
 TEST(MessagesRoundTrip, ReportRequest) {

@@ -1,5 +1,5 @@
 // Unit tests for core::PeerRtt, the smoothed per-backup RTT estimate that
-// ranks the two vector-fetch candidates.
+// ranks the vector-fetch candidates.
 #include <gtest/gtest.h>
 
 #include "core/serving_network.h"
@@ -30,13 +30,14 @@ TEST(PeerRtt, OneTimeoutSampleOutweighsAFastHistory) {
   EXPECT_TRUE(rtt.before(2, 1));
 }
 
-TEST(PeerRtt, UnsampledRanksFirstAndTiesKeepOrder) {
+TEST(PeerRtt, UnsampledRanksLastAndTiesKeepOrder) {
   PeerRtt rtt;
   EXPECT_FALSE(rtt.before(1, 2));  // both unsampled: keep the order
-  rtt.observe(1, ms(5));
-  EXPECT_TRUE(rtt.before(2, 1));   // unsampled 2 ranks before sampled 1
-  EXPECT_FALSE(rtt.before(1, 2));
-  rtt.observe(2, ms(5));
+  EXPECT_FALSE(rtt.before(2, 1));
+  rtt.observe(1, sec(2));          // even a timed-out sample
+  EXPECT_TRUE(rtt.before(1, 2));   // sampled 1 ranks before unsampled 2
+  EXPECT_FALSE(rtt.before(2, 1));
+  rtt.observe(2, sec(2));
   EXPECT_FALSE(rtt.before(1, 2));  // tie: neither moves
   EXPECT_FALSE(rtt.before(2, 1));
 }

@@ -1,12 +1,18 @@
 // End-to-end tests of the backup vector ladder's ranking: closed-circuit
-// backups first, half-open ones probe-only behind them; the faster of two
-// random closed candidates, by the serving network's smoothed share RTT
-// (core::PeerRtt), leads each vector fetch, and every later rung goes to
-// the fastest remaining backup.
+// backups first, half-open ones probe-only behind them; within a tier,
+// slices known to be empty (the share reply's vectors_left, or an exhausted
+// rejection) last, then the serving network's smoothed share RTT
+// (core::PeerRtt), unsampled backups last. The fastest live backup that
+// still holds a vector leads each fetch, and every later rung goes to the
+// next one. An exhausted slice promotes without using up the ladder.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <optional>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "federation_fixture.h"
 #include "sim/failure.h"
@@ -145,70 +151,276 @@ TEST(BackupLadder, HalfOpenBackupIsProbeOnly) {
   EXPECT_EQ(lf.serving().metrics().hedges_launched, 0u);
 }
 
-TEST(BackupLadder, ExhaustedFastestBackupPromotesOnce) {
-  // Four backups with distinct links. The fastest one (net-2) leads every
-  // fetch it is drawn for until its slice for the user runs dry; from then
-  // on each of its fetches is rejected as exhausted and promotes exactly
-  // one leg, to the fastest remaining backup (net-4), not the next one in
-  // shuffle order.
-  core::FederationConfig cfg = Federation::test_config();
-  cfg.vectors_per_backup = 8;
-  Federation f(6, cfg);
-  const std::vector<std::size_t> backups{1, 2, 3, 4};
-  const auto keys = f.provision(kAlice, 0, backups);
-  const std::vector<int> link_ms{1, 40, 5, 20};
-  for (std::size_t i = 0; i < backups.size(); ++i) {
-    sim::LatencyModel link;
-    link.base = ms(link_ms[i]);
-    f.network.set_link(f.net(5).node(), f.net(backups[i]).node(), link);
-  }
-  f.network.node(f.net(0).node()).set_online(false);
-  auto& serving = f.net(5).serving();
-  serving.set_home_health(f.net(0).id(), false);
-  auto ue = f.make_ue(kAlice, keys, 5);
+/// Federation of six: net-1 is the (offline) home, net-2..net-5 its four
+/// backups behind links of 1/40/5/20 ms, net-6 serves. A warm-up attach
+/// samples every backup's share RTT, then net-2's slice is drained with
+/// direct fetches, behind the serving network's back, so the slice hint
+/// from the warm-up share reply (vectors left > 0) is stale.
+struct DrainedFastestFederation {
+  Federation f;
+  aka::SubscriberKeys keys;
+  std::vector<std::size_t> backups{1, 2, 3, 4};
+  std::unique_ptr<ran::Ue> ue;
 
-  auto stored = [&](std::size_t b) {
+  static core::FederationConfig config() {
+    core::FederationConfig cfg = Federation::test_config();
+    cfg.vectors_per_backup = 8;
+    return cfg;
+  }
+
+  DrainedFastestFederation() : f(6, config()) {
+    keys = f.provision(kAlice, 0, backups);
+    const std::vector<int> link_ms{1, 40, 5, 20};
+    for (std::size_t i = 0; i < backups.size(); ++i) {
+      sim::LatencyModel link;
+      link.base = ms(link_ms[i]);
+      f.network.set_link(f.net(5).node(), f.net(backups[i]).node(), link);
+    }
+    f.network.node(f.net(0).node()).set_online(false);
+    serving().set_home_health(f.net(0).id(), false);
+    ue = f.make_ue(kAlice, keys, 5);
+
+    if (!f.attach(*ue).success) throw std::runtime_error("warm-up attach failed");
+    core::TypedStub<core::GetVectorRequest, core::AuthVectorBundle> fetch(f.rpc, f.ran_node,
+                                                                           "backup.get_vector");
+    core::GetVectorRequest request;
+    request.serving_network = serving().id();
+    request.supi = kAlice;
+    for (std::size_t i = 0; stored(1) > 0; ++i) {
+      if (i == config().vectors_per_backup) throw std::runtime_error("net-2 did not drain");
+      fetch.call(f.net(1).node(), request, sim::RpcOptions::oneshot(), [](auto) {});
+      f.simulator.run();
+    }
+  }
+
+  core::ServingNetwork& serving() { return f.net(5).serving(); }
+  Time rtt(std::size_t b) { return *serving().peer_rtt().estimate(f.net(b).node()); }
+  std::size_t stored(std::size_t b) {
     return f.net(b).backup().stored_vectors(f.net(0).id(), kAlice);
-  };
-  auto served = [&](std::size_t b) { return f.net(b).backup().metrics().vectors_served; };
-  // Warm-up: one attach's share broadcast samples every backup's RTT.
-  ASSERT_TRUE(f.attach(*ue).success);
-  const auto rtt = [&](std::size_t b) { return *serving.peer_rtt().estimate(f.net(b).node()); };
-  ASSERT_LT(rtt(1), rtt(3));
-  ASSERT_LT(rtt(3), std::min(rtt(2), rtt(4)));
-  // Drain net-2's slice with direct fetches, so the others keep theirs.
-  core::TypedStub<core::GetVectorRequest, core::AuthVectorBundle> fetch(f.rpc, f.ran_node,
-                                                                         "backup.get_vector");
-  core::GetVectorRequest request;
-  request.serving_network = serving.id();
-  request.supi = kAlice;
-  for (std::size_t i = 0; stored(1) > 0; ++i) {
-    ASSERT_LT(i, cfg.vectors_per_backup);
-    fetch.call(f.net(1).node(), request, sim::RpcOptions::oneshot(), [](auto) {});
-    f.simulator.run();
+  }
+  std::uint64_t served(std::size_t b) { return f.net(b).backup().metrics().vectors_served; }
+  std::uint64_t hedges() { return serving().metrics().hedges_launched; }
+
+  /// One attach that must succeed, consume exactly one vector, and take it
+  /// from backup `b` without any promotion or hedge.
+  void expect_unhedged_attach_served_by(std::size_t b, const std::string& what) {
+    std::size_t total = 0;
+    for (std::size_t x : backups) total += stored(x);
+    const std::uint64_t hedges_before = hedges();
+    const std::uint64_t served_before = served(b);
+    const auto record = f.attach(*ue);
+    ASSERT_TRUE(record.success) << what << ": " << record.failure;
+    EXPECT_TRUE(record.key_confirmed) << what;
+    std::size_t total_after = 0;
+    for (std::size_t x : backups) total_after += stored(x);
+    EXPECT_EQ(total_after, total - 1) << what << " consumed more than one vector";
+    EXPECT_EQ(hedges(), hedges_before) << what;
+    EXPECT_EQ(served(b), served_before + 1) << what;
   }
 
-  int promotions = 0;
-  for (int i = 0; i < 24 && promotions < 3; ++i) {
-    ASSERT_GT(stored(3), 0u);
-    const std::uint64_t hedges = serving.metrics().hedges_launched;
-    const std::uint64_t wins = serving.metrics().hedge_wins;
-    const std::uint64_t fastest_left_served = served(3);
-    std::size_t total = 0;
-    for (std::size_t b : backups) total += stored(b);
+  /// The first attach after the drain: net-2 leads on its stale hint, is
+  /// rejected as exhausted, and promotes exactly one leg, to the fastest
+  /// remaining backup (net-4).
+  void expect_one_promotion_to_net4() {
+    ASSERT_LT(rtt(1), rtt(3));
+    ASSERT_LT(rtt(3), std::min(rtt(2), rtt(4)));
+    const std::uint64_t hedges_before = hedges();
+    const std::uint64_t wins_before = serving().metrics().hedge_wins;
+    const std::uint64_t served_before = served(3);
     const auto record = f.attach(*ue);
     ASSERT_TRUE(record.success) << record.failure;
     EXPECT_TRUE(record.key_confirmed);
-    std::size_t total_after = 0;
-    for (std::size_t b : backups) total_after += stored(b);
-    EXPECT_EQ(total_after, total - 1) << "attach " << i << " consumed more than one vector";
-    if (serving.metrics().hedges_launched == hedges) continue;
-    ++promotions;
-    EXPECT_EQ(serving.metrics().hedges_launched, hedges + 1);  // the one promotion
-    EXPECT_EQ(serving.metrics().hedge_wins, wins + 1);
-    EXPECT_EQ(served(3), fastest_left_served + 1) << "promotion " << promotions;
+    EXPECT_EQ(hedges(), hedges_before + 1);  // the one promotion
+    EXPECT_EQ(serving().metrics().hedge_wins, wins_before + 1);
+    EXPECT_EQ(served(3), served_before + 1);
   }
-  EXPECT_EQ(promotions, 3);
+};
+
+TEST(BackupLadder, ExhaustedFastestBackupPromotesOnce) {
+  // A stale slice hint costs exactly one promotion. The exhausted
+  // rejection and net-2's share reply (0 vectors left) then mark its slice
+  // empty, so it never leads again: net-4 serves every attach until its own
+  // slice runs dry. Its last share reply says so, and the next fetch goes
+  // straight to net-5 (20 ms, ahead of net-3 at 40 ms) without a promotion.
+  DrainedFastestFederation d;
+  d.expect_one_promotion_to_net4();
+  for (std::size_t i = 0; d.stored(3) > 0; ++i) {
+    ASSERT_LT(i, DrainedFastestFederation::config().vectors_per_backup);
+    d.expect_unhedged_attach_served_by(3, "net-4 attach, " + std::to_string(d.stored(3)) +
+                                              " left");
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  d.expect_unhedged_attach_served_by(4, "first attach after net-4 ran dry");
+}
+
+TEST(BackupLadder, ExhaustedRejectionMarksSliceAtOnce) {
+  // The exhausted rejection marks net-2's slice empty at once, before the
+  // attach's own share broadcast brings net-2's count. A second attach for
+  // the same user, started the moment the first one promotes, leads with
+  // net-4: the stale hint still costs exactly one promotion in all.
+  DrainedFastestFederation d;
+  auto second_ue = d.f.make_ue(kAlice, d.keys, 5);
+  const std::uint64_t hedges_before = d.hedges();
+  const std::uint64_t served_before = d.served(3);
+  const std::uint64_t shares_before = d.f.net(1).backup().metrics().shares_served;
+  std::optional<ran::AttachRecord> first;
+  std::optional<ran::AttachRecord> second;
+  bool second_started_before_shares = false;
+  std::function<void()> start_second_on_promotion = [&] {
+    if (d.hedges() == hedges_before) {
+      // No promotion by the end of the first attach: the second never
+      // starts, and the test fails below.
+      if (!first) d.f.simulator.after(us(100), start_second_on_promotion);
+      return;
+    }
+    second_started_before_shares =
+        d.f.net(1).backup().metrics().shares_served == shares_before;
+    second_ue->attach([&](const ran::AttachRecord& r) { second = r; });
+  };
+  d.ue->attach([&](const ran::AttachRecord& r) { first = r; });
+  start_second_on_promotion();
+  d.f.simulator.run();
+  ASSERT_TRUE(first && second);
+  EXPECT_TRUE(first->success) << first->failure;
+  EXPECT_TRUE(second->success) << second->failure;
+  EXPECT_TRUE(second_started_before_shares);
+  EXPECT_EQ(d.hedges(), hedges_before + 1);
+  EXPECT_EQ(d.served(3), served_before + 2);
+}
+
+TEST(BackupLadder, ReplenishedSliceLeadsAgain) {
+  // After the one promotion net-2 is known empty and net-4 leads. Then the
+  // home comes back long enough to disseminate fresh slices. The next
+  // attach still leads with net-4, but net-2's share reply now counts
+  // vectors again, which clears the hint: the attach after that is led,
+  // and served, by net-2 once more.
+  DrainedFastestFederation d;
+  d.expect_one_promotion_to_net4();
+  d.expect_unhedged_attach_served_by(3, "net-4 attach before the replenishment");
+
+  auto& home = d.f.net(0);
+  d.f.network.node(home.node()).set_online(true);
+  bool replenished = false;
+  home.home().disseminate(kAlice, [&](std::size_t) { replenished = true; });
+  d.f.simulator.run();
+  ASSERT_TRUE(replenished);
+  ASSERT_GT(d.stored(1), 0u);
+  d.f.network.node(home.node()).set_online(false);
+  d.serving().set_home_health(home.id(), false);
+
+  d.expect_unhedged_attach_served_by(3, "attach on the stale empty hint");
+  for (int i = 0; i < 3; ++i) {
+    d.expect_unhedged_attach_served_by(1, "attach " + std::to_string(i) + " after the clear");
+  }
+}
+
+TEST(BackupLadder, ColdStartNeverLeadsWithUnsampledBackup) {
+  // net-6 sits behind a 100 ms link, so its first share reply lands well
+  // after the first attach completes. Attaches run back to back, each
+  // starting the moment the previous one ends: until that reply lands,
+  // net-6 is unsampled while the others are sampled, and it must not lead.
+  // (A 200 ms vector leg is below the hedge delay, so the backup that
+  // served each vector is the one that led.)
+  LadderFederation lf(ladder_config(), 1, {2, 2, 2, 2, 100});
+  const sim::NodeIndex slow = lf.f.net(5).node();
+  auto ue = lf.f.make_ue(kAlice, lf.keys, 6);
+
+  int remaining = 8;
+  int led_while_unsampled = 0;
+  int started_while_unsampled = 0;
+  std::function<void()> next = [&] {
+    const bool cold = std::none_of(lf.backups.begin(), lf.backups.end(), [&](std::size_t b) {
+      return lf.serving().peer_rtt().estimate(lf.f.net(b).node()).has_value();
+    });
+    const bool slow_unsampled = !lf.serving().peer_rtt().estimate(slow);
+    const std::uint64_t slow_served = lf.served(5);
+    if (!cold && slow_unsampled) ++started_while_unsampled;
+    ue->attach([&, cold, slow_unsampled, slow_served](const ran::AttachRecord& record) {
+      EXPECT_TRUE(record.success) << record.failure;
+      if (!cold && slow_unsampled && lf.served(5) != slow_served) ++led_while_unsampled;
+      if (--remaining > 0) lf.f.simulator.after(0, next);
+    });
+  };
+  next();
+  lf.f.simulator.run();
+  EXPECT_EQ(remaining, 0);
+  // The schedule really exercises the window: several warm attaches
+  // started before the slow backup's first sample.
+  EXPECT_GE(started_while_unsampled, 2);
+  EXPECT_EQ(led_while_unsampled, 0);
+  EXPECT_EQ(lf.serving().metrics().hedges_launched, 0u);
+}
+
+TEST(BackupLadder, SuciAttachesDrainEverySlice) {
+  // An attach identified by SUCI has no SUPI while the ladder ranks its
+  // candidates (only a backup can deconceal it), so the slice hint cannot
+  // steer it and fastest-first leads it with drained slices. An exhausted
+  // slice must cost a round trip, never the attach: whether the ladder is
+  // one leg wide (resilience off) or hedged, every attach succeeds and
+  // takes exactly one vector while any backup still holds one.
+  for (const bool resilience : {true, false}) {
+    SCOPED_TRACE(resilience ? "resilience on" : "resilience off");
+    core::FederationConfig cfg = ladder_config();
+    cfg.vectors_per_backup = 3;
+    cfg.resilience.enabled = resilience;
+    LadderFederation lf(cfg, 1, {2, 4, 6, 8, 10});
+    auto profile = ran::emulated_ran_profile(cfg.serving_network_name);
+    profile.use_suci = true;
+    profile.use_guti = false;
+    ran::Ue ue(lf.f.rpc, lf.f.ran_node, lf.serving_node(), kAlice, lf.keys, profile);
+    ue.configure_suci(lf.f.net(0).id(), lf.f.net(0).suci_keys().public_key);
+    const auto stored = [&] {
+      std::size_t total = 0;
+      for (std::size_t b : lf.backups) {
+        total += lf.f.net(b).backup().stored_vectors(lf.f.net(0).id(), kAlice);
+      }
+      return total;
+    };
+    ASSERT_EQ(stored(), 5u * 3u);
+
+    std::set<int> servers;
+    while (stored() > 0) {
+      const std::size_t before = stored();
+      std::vector<std::uint64_t> served;
+      for (std::size_t b : lf.backups) served.push_back(lf.served(b));
+      const auto record = lf.f.attach(ue);
+      ASSERT_TRUE(record.success) << before << " vectors left: " << record.failure;
+      ASSERT_EQ(stored(), before - 1);
+      for (std::size_t i = 0; i < lf.backups.size(); ++i) {
+        if (lf.served(lf.backups[i]) != served[i]) servers.insert(static_cast<int>(i));
+      }
+    }
+    EXPECT_EQ(servers.size(), lf.backups.size());  // every slice was reached
+    // Only once every slice is empty does an attach fail for lack of one.
+    const auto record = lf.f.attach(ue);
+    EXPECT_FALSE(record.success);
+    EXPECT_NE(record.failure.find("no backup vector"), std::string::npos) << record.failure;
+  }
+}
+
+TEST(BackupLadder, RejectingBackupLeadsOnce) {
+  // net-2 has the fastest link but turns away every vector fetch and every
+  // share request as kNotFound, so no share reply ever clears its hint.
+  // Resilience off: a leg that used up the one-leg ladder would fail the
+  // attach. The first rejection marks net-2's slice empty; after that one
+  // promotion it never leads again, and every attach succeeds.
+  core::FederationConfig cfg = ladder_config();
+  cfg.resilience.enabled = false;
+  LadderFederation lf(cfg, 1, {1, 20, 20, 20, 20});
+  for (const char* service : {"backup.get_vector", "backup.get_share"}) {
+    lf.f.rpc.register_service(lf.f.net(1).node(), service, [](ByteView, sim::Responder r) {
+      r.fail(sim::AppErrorCode::kNotFound, "user not backed up here");
+    });
+  }
+  auto ue = lf.f.make_ue(kAlice, lf.keys, 6);
+  for (int i = 0; i < 10; ++i) {
+    const int server = lf.attach_and_find_server(*ue);
+    ASSERT_GT(server, 0) << "attach " << i;
+  }
+  // net-2 led exactly once: the warm-up attach, if the shuffle put it
+  // first, or else the first attach after its first (rejected) share leg
+  // made it the fastest sampled backup.
+  EXPECT_EQ(lf.serving().metrics().hedges_launched, 1u);
 }
 
 TEST(BackupLadder, SameSeedPicksSamePrimaries) {
@@ -221,8 +433,9 @@ TEST(BackupLadder, SameSeedPicksSamePrimaries) {
   };
   const auto first = primaries(5);
   EXPECT_EQ(first, primaries(5));
-  // Not a degenerate schedule: every attach succeeded, and the two-choice
-  // pick still spreads load over more than one backup.
+  // Not a degenerate schedule: every attach succeeded, and more than one
+  // backup led (nothing is sampled before the first attach, so the
+  // shuffle picks its leader; the fastest backup leads the rest).
   EXPECT_EQ(std::count(first.begin(), first.end(), -1), 0);
   EXPECT_GT(std::set<int>(first.begin(), first.end()).size(), 1u);
 }

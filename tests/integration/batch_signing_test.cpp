@@ -283,9 +283,11 @@ TEST(BatchSigning, ServingNetworkRejectsForgedShares) {
   f.rpc.register_service(f.net(1).node(), "backup.get_share",
                          [&](ByteView request, sim::Responder r) {
                            const auto proof = core::UsageProof::decode(request);
-                           core::KeyShareBundle share = make_share(proof.supi, proof.hxres_star, 2);
-                           if (attack) attack(share);
-                           r.reply(share.encode());
+                           core::ShareReply reply;
+                           reply.share = make_share(proof.supi, proof.hxres_star, 2);
+                           reply.vectors_left = 1;  // unsigned ranking hint, never checked
+                           if (attack) attack(reply.share);
+                           r.reply(reply.encode());
                          });
   auto ue = f.make_ue(kAlice, keys, 4);
 

@@ -6,9 +6,10 @@ Usage:
     python3 tools/bench_table.py results/BENCH_ablation_optimizations.json
 
 One row per quantile/summary/box row in the record, in file order:
-series | n | p50 / p90 / p99 (ms). The first line names the record's
-commit, dirty flag and seed set, so a table pasted into the docs says what
-produced it.
+series | n | p50 / p90 / p99 (ms), with an x column after the series when
+a series repeats over several x points (a load sweep). The first line
+names the record's commit, dirty flag and seed set, so a table pasted
+into the docs says what produced it.
 """
 import json
 import sys
@@ -25,12 +26,15 @@ def main():
         seeds = ", seeds " + " ".join(str(seed) for seed in record["seeds"])
     print(f"<!-- generated by tools/bench_table.py from {record['bench']} "
           f"@ {record['commit']}{dirty}{seeds} -->")
-    print("| series | n | p50 / p90 / p99 (ms) |")
-    print("|---|---|---|")
-    for row in record["rows"]:
-        if row["kind"] == "scalar":
-            continue
-        print(f"| {row['series']} | {row['n']} | "
+    rows = [row for row in record["rows"] if row["kind"] != "scalar"]
+    # A sweep repeats each series over its x points, which need a column.
+    sweep = len({row["series"] for row in rows}) < len(rows)
+    x = " x |" if sweep else ""
+    print(f"| series |{x} n | p50 / p90 / p99 (ms) |")
+    print("|---|" + ("---|" if sweep else "") + "---|---|")
+    for row in rows:
+        x = f" {row['x']:g} |" if sweep else ""
+        print(f"| {row['series']} |{x} {row['n']} | "
               f"{row['p50']:.1f} / {row['p90']:.1f} / {row['p99']:.1f} |")
 
 
