@@ -1,10 +1,10 @@
 // Ablation bench for the design choices DESIGN.md calls out:
 //   1. gRPC connection re-use between dAuth instances (§5.1 opt. 1)
 //   2. plain Shamir shares vs Feldman verifiable shares (§3.5.2)
-//   3. the signature-verification memo cache (docs/PERFORMANCE.md): a
-//      vector and a share from one backup batch, and hedged replies, re-check
-//      the same batch root, so disabling the cache pays a full Ed25519
-//      verify per duplicate
+//   3. the signature-verification memo cache (docs/PERFORMANCE.md): every
+//      vector and share of a user's dissemination round re-checks the same
+//      signed round root, so disabling the cache pays a full Ed25519 verify
+//      per check after the user's first attach
 //   4. Open5GS roaming with on-demand vs persistent S6a/N12 connections
 // All variants run the same backup-mode workload (edge serving core on
 // fiber, 8 backups, threshold 4, 200 registrations/min) on one paired seed,

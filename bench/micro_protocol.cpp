@@ -1,6 +1,7 @@
 // Microbenchmarks for dAuth protocol operations: bundle generation, message
-// (de)serialization, signing/verification of bundles, SUCI concealment, and
-// full vector-generation as a home network performs it.
+// (de)serialization, signing/verification of bundles and dissemination
+// rounds, SUCI concealment, and full vector-generation as a home network
+// performs it.
 #include <benchmark/benchmark.h>
 
 #include "micro_main.h"
@@ -11,6 +12,7 @@
 #include "core/home_network.h"
 #include "core/messages.h"
 #include "crypto/drbg.h"
+#include "crypto/verify_cache.h"
 
 namespace dauth::core {
 namespace {
@@ -147,6 +149,81 @@ void BM_DisseminateOneVector(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DisseminateOneVector)->Arg(4)->Arg(8)->Arg(16);
+
+/// One user's unsigned dissemination round as fedbench's backup_steady
+/// builds it: `batches` backups, each batch 16 vectors plus one share of
+/// each of the round's 16 x `batches` vectors (144 leaves for 8 backups).
+std::vector<StoreMaterialRequest> unsigned_round(std::size_t batches) {
+  crypto::DeterministicDrbg rng("proto-bench", 10);
+  std::vector<StoreMaterialRequest> round(batches);
+  for (StoreMaterialRequest& request : round) {
+    request.home_network = NetworkId("home-net");
+    for (std::uint64_t v = 0; v < 16; ++v) {
+      AuthVectorBundle bundle;
+      bundle.home_network = request.home_network;
+      bundle.supi = Supi("315010000000001");
+      bundle.sqn = 32 * v;
+      bundle.rand = rng.array<16>();
+      bundle.autn = rng.array<16>();
+      bundle.hxres_star = rng.array<16>();
+      request.vectors.push_back(bundle);
+    }
+    for (std::size_t s = 0; s < 16 * batches; ++s) {
+      KeyShareBundle share;
+      share.home_network = request.home_network;
+      share.supi = Supi("315010000000001");
+      share.hxres_star = rng.array<16>();
+      share.share.x = 1;
+      share.share.y = rng.bytes(32);
+      request.shares.push_back(share);
+    }
+  }
+  return round;
+}
+
+/// The home's signing work for one user's round: every leaf hash, the
+/// batch trees, the round tree and ONE signature.
+void BM_SignRound(benchmark::State& state) {
+  crypto::DeterministicDrbg rng("proto-bench", 11);
+  const auto signer = crypto::ed25519_generate(rng);
+  auto round = unsigned_round(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    sign_round(round, signer);
+    benchmark::DoNotOptimize(round.front().vectors.front().home_signature);
+  }
+}
+BENCHMARK(BM_SignRound)->Arg(8);
+
+/// The serving network's check of a served vector from an 8 x 144-leaf
+/// round (8 in-batch plus 3 round siblings): the path recompute, then the
+/// verification memo, empty (`miss`, a full verify) or holding the round
+/// (`hit`, every check after a user's first attach).
+void BM_CheckServedBundle(benchmark::State& state, bool hit) {
+  crypto::DeterministicDrbg rng("proto-bench", 12);
+  const auto signer = crypto::ed25519_generate(rng);
+  auto round = unsigned_round(8);
+  sign_round(round, signer);
+  const StoreMaterialRequest& batch = round[3];
+  std::vector<crypto::Sha256Digest> leaves;
+  const auto add_leaf = [&](const auto& b) {
+    leaves.push_back(crypto::merkle_leaf_hash(b.signed_payload()));
+  };
+  for (const auto& v : batch.vectors) add_leaf(v);
+  for (const auto& s : batch.shares) add_leaf(s);
+  AuthVectorBundle served = batch.vectors[5];
+  auto& path = served.batch.siblings;
+  path = crypto::MerkleTree(std::move(leaves)).path(5);
+  path.insert(path.end(), batch.round.begin(), batch.round.end());
+
+  crypto::VerifyCache cache(hit ? crypto::VerifyCache::kDefaultEntries : 0);
+  if (hit) cache.verify(*served.batch_payload(), served.home_signature, signer.public_key);
+  for (auto _ : state) {
+    const auto payload = served.batch_payload();
+    benchmark::DoNotOptimize(cache.verify(*payload, served.home_signature, signer.public_key));
+  }
+}
+BENCHMARK_CAPTURE(BM_CheckServedBundle, miss, false);
+BENCHMARK_CAPTURE(BM_CheckServedBundle, hit, true);
 
 }  // namespace
 }  // namespace dauth::core

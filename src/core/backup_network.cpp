@@ -11,25 +11,9 @@
 namespace dauth::core {
 namespace {
 
-// Persisted batch record: "batch/<home>/<root>" -> the batch's leaf hashes.
+// Persisted batch record: "batch/<home>/<batch root>" -> HeldBatch::encode().
 std::string batch_record(const std::string& home, const crypto::MerkleTree& tree) {
   return "batch/" + home + "/" + to_hex(tree.root());
-}
-
-Bytes encode_leaves(const crypto::MerkleTree& tree) {
-  wire::Writer w;
-  w.u32(static_cast<std::uint32_t>(tree.leaf_count()));
-  for (const auto& leaf : tree.leaves()) w.fixed(leaf);
-  return std::move(w).take();
-}
-
-std::vector<crypto::Sha256Digest> decode_leaves(ByteView data) {
-  wire::Reader r(data);
-  const std::uint32_t count = r.u32();
-  std::vector<crypto::Sha256Digest> leaves;
-  for (std::uint32_t i = 0; i < count; ++i) leaves.push_back(r.fixed<32>());
-  r.expect_done();
-  return leaves;
 }
 
 }  // namespace
@@ -63,28 +47,31 @@ void BackupNetwork::restore_from_store() {
     if (value && value->size() == 32) homes_[home].suci_secret = take<32>(*value);
   }
 
-  // Batch trees next, indexed by leaf, so each restored bundle finds the
-  // tree its inclusion path is rebuilt from.
-  std::map<crypto::Sha256Digest, BatchTree> tree_of_leaf;
+  // Batch records next, indexed by leaf, so each restored bundle finds the
+  // tree and round path its inclusion path is rebuilt from.
+  std::map<crypto::Sha256Digest, SharedBatch> batch_of_leaf;
   for (const auto& key : store_->keys_with_prefix("batch/")) {
     try {
-      const auto tree = std::make_shared<const crypto::MerkleTree>(
-          decode_leaves(*store_->get(key)));
-      for (const auto& leaf : tree->leaves()) tree_of_leaf.emplace(leaf, tree);
+      const auto batch =
+          std::make_shared<const HeldBatch>(HeldBatch::decode(*store_->get(key)));
+      for (const auto& leaf : batch->tree.leaves()) batch_of_leaf.emplace(leaf, batch);
     } catch (const std::exception&) {
       // Corrupt or empty record: its bundles are skipped below.
     }
   }
-  // The bundle's batch tree (null for a one-leaf batch), or nullopt when
-  // its batch record is missing and the bundle could not be served
-  // verifiably.
-  const auto tree_for = [&](const auto& bundle) -> std::optional<BatchTree> {
-    if (bundle.batch.leaf_count == 1) return BatchTree{};
+  // The bundle's held batch (null for a lone bundle), or nullopt when its
+  // batch record is missing or does not fit it, so the bundle could not be
+  // served verifiably.
+  const auto batch_for = [&](const auto& bundle) -> std::optional<SharedBatch> {
+    const BatchPath& path = bundle.batch;
+    if (path.leaf_count == 1 && path.batch_count == 1) return SharedBatch{};
     const auto leaf = crypto::merkle_leaf_hash(bundle.signed_payload());
-    const auto it = tree_of_leaf.find(leaf);
-    if (it == tree_of_leaf.end() || it->second->leaf_count() != bundle.batch.leaf_count ||
-        bundle.batch.leaf_index >= it->second->leaf_count() ||
-        it->second->leaves()[bundle.batch.leaf_index] != leaf) {
+    const auto it = batch_of_leaf.find(leaf);
+    if (it == batch_of_leaf.end()) return std::nullopt;
+    const HeldBatch& batch = *it->second;
+    if (batch.tree.leaf_count() != path.leaf_count || path.leaf_index >= path.leaf_count ||
+        batch.tree.leaves()[path.leaf_index] != leaf ||
+        batch.round.size() != crypto::merkle_path_length(path.batch_index, path.batch_count)) {
       return std::nullopt;
     }
     return it->second;
@@ -95,10 +82,10 @@ void BackupNetwork::restore_from_store() {
   for (const auto& key : store_->keys_with_prefix("vec/")) {
     try {
       auto bundle = AuthVectorBundle::decode(*store_->get(key));
-      auto tree = tree_for(bundle);
-      if (!tree) continue;
+      auto batch = batch_for(bundle);
+      if (!batch) continue;
       UserState& user = users_[{bundle.home_network, bundle.supi}];
-      user.vectors.push_back({std::move(bundle), std::move(*tree)});
+      user.vectors.push_back({std::move(bundle), std::move(*batch)});
     } catch (const wire::WireError&) {
       // Skip corrupt records; the WAL already filtered torn writes.
     }
@@ -117,10 +104,10 @@ void BackupNetwork::restore_from_store() {
     try {
       Bytes wire = *store_->get(key);
       const auto bundle = KeyShareBundle::decode(wire);
-      auto tree = tree_for(bundle);
-      if (!tree) continue;
+      auto batch = batch_for(bundle);
+      if (!batch) continue;
       users_[{bundle.home_network, bundle.supi}].shares[bundle.hxres_star] = {std::move(wire),
-                                                                              std::move(*tree)};
+                                                                              std::move(*batch)};
     } catch (const wire::WireError&) {
     }
   }
@@ -165,7 +152,8 @@ void BackupNetwork::handle_store(ByteView request, sim::Responder responder) {
     return;
   }
   // Rebuild each batch's Merkle tree from the bundles themselves (one leaf
-  // hash per bundle), so one root signature per batch covers them all.
+  // hash per bundle); the request's round path then leads each batch root
+  // to the one round root the home signed.
   auto batches = split_batches(req);
   if (!batches) {
     ++metrics_.rejected_requests;
@@ -190,7 +178,7 @@ void BackupNetwork::handle_store(ByteView request, sim::Responder responder) {
     rpc_.network().node(node_).execute(cost, [this, req = std::move(req),
                                               batches = std::move(batches), home_key,
                                               responder]() mutable {
-      // Batch root verified over every received bundle.
+      // Round signature verified once per batch, over every received bundle.
       for (const BundleBatch& batch : batches) {
         if (!batch.verify_root(req.home_network, home_key)) {
           ++metrics_.rejected_requests;
@@ -224,16 +212,18 @@ void BackupNetwork::handle_store(ByteView request, sim::Responder responder) {
         }
       }
 
-      // Bundle i (vectors first, then shares) shares its batch's tree.
-      std::vector<BatchTree> trees(req.vectors.size() + req.shares.size());
+      // Bundle i (vectors first, then shares) shares its batch's tree and
+      // round path.
+      std::vector<SharedBatch> trees(req.vectors.size() + req.shares.size());
       for (BundleBatch& batch : batches) {
-        if (batch.tree.leaf_count() == 1) continue;
-        auto tree = std::make_shared<const crypto::MerkleTree>(std::move(batch.tree));
+        if (batch.tree.leaf_count() == 1 && batch.round.empty()) continue;
+        auto held = std::make_shared<const HeldBatch>(
+            HeldBatch{std::move(batch.tree), std::move(batch.round)});
         if (store_ != nullptr) {
-          store_->put(batch_record(req.home_network.str(), *tree), encode_leaves(*tree));
+          store_->put(batch_record(req.home_network.str(), held->tree), held->encode());
         }
-        std::fill_n(trees.begin() + static_cast<std::ptrdiff_t>(batch.first), tree->leaf_count(),
-                    tree);
+        std::fill_n(trees.begin() + static_cast<std::ptrdiff_t>(batch.first),
+                    held->tree.leaf_count(), held);
       }
       std::size_t position = 0;
       for (AuthVectorBundle& vector : req.vectors) {
@@ -274,6 +264,33 @@ void BackupNetwork::handle_store(ByteView request, sim::Responder responder) {
   });
 }
 
+Bytes BackupNetwork::HeldBatch::encode() const {
+  wire::Writer w;
+  w.u32(static_cast<std::uint32_t>(tree.leaf_count()));
+  for (const auto& leaf : tree.leaves()) w.fixed(leaf);
+  w.u8(static_cast<std::uint8_t>(round.size()));
+  for (const auto& hash : round) w.fixed(hash);
+  return std::move(w).take();
+}
+
+BackupNetwork::HeldBatch BackupNetwork::HeldBatch::decode(ByteView data) {
+  wire::Reader r(data);
+  // Each count is read before the hashes it announces: a corrupt count
+  // ends in a short read, never in a huge allocation.
+  std::vector<crypto::Sha256Digest> leaves;
+  for (std::uint32_t i = r.u32(); i > 0; --i) leaves.push_back(r.fixed<32>());
+  std::vector<crypto::Sha256Digest> round;
+  for (std::uint8_t i = r.u8(); i > 0; --i) round.push_back(r.fixed<32>());
+  r.expect_done();
+  return {crypto::MerkleTree(std::move(leaves)), std::move(round)};
+}
+
+std::vector<crypto::Sha256Digest> BackupNetwork::HeldBatch::path(std::size_t index) const {
+  std::vector<crypto::Sha256Digest> out = tree.path(index);
+  out.insert(out.end(), round.begin(), round.end());
+  return out;
+}
+
 Bytes BackupNetwork::served(const HeldVector& held) {
   if (!held.batch) return held.bundle.encode();
   AuthVectorBundle bundle = held.bundle;
@@ -287,9 +304,9 @@ KeyShareBundle BackupNetwork::served(const HeldShare& held) {
   return bundle;
 }
 
-void BackupNetwork::release_batch(const NetworkId& home, const BatchTree& batch) {
+void BackupNetwork::release_batch(const NetworkId& home, const SharedBatch& batch) {
   if (store_ != nullptr && batch != nullptr && batch.use_count() == 1) {
-    store_->erase(batch_record(home.str(), *batch));
+    store_->erase(batch_record(home.str(), batch->tree));
   }
 }
 

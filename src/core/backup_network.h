@@ -70,21 +70,32 @@ class BackupNetwork {
       return std::tie(home, supi) < std::tie(other.home, other.supi);
     }
   };
-  /// The Merkle tree of a stored bundle's batch, shared by all of the
-  /// batch's bundles; null for a one-leaf batch (its path is empty).
-  using BatchTree = std::shared_ptr<const crypto::MerkleTree>;
-  /// Stored bundles keep an empty path: it is rebuilt from the batch tree
+  /// What a stored bundle's path is rebuilt from: its batch's Merkle tree
+  /// and the batch's round path, held once for all of the batch's bundles.
+  struct HeldBatch {
+    crypto::MerkleTree tree;
+    std::vector<crypto::Sha256Digest> round;
+
+    /// The served path of leaf `index`: in-batch path, then round path.
+    std::vector<crypto::Sha256Digest> path(std::size_t index) const;
+    /// The persisted batch record: the leaf hashes, then the round path.
+    Bytes encode() const;
+    static HeldBatch decode(ByteView data);
+  };
+  /// Null for a lone bundle (its path is empty).
+  using SharedBatch = std::shared_ptr<const HeldBatch>;
+  /// Stored bundles keep an empty path: it is rebuilt from the held batch
   /// whenever the bundle is served.
   struct HeldVector {
     AuthVectorBundle bundle;
-    BatchTree batch;
+    SharedBatch batch;
   };
   /// A share is kept in wire form (self-wiping): once checked at store
   /// time the backup only serves it, so a decoded copy would cost ~150 B
   /// more per share for nothing.
   struct HeldShare {
     SecretBytes wire;
-    BatchTree batch;
+    SharedBatch batch;
   };
   struct UserState {
     std::deque<HeldVector> vectors;                // flood vectors at the front
@@ -107,13 +118,14 @@ class BackupNetwork {
   /// simulator queue drains once nothing is pending.
   void arm_report(const NetworkId& home);
   void persist_proof(const NetworkId& home, const UsageProof& proof);
-  /// A stored bundle with its inclusion path attached: a vector encoded,
-  /// a share decoded (it rides inside a ShareReply).
+  /// A stored bundle with its inclusion path (in-batch, then round)
+  /// attached: a vector encoded, a share decoded (it rides inside a
+  /// ShareReply).
   static Bytes served(const HeldVector& held);
   static KeyShareBundle served(const HeldShare& held);
   /// Called before a held bundle is dropped: erases the persisted batch
   /// record once no stored bundle references the batch any more.
-  void release_batch(const NetworkId& home, const BatchTree& batch);
+  void release_batch(const NetworkId& home, const SharedBatch& batch);
   /// Rebuilds in-memory state from the persistent store (called at
   /// construction when a store is present).
   void restore_from_store();

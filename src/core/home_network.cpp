@@ -121,15 +121,10 @@ HomeNetwork::GeneratedMaterial HomeNetwork::generate_material(const Supi& supi,
   return material;
 }
 
-void HomeNetwork::sign_as_batch(std::span<AuthVectorBundle> vectors,
-                                std::span<KeyShareBundle> shares) {
-  core::sign_batch(vectors, shares, signing_key_);
-  ++metrics_.batches_signed;
-}
-
 void HomeNetwork::sign_each(GeneratedMaterial& material) {
-  sign_as_batch({&material.vector, 1}, {});
-  for (KeyShareBundle& share : material.shares) sign_as_batch({}, {&share, 1});
+  sign_single(material.vector, signing_key_);
+  for (KeyShareBundle& share : material.shares) sign_single(share, signing_key_);
+  metrics_.batches_signed += 1 + material.shares.size();
 }
 
 void HomeNetwork::disseminate(const Supi& supi, std::function<void(std::size_t)> done) {
@@ -168,9 +163,12 @@ void HomeNetwork::disseminate(const Supi& supi, std::function<void(std::size_t)>
   }
   metrics_.vectors_disseminated += total_vectors;
   metrics_.shares_disseminated += total_vectors * backup_ids_.size();
-  // One signature per (user, backup) batch, over the Merkle root of its
-  // bundles (§4.2.1).
-  for (StoreMaterialRequest& request : requests) sign_as_batch(request.vectors, request.shares);
+  // One signature per (user, round): each backup's request is one batch, and
+  // the home signs the root of the tree over the batch roots (§4.2.1).
+  if (total_vectors > 0) {
+    sign_round(requests, signing_key_);
+    ++metrics_.batches_signed;
+  }
 
   // Model the precompute cost, then push to every backup. Each request moves
   // into its directory callback, so no batch is held twice.
@@ -331,7 +329,8 @@ void HomeNetwork::handle_resync(ByteView request, sim::Responder responder) {
     bundle.rand = fresh_rand;
     bundle.autn = av.autn;
     bundle.hxres_star = hxres_index(av.xres_star);
-    sign_as_batch({&bundle, 1}, {});
+    sign_single(bundle, signing_key_);
+    ++metrics_.batches_signed;
     sub.pending_keys[to_hex(bundle.hxres_star)] = av.k_seaf;
     ++metrics_.vectors_served;
     responder.reply(bundle.encode());
@@ -401,7 +400,8 @@ void HomeNetwork::handle_get_vector(ByteView request, sim::Responder responder) 
     bundle.rand = rand;
     bundle.autn = av.autn;
     bundle.hxres_star = hxres_index(av.xres_star);
-    sign_as_batch({&bundle, 1}, {});
+    sign_single(bundle, signing_key_);
+    ++metrics_.batches_signed;
 
     subscriber.pending_keys[to_hex(bundle.hxres_star)] = av.k_seaf;
     ++metrics_.vectors_served;

@@ -145,9 +145,7 @@ class HomeNetwork {
   };
   GeneratedMaterial generate_material(const Supi& supi, Subscriber& subscriber, int slice,
                                       bool flood);
-  /// Signs bundles as one batch (core::sign_batch) and counts it.
-  void sign_as_batch(std::span<AuthVectorBundle> vectors, std::span<KeyShareBundle> shares);
-  /// Signs every bundle of `material` as its own one-leaf batch: replenished
+  /// Signs every bundle of `material` as its own one-leaf round: replenished
   /// and flood bundles travel alone, and a flood vector must stay
   /// byte-identical at every backup.
   void sign_each(GeneratedMaterial& material);

@@ -8,40 +8,142 @@
 namespace dauth::core {
 namespace {
 
-// A path has one sibling per tree level: 32 covers 2^32 leaves.
+// A position is a u16, so a batch and a round are each at most 16 levels
+// tall: 32 siblings cover the longest served path.
+constexpr std::size_t kMaxPositions = 0xffff;
 constexpr std::size_t kMaxPathLength = 32;
 
+void write_hashes(wire::Writer& w, const std::vector<crypto::Sha256Digest>& hashes) {
+  w.u8(static_cast<std::uint8_t>(hashes.size()));
+  for (const auto& hash : hashes) w.fixed(hash);
+}
+
+std::vector<crypto::Sha256Digest> read_hashes(wire::Reader& r) {
+  const std::uint8_t length = r.u8();
+  if (length > kMaxPathLength) throw wire::WireError("merkle path too long");
+  std::vector<crypto::Sha256Digest> hashes;
+  hashes.reserve(length);
+  for (std::uint8_t i = 0; i < length; ++i) hashes.push_back(r.fixed<32>());
+  return hashes;
+}
+
 void write_batch_path(wire::Writer& w, const BatchPath& path) {
-  w.u32(path.leaf_index);
-  w.u32(path.leaf_count);
-  w.u8(static_cast<std::uint8_t>(path.siblings.size()));
-  for (const auto& sibling : path.siblings) w.fixed(sibling);
+  w.u16(path.leaf_index);
+  w.u16(path.leaf_count);
+  w.u16(path.batch_index);
+  w.u16(path.batch_count);
+  write_hashes(w, path.siblings);
 }
 
 BatchPath read_batch_path(wire::Reader& r) {
   BatchPath path;
-  path.leaf_index = r.u32();
-  path.leaf_count = r.u32();
-  const std::uint8_t length = r.u8();
-  if (length > kMaxPathLength) throw wire::WireError("batch path too long");
-  path.siblings.reserve(length);
-  for (std::uint8_t i = 0; i < length; ++i) path.siblings.push_back(r.fixed<32>());
+  path.leaf_index = r.u16();
+  path.leaf_count = r.u16();
+  path.batch_index = r.u16();
+  path.batch_count = r.u16();
+  path.siblings = read_hashes(r);
   return path;
 }
 
-template <typename Bundle>
-std::optional<Bytes> root_payload(const Bundle& bundle) {
-  const auto root = crypto::merkle_root_from_path(
-      crypto::merkle_leaf_hash(bundle.signed_payload()), bundle.batch.leaf_index,
-      bundle.batch.leaf_count, bundle.batch.siblings);
+// A batch's leaf in its round tree: its leaf count travels with its root,
+// since an RFC 9162 path does not pin the size of the tree it climbs.
+crypto::Sha256Digest round_leaf(std::uint16_t leaf_count, const crypto::Sha256Digest& batch_root) {
+  wire::Writer w;
+  w.u16(leaf_count);
+  w.fixed(batch_root);
+  return crypto::merkle_leaf_hash(std::move(w).take());
+}
+
+// The message a round's home signature covers.
+Bytes round_signed_payload(const NetworkId& home, std::uint16_t batch_count,
+                           const crypto::Sha256Digest& round_root) {
+  wire::Writer w;
+  w.string("bundle-round-v1");
+  w.string(home.str());
+  w.u16(batch_count);
+  w.fixed(round_root);
+  return std::move(w).take();
+}
+
+// The signed message implied by a batch root and the round path above it.
+std::optional<Bytes> round_payload(const NetworkId& home, std::uint16_t leaf_count,
+                                   const crypto::Sha256Digest& batch_root,
+                                   std::uint16_t batch_index, std::uint16_t batch_count,
+                                   std::span<const crypto::Sha256Digest> round) {
+  const auto root = crypto::merkle_root_from_path(round_leaf(leaf_count, batch_root),
+                                                  batch_index, batch_count, round);
   if (!root) return std::nullopt;
-  return batch_signed_payload(bundle.home_network, bundle.batch.leaf_count, *root);
+  return round_signed_payload(home, batch_count, *root);
+}
+
+template <typename Bundle>
+std::optional<Bytes> bundle_payload(const Bundle& bundle) {
+  const BatchPath& p = bundle.batch;
+  const std::span<const crypto::Sha256Digest> path(p.siblings);
+  const std::size_t in_batch = crypto::merkle_path_length(p.leaf_index, p.leaf_count);
+  if (path.size() < in_batch) return std::nullopt;
+  const auto batch_root =
+      crypto::merkle_root_from_path(crypto::merkle_leaf_hash(bundle.signed_payload()),
+                                    p.leaf_index, p.leaf_count, path.first(in_batch));
+  if (!batch_root) return std::nullopt;
+  return round_payload(bundle.home_network, p.leaf_count, *batch_root, p.batch_index,
+                       p.batch_count, path.subspan(in_batch));
 }
 
 template <typename Bundle>
 bool verify_bundle(const Bundle& bundle, const crypto::Ed25519PublicKey& home_key) {
-  const auto payload = root_payload(bundle);
+  const auto payload = bundle_payload(bundle);
   return payload && crypto::ed25519_verify(*payload, bundle.home_signature, home_key);
+}
+
+// One batch of a round being signed: its bundles, and where its round path
+// goes (null when the caller keeps none, as for a round of one batch).
+struct RoundBatch {
+  std::span<AuthVectorBundle> vectors;
+  std::span<KeyShareBundle> shares;
+  std::vector<crypto::Sha256Digest>* round = nullptr;
+};
+
+void sign_batches(std::span<const RoundBatch> batches, const crypto::Ed25519KeyPair& key) {
+  if (batches.size() > kMaxPositions) throw std::invalid_argument("sign_round: too many batches");
+  const NetworkId* home = nullptr;  // the first bundle's
+  std::vector<crypto::Sha256Digest> round_leaves;
+  round_leaves.reserve(batches.size());
+  for (const RoundBatch& batch : batches) {
+    const std::size_t count = batch.vectors.size() + batch.shares.size();
+    if (count == 0) throw std::invalid_argument("sign_round: empty batch");
+    if (count > kMaxPositions) throw std::invalid_argument("sign_round: batch too large");
+    std::vector<crypto::Sha256Digest> leaves;
+    leaves.reserve(count);
+    const auto add_leaf = [&](const auto& bundle) {
+      if (home == nullptr) home = &bundle.home_network;
+      if (bundle.home_network != *home) {
+        throw std::invalid_argument("sign_round: bundles of different home networks");
+      }
+      leaves.push_back(crypto::merkle_leaf_hash(bundle.signed_payload()));
+    };
+    for (const auto& v : batch.vectors) add_leaf(v);
+    for (const auto& s : batch.shares) add_leaf(s);
+    round_leaves.push_back(round_leaf(static_cast<std::uint16_t>(count),
+                                      crypto::MerkleTree(std::move(leaves)).root()));
+  }
+
+  const auto batch_count = static_cast<std::uint16_t>(batches.size());
+  const crypto::MerkleTree round(std::move(round_leaves));
+  const crypto::Ed25519Signature signature =
+      crypto::ed25519_sign(round_signed_payload(*home, batch_count, round.root()), key);
+  for (std::uint16_t b = 0; b < batch_count; ++b) {
+    const RoundBatch& batch = batches[b];
+    if (batch.round != nullptr) *batch.round = round.path(b);
+    const auto leaf_count = static_cast<std::uint16_t>(batch.vectors.size() + batch.shares.size());
+    std::uint16_t index = 0;
+    const auto place = [&](auto& bundle) {
+      bundle.batch = BatchPath{index++, leaf_count, b, batch_count, {}};
+      bundle.home_signature = signature;
+    };
+    for (auto& v : batch.vectors) place(v);
+    for (auto& s : batch.shares) place(s);
+  }
 }
 
 void write_shamir_share(wire::Writer& w, const crypto::ShamirShare& share) {
@@ -168,7 +270,7 @@ AuthVectorBundle AuthVectorBundle::decode(ByteView data) {
   return b;
 }
 
-std::optional<Bytes> AuthVectorBundle::batch_payload() const { return root_payload(*this); }
+std::optional<Bytes> AuthVectorBundle::batch_payload() const { return bundle_payload(*this); }
 
 bool AuthVectorBundle::verify(const crypto::Ed25519PublicKey& home_key) const {
   return verify_bundle(*this, home_key);
@@ -203,52 +305,19 @@ KeyShareBundle KeyShareBundle::decode(ByteView data) {
   return b;
 }
 
-std::optional<Bytes> KeyShareBundle::batch_payload() const { return root_payload(*this); }
+std::optional<Bytes> KeyShareBundle::batch_payload() const { return bundle_payload(*this); }
 
 bool KeyShareBundle::verify(const crypto::Ed25519PublicKey& home_key) const {
   return verify_bundle(*this, home_key);
 }
 
-// ---- Dissemination batches --------------------------------------------------
-
-Bytes batch_signed_payload(const NetworkId& home, std::uint32_t leaf_count,
-                           const crypto::Sha256Digest& root) {
-  wire::Writer w;
-  w.string("bundle-batch-v1");
-  w.string(home.str());
-  w.u32(leaf_count);
-  w.fixed(root);
-  return std::move(w).take();
-}
+// ---- Dissemination rounds ---------------------------------------------------
 
 void sign_batch(std::span<AuthVectorBundle> vectors, std::span<KeyShareBundle> shares,
                 const crypto::Ed25519KeyPair& key) {
-  const std::size_t count = vectors.size() + shares.size();
-  if (count == 0) return;
-  const NetworkId& home = vectors.empty() ? shares.front().home_network
-                                          : vectors.front().home_network;
-  std::vector<crypto::Sha256Digest> leaves;
-  leaves.reserve(count);
-  const auto add_leaf = [&](const auto& bundle) {
-    if (bundle.home_network != home) {
-      throw std::invalid_argument("sign_batch: bundles of different home networks");
-    }
-    leaves.push_back(crypto::merkle_leaf_hash(bundle.signed_payload()));
-  };
-  for (const auto& v : vectors) add_leaf(v);
-  for (const auto& s : shares) add_leaf(s);
-
-  const auto leaf_count = static_cast<std::uint32_t>(count);
-  const crypto::MerkleTree tree(std::move(leaves));
-  const crypto::Ed25519Signature signature =
-      crypto::ed25519_sign(batch_signed_payload(home, leaf_count, tree.root()), key);
-  std::uint32_t index = 0;
-  const auto place = [&](auto& bundle) {
-    bundle.batch = BatchPath{index++, leaf_count, {}};
-    bundle.home_signature = signature;
-  };
-  for (auto& v : vectors) place(v);
-  for (auto& s : shares) place(s);
+  if (vectors.empty() && shares.empty()) return;
+  const RoundBatch batch{vectors, shares};
+  sign_batches({&batch, 1}, key);
 }
 
 void sign_single(AuthVectorBundle& bundle, const crypto::Ed25519KeyPair& key) {
@@ -257,6 +326,16 @@ void sign_single(AuthVectorBundle& bundle, const crypto::Ed25519KeyPair& key) {
 
 void sign_single(KeyShareBundle& bundle, const crypto::Ed25519KeyPair& key) {
   sign_batch({}, {&bundle, 1}, key);
+}
+
+void sign_round(std::span<StoreMaterialRequest> requests, const crypto::Ed25519KeyPair& key) {
+  if (requests.empty()) return;
+  std::vector<RoundBatch> batches;
+  batches.reserve(requests.size());
+  for (StoreMaterialRequest& request : requests) {
+    batches.push_back({request.vectors, request.shares, &request.round});
+  }
+  sign_batches(batches, key);
 }
 
 // ---- UsageProof -------------------------------------------------------------
@@ -309,6 +388,7 @@ Bytes StoreMaterialRequest::encode() const {
   for (const auto& v : vectors) w.bytes(v.encode());
   w.u32(static_cast<std::uint32_t>(shares.size()));
   for (const auto& s : shares) w.bytes(s.encode());
+  write_hashes(w, round);
   w.bytes(suci_secret);  // DAUTH_DISCLOSE(deconcealment secret is provisioned to backups by design, §4.2)
   return std::move(w).take();
 }
@@ -325,6 +405,7 @@ StoreMaterialRequest StoreMaterialRequest::decode(ByteView data) {
   req.shares.reserve(share_count);
   for (std::uint32_t i = 0; i < share_count; ++i)
     req.shares.push_back(KeyShareBundle::decode(r.bytes()));
+  req.round = read_hashes(r);
   req.suci_secret = r.bytes();
   r.expect_done();
   return req;
@@ -332,15 +413,16 @@ StoreMaterialRequest StoreMaterialRequest::decode(ByteView data) {
 
 bool BundleBatch::verify_root(const NetworkId& home,
                               const crypto::Ed25519PublicKey& home_key) const {
-  return crypto::ed25519_verify(
-      batch_signed_payload(home, static_cast<std::uint32_t>(tree.leaf_count()), tree.root()),
-      signature, home_key);
+  const auto payload =
+      round_payload(home, static_cast<std::uint16_t>(tree.leaf_count()), tree.root(), batch_index,
+                    batch_count, round);
+  return payload && crypto::ed25519_verify(*payload, signature, home_key);
 }
 
 std::optional<std::vector<BundleBatch>> split_batches(const StoreMaterialRequest& request) {
   struct Open {
     std::size_t first;
-    std::uint32_t count;
+    BatchPath position;  // the first bundle's, without a path
     crypto::Ed25519Signature signature;
     std::vector<crypto::Sha256Digest> leaves;
   };
@@ -353,19 +435,24 @@ std::optional<std::vector<BundleBatch>> split_batches(const StoreMaterialRequest
     const BatchPath& path = bundle.batch;
     if (bundle.home_network != request.home_network || !path.siblings.empty()) return false;
     if (!open) {
-      if (path.leaf_index != 0 || path.leaf_count == 0 || path.leaf_count > total - position) {
+      if (path.leaf_index != 0 || path.leaf_count == 0 || path.leaf_count > total - position ||
+          request.round.size() != crypto::merkle_path_length(path.batch_index, path.batch_count)) {
         return false;
       }
-      open = Open{position, path.leaf_count, bundle.home_signature, {}};
+      open = Open{position, path, bundle.home_signature, {}};
       open->leaves.reserve(path.leaf_count);
-    } else if (path.leaf_index != open->leaves.size() || path.leaf_count != open->count ||
+    } else if (path.leaf_index != open->leaves.size() ||
+               path.leaf_count != open->position.leaf_count ||
+               path.batch_index != open->position.batch_index ||
+               path.batch_count != open->position.batch_count ||
                bundle.home_signature != open->signature) {
       return false;
     }
     open->leaves.push_back(crypto::merkle_leaf_hash(bundle.signed_payload()));
     ++position;
-    if (open->leaves.size() == open->count) {
+    if (open->leaves.size() == open->position.leaf_count) {
       batches.push_back({open->first, crypto::MerkleTree(std::move(open->leaves)),
+                         open->position.batch_index, open->position.batch_count, request.round,
                          open->signature});
       open.reset();
     }

@@ -12,12 +12,15 @@
 // Every struct encodes deterministically (wire::Writer) and signatures
 // cover a domain-separated payload.
 //
-// The home network signs bundles in batches: one Ed25519 signature over the
-// Merkle root (crypto/merkle.h) of a batch's bundle payloads, one batch per
-// (user, backup) dissemination request. Each bundle carries that signature
-// and its BatchPath, so every bundle stays individually verifiable and
-// attributable to the home. A lone bundle (home-online vectors, resync,
-// replenishment, flood vectors) is a one-leaf batch with an empty path.
+// The home network signs a user's dissemination as one round. Each (user,
+// backup) store request is a batch: a Merkle tree (crypto/merkle.h) over
+// its bundle payloads. One more tree over the batch roots gives the round
+// root, and one Ed25519 signature covers it. Each bundle carries that
+// signature and its BatchPath, so every bundle stays individually
+// verifiable and attributable to the home, and every bundle of a round
+// verifies against the same signed message. A lone bundle (home-online
+// vectors, resync, replenishment, flood vectors) is a round of one batch of
+// one leaf, with an empty path.
 #pragma once
 
 #include <cstdint>
@@ -36,20 +39,25 @@
 
 namespace dauth::core {
 
-/// A bundle's place in the home-signed batch it was disseminated in. The
-/// leaf is SHA-256(0x00 || signed_payload()); `home_signature` covers
-/// "bundle-batch-v1" || home || leaf_count || root.
+/// A bundle's place in the home-signed round it was disseminated in: leaf
+/// `leaf_index` of a `leaf_count`-leaf batch, whose root is leaf
+/// `batch_index` of a `batch_count`-batch round. A bundle's leaf is
+/// SHA-256(0x00 || signed_payload()), a batch's round leaf is
+/// SHA-256(0x00 || leaf_count || batch root), and `home_signature` covers
+/// "bundle-round-v1" || home || batch_count || round root. Every position
+/// is a u16, in memory and on the wire.
 struct BatchPath {
-  std::uint32_t leaf_index = 0;
-  std::uint32_t leaf_count = 1;
-  /// Inclusion path, leaf level first. Empty for a one-leaf batch and inside
-  /// a StoreMaterialRequest, whose receiver rebuilds the whole tree.
+  std::uint16_t leaf_index = 0;
+  std::uint16_t leaf_count = 1;
+  std::uint16_t batch_index = 0;
+  std::uint16_t batch_count = 1;
+  /// The in-batch inclusion path, then the round path, each leaf level
+  /// first; crypto::merkle_path_length(leaf_index, leaf_count) splits them.
+  /// Empty for a lone bundle and inside a StoreMaterialRequest, whose
+  /// receiver rebuilds the batch tree and takes the round path from the
+  /// request.
   std::vector<crypto::Sha256Digest> siblings;
 };
-
-/// The message a batch's home signature covers.
-Bytes batch_signed_payload(const NetworkId& home, std::uint32_t leaf_count,
-                           const crypto::Sha256Digest& root);
 
 /// One pre-generated authentication vector as disseminated to a backup.
 struct AuthVectorBundle {
@@ -61,12 +69,13 @@ struct AuthVectorBundle {
   ByteArray<16> hxres_star{};
   bool flood = false;  // §4.3: flood vectors jump the queue
   BatchPath batch;
-  crypto::Ed25519Signature home_signature{};  // over the batch root
+  crypto::Ed25519Signature home_signature{};  // over the round root
 
   /// The batch leaf: every field above `batch`, domain-separated.
   Bytes signed_payload() const;
-  /// The message `home_signature` covers, with the root recomputed from this
-  /// bundle's leaf and path; nullopt when the path cannot fit the batch.
+  /// The message `home_signature` covers, with the round root recomputed
+  /// from this bundle's leaf and path; nullopt when the path cannot fit the
+  /// declared batch and round.
   std::optional<Bytes> batch_payload() const;
   Bytes encode() const;
   static AuthVectorBundle decode(ByteView data);
@@ -84,7 +93,7 @@ struct KeyShareBundle {
   std::optional<crypto::FeldmanShare> feldman_share;
   std::optional<crypto::FeldmanCommitments> feldman_commitments;
   BatchPath batch;
-  crypto::Ed25519Signature home_signature{};  // over the batch root
+  crypto::Ed25519Signature home_signature{};  // over the round root
 
   /// The batch leaf: every field above `batch`, domain-separated.
   Bytes signed_payload() const;
@@ -95,13 +104,14 @@ struct KeyShareBundle {
   bool verify(const crypto::Ed25519PublicKey& home_key) const;
 };
 
-/// Signs `vectors` then `shares` as ONE batch: a single Ed25519 signature
-/// over the Merkle root of their leaves. Sets every bundle's home_signature
-/// and batch position, with empty paths (see BatchPath). All bundles must
-/// name the same home network (std::invalid_argument otherwise).
+/// Signs `vectors` then `shares` as a round of ONE batch: a single Ed25519
+/// signature over the Merkle root of their leaves. Sets every bundle's
+/// home_signature and position, with empty paths (see BatchPath). Throws
+/// std::invalid_argument when the bundles name different home networks or
+/// number more than 65,535.
 void sign_batch(std::span<AuthVectorBundle> vectors, std::span<KeyShareBundle> shares,
                 const crypto::Ed25519KeyPair& key);
-/// A lone bundle: a one-leaf batch.
+/// A lone bundle: a round of one batch of one leaf.
 void sign_single(AuthVectorBundle& bundle, const crypto::Ed25519KeyPair& key);
 void sign_single(KeyShareBundle& bundle, const crypto::Ed25519KeyPair& key);
 
@@ -127,6 +137,9 @@ struct StoreMaterialRequest {
   NetworkId home_network;
   std::vector<AuthVectorBundle> vectors;
   std::vector<KeyShareBundle> shares;
+  /// The round path of this request's batch (see BatchPath), carried once
+  /// here instead of in every bundle. Empty for a round of one batch.
+  std::vector<crypto::Sha256Digest> round;
   /// §4.2.1: "if 5G ID encryption is used ... the home network shares the ID
   /// decryption key with the backup networks". Empty when not shared.
   /// A private key in transit — self-wiping, redacted in any formatter.
@@ -136,22 +149,35 @@ struct StoreMaterialRequest {
   static StoreMaterialRequest decode(ByteView data);
 };
 
+/// Signs one user's dissemination round: each request's bundles (vectors,
+/// then shares) form batch i, and one Ed25519 signature covers the root of
+/// the tree over the batch roots. Sets every bundle's home_signature and
+/// position, with empty paths, and every request's `round` path. Throws
+/// std::invalid_argument when the bundles name different home networks, a
+/// request has no bundles, or a batch or the round passes 65,535 leaves.
+void sign_round(std::span<StoreMaterialRequest> requests, const crypto::Ed25519KeyPair& key);
+
 /// One home-signed batch of a StoreMaterialRequest, rebuilt by the receiving
 /// backup from the bundles themselves.
 struct BundleBatch {
   std::size_t first = 0;  // its first bundle's position in [vectors..., shares...]
   crypto::MerkleTree tree;
+  std::uint16_t batch_index = 0;
+  std::uint16_t batch_count = 1;
+  std::vector<crypto::Sha256Digest> round;  // the request's round path
   crypto::Ed25519Signature signature{};
 
-  /// True when `signature` is `home`'s signature over this batch's root.
+  /// True when `signature` is `home`'s signature over the round root that
+  /// this batch's root and round path imply.
   bool verify_root(const NetworkId& home, const crypto::Ed25519PublicKey& home_key) const;
 };
 
 /// Splits a store request's bundles (vectors, then shares) into the batches
 /// their positions declare, hashing each bundle once. nullopt for a request
 /// without bundles (its other fields are unsigned) and when the positions
-/// are inconsistent: a gap, a leaf count or signature that changes inside a
-/// batch, a carried path, or a bundle of another home network.
+/// are inconsistent: a gap, a leaf count, round position or signature that
+/// changes inside a batch, a carried path, a round path whose length does
+/// not fit a batch's round position, or a bundle of another home network.
 std::optional<std::vector<BundleBatch>> split_batches(const StoreMaterialRequest& request);
 
 /// serving -> home or backup: request the next auth vector for a user.

@@ -22,7 +22,7 @@ struct HomeMetrics {
   std::uint64_t keys_released = 0;         // home-online GetKey replies
   std::uint64_t vectors_disseminated = 0;  // bundles pushed to backups
   std::uint64_t shares_disseminated = 0;
-  std::uint64_t batches_signed = 0;        // Ed25519 signatures over bundle batch roots
+  std::uint64_t batches_signed = 0;        // Ed25519 signatures over round roots
   std::uint64_t reports_processed = 0;     // usage proofs ingested
   std::uint64_t replenishments = 0;        // vectors regenerated after use
   std::uint64_t revocations = 0;

@@ -75,6 +75,15 @@ std::vector<Sha256Digest> MerkleTree::path(std::size_t index) const {
   return out;
 }
 
+std::size_t merkle_path_length(std::size_t index, std::size_t count) noexcept {
+  if (index >= count) return 0;
+  std::size_t length = 0;
+  for (; count > 1; count = (count + 1) / 2, index /= 2) {
+    if ((index ^ 1) < count) ++length;  // a promoted node has no sibling
+  }
+  return length;
+}
+
 std::optional<Sha256Digest> merkle_root_from_path(const Sha256Digest& leaf, std::size_t index,
                                                   std::size_t count,
                                                   std::span<const Sha256Digest> path) noexcept {

@@ -7,9 +7,11 @@
 // the same tree as pairing neighbours level by level and promoting an odd
 // last node unchanged.
 //
-// dAuth signs one root per dissemination batch (core/messages.h); a bundle
-// then proves batch membership with an inclusion path of ceil(log2 n)
-// sibling hashes.
+// dAuth builds one tree per dissemination batch and one more over a user's
+// batch roots, and signs that round root once (core/messages.h). A bundle
+// proves membership with two inclusion paths laid end to end: leaf to batch
+// root, then batch root to round root; merkle_path_length() says where the
+// first one ends.
 #pragma once
 
 #include <cstddef>
@@ -49,6 +51,10 @@ class MerkleTree {
   std::size_t leaf_count_;
   std::vector<Sha256Digest> nodes_;
 };
+
+/// Length of the audit path of leaf `index` in a `count`-leaf tree, i.e.
+/// MerkleTree::path(index).size(); 0 when index >= count.
+std::size_t merkle_path_length(std::size_t index, std::size_t count) noexcept;
 
 /// RFC 9162 §2.1.3.2: the root implied by `leaf` at `index` of a `count`-leaf
 /// tree and its audit path, or nullopt when the path cannot belong to such a

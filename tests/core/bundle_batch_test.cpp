@@ -1,6 +1,7 @@
-// Batch signing of disseminated bundles: the Merkle tree itself (checked
-// against RFC 6962's recursive definition), inclusion paths, and every way a
-// peer might try to pass off a bundle the home network did not sign.
+// Round signing of disseminated bundles: the Merkle tree itself (checked
+// against RFC 6962's recursive definition), inclusion paths through a batch
+// and then its round, and every way a peer might try to pass off a bundle
+// the home network did not sign.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -88,6 +89,48 @@ ServedBatch served_batch(const char* supi, std::size_t vectors, std::size_t shar
   return batch;
 }
 
+/// One user's dissemination round of `batches` store requests, signed, each
+/// bundle with its served path (in-batch, then round) attached.
+std::vector<StoreMaterialRequest> served_round(const char* supi, std::size_t batches,
+                                               const crypto::Ed25519KeyPair& signer) {
+  std::vector<StoreMaterialRequest> round(batches);
+  for (std::size_t b = 0; b < batches; ++b) {
+    round[b].home_network = NetworkId("home-net");
+    for (std::size_t i = 0; i < 2; ++i) round[b].vectors.push_back(vector_for(supi, 32 * b + i));
+    for (std::size_t i = 0; i < 3; ++i) {
+      round[b].shares.push_back(share_for(supi, static_cast<std::uint8_t>(16 * b + i)));
+    }
+  }
+  sign_round(round, signer);
+  for (StoreMaterialRequest& request : round) {
+    std::vector<Sha256Digest> leaves;
+    const auto add_leaf = [&](const auto& b) {
+      leaves.push_back(crypto::merkle_leaf_hash(b.signed_payload()));
+    };
+    for (const auto& v : request.vectors) add_leaf(v);
+    for (const auto& s : request.shares) add_leaf(s);
+    const MerkleTree tree(std::move(leaves));
+    const auto attach = [&](BatchPath& p) {
+      p.siblings = tree.path(p.leaf_index);
+      p.siblings.insert(p.siblings.end(), request.round.begin(), request.round.end());
+    };
+    for (auto& v : request.vectors) attach(v.batch);
+    for (auto& s : request.shares) attach(s.batch);
+  }
+  return round;
+}
+
+/// The round part of a served path.
+std::vector<Sha256Digest> round_part(const BatchPath& p) {
+  const auto in_batch = crypto::merkle_path_length(p.leaf_index, p.leaf_count);
+  return {p.siblings.begin() + static_cast<std::ptrdiff_t>(in_batch), p.siblings.end()};
+}
+
+void set_round_part(BatchPath& p, const std::vector<Sha256Digest>& round) {
+  p.siblings.resize(crypto::merkle_path_length(p.leaf_index, p.leaf_count));
+  p.siblings.insert(p.siblings.end(), round.begin(), round.end());
+}
+
 // ---- The tree ------------------------------------------------------------
 
 // Every size up to 40, plus a dissemination batch (16 vectors + 8 x 16
@@ -151,6 +194,16 @@ TEST(MerkleTree, InteriorNodeIsNeverALeaf) {
   EXPECT_FALSE(crypto::merkle_root_from_path(interior, 0, 4, upper));
 }
 
+TEST(MerkleTree, PathLengthMatchesThePath) {
+  for (std::size_t n = 1; n <= 300; ++n) {
+    const MerkleTree tree(leaves_of(n));
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(crypto::merkle_path_length(i, n), tree.path(i).size()) << i << " of " << n;
+    }
+    EXPECT_EQ(crypto::merkle_path_length(n, n), 0u);
+  }
+}
+
 TEST(MerkleTree, EmptyTreeAndBadIndexThrow) {
   EXPECT_THROW(MerkleTree({}), std::invalid_argument);
   EXPECT_THROW((void)MerkleTree(leaves_of(3)).path(3), std::out_of_range);
@@ -180,6 +233,8 @@ TEST(BundleBatch, OneLeafBatchRoundTrip) {
   sign_single(v, home);
   EXPECT_EQ(v.batch.leaf_index, 0u);
   EXPECT_EQ(v.batch.leaf_count, 1u);
+  EXPECT_EQ(v.batch.batch_index, 0u);
+  EXPECT_EQ(v.batch.batch_count, 1u);
   EXPECT_TRUE(v.batch.siblings.empty());
   const AuthVectorBundle decoded = AuthVectorBundle::decode(v.encode());
   EXPECT_EQ(decoded.encode(), v.encode());
@@ -188,6 +243,40 @@ TEST(BundleBatch, OneLeafBatchRoundTrip) {
   KeyShareBundle s = share_for("901550000000001", 9);
   sign_single(s, home);
   EXPECT_TRUE(KeyShareBundle::decode(s.encode()).verify(home.public_key));
+}
+
+TEST(BundleBatch, OneSignatureCoversEveryBatchOfARound) {
+  const auto home = keys(10);
+  const auto round = served_round("901550000000001", 5, home);
+  const auto& signature = round[0].vectors[0].home_signature;
+  for (std::size_t b = 0; b < round.size(); ++b) {
+    EXPECT_EQ(round[b].round.size(), crypto::merkle_path_length(b, 5)) << b;
+    for (const auto& v : round[b].vectors) {
+      EXPECT_EQ(v.batch.batch_index, b);
+      EXPECT_EQ(v.batch.batch_count, 5u);
+      EXPECT_EQ(v.batch.leaf_count, 5u);
+      EXPECT_EQ(v.home_signature, signature);
+      EXPECT_TRUE(AuthVectorBundle::decode(v.encode()).verify(home.public_key)) << b;
+    }
+    for (const auto& s : round[b].shares) {
+      EXPECT_EQ(s.home_signature, signature);
+      EXPECT_TRUE(KeyShareBundle::decode(s.encode()).verify(home.public_key)) << b;
+    }
+    // Every bundle of the round verifies against one signed message, which
+    // is what lets a verification memo answer all but the first check.
+    EXPECT_EQ(*round[b].shares[2].batch_payload(), *round[0].vectors[0].batch_payload());
+  }
+}
+
+TEST(BundleBatch, PositionsPastU16Throw) {
+  const auto home = keys(11);
+  std::vector<StoreMaterialRequest> too_many(0x10000);
+  EXPECT_THROW(sign_round(too_many, home), std::invalid_argument);
+  std::vector<KeyShareBundle> too_large(0x10000, share_for("901550000000001", 1));
+  EXPECT_THROW(sign_batch({}, too_large, home), std::invalid_argument);
+  std::vector<StoreMaterialRequest> with_empty(2);
+  with_empty[0].vectors.push_back(vector_for("901550000000001", 1));
+  EXPECT_THROW(sign_round(with_empty, home), std::invalid_argument);
 }
 
 TEST(BundleBatch, MixedHomesCannotShareABatch) {
@@ -230,13 +319,9 @@ TEST(BundleBatch, AdversarialBundlesAreRejected) {
          p.leaf_count = (p.leaf_count + 1) / 2;
        }},
       {"forged root signature",
-       [&](BatchPath& p, crypto::Ed25519Signature& sig) {
-         const AuthVectorBundle& v = alice.vectors[0];
-         const auto root = crypto::merkle_root_from_path(
-             crypto::merkle_leaf_hash(v.signed_payload()), v.batch.leaf_index,
-             v.batch.leaf_count, v.batch.siblings);
-         sig = crypto::ed25519_sign(batch_signed_payload(v.home_network, p.leaf_count, *root),
-                                    keys(99));
+       [&](BatchPath&, crypto::Ed25519Signature& sig) {
+         // The genuine round payload, signed by a key that is not the home's.
+         sig = crypto::ed25519_sign(*alice.vectors[0].batch_payload(), keys(99));
        }},
   };
   for (const Attack& attack : attacks) {
@@ -254,6 +339,37 @@ TEST(BundleBatch, AdversarialBundlesAreRejected) {
   KeyShareBundle tampered_share = alice.shares[3];
   tampered_share.share.y[0] ^= 1;
   EXPECT_FALSE(tampered_share.verify(home.public_key));
+}
+
+TEST(BundleBatch, AdversarialRoundPathsAreRejected) {
+  const auto home = keys(12);
+  const auto alice = served_round("901550000000001", 4, home);
+  const auto bob = served_round("901550000000002", 4, home);
+
+  const std::vector<std::pair<const char*, std::function<void(BatchPath&)>>> attacks = {
+      {"swapped batch index", [](BatchPath& p) { p.batch_index ^= 1; }},
+      {"false batch count", [](BatchPath& p) { ++p.batch_count; }},
+      {"round path from another user's round",
+       [&](BatchPath& p) { set_round_part(p, bob[1].round); }},
+      {"round path one hash short", [](BatchPath& p) { p.siblings.pop_back(); }},
+      {"round path one hash long", [](BatchPath& p) { p.siblings.push_back({}); }},
+      {"batch root spliced in from another backup",
+       [&](BatchPath& p) {
+         // Claim batch 2's slot of the same round: its position and round path.
+         p.batch_index = 2;
+         set_round_part(p, alice[2].round);
+       }},
+  };
+  for (const auto& [name, attack] : attacks) {
+    AuthVectorBundle v = alice[1].vectors[1];
+    ASSERT_TRUE(v.verify(home.public_key));
+    attack(v.batch);
+    EXPECT_FALSE(v.verify(home.public_key)) << "vector: " << name;
+    KeyShareBundle s = alice[1].shares[2];
+    attack(s.batch);
+    EXPECT_FALSE(s.verify(home.public_key)) << "share: " << name;
+  }
+  EXPECT_EQ(round_part(alice[1].vectors[0].batch), alice[1].round);
 }
 
 // ---- Store requests --------------------------------------------------------
@@ -277,6 +393,23 @@ TEST(SplitBatches, DisseminationRequestIsOneBatch) {
   EXPECT_TRUE(batches->front().verify_root(req.home_network, home.public_key));
   EXPECT_FALSE(batches->front().verify_root(req.home_network, keys(6).public_key));
   EXPECT_FALSE(batches->front().verify_root(NetworkId("other-home"), home.public_key));
+}
+
+TEST(SplitBatches, RoundRequestIsOneBatchWithItsRoundPath) {
+  const auto home = keys(13);
+  auto round = served_round("901550000000001", 3, home);
+  for (std::size_t b = 0; b < round.size(); ++b) {
+    StoreMaterialRequest req = round[b];
+    for (auto& v : req.vectors) v.batch.siblings.clear();  // as the home sends it
+    for (auto& s : req.shares) s.batch.siblings.clear();
+    const auto batches = split_batches(StoreMaterialRequest::decode(req.encode()));
+    ASSERT_TRUE(batches.has_value()) << b;
+    ASSERT_EQ(batches->size(), 1u);
+    EXPECT_EQ(batches->front().batch_index, b);
+    EXPECT_EQ(batches->front().batch_count, 3u);
+    EXPECT_EQ(batches->front().round, req.round);
+    EXPECT_TRUE(batches->front().verify_root(req.home_network, home.public_key)) << b;
+  }
 }
 
 TEST(SplitBatches, FloodRequestIsOneLeafBatches) {
@@ -322,14 +455,68 @@ TEST(SplitBatches, InconsistentLayoutsAreRejected) {
            }},
           {"count beyond the request",
            [](StoreMaterialRequest& r) {
-             for (auto& v : r.vectors) v.batch.leaf_count = 0xffffffffu;
-             for (auto& s : r.shares) s.batch.leaf_count = 0xffffffffu;
+             for (auto& v : r.vectors) v.batch.leaf_count = 0xffff;
+             for (auto& s : r.shares) s.batch.leaf_count = 0xffff;
            }},
+          {"round position changes inside the batch",
+           [](StoreMaterialRequest& r) { r.shares[1].batch.batch_count = 2; }},
+          {"round path carried by a round of one batch",
+           [](StoreMaterialRequest& r) { r.round.push_back({}); }},
       };
   for (const auto& [name, mutate] : cases) {
     StoreMaterialRequest req = signed_request(home);
     mutate(req);
     EXPECT_FALSE(split_batches(StoreMaterialRequest::decode(req.encode())).has_value()) << name;
+  }
+}
+
+TEST(SplitBatches, RoundAttacksAreRejectedAtStoreTime) {
+  // Each attack is either an inconsistent layout (split_batches refuses it)
+  // or a consistent one whose round root the home never signed.
+  const auto home = keys(14);
+  const auto as_sent = [&](const char* supi) {
+    auto round = served_round(supi, 4, home);
+    for (auto& req : round) {
+      for (auto& v : req.vectors) v.batch.siblings.clear();
+      for (auto& s : req.shares) s.batch.siblings.clear();
+    }
+    return round;
+  };
+  const auto alice = as_sent("901550000000001");
+  const auto bob = as_sent("901550000000002");
+  const auto set_positions = [](StoreMaterialRequest& r, auto&& edit) {
+    for (auto& v : r.vectors) edit(v.batch);
+    for (auto& s : r.shares) edit(s.batch);
+  };
+  const std::vector<std::pair<const char*, std::function<void(StoreMaterialRequest&)>>> cases =
+      {
+          {"swapped batch index",
+           [&](StoreMaterialRequest& r) {
+             set_positions(r, [](BatchPath& p) { p.batch_index ^= 1; });
+           }},
+          {"false batch count",
+           [&](StoreMaterialRequest& r) {
+             set_positions(r, [](BatchPath& p) { ++p.batch_count; });
+           }},
+          {"round path from another user's round",
+           [&](StoreMaterialRequest& r) { r.round = bob[1].round; }},
+          {"round path one hash short", [](StoreMaterialRequest& r) { r.round.pop_back(); }},
+          {"round path one hash long", [](StoreMaterialRequest& r) { r.round.push_back({}); }},
+          {"batch root spliced in from another backup",
+           [&](StoreMaterialRequest& r) {
+             set_positions(r, [](BatchPath& p) { p.batch_index = 2; });
+             r.round = alice[2].round;
+           }},
+          {"round that disagrees with its bundles",
+           [](StoreMaterialRequest& r) { r.round[0][0] ^= 1; }},
+      };
+  for (const auto& [name, mutate] : cases) {
+    StoreMaterialRequest req = alice[1];
+    ASSERT_TRUE(split_batches(req)->front().verify_root(req.home_network, home.public_key));
+    mutate(req);
+    const auto batches = split_batches(StoreMaterialRequest::decode(req.encode()));
+    EXPECT_TRUE(!batches || !batches->front().verify_root(req.home_network, home.public_key))
+        << name;
   }
 }
 

@@ -30,29 +30,48 @@ Bytes valid_vector_bundle() {
   return b.encode();
 }
 
-/// Leaf 2 of a five-bundle batch, as a backup serves it: with its path.
+/// A three-batch round of vectors: batch b holds five bundles.
+std::vector<StoreMaterialRequest> signed_round() {
+  const AuthVectorBundle base = AuthVectorBundle::decode(valid_vector_bundle());
+  std::vector<StoreMaterialRequest> round(3);
+  for (std::size_t b = 0; b < round.size(); ++b) {
+    round[b].home_network = base.home_network;
+    for (std::size_t i = 0; i < 5; ++i) {
+      round[b].vectors.push_back(base);
+      round[b].vectors.back().sqn += 8 * b + i;
+    }
+  }
+  sign_round(round, signer());
+  return round;
+}
+
+/// Leaf 2 of batch 1 of a round, as a backup serves it: with its in-batch
+/// path, then its round path.
 Bytes valid_batched_vector_bundle() {
-  std::vector<AuthVectorBundle> batch(5, AuthVectorBundle::decode(valid_vector_bundle()));
-  for (std::size_t i = 0; i < batch.size(); ++i) batch[i].sqn += i;
-  sign_batch(batch, {}, signer());
+  const StoreMaterialRequest batch = signed_round()[1];
   std::vector<crypto::Sha256Digest> leaves;
-  for (const auto& b : batch) leaves.push_back(crypto::merkle_leaf_hash(b.signed_payload()));
-  AuthVectorBundle served = batch[2];
+  for (const auto& b : batch.vectors) {
+    leaves.push_back(crypto::merkle_leaf_hash(b.signed_payload()));
+  }
+  AuthVectorBundle served = batch.vectors[2];
   served.batch.siblings = crypto::MerkleTree(std::move(leaves)).path(2);
+  served.batch.siblings.insert(served.batch.siblings.end(), batch.round.begin(),
+                               batch.round.end());
   return served.encode();
 }
 
 Bytes valid_store_request() {
-  StoreMaterialRequest req;
-  req.home_network = NetworkId("home");
-  req.vectors.push_back(AuthVectorBundle::decode(valid_vector_bundle()));
+  StoreMaterialRequest req = signed_round()[2];
+  req.vectors.resize(1);
   KeyShareBundle share;
   share.home_network = req.home_network;
   share.supi = Supi("315010000000001");
   share.share.x = 1;
   share.share.y = Bytes(32, 0xaa);
   req.shares.push_back(share);
-  sign_batch(req.vectors, req.shares, signer());
+  std::vector<StoreMaterialRequest> round = {req, req};
+  sign_round(round, signer());
+  req = round[1];
   req.suci_secret = Bytes(32, 0x55);
   return req.encode();
 }
@@ -83,11 +102,23 @@ TEST(FuzzDecode, BatchedVectorBundleTruncations) {
 }
 
 TEST(FuzzDecode, OverlongBatchPathIsRejected) {
-  // The sibling count is one byte, but no tree is taller than 32 levels:
-  // a longer declared path must throw before anything is read into it.
+  // The sibling count is one byte, but a batch and its round are together
+  // at most 32 levels tall: a longer declared path must throw before
+  // anything is read into it.
   AuthVectorBundle b = AuthVectorBundle::decode(valid_vector_bundle());
   b.batch.siblings.assign(33, crypto::Sha256Digest{});
   EXPECT_THROW((void)AuthVectorBundle::decode(b.encode()), wire::WireError);
+}
+
+TEST(FuzzDecode, OverlongRoundPathIsRejected) {
+  // 16 levels of batch and 16 of round: 32 hashes is the longest path a
+  // u16 position can need, in a bundle or in a store request.
+  StoreMaterialRequest req = StoreMaterialRequest::decode(valid_store_request());
+  ASSERT_EQ(req.round.size(), 1u);
+  req.round.assign(32, crypto::Sha256Digest{});
+  EXPECT_NO_THROW((void)StoreMaterialRequest::decode(req.encode()));
+  req.round.assign(33, crypto::Sha256Digest{});
+  EXPECT_THROW((void)StoreMaterialRequest::decode(req.encode()), wire::WireError);
 }
 
 TEST(FuzzDecode, StoreMaterialRequestTruncations) {

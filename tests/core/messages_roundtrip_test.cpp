@@ -76,12 +76,28 @@ crypto::FeldmanCommitments random_feldman_commitments(Rng& rng) {
   return c;
 }
 
+/// A u16 position, often at one of the bounds.
+std::uint16_t random_position(Rng& rng) {
+  switch (rng.next_below(4)) {
+    case 0: return 0;
+    case 1: return 0xffff;
+    default: return static_cast<std::uint16_t>(rng.next());
+  }
+}
+
+std::vector<crypto::Sha256Digest> random_path(Rng& rng, std::size_t max_length) {
+  std::vector<crypto::Sha256Digest> path(rng.next_below(max_length + 1));
+  for (auto& hash : path) hash = random_array<32>(rng);
+  return path;
+}
+
 BatchPath random_batch_path(Rng& rng) {
   BatchPath path;
-  path.leaf_count = static_cast<std::uint32_t>(1 + rng.next_below(300));
-  path.leaf_index = static_cast<std::uint32_t>(rng.next_below(path.leaf_count));
-  const std::size_t siblings = rng.next_below(10);
-  for (std::size_t i = 0; i < siblings; ++i) path.siblings.push_back(random_array<32>(rng));
+  path.leaf_index = random_position(rng);
+  path.leaf_count = random_position(rng);
+  path.batch_index = random_position(rng);
+  path.batch_count = random_position(rng);
+  path.siblings = random_path(rng, 32);
   return path;
 }
 
@@ -130,6 +146,7 @@ StoreMaterialRequest random_store_request(Rng& rng) {
   for (std::size_t i = 0; i < vectors; ++i) r.vectors.push_back(random_vector_bundle(rng));
   const std::size_t shares = rng.next_below(3);
   for (std::size_t i = 0; i < shares; ++i) r.shares.push_back(random_share_bundle(rng));
+  r.round = random_path(rng, 32);
   r.suci_secret = random_bytes(rng, rng.next_below(2) == 1 ? 32 : 0);
   return r;
 }
@@ -203,6 +220,35 @@ TEST(MessagesRoundTrip, UsageProof) {
 
 TEST(MessagesRoundTrip, StoreMaterialRequest) {
   check_round_trip<StoreMaterialRequest>(0xA4, 10, random_store_request);
+}
+
+TEST(MessagesRoundTrip, PositionsAreFixedWidthU16) {
+  // Four u16 positions whatever their values: a bundle's size does not
+  // depend on where it sits in its batch or round.
+  AuthVectorBundle low;
+  AuthVectorBundle high;
+  high.batch = {0xffff, 0xffff, 0xffff, 0xffff, {}};
+  const Bytes low_wire = low.encode();
+  const Bytes high_wire = high.encode();
+  ASSERT_EQ(low_wire.size(), high_wire.size());
+  const BatchPath decoded = AuthVectorBundle::decode(high_wire).batch;
+  EXPECT_EQ(decoded.leaf_index, 0xffff);
+  EXPECT_EQ(decoded.leaf_count, 0xffff);
+  EXPECT_EQ(decoded.batch_index, 0xffff);
+  EXPECT_EQ(decoded.batch_count, 0xffff);
+  std::size_t differing = 0;
+  for (std::size_t i = 0; i < low_wire.size(); ++i) differing += low_wire[i] != high_wire[i];
+  EXPECT_EQ(differing, 8u);
+}
+
+TEST(MessagesRoundTrip, StoreMaterialRequestRoundPath) {
+  Rng rng(0xAA);
+  for (const std::size_t length : {0, 1, 16, 32}) {
+    StoreMaterialRequest r = random_store_request(rng);
+    r.round.assign(length, random_array<32>(rng));
+    const StoreMaterialRequest decoded = StoreMaterialRequest::decode(r.encode());
+    EXPECT_EQ(decoded.round, r.round) << length;
+  }
 }
 
 TEST(MessagesRoundTrip, GetVectorRequest) {

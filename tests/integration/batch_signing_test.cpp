@@ -1,9 +1,10 @@
-// Batch-signed dissemination end to end (§4.2.1): the home signs one Merkle
-// root per (user, backup) batch, each backup checks one signature per batch,
-// and a bundle served later carries the inclusion path that ties it to that
-// root. A peer that tampers with a bundle, its path or the root signature
-// is refused by the backup at store time and by the serving network at
-// attach time.
+// Round-signed dissemination end to end (§4.2.1): the home signs one
+// Merkle root per (user, round) over the roots of its (user, backup)
+// batches, each backup checks that signature once per batch, and a bundle
+// served later carries the inclusion path that ties it to the round root. A
+// peer that tampers with a bundle, its path, its round position or the root
+// signature is refused by the backup at store time and by the serving
+// network at attach time.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -25,13 +26,14 @@ std::uint64_t batches_verified(Federation& f) {
 
 // ---- Counters ----------------------------------------------------------------
 
-TEST(BatchSigning, OneSignatureAndOneVerifyPerBackupBatch) {
+TEST(BatchSigning, OneSignaturePerRoundAndOneVerifyPerBackupBatch) {
   Federation f(9);
   const std::vector<std::size_t> backups = {1, 2, 3, 4, 5, 6, 7, 8};
   f.provision(kAlice, 0, backups);
 
-  // 8 backups x (4 own vectors + 8 x 4 shares) bundles, in 8 batches.
-  EXPECT_EQ(f.net(0).home().metrics().batches_signed, 8u);
+  // 8 backups x (4 own vectors + 8 x 4 shares) bundles, in 8 batches of one
+  // round.
+  EXPECT_EQ(f.net(0).home().metrics().batches_signed, 1u);
   EXPECT_EQ(batches_verified(f), 8u);
   std::uint64_t stored = 0;
   for (std::size_t b : backups) {
@@ -41,47 +43,76 @@ TEST(BatchSigning, OneSignatureAndOneVerifyPerBackupBatch) {
   EXPECT_EQ(stored, 8u * (4 + 8 * 4));
 }
 
-TEST(BatchSigning, VectorAndShareFromOneBackupShareACacheEntry) {
+TEST(BatchSigning, SecondBackupAttachVerifiesFromTheMemo) {
   Federation f(5);
   const auto keys = f.provision(kAlice, 0, {1, 2, 3});
   f.network.node(f.net(0).node()).set_online(false);
   auto ue = f.make_ue(kAlice, keys, 4);
-  const auto record = f.attach(*ue);
-  ASSERT_TRUE(record.success) << record.failure;
-  ASSERT_TRUE(record.key_confirmed);
-  // The share from the backup that served the vector is under the same
-  // root signature: its check is a cache hit.
-  EXPECT_GE(f.net(4).serving().metrics().signature_cache_hits, 1u);
+  const auto& metrics = f.net(4).serving().metrics();
+  const auto first = f.attach(*ue);
+  ASSERT_TRUE(first.success) << first.failure;
+  ASSERT_TRUE(first.key_confirmed);
+  const std::uint64_t misses = metrics.signature_cache_misses;
+  const std::uint64_t hits = metrics.signature_cache_hits;
+  EXPECT_GE(misses, 1u);
+
+  // Every bundle of the user's round verifies against the one signed round
+  // payload: after the first attach, the vector and every share are memo
+  // hits, whichever backups serve them.
+  const auto second = f.attach(*ue);
+  ASSERT_TRUE(second.success) << second.failure;
+  ASSERT_TRUE(second.key_confirmed);
+  EXPECT_EQ(metrics.signature_cache_misses, misses);
+  EXPECT_GE(metrics.signature_cache_hits, hits + 1 + f.config.threshold);
 }
 
 // ---- Store-time rejection at the backup -------------------------------------
 
-/// A home-signed dissemination batch for `supi` that no backup holds yet.
+/// The home-signed dissemination round for `supi`, of four batches, that
+/// no backup holds yet. Tests send batch 1 (a two-hash round path).
+std::vector<core::StoreMaterialRequest> fresh_round(Federation& f, const Supi& supi,
+                                                    std::uint8_t tag,
+                                                    const crypto::Ed25519KeyPair& signer) {
+  std::vector<core::StoreMaterialRequest> round(4);
+  for (std::uint8_t b = 0; b < round.size(); ++b) {
+    core::StoreMaterialRequest& req = round[b];
+    req.home_network = f.net(0).id();
+    for (std::uint8_t i = 0; i < 3; ++i) {
+      core::AuthVectorBundle v;
+      v.home_network = req.home_network;
+      v.supi = supi;
+      v.sqn = 100 + 8 * b + i;
+      v.hxres_star[0] = tag;
+      v.hxres_star[1] = b;
+      v.hxres_star[2] = i;
+      req.vectors.push_back(v);
+    }
+    for (std::uint8_t i = 0; i < 5; ++i) {
+      core::KeyShareBundle s;
+      s.home_network = req.home_network;
+      s.supi = supi;
+      s.hxres_star[0] = tag;
+      s.hxres_star[1] = b;
+      s.hxres_star[2] = static_cast<std::uint8_t>(16 + i);
+      s.share.x = 1;
+      s.share.y = Bytes(32, i);
+      req.shares.push_back(s);
+    }
+  }
+  core::sign_round(round, signer);
+  return round;
+}
+
 core::StoreMaterialRequest fresh_batch(Federation& f, const Supi& supi, std::uint8_t tag,
                                        const crypto::Ed25519KeyPair& signer) {
-  core::StoreMaterialRequest req;
-  req.home_network = f.net(0).id();
-  for (std::uint8_t i = 0; i < 3; ++i) {
-    core::AuthVectorBundle v;
-    v.home_network = req.home_network;
-    v.supi = supi;
-    v.sqn = 100 + i;
-    v.hxres_star[0] = tag;
-    v.hxres_star[1] = i;
-    req.vectors.push_back(v);
-  }
-  for (std::uint8_t i = 0; i < 5; ++i) {
-    core::KeyShareBundle s;
-    s.home_network = req.home_network;
-    s.supi = supi;
-    s.hxres_star[0] = tag;
-    s.hxres_star[1] = static_cast<std::uint8_t>(16 + i);
-    s.share.x = 1;
-    s.share.y = Bytes(32, i);
-    req.shares.push_back(s);
-  }
-  core::sign_batch(req.vectors, req.shares, signer);
-  return req;
+  return fresh_round(f, supi, tag, signer)[1];
+}
+
+/// Applies `edit` to the position of every bundle of a store request.
+void edit_positions(core::StoreMaterialRequest& r,
+                    const std::function<void(core::BatchPath&)>& edit) {
+  for (auto& v : r.vectors) edit(v.batch);
+  for (auto& s : r.shares) edit(s.batch);
 }
 
 /// Sends a store request to net-2 as the home would; true when accepted.
@@ -138,8 +169,32 @@ TEST(BatchSigning, BackupRejectsForgedBatches) {
            [](core::StoreMaterialRequest& r) { r.vectors[0].batch.siblings.push_back({}); }},
           {"forged root signature",
            [&](core::StoreMaterialRequest& r) {
-             core::sign_batch(r.vectors, r.shares, f.net(3).signing_keys());
+             auto forged = fresh_round(f, kBob, 1, f.net(3).signing_keys());
+             r = forged[1];
            }},
+          {"swapped batch index",
+           [](core::StoreMaterialRequest& r) {
+             edit_positions(r, [](core::BatchPath& p) { p.batch_index ^= 1; });
+           }},
+          {"false batch count",
+           [](core::StoreMaterialRequest& r) {
+             edit_positions(r, [](core::BatchPath& p) { p.batch_count = 3; });
+           }},
+          {"round path from another user's round",
+           [&](core::StoreMaterialRequest& r) {
+             r.round = fresh_batch(f, kAlice, 1, home_keys).round;
+           }},
+          {"round path one hash short", [](core::StoreMaterialRequest& r) { r.round.pop_back(); }},
+          {"round path one hash long",
+           [](core::StoreMaterialRequest& r) { r.round.push_back({}); }},
+          {"batch root spliced in from another backup",
+           [&](core::StoreMaterialRequest& r) {
+             // Claim batch 2's slot of the same round: its position and path.
+             edit_positions(r, [](core::BatchPath& p) { p.batch_index = 2; });
+             r.round = fresh_round(f, kBob, 1, home_keys)[2].round;
+           }},
+          {"round that disagrees with its bundles",
+           [](core::StoreMaterialRequest& r) { r.round[1][0] ^= 1; }},
       };
   for (const auto& [name, attack] : attacks) {
     core::StoreMaterialRequest req = fresh_batch(f, kBob, 1, home_keys);
@@ -168,10 +223,23 @@ void graft(Bundle& b, const Donor& donor) {
   b.home_signature = donor.home_signature;
 }
 
+/// The round part of a served path, which follows the in-batch part.
+std::vector<crypto::Sha256Digest> round_part(const core::BatchPath& p) {
+  const auto in_batch = crypto::merkle_path_length(p.leaf_index, p.leaf_count);
+  return {p.siblings.begin() + static_cast<std::ptrdiff_t>(in_batch), p.siblings.end()};
+}
+
+void set_round_part(core::BatchPath& p, const std::vector<crypto::Sha256Digest>& round) {
+  p.siblings.resize(crypto::merkle_path_length(p.leaf_index, p.leaf_count));
+  p.siblings.insert(p.siblings.end(), round.begin(), round.end());
+}
+
 /// Applies one of the shared attacks to a served bundle.
 template <typename Bundle>
 using BundleAttack = std::function<void(Bundle&)>;
 
+/// `other_user` is a bundle of another user's round with this bundle's
+/// round position; `other_backup` is a bundle of another batch.
 template <typename Bundle>
 std::vector<std::pair<const char*, BundleAttack<Bundle>>> path_attacks(
     const Bundle& other_user, const Bundle& other_backup, const crypto::Ed25519KeyPair& forger) {
@@ -187,11 +255,20 @@ std::vector<std::pair<const char*, BundleAttack<Bundle>>> path_attacks(
        }},
       {"forged root signature",
        [forger](Bundle& b) {
-         const auto root = crypto::merkle_root_from_path(
-             crypto::merkle_leaf_hash(b.signed_payload()), b.batch.leaf_index,
-             b.batch.leaf_count, b.batch.siblings);
-         b.home_signature = crypto::ed25519_sign(
-             core::batch_signed_payload(b.home_network, b.batch.leaf_count, *root), forger);
+         // The genuine round payload, signed by a key that is not the home's.
+         b.home_signature = crypto::ed25519_sign(*b.batch_payload(), forger);
+       }},
+      {"swapped batch index", [](Bundle& b) { b.batch.batch_index ^= 1; }},
+      {"false batch count", [](Bundle& b) { ++b.batch.batch_count; }},
+      {"round path from another user's round",
+       [=](Bundle& b) { set_round_part(b.batch, round_part(other_user.batch)); }},
+      {"round path one hash short", [](Bundle& b) { b.batch.siblings.pop_back(); }},
+      {"round path one hash long", [](Bundle& b) { b.batch.siblings.push_back({}); }},
+      {"batch root spliced in from another backup",
+       [=](Bundle& b) {
+         // Claim the other batch's slot of the round: its position and path.
+         b.batch.batch_index = other_backup.batch.batch_index;
+         set_round_part(b.batch, round_part(other_backup.batch));
        }},
   };
 }
@@ -252,30 +329,39 @@ TEST(BatchSigning, ServingNetworkRejectsForgedVectors) {
 
 TEST(BatchSigning, ServingNetworkRejectsForgedShares) {
   // Threshold 3 of 3: the attach needs net-2's share, which net-2 now
-  // builds itself — a correctly batch-signed share (the home's key stands
+  // builds itself — a correctly round-signed share (the home's key stands
   // in for a leaked signature) that the attacks then doctor.
   core::FederationConfig cfg = Federation::test_config();
   cfg.threshold = 3;
+  cfg.vectors_per_backup = 8;  // one vector per attack, and the control
   Federation f(5, cfg);
   const auto keys = f.provision(kAlice, 0, {1, 2, 3});
   f.network.node(f.net(0).node()).set_online(false);
   const auto& home_keys = f.net(0).signing_keys();
 
+  // Share `index` of a six-share round: three batches of two shares.
   const auto make_share = [&](const Supi& supi, const ByteArray<16>& hxres, std::size_t index) {
-    std::vector<core::KeyShareBundle> batch(6);
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      batch[i].home_network = f.net(0).id();
-      batch[i].supi = supi;
-      batch[i].hxres_star[0] = static_cast<std::uint8_t>(i);
-      batch[i].share.x = 200;
-      batch[i].share.y = Bytes(32, 0x5a);
+    std::vector<core::StoreMaterialRequest> round(3);
+    for (std::size_t i = 0; i < 6; ++i) {
+      core::KeyShareBundle s;
+      s.home_network = f.net(0).id();
+      s.supi = supi;
+      s.hxres_star[0] = static_cast<std::uint8_t>(i);
+      if (i == index) s.hxres_star = hxres;
+      s.share.x = 200;
+      s.share.y = Bytes(32, 0x5a);
+      round[i / 2].home_network = s.home_network;
+      round[i / 2].shares.push_back(std::move(s));
     }
-    batch[index].hxres_star = hxres;
-    core::sign_batch({}, batch, home_keys);
+    core::sign_round(round, home_keys);
+    const core::StoreMaterialRequest& batch = round[index / 2];
     std::vector<crypto::Sha256Digest> leaves;
-    for (const auto& s : batch) leaves.push_back(crypto::merkle_leaf_hash(s.signed_payload()));
-    core::KeyShareBundle share = batch[index];
-    share.batch.siblings = crypto::MerkleTree(std::move(leaves)).path(index);
+    for (const auto& s : batch.shares) {
+      leaves.push_back(crypto::merkle_leaf_hash(s.signed_payload()));
+    }
+    core::KeyShareBundle share = batch.shares[index % 2];
+    share.batch.siblings = crypto::MerkleTree(std::move(leaves)).path(index % 2);
+    share.batch.siblings.insert(share.batch.siblings.end(), batch.round.begin(), batch.round.end());
     return share;
   };
 
