@@ -35,7 +35,7 @@ bench::PointResult run_dauth_variant(const DauthVariant& v, std::uint64_t seed) 
   options.pool_size = 96;
   options.backup_count = 8;
   options.home_offline = true;
-  options.connection_reuse = v.connection_reuse;
+  options.rpc.connection_reuse = v.connection_reuse;
   options.config.threshold = 4;
   options.config.use_verifiable_shares = v.verifiable_shares;
   options.config.verify_cache_entries = v.verify_cache_entries;

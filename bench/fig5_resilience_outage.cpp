@@ -4,12 +4,14 @@
 // the Fig. 5 backup points; the only differences are the announced outage
 // on one of the eight backups and the policy toggle.
 //
-// Both arms run the same backup ladder; the toggle is its preset. Disabled,
-// the ladder is one leg wide and ignores the breakers: an attach whose
-// primary is the dead backup burns the full backup_auth_timeout and fails.
-// That happens until a share-broadcast timeout has marked the dead backup
-// slow in the serving network's RTT estimate (a peer with no sample ranks
-// first). Enabled, the force-opened breaker sorts the dead backup to the
+// Both arms run the same backup ladder; the toggle is its preset. The
+// ablated arm runs core::ResilienceConfig::none() with the breakers off
+// (failure_threshold 0), so the ladder is one leg wide, no circuit trips
+// and the outage announcement is dropped: an attach whose primary is the
+// dead backup burns the full backup_auth_timeout and fails. That happens
+// until a share-broadcast timeout has marked the dead backup slow in the
+// serving network's RTT estimate (a peer with no sample ranks first). In
+// the resilient arm the force-opened breaker sorts the dead backup to the
 // back and hedging covers silent stragglers, so the outage is invisible to
 // the UE.
 //
@@ -44,7 +46,10 @@ ArmOutcome run_arm(double load, bool resilient, std::uint64_t seed) {
   options.config.threshold = 4;
   options.config.vectors_per_backup = 10;
   options.config.report_interval = 0;  // home stays down
-  options.config.resilience.enabled = resilient;
+  if (!resilient) {
+    options.config.resilience = core::ResilienceConfig::none();
+    options.rpc.breaker.failure_threshold = 0;
+  }
   options.backup_outages = 1;
   options.outage_start = 0;
   options.outage_duration = hours(12);  // outlasts any measurement window

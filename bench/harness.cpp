@@ -80,7 +80,7 @@ struct DauthBench::Impl {
   DauthOptions options;
   sim::Simulator simulator;
   sim::Network network{simulator};
-  sim::Rpc rpc{network};
+  sim::Rpc rpc;
   directory::DirectoryServer directory_server;
   Placement placement;
   sim::NodeIndex home_node = 0;
@@ -94,9 +94,9 @@ struct DauthBench::Impl {
   std::unique_ptr<obs::MetricsRegistry> registry;
   std::unique_ptr<obs::EventJournal> journal;
 
-  explicit Impl(const DauthOptions& opts) : options(opts), simulator(opts.seed) {
+  explicit Impl(const DauthOptions& opts)
+      : options(opts), simulator(opts.seed), rpc(network, opts.rpc) {
     note_seed(opts.seed);
-    rpc.set_connection_reuse(opts.connection_reuse);
     placement = build_placement(network, opts.scenario, /*serving_workers=*/2);
     directory_server.bind(rpc, placement.directory_node);
 
@@ -173,8 +173,8 @@ struct DauthBench::Impl {
     }
 
     // Announced backup outages: the injector's liveness feed force-opens the
-    // circuits toward the dead nodes at outage start, so the resilience layer
-    // (when enabled) never burns a timeout discovering them.
+    // circuits toward the dead nodes at outage start, so the breakers (unless
+    // turned off) never burn a timeout discovering them.
     if (opts.backup_outages > 0) {
       injector = std::make_unique<sim::FailureInjector>(network, &rpc);
       const std::size_t down = std::min(opts.backup_outages, backup_nets.size());

@@ -51,13 +51,15 @@ struct DauthOptions {
   bool home_offline = false;         // backup-mode experiments
   bool home_is_serving = false;      // Fig. 3 "dAuth-home-online" (local)
   bool physical_ran = false;         // srsUE profile instead of UERANSIM
-  bool connection_reuse = true;      // §5.1 optimization 1 (ablation toggle)
+  // Transport: connection re-use (§5.1 optimization 1) and the circuit
+  // breakers; the ablation arms turn either off by value.
+  sim::RpcConfig rpc;
   // Announced backup outages (resilience benches, docs/RESILIENCE.md): the
   // first `backup_outages` backup networks go down `outage_start` after
   // dissemination for `outage_duration`. The FailureInjector's liveness feed
-  // force-opens circuits toward them, so the resilience layer (when enabled)
-  // skips them instantly; with resilience disabled the load pays the
-  // discovery timeouts.
+  // force-opens circuits toward them, so the breakers skip them instantly;
+  // with the breakers off (rpc.breaker.failure_threshold = 0) the hint is
+  // dropped and the load pays the discovery timeouts.
   std::size_t backup_outages = 0;
   Time outage_start = 0;
   Time outage_duration = 0;

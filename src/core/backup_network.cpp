@@ -537,8 +537,8 @@ void BackupNetwork::report_now(const NetworkId& home) {
   directory_.get_network(home, [this, home, report](std::optional<directory::NetworkEntry> e) {
     if (!e) return;
     // Reports already have an application-level retry loop (arm_report), so
-    // a single attempt per firing is enough even with resilience enabled;
-    // the breaker still short-circuits firings at a known-down home.
+    // a single attempt per firing is enough whatever the retry policy; the
+    // breaker still short-circuits firings at a known-down home.
     const auto options = config_.resilience.call_options(sec(5));
     // DAUTH_DISCLOSE(usage report carries spent RES* preimages back to the home network, §4.2.3)
     report_stub_.call(

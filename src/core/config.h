@@ -3,7 +3,11 @@
 // Every tunable the paper discusses lives here: the number of backup
 // networks and the key-share threshold (§3.5.2, §6.4), how many vectors are
 // pre-generated per backup (§7.3), reporting cadence (§4.2.3), and the
-// prototype optimizations of §5.1 that the ablation benches toggle.
+// prototype optimizations of §5.1. An ablation turns an optimization off
+// with a value of the same field, never a separate on/off flag:
+// ResilienceConfig::none() for the resilient-RPC layer, verify_cache_entries
+// = 0 for the verification memo (connection re-use and the circuit breakers
+// are values of sim::RpcConfig).
 //
 // CostModel holds per-operation CPU costs on the *reference* CPU (cloud-VM
 // class); each sim::Node scales them by its speed factor. The values are
@@ -61,12 +65,12 @@ struct CostModel {
   Time feldman_verify_per_share = ms(3);
 };
 
-/// Resilient-RPC knobs (docs/RESILIENCE.md). `enabled=false` is the
-/// pre-resilience preset of the same serving path — single-shot RPCs, a
-/// one-leg vector ladder, no breakers, no fast-fail — which is what the
-/// ablation benches compare against.
+/// Resilient-RPC knobs (docs/RESILIENCE.md). The pre-resilience arm the
+/// ablation benches compare against is a preset of the same serving path:
+/// ResilienceConfig::none() (single-shot RPCs, a one-leg vector ladder, no
+/// fast-fail) on an Rpc whose breakers are off
+/// (sim::CircuitBreakerConfig::failure_threshold = 0).
 struct ResilienceConfig {
-  bool enabled = true;
   /// Retry schedule for idempotent federation calls (home vector/key/resync
   /// fetches, GUTI + handover context lookups). Only kTimeout/kUnreachable
   /// are retried; jitter comes from the sim RNG so runs stay reproducible.
@@ -82,17 +86,22 @@ struct ResilienceConfig {
   /// full deadline on calls that cannot reach quorum.
   bool fast_fail = true;
 
-  /// Options for one federation call whose single attempt times out after
-  /// `timeout`. Enabled: breaker-gated and, when `retry_budget` is nonzero,
-  /// retried under `retry` inside that budget instead. Disabled: that one
-  /// attempt, breakers ignored.
+  /// The pre-resilience preset: one attempt per call, one leg per vector
+  /// fetch, no fast-fail.
+  static ResilienceConfig none() {
+    ResilienceConfig config;
+    config.retry = sim::RetryPolicy::none();
+    config.hedge_width = 1;
+    config.fast_fail = false;
+    return config;
+  }
+
+  /// Options for one breaker-gated federation call whose single attempt
+  /// times out after `timeout`. When `retry_budget` is nonzero and `retry`
+  /// allows more than one attempt, the call is retried under `retry` inside
+  /// that budget instead.
   sim::RpcOptions call_options(Time timeout, Time retry_budget = 0) const {
-    if (!enabled) {
-      auto options = sim::RpcOptions::oneshot(timeout);
-      options.use_breaker = false;
-      return options;
-    }
-    if (retry_budget == 0) return sim::RpcOptions::oneshot(timeout);
+    if (retry_budget == 0 || retry.max_attempts <= 1) return sim::RpcOptions::oneshot(timeout);
     return sim::RpcOptions::durable(retry_budget, retry);
   }
 };

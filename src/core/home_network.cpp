@@ -11,12 +11,30 @@ namespace dauth::core {
 namespace {
 
 // Background pushes to backups (dissemination, replenishment, revocation)
-// are idempotent: store/revoke are keyed by H(XRES*). With resilience on
-// they retry freely inside a generous budget.
+// are idempotent: store/revoke are keyed by H(XRES*), so they retry freely
+// under the resilience policy inside a generous budget.
 constexpr Time kPushTimeout = sec(5);
 constexpr Time kPushBudget = sec(10);
 
 }  // namespace
+
+template <typename Request>
+void HomeNetwork::push(const TypedStub<Request, Ack>& stub, const NetworkId& backup,
+                       Request request, std::function<void(bool)> done) {
+  directory_.get_network(backup, [this, &stub, request = std::move(request), done](
+                                     std::optional<directory::NetworkEntry> entry) {
+    if (!entry) {
+      if (done) done(false);
+      return;
+    }
+    // DAUTH_DISCLOSE(a store push carries the backup's own share of K_seaf, §4.2.1 and §4.3)
+    stub.call(static_cast<sim::NodeIndex>(entry->address), request,
+              config_.resilience.call_options(kPushTimeout, kPushBudget),
+              [done](CallResult<Ack> result) {
+                if (done) done(result.ok());
+              });
+  });
+}
 
 ByteArray<16> hxres_index(const crypto::ResStar& res_star) {
   return take<16>(crypto::sha256(res_star));
@@ -176,26 +194,14 @@ void HomeNetwork::disseminate(const Supi& supi, std::function<void(std::size_t)>
       config_.costs.dissemination_per_vector * static_cast<Time>(total_vectors);
   auto remaining = std::make_shared<std::size_t>(backup_ids_.size());
   auto ok_count = std::make_shared<std::size_t>(0);
+  auto finish_one = [remaining, ok_count, done](bool ok) {
+    if (ok) ++*ok_count;
+    if (--*remaining == 0 && done) done(*ok_count);
+  };
   rpc_.network().node(node_).execute(generation_cost, [this, requests = std::move(requests),
-                                                       remaining, ok_count, done]() mutable {
+                                                       finish_one]() mutable {
     for (std::size_t b = 0; b < backup_ids_.size(); ++b) {
-      const NetworkId backup = backup_ids_[b];
-      directory_.get_network(backup, [this, request = std::move(requests[b]), remaining,
-                                      ok_count, done](
-                                         std::optional<directory::NetworkEntry> entry) {
-        auto finish_one = [remaining, ok_count, done](bool ok) {
-          if (ok) ++*ok_count;
-          if (--*remaining == 0 && done) done(*ok_count);
-        };
-        if (!entry) {
-          finish_one(false);
-          return;
-        }
-        // DAUTH_DISCLOSE(dissemination sends each backup its own share of K_seaf, §4.2.1)
-        store_stub_.call(static_cast<sim::NodeIndex>(entry->address), request,
-                         config_.resilience.call_options(kPushTimeout, kPushBudget),
-                         [finish_one](CallResult<Ack> result) { finish_one(result.ok()); });
-      });
+      push(store_stub_, backup_ids_[b], std::move(requests[b]), finish_one);
     }
   });
 }
@@ -540,13 +546,7 @@ void HomeNetwork::process_proof(const NetworkId& reporter, const UsageProof& pro
   revoke.supi = proof.supi;
   revoke.hxres_indices.push_back(proof.hxres_star);
   revoke.home_signature = crypto::ed25519_sign(revoke.signed_payload(), signing_key_);
-  for (const NetworkId& backup : backup_ids_) {
-    directory_.get_network(backup, [this, revoke](std::optional<directory::NetworkEntry> e) {
-      if (!e) return;
-      revoke_stub_.call(static_cast<sim::NodeIndex>(e->address), revoke,
-                        config_.resilience.call_options(kPushTimeout, kPushBudget), {});
-    });
-  }
+  for (const NetworkId& backup : backup_ids_) push(revoke_stub_, backup, revoke);
   subscriber.outstanding.erase(outstanding_it);
   replenish(proof.supi, holder);
 }
@@ -568,26 +568,16 @@ void HomeNetwork::replenish(const Supi& supi, const NetworkId& holder) {
   ++metrics_.vectors_disseminated;
   metrics_.shares_disseminated += backup_ids_.size();
 
-  rpc_.network().node(node_).execute(config_.costs.dissemination_per_vector, [this, material =
-                                                                                        std::move(
-                                                                                            material),
-                                                                              holder] {
-    for (std::size_t b = 0; b < backup_ids_.size(); ++b) {
-      StoreMaterialRequest request;
-      request.home_network = id_;
-      if (backup_ids_[b] == holder) request.vectors.push_back(material.vector);
-      request.shares.push_back(material.shares[b]);
-      directory_.get_network(backup_ids_[b],
-                             [this, request](std::optional<directory::NetworkEntry> e) {
-                               if (!e) return;
-                               // DAUTH_DISCLOSE(replenishment sends each backup its own share of K_seaf, §4.2.1)
-                               store_stub_.call(
-                                   static_cast<sim::NodeIndex>(e->address), request,
-                                   config_.resilience.call_options(kPushTimeout, kPushBudget),
-                                   {});
-                             });
-    }
-  });
+  rpc_.network().node(node_).execute(
+      config_.costs.dissemination_per_vector, [this, material = std::move(material), holder] {
+        for (std::size_t b = 0; b < backup_ids_.size(); ++b) {
+          StoreMaterialRequest request;
+          request.home_network = id_;
+          if (backup_ids_[b] == holder) request.vectors.push_back(material.vector);
+          request.shares.push_back(material.shares[b]);
+          push(store_stub_, backup_ids_[b], std::move(request));
+        }
+      });
 }
 
 void HomeNetwork::revoke_backup(const NetworkId& revoked, std::function<void()> done) {
@@ -627,14 +617,7 @@ void HomeNetwork::revoke_backup(const NetworkId& revoked, std::function<void()> 
 
     // Order every remaining backup to delete the sibling shares.
     if (!revoke.hxres_indices.empty()) {
-      for (const NetworkId& backup : backup_ids_) {
-        directory_.get_network(
-            backup, [this, revoke](std::optional<directory::NetworkEntry> e) {
-              if (!e) return;
-              revoke_stub_.call(static_cast<sim::NodeIndex>(e->address), revoke,
-                                config_.resilience.call_options(kPushTimeout, kPushBudget), {});
-            });
-      }
+      for (const NetworkId& backup : backup_ids_) push(revoke_stub_, backup, revoke);
     }
 
     // Flood vector: a superseding vector in the revoked slice, handed to all
@@ -651,13 +634,7 @@ void HomeNetwork::revoke_backup(const NetworkId& revoked, std::function<void()> 
         request.home_network = id_;
         request.vectors.push_back(material.vector);
         request.shares.push_back(material.shares[b]);
-        directory_.get_network(
-            backup_ids_[b], [this, request](std::optional<directory::NetworkEntry> e) {
-              if (!e) return;
-              // DAUTH_DISCLOSE(flood dissemination sends each backup its own share of K_seaf, §4.3)
-              store_stub_.call(static_cast<sim::NodeIndex>(e->address), request,
-                               config_.resilience.call_options(kPushTimeout, kPushBudget), {});
-            });
+        push(store_stub_, backup_ids_[b], std::move(request));
       }
     }
   }

@@ -160,6 +160,13 @@ class HomeNetwork {
   /// journal is attached, as a durable kAnomaly event.
   void note_anomaly(std::string what);
   int slice_of(const NetworkId& backup) const;
+  /// The one home -> backup send path: resolves `backup` in the directory,
+  /// then pushes `request` as an idempotent call retried under the
+  /// resilience policy. `done(ok)`, when set, fires once; an unresolvable
+  /// backup is a failed push.
+  template <typename Request>
+  void push(const TypedStub<Request, Ack>& stub, const NetworkId& backup, Request request,
+            std::function<void(bool)> done = nullptr);
 
   sim::Rpc& rpc_;
   sim::NodeIndex node_;

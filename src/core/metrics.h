@@ -5,6 +5,10 @@
 // its fields as named counter *views* into an obs::MetricsRegistry, so
 // benches and tests read one registry — and diff snapshots — instead of
 // three ad-hoc structs. See docs/OBSERVABILITY.md.
+//
+// Each role's counters are declared once, in the X-macro list below: the
+// list expands into the struct's fields and into its "<prefix>.<field>"
+// registrations, so a new counter is one line.
 #pragma once
 
 #include <cstdint>
@@ -16,49 +20,62 @@ class MetricsRegistry;
 
 namespace dauth::core {
 
+#define DAUTH_HOME_METRICS(X)                                                        \
+  X(tokens_generated)     /* auth vectors created (billable, §7.4) */               \
+  X(vectors_served)       /* home-online GetVector replies */                        \
+  X(keys_released)        /* home-online GetKey replies */                           \
+  X(vectors_disseminated) /* bundles pushed to backups */                            \
+  X(shares_disseminated)                                                             \
+  X(batches_signed)       /* Ed25519 signatures over round roots */                  \
+  X(reports_processed)    /* usage proofs ingested */                                \
+  X(replenishments)       /* vectors regenerated after use */                        \
+  X(revocations)                                                                     \
+  X(rejected_requests)    /* bad signatures / unknown users */
+
+#define DAUTH_BACKUP_METRICS(X)                                                      \
+  X(bundles_stored)                                                                  \
+  X(batches_verified)  /* batch root signatures checked at store */                 \
+  X(vectors_served)                                                                  \
+  X(shares_served)                                                                   \
+  X(shares_revoked)                                                                  \
+  X(proofs_pending)    /* waiting for the home network */                            \
+  X(reports_sent)                                                                    \
+  X(rejected_requests) /* invalid proofs / signatures */
+
+#define DAUTH_SERVING_METRICS(X)                                                     \
+  X(attaches_started)                                                                \
+  X(attaches_succeeded)                                                              \
+  X(attaches_failed)                                                                 \
+  X(local_auths)            /* subscriber of this very network */                    \
+  X(home_auths)             /* via the user's (online) home */                       \
+  X(backup_auths)           /* via backup networks */                                \
+  X(home_fallbacks)         /* home tried first, then backups */                     \
+  X(ue_rejected)            /* UE response hash mismatch */                          \
+  X(signature_cache_hits)   /* verifications answered from cache */                 \
+  X(signature_cache_misses) /* full group-equation checks */                         \
+  /* Resilience substrate (docs/RESILIENCE.md): */                                   \
+  X(retries)                /* policy-layer attempt re-issues */                     \
+  X(hedges_launched)        /* extra backup legs beyond the primary */               \
+  X(hedge_wins)             /* attaches won by a hedged (non-primary) leg */         \
+  X(breaker_opens)          /* circuits tripped closed -> open */                    \
+  X(breaker_skips)          /* calls failed fast on an open circuit */               \
+  X(fast_failures)          /* attaches failed fast: reachable backups < threshold */
+
+#define DAUTH_METRIC_FIELD(name) std::uint64_t name = 0;
+
 struct HomeMetrics {
-  std::uint64_t tokens_generated = 0;      // auth vectors created (billable, §7.4)
-  std::uint64_t vectors_served = 0;        // home-online GetVector replies
-  std::uint64_t keys_released = 0;         // home-online GetKey replies
-  std::uint64_t vectors_disseminated = 0;  // bundles pushed to backups
-  std::uint64_t shares_disseminated = 0;
-  std::uint64_t batches_signed = 0;        // Ed25519 signatures over round roots
-  std::uint64_t reports_processed = 0;     // usage proofs ingested
-  std::uint64_t replenishments = 0;        // vectors regenerated after use
-  std::uint64_t revocations = 0;
-  std::uint64_t rejected_requests = 0;     // bad signatures / unknown users
+  DAUTH_HOME_METRICS(DAUTH_METRIC_FIELD)
 };
 
 struct BackupMetrics {
-  std::uint64_t bundles_stored = 0;
-  std::uint64_t batches_verified = 0;  // batch root signatures checked at store
-  std::uint64_t vectors_served = 0;
-  std::uint64_t shares_served = 0;
-  std::uint64_t shares_revoked = 0;
-  std::uint64_t proofs_pending = 0;   // waiting for the home network
-  std::uint64_t reports_sent = 0;
-  std::uint64_t rejected_requests = 0;  // invalid proofs / signatures
+  DAUTH_BACKUP_METRICS(DAUTH_METRIC_FIELD)
 };
 
 struct ServingMetrics {
-  std::uint64_t attaches_started = 0;
-  std::uint64_t attaches_succeeded = 0;
-  std::uint64_t attaches_failed = 0;
-  std::uint64_t local_auths = 0;        // subscriber of this very network
-  std::uint64_t home_auths = 0;         // via the user's (online) home
-  std::uint64_t backup_auths = 0;       // via backup networks
-  std::uint64_t home_fallbacks = 0;     // home tried first, then backups
-  std::uint64_t ue_rejected = 0;        // UE response hash mismatch
-  std::uint64_t signature_cache_hits = 0;    // verifications answered from cache
-  std::uint64_t signature_cache_misses = 0;  // full group-equation checks
-  // Resilience substrate (docs/RESILIENCE.md):
-  std::uint64_t retries = 0;          // policy-layer attempt re-issues
-  std::uint64_t hedges_launched = 0;  // extra backup legs beyond the primary
-  std::uint64_t hedge_wins = 0;       // attaches won by a hedged (non-primary) leg
-  std::uint64_t breaker_opens = 0;    // circuits tripped closed -> open
-  std::uint64_t breaker_skips = 0;    // calls failed fast on an open circuit
-  std::uint64_t fast_failures = 0;    // attaches failed fast: reachable backups < threshold
+  DAUTH_SERVING_METRICS(DAUTH_METRIC_FIELD)
 };
+
+#undef DAUTH_METRIC_FIELD
 
 /// Register every field of a metrics struct as a counter view named
 /// "<prefix>.<field>" (e.g. "home.net-1.vectors_served"). The struct must

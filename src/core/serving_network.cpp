@@ -287,17 +287,7 @@ void ServingNetwork::resolve_home(const std::shared_ptr<Attach>& attach) {
         start_local_auth(attach);
         return;
       }
-      directory_.get_network(
-          attach->home,
-          [this, attach](std::optional<directory::NetworkEntry> entry) {
-            if (!entry) {
-              finish(attach, {false, AuthPath::kHomeOnline, {}, "unknown home network"});
-              return;
-            }
-            attach->home_entry = entry;
-            try_home_auth(attach);
-          },
-          attach->span);
+      lookup_home(attach);
       return;
     }
     // Foreign GUTI: ask the prior serving network for the identity; if it
@@ -312,17 +302,7 @@ void ServingNetwork::resolve_home(const std::shared_ptr<Attach>& attach) {
       start_local_auth(attach);
       return;
     }
-    directory_.get_network(
-        attach->home,
-        [this, attach](std::optional<directory::NetworkEntry> entry) {
-          if (!entry) {
-            finish(attach, {false, AuthPath::kHomeOnline, {}, "unknown home network"});
-            return;
-          }
-          attach->home_entry = entry;
-          try_home_auth(attach);
-        },
-        attach->span);
+    lookup_home(attach);
     return;
   }
 
@@ -342,17 +322,21 @@ void ServingNetwork::resolve_home(const std::shared_ptr<Attach>& attach) {
           return;
         }
         attach->home = user->home_network;
-        directory_.get_network(
-            attach->home,
-            [this, attach](std::optional<directory::NetworkEntry> entry) {
-              if (!entry) {
-                finish(attach, {false, AuthPath::kHomeOnline, {}, "unknown home network"});
-                return;
-              }
-              attach->home_entry = entry;
-              try_home_auth(attach);
-            },
-            attach->span);
+        lookup_home(attach);
+      },
+      attach->span);
+}
+
+void ServingNetwork::lookup_home(const std::shared_ptr<Attach>& attach) {
+  directory_.get_network(
+      attach->home,
+      [this, attach](std::optional<directory::NetworkEntry> entry) {
+        if (!entry) {
+          finish(attach, {false, AuthPath::kHomeOnline, {}, "unknown home network"});
+          return;
+        }
+        attach->home_entry = entry;
+        try_home_auth(attach);
       },
       attach->span);
 }
@@ -476,7 +460,7 @@ void ServingNetwork::start_backup_auth(const std::shared_ptr<Attach>& attach) {
                   // backups are even reachable the attach cannot succeed — fail
                   // in microseconds instead of burning the full RPC deadline
                   // discovering it.
-                  if (config_.resilience.enabled && config_.resilience.fast_fail &&
+                  if (config_.resilience.fast_fail &&
                       reachable_backups(attach->backups) < config_.threshold) {
                     ++metrics_.fast_failures;
                     finish(attach,
@@ -513,9 +497,9 @@ void ServingNetwork::request_backup_vector(const std::shared_ptr<Attach>& attach
   // Rank per backup. Liveness tier: closed circuits first, then half-open
   // ones (probe-only: the §6.4 share broadcast probes them, a vector fetch
   // reaches them only when every closed backup has failed), then open ones,
-  // which the ladder's breaker-gated legs skip; with resilience off every
-  // backup is closed. Inside a tier, a slice known to be empty for the user
-  // ranks after every other.
+  // which the ladder's breaker-gated legs skip; with the breakers off
+  // (failure_threshold 0) every backup is closed. Inside a tier, a slice
+  // known to be empty for the user ranks after every other.
   const Time now = rpc_.network().simulator().now();
   const auto address = [&](std::size_t i) {
     return static_cast<sim::NodeIndex>(attach->backups[i].address);
@@ -523,12 +507,10 @@ void ServingNetwork::request_backup_vector(const std::shared_ptr<Attach>& attach
   std::vector<int> rank(n, 0);
   for (std::size_t i = 0; i < n; ++i) {
     int tier = 0;
-    if (config_.resilience.enabled) {
-      switch (rpc_.breakers().state(node_, address(i), now)) {
-        case sim::BreakerState::kClosed: tier = 0; break;
-        case sim::BreakerState::kHalfOpen: tier = 1; break;
-        case sim::BreakerState::kOpen: tier = 2; break;
-      }
+    switch (rpc_.breakers().state(node_, address(i), now)) {
+      case sim::BreakerState::kClosed: tier = 0; break;
+      case sim::BreakerState::kHalfOpen: tier = 1; break;
+      case sim::BreakerState::kOpen: tier = 2; break;
     }
     rank[i] = 2 * tier + (empty_slices_.contains({attach->supi, address(i)}) ? 1 : 0);
   }
@@ -546,16 +528,12 @@ void ServingNetwork::request_backup_vector(const std::shared_ptr<Attach>& attach
 /// a full timeout. A backup that answers without a vector (an exhausted
 /// slice, or any other rejection) is no failed leg: it promotes the next
 /// backup without using up the ladder's width, so an attach fails for lack
-/// of vectors only once every candidate has turned it away. With
-/// resilience off the ladder is one leg wide and ignores the breakers: a
-/// leg that times out, fails in transport or serves a bad signature fails
-/// the attach.
+/// of vectors only once every candidate has turned it away. Under
+/// ResilienceConfig::none() the ladder is one leg wide: a leg that times
+/// out, fails in transport or serves a bad signature fails the attach.
 void ServingNetwork::hedge_backup_vector(const std::shared_ptr<Attach>& attach,
                                          const GetVectorRequest& request,
                                          const std::vector<std::size_t>& order) {
-  const std::size_t ladder_width =
-      config_.resilience.enabled ? config_.resilience.hedge_width : 1;
-
   struct Hedge {
     bool won = false;
     std::size_t next = 0;         // next candidate (index into `order`)
@@ -566,7 +544,8 @@ void ServingNetwork::hedge_backup_vector(const std::shared_ptr<Attach>& attach,
     std::function<void()> launch;  // holds only a weak self-reference
   };
   auto state = std::make_shared<Hedge>();
-  state->width = std::max<std::size_t>(1, std::min(ladder_width, order.size()));
+  state->width =
+      std::max<std::size_t>(1, std::min(config_.resilience.hedge_width, order.size()));
 
   // Per leg: single breaker-gated attempt. The ladder itself is the retry —
   // a breaker skip resolves in the same tick, promoting the next backup for
@@ -671,18 +650,7 @@ void ServingNetwork::resolve_foreign_guti(const std::shared_ptr<Attach>& attach,
             start_local_auth(attach);
             return;
           }
-          directory_.get_network(
-              attach->home,
-              [this, attach](std::optional<directory::NetworkEntry> entry) {
-                if (!entry) {
-                  finish(attach,
-                         {false, AuthPath::kHomeOnline, {}, "unknown home network"});
-                  return;
-                }
-                attach->home_entry = entry;
-                try_home_auth(attach);
-              },
-              attach->span);
+          lookup_home(attach);
         },
         resilience_observer());
       },
@@ -1049,38 +1017,30 @@ void ServingNetwork::collect_key_shares(const std::shared_ptr<Attach>& attach,
     }
   };
 
-  // Resilience on: don't waste a broadcast leg (and a timeout) on a backup
-  // whose circuit is open — and if the reachable set cannot reach the share
-  // threshold at all, fail fast instead of discovering it the slow way.
+  // Don't waste a broadcast leg (and a timeout) on a backup whose circuit
+  // is open — and if the reachable set cannot reach the share threshold at
+  // all, fail fast instead of discovering it the slow way.
   std::vector<const directory::NetworkEntry*> targets;
   targets.reserve(attach->backups.size());
-  if (config_.resilience.enabled) {
-    const Time now = rpc_.network().simulator().now();
-    for (const directory::NetworkEntry& backup : attach->backups) {
-      if (breaker_available(backup, now)) {
-        targets.push_back(&backup);
-      } else {
-        ++metrics_.breaker_skips;
-        if (obs::Tracer* tracer = rpc_.tracer(); tracer != nullptr) {
-          const auto skip = tracer->instant_span("breaker-skip:backup.get_share",
-                                                 proof_span);
-          tracer->set_attr(skip, "peer",
-                           rpc_.network()
-                               .node(static_cast<sim::NodeIndex>(backup.address))
-                               .name());
-        }
-      }
-    }
-    if (config_.resilience.fast_fail && targets.size() < config_.threshold) {
-      ++metrics_.fast_failures;
-      end_proof_span(false);
-      finish(attach, {false, AuthPath::kBackup, {}, "insufficient reachable backups"});
-      return;
-    }
-  } else {
-    for (const directory::NetworkEntry& backup : attach->backups) {
+  const Time now = rpc_.network().simulator().now();
+  for (const directory::NetworkEntry& backup : attach->backups) {
+    if (breaker_available(backup, now)) {
       targets.push_back(&backup);
+      continue;
     }
+    ++metrics_.breaker_skips;
+    if (obs::Tracer* tracer = rpc_.tracer(); tracer != nullptr) {
+      const auto skip = tracer->instant_span("breaker-skip:backup.get_share", proof_span);
+      tracer->set_attr(
+          skip, "peer",
+          rpc_.network().node(static_cast<sim::NodeIndex>(backup.address)).name());
+    }
+  }
+  if (config_.resilience.fast_fail && targets.size() < config_.threshold) {
+    ++metrics_.fast_failures;
+    end_proof_span(false);
+    finish(attach, {false, AuthPath::kBackup, {}, "insufficient reachable backups"});
+    return;
   }
 
   struct CollectState {

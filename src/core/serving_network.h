@@ -145,6 +145,9 @@ class ServingNetwork {
   void request_identity(const std::shared_ptr<Attach>& attach);
 
   void resolve_home(const std::shared_ptr<Attach>& attach);
+  /// Looks up attach->home's directory entry, then tries the home; an
+  /// unknown home fails the attach.
+  void lookup_home(const std::shared_ptr<Attach>& attach);
   void start_local_auth(const std::shared_ptr<Attach>& attach);
   void try_home_auth(const std::shared_ptr<Attach>& attach);
   void start_backup_auth(const std::shared_ptr<Attach>& attach);

@@ -42,6 +42,7 @@ bool CircuitBreaker::available(Time now) const {
 }
 
 bool CircuitBreaker::on_failure(Time now) {
+  if (config_.failure_threshold <= 0) return false;  // breakers off
   if (probing_) {
     // The half-open probe failed: reopen and restart the cooldown clock.
     probing_ = false;
@@ -123,6 +124,7 @@ void CircuitBreakerSet::abandon_probe(NodeIndex from, NodeIndex to) {
 }
 
 void CircuitBreakerSet::force_open_peer(NodeIndex to, Time now) {
+  if (config_.failure_threshold <= 0) return;  // breakers off: drop the hint
   known_down_[to] = now;
   for (auto& [route, circuit] : breakers_) {
     if (route.second == to) {

@@ -55,7 +55,8 @@ Time backoff_delay(const RetryPolicy& policy, int completed_attempts,
                    Xoshiro256StarStar& rng);
 
 struct CircuitBreakerConfig {
-  /// Consecutive transport failures before the circuit opens.
+  /// Consecutive transport failures before the circuit opens. 0 turns the
+  /// breakers off: no circuit ever trips and liveness hints are dropped.
   int failure_threshold = 3;
   /// How long an open circuit waits before admitting a half-open probe.
   Time cooldown = sec(10);
@@ -120,7 +121,6 @@ class CircuitBreakerSet {
  public:
   explicit CircuitBreakerSet(CircuitBreakerConfig config = {}) : config_(config) {}
 
-  void set_config(CircuitBreakerConfig config) { config_ = config; }
   const CircuitBreakerConfig& config() const noexcept { return config_; }
 
   CircuitBreaker::Admit admit(NodeIndex from, NodeIndex to, Time now);

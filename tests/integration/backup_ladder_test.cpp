@@ -31,8 +31,9 @@ struct LadderFederation {
   std::vector<std::size_t> backups{1, 2, 3, 4, 5};
 
   explicit LadderFederation(core::FederationConfig cfg, std::uint64_t seed = 1,
-                            std::vector<int> link_ms = {2, 2, 2, 2, 2})
-      : f(7, std::move(cfg), seed) {
+                            std::vector<int> link_ms = {2, 2, 2, 2, 2},
+                            sim::RpcConfig rpc_config = {})
+      : f(7, std::move(cfg), seed, rpc_config) {
     keys = f.provision(kAlice, 0, backups);
     for (std::size_t i = 0; i < backups.size(); ++i) {
       sim::LatencyModel link;
@@ -97,8 +98,8 @@ TEST(BackupLadder, SilentlyDeadBackupStopsLeadingAfterOneShareTimeout) {
   // can keep the dead backup from leading — and a dead leader fails the
   // attach outright.
   core::FederationConfig cfg = ladder_config();
-  cfg.resilience.enabled = false;
-  LadderFederation lf(cfg);
+  cfg.resilience = core::ResilienceConfig::none();
+  LadderFederation lf(cfg, 1, {2, 2, 2, 2, 2}, Federation::breakers_off());
   const sim::NodeIndex dead = lf.f.net(3).node();
   lf.f.network.node(dead).set_online(false);
   auto ue = lf.f.make_ue(kAlice, lf.keys, 6);
@@ -362,8 +363,9 @@ TEST(BackupLadder, SuciAttachesDrainEverySlice) {
     SCOPED_TRACE(resilience ? "resilience on" : "resilience off");
     core::FederationConfig cfg = ladder_config();
     cfg.vectors_per_backup = 3;
-    cfg.resilience.enabled = resilience;
-    LadderFederation lf(cfg, 1, {2, 4, 6, 8, 10});
+    if (!resilience) cfg.resilience = core::ResilienceConfig::none();
+    LadderFederation lf(cfg, 1, {2, 4, 6, 8, 10},
+                        resilience ? sim::RpcConfig{} : Federation::breakers_off());
     auto profile = ran::emulated_ran_profile(cfg.serving_network_name);
     profile.use_suci = true;
     profile.use_guti = false;
@@ -405,8 +407,8 @@ TEST(BackupLadder, RejectingBackupLeadsOnce) {
   // attach. The first rejection marks net-2's slice empty; after that one
   // promotion it never leads again, and every attach succeeds.
   core::FederationConfig cfg = ladder_config();
-  cfg.resilience.enabled = false;
-  LadderFederation lf(cfg, 1, {1, 20, 20, 20, 20});
+  cfg.resilience = core::ResilienceConfig::none();
+  LadderFederation lf(cfg, 1, {1, 20, 20, 20, 20}, Federation::breakers_off());
   for (const char* service : {"backup.get_vector", "backup.get_share"}) {
     lf.f.rpc.register_service(lf.f.net(1).node(), service, [](ByteView, sim::Responder r) {
       r.fail(sim::AppErrorCode::kNotFound, "user not backed up here");

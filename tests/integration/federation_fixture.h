@@ -18,7 +18,7 @@ namespace dauth::testing {
 struct Federation {
   sim::Simulator simulator;
   sim::Network network{simulator};
-  sim::Rpc rpc{network};
+  sim::Rpc rpc;
   directory::DirectoryServer directory_server;
   sim::NodeIndex directory_node = 0;
   sim::NodeIndex ran_node = 0;
@@ -26,8 +26,8 @@ struct Federation {
   core::FederationConfig config;
 
   explicit Federation(std::size_t n_networks, core::FederationConfig cfg = test_config(),
-                      std::uint64_t seed = 1)
-      : simulator(seed), config(std::move(cfg)) {
+                      std::uint64_t seed = 1, sim::RpcConfig rpc_config = {})
+      : simulator(seed), rpc(network, rpc_config), config(std::move(cfg)) {
     sim::NodeConfig nc;
     nc.name = "directory";
     nc.access.base = ms(2);
@@ -57,6 +57,14 @@ struct Federation {
     cfg.vectors_per_backup = 4;
     cfg.threshold = 2;
     return cfg;
+  }
+
+  /// Transport of the pre-resilience arm (with ResilienceConfig::none()):
+  /// no circuit ever trips and liveness hints are dropped.
+  static sim::RpcConfig breakers_off() {
+    sim::RpcConfig rpc_config;
+    rpc_config.breaker.failure_threshold = 0;
+    return rpc_config;
   }
 
   core::DauthNode& net(std::size_t index) { return *nets.at(index); }

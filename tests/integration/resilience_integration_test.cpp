@@ -1,7 +1,8 @@
 // End-to-end resilience tests: hedged backup fan-out, breaker-driven
 // skipping of known-down backups, graceful fast-fail below the share
-// threshold, the resilience-off preset of the same ladder, and schedule
-// determinism.
+// threshold, the pre-resilience preset of the same ladder
+// (ResilienceConfig::none() with the breakers off) and its call options,
+// and schedule determinism.
 #include <gtest/gtest.h>
 
 #include "federation_fixture.h"
@@ -136,8 +137,8 @@ TEST(Resilience, FastFailsWhenReachableBackupsDropBelowThreshold) {
 
 TEST(Resilience, DisabledIsAOneLegLadderWithoutPolicy) {
   core::FederationConfig cfg = Federation::test_config();
-  cfg.resilience.enabled = false;
-  Federation f(5, cfg);
+  cfg.resilience = core::ResilienceConfig::none();
+  Federation f(5, cfg, 1, Federation::breakers_off());
   const auto keys = f.provision(kAlice, 0, {1, 2, 3});
   f.network.node(f.net(0).node()).set_online(false);
 
@@ -150,6 +151,33 @@ TEST(Resilience, DisabledIsAOneLegLadderWithoutPolicy) {
   EXPECT_EQ(m.hedges_launched, 0u);
   EXPECT_EQ(m.breaker_skips, 0u);
   EXPECT_EQ(m.fast_failures, 0u);
+}
+
+TEST(Resilience, OffPresetCallsAreOneAttemptWithoutDeadline) {
+  const core::ResilienceConfig none = core::ResilienceConfig::none();
+  EXPECT_EQ(none.hedge_width, 1u);
+  EXPECT_FALSE(none.fast_fail);
+  for (const Time budget : {Time{0}, sec(2)}) {
+    const sim::RpcOptions options = none.call_options(ms(800), budget);
+    EXPECT_EQ(options.timeout, ms(800));
+    EXPECT_EQ(options.deadline, 0);
+    EXPECT_EQ(options.retry.max_attempts, 1);
+  }
+}
+
+TEST(Resilience, DefaultCallsRetryInsideTheirBudget) {
+  const core::ResilienceConfig config;
+  const sim::RpcOptions expected = sim::RpcOptions::durable(sec(2), config.retry);
+  const sim::RpcOptions durable = config.call_options(ms(800), sec(2));
+  EXPECT_EQ(durable.timeout, expected.timeout);
+  EXPECT_EQ(durable.deadline, sec(2));
+  EXPECT_EQ(durable.retry.max_attempts, config.retry.max_attempts);
+  EXPECT_TRUE(durable.use_breaker);
+
+  const sim::RpcOptions single = config.call_options(ms(800));
+  EXPECT_EQ(single.timeout, ms(800));
+  EXPECT_EQ(single.deadline, 0);
+  EXPECT_EQ(single.retry.max_attempts, 1);
 }
 
 TEST(Resilience, IdenticalSeedsProduceIdenticalOutcomes) {

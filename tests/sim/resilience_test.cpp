@@ -149,6 +149,24 @@ TEST(CircuitBreakerSet, ForceOpenPeerReachesUncreatedCircuits) {
   EXPECT_TRUE(set.admit(1, 8, sec(2)).allowed);
 }
 
+TEST(CircuitBreakerSet, ZeroThresholdTurnsTheBreakersOff) {
+  CircuitBreakerSet set(CircuitBreakerConfig{.failure_threshold = 0});
+  for (int i = 1; i <= 10; ++i) EXPECT_FALSE(set.on_failure(1, 9, sec(i)));
+  // The liveness hint is dropped, for an existing circuit (1 -> 9) and for
+  // one not created yet (1 -> 8).
+  set.force_open_peer(9, sec(11));
+  set.force_open_peer(8, sec(11));
+  for (const NodeIndex peer : {NodeIndex{8}, NodeIndex{9}}) {
+    EXPECT_EQ(set.state(1, peer, sec(12)), BreakerState::kClosed);
+    EXPECT_TRUE(set.available(1, peer, sec(12)));
+    EXPECT_TRUE(set.admit(1, peer, sec(12)).allowed);
+  }
+  EXPECT_FALSE(set.on_failure(1, 8, sec(13)));
+  EXPECT_EQ(set.state(1, 8, sec(13)), BreakerState::kClosed);
+  EXPECT_EQ(set.opens(), 0u);
+  EXPECT_EQ(set.fast_skips(), 0u);
+}
+
 // ---- call_with_policy ------------------------------------------------------
 
 struct PolicyFixture {

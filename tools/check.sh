@@ -12,16 +12,21 @@
 #   3. Release build of everything, -Werror, then the crypto tests: -O3
 #      raises warnings the other build types do not, and this is the
 #      optimized build of the SHA-NI and word-parallel Shamir kernels
-#   4. ASan+UBSan build of everything, -Werror, full ctest suite
+#   4. Golden BENCH rows: the Release fig5_resilience_outage,
+#      ablation_optimizations and fig7_backup_count_sweep benches rerun
+#      into a temp dir, and tools/bench_diff.py requires their rows and
+#      seed lists to equal the committed results/BENCH_*.json (virtual time
+#      is deterministic; stamps and wall time are ignored)
+#   5. ASan+UBSan build of everything, -Werror, full ctest suite
 #      (re-runs dauth_lint_check / dauth_taint_check plus their self-tests)
-#   5. Bench smoke: one short deterministically-seeded fig6 sweep on the
+#   6. Bench smoke: one short deterministically-seeded fig6 sweep on the
 #      parallel harness under ASan (crypto hot path + thread pool + JSON
 #      reporter end to end)
-#   6. Traced scenario: fig3_single_ue --trace under ASan — one backup-mode
+#   7. Traced scenario: fig3_single_ue --trace under ASan — one backup-mode
 #      attach with the full observability stack on; the binary itself
 #      validates the exported Chrome trace and the TraceAssert invariants
 #      (docs/OBSERVABILITY.md), the gate checks it said so and wrote the file
-#   7. TSan build, event-loop/simulator-facing tests only (includes the
+#   8. TSan build, event-loop/simulator-facing tests only (includes the
 #      bench_determinism_test thread-pool gate)
 #
 # Usage: tools/check.sh [--skip-tsan]
@@ -41,18 +46,18 @@ done
 
 JOBS="$(nproc 2>/dev/null || echo 4)"
 
-echo "==> [1/7] static analysis (dauth-lint + dauth-taint)"
+echo "==> [1/8] static analysis (dauth-lint + dauth-taint)"
 cmake -B build -S . > /dev/null
 cmake --build build -j "$JOBS" --target dauth_lint_cli dauth_taint_cli
 ./build/tools/dauth-lint --allowlist tools/lint_allowlist.txt src tools bench
 ./build/tools/dauth-taint --allowlist tools/taint_allowlist.txt src
 
-echo "==> [2/7] benchmark package (fedbench/ build + self-test)"
+echo "==> [2/8] benchmark package (fedbench/ build + self-test)"
 cmake -S fedbench -B build-fedbench -DCMAKE_BUILD_TYPE=Release > /dev/null
 cmake --build build-fedbench -j "$JOBS"
 ./build-fedbench/fedbench_selftest
 
-echo "==> [3/7] Release -Werror build + crypto tests"
+echo "==> [3/8] Release -Werror build + crypto tests"
 cmake -B build-release -S . \
   -DCMAKE_BUILD_TYPE=Release \
   -DDAUTH_WERROR=ON > /dev/null
@@ -60,20 +65,28 @@ cmake --build build-release -j "$JOBS"
 ctest --test-dir build-release --output-on-failure \
   -R 'sha256|hmac|kdf|shamir|merkle|ed25519|drbg'
 
-echo "==> [4/7] ASan+UBSan build + full test suite"
+echo "==> [4/8] golden BENCH rows (fig5 outage, ablation, fig7 vs results/)"
+GOLDEN_OUT="$(mktemp -d)"
+trap 'rm -rf "$GOLDEN_OUT"' EXIT
+for bench in fig5_resilience_outage ablation_optimizations fig7_backup_count_sweep; do
+  DAUTH_BENCH_OUT="$GOLDEN_OUT" ./build-release/bench/"$bench" > "$GOLDEN_OUT/$bench.txt"
+  python3 tools/bench_diff.py "results/BENCH_$bench.json" "$GOLDEN_OUT/BENCH_$bench.json"
+done
+
+echo "==> [5/8] ASan+UBSan build + full test suite"
 cmake -B build-asan -S . \
   -DDAUTH_SANITIZE="address;undefined" \
   -DDAUTH_WERROR=ON > /dev/null
 cmake --build build-asan -j "$JOBS"
 ctest --test-dir build-asan --output-on-failure
 
-echo "==> [5/7] bench smoke (short seeded parallel sweep under ASan)"
+echo "==> [6/8] bench smoke (short seeded parallel sweep under ASan)"
 DAUTH_BENCH_SMOKE=1 DAUTH_BENCH_THREADS=4 DAUTH_BENCH_OUT=build-asan \
   ./build-asan/bench/fig6_threshold_sweep > build-asan/bench_smoke.txt
 grep -q '^quant,thresh' build-asan/bench_smoke.txt \
   || { echo "bench smoke produced no rows" >&2; exit 1; }
 
-echo "==> [6/7] traced scenario (fig3 --trace: exporter + TraceAssert under ASan)"
+echo "==> [7/8] traced scenario (fig3 --trace: exporter + TraceAssert under ASan)"
 DAUTH_BENCH_OUT=build-asan \
   ./build-asan/bench/fig3_single_ue --trace > build-asan/trace_smoke.txt
 grep -q '^trace,ok,' build-asan/trace_smoke.txt \
@@ -82,9 +95,9 @@ grep -q '^trace,ok,' build-asan/trace_smoke.txt \
   || { echo "no trace JSON written" >&2; exit 1; }
 
 if [[ "$SKIP_TSAN" == 1 ]]; then
-  echo "==> [7/7] TSan pass skipped (--skip-tsan)"
+  echo "==> [8/8] TSan pass skipped (--skip-tsan)"
 else
-  echo "==> [7/7] TSan build + event-loop/simulator tests"
+  echo "==> [8/8] TSan build + event-loop/simulator tests"
   cmake -B build-tsan -S . \
     -DDAUTH_SANITIZE="thread" \
     -DDAUTH_WERROR=ON > /dev/null
