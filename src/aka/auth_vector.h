@@ -28,6 +28,12 @@ struct SubscriberKeys {
 /// AUTN = (SQN^AK)[6] || AMF[2] || MAC-A[8].
 using Autn = ByteArray<16>;
 
+/// AUTS = (SQNms ^ AK*) || MAC-S, the resync token (TS 33.102 §6.3.3).
+struct Auts {
+  ByteArray<6> sqn_ms_xor_ak_star;
+  crypto::MacS mac_s;
+};
+
 /// One complete 5G authentication vector (home-network view).
 struct AuthVector {
   crypto::Rand rand;

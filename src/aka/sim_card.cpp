@@ -30,13 +30,18 @@ ChallengeCheck check_challenge(const aka::SubscriberKeys& keys, const SqnTracker
   return check;
 }
 
+/// f1* / f5* under the all-zeros resync AMF (TS 33.102 §6.3.3).
+crypto::MilenageOutput resync_milenage(const SubscriberKeys& keys, const crypto::Rand& rand,
+                                       const ByteArray<6>& sqn) {
+  const crypto::Amf resync_amf{0x00, 0x00};
+  return crypto::milenage(keys.k, keys.opc, rand, sqn, resync_amf);
+}
+
+/// AUTS from SQNms, the highest SQN the USIM has accepted.
 Auts build_auts(const aka::SubscriberKeys& keys, const SqnTracker& tracker,
                 const crypto::Rand& rand) {
-  const std::uint64_t sqn_ms = tracker.highest_overall();
-  const ByteArray<6> sqn_ms_bytes = sqn_to_bytes(sqn_ms);
-  const crypto::Amf resync_amf{0x00, 0x00};
-  const crypto::MilenageOutput resync =
-      crypto::milenage(keys.k, keys.opc, rand, sqn_ms_bytes, resync_amf);
+  const ByteArray<6> sqn_ms_bytes = sqn_to_bytes(tracker.highest_overall());
+  const crypto::MilenageOutput resync = resync_milenage(keys, rand, sqn_ms_bytes);
   Auts auts;
   auts.sqn_ms_xor_ak_star = xor_arrays(sqn_ms_bytes, resync.ak_star);
   auts.mac_s = resync.mac_s;
@@ -71,53 +76,40 @@ UsimResult4G Usim::authenticate_4g(const crypto::Rand& rand, const Autn& autn,
 
 UsimResult Usim::authenticate(const crypto::Rand& rand, const Autn& autn,
                               const std::string& serving_network_name) {
-  const AutnParts parts = split_autn(autn);
-
-  // Recover SQN: AK = f5(K, RAND), SQN = (SQN^AK) ^ AK.
-  // Milenage computes everything in one pass; MAC verification needs the SQN,
-  // so compute AK first via a throwaway run (f5 ignores SQN/AMF).
-  const crypto::MilenageOutput ak_pass =
-      crypto::milenage(keys_.k, keys_.opc, rand, ByteArray<6>{}, parts.amf);
-  const ByteArray<6> sqn_bytes = xor_arrays(parts.sqn_xor_ak, ak_pass.ak);
-  const std::uint64_t sqn = sqn_from_bytes(sqn_bytes);
-
-  // Full pass with the recovered SQN to check MAC-A.
-  const crypto::MilenageOutput mil =
-      crypto::milenage(keys_.k, keys_.opc, rand, sqn_bytes, parts.amf);
+  const ChallengeCheck check = check_challenge(keys_, sqn_, rand, autn);
 
   UsimResult result;
-  if (!ct_equal(mil.mac_a, parts.mac_a)) {
+  if (!check.mac_ok) {
     result.failure = UsimFailure::kMacMismatch;
     return result;
   }
-
-  if (!sqn_.would_accept(sqn)) {
+  if (!check.sqn_ok) {
     result.failure = UsimFailure::kSqnOutOfRange;
-    // Build AUTS from SQNms (highest accepted SQN) with the resync AMF of
-    // all-zeros per TS 33.102 §6.3.3.
-    const std::uint64_t sqn_ms = sqn_.highest_overall();
-    const ByteArray<6> sqn_ms_bytes = sqn_to_bytes(sqn_ms);
-    const crypto::Amf resync_amf{0x00, 0x00};
-    const crypto::MilenageOutput resync =
-        crypto::milenage(keys_.k, keys_.opc, rand, sqn_ms_bytes, resync_amf);
-    Auts auts;
-    auts.sqn_ms_xor_ak_star = xor_arrays(sqn_ms_bytes, resync.ak_star);
-    auts.mac_s = resync.mac_s;
-    result.auts = auts;
+    result.auts = build_auts(keys_, sqn_, rand);
     return result;
   }
-
-  sqn_.accept(sqn);
+  sqn_.accept(check.sqn);
 
   UsimResponse response;
-  response.sqn = sqn;
-  response.res_star =
-      crypto::derive_res_star(mil.ck, mil.ik, serving_network_name, rand, mil.res);
-  const crypto::Key256 k_ausf =
-      crypto::derive_k_ausf(mil.ck, mil.ik, serving_network_name, parts.sqn_xor_ak);
+  response.sqn = check.sqn;
+  response.res_star = crypto::derive_res_star(check.mil.ck, check.mil.ik, serving_network_name,
+                                              rand, check.mil.res);
+  const crypto::Key256 k_ausf = crypto::derive_k_ausf(check.mil.ck, check.mil.ik,
+                                                      serving_network_name, check.sqn_xor_ak);
   response.k_seaf = crypto::derive_k_seaf(k_ausf, serving_network_name);
   result.response = response;
   return result;
+}
+
+bool verify_auts(const SubscriberKeys& keys, const crypto::Rand& rand, const Auts& auts,
+                 std::uint64_t& sqn_ms) {
+  // TS 33.102 §6.3.5: recover SQNms with AK* = f5*(K, RAND), then check
+  // MAC-S over (SQNms, RAND, AMF=0) before trusting the UE's counter.
+  const ByteArray<6> sqn_ms_bytes =
+      xor_arrays(auts.sqn_ms_xor_ak_star, resync_milenage(keys, rand, ByteArray<6>{}).ak_star);
+  if (!ct_equal(resync_milenage(keys, rand, sqn_ms_bytes).mac_s, auts.mac_s)) return false;
+  sqn_ms = sqn_from_bytes(sqn_ms_bytes);
+  return true;
 }
 
 }  // namespace dauth::aka

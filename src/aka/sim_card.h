@@ -37,12 +37,6 @@ enum class UsimFailure {
   kSqnOutOfRange, // replayed/stale vector -> resynchronise
 };
 
-/// AUTS = (SQNms ^ AK*) || MAC-S, the resync token (TS 33.102 §6.3.3).
-struct Auts {
-  ByteArray<6> sqn_ms_xor_ak_star;
-  crypto::MacS mac_s;
-};
-
 struct UsimResult {
   std::optional<UsimResponse> response;     // set on success
   std::optional<UsimFailure> failure;       // set on failure
@@ -58,6 +52,12 @@ struct UsimResult4G {
 
   bool ok() const noexcept { return response.has_value(); }
 };
+
+/// Network side of the resync (TS 33.102 §6.3.5): checks the AUTS that the
+/// USIM built for the challenge with `rand` and, when MAC-S verifies, sets
+/// `sqn_ms` to the USIM's counter. Returns false on a forged or corrupt AUTS.
+bool verify_auts(const SubscriberKeys& keys, const crypto::Rand& rand, const Auts& auts,
+                 std::uint64_t& sqn_ms);
 
 class Usim {
  public:

@@ -43,4 +43,12 @@ Suci conceal_supi(const Supi& supi, const crypto::X25519Point& home_public_key,
 std::optional<Supi> deconceal_suci(const Suci& suci,
                                    const crypto::X25519Scalar& home_secret_key);
 
+/// The SUCI's wire form inside an attach or vector request: mcc, mnc,
+/// ephemeral key, ciphertext, tag.
+Bytes encode_suci(const Suci& suci);
+
+/// Parses encode_suci's output. Throws wire::WireError on a truncated frame
+/// or trailing bytes.
+Suci decode_suci(ByteView data);
+
 }  // namespace dauth::aka

@@ -324,23 +324,20 @@ void BackupNetwork::handle_get_vector(ByteView request, sim::Responder responder
                                                                   responder] {
     Supi supi = req.supi;
     if (supi.empty() && !req.suci.empty()) {
+      aka::Suci suci;
+      try {
+        suci = aka::decode_suci(req.suci);
+      } catch (const wire::WireError&) {
+        ++metrics_.rejected_requests;
+        responder.fail(sim::AppErrorCode::kMalformed, "malformed suci");
+        return;
+      }
       // Try every home whose SUCI secret we hold (in practice the SUCI's
       // routing indicator narrows this to one).
       for (const auto& [home_id, home_state] : homes_) {
         if (!home_state.suci_secret) continue;
-        try {
-          wire::Reader r(req.suci);
-          aka::Suci suci;
-          suci.mcc = r.string();
-          suci.mnc = r.string();
-          suci.ephemeral_public = r.fixed<32>();
-          suci.ciphertext = r.bytes();
-          suci.mac = r.fixed<8>();
-          if (const auto recovered = aka::deconceal_suci(suci, *home_state.suci_secret)) {
-            supi = *recovered;
-            break;
-          }
-        } catch (const wire::WireError&) {
+        if (const auto recovered = aka::deconceal_suci(suci, *home_state.suci_secret)) {
+          supi = *recovered;
           break;
         }
       }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "aka/sim_card.h"
 #include "crypto/sha256.h"
 #include "obs/journal.h"
 #include "wire/reader.h"
@@ -88,26 +89,31 @@ int HomeNetwork::slice_of(const NetworkId& backup) const {
   return it == slice_map_.end() ? -1 : it->second;
 }
 
-HomeNetwork::GeneratedMaterial HomeNetwork::generate_material(const Supi& supi,
-                                                              Subscriber& subscriber,
-                                                              int slice, bool flood) {
+crypto::Key256 HomeNetwork::new_vector(const Supi& supi, Subscriber& subscriber, int slice,
+                                       AuthVectorBundle& bundle) {
   const std::uint64_t sqn = subscriber.sqn.allocate(slice);
   const crypto::Rand rand = rng_.array<16>();
   const aka::AuthVector av =
       aka::generate_auth_vector(subscriber.keys, sqn, rand, config_.serving_network_name);
-  const ByteArray<16> index = hxres_index(av.xres_star);
+  bundle.home_network = id_;
+  bundle.supi = supi;
+  bundle.sqn = sqn;
+  bundle.rand = rand;
+  bundle.autn = av.autn;
+  bundle.hxres_star = hxres_index(av.xres_star);
+  return av.k_seaf;
+}
 
-  ++metrics_.tokens_generated;
+HomeNetwork::GeneratedMaterial HomeNetwork::generate_material(const Supi& supi,
+                                                              Subscriber& subscriber,
+                                                              int slice, bool flood) {
   GeneratedMaterial material;
-  material.vector.home_network = id_;
-  material.vector.supi = supi;
-  material.vector.sqn = sqn;
-  material.vector.rand = rand;
-  material.vector.autn = av.autn;
-  material.vector.hxres_star = index;
+  const crypto::Key256 k_seaf = new_vector(supi, subscriber, slice, material.vector);
   material.vector.flood = flood;
+  const ByteArray<16>& index = material.vector.hxres_star;
+  ++metrics_.tokens_generated;
 
-  const ByteView secret(av.k_seaf);
+  const ByteView secret(k_seaf);
   std::optional<crypto::FeldmanSharing> feldman;
   std::vector<crypto::ShamirShare> shamir_shares;
   if (config_.use_verifiable_shares) {
@@ -134,7 +140,7 @@ HomeNetwork::GeneratedMaterial HomeNetwork::generate_material(const Supi& supi,
 
   DisseminatedVector record;
   record.hxres = index;
-  record.sqn = sqn;
+  record.sqn = material.vector.sqn;
   subscriber.outstanding[to_hex(index)] = record;  // holder set by caller
   return material;
 }
@@ -210,42 +216,20 @@ AuthVectorBundle HomeNetwork::generate_local_vector(const Supi& supi,
                                                     crypto::Key256& k_seaf_out) {
   auto it = subscribers_.find(supi);
   if (it == subscribers_.end()) throw std::invalid_argument("unknown subscriber");
-  Subscriber& subscriber = it->second;
-
-  const std::uint64_t sqn = subscriber.sqn.allocate(aka::kHomeSlice);
-  const crypto::Rand rand = rng_.array<16>();
-  const aka::AuthVector av =
-      aka::generate_auth_vector(subscriber.keys, sqn, rand, config_.serving_network_name);
-
   AuthVectorBundle bundle;
-  bundle.home_network = id_;
-  bundle.supi = supi;
-  bundle.sqn = sqn;
-  bundle.rand = rand;
-  bundle.autn = av.autn;
-  bundle.hxres_star = hxres_index(av.xres_star);
-  k_seaf_out = av.k_seaf;
+  k_seaf_out = new_vector(supi, it->second, aka::kHomeSlice, bundle);
   ++metrics_.vectors_served;
   return bundle;
 }
 
 std::optional<AuthVectorBundle> HomeNetwork::resync_and_generate_local(
-    const Supi& supi, const crypto::Rand& failed_rand,
-    const ByteArray<6>& sqn_ms_xor_ak_star, const crypto::MacS& mac_s,
+    const Supi& supi, const crypto::Rand& failed_rand, const aka::Auts& auts,
     crypto::Key256& k_seaf_out) {
   auto it = subscribers_.find(supi);
   if (it == subscribers_.end()) return std::nullopt;
-  Subscriber& subscriber = it->second;
-
-  const crypto::Amf resync_amf{0x00, 0x00};
-  const auto ak_pass = crypto::milenage(subscriber.keys.k, subscriber.keys.opc, failed_rand,
-                                        ByteArray<6>{}, resync_amf);
-  const ByteArray<6> sqn_ms_bytes = xor_arrays(sqn_ms_xor_ak_star, ak_pass.ak_star);
-  const auto verify = crypto::milenage(subscriber.keys.k, subscriber.keys.opc, failed_rand,
-                                       sqn_ms_bytes, resync_amf);
-  if (!ct_equal(verify.mac_s, mac_s)) return std::nullopt;
-
-  subscriber.sqn.resynchronize(aka::sqn_from_bytes(sqn_ms_bytes));
+  std::uint64_t sqn_ms = 0;
+  if (!aka::verify_auts(it->second.keys, failed_rand, auts, sqn_ms)) return std::nullopt;
+  it->second.sqn.resynchronize(sqn_ms);
   return generate_local_vector(supi, k_seaf_out);
 }
 
@@ -273,74 +257,31 @@ void HomeNetwork::reset_subscriber_sqn(const Supi& supi) {
 }
 
 void HomeNetwork::handle_resync(ByteView request, sim::Responder responder) {
-  // Request: supi, the RAND of the failed challenge, and the UE's AUTS.
-  Supi supi;
-  crypto::Rand rand;
-  ByteArray<6> sqn_ms_xor_ak_star;
-  crypto::MacS mac_s;
+  ResyncRequest req;
   try {
-    wire::Reader r(request);
-    supi = Supi(r.string());
-    rand = r.fixed<16>();
-    sqn_ms_xor_ak_star = r.fixed<6>();
-    mac_s = r.fixed<8>();
-    r.expect_done();
+    req = ResyncRequest::decode(request);
   } catch (const wire::WireError&) {
     ++metrics_.rejected_requests;
     responder.fail(sim::AppErrorCode::kMalformed, "malformed resync");
     return;
   }
 
-  auto it = subscribers_.find(supi);
+  auto it = subscribers_.find(req.supi);
   if (it == subscribers_.end()) {
     ++metrics_.rejected_requests;
     responder.fail(sim::AppErrorCode::kNotFound, "unknown subscriber");
     return;
   }
-  Subscriber& subscriber = it->second;
-
-  // TS 33.102 §6.3.5: recover SQNms with AK* = f5*(K, RAND), then check
-  // MAC-S over (SQNms, RAND, AMF=0) before trusting the UE's counter.
-  const crypto::Amf resync_amf{0x00, 0x00};
-  const auto ak_pass = crypto::milenage(subscriber.keys.k, subscriber.keys.opc, rand,
-                                        ByteArray<6>{}, resync_amf);
-  const ByteArray<6> sqn_ms_bytes = xor_arrays(sqn_ms_xor_ak_star, ak_pass.ak_star);
-  const auto verify = crypto::milenage(subscriber.keys.k, subscriber.keys.opc, rand,
-                                       sqn_ms_bytes, resync_amf);
-  if (!ct_equal(verify.mac_s, mac_s)) {
+  std::uint64_t sqn_ms = 0;
+  if (!aka::verify_auts(it->second.keys, req.rand, req.auts, sqn_ms)) {
     ++metrics_.rejected_requests;
     responder.fail(sim::AppErrorCode::kUnauthorized, "invalid auts mac");
     return;
   }
-
-  subscriber.sqn.resynchronize(aka::sqn_from_bytes(sqn_ms_bytes));
+  it->second.sqn.resynchronize(sqn_ms);
 
   // Reply with a fresh (now acceptable) vector, as home.get_vector would.
-  rpc_.network().node(node_).execute(config_.costs.vector_generation, [this, supi,
-                                                                       responder] {
-    auto sub_it = subscribers_.find(supi);
-    if (sub_it == subscribers_.end()) {
-      responder.fail(sim::AppErrorCode::kNotFound, "unknown subscriber");
-      return;
-    }
-    Subscriber& sub = sub_it->second;
-    const std::uint64_t sqn = sub.sqn.allocate(aka::kHomeSlice);
-    const crypto::Rand fresh_rand = rng_.array<16>();
-    const aka::AuthVector av =
-        aka::generate_auth_vector(sub.keys, sqn, fresh_rand, config_.serving_network_name);
-    AuthVectorBundle bundle;
-    bundle.home_network = id_;
-    bundle.supi = supi;
-    bundle.sqn = sqn;
-    bundle.rand = fresh_rand;
-    bundle.autn = av.autn;
-    bundle.hxres_star = hxres_index(av.xres_star);
-    sign_single(bundle, signing_key_);
-    ++metrics_.batches_signed;
-    sub.pending_keys[to_hex(bundle.hxres_star)] = av.k_seaf;
-    ++metrics_.vectors_served;
-    responder.reply(bundle.encode());
-  });
+  serve_vector(req.supi, responder);
 }
 
 void HomeNetwork::handle_get_vector(ByteView request, sim::Responder responder) {
@@ -356,60 +297,44 @@ void HomeNetwork::handle_get_vector(ByteView request, sim::Responder responder) 
   Supi supi = req.supi;
   if (supi.empty() && !req.suci.empty()) {
     // De-conceal the SUCI with our private key.
+    std::optional<Supi> recovered;
     try {
-      wire::Reader r(req.suci);
-      aka::Suci suci;
-      suci.mcc = r.string();
-      suci.mnc = r.string();
-      suci.ephemeral_public = r.fixed<32>();
-      suci.ciphertext = r.bytes();
-      suci.mac = r.fixed<8>();
-      const auto recovered = aka::deconceal_suci(suci, suci_key_.secret);
-      if (!recovered) {
-        ++metrics_.rejected_requests;
-        responder.fail(sim::AppErrorCode::kUnauthorized, "suci deconcealment failed");
-        return;
-      }
-      supi = *recovered;
+      recovered = aka::deconceal_suci(aka::decode_suci(req.suci), suci_key_.secret);
     } catch (const wire::WireError&) {
       ++metrics_.rejected_requests;
       responder.fail(sim::AppErrorCode::kMalformed, "malformed suci");
       return;
     }
+    if (!recovered) {
+      ++metrics_.rejected_requests;
+      responder.fail(sim::AppErrorCode::kUnauthorized, "suci deconcealment failed");
+      return;
+    }
+    supi = *recovered;
   }
 
-  auto it = subscribers_.find(supi);
-  if (it == subscribers_.end()) {
+  if (!subscribers_.contains(supi)) {
     ++metrics_.rejected_requests;
     responder.fail(sim::AppErrorCode::kNotFound, "unknown subscriber");
     return;
   }
+  serve_vector(supi, responder);
+}
 
+void HomeNetwork::serve_vector(const Supi& supi, sim::Responder responder) {
   // Model the AUSF/UDM vector-generation cost, then answer.
   rpc_.network().node(node_).execute(config_.costs.vector_generation, [this, supi, responder] {
-    auto sub_it = subscribers_.find(supi);
-    if (sub_it == subscribers_.end()) {
+    auto it = subscribers_.find(supi);
+    if (it == subscribers_.end()) {
       responder.fail(sim::AppErrorCode::kNotFound, "unknown subscriber");
       return;
     }
-    Subscriber& subscriber = sub_it->second;
-
-    const std::uint64_t sqn = subscriber.sqn.allocate(aka::kHomeSlice);
-    const crypto::Rand rand = rng_.array<16>();
-    const aka::AuthVector av =
-        aka::generate_auth_vector(subscriber.keys, sqn, rand, config_.serving_network_name);
-
     AuthVectorBundle bundle;
-    bundle.home_network = id_;
-    bundle.supi = supi;
-    bundle.sqn = sqn;
-    bundle.rand = rand;
-    bundle.autn = av.autn;
-    bundle.hxres_star = hxres_index(av.xres_star);
+    const crypto::Key256 k_seaf = new_vector(supi, it->second, aka::kHomeSlice, bundle);
     sign_single(bundle, signing_key_);
     ++metrics_.batches_signed;
 
-    subscriber.pending_keys[to_hex(bundle.hxres_star)] = av.k_seaf;
+    it->second.pending_keys[to_hex(bundle.hxres_star)] = k_seaf;
     ++metrics_.vectors_served;
     if (journal_ != nullptr) {
       journal_->append(obs::EventKind::kVectorServed, id_.str(), supi.str());

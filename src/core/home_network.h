@@ -83,10 +83,10 @@ class HomeNetwork {
   /// Local AUTS resynchronisation (serving == home): validates MAC-S,
   /// brings the allocator past SQNms, and returns a fresh vector; nullopt
   /// on an invalid AUTS.
-  std::optional<AuthVectorBundle> resync_and_generate_local(
-      const Supi& supi, const crypto::Rand& failed_rand,
-      const ByteArray<6>& sqn_ms_xor_ak_star, const crypto::MacS& mac_s,
-      crypto::Key256& k_seaf_out);
+  std::optional<AuthVectorBundle> resync_and_generate_local(const Supi& supi,
+                                                           const crypto::Rand& failed_rand,
+                                                           const aka::Auts& auts,
+                                                           crypto::Key256& k_seaf_out);
 
   /// Registers "home.get_vector" / "home.get_key" / "home.report" /
   /// "home.resync" on the node. Call once after construction.
@@ -138,6 +138,12 @@ class HomeNetwork {
     std::map<std::string, NetworkId> seen_proofs;
   };
 
+  /// The one vector issue path: allocates the next SQN in `slice`, then
+  /// draws RAND (the order the home's RNG stream depends on), fills the
+  /// unsigned `bundle` and returns its K_seaf.
+  crypto::Key256 new_vector(const Supi& supi, Subscriber& subscriber, int slice,
+                            AuthVectorBundle& bundle);
+
   /// Generates one vector + its N key-share bundles for `slice`, unsigned.
   struct GeneratedMaterial {
     AuthVectorBundle vector;
@@ -154,6 +160,9 @@ class HomeNetwork {
   void handle_get_key(ByteView request, sim::Responder responder);
   void handle_report(ByteView request, sim::Responder responder);
   void handle_resync(ByteView request, sim::Responder responder);
+  /// Issues, signs and sends one slice-0 vector for `supi` after the
+  /// vector-generation cost, filing its K_seaf until the RES* proof arrives.
+  void serve_vector(const Supi& supi, sim::Responder responder);
   void process_proof(const NetworkId& reporter, const UsageProof& proof);
   void replenish(const Supi& supi, const NetworkId& holder);
   /// Records an accountability anomaly (§4.2.3) in-memory and, when a

@@ -630,8 +630,8 @@ Bytes ResyncRequest::encode() const {
   wire::Writer w;
   w.string(supi.str());
   w.fixed(rand);
-  w.fixed(sqn_ms_xor_ak_star);
-  w.fixed(mac_s);
+  w.fixed(auts.sqn_ms_xor_ak_star);
+  w.fixed(auts.mac_s);
   return std::move(w).take();
 }
 
@@ -640,8 +640,8 @@ ResyncRequest ResyncRequest::decode(ByteView data) {
   ResyncRequest req;
   req.supi = Supi(r.string());
   req.rand = r.fixed<16>();
-  req.sqn_ms_xor_ak_star = r.fixed<6>();
-  req.mac_s = r.fixed<8>();
+  req.auts.sqn_ms_xor_ak_star = r.fixed<6>();
+  req.auts.mac_s = r.fixed<8>();
   r.expect_done();
   return req;
 }

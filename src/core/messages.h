@@ -276,9 +276,8 @@ struct HandoverContextReply {
 /// The home answers with a fresh AuthVectorBundle.
 struct ResyncRequest {
   Supi supi;
-  crypto::Rand rand{};
-  ByteArray<6> sqn_ms_xor_ak_star{};
-  crypto::MacS mac_s{};
+  crypto::Rand rand{};  // of the challenge the UE rejected
+  aka::Auts auts{};
 
   Bytes encode() const;
   static ResyncRequest decode(ByteView data);

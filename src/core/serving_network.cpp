@@ -57,6 +57,7 @@ struct ServingNetwork::Attach {
   std::optional<sim::Responder> outcome_responder;    // auth_response reply
 
   std::vector<directory::NetworkEntry> backups;  // resolved backup entries
+  sim::NodeIndex vector_peer = 0;  // backup path: the backup that served `bundle`
   bool resynced = false;  // one AUTS-triggered retry allowed per attach
   bool done = false;
 
@@ -168,21 +169,6 @@ void ServingNetwork::bind_services() {
 }
 
 std::size_t ServingNetwork::session_count() const noexcept { return guti_table_.size(); }
-
-namespace {
-
-/// Horizontal handover key: K_ho = KDF(K_session, FC=0x70, target, counter).
-crypto::Key256 derive_handover_key(const crypto::Key256& k_session,
-                                   const NetworkId& target, std::uint32_t counter) {
-  const ByteArray<4> counter_bytes{static_cast<std::uint8_t>(counter >> 24),
-                                   static_cast<std::uint8_t>(counter >> 16),
-                                   static_cast<std::uint8_t>(counter >> 8),
-                                   static_cast<std::uint8_t>(counter)};
-  return crypto::kdf_3gpp(k_session, 0x70,
-                          {as_bytes(target.str()), ByteView(counter_bytes)});
-}
-
-}  // namespace
 
 void ServingNetwork::set_home_health(const NetworkId& home, bool reachable) {
   home_health_[home] = {reachable, rpc_.network().simulator().now()};
@@ -346,25 +332,19 @@ void ServingNetwork::start_local_auth(const std::shared_ptr<Attach>& attach) {
 
   // De-conceal a local SUCI with our own key.
   if (attach->supi.empty() && !attach->suci.empty()) {
+    std::optional<Supi> recovered;
     try {
-      wire::Reader r(attach->suci);
-      aka::Suci suci;
-      suci.mcc = r.string();
-      suci.mnc = r.string();
-      suci.ephemeral_public = r.fixed<32>();
-      suci.ciphertext = r.bytes();
-      suci.mac = r.fixed<8>();
-      const auto recovered =
-          aka::deconceal_suci(suci, local_home_->suci_keys().secret);
-      if (!recovered) {
-        finish(attach, {false, AuthPath::kLocal, {}, "suci deconcealment failed"});
-        return;
-      }
-      attach->supi = *recovered;
+      recovered = aka::deconceal_suci(aka::decode_suci(attach->suci),
+                                      local_home_->suci_keys().secret);
     } catch (const wire::WireError&) {
       finish(attach, {false, AuthPath::kLocal, {}, "malformed suci"});
       return;
     }
+    if (!recovered) {
+      finish(attach, {false, AuthPath::kLocal, {}, "suci deconcealment failed"});
+      return;
+    }
+    attach->supi = *recovered;
   }
 
   if (!local_home_->has_subscriber(attach->supi)) {
@@ -427,7 +407,6 @@ void ServingNetwork::try_home_auth(const std::shared_ptr<Attach>& attach) {
             finish(attach, {false, AuthPath::kHomeOnline, {}, "bad home signature"});
             return;
           }
-          attach->supi = bundle.supi;  // resolved by home on the SUCI path
           send_challenge(attach, bundle);
         });
       },
@@ -518,6 +497,11 @@ void ServingNetwork::request_backup_vector(const std::shared_ptr<Attach>& attach
     if (rank[a] != rank[b]) return rank[a] < rank[b];
     return peer_rtt_.before(address(a), address(b));
   });
+  // The AUTS retry skips the backup whose vector the USIM found stale: the
+  // rest of its slice sits behind the same watermark.
+  if (attach->resynced) {
+    std::erase_if(order, [&](std::size_t i) { return address(i) == attach->vector_peer; });
+  }
   hedge_backup_vector(attach, request, order);
 }
 
@@ -570,7 +554,8 @@ void ServingNetwork::hedge_backup_vector(const std::shared_ptr<Attach>& attach,
     ++hedge->outstanding;
     hedge->legs.push_back(backup_vector_stub_.call(
         peer, request, leg_options,
-        [this, attach, hedge, leg, peer](CallResult<AuthVectorBundle> result) {
+        [this, attach, hedge, leg, peer,
+         candidates = order.size()](CallResult<AuthVectorBundle> result) {
           --hedge->outstanding;
           // The backup answered without a vector (exhausted, or any other
           // rejection): rank it last for this user until its next share
@@ -578,7 +563,7 @@ void ServingNetwork::hedge_backup_vector(const std::shared_ptr<Attach>& attach,
           // using up the ladder's width.
           if (!result.ok() && result.app_error()) {
             if (!attach->supi.empty()) empty_slices_.insert({attach->supi, peer});
-            if (hedge->width < attach->backups.size()) ++hedge->width;
+            if (hedge->width < candidates) ++hedge->width;
           }
           if (attach->done || hedge->won) return;
           if (!result.ok()) {
@@ -589,7 +574,7 @@ void ServingNetwork::hedge_backup_vector(const std::shared_ptr<Attach>& attach,
           const AuthVectorBundle& bundle = result.value();
           const SigCheck sig = check_bundle(bundle, attach->home_entry->signing_key);
           rpc_.network().node(node_).execute(
-              sig.cost, [this, attach, hedge, leg, bundle, sig] {
+              sig.cost, [this, attach, hedge, leg, peer, bundle, sig] {
                 if (attach->done || hedge->won) return;
                 if (!sig.ok) {
                   hedge->last_error = "bad home signature";
@@ -599,7 +584,7 @@ void ServingNetwork::hedge_backup_vector(const std::shared_ptr<Attach>& attach,
                 hedge->won = true;
                 if (leg > 0) ++metrics_.hedge_wins;
                 for (const sim::CallHandle& loser : hedge->legs) loser.cancel();
-                attach->supi = bundle.supi;
+                attach->vector_peer = peer;
                 send_challenge(attach, bundle);
               });
         },
@@ -788,7 +773,7 @@ void ServingNetwork::handle_handover_context(ByteView request, sim::Responder re
     reply.supi = session.supi;
     reply.home = session.home;
     reply.counter = ++session.handover_counter;
-    reply.k_ho = derive_handover_key(session.k_session, NetworkId(target_id), reply.counter);
+    reply.k_ho = crypto::derive_handover_key(session.k_session, target_id, reply.counter);
     // DAUTH_DISCLOSE(K_ho handover key released to the signature-verified target network, §4.4)
     responder.reply(reply.encode());
     // The session has moved; retire the local anchor (one handover per GUTI).
@@ -798,37 +783,35 @@ void ServingNetwork::handle_handover_context(ByteView request, sim::Responder re
 
 void ServingNetwork::send_challenge(const std::shared_ptr<Attach>& attach,
                                     const AuthVectorBundle& bundle) {
-  if (attach->done || !attach->challenge_responder) return;
+  // The first challenge answers the attach_request; the one AUTS retry
+  // answers the auth_response that carried the AUTS.
+  std::optional<sim::Responder>& responder =
+      attach->resynced ? attach->outcome_responder : attach->challenge_responder;
+  if (attach->done || !responder) return;
   attach->bundle = bundle;
+  attach->supi = bundle.supi;  // resolved by the vector's issuer on the SUCI path
   wire::Writer w;
   if (attach->resynced) {
-    // Retry challenge delivered as the reply to the failed auth_response.
-    w.u8(2);
+    w.u8(2);  // reply kind: retry challenge
   } else {
     w.u64(attach->id);
     w.u8(1);  // reply kind: AuthRequest
   }
   w.fixed(bundle.rand);
   w.fixed(bundle.autn);
-  attach->challenge_responder->reply(std::move(w).take());
-  attach->challenge_responder.reset();
+  responder->reply(std::move(w).take());
+  responder.reset();
 }
 
 void ServingNetwork::handle_auth_response(ByteView request, sim::Responder responder) {
   std::uint64_t attach_id = 0;
   crypto::ResStar res_star{};
-  bool has_auts = false;
-  ByteArray<6> auts_sqn{};
-  crypto::MacS auts_mac{};
+  std::optional<aka::Auts> auts;
   try {
     wire::Reader r(request);
     attach_id = r.u64();
     res_star = r.fixed<16>();
-    has_auts = r.boolean();
-    if (has_auts) {
-      auts_sqn = r.fixed<6>();
-      auts_mac = r.fixed<8>();
-    }
+    if (r.boolean()) auts = aka::Auts{r.fixed<6>(), r.fixed<8>()};
     r.expect_done();
   } catch (const wire::WireError&) {
     responder.fail(sim::AppErrorCode::kMalformed, "malformed auth response");
@@ -843,51 +826,41 @@ void ServingNetwork::handle_auth_response(ByteView request, sim::Responder respo
   const std::shared_ptr<Attach> attach = it->second;
   attach->outcome_responder = responder;
 
-  if (has_auts) {
+  if (auts) {
     // SQN resynchronisation (TS 33.102 §6.3.5): the UE rejected the
-    // challenge as stale and revealed SQNms inside the AUTS. Retry once.
+    // challenge as stale and revealed SQNms inside the AUTS. Retry once:
+    // send_challenge answers this auth_response with the fresh challenge,
+    // and a failure reaches the UE as an outcome on it.
     if (attach->resynced) {
       finish(attach, {false, attach->path, {}, "resync retry also failed"});
       return;
     }
     attach->resynced = true;
 
-    auto retry_with = [this, attach](const AuthVectorBundle& fresh) {
-      attach->bundle = fresh;
-      attach->supi = fresh.supi;
-      wire::Writer w;
-      w.u8(2);  // retry challenge
-      w.fixed(fresh.rand);
-      w.fixed(fresh.autn);
-      attach->outcome_responder->reply(std::move(w).take());
-      attach->outcome_responder.reset();
-    };
-
     if (attach->path == AuthPath::kLocal) {
       crypto::Key256 k_seaf{};
       const auto fresh = local_home_->resync_and_generate_local(
-          attach->supi, attach->bundle.rand, auts_sqn, auts_mac, k_seaf);
+          attach->supi, attach->bundle.rand, *auts, k_seaf);
       if (!fresh) {
         finish(attach, {false, AuthPath::kLocal, {}, "invalid auts"});
         return;
       }
       attach->local_k_seaf = k_seaf;
-      retry_with(*fresh);
+      send_challenge(attach, *fresh);
       return;
     }
     if (attach->path == AuthPath::kHomeOnline) {
       ResyncRequest resync;
       resync.supi = attach->supi;
       resync.rand = attach->bundle.rand;
-      resync.sqn_ms_xor_ak_star = auts_sqn;
-      resync.mac_s = auts_mac;
+      resync.auts = *auts;
       auto resync_options =
           config_.resilience.call_options(config_.home_auth_timeout, config_.home_auth_timeout);
       resync_options.trace_parent = attach->span;
       home_resync_stub_.call(
           static_cast<sim::NodeIndex>(attach->home_entry->address), resync,
           resync_options,
-          [this, attach, retry_with](CallResult<AuthVectorBundle> result) {
+          [this, attach](CallResult<AuthVectorBundle> result) {
             if (attach->done) return;
             if (!result.ok()) {
               const std::string reason =
@@ -902,23 +875,15 @@ void ServingNetwork::handle_auth_response(ByteView request, sim::Responder respo
               finish(attach, {false, AuthPath::kHomeOnline, {}, "bad resync signature"});
               return;
             }
-            retry_with(fresh);
+            send_challenge(attach, fresh);
           },
           resilience_observer());
       return;
     }
     // Backup path: the stale vector came from one backup's (possibly
     // superseded) slice; vectors in other slices are unaffected — fetch
-    // another one and retry. (Backups cannot resynchronise the home's
-    // allocator; the AUTS is reported to the home when it returns.)
-    auto original_responder = *attach->outcome_responder;
-    attach->outcome_responder.reset();
-    attach->challenge_responder.reset();
-    // Reuse the vector-request machinery with a shim that converts the new
-    // challenge into a retry reply on the auth_response channel.
-    attach->challenge_responder = original_responder;  // reply path for kind 2
-    // send_challenge() writes {attach_id, kind=1,...}; for the retry we need
-    // kind 2 without an id — handled below by flagging.
+    // one from another backup and retry. Backups cannot resynchronise the
+    // home's allocator, so the AUTS is dropped.
     request_backup_vector(attach);
     return;
   }
@@ -945,8 +910,7 @@ void ServingNetwork::handle_auth_response(ByteView request, sim::Responder respo
 
 namespace {
 
-UsageProof make_proof(const NetworkId& serving, const std::shared_ptr<void>&,
-                      const Supi& supi, const ByteArray<16>& hxres,
+UsageProof make_proof(const NetworkId& serving, const Supi& supi, const ByteArray<16>& hxres,
                       const crypto::ResStar& res_star, Time now,
                       const crypto::Ed25519KeyPair& key) {
   UsageProof proof;
@@ -964,7 +928,7 @@ UsageProof make_proof(const NetworkId& serving, const std::shared_ptr<void>&,
 void ServingNetwork::complete_with_home_key(const std::shared_ptr<Attach>& attach,
                                             const crypto::ResStar& res_star) {
   const UsageProof proof =
-      make_proof(id_, nullptr, attach->supi, attach->bundle.hxres_star, res_star,
+      make_proof(id_, attach->supi, attach->bundle.hxres_star, res_star,
                  rpc_.network().simulator().now(), signing_key_);
   auto options =
       config_.resilience.call_options(config_.key_share_timeout, config_.key_share_timeout);
@@ -999,7 +963,7 @@ void ServingNetwork::complete_with_home_key(const std::shared_ptr<Attach>& attac
 void ServingNetwork::collect_key_shares(const std::shared_ptr<Attach>& attach,
                                         const crypto::ResStar& res_star) {
   const UsageProof proof =
-      make_proof(id_, nullptr, attach->supi, attach->bundle.hxres_star, res_star,
+      make_proof(id_, attach->supi, attach->bundle.hxres_star, res_star,
                  rpc_.network().simulator().now(), signing_key_);
 
   // The proof span marks the point where the UE's RES* preimage has matched

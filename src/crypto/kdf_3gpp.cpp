@@ -68,6 +68,15 @@ Key256 derive_k_gnb(const Key256& k_amf, std::uint32_t uplink_nas_count) {
   return kdf_3gpp(k_amf, 0x6e, {ByteView(count), ByteView(access_type)});
 }
 
+Key256 derive_handover_key(const Key256& k_session, std::string_view target,
+                           std::uint32_t counter) {
+  const ByteArray<4> counter_bytes{static_cast<std::uint8_t>(counter >> 24),
+                                   static_cast<std::uint8_t>(counter >> 16),
+                                   static_cast<std::uint8_t>(counter >> 8),
+                                   static_cast<std::uint8_t>(counter)};
+  return kdf_3gpp(k_session, 0x70, {as_bytes(target), ByteView(counter_bytes)});
+}
+
 Key256 derive_k_asme(const Ck& ck, const Ik& ik, ByteView plmn_id,
                      const ByteArray<6>& sqn_xor_ak) {
   return kdf_3gpp(ck_ik(ck, ik), 0x10, {plmn_id, ByteView(sqn_xor_ak)});

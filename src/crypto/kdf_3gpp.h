@@ -48,6 +48,12 @@ Key256 derive_k_amf(const Key256& k_seaf, std::string_view supi, const ByteArray
 /// A.9: K_gNB from K_AMF and the uplink NAS COUNT (access type 3GPP = 0x01).
 Key256 derive_k_gnb(const Key256& k_amf, std::uint32_t uplink_nas_count);
 
+/// dAuth's horizontal handover key (§4.4), K_ho = KDF(K_session, FC=0x70,
+/// target network id, 4-byte big-endian handover counter). The source
+/// network and the UE derive it independently.
+Key256 derive_handover_key(const Key256& k_session, std::string_view target,
+                           std::uint32_t counter);
+
 // ---- 4G hierarchy (TS 33.401 Annex A) -------------------------------------
 
 /// A.2: K_ASME from CK||IK, the serving PLMN ID and SQN^AK.

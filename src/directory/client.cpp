@@ -14,16 +14,12 @@ DirectoryClient::DirectoryClient(sim::Rpc& rpc, sim::NodeIndex self,
       user_stub_(rpc_, self_, "dir.get_home"),
       backups_stub_(rpc_, self_, "dir.get_backups"),
       publish_stub_(rpc_, self_, "dir.set_backups"),
-      verify_cache_(config.verify_cache_entries) {}
+      verify_cache_(kVerifyMemoEntries) {}
 
 sim::RpcOptions DirectoryClient::lookup_options() const {
-  if (config_.retry.max_attempts <= 1) {
-    // Pre-resilience single shot: no retry, no breaker gating.
-    auto options = sim::RpcOptions::oneshot(config_.lookup_timeout);
-    options.use_breaker = false;
-    return options;
-  }
-  return sim::RpcOptions::durable(config_.lookup_timeout, config_.retry);
+  auto options = sim::RpcOptions::oneshot(config_.lookup_timeout);
+  options.use_breaker = false;
+  return options;
 }
 
 template <typename Entry>
@@ -58,8 +54,9 @@ void DirectoryClient::get_network(const NetworkId& id, NetworkCallback callback,
   options.trace_parent = parent;
   network_stub_.call(
       directory_node_, NameLookup{id.str()}, options,
-      [this, callback](core::CallResult<NetworkEntry> result) {
-        if (!result.ok()) {
+      [this, id, callback](core::CallResult<NetworkEntry> result) {
+        // A validly self-signed entry for another network is still no answer.
+        if (!result.ok() || result.value().id != id) {
           callback(std::nullopt);
           return;
         }
@@ -70,14 +67,26 @@ void DirectoryClient::get_network(const NetworkId& id, NetworkCallback callback,
           callback(std::nullopt);  // tampered directory response
           return;
         }
-        cache_store(network_cache_, entry.id.str(), entry);
+        cache_store(network_cache_, id.str(), entry);
         callback(std::move(entry));
       });
 }
 
-void DirectoryClient::get_home(const Supi& supi, UserCallback callback,
-                               obs::TraceContext parent) {
-  if (auto cached = cache_lookup(user_cache_, supi.str())) {
+namespace {
+
+// The name each home-signed entry answers for.
+const std::string& entry_name(const UserEntry& entry) { return entry.supi.str(); }
+const std::string& entry_name(const BackupsEntry& entry) { return entry.home_network.str(); }
+
+}  // namespace
+
+template <typename Entry>
+void DirectoryClient::get_home_signed(const core::TypedStub<NameLookup, Entry>& stub,
+                                      std::map<std::string, Cached<Entry>>& cache,
+                                      const std::string& name,
+                                      std::function<void(std::optional<Entry>)> callback,
+                                      obs::TraceContext parent) {
+  if (auto cached = cache_lookup(cache, name)) {
     ++cache_hits_;
     callback(std::move(cached));
     return;
@@ -86,18 +95,19 @@ void DirectoryClient::get_home(const Supi& supi, UserCallback callback,
 
   auto options = lookup_options();
   options.trace_parent = parent;
-  user_stub_.call(
-      directory_node_, NameLookup{supi.str()}, options,
-      [this, callback, parent](core::CallResult<UserEntry> result) {
-        if (!result.ok()) {
+  stub.call(
+      directory_node_, NameLookup{name}, options,
+      [this, &cache, name, callback, parent](core::CallResult<Entry> result) {
+        // A validly signed entry for another name is still no answer.
+        if (!result.ok() || entry_name(result.value()) != name) {
           callback(std::nullopt);
           return;
         }
-        const UserEntry entry = std::move(result.value());
+        const Entry entry = std::move(result.value());
         // Verify against the home network's key (cached or fetched).
         get_network(
             entry.home_network,
-            [this, entry, callback](std::optional<NetworkEntry> home) {
+            [this, &cache, name, entry, callback](std::optional<NetworkEntry> home) {
               if (!home ||
                   !verify_cache_
                        .verify(entry.signed_payload(), entry.signature, home->signing_key)
@@ -105,47 +115,21 @@ void DirectoryClient::get_home(const Supi& supi, UserCallback callback,
                 callback(std::nullopt);
                 return;
               }
-              cache_store(user_cache_, entry.supi.str(), entry);
+              cache_store(cache, name, entry);
               callback(entry);
             },
             parent);
       });
 }
 
+void DirectoryClient::get_home(const Supi& supi, UserCallback callback,
+                               obs::TraceContext parent) {
+  get_home_signed(user_stub_, user_cache_, supi.str(), std::move(callback), parent);
+}
+
 void DirectoryClient::get_backups(const NetworkId& home, BackupsCallback callback,
                                   obs::TraceContext parent) {
-  if (auto cached = cache_lookup(backups_cache_, home.str())) {
-    ++cache_hits_;
-    callback(std::move(cached));
-    return;
-  }
-  ++cache_misses_;
-
-  auto options = lookup_options();
-  options.trace_parent = parent;
-  backups_stub_.call(
-      directory_node_, NameLookup{home.str()}, options,
-      [this, callback, parent](core::CallResult<BackupsEntry> result) {
-        if (!result.ok()) {
-          callback(std::nullopt);
-          return;
-        }
-        const BackupsEntry entry = std::move(result.value());
-        get_network(
-            entry.home_network,
-            [this, entry, callback](std::optional<NetworkEntry> home_net) {
-              if (!home_net ||
-                  !verify_cache_
-                       .verify(entry.signed_payload(), entry.signature, home_net->signing_key)
-                       .ok) {
-                callback(std::nullopt);
-                return;
-              }
-              cache_store(backups_cache_, entry.home_network.str(), entry);
-              callback(entry);
-            },
-            parent);
-      });
+  get_home_signed(backups_stub_, backups_cache_, home.str(), std::move(callback), parent);
 }
 
 void DirectoryClient::publish_backups(const BackupsEntry& entry,

@@ -20,16 +20,7 @@ namespace dauth::directory {
 
 struct ClientConfig {
   Time cache_ttl = hours(1);
-  Time lookup_timeout = sec(2);
-  // Memoize successful entry-signature verifications: after a TTL expiry
-  // the directory usually serves the byte-identical entry again, so the
-  // refresh skips the Ed25519 group equation. 0 disables.
-  std::size_t verify_cache_entries = 64;
-  // Retry schedule for directory lookups. The default (single attempt)
-  // preserves the pre-resilience behavior; deployments that treat the
-  // directory as critical-path set e.g. RetryPolicy{} and lookup_timeout
-  // becomes the overall budget across attempts (docs/RESILIENCE.md).
-  sim::RetryPolicy retry = sim::RetryPolicy::none();
+  Time lookup_timeout = sec(2);  // one attempt, no breaker gating
 };
 
 class DirectoryClient {
@@ -49,11 +40,13 @@ class DirectoryClient {
                    obs::TraceContext parent = {});
 
   /// Looks up a user's home mapping; verification requires the home
-  /// network's entry, which is fetched (or cached) transparently.
+  /// network's entry, which is fetched (or cached) transparently. An entry
+  /// for any other SUPI than `supi` is no answer.
   void get_home(const Supi& supi, UserCallback callback,
                 obs::TraceContext parent = {});
 
-  /// Looks up a home network's elected backups (verified the same way).
+  /// Looks up a home network's elected backups (verified and bound to
+  /// `home` the same way).
   void get_backups(const NetworkId& home, BackupsCallback callback,
                    obs::TraceContext parent = {});
 
@@ -70,6 +63,11 @@ class DirectoryClient {
   /// Signature-verification memo stats (tests / benches).
   const crypto::VerifyCache& verify_cache() const noexcept { return verify_cache_; }
 
+  /// Memoized entry-signature verifications: after a TTL expiry the
+  /// directory usually serves the byte-identical entry again, so the
+  /// refresh skips the Ed25519 group equation.
+  static constexpr std::size_t kVerifyMemoEntries = 64;
+
  private:
   template <typename Entry>
   struct Cached {
@@ -84,8 +82,17 @@ class DirectoryClient {
   void cache_store(std::map<std::string, Cached<Entry>>& cache, const std::string& key,
                    const Entry& entry);
 
-  /// Options for one directory round trip, honouring ClientConfig::retry.
+  /// Options for one directory round trip.
   sim::RpcOptions lookup_options() const;
+
+  /// The one lookup of a home-signed entry (user mapping, backup list):
+  /// from `cache` when fresh, else fetched through `stub`, bound to `name`
+  /// and verified against its home network's key before it is cached.
+  template <typename Entry>
+  void get_home_signed(const core::TypedStub<NameLookup, Entry>& stub,
+                       std::map<std::string, Cached<Entry>>& cache, const std::string& name,
+                       std::function<void(std::optional<Entry>)> callback,
+                       obs::TraceContext parent);
 
   sim::Rpc& rpc_;
   sim::NodeIndex self_;

@@ -71,14 +71,7 @@ void Ue::send_attach_request(std::function<void(const AttachRecord&)> done, Time
     w.u64(guti_->value);
   } else if (config_.use_suci && suci_key_) {
     w.string("");  // no cleartext SUPI
-    const aka::Suci suci = aka::conceal_supi(usim_.supi(), *suci_key_, suci_rng_);
-    wire::Writer sw;
-    sw.string(suci.mcc);
-    sw.string(suci.mnc);
-    sw.fixed(suci.ephemeral_public);
-    sw.bytes(suci.ciphertext);
-    sw.fixed(suci.mac);
-    w.bytes(sw.data());
+    w.bytes(aka::encode_suci(aka::conceal_supi(usim_.supi(), *suci_key_, suci_rng_)));
     w.string(suci_home_ ? suci_home_->str() : "");
     w.string("");
     w.u64(0);
@@ -305,12 +298,7 @@ void Ue::handover_to(sim::NodeIndex target_core,
         // Derive the same horizontal key as the source network did and
         // check the target's key confirmation — mutual proof that the
         // context transfer used OUR session key.
-        const ByteArray<4> counter_bytes{static_cast<std::uint8_t>(counter >> 24),
-                                         static_cast<std::uint8_t>(counter >> 16),
-                                         static_cast<std::uint8_t>(counter >> 8),
-                                         static_cast<std::uint8_t>(counter)};
-        const crypto::Key256 k_ho = crypto::kdf_3gpp(
-            *k_seaf_, 0x70, {as_bytes(target_id), ByteView(counter_bytes)});
+        const crypto::Key256 k_ho = crypto::derive_handover_key(*k_seaf_, target_id, counter);
         if (!ct_equal(crypto::hmac_sha256(k_ho, as_bytes("dauth-ho")), confirmation)) {
           HandoverRecord record;
           record.failure = "handover key confirmation mismatch";

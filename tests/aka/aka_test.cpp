@@ -89,16 +89,51 @@ TEST(Aka, AutsRevealsCorrectSqnMs) {
   const UsimResult result = usim.authenticate(stale.rand, stale.autn, kSnn);
   ASSERT_TRUE(result.auts.has_value());
 
-  // Home network recovers SQNms from AUTS: AK* from f5*(K, RAND).
+  // The home network verifies MAC-S and recovers SQNms.
+  std::uint64_t sqn_ms = 0;
+  ASSERT_TRUE(verify_auts(keys, stale.rand, *result.auts, sqn_ms));
+  EXPECT_EQ(sqn_ms, last_sqn);
+
+  // Cross-check against hand-rolled Milenage: AK* = f5*(K, RAND) hides
+  // SQNms, and MAC-S = f1*(K, SQNms, RAND, AMF) with the all-zeros resync
+  // AMF of TS 33.102 §6.3.3.
   const auto mil = crypto::milenage(keys.k, keys.opc, stale.rand, ByteArray<6>{},
                                     crypto::Amf{0x00, 0x00});
   const auto sqn_ms_bytes = xor_arrays(result.auts->sqn_ms_xor_ak_star, mil.ak_star);
   EXPECT_EQ(sqn_from_bytes(sqn_ms_bytes), last_sqn);
-
-  // And verifies MAC-S.
   const auto verify =
       crypto::milenage(keys.k, keys.opc, stale.rand, sqn_ms_bytes, crypto::Amf{0x00, 0x00});
   EXPECT_EQ(verify.mac_s, result.auts->mac_s);
+}
+
+TEST(Aka, VerifyAutsRejectsForgeries) {
+  crypto::DeterministicDrbg rng("aka", 6);
+  const SubscriberKeys keys = test_keys();
+  Usim usim(Supi("901550000000001"), keys);
+  SqnAllocator allocator;
+  const AuthVector v =
+      generate_auth_vector(keys, allocator.allocate(kHomeSlice), make_rand(rng), kSnn);
+  ASSERT_TRUE(usim.authenticate(v.rand, v.autn, kSnn).ok());
+  const UsimResult replayed = usim.authenticate(v.rand, v.autn, kSnn);
+  ASSERT_TRUE(replayed.auts.has_value());
+
+  std::uint64_t sqn_ms = 7;
+  ASSERT_TRUE(verify_auts(keys, v.rand, *replayed.auts, sqn_ms));
+
+  // A flipped SQNms bit, a flipped MAC-S bit, another challenge's RAND and
+  // another subscriber's keys all fail, and leave `sqn_ms` alone.
+  Auts bad_sqn = *replayed.auts;
+  bad_sqn.sqn_ms_xor_ak_star[5] ^= 0x01;
+  Auts bad_mac = *replayed.auts;
+  bad_mac.mac_s[0] ^= 0x80;
+  SubscriberKeys other = keys;
+  other.k[0] ^= 0xff;
+  const std::uint64_t before = sqn_ms;
+  EXPECT_FALSE(verify_auts(keys, v.rand, bad_sqn, sqn_ms));
+  EXPECT_FALSE(verify_auts(keys, v.rand, bad_mac, sqn_ms));
+  EXPECT_FALSE(verify_auts(keys, make_rand(rng), *replayed.auts, sqn_ms));
+  EXPECT_FALSE(verify_auts(other, v.rand, *replayed.auts, sqn_ms));
+  EXPECT_EQ(sqn_ms, before);
 }
 
 TEST(Aka, WrongKeyMacFails) {

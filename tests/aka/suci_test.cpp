@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "wire/reader.h"
+
 namespace dauth::aka {
 namespace {
 
@@ -44,6 +46,26 @@ TEST(Suci, FreshEphemeralPerConcealment) {
   // Both still decrypt.
   EXPECT_EQ(deconceal_suci(a, home.secret), supi);
   EXPECT_EQ(deconceal_suci(b, home.secret), supi);
+}
+
+TEST(Suci, WireFormRoundTripsAndRejectsTrailingBytes) {
+  crypto::DeterministicDrbg rng("suci", 5);
+  const auto home = crypto::x25519_generate(rng);
+  const Supi supi("901550000000042");
+  const Suci suci = conceal_supi(supi, home.public_key, rng);
+
+  const Bytes frame = encode_suci(suci);
+  const Suci decoded = decode_suci(frame);
+  EXPECT_EQ(decoded.mcc, suci.mcc);
+  EXPECT_EQ(decoded.mnc, suci.mnc);
+  EXPECT_EQ(decoded.ephemeral_public, suci.ephemeral_public);
+  EXPECT_EQ(decoded.ciphertext, suci.ciphertext);
+  EXPECT_EQ(decoded.mac, suci.mac);
+  EXPECT_EQ(deconceal_suci(decoded, home.secret), supi);
+
+  Bytes extended = frame;
+  extended.push_back(0x00);
+  EXPECT_THROW((void)decode_suci(extended), wire::WireError);
 }
 
 TEST(Suci, WrongKeyFailsMac) {

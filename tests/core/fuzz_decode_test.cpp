@@ -3,6 +3,7 @@
 // never crash, never loop, never accept trailing garbage silently.
 #include <gtest/gtest.h>
 
+#include "aka/suci.h"
 #include "common/rng.h"
 #include "core/home_network.h"
 #include "core/messages.h"
@@ -124,6 +125,14 @@ TEST(FuzzDecode, OverlongRoundPathIsRejected) {
 TEST(FuzzDecode, StoreMaterialRequestTruncations) {
   expect_all_truncations_throw(valid_store_request(),
                                [](ByteView d) { return StoreMaterialRequest::decode(d); });
+}
+
+TEST(FuzzDecode, SuciTruncations) {
+  crypto::DeterministicDrbg rng("fuzz-suci", 1);
+  const auto home = crypto::x25519_generate(rng);
+  const aka::Suci suci = aka::conceal_supi(Supi("315010000000001"), home.public_key, rng);
+  expect_all_truncations_throw(aka::encode_suci(suci),
+                               [](ByteView d) { return aka::decode_suci(d); });
 }
 
 TEST(FuzzDecode, UsageProofTruncations) {

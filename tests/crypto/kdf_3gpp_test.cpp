@@ -18,6 +18,17 @@ TEST(Kdf3gpp, MatchesManualHmacConstruction) {
   EXPECT_TRUE(ct_equal(via_kdf, manual));
 }
 
+TEST(Kdf3gpp, HandoverKeyBindsTargetAndCounter) {
+  // K_ho = KDF(K_session, 0x70, {target, counter as 4 big-endian bytes}).
+  Key256 k_session;
+  k_session.fill(0x33);
+  const Key256 k_ho = derive_handover_key(k_session, "net-2", 0x01020304);
+  const ByteArray<4> counter{0x01, 0x02, 0x03, 0x04};
+  EXPECT_TRUE(ct_equal(k_ho, kdf_3gpp(k_session, 0x70, {as_bytes("net-2"), ByteView(counter)})));
+  EXPECT_FALSE(ct_equal(k_ho, derive_handover_key(k_session, "net-3", 0x01020304)));
+  EXPECT_FALSE(ct_equal(k_ho, derive_handover_key(k_session, "net-2", 0x01020305)));
+}
+
 TEST(Kdf3gpp, ParamLengthEncoding) {
   // Parameters of different lengths must produce different S strings even if
   // the concatenated bytes collide ("ab","c" vs "a","bc").

@@ -227,6 +227,67 @@ TEST(DirectoryClient, GetBackups) {
   ASSERT_EQ(backups->backups.size(), 1u);
 }
 
+TEST(DirectoryClient, AnswersForAnotherNameAreDropped) {
+  // A directory that answers a lookup with another name's validly signed
+  // entry gets nothing past the client, and nothing into its cache.
+  ClientFixture f;
+  const Supi alice("901550000000001");
+  const Supi bob("901550000000002");
+  const auto other_keys = make_keys("other");
+  f.server.register_network(
+      make_network_entry(NetworkId("other"), other_keys, make_suci_key("other"), 43));
+  const UserEntry bob_entry = make_user_entry(bob, NetworkId("home"), f.home_keys);
+  const BackupsEntry other_backups =
+      make_backups_entry(NetworkId("other"), {NetworkId("b1")}, other_keys);
+  const NetworkEntry other_network = *f.server.network(NetworkId("other"));
+  int home_lookups = 0, backups_lookups = 0;
+  f.rpc.register_service(f.dir_node, "dir.get_home", [&](ByteView, sim::Responder r) {
+    ++home_lookups;
+    r.reply(bob_entry.encode());
+  });
+  f.rpc.register_service(f.dir_node, "dir.get_backups", [&](ByteView, sim::Responder r) {
+    ++backups_lookups;
+    r.reply(other_backups.encode());
+  });
+  f.rpc.register_service(f.dir_node, "dir.get_network", [&](ByteView q, sim::Responder r) {
+    // Honest for "home" (the user and backups checks need its key).
+    const NameLookup lookup = NameLookup::decode(q);
+    r.reply(lookup.name == "home" ? f.server.network(NetworkId("home"))->encode()
+                                  : other_network.encode());
+  });
+  DirectoryClient client(f.rpc, f.client_node, f.dir_node);
+
+  bool user_called = false, backups_called = false, network_called = false;
+  client.get_home(alice, [&](std::optional<UserEntry> e) {
+    user_called = true;
+    EXPECT_FALSE(e.has_value());
+  });
+  client.get_backups(NetworkId("home"), [&](std::optional<BackupsEntry> e) {
+    backups_called = true;
+    EXPECT_FALSE(e.has_value());
+  });
+  client.get_network(NetworkId("net-x"), [&](std::optional<NetworkEntry> e) {
+    network_called = true;
+    EXPECT_FALSE(e.has_value());
+  });
+  f.s.run();
+  EXPECT_TRUE(user_called && backups_called && network_called);
+
+  // Nothing was cached: asked for the names they do answer for, the
+  // lookups go to the wire again, and now succeed.
+  std::optional<UserEntry> user;
+  std::optional<BackupsEntry> backups;
+  client.get_home(bob, [&](std::optional<UserEntry> e) { user = e; });
+  client.get_backups(NetworkId("other"), [&](std::optional<BackupsEntry> e) { backups = e; });
+  f.s.run();
+  EXPECT_EQ(home_lookups, 2);
+  EXPECT_EQ(backups_lookups, 2);
+  ASSERT_TRUE(user.has_value());
+  EXPECT_EQ(user->supi, bob);
+  ASSERT_TRUE(backups.has_value());
+  EXPECT_EQ(backups->home_network, NetworkId("other"));
+}
+
 TEST(DirectoryClient, DirectoryDownReturnsNullopt) {
   ClientFixture f;
   ClientConfig config;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "federation_fixture.h"
+#include "wire/writer.h"
 
 namespace dauth::testing {
 namespace {
@@ -210,6 +211,45 @@ TEST(Federation, SuciAttachViaBackup) {
   const auto record = f.attach(*ue);
   EXPECT_TRUE(record.success) << record.failure;
   EXPECT_EQ(record.path, "backup");
+}
+
+TEST(Federation, SuciWithTrailingByteIsMalformed) {
+  // A SUCI's wire form ends at its tag: one extra byte makes the request
+  // malformed, at the serving core and at a backup alike.
+  Federation f(3);
+  (void)f.provision(kAlice, 0, {1, 2});
+  crypto::DeterministicDrbg rng("trailing-suci", 1);
+  Bytes suci =
+      aka::encode_suci(aka::conceal_supi(kAlice, f.net(0).suci_keys().public_key, rng));
+  suci.push_back(0x00);
+
+  // A SUCI attach at Alice's home core: the local path de-conceals it.
+  wire::Writer attach;
+  attach.string("");  // no cleartext SUPI
+  attach.bytes(suci);
+  attach.string(f.net(0).id().str());  // routing hint
+  attach.string("");                   // no GUTI
+  attach.u64(0);
+  attach.u8(0);  // 5G NR
+  std::optional<sim::RpcError> attach_error;
+  f.rpc.call(f.ran_node, f.net(0).node(), "serving.attach_request", std::move(attach).take(),
+             {}, [&](Bytes) { ADD_FAILURE() << "challenge sent for a malformed SUCI"; },
+             [&](sim::RpcError e) { attach_error = e; });
+
+  core::GetVectorRequest fetch;
+  fetch.serving_network = f.net(2).id();
+  fetch.suci = suci;
+  std::optional<sim::RpcError> fetch_error;
+  f.rpc.call(f.net(2).node(), f.net(1).node(), "backup.get_vector", fetch.encode(), {},
+             [&](Bytes) { ADD_FAILURE() << "vector served for a malformed SUCI"; },
+             [&](sim::RpcError e) { fetch_error = e; });
+  f.simulator.run();
+
+  ASSERT_TRUE(attach_error.has_value());
+  EXPECT_EQ(attach_error->message, "malformed suci");
+  ASSERT_TRUE(fetch_error.has_value() && fetch_error->app.has_value());
+  EXPECT_EQ(fetch_error->app->code, sim::AppErrorCode::kMalformed);
+  EXPECT_EQ(f.net(1).backup().metrics().vectors_served, 0u);
 }
 
 TEST(Federation, UnknownUserFails) {

@@ -106,5 +106,107 @@ TEST(Resync, BackupPathRetriesWithDifferentSliceVector) {
   EXPECT_FALSE(exhausted.success);  // pool dry: clean failure, no hang
 }
 
+const Supi kBob("901550000000002");
+
+/// Seven networks: net-1 is the offline home of Alice and Bob, net-2..net-6
+/// are its backups (SQN slices 1-5), and net-7 serves.
+struct StaleSliceFederation {
+  Federation f{7};
+  std::vector<std::size_t> backups{1, 2, 3, 4, 5};
+  aka::SubscriberKeys alice_keys;
+  aka::SubscriberKeys bob_keys;
+
+  StaleSliceFederation() {
+    alice_keys = f.provision(kAlice, 0, backups);
+    bob_keys = f.provision(kBob, 0, backups);
+    f.network.node(f.net(0).node()).set_online(false);
+    f.net(6).serving().set_home_health(f.net(0).id(), false);
+  }
+
+  /// Links serving -> backup with one-way delay `stale_ms` for `stale` and
+  /// `other_ms` for every other backup.
+  void set_links(std::size_t stale, int stale_ms, int other_ms) {
+    for (std::size_t b : backups) {
+      sim::LatencyModel link;
+      link.base = ms(b == stale ? stale_ms : other_ms);
+      f.network.set_link(f.net(6).node(), f.net(b).node(), link);
+    }
+  }
+
+  /// Warms the serving network's RTT estimator: Bob's share broadcast
+  /// samples every backup and leaves Alice's vectors untouched.
+  void warm_up() {
+    auto bob = f.make_ue(kBob, bob_keys, 6);
+    ASSERT_TRUE(f.attach(*bob).success);
+  }
+
+  /// Makes Alice's vectors at `stale` stale at her USIM: it accepts a
+  /// home-issued SQN far ahead in that backup's slice.
+  void make_slice_stale(ran::Ue& alice, std::size_t stale) {
+    const auto slice = static_cast<std::uint64_t>(stale);  // backups 1-5 hold slices 1-5
+    crypto::DeterministicDrbg rng("stale-slice", 1);
+    const aka::AuthVector ahead = aka::generate_auth_vector(
+        alice_keys, slice + 1000 * aka::kSliceCount, rng.array<16>(),
+        f.config.serving_network_name);
+    ASSERT_TRUE(alice.usim().authenticate(ahead.rand, ahead.autn,
+                                          f.config.serving_network_name).ok());
+  }
+
+  std::vector<std::uint64_t> served() {
+    std::vector<std::uint64_t> counts;
+    for (std::size_t b : backups) counts.push_back(f.net(b).backup().metrics().vectors_served);
+    return counts;
+  }
+};
+
+TEST(Resync, BackupPathAutsRetriesFromAnotherSlice) {
+  // The fastest backup leads with a vector from a slice the USIM has moved
+  // past. The UE answers with an AUTS, and the retry skips that backup,
+  // although it still holds vectors, and takes one from another backup's
+  // slice within the same attach.
+  StaleSliceFederation sf;
+  const std::size_t stale = 1;  // net-2
+  sf.set_links(stale, 1, 5);
+  sf.warm_up();
+  auto alice = sf.f.make_ue(kAlice, sf.alice_keys, 6);
+  sf.make_slice_stale(*alice, stale);
+
+  const auto before = sf.served();
+  const auto record = sf.f.attach(*alice);
+  ASSERT_TRUE(record.success) << record.failure;
+  EXPECT_EQ(record.path, "backup");
+  EXPECT_TRUE(record.key_confirmed);
+  const auto after = sf.served();
+  EXPECT_EQ(after[0] - before[0], 1u);  // the stale vector
+  std::uint64_t others = 0;
+  for (std::size_t i = 1; i < after.size(); ++i) others += after[i] - before[i];
+  EXPECT_EQ(others, 1u);  // the retry's fresh vector
+}
+
+TEST(Resync, BackupPathAutsFailureReachesUeAsOutcome) {
+  // Same stale slice, but every other backup has already served all its
+  // vectors for Alice: the retry's ladder runs dry, and the UE hears the
+  // ladder's reason in an outcome frame on its auth_response, as on the
+  // local and home paths.
+  StaleSliceFederation sf;
+  const std::size_t stale = 1;
+  sf.set_links(stale, 20, 2);  // the stale backup never leads the drain
+  sf.warm_up();
+  auto alice = sf.f.make_ue(kAlice, sf.alice_keys, 6);
+  const auto warm = sf.served();
+  const std::size_t drain = sf.f.config.vectors_per_backup * (sf.backups.size() - 1);
+  for (std::size_t i = 0; i < drain; ++i) {
+    ASSERT_TRUE(sf.f.attach(*alice).success) << "drain " << i;
+  }
+  ASSERT_EQ(sf.served()[0], warm[0]);  // Alice's vectors at net-2 are all left
+  sf.make_slice_stale(*alice, stale);
+
+  const auto record = sf.f.attach(*alice);
+  EXPECT_FALSE(record.success);
+  EXPECT_EQ(record.path, "backup");
+  EXPECT_EQ(record.failure.rfind("no backup vector: ", 0), 0u) << record.failure;
+  EXPECT_EQ(sf.served()[0], warm[0] + 1);  // it led with the stale vector
+}
+
 }  // namespace
 }  // namespace dauth::testing

@@ -653,15 +653,17 @@ TEST(ContractClean, DefaultTableCoversProtocolSurface) {
             get_share->guards.end());
 }
 
-// The shipped backup.store contract: one batch root signature must be
-// verified over every received bundle before any material is kept.
-std::vector<HandlerContract> backup_store_contract() {
+// The shipped contract row for one service, taken from the default table.
+std::vector<HandlerContract> shipped_contract(std::string_view service) {
   auto table = default_contracts();
   table.erase(std::remove_if(table.begin(), table.end(),
-                             [](const HandlerContract& c) { return c.service != "backup.store"; }),
+                             [&](const HandlerContract& c) { return c.service != service; }),
               table.end());
   return table;
 }
+
+// backup.store: one batch root signature must be verified over every
+// received bundle before any material is kept.
 
 const char* kStoreRegistration =
     "void BackupNetwork::bind_services() {\n"
@@ -679,7 +681,7 @@ TEST(ContractH3, StoreBeforeBatchRootVerifyIsFlagged) {
                          "    if (!batch.verify_root(req.home_network, k)) { r.fail(); return; }\n"
                          "  }\n"
                          "}\n",
-                     contracts_only(backup_store_contract()));
+                     contracts_only(shipped_contract("backup.store")));
   ASSERT_EQ(count_rule(a, "H3"), 1);
   EXPECT_NE(a.findings[0].message.find("batch root verified over every received bundle"),
             std::string::npos);
@@ -695,7 +697,42 @@ TEST(ContractClean, StoreAfterBatchRootVerifyPasses) {
                          "  users_[{req.home_network, supi}].vectors.push_back(v);\n"
                          "  store_->put(\"batch/\", leaves);\n"
                          "}\n",
-                     contracts_only(backup_store_contract()));
+                     contracts_only(shipped_contract("backup.store")));
+  EXPECT_TRUE(a.findings.empty());
+}
+
+// home.resync: the AUTS must verify before the SQN allocator is rewound.
+
+const char* kResyncRegistration =
+    "void HomeNetwork::bind_services() {\n"
+    "  rpc_.register_service(node_, \"home.resync\", [this](ByteView q, sim::Responder r) {\n"
+    "    handle_resync(q, r);\n"
+    "  });\n"
+    "}\n";
+
+TEST(ContractH3, ResyncBeforeAutsVerifyIsFlagged) {
+  const auto a = run(std::string(kResyncRegistration) +
+                         "void HomeNetwork::handle_resync(ByteView q, sim::Responder r) {\n"
+                         "  it->second.sqn.resynchronize(sqn_ms);\n"
+                         "  if (!aka::verify_auts(keys, req.rand, req.auts, sqn_ms)) {\n"
+                         "    r.fail(); return;\n"
+                         "  }\n"
+                         "}\n",
+                     contracts_only(shipped_contract("home.resync")));
+  ASSERT_EQ(count_rule(a, "H3"), 1);
+  EXPECT_NE(a.findings[0].message.find("AUTS MAC-S must verify"), std::string::npos);
+}
+
+TEST(ContractClean, ResyncAfterAutsVerifyPasses) {
+  const auto a = run(std::string(kResyncRegistration) +
+                         "void HomeNetwork::handle_resync(ByteView q, sim::Responder r) {\n"
+                         "  if (!aka::verify_auts(keys, req.rand, req.auts, sqn_ms)) {\n"
+                         "    r.fail(); return;\n"
+                         "  }\n"
+                         "  it->second.sqn.resynchronize(sqn_ms);\n"
+                         "  serve_vector(req.supi, r);\n"
+                         "}\n",
+                     contracts_only(shipped_contract("home.resync")));
   EXPECT_TRUE(a.findings.empty());
 }
 

@@ -1637,7 +1637,7 @@ std::vector<HandlerContract> default_contracts() {
        "preimage-verified proofs (§4.2.3)"},
       {"home.resync",
        "HomeNetwork::handle_resync",
-       {"ct_equal"},
+       {"verify_auts"},
        {"resynchronize"},
        "the AUTS MAC-S must verify under the subscriber's K before the SQN "
        "allocator is rewound (TS 33.102 §6.3.5)"},
