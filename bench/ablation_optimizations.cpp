@@ -1,11 +1,10 @@
 // Ablation bench for the design choices DESIGN.md calls out:
 //   1. gRPC connection re-use between dAuth instances (§5.1 opt. 1)
-//   2. plain Shamir shares vs Feldman verifiable shares (§3.5.2)
-//   3. the signature-verification memo cache (docs/PERFORMANCE.md): every
+//   2. the signature-verification memo cache (docs/PERFORMANCE.md): every
 //      vector and share of a user's dissemination round re-checks the same
 //      signed round root, so disabling the cache pays a full Ed25519 verify
 //      per check after the user's first attach
-//   4. Open5GS roaming with on-demand vs persistent S6a/N12 connections
+//   3. Open5GS roaming with on-demand vs persistent S6a/N12 connections
 // All variants run the same backup-mode workload (edge serving core on
 // fiber, 8 backups, threshold 4, 200 registrations/min) on one paired seed,
 // so two dAuth rows differ only by the toggle they name; each is an
@@ -25,7 +24,6 @@ constexpr std::uint64_t kSeed = 42;  // shared by every variant: paired arms
 struct DauthVariant {
   std::string label;
   bool connection_reuse = true;
-  bool verifiable_shares = false;
   std::size_t verify_cache_entries = 256;
 };
 
@@ -37,7 +35,6 @@ bench::PointResult run_dauth_variant(const DauthVariant& v, std::uint64_t seed) 
   options.home_offline = true;
   options.rpc.connection_reuse = v.connection_reuse;
   options.config.threshold = 4;
-  options.config.use_verifiable_shares = v.verifiable_shares;
   options.config.verify_cache_entries = v.verify_cache_entries;
   options.config.vectors_per_backup = 16;
   options.config.report_interval = 0;
@@ -77,8 +74,7 @@ int main() {
   const DauthVariant variants[] = {
       {"baseline (reuse + hedged ladder + shamir + vcache)"},
       {"no connection reuse", false},
-      {"feldman verifiable shares", true, true},
-      {"no verification cache", true, false, 0},
+      {"no verification cache", true, 0},
   };
 
   std::vector<bench::SweepPoint> points;

@@ -2,8 +2,7 @@
 //
 // These quantify the per-operation costs referenced by the CostModel
 // calibration: Milenage vector generation, Ed25519 bundle signing and
-// verification, Shamir splitting/combination, and the Feldman VSS
-// extension's overhead (§3.5.2).
+// verification, and Shamir splitting/combination.
 #include <benchmark/benchmark.h>
 
 #include "micro_main.h"
@@ -11,7 +10,6 @@
 #include "crypto/aes128.h"
 #include "crypto/drbg.h"
 #include "crypto/ed25519.h"
-#include "crypto/feldman.h"
 #include "crypto/hmac.h"
 #include "crypto/kdf_3gpp.h"
 #include "crypto/merkle.h"
@@ -175,26 +173,6 @@ void BM_ShamirCombine(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ShamirCombine)->Args({2, 8})->Args({4, 8})->Args({8, 8});
-
-void BM_FeldmanSplit(benchmark::State& state) {
-  DeterministicDrbg rng("bench", 12);
-  const Bytes secret = rng.bytes(32);
-  const auto threshold = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(feldman_split(secret, threshold, 8, rng));
-  }
-}
-BENCHMARK(BM_FeldmanSplit)->Arg(2)->Arg(4);
-
-void BM_FeldmanVerifyShare(benchmark::State& state) {
-  DeterministicDrbg rng("bench", 13);
-  const Bytes secret = rng.bytes(32);
-  const auto sharing = feldman_split(secret, static_cast<std::size_t>(state.range(0)), 8, rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(feldman_verify(sharing.shares[0], sharing.commitments));
-  }
-}
-BENCHMARK(BM_FeldmanVerifyShare)->Arg(2)->Arg(4);
 
 }  // namespace
 }  // namespace dauth::crypto

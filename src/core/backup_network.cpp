@@ -187,17 +187,6 @@ void BackupNetwork::handle_store(ByteView request, sim::Responder responder) {
         }
         ++metrics_.batches_verified;
       }
-      for (const KeyShareBundle& share : req.shares) {
-        // Verifiable-share extension: check the Feldman commitment so a
-        // tampering dealer/peer is caught at store time.
-        if (share.feldman_share && share.feldman_commitments &&
-            !crypto::feldman_verify(*share.feldman_share, *share.feldman_commitments)) {
-          ++metrics_.rejected_requests;
-          responder.fail(sim::AppErrorCode::kUnauthorized, "feldman share verification failed");
-          return;
-        }
-      }
-
       HomeState& home_state = homes_[req.home_network];
       home_state.home_key = home_key;
       home_state.home_key_known = true;

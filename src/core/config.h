@@ -60,9 +60,6 @@ struct CostModel {
   Time dissemination_per_vector = ms(6);
   // Home network: process one reported usage proof.
   Time report_processing = ms(4);
-  // Extra cost when Feldman verifiable shares are enabled (per share:
-  // commitment check = ~threshold scalar mults).
-  Time feldman_verify_per_share = ms(3);
 };
 
 /// Resilient-RPC knobs (docs/RESILIENCE.md). The pre-resilience arm the
@@ -127,10 +124,6 @@ struct FederationConfig {
   Time home_auth_timeout = ms(800);   // before falling back to backups
   Time backup_auth_timeout = sec(2);
   Time key_share_timeout = sec(2);
-
-  // §3.5.2 extension: use Feldman verifiable secret sharing instead of plain
-  // Shamir (shares are validated individually, at extra CPU cost).
-  bool use_verifiable_shares = false;
 
   // Memoize successful bundle/directory signature verifications (the same
   // signed artifact reaches a serving core several times: hedged backup

@@ -113,29 +113,15 @@ HomeNetwork::GeneratedMaterial HomeNetwork::generate_material(const Supi& supi,
   const ByteArray<16>& index = material.vector.hxres_star;
   ++metrics_.tokens_generated;
 
-  const ByteView secret(k_seaf);
-  std::optional<crypto::FeldmanSharing> feldman;
-  std::vector<crypto::ShamirShare> shamir_shares;
-  if (config_.use_verifiable_shares) {
-    feldman = crypto::feldman_split(secret, config_.threshold, backup_ids_.size(), rng_);
-  } else {
-    shamir_shares = crypto::shamir_split(secret, config_.threshold, backup_ids_.size(), rng_);
-  }
-
+  const std::vector<crypto::ShamirShare> shamir_shares =
+      crypto::shamir_split(ByteView(k_seaf), config_.threshold, backup_ids_.size(), rng_);
   material.shares.resize(backup_ids_.size());
   for (std::size_t i = 0; i < backup_ids_.size(); ++i) {
     KeyShareBundle& bundle = material.shares[i];
     bundle.home_network = id_;
     bundle.supi = supi;
     bundle.hxres_star = index;
-    if (feldman) {
-      bundle.feldman_share = feldman->shares[i];
-      bundle.feldman_commitments = feldman->commitments;
-      // Keep the plain-share field empty but syntactically valid.
-      bundle.share.x = feldman->shares[i].x;
-    } else {
-      bundle.share = shamir_shares[i];
-    }
+    bundle.share = shamir_shares[i];
   }
 
   DisseminatedVector record;

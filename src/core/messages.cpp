@@ -158,43 +158,6 @@ crypto::ShamirShare read_shamir_share(wire::Reader& r) {
   return share;
 }
 
-void write_feldman_share(wire::Writer& w, const crypto::FeldmanShare& share) {
-  w.u8(share.x);
-  w.u32(static_cast<std::uint32_t>(share.chunks.size()));
-  for (const auto& chunk : share.chunks) w.fixed(chunk);
-}
-
-crypto::FeldmanShare read_feldman_share(wire::Reader& r) {
-  crypto::FeldmanShare share;
-  share.x = r.u8();
-  const std::uint32_t chunks = r.u32();
-  share.chunks.reserve(chunks);
-  for (std::uint32_t i = 0; i < chunks; ++i) share.chunks.push_back(r.fixed<32>());
-  return share;
-}
-
-void write_feldman_commitments(wire::Writer& w, const crypto::FeldmanCommitments& c) {
-  w.u32(static_cast<std::uint32_t>(c.secret_length));
-  w.u32(static_cast<std::uint32_t>(c.per_chunk.size()));
-  for (const auto& chunk : c.per_chunk) {
-    w.u32(static_cast<std::uint32_t>(chunk.size()));
-    for (const auto& commitment : chunk) w.fixed(commitment);
-  }
-}
-
-crypto::FeldmanCommitments read_feldman_commitments(wire::Reader& r) {
-  crypto::FeldmanCommitments c;
-  c.secret_length = r.u32();
-  const std::uint32_t chunks = r.u32();
-  c.per_chunk.resize(chunks);
-  for (auto& chunk : c.per_chunk) {
-    const std::uint32_t n = r.u32();
-    chunk.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) chunk.push_back(r.fixed<32>());
-  }
-  return c;
-}
-
 // A KeyShareBundle's wire form, shared by its own encoding and by the
 // ShareReply that carries it.
 void write_share_bundle(wire::Writer& w, const KeyShareBundle& b) {
@@ -202,10 +165,6 @@ void write_share_bundle(wire::Writer& w, const KeyShareBundle& b) {
   w.string(b.supi.str());
   w.fixed(b.hxres_star);
   write_shamir_share(w, b.share);
-  w.boolean(b.feldman_share.has_value());
-  if (b.feldman_share) write_feldman_share(w, *b.feldman_share);
-  w.boolean(b.feldman_commitments.has_value());
-  if (b.feldman_commitments) write_feldman_commitments(w, *b.feldman_commitments);
   write_batch_path(w, b.batch);
   w.fixed(b.home_signature);
 }
@@ -216,8 +175,6 @@ KeyShareBundle read_share_bundle(wire::Reader& r) {
   b.supi = Supi(r.string());
   b.hxres_star = r.fixed<16>();
   b.share = read_shamir_share(r);
-  if (r.boolean()) b.feldman_share = read_feldman_share(r);
-  if (r.boolean()) b.feldman_commitments = read_feldman_commitments(r);
   b.batch = read_batch_path(r);
   b.home_signature = r.fixed<64>();
   return b;
@@ -285,10 +242,6 @@ Bytes KeyShareBundle::signed_payload() const {
   w.string(supi.str());
   w.fixed(hxres_star);
   write_shamir_share(w, share);
-  w.boolean(feldman_share.has_value());
-  if (feldman_share) write_feldman_share(w, *feldman_share);
-  w.boolean(feldman_commitments.has_value());
-  if (feldman_commitments) write_feldman_commitments(w, *feldman_commitments);
   return std::move(w).take();
 }
 

@@ -33,7 +33,6 @@
 #include "common/secret.h"
 #include "common/time.h"
 #include "crypto/ed25519.h"
-#include "crypto/feldman.h"
 #include "crypto/merkle.h"
 #include "crypto/shamir.h"
 
@@ -88,10 +87,6 @@ struct KeyShareBundle {
   Supi supi;
   ByteArray<16> hxres_star{};
   crypto::ShamirShare share;  // share of K_seaf (32 bytes)
-  // Verifiable-share extension (§3.5.2): present when the federation runs
-  // with Feldman VSS enabled.
-  std::optional<crypto::FeldmanShare> feldman_share;
-  std::optional<crypto::FeldmanCommitments> feldman_commitments;
   BatchPath batch;
   crypto::Ed25519Signature home_signature{};  // over the round root
 

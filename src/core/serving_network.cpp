@@ -1040,19 +1040,12 @@ void ServingNetwork::collect_key_shares(const std::shared_ptr<Attach>& attach,
                                                       end_proof_span] {
       crypto::Key256 k_seaf{};
       try {
-        if (config_.use_verifiable_shares) {
-          std::vector<crypto::FeldmanShare> shares;
-          shares.reserve(state->bundles.size());
-          for (const auto& b : state->bundles) shares.push_back(*b.feldman_share);
-          k_seaf = take<32>(crypto::feldman_combine(shares, 32));
-        } else {
-          std::vector<crypto::ShamirShare> shares;
-          shares.reserve(state->bundles.size());
-          for (const auto& b : state->bundles) shares.push_back(b.share);
-          const SecretBytes secret = crypto::shamir_combine(shares);
-          if (secret.size() != 32) throw std::runtime_error("bad secret size");
-          k_seaf = take<32>(secret);
-        }
+        std::vector<crypto::ShamirShare> shares;
+        shares.reserve(state->bundles.size());
+        for (const auto& b : state->bundles) shares.push_back(b.share);
+        const SecretBytes secret = crypto::shamir_combine(shares);
+        if (secret.size() != 32) throw std::runtime_error("bad secret size");
+        k_seaf = take<32>(secret);
       } catch (const std::exception& e) {
         end_proof_span(false);
         finish(attach, {false, AuthPath::kBackup, {},
@@ -1105,33 +1098,17 @@ void ServingNetwork::collect_key_shares(const std::shared_ptr<Attach>& attach,
           }
           const KeyShareBundle& bundle = result->share;
           const SigCheck sig = check_bundle(bundle, attach->home_entry->signing_key);
-          const Time verify_cost =
-              sig.cost + (config_.use_verifiable_shares ? config_.costs.feldman_verify_per_share
-                                                        : Time{0});
           rpc_.network().node(node_).execute(
-              verify_cost, [this, attach, state, leg_concluded, combine_shares, bundle, sig] {
+              sig.cost, [this, attach, state, leg_concluded, combine_shares, bundle, sig] {
                 --state->outstanding;
                 if (state->combined || attach->done) return;
                 if (!sig.ok) {
                   leg_concluded();
                   return;
                 }
-                if (config_.use_verifiable_shares &&
-                    (!bundle.feldman_share || !bundle.feldman_commitments ||
-                     !crypto::feldman_verify(*bundle.feldman_share,
-                                             *bundle.feldman_commitments))) {
-                  leg_concluded();
-                  return;
-                }
                 // Distinct x-coordinates only.
-                const std::uint8_t x = config_.use_verifiable_shares
-                                           ? bundle.feldman_share->x
-                                           : bundle.share.x;
                 for (const auto& existing : state->bundles) {
-                  const std::uint8_t ex = config_.use_verifiable_shares
-                                              ? existing.feldman_share->x
-                                              : existing.share.x;
-                  if (ex == x) {
+                  if (existing.share.x == bundle.share.x) {
                     leg_concluded();
                     return;
                   }

@@ -1035,11 +1035,6 @@ void ge_double_scalarmult_vartime_pre(GroupElement& r, const ByteArray<32>& a,
   strauss_loop(r, aslide, pre.multiples, bslide);
 }
 
-void ge_scalarmult_vartime(GroupElement& r, const GroupElement& q, const ByteArray<32>& scalar) noexcept {
-  const ByteArray<32> zero{};
-  ge_double_scalarmult_vartime(r, scalar, q, zero);
-}
-
 bool ge_is_canonical(const ByteArray<32>& encoded) noexcept {
   // The y encoding (sign bit masked off) must be < p = 2^255 - 19; the only
   // non-canonical values are p..2^255-1, i.e. 0x7fff...ffed + [0, 18].

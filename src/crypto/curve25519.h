@@ -1,4 +1,4 @@
-// Curve25519 field/group arithmetic shared by Ed25519, X25519 and Feldman VSS.
+// Curve25519 field/group arithmetic shared by Ed25519 and X25519.
 //
 // Field elements mod p = 2^255-19 use the donna-style 5x51-bit limb
 // representation with 128-bit intermediate products; Edwards points use
@@ -99,11 +99,6 @@ void ge_dblscal_precompute(DblScalarPrecomp& pre, const GroupElement& p) noexcep
 void ge_double_scalarmult_vartime_pre(GroupElement& r, const ByteArray<32>& a,
                                       const DblScalarPrecomp& pre,
                                       const ByteArray<32>& b) noexcept;
-
-/// r = scalar * q via sliding-window NAF. VARIABLE TIME — public inputs only
-/// (e.g. Feldman commitment evaluation, where commitments and evaluation
-/// points are public).
-void ge_scalarmult_vartime(GroupElement& r, const GroupElement& q, const ByteArray<32>& scalar) noexcept;
 
 /// True iff the encoding's y coordinate is canonical (< 2^255 - 19).
 /// Variable time (encodings are public).

@@ -7,9 +7,9 @@
 // polynomials at the share's non-zero x-coordinate.
 //
 // Plain Shamir shares cannot be individually validated; dAuth compensates by
-// signing the bundles that carry them (paper §3.5.2), and this library also
-// provides Feldman VSS (feldman.h) as the verifiable extension the paper
-// references.
+// signing the bundles that carry them (paper §3.5.2): the home's round
+// signature covers every share, so a backup that alters one is refused at
+// store time and again at the serving network (docs/SECURITY.md).
 #pragma once
 
 #include <cstdint>

@@ -216,7 +216,6 @@ class Rpc {
   void reset_all_connections();
 
   const RpcConfig& config() const noexcept { return config_; }
-  void set_connection_reuse(bool enabled) { config_.connection_reuse = enabled; }
 
   CircuitBreakerSet& breakers() noexcept { return breakers_; }
   const CircuitBreakerSet& breakers() const noexcept { return breakers_; }

@@ -55,27 +55,6 @@ crypto::ShamirShare random_share(Rng& rng) {
   return s;
 }
 
-crypto::FeldmanShare random_feldman_share(Rng& rng) {
-  crypto::FeldmanShare s;
-  s.x = static_cast<std::uint8_t>(1 + rng.next_below(255));
-  const std::size_t chunks = rng.next_below(3);
-  for (std::size_t i = 0; i < chunks; ++i) s.chunks.push_back(random_array<32>(rng));
-  return s;
-}
-
-crypto::FeldmanCommitments random_feldman_commitments(Rng& rng) {
-  crypto::FeldmanCommitments c;
-  c.secret_length = rng.next_below(64);
-  const std::size_t chunks = rng.next_below(3);
-  for (std::size_t i = 0; i < chunks; ++i) {
-    std::vector<ByteArray<32>> row;
-    const std::size_t coeffs = rng.next_below(4);
-    for (std::size_t j = 0; j < coeffs; ++j) row.push_back(random_array<32>(rng));
-    c.per_chunk.push_back(std::move(row));
-  }
-  return c;
-}
-
 /// A u16 position, often at one of the bounds.
 std::uint16_t random_position(Rng& rng) {
   switch (rng.next_below(4)) {
@@ -121,8 +100,6 @@ KeyShareBundle random_share_bundle(Rng& rng) {
   b.supi = random_supi(rng);
   b.hxres_star = random_array<16>(rng);
   b.share = random_share(rng);
-  if (rng.next_below(2) == 1) b.feldman_share = random_feldman_share(rng);
-  if (rng.next_below(2) == 1) b.feldman_commitments = random_feldman_commitments(rng);
   b.batch = random_batch_path(rng);
   b.home_signature = random_array<64>(rng);
   return b;

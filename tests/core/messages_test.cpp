@@ -76,43 +76,11 @@ TEST(Messages, KeyShareBundleRoundTrip) {
   const KeyShareBundle decoded = KeyShareBundle::decode(b.encode());
   EXPECT_EQ(decoded.share.x, 3);
   EXPECT_TRUE(ct_equal(decoded.share.y, b.share.y));
-  EXPECT_FALSE(decoded.feldman_share.has_value());
   EXPECT_TRUE(decoded.verify(keys.public_key));
 
   KeyShareBundle tampered = decoded;
   tampered.share.y[0] ^= 1;
   EXPECT_FALSE(tampered.verify(keys.public_key));
-}
-
-TEST(Messages, KeyShareBundleWithFeldmanRoundTrip) {
-  const auto keys = test_keys(4);
-  crypto::DeterministicDrbg rng("feldman-msg", 1);
-  const Bytes secret(32, 0x42);
-  const auto sharing = crypto::feldman_split(secret, 2, 4, rng);
-
-  KeyShareBundle b;
-  b.home_network = NetworkId("home-net");
-  b.supi = Supi("901550000000001");
-  b.hxres_star = array_from_hex<16>("000102030405060708090a0b0c0d0e0f");
-  b.share.x = sharing.shares[1].x;
-  b.feldman_share = sharing.shares[1];
-  b.feldman_commitments = sharing.commitments;
-  sign_single(b, keys);
-
-  const KeyShareBundle decoded = KeyShareBundle::decode(b.encode());
-  ASSERT_TRUE(decoded.feldman_share.has_value());
-  ASSERT_TRUE(decoded.feldman_commitments.has_value());
-  // FeldmanShare/Commitments no longer expose operator==; compare the
-  // round-trip field-wise (chunk scalars via ct_equal, commitments exactly).
-  EXPECT_EQ(decoded.feldman_share->x, sharing.shares[1].x);
-  ASSERT_EQ(decoded.feldman_share->chunks.size(), sharing.shares[1].chunks.size());
-  for (std::size_t i = 0; i < decoded.feldman_share->chunks.size(); ++i) {
-    EXPECT_TRUE(ct_equal(decoded.feldman_share->chunks[i], sharing.shares[1].chunks[i]));
-  }
-  EXPECT_EQ(decoded.feldman_commitments->secret_length, sharing.commitments.secret_length);
-  EXPECT_EQ(decoded.feldman_commitments->per_chunk, sharing.commitments.per_chunk);
-  EXPECT_TRUE(decoded.verify(keys.public_key));
-  EXPECT_TRUE(crypto::feldman_verify(*decoded.feldman_share, *decoded.feldman_commitments));
 }
 
 TEST(Messages, UsageProofRoundTripAndPreimage) {

@@ -1,5 +1,5 @@
 // Direct tests of the Curve25519 field/group layer (the donna-style 51-bit
-// implementation underlying Ed25519, X25519 and Feldman VSS).
+// implementation underlying Ed25519 and X25519).
 #include "crypto/curve25519.h"
 
 #include <gtest/gtest.h>

@@ -1,10 +1,9 @@
 // Differential tests for the variable-time scalar-multiplication kernels
 // (docs/PERFORMANCE.md): the constant-time Montgomery-style ladder
 // ge_scalarmult is the reference implementation, and every optimized path —
-// the signed windowed-comb fixed-base multiply, the sliding-window NAF
-// vartime multiply, and the Strauss/Shamir joint double-scalar multiply
-// (with and without a precomputed A-side window table) — must agree with it
-// bit-for-bit on random and adversarial inputs.
+// the signed windowed-comb fixed-base multiply and the Strauss/Shamir joint
+// double-scalar multiply (with and without a precomputed A-side window
+// table) — must agree with it bit-for-bit on random and adversarial inputs.
 #include "crypto/curve25519.h"
 
 #include <gtest/gtest.h>
@@ -37,20 +36,6 @@ TEST(ScalarMultDiff, CombBaseMultMatchesLadder) {
     ge_scalarmult_base(comb, s);
     ge_scalarmult(ladder, ge_base(), s);
     EXPECT_EQ(ge_pack(comb), ge_pack(ladder)) << "iteration " << i;
-  }
-}
-
-TEST(ScalarMultDiff, VartimeNafMatchesLadder) {
-  DeterministicDrbg rng("diff-naf", 2);
-  for (int i = 0; i < 64; ++i) {
-    // Random public point: h*B for random h.
-    GroupElement p;
-    ge_scalarmult_base(p, random_scalar(rng));
-    const Scalar s = random_scalar(rng);
-    GroupElement naf, ladder;
-    ge_scalarmult_vartime(naf, p, s);
-    ge_scalarmult(ladder, p, s);
-    EXPECT_EQ(ge_pack_vartime(naf), ge_pack(ladder)) << "iteration " << i;
   }
 }
 

@@ -391,8 +391,11 @@ TEST(BatchSigning, ServingNetworkRejectsForgedShares) {
         << name << ": " << record.failure;
   }
 
-  // Control: the same share undoctored passes the signature check and only
-  // fails later, when its bogus ordinate yields the wrong K_seaf.
+  // Control, the dealer-inconsistency case: the same share undoctored is
+  // home-signed but lies off the sharing polynomial (a home dealing
+  // inconsistent shares). It passes the signature check and the combine,
+  // then fails closed at the UE's key confirmation, because its ordinate
+  // yields the wrong K_seaf.
   attack = nullptr;
   const auto record = f.attach(*ue);
   EXPECT_FALSE(record.key_confirmed);

@@ -318,21 +318,6 @@ TEST(Federation, ConcurrentAttachesAllSucceed) {
   EXPECT_EQ(successes, 10);
 }
 
-TEST(Federation, FeldmanVerifiableSharesEndToEnd) {
-  core::FederationConfig cfg = Federation::test_config();
-  cfg.use_verifiable_shares = true;
-  cfg.vectors_per_backup = 2;
-  Federation f(5, cfg);
-  const auto keys = f.provision(kAlice, 0, {1, 2, 3});
-  f.network.node(f.net(0).node()).set_online(false);
-
-  auto ue = f.make_ue(kAlice, keys, 4);
-  const auto record = f.attach(*ue);
-  EXPECT_TRUE(record.success) << record.failure;
-  EXPECT_EQ(record.path, "backup");
-  EXPECT_TRUE(record.key_confirmed);
-}
-
 TEST(Federation, VectorsExhaustedFailsGracefully) {
   core::FederationConfig cfg = Federation::test_config();
   cfg.vectors_per_backup = 1;  // one per backup -> 3 total

@@ -10,9 +10,9 @@ struct Fixture {
   Network net{s};
   NodeIndex client;
   NodeIndex server;
-  Rpc rpc{net};
+  Rpc rpc;
 
-  Fixture() {
+  explicit Fixture(RpcConfig config = {}) : rpc(net, config) {
     NodeConfig c;
     c.name = "client";
     c.access.base = ms(5);
@@ -69,8 +69,9 @@ TEST(Rpc, ColdCallPaysHandshake) {
 }
 
 TEST(Rpc, ConnectionReuseDisabledPaysEveryTime) {
-  Fixture f;
-  f.rpc.set_connection_reuse(false);
+  RpcConfig config;
+  config.connection_reuse = false;
+  Fixture f(config);
   f.register_echo();
 
   int done = 0;

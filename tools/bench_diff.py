@@ -7,9 +7,11 @@ Usage:
         /tmp/out/BENCH_fig5_resilience_outage.json
 
 Virtual-time rows are deterministic, so the two records must have equal
-`rows` arrays and equal `seeds` lists, value for value. The stamp fields
-(commit, dirty, threads) and the wall time (wall_clock_seconds) describe
-the run, not the result, and are ignored. Exit status 0 when the records
+`rows` arrays and equal `seeds` lists, value for value. Rows pair by
+(series, kind, x): a row only one record has prints one `removed row` or
+`added row` line, and the shared rows must come in the same order. The
+stamp fields (commit, dirty, threads) and the wall time
+(wall_clock_seconds) describe the run, not the result, and are ignored. Exit status 0 when the records
 match; 1, with one line per differing row, when they do not; 2 on a usage
 error.
 """
@@ -22,22 +24,31 @@ def row_key(row):
 
 
 def diff(golden, fresh):
-    """Returns human-readable differences between two records' results."""
+    """Returns human-readable differences between two records' results.
+
+    Rows pair by row_key, so a deleted or added series reports once as a
+    removed or added row instead of shifting every later row. The rows the
+    records share must still come in the same order.
+    """
     out = []
     if golden.get("seeds") != fresh.get("seeds"):
         out.append(f"seeds: {golden.get('seeds')} != {fresh.get('seeds')}")
-    old_rows, new_rows = golden["rows"], fresh["rows"]
-    for i in range(max(len(old_rows), len(new_rows))):
-        old = old_rows[i] if i < len(old_rows) else None
-        new = new_rows[i] if i < len(new_rows) else None
-        if old == new:
-            continue
-        if old is None or new is None or row_key(old) != row_key(new):
-            out.append(f"row {i}: {old and row_key(old)} != {new and row_key(new)}")
-            continue
+    old_rows = {row_key(row): row for row in golden["rows"]}
+    new_rows = {row_key(row): row for row in fresh["rows"]}
+    for name, record, rows in (("golden", golden, old_rows), ("fresh", fresh, new_rows)):
+        if len(rows) != len(record["rows"]):
+            out.append(f"{name}: repeated row keys")
+    out += [f"removed row {key}" for key in old_rows if key not in new_rows]
+    out += [f"added row {key}" for key in new_rows if key not in old_rows]
+    shared = [key for key in old_rows if key in new_rows]
+    if shared != [key for key in new_rows if key in old_rows]:
+        out.append("shared rows come in a different order")
+    for key in shared:
+        old, new = old_rows[key], new_rows[key]
         fields = sorted(k for k in old.keys() | new.keys() if old.get(k) != new.get(k))
-        changes = ", ".join(f"{k} {old.get(k)} -> {new.get(k)}" for k in fields)
-        out.append(f"row {i} {row_key(old)}: {changes}")
+        if fields:
+            changes = ", ".join(f"{k} {old.get(k)} -> {new.get(k)}" for k in fields)
+            out.append(f"row {key}: {changes}")
     return out
 
 

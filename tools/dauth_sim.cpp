@@ -19,7 +19,6 @@
 //   --pool N                           subscriber pool size      [64]
 //   --seed S                           RNG seed                  [42]
 //   --physical-ran                     srsUE profile instead of UERANSIM
-//   --feldman                          verifiable key shares
 //   --cdf                              print CDF rows as well
 #include <cstdio>
 #include <cstdlib>
@@ -37,7 +36,7 @@ namespace {
                "usage: %s [--system dauth|open5gs|roaming] [--mode home|backup]\n"
                "          [--scenario edge-fiber|edge-residential|cloud-fiber|cloud-residential]\n"
                "          [--backups N] [--threshold M] [--load R] [--duration S]\n"
-               "          [--pool N] [--seed S] [--physical-ran] [--feldman] [--cdf]\n",
+               "          [--pool N] [--seed S] [--physical-ran] [--cdf]\n",
                argv0);
   std::exit(2);
 }
@@ -64,7 +63,6 @@ int main(int argc, char** argv) {
   std::size_t pool = 64;
   std::uint64_t seed = 42;
   bool physical_ran = false;
-  bool feldman = false;
   bool print_cdf_rows = false;
 
   for (int i = 1; i < argc; ++i) {
@@ -83,7 +81,6 @@ int main(int argc, char** argv) {
     else if (arg == "--pool") pool = std::strtoul(next().c_str(), nullptr, 10);
     else if (arg == "--seed") seed = std::strtoull(next().c_str(), nullptr, 10);
     else if (arg == "--physical-ran") physical_ran = true;
-    else if (arg == "--feldman") feldman = true;
     else if (arg == "--cdf") print_cdf_rows = true;
     else if (arg == "--help" || arg == "-h") usage(argv[0]);
     else {
@@ -109,7 +106,6 @@ int main(int argc, char** argv) {
     options.physical_ran = physical_ran;
     options.home_offline = (mode == "backup");
     options.config.threshold = threshold;
-    options.config.use_verifiable_shares = feldman;
     options.config.report_interval = 0;
     // Budget vectors for the configured run plus slack (race width 2).
     const double expected = load * static_cast<double>(duration_s) / 60.0;
@@ -137,8 +133,7 @@ int main(int argc, char** argv) {
               sim::to_string(scenario), load, duration_s,
               static_cast<unsigned long long>(seed));
   if (system == "dauth") {
-    std::printf("backups=%zu threshold=%zu mode=%s shares=%s\n", backups, threshold,
-                mode.c_str(), feldman ? "feldman" : "shamir");
+    std::printf("backups=%zu threshold=%zu mode=%s\n", backups, threshold, mode.c_str());
   }
   std::printf("attempted=%zu succeeded=%zu failed=%zu skipped=%zu\n", result.attempted,
               result.succeeded, result.failed, result.skipped_busy);

@@ -94,8 +94,8 @@ bool ends_with(std::string_view s, std::string_view suffix) {
   return s.size() >= suffix.size() && s.substr(s.size() - suffix.size()) == suffix;
 }
 
-/// Names that denote sizes/counters, whatever struct they live in
-/// (FeldmanCommitments::secret_length is the public length of the secret).
+/// Names that denote sizes/counters, whatever struct they live in (a
+/// `secret_length` is the public length of a secret, not the secret).
 bool is_metadata_name(std::string_view name) {
   const std::string n = lower(name);
   return ends_with(n, "_length") || ends_with(n, "_len") || ends_with(n, "_size") ||
