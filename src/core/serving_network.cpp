@@ -41,31 +41,36 @@ const char* to_string(AuthPath path) noexcept {
 /// In-flight attach state. Shared across the async steps of Algorithm 1.
 struct ServingNetwork::Attach {
   std::uint64_t id = 0;
+  Phase phase = Phase::kResolve;
   Supi supi;           // known immediately (SUPI attach) or after vector fetch
   Bytes suci;          // encoded SUCI (empty for SUPI attach)
   std::string guti_issuer;       // GUTI attach: the prior serving network
   std::uint64_t guti_value = 0;
   NetworkId home;      // resolved home network
   std::optional<directory::NetworkEntry> home_entry;
-  AuthPath path = AuthPath::kLocal;
-  bool fell_back = false;
+  AuthPath path = AuthPath::kHomeOnline;  // until LocalAuth or the backups take over
 
   AuthVectorBundle bundle;          // the challenge in flight
   crypto::Key256 local_k_seaf{};    // LocalAuth short-circuit
 
-  std::optional<sim::Responder> challenge_responder;  // attach_request reply
-  std::optional<sim::Responder> outcome_responder;    // auth_response reply
+  // The UE request pending now: the attach_request until the challenge goes
+  // out, then the auth_response being served.
+  std::optional<sim::Responder> responder;
 
   std::vector<directory::NetworkEntry> backups;  // resolved backup entries
   sim::NodeIndex vector_peer = 0;  // backup path: the backup that served `bundle`
-  bool resynced = false;  // one AUTS-triggered retry allowed per attach
-  bool done = false;
 
   // Observability: the per-attach span every downstream call parents under
-  // (invalid while tracing is off) and the virtual start time for the
-  // attach-latency histogram.
+  // and the share round's proof span (both invalid while tracing is off),
+  // and the virtual start time for the attach-latency histogram.
   obs::TraceContext span{};
+  obs::TraceContext proof_span{};
   Time started = 0;
+
+  /// Only a challenged attach awaits the UE's auth_response.
+  bool awaits_response() const {
+    return phase == Phase::kChallenge || phase == Phase::kResyncChallenge;
+  }
 };
 
 ServingNetwork::ServingNetwork(sim::Rpc& rpc, sim::NodeIndex node, NetworkId id,
@@ -136,11 +141,15 @@ ServingNetwork::SigCheck ServingNetwork::check_signature(
 }
 
 template <typename Bundle>
-ServingNetwork::SigCheck ServingNetwork::check_bundle(const Bundle& bundle,
-                                                      const crypto::Ed25519PublicKey& home_key) {
+void ServingNetwork::check_bundle(const Attach& attach, const Bundle& bundle,
+                                  std::function<void(bool ok)> next) {
   const auto payload = bundle.batch_payload();
-  if (!payload) return {false, config_.costs.signature_verify};  // path cannot fit its batch
-  return check_signature(*payload, bundle.home_signature, home_key);
+  const SigCheck sig =
+      payload ? check_signature(*payload, bundle.home_signature,
+                                attach.home_entry->signing_key)
+              : SigCheck{false, config_.costs.signature_verify};  // path cannot fit its batch
+  rpc_.network().node(node_).execute(sig.cost,
+                                     [ok = sig.ok, next = std::move(next)] { next(ok); });
 }
 
 void ServingNetwork::bind_services() {
@@ -178,6 +187,12 @@ bool ServingNetwork::home_reachable(const NetworkId& home) const {
   const auto it = home_health_.find(home);
   if (it == home_health_.end()) return true;  // assume up until proven down
   return it->second.reachable;
+}
+
+void ServingNetwork::note_home_failure(const Attach& attach, const sim::RpcError& error) {
+  if (error.retryable() || error.code == sim::RpcErrorCode::kCircuitOpen) {
+    set_home_health(attach.home, false);
+  }
 }
 
 void ServingNetwork::probe_home(const NetworkId& home, sim::NodeIndex address) {
@@ -234,7 +249,7 @@ void ServingNetwork::handle_attach_request(ByteView request, sim::Responder resp
   attach->home = NetworkId(home_hint);
   attach->guti_issuer = std::move(guti_issuer);
   attach->guti_value = guti_value;
-  attach->challenge_responder = responder;
+  attach->responder = responder;
   attaches_[attach->id] = attach;
   ++metrics_.attaches_started;
   attach->started = rpc_.network().simulator().now();
@@ -269,11 +284,7 @@ void ServingNetwork::resolve_home(const std::shared_ptr<Attach>& attach) {
       }
       attach->supi = it->second.supi;
       attach->home = it->second.home;
-      if (attach->home == id_ && local_home_ != nullptr) {
-        start_local_auth(attach);
-        return;
-      }
-      lookup_home(attach);
+      route(attach);
       return;
     }
     // Foreign GUTI: ask the prior serving network for the identity; if it
@@ -284,11 +295,7 @@ void ServingNetwork::resolve_home(const std::shared_ptr<Attach>& attach) {
 
   // SUCI attach: the routing hint names the home network directly.
   if (!attach->suci.empty()) {
-    if (attach->home == id_ && local_home_ != nullptr) {
-      start_local_auth(attach);
-      return;
-    }
-    lookup_home(attach);
+    route(attach);
     return;
   }
 
@@ -304,7 +311,7 @@ void ServingNetwork::resolve_home(const std::shared_ptr<Attach>& attach) {
       attach->supi,
       [this, attach](std::optional<directory::UserEntry> user) {
         if (!user) {
-          finish(attach, {false, AuthPath::kHomeOnline, {}, "user not in directory"});
+          fail(attach, "user not in directory");
           return;
         }
         attach->home = user->home_network;
@@ -313,12 +320,20 @@ void ServingNetwork::resolve_home(const std::shared_ptr<Attach>& attach) {
       attach->span);
 }
 
+void ServingNetwork::route(const std::shared_ptr<Attach>& attach) {
+  if (attach->home == id_ && local_home_ != nullptr) {
+    start_local_auth(attach);
+    return;
+  }
+  lookup_home(attach);
+}
+
 void ServingNetwork::lookup_home(const std::shared_ptr<Attach>& attach) {
   directory_.get_network(
       attach->home,
       [this, attach](std::optional<directory::NetworkEntry> entry) {
         if (!entry) {
-          finish(attach, {false, AuthPath::kHomeOnline, {}, "unknown home network"});
+          fail(attach, "unknown home network");
           return;
         }
         attach->home_entry = entry;
@@ -328,6 +343,7 @@ void ServingNetwork::lookup_home(const std::shared_ptr<Attach>& attach) {
 }
 
 void ServingNetwork::start_local_auth(const std::shared_ptr<Attach>& attach) {
+  attach->phase = Phase::kVector;
   attach->path = AuthPath::kLocal;
 
   // De-conceal a local SUCI with our own key.
@@ -337,18 +353,18 @@ void ServingNetwork::start_local_auth(const std::shared_ptr<Attach>& attach) {
       recovered = aka::deconceal_suci(aka::decode_suci(attach->suci),
                                       local_home_->suci_keys().secret);
     } catch (const wire::WireError&) {
-      finish(attach, {false, AuthPath::kLocal, {}, "malformed suci"});
+      fail(attach, "malformed suci");
       return;
     }
     if (!recovered) {
-      finish(attach, {false, AuthPath::kLocal, {}, "suci deconcealment failed"});
+      fail(attach, "suci deconcealment failed");
       return;
     }
     attach->supi = *recovered;
   }
 
   if (!local_home_->has_subscriber(attach->supi)) {
-    finish(attach, {false, AuthPath::kLocal, {}, "unknown local subscriber"});
+    fail(attach, "unknown local subscriber");
     return;
   }
 
@@ -360,6 +376,7 @@ void ServingNetwork::start_local_auth(const std::shared_ptr<Attach>& attach) {
 }
 
 void ServingNetwork::try_home_auth(const std::shared_ptr<Attach>& attach) {
+  attach->phase = Phase::kVector;
   if (!home_reachable(attach->home)) {
     // Refresh the verdict in the background; THIS attach goes straight to
     // the backup scheme without paying a discovery timeout.
@@ -380,31 +397,30 @@ void ServingNetwork::try_home_auth(const std::shared_ptr<Attach>& attach) {
   home_vector_stub_.call(
       static_cast<sim::NodeIndex>(attach->home_entry->address), request, options,
       [this, attach](CallResult<AuthVectorBundle> result) {
-        if (attach->done) return;
+        if (attach->phase != Phase::kVector) return;
         if (!result.ok()) {
           if (result.error().code == sim::RpcErrorCode::kBadReply) {
             set_home_health(attach->home, true);  // it answered, just badly
-            finish(attach, {false, AuthPath::kHomeOnline, {}, "malformed vector from home"});
+            fail(attach, "malformed vector from home");
             return;
           }
           // Transport failures mark the home down; an application rejection
           // (kRejected) means the home is up — it just cannot serve this
           // user. Either way the backup scheme is the remaining option.
-          if (result.error().retryable() ||
-              result.error().code == sim::RpcErrorCode::kCircuitOpen) {
-            set_home_health(attach->home, false);
-          }
+          note_home_failure(*attach, result.error());
           ++metrics_.home_fallbacks;
-          attach->fell_back = true;
+          if (obs::Tracer* tracer = rpc_.tracer(); tracer != nullptr) {
+            tracer->set_attr(attach->span, "fell_back", true);
+          }
           start_backup_auth(attach);
           return;
         }
         set_home_health(attach->home, true);
         const AuthVectorBundle& bundle = result.value();
-        const SigCheck sig = check_bundle(bundle, attach->home_entry->signing_key);
-        rpc_.network().node(node_).execute(sig.cost, [this, attach, bundle, sig] {
-          if (!sig.ok) {
-            finish(attach, {false, AuthPath::kHomeOnline, {}, "bad home signature"});
+        check_bundle(*attach, bundle, [this, attach, bundle](bool ok) {
+          if (attach->phase != Phase::kVector) return;
+          if (!ok) {
+            fail(attach, "bad home signature");
             return;
           }
           send_challenge(attach, bundle);
@@ -419,7 +435,7 @@ void ServingNetwork::start_backup_auth(const std::shared_ptr<Attach>& attach) {
       attach->home,
       [this, attach](std::optional<directory::BackupsEntry> entry) {
         if (!entry || entry->backups.empty()) {
-          finish(attach, {false, AuthPath::kBackup, {}, "no backup networks"});
+          fail(attach, "no backup networks");
           return;
         }
         // Resolve every backup's address+key (cached after the first attach).
@@ -431,7 +447,7 @@ void ServingNetwork::start_backup_auth(const std::shared_ptr<Attach>& attach) {
                 if (net) attach->backups.push_back(*net);
                 if (--*remaining == 0) {
                   if (attach->backups.empty()) {
-                    finish(attach, {false, AuthPath::kBackup, {}, "backups unresolvable"});
+                    fail(attach, "backups unresolvable");
                     return;
                   }
                   // Graceful degradation: key reconstruction needs `threshold`
@@ -442,8 +458,7 @@ void ServingNetwork::start_backup_auth(const std::shared_ptr<Attach>& attach) {
                   if (config_.resilience.fast_fail &&
                       reachable_backups(attach->backups) < config_.threshold) {
                     ++metrics_.fast_failures;
-                    finish(attach,
-                           {false, AuthPath::kBackup, {}, "insufficient reachable backups"});
+                    fail(attach, "insufficient reachable backups");
                     return;
                   }
                   request_backup_vector(attach);
@@ -499,7 +514,7 @@ void ServingNetwork::request_backup_vector(const std::shared_ptr<Attach>& attach
   });
   // The AUTS retry skips the backup whose vector the USIM found stale: the
   // rest of its slice sits behind the same watermark.
-  if (attach->resynced) {
+  if (attach->phase == Phase::kResyncVector) {
     std::erase_if(order, [&](std::size_t i) { return address(i) == attach->vector_peer; });
   }
   hedge_backup_vector(attach, request, order);
@@ -519,7 +534,6 @@ void ServingNetwork::hedge_backup_vector(const std::shared_ptr<Attach>& attach,
                                          const GetVectorRequest& request,
                                          const std::vector<std::size_t>& order) {
   struct Hedge {
-    bool won = false;
     std::size_t next = 0;         // next candidate (index into `order`)
     std::size_t width = 0;        // legs the ladder may launch
     std::size_t outstanding = 0;  // legs in flight
@@ -537,15 +551,14 @@ void ServingNetwork::hedge_backup_vector(const std::shared_ptr<Attach>& attach,
   auto leg_options = config_.resilience.call_options(config_.backup_auth_timeout);
   leg_options.trace_parent = attach->span;
 
+  // The ladder runs in kVector or, after an AUTS, in kResyncVector; every
+  // leg and timer returns once the attach has left that phase.
   state->launch = [this, attach, weak = std::weak_ptr<Hedge>(state), request, leg_options,
-                   order] {
+                   order, phase = attach->phase] {
     const auto hedge = weak.lock();
-    if (!hedge || attach->done || hedge->won) return;
+    if (!hedge || attach->phase != phase) return;
     if (hedge->next >= hedge->width) {
-      if (hedge->outstanding == 0) {
-        finish(attach,
-               {false, AuthPath::kBackup, {}, "no backup vector: " + hedge->last_error});
-      }
+      if (hedge->outstanding == 0) fail(attach, "no backup vector: " + hedge->last_error);
       return;
     }
     const std::size_t leg = hedge->next++;
@@ -554,7 +567,7 @@ void ServingNetwork::hedge_backup_vector(const std::shared_ptr<Attach>& attach,
     ++hedge->outstanding;
     hedge->legs.push_back(backup_vector_stub_.call(
         peer, request, leg_options,
-        [this, attach, hedge, leg, peer,
+        [this, attach, hedge, leg, peer, phase,
          candidates = order.size()](CallResult<AuthVectorBundle> result) {
           --hedge->outstanding;
           // The backup answered without a vector (exhausted, or any other
@@ -565,28 +578,26 @@ void ServingNetwork::hedge_backup_vector(const std::shared_ptr<Attach>& attach,
             if (!attach->supi.empty()) empty_slices_.insert({attach->supi, peer});
             if (hedge->width < candidates) ++hedge->width;
           }
-          if (attach->done || hedge->won) return;
+          if (attach->phase != phase) return;
           if (!result.ok()) {
             hedge->last_error = result.error().message;
             hedge->launch();  // promote the next backup immediately
             return;
           }
           const AuthVectorBundle& bundle = result.value();
-          const SigCheck sig = check_bundle(bundle, attach->home_entry->signing_key);
-          rpc_.network().node(node_).execute(
-              sig.cost, [this, attach, hedge, leg, peer, bundle, sig] {
-                if (attach->done || hedge->won) return;
-                if (!sig.ok) {
-                  hedge->last_error = "bad home signature";
-                  hedge->launch();
-                  return;
-                }
-                hedge->won = true;
-                if (leg > 0) ++metrics_.hedge_wins;
-                for (const sim::CallHandle& loser : hedge->legs) loser.cancel();
-                attach->vector_peer = peer;
-                send_challenge(attach, bundle);
-              });
+          check_bundle(*attach, bundle,
+                       [this, attach, hedge, leg, peer, phase, bundle](bool ok) {
+            if (attach->phase != phase) return;
+            if (!ok) {
+              hedge->last_error = "bad home signature";
+              hedge->launch();
+              return;
+            }
+            if (leg > 0) ++metrics_.hedge_wins;
+            for (const sim::CallHandle& loser : hedge->legs) loser.cancel();
+            attach->vector_peer = peer;
+            send_challenge(attach, bundle);  // leaves `phase`
+          });
         },
         resilience_observer()));
     // Arm the hedge timer: if nothing else has advanced the ladder by then
@@ -594,8 +605,8 @@ void ServingNetwork::hedge_backup_vector(const std::shared_ptr<Attach>& attach,
     if (hedge->next < hedge->width) {
       const std::size_t expected_next = hedge->next;
       rpc_.network().simulator().after(
-          config_.resilience.hedge_delay, [attach, hedge, expected_next] {
-            if (attach->done || hedge->won || hedge->next != expected_next) return;
+          config_.resilience.hedge_delay, [attach, hedge, expected_next, phase] {
+            if (attach->phase != phase || hedge->next != expected_next) return;
             hedge->launch();
           });
     }
@@ -621,7 +632,7 @@ void ServingNetwork::resolve_foreign_guti(const std::shared_ptr<Attach>& attach,
     guti_stub_.call(
         static_cast<sim::NodeIndex>(prior->address), lookup, options,
         [this, attach](CallResult<GutiResolveReply> result) {
-          if (attach->done) return;
+          if (attach->phase != Phase::kResolve) return;
           if (!result.ok()) {
             // Prior serving network unreachable (or the GUTI is unknown
             // there): §4.1 — "the serving network can request that the UE
@@ -631,11 +642,7 @@ void ServingNetwork::resolve_foreign_guti(const std::shared_ptr<Attach>& attach,
           }
           attach->supi = result->supi;
           attach->home = result->home;
-          if (attach->home == id_ && local_home_ != nullptr) {
-            start_local_auth(attach);
-            return;
-          }
-          lookup_home(attach);
+          route(attach);
         },
         resilience_observer());
       },
@@ -643,14 +650,12 @@ void ServingNetwork::resolve_foreign_guti(const std::shared_ptr<Attach>& attach,
 }
 
 void ServingNetwork::request_identity(const std::shared_ptr<Attach>& attach) {
-  if (attach->done || !attach->challenge_responder) return;
-  attach->done = true;
   wire::Writer w;
   w.u64(attach->id);
   w.u8(2);  // reply kind: IdentityRequest
-  attach->challenge_responder->reply(std::move(w).take());
-  attach->challenge_responder.reset();
-  attaches_.erase(attach->id);
+  attach->responder->reply(std::move(w).take());
+  attach->responder.reset();
+  fail(attach, "identity requested");
 }
 
 void ServingNetwork::handle_resolve_guti(ByteView request, sim::Responder responder) {
@@ -785,22 +790,21 @@ void ServingNetwork::send_challenge(const std::shared_ptr<Attach>& attach,
                                     const AuthVectorBundle& bundle) {
   // The first challenge answers the attach_request; the one AUTS retry
   // answers the auth_response that carried the AUTS.
-  std::optional<sim::Responder>& responder =
-      attach->resynced ? attach->outcome_responder : attach->challenge_responder;
-  if (attach->done || !responder) return;
   attach->bundle = bundle;
   attach->supi = bundle.supi;  // resolved by the vector's issuer on the SUCI path
   wire::Writer w;
-  if (attach->resynced) {
-    w.u8(2);  // reply kind: retry challenge
-  } else {
+  if (attach->phase == Phase::kVector) {
+    attach->phase = Phase::kChallenge;
     w.u64(attach->id);
     w.u8(1);  // reply kind: AuthRequest
+  } else {
+    attach->phase = Phase::kResyncChallenge;
+    w.u8(2);  // reply kind: retry challenge
   }
   w.fixed(bundle.rand);
   w.fixed(bundle.autn);
-  responder->reply(std::move(w).take());
-  responder.reset();
+  attach->responder->reply(std::move(w).take());
+  attach->responder.reset();
 }
 
 void ServingNetwork::handle_auth_response(ByteView request, sim::Responder responder) {
@@ -824,25 +828,31 @@ void ServingNetwork::handle_auth_response(ByteView request, sim::Responder respo
     return;
   }
   const std::shared_ptr<Attach> attach = it->second;
-  attach->outcome_responder = responder;
+  // A reply before the challenge went out, or while the proof is redeemed,
+  // cannot take over the attach or the UE request it is serving.
+  if (!attach->awaits_response()) {
+    responder.fail(sim::AppErrorCode::kUnsupported, "auth response out of phase");
+    return;
+  }
+  attach->responder = responder;
 
   if (auts) {
     // SQN resynchronisation (TS 33.102 §6.3.5): the UE rejected the
     // challenge as stale and revealed SQNms inside the AUTS. Retry once:
     // send_challenge answers this auth_response with the fresh challenge,
     // and a failure reaches the UE as an outcome on it.
-    if (attach->resynced) {
-      finish(attach, {false, attach->path, {}, "resync retry also failed"});
+    if (attach->phase == Phase::kResyncChallenge) {
+      fail(attach, "resync retry also failed");
       return;
     }
-    attach->resynced = true;
+    attach->phase = Phase::kResyncVector;
 
     if (attach->path == AuthPath::kLocal) {
       crypto::Key256 k_seaf{};
       const auto fresh = local_home_->resync_and_generate_local(
           attach->supi, attach->bundle.rand, *auts, k_seaf);
       if (!fresh) {
-        finish(attach, {false, AuthPath::kLocal, {}, "invalid auts"});
+        fail(attach, "invalid auts");
         return;
       }
       attach->local_k_seaf = k_seaf;
@@ -861,21 +871,22 @@ void ServingNetwork::handle_auth_response(ByteView request, sim::Responder respo
           static_cast<sim::NodeIndex>(attach->home_entry->address), resync,
           resync_options,
           [this, attach](CallResult<AuthVectorBundle> result) {
-            if (attach->done) return;
+            if (attach->phase != Phase::kResyncVector) return;
             if (!result.ok()) {
-              const std::string reason =
-                  result.error().code == sim::RpcErrorCode::kBadReply
-                      ? "bad resync vector"
-                      : "resync failed: " + result.error().message;
-              finish(attach, {false, AuthPath::kHomeOnline, {}, reason});
+              fail(attach, result.error().code == sim::RpcErrorCode::kBadReply
+                               ? "bad resync vector"
+                               : "resync failed: " + result.error().message);
               return;
             }
             const AuthVectorBundle& fresh = result.value();
-            if (!check_bundle(fresh, attach->home_entry->signing_key).ok) {
-              finish(attach, {false, AuthPath::kHomeOnline, {}, "bad resync signature"});
-              return;
-            }
-            send_challenge(attach, fresh);
+            check_bundle(*attach, fresh, [this, attach, fresh](bool ok) {
+              if (attach->phase != Phase::kResyncVector) return;
+              if (!ok) {
+                fail(attach, "bad resync signature");
+                return;
+              }
+              send_challenge(attach, fresh);
+            });
           },
           resilience_observer());
       return;
@@ -891,13 +902,14 @@ void ServingNetwork::handle_auth_response(ByteView request, sim::Responder respo
   // Serving-side check of the UE response: H(RES*) must match the bundle.
   if (!ct_equal(hxres_index(res_star), attach->bundle.hxres_star)) {
     ++metrics_.ue_rejected;
-    finish(attach, {false, attach->path, {}, "ue response mismatch"});
+    fail(attach, "ue response mismatch");
     return;
   }
 
+  attach->phase = Phase::kProof;
   switch (attach->path) {
     case AuthPath::kLocal:
-      finish(attach, {true, AuthPath::kLocal, attach->local_k_seaf, {}});
+      finish(attach, attach->local_k_seaf);
       break;
     case AuthPath::kHomeOnline:
       complete_with_home_key(attach, res_star);
@@ -937,25 +949,17 @@ void ServingNetwork::complete_with_home_key(const std::shared_ptr<Attach>& attac
   home_key_stub_.call(
       static_cast<sim::NodeIndex>(attach->home_entry->address), proof, options,
       [this, attach](CallResult<KeyReply> result) {
-        if (attach->done) return;
+        if (attach->phase != Phase::kProof) return;
         if (!result.ok()) {
           if (result.error().code == sim::RpcErrorCode::kBadReply) {
-            finish(attach, {false, AuthPath::kHomeOnline, {}, "bad key from home"});
+            fail(attach, "bad key from home");
             return;
           }
-          if (result.error().retryable() ||
-              result.error().code == sim::RpcErrorCode::kCircuitOpen) {
-            set_home_health(attach->home, false);
-          }
-          finish(attach, {false, AuthPath::kHomeOnline, {},
-                          "home key fetch failed: " + result.error().message});
+          note_home_failure(*attach, result.error());
+          fail(attach, "home key fetch failed: " + result.error().message);
           return;
         }
-        AttachOutcome outcome;
-        outcome.success = true;
-        outcome.path = AuthPath::kHomeOnline;
-        outcome.k_seaf = result->k_seaf;
-        finish(attach, outcome);
+        finish(attach, result->k_seaf);
       },
       resilience_observer());
 }
@@ -969,17 +973,11 @@ void ServingNetwork::collect_key_shares(const std::shared_ptr<Attach>& attach,
   // The proof span marks the point where the UE's RES* preimage has matched
   // HXRES* (checked by handle_auth_response before this runs); every share
   // fetch parents under it so obs::TraceAssert can tie each released share
-  // back to a verified usage proof.
-  obs::TraceContext proof_span{};
+  // back to a verified usage proof. finish() closes it.
   if (obs::Tracer* tracer = rpc_.tracer(); tracer != nullptr) {
-    proof_span = tracer->start_span("serving.proof", attach->span);
-    tracer->set_attr(proof_span, "proof_verified", true);
+    attach->proof_span = tracer->start_span("serving.proof", attach->span);
+    tracer->set_attr(attach->proof_span, "proof_verified", true);
   }
-  auto end_proof_span = [this, proof_span](bool ok) {
-    if (obs::Tracer* tracer = rpc_.tracer(); tracer != nullptr && proof_span.valid()) {
-      tracer->end_span(proof_span, ok);
-    }
-  };
 
   // Don't waste a broadcast leg (and a timeout) on a backup whose circuit
   // is open — and if the reachable set cannot reach the share threshold at
@@ -994,7 +992,8 @@ void ServingNetwork::collect_key_shares(const std::shared_ptr<Attach>& attach,
     }
     ++metrics_.breaker_skips;
     if (obs::Tracer* tracer = rpc_.tracer(); tracer != nullptr) {
-      const auto skip = tracer->instant_span("breaker-skip:backup.get_share", proof_span);
+      const auto skip =
+          tracer->instant_span("breaker-skip:backup.get_share", attach->proof_span);
       tracer->set_attr(
           skip, "peer",
           rpc_.network().node(static_cast<sim::NodeIndex>(backup.address)).name());
@@ -1002,15 +1001,13 @@ void ServingNetwork::collect_key_shares(const std::shared_ptr<Attach>& attach,
   }
   if (config_.resilience.fast_fail && targets.size() < config_.threshold) {
     ++metrics_.fast_failures;
-    end_proof_span(false);
-    finish(attach, {false, AuthPath::kBackup, {}, "insufficient reachable backups"});
+    fail(attach, "insufficient reachable backups");
     return;
   }
 
   struct CollectState {
     std::vector<KeyShareBundle> bundles;
     std::size_t outstanding = 0;
-    bool combined = false;
   };
   auto state = std::make_shared<CollectState>();
   state->outstanding = targets.size();
@@ -1019,46 +1016,15 @@ void ServingNetwork::collect_key_shares(const std::shared_ptr<Attach>& attach,
   // for `threshold` shares), and a share fetch is not blindly retryable —
   // the proof consumes server-side state.
   auto options = config_.resilience.call_options(config_.key_share_timeout);
-  options.trace_parent = proof_span;
+  options.trace_parent = attach->proof_span;
 
   // Fires whenever a backup leg concludes short of the threshold; if every
   // leg has concluded and we never reached it, fail.
-  auto leg_concluded = [this, attach, state, end_proof_span] {
-    if (state->combined || attach->done) return;
+  auto leg_concluded = [this, attach, state] {
+    if (attach->phase != Phase::kProof) return;
     if (state->outstanding == 0 && state->bundles.size() < config_.threshold) {
-      end_proof_span(false);
-      finish(attach, {false, AuthPath::kBackup, {}, "insufficient key shares"});
+      fail(attach, "insufficient key shares");
     }
-  };
-
-  auto combine_shares = [this, attach, state, end_proof_span] {
-    state->combined = true;
-    const Time combine_cost =
-        config_.costs.share_combine_base +
-        config_.costs.share_combine_per_share * static_cast<Time>(state->bundles.size());
-    rpc_.network().node(node_).execute(combine_cost, [this, attach, state,
-                                                      end_proof_span] {
-      crypto::Key256 k_seaf{};
-      try {
-        std::vector<crypto::ShamirShare> shares;
-        shares.reserve(state->bundles.size());
-        for (const auto& b : state->bundles) shares.push_back(b.share);
-        const SecretBytes secret = crypto::shamir_combine(shares);
-        if (secret.size() != 32) throw std::runtime_error("bad secret size");
-        k_seaf = take<32>(secret);
-      } catch (const std::exception& e) {
-        end_proof_span(false);
-        finish(attach, {false, AuthPath::kBackup, {},
-                        std::string("share combination failed: ") + e.what()});
-        return;
-      }
-      end_proof_span(true);
-      AttachOutcome outcome;
-      outcome.success = true;
-      outcome.path = AuthPath::kBackup;
-      outcome.k_seaf = k_seaf;
-      finish(attach, outcome);
-    });
   };
 
   // §6.4: the proof is broadcast to ALL (reachable) backups concurrently;
@@ -1069,8 +1035,7 @@ void ServingNetwork::collect_key_shares(const std::shared_ptr<Attach>& attach,
     // DAUTH_DISCLOSE(usage proof releases the RES* preimage to redeem key shares, §4.2.2)
     backup_share_stub_.call(
         peer, proof, options,
-        [this, attach, state, leg_concluded, combine_shares, peer, sent](
-            CallResult<ShareReply> result) {
+        [this, attach, state, leg_concluded, peer, sent](CallResult<ShareReply> result) {
           // Every concluded leg refreshes the peer's RTT estimate. A reply or
           // a rejection samples its elapsed time; a transport failure or
           // timeout samples the whole deadline, so a silently dead backup
@@ -1087,52 +1052,64 @@ void ServingNetwork::collect_key_shares(const std::shared_ptr<Attach>& attach,
               empty_slices_.erase({attach->supi, peer});
             }
           }
-          if (state->combined || attach->done) {
-            --state->outstanding;
-            return;
-          }
-          if (!result.ok()) {
+          if (!result.ok() || attach->phase != Phase::kProof) {
             --state->outstanding;
             leg_concluded();
             return;
           }
           const KeyShareBundle& bundle = result->share;
-          const SigCheck sig = check_bundle(bundle, attach->home_entry->signing_key);
-          rpc_.network().node(node_).execute(
-              sig.cost, [this, attach, state, leg_concluded, combine_shares, bundle, sig] {
-                --state->outstanding;
-                if (state->combined || attach->done) return;
-                if (!sig.ok) {
-                  leg_concluded();
-                  return;
-                }
-                // Distinct x-coordinates only.
-                for (const auto& existing : state->bundles) {
-                  if (existing.share.x == bundle.share.x) {
-                    leg_concluded();
-                    return;
-                  }
-                }
-                state->bundles.push_back(bundle);
-                if (state->bundles.size() >= config_.threshold) {
-                  combine_shares();
-                } else {
-                  leg_concluded();  // the last leg may be an accepted one
-                }
-              });
+          check_bundle(*attach, bundle, [this, attach, state, leg_concluded, bundle](bool ok) {
+            --state->outstanding;
+            if (attach->phase != Phase::kProof) return;
+            // Distinct x-coordinates only.
+            const auto same_x = [&](const KeyShareBundle& b) {
+              return b.share.x == bundle.share.x;
+            };
+            if (!ok || std::any_of(state->bundles.begin(), state->bundles.end(), same_x)) {
+              leg_concluded();
+              return;
+            }
+            state->bundles.push_back(bundle);
+            if (state->bundles.size() < config_.threshold) {
+              leg_concluded();  // the last leg may be an accepted one
+              return;
+            }
+            attach->phase = Phase::kCombine;
+            const Time combine_cost = config_.costs.share_combine_base +
+                                      config_.costs.share_combine_per_share *
+                                          static_cast<Time>(state->bundles.size());
+            rpc_.network().node(node_).execute(combine_cost, [this, attach, state] {
+              crypto::Key256 k_seaf{};
+              try {
+                std::vector<crypto::ShamirShare> shares;
+                shares.reserve(state->bundles.size());
+                for (const auto& b : state->bundles) shares.push_back(b.share);
+                const SecretBytes secret = crypto::shamir_combine(shares);
+                if (secret.size() != 32) throw std::runtime_error("bad secret size");
+                k_seaf = take<32>(secret);
+              } catch (const std::exception& e) {
+                fail(attach, std::string("share combination failed: ") + e.what());
+                return;
+              }
+              finish(attach, k_seaf);
+            });
+          });
         },
         resilience_observer());
   }
 }
 
-void ServingNetwork::finish(const std::shared_ptr<Attach>& attach,
-                            const AttachOutcome& outcome) {
-  if (attach->done) return;
-  attach->done = true;
+void ServingNetwork::finish(const std::shared_ptr<Attach>& attach, const crypto::Key256& k_seaf,
+                            const std::string& failure) {
+  // Before the challenge the pending request is the attach_request; from
+  // then on it is the auth_response being served.
+  const bool challenged = attach->phase >= Phase::kChallenge;
+  attach->phase = Phase::kDone;
+  const bool success = failure.empty();
 
-  if (outcome.success) {
+  if (success) {
     ++metrics_.attaches_succeeded;
-    switch (outcome.path) {
+    switch (attach->path) {
       case AuthPath::kLocal: ++metrics_.local_auths; break;
       case AuthPath::kHomeOnline: ++metrics_.home_auths; break;
       case AuthPath::kBackup: ++metrics_.backup_auths; break;
@@ -1142,33 +1119,27 @@ void ServingNetwork::finish(const std::shared_ptr<Attach>& attach,
   }
 
   const Time now = rpc_.network().simulator().now();
-  if (obs::Tracer* tracer = rpc_.tracer();
-      tracer != nullptr && attach->span.valid()) {
-    tracer->set_attr(attach->span, "path", to_string(outcome.path));
+  if (obs::Tracer* tracer = rpc_.tracer(); tracer != nullptr) {
+    tracer->end_span(attach->proof_span, success);
+    tracer->set_attr(attach->span, "path", to_string(attach->path));
     tracer->set_attr(attach->span, "supi", attach->supi.str());
-    if (attach->fell_back) tracer->set_attr(attach->span, "fell_back", true);
-    if (!outcome.failure.empty()) {
-      tracer->set_attr(attach->span, "reason", outcome.failure);
-    }
-    tracer->end_span(attach->span, outcome.success);
+    if (!success) tracer->set_attr(attach->span, "reason", failure);
+    tracer->end_span(attach->span, success);
   }
   if (attach_hist_ != nullptr) {
     attach_hist_->record_duration(now - attach->started);
   }
   if (journal_ != nullptr) {
-    journal_->append(outcome.success ? obs::EventKind::kAttachSucceeded
-                                     : obs::EventKind::kAttachFailed,
-                     id_.str(), attach->supi.str(), outcome.failure,
-                     attach->span.trace_id);
+    journal_->append(success ? obs::EventKind::kAttachSucceeded : obs::EventKind::kAttachFailed,
+                     id_.str(), attach->supi.str(), failure, attach->span.trace_id);
   }
 
   // Successful registration: allocate a fresh GUTI so the UE's next attach
   // can skip identity resolution (and avoid exposing its SUPI again).
   std::uint64_t assigned_guti = 0;
-  if (outcome.success) {
+  if (success) {
     assigned_guti = next_guti_++;
-    guti_table_[assigned_guti] =
-        GutiRecord{attach->supi, attach->home, outcome.k_seaf, 0};
+    guti_table_[assigned_guti] = GutiRecord{attach->supi, attach->home, k_seaf, 0};
     if (attach->guti_value != 0 && attach->guti_issuer == id_.str()) {
       guti_table_.erase(attach->guti_value);  // old GUTI is spent
     }
@@ -1178,26 +1149,21 @@ void ServingNetwork::finish(const std::shared_ptr<Attach>& attach,
     while (guti_table_.size() > kGutiTableCap) guti_table_.erase(guti_table_.begin());
   }
 
-  wire::Writer w;
-  w.u8(1);  // reply kind: outcome
-  w.boolean(outcome.success);
-  w.string(to_string(outcome.path));
-  // SecurityModeCommand key confirmation: HMAC(K_seaf, "dauth-smc"). The UE
-  // recomputes this with its own derived key; a mismatch aborts the attach.
-  const auto confirmation = crypto::hmac_sha256(outcome.k_seaf, as_bytes("dauth-smc"));
-  w.fixed(confirmation);
-  w.string(outcome.failure);
-  w.string(id_.str());   // GUTI issuer
-  w.u64(assigned_guti);  // 0 when the attach failed
-  const Bytes reply = std::move(w).take();
-
-  if (attach->outcome_responder) {
-    attach->outcome_responder->reply(reply);
-  } else if (attach->challenge_responder) {
-    // Failed before the challenge was ever sent: fail the attach_request.
-    attach->challenge_responder->fail(
-        sim::AppErrorCode::kUpstream,
-        outcome.failure.empty() ? "attach failed" : outcome.failure);
+  if (attach->responder && !challenged) {
+    attach->responder->fail(sim::AppErrorCode::kUpstream, failure);
+  } else if (attach->responder) {
+    wire::Writer w;
+    w.u8(1);  // reply kind: outcome
+    w.boolean(success);
+    w.string(to_string(attach->path));
+    // SecurityModeCommand key confirmation: HMAC(K_seaf, "dauth-smc"). The
+    // UE recomputes this with its own derived key; a mismatch aborts the
+    // attach.
+    w.fixed(crypto::hmac_sha256(k_seaf, as_bytes("dauth-smc")));
+    w.string(failure);
+    w.string(id_.str());   // GUTI issuer
+    w.u64(assigned_guti);  // 0 when the attach failed
+    attach->responder->reply(std::move(w).take());
   }
   attaches_.erase(attach->id);
 }

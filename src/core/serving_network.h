@@ -20,6 +20,15 @@
 //      does so without using up the ladder's width. A sim-RNG shuffle
 //      orders only the ties.
 //
+// Each attach is one phase machine (Attach::phase):
+//   resolve -> vector -> challenge -> [resync-vector -> resync-challenge]
+//           -> proof -> combine -> done
+// An asynchronous step returns once the attach has left the phase it was
+// launched in, and only a challenge phase accepts the UE's auth_response.
+// finish() is the one way into done, for every outcome (an IdentityRequest
+// too): it closes the spans, counts the attach and answers the UE's pending
+// request (a kUpstream failure before the challenge, an outcome after).
+//
 // The UE-facing side is exposed as two RPC services so a gNB/UE emulator
 // can drive it over the simulated network:
 //   "serving.attach_request"  {supi|suci|guti} -> {attach_id, RAND, AUTN}
@@ -69,14 +78,6 @@ namespace dauth::core {
 
 enum class AuthPath { kLocal, kHomeOnline, kBackup };
 const char* to_string(AuthPath path) noexcept;
-
-/// Outcome handed back to the UE in the SecurityModeCommand step.
-struct AttachOutcome {
-  bool success = false;
-  AuthPath path = AuthPath::kLocal;
-  crypto::Key256 k_seaf{};  // session key (network side)
-  std::string failure;
-};
 
 /// Smoothed round-trip time per backup peer, in virtual time: an EWMA with
 /// a fixed gain of 1/4 (RFC 6298's SRTT uses 1/8), seeded by the first
@@ -133,6 +134,18 @@ class ServingNetwork {
   void set_observability(obs::MetricsRegistry* registry, obs::EventJournal* journal);
 
  private:
+  /// See the file comment. The resync phases are values of their own, so
+  /// the first vector ladder's legs cannot act after an AUTS retry.
+  enum class Phase {
+    kResolve,          // identify the subscriber and its home
+    kVector,           // fetch (or generate) the first vector
+    kChallenge,        // challenge sent; awaiting the UE's auth_response
+    kResyncVector,     // AUTS received; fetching a fresh vector
+    kResyncChallenge,  // retry challenge sent; awaiting the UE again
+    kProof,            // RES* matched; redeeming the proof for K_seaf or shares
+    kCombine,          // `threshold` shares in hand; combining them
+    kDone,
+  };
   struct Attach;  // in-flight attach state
 
   void handle_attach_request(ByteView request, sim::Responder responder);
@@ -142,9 +155,13 @@ class ServingNetwork {
   void handle_handover_context(ByteView request, sim::Responder responder);
   void resolve_foreign_guti(const std::shared_ptr<Attach>& attach,
                             const NetworkId& prior_serving, std::uint64_t value);
+  /// Sends the UE an IdentityRequest and ends the attach.
   void request_identity(const std::shared_ptr<Attach>& attach);
 
   void resolve_home(const std::shared_ptr<Attach>& attach);
+  /// Authenticates a resolved attach: LocalAuth when the home is this
+  /// network, else lookup_home().
+  void route(const std::shared_ptr<Attach>& attach);
   /// Looks up attach->home's directory entry, then tries the home; an
   /// unknown home fails the attach.
   void lookup_home(const std::shared_ptr<Attach>& attach);
@@ -160,7 +177,13 @@ class ServingNetwork {
                               const crypto::ResStar& res_star);
   void collect_key_shares(const std::shared_ptr<Attach>& attach,
                           const crypto::ResStar& res_star);
-  void finish(const std::shared_ptr<Attach>& attach, const AttachOutcome& outcome);
+  /// The one exit, and the only way into Phase::kDone: an empty `failure`
+  /// is a success with `k_seaf`. It reads the path from the attach.
+  void finish(const std::shared_ptr<Attach>& attach, const crypto::Key256& k_seaf,
+              const std::string& failure = {});
+  void fail(const std::shared_ptr<Attach>& attach, const std::string& reason) {
+    finish(attach, {}, reason);
+  }
 
   /// Outcome of a (possibly cache-answered) signature check plus the
   /// simulated CPU cost the caller should charge for it.
@@ -173,12 +196,16 @@ class ServingNetwork {
   /// signature_verify on a miss.
   SigCheck check_signature(ByteView payload, const crypto::Ed25519Signature& signature,
                            const crypto::Ed25519PublicKey& signer);
-  /// A bundle's home signature over its batch root (core/messages.h): a
-  /// vector and a share from the same backup batch share one cache entry.
+  /// Checks a bundle's home signature over its round root (core/messages.h;
+  /// a vector and a share from one round share a cache entry), charges the
+  /// check on this node's CPU, then calls `next(ok)`.
   template <typename Bundle>
-  SigCheck check_bundle(const Bundle& bundle, const crypto::Ed25519PublicKey& home_key);
+  void check_bundle(const Attach& attach, const Bundle& bundle,
+                    std::function<void(bool ok)> next);
 
   bool home_reachable(const NetworkId& home) const;
+  /// A transport failure (or an open circuit) toward the home marks it down.
+  void note_home_failure(const Attach& attach, const sim::RpcError& error);
   /// Fires an asynchronous liveness probe ("home.ping") so an expired
   /// "home is down" verdict is refreshed WITHOUT an in-line attach paying
   /// the discovery timeout.

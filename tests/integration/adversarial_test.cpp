@@ -5,7 +5,11 @@
 //   * obtain key shares without a valid RES* preimage + serving signature,
 //   * delete other networks' material with forged revocations,
 //   * equivocate in reports without the home network noticing.
+// Nor may a forged UE reply take over another UE's attach.
 #include <gtest/gtest.h>
+
+#include <utility>
+#include <vector>
 
 #include "federation_fixture.h"
 #include "wire/writer.h"
@@ -178,6 +182,54 @@ TEST(Adversarial, EquivocatingReportsAreFlagged) {
   f.simulator.run();
   ASSERT_FALSE(f.net(0).home().anomalies().empty());
   EXPECT_NE(f.net(0).home().anomalies().front().find("unknown vector"), std::string::npos);
+}
+
+TEST(Adversarial, AuthResponseOutOfPhaseIsRejected) {
+  // An auth_response answers a pending challenge only. A forged one with a
+  // zero RES* for the same attach id, sent while the serving network still
+  // waits for a vector and again while it collects key shares, is refused
+  // and takes nothing over: the genuine UE's attach still completes.
+  Federation f(5);
+  const auto keys = f.provision(kAlice, 0, {1, 2, 3});
+  std::vector<sim::RpcError> refusals;
+  std::size_t answered = 0;
+  auto inject = [&] {
+    wire::Writer w;
+    w.u64(1);  // the serving network's first attach
+    w.fixed(crypto::ResStar{});
+    w.boolean(false);  // no AUTS
+    f.rpc.call(f.ran_node, f.net(4).node(), "serving.auth_response", std::move(w).take(), {},
+               [&](Bytes) { ++answered; }, [&](sim::RpcError e) { refusals.push_back(e); });
+  };
+  // Before the challenge: the home has gone dark and never answers the
+  // vector fetch, so the attach falls back to the backups.
+  bool home_tripped = false;
+  f.rpc.register_service(f.net(0).node(), "home.get_vector", [&](ByteView, sim::Responder) {
+    if (!std::exchange(home_tripped, true)) inject();
+  });
+  // During share collection: net-2 withholds its share and injects instead.
+  bool share_tripped = false;
+  f.rpc.register_service(f.net(1).node(), "backup.get_share",
+                         [&](ByteView, sim::Responder r) {
+                           if (!std::exchange(share_tripped, true)) inject();
+                           r.fail(sim::AppErrorCode::kUnspecified, "share withheld");
+                         });
+
+  auto ue = f.make_ue(kAlice, keys, 4);
+  const auto record = f.attach(*ue);
+  ASSERT_TRUE(record.success) << record.failure;
+  EXPECT_EQ(record.path, "backup");
+  EXPECT_TRUE(record.key_confirmed);
+  ASSERT_TRUE(home_tripped);
+  ASSERT_TRUE(share_tripped);
+  EXPECT_EQ(answered, 0u);
+  ASSERT_EQ(refusals.size(), 2u);
+  for (const sim::RpcError& e : refusals) {
+    EXPECT_EQ(e.code, sim::RpcErrorCode::kRejected);
+    ASSERT_TRUE(e.app.has_value());
+    EXPECT_EQ(e.app->code, sim::AppErrorCode::kUnsupported) << e.message;
+  }
+  EXPECT_EQ(f.net(4).serving().metrics().ue_rejected, 0u);
 }
 
 TEST(Adversarial, BelowThresholdCoalitionLearnsNothing) {

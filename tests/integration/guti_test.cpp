@@ -6,7 +6,15 @@
 //     UE retries with a long-lived identifier.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <string_view>
+
 #include "federation_fixture.h"
+#include "obs/journal.h"
+#include "obs/tracer.h"
+#include "wire/reader.h"
+#include "wire/writer.h"
 
 namespace dauth::testing {
 namespace {
@@ -88,28 +96,87 @@ TEST(Guti, PriorServingDownFallsBackToIdentityRequest) {
   EXPECT_EQ(ue->guti()->issuer, f.net(4).id());
 }
 
+/// Sends a raw GUTI attach_request to nets[serving] and expects an
+/// IdentityRequest that ends the attach: the `attach` span closes with its
+/// reason, the attach counts as failed, and the journal pairs its start with
+/// an end.
+void expect_identity_request(Federation& f, std::size_t serving, const NetworkId& issuer,
+                             std::uint64_t guti_value) {
+  obs::Tracer tracer([&f] { return f.simulator.now(); }, &f.simulator.rng());
+  obs::EventJournal journal([&f] { return f.simulator.now(); });
+  f.rpc.set_tracer(&tracer);
+  f.net(serving).set_observability(nullptr, &journal);
+
+  wire::Writer attach;
+  attach.string("");  // no SUPI
+  attach.bytes({});   // no SUCI
+  attach.string("");  // no routing hint
+  attach.string(issuer.str());
+  attach.u64(guti_value);
+  attach.u8(0);  // 5G NR
+  std::optional<std::uint8_t> kind;
+  f.rpc.call(
+      f.ran_node, f.net(serving).node(), "serving.attach_request", std::move(attach).take(),
+      {},
+      [&](Bytes reply) {
+        wire::Reader r(reply);
+        (void)r.u64();  // attach id
+        kind = r.u8();
+        r.expect_done();
+      },
+      [](sim::RpcError e) { ADD_FAILURE() << "attach request failed: " << e.message; });
+  f.simulator.run();
+  f.rpc.set_tracer(nullptr);
+  f.net(serving).set_observability(nullptr, nullptr);
+
+  EXPECT_EQ(kind, std::optional<std::uint8_t>(2));  // IdentityRequest
+  std::size_t attach_spans = 0;
+  for (const obs::Span& span : tracer.spans()) {
+    if (span.name != "attach") continue;
+    ++attach_spans;
+    EXPECT_TRUE(span.finished());
+    EXPECT_FALSE(span.ok);
+    const auto reason =
+        std::find_if(span.attrs.begin(), span.attrs.end(),
+                     [](const obs::Attr& a) { return std::string_view(a.name) == "reason"; });
+    ASSERT_NE(reason, span.attrs.end());
+    EXPECT_EQ(reason->value.as_label(), "identity requested");
+  }
+  EXPECT_EQ(attach_spans, 1u);
+  const auto& m = f.net(serving).serving().metrics();
+  EXPECT_EQ(m.attaches_started, m.attaches_succeeded + m.attaches_failed);
+  std::size_t started = 0;
+  std::size_t ended = 0;
+  for (const obs::Event& event : journal.events()) {
+    if (event.kind == obs::EventKind::kAttachStarted) ++started;
+    if (event.kind == obs::EventKind::kAttachFailed) ++ended;
+    EXPECT_NE(event.kind, obs::EventKind::kAttachSucceeded);
+  }
+  EXPECT_EQ(started, 1u);
+  EXPECT_EQ(ended, 1u);
+}
+
 TEST(Guti, UnknownGutiTriggersIdentityRequest) {
   Federation f(4);
   const auto keys = f.provision(kAlice, 0, {1, 2});
   auto ue = make_guti_ue(f, kAlice, keys, 3);
   ASSERT_TRUE(f.attach(*ue).success);
 
-  // The serving network restarts and loses its GUTI table. Model by moving
-  // the UE away and back... simplest: attach at a DIFFERENT network that
-  // never issued this GUTI value and is also not reachable as its issuer —
-  // instead, test the local-unknown case by attaching twice at net-4 while
-  // wiping the table via a fresh federation is overkill; use the spent-GUTI
-  // property: a GUTI is one-time, so replaying the OLD value must yield an
-  // IdentityRequest and still succeed through the fallback.
+  // A GUTI is one-time: re-attaching spends the first one.
   const auto old_guti = *ue->guti();
-  ASSERT_TRUE(f.attach(*ue).success);  // spends old, assigns new
+  ASSERT_TRUE(f.attach(*ue).success);
 
-  // Hand the UE its stale GUTI again (simulating lost state).
+  // A UE that lost its GUTI attaches by SUPI and still succeeds.
   ue->forget_guti();
-  // Attach with no GUTI -> SUPI path; still succeeds.
   const auto record = f.attach(*ue);
   EXPECT_TRUE(record.success) << record.failure;
-  (void)old_guti;
+
+  // The spent GUTI, replayed at its issuer, maps to no subscriber: the
+  // serving network asks for the identity instead.
+  expect_identity_request(f, 3, f.net(3).id(), old_guti.value);
+  // A foreign GUTI whose issuer is offline takes the same fallback.
+  f.network.node(f.net(2).node()).set_online(false);
+  expect_identity_request(f, 3, f.net(2).id(), old_guti.value);
 }
 
 TEST(Guti, IdentityRequestLatencyIncludesRetry) {

@@ -64,6 +64,32 @@ TEST(Resync, RetryLatencyIsHigherThanNormalAttach) {
   EXPECT_GT(resynced.latency(), normal.latency());
 }
 
+TEST(Resync, HomeResyncChargesTheBundleVerify) {
+  // The fresh vector from home.resync is checked like every other bundle,
+  // and the check costs signature_verify of serving CPU.
+  core::FederationConfig cfg = Federation::test_config();
+  cfg.costs.signature_verify = ms(200);
+  cfg.verify_cache_entries = 0;
+  Federation f(4, cfg);
+  const auto keys = f.provision(kAlice, 0, {1, 2});
+  auto ue = f.make_ue(kAlice, keys, 3);
+
+  ASSERT_TRUE(f.attach(*ue).success);  // warms the directory cache
+  const auto normal = f.attach(*ue);
+  ASSERT_TRUE(normal.success);
+
+  f.net(0).home().reset_subscriber_sqn(kAlice);
+  const auto misses = f.net(3).serving().metrics().signature_cache_misses;
+  const auto resynced = f.attach(*ue);
+  ASSERT_TRUE(resynced.success) << resynced.failure;
+  EXPECT_TRUE(resynced.key_confirmed);
+  // The stale vector and the fresh one.
+  EXPECT_EQ(f.net(3).serving().metrics().signature_cache_misses - misses, 2u);
+  // The retry's extra UE and home round trips take a few ms; the second
+  // verify takes the rest.
+  EXPECT_GE(resynced.latency() - normal.latency(), cfg.costs.signature_verify);
+}
+
 TEST(Resync, SecondConsecutiveFailureAborts) {
   // If the retry challenge is ALSO stale the UE gives up (attempt limit).
   // Construct by resetting the allocator again between the retry... not

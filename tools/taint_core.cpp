@@ -1654,10 +1654,11 @@ std::vector<HandlerContract> default_contracts() {
        "happens at auth_response"},
       {"serving.auth_response",
        "ServingNetwork::handle_auth_response",
-       {"ct_equal"},
+       {"awaits_response", "ct_equal"},
        {"complete_with_home_key", "collect_key_shares"},
-       "key retrieval (and the RES* disclosure it entails) fires only after "
-       "H(RES*) matches the challenge bundle (§4.2.2)"},
+       "key retrieval (and the RES* disclosure it entails) fires only for an "
+       "attach whose challenge awaits the UE's reply, and only after H(RES*) "
+       "matches the challenge bundle (§4.2.2)"},
       {"serving.resolve_guti",
        "ServingNetwork::handle_resolve_guti",
        {},
