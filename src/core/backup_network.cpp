@@ -1,6 +1,7 @@
 #include "core/backup_network.h"
 
 #include <algorithm>
+#include <set>
 
 #include "aka/suci.h"
 #include "core/home_network.h"  // hxres_index
@@ -503,12 +504,7 @@ void BackupNetwork::arm_report(const NetworkId& home) {
     auto it = homes_.find(home);
     if (it == homes_.end()) return;
     it->second.report_armed = false;
-    if (!it->second.pending_proofs.empty()) {
-      report_now(home);
-      // Re-arm in case the home is still down; report_now's success path
-      // clears the pending list, making the next firing a no-op... but only
-      // re-arm AFTER the attempt resolves, which report_now handles.
-    }
+    report_now(home);
   });
 }
 
@@ -520,36 +516,44 @@ void BackupNetwork::report_now(const NetworkId& home) {
   report.backup_network = id_;
   report.proofs = it->second.pending_proofs;
 
-  directory_.get_network(home, [this, home, report](std::optional<directory::NetworkEntry> e) {
+  std::set<ByteArray<16>> sent;
+  for (const UsageProof& proof : report.proofs) sent.insert(proof.hxres_star);
+
+  directory_.get_network(home, [this, home, report = std::move(report), sent = std::move(sent)](
+                                   std::optional<directory::NetworkEntry> e) mutable {
     if (!e) return;
     // Reports already have an application-level retry loop (arm_report), so
     // a single attempt per firing is enough whatever the retry policy; the
-    // breaker still short-circuits firings at a known-down home.
-    const auto options = config_.resilience.call_options(sec(5));
+    // breaker still short-circuits firings at a known-down home. The home
+    // charges report_processing per proof before it acks, so the attempt may
+    // take until the next firing, which re-sends anyway.
+    const Time deadline = config_.report_interval > 0 ? config_.report_interval : sec(5);
     // DAUTH_DISCLOSE(usage report carries spent RES* preimages back to the home network, §4.2.3)
     report_stub_.call(
-        static_cast<sim::NodeIndex>(e->address), report, options,
-        [this, home, count = report.proofs.size()](CallResult<Ack> result) {
+        static_cast<sim::NodeIndex>(e->address), report,
+        config_.resilience.call_options(deadline),
+        [this, home, sent = std::move(sent)](CallResult<Ack> result) {
           if (!result.ok()) {
             // Home still down; keep the proofs and retry after an interval.
             arm_report(home);
             return;
           }
-          // Home acknowledged: clear exactly the proofs we sent.
+          // Home acknowledged: clear exactly the proofs we sent, by H(XRES*).
+          // A proof persisted while the report was in flight stays pending.
           auto home_it = homes_.find(home);
           if (home_it == homes_.end()) return;
           auto& pending = home_it->second.pending_proofs;
-          pending.erase(pending.begin(),
-                        pending.begin() + std::min(count, pending.size()));
-          metrics_.proofs_pending -= std::min<std::uint64_t>(count, metrics_.proofs_pending);
+          const std::size_t cleared = std::erase_if(
+              pending, [&](const UsageProof& proof) { return sent.contains(proof.hxres_star); });
+          metrics_.proofs_pending -= std::min<std::uint64_t>(cleared, metrics_.proofs_pending);
           ++metrics_.reports_sent;
           if (journal_ != nullptr) {
             journal_->append(obs::EventKind::kReportSent, id_.str(), home.str(),
-                             std::to_string(count) + " proofs");
+                             std::to_string(cleared) + " proofs");
           }
           if (store_ != nullptr) {
-            for (const auto& key : store_->keys_with_prefix("proof/" + home.str() + "/")) {
-              store_->erase(key);
+            for (const auto& hxres : sent) {
+              store_->erase("proof/" + home.str() + "/" + to_hex(hxres));
             }
           }
         });

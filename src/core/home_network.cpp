@@ -143,11 +143,14 @@ void HomeNetwork::disseminate(const Supi& supi, std::function<void(std::size_t)>
     if (done) done(0);
     return;
   }
-  if (backup_ids_.empty()) {
-    if (done) done(0);
-    return;
-  }
+  send_round(supi, subscriber_it->second,
+             std::vector<std::size_t>(backup_ids_.size(), config_.vectors_per_backup),
+             std::move(done));
+}
 
+void HomeNetwork::send_round(const Supi& supi, Subscriber& subscriber,
+                             const std::vector<std::size_t>& counts,
+                             std::function<void(std::size_t)> done) {
   // Build one StoreMaterialRequest per backup: its slice's vectors plus its
   // share of every other backup's vectors.
   std::vector<StoreMaterialRequest> requests(backup_ids_.size());
@@ -159,11 +162,9 @@ void HomeNetwork::disseminate(const Supi& supi, std::function<void(std::size_t)>
   std::size_t total_vectors = 0;
   for (std::size_t b = 0; b < backup_ids_.size(); ++b) {
     const int slice = slice_of(backup_ids_[b]);
-    for (std::size_t v = 0; v < config_.vectors_per_backup; ++v) {
-      GeneratedMaterial material =
-          generate_material(supi, subscriber_it->second, slice, /*flood=*/false);
-      subscriber_it->second.outstanding[to_hex(material.vector.hxres_star)].holder =
-          backup_ids_[b];
+    for (std::size_t v = 0; v < counts[b]; ++v) {
+      GeneratedMaterial material = generate_material(supi, subscriber, slice, /*flood=*/false);
+      subscriber.outstanding[to_hex(material.vector.hxres_star)].holder = backup_ids_[b];
       requests[b].vectors.push_back(std::move(material.vector));
       for (std::size_t s = 0; s < backup_ids_.size(); ++s) {
         requests[s].shares.push_back(std::move(material.shares[s]));
@@ -171,14 +172,16 @@ void HomeNetwork::disseminate(const Supi& supi, std::function<void(std::size_t)>
       ++total_vectors;
     }
   }
+  if (total_vectors == 0) {  // nothing to sign or store
+    if (done) done(0);
+    return;
+  }
   metrics_.vectors_disseminated += total_vectors;
   metrics_.shares_disseminated += total_vectors * backup_ids_.size();
   // One signature per (user, round): each backup's request is one batch, and
   // the home signs the root of the tree over the batch roots (§4.2.1).
-  if (total_vectors > 0) {
-    sign_round(requests, signing_key_);
-    ++metrics_.batches_signed;
-  }
+  sign_round(requests, signing_key_);
+  ++metrics_.batches_signed;
 
   // Model the precompute cost, then push to every backup. Each request moves
   // into its directory callback, so no batch is held twice.
@@ -403,18 +406,42 @@ void HomeNetwork::handle_report(ByteView request, sim::Responder responder) {
   const Time cost =
       config_.costs.report_processing * static_cast<Time>(std::max<std::size_t>(1, report.proofs.size()));
   rpc_.network().node(node_).execute(cost, [this, report = std::move(report), responder] {
+    // One revoke and one refill round per user with consumed vectors: the
+    // revoke lists every consumed index, and the round refills each holder's
+    // slice with as many vectors as it lost (§4.2.3).
+    std::map<Supi, RevokeSharesRequest> revokes;
+    std::map<Supi, std::vector<std::size_t>> refills;
     for (const UsageProof& proof : report.proofs) {
-      process_proof(report.backup_network, proof);
+      const std::optional<NetworkId> holder = process_proof(report.backup_network, proof);
+      if (!holder) continue;
+      revokes[proof.supi].hxres_indices.push_back(proof.hxres_star);
+      auto& counts = refills.try_emplace(proof.supi, backup_ids_.size()).first->second;
+      const auto slot = std::find(backup_ids_.begin(), backup_ids_.end(), *holder);
+      if (slot == backup_ids_.end()) continue;  // the holder has left the backup set
+      ++counts[slot - backup_ids_.begin()];
+      ++metrics_.replenishments;
+      if (journal_ != nullptr) {
+        journal_->append(obs::EventKind::kReplenishment, id_.str(), proof.supi.str(),
+                         "holder " + holder->str());
+      }
+    }
+    for (auto& [supi, revoke] : revokes) {
+      revoke.home_network = id_;
+      revoke.supi = supi;
+      revoke.home_signature = crypto::ed25519_sign(revoke.signed_payload(), signing_key_);
+      for (const NetworkId& backup : backup_ids_) push(revoke_stub_, backup, revoke);
+      send_round(supi, subscribers_.at(supi), refills.at(supi));
     }
     responder.reply({});
   });
 }
 
-void HomeNetwork::process_proof(const NetworkId& reporter, const UsageProof& proof) {
+std::optional<NetworkId> HomeNetwork::process_proof(const NetworkId& reporter,
+                                                    const UsageProof& proof) {
   auto it = subscribers_.find(proof.supi);
   if (it == subscribers_.end()) {
     note_anomaly("report for unknown subscriber from " + reporter.str());
-    return;
+    return std::nullopt;
   }
   Subscriber& subscriber = it->second;
   ++metrics_.reports_processed;
@@ -425,7 +452,7 @@ void HomeNetwork::process_proof(const NetworkId& reporter, const UsageProof& pro
 
   if (!ct_equal(hxres_index(proof.res_star), proof.hxres_star)) {
     note_anomaly("bad preimage in report from " + reporter.str());
-    return;
+    return std::nullopt;
   }
 
   const std::string index = to_hex(proof.hxres_star);
@@ -437,58 +464,19 @@ void HomeNetwork::process_proof(const NetworkId& reporter, const UsageProof& pro
       note_anomaly("conflicting serving networks for vector " + index + ": " +
                    seen->second.str() + " vs " + proof.serving_network.str());
     }
-    return;  // already handled (replenished on first report)
+    return std::nullopt;  // already handled (replenished on first report)
   }
   subscriber.seen_proofs[index] = proof.serving_network;
 
   auto outstanding_it = subscriber.outstanding.find(index);
   if (outstanding_it == subscriber.outstanding.end()) {
     note_anomaly("report for unknown vector " + index + " from " + reporter.str());
-    return;
+    return std::nullopt;
   }
-  outstanding_it->second.consumed = true;
   ++usage_ledger_[proof.serving_network];
-  const NetworkId holder = outstanding_it->second.holder;
-
-  // Order the now-obsolete sibling key shares deleted everywhere, and
-  // replenish the consumed slot (§4.2.3).
-  RevokeSharesRequest revoke;
-  revoke.home_network = id_;
-  revoke.supi = proof.supi;
-  revoke.hxres_indices.push_back(proof.hxres_star);
-  revoke.home_signature = crypto::ed25519_sign(revoke.signed_payload(), signing_key_);
-  for (const NetworkId& backup : backup_ids_) push(revoke_stub_, backup, revoke);
+  NetworkId holder = std::move(outstanding_it->second.holder);
   subscriber.outstanding.erase(outstanding_it);
-  replenish(proof.supi, holder);
-}
-
-void HomeNetwork::replenish(const Supi& supi, const NetworkId& holder) {
-  auto it = subscribers_.find(supi);
-  if (it == subscribers_.end()) return;
-  const int slice = slice_of(holder);
-  if (slice < 0) return;  // holder no longer a backup
-
-  GeneratedMaterial material = generate_material(supi, it->second, slice, /*flood=*/false);
-  sign_each(material);
-  it->second.outstanding[to_hex(material.vector.hxres_star)].holder = holder;
-  ++metrics_.replenishments;
-  if (journal_ != nullptr) {
-    journal_->append(obs::EventKind::kReplenishment, id_.str(), supi.str(),
-                     "holder " + holder.str());
-  }
-  ++metrics_.vectors_disseminated;
-  metrics_.shares_disseminated += backup_ids_.size();
-
-  rpc_.network().node(node_).execute(
-      config_.costs.dissemination_per_vector, [this, material = std::move(material), holder] {
-        for (std::size_t b = 0; b < backup_ids_.size(); ++b) {
-          StoreMaterialRequest request;
-          request.home_network = id_;
-          if (backup_ids_[b] == holder) request.vectors.push_back(material.vector);
-          request.shares.push_back(material.shares[b]);
-          push(store_stub_, backup_ids_[b], std::move(request));
-        }
-      });
+  return holder;
 }
 
 void HomeNetwork::revoke_backup(const NetworkId& revoked, std::function<void()> done) {

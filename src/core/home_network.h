@@ -6,9 +6,10 @@
 //     Fig. 8), releasing K_seaf only after a valid RES* preimage;
 //   * pre-generate vector + key-share material, one SQN slice per backup
 //     network, and disseminate it (§4.2.1);
-//   * process usage reports from backups: replenish consumed material,
-//     invalidate the sibling key shares, and cross-check for inconsistent
-//     reports (§4.2.3);
+//   * process usage reports from backups: per user, invalidate the consumed
+//     vectors' sibling key shares with one signed revoke and refill the
+//     consumed slots with one signed round, and cross-check for
+//     inconsistent reports (§4.2.3);
 //   * revoke a compromised backup (§4.3): supersede its SQN slice, flood a
 //     fresh vector to the remaining backups, and order the matching key
 //     shares deleted.
@@ -18,11 +19,9 @@
 // makes 5G-AKA vector pre-generation possible — see DESIGN.md.
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <map>
 #include <optional>
-#include <set>
 #include <vector>
 
 #include "aka/auth_vector.h"
@@ -66,8 +65,8 @@ class HomeNetwork {
   const std::vector<NetworkId>& backups() const noexcept { return backup_ids_; }
 
   /// Pre-generates and pushes `config.vectors_per_backup` vectors per backup
-  /// for one subscriber (§4.2.1). `done(ok_count)` fires after all backup
-  /// stores complete or fail.
+  /// for one subscriber as one round (§4.2.1). `done(ok_count)` fires after
+  /// all backup stores complete or fail.
   void disseminate(const Supi& supi, std::function<void(std::size_t)> done = nullptr);
 
   /// Revokes a backup network (§4.3). Removes it from the backup set,
@@ -123,7 +122,6 @@ class HomeNetwork {
     ByteArray<16> hxres;
     std::uint64_t sqn = 0;
     NetworkId holder;  // backup holding the vector itself
-    bool consumed = false;
   };
 
   struct Subscriber {
@@ -151,10 +149,17 @@ class HomeNetwork {
   };
   GeneratedMaterial generate_material(const Supi& supi, Subscriber& subscriber, int slice,
                                       bool flood);
-  /// Signs every bundle of `material` as its own one-leaf round: replenished
-  /// and flood bundles travel alone, and a flood vector must stay
-  /// byte-identical at every backup.
+  /// Signs every bundle of `material` as its own one-leaf round. Used only
+  /// for flood vectors (§4.3), which must stay byte-identical at every
+  /// backup.
   void sign_each(GeneratedMaterial& material);
+  /// The one round builder (§4.2.1, §4.2.3): generates `counts[b]` vectors
+  /// in backup b's slice, signs them as one round and, after the
+  /// dissemination cost, pushes one StoreMaterialRequest per backup.
+  /// `done(ok_count)` fires once every push completes or fails.
+  void send_round(const Supi& supi, Subscriber& subscriber,
+                  const std::vector<std::size_t>& counts,
+                  std::function<void(std::size_t)> done = nullptr);
 
   void handle_get_vector(ByteView request, sim::Responder responder);
   void handle_get_key(ByteView request, sim::Responder responder);
@@ -163,8 +168,9 @@ class HomeNetwork {
   /// Issues, signs and sends one slice-0 vector for `supi` after the
   /// vector-generation cost, filing its K_seaf until the RES* proof arrives.
   void serve_vector(const Supi& supi, sim::Responder responder);
-  void process_proof(const NetworkId& reporter, const UsageProof& proof);
-  void replenish(const Supi& supi, const NetworkId& holder);
+  /// Validates one reported proof and records its use: the holder of the
+  /// vector it consumed, or nullopt for a bad, repeated or unknown proof.
+  std::optional<NetworkId> process_proof(const NetworkId& reporter, const UsageProof& proof);
   /// Records an accountability anomaly (§4.2.3) in-memory and, when a
   /// journal is attached, as a durable kAnomaly event.
   void note_anomaly(std::string what);

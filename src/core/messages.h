@@ -12,15 +12,16 @@
 // Every struct encodes deterministically (wire::Writer) and signatures
 // cover a domain-separated payload.
 //
-// The home network signs a user's dissemination as one round. Each (user,
+// The home network signs a user's dissemination, and a report's refill of
+// that user's consumed slots, as one round each. Each (user,
 // backup) store request is a batch: a Merkle tree (crypto/merkle.h) over
 // its bundle payloads. One more tree over the batch roots gives the round
 // root, and one Ed25519 signature covers it. Each bundle carries that
 // signature and its BatchPath, so every bundle stays individually
 // verifiable and attributable to the home, and every bundle of a round
 // verifies against the same signed message. A lone bundle (home-online
-// vectors, resync, replenishment, flood vectors) is a round of one batch of
-// one leaf, with an empty path.
+// vectors, resync, flood vectors) is a round of one batch of one leaf, with
+// an empty path.
 #pragma once
 
 #include <cstdint>

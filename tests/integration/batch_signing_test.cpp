@@ -8,8 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <map>
+#include <set>
 
+#include "aka/sqn.h"
 #include "federation_fixture.h"
+#include "obs/journal.h"
 #include "store/kv_store.h"
 
 namespace dauth::testing {
@@ -464,6 +468,134 @@ TEST(BatchSigning, BatchRecordIsErasedWithItsLastBundle) {
   f.simulator.run();
   EXPECT_EQ(backup->stored_shares(f.net(0).id(), kAlice), 0u);
   EXPECT_TRUE(durable.keys_with_prefix("batch/").empty());
+}
+
+// ---- Replenishment -------------------------------------------------------------
+
+TEST(BatchSigning, ReportRefillsEachUserWithOneRevokeAndOneRound) {
+  // Two vectors per backup: six attaches drain every vector Alice holds, so
+  // after the report each of her vectors comes from the refill round.
+  core::FederationConfig cfg = Federation::test_config();
+  cfg.vectors_per_backup = 2;
+  Federation f(5, cfg);
+  const NetworkId& home = f.net(0).id();
+  obs::EventJournal journal([&f] { return f.simulator.now(); });
+  store::KvStore durable;
+  // net-2 runs store-backed; it sends the one report and is later restarted.
+  const auto start_reporter = [&] {
+    auto backup = std::make_unique<core::BackupNetwork>(
+        f.rpc, f.net(1).node(), f.net(1).id(), f.net(1).directory(), f.config, &durable);
+    backup->bind_services();
+    backup->set_journal(&journal);
+    return backup;
+  };
+  const auto batch_records = [&] {
+    const std::vector<std::string> keys = durable.keys_with_prefix("batch/");
+    return std::set<std::string>(keys.begin(), keys.end());
+  };
+  auto reporter = start_reporter();
+  f.net(2).backup().set_journal(&journal);
+  f.net(3).backup().set_journal(&journal);
+  const auto alice_keys = f.provision(kAlice, 0, {1, 2, 3});
+  ASSERT_EQ(batch_records().size(), 1u);
+  const std::string alice_first_round = *batch_records().begin();
+  const auto bob_keys = f.provision(kBob, 0, {1, 2, 3});
+  std::set<std::string> bob_first_round = batch_records();
+  bob_first_round.erase(alice_first_round);
+  ASSERT_EQ(bob_first_round.size(), 1u);
+
+  f.network.node(f.net(0).node()).set_online(false);
+  auto alice = f.make_ue(kAlice, alice_keys, 4);
+  auto bob = f.make_ue(kBob, bob_keys, 4);
+  for (int i = 0; i < 6; ++i) ASSERT_TRUE(f.attach(*alice).success) << "alice " << i;
+  for (int i = 0; i < 2; ++i) ASSERT_TRUE(f.attach(*bob).success) << "bob " << i;
+  ASSERT_EQ(reporter->pending_reports(home), 8u);
+
+  const core::HomeMetrics before = f.net(0).home().metrics();
+  const std::size_t mark = journal.events().size();
+  f.network.node(f.net(0).node()).set_online(true);
+  reporter->report_now(home);
+  f.simulator.run();
+  ASSERT_EQ(reporter->pending_reports(home), 0u);
+
+  // One round signature per user, and every consumed slot refilled once.
+  EXPECT_EQ(f.net(0).home().metrics().batches_signed, before.batches_signed + 2);
+  EXPECT_EQ(f.net(0).home().metrics().replenishments, before.replenishments + 8);
+
+  // Each backup received one revoke and one store per user.
+  for (std::size_t b : {1u, 2u, 3u}) {
+    std::map<std::string, int> revokes;
+    int stores = 0;
+    for (std::size_t e = mark; e < journal.events().size(); ++e) {
+      const obs::Event& event = journal.events()[e];
+      if (event.network != f.net(b).id().str()) continue;
+      if (event.kind == obs::EventKind::kRevocation) ++revokes[event.subject];
+      if (event.kind == obs::EventKind::kBundleStored) ++stores;
+    }
+    const std::map<std::string, int> one_each = {{kAlice.str(), 1}, {kBob.str(), 1}};
+    EXPECT_EQ(revokes, one_each) << "net-" << b + 1;
+    EXPECT_EQ(stores, 2) << "net-" << b + 1;
+  }
+  const auto holds_full_round = [&](const core::BackupNetwork& backup, const char* name) {
+    for (const Supi& supi : {kAlice, kBob}) {
+      EXPECT_EQ(backup.stored_vectors(home, supi), 2u) << name << " " << supi.str();
+      EXPECT_EQ(backup.stored_shares(home, supi), 6u) << name << " " << supi.str();
+    }
+  };
+  holds_full_round(*reporter, "net-2");
+  holds_full_round(f.net(2).backup(), "net-3");
+  holds_full_round(f.net(3).backup(), "net-4");
+
+  // Alice's first round lost its last bundle (vectors served, shares
+  // revoked): its record is gone. Bob's first round still holds bundles.
+  const std::set<std::string> records = batch_records();
+  EXPECT_FALSE(records.contains(alice_first_round));
+  EXPECT_TRUE(records.contains(*bob_first_round.begin()));
+  EXPECT_EQ(records.size(), 3u);  // Bob's first round, and each user's refill
+
+  // The restarted reporter restores the refill round's records.
+  reporter.reset();
+  reporter = start_reporter();
+  holds_full_round(*reporter, "restarted net-2");
+
+  // Alice's next backup attach is served from the refill round: its new
+  // round signature misses the serving network's memo, then verifies.
+  f.network.node(f.net(0).node()).set_online(false);
+  const std::uint64_t misses = f.net(4).serving().metrics().signature_cache_misses;
+  const auto record = f.attach(*alice);
+  ASSERT_TRUE(record.success) << record.failure;
+  EXPECT_EQ(record.path, "backup");
+  EXPECT_TRUE(record.key_confirmed);
+  EXPECT_GT(f.net(4).serving().metrics().signature_cache_misses, misses);
+
+  // Every refilled vector sits in its holder's SQN slice (net-2 holds slice
+  // 1) and carries a verifiable path, the restarted backup's included.
+  for (std::size_t b : {1u, 2u, 3u}) {
+    const core::BackupNetwork& backup = b == 1 ? *reporter : f.net(b).backup();
+    while (backup.stored_vectors(home, kAlice) > 0) {
+      const core::AuthVectorBundle vector = pull_vector(f, b, kAlice);
+      EXPECT_EQ(aka::sqn_slice(vector.sqn), static_cast<int>(b)) << "net-" << b + 1;
+      EXPECT_TRUE(vector.verify(f.net(0).signing_keys().public_key)) << "net-" << b + 1;
+    }
+  }
+
+  // Revoking Alice's shares at net-2 releases the refill round's last
+  // bundles, and with them its record; Bob's records stay.
+  f.network.node(f.net(0).node()).set_online(true);
+  core::RevokeSharesRequest revoke;
+  revoke.home_network = home;
+  revoke.supi = kAlice;
+  for (const auto& key : durable.keys_with_prefix("share/" + home.str() + "/" + kAlice.str())) {
+    revoke.hxres_indices.push_back(array_from_hex<16>(key.substr(key.rfind('/') + 1)));
+  }
+  revoke.home_signature = crypto::ed25519_sign(revoke.signed_payload(), f.net(0).signing_keys());
+  f.rpc.call(f.net(0).node(), f.net(1).node(), "backup.revoke_shares", revoke.encode(), {},
+             nullptr, nullptr);
+  f.simulator.run();
+  EXPECT_EQ(reporter->stored_shares(home, kAlice), 0u);
+  const std::set<std::string> left = batch_records();
+  EXPECT_EQ(left.size(), 2u);
+  EXPECT_TRUE(left.contains(*bob_first_round.begin()));
 }
 
 }  // namespace

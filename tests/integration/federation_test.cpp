@@ -155,6 +155,42 @@ TEST(Federation, PeriodicReportTimerFires) {
   EXPECT_GE(f.net(0).home().metrics().reports_processed, 1u);
 }
 
+TEST(Federation, LargeReportIsAcknowledgedAfterHomeReturns) {
+  // The home charges report_processing (4 ms) per proof before it acks, so
+  // 1,300 proofs take 5.2 s: longer than an interactive 5 s deadline.
+  constexpr std::size_t kAttaches = 1300;
+  core::FederationConfig cfg = Federation::test_config();
+  cfg.report_interval = minutes(1);
+  cfg.vectors_per_backup = kAttaches / 3 + 1;
+  Federation f(5, cfg);
+  const auto keys = f.provision(kAlice, 0, {1, 2, 3});
+
+  // The report timer re-arms while proofs are pending, so the queue never
+  // drains: run each attach until its record arrives, for at most 10 s.
+  f.network.node(f.net(0).node()).set_online(false);
+  auto ue = f.make_ue(kAlice, keys, 4);
+  for (std::size_t i = 0; i < kAttaches; ++i) {
+    std::optional<ran::AttachRecord> record;
+    ue->attach([&](const ran::AttachRecord& r) { record = r; });
+    for (int step = 0; !record && step < 100; ++step) {
+      f.simulator.run_until(f.simulator.now() + ms(100));
+    }
+    ASSERT_TRUE(record) << "attach " << i << " never completed";
+    ASSERT_TRUE(record->success) << "attach " << i << ": " << record->failure;
+  }
+  core::BackupNetwork& backup = f.net(1).backup();
+  ASSERT_GE(backup.pending_reports(f.net(0).id()), 1000u);
+  ASSERT_EQ(backup.metrics().reports_sent, 0u);
+
+  f.network.node(f.net(0).node()).set_online(true);
+  f.simulator.run_until(f.simulator.now() + minutes(5));
+  for (std::size_t i : {1u, 2u, 3u}) {
+    EXPECT_EQ(f.net(i).backup().pending_reports(f.net(0).id()), 0u) << "net-" << i + 1;
+    EXPECT_GE(f.net(i).backup().metrics().reports_sent, 1u) << "net-" << i + 1;
+  }
+  EXPECT_EQ(f.net(0).home().metrics().replenishments, kAttaches);
+}
+
 TEST(Federation, HomeRecoveryRestoresDirectPath) {
   Federation f(5);
   const auto keys = f.provision(kAlice, 0, {1, 2, 3});

@@ -91,6 +91,55 @@ TEST(Persistence, PendingProofsSurviveRestartAndGetReported) {
   EXPECT_GE(f.net(0).home().metrics().reports_processed, 1u);
 }
 
+TEST(Persistence, ProofReleasedDuringAReportSurvivesTheAckAndARestart) {
+  PersistentFixture fixture;
+  Federation& f = fixture.f;
+
+  auto durable_backup = std::make_unique<core::BackupNetwork>(
+      f.rpc, f.net(1).node(), f.net(1).id(), f.net(1).directory(), f.config,
+      &fixture.durable);
+  durable_backup->bind_services();
+  const auto keys = f.provision(kAlice, 0, {1, 2, 3});
+  const NetworkId& home = f.net(0).id();
+
+  // The home stays up, but the serving network cannot reach it, so attaches
+  // take the backup path; net-2's slow link to the home keeps its report in
+  // flight while the next attach runs.
+  sim::LatencyModel cut;
+  cut.loss = 1.0;
+  f.network.set_link(f.net(4).node(), f.net(0).node(), cut);
+  sim::LatencyModel slow;
+  slow.base = ms(500);
+  f.network.set_link(f.net(1).node(), f.net(0).node(), slow);
+
+  auto ue = f.make_ue(kAlice, keys, 4);
+  ASSERT_TRUE(f.attach(*ue).success);
+  ASSERT_EQ(durable_backup->pending_reports(home), 1u);
+
+  // A second attach releases a share while the report of the first is in
+  // flight; the ack clears only the proof it acknowledges.
+  durable_backup->report_now(home);
+  std::optional<ran::AttachRecord> second;
+  ue->attach([&](const ran::AttachRecord& r) { second = r; });
+  f.simulator.run();
+  ASSERT_TRUE(second && second->success);
+  ASSERT_EQ(durable_backup->metrics().reports_sent, 1u);
+  EXPECT_EQ(durable_backup->pending_reports(home), 1u);
+
+  // The unacknowledged proof is still on disk after a restart...
+  durable_backup.reset();
+  auto restarted = fixture.restart_backup();
+  EXPECT_EQ(restarted->pending_reports(home), 1u);
+
+  // ...and is reported next time.
+  const std::uint64_t processed = f.net(0).home().metrics().reports_processed;
+  restarted->report_now(home);
+  f.simulator.run();
+  EXPECT_EQ(restarted->pending_reports(home), 0u);
+  EXPECT_EQ(f.net(0).home().metrics().reports_processed, processed + 1);
+  EXPECT_EQ(f.net(0).home().metrics().replenishments, 2u);
+}
+
 TEST(Persistence, ConsumedVectorsStayConsumedAfterRestart) {
   PersistentFixture fixture;
   Federation& f = fixture.f;

@@ -1632,9 +1632,9 @@ std::vector<HandlerContract> default_contracts() {
       {"home.report",
        "HomeNetwork::process_proof",
        {"ct_equal"},
-       {"seen_proofs[", "usage_ledger_[", "outstanding.erase", "replenish"},
-       "usage accounting and replenishment may only be driven by "
-       "preimage-verified proofs (§4.2.3)"},
+       {"seen_proofs[", "usage_ledger_[", "outstanding.erase", "holder"},
+       "usage accounting and replenishment (the refill round is sized by the "
+       "returned holder) may only be driven by preimage-verified proofs (§4.2.3)"},
       {"home.resync",
        "HomeNetwork::handle_resync",
        {"verify_auts"},
