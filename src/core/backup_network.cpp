@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <tuple>
 
 #include "aka/suci.h"
 #include "core/home_network.h"  // hxres_index
@@ -12,9 +13,42 @@
 namespace dauth::core {
 namespace {
 
-// Persisted batch record: "batch/<home>/<batch root>" -> HeldBatch::encode().
+// Persisted batch record: "batch/<home>/<batch root>" -> the leaf hashes,
+// then the round path. A lone bundle's one-leaf batch is not persisted: its
+// bundle record carries all of it.
 std::string batch_record(const std::string& home, const crypto::MerkleTree& tree) {
   return "batch/" + home + "/" + to_hex(tree.root());
+}
+
+// A share of the 32-byte K_seaf has a 32-byte ordinate, which a held share
+// keeps inline.
+constexpr std::size_t kOrdinateBytes = 32;
+
+bool lone(const BundleBatch& batch) {
+  return batch.tree.leaf_count() == 1 && batch.round.empty();
+}
+
+Bytes encode_batch_record(const BundleBatch& batch) {
+  wire::Writer w;
+  w.u32(static_cast<std::uint32_t>(batch.tree.leaf_count()));
+  for (const auto& leaf : batch.tree.leaves()) w.fixed(leaf);
+  w.u8(static_cast<std::uint8_t>(batch.round.size()));
+  for (const auto& hash : batch.round) w.fixed(hash);
+  return std::move(w).take();
+}
+
+// The record's tree and round path; the round position and signature are
+// not in the record, and come from the batch's bundles.
+BundleBatch decode_batch_record(ByteView data) {
+  wire::Reader r(data);
+  // Each count is read before the hashes it announces: a corrupt count
+  // ends in a short read, never in a huge allocation.
+  std::vector<crypto::Sha256Digest> leaves;
+  for (std::uint32_t i = r.u32(); i > 0; --i) leaves.push_back(r.fixed<32>());
+  std::vector<crypto::Sha256Digest> round;
+  for (std::uint8_t i = r.u8(); i > 0; --i) round.push_back(r.fixed<32>());
+  r.expect_done();
+  return {crypto::MerkleTree(std::move(leaves)), 0, 1, std::move(round), {}};
 }
 
 }  // namespace
@@ -49,68 +83,91 @@ void BackupNetwork::restore_from_store() {
   }
 
   // Batch records next, indexed by leaf, so each restored bundle finds the
-  // tree and round path its inclusion path is rebuilt from.
-  std::map<crypto::Sha256Digest, SharedBatch> batch_of_leaf;
+  // tree and round path its inclusion path is rebuilt from. A record holds
+  // no round position or signature: the first of its bundles restored sets
+  // them, and a batch whose bundles disagree on them is dropped whole.
+  std::map<crypto::Sha256Digest, std::shared_ptr<BundleBatch>> batch_of_leaf;
   for (const auto& key : store_->keys_with_prefix("batch/")) {
     try {
-      const auto batch =
-          std::make_shared<const HeldBatch>(HeldBatch::decode(*store_->get(key)));
+      const auto batch = std::make_shared<BundleBatch>(decode_batch_record(*store_->get(key)));
       for (const auto& leaf : batch->tree.leaves()) batch_of_leaf.emplace(leaf, batch);
     } catch (const std::exception&) {
       // Corrupt or empty record: its bundles are skipped below.
     }
   }
-  // The bundle's held batch (null for a lone bundle), or nullopt when its
-  // batch record is missing or does not fit it, so the bundle could not be
-  // served verifiably.
-  const auto batch_for = [&](const auto& bundle) -> std::optional<SharedBatch> {
+  std::set<const BundleBatch*> headed;
+  std::set<const BundleBatch*> disagreeing;
+  // The bundle's batch (a one-leaf batch of its own for a lone bundle), or
+  // null when its batch record is missing or does not fit it, so the bundle
+  // could not be served verifiably.
+  const auto batch_for = [&](const auto& bundle) -> SharedBatch {
     const BatchPath& path = bundle.batch;
-    if (path.leaf_count == 1 && path.batch_count == 1) return SharedBatch{};
     const auto leaf = crypto::merkle_leaf_hash(bundle.signed_payload());
+    if (path.leaf_count == 1 && path.batch_count == 1) {
+      if (path.leaf_index != 0) return nullptr;
+      return std::make_shared<const BundleBatch>(
+          BundleBatch{crypto::MerkleTree({leaf}), 0, 1, {}, bundle.home_signature});
+    }
     const auto it = batch_of_leaf.find(leaf);
-    if (it == batch_of_leaf.end()) return std::nullopt;
-    const HeldBatch& batch = *it->second;
+    if (it == batch_of_leaf.end()) return nullptr;
+    BundleBatch& batch = *it->second;
     if (batch.tree.leaf_count() != path.leaf_count || path.leaf_index >= path.leaf_count ||
         batch.tree.leaves()[path.leaf_index] != leaf ||
         batch.round.size() != crypto::merkle_path_length(path.batch_index, path.batch_count)) {
-      return std::nullopt;
+      return nullptr;
+    }
+    if (headed.insert(&batch).second) {
+      batch.batch_index = path.batch_index;
+      batch.batch_count = path.batch_count;
+      batch.signature = bundle.home_signature;
+    } else if (batch.batch_index != path.batch_index || batch.batch_count != path.batch_count ||
+               batch.signature != bundle.home_signature) {
+      disagreeing.insert(&batch);
     }
     return it->second;
   };
 
-  // Vector bundles: key layout "vec/<home>/<supi>/<hxres>". Rebuild each
-  // user's queue ordered by SQN (the dissemination order), floods first.
+  // Vector bundles: key layout "vec/<home>/<supi>/<hxres>".
+  std::vector<std::pair<UserKey, HeldVector>> vectors;
   for (const auto& key : store_->keys_with_prefix("vec/")) {
     try {
-      auto bundle = AuthVectorBundle::decode(*store_->get(key));
-      auto batch = batch_for(bundle);
-      if (!batch) continue;
-      UserState& user = users_[{bundle.home_network, bundle.supi}];
-      user.vectors.push_back({std::move(bundle), std::move(*batch)});
+      const auto bundle = AuthVectorBundle::decode(*store_->get(key));
+      SharedBatch batch = batch_for(bundle);
+      if (batch == nullptr) continue;
+      vectors.push_back({{bundle.home_network, bundle.supi},
+                         {bundle.sqn, bundle.rand, bundle.autn, bundle.hxres_star, bundle.flood,
+                          bundle.batch.leaf_index, std::move(batch)}});
     } catch (const wire::WireError&) {
       // Skip corrupt records; the WAL already filtered torn writes.
     }
   }
+  std::vector<std::tuple<UserKey, ByteArray<16>, HeldShare>> shares;
+  for (const auto& key : store_->keys_with_prefix("share/")) {
+    try {
+      const auto bundle = KeyShareBundle::decode(*store_->get(key));
+      if (bundle.share.y.size() != kOrdinateBytes) continue;
+      SharedBatch batch = batch_for(bundle);
+      if (batch == nullptr) continue;
+      shares.emplace_back(UserKey{bundle.home_network, bundle.supi}, bundle.hxres_star,
+                          HeldShare{bundle.share.x, bundle.batch.leaf_index,
+                                    Secret<32>(ByteView(bundle.share.y)), std::move(batch)});
+    } catch (const wire::WireError&) {
+    }
+  }
+  for (auto& [user, held] : vectors) {
+    if (!disagreeing.contains(held.batch.get())) users_[user].vectors.push_back(std::move(held));
+  }
+  // Rebuild each user's queue ordered by SQN (the dissemination order),
+  // floods first.
   for (auto& [key, user] : users_) {
     std::stable_sort(user.vectors.begin(), user.vectors.end(),
                      [](const HeldVector& a, const HeldVector& b) {
-                       if (a.bundle.flood != b.bundle.flood) {
-                         return a.bundle.flood;  // floods first
-                       }
-                       return a.bundle.sqn < b.bundle.sqn;
+                       if (a.flood != b.flood) return a.flood;  // floods first
+                       return a.sqn < b.sqn;
                      });
   }
-
-  for (const auto& key : store_->keys_with_prefix("share/")) {
-    try {
-      Bytes wire = *store_->get(key);
-      const auto bundle = KeyShareBundle::decode(wire);
-      auto batch = batch_for(bundle);
-      if (!batch) continue;
-      users_[{bundle.home_network, bundle.supi}].shares[bundle.hxres_star] = {std::move(wire),
-                                                                              std::move(*batch)};
-    } catch (const wire::WireError&) {
-    }
+  for (auto& [user, hxres, held] : shares) {
+    if (!disagreeing.contains(held.batch.get())) users_[user].shares[hxres] = std::move(held);
   }
 
   for (const auto& key : store_->keys_with_prefix("proof/")) {
@@ -151,6 +208,14 @@ void BackupNetwork::handle_store(ByteView request, sim::Responder responder) {
     ++metrics_.rejected_requests;
     responder.fail(sim::AppErrorCode::kMalformed, "malformed store request");
     return;
+  }
+  // A request with a share ordinate of any other length is malformed.
+  for (const KeyShareBundle& share : req.shares) {
+    if (share.share.y.size() != kOrdinateBytes) {
+      ++metrics_.rejected_requests;
+      responder.fail(sim::AppErrorCode::kMalformed, "malformed key share");
+      return;
+    }
   }
   // Rebuild each batch's Merkle tree from the bundles themselves (one leaf
   // hash per bundle); the request's round path then leads each batch root
@@ -202,29 +267,35 @@ void BackupNetwork::handle_store(ByteView request, sim::Responder responder) {
         }
       }
 
-      // Bundle i (vectors first, then shares) shares its batch's tree and
-      // round path.
-      std::vector<SharedBatch> trees(req.vectors.size() + req.shares.size());
+      // Each batch is held once, for all of its bundles; its bundles are the
+      // request's next tree.leaf_count() (vectors first, then shares), and
+      // each keeps only its own leaf's fields.
+      std::vector<SharedBatch> held_batches;
+      held_batches.reserve(batches.size());
       for (BundleBatch& batch : batches) {
-        if (batch.tree.leaf_count() == 1 && batch.round.empty()) continue;
-        auto held = std::make_shared<const HeldBatch>(
-            HeldBatch{std::move(batch.tree), std::move(batch.round)});
-        if (store_ != nullptr) {
-          store_->put(batch_record(req.home_network.str(), held->tree), held->encode());
+        auto held = std::make_shared<const BundleBatch>(std::move(batch));
+        if (store_ != nullptr && !lone(*held)) {
+          store_->put(batch_record(req.home_network.str(), held->tree),
+                      encode_batch_record(*held));
         }
-        std::fill_n(trees.begin() + static_cast<std::ptrdiff_t>(batch.first),
-                    held->tree.leaf_count(), held);
+        held_batches.push_back(std::move(held));
       }
-      std::size_t position = 0;
-      for (AuthVectorBundle& vector : req.vectors) {
+      auto next_batch = held_batches.begin();
+      const auto batch_of = [&](const BatchPath& path) {
+        SharedBatch batch = *next_batch;
+        if (path.leaf_index + 1u == path.leaf_count) ++next_batch;
+        return batch;
+      };
+      for (const AuthVectorBundle& vector : req.vectors) {
         if (store_ != nullptr) {
           store_->put("vec/" + req.home_network.str() + "/" + vector.supi.str() + "/" +
                           to_hex(vector.hxres_star),
                       vector.encode());
         }
         UserState& user = users_[{req.home_network, vector.supi}];
-        HeldVector held{std::move(vector), std::move(trees[position++])};
-        if (held.bundle.flood) {
+        HeldVector held{vector.sqn, vector.rand, vector.autn, vector.hxres_star, vector.flood,
+                        vector.batch.leaf_index, batch_of(vector.batch)};
+        if (held.flood) {
           user.vectors.push_front(std::move(held));  // §4.3: flood vectors served first
         } else {
           user.vectors.push_back(std::move(held));
@@ -232,15 +303,15 @@ void BackupNetwork::handle_store(ByteView request, sim::Responder responder) {
         ++metrics_.bundles_stored;
       }
       for (const KeyShareBundle& share : req.shares) {
-        Bytes wire = share.encode();
         if (store_ != nullptr) {
           // DAUTH_DISCLOSE(persisting the signed share bundle is the backup's entire job, §4.2.1)
           store_->put("share/" + req.home_network.str() + "/" + share.supi.str() + "/" +
                           to_hex(share.hxres_star),
-                      wire);
+                      share.encode());
         }
         users_[{req.home_network, share.supi}].shares[share.hxres_star] = {
-            std::move(wire), std::move(trees[position++])};
+            share.share.x, share.batch.leaf_index, Secret<32>(ByteView(share.share.y)),
+            batch_of(share.batch)};
         ++metrics_.bundles_stored;
       }
       if (journal_ != nullptr && (!req.vectors.empty() || !req.shares.empty())) {
@@ -254,48 +325,21 @@ void BackupNetwork::handle_store(ByteView request, sim::Responder responder) {
   });
 }
 
-Bytes BackupNetwork::HeldBatch::encode() const {
-  wire::Writer w;
-  w.u32(static_cast<std::uint32_t>(tree.leaf_count()));
-  for (const auto& leaf : tree.leaves()) w.fixed(leaf);
-  w.u8(static_cast<std::uint8_t>(round.size()));
-  for (const auto& hash : round) w.fixed(hash);
-  return std::move(w).take();
-}
-
-BackupNetwork::HeldBatch BackupNetwork::HeldBatch::decode(ByteView data) {
-  wire::Reader r(data);
-  // Each count is read before the hashes it announces: a corrupt count
-  // ends in a short read, never in a huge allocation.
-  std::vector<crypto::Sha256Digest> leaves;
-  for (std::uint32_t i = r.u32(); i > 0; --i) leaves.push_back(r.fixed<32>());
-  std::vector<crypto::Sha256Digest> round;
-  for (std::uint8_t i = r.u8(); i > 0; --i) round.push_back(r.fixed<32>());
-  r.expect_done();
-  return {crypto::MerkleTree(std::move(leaves)), std::move(round)};
-}
-
-std::vector<crypto::Sha256Digest> BackupNetwork::HeldBatch::path(std::size_t index) const {
-  std::vector<crypto::Sha256Digest> out = tree.path(index);
-  out.insert(out.end(), round.begin(), round.end());
-  return out;
-}
-
-Bytes BackupNetwork::served(const HeldVector& held) {
-  if (!held.batch) return held.bundle.encode();
-  AuthVectorBundle bundle = held.bundle;
-  bundle.batch.siblings = held.batch->path(bundle.batch.leaf_index);
+Bytes BackupNetwork::served(const UserKey& user, const HeldVector& held) {
+  const AuthVectorBundle bundle{user.home, user.supi, held.sqn, held.rand, held.autn,
+                                held.hxres_star, held.flood, held.batch->position(held.leaf),
+                                held.batch->signature};
   return bundle.encode();
 }
 
-KeyShareBundle BackupNetwork::served(const HeldShare& held) {
-  KeyShareBundle bundle = KeyShareBundle::decode(held.wire);
-  if (held.batch) bundle.batch.siblings = held.batch->path(bundle.batch.leaf_index);
-  return bundle;
+KeyShareBundle BackupNetwork::served(const UserKey& user, const ByteArray<16>& hxres,
+                                     const HeldShare& held) {
+  return {user.home, user.supi, hxres, {held.x, SecretBytes(ByteView(held.y))},
+          held.batch->position(held.leaf), held.batch->signature};
 }
 
 void BackupNetwork::release_batch(const NetworkId& home, const SharedBatch& batch) {
-  if (store_ != nullptr && batch != nullptr && batch.use_count() == 1) {
+  if (store_ != nullptr && batch.use_count() == 1 && !lone(*batch)) {
     store_->erase(batch_record(home.str(), batch->tree));
   }
 }
@@ -349,14 +393,14 @@ void BackupNetwork::handle_get_vector(ByteView request, sim::Responder responder
       user.vectors.pop_front();
       if (store_ != nullptr) {
         store_->erase("vec/" + id.home.str() + "/" + supi.str() + "/" +
-                      to_hex(held.bundle.hxres_star));
+                      to_hex(held.hxres_star));
       }
       release_batch(id.home, held.batch);
       ++metrics_.vectors_served;
       if (journal_ != nullptr) {
         journal_->append(obs::EventKind::kVectorServed, id_.str(), supi.str());
       }
-      responder.reply(served(held));
+      responder.reply(served(id, held));
       return;
     }
     ++metrics_.rejected_requests;
@@ -403,7 +447,7 @@ void BackupNetwork::handle_get_share(ByteView request, sim::Responder responder)
         // copy WE hold (flood vectors are replicated to every backup, §4.3).
         auto& vectors = user.vectors;
         for (auto vec_it = vectors.begin(); vec_it != vectors.end(); ++vec_it) {
-          if (ct_equal(vec_it->bundle.hxres_star, proof.hxres_star)) {
+          if (ct_equal(vec_it->hxres_star, proof.hxres_star)) {
             release_batch(id.home, vec_it->batch);
             vectors.erase(vec_it);
             break;
@@ -415,7 +459,7 @@ void BackupNetwork::handle_get_share(ByteView request, sim::Responder responder)
                            "to " + proof.serving_network.str());
         }
         ShareReply reply;
-        reply.share = served(bundle_it->second);
+        reply.share = served(id, bundle_it->first, bundle_it->second);
         reply.vectors_left = static_cast<std::uint32_t>(vectors.size());
         // DAUTH_DISCLOSE(key-share release after RES* preimage and signature checks, §4.2.2)
         responder.reply(reply.encode());
@@ -462,7 +506,7 @@ void BackupNetwork::handle_revoke_shares(ByteView request, sim::Responder respon
       // Also drop a matching stored vector (flood-vector replacement path).
       auto& vectors = user_it->second.vectors;
       for (auto it = vectors.begin(); it != vectors.end(); ++it) {
-        if (ct_equal(it->bundle.hxres_star, hxres)) {
+        if (ct_equal(it->hxres_star, hxres)) {
           release_batch(req.home_network, it->batch);
           vectors.erase(it);
           break;

@@ -70,33 +70,34 @@ class BackupNetwork {
       return std::tie(home, supi) < std::tie(other.home, other.supi);
     }
   };
-  /// What a stored bundle's path is rebuilt from: its batch's Merkle tree
-  /// and the batch's round path, held once for all of the batch's bundles.
-  struct HeldBatch {
-    crypto::MerkleTree tree;
-    std::vector<crypto::Sha256Digest> round;
-
-    /// The served path of leaf `index`: in-batch path, then round path.
-    std::vector<crypto::Sha256Digest> path(std::size_t index) const;
-    /// The persisted batch record: the leaf hashes, then the round path.
-    Bytes encode() const;
-    static HeldBatch decode(ByteView data);
-  };
-  /// Null for a lone bundle (its path is empty).
-  using SharedBatch = std::shared_ptr<const HeldBatch>;
-  /// Stored bundles keep an empty path: it is rebuilt from the held batch
-  /// whenever the bundle is served.
+  /// A stored bundle's batch: the fields every bundle of the batch shares
+  /// (Merkle tree, round position, round path, round signature), held once.
+  /// A lone bundle is a one-leaf batch.
+  using SharedBatch = std::shared_ptr<const BundleBatch>;
+  /// A stored vector holds only its own leaf's fields; served() rebuilds
+  /// the signed bundle from them, its user and its batch.
   struct HeldVector {
-    AuthVectorBundle bundle;
+    std::uint64_t sqn = 0;
+    crypto::Rand rand{};
+    aka::Autn autn{};
+    ByteArray<16> hxres_star{};
+    bool flood = false;
+    std::uint16_t leaf = 0;
     SharedBatch batch;
   };
-  /// A share is kept in wire form (self-wiping): once checked at store
-  /// time the backup only serves it, so a decoded copy would cost ~150 B
-  /// more per share for nothing.
+  /// A stored share: its leaf's fields only (H(XRES*) is its map key).
   struct HeldShare {
-    SecretBytes wire;
+    std::uint8_t x = 0;
+    std::uint16_t leaf = 0;
+    Secret<32> y;
     SharedBatch batch;
   };
+  // Budgets, so a stored bundle cannot silently grow back into a wire blob
+  // (a 157 B share in a 192 B chunk): sqn 8 + RAND, AUTN, H(XRES*) 3 x 16 +
+  // flood 1 + leaf 2, padded to 64, + batch pointer 16 = 80 B per vector;
+  // x 1 + leaf 2 + y 32, padded to 40, + batch pointer 16 = 56 B per share.
+  static_assert(sizeof(HeldVector) <= 80, "HeldVector outgrew its per-leaf budget");
+  static_assert(sizeof(HeldShare) <= 56, "HeldShare outgrew its per-leaf budget");
   struct UserState {
     std::deque<HeldVector> vectors;                // flood vectors at the front
     std::map<ByteArray<16>, HeldShare> shares;     // by H(XRES*)
@@ -118,11 +119,12 @@ class BackupNetwork {
   /// simulator queue drains once nothing is pending.
   void arm_report(const NetworkId& home);
   void persist_proof(const NetworkId& home, const UsageProof& proof);
-  /// A stored bundle with its inclusion path (in-batch, then round)
-  /// attached: a vector encoded, a share decoded (it rides inside a
-  /// ShareReply).
-  static Bytes served(const HeldVector& held);
-  static KeyShareBundle served(const HeldShare& held);
+  /// The exact bundle the home signed, rebuilt from the held fields and
+  /// the batch, its inclusion path (in-batch, then round) attached: a
+  /// vector encoded, a share decoded (it rides inside a ShareReply).
+  static Bytes served(const UserKey& user, const HeldVector& held);
+  static KeyShareBundle served(const UserKey& user, const ByteArray<16>& hxres,
+                               const HeldShare& held);
   /// Called before a held bundle is dropped: erases the persisted batch
   /// record once no stored bundle references the batch any more.
   void release_batch(const NetworkId& home, const SharedBatch& batch);

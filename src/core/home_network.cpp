@@ -124,10 +124,7 @@ HomeNetwork::GeneratedMaterial HomeNetwork::generate_material(const Supi& supi,
     bundle.share = shamir_shares[i];
   }
 
-  DisseminatedVector record;
-  record.hxres = index;
-  record.sqn = material.vector.sqn;
-  subscriber.outstanding[to_hex(index)] = record;  // holder set by caller
+  subscriber.outstanding[index].sqn = material.vector.sqn;  // holder set by caller
   return material;
 }
 
@@ -138,63 +135,74 @@ void HomeNetwork::sign_each(GeneratedMaterial& material) {
 }
 
 void HomeNetwork::disseminate(const Supi& supi, std::function<void(std::size_t)> done) {
-  auto subscriber_it = subscribers_.find(supi);
-  if (subscriber_it == subscribers_.end()) {
+  if (!subscribers_.contains(supi)) {
     if (done) done(0);
     return;
   }
-  send_round(supi, subscriber_it->second,
-             std::vector<std::size_t>(backup_ids_.size(), config_.vectors_per_backup),
-             std::move(done));
+  std::map<NetworkId, std::size_t> counts;
+  for (const NetworkId& backup : backup_ids_) counts[backup] = config_.vectors_per_backup;
+  send_round(supi, std::move(counts), std::move(done));
 }
 
-void HomeNetwork::send_round(const Supi& supi, Subscriber& subscriber,
-                             const std::vector<std::size_t>& counts,
+void HomeNetwork::send_round(const Supi& supi, std::map<NetworkId, std::size_t> counts,
                              std::function<void(std::size_t)> done) {
-  // Build one StoreMaterialRequest per backup: its slice's vectors plus its
-  // share of every other backup's vectors.
-  std::vector<StoreMaterialRequest> requests(backup_ids_.size());
-  for (std::size_t b = 0; b < backup_ids_.size(); ++b) {
-    requests[b].home_network = id_;
-    requests[b].suci_secret = to_bytes(ByteView(suci_key_.secret));
-  }
-
-  std::size_t total_vectors = 0;
-  for (std::size_t b = 0; b < backup_ids_.size(); ++b) {
-    const int slice = slice_of(backup_ids_[b]);
-    for (std::size_t v = 0; v < counts[b]; ++v) {
-      GeneratedMaterial material = generate_material(supi, subscriber, slice, /*flood=*/false);
-      subscriber.outstanding[to_hex(material.vector.hxres_star)].holder = backup_ids_[b];
-      requests[b].vectors.push_back(std::move(material.vector));
-      for (std::size_t s = 0; s < backup_ids_.size(); ++s) {
-        requests[s].shares.push_back(std::move(material.shares[s]));
-      }
-      ++total_vectors;
-    }
-  }
-  if (total_vectors == 0) {  // nothing to sign or store
+  std::size_t queued_vectors = 0;
+  for (const auto& [backup, count] : counts) queued_vectors += count;
+  if (queued_vectors == 0) {  // nothing to sign or store
     if (done) done(0);
     return;
   }
-  metrics_.vectors_disseminated += total_vectors;
-  metrics_.shares_disseminated += total_vectors * backup_ids_.size();
-  // One signature per (user, round): each backup's request is one batch, and
-  // the home signs the root of the tree over the batch roots (§4.2.1).
-  sign_round(requests, signing_key_);
-  ++metrics_.batches_signed;
-
-  // Model the precompute cost, then push to every backup. Each request moves
-  // into its directory callback, so no batch is held twice.
+  // Model the precompute cost, and build the round when it has been paid.
   const Time generation_cost =
-      config_.costs.dissemination_per_vector * static_cast<Time>(total_vectors);
-  auto remaining = std::make_shared<std::size_t>(backup_ids_.size());
-  auto ok_count = std::make_shared<std::size_t>(0);
-  auto finish_one = [remaining, ok_count, done](bool ok) {
-    if (ok) ++*ok_count;
-    if (--*remaining == 0 && done) done(*ok_count);
-  };
-  rpc_.network().node(node_).execute(generation_cost, [this, requests = std::move(requests),
-                                                       finish_one]() mutable {
+      config_.costs.dissemination_per_vector * static_cast<Time>(queued_vectors);
+  rpc_.network().node(node_).execute(generation_cost, [this, supi, counts = std::move(counts),
+                                                       done = std::move(done)] {
+    const auto count_of = [&](const NetworkId& backup) {
+      const auto it = counts.find(backup);
+      return it == counts.end() ? std::size_t{0} : it->second;
+    };
+    std::size_t total_vectors = 0;
+    for (const NetworkId& backup : backup_ids_) total_vectors += count_of(backup);
+    const auto subscriber_it = subscribers_.find(supi);
+    if (subscriber_it == subscribers_.end() || total_vectors == 0 ||
+        backup_ids_.size() < config_.threshold) {
+      if (done) done(0);
+      return;
+    }
+    Subscriber& subscriber = subscriber_it->second;
+
+    // One StoreMaterialRequest per backup: its slice's vectors plus its share
+    // of every other backup's vectors.
+    std::vector<StoreMaterialRequest> requests(backup_ids_.size());
+    for (std::size_t b = 0; b < backup_ids_.size(); ++b) {
+      requests[b].home_network = id_;
+      requests[b].suci_secret = to_bytes(ByteView(suci_key_.secret));
+    }
+    for (std::size_t b = 0; b < backup_ids_.size(); ++b) {
+      const int slice = slice_of(backup_ids_[b]);
+      for (std::size_t v = count_of(backup_ids_[b]); v > 0; --v) {
+        GeneratedMaterial material = generate_material(supi, subscriber, slice, /*flood=*/false);
+        subscriber.outstanding[material.vector.hxres_star].holder = backup_ids_[b];
+        requests[b].vectors.push_back(std::move(material.vector));
+        for (std::size_t s = 0; s < backup_ids_.size(); ++s) {
+          requests[s].shares.push_back(std::move(material.shares[s]));
+        }
+      }
+    }
+    metrics_.vectors_disseminated += total_vectors;
+    metrics_.shares_disseminated += total_vectors * backup_ids_.size();
+    // One signature per (user, round): each backup's request is one batch,
+    // and the home signs the root of the tree over the batch roots (§4.2.1).
+    sign_round(requests, signing_key_);
+    ++metrics_.batches_signed;
+
+    // Each request moves into its push, so no batch is held twice.
+    auto remaining = std::make_shared<std::size_t>(backup_ids_.size());
+    auto ok_count = std::make_shared<std::size_t>(0);
+    auto finish_one = [remaining, ok_count, done](bool ok) {
+      if (ok) ++*ok_count;
+      if (--*remaining == 0 && done) done(*ok_count);
+    };
     for (std::size_t b = 0; b < backup_ids_.size(); ++b) {
       push(store_stub_, backup_ids_[b], std::move(requests[b]), finish_one);
     }
@@ -323,7 +331,7 @@ void HomeNetwork::serve_vector(const Supi& supi, sim::Responder responder) {
     sign_single(bundle, signing_key_);
     ++metrics_.batches_signed;
 
-    it->second.pending_keys[to_hex(bundle.hxres_star)] = k_seaf;
+    it->second.pending_keys[bundle.hxres_star] = k_seaf;
     ++metrics_.vectors_served;
     if (journal_ != nullptr) {
       journal_->append(obs::EventKind::kVectorServed, id_.str(), supi.str());
@@ -372,8 +380,7 @@ void HomeNetwork::handle_get_key(ByteView request, sim::Responder responder) {
         responder.fail(sim::AppErrorCode::kNotFound, "unknown subscriber");
         return;
       }
-      const std::string index = to_hex(proof.hxres_star);
-      auto pending_it = sub_it->second.pending_keys.find(index);
+      auto pending_it = sub_it->second.pending_keys.find(proof.hxres_star);
       if (pending_it == sub_it->second.pending_keys.end()) {
         ++metrics_.rejected_requests;
         responder.fail(sim::AppErrorCode::kNotFound, "no pending key for proof");
@@ -381,7 +388,7 @@ void HomeNetwork::handle_get_key(ByteView request, sim::Responder responder) {
       }
       const crypto::Key256 k_seaf = pending_it->second;
       sub_it->second.pending_keys.erase(pending_it);  // one-time release
-      sub_it->second.seen_proofs[index] = proof.serving_network;
+      sub_it->second.seen_proofs[proof.hxres_star] = proof.serving_network;
       ++usage_ledger_[proof.serving_network];
       ++metrics_.keys_released;
       if (journal_ != nullptr) {
@@ -410,15 +417,16 @@ void HomeNetwork::handle_report(ByteView request, sim::Responder responder) {
     // revoke lists every consumed index, and the round refills each holder's
     // slice with as many vectors as it lost (§4.2.3).
     std::map<Supi, RevokeSharesRequest> revokes;
-    std::map<Supi, std::vector<std::size_t>> refills;
+    std::map<Supi, std::map<NetworkId, std::size_t>> refills;
     for (const UsageProof& proof : report.proofs) {
       const std::optional<NetworkId> holder = process_proof(report.backup_network, proof);
       if (!holder) continue;
       revokes[proof.supi].hxres_indices.push_back(proof.hxres_star);
-      auto& counts = refills.try_emplace(proof.supi, backup_ids_.size()).first->second;
-      const auto slot = std::find(backup_ids_.begin(), backup_ids_.end(), *holder);
-      if (slot == backup_ids_.end()) continue;  // the holder has left the backup set
-      ++counts[slot - backup_ids_.begin()];
+      auto& counts = refills[proof.supi];
+      if (std::find(backup_ids_.begin(), backup_ids_.end(), *holder) == backup_ids_.end()) {
+        continue;  // the holder has left the backup set
+      }
+      ++counts[*holder];
       ++metrics_.replenishments;
       if (journal_ != nullptr) {
         journal_->append(obs::EventKind::kReplenishment, id_.str(), proof.supi.str(),
@@ -430,7 +438,7 @@ void HomeNetwork::handle_report(ByteView request, sim::Responder responder) {
       revoke.supi = supi;
       revoke.home_signature = crypto::ed25519_sign(revoke.signed_payload(), signing_key_);
       for (const NetworkId& backup : backup_ids_) push(revoke_stub_, backup, revoke);
-      send_round(supi, subscribers_.at(supi), refills.at(supi));
+      send_round(supi, std::move(refills.at(supi)));
     }
     responder.reply({});
   });
@@ -455,13 +463,13 @@ std::optional<NetworkId> HomeNetwork::process_proof(const NetworkId& reporter,
     return std::nullopt;
   }
 
-  const std::string index = to_hex(proof.hxres_star);
+  const ByteArray<16>& index = proof.hxres_star;
 
   // Cross-check with previously seen proofs for the same vector (§4.2.3).
   if (const auto seen = subscriber.seen_proofs.find(index);
       seen != subscriber.seen_proofs.end()) {
     if (seen->second != proof.serving_network) {
-      note_anomaly("conflicting serving networks for vector " + index + ": " +
+      note_anomaly("conflicting serving networks for vector " + to_hex(index) + ": " +
                    seen->second.str() + " vs " + proof.serving_network.str());
     }
     return std::nullopt;  // already handled (replenished on first report)
@@ -470,7 +478,7 @@ std::optional<NetworkId> HomeNetwork::process_proof(const NetworkId& reporter,
 
   auto outstanding_it = subscriber.outstanding.find(index);
   if (outstanding_it == subscriber.outstanding.end()) {
-    note_anomaly("report for unknown vector " + index + " from " + reporter.str());
+    note_anomaly("report for unknown vector " + to_hex(index) + " from " + reporter.str());
     return std::nullopt;
   }
   ++usage_ledger_[proof.serving_network];
@@ -500,7 +508,7 @@ void HomeNetwork::revoke_backup(const NetworkId& revoked, std::function<void()> 
     std::uint64_t max_sqn = 0;
     for (auto it = subscriber.outstanding.begin(); it != subscriber.outstanding.end();) {
       if (it->second.holder == revoked) {
-        revoke.hxres_indices.push_back(it->second.hxres);
+        revoke.hxres_indices.push_back(it->first);
         max_sqn = std::max(max_sqn, it->second.sqn);
         it = subscriber.outstanding.erase(it);
       } else {
@@ -527,7 +535,7 @@ void HomeNetwork::revoke_backup(const NetworkId& revoked, std::function<void()> 
           generate_material(supi, subscriber, revoked_slice, /*flood=*/true);
       sign_each(material);
       // All remaining backups can serve the flood vector.
-      subscriber.outstanding[to_hex(material.vector.hxres_star)].holder = backup_ids_.front();
+      subscriber.outstanding[material.vector.hxres_star].holder = backup_ids_.front();
       for (std::size_t b = 0; b < backup_ids_.size(); ++b) {
         StoreMaterialRequest request;
         request.home_network = id_;

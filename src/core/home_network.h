@@ -119,21 +119,21 @@ class HomeNetwork {
 
  private:
   struct DisseminatedVector {
-    ByteArray<16> hxres;
     std::uint64_t sqn = 0;
     NetworkId holder;  // backup holding the vector itself
   };
 
+  // Per-vector state is keyed by the vector's H(XRES*) index.
   struct Subscriber {
     aka::SubscriberKeys keys;
     aka::SqnAllocator sqn;
-    // Home-online flow: keys awaiting the RES* proof, by hxres index (hex).
-    std::map<std::string, crypto::Key256> pending_keys;
-    // All outstanding disseminated vectors, by hxres index (hex).
-    std::map<std::string, DisseminatedVector> outstanding;
-    // Seen usage proofs by hxres (hex) -> serving network, for consistency
-    // checks across backup reports.
-    std::map<std::string, NetworkId> seen_proofs;
+    // Home-online flow: keys awaiting the RES* proof.
+    std::map<ByteArray<16>, crypto::Key256> pending_keys;
+    // All outstanding disseminated vectors.
+    std::map<ByteArray<16>, DisseminatedVector> outstanding;
+    // Seen usage proofs -> serving network, for consistency checks across
+    // backup reports.
+    std::map<ByteArray<16>, NetworkId> seen_proofs;
   };
 
   /// The one vector issue path: allocates the next SQN in `slice`, then
@@ -153,12 +153,14 @@ class HomeNetwork {
   /// for flood vectors (§4.3), which must stay byte-identical at every
   /// backup.
   void sign_each(GeneratedMaterial& material);
-  /// The one round builder (§4.2.1, §4.2.3): generates `counts[b]` vectors
-  /// in backup b's slice, signs them as one round and, after the
-  /// dissemination cost, pushes one StoreMaterialRequest per backup.
+  /// The one round builder (§4.2.1, §4.2.3). Charges the dissemination
+  /// cost of every vector in `counts` as one job; the job then generates
+  /// `counts[backup]` vectors in each backup's slice, for the backup set as
+  /// it stands when the job runs, signs them as one round and pushes one
+  /// StoreMaterialRequest per backup. A queued round thus holds no
+  /// material, and a backup revoked while it waits is out of it.
   /// `done(ok_count)` fires once every push completes or fails.
-  void send_round(const Supi& supi, Subscriber& subscriber,
-                  const std::vector<std::size_t>& counts,
+  void send_round(const Supi& supi, std::map<NetworkId, std::size_t> counts,
                   std::function<void(std::size_t)> done = nullptr);
 
   void handle_get_vector(ByteView request, sim::Responder responder);

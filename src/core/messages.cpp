@@ -372,9 +372,15 @@ bool BundleBatch::verify_root(const NetworkId& home,
   return payload && crypto::ed25519_verify(*payload, signature, home_key);
 }
 
+BatchPath BundleBatch::position(std::uint16_t leaf_index) const {
+  BatchPath path{leaf_index, static_cast<std::uint16_t>(tree.leaf_count()), batch_index,
+                 batch_count, tree.path(leaf_index)};
+  path.siblings.insert(path.siblings.end(), round.begin(), round.end());
+  return path;
+}
+
 std::optional<std::vector<BundleBatch>> split_batches(const StoreMaterialRequest& request) {
   struct Open {
-    std::size_t first;
     BatchPath position;  // the first bundle's, without a path
     crypto::Ed25519Signature signature;
     std::vector<crypto::Sha256Digest> leaves;
@@ -392,7 +398,7 @@ std::optional<std::vector<BundleBatch>> split_batches(const StoreMaterialRequest
           request.round.size() != crypto::merkle_path_length(path.batch_index, path.batch_count)) {
         return false;
       }
-      open = Open{position, path, bundle.home_signature, {}};
+      open = Open{path, bundle.home_signature, {}};
       open->leaves.reserve(path.leaf_count);
     } else if (path.leaf_index != open->leaves.size() ||
                path.leaf_count != open->position.leaf_count ||
@@ -404,7 +410,7 @@ std::optional<std::vector<BundleBatch>> split_batches(const StoreMaterialRequest
     open->leaves.push_back(crypto::merkle_leaf_hash(bundle.signed_payload()));
     ++position;
     if (open->leaves.size() == open->position.leaf_count) {
-      batches.push_back({open->first, crypto::MerkleTree(std::move(open->leaves)),
+      batches.push_back({crypto::MerkleTree(std::move(open->leaves)),
                          open->position.batch_index, open->position.batch_count, request.round,
                          open->signature});
       open.reset();

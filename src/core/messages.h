@@ -154,9 +154,9 @@ struct StoreMaterialRequest {
 void sign_round(std::span<StoreMaterialRequest> requests, const crypto::Ed25519KeyPair& key);
 
 /// One home-signed batch of a StoreMaterialRequest, rebuilt by the receiving
-/// backup from the bundles themselves.
+/// backup from the bundles themselves: every field its bundles share. A
+/// backup holds it once for all of the batch's bundles.
 struct BundleBatch {
-  std::size_t first = 0;  // its first bundle's position in [vectors..., shares...]
   crypto::MerkleTree tree;
   std::uint16_t batch_index = 0;
   std::uint16_t batch_count = 1;
@@ -166,14 +166,19 @@ struct BundleBatch {
   /// True when `signature` is `home`'s signature over the round root that
   /// this batch's root and round path imply.
   bool verify_root(const NetworkId& home, const crypto::Ed25519PublicKey& home_key) const;
+  /// The served position of leaf `leaf_index`, its path attached: the
+  /// in-batch path, then the round path.
+  BatchPath position(std::uint16_t leaf_index) const;
 };
 
 /// Splits a store request's bundles (vectors, then shares) into the batches
-/// their positions declare, hashing each bundle once. nullopt for a request
-/// without bundles (its other fields are unsigned) and when the positions
-/// are inconsistent: a gap, a leaf count, round position or signature that
-/// changes inside a batch, a carried path, a round path whose length does
-/// not fit a batch's round position, or a bundle of another home network.
+/// their positions declare, in order, hashing each bundle once: a batch's
+/// bundles are the request's next `tree.leaf_count()`. nullopt for a
+/// request without bundles (its other fields are unsigned) and when the
+/// positions are inconsistent: a gap, a leaf count, round position or
+/// signature that changes inside a batch, a carried path, a round path
+/// whose length does not fit a batch's round position, or a bundle of
+/// another home network.
 std::optional<std::vector<BundleBatch>> split_batches(const StoreMaterialRequest& request);
 
 /// serving -> home or backup: request the next auth vector for a user.

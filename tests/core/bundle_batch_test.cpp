@@ -409,6 +409,17 @@ TEST(SplitBatches, RoundRequestIsOneBatchWithItsRoundPath) {
     EXPECT_EQ(batches->front().batch_count, 3u);
     EXPECT_EQ(batches->front().round, req.round);
     EXPECT_TRUE(batches->front().verify_root(req.home_network, home.public_key)) << b;
+    // The batch rebuilds every bundle's served position, path included.
+    for (const auto& v : round[b].vectors) {
+      AuthVectorBundle rebuilt = v;
+      rebuilt.batch = batches->front().position(v.batch.leaf_index);
+      EXPECT_EQ(rebuilt.encode(), v.encode()) << b;
+    }
+    for (const auto& s : round[b].shares) {
+      KeyShareBundle rebuilt = s;
+      rebuilt.batch = batches->front().position(s.batch.leaf_index);
+      EXPECT_EQ(rebuilt.encode(), s.encode()) << b;
+    }
   }
 }
 
@@ -425,7 +436,7 @@ TEST(SplitBatches, FloodRequestIsOneLeafBatches) {
   const auto batches = split_batches(req);
   ASSERT_TRUE(batches.has_value());
   ASSERT_EQ(batches->size(), 2u);
-  EXPECT_EQ((*batches)[1].first, 1u);
+  EXPECT_EQ((*batches)[0].tree.leaf_count(), 1u);  // the share's batch starts at bundle 1
   for (const BundleBatch& batch : *batches) {
     EXPECT_TRUE(batch.verify_root(req.home_network, home.public_key));
   }

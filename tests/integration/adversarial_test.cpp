@@ -251,5 +251,50 @@ TEST(Adversarial, BelowThresholdCoalitionLearnsNothing) {
   }
 }
 
+TEST(Adversarial, StoreWithAWrongLengthShareIsRefused) {
+  // A backup holds a share's ordinate inline as the 32 bytes of a K_seaf
+  // share, so a request with an ordinate of another length is malformed,
+  // even when home-signed, and none of its bundles is kept.
+  Federation f(5);
+  f.provision(kAlice, 0, {1, 2, 3});
+  const NetworkId& home = f.net(0).id();
+  const Supi bob("901550000000002");
+  core::BackupNetwork& backup = f.net(1).backup();
+  for (const std::size_t length : {0u, 31u, 33u, 32u}) {
+    core::StoreMaterialRequest req;
+    req.home_network = home;
+    core::AuthVectorBundle vector;
+    vector.home_network = home;
+    vector.supi = bob;
+    vector.sqn = 33 + length;
+    vector.hxres_star[0] = static_cast<std::uint8_t>(length);
+    req.vectors.push_back(vector);
+    core::KeyShareBundle share;
+    share.home_network = home;
+    share.supi = bob;
+    share.hxres_star = vector.hxres_star;
+    share.share.x = 1;
+    share.share.y = Bytes(length, 0x5a);
+    req.shares.push_back(share);
+    core::sign_batch(req.vectors, req.shares, f.net(0).signing_keys());
+
+    std::optional<sim::RpcError> error;
+    f.rpc.call(f.net(0).node(), f.net(1).node(), "backup.store", req.encode(), {}, nullptr,
+               [&](sim::RpcError e) { error = e; });
+    f.simulator.run();
+    if (length == 32) {  // control: the well-formed request is stored
+      EXPECT_FALSE(error.has_value());
+      EXPECT_EQ(backup.stored_vectors(home, bob), 1u);
+      EXPECT_EQ(backup.stored_shares(home, bob), 1u);
+      continue;
+    }
+    ASSERT_TRUE(error.has_value()) << length;
+    ASSERT_TRUE(error->app.has_value()) << length;
+    EXPECT_EQ(error->app->code, sim::AppErrorCode::kMalformed) << length;
+    EXPECT_EQ(backup.stored_vectors(home, bob), 0u) << length;
+    EXPECT_EQ(backup.stored_shares(home, bob), 0u) << length;
+  }
+}
+
 }  // namespace
 }  // namespace dauth::testing

@@ -436,6 +436,136 @@ TEST(BatchSigning, RestartedBackupServesVerifiablePaths) {
   EXPECT_EQ(backup->metrics().shares_served, 1u);
 }
 
+/// The bundles the home signed for one backup, by H(XRES*), each encoded
+/// with the inclusion path a serving network must receive it with.
+struct SignedBundles {
+  std::map<ByteArray<16>, Bytes> vectors;
+  std::map<ByteArray<16>, Bytes> shares;
+
+  void add(const core::StoreMaterialRequest& request) {
+    std::vector<crypto::Sha256Digest> leaves;
+    for (const auto& v : request.vectors) leaves.push_back(crypto::merkle_leaf_hash(v.signed_payload()));
+    for (const auto& s : request.shares) leaves.push_back(crypto::merkle_leaf_hash(s.signed_payload()));
+    // A bundle's batch is the leaf_count leaves that start leaf_index
+    // bundles before it.
+    std::size_t position = 0;
+    const auto with_path = [&](auto bundle) {
+      const auto first = leaves.begin() + static_cast<std::ptrdiff_t>(position++ -
+                                                                       bundle.batch.leaf_index);
+      const crypto::MerkleTree tree({first, first + bundle.batch.leaf_count});
+      bundle.batch.siblings = tree.path(bundle.batch.leaf_index);
+      bundle.batch.siblings.insert(bundle.batch.siblings.end(), request.round.begin(),
+                                   request.round.end());
+      return bundle.encode();
+    };
+    for (const auto& v : request.vectors) vectors[v.hxres_star] = with_path(v);
+    for (const auto& s : request.shares) shares[s.hxres_star] = with_path(s);
+  }
+};
+
+TEST(BatchSigning, ServedBundlesAreTheSignedBytes) {
+  // net-2's backup role runs store-backed on a node of its own, behind a
+  // relay on net-2's node that records every store request the home sends.
+  Federation f(5);
+  const NetworkId& home = f.net(0).id();
+  store::KvStore durable;
+  sim::NodeConfig nc;
+  nc.name = "net-2-backup";
+  nc.access.base = ms(2);
+  nc.workers = 2;
+  const sim::NodeIndex backup_node = f.network.add_node(nc);
+  const auto start_backup = [&] {
+    auto backup = std::make_unique<core::BackupNetwork>(
+        f.rpc, backup_node, f.net(1).id(), f.net(1).directory(), f.config, &durable);
+    backup->bind_services();
+    return backup;
+  };
+  auto backup = start_backup();
+  SignedBundles signed_bundles;
+  for (const std::string service : {"backup.store", "backup.revoke_shares"}) {
+    f.rpc.register_service(
+        f.net(1).node(), service, [&, service](ByteView request, sim::Responder r) {
+          if (service == "backup.store") {
+            signed_bundles.add(core::StoreMaterialRequest::decode(request));
+          }
+          f.rpc.call(f.net(1).node(), backup_node, service, to_bytes(request), {},
+                     [r](Bytes reply) { r.reply(std::move(reply)); },
+                     [r](sim::RpcError e) { r.fail(e.message); });
+        });
+  }
+  const auto alice_keys = f.provision(kAlice, 0, {1, 2, 3});
+  const auto bob_keys = f.provision(kBob, 0, {1, 2, 3});
+  // Revoking net-3 floods each user one lone vector and its lone shares.
+  bool revoked = false;
+  f.net(0).home().revoke_backup(f.net(2).id(), [&] { revoked = true; });
+  f.simulator.run();
+  ASSERT_TRUE(revoked);
+
+  // Each vector served, then the share released against a proof of it, must
+  // be the signed bundle byte for byte.
+  const auto check_vector = [&](const Supi& supi, const char* when) {
+    core::GetVectorRequest req;
+    req.serving_network = f.net(4).id();
+    req.supi = supi;
+    std::optional<Bytes> reply;
+    f.rpc.call(f.net(4).node(), backup_node, "backup.get_vector", req.encode(), {},
+               [&](Bytes bytes) { reply = std::move(bytes); }, nullptr);
+    f.simulator.run();
+    const auto vector = core::AuthVectorBundle::decode(reply.value());
+    const auto it = signed_bundles.vectors.find(vector.hxres_star);
+    EXPECT_TRUE(it != signed_bundles.vectors.end() && it->second == *reply)
+        << when << ": " << supi.str() << " sqn " << vector.sqn;
+    return vector;
+  };
+  const auto check_share = [&](const core::AuthVectorBundle& vector,
+                               const aka::SubscriberKeys& keys, const char* when) {
+    core::UsageProof proof;
+    proof.serving_network = f.net(4).id();
+    proof.supi = vector.supi;
+    proof.res_star =
+        aka::generate_auth_vector(keys, vector.sqn, vector.rand, f.config.serving_network_name)
+            .xres_star;
+    proof.hxres_star = core::hxres_index(proof.res_star);
+    ASSERT_EQ(proof.hxres_star, vector.hxres_star);
+    proof.timestamp = f.simulator.now();
+    proof.serving_signature =
+        crypto::ed25519_sign(proof.signed_payload(), f.net(4).signing_keys());
+    std::optional<core::ShareReply> reply;
+    f.rpc.call(f.net(4).node(), backup_node, "backup.get_share", proof.encode(), {},
+               [&](Bytes bytes) { reply = core::ShareReply::decode(bytes); }, nullptr);
+    f.simulator.run();
+    ASSERT_TRUE(reply.has_value()) << when;
+    const auto it = signed_bundles.shares.find(vector.hxres_star);
+    ASSERT_NE(it, signed_bundles.shares.end()) << when;
+    EXPECT_EQ(reply->share.encode(), it->second) << when << ": " << vector.supi.str();
+  };
+
+  // Before a restart: Alice's flood vector (lone), then a round vector.
+  const core::AuthVectorBundle alice_flood = check_vector(kAlice, "live");
+  EXPECT_TRUE(alice_flood.flood);
+  const core::AuthVectorBundle alice_round = check_vector(kAlice, "live");
+  EXPECT_FALSE(alice_round.flood);
+  EXPECT_FALSE(alice_round.batch.siblings.empty());
+  check_share(alice_flood, alice_keys, "live");
+  check_share(alice_round, alice_keys, "live");
+
+  // After a restart from the store: Bob's flood and round vectors, the rest
+  // of Alice's, and shares of each.
+  backup.reset();
+  backup = start_backup();
+  const core::AuthVectorBundle bob_flood = check_vector(kBob, "restored");
+  EXPECT_TRUE(bob_flood.flood);
+  check_share(bob_flood, bob_keys, "restored");
+  while (backup->stored_vectors(home, kBob) > 0) {
+    check_share(check_vector(kBob, "restored"), bob_keys, "restored");
+  }
+  check_share(alice_flood, alice_keys, "restored");
+  check_share(alice_round, alice_keys, "restored");
+  while (backup->stored_vectors(home, kAlice) > 0) {
+    check_share(check_vector(kAlice, "restored"), alice_keys, "restored");
+  }
+}
+
 TEST(BatchSigning, BatchRecordIsErasedWithItsLastBundle) {
   Federation f(5);
   store::KvStore durable;

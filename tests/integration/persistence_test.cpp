@@ -2,12 +2,15 @@
 // (the role SQLite plays in the paper's prototype, §5.1).
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "federation_fixture.h"
 
 namespace dauth::testing {
 namespace {
 
 const Supi kAlice("901550000000001");
+const Supi kBob("901550000000002");
 
 // A federation where one backup (net-2 == index 1) runs with a durable
 // store we can hand to a "restarted" instance.
@@ -189,6 +192,43 @@ TEST(Persistence, SuciKeySurvivesRestart) {
   EXPECT_TRUE(record.success) << record.failure;
   EXPECT_EQ(record.path, "backup");
   (void)narrow;
+}
+
+TEST(Persistence, RestoreDropsABatchWhoseBundlesDisagree) {
+  // A batch record holds no round position or signature: the backup takes
+  // them from the batch's bundles, so a batch whose persisted bundles
+  // disagree on them is dropped whole at restore. Bob's batch is untouched.
+  const std::vector<std::pair<const char*, std::function<void(core::KeyShareBundle&)>>> edits = {
+      {"round signature", [](core::KeyShareBundle& b) { b.home_signature[0] ^= 1; }},
+      {"round position", [](core::KeyShareBundle& b) { b.batch.batch_index = 1; }},
+  };
+  for (const auto& [name, edit] : edits) {
+    PersistentFixture fixture;
+    Federation& f = fixture.f;
+    auto durable_backup = std::make_unique<core::BackupNetwork>(
+        f.rpc, f.net(1).node(), f.net(1).id(), f.net(1).directory(), f.config,
+        &fixture.durable);
+    durable_backup->bind_services();
+    f.provision(kAlice, 0, {1, 2, 3});
+    f.provision(kBob, 0, {1, 2, 3});
+    const NetworkId& home = f.net(0).id();
+    durable_backup.reset();
+
+    // net-2's batch of Alice's round sits in batch slot 0 of 3; slot 1 has a
+    // round path of the same length, so only the disagreement can refuse it.
+    const std::string key =
+        fixture.durable.keys_with_prefix("share/" + home.str() + "/" + kAlice.str()).front();
+    auto bundle = core::KeyShareBundle::decode(*fixture.durable.get(key));
+    ASSERT_EQ(bundle.batch.batch_index, 0u) << name;
+    edit(bundle);
+    fixture.durable.put(key, bundle.encode());
+
+    auto restarted = fixture.restart_backup();
+    EXPECT_EQ(restarted->stored_vectors(home, kAlice), 0u) << name;
+    EXPECT_EQ(restarted->stored_shares(home, kAlice), 0u) << name;
+    EXPECT_EQ(restarted->stored_vectors(home, kBob), f.config.vectors_per_backup) << name;
+    EXPECT_EQ(restarted->stored_shares(home, kBob), 3 * f.config.vectors_per_backup) << name;
+  }
 }
 
 }  // namespace

@@ -2,7 +2,12 @@
 // ability to complete authentications even though it still holds vectors.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+
+#include "aka/sqn.h"
 #include "federation_fixture.h"
+#include "store/kv_store.h"
 
 namespace dauth::testing {
 namespace {
@@ -152,6 +157,67 @@ TEST(Revocation, AuthStillWorksViaRemainingBackups) {
     const auto record = f.attach(*ue);
     EXPECT_TRUE(record.success) << i << ": " << record.failure;
     EXPECT_EQ(record.path, "backup");
+  }
+}
+
+TEST(Revocation, RoundQueuedAcrossARevocation) {
+  // A round queued before a revocation is built when its generation job
+  // runs, for the backups left then: no remaining backup stores the revoked
+  // backup's slice, and none holds a share the revoke should have covered.
+  Federation f(6);
+  const NetworkId& home = f.net(0).id();
+  // The remaining backups run store-backed, so their held indices can be
+  // listed.
+  std::map<std::size_t, store::KvStore> stores;
+  std::vector<std::unique_ptr<core::BackupNetwork>> remaining;
+  for (std::size_t b : {2u, 3u, 4u}) {
+    remaining.push_back(std::make_unique<core::BackupNetwork>(
+        f.rpc, f.net(b).node(), f.net(b).id(), f.net(b).directory(), f.config, &stores[b]));
+    remaining.back()->bind_services();
+  }
+  // Backup net-b gets SQN slice b.
+  f.net(0).set_backups({f.net(1).id(), f.net(2).id(), f.net(3).id(), f.net(4).id()});
+  (void)f.net(0).provision_subscriber(kAlice);
+
+  std::optional<std::size_t> stored;
+  f.net(0).home().disseminate(kAlice, [&](std::size_t ok) { stored = ok; });
+  bool revoked = false;
+  f.net(0).home().revoke_backup(f.net(1).id(), [&] { revoked = true; });
+  f.simulator.run();
+  ASSERT_TRUE(revoked);
+  EXPECT_EQ(stored, std::optional<std::size_t>(3));
+
+  // Each remaining backup holds its own slice's vectors, plus the flood
+  // vector that supersedes the revoked slice.
+  std::set<std::string> vectors;  // every vector the remaining backups hold
+  for (std::size_t b : {2u, 3u, 4u}) {
+    std::size_t own = 0;
+    std::size_t floods = 0;
+    for (const auto& key : stores[b].keys_with_prefix("vec/")) {
+      const auto vector = core::AuthVectorBundle::decode(*stores[b].get(key));
+      if (vector.flood) {
+        EXPECT_EQ(aka::sqn_slice(vector.sqn), 1) << "net-" << b + 1;
+        ++floods;
+      } else {
+        EXPECT_EQ(aka::sqn_slice(vector.sqn), static_cast<int>(b)) << "net-" << b + 1;
+        ++own;
+      }
+      vectors.insert(to_hex(vector.hxres_star));
+    }
+    EXPECT_EQ(own, f.config.vectors_per_backup) << "net-" << b + 1;
+    EXPECT_EQ(floods, 1u) << "net-" << b + 1;
+  }
+  EXPECT_EQ(vectors.size(), 3 * f.config.vectors_per_backup + 1);
+
+  // Each holds one share of exactly those vectors: none of a vector the
+  // home does not track.
+  for (std::size_t b : {2u, 3u, 4u}) {
+    std::set<std::string> shares;
+    for (const auto& key : stores[b].keys_with_prefix("share/")) {
+      shares.insert(key.substr(key.rfind('/') + 1));
+    }
+    EXPECT_EQ(shares, vectors) << "net-" << b + 1;
+    EXPECT_EQ(remaining[b - 2]->stored_shares(home, kAlice), vectors.size()) << "net-" << b + 1;
   }
 }
 
