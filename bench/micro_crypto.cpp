@@ -82,6 +82,19 @@ void BM_HmacSha256(benchmark::State& state) {
 }
 BENCHMARK(BM_HmacSha256);
 
+/// One HMAC-DRBG generate of `range(0)` bytes: the output blocks, then the
+/// state update that ends every generate.
+void BM_DrbgFill(benchmark::State& state) {
+  DeterministicDrbg rng("bench", 20);
+  Bytes out(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    rng.fill(out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_DrbgFill)->Arg(32);
+
 void BM_Aes128Block(benchmark::State& state) {
   DeterministicDrbg rng("bench", 4);
   const Aes128 cipher(rng.array<16>());
@@ -181,16 +194,22 @@ int main(int argc, char** argv) {
   // ns/op of each benchmark at the commit before its latest optimization,
   // so each run self-reports its speedups. Ed25519 and SHA-512: the seed
   // revision (ladder verify, linear base-table sign, per-byte SHA
-  // buffering). SHA-256, HMAC, the KDF and the Shamir split: 6181edc, the
-  // portable compression and byte-serial split (docs/PERFORMANCE.md §9).
+  // buffering). SHA-256: 6181edc, the portable compression
+  // (docs/PERFORMANCE.md §9). AES, Milenage, HMAC, the HMAC-DRBG, the KDF,
+  // the Merkle root and the Shamir split: a01a363, byte-serial AES and an
+  // HMAC that re-keyed and built its message on every call (§14).
   const std::map<std::string, double> baselines = {
       {"BM_Ed25519Verify", 128841.0},
       {"BM_Ed25519Sign", 34732.0},
       {"BM_Sha512_1KiB", 3918.0},
       {"BM_Sha256_1KiB", 7068.0},
-      {"BM_HmacSha256", 3651.0},
-      {"BM_Kdf5gKeyHierarchy", 5992.0},
-      {"BM_ShamirSplit/4/8", 27906.0},
+      {"BM_MerkleRoot/144", 61006.0},
+      {"BM_HmacSha256", 680.0},
+      {"BM_DrbgFill/32", 1624.0},
+      {"BM_Aes128Block", 352.0},
+      {"BM_MilenageFullVector", 2793.0},
+      {"BM_Kdf5gKeyHierarchy", 1796.0},
+      {"BM_ShamirSplit/4/8", 6474.0},
   };
   return dauth::bench::run_micro_benchmarks(argc, argv, "micro_crypto", baselines);
 }

@@ -135,7 +135,7 @@ void BM_DisseminateOneVector(benchmark::State& state) {
     bundle.rand = v.rand;
     bundle.autn = v.autn;
     bundle.hxres_star = hxres_index(v.xres_star);
-    benchmark::DoNotOptimize(crypto::merkle_leaf_hash(bundle.signed_payload()));
+    benchmark::DoNotOptimize(bundle.leaf_hash());
 
     const auto shares = crypto::shamir_split(ByteView(v.k_seaf), 4, n_backups, rng);
     for (const auto& share : shares) {
@@ -144,7 +144,7 @@ void BM_DisseminateOneVector(benchmark::State& state) {
       ks.supi = bundle.supi;
       ks.hxres_star = bundle.hxres_star;
       ks.share = share;
-      benchmark::DoNotOptimize(crypto::merkle_leaf_hash(ks.signed_payload()));
+      benchmark::DoNotOptimize(ks.leaf_hash());
     }
   }
 }
@@ -194,6 +194,34 @@ void BM_SignRound(benchmark::State& state) {
 }
 BENCHMARK(BM_SignRound)->Arg(8);
 
+/// One signed request of an 8-batch round (16 vectors and 128 shares) as
+/// the home frames it and the backup parses it.
+StoreMaterialRequest signed_request(std::size_t batches) {
+  crypto::DeterministicDrbg rng("proto-bench", 13);
+  const auto signer = crypto::ed25519_generate(rng);
+  auto round = unsigned_round(batches);
+  sign_round(round, signer);
+  return std::move(round[3]);
+}
+
+void BM_StoreRequestCodec(benchmark::State& state) {
+  const StoreMaterialRequest request = signed_request(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(StoreMaterialRequest::decode(request.encode()));
+  }
+}
+BENCHMARK(BM_StoreRequestCodec)->Arg(8);
+
+/// The backup's rebuild of a stored request's batch tree: one leaf hash per
+/// bundle, then the tree.
+void BM_SplitBatches(benchmark::State& state) {
+  const StoreMaterialRequest request = signed_request(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(split_batches(request));
+  }
+}
+BENCHMARK(BM_SplitBatches)->Arg(8);
+
 /// The serving network's check of a served vector from an 8 x 144-leaf
 /// round (8 in-batch plus 3 round siblings): the path recompute, then the
 /// verification memo, empty (`miss`, a full verify) or holding the round
@@ -206,7 +234,7 @@ void BM_CheckServedBundle(benchmark::State& state, bool hit) {
   const StoreMaterialRequest& batch = round[3];
   std::vector<crypto::Sha256Digest> leaves;
   const auto add_leaf = [&](const auto& b) {
-    leaves.push_back(crypto::merkle_leaf_hash(b.signed_payload()));
+    leaves.push_back(b.leaf_hash());
   };
   for (const auto& v : batch.vectors) add_leaf(v);
   for (const auto& s : batch.shares) add_leaf(s);
@@ -229,5 +257,17 @@ BENCHMARK_CAPTURE(BM_CheckServedBundle, hit, true);
 }  // namespace dauth::core
 
 int main(int argc, char** argv) {
-  return dauth::bench::run_micro_benchmarks(argc, argv, "micro_protocol");
+  // ns/op at a01a363, before hardware AES, the keyed HMAC and bundles
+  // hashed and framed in place (docs/PERFORMANCE.md §14).
+  const std::map<std::string, double> baselines = {
+      {"BM_GenerateAuthVector", 6313.0},
+      {"BM_UsimAuthenticate", 13576.0},
+      {"BM_BundleEncodeDecode", 425.0},
+      {"BM_DisseminateOneVector/8", 18331.0},
+      {"BM_SignRound/8", 803931.0},
+      {"BM_StoreRequestCodec/8", 79950.0},
+      {"BM_SplitBatches/8", 89894.0},
+      {"BM_CheckServedBundle/hit", 3645.0},
+  };
+  return dauth::bench::run_micro_benchmarks(argc, argv, "micro_protocol", baselines);
 }

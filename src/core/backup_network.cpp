@@ -102,7 +102,7 @@ void BackupNetwork::restore_from_store() {
   // could not be served verifiably.
   const auto batch_for = [&](const auto& bundle) -> SharedBatch {
     const BatchPath& path = bundle.batch;
-    const auto leaf = crypto::merkle_leaf_hash(bundle.signed_payload());
+    const auto leaf = bundle.leaf_hash();
     if (path.leaf_count == 1 && path.batch_count == 1) {
       if (path.leaf_index != 0) return nullptr;
       return std::make_shared<const BundleBatch>(

@@ -113,7 +113,7 @@ HomeNetwork::GeneratedMaterial HomeNetwork::generate_material(const Supi& supi,
   const ByteArray<16>& index = material.vector.hxres_star;
   ++metrics_.tokens_generated;
 
-  const std::vector<crypto::ShamirShare> shamir_shares =
+  std::vector<crypto::ShamirShare> shamir_shares =
       crypto::shamir_split(ByteView(k_seaf), config_.threshold, backup_ids_.size(), rng_);
   material.shares.resize(backup_ids_.size());
   for (std::size_t i = 0; i < backup_ids_.size(); ++i) {
@@ -121,7 +121,7 @@ HomeNetwork::GeneratedMaterial HomeNetwork::generate_material(const Supi& supi,
     bundle.home_network = id_;
     bundle.supi = supi;
     bundle.hxres_star = index;
-    bundle.share = shamir_shares[i];
+    bundle.share = std::move(shamir_shares[i]);
   }
 
   subscriber.outstanding[index].sqn = material.vector.sqn;  // holder set by caller
@@ -177,6 +177,8 @@ void HomeNetwork::send_round(const Supi& supi, std::map<NetworkId, std::size_t> 
     for (std::size_t b = 0; b < backup_ids_.size(); ++b) {
       requests[b].home_network = id_;
       requests[b].suci_secret = to_bytes(ByteView(suci_key_.secret));
+      requests[b].vectors.reserve(count_of(backup_ids_[b]));
+      requests[b].shares.reserve(total_vectors);
     }
     for (std::size_t b = 0; b < backup_ids_.size(); ++b) {
       const int slice = slice_of(backup_ids_[b]);

@@ -13,7 +13,35 @@ namespace {
 constexpr std::size_t kMaxPositions = 0xffff;
 constexpr std::size_t kMaxPathLength = 32;
 
-void write_hashes(wire::Writer& w, const std::vector<crypto::Sha256Digest>& hashes) {
+// Feeds a Merkle leaf hash the bytes a wire::Writer would hold, and wipes
+// its hash state (which can hold a share ordinate) when done.
+class LeafHasher : public wire::Encoder<LeafHasher> {
+ public:
+  LeafHasher() = default;
+  LeafHasher(const LeafHasher&) = delete;
+  LeafHasher& operator=(const LeafHasher&) = delete;
+  ~LeafHasher() { secure_wipe(&hash_, sizeof(hash_)); }
+
+  void raw(ByteView data) noexcept { hash_.update(data); }
+  crypto::Sha256Digest finish() noexcept { return hash_.finish(); }
+
+ private:
+  crypto::Sha256 hash_ = crypto::merkle_leaf_hasher();
+};
+
+// Counts the bytes a wire::Writer would hold: a bundle's frame length, and
+// a store request's exact size.
+class ByteCounter : public wire::Encoder<ByteCounter> {
+ public:
+  void raw(ByteView data) noexcept { size_ += data.size(); }
+  std::size_t size() const noexcept { return size_; }
+
+ private:
+  std::size_t size_ = 0;
+};
+
+template <typename Out>
+void write_hashes(Out& w, const std::vector<crypto::Sha256Digest>& hashes) {
   w.u8(static_cast<std::uint8_t>(hashes.size()));
   for (const auto& hash : hashes) w.fixed(hash);
 }
@@ -27,7 +55,8 @@ std::vector<crypto::Sha256Digest> read_hashes(wire::Reader& r) {
   return hashes;
 }
 
-void write_batch_path(wire::Writer& w, const BatchPath& path) {
+template <typename Out>
+void write_batch_path(Out& w, const BatchPath& path) {
   w.u16(path.leaf_index);
   w.u16(path.leaf_count);
   w.u16(path.batch_index);
@@ -48,10 +77,10 @@ BatchPath read_batch_path(wire::Reader& r) {
 // A batch's leaf in its round tree: its leaf count travels with its root,
 // since an RFC 9162 path does not pin the size of the tree it climbs.
 crypto::Sha256Digest round_leaf(std::uint16_t leaf_count, const crypto::Sha256Digest& batch_root) {
-  wire::Writer w;
-  w.u16(leaf_count);
-  w.fixed(batch_root);
-  return crypto::merkle_leaf_hash(std::move(w).take());
+  LeafHasher leaf;
+  leaf.u16(leaf_count);
+  leaf.fixed(batch_root);
+  return leaf.finish();
 }
 
 // The message a round's home signature covers.
@@ -76,15 +105,63 @@ std::optional<Bytes> round_payload(const NetworkId& home, std::uint16_t leaf_cou
   return round_signed_payload(home, batch_count, *root);
 }
 
+// ---- Bundle fields -------------------------------------------------------------
+// Each bundle's signed fields are declared once, over any wire::Encoder sink:
+// its encoding writes them, then its position and the round signature, and
+// its batch leaf hashes a domain label, then them.
+
+template <typename Out>
+void write_fields(Out& out, const AuthVectorBundle& b) {
+  out.string(b.home_network.str());
+  out.string(b.supi.str());
+  out.u64(b.sqn);
+  out.fixed(b.rand);
+  out.fixed(b.autn);
+  out.fixed(b.hxres_star);
+  out.boolean(b.flood);
+}
+
+template <typename Out>
+void write_fields(Out& out, const KeyShareBundle& b) {
+  out.string(b.home_network.str());
+  out.string(b.supi.str());
+  out.fixed(b.hxres_star);
+  out.u8(b.share.x);
+  out.bytes(b.share.y);  // DAUTH_DISCLOSE(Shamir share ordinate: below-threshold subsets reveal nothing, §4.1)
+}
+
+constexpr std::string_view leaf_label(const AuthVectorBundle&) { return "auth-vector-bundle-v1"; }
+constexpr std::string_view leaf_label(const KeyShareBundle&) { return "key-share-bundle-v1"; }
+
+// The batch leaf's data: the domain label, then the signed fields.
+template <typename Out, typename Bundle>
+void write_leaf(Out& out, const Bundle& b) {
+  out.string(leaf_label(b));
+  write_fields(out, b);
+}
+
+template <typename Out, typename Bundle>
+void write_bundle(Out& out, const Bundle& b) {
+  write_fields(out, b);
+  write_batch_path(out, b.batch);
+  out.fixed(b.home_signature);
+}
+
+template <typename Bundle>
+crypto::Sha256Digest leaf_of(const Bundle& b) {
+  LeafHasher leaf;
+  write_leaf(leaf, b);
+  return leaf.finish();
+}
+
 template <typename Bundle>
 std::optional<Bytes> bundle_payload(const Bundle& bundle) {
   const BatchPath& p = bundle.batch;
   const std::span<const crypto::Sha256Digest> path(p.siblings);
   const std::size_t in_batch = crypto::merkle_path_length(p.leaf_index, p.leaf_count);
   if (path.size() < in_batch) return std::nullopt;
-  const auto batch_root =
-      crypto::merkle_root_from_path(crypto::merkle_leaf_hash(bundle.signed_payload()),
-                                    p.leaf_index, p.leaf_count, path.first(in_batch));
+  const auto batch_root = crypto::merkle_root_from_path(bundle.leaf_hash(), p.leaf_index,
+                                                        p.leaf_count, path.first(in_batch));
   if (!batch_root) return std::nullopt;
   return round_payload(bundle.home_network, p.leaf_count, *batch_root, p.batch_index,
                        p.batch_count, path.subspan(in_batch));
@@ -120,7 +197,7 @@ void sign_batches(std::span<const RoundBatch> batches, const crypto::Ed25519KeyP
       if (bundle.home_network != *home) {
         throw std::invalid_argument("sign_round: bundles of different home networks");
       }
-      leaves.push_back(crypto::merkle_leaf_hash(bundle.signed_payload()));
+      leaves.push_back(bundle.leaf_hash());
     };
     for (const auto& v : batch.vectors) add_leaf(v);
     for (const auto& s : batch.shares) add_leaf(s);
@@ -146,11 +223,6 @@ void sign_batches(std::span<const RoundBatch> batches, const crypto::Ed25519KeyP
   }
 }
 
-void write_shamir_share(wire::Writer& w, const crypto::ShamirShare& share) {
-  w.u8(share.x);
-  w.bytes(share.y);  // DAUTH_DISCLOSE(Shamir share ordinate: below-threshold subsets reveal nothing, §4.1)
-}
-
 crypto::ShamirShare read_shamir_share(wire::Reader& r) {
   crypto::ShamirShare share;
   share.x = r.u8();
@@ -158,17 +230,8 @@ crypto::ShamirShare read_shamir_share(wire::Reader& r) {
   return share;
 }
 
-// A KeyShareBundle's wire form, shared by its own encoding and by the
+// A KeyShareBundle's wire form, shared by its own decoding and by the
 // ShareReply that carries it.
-void write_share_bundle(wire::Writer& w, const KeyShareBundle& b) {
-  w.string(b.home_network.str());
-  w.string(b.supi.str());
-  w.fixed(b.hxres_star);
-  write_shamir_share(w, b.share);
-  write_batch_path(w, b.batch);
-  w.fixed(b.home_signature);
-}
-
 KeyShareBundle read_share_bundle(wire::Reader& r) {
   KeyShareBundle b;
   b.home_network = NetworkId(r.string());
@@ -184,30 +247,17 @@ KeyShareBundle read_share_bundle(wire::Reader& r) {
 
 // ---- AuthVectorBundle -------------------------------------------------------
 
+crypto::Sha256Digest AuthVectorBundle::leaf_hash() const { return leaf_of(*this); }
+
 Bytes AuthVectorBundle::signed_payload() const {
   wire::Writer w;
-  w.string("auth-vector-bundle-v1");
-  w.string(home_network.str());
-  w.string(supi.str());
-  w.u64(sqn);
-  w.fixed(rand);
-  w.fixed(autn);
-  w.fixed(hxres_star);
-  w.boolean(flood);
+  write_leaf(w, *this);
   return std::move(w).take();
 }
 
 Bytes AuthVectorBundle::encode() const {
   wire::Writer w;
-  w.string(home_network.str());
-  w.string(supi.str());
-  w.u64(sqn);
-  w.fixed(rand);
-  w.fixed(autn);
-  w.fixed(hxres_star);
-  w.boolean(flood);
-  write_batch_path(w, batch);
-  w.fixed(home_signature);
+  write_bundle(w, *this);
   return std::move(w).take();
 }
 
@@ -235,19 +285,17 @@ bool AuthVectorBundle::verify(const crypto::Ed25519PublicKey& home_key) const {
 
 // ---- KeyShareBundle ---------------------------------------------------------
 
+crypto::Sha256Digest KeyShareBundle::leaf_hash() const { return leaf_of(*this); }
+
 Bytes KeyShareBundle::signed_payload() const {
   wire::Writer w;
-  w.string("key-share-bundle-v1");
-  w.string(home_network.str());
-  w.string(supi.str());
-  w.fixed(hxres_star);
-  write_shamir_share(w, share);
+  write_leaf(w, *this);
   return std::move(w).take();
 }
 
 Bytes KeyShareBundle::encode() const {
   wire::Writer w;
-  write_share_bundle(w, *this);
+  write_bundle(w, *this);
   return std::move(w).take();
 }
 
@@ -334,15 +382,41 @@ bool UsageProof::verify(const crypto::Ed25519PublicKey& serving_key) const {
 
 // ---- RPC payloads -----------------------------------------------------------
 
+namespace {
+
+// A bundle as a length-prefixed frame, written in place.
+template <typename Out, typename Bundle>
+void write_framed(Out& out, const Bundle& b) {
+  ByteCounter length;
+  write_bundle(length, b);
+  out.u32(static_cast<std::uint32_t>(length.size()));
+  write_bundle(out, b);
+}
+
+template <typename Out>
+void write_request(Out& out, const StoreMaterialRequest& req) {
+  out.string(req.home_network.str());
+  out.u32(static_cast<std::uint32_t>(req.vectors.size()));
+  for (const auto& v : req.vectors) write_framed(out, v);
+  out.u32(static_cast<std::uint32_t>(req.shares.size()));
+  for (const auto& s : req.shares) write_framed(out, s);
+  write_hashes(out, req.round);
+  out.bytes(req.suci_secret);  // DAUTH_DISCLOSE(deconcealment secret is provisioned to backups by design, §4.2)
+}
+
+// The next length-prefixed frame, as a view into the reader's input.
+ByteView read_frame(wire::Reader& r) { return r.raw(r.u32()); }
+
+}  // namespace
+
 Bytes StoreMaterialRequest::encode() const {
+  // A request carries a whole batch and is held until its push completes,
+  // so it is sized exactly before it is written.
+  ByteCounter size;
+  write_request(size, *this);
   wire::Writer w;
-  w.string(home_network.str());
-  w.u32(static_cast<std::uint32_t>(vectors.size()));
-  for (const auto& v : vectors) w.bytes(v.encode());
-  w.u32(static_cast<std::uint32_t>(shares.size()));
-  for (const auto& s : shares) w.bytes(s.encode());
-  write_hashes(w, round);
-  w.bytes(suci_secret);  // DAUTH_DISCLOSE(deconcealment secret is provisioned to backups by design, §4.2)
+  w.reserve(size.size());
+  write_request(w, *this);
   return std::move(w).take();
 }
 
@@ -353,11 +427,11 @@ StoreMaterialRequest StoreMaterialRequest::decode(ByteView data) {
   const std::uint32_t vector_count = r.u32();
   req.vectors.reserve(vector_count);
   for (std::uint32_t i = 0; i < vector_count; ++i)
-    req.vectors.push_back(AuthVectorBundle::decode(r.bytes()));
+    req.vectors.push_back(AuthVectorBundle::decode(read_frame(r)));
   const std::uint32_t share_count = r.u32();
   req.shares.reserve(share_count);
   for (std::uint32_t i = 0; i < share_count; ++i)
-    req.shares.push_back(KeyShareBundle::decode(r.bytes()));
+    req.shares.push_back(KeyShareBundle::decode(read_frame(r)));
   req.round = read_hashes(r);
   req.suci_secret = r.bytes();
   r.expect_done();
@@ -407,7 +481,7 @@ std::optional<std::vector<BundleBatch>> split_batches(const StoreMaterialRequest
                bundle.home_signature != open->signature) {
       return false;
     }
-    open->leaves.push_back(crypto::merkle_leaf_hash(bundle.signed_payload()));
+    open->leaves.push_back(bundle.leaf_hash());
     ++position;
     if (open->leaves.size() == open->position.leaf_count) {
       batches.push_back({crypto::MerkleTree(std::move(open->leaves)),
@@ -447,7 +521,7 @@ GetVectorRequest GetVectorRequest::decode(ByteView data) {
 
 Bytes ShareReply::encode() const {
   wire::Writer w;
-  write_share_bundle(w, share);
+  write_bundle(w, share);
   w.u32(vectors_left);
   return std::move(w).take();
 }

@@ -42,7 +42,7 @@ namespace dauth::core {
 /// A bundle's place in the home-signed round it was disseminated in: leaf
 /// `leaf_index` of a `leaf_count`-leaf batch, whose root is leaf
 /// `batch_index` of a `batch_count`-batch round. A bundle's leaf is
-/// SHA-256(0x00 || signed_payload()), a batch's round leaf is
+/// SHA-256(0x00 || signed_payload()) (leaf_hash()), a batch's round leaf is
 /// SHA-256(0x00 || leaf_count || batch root), and `home_signature` covers
 /// "bundle-round-v1" || home || batch_count || round root. Every position
 /// is a u16, in memory and on the wire.
@@ -71,7 +71,10 @@ struct AuthVectorBundle {
   BatchPath batch;
   crypto::Ed25519Signature home_signature{};  // over the round root
 
-  /// The batch leaf: every field above `batch`, domain-separated.
+  /// The batch leaf, merkle_leaf_hash(signed_payload()), hashed from the
+  /// fields themselves with no payload built.
+  crypto::Sha256Digest leaf_hash() const;
+  /// The leaf's data: every field above `batch`, domain-separated.
   Bytes signed_payload() const;
   /// The message `home_signature` covers, with the round root recomputed
   /// from this bundle's leaf and path; nullopt when the path cannot fit the
@@ -91,7 +94,8 @@ struct KeyShareBundle {
   BatchPath batch;
   crypto::Ed25519Signature home_signature{};  // over the round root
 
-  /// The batch leaf: every field above `batch`, domain-separated.
+  /// See AuthVectorBundle::leaf_hash and signed_payload.
+  crypto::Sha256Digest leaf_hash() const;
   Bytes signed_payload() const;
   /// See AuthVectorBundle::batch_payload.
   std::optional<Bytes> batch_payload() const;

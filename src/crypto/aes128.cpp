@@ -2,6 +2,10 @@
 
 #include <cstring>
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 namespace dauth::crypto {
 namespace {
 
@@ -45,56 +49,68 @@ inline std::uint8_t xtime(std::uint8_t x) noexcept {
   return static_cast<std::uint8_t>((x << 1) ^ ((x >> 7) * 0x1b));
 }
 
-}  // namespace
+#if defined(__x86_64__)
+// One AES-128 key-expansion step: `assist` is AESKEYGENASSIST of the
+// previous round key, whose top word is SubWord(RotWord(w3)) ^ rcon.
+__attribute__((target("aes"))) inline __m128i expand_step(__m128i key, __m128i assist) noexcept {
+  assist = _mm_shuffle_epi32(assist, 0xff);
+  key = _mm_xor_si128(key, _mm_slli_si128(key, 4));
+  key = _mm_xor_si128(key, _mm_slli_si128(key, 4));
+  key = _mm_xor_si128(key, _mm_slli_si128(key, 4));
+  return _mm_xor_si128(key, assist);
+}
+#endif
 
-Aes128::Aes128(const AesKey& key) noexcept { expand_key(key.data()); }
-
-Aes128::Aes128(ByteView key) noexcept {
-  // A wrong-size key is a programming error; fail closed with a zero key
-  // rather than reading out of bounds (callers pass Secret<16> views).
-  if (key.size() != 16) {
-    static constexpr AesKey kZeroKey{};
-    expand_key(kZeroKey.data());
+void expand_key(const std::uint8_t* key, std::uint8_t* schedule) noexcept {
+#if defined(__x86_64__)
+  if (detail::aes128_ni_available()) {
+    detail::aes128_expand_ni(key, schedule);
     return;
   }
-  expand_key(key.data());
+#endif
+  detail::aes128_expand_portable(key, schedule);
 }
 
-void Aes128::expand_key(const std::uint8_t* key) noexcept {
+}  // namespace
+
+namespace detail {
+
+void aes128_expand_portable(const std::uint8_t key[16], std::uint8_t schedule[176]) noexcept {
+  std::uint32_t words[44];
   for (int i = 0; i < 4; ++i) {
-    round_keys_[i] = (std::uint32_t{key[4 * i]} << 24) |
-                     (std::uint32_t{key[4 * i + 1]} << 16) |
-                     (std::uint32_t{key[4 * i + 2]} << 8) |
-                     std::uint32_t{key[4 * i + 3]};
+    words[i] = (std::uint32_t{key[4 * i]} << 24) | (std::uint32_t{key[4 * i + 1]} << 16) |
+               (std::uint32_t{key[4 * i + 2]} << 8) | std::uint32_t{key[4 * i + 3]};
   }
   for (int i = 4; i < 44; ++i) {
-    std::uint32_t temp = round_keys_[i - 1];
+    std::uint32_t temp = words[i - 1];
     if (i % 4 == 0) {
       temp = sub_word(rot_word(temp)) ^ (std::uint32_t{kRcon[i / 4 - 1]} << 24);
     }
-    round_keys_[i] = round_keys_[i - 4] ^ temp;
+    words[i] = words[i - 4] ^ temp;
   }
+  for (int i = 0; i < 44; ++i) {
+    schedule[4 * i] = static_cast<std::uint8_t>(words[i] >> 24);
+    schedule[4 * i + 1] = static_cast<std::uint8_t>(words[i] >> 16);
+    schedule[4 * i + 2] = static_cast<std::uint8_t>(words[i] >> 8);
+    schedule[4 * i + 3] = static_cast<std::uint8_t>(words[i]);
+  }
+  secure_wipe(words, sizeof(words));
 }
 
-AesBlock Aes128::encrypt_block(const AesBlock& plaintext) const noexcept {
+void aes128_encrypt_portable(const std::uint8_t schedule[176], const std::uint8_t in[16],
+                             std::uint8_t out[16]) noexcept {
+  // The state is column-major (s[4c + r]), as are the input and each round key.
   std::uint8_t s[16];
-  std::memcpy(s, plaintext.data(), 16);
-
-  auto add_round_key = [&](int round) noexcept {
-    for (int c = 0; c < 4; ++c) {
-      const std::uint32_t rk = round_keys_[4 * round + c];
-      s[4 * c] ^= static_cast<std::uint8_t>(rk >> 24);
-      s[4 * c + 1] ^= static_cast<std::uint8_t>(rk >> 16);
-      s[4 * c + 2] ^= static_cast<std::uint8_t>(rk >> 8);
-      s[4 * c + 3] ^= static_cast<std::uint8_t>(rk);
-    }
+  std::memcpy(s, in, 16);
+  const auto add_round_key = [&](int round) noexcept {
+    for (int i = 0; i < 16; ++i) s[i] ^= schedule[16 * round + i];
   };
 
   add_round_key(0);
   for (int round = 1; round <= 10; ++round) {
     // SubBytes
     for (auto& byte : s) byte = kSbox[byte];
-    // ShiftRows (state is column-major: s[4c + r])
+    // ShiftRows
     std::uint8_t t;
     t = s[1]; s[1] = s[5]; s[5] = s[9]; s[9] = s[13]; s[13] = t;
     t = s[2]; s[2] = s[10]; s[10] = t; t = s[6]; s[6] = s[14]; s[14] = t;
@@ -114,9 +130,87 @@ AesBlock Aes128::encrypt_block(const AesBlock& plaintext) const noexcept {
     add_round_key(round);
   }
 
-  AesBlock out;
-  std::memcpy(out.data(), s, 16);
+  std::memcpy(out, s, 16);
   secure_wipe(s, sizeof(s));
+}
+
+#if defined(__x86_64__)
+// AES-NI: AESKEYGENASSIST drives the key expansion and AESENC/AESENCLAST
+// run whole rounds, with no table lookup. Compiled for these functions
+// only: the dispatch calls them only on CPUs that report AES-NI, so the
+// build needs no -march flag.
+__attribute__((target("aes"))) void aes128_expand_ni(const std::uint8_t key[16],
+                                                     std::uint8_t schedule[176]) noexcept {
+  auto* round_key = reinterpret_cast<__m128i*>(schedule);
+  __m128i k = _mm_loadu_si128(reinterpret_cast<const __m128i*>(key));
+  _mm_storeu_si128(round_key, k);
+// The round constant is an instruction immediate, so each step is spelled out.
+#define DAUTH_AES_EXPAND(i, rcon)                              \
+  k = expand_step(k, _mm_aeskeygenassist_si128(k, (rcon)));    \
+  _mm_storeu_si128(round_key + (i), k)
+  DAUTH_AES_EXPAND(1, 0x01);
+  DAUTH_AES_EXPAND(2, 0x02);
+  DAUTH_AES_EXPAND(3, 0x04);
+  DAUTH_AES_EXPAND(4, 0x08);
+  DAUTH_AES_EXPAND(5, 0x10);
+  DAUTH_AES_EXPAND(6, 0x20);
+  DAUTH_AES_EXPAND(7, 0x40);
+  DAUTH_AES_EXPAND(8, 0x80);
+  DAUTH_AES_EXPAND(9, 0x1b);
+  DAUTH_AES_EXPAND(10, 0x36);
+#undef DAUTH_AES_EXPAND
+}
+
+__attribute__((target("aes"))) void aes128_encrypt_ni(const std::uint8_t schedule[176],
+                                                      const std::uint8_t in[16],
+                                                      std::uint8_t out[16]) noexcept {
+  const auto* round_key = reinterpret_cast<const __m128i*>(schedule);
+  __m128i m = _mm_xor_si128(_mm_loadu_si128(reinterpret_cast<const __m128i*>(in)),
+                            _mm_loadu_si128(round_key));
+  for (int round = 1; round < 10; ++round) {
+    m = _mm_aesenc_si128(m, _mm_loadu_si128(round_key + round));
+  }
+  m = _mm_aesenclast_si128(m, _mm_loadu_si128(round_key + 10));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(out), m);
+}
+#endif
+
+bool aes128_ni_available() noexcept {
+#if defined(__x86_64__)
+  static const bool available = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("aes") != 0;
+  }();
+  return available;
+#else
+  return false;
+#endif
+}
+
+}  // namespace detail
+
+Aes128::Aes128(const AesKey& key) noexcept { expand_key(key.data(), round_keys_); }
+
+Aes128::Aes128(ByteView key) noexcept {
+  // A wrong-size key is a programming error; fail closed with a zero key
+  // rather than reading out of bounds (callers pass Secret<16> views).
+  if (key.size() != 16) {
+    static constexpr AesKey kZeroKey{};
+    expand_key(kZeroKey.data(), round_keys_);
+    return;
+  }
+  expand_key(key.data(), round_keys_);
+}
+
+AesBlock Aes128::encrypt_block(const AesBlock& plaintext) const noexcept {
+  AesBlock out;
+#if defined(__x86_64__)
+  if (detail::aes128_ni_available()) {
+    detail::aes128_encrypt_ni(round_keys_, plaintext.data(), out.data());
+    return out;
+  }
+#endif
+  detail::aes128_encrypt_portable(round_keys_, plaintext.data(), out.data());
   return out;
 }
 

@@ -17,6 +17,11 @@ using AesBlock = ByteArray<16>;
 
 /// Key-expanded AES-128 context. The expanded schedule is key-equivalent
 /// material, so the destructor zeroizes it.
+///
+/// The schedule is built once, in the constructor, and every block runs on
+/// the x86-64 AES-NI instructions when the CPU has them (picked once per
+/// process, see detail::aes128_ni_available), else on the portable code.
+/// Both paths build the same schedule bytes and compute the same blocks.
 class Aes128 {
  public:
   explicit Aes128(const AesKey& key) noexcept;
@@ -32,10 +37,30 @@ class Aes128 {
   AesBlock encrypt_block(const AesBlock& plaintext) const noexcept;
 
  private:
-  void expand_key(const std::uint8_t* key) noexcept;
-
-  std::uint32_t round_keys_[44];
+  /// The 11 round keys, 16 bytes each, in FIPS 197 byte order.
+  alignas(16) std::uint8_t round_keys_[176];
 };
+
+/// The key expansion and block function of each implementation, exposed so
+/// the differential test can pin the hardware path to the portable one.
+/// `schedule` is 176 bytes: 11 round keys in FIPS 197 byte order.
+namespace detail {
+
+void aes128_expand_portable(const std::uint8_t key[16], std::uint8_t schedule[176]) noexcept;
+void aes128_encrypt_portable(const std::uint8_t schedule[176], const std::uint8_t in[16],
+                             std::uint8_t out[16]) noexcept;
+
+#if defined(__x86_64__)
+/// x86-64 AES-NI. Only call them when aes128_ni_available() is true.
+void aes128_expand_ni(const std::uint8_t key[16], std::uint8_t schedule[176]) noexcept;
+void aes128_encrypt_ni(const std::uint8_t schedule[176], const std::uint8_t in[16],
+                       std::uint8_t out[16]) noexcept;
+#endif
+
+/// Whether this CPU runs the AES-NI path (decided once per process).
+bool aes128_ni_available() noexcept;
+
+}  // namespace detail
 
 /// CTR-mode keystream XOR: encrypts/decrypts `data` in place using a 16-byte
 /// initial counter block (big-endian increment of the low 32 bits).

@@ -2,41 +2,40 @@
 
 #include <cstring>
 
-#include "crypto/hmac.h"
-
 namespace dauth::crypto {
 
-DeterministicDrbg::DeterministicDrbg(ByteView seed_material) {
-  key_.fill(0x00);
+DeterministicDrbg::DeterministicDrbg(ByteView seed_material) : key_(ByteArray<32>{}) {
   value_.fill(0x01);
   update(seed_material);
 }
 
-DeterministicDrbg::DeterministicDrbg(std::string_view label, std::uint64_t seed) {
+DeterministicDrbg::DeterministicDrbg(std::string_view label, std::uint64_t seed)
+    : key_(ByteArray<32>{}) {
   Bytes material = to_bytes(as_bytes(label));
   for (int i = 0; i < 8; ++i)
     material.push_back(static_cast<std::uint8_t>(seed >> (8 * i)));
-  key_.fill(0x00);
   value_.fill(0x01);
   update(material);
 }
 
+void DeterministicDrbg::rekey(std::uint8_t separator, ByteView provided) {
+  const Secret<32> key = key_.mac({value_, ByteArray<1>{separator}, provided});
+  key_ = HmacSha256(key);
+}
+
 void DeterministicDrbg::update(ByteView provided) {
   // K = HMAC(K, V || 0x00 || provided); V = HMAC(K, V)
-  SecretBytes input(concat(value_, ByteArray<1>{0x00}, provided));
-  key_ = hmac_sha256(key_, input);
-  value_ = hmac_sha256(key_, value_);
-  if (!provided.empty()) {
-    input = concat(value_, ByteArray<1>{0x01}, provided);
-    key_ = hmac_sha256(key_, input);
-    value_ = hmac_sha256(key_, value_);
-  }
+  rekey(0x00, provided);
+  value_ = key_.mac({value_});
+  if (provided.empty()) return;
+  rekey(0x01, provided);
+  value_ = key_.mac({value_});
 }
 
 void DeterministicDrbg::fill(MutableByteView out) {
   std::size_t offset = 0;
   while (offset < out.size()) {
-    value_ = hmac_sha256(key_, value_);
+    value_ = key_.mac({value_});
     const std::size_t n = out.size() - offset < 32 ? out.size() - offset : 32;
     std::memcpy(out.data() + offset, value_.data(), n);
     offset += n;

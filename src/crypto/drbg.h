@@ -7,6 +7,7 @@
 
 #include "common/bytes.h"
 #include "common/secret.h"
+#include "crypto/hmac.h"
 #include "crypto/shamir.h"  // RandomSource
 #include "crypto/sha256.h"
 
@@ -37,11 +38,16 @@ class DeterministicDrbg final : public RandomSource {
   void reseed(ByteView additional);
 
  private:
+  /// HMAC_DRBG_Update (SP 800-90A §10.1.2.2).
   void update(ByteView provided);
+  /// K = HMAC(K, V || separator || provided), held keyed.
+  void rekey(std::uint8_t separator, ByteView provided);
 
   // DRBG internal state is key material: anyone holding (K, V) can predict
-  // every future output, so both wipe on destruction.
-  Secret<32> key_;
+  // every future output, so both wipe on destruction. K is held keyed, as
+  // its HMAC midstates, which is all the DRBG uses it for: each output
+  // block and each update costs its own compressions only.
+  HmacSha256 key_;
   Secret<32> value_;
 };
 

@@ -7,23 +7,29 @@
 namespace dauth::crypto {
 
 Key256 kdf_3gpp(ByteView key, std::uint8_t fc, std::initializer_list<ByteView> params) {
-  Bytes buf;
-  buf.push_back(fc);
+  // S = FC || P0 || L0 || P1 || L1 || ..., streamed into the MAC: S can
+  // embed secret-derived params, and the keyed hash wipes what it held.
+  const HmacSha256 hmac(key);
+  Sha256 s = hmac.start();
+  s.update(ByteArray<1>{fc});
   for (ByteView p : params) {
-    append(buf, p);
-    buf.push_back(static_cast<std::uint8_t>(p.size() >> 8));
-    buf.push_back(static_cast<std::uint8_t>(p.size() & 0xff));
+    s.update(p);
+    s.update(ByteArray<2>{static_cast<std::uint8_t>(p.size() >> 8),
+                          static_cast<std::uint8_t>(p.size() & 0xff)});
   }
-  // The S string can embed secret-derived params; wipe it once consumed.
-  const SecretBytes s(std::move(buf));
-  return hmac_sha256(key, s);
+  return hmac.finish(s);
 }
 
 namespace {
 
 // CK||IK is the key-hierarchy root after Milenage; the temporary wipes
 // itself at the end of the caller's full expression.
-SecretBytes ck_ik(const Ck& ck, const Ik& ik) { return concat(ck, ik); }
+Secret<32> ck_ik(const Ck& ck, const Ik& ik) {
+  Secret<32> key;
+  std::memcpy(key.data(), ck.data(), ck.size());
+  std::memcpy(key.data() + ck.size(), ik.data(), ik.size());
+  return key;
+}
 
 }  // namespace
 
@@ -44,7 +50,11 @@ ResStar derive_res_star(const Ck& ck, const Ik& ik, std::string_view serving_net
 }
 
 ByteArray<16> derive_hres_star(const Rand& rand, const ResStar& res_star) {
-  const Sha256Digest digest = sha256(concat(rand, res_star));
+  Sha256 h;
+  h.update(rand);
+  h.update(res_star);
+  const Sha256Digest digest = h.finish();
+  secure_wipe(&h, sizeof(h));  // its buffer held RES*
   // HRES* is the 128 *most* significant bits (first 16 bytes).
   ByteArray<16> out;
   std::memcpy(out.data(), digest.data(), 16);

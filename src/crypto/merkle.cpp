@@ -18,9 +18,14 @@ std::size_t level_size(std::size_t leaves, std::size_t level) {
 
 }  // namespace
 
-Sha256Digest merkle_leaf_hash(ByteView data) noexcept {
+Sha256 merkle_leaf_hasher() noexcept {
   Sha256 h;
   h.update(ByteView(&kLeafTag, 1));
+  return h;
+}
+
+Sha256Digest merkle_leaf_hash(ByteView data) noexcept {
+  Sha256 h = merkle_leaf_hasher();
   h.update(data);
   return h.finish();
 }

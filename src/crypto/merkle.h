@@ -25,6 +25,9 @@
 namespace dauth::crypto {
 
 Sha256Digest merkle_leaf_hash(ByteView data) noexcept;
+/// A SHA-256 context primed with the leaf prefix: fed a leaf's data in
+/// parts, its finish() is merkle_leaf_hash of their concatenation.
+Sha256 merkle_leaf_hasher() noexcept;
 Sha256Digest merkle_node_hash(const Sha256Digest& left, const Sha256Digest& right) noexcept;
 
 /// One tree, stored level by level in a single array: the leaves, then every

@@ -1,5 +1,6 @@
 #include "crypto/sha256.h"
 
+#include <bit>
 #include <cstring>
 
 #if defined(__x86_64__)
@@ -31,26 +32,34 @@ inline std::uint32_t load_be32(const std::uint8_t* p) noexcept {
          (std::uint32_t{p[2]} << 8) | std::uint32_t{p[3]};
 }
 
-inline void store_be32(std::uint8_t* p, std::uint32_t v) noexcept {
-  p[0] = static_cast<std::uint8_t>(v >> 24);
-  p[1] = static_cast<std::uint8_t>(v >> 16);
-  p[2] = static_cast<std::uint8_t>(v >> 8);
-  p[3] = static_cast<std::uint8_t>(v);
+// Big-endian stores as one swapped word each: byte-wise stores here make
+// the next block's vector loads wait on store forwarding.
+template <typename Word>
+inline void store_be(std::uint8_t* p, Word v) noexcept {
+  if constexpr (std::endian::native == std::endian::little) {
+    if constexpr (sizeof(Word) == 4) {
+      v = __builtin_bswap32(v);
+    } else {
+      v = __builtin_bswap64(v);
+    }
+  }
+  std::memcpy(p, &v, sizeof(v));
+}
+
+void store_digest(const std::uint32_t state[8], std::uint8_t digest[32]) noexcept {
+  for (int i = 0; i < 8; ++i) store_be(digest + 4 * i, state[i]);
 }
 
 }  // namespace
 
 void Sha256::reset() noexcept {
-  state_[0] = 0x6a09e667;
-  state_[1] = 0xbb67ae85;
-  state_[2] = 0x3c6ef372;
-  state_[3] = 0xa54ff53a;
-  state_[4] = 0x510e527f;
-  state_[5] = 0x9b05688c;
-  state_[6] = 0x1f83d9ab;
-  state_[7] = 0x5be0cd19;
+  std::memcpy(state_, detail::kSha256InitialState, sizeof(state_));
   total_len_ = 0;
   buffer_len_ = 0;
+}
+
+Sha256::Sha256(const std::uint32_t (&state)[8]) noexcept : total_len_(64) {
+  std::memcpy(state_, state, sizeof(state_));
 }
 
 namespace detail {
@@ -174,11 +183,8 @@ void sha256_compress(std::uint32_t state[8], const std::uint8_t* block) noexcept
 
 }  // namespace detail
 
-void Sha256::update(ByteView data) noexcept {
+void Sha256::update_blocks(ByteView data) noexcept {
   total_len_ += data.size();
-  // Empty input is a no-op; data.data() may be null and memcpy's pointer
-  // arguments must be non-null even for size 0.
-  if (data.empty()) return;
   std::size_t offset = 0;
   if (buffer_len_ > 0) {
     const std::size_t need = 64 - buffer_len_;
@@ -201,24 +207,36 @@ void Sha256::update(ByteView data) noexcept {
   }
 }
 
-Sha256Digest Sha256::finish() noexcept {
-  // One-shot padding directly in the block buffer instead of feeding the
-  // pad through update() a byte at a time. (Zero loops, not memset: lint
-  // rule L5 reserves memset-shaped calls for secure_wipe.)
-  const std::uint64_t bit_len = total_len_ * 8;
-  buffer_[buffer_len_++] = 0x80;
-  if (buffer_len_ > 56) {
-    for (std::size_t i = buffer_len_; i < 64; ++i) buffer_[i] = 0;
-    detail::sha256_compress(state_, buffer_);
-    buffer_len_ = 0;
-  }
-  for (std::size_t i = buffer_len_; i < 56; ++i) buffer_[i] = 0;
-  for (int i = 0; i < 8; ++i)
-    buffer_[56 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
-  detail::sha256_compress(state_, buffer_);
+namespace detail {
 
+void sha256_final_block(std::uint32_t state[8], std::uint8_t block[64], std::size_t tail,
+                        std::uint64_t message_bytes, std::uint8_t digest[32]) noexcept {
+  // Zero loops, not memset: lint rule L5 reserves memset-shaped calls for
+  // secure_wipe.
+  block[tail] = 0x80;
+  for (std::size_t i = tail + 1; i < 56; ++i) block[i] = 0;
+  store_be(block + 56, message_bytes * 8);
+  sha256_compress(state, block);
+  store_digest(state, digest);
+}
+
+}  // namespace detail
+
+Sha256Digest Sha256::finish() noexcept {
   Sha256Digest digest;
-  for (int i = 0; i < 8; ++i) store_be32(digest.data() + 4 * i, state_[i]);
+  if (buffer_len_ < 56) {
+    detail::sha256_final_block(state_, buffer_, buffer_len_, total_len_, digest.data());
+    return digest;
+  }
+  // No room for the length: the 0x80 byte and zeros end this block, and the
+  // length fills the last one.
+  buffer_[buffer_len_] = 0x80;
+  for (std::size_t i = buffer_len_ + 1; i < 64; ++i) buffer_[i] = 0;
+  detail::sha256_compress(state_, buffer_);
+  for (std::size_t i = 0; i < 56; ++i) buffer_[i] = 0;
+  store_be(buffer_ + 56, total_len_ * 8);
+  detail::sha256_compress(state_, buffer_);
+  store_digest(state_, digest.data());
   return digest;
 }
 

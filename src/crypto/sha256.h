@@ -6,6 +6,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 
 #include "common/bytes.h"
 
@@ -18,14 +19,30 @@ using Sha256Digest = ByteArray<32>;
 class Sha256 {
  public:
   Sha256() noexcept { reset(); }
+  /// Resumes a hash after its first 64-byte block, which left `state`: the
+  /// keyed midstates of HMAC (crypto/hmac.h).
+  explicit Sha256(const std::uint32_t (&state)[8]) noexcept;
 
   void reset() noexcept;
-  void update(ByteView data) noexcept;
+  void update(ByteView data) noexcept {
+    // Inline for the short fields of a message hashed in place (a Merkle
+    // leaf, core/messages.cpp): bytes that fit in the buffer are only copied.
+    if (data.size() < 64 - buffer_len_) {
+      if (!data.empty()) std::memcpy(buffer_ + buffer_len_, data.data(), data.size());
+      buffer_len_ += data.size();
+      total_len_ += data.size();
+      return;
+    }
+    update_blocks(data);
+  }
   /// Finalizes and returns the digest. The context must be reset() before
   /// further use.
   Sha256Digest finish() noexcept;
 
  private:
+  /// update() for data that fills the buffer: whole blocks are compressed.
+  void update_blocks(ByteView data) noexcept;
+
   std::uint32_t state_[8];
   std::uint64_t total_len_ = 0;
   std::uint8_t buffer_[64];
@@ -39,6 +56,10 @@ Sha256Digest sha256(ByteView data) noexcept;
 /// can pin every implementation to the portable one. Each call folds one
 /// 64-byte block into `state`.
 namespace detail {
+
+/// The FIPS 180-4 initial hash value.
+inline constexpr std::uint32_t kSha256InitialState[8] = {
+    0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
 
 /// Portable C++ compression: the fallback on every CPU without SHA-NI.
 void sha256_compress_portable(std::uint32_t state[8], const std::uint8_t* block) noexcept;
@@ -54,6 +75,14 @@ bool sha256_shani_available() noexcept;
 
 /// The compression Sha256 uses: SHA-NI when available, else portable.
 void sha256_compress(std::uint32_t state[8], const std::uint8_t* block) noexcept;
+
+/// The last block of a `message_bytes`-byte message, whose final `tail`
+/// (at most 55) bytes open `block`: pads them in place, folds the block
+/// into `state` and writes the digest to `digest`, which may be `block`.
+/// Sha256::finish ends with it, and HMAC hashes a short message from a
+/// keyed midstate with it.
+void sha256_final_block(std::uint32_t state[8], std::uint8_t block[64], std::size_t tail,
+                        std::uint64_t message_bytes, std::uint8_t digest[32]) noexcept;
 
 }  // namespace detail
 

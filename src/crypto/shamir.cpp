@@ -32,16 +32,23 @@ constexpr std::uint64_t mul8(std::uint64_t lanes, std::uint8_t m) noexcept {
 }
 
 /// Loads up to 8 bytes at `offset` as lanes; missing tail lanes read as 0.
+/// A whole word is one fixed-size copy, i.e. one load.
 std::uint64_t load8(ByteView bytes, std::size_t offset) noexcept {
   std::uint64_t lanes = 0;
-  const std::size_t n = bytes.size() - offset < 8 ? bytes.size() - offset : 8;
-  std::memcpy(&lanes, bytes.data() + offset, n);
+  if (bytes.size() - offset >= 8) {
+    std::memcpy(&lanes, bytes.data() + offset, 8);
+  } else {
+    std::memcpy(&lanes, bytes.data() + offset, bytes.size() - offset);
+  }
   return lanes;
 }
 
 void store8(MutableByteView bytes, std::size_t offset, std::uint64_t lanes) noexcept {
-  const std::size_t n = bytes.size() - offset < 8 ? bytes.size() - offset : 8;
-  std::memcpy(bytes.data() + offset, &lanes, n);
+  if (bytes.size() - offset >= 8) {
+    std::memcpy(bytes.data() + offset, &lanes, 8);
+  } else {
+    std::memcpy(bytes.data() + offset, &lanes, bytes.size() - offset);
+  }
 }
 
 }  // namespace
@@ -53,15 +60,17 @@ std::vector<ShamirShare> shamir_split(ByteView secret, std::size_t threshold,
     throw std::invalid_argument("shamir_split: threshold exceeds share count");
   if (share_count > 255) throw std::invalid_argument("shamir_split: at most 255 shares");
 
-  // coefficients[d] holds the degree-(d+1) coefficient for every secret byte;
-  // the constant term (degree 0) is the secret itself. Coefficients are as
-  // sensitive as the secret (threshold-1 of them plus one share leak it), so
-  // they live in self-wiping buffers.
-  std::vector<SecretBytes> coefficients(threshold - 1);
-  for (auto& coeff_row : coefficients) {
-    coeff_row.resize(secret.size());
-    random.fill(coeff_row.mutable_view());
-  }
+  // Row d of `coefficients` holds the degree-(d+1) coefficient for every
+  // secret byte; the constant term (degree 0) is the secret itself.
+  // Coefficients are as sensitive as the secret (threshold-1 of them plus one
+  // share leak it), so they live in one self-wiping buffer, drawn one row
+  // per fill.
+  const std::size_t degree = threshold - 1;
+  SecretBytes coefficients(degree * secret.size());
+  const auto row = [&](std::size_t d) {
+    return coefficients.mutable_view().subspan(d * secret.size(), secret.size());
+  };
+  for (std::size_t d = 0; d < degree; ++d) random.fill(row(d));
 
   std::vector<ShamirShare> shares(share_count);
   for (std::size_t s = 0; s < share_count; ++s) {
@@ -71,9 +80,7 @@ std::vector<ShamirShare> shamir_split(ByteView secret, std::size_t threshold,
     for (std::size_t i = 0; i < secret.size(); i += 8) {
       // Horner evaluation: ((c_{k-1} x + c_{k-2}) x + ...) x + secret.
       std::uint64_t acc = 0;
-      for (std::size_t d = coefficients.size(); d-- > 0;) {
-        acc = mul8(acc, x) ^ load8(coefficients[d], i);
-      }
+      for (std::size_t d = degree; d-- > 0;) acc = mul8(acc, x) ^ load8(row(d), i);
       store8(shares[s].y.mutable_view(), i, mul8(acc, x) ^ load8(secret, i));
     }
   }

@@ -2,22 +2,8 @@
 
 namespace dauth::wire {
 
-void Writer::u16(std::uint16_t v) {
-  buffer_.push_back(static_cast<std::uint8_t>(v));
-  buffer_.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-void Writer::u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) buffer_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void Writer::u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) buffer_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void Writer::bytes(ByteView data) {
-  u32(static_cast<std::uint32_t>(data.size()));
-  raw(data);
-}
+// Out of line: inlined into callers with constant-size fields, the vector
+// append trips GCC 12's -O3 -Wstringop-overflow false positives.
+void Writer::raw(ByteView data) { append(buffer_, data); }
 
 }  // namespace dauth::wire

@@ -39,6 +39,21 @@ TEST(SecureWipe, ZeroizesExactRange) {
   EXPECT_TRUE(all_zero(buf + 2, 4));
   EXPECT_EQ(buf[6], 7);
   EXPECT_EQ(buf[7], 8);
+
+  // The wipe stores bytes up to a word boundary, then words, then bytes:
+  // every start offset and every length 0-70 must clear exactly its range.
+  alignas(8) std::uint8_t wide[96];
+  for (std::size_t start = 0; start < 8; ++start) {
+    for (std::size_t length = 0; length <= 70; ++length) {
+      for (std::size_t i = 0; i < sizeof(wide); ++i) wide[i] = static_cast<std::uint8_t>(i | 0x80);
+      secure_wipe(wide + start, length);
+      for (std::size_t i = 0; i < sizeof(wide); ++i) {
+        const bool inside = i >= start && i < start + length;
+        ASSERT_EQ(wide[i], inside ? 0 : static_cast<std::uint8_t>(i | 0x80))
+            << "start " << start << " length " << length << " byte " << i;
+      }
+    }
+  }
 }
 
 TEST(SecureWipe, ZeroLengthAndNullAreSafe) {

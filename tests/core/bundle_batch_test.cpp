@@ -79,7 +79,7 @@ ServedBatch served_batch(const char* supi, std::size_t vectors, std::size_t shar
   sign_batch(batch.vectors, batch.shares, signer);
   std::vector<Sha256Digest> leaves;
   const auto add_leaf = [&](const auto& b) {
-    leaves.push_back(crypto::merkle_leaf_hash(b.signed_payload()));
+    leaves.push_back(b.leaf_hash());
   };
   for (const auto& v : batch.vectors) add_leaf(v);
   for (const auto& s : batch.shares) add_leaf(s);
@@ -105,7 +105,7 @@ std::vector<StoreMaterialRequest> served_round(const char* supi, std::size_t bat
   for (StoreMaterialRequest& request : round) {
     std::vector<Sha256Digest> leaves;
     const auto add_leaf = [&](const auto& b) {
-      leaves.push_back(crypto::merkle_leaf_hash(b.signed_payload()));
+      leaves.push_back(b.leaf_hash());
     };
     for (const auto& v : request.vectors) add_leaf(v);
     for (const auto& s : request.shares) add_leaf(s);

@@ -52,7 +52,7 @@ Bytes valid_batched_vector_bundle() {
   const StoreMaterialRequest batch = signed_round()[1];
   std::vector<crypto::Sha256Digest> leaves;
   for (const auto& b : batch.vectors) {
-    leaves.push_back(crypto::merkle_leaf_hash(b.signed_payload()));
+    leaves.push_back(b.leaf_hash());
   }
   AuthVectorBundle served = batch.vectors[2];
   served.batch.siblings = crypto::MerkleTree(std::move(leaves)).path(2);

@@ -135,6 +135,52 @@ TEST(Messages, StoreMaterialRequestRoundTrip) {
   EXPECT_TRUE(batches->front().verify_root(decoded.home_network, keys.public_key));
 }
 
+TEST(Messages, LeafHashIsTheHashOfTheSignedPayload) {
+  // leaf_hash() streams the fields into SHA-256; signed_payload() builds the
+  // same bytes. Both must name the same leaf, for every field and path.
+  const auto keys = test_keys(7);
+  AuthVectorBundle v = sample_vector(keys);
+  v.flood = true;
+  EXPECT_EQ(v.leaf_hash(), crypto::merkle_leaf_hash(v.signed_payload()));
+  KeyShareBundle s;
+  s.home_network = NetworkId("home-net");
+  s.supi = Supi("901550000000001");
+  s.hxres_star = v.hxres_star;
+  s.share.x = 7;
+  s.share.y = Bytes(32, 0x3c);
+  EXPECT_EQ(s.leaf_hash(), crypto::merkle_leaf_hash(s.signed_payload()));
+  s.share.y[31] ^= 1;
+  EXPECT_EQ(s.leaf_hash(), crypto::merkle_leaf_hash(s.signed_payload()));
+}
+
+TEST(Messages, StoreMaterialRequestIsFramedInPlaceAndSizedExactly) {
+  // A store request is written into a buffer reserved at its exact size, so
+  // a queued push carries no spare capacity, and it frames each bundle in
+  // place, byte-identical to the bundle's own encoding.
+  const auto keys = test_keys(8);
+  StoreMaterialRequest req;
+  req.home_network = NetworkId("home-net");
+  req.vectors.push_back(sample_vector(keys));
+  KeyShareBundle share;
+  share.home_network = req.home_network;
+  share.supi = Supi("901550000000001");
+  share.share.x = 2;
+  share.share.y = Bytes(32, 0x22);
+  req.shares.push_back(share);
+  sign_batch(req.vectors, req.shares, keys);
+  req.round.resize(2);
+  req.suci_secret = Bytes(32, 0x77);
+
+  const Bytes encoded = req.encode();
+  EXPECT_EQ(encoded.capacity(), encoded.size());
+  wire::Reader r(encoded);
+  (void)r.string();
+  ASSERT_EQ(r.u32(), 1u);
+  EXPECT_EQ(r.bytes(), req.vectors[0].encode());
+  ASSERT_EQ(r.u32(), 1u);
+  EXPECT_EQ(r.bytes(), req.shares[0].encode());
+}
+
 TEST(Messages, GetVectorRequestRoundTrip) {
   GetVectorRequest req;
   req.serving_network = NetworkId("serving");

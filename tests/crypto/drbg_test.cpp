@@ -80,5 +80,25 @@ TEST(Drbg, RandomSourceInterface) {
   EXPECT_NE(buf, Bytes(16, 0));
 }
 
+TEST(Drbg, StreamIsPinned) {
+  // A mixed sequence of fill sizes (empty, partial, whole and multi-block
+  // draws) and reseeds, hashed: the digest pins every output byte and every
+  // state update, so a faster HMAC or DRBG must leave it as it is.
+  DeterministicDrbg d("drbg-pin", 42);
+  Sha256 h;
+  std::size_t draws = 0;
+  for (std::size_t n : {0u, 1u, 7u, 16u, 31u, 32u, 33u, 64u, 65u, 100u, 255u}) {
+    h.update(d.bytes(n));
+    if (++draws % 3 == 0) d.reseed(d.bytes(n % 40));
+  }
+  d.reseed({});
+  h.update(d.bytes(48));
+  const std::uint64_t word = d.next_u64();
+  for (int i = 0; i < 8; ++i) h.update(ByteArray<1>{static_cast<std::uint8_t>(word >> (8 * i))});
+  DeterministicDrbg seeded(as_bytes("explicit seed material"));
+  h.update(seeded.bytes(80));
+  EXPECT_EQ(to_hex(h.finish()), "76a779659885daf96d806a63fdc7e99f2bc1a434b6299d8d2870367441bbe752");
+}
+
 }  // namespace
 }  // namespace dauth::crypto

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <new>
+#include <string>
+
 namespace dauth::crypto {
 namespace {
 
@@ -51,6 +56,41 @@ TEST(Hmac, Rfc4231Case7LongKeyAndData) {
 }
 
 // RFC 5869 HKDF-SHA-256 test case 1.
+// ---- The keyed type ---------------------------------------------------------
+
+TEST(HmacSha256, PartsMacLikeTheirConcatenation) {
+  // RFC 4231 case 2, its message fed in parts, and the streaming form.
+  const HmacSha256 hmac(as_bytes("Jefe"));
+  const std::string expected = "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843";
+  EXPECT_EQ(to_hex(hmac.mac({as_bytes("what do ya"), {}, as_bytes(" want for nothing?")})),
+            expected);
+  Sha256 inner = hmac.start();
+  inner.update(as_bytes("what do ya want "));
+  inner.update(as_bytes("for nothing?"));
+  EXPECT_EQ(to_hex(hmac.finish(inner)), expected);
+  // The key is reused: a second MAC under it is independent of the first.
+  EXPECT_EQ(to_hex(hmac.mac({as_bytes("what do ya want for nothing?")})), expected);
+}
+
+TEST(HmacSha256, DestructorWipesStorage) {
+  // The midstates after the ipad and opad blocks are key-equivalent: anyone
+  // holding them can MAC under the key. A long key's digest goes through
+  // them too. Constructed in a non-zero caller-owned buffer and destroyed
+  // explicitly, every byte of the object must read zero afterwards.
+  alignas(HmacSha256) unsigned char storage[sizeof(HmacSha256)];
+  std::fill(std::begin(storage), std::end(storage), 0xA5);
+  const Bytes key(131, 0xaa);  // longer than a block: hashed first
+  auto* hmac = new (storage) HmacSha256(key);
+  EXPECT_EQ(to_hex(hmac->mac({as_bytes("Test Using Larger Than Block-Size Key - Hash Key First")})),
+            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
+  hmac->~HmacSha256();
+  // Read the ended object's bytes through an opaque pointer (see
+  // Secret.DestructorWipesStorage).
+  const unsigned char* left = storage;
+  __asm__ __volatile__("" : "+r"(left) : : "memory");
+  for (std::size_t i = 0; i < sizeof(storage); ++i) ASSERT_EQ(left[i], 0) << "byte " << i;
+}
+
 TEST(Hkdf, Rfc5869Case1) {
   const Bytes ikm(22, 0x0b);
   const Bytes salt = from_hex("000102030405060708090a0b0c");

@@ -7,6 +7,7 @@
 // network at attach time.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <map>
 #include <set>
@@ -361,7 +362,7 @@ TEST(BatchSigning, ServingNetworkRejectsForgedShares) {
     const core::StoreMaterialRequest& batch = round[index / 2];
     std::vector<crypto::Sha256Digest> leaves;
     for (const auto& s : batch.shares) {
-      leaves.push_back(crypto::merkle_leaf_hash(s.signed_payload()));
+      leaves.push_back(s.leaf_hash());
     }
     core::KeyShareBundle share = batch.shares[index % 2];
     share.batch.siblings = crypto::MerkleTree(std::move(leaves)).path(index % 2);
@@ -444,8 +445,8 @@ struct SignedBundles {
 
   void add(const core::StoreMaterialRequest& request) {
     std::vector<crypto::Sha256Digest> leaves;
-    for (const auto& v : request.vectors) leaves.push_back(crypto::merkle_leaf_hash(v.signed_payload()));
-    for (const auto& s : request.shares) leaves.push_back(crypto::merkle_leaf_hash(s.signed_payload()));
+    for (const auto& v : request.vectors) leaves.push_back(v.leaf_hash());
+    for (const auto& s : request.shares) leaves.push_back(s.leaf_hash());
     // A bundle's batch is the leaf_count leaves that start leaf_index
     // bundles before it.
     std::size_t position = 0;
@@ -726,6 +727,73 @@ TEST(BatchSigning, ReportRefillsEachUserWithOneRevokeAndOneRound) {
   const std::set<std::string> left = batch_records();
   EXPECT_EQ(left.size(), 2u);
   EXPECT_TRUE(left.contains(*bob_first_round.begin()));
+}
+
+
+// ---- Byte identity -------------------------------------------------------------
+
+TEST(BatchSigning, DisseminatedBytesArePinned) {
+  // Every backup.store payload the home sends in a fixed-seed federation of
+  // two users over four backups: the first rounds, the refill rounds of one
+  // report per backup, and the lone flood bundles of a revocation. Each
+  // backup role runs on a node of its own behind a relay on its network's
+  // node, which hashes each store request with its destination. The digest
+  // changes with any disseminated byte (a vector, a share, a signature, a
+  // path or the framing), so a faster encoder, hash or DRBG must leave it as
+  // it is.
+  Federation f(6);
+  const std::vector<std::size_t> backups = {1, 2, 3, 4};
+  std::vector<crypto::Sha256Digest> sent;
+  std::vector<std::unique_ptr<core::BackupNetwork>> roles;
+  for (std::size_t b : backups) {
+    sim::NodeConfig nc;
+    nc.name = f.net(b).id().str() + "-backup";
+    nc.access.base = ms(2);
+    nc.workers = 2;
+    const sim::NodeIndex role_node = f.network.add_node(nc);
+    roles.push_back(std::make_unique<core::BackupNetwork>(
+        f.rpc, role_node, f.net(b).id(), f.net(b).directory(), f.config));
+    roles.back()->bind_services();
+    for (const std::string service :
+         {"backup.store", "backup.get_vector", "backup.get_share", "backup.revoke_shares"}) {
+      f.rpc.register_service(
+          f.net(b).node(), service, [&, b, service, role_node](ByteView request, sim::Responder r) {
+            if (service == "backup.store") {
+              crypto::Sha256 h;
+              h.update(as_bytes(f.net(b).id().str()));
+              h.update(request);
+              sent.push_back(h.finish());
+            }
+            f.rpc.call(f.net(b).node(), role_node, service, to_bytes(request), {},
+                       [r](Bytes reply) { r.reply(std::move(reply)); },
+                       [r](sim::RpcError e) { r.fail(e.message); });
+          });
+    }
+  }
+  const auto alice_keys = f.provision(kAlice, 0, backups);
+  const auto bob_keys = f.provision(kBob, 0, backups);
+
+  f.network.node(f.net(0).node()).set_online(false);
+  auto alice = f.make_ue(kAlice, alice_keys, 5);
+  auto bob = f.make_ue(kBob, bob_keys, 5);
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(f.attach(*alice).success) << "alice " << i;
+  ASSERT_TRUE(f.attach(*bob).success);
+  f.network.node(f.net(0).node()).set_online(true);
+  for (auto& role : roles) role->report_now(f.net(0).id());
+  f.simulator.run();
+  bool revoked = false;
+  f.net(0).home().revoke_backup(f.net(4).id(), [&] { revoked = true; });
+  f.simulator.run();
+  ASSERT_TRUE(revoked);
+
+  // Two first rounds and at least one refill round to each of four backups,
+  // then the flood bundles to the three left.
+  EXPECT_GE(sent.size(), 2u * 4 + 4 + 3);
+  std::sort(sent.begin(), sent.end());
+  crypto::Sha256 all;
+  for (const auto& digest : sent) all.update(digest);
+  EXPECT_EQ(to_hex(all.finish()), "a5b205f771d55234db0b65b8bbd123ed50f6ded34e42918284445c0723dada49")
+      << sent.size() << " store requests";
 }
 
 }  // namespace

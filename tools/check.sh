@@ -11,7 +11,7 @@
 #      benchmark run
 #   3. Release build of everything, -Werror, then the crypto tests: -O3
 #      raises warnings the other build types do not, and this is the
-#      optimized build of the SHA-NI and word-parallel Shamir kernels
+#      optimized build of the SHA-NI, AES-NI and word-parallel Shamir kernels
 #   4. Golden BENCH rows: the Release fig5_resilience_outage,
 #      ablation_optimizations and fig7_backup_count_sweep benches rerun
 #      into a temp dir, and tools/bench_diff.py requires their rows and
@@ -63,7 +63,7 @@ cmake -B build-release -S . \
   -DDAUTH_WERROR=ON > /dev/null
 cmake --build build-release -j "$JOBS"
 ctest --test-dir build-release --output-on-failure \
-  -R 'sha256|hmac|kdf|shamir|merkle|ed25519|drbg'
+  -R 'sha256|hmac|kdf|shamir|merkle|ed25519|drbg|aes|milenage'
 
 echo "==> [4/8] golden BENCH rows (fig5 outage, ablation, fig7 vs results/)"
 GOLDEN_OUT="$(mktemp -d)"
