@@ -572,7 +572,6 @@ void BackupNetwork::report_now(const NetworkId& home) {
     // charges report_processing per proof before it acks, so the attempt may
     // take until the next firing, which re-sends anyway.
     const Time deadline = config_.report_interval > 0 ? config_.report_interval : sec(5);
-    // DAUTH_DISCLOSE(usage report carries spent RES* preimages back to the home network, §4.2.3)
     report_stub_.call(
         static_cast<sim::NodeIndex>(e->address), report,
         config_.resilience.call_options(deadline),

@@ -28,7 +28,6 @@ void HomeNetwork::push(const TypedStub<Request, Ack>& stub, const NetworkId& bac
       if (done) done(false);
       return;
     }
-    // DAUTH_DISCLOSE(a store push carries the backup's own share of K_seaf, §4.2.1 and §4.3)
     stub.call(static_cast<sim::NodeIndex>(entry->address), request,
               config_.resilience.call_options(kPushTimeout, kPushBudget),
               [done](CallResult<Ack> result) {
@@ -398,7 +397,7 @@ void HomeNetwork::handle_get_key(ByteView request, sim::Responder responder) {
                          "to " + proof.serving_network.str());
       }
       // DAUTH_DISCLOSE(K_seaf release to the serving network that proved vector use, §4.2.2)
-      responder.reply(to_bytes(ByteView(k_seaf)));
+      responder.reply(KeyReply{k_seaf}.encode());
     });
   });
 }

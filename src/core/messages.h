@@ -9,8 +9,9 @@
 //     answered challenge H(XRES*) with preimage RES* (paper §4.2.2); it is
 //     both the authorization to release key shares and the audit record
 //     reported back to the home network (§4.2.3).
-// Every struct encodes deterministically (wire::Writer) and signatures
-// cover a domain-separated payload.
+// Every struct names its fields once, in wire order, in a `fields` template
+// (wire/writer.h): its encoding, its decoding and, for a signed message, the
+// domain-separated payload its signature covers all come from that list.
 //
 // The home network signs a user's dissemination, and a report's refill of
 // that user's consumed slots, as one round each. Each (user,
@@ -36,6 +37,8 @@
 #include "crypto/ed25519.h"
 #include "crypto/merkle.h"
 #include "crypto/shamir.h"
+#include "wire/reader.h"
+#include "wire/writer.h"
 
 namespace dauth::core {
 
@@ -57,6 +60,11 @@ struct BatchPath {
   /// receiver rebuilds the batch tree and takes the round path from the
   /// request.
   std::vector<crypto::Sha256Digest> siblings;
+
+  template <typename F, typename Self>
+  static void fields(F& f, Self& m) {
+    f.field(m.leaf_index, m.leaf_count, m.batch_index, m.batch_count, m.siblings);
+  }
 };
 
 /// One pre-generated authentication vector as disseminated to a backup.
@@ -71,17 +79,24 @@ struct AuthVectorBundle {
   BatchPath batch;
   crypto::Ed25519Signature home_signature{};  // over the round root
 
+  static constexpr std::string_view kDomain = "auth-vector-bundle-v1";
+  template <typename F, typename Self>
+  static void fields(F& f, Self& m) {
+    f.field(m.home_network, m.supi, m.sqn, m.rand, m.autn, m.hxres_star, m.flood);
+    f.tail(m.batch, m.home_signature);
+  }
+
   /// The batch leaf, merkle_leaf_hash(signed_payload()), hashed from the
   /// fields themselves with no payload built.
   crypto::Sha256Digest leaf_hash() const;
   /// The leaf's data: every field above `batch`, domain-separated.
-  Bytes signed_payload() const;
+  Bytes signed_payload() const { return wire::signed_payload(*this); }
   /// The message `home_signature` covers, with the round root recomputed
   /// from this bundle's leaf and path; nullopt when the path cannot fit the
   /// declared batch and round.
   std::optional<Bytes> batch_payload() const;
-  Bytes encode() const;
-  static AuthVectorBundle decode(ByteView data);
+  Bytes encode() const { return wire::encode(*this); }
+  static AuthVectorBundle decode(ByteView data) { return wire::decode<AuthVectorBundle>(data); }
   bool verify(const crypto::Ed25519PublicKey& home_key) const;
 };
 
@@ -94,13 +109,21 @@ struct KeyShareBundle {
   BatchPath batch;
   crypto::Ed25519Signature home_signature{};  // over the round root
 
+  static constexpr std::string_view kDomain = "key-share-bundle-v1";
+  template <typename F, typename Self>
+  static void fields(F& f, Self& m) {
+    f.field(m.home_network, m.supi, m.hxres_star, m.share.x);
+    f.field(m.share.y);  // DAUTH_DISCLOSE(Shamir share ordinate: below-threshold subsets reveal nothing, §4.1)
+    f.tail(m.batch, m.home_signature);
+  }
+
   /// See AuthVectorBundle::leaf_hash and signed_payload.
   crypto::Sha256Digest leaf_hash() const;
-  Bytes signed_payload() const;
+  Bytes signed_payload() const { return wire::signed_payload(*this); }
   /// See AuthVectorBundle::batch_payload.
   std::optional<Bytes> batch_payload() const;
-  Bytes encode() const;
-  static KeyShareBundle decode(ByteView data);
+  Bytes encode() const { return wire::encode(*this); }
+  static KeyShareBundle decode(ByteView data) { return wire::decode<KeyShareBundle>(data); }
   bool verify(const crypto::Ed25519PublicKey& home_key) const;
 };
 
@@ -124,9 +147,18 @@ struct UsageProof {
   Time timestamp = 0;
   crypto::Ed25519Signature serving_signature{};
 
-  Bytes signed_payload() const;
-  Bytes encode() const;
-  static UsageProof decode(ByteView data);
+  static constexpr std::string_view kDomain = "usage-proof-v1";
+  template <typename F, typename Self>
+  static void fields(F& f, Self& m) {
+    f.field(m.serving_network, m.supi, m.hxres_star);
+    f.field(m.res_star);  // DAUTH_DISCLOSE(RES* preimage release is the proof of vector use, §4.2.2)
+    f.field(m.timestamp);
+    f.tail(m.serving_signature);
+  }
+
+  Bytes signed_payload() const { return wire::signed_payload(*this); }
+  Bytes encode() const { return wire::encode(*this); }
+  static UsageProof decode(ByteView data) { return wire::decode<UsageProof>(data); }
   bool verify(const crypto::Ed25519PublicKey& serving_key) const;
 };
 
@@ -145,8 +177,18 @@ struct StoreMaterialRequest {
   /// A private key in transit — self-wiping, redacted in any formatter.
   SecretBytes suci_secret;
 
-  Bytes encode() const;
-  static StoreMaterialRequest decode(ByteView data);
+  template <typename F, typename Self>
+  static void fields(F& f, Self& m) {
+    f.field(m.home_network, m.vectors);
+    f.field(m.shares);  // DAUTH_DISCLOSE(a store push carries the backup's own shares of K_seaf, §4.2.1 and §4.3)
+    f.field(m.round);
+    f.field(m.suci_secret);  // DAUTH_DISCLOSE(deconcealment secret is provisioned to backups by design, §4.2)
+  }
+
+  Bytes encode() const { return wire::encode(*this); }
+  static StoreMaterialRequest decode(ByteView data) {
+    return wire::decode<StoreMaterialRequest>(data);
+  }
 };
 
 /// Signs one user's dissemination round: each request's bundles (vectors,
@@ -193,8 +235,12 @@ struct GetVectorRequest {
   Supi supi;  // empty when suci is used
   Bytes suci; // encoded aka::Suci, empty when supi is used
 
-  Bytes encode() const;
-  static GetVectorRequest decode(ByteView data);
+  template <typename F, typename Self>
+  static void fields(F& f, Self& m) {
+    f.field(m.serving_network, m.supi, m.suci);
+  }
+  Bytes encode() const { return wire::encode(*this); }
+  static GetVectorRequest decode(ByteView data) { return wire::decode<GetVectorRequest>(data); }
 };
 
 /// backup -> serving: the key share released against a usage proof, plus
@@ -208,8 +254,13 @@ struct ShareReply {
   KeyShareBundle share;
   std::uint32_t vectors_left = 0;
 
-  Bytes encode() const;
-  static ShareReply decode(ByteView data);
+  template <typename F, typename Self>
+  static void fields(F& f, Self& m) {
+    f.field(m.share);  // DAUTH_DISCLOSE(key-share release after RES* preimage and signature checks, §4.2.2)
+    f.field(m.vectors_left);
+  }
+  Bytes encode() const { return wire::encode(*this); }
+  static ShareReply decode(ByteView data) { return wire::decode<ShareReply>(data); }
 };
 
 /// backup -> home (report, §4.2.3): consumed vectors + proofs.
@@ -217,8 +268,12 @@ struct ReportRequest {
   NetworkId backup_network;
   std::vector<UsageProof> proofs;
 
-  Bytes encode() const;
-  static ReportRequest decode(ByteView data);
+  template <typename F, typename Self>
+  static void fields(F& f, Self& m) {
+    f.field(m.backup_network, m.proofs);
+  }
+  Bytes encode() const { return wire::encode(*this); }
+  static ReportRequest decode(ByteView data) { return wire::decode<ReportRequest>(data); }
 };
 
 /// home -> backup (§4.3): delete key shares for the given H(XRES*) indices.
@@ -230,9 +285,17 @@ struct RevokeSharesRequest {
   std::vector<ByteArray<16>> hxres_indices;
   crypto::Ed25519Signature home_signature{};
 
-  Bytes signed_payload() const;
-  Bytes encode() const;
-  static RevokeSharesRequest decode(ByteView data);
+  static constexpr std::string_view kDomain = "revoke-shares-v1";
+  template <typename F, typename Self>
+  static void fields(F& f, Self& m) {
+    f.field(m.home_network, m.supi, m.hxres_indices);
+    f.tail(m.home_signature);
+  }
+  Bytes signed_payload() const { return wire::signed_payload(*this); }
+  Bytes encode() const { return wire::encode(*this); }
+  static RevokeSharesRequest decode(ByteView data) {
+    return wire::decode<RevokeSharesRequest>(data);
+  }
   bool verify(const crypto::Ed25519PublicKey& home_key) const;
 };
 
@@ -244,27 +307,59 @@ struct RevokeSharesRequest {
 struct GutiResolveRequest {
   std::uint64_t guti = 0;
 
-  Bytes encode() const;
-  static GutiResolveRequest decode(ByteView data);
+  template <typename F, typename Self>
+  static void fields(F& f, Self& m) {
+    f.field(m.guti);
+  }
+  Bytes encode() const { return wire::encode(*this); }
+  static GutiResolveRequest decode(ByteView data) {
+    return wire::decode<GutiResolveRequest>(data);
+  }
 };
 
 struct GutiResolveReply {
   Supi supi;
   NetworkId home;
 
-  Bytes encode() const;
-  static GutiResolveReply decode(ByteView data);
+  template <typename F, typename Self>
+  static void fields(F& f, Self& m) {
+    f.field(m.supi, m.home);
+  }
+  Bytes encode() const { return wire::encode(*this); }
+  static GutiResolveReply decode(ByteView data) { return wire::decode<GutiResolveReply>(data); }
+};
+
+/// What a handover-context request asks for, and what its signature
+/// covers: the session's GUTI at the source, for the target network.
+struct HandoverContext {
+  std::uint64_t guti = 0;
+  NetworkId target;
+
+  template <typename F, typename Self>
+  static void fields(F& f, Self& m) {
+    f.field(m.guti, m.target);
+  }
+  Bytes encode() const { return wire::encode(*this); }
+  static HandoverContext decode(ByteView data) { return wire::decode<HandoverContext>(data); }
 };
 
 /// target -> source serving (§7.4): signed handover-context fetch. The
-/// payload is the signed frame {guti, target id}; the signature proves the
-/// target's identity to the source before it releases K_ho.
+/// payload is an encoded HandoverContext, signed as it travels (no domain
+/// label); the signature proves the target's identity to the source before
+/// it releases K_ho.
 struct HandoverContextRequest {
   Bytes payload;
   crypto::Ed25519Signature signature{};
 
-  Bytes encode() const;
-  static HandoverContextRequest decode(ByteView data);
+  template <typename F, typename Self>
+  static void fields(F& f, Self& m) {
+    f.field(m.payload);
+    f.tail(m.signature);
+  }
+  Bytes encode() const { return wire::encode(*this); }
+  static HandoverContextRequest decode(ByteView data) {
+    return wire::decode<HandoverContextRequest>(data);
+  }
 };
 
 struct HandoverContextReply {
@@ -273,8 +368,16 @@ struct HandoverContextReply {
   crypto::Key256 k_ho{};
   std::uint32_t counter = 0;
 
-  Bytes encode() const;
-  static HandoverContextReply decode(ByteView data);
+  template <typename F, typename Self>
+  static void fields(F& f, Self& m) {
+    f.field(m.supi, m.home);
+    f.field(m.k_ho);  // DAUTH_DISCLOSE(K_ho handover key; only sent to a signature-verified target network, §4.4)
+    f.field(m.counter);
+  }
+  Bytes encode() const { return wire::encode(*this); }
+  static HandoverContextReply decode(ByteView data) {
+    return wire::decode<HandoverContextReply>(data);
+  }
 };
 
 /// serving -> home (TS 33.102 §6.3.5): AUTS-driven SQN resynchronisation.
@@ -284,8 +387,12 @@ struct ResyncRequest {
   crypto::Rand rand{};  // of the challenge the UE rejected
   aka::Auts auts{};
 
-  Bytes encode() const;
-  static ResyncRequest decode(ByteView data);
+  template <typename F, typename Self>
+  static void fields(F& f, Self& m) {
+    f.field(m.supi, m.rand, m.auts.sqn_ms_xor_ak_star, m.auts.mac_s);
+  }
+  Bytes encode() const { return wire::encode(*this); }
+  static ResyncRequest decode(ByteView data) { return wire::decode<ResyncRequest>(data); }
 };
 
 /// home -> serving: K_seaf released after a verified usage proof. Wire
@@ -293,8 +400,12 @@ struct ResyncRequest {
 struct KeyReply {
   crypto::Key256 k_seaf{};
 
-  Bytes encode() const;
-  static KeyReply decode(ByteView data);
+  template <typename F, typename Self>
+  static void fields(F& f, Self& m) {
+    f.field(m.k_seaf);  // DAUTH_DISCLOSE(K_seaf release to the serving network that proved vector use, §4.2.2)
+  }
+  Bytes encode() const { return wire::encode(*this); }
+  static KeyReply decode(ByteView data) { return wire::decode<KeyReply>(data); }
 };
 
 }  // namespace dauth::core

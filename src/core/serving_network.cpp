@@ -228,7 +228,7 @@ void ServingNetwork::handle_attach_request(ByteView request, sim::Responder resp
     home_hint = r.string();
     guti_issuer = r.string();
     guti_value = r.u64();
-    lte = r.u8() == 1;
+    lte = r.boolean();  // RAT: 0 = 5G NR, 1 = 4G LTE
     r.expect_done();
   } catch (const wire::WireError&) {
     responder.fail(sim::AppErrorCode::kMalformed, "malformed attach request");
@@ -700,11 +700,8 @@ void ServingNetwork::handle_handover_request(ByteView request, sim::Responder re
       return;
     }
     // Signed context request proves the target's identity to the source.
-    wire::Writer w;
-    w.u64(guti_value);
-    w.string(id_.str());
     HandoverContextRequest context_request;
-    context_request.payload = std::move(w).take();
+    context_request.payload = HandoverContext{guti_value, id_}.encode();
     context_request.signature = crypto::ed25519_sign(context_request.payload, signing_key_);
 
     handover_stub_.call(
@@ -734,41 +731,32 @@ void ServingNetwork::handle_handover_request(ByteView request, sim::Responder re
 }
 
 void ServingNetwork::handle_handover_context(ByteView request, sim::Responder responder) {
-  // From the target network: signed {guti value, target id}. This network is
-  // the SOURCE; it derives and releases the horizontal key.
-  Bytes payload;
-  crypto::Ed25519Signature signature{};
-  std::uint64_t guti_value = 0;
-  std::string target_id;
+  // From the target network: a signed HandoverContext. This network is the
+  // SOURCE; it derives and releases the horizontal key.
+  HandoverContextRequest signed_context;
+  HandoverContext context;
   try {
-    wire::Reader r(request);
-    payload = r.bytes();
-    signature = r.fixed<64>();
-    r.expect_done();
-    wire::Reader pr(payload);
-    guti_value = pr.u64();
-    target_id = pr.string();
-    pr.expect_done();
+    signed_context = HandoverContextRequest::decode(request);
+    context = HandoverContext::decode(signed_context.payload);
   } catch (const wire::WireError&) {
     responder.fail(sim::AppErrorCode::kMalformed, "malformed context request");
     return;
   }
 
-  const auto session_it = guti_table_.find(guti_value);
+  const auto session_it = guti_table_.find(context.guti);
   if (session_it == guti_table_.end()) {
     responder.fail(sim::AppErrorCode::kNotFound, "unknown session");
     return;
   }
 
-  directory_.get_network(NetworkId(target_id), [this, payload, signature, guti_value,
-                                                target_id, responder](
-                                                   std::optional<directory::NetworkEntry>
-                                                       target) {
+  directory_.get_network(context.target, [this, signed_context, context, responder](
+                                             std::optional<directory::NetworkEntry> target) {
+    const auto& [payload, signature] = signed_context;
     if (!target || !check_signature(payload, signature, target->signing_key).ok) {
       responder.fail(sim::AppErrorCode::kUnauthorized, "invalid target signature");
       return;
     }
-    auto live_session = guti_table_.find(guti_value);
+    auto live_session = guti_table_.find(context.guti);
     if (live_session == guti_table_.end()) {
       responder.fail(sim::AppErrorCode::kNotFound, "unknown session");
       return;
@@ -778,11 +766,12 @@ void ServingNetwork::handle_handover_context(ByteView request, sim::Responder re
     reply.supi = session.supi;
     reply.home = session.home;
     reply.counter = ++session.handover_counter;
-    reply.k_ho = crypto::derive_handover_key(session.k_session, target_id, reply.counter);
+    reply.k_ho =
+        crypto::derive_handover_key(session.k_session, context.target.str(), reply.counter);
     // DAUTH_DISCLOSE(K_ho handover key released to the signature-verified target network, §4.4)
     responder.reply(reply.encode());
     // The session has moved; retire the local anchor (one handover per GUTI).
-    guti_table_.erase(guti_value);
+    guti_table_.erase(context.guti);
   });
 }
 
@@ -945,7 +934,6 @@ void ServingNetwork::complete_with_home_key(const std::shared_ptr<Attach>& attac
   auto options =
       config_.resilience.call_options(config_.key_share_timeout, config_.key_share_timeout);
   options.trace_parent = attach->span;
-  // DAUTH_DISCLOSE(usage proof releases the RES* preimage to redeem K_seaf, §4.2.2)
   home_key_stub_.call(
       static_cast<sim::NodeIndex>(attach->home_entry->address), proof, options,
       [this, attach](CallResult<KeyReply> result) {
@@ -1032,7 +1020,6 @@ void ServingNetwork::collect_key_shares(const std::shared_ptr<Attach>& attach,
   for (const directory::NetworkEntry* backup : targets) {
     const auto peer = static_cast<sim::NodeIndex>(backup->address);
     const Time sent = rpc_.network().simulator().now();
-    // DAUTH_DISCLOSE(usage proof releases the RES* preimage to redeem key shares, §4.2.2)
     backup_share_stub_.call(
         peer, proof, options,
         [this, attach, state, leg_concluded, peer, sent](CallResult<ShareReply> result) {

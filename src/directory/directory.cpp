@@ -1,8 +1,5 @@
 #include "directory/directory.h"
 
-#include "wire/reader.h"
-#include "wire/writer.h"
-
 namespace dauth::directory {
 namespace {
 
@@ -12,122 +9,14 @@ constexpr std::string_view kBackupsPrefix = "dir/backups/";
 
 }  // namespace
 
-// ---- NameLookup -------------------------------------------------------------
-
-Bytes NameLookup::encode() const {
-  wire::Writer w;
-  w.string(name);
-  return std::move(w).take();
-}
-
-NameLookup NameLookup::decode(ByteView data) {
-  wire::Reader r(data);
-  NameLookup lookup;
-  lookup.name = r.string();
-  r.expect_done();
-  return lookup;
-}
-
-// ---- NetworkEntry -----------------------------------------------------------
-
-Bytes NetworkEntry::signed_payload() const {
-  wire::Writer w;
-  w.string("network-entry-v1");
-  w.string(id.str());
-  w.fixed(signing_key);
-  w.fixed(suci_key);
-  w.u64(address);
-  return std::move(w).take();
-}
-
-Bytes NetworkEntry::encode() const {
-  wire::Writer w;
-  w.string(id.str());
-  w.fixed(signing_key);
-  w.fixed(suci_key);
-  w.u64(address);
-  w.fixed(signature);
-  return std::move(w).take();
-}
-
-NetworkEntry NetworkEntry::decode(ByteView data) {
-  wire::Reader r(data);
-  NetworkEntry e;
-  e.id = NetworkId(r.string());
-  e.signing_key = r.fixed<32>();
-  e.suci_key = r.fixed<32>();
-  e.address = r.u64();
-  e.signature = r.fixed<64>();
-  r.expect_done();
-  return e;
-}
+// ---- Signed entries -----------------------------------------------------------
 
 bool NetworkEntry::verify() const {
   return crypto::ed25519_verify(signed_payload(), signature, signing_key);
 }
 
-// ---- UserEntry --------------------------------------------------------------
-
-Bytes UserEntry::signed_payload() const {
-  wire::Writer w;
-  w.string("user-entry-v1");
-  w.string(supi.str());
-  w.string(home_network.str());
-  return std::move(w).take();
-}
-
-Bytes UserEntry::encode() const {
-  wire::Writer w;
-  w.string(supi.str());
-  w.string(home_network.str());
-  w.fixed(signature);
-  return std::move(w).take();
-}
-
-UserEntry UserEntry::decode(ByteView data) {
-  wire::Reader r(data);
-  UserEntry e;
-  e.supi = Supi(r.string());
-  e.home_network = NetworkId(r.string());
-  e.signature = r.fixed<64>();
-  r.expect_done();
-  return e;
-}
-
 bool UserEntry::verify(const crypto::Ed25519PublicKey& home_key) const {
   return crypto::ed25519_verify(signed_payload(), signature, home_key);
-}
-
-// ---- BackupsEntry -----------------------------------------------------------
-
-Bytes BackupsEntry::signed_payload() const {
-  wire::Writer w;
-  w.string("backups-entry-v1");
-  w.string(home_network.str());
-  w.u32(static_cast<std::uint32_t>(backups.size()));
-  for (const NetworkId& b : backups) w.string(b.str());
-  return std::move(w).take();
-}
-
-Bytes BackupsEntry::encode() const {
-  wire::Writer w;
-  w.string(home_network.str());
-  w.u32(static_cast<std::uint32_t>(backups.size()));
-  for (const NetworkId& b : backups) w.string(b.str());
-  w.fixed(signature);
-  return std::move(w).take();
-}
-
-BackupsEntry BackupsEntry::decode(ByteView data) {
-  wire::Reader r(data);
-  BackupsEntry e;
-  e.home_network = NetworkId(r.string());
-  const std::uint32_t count = r.u32();
-  e.backups.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) e.backups.emplace_back(r.string());
-  e.signature = r.fixed<64>();
-  r.expect_done();
-  return e;
 }
 
 bool BackupsEntry::verify(const crypto::Ed25519PublicKey& home_key) const {

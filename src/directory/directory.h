@@ -25,6 +25,8 @@
 #include "crypto/x25519.h"
 #include "sim/rpc.h"
 #include "store/kv_store.h"
+#include "wire/reader.h"
+#include "wire/writer.h"
 
 namespace dauth::directory {
 
@@ -34,8 +36,12 @@ namespace dauth::directory {
 struct NameLookup {
   std::string name;
 
-  Bytes encode() const;
-  static NameLookup decode(ByteView data);
+  template <typename F, typename Self>
+  static void fields(F& f, Self& m) {
+    f.field(m.name);
+  }
+  Bytes encode() const { return wire::encode(*this); }
+  static NameLookup decode(ByteView data) { return wire::decode<NameLookup>(data); }
 };
 
 /// Self-signed descriptor of one federation member.
@@ -46,9 +52,15 @@ struct NetworkEntry {
   std::uint64_t address = 0;  // sim::NodeIndex of the network's dAuth daemon
   crypto::Ed25519Signature signature{};
 
-  Bytes signed_payload() const;
-  Bytes encode() const;
-  static NetworkEntry decode(ByteView data);
+  static constexpr std::string_view kDomain = "network-entry-v1";
+  template <typename F, typename Self>
+  static void fields(F& f, Self& m) {
+    f.field(m.id, m.signing_key, m.suci_key, m.address);
+    f.tail(m.signature);
+  }
+  Bytes signed_payload() const { return wire::signed_payload(*this); }
+  Bytes encode() const { return wire::encode(*this); }
+  static NetworkEntry decode(ByteView data) { return wire::decode<NetworkEntry>(data); }
   bool verify() const;
 };
 
@@ -58,9 +70,15 @@ struct UserEntry {
   NetworkId home_network;
   crypto::Ed25519Signature signature{};
 
-  Bytes signed_payload() const;
-  Bytes encode() const;
-  static UserEntry decode(ByteView data);
+  static constexpr std::string_view kDomain = "user-entry-v1";
+  template <typename F, typename Self>
+  static void fields(F& f, Self& m) {
+    f.field(m.supi, m.home_network);
+    f.tail(m.signature);
+  }
+  Bytes signed_payload() const { return wire::signed_payload(*this); }
+  Bytes encode() const { return wire::encode(*this); }
+  static UserEntry decode(ByteView data) { return wire::decode<UserEntry>(data); }
   bool verify(const crypto::Ed25519PublicKey& home_key) const;
 };
 
@@ -70,9 +88,15 @@ struct BackupsEntry {
   std::vector<NetworkId> backups;
   crypto::Ed25519Signature signature{};
 
-  Bytes signed_payload() const;
-  Bytes encode() const;
-  static BackupsEntry decode(ByteView data);
+  static constexpr std::string_view kDomain = "backups-entry-v1";
+  template <typename F, typename Self>
+  static void fields(F& f, Self& m) {
+    f.field(m.home_network, m.backups);
+    f.tail(m.signature);
+  }
+  Bytes signed_payload() const { return wire::signed_payload(*this); }
+  Bytes encode() const { return wire::encode(*this); }
+  static BackupsEntry decode(ByteView data) { return wire::decode<BackupsEntry>(data); }
   bool verify(const crypto::Ed25519PublicKey& home_key) const;
 };
 

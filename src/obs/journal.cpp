@@ -99,7 +99,6 @@ const Event& EventJournal::append(EventKind kind, std::string network,
   event.detail = std::move(detail);
   event.trace_id = trace_id;
   if (store_ != nullptr) {
-    // DAUTH_DISCLOSE(journal events carry identifiers and outcomes only, never key material — see journal.h)
     store_->put(record_path(event.seq), event.encode());
   }
   events_.push_back(std::move(event));

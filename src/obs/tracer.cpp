@@ -93,10 +93,4 @@ const Span* Tracer::find(SpanId id) const {
   return it == index_.end() ? nullptr : &spans_[it->second];
 }
 
-void Tracer::clear() {
-  spans_.clear();
-  index_.clear();
-  ambient_.clear();
-}
-
 }  // namespace dauth::obs

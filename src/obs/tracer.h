@@ -98,8 +98,6 @@ class Tracer {
 
   const Span* find(SpanId id) const;
 
-  void clear();
-
  private:
   SpanId fresh_id();
 

@@ -403,6 +403,4 @@ void Rpc::reset_connections(NodeIndex node) {
   }
 }
 
-void Rpc::reset_all_connections() { connections_.clear(); }
-
 }  // namespace dauth::sim

@@ -212,9 +212,6 @@ class Rpc {
   /// Drops all cached connections involving `node` (e.g. after it fails).
   void reset_connections(NodeIndex node);
 
-  /// Drops every cached connection.
-  void reset_all_connections();
-
   const RpcConfig& config() const noexcept { return config_; }
 
   CircuitBreakerSet& breakers() noexcept { return breakers_; }

@@ -59,6 +59,13 @@ std::string Reader::string() {
   return std::string(reinterpret_cast<const char*>(view.data()), view.size());
 }
 
+void Reader::one(std::vector<ByteArray<32>>& path) {
+  const std::uint8_t length = u8();
+  if (length > kMaxPathLength) throw WireError("merkle path too long");
+  path.resize(length);
+  for (auto& hash : path) hash = fixed<32>();
+}
+
 void Reader::expect_done() const {
   if (!done()) throw WireError("trailing bytes in frame");
 }

@@ -6,20 +6,44 @@
 // length-prefixed byte strings. Signing operates over these canonical bytes,
 // so serialization must be deterministic — no maps with unspecified order,
 // no floats in signed payloads.
+//
+// A message declares its fields once, in wire order, as
+//
+//   template <typename F, typename Self>
+//   static void fields(F& f, Self& m) { f.field(m.a, m.b); f.tail(m.signature); }
+//
+// and encode, decode (wire/reader.h), the signed payload and any digest of
+// them all walk that list. `field` writes each value by its type:
+//   * u8, u16, u32, u64, i64: little-endian; bool: one byte, 0 or 1;
+//   * ByteArray<N>, Secret<N>: the N bytes;
+//   * Bytes, SecretBytes, std::string, NetworkId, Supi: u32 length, bytes;
+//   * std::vector<ByteArray<32>>, a Merkle path: u8 count (at most 32), hashes;
+//   * any other std::vector: u32 count, then each element, a message
+//     element framed by its u32 length;
+//   * a message: its fields, in place.
+// `tail` holds what a signature does not cover (the signature itself, a
+// bundle's position): part of the encoding, left out of the signed part.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
+#include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/bytes.h"
+#include "common/ids.h"
 #include "common/secret.h"
 
 namespace dauth::wire {
 
+/// The longest Merkle path on the wire: 16 levels of batch, 16 of round.
+inline constexpr std::size_t kMaxPathLength = 32;
+
 /// The wire encoding of every field kind, written through the derived
 /// class's `raw(ByteView)`: Writer appends the bytes to a buffer, and other
-/// sinks (core/messages.cpp) hash or count the same bytes, so one field list
-/// serves a message's encoding, its signed digest and its exact size.
+/// sinks hash or count the same bytes, so one field list serves a message's
+/// encoding, its signed digest and its exact size.
 template <typename Sink>
 class Encoder {
  public:
@@ -40,8 +64,7 @@ class Encoder {
   /// overload so such sites are greppable rather than silent conversions.
   template <std::size_t N>
   void fixed(const Secret<N>& data) {
-    // DAUTH_DISCLOSE(sole sanctioned Secret-to-wire choke point; every call site is itself taint-checked)
-    put(ByteView(data));
+    one(data);
   }
 
   /// Length-prefixed (u32) byte string.
@@ -53,8 +76,55 @@ class Encoder {
   /// Length-prefixed UTF-8 string.
   void string(std::string_view s) { bytes(as_bytes(s)); }
 
+  /// Writes each value by its type (see the top of this file).
+  template <typename... T>
+  void field(const T&... values) {
+    (one(values), ...);
+  }
+  template <typename... T>
+  void tail(const T&... values) {
+    field(values...);
+  }
+
  private:
-  void put(ByteView data) { static_cast<Sink*>(this)->raw(data); }
+  template <std::integral T>
+  void one(const T& v) {
+    if constexpr (std::same_as<T, bool>) {
+      boolean(v);
+    } else {
+      put(little_endian<sizeof(T)>(static_cast<std::uint64_t>(v)));
+    }
+  }
+  template <std::size_t N>
+  void one(const ByteArray<N>& v) {
+    fixed(v);
+  }
+  // The Secret-to-wire choke points: every call site (a hand-written
+  // encoder, a field list) is itself taint-checked.
+  template <std::size_t N>
+  void one(const Secret<N>& v) {
+    put(ByteView(v));  // DAUTH_DISCLOSE(sole sanctioned Secret<N>-to-wire choke point)
+  }
+  void one(const SecretBytes& v) {
+    bytes(v);  // DAUTH_DISCLOSE(sole sanctioned SecretBytes-to-wire choke point)
+  }
+  void one(const Bytes& v) { bytes(v); }
+  void one(const std::string& v) { string(v); }
+  void one(const NetworkId& v) { string(v.str()); }
+  void one(const Supi& v) { string(v.str()); }
+  void one(const std::vector<ByteArray<32>>& path) {
+    u8(static_cast<std::uint8_t>(path.size()));
+    for (const auto& hash : path) fixed(hash);
+  }
+  template <typename E>
+  void one(const std::vector<E>& elements);
+  template <typename M>
+  void one(const M& message) {
+    M::fields(sink(), message);
+  }
+
+  Sink& sink() { return *static_cast<Sink*>(this); }
+  void put(ByteView data) { sink().raw(data); }
 
   template <std::size_t N>
   static ByteArray<N> little_endian(std::uint64_t v) noexcept {
@@ -80,5 +150,74 @@ class Writer : public Encoder<Writer> {
  private:
   Bytes buffer_;
 };
+
+/// Counts the bytes a Writer would hold: a frame's length prefix, and a
+/// message's exact size.
+class ByteCounter : public Encoder<ByteCounter> {
+ public:
+  void raw(ByteView data) noexcept { size_ += data.size(); }
+  std::size_t size() const noexcept { return size_; }
+
+ private:
+  std::size_t size_ = 0;
+};
+
+/// A type with a field list.
+template <typename T>
+concept Message = requires(ByteCounter& sink, const T& message) { T::fields(sink, message); };
+
+template <typename Sink>
+template <typename E>
+void Encoder<Sink>::one(const std::vector<E>& elements) {
+  u32(static_cast<std::uint32_t>(elements.size()));
+  for (const E& e : elements) {
+    if constexpr (Message<E>) {
+      ByteCounter length;  // frames are written in place, not built and copied
+      E::fields(length, e);
+      u32(static_cast<std::uint32_t>(length.size()));
+    }
+    one(e);
+  }
+}
+
+/// The part of a message its signature covers: every field before its tail.
+template <typename Sink>
+struct SignedPart {
+  Sink& sink;
+
+  template <typename... T>
+  void field(const T&... values) {
+    sink.field(values...);
+  }
+  template <typename... T>
+  void tail(const T&...) {}
+};
+
+/// A signed message's signed payload into `sink`: its domain label
+/// (`T::kDomain`), then its signed part.
+template <Message T, typename Sink>
+void write_signed(Sink& sink, const T& message) {
+  sink.string(T::kDomain);
+  SignedPart<Sink> part{sink};
+  T::fields(part, message);
+}
+
+/// A message's encoding, in a buffer of exactly its size.
+template <Message T>
+Bytes encode(const T& message) {
+  ByteCounter size;
+  T::fields(size, message);
+  Writer w;
+  w.reserve(size.size());
+  T::fields(w, message);
+  return std::move(w).take();
+}
+
+template <Message T>
+Bytes signed_payload(const T& message) {
+  Writer w;
+  write_signed(w, message);
+  return std::move(w).take();
+}
 
 }  // namespace dauth::wire

@@ -8,6 +8,7 @@
 #include "core/home_network.h"
 #include "core/messages.h"
 #include "crypto/drbg.h"
+#include "directory/directory.h"
 #include "wire/reader.h"
 #include "wire/writer.h"
 
@@ -193,6 +194,38 @@ TEST(FuzzDecode, RandomGarbageNeverCrashes) {
     } catch (const wire::WireError&) {
     }
   }
+}
+
+TEST(FuzzDecode, HugeDeclaredCountsAreBounded) {
+  // A peer's frame declaring 2^32 - 1 elements in a handful of bytes: every
+  // counted sequence must throw WireError when the elements run out, never
+  // reserve room for the declared count first (std::bad_alloc is not a
+  // WireError, so no handler would catch it).
+  constexpr std::uint32_t kHuge = 0xffffffffu;
+  const auto frame = [](auto&& write) {
+    wire::Writer w;
+    write(w);
+    return std::move(w).take();
+  };
+  const Bytes store_vectors = frame([](wire::Writer& w) {
+    w.string("h");
+    w.u32(kHuge);
+  });
+  const Bytes store_shares = frame([](wire::Writer& w) {
+    w.string("h");
+    w.u32(0);
+    w.u32(kHuge);
+  });
+  const Bytes revoke = frame([](wire::Writer& w) {
+    w.string("h");
+    w.string("315010000000001");
+    w.u32(kHuge);
+  });
+  EXPECT_THROW((void)StoreMaterialRequest::decode(store_vectors), wire::WireError);
+  EXPECT_THROW((void)StoreMaterialRequest::decode(store_shares), wire::WireError);
+  EXPECT_THROW((void)ReportRequest::decode(store_vectors), wire::WireError);
+  EXPECT_THROW((void)RevokeSharesRequest::decode(revoke), wire::WireError);
+  EXPECT_THROW((void)directory::BackupsEntry::decode(store_vectors), wire::WireError);
 }
 
 TEST(FuzzDecode, HugeDeclaredLengthsAreBounded) {

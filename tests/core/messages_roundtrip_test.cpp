@@ -1,6 +1,6 @@
 // Property-style round-trip coverage for every message type in
-// core/messages.h: with randomized field values (including empty/short/long
-// vectors and optional-field presence),
+// core/messages.h and directory/directory.h: with randomized field values
+// (including empty/short/long vectors and optional-field presence),
 //
 //   1. encode() -> decode() -> encode() must be byte-identical, and
 //   2. decoding any strict prefix of a valid encoding must throw WireError
@@ -18,6 +18,7 @@
 #include "common/rng.h"
 #include "core/messages.h"
 #include "core/typed_stub.h"
+#include "directory/directory.h"
 #include "wire/reader.h"
 
 namespace dauth::core {
@@ -164,6 +165,51 @@ RevokeSharesRequest random_revoke(Rng& rng) {
   return r;
 }
 
+GutiResolveRequest random_guti_request(Rng& rng) { return {rng.next()}; }
+
+GutiResolveReply random_guti_reply(Rng& rng) {
+  return {random_supi(rng), random_network(rng)};
+}
+
+HandoverContext random_handover_context(Rng& rng) {
+  return {rng.next(), random_network(rng)};
+}
+
+HandoverContextRequest random_handover_request(Rng& rng) {
+  return {random_handover_context(rng).encode(), random_array<64>(rng)};
+}
+
+HandoverContextReply random_handover_reply(Rng& rng) {
+  return {random_supi(rng), random_network(rng), random_array<32>(rng),
+          static_cast<std::uint32_t>(rng.next())};
+}
+
+ResyncRequest random_resync(Rng& rng) {
+  return {random_supi(rng),
+          random_array<16>(rng),
+          {random_array<6>(rng), random_array<8>(rng)}};
+}
+
+KeyReply random_key_reply(Rng& rng) { return {random_array<32>(rng)}; }
+
+directory::NameLookup random_lookup(Rng& rng) { return {random_network(rng).str()}; }
+
+directory::NetworkEntry random_network_entry(Rng& rng) {
+  return {random_network(rng), random_array<32>(rng), random_array<32>(rng), rng.next(),
+          random_array<64>(rng)};
+}
+
+directory::UserEntry random_user_entry(Rng& rng) {
+  return {random_supi(rng), random_network(rng), random_array<64>(rng)};
+}
+
+directory::BackupsEntry random_backups_entry(Rng& rng) {
+  directory::BackupsEntry e{random_network(rng), {}, random_array<64>(rng)};
+  const std::size_t backups = rng.next_below(5);
+  for (std::size_t i = 0; i < backups; ++i) e.backups.push_back(random_network(rng));
+  return e;
+}
+
 /// The property itself, shared by all message types: stable re-encoding and
 /// rejection of every strict prefix.
 template <typename Message, typename Builder>
@@ -274,6 +320,32 @@ TEST(MessagesRoundTrip, ReportRequest) {
 
 TEST(MessagesRoundTrip, RevokeSharesRequest) {
   check_round_trip<RevokeSharesRequest>(0xA7, 25, random_revoke);
+}
+
+TEST(MessagesRoundTrip, GutiResolve) {
+  check_round_trip<GutiResolveRequest>(0xB1, 10, random_guti_request);
+  check_round_trip<GutiResolveReply>(0xB2, 10, random_guti_reply);
+}
+
+TEST(MessagesRoundTrip, HandoverContext) {
+  check_round_trip<HandoverContext>(0xB3, 10, random_handover_context);
+  check_round_trip<HandoverContextRequest>(0xB4, 10, random_handover_request);
+  check_round_trip<HandoverContextReply>(0xB5, 10, random_handover_reply);
+}
+
+TEST(MessagesRoundTrip, ResyncRequest) {
+  check_round_trip<ResyncRequest>(0xB6, 10, random_resync);
+}
+
+TEST(MessagesRoundTrip, KeyReply) {
+  check_round_trip<KeyReply>(0xB7, 10, random_key_reply);
+}
+
+TEST(MessagesRoundTrip, DirectoryEntries) {
+  check_round_trip<directory::NameLookup>(0xB8, 10, random_lookup);
+  check_round_trip<directory::NetworkEntry>(0xB9, 10, random_network_entry);
+  check_round_trip<directory::UserEntry>(0xBA, 10, random_user_entry);
+  check_round_trip<directory::BackupsEntry>(0xBB, 25, random_backups_entry);
 }
 
 }  // namespace

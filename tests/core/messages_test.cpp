@@ -2,9 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "core/home_network.h"  // hxres_index
 #include "crypto/drbg.h"
+#include "crypto/sha256.h"
+#include "directory/directory.h"
 #include "wire/reader.h"  // wire::WireError
+#include "wire/writer.h"
 
 namespace dauth::core {
 namespace {
@@ -244,6 +252,177 @@ TEST(Messages, SignaturesAreDomainSeparated) {
   s.share.x = 1;
   s.home_signature = v.home_signature;  // stolen signature
   EXPECT_FALSE(s.verify(keys.public_key));
+}
+
+
+/// A fixed byte pattern: byte i is seed + i.
+template <std::size_t N>
+ByteArray<N> pattern(std::uint8_t seed) {
+  ByteArray<N> out;
+  for (std::size_t i = 0; i < N; ++i) out[i] = static_cast<std::uint8_t>(seed + i);
+  return out;
+}
+
+std::string digest(ByteView data) { return to_hex(crypto::sha256(data)); }
+
+TEST(Messages, EveryEncodingIsPinned) {
+  // One fixed instance of every wire message, core and directory: the
+  // SHA-256 of its encoding and, for a signed message, of the bytes its
+  // signature covers. A codec change that moves any byte changes a digest.
+  const NetworkId home("home-net");
+  const Supi supi("901550000000001");
+  BatchPath path{3, 7, 1, 2, {pattern<32>(0x40), pattern<32>(0x60)}};
+
+  AuthVectorBundle vector;
+  vector.home_network = home;
+  vector.supi = supi;
+  vector.sqn = 0x0102030405060708;
+  vector.rand = pattern<16>(0x10);
+  vector.autn = pattern<16>(0x20);
+  vector.hxres_star = pattern<16>(0x30);
+  vector.flood = true;
+  vector.batch = path;
+  vector.home_signature = pattern<64>(0x80);
+
+  KeyShareBundle share;
+  share.home_network = home;
+  share.supi = supi;
+  share.hxres_star = pattern<16>(0x31);
+  share.share.x = 5;
+  share.share.y = Bytes(32, 0x5a);
+  share.batch = path;
+  share.home_signature = pattern<64>(0x81);
+
+  UsageProof proof;
+  proof.serving_network = NetworkId("serving-net");
+  proof.supi = supi;
+  proof.hxres_star = pattern<16>(0x32);
+  proof.res_star = crypto::ResStar(ByteView(pattern<16>(0x33)));
+  proof.timestamp = -12345;
+  proof.serving_signature = pattern<64>(0x82);
+
+  StoreMaterialRequest store;
+  store.home_network = home;
+  store.vectors = {vector, vector};
+  store.shares = {share};
+  store.round = {pattern<32>(0x70)};
+  store.suci_secret = Bytes(32, 0x77);
+
+  GetVectorRequest get_vector{NetworkId("serving-net"), supi, Bytes{9, 8, 7}};
+  ShareReply share_reply{share, 17};
+  ReportRequest report{NetworkId("backup-net"), {proof, proof}};
+  RevokeSharesRequest revoke{home, supi, {pattern<16>(0x34), pattern<16>(0x35)},
+                             pattern<64>(0x83)};
+  GutiResolveRequest guti_request{0xfedcba9876543210};
+  GutiResolveReply guti_reply{supi, home};
+  wire::Writer context;
+  context.u64(42);
+  context.string("target-net");
+  HandoverContextRequest handover_request{std::move(context).take(), pattern<64>(0x84)};
+  HandoverContextReply handover_reply{supi, home, pattern<32>(0x36), 3};
+  ResyncRequest resync{supi, pattern<16>(0x37), {pattern<6>(0x38), pattern<8>(0x39)}};
+  KeyReply key_reply{pattern<32>(0x3a)};
+
+  directory::NameLookup lookup{"home-net"};
+  directory::NetworkEntry network{home, pattern<32>(0x90), pattern<32>(0xa0), 11,
+                                  pattern<64>(0xb0)};
+  directory::UserEntry user{supi, home, pattern<64>(0xb1)};
+  directory::BackupsEntry backups{home, {NetworkId("b1"), NetworkId("b2")}, pattern<64>(0xb2)};
+
+  const std::vector<std::pair<std::string, std::string>> pinned = {
+      {"AuthVectorBundle", digest(vector.encode())},
+      {"AuthVectorBundle signed", digest(vector.signed_payload())},
+      {"AuthVectorBundle leaf", to_hex(vector.leaf_hash())},
+      {"KeyShareBundle", digest(share.encode())},
+      {"KeyShareBundle signed", digest(share.signed_payload())},
+      {"KeyShareBundle leaf", to_hex(share.leaf_hash())},
+      {"UsageProof", digest(proof.encode())},
+      {"UsageProof signed", digest(proof.signed_payload())},
+      {"StoreMaterialRequest", digest(store.encode())},
+      {"GetVectorRequest", digest(get_vector.encode())},
+      {"ShareReply", digest(share_reply.encode())},
+      {"ReportRequest", digest(report.encode())},
+      {"RevokeSharesRequest", digest(revoke.encode())},
+      {"RevokeSharesRequest signed", digest(revoke.signed_payload())},
+      {"GutiResolveRequest", digest(guti_request.encode())},
+      {"GutiResolveReply", digest(guti_reply.encode())},
+      {"HandoverContextRequest", digest(handover_request.encode())},
+      {"HandoverContextReply", digest(handover_reply.encode())},
+      {"ResyncRequest", digest(resync.encode())},
+      {"KeyReply", digest(key_reply.encode())},
+      {"NameLookup", digest(lookup.encode())},
+      {"NetworkEntry", digest(network.encode())},
+      {"NetworkEntry signed", digest(network.signed_payload())},
+      {"UserEntry", digest(user.encode())},
+      {"UserEntry signed", digest(user.signed_payload())},
+      {"BackupsEntry", digest(backups.encode())},
+      {"BackupsEntry signed", digest(backups.signed_payload())},
+  };
+  const std::map<std::string, std::string> expected = {
+      {"AuthVectorBundle",
+       "c41198b241ee650f02ed2c10112893d6f8cdd0abe43f2d29d207591d38d2ad29"},
+      {"AuthVectorBundle signed",
+       "17baf1ed363e16c1fb97c2ce90399f4299bfe438817335f14fc9a67f63920c62"},
+      {"AuthVectorBundle leaf",
+       "408a075cb654e120d240a4c5580de74a1e25e2dee78e1f4bb712b4a29eee9f0f"},
+      {"KeyShareBundle",
+       "c8b506fb4e7e1c8f63e317e9a6bf9695b359d4f6f41fec7d2046dc9c74022036"},
+      {"KeyShareBundle signed",
+       "27a37421239cbde8655d9bfb379269645c93926ccc107b8c46438a6d704be02a"},
+      {"KeyShareBundle leaf",
+       "eac3c67dc655b8e008e1ecdb3f9a76de7fc82bc5a02678c9988881880fcb768e"},
+      {"UsageProof",
+       "adf972223f8e24e4a78d694d64258504f4694ca8b19fb067e246e26908355b3b"},
+      {"UsageProof signed",
+       "867af439db04e53271364c33d8d2099c763db4f3cad0898e2cd3357ef9535841"},
+      {"StoreMaterialRequest",
+       "fcad8dbdf198cdea2a75ace8fab4e2b00611d6f63614bf6832ec9bfd0e318380"},
+      {"GetVectorRequest",
+       "cfdfdd98797dcbcd6abc7fccec42fd3c2346bdb4ee0b594089870749a062c491"},
+      {"ShareReply",
+       "0fbd4fbfb908918cbc3fba2f35ba57fcc5895effaa1825494f7c66a8c725c685"},
+      {"ReportRequest",
+       "1daec5bbbc92209d51fed4729aac47ed6f9f226fc057574a125914e4530773d9"},
+      {"RevokeSharesRequest",
+       "ee0f3357e51bb96ab6b4d41a8b0e14c3778b721a55a398a7928a4e1ee432b8cd"},
+      {"RevokeSharesRequest signed",
+       "d4857a8fcc149154f9735b6f52d86995ebc7c5b8040d8906af79f49ebd0143f1"},
+      {"GutiResolveRequest",
+       "aeb75d1514cbdb001af65f8826553df8fe6b2e11c67ff3a54435ea400894d7ea"},
+      {"GutiResolveReply",
+       "2ff1bf902565a75d76d86e3b362e989630111902e0a6327568173beb9de98968"},
+      {"HandoverContextRequest",
+       "db6002ae684649e629b69fef1aef8ce73eb965d30c60e7e4af7f59f172bce069"},
+      {"HandoverContextReply",
+       "41fae505b3bce14cf9b367e202eaaf175df1ffffcea5d903fffaca8afbca0e34"},
+      {"ResyncRequest",
+       "9d05eb03820f7357a436dbd5db1da382866dabf405a91a461d1c16818519066e"},
+      {"KeyReply",
+       "995bc0e59a3edd6ed697f98a2d04ae59a8ed67db7b3196978996c4cf22cc7bd7"},
+      {"NameLookup",
+       "ec2a3fece604bc5ee99ad92911b270f9002e362bd0d746174e190b74c9c18464"},
+      {"NetworkEntry",
+       "da2da03aed479aea2a65ec0a4954f7467a66b07c59535df10f45179af6d79d52"},
+      {"NetworkEntry signed",
+       "3a3adb38010680bc4d7bf99b70ef958b2621ac05095214110b342de25b01d0fb"},
+      {"UserEntry",
+       "06dc84573c9fff414e2bf215954ad06e253785c2749452ad25e8d12a84f7a34e"},
+      {"UserEntry signed",
+       "ec7c8889209e1e5f34c77ff69f58c0ef5c3b9c9011ce2e75ae278952b4ea6491"},
+      {"BackupsEntry",
+       "04e183a9f2a0581c89dc9adc65741f392cfcb23f3e268aa9f2e7caf9bb9565d7"},
+      {"BackupsEntry signed",
+       "519f55ac9e52211ea2c49d4732bee78749dfd3c1dfff15324b662cfa2ab2906c"},
+  };
+  for (const auto& [name, actual] : pinned) {
+    const auto it = expected.find(name);
+    if (it == expected.end()) {
+      ADD_FAILURE() << "no pinned digest for " << name << ": " << actual;
+      continue;
+    }
+    EXPECT_EQ(actual, it->second) << name;
+  }
+  EXPECT_EQ(expected.size(), pinned.size());
 }
 
 }  // namespace

@@ -115,6 +115,43 @@ TEST(TaintT1, CarryingTypeIsTransitive) {
   EXPECT_TRUE(has_rule(a, "T1"));
 }
 
+TEST(TaintT1, TemplatedEncoderReceiverIsASink) {
+  // Generic code over `template <typename Out>` may be instantiated with any
+  // wire::Encoder, so a wire method on an Out is the wire encoder.
+  const auto a = run("template <typename Out>\n"
+                     "void write_fields(Out& out, const KeyShareBundle& b) {\n"
+                     "  out.u8(b.share.x);\n"
+                     "  out.bytes(b.share.y);\n"
+                     "}");
+  ASSERT_EQ(count_rule(a, "T1"), 1);
+  EXPECT_EQ(a.findings[0].line, 4);
+}
+
+TEST(TaintT1, EncoderSubclassReceiverIsASink) {
+  const auto a = run("class LeafHasher : public wire::Encoder<LeafHasher> {\n"
+                     " public:\n"
+                     "  void raw(ByteView data);\n"
+                     "};\n"
+                     "void f(const Key256& k_seaf) {\n"
+                     "  LeafHasher leaf;\n"
+                     "  leaf.fixed(k_seaf);\n"
+                     "}");
+  EXPECT_EQ(count_rule(a, "T1"), 1);
+}
+
+TEST(TaintT1, FieldListSecretMemberReachesEncoder) {
+  // A message's field list feeds encode() through whatever visitor F is.
+  const auto a = run("struct KeyReply {\n"
+                     "  crypto::Key256 k_seaf{};\n"
+                     "  template <typename F, typename Self>\n"
+                     "  static void fields(F& f, Self& m) {\n"
+                     "    f.field(m.k_seaf);\n"
+                     "  }\n"
+                     "};");
+  ASSERT_EQ(count_rule(a, "T1"), 1);
+  EXPECT_EQ(a.findings[0].line, 5);
+}
+
 TEST(TaintT2, ToHexOfSecret) {
   const auto a = run("std::string f() { return to_hex(opc_value); }");
   EXPECT_TRUE(has_rule(a, "T2"));
@@ -267,6 +304,25 @@ TEST(TaintClean, CurvePointTypeIsPublic) {
                      "  w.fixed(suci_key);\n"
                      "}");
   EXPECT_TRUE(a.findings.empty());
+}
+
+TEST(TaintClean, FieldListPublicKeyMemberIsClean) {
+  // `Self& m` is the enclosing message, so its members keep their declared
+  // types: a public key named signing_key is public.
+  const auto a = run("struct NetworkEntry {\n"
+                     "  crypto::Ed25519PublicKey signing_key{};\n"
+                     "  crypto::X25519Point suci_key{};\n"
+                     "  template <typename F, typename Self>\n"
+                     "  static void fields(F& f, Self& m) {\n"
+                     "    f.field(m.signing_key, m.suci_key);\n"
+                     "  }\n"
+                     "};");
+  EXPECT_TRUE(a.findings.empty());
+}
+
+TEST(TaintClean, ReaderFieldIsNotASink) {
+  const auto a = run("void f(wire::Reader& r, Key256& k_seaf) { r.field(k_seaf); }");
+  EXPECT_FALSE(has_rule(a, "T1"));
 }
 
 TEST(TaintClean, SanitizedFlowsAreLaundered) {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string_view>
+#include <vector>
+
 #include "wire/reader.h"
 #include "wire/writer.h"
 
@@ -113,6 +116,86 @@ TEST(Wire, EmptyFrame) {
   Reader r(ByteView{});
   EXPECT_TRUE(r.done());
   EXPECT_THROW(r.u8(), WireError);
+}
+
+/// One field of every kind, and a sequence of itself.
+struct Sample {
+  bool flag = false;
+  std::uint16_t small = 0;
+  std::int64_t signed_value = 0;
+  ByteArray<4> fixed{};
+  Bytes blob;
+  NetworkId id;
+  std::vector<ByteArray<32>> path;
+  std::vector<NetworkId> ids;
+  std::vector<Sample> children;
+  ByteArray<2> signature{};
+
+  static constexpr std::string_view kDomain = "sample-v1";
+  template <typename F, typename Self>
+  static void fields(F& f, Self& m) {
+    f.field(m.flag, m.small, m.signed_value, m.fixed, m.blob, m.id, m.path, m.ids, m.children);
+    f.tail(m.signature);
+  }
+};
+
+TEST(Wire, FieldListWritesEachTypeAsItsKindWriter) {
+  Sample child;
+  child.small = 7;
+  const Sample m{true, 0x1234, -5, {1, 2, 3, 4}, {9, 8}, NetworkId("net"), {ByteArray<32>{}},
+                 {NetworkId("a"), NetworkId("bc")}, {child}, {0xee, 0xff}};
+
+  Writer child_wire;
+  child_wire.boolean(false);
+  child_wire.u16(7);
+  child_wire.i64(0);
+  child_wire.fixed(ByteArray<4>{});
+  child_wire.bytes({});
+  child_wire.string("");
+  child_wire.u8(0);   // an empty path: a u8 count
+  child_wire.u32(0);  // empty sequences: a u32 count
+  child_wire.u32(0);
+  child_wire.fixed(ByteArray<2>{});
+
+  Writer body;  // every field before the tail
+  body.boolean(true);
+  body.u16(0x1234);
+  body.i64(-5);
+  body.fixed(ByteArray<4>{1, 2, 3, 4});
+  body.bytes(Bytes{9, 8});
+  body.string("net");
+  body.u8(1);
+  body.fixed(ByteArray<32>{});
+  body.u32(2);
+  body.string("a");
+  body.string("bc");
+  body.u32(1);
+  body.bytes(child_wire.data());  // a message element is framed by its length
+
+  Writer encoding;
+  encoding.raw(body.data());
+  encoding.fixed(ByteArray<2>{0xee, 0xff});
+  Writer signed_part;
+  signed_part.string("sample-v1");
+  signed_part.raw(body.data());
+
+  const Bytes encoded = encode(m);
+  EXPECT_EQ(encoded, encoding.data());
+  EXPECT_EQ(encoded.capacity(), encoded.size());
+  EXPECT_EQ(signed_payload(m), signed_part.data());
+  EXPECT_EQ(encode(decode<Sample>(encoded)), encoded);
+}
+
+TEST(Wire, FieldListRejectsOutOfRangeValues) {
+  Bytes bad_bool = encode(Sample{});
+  bad_bool[0] = 2;
+  EXPECT_THROW((void)decode<Sample>(bad_bool), WireError);
+
+  Sample long_path;
+  long_path.path.resize(kMaxPathLength);
+  EXPECT_NO_THROW((void)decode<Sample>(encode(long_path)));
+  long_path.path.resize(kMaxPathLength + 1);
+  EXPECT_THROW((void)decode<Sample>(encode(long_path)), WireError);
 }
 
 }  // namespace

@@ -3,8 +3,10 @@
 #
 #   1. Static analysis, fast-fail: dauth-lint sweep of src/ + tools/ + bench/
 #      and the dauth-taint interprocedural sweep of src/, built in the plain
-#      build/ tree. Seconds, and catches most hygiene regressions before the
-#      sanitizer builds spend minutes.
+#      build/ tree, then tools/check_disclosures.sh, which requires every
+#      DAUTH_DISCLOSE in src/ to suppress at least one finding. Seconds, and
+#      catches most hygiene regressions before the sanitizer builds spend
+#      minutes.
 #   2. Benchmark package: configure and build fedbench/ (a standalone CMake
 #      project compiling ../src against the bundle and metrics API) and run
 #      its fedbench_selftest, so an API break fails here rather than in a
@@ -51,6 +53,7 @@ cmake -B build -S . > /dev/null
 cmake --build build -j "$JOBS" --target dauth_lint_cli dauth_taint_cli
 ./build/tools/dauth-lint --allowlist tools/lint_allowlist.txt src tools bench
 ./build/tools/dauth-taint --allowlist tools/taint_allowlist.txt src
+tools/check_disclosures.sh build/tools/dauth-taint
 
 echo "==> [2/8] benchmark package (fedbench/ build + self-test)"
 cmake -S fedbench -B build-fedbench -DCMAKE_BUILD_TYPE=Release > /dev/null

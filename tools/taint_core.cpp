@@ -5,6 +5,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <utility>
 
 #include "cpp_lexer.h"
 
@@ -108,9 +109,11 @@ const std::set<std::string, std::less<>> kPassthroughTail = {
     "begin", "end",  "data", "raw",  "c_str", "value",
     "get",   "take", "mutable_view", "span",  "front", "back"};
 
-/// wire::Writer serialization methods (sink T1).
+/// wire::Encoder serialization methods (sink T1): the per-kind writers and
+/// the type-driven `field`/`tail` a message's field list calls.
 const std::set<std::string, std::less<>> kWireMethods = {
-    "u8", "u16", "u32", "u64", "i64", "boolean", "raw", "fixed", "bytes", "string"};
+    "u8",    "u16",   "u32",    "u64",    "i64",   "boolean",
+    "raw",   "fixed", "bytes",  "string", "field", "tail"};
 
 bool is_public_name(std::string_view name) {
   const std::string n = lower(name);
@@ -149,6 +152,7 @@ struct Func {
   std::size_t unit = 0;
   std::size_t body_open = 0, body_close = 0;
   std::string class_name;  // enclosing/qualifying class, bare name
+  std::set<std::string, std::less<>> template_params;  // its own and its class's
   FunctionSummary sum;
   std::map<std::string, std::string, std::less<>> vars;  // name -> declared type
   std::map<std::string, int, std::less<>> param_index;
@@ -160,6 +164,7 @@ struct Program {
   std::vector<Unit> units;
   std::map<std::string, TypeInfo> types;
   std::set<std::string> carrying;  // names of secret-carrying types
+  std::set<std::string> encoders;  // classes deriving from wire::Encoder
   std::vector<Func> funcs;
   std::map<std::string, std::vector<std::size_t>, std::less<>> by_name;
 };
@@ -240,6 +245,10 @@ struct Parser {
   Program& prog;
   std::size_t unit_idx;
   Unit& u;
+  // Type parameters of the `template <...>` just read, for the function or
+  // class it introduces, and those of the class template being scanned.
+  std::set<std::string, std::less<>> pending_params;
+  std::set<std::string, std::less<>> class_params;
 
   void parse() { scan_scope(0, u.tokens.size(), ""); }
 
@@ -252,6 +261,7 @@ struct Parser {
           i = u.partner[i] + 1;  // stray brace (initializer): skip whole group
           continue;
         }
+        if (t[i].text == ";") pending_params.clear();  // a declaration used them
         if (t[i].text == "~" && is_ident(t, i + 1) && is_punct(t, i + 2, "(")) {
           // Destructor: skip past its body (or declaration).
           i = skip_decl_or_body(i + 2);
@@ -267,7 +277,15 @@ struct Parser {
       const std::string& word = t[i].text;
       if (word == "template") {
         const std::size_t past = skip_angles(u, i + 1);
-        i = past == kNone ? i + 1 : past;
+        if (past == kNone) {
+          ++i;
+          continue;
+        }
+        for (std::size_t k = i + 2; k + 1 < past; ++k) {
+          if ((is_ident(t, k, "typename") || is_ident(t, k, "class")) && is_ident(t, k + 1))
+            pending_params.insert(t[k + 1].text);
+        }
+        i = past;
         continue;
       }
       if (word == "namespace") {
@@ -336,10 +354,20 @@ struct Parser {
       const std::size_t past = is_punct(t, j, "<") ? skip_angles(u, j) : kNone;
       j = past == kNone ? j + 1 : past;
     }
-    if (!is_punct(t, j, "{") || u.partner[j] == kNone) return j + 1;  // fwd decl
+    if (!is_punct(t, j, "{") || u.partner[j] == kNone) {
+      pending_params.clear();
+      return j + 1;  // fwd decl
+    }
+    for (std::size_t k = i + 2; k < j; ++k) {
+      if (is_ident(t, k, "Encoder")) prog.encoders.insert(name);  // : wire::Encoder<name>
+    }
     const std::size_t close = u.partner[j];
     parse_members(j + 1, close, prog.types[name]);
+    const auto outer_params = std::exchange(class_params, std::move(pending_params));
+    pending_params.clear();
+    class_params.insert(outer_params.begin(), outer_params.end());
     scan_scope(j + 1, close, name);
+    class_params = outer_params;
     (void)outer;
     return close + 1;
   }
@@ -539,6 +567,9 @@ struct Parser {
       f.class_name = class_name;
     }
     f.sum.qualified = f.class_name.empty() ? name : f.class_name + "::" + name;
+    f.template_params = std::move(pending_params);
+    pending_params.clear();
+    f.template_params.insert(class_params.begin(), class_params.end());
 
     // --- return type: walk back from the name to the statement boundary
     std::size_t rt_begin = i;
@@ -734,6 +765,48 @@ struct Engine {
     return it == f.vars.end() ? std::string() : it->second;
   }
 
+  /// True when a declared type names one of the function's template type
+  /// parameters (`Out& out`, a field list's `F& f` and `Self& m`).
+  bool is_template_param(std::string_view type) const {
+    for (const std::string& p : f.template_params) {
+      if (word_in(type, p)) return true;
+    }
+    return false;
+  }
+
+  /// The struct a variable of declared type `type` is: the struct the type
+  /// names, or the enclosing class for a template parameter (a field list's
+  /// `Self& m` is its own message). nullptr when unknown.
+  const TypeInfo* owner_of(std::string_view type) const {
+    if (type.empty()) return nullptr;
+    if (is_template_param(type)) {
+      const auto it = prog.types.find(f.class_name);
+      return it == prog.types.end() ? nullptr : &it->second;
+    }
+    std::string word;
+    for (std::size_t i = 0; i <= type.size(); ++i) {
+      if (i < type.size() && ident_char(type[i])) {
+        word += type[i];
+        continue;
+      }
+      if (const auto it = prog.types.find(word); it != prog.types.end()) return &it->second;
+      word.clear();
+    }
+    return nullptr;
+  }
+
+  /// A wire::Encoder receiver: a Writer, an Encoder or a class deriving from
+  /// one, or a template parameter, since generic code may be instantiated
+  /// with any encoder.
+  bool is_encoder(std::string_view type) const {
+    const std::string t = lower(type);
+    if (contains(t, "writer") || contains(t, "encoder") || is_template_param(type)) return true;
+    for (const std::string& e : prog.encoders) {
+      if (word_in(type, e)) return true;
+    }
+    return false;
+  }
+
   /// Builds the access chain rooted at token `i` (an identifier). Follows
   /// `.`, `->` and `::` through any intervening call/subscript groups.
   Chain build_chain(std::size_t i) const {
@@ -778,6 +851,15 @@ struct Engine {
     }
     const std::string root_type = var_type(c.comps[0]);
     if (!root_type.empty() && type_is_public(root_type)) return 0;
+    // A member declared with a public type (a public key, a curve point) is
+    // public whatever its name, and so is anything inside it.
+    if (c.comps.size() > 1) {
+      if (const TypeInfo* owner = owner_of(root_type)) {
+        for (const auto& [mname, mtype] : owner->members) {
+          if (mname == c.comps[1] && type_is_public(mtype)) return 0;
+        }
+      }
+    }
     // A harmless trailing accessor yields metadata (size, emptiness, the
     // public x-coordinate of a share), not the secret bytes.
     if (c.comps.size() > 1 && (in_set(kHarmlessTail, c.comps.back()) ||
@@ -1005,9 +1087,8 @@ struct Engine {
     const std::string root_type =
         base != nullptr && !base->comps.empty() ? lower(var_type(base->comps[0])) : "";
     if (in_set(kWireMethods, method)) {
-      if (base != nullptr && contains(root_type, "writer")) return "T1";
-      if (base == nullptr && contains(lower(f.class_name), "writer")) return "T1";
-      return "";
+      if (base != nullptr) return is_encoder(var_type(base->comps[0])) ? "T1" : "";
+      return is_encoder(f.class_name) ? "T1" : "";
     }
     if (method == "to_hex") return "T2";
     if (method == "put" || method == "append") {
@@ -1750,7 +1831,7 @@ Analysis analyze(const std::vector<SourceFile>& files, const Options& options) {
     prog.units.push_back(std::move(u));
   }
   for (std::size_t i = 0; i < prog.units.size(); ++i) {
-    Parser{prog, i, prog.units[i]}.parse();
+    Parser{prog, i, prog.units[i], {}, {}}.parse();
   }
   compute_carrying(prog);
 
