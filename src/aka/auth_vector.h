@@ -32,6 +32,11 @@ using Autn = ByteArray<16>;
 struct Auts {
   ByteArray<6> sqn_ms_xor_ak_star;
   crypto::MacS mac_s;
+
+  template <typename F, typename Self>
+  static void fields(F& f, Self& m) {
+    f.field(m.sqn_ms_xor_ak_star, m.mac_s);
+  }
 };
 
 /// One complete 5G authentication vector (home-network view).

@@ -5,8 +5,6 @@
 #include "common/secret.h"
 #include "crypto/aes128.h"
 #include "crypto/hmac.h"
-#include "wire/reader.h"
-#include "wire/writer.h"
 
 namespace dauth::aka {
 namespace {
@@ -71,28 +69,6 @@ std::optional<Supi> deconceal_suci(const Suci& suci,
   std::string digits = suci.mcc + suci.mnc;
   digits.append(plaintext.begin(), plaintext.end());
   return Supi(std::move(digits));
-}
-
-Bytes encode_suci(const Suci& suci) {
-  wire::Writer w;
-  w.string(suci.mcc);
-  w.string(suci.mnc);
-  w.fixed(suci.ephemeral_public);
-  w.bytes(suci.ciphertext);
-  w.fixed(suci.mac);
-  return std::move(w).take();
-}
-
-Suci decode_suci(ByteView data) {
-  wire::Reader r(data);
-  Suci suci;
-  suci.mcc = r.string();
-  suci.mnc = r.string();
-  suci.ephemeral_public = r.fixed<32>();
-  suci.ciphertext = r.bytes();
-  suci.mac = r.fixed<8>();
-  r.expect_done();
-  return suci;
 }
 
 }  // namespace dauth::aka

@@ -32,6 +32,12 @@ struct Suci {
   crypto::X25519Point ephemeral_public;   // UE's ephemeral key
   Bytes ciphertext;                       // encrypted MSIN digits
   ByteArray<8> mac;                       // truncated HMAC tag
+
+  /// Framed as a byte string inside attach and vector requests.
+  template <typename F, typename Self>
+  static void fields(F& f, Self& m) {
+    f.field(m.mcc, m.mnc, m.ephemeral_public, m.ciphertext, m.mac);
+  }
 };
 
 /// Conceals `supi` to the home network's public key.
@@ -42,13 +48,5 @@ Suci conceal_supi(const Supi& supi, const crypto::X25519Point& home_public_key,
 /// or nullopt if the MAC check fails (tampered or wrong-key ciphertext).
 std::optional<Supi> deconceal_suci(const Suci& suci,
                                    const crypto::X25519Scalar& home_secret_key);
-
-/// The SUCI's wire form inside an attach or vector request: mcc, mnc,
-/// ephemeral key, ciphertext, tag.
-Bytes encode_suci(const Suci& suci);
-
-/// Parses encode_suci's output. Throws wire::WireError on a truncated frame
-/// or trailing bytes.
-Suci decode_suci(ByteView data);
 
 }  // namespace dauth::aka

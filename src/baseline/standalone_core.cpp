@@ -1,8 +1,7 @@
 #include "baseline/standalone_core.h"
 
+#include "aka/nas.h"
 #include "crypto/hmac.h"
-#include "wire/reader.h"
-#include "wire/writer.h"
 
 namespace dauth::baseline {
 
@@ -38,18 +37,12 @@ void StandaloneCore::bind_services() {
                         });
 }
 
-void StandaloneCore::handle_attach_request(ByteView request, sim::Responder responder) {
-  Supi supi;
-  bool lte = false;
+void StandaloneCore::handle_attach_request(ByteView frame, sim::Responder responder) {
+  // The baseline reads the SUPI and the RAT only: it has no SUCI
+  // concealment, and it always runs a full authentication, GUTI or not.
+  aka::AttachRequest request;
   try {
-    wire::Reader r(request);
-    supi = Supi(r.string());
-    (void)r.bytes();   // suci: the baseline core has no concealment support
-    (void)r.string();  // home hint unused
-    (void)r.string();  // guti issuer: baseline always does a full auth
-    (void)r.u64();     // guti value
-    lte = r.u8() == 1;
-    r.expect_done();
+    request = wire::decode<aka::AttachRequest>(frame);
   } catch (const wire::WireError&) {
     responder.fail("malformed attach request");
     return;
@@ -57,8 +50,8 @@ void StandaloneCore::handle_attach_request(ByteView request, sim::Responder resp
 
   auto attach = std::make_shared<Attach>();
   attach->id = next_attach_id_++;
-  attach->supi = supi;
-  attach->lte = lte;
+  attach->supi = std::move(request.supi);
+  attach->lte = request.lte;
   attach->challenge_responder = responder;
   attaches_[attach->id] = attach;
   ++metrics_.attaches_started;
@@ -72,8 +65,7 @@ void StandaloneCore::handle_attach_request(ByteView request, sim::Responder resp
         if (sub_it == subscribers_.end() || attach->done) return;
         Subscriber& subscriber = sub_it->second;
         const crypto::Rand rand = rng_.array<16>();
-        crypto::Rand out_rand;
-        aka::Autn out_autn;
+        aka::Challenge challenge;
         if (attach->lte) {
           // MME path: EPS AKA (TS 33.401). The UE answers with the raw RES
           // and both sides derive K_ASME bound to the serving PLMN.
@@ -83,25 +75,17 @@ void StandaloneCore::handle_attach_request(ByteView request, sim::Responder resp
           attach->xres_star = crypto::ResStar{};
           std::copy(av.xres.begin(), av.xres.end(), attach->xres_star.begin());
           attach->k_seaf = av.k_asme;
-          out_rand = av.rand;
-          out_autn = av.autn;
+          challenge = {av.rand, av.autn};
         } else {
           const aka::AuthVector av = aka::generate_auth_vector(
               subscriber.keys, subscriber.sqn.allocate(aka::kHomeSlice), rand,
               config_.serving_network_name);
           attach->xres_star = av.xres_star;
           attach->k_seaf = av.k_seaf;
-          out_rand = av.rand;
-          out_autn = av.autn;
+          challenge = {av.rand, av.autn};
         }
         ++metrics_.local_auths;
-
-        wire::Writer w;
-        w.u64(attach->id);
-        w.u8(1);  // AuthRequest
-        w.fixed(out_rand);
-        w.fixed(out_autn);
-        attach->challenge_responder->reply(std::move(w).take());
+        attach->challenge_responder->reply(wire::encode(aka::AttachReply{attach->id, challenge}));
         attach->challenge_responder.reset();
       });
       return;
@@ -118,36 +102,26 @@ void StandaloneCore::handle_attach_request(ByteView request, sim::Responder resp
     // Traditional roaming: S6a/N12 round trip to the home HSS/AUSF. The home
     // network returns the complete vector, including XRES* and K_seaf.
     attach->roaming = true;
-    wire::Writer w;
-    w.string(attach->supi.str());
     sim::RpcOptions options;
     options.timeout = config_.hss_timeout;
     options.force_new_connection = !config_.reuse_roaming_connections;
     rpc_.call(
-        node_, *remote_hss_, "hss.get_av", std::move(w).take(), options,
+        node_, *remote_hss_, "hss.get_av", wire::encode(HssVectorRequest{attach->supi}), options,
         [this, attach](Bytes reply) {
           if (attach->done || !attach->challenge_responder) return;
-          crypto::Rand rand;
-          aka::Autn autn;
+          HssVectorReply av;
           try {
-            wire::Reader r(reply);
-            rand = r.fixed<16>();
-            autn = r.fixed<16>();
-            attach->xres_star = r.fixed<16>();
-            attach->k_seaf = r.fixed<32>();
-            r.expect_done();
+            av = wire::decode<HssVectorReply>(reply);
           } catch (const wire::WireError&) {
             attach->challenge_responder->fail("malformed hss reply");
             attaches_.erase(attach->id);
             return;
           }
+          attach->xres_star = av.xres_star;
+          attach->k_seaf = av.k_seaf;
           ++metrics_.roaming_auths;
-          wire::Writer w2;
-          w2.u64(attach->id);
-          w2.u8(1);  // AuthRequest
-          w2.fixed(rand);
-          w2.fixed(autn);
-          attach->challenge_responder->reply(std::move(w2).take());
+          attach->challenge_responder->reply(
+              wire::encode(aka::AttachReply{attach->id, aka::Challenge{av.rand, av.autn}}));
           attach->challenge_responder.reset();
         },
         [this, attach](sim::RpcError error) {
@@ -160,24 +134,15 @@ void StandaloneCore::handle_attach_request(ByteView request, sim::Responder resp
   });
 }
 
-void StandaloneCore::handle_auth_response(ByteView request, sim::Responder responder) {
-  std::uint64_t attach_id = 0;
-  crypto::ResStar res_star{};
-  bool has_auts = false;
+void StandaloneCore::handle_auth_response(ByteView frame, sim::Responder responder) {
+  aka::AuthResponse response;
   try {
-    wire::Reader r(request);
-    attach_id = r.u64();
-    res_star = r.fixed<16>();
-    has_auts = r.boolean();
-    if (has_auts) {
-      (void)r.fixed<6>();
-      (void)r.fixed<8>();
-    }
-    r.expect_done();
+    response = wire::decode<aka::AuthResponse>(frame);
   } catch (const wire::WireError&) {
     responder.fail("malformed auth response");
     return;
   }
+  const auto& [attach_id, res_star, auts] = response;
 
   const auto it = attaches_.find(attach_id);
   if (it == attaches_.end()) {
@@ -186,19 +151,17 @@ void StandaloneCore::handle_auth_response(ByteView request, sim::Responder respo
   }
   const std::shared_ptr<Attach> attach = it->second;
 
-  const bool matches = !has_auts && ct_equal(res_star, attach->xres_star);
+  const bool matches = !auts && ct_equal(res_star, attach->xres_star);
   finish(attach, responder, matches,
-         matches ? "" : (has_auts ? "sync failure (no resync in baseline model)"
-                                  : "xres mismatch"));
+         matches ? "" : (auts ? "sync failure (no resync in baseline model)"
+                              : "xres mismatch"));
   attaches_.erase(attach_id);
 }
 
-void StandaloneCore::handle_hss_get_av(ByteView request, sim::Responder responder) {
+void StandaloneCore::handle_hss_get_av(ByteView frame, sim::Responder responder) {
   Supi supi;
   try {
-    wire::Reader r(request);
-    supi = Supi(r.string());
-    r.expect_done();
+    supi = wire::decode<HssVectorRequest>(frame).supi;
   } catch (const wire::WireError&) {
     responder.fail("malformed hss request");
     return;
@@ -217,16 +180,8 @@ void StandaloneCore::handle_hss_get_av(ByteView request, sim::Responder responde
         aka::generate_auth_vector(subscriber.keys, subscriber.sqn.allocate(aka::kHomeSlice),
                                   rand, config_.serving_network_name);
     ++metrics_.hss_requests_served;
-
-    wire::Writer w;
-    // Sized up front: without it GCC 12 at -O3 reports a false
-    // -Wstringop-overflow on the growth path of the last 32-byte field.
-    w.reserve(av.rand.size() + av.autn.size() + av.xres_star.size() + av.k_seaf.size());
-    w.fixed(av.rand);
-    w.fixed(av.autn);
-    w.fixed(av.xres_star);  // DAUTH_DISCLOSE(baseline 5G AKA ships XRES* to the serving core; dAuth exists to remove this trust)
-    w.fixed(av.k_seaf);  // DAUTH_DISCLOSE(baseline 5G AKA ships K_seaf to the serving core; dAuth exists to remove this trust)
-    responder.reply(std::move(w).take());
+    // DAUTH_DISCLOSE(baseline 5G AKA ships XRES* and K_seaf to the serving core; dAuth exists to remove this trust)
+    responder.reply(wire::encode(HssVectorReply{av.rand, av.autn, av.xres_star, av.k_seaf}));
   });
 }
 
@@ -238,16 +193,10 @@ void StandaloneCore::finish(const std::shared_ptr<Attach>& attach, sim::Responde
   } else {
     ++metrics_.attaches_failed;
   }
-  wire::Writer w;
-  w.u8(1);  // outcome
-  w.boolean(success);
-  w.string(attach->roaming ? "roaming" : "local");
-  const auto confirmation = crypto::hmac_sha256(attach->k_seaf, as_bytes("dauth-smc"));
-  w.fixed(confirmation);
-  w.string(failure);
-  w.string("");  // the baseline does not assign GUTIs in this model
-  w.u64(0);
-  responder.reply(std::move(w).take());
+  // The baseline does not assign GUTIs in this model.
+  responder.reply(wire::encode(aka::AuthResponseReply{aka::Outcome{
+      success, attach->roaming ? "roaming" : "local",
+      crypto::hmac_sha256(attach->k_seaf, as_bytes("dauth-smc")), failure, Guti{}}}));
 }
 
 }  // namespace dauth::baseline

@@ -9,9 +9,8 @@
 //     persistent gRPC channels) opens an on-demand connection per request
 //     (§6.3.2).
 //
-// The UE-facing wire protocol ("serving.attach_request"/"serving.auth_
-// response") matches core::ServingNetwork exactly, so the same ran::Ue
-// drives both systems.
+// The UE-facing frames are aka/nas.h's, as at core::ServingNetwork, so the
+// same ran::Ue drives both systems; "hss.get_av" is the two structs below.
 #pragma once
 
 #include <map>
@@ -25,6 +24,31 @@
 #include "sim/rpc.h"
 
 namespace dauth::baseline {
+
+/// serving core -> home HSS (S6a/N12): a roaming subscriber's vector.
+struct HssVectorRequest {
+  Supi supi;
+
+  template <typename F, typename Self>
+  static void fields(F& f, Self& m) {
+    f.field(m.supi);
+  }
+};
+
+/// home HSS -> serving core: the complete vector, XRES* and K_seaf included.
+struct HssVectorReply {
+  crypto::Rand rand{};
+  aka::Autn autn{};
+  crypto::ResStar xres_star{};
+  crypto::Key256 k_seaf{};
+
+  template <typename F, typename Self>
+  static void fields(F& f, Self& m) {
+    f.field(m.rand, m.autn);
+    f.field(m.xres_star);  // DAUTH_DISCLOSE(baseline 5G AKA ships XRES* to the serving core; dAuth exists to remove this trust)
+    f.field(m.k_seaf);  // DAUTH_DISCLOSE(baseline 5G AKA ships K_seaf to the serving core; dAuth exists to remove this trust)
+  }
+};
 
 struct StandaloneCoreConfig {
   std::string serving_network_name = "5G:mnc010.mcc315.3gppnetwork.org";
@@ -78,9 +102,9 @@ class StandaloneCore {
     aka::SqnAllocator sqn;
   };
 
-  void handle_attach_request(ByteView request, sim::Responder responder);
-  void handle_auth_response(ByteView request, sim::Responder responder);
-  void handle_hss_get_av(ByteView request, sim::Responder responder);
+  void handle_attach_request(ByteView frame, sim::Responder responder);
+  void handle_auth_response(ByteView frame, sim::Responder responder);
+  void handle_hss_get_av(ByteView frame, sim::Responder responder);
   void finish(const std::shared_ptr<Attach>& attach, sim::Responder responder, bool success,
               const std::string& failure);
 

@@ -57,6 +57,11 @@ struct Guti {
   NetworkId issuer;
   std::uint64_t value = 0;
 
+  template <typename F, typename Self>
+  static void fields(F& f, Self& m) {
+    f.field(m.issuer, m.value);
+  }
+
   auto operator<=>(const Guti&) const = default;
 };
 

@@ -360,7 +360,7 @@ void BackupNetwork::handle_get_vector(ByteView request, sim::Responder responder
     if (supi.empty() && !req.suci.empty()) {
       aka::Suci suci;
       try {
-        suci = aka::decode_suci(req.suci);
+        suci = wire::decode<aka::Suci>(req.suci);
       } catch (const wire::WireError&) {
         ++metrics_.rejected_requests;
         responder.fail(sim::AppErrorCode::kMalformed, "malformed suci");

@@ -297,7 +297,7 @@ void HomeNetwork::handle_get_vector(ByteView request, sim::Responder responder) 
     // De-conceal the SUCI with our private key.
     std::optional<Supi> recovered;
     try {
-      recovered = aka::deconceal_suci(aka::decode_suci(req.suci), suci_key_.secret);
+      recovered = aka::deconceal_suci(wire::decode<aka::Suci>(req.suci), suci_key_.secret);
     } catch (const wire::WireError&) {
       ++metrics_.rejected_requests;
       responder.fail(sim::AppErrorCode::kMalformed, "malformed suci");

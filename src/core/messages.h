@@ -329,33 +329,21 @@ struct GutiResolveReply {
   static GutiResolveReply decode(ByteView data) { return wire::decode<GutiResolveReply>(data); }
 };
 
-/// What a handover-context request asks for, and what its signature
-/// covers: the session's GUTI at the source, for the target network.
-struct HandoverContext {
+/// target -> source serving (§7.4): the signed fetch of the session the UE
+/// names by its GUTI at the source. The signature proves the target's
+/// identity before the source releases K_ho; the label binds it to this use.
+struct HandoverContextRequest {
   std::uint64_t guti = 0;
   NetworkId target;
+  crypto::Ed25519Signature signature{};
 
+  static constexpr std::string_view kDomain = "handover-context-v1";
   template <typename F, typename Self>
   static void fields(F& f, Self& m) {
     f.field(m.guti, m.target);
-  }
-  Bytes encode() const { return wire::encode(*this); }
-  static HandoverContext decode(ByteView data) { return wire::decode<HandoverContext>(data); }
-};
-
-/// target -> source serving (§7.4): signed handover-context fetch. The
-/// payload is an encoded HandoverContext, signed as it travels (no domain
-/// label); the signature proves the target's identity to the source before
-/// it releases K_ho.
-struct HandoverContextRequest {
-  Bytes payload;
-  crypto::Ed25519Signature signature{};
-
-  template <typename F, typename Self>
-  static void fields(F& f, Self& m) {
-    f.field(m.payload);
     f.tail(m.signature);
   }
+  Bytes signed_payload() const { return wire::signed_payload(*this); }
   Bytes encode() const { return wire::encode(*this); }
   static HandoverContextRequest decode(ByteView data) {
     return wire::decode<HandoverContextRequest>(data);
@@ -389,7 +377,7 @@ struct ResyncRequest {
 
   template <typename F, typename Self>
   static void fields(F& f, Self& m) {
-    f.field(m.supi, m.rand, m.auts.sqn_ms_xor_ak_star, m.auts.mac_s);
+    f.field(m.supi, m.rand, m.auts);
   }
   Bytes encode() const { return wire::encode(*this); }
   static ResyncRequest decode(ByteView data) { return wire::decode<ResyncRequest>(data); }

@@ -2,12 +2,11 @@
 
 #include <algorithm>
 
+#include "aka/nas.h"
 #include "aka/suci.h"
 #include "crypto/hmac.h"
 #include "obs/journal.h"
 #include "obs/metrics_registry.h"
-#include "wire/reader.h"
-#include "wire/writer.h"
 
 namespace dauth::core {
 
@@ -44,8 +43,7 @@ struct ServingNetwork::Attach {
   Phase phase = Phase::kResolve;
   Supi supi;           // known immediately (SUPI attach) or after vector fetch
   Bytes suci;          // encoded SUCI (empty for SUPI attach)
-  std::string guti_issuer;       // GUTI attach: the prior serving network
-  std::uint64_t guti_value = 0;
+  Guti guti;           // GUTI attach: issued by the prior serving network
   NetworkId home;      // resolved home network
   std::optional<directory::NetworkEntry> home_entry;
   AuthPath path = AuthPath::kHomeOnline;  // until LocalAuth or the backups take over
@@ -214,27 +212,15 @@ void ServingNetwork::probe_home(const NetworkId& home, sim::NodeIndex address) {
   });
 }
 
-void ServingNetwork::handle_attach_request(ByteView request, sim::Responder responder) {
-  Supi supi;
-  Bytes suci;
-  std::string home_hint;
-  std::string guti_issuer;
-  std::uint64_t guti_value = 0;
-  bool lte = false;
+void ServingNetwork::handle_attach_request(ByteView frame, sim::Responder responder) {
+  aka::AttachRequest request;
   try {
-    wire::Reader r(request);
-    supi = Supi(r.string());
-    suci = r.bytes();
-    home_hint = r.string();
-    guti_issuer = r.string();
-    guti_value = r.u64();
-    lte = r.boolean();  // RAT: 0 = 5G NR, 1 = 4G LTE
-    r.expect_done();
+    request = wire::decode<aka::AttachRequest>(frame);
   } catch (const wire::WireError&) {
     responder.fail(sim::AppErrorCode::kMalformed, "malformed attach request");
     return;
   }
-  if (lte) {
+  if (request.lte) {
     // This implementation's dAuth federation pre-generates 5G-AKA material
     // (see DESIGN.md); 4G devices are served by the baseline MME model.
     responder.fail(sim::AppErrorCode::kUnsupported,
@@ -244,11 +230,10 @@ void ServingNetwork::handle_attach_request(ByteView request, sim::Responder resp
 
   auto attach = std::make_shared<Attach>();
   attach->id = next_attach_id_++;
-  attach->supi = std::move(supi);
-  attach->suci = std::move(suci);
-  attach->home = NetworkId(home_hint);
-  attach->guti_issuer = std::move(guti_issuer);
-  attach->guti_value = guti_value;
+  attach->supi = std::move(request.supi);
+  attach->suci = std::move(request.suci);
+  attach->home = std::move(request.home);
+  attach->guti = std::move(request.guti);
   attach->responder = responder;
   attaches_[attach->id] = attach;
   ++metrics_.attaches_started;
@@ -274,10 +259,10 @@ void ServingNetwork::handle_attach_request(ByteView request, sim::Responder resp
 void ServingNetwork::resolve_home(const std::shared_ptr<Attach>& attach) {
   // GUTI attach (§4.1): the temporary id points at the serving network that
   // issued it.
-  if (!attach->guti_issuer.empty()) {
-    if (attach->guti_issuer == id_.str()) {
+  if (!attach->guti.issuer.empty()) {
+    if (attach->guti.issuer == id_) {
       // Our own GUTI: map it back locally — no directory, no identity leak.
-      const auto it = guti_table_.find(attach->guti_value);
+      const auto it = guti_table_.find(attach->guti.value);
       if (it == guti_table_.end()) {
         request_identity(attach);
         return;
@@ -289,7 +274,7 @@ void ServingNetwork::resolve_home(const std::shared_ptr<Attach>& attach) {
     }
     // Foreign GUTI: ask the prior serving network for the identity; if it
     // cannot be reached, fall back to asking the UE (IdentityRequest).
-    resolve_foreign_guti(attach, NetworkId(attach->guti_issuer), attach->guti_value);
+    resolve_foreign_guti(attach, attach->guti.issuer, attach->guti.value);
     return;
   }
 
@@ -350,7 +335,7 @@ void ServingNetwork::start_local_auth(const std::shared_ptr<Attach>& attach) {
   if (attach->supi.empty() && !attach->suci.empty()) {
     std::optional<Supi> recovered;
     try {
-      recovered = aka::deconceal_suci(aka::decode_suci(attach->suci),
+      recovered = aka::deconceal_suci(wire::decode<aka::Suci>(attach->suci),
                                       local_home_->suci_keys().secret);
     } catch (const wire::WireError&) {
       fail(attach, "malformed suci");
@@ -650,10 +635,7 @@ void ServingNetwork::resolve_foreign_guti(const std::shared_ptr<Attach>& attach,
 }
 
 void ServingNetwork::request_identity(const std::shared_ptr<Attach>& attach) {
-  wire::Writer w;
-  w.u64(attach->id);
-  w.u8(2);  // reply kind: IdentityRequest
-  attach->responder->reply(std::move(w).take());
+  attach->responder->reply(wire::encode(aka::AttachReply{attach->id, aka::IdentityRequest{}}));
   attach->responder.reset();
   fail(attach, "identity requested");
 }
@@ -677,32 +659,27 @@ void ServingNetwork::handle_resolve_guti(ByteView request, sim::Responder respon
   responder.reply(reply.encode());
 }
 
-void ServingNetwork::handle_handover_request(ByteView request, sim::Responder responder) {
-  // From the UE (via the target gNB): {prior serving id, guti value}.
-  // This network is the TARGET; fetch the context from the source.
-  std::string source_id;
-  std::uint64_t guti_value = 0;
+void ServingNetwork::handle_handover_request(ByteView frame, sim::Responder responder) {
+  // From the UE (via the target gNB): its GUTI at the source serving
+  // network. This network is the TARGET; fetch the context from the source.
+  aka::HandoverRequest request;
   try {
-    wire::Reader r(request);
-    source_id = r.string();
-    guti_value = r.u64();
-    r.expect_done();
+    request = wire::decode<aka::HandoverRequest>(frame);
   } catch (const wire::WireError&) {
     responder.fail(sim::AppErrorCode::kMalformed, "malformed handover request");
     return;
   }
 
-  directory_.get_network(NetworkId(source_id), [this, guti_value, responder](
-                                                   std::optional<directory::NetworkEntry>
-                                                       source) {
+  directory_.get_network(request.issuer, [this, request, responder](
+                                             std::optional<directory::NetworkEntry> source) {
     if (!source) {
       responder.fail(sim::AppErrorCode::kNotFound, "unknown source network");
       return;
     }
     // Signed context request proves the target's identity to the source.
-    HandoverContextRequest context_request;
-    context_request.payload = HandoverContext{guti_value, id_}.encode();
-    context_request.signature = crypto::ed25519_sign(context_request.payload, signing_key_);
+    HandoverContextRequest context_request{request.value, id_};
+    context_request.signature =
+        crypto::ed25519_sign(context_request.signed_payload(), signing_key_);
 
     handover_stub_.call(
         static_cast<sim::NodeIndex>(source->address), context_request,
@@ -718,45 +695,39 @@ void ServingNetwork::handle_handover_request(ByteView request, sim::Responder re
           const std::uint64_t new_guti = next_guti_++;
           guti_table_[new_guti] =
               GutiRecord{result->supi, result->home, result->k_ho, 0};
-
-          wire::Writer out;
-          out.string(id_.str());
-          out.u64(new_guti);
-          out.u32(result->counter);
-          out.fixed(crypto::hmac_sha256(result->k_ho, as_bytes("dauth-ho")));
-          responder.reply(std::move(out).take());
+          responder.reply(wire::encode(
+              aka::HandoverReply{Guti{id_, new_guti}, result->counter,
+                                 crypto::hmac_sha256(result->k_ho, as_bytes("dauth-ho"))}));
         },
         resilience_observer());
   });
 }
 
-void ServingNetwork::handle_handover_context(ByteView request, sim::Responder responder) {
-  // From the target network: a signed HandoverContext. This network is the
-  // SOURCE; it derives and releases the horizontal key.
-  HandoverContextRequest signed_context;
-  HandoverContext context;
+void ServingNetwork::handle_handover_context(ByteView frame, sim::Responder responder) {
+  // From the target network: a signed HandoverContextRequest. This network
+  // is the SOURCE; it derives and releases the horizontal key.
+  HandoverContextRequest request;
   try {
-    signed_context = HandoverContextRequest::decode(request);
-    context = HandoverContext::decode(signed_context.payload);
+    request = HandoverContextRequest::decode(frame);
   } catch (const wire::WireError&) {
     responder.fail(sim::AppErrorCode::kMalformed, "malformed context request");
     return;
   }
 
-  const auto session_it = guti_table_.find(context.guti);
+  const auto session_it = guti_table_.find(request.guti);
   if (session_it == guti_table_.end()) {
     responder.fail(sim::AppErrorCode::kNotFound, "unknown session");
     return;
   }
 
-  directory_.get_network(context.target, [this, signed_context, context, responder](
+  directory_.get_network(request.target, [this, request, responder](
                                              std::optional<directory::NetworkEntry> target) {
-    const auto& [payload, signature] = signed_context;
-    if (!target || !check_signature(payload, signature, target->signing_key).ok) {
+    if (!target ||
+        !check_signature(request.signed_payload(), request.signature, target->signing_key).ok) {
       responder.fail(sim::AppErrorCode::kUnauthorized, "invalid target signature");
       return;
     }
-    auto live_session = guti_table_.find(context.guti);
+    auto live_session = guti_table_.find(request.guti);
     if (live_session == guti_table_.end()) {
       responder.fail(sim::AppErrorCode::kNotFound, "unknown session");
       return;
@@ -767,11 +738,11 @@ void ServingNetwork::handle_handover_context(ByteView request, sim::Responder re
     reply.home = session.home;
     reply.counter = ++session.handover_counter;
     reply.k_ho =
-        crypto::derive_handover_key(session.k_session, context.target.str(), reply.counter);
+        crypto::derive_handover_key(session.k_session, request.target.str(), reply.counter);
     // DAUTH_DISCLOSE(K_ho handover key released to the signature-verified target network, §4.4)
     responder.reply(reply.encode());
     // The session has moved; retire the local anchor (one handover per GUTI).
-    guti_table_.erase(context.guti);
+    guti_table_.erase(request.guti);
   });
 }
 
@@ -781,35 +752,26 @@ void ServingNetwork::send_challenge(const std::shared_ptr<Attach>& attach,
   // answers the auth_response that carried the AUTS.
   attach->bundle = bundle;
   attach->supi = bundle.supi;  // resolved by the vector's issuer on the SUCI path
-  wire::Writer w;
+  const aka::Challenge challenge{bundle.rand, bundle.autn};
   if (attach->phase == Phase::kVector) {
     attach->phase = Phase::kChallenge;
-    w.u64(attach->id);
-    w.u8(1);  // reply kind: AuthRequest
+    attach->responder->reply(wire::encode(aka::AttachReply{attach->id, challenge}));
   } else {
     attach->phase = Phase::kResyncChallenge;
-    w.u8(2);  // reply kind: retry challenge
+    attach->responder->reply(wire::encode(aka::AuthResponseReply{challenge}));
   }
-  w.fixed(bundle.rand);
-  w.fixed(bundle.autn);
-  attach->responder->reply(std::move(w).take());
   attach->responder.reset();
 }
 
-void ServingNetwork::handle_auth_response(ByteView request, sim::Responder responder) {
-  std::uint64_t attach_id = 0;
-  crypto::ResStar res_star{};
-  std::optional<aka::Auts> auts;
+void ServingNetwork::handle_auth_response(ByteView frame, sim::Responder responder) {
+  aka::AuthResponse response;
   try {
-    wire::Reader r(request);
-    attach_id = r.u64();
-    res_star = r.fixed<16>();
-    if (r.boolean()) auts = aka::Auts{r.fixed<6>(), r.fixed<8>()};
-    r.expect_done();
+    response = wire::decode<aka::AuthResponse>(frame);
   } catch (const wire::WireError&) {
     responder.fail(sim::AppErrorCode::kMalformed, "malformed auth response");
     return;
   }
+  const auto& [attach_id, res_star, auts] = response;
 
   const auto it = attaches_.find(attach_id);
   if (it == attaches_.end()) {
@@ -1127,8 +1089,8 @@ void ServingNetwork::finish(const std::shared_ptr<Attach>& attach, const crypto:
   if (success) {
     assigned_guti = next_guti_++;
     guti_table_[assigned_guti] = GutiRecord{attach->supi, attach->home, k_seaf, 0};
-    if (attach->guti_value != 0 && attach->guti_issuer == id_.str()) {
-      guti_table_.erase(attach->guti_value);  // old GUTI is spent
+    if (attach->guti.value != 0 && attach->guti.issuer == id_) {
+      guti_table_.erase(attach->guti.value);  // old GUTI is spent
     }
     // Bound the table: evict the oldest allocations (lowest values) once it
     // grows past the cap — a real AMF recycles its GUTI space similarly.
@@ -1139,18 +1101,12 @@ void ServingNetwork::finish(const std::shared_ptr<Attach>& attach, const crypto:
   if (attach->responder && !challenged) {
     attach->responder->fail(sim::AppErrorCode::kUpstream, failure);
   } else if (attach->responder) {
-    wire::Writer w;
-    w.u8(1);  // reply kind: outcome
-    w.boolean(success);
-    w.string(to_string(attach->path));
     // SecurityModeCommand key confirmation: HMAC(K_seaf, "dauth-smc"). The
     // UE recomputes this with its own derived key; a mismatch aborts the
-    // attach.
-    w.fixed(crypto::hmac_sha256(k_seaf, as_bytes("dauth-smc")));
-    w.string(failure);
-    w.string(id_.str());   // GUTI issuer
-    w.u64(assigned_guti);  // 0 when the attach failed
-    attach->responder->reply(std::move(w).take());
+    // attach. A failed attach assigns no GUTI (value 0).
+    attach->responder->reply(wire::encode(aka::AuthResponseReply{aka::Outcome{
+        success, to_string(attach->path), crypto::hmac_sha256(k_seaf, as_bytes("dauth-smc")),
+        failure, Guti{id_, assigned_guti}}}));
   }
   attaches_.erase(attach->id);
 }

@@ -148,11 +148,11 @@ class ServingNetwork {
   };
   struct Attach;  // in-flight attach state
 
-  void handle_attach_request(ByteView request, sim::Responder responder);
-  void handle_auth_response(ByteView request, sim::Responder responder);
+  void handle_attach_request(ByteView frame, sim::Responder responder);
+  void handle_auth_response(ByteView frame, sim::Responder responder);
   void handle_resolve_guti(ByteView request, sim::Responder responder);
-  void handle_handover_request(ByteView request, sim::Responder responder);
-  void handle_handover_context(ByteView request, sim::Responder responder);
+  void handle_handover_request(ByteView frame, sim::Responder responder);
+  void handle_handover_context(ByteView frame, sim::Responder responder);
   void resolve_foreign_guti(const std::shared_ptr<Attach>& attach,
                             const NetworkId& prior_serving, std::uint64_t value);
   /// Sends the UE an IdentityRequest and ends the attach.

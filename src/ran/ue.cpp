@@ -3,10 +3,19 @@
 #include "crypto/hmac.h"
 #include "crypto/kdf_3gpp.h"
 #include "sim/latency.h"
-#include "wire/reader.h"
-#include "wire/writer.h"
 
 namespace dauth::ran {
+namespace {
+
+/// A failed attach or handover record.
+template <typename Record>
+Record failed(std::string reason) {
+  Record record;
+  record.failure = std::move(reason);
+  return record;
+}
+
+}  // namespace
 
 Ue::Ue(sim::Rpc& rpc, sim::NodeIndex ran_node, sim::NodeIndex core_node, Supi supi,
        const aka::SubscriberKeys& keys, UeConfig config)
@@ -38,111 +47,74 @@ void Ue::attach(std::function<void(const AttachRecord&)> done) {
       rng.next_double() < config_.retransmission_prob) {
     radio += config_.retransmission_delay;
   }
-  // RRC connection setup: one signalling round trip before any NAS.
-  simulator.after(radio, [this, done = std::move(done), started]() mutable {
-    sim::RpcOptions options;
-    options.timeout = config_.attach_timeout;
-    rpc_.call(
-        ran_node_, core_node_, "serving.rrc_setup", {}, options,
-        [this, done, started](Bytes) mutable {
-          send_attach_request(std::move(done), started, /*allow_guti=*/true);
-        },
-        [this, done, started](sim::RpcError error) {
-          AttachRecord record;
-          record.success = false;
-          record.failure = std::string("rrc setup failed: ") + to_string(error.code);
-          record.started = started;
-          record.completed = rpc_.network().simulator().now();
-          busy_ = false;
-          done(record);
-        });  // NOLINT
-  });
-}
-
-void Ue::send_attach_request(std::function<void(const AttachRecord&)> done, Time started,
-                             bool allow_guti) {
-  wire::Writer w;
-  if (allow_guti && config_.use_guti && guti_) {
-    // Temporary identifier only: nothing permanent crosses the air.
-    w.string("");
-    w.bytes({});
-    w.string("");
-    w.string(guti_->issuer.str());
-    w.u64(guti_->value);
-  } else if (config_.use_suci && suci_key_) {
-    w.string("");  // no cleartext SUPI
-    w.bytes(aka::encode_suci(aka::conceal_supi(usim_.supi(), *suci_key_, suci_rng_)));
-    w.string(suci_home_ ? suci_home_->str() : "");
-    w.string("");
-    w.u64(0);
-  } else {
-    w.string(usim_.supi().str());
-    w.bytes({});
-    w.string("");
-    w.string("");
-    w.u64(0);
-  }
-  w.u8(config_.lte ? 1 : 0);  // RAT: 0 = 5G NR, 1 = 4G LTE
-
-  auto finish = [this, done, started](AttachRecord record) {
+  auto finish = [this, done = std::move(done), started](AttachRecord record) {
     record.started = started;
     record.completed = rpc_.network().simulator().now();
     busy_ = false;
     done(record);
   };
+  // RRC connection setup: one signalling round trip before any NAS.
+  simulator.after(radio, [this, finish] {
+    sim::RpcOptions options;
+    options.timeout = config_.attach_timeout;
+    rpc_.call(
+        ran_node_, core_node_, "serving.rrc_setup", {}, options,
+        [this, finish](Bytes) { send_attach_request(finish, /*allow_guti=*/true); },
+        [finish](sim::RpcError error) {
+          finish(failed<AttachRecord>(std::string("rrc setup failed: ") + to_string(error.code)));
+        });  // NOLINT
+  });
+}
+
+void Ue::send_attach_request(const std::function<void(AttachRecord)>& finish, bool allow_guti) {
+  aka::AttachRequest request;
+  if (allow_guti && config_.use_guti && guti_) {
+    request.guti = *guti_;  // temporary identifier only: nothing permanent crosses the air
+  } else if (config_.use_suci && suci_key_) {
+    request.suci = wire::encode(aka::conceal_supi(usim_.supi(), *suci_key_, suci_rng_));
+    if (suci_home_) request.home = *suci_home_;
+  } else {
+    request.supi = usim_.supi();
+  }
+  request.lte = config_.lte;
 
   sim::RpcOptions options;
   options.timeout = config_.attach_timeout;
   rpc_.call(
-      ran_node_, core_node_, "serving.attach_request", std::move(w).take(), options,
-      [this, finish, options, done, started](Bytes challenge) {
-        std::uint64_t attach_id = 0;
-        crypto::Rand rand;
-        aka::Autn autn;
+      ran_node_, core_node_, "serving.attach_request", wire::encode(request), options,
+      [this, finish, options](Bytes frame) {
+        aka::AttachReply reply;
         try {
-          wire::Reader r(challenge);
-          attach_id = r.u64();
-          const std::uint8_t kind = r.u8();
-          if (kind == 2) {
-            // IdentityRequest (§4.1): the network could not resolve our
-            // GUTI; retry immediately with a long-lived identifier.
-            r.expect_done();
-            guti_.reset();
-            busy_ = true;  // finish() below was not called; stay busy
-            send_attach_request(done, started, /*allow_guti=*/false);
-            return;
-          }
-          if (kind != 1) throw wire::WireError("unknown challenge kind");
-          rand = r.fixed<16>();
-          autn = r.fixed<16>();
-          r.expect_done();
+          reply = wire::decode<aka::AttachReply>(frame);
         } catch (const wire::WireError&) {
-          AttachRecord record;
-          record.failure = "malformed challenge";
-          finish(record);
+          finish(failed<AttachRecord>("malformed challenge"));
           return;
         }
-
-        run_challenge(attach_id, rand, autn, /*attempt=*/0, finish, options);
+        if (std::holds_alternative<aka::IdentityRequest>(reply.step)) {
+          // The network could not resolve our GUTI (§4.1); retry
+          // immediately with a long-lived identifier.
+          guti_.reset();
+          send_attach_request(finish, /*allow_guti=*/false);
+          return;
+        }
+        run_challenge(reply.attach_id, std::get<aka::Challenge>(reply.step), /*attempt=*/0,
+                      finish, options);
       },
       [finish](sim::RpcError error) {
-        AttachRecord record;
-        record.failure =
-            std::string("attach request failed: ") + to_string(error.code) + ": " + error.message;
-        finish(record);
+        finish(failed<AttachRecord>(std::string("attach request failed: ") +
+                                    to_string(error.code) + ": " + error.message));
       });
 }
 
-void Ue::run_challenge(std::uint64_t attach_id, const crypto::Rand& rand,
-                       const aka::Autn& autn, int attempt,
+void Ue::run_challenge(std::uint64_t attach_id, const aka::Challenge& challenge, int attempt,
                        const std::function<void(AttachRecord)>& finish,
                        const sim::RpcOptions& options) {
   // USIM processing: verify AUTN, update SQN state, derive keys. 4G devices
   // run EPS AKA (RES, K_ASME); 5G devices run 5G AKA (RES*, K_seaf).
   aka::UsimResult result;
   if (config_.lte) {
-    const auto result4g =
-        usim_.authenticate_4g(rand, autn, aka::encode_plmn(config_.mcc, config_.mnc));
+    const auto result4g = usim_.authenticate_4g(challenge.rand, challenge.autn,
+                                                aka::encode_plmn(config_.mcc, config_.mnc));
     result.failure = result4g.failure;
     result.auts = result4g.auts;
     if (result4g.ok()) {
@@ -156,77 +128,66 @@ void Ue::run_challenge(std::uint64_t attach_id, const crypto::Rand& rand,
       result.response = response;
     }
   } else {
-    result = usim_.authenticate(rand, autn, config_.serving_network_name);
+    result = usim_.authenticate(challenge.rand, challenge.autn, config_.serving_network_name);
   }
 
-  wire::Writer w;
-  w.u64(attach_id);
+  aka::AuthResponse response;
+  response.attach_id = attach_id;
   crypto::Key256 ue_k_seaf{};
   if (result.ok()) {
     ue_k_seaf = result.response->k_seaf;
-    w.fixed(result.response->res_star);  // DAUTH_DISCLOSE(RES* is the authentication response itself, §4.2.2)
-    w.boolean(false);  // no AUTS
+    response.res_star = result.response->res_star;
   } else if (result.failure == aka::UsimFailure::kSqnOutOfRange && result.auts &&
              attempt == 0) {
     // Stale SQN: reveal SQNms via AUTS so the network can resynchronise and
-    // retry (TS 33.102 §6.3.3). One retry only.
-    w.fixed(crypto::ResStar{});  // no valid response
-    w.boolean(true);
-    w.fixed(result.auts->sqn_ms_xor_ak_star);  // DAUTH_DISCLOSE(AUTS conceals SQNms under AK*, TS 33.102 §6.3.3)
-    w.fixed(result.auts->mac_s);  // DAUTH_DISCLOSE(MAC-S authenticates the resync token, TS 33.102 §6.3.3)
+    // retry (TS 33.102 §6.3.3). One retry only; RES* stays zero.
+    response.auts = result.auts;
   } else {
-    AttachRecord record;
-    record.failure = result.failure == aka::UsimFailure::kMacMismatch ? "usim mac failure"
-                                                                      : "usim sqn failure";
-    finish(record);
+    finish(failed<AttachRecord>(result.failure == aka::UsimFailure::kMacMismatch
+                                    ? "usim mac failure"
+                                    : "usim sqn failure"));
     return;
   }
   const bool sent_auts = !result.ok();
 
+  // DAUTH_DISCLOSE(RES* is the authentication response itself, and an AUTS conceals SQNms under AK*, TS 33.102 §6.3.3)
   rpc_.call(
-      ran_node_, core_node_, "serving.auth_response", std::move(w).take(), options,
-      [this, finish, ue_k_seaf, options, attach_id, attempt, sent_auts](Bytes reply) {
-        AttachRecord record;
+      ran_node_, core_node_, "serving.auth_response", wire::encode(response), options,
+      [this, finish, ue_k_seaf, options, attach_id, attempt, sent_auts](Bytes frame) {
+        aka::AuthResponseReply reply;
         try {
-          wire::Reader r(reply);
-          const std::uint8_t kind = r.u8();
-          if (kind == 2) {
-            // Resynchronised retry challenge.
-            const crypto::Rand fresh_rand = r.fixed<16>();
-            const aka::Autn fresh_autn = r.fixed<16>();
-            r.expect_done();
-            run_challenge(attach_id, fresh_rand, fresh_autn, attempt + 1, finish, options);
-            return;
-          }
-          if (kind != 1) throw wire::WireError("unknown outcome kind");
-          record.success = r.boolean();
-          record.path = r.string();
-          const auto confirmation = r.fixed<32>();
-          record.failure = r.string();
-          const std::string guti_issuer = r.string();
-          const std::uint64_t guti_value = r.u64();
-          r.expect_done();
-          if (record.success && sent_auts) {
-            // The network claims success against an AUTS-only response:
-            // impossible; treat as failure.
-            record.success = false;
-            record.failure = "unexpected success after auts";
-          }
-          if (record.success && guti_value != 0) {
-            guti_ = Guti{NetworkId(guti_issuer), guti_value};
-            k_seaf_ = ue_k_seaf;
-          }
-          // Mutual key confirmation: the network's SecurityModeCommand MAC
-          // must match the key we derived on the USIM.
-          const auto expected = crypto::hmac_sha256(ue_k_seaf, as_bytes("dauth-smc"));
-          record.key_confirmed = ct_equal(confirmation, expected);
-          if (record.success && !record.key_confirmed) {
-            record.success = false;
-            record.failure = "key confirmation mismatch";
-          }
+          reply = wire::decode<aka::AuthResponseReply>(frame);
         } catch (const wire::WireError&) {
+          finish(failed<AttachRecord>("malformed outcome"));
+          return;
+        }
+        if (const auto* retry = std::get_if<aka::Challenge>(&reply.step)) {
+          // Resynchronised retry challenge.
+          run_challenge(attach_id, *retry, attempt + 1, finish, options);
+          return;
+        }
+        const auto& outcome = std::get<aka::Outcome>(reply.step);
+        AttachRecord record;
+        record.success = outcome.success;
+        record.path = outcome.path;
+        record.failure = outcome.failure;
+        if (record.success && sent_auts) {
+          // The network claims success against an AUTS-only response:
+          // impossible; treat as failure.
           record.success = false;
-          record.failure = "malformed outcome";
+          record.failure = "unexpected success after auts";
+        }
+        if (record.success && outcome.guti.value != 0) {
+          guti_ = outcome.guti;
+          k_seaf_ = ue_k_seaf;
+        }
+        // Mutual key confirmation: the network's SecurityModeCommand MAC
+        // must match the key we derived on the USIM.
+        const auto expected = crypto::hmac_sha256(ue_k_seaf, as_bytes("dauth-smc"));
+        record.key_confirmed = ct_equal(outcome.confirmation, expected);
+        if (record.success && !record.key_confirmed) {
+          record.success = false;
+          record.failure = "key confirmation mismatch";
         }
         if (!record.success) {
           finish(record);
@@ -244,9 +205,7 @@ void Ue::run_challenge(std::uint64_t attach_id, const crypto::Rand& rand,
             });
       },
       [finish](sim::RpcError error) {
-        AttachRecord record;
-        record.failure = std::string("auth response failed: ") + error.message;
-        finish(record);
+        finish(failed<AttachRecord>(std::string("auth response failed: ") + error.message));
       });
 }
 
@@ -262,60 +221,42 @@ void Ue::handover_to(sim::NodeIndex target_core,
   };
 
   if (!guti_ || !k_seaf_) {
-    HandoverRecord record;
-    record.failure = "no active session";
-    record.started = record.completed = started;
-    done(record);
+    finish(failed<HandoverRecord>("no active session"));
     return;
   }
   busy_ = true;
 
-  wire::Writer w;
-  w.string(guti_->issuer.str());
-  w.u64(guti_->value);
   sim::RpcOptions options;
   options.timeout = config_.attach_timeout;
   rpc_.call(
-      ran_node_, target_core, "serving.handover_request", std::move(w).take(), options,
-      [this, finish, target_core](Bytes reply) {
-        std::string target_id;
-        std::uint64_t new_guti = 0;
-        std::uint32_t counter = 0;
-        ByteArray<32> confirmation{};
+      ran_node_, target_core, "serving.handover_request",
+      wire::encode<aka::HandoverRequest>(*guti_), options,
+      [this, finish, target_core](Bytes frame) {
+        aka::HandoverReply reply;
         try {
-          wire::Reader r(reply);
-          target_id = r.string();
-          new_guti = r.u64();
-          counter = r.u32();
-          confirmation = r.fixed<32>();
-          r.expect_done();
+          reply = wire::decode<aka::HandoverReply>(frame);
         } catch (const wire::WireError&) {
-          HandoverRecord record;
-          record.failure = "malformed handover reply";
-          finish(record);
+          finish(failed<HandoverRecord>("malformed handover reply"));
           return;
         }
         // Derive the same horizontal key as the source network did and
         // check the target's key confirmation — mutual proof that the
         // context transfer used OUR session key.
-        const crypto::Key256 k_ho = crypto::derive_handover_key(*k_seaf_, target_id, counter);
-        if (!ct_equal(crypto::hmac_sha256(k_ho, as_bytes("dauth-ho")), confirmation)) {
-          HandoverRecord record;
-          record.failure = "handover key confirmation mismatch";
-          finish(record);
+        const crypto::Key256 k_ho =
+            crypto::derive_handover_key(*k_seaf_, reply.guti.issuer.str(), reply.counter);
+        if (!ct_equal(crypto::hmac_sha256(k_ho, as_bytes("dauth-ho")), reply.confirmation)) {
+          finish(failed<HandoverRecord>("handover key confirmation mismatch"));
           return;
         }
         k_seaf_ = k_ho;
-        guti_ = Guti{NetworkId(target_id), new_guti};
+        guti_ = reply.guti;
         core_node_ = target_core;
         HandoverRecord record;
         record.success = true;
         finish(record);
       },
       [finish](sim::RpcError error) {
-        HandoverRecord record;
-        record.failure = std::string("handover request failed: ") + error.message;
-        finish(record);
+        finish(failed<HandoverRecord>(std::string("handover request failed: ") + error.message));
       });
 }
 

@@ -4,6 +4,8 @@
 // over the simulated network:
 //   AttachRequest -> AuthRequest(RAND, AUTN) -> [USIM verify] ->
 //   AuthResponse(RES*) -> SecurityModeCommand(key confirmation) -> done.
+// The frames are aka/nas.h's, which the dAuth serving network and the
+// baseline core decode too.
 // The radio-side overhead (cell sync, RACH, RRC setup) is modelled as a
 // sampled delay before the first NAS message: ~2ms for an emulated RAN
 // (UERANSIM), ~220ms for the physical Baicells+srsUE testbed of Fig. 3,
@@ -15,6 +17,7 @@
 #include <functional>
 #include <optional>
 
+#include "aka/nas.h"
 #include "aka/sim_card.h"
 #include "aka/suci.h"
 #include "common/ids.h"
@@ -102,12 +105,10 @@ class Ue {
   const std::optional<crypto::Key256>& session_key() const noexcept { return k_seaf_; }
 
  private:
-  void send_attach_request(std::function<void(const AttachRecord&)> done, Time started,
-                           bool allow_guti);
-  /// Runs one challenge/response round; recurses (once) on a kind-2
-  /// resynchronised retry challenge from the network.
-  void run_challenge(std::uint64_t attach_id, const crypto::Rand& rand,
-                     const aka::Autn& autn, int attempt,
+  void send_attach_request(const std::function<void(AttachRecord)>& finish, bool allow_guti);
+  /// Runs one challenge/response round; recurses (once) on the retry
+  /// challenge the network sends after an AUTS resync.
+  void run_challenge(std::uint64_t attach_id, const aka::Challenge& challenge, int attempt,
                      const std::function<void(AttachRecord)>& finish,
                      const sim::RpcOptions& options);
 

@@ -8,8 +8,11 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "common/bytes.h"
@@ -87,6 +90,22 @@ class Reader {
   void one(std::vector<ByteArray<32>>& path);
   template <typename E>
   void one(std::vector<E>& elements);
+  template <typename T>
+  void one(std::optional<T>& value) {
+    if (boolean()) {
+      one(value.emplace());
+    } else {
+      value.reset();
+    }
+  }
+  template <typename... A>
+  void one(std::variant<A...>& value) {
+    const std::uint8_t tag = u8();
+    if (tag == 0 || tag > sizeof...(A)) throw WireError("invalid variant tag");
+    [&]<std::size_t... I>(std::index_sequence<I...>) {
+      ((tag == I + 1 && (one(value.template emplace<I>()), true)) || ...);
+    }(std::index_sequence_for<A...>{});
+  }
   template <typename M>
   void one(M& message) {
     M::fields(*this, message);

@@ -20,6 +20,9 @@
 //   * std::vector<ByteArray<32>>, a Merkle path: u8 count (at most 32), hashes;
 //   * any other std::vector: u32 count, then each element, a message
 //     element framed by its u32 length;
+//   * std::optional<T>: a presence bool, then T when present;
+//   * std::variant<A, B, ...>: a u8 tag, the alternative's index + 1, then
+//     that alternative;
 //   * a message: its fields, in place.
 // `tail` holds what a signature does not cover (the signature itself, a
 // bundle's position): part of the encoding, left out of the signed part.
@@ -27,8 +30,10 @@
 
 #include <concepts>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <variant>
 #include <vector>
 
 #include "common/bytes.h"
@@ -57,14 +62,6 @@ class Encoder {
   template <std::size_t N>
   void fixed(const ByteArray<N>& data) {
     put(ByteView(data));
-  }
-
-  /// Serializing a Secret is a deliberate disclosure point (e.g. a RES* in a
-  /// UsageProof, which *is* the protocol's release mechanism) — explicit
-  /// overload so such sites are greppable rather than silent conversions.
-  template <std::size_t N>
-  void fixed(const Secret<N>& data) {
-    one(data);
   }
 
   /// Length-prefixed (u32) byte string.
@@ -118,6 +115,16 @@ class Encoder {
   }
   template <typename E>
   void one(const std::vector<E>& elements);
+  template <typename T>
+  void one(const std::optional<T>& value) {
+    boolean(value.has_value());
+    if (value) one(*value);
+  }
+  template <typename... A>
+  void one(const std::variant<A...>& value) {
+    u8(static_cast<std::uint8_t>(value.index() + 1));
+    std::visit([this](const auto& alternative) { one(alternative); }, value);
+  }
   template <typename M>
   void one(const M& message) {
     M::fields(sink(), message);

@@ -54,8 +54,8 @@ TEST(Suci, WireFormRoundTripsAndRejectsTrailingBytes) {
   const Supi supi("901550000000042");
   const Suci suci = conceal_supi(supi, home.public_key, rng);
 
-  const Bytes frame = encode_suci(suci);
-  const Suci decoded = decode_suci(frame);
+  const Bytes frame = wire::encode(suci);
+  const Suci decoded = wire::decode<Suci>(frame);
   EXPECT_EQ(decoded.mcc, suci.mcc);
   EXPECT_EQ(decoded.mnc, suci.mnc);
   EXPECT_EQ(decoded.ephemeral_public, suci.ephemeral_public);
@@ -65,7 +65,7 @@ TEST(Suci, WireFormRoundTripsAndRejectsTrailingBytes) {
 
   Bytes extended = frame;
   extended.push_back(0x00);
-  EXPECT_THROW((void)decode_suci(extended), wire::WireError);
+  EXPECT_THROW((void)wire::decode<Suci>(extended), wire::WireError);
 }
 
 TEST(Suci, WrongKeyFailsMac) {

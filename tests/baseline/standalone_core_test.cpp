@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "aka/nas.h"
 #include "crypto/drbg.h"
 #include "ran/gnb.h"
 #include "ran/ue.h"
@@ -178,6 +179,34 @@ TEST(StandaloneCore, WrongUeKeysRejected) {
   const auto record = f.attach(ue);
   EXPECT_FALSE(record.success);
   EXPECT_EQ(record.failure, "usim mac failure");
+}
+
+TEST(StandaloneCore, RatByteOtherThanZeroOrOneIsMalformed) {
+  // The RAT is a bool on the wire, as at the dAuth serving network: a byte
+  // of 2-255 is no RAT at all, not a 5G attach.
+  Fixture f;
+  StandaloneCore core(f.rpc, f.core_node, "edge", f.cfg, 1);
+  core.provision_subscriber(kAlice, make_keys(1));
+  core.bind_services();
+
+  aka::AttachRequest request;
+  request.supi = kAlice;
+  for (const std::uint8_t rat : {0, 2, 255}) {
+    Bytes frame = wire::encode(request);
+    frame.back() = rat;  // the RAT is the frame's last byte
+    std::optional<std::string> failure;
+    f.rpc.call(
+        f.ran_node, f.core_node, "serving.attach_request", frame, {},
+        [&](Bytes reply) { EXPECT_NO_THROW((void)wire::decode<aka::AttachReply>(reply)); },
+        [&](sim::RpcError e) { failure = e.message; });
+    f.s.run();
+    if (rat == 0) {
+      EXPECT_EQ(failure, std::nullopt) << "a 5G attach is challenged";
+    } else {
+      EXPECT_EQ(failure, "malformed attach request") << "rat " << int{rat};
+    }
+  }
+  EXPECT_EQ(core.metrics().attaches_started, 1u);
 }
 
 }  // namespace

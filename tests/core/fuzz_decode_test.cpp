@@ -1,9 +1,12 @@
-// Decode robustness ("fuzz-lite"): every protocol message decoder must
-// reject truncations and random mutations of valid frames with WireError —
+// Decode robustness ("fuzz-lite"): every protocol message decoder, the NAS
+// frames' included, must reject truncations and random mutations of valid
+// frames with WireError —
 // never crash, never loop, never accept trailing garbage silently.
 #include <gtest/gtest.h>
 
+#include "aka/nas.h"
 #include "aka/suci.h"
+#include "baseline/standalone_core.h"
 #include "common/rng.h"
 #include "core/home_network.h"
 #include "core/messages.h"
@@ -132,8 +135,63 @@ TEST(FuzzDecode, SuciTruncations) {
   crypto::DeterministicDrbg rng("fuzz-suci", 1);
   const auto home = crypto::x25519_generate(rng);
   const aka::Suci suci = aka::conceal_supi(Supi("315010000000001"), home.public_key, rng);
-  expect_all_truncations_throw(aka::encode_suci(suci),
-                               [](ByteView d) { return aka::decode_suci(d); });
+  expect_all_truncations_throw(wire::encode(suci),
+                               [](ByteView d) { return wire::decode<aka::Suci>(d); });
+}
+
+/// Every truncation of `message`'s encoding throws, and so does every byte
+/// mutation unless it decodes to a frame that re-encodes to the mutated
+/// bytes: no frame has two readings.
+template <typename T>
+void expect_nas_frame_is_strict(const T& message, std::uint64_t seed) {
+  const Bytes frame = wire::encode(message);
+  expect_all_truncations_throw(frame, [](ByteView d) { return wire::decode<T>(d); });
+  Xoshiro256StarStar rng(seed);
+  for (int trial = 0; trial < 500; ++trial) {
+    Bytes mutated = frame;
+    const std::size_t pos = rng.next_below(mutated.size());
+    mutated[pos] ^= static_cast<std::uint8_t>(1 + rng.next_below(255));
+    try {
+      EXPECT_EQ(wire::encode(wire::decode<T>(mutated)), mutated) << "mutation at " << pos;
+    } catch (const wire::WireError&) {
+      // fine
+    }
+  }
+}
+
+TEST(FuzzDecode, NasFramesAreStrict) {
+  crypto::DeterministicDrbg rng("fuzz-nas", 1);
+  const auto home = crypto::x25519_generate(rng);
+  const Supi supi("315010000000001");
+  const aka::Challenge challenge{rng.array<16>(), rng.array<16>()};
+  const Guti guti{NetworkId("serving"), 77};
+
+  aka::AttachRequest by_supi;
+  by_supi.supi = supi;
+  aka::AttachRequest by_suci;
+  by_suci.suci = wire::encode(aka::conceal_supi(supi, home.public_key, rng));
+  by_suci.home = NetworkId("home");
+  aka::AttachRequest by_guti;
+  by_guti.guti = guti;
+  by_guti.lte = true;
+  expect_nas_frame_is_strict(by_supi, 1);
+  expect_nas_frame_is_strict(by_suci, 2);
+  expect_nas_frame_is_strict(by_guti, 3);
+
+  expect_nas_frame_is_strict(aka::AttachReply{9, challenge}, 4);
+  expect_nas_frame_is_strict(aka::AttachReply{9, aka::IdentityRequest{}}, 5);
+  expect_nas_frame_is_strict(aka::AuthResponse{9, rng.array<16>(), std::nullopt}, 6);
+  expect_nas_frame_is_strict(
+      aka::AuthResponse{9, crypto::ResStar{}, aka::Auts{rng.array<6>(), rng.array<8>()}}, 7);
+  expect_nas_frame_is_strict(
+      aka::AuthResponseReply{aka::Outcome{true, "backup", rng.array<32>(), "", guti}}, 8);
+  expect_nas_frame_is_strict(aka::AuthResponseReply{challenge}, 9);
+  expect_nas_frame_is_strict(aka::HandoverRequest{guti}, 10);
+  expect_nas_frame_is_strict(aka::HandoverReply{guti, 2, rng.array<32>()}, 11);
+  expect_nas_frame_is_strict(baseline::HssVectorRequest{supi}, 12);
+  expect_nas_frame_is_strict(baseline::HssVectorReply{challenge.rand, challenge.autn,
+                                                      rng.array<16>(), rng.array<32>()},
+                             13);
 }
 
 TEST(FuzzDecode, UsageProofTruncations) {

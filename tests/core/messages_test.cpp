@@ -315,10 +315,7 @@ TEST(Messages, EveryEncodingIsPinned) {
                              pattern<64>(0x83)};
   GutiResolveRequest guti_request{0xfedcba9876543210};
   GutiResolveReply guti_reply{supi, home};
-  wire::Writer context;
-  context.u64(42);
-  context.string("target-net");
-  HandoverContextRequest handover_request{std::move(context).take(), pattern<64>(0x84)};
+  HandoverContextRequest handover_request{42, NetworkId("target-net"), pattern<64>(0x84)};
   HandoverContextReply handover_reply{supi, home, pattern<32>(0x36), 3};
   ResyncRequest resync{supi, pattern<16>(0x37), {pattern<6>(0x38), pattern<8>(0x39)}};
   KeyReply key_reply{pattern<32>(0x3a)};
@@ -347,6 +344,7 @@ TEST(Messages, EveryEncodingIsPinned) {
       {"GutiResolveRequest", digest(guti_request.encode())},
       {"GutiResolveReply", digest(guti_reply.encode())},
       {"HandoverContextRequest", digest(handover_request.encode())},
+      {"HandoverContextRequest signed", digest(handover_request.signed_payload())},
       {"HandoverContextReply", digest(handover_reply.encode())},
       {"ResyncRequest", digest(resync.encode())},
       {"KeyReply", digest(key_reply.encode())},
@@ -392,7 +390,9 @@ TEST(Messages, EveryEncodingIsPinned) {
       {"GutiResolveReply",
        "2ff1bf902565a75d76d86e3b362e989630111902e0a6327568173beb9de98968"},
       {"HandoverContextRequest",
-       "db6002ae684649e629b69fef1aef8ce73eb965d30c60e7e4af7f59f172bce069"},
+       "2b5cdd9da94b85fab4ff29e754878bfa870221bc22045ba3aea31a5e3703369d"},
+      {"HandoverContextRequest signed",
+       "eba6b513c7fe4e44253401ce5785e23f1d64af0fc642ab2289b96c57b4b47c20"},
       {"HandoverContextReply",
        "41fae505b3bce14cf9b367e202eaaf175df1ffffcea5d903fffaca8afbca0e34"},
       {"ResyncRequest",

@@ -11,8 +11,8 @@
 #include <utility>
 #include <vector>
 
+#include "aka/nas.h"
 #include "federation_fixture.h"
-#include "wire/writer.h"
 
 namespace dauth::testing {
 namespace {
@@ -194,11 +194,8 @@ TEST(Adversarial, AuthResponseOutOfPhaseIsRejected) {
   std::vector<sim::RpcError> refusals;
   std::size_t answered = 0;
   auto inject = [&] {
-    wire::Writer w;
-    w.u64(1);  // the serving network's first attach
-    w.fixed(crypto::ResStar{});
-    w.boolean(false);  // no AUTS
-    f.rpc.call(f.ran_node, f.net(4).node(), "serving.auth_response", std::move(w).take(), {},
+    const aka::AuthResponse forged{1, crypto::ResStar{}, std::nullopt};  // the first attach
+    f.rpc.call(f.ran_node, f.net(4).node(), "serving.auth_response", wire::encode(forged), {},
                [&](Bytes) { ++answered; }, [&](sim::RpcError e) { refusals.push_back(e); });
   };
   // Before the challenge: the home has gone dark and never answers the

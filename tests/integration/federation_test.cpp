@@ -2,8 +2,8 @@
 // and recovery behaviour.
 #include <gtest/gtest.h>
 
+#include "aka/nas.h"
 #include "federation_fixture.h"
-#include "wire/writer.h"
 
 namespace dauth::testing {
 namespace {
@@ -255,21 +255,16 @@ TEST(Federation, SuciWithTrailingByteIsMalformed) {
   Federation f(3);
   (void)f.provision(kAlice, 0, {1, 2});
   crypto::DeterministicDrbg rng("trailing-suci", 1);
-  Bytes suci =
-      aka::encode_suci(aka::conceal_supi(kAlice, f.net(0).suci_keys().public_key, rng));
+  Bytes suci = wire::encode(aka::conceal_supi(kAlice, f.net(0).suci_keys().public_key, rng));
   suci.push_back(0x00);
 
   // A SUCI attach at Alice's home core: the local path de-conceals it.
-  wire::Writer attach;
-  attach.string("");  // no cleartext SUPI
-  attach.bytes(suci);
-  attach.string(f.net(0).id().str());  // routing hint
-  attach.string("");                   // no GUTI
-  attach.u64(0);
-  attach.u8(0);  // 5G NR
+  aka::AttachRequest attach;
+  attach.suci = suci;
+  attach.home = f.net(0).id();  // routing hint
   std::optional<sim::RpcError> attach_error;
-  f.rpc.call(f.ran_node, f.net(0).node(), "serving.attach_request", std::move(attach).take(),
-             {}, [&](Bytes) { ADD_FAILURE() << "challenge sent for a malformed SUCI"; },
+  f.rpc.call(f.ran_node, f.net(0).node(), "serving.attach_request", wire::encode(attach), {},
+             [&](Bytes) { ADD_FAILURE() << "challenge sent for a malformed SUCI"; },
              [&](sim::RpcError e) { attach_error = e; });
 
   core::GetVectorRequest fetch;

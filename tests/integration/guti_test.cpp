@@ -10,11 +10,10 @@
 #include <optional>
 #include <string_view>
 
+#include "aka/nas.h"
 #include "federation_fixture.h"
 #include "obs/journal.h"
 #include "obs/tracer.h"
-#include "wire/reader.h"
-#include "wire/writer.h"
 
 namespace dauth::testing {
 namespace {
@@ -107,29 +106,19 @@ void expect_identity_request(Federation& f, std::size_t serving, const NetworkId
   f.rpc.set_tracer(&tracer);
   f.net(serving).set_observability(nullptr, &journal);
 
-  wire::Writer attach;
-  attach.string("");  // no SUPI
-  attach.bytes({});   // no SUCI
-  attach.string("");  // no routing hint
-  attach.string(issuer.str());
-  attach.u64(guti_value);
-  attach.u8(0);  // 5G NR
-  std::optional<std::uint8_t> kind;
+  aka::AttachRequest attach;
+  attach.guti = Guti{issuer, guti_value};
+  std::optional<aka::AttachReply> reply;
   f.rpc.call(
-      f.ran_node, f.net(serving).node(), "serving.attach_request", std::move(attach).take(),
-      {},
-      [&](Bytes reply) {
-        wire::Reader r(reply);
-        (void)r.u64();  // attach id
-        kind = r.u8();
-        r.expect_done();
-      },
+      f.ran_node, f.net(serving).node(), "serving.attach_request", wire::encode(attach), {},
+      [&](Bytes frame) { reply = wire::decode<aka::AttachReply>(frame); },
       [](sim::RpcError e) { ADD_FAILURE() << "attach request failed: " << e.message; });
   f.simulator.run();
   f.rpc.set_tracer(nullptr);
   f.net(serving).set_observability(nullptr, nullptr);
 
-  EXPECT_EQ(kind, std::optional<std::uint8_t>(2));  // IdentityRequest
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_TRUE(std::holds_alternative<aka::IdentityRequest>(reply->step));
   std::size_t attach_spans = 0;
   for (const obs::Span& span : tracer.spans()) {
     if (span.name != "attach") continue;

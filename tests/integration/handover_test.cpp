@@ -30,6 +30,22 @@ ran::HandoverRecord handover(Federation& f, ran::Ue& ue, std::size_t target) {
   return record.value_or(ran::HandoverRecord{});
 }
 
+/// Sends `request` from nets[from] to nets[to]'s serving.handover_context
+/// and returns the application error it draws.
+sim::AppError fetch_context_error(Federation& f, std::size_t from, std::size_t to,
+                                  const core::HandoverContextRequest& request) {
+  std::optional<sim::AppError> error;
+  f.rpc.call(f.net(from).node(), f.net(to).node(), "serving.handover_context",
+             request.encode(), {}, [](Bytes) { ADD_FAILURE() << "context released"; },
+             [&](sim::RpcError e) {
+               ASSERT_TRUE(e.app.has_value()) << e.message;
+               error = e.app;
+             });
+  f.simulator.run();
+  EXPECT_TRUE(error.has_value());
+  return error.value_or(sim::AppError{});
+}
+
 TEST(Handover, TransfersSessionWithoutReauth) {
   Federation f(5);
   const auto keys = f.provision(kAlice, 0, {1, 2});
@@ -134,22 +150,41 @@ TEST(Handover, ReplayedHandoverRequestIsRefused) {
 
   ASSERT_TRUE(handover(f, *ue, 4).success);
 
-  // Replay the transfer request for the consumed session.
-  wire::Writer w;
-  w.u64(old_guti.value);
-  w.string(f.net(4).id().str());
-  const auto payload = std::move(w).take();
-  const auto signature = crypto::ed25519_sign(payload, f.net(4).signing_keys());
-  wire::Writer framed;
-  framed.bytes(payload);
-  framed.fixed(signature);
+  // Replay the transfer request for the consumed session, correctly signed
+  // by the target: only the retired session can refuse it.
+  core::HandoverContextRequest replay{old_guti.value, f.net(4).id()};
+  replay.signature = crypto::ed25519_sign(replay.signed_payload(), f.net(4).signing_keys());
+  const sim::AppError error = fetch_context_error(f, 4, 3, replay);
+  EXPECT_EQ(error.code, sim::AppErrorCode::kNotFound);
+  EXPECT_EQ(error.detail, "unknown session");
+}
 
-  bool rejected = false;
-  f.rpc.call(f.net(4).node(), f.net(3).node(), "serving.handover_context",
-             std::move(framed).take(), {}, [&](Bytes) { FAIL() << "context re-released"; },
-             [&](sim::RpcError) { rejected = true; });
+TEST(Handover, UnlabelledContextSignatureIsRefused) {
+  // The target's key signs the handover-context request under its domain
+  // label. A signature over the same fields without the label, the form a
+  // signature over some other message could take, releases nothing.
+  Federation f(5);
+  const auto keys = f.provision(kAlice, 0, {1, 2});
+  auto ue = attach_ue(f, keys, 3);
+
+  core::HandoverContextRequest request{ue->guti()->value, f.net(4).id()};
+  wire::Writer unlabelled;
+  unlabelled.u64(request.guti);
+  unlabelled.string(request.target.str());
+  request.signature = crypto::ed25519_sign(unlabelled.data(), f.net(4).signing_keys());
+  const sim::AppError error = fetch_context_error(f, 4, 3, request);
+  EXPECT_EQ(error.code, sim::AppErrorCode::kUnauthorized);
+  EXPECT_EQ(error.detail, "invalid target signature");
+  EXPECT_EQ(f.net(3).serving().session_count(), 1u);  // the session stays at the source
+
+  // The labelled signature over the same request is accepted.
+  request.signature = crypto::ed25519_sign(request.signed_payload(), f.net(4).signing_keys());
+  bool released = false;
+  f.rpc.call(f.net(4).node(), f.net(3).node(), "serving.handover_context", request.encode(), {},
+             [&](Bytes) { released = true; },
+             [](sim::RpcError e) { ADD_FAILURE() << e.message; });
   f.simulator.run();
-  EXPECT_TRUE(rejected);
+  EXPECT_TRUE(released);
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string_view>
+#include <variant>
 #include <vector>
 
 #include "wire/reader.h"
@@ -196,6 +198,70 @@ TEST(Wire, FieldListRejectsOutOfRangeValues) {
   EXPECT_NO_THROW((void)decode<Sample>(encode(long_path)));
   long_path.path.resize(kMaxPathLength + 1);
   EXPECT_THROW((void)decode<Sample>(encode(long_path)), WireError);
+}
+
+/// An optional and a variant, one alternative a message and one a value.
+struct Choice {
+  struct Empty {
+    template <typename F, typename Self>
+    static void fields(F&, Self&) {}
+  };
+
+  std::optional<ByteArray<2>> maybe;
+  std::variant<Empty, std::uint32_t> either;
+
+  template <typename F, typename Self>
+  static void fields(F& f, Self& m) {
+    f.field(m.maybe, m.either);
+  }
+};
+
+TEST(Wire, OptionalIsAPresenceBoolThenTheValue) {
+  Writer present;
+  present.boolean(true);
+  present.fixed(ByteArray<2>{5, 6});
+  present.u8(1);  // Empty
+  EXPECT_EQ(encode(Choice{ByteArray<2>{5, 6}, Choice::Empty{}}), present.data());
+  EXPECT_EQ(decode<Choice>(present.data()).maybe, (ByteArray<2>{5, 6}));
+
+  Writer absent;
+  absent.boolean(false);
+  absent.u8(1);
+  EXPECT_EQ(encode(Choice{}), absent.data());
+  EXPECT_FALSE(decode<Choice>(absent.data()).maybe.has_value());
+}
+
+TEST(Wire, VariantIsATagOfIndexPlusOneThenTheAlternative) {
+  Writer second;
+  second.boolean(false);
+  second.u8(2);
+  second.u32(0xdeadbeef);
+  EXPECT_EQ(encode(Choice{std::nullopt, std::uint32_t{0xdeadbeef}}), second.data());
+  const Choice decoded = decode<Choice>(second.data());
+  ASSERT_EQ(decoded.either.index(), 1u);
+  EXPECT_EQ(std::get<std::uint32_t>(decoded.either), 0xdeadbeefu);
+}
+
+TEST(Wire, OptionalAndVariantRejectOutOfRangeBytes) {
+  const Bytes valid = encode(Choice{});  // presence 0, tag 1
+  ASSERT_NO_THROW((void)decode<Choice>(valid));
+
+  Bytes presence_two = valid;
+  presence_two[0] = 2;
+  EXPECT_THROW((void)decode<Choice>(presence_two), WireError);
+
+  Bytes tag_zero = valid;
+  tag_zero[1] = 0;
+  EXPECT_THROW((void)decode<Choice>(tag_zero), WireError);
+
+  Writer tag_past_last;  // two alternatives: tag 3 names none
+  tag_past_last.boolean(false);
+  tag_past_last.u8(3);
+  tag_past_last.u32(0);
+  EXPECT_THROW((void)decode<Choice>(tag_past_last.data()), WireError);
+  Bytes tag_max = valid;
+  tag_max[1] = 0xff;
+  EXPECT_THROW((void)decode<Choice>(tag_max), WireError);
 }
 
 }  // namespace

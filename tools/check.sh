@@ -4,7 +4,10 @@
 #   1. Static analysis, fast-fail: dauth-lint sweep of src/ + tools/ + bench/
 #      and the dauth-taint interprocedural sweep of src/, built in the plain
 #      build/ tree, then tools/check_disclosures.sh, which requires every
-#      DAUTH_DISCLOSE in src/ to suppress at least one finding. Seconds, and
+#      DAUTH_DISCLOSE in src/ to suppress at least one finding, then the
+#      codec check: a wire::Writer or wire::Reader object in src/ outside
+#      src/wire/ must be one of the local records listed below, because
+#      every frame between roles declares its fields() once. Seconds, and
 #      catches most hygiene regressions before the sanitizer builds spend
 #      minutes.
 #   2. Benchmark package: configure and build fedbench/ (a standalone CMake
@@ -54,6 +57,22 @@ cmake --build build -j "$JOBS" --target dauth_lint_cli dauth_taint_cli
 ./build/tools/dauth-lint --allowlist tools/lint_allowlist.txt src tools bench
 ./build/tools/dauth-taint --allowlist tools/taint_allowlist.txt src
 tools/check_disclosures.sh build/tools/dauth-taint
+# The hand-written codecs left in src/: "file objects reason", one site a
+# line. Each is written and read by its own module, in adjacent functions.
+WIRE_SITES="\
+src/store/kv_store.cpp 4 the WAL's op-tagged records and the snapshot
+src/obs/journal.cpp 2 the journal's Event record
+src/core/backup_network.cpp 2 the batch record with its u32-counted leaf list
+src/core/messages.cpp 1 the round payload a home signature covers, built from its parts"
+WIRE_FOUND="$(grep -rnE '\bwire::(Writer|Reader)\b' src --include='*.h' --include='*.cpp' \
+  | grep -v '^src/wire/' | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' \
+  | cut -d: -f1 | sort | uniq -c | awk '{print $2, $1}' | sort)"
+WIRE_ALLOWED="$(awk '{print $1, $2}' <<< "$WIRE_SITES" | sort)"
+if [[ "$WIRE_FOUND" != "$WIRE_ALLOWED" ]]; then
+  echo "hand-written wire codec outside src/wire/: declare the frame's fields() instead" >&2
+  diff <(echo "$WIRE_ALLOWED") <(echo "$WIRE_FOUND") >&2 || true
+  exit 1
+fi
 
 echo "==> [2/8] benchmark package (fedbench/ build + self-test)"
 cmake -S fedbench -B build-fedbench -DCMAKE_BUILD_TYPE=Release > /dev/null
