@@ -68,10 +68,11 @@ void StandaloneCore::handle_attach_request(ByteView frame, sim::Responder respon
         aka::Challenge challenge;
         if (attach->lte) {
           // MME path: EPS AKA (TS 33.401). The UE answers with the raw RES
-          // and both sides derive K_ASME bound to the serving PLMN.
+          // and both sides derive K_ASME bound to the serving PLMN: this
+          // core's, whatever PLMN the subscriber's SUPI names.
           const aka::AuthVector4G av = aka::generate_auth_vector_4g(
               subscriber.keys, subscriber.sqn.allocate(aka::kHomeSlice), rand,
-              aka::encode_plmn(Supi(attach->supi).mcc(), Supi(attach->supi).mnc()));
+              aka::encode_plmn(kServingMcc, kServingMnc));
           attach->xres_star = crypto::ResStar{};
           std::copy(av.xres.begin(), av.xres.end(), attach->xres_star.begin());
           attach->k_seaf = av.k_asme;

@@ -15,12 +15,14 @@
 
 #include <map>
 #include <optional>
+#include <string_view>
 
 #include "aka/auth_vector.h"
 #include "aka/sqn.h"
 #include "common/ids.h"
 #include "core/config.h"
 #include "crypto/drbg.h"
+#include "crypto/kdf_3gpp.h"
 #include "sim/rpc.h"
 
 namespace dauth::baseline {
@@ -50,8 +52,13 @@ struct HssVectorReply {
   }
 };
 
+/// The PLMN the baseline core serves. EPS AKA binds K_ASME to it (TS
+/// 33.401), and the default serving_network_name names it.
+inline constexpr std::string_view kServingMcc = "315";
+inline constexpr std::string_view kServingMnc = "010";
+
 struct StandaloneCoreConfig {
-  std::string serving_network_name = "5G:mnc010.mcc315.3gppnetwork.org";
+  std::string serving_network_name = crypto::serving_network_name(kServingMcc, kServingMnc);
   core::CostModel costs;
   /// Open5GS keeps S6a/N12 connections on demand; set true to give the
   /// baseline persistent connections too (ablation).

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <set>
-#include <tuple>
 
 #include "aka/suci.h"
 #include "core/home_network.h"  // hxres_index
@@ -13,9 +12,7 @@
 namespace dauth::core {
 namespace {
 
-// Persisted batch record: "batch/<home>/<batch root>" -> the leaf hashes,
-// then the round path. A lone bundle's one-leaf batch is not persisted: its
-// bundle record carries all of it.
+// The store key of a held batch's BatchRecord.
 std::string batch_record(const std::string& home, const crypto::MerkleTree& tree) {
   return "batch/" + home + "/" + to_hex(tree.root());
 }
@@ -24,31 +21,16 @@ std::string batch_record(const std::string& home, const crypto::MerkleTree& tree
 // keeps inline.
 constexpr std::size_t kOrdinateBytes = 32;
 
-bool lone(const BundleBatch& batch) {
-  return batch.tree.leaf_count() == 1 && batch.round.empty();
-}
-
-Bytes encode_batch_record(const BundleBatch& batch) {
-  wire::Writer w;
-  w.u32(static_cast<std::uint32_t>(batch.tree.leaf_count()));
-  for (const auto& leaf : batch.tree.leaves()) w.fixed(leaf);
-  w.u8(static_cast<std::uint8_t>(batch.round.size()));
-  for (const auto& hash : batch.round) w.fixed(hash);
-  return std::move(w).take();
-}
-
-// The record's tree and round path; the round position and signature are
-// not in the record, and come from the batch's bundles.
-BundleBatch decode_batch_record(ByteView data) {
-  wire::Reader r(data);
-  // Each count is read before the hashes it announces: a corrupt count
-  // ends in a short read, never in a huge allocation.
-  std::vector<crypto::Sha256Digest> leaves;
-  for (std::uint32_t i = r.u32(); i > 0; --i) leaves.push_back(r.fixed<32>());
-  std::vector<crypto::Sha256Digest> round;
-  for (std::uint8_t i = r.u8(); i > 0; --i) round.push_back(r.fixed<32>());
-  r.expect_done();
-  return {crypto::MerkleTree(std::move(leaves)), 0, 1, std::move(round), {}};
+// A BatchRecord's tree, from its leaf hashes: 32 bytes each, at least one
+// and at most a u16 position's worth; nullopt otherwise.
+std::optional<crypto::MerkleTree> record_tree(ByteView leaves) {
+  constexpr std::size_t kHash = sizeof(crypto::Sha256Digest);
+  const std::size_t count = leaves.size() / kHash;
+  if (count == 0 || count > 0xffff || leaves.size() % kHash != 0) return std::nullopt;
+  std::vector<crypto::Sha256Digest> hashes;
+  hashes.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) hashes.push_back(take<kHash>(leaves.subspan(i * kHash)));
+  return crypto::MerkleTree(std::move(hashes));
 }
 
 }  // namespace
@@ -82,80 +64,50 @@ void BackupNetwork::restore_from_store() {
     if (value && value->size() == 32) homes_[home].suci_secret = take<32>(*value);
   }
 
-  // Batch records next, indexed by leaf, so each restored bundle finds the
-  // tree and round path its inclusion path is rebuilt from. A record holds
-  // no round position or signature: the first of its bundles restored sets
-  // them, and a batch whose bundles disagree on them is dropped whole.
-  std::map<crypto::Sha256Digest, std::shared_ptr<BundleBatch>> batch_of_leaf;
-  for (const auto& key : store_->keys_with_prefix("batch/")) {
+  // Held batches, one BatchRecord each. A record is dropped whole when it
+  // does not decode, when its leaf hashes do not make the root its key
+  // names, when its round path does not fit its round position, or when a
+  // held leaf's fields do not hash to that leaf: such a bundle could not be
+  // served as the home signed it.
+  for (const auto& name : store_->keys_with_prefix("batch/")) {
+    const auto slash = name.rfind('/');  // the root's hex has none; a home id may
+    if (slash < 6) continue;
+    const NetworkId home(name.substr(6, slash - 6));
+    BatchRecord record;
     try {
-      const auto batch = std::make_shared<BundleBatch>(decode_batch_record(*store_->get(key)));
-      for (const auto& leaf : batch->tree.leaves()) batch_of_leaf.emplace(leaf, batch);
-    } catch (const std::exception&) {
-      // Corrupt or empty record: its bundles are skipped below.
-    }
-  }
-  std::set<const BundleBatch*> headed;
-  std::set<const BundleBatch*> disagreeing;
-  // The bundle's batch (a one-leaf batch of its own for a lone bundle), or
-  // null when its batch record is missing or does not fit it, so the bundle
-  // could not be served verifiably.
-  const auto batch_for = [&](const auto& bundle) -> SharedBatch {
-    const BatchPath& path = bundle.batch;
-    const auto leaf = bundle.leaf_hash();
-    if (path.leaf_count == 1 && path.batch_count == 1) {
-      if (path.leaf_index != 0) return nullptr;
-      return std::make_shared<const BundleBatch>(
-          BundleBatch{crypto::MerkleTree({leaf}), 0, 1, {}, bundle.home_signature});
-    }
-    const auto it = batch_of_leaf.find(leaf);
-    if (it == batch_of_leaf.end()) return nullptr;
-    BundleBatch& batch = *it->second;
-    if (batch.tree.leaf_count() != path.leaf_count || path.leaf_index >= path.leaf_count ||
-        batch.tree.leaves()[path.leaf_index] != leaf ||
-        batch.round.size() != crypto::merkle_path_length(path.batch_index, path.batch_count)) {
-      return nullptr;
-    }
-    if (headed.insert(&batch).second) {
-      batch.batch_index = path.batch_index;
-      batch.batch_count = path.batch_count;
-      batch.signature = bundle.home_signature;
-    } else if (batch.batch_index != path.batch_index || batch.batch_count != path.batch_count ||
-               batch.signature != bundle.home_signature) {
-      disagreeing.insert(&batch);
-    }
-    return it->second;
-  };
-
-  // Vector bundles: key layout "vec/<home>/<supi>/<hxres>".
-  std::vector<std::pair<UserKey, HeldVector>> vectors;
-  for (const auto& key : store_->keys_with_prefix("vec/")) {
-    try {
-      const auto bundle = AuthVectorBundle::decode(*store_->get(key));
-      SharedBatch batch = batch_for(bundle);
-      if (batch == nullptr) continue;
-      vectors.push_back({{bundle.home_network, bundle.supi},
-                         {bundle.sqn, bundle.rand, bundle.autn, bundle.hxres_star, bundle.flood,
-                          bundle.batch.leaf_index, std::move(batch)}});
+      record = wire::decode<BatchRecord>(*store_->get(name));
     } catch (const wire::WireError&) {
-      // Skip corrupt records; the WAL already filtered torn writes.
+      continue;  // corrupt record; the WAL already filtered torn writes
     }
-  }
-  std::vector<std::tuple<UserKey, ByteArray<16>, HeldShare>> shares;
-  for (const auto& key : store_->keys_with_prefix("share/")) {
-    try {
-      const auto bundle = KeyShareBundle::decode(*store_->get(key));
-      if (bundle.share.y.size() != kOrdinateBytes) continue;
-      SharedBatch batch = batch_for(bundle);
-      if (batch == nullptr) continue;
-      shares.emplace_back(UserKey{bundle.home_network, bundle.supi}, bundle.hxres_star,
-                          HeldShare{bundle.share.x, bundle.batch.leaf_index,
-                                    Secret<32>(ByteView(bundle.share.y)), std::move(batch)});
-    } catch (const wire::WireError&) {
+    auto tree = record_tree(record.leaves);
+    if (!tree || name != batch_record(home.str(), *tree) ||
+        record.batch_index >= record.batch_count ||
+        record.round.size() != crypto::merkle_path_length(record.batch_index, record.batch_count)) {
+      continue;
     }
-  }
-  for (auto& [user, held] : vectors) {
-    if (!disagreeing.contains(held.batch.get())) users_[user].vectors.push_back(std::move(held));
+    const auto batch = std::make_shared<const BundleBatch>(
+        BundleBatch{std::move(*tree), record.batch_index, record.batch_count,
+                    std::move(record.round), record.signature});
+    const UserKey user{home, record.supi};
+    const auto leaves = batch->tree.leaves();
+    bool intact = !record.vectors.empty() || !record.shares.empty();
+    const auto check = [&](std::uint16_t leaf, const auto& bundle) {
+      intact = intact && leaf < leaves.size() && bundle.leaf_hash() == leaves[leaf];
+    };
+    std::vector<HeldVector> vectors;
+    for (const VectorLeaf& v : record.vectors) {
+      vectors.push_back({v.sqn, v.rand, v.autn, v.hxres_star, v.flood, v.leaf, batch});
+      check(v.leaf, leaf_bundle(user, vectors.back()));
+    }
+    std::vector<std::pair<ByteArray<16>, HeldShare>> shares;
+    for (const ShareLeaf& held : record.shares) {
+      shares.emplace_back(held.hxres_star, HeldShare{held.x, held.leaf, held.y, batch});
+      check(held.leaf, leaf_bundle(user, held.hxres_star, shares.back().second));
+    }
+    if (!intact) continue;
+    UserState& state = users_[user];
+    for (HeldVector& held : vectors) state.vectors.push_back(std::move(held));
+    for (auto& [hxres, held] : shares) state.shares.insert_or_assign(hxres, std::move(held));
   }
   // Rebuild each user's queue ordered by SQN (the dissemination order),
   // floods first.
@@ -165,9 +117,6 @@ void BackupNetwork::restore_from_store() {
                        if (a.flood != b.flood) return a.flood;  // floods first
                        return a.sqn < b.sqn;
                      });
-  }
-  for (auto& [user, hxres, held] : shares) {
-    if (!disagreeing.contains(held.batch.get())) users_[user].shares[hxres] = std::move(held);
   }
 
   for (const auto& key : store_->keys_with_prefix("proof/")) {
@@ -268,33 +217,22 @@ void BackupNetwork::handle_store(ByteView request, sim::Responder responder) {
       }
 
       // Each batch is held once, for all of its bundles; its bundles are the
-      // request's next tree.leaf_count() (vectors first, then shares), and
-      // each keeps only its own leaf's fields.
-      std::vector<SharedBatch> held_batches;
-      held_batches.reserve(batches.size());
-      for (BundleBatch& batch : batches) {
-        auto held = std::make_shared<const BundleBatch>(std::move(batch));
-        if (store_ != nullptr && !lone(*held)) {
-          store_->put(batch_record(req.home_network.str(), held->tree),
-                      encode_batch_record(*held));
+      // request's next tree.leaf_count() (vectors first, then shares), all of
+      // one user, and each keeps only its own leaf's fields.
+      std::vector<std::pair<UserKey, SharedBatch>> stored;
+      stored.reserve(batches.size());
+      auto next_batch = batches.begin();
+      const auto batch_of = [&](const auto& bundle) {
+        if (bundle.batch.leaf_index == 0) {
+          stored.emplace_back(UserKey{req.home_network, bundle.supi},
+                              std::make_shared<const BundleBatch>(std::move(*next_batch++)));
         }
-        held_batches.push_back(std::move(held));
-      }
-      auto next_batch = held_batches.begin();
-      const auto batch_of = [&](const BatchPath& path) {
-        SharedBatch batch = *next_batch;
-        if (path.leaf_index + 1u == path.leaf_count) ++next_batch;
-        return batch;
+        return stored.back().second;
       };
       for (const AuthVectorBundle& vector : req.vectors) {
-        if (store_ != nullptr) {
-          store_->put("vec/" + req.home_network.str() + "/" + vector.supi.str() + "/" +
-                          to_hex(vector.hxres_star),
-                      vector.encode());
-        }
         UserState& user = users_[{req.home_network, vector.supi}];
         HeldVector held{vector.sqn, vector.rand, vector.autn, vector.hxres_star, vector.flood,
-                        vector.batch.leaf_index, batch_of(vector.batch)};
+                        vector.batch.leaf_index, batch_of(vector)};
         if (held.flood) {
           user.vectors.push_front(std::move(held));  // §4.3: flood vectors served first
         } else {
@@ -303,17 +241,13 @@ void BackupNetwork::handle_store(ByteView request, sim::Responder responder) {
         ++metrics_.bundles_stored;
       }
       for (const KeyShareBundle& share : req.shares) {
-        if (store_ != nullptr) {
-          // DAUTH_DISCLOSE(persisting the signed share bundle is the backup's entire job, §4.2.1)
-          store_->put("share/" + req.home_network.str() + "/" + share.supi.str() + "/" +
-                          to_hex(share.hxres_star),
-                      share.encode());
-        }
+        SharedBatch batch = batch_of(share);
         users_[{req.home_network, share.supi}].shares[share.hxres_star] = {
             share.share.x, share.batch.leaf_index, Secret<32>(ByteView(share.share.y)),
-            batch_of(share.batch)};
+            std::move(batch)};
         ++metrics_.bundles_stored;
       }
+      for (const auto& [user, batch] : stored) persist_batch(user, batch);
       if (journal_ != nullptr && (!req.vectors.empty() || !req.shares.empty())) {
         journal_->append(obs::EventKind::kBundleStored, id_.str(),
                          req.home_network.str(),
@@ -325,23 +259,64 @@ void BackupNetwork::handle_store(ByteView request, sim::Responder responder) {
   });
 }
 
+AuthVectorBundle BackupNetwork::leaf_bundle(const UserKey& user, const HeldVector& held) {
+  return {user.home,       user.supi,  held.sqn, held.rand, held.autn,
+          held.hxres_star, held.flood, {},       {}};
+}
+
+KeyShareBundle BackupNetwork::leaf_bundle(const UserKey& user, const ByteArray<16>& hxres,
+                                          const HeldShare& held) {
+  return {user.home, user.supi, hxres, {held.x, SecretBytes(ByteView(held.y))}, {}, {}};
+}
+
 Bytes BackupNetwork::served(const UserKey& user, const HeldVector& held) {
-  const AuthVectorBundle bundle{user.home, user.supi, held.sqn, held.rand, held.autn,
-                                held.hxres_star, held.flood, held.batch->position(held.leaf),
-                                held.batch->signature};
+  AuthVectorBundle bundle = leaf_bundle(user, held);
+  bundle.batch = held.batch->position(held.leaf);
+  bundle.home_signature = held.batch->signature;
   return bundle.encode();
 }
 
 KeyShareBundle BackupNetwork::served(const UserKey& user, const ByteArray<16>& hxres,
                                      const HeldShare& held) {
-  return {user.home, user.supi, hxres, {held.x, SecretBytes(ByteView(held.y))},
-          held.batch->position(held.leaf), held.batch->signature};
+  KeyShareBundle bundle = leaf_bundle(user, hxres, held);
+  bundle.batch = held.batch->position(held.leaf);
+  bundle.home_signature = held.batch->signature;
+  return bundle;
 }
 
-void BackupNetwork::release_batch(const NetworkId& home, const SharedBatch& batch) {
-  if (store_ != nullptr && batch.use_count() == 1 && !lone(*batch)) {
-    store_->erase(batch_record(home.str(), batch->tree));
+void BackupNetwork::persist_batch(const UserKey& user, const SharedBatch& batch) {
+  if (store_ == nullptr) return;
+  // By root, not by pointer: a batch stored twice is one record.
+  const auto of_batch = [&](const SharedBatch& other) {
+    return other->tree.root() == batch->tree.root();
+  };
+  BatchRecord record;
+  if (const auto it = users_.find(user); it != users_.end()) {
+    for (const HeldVector& held : it->second.vectors) {
+      if (of_batch(held.batch)) {
+        record.vectors.push_back(
+            {held.leaf, held.sqn, held.rand, held.autn, held.hxres_star, held.flood});
+      }
+    }
+    for (const auto& [hxres, held] : it->second.shares) {
+      if (of_batch(held.batch)) record.shares.push_back({held.leaf, hxres, held.x, held.y});
+    }
   }
+  const std::string name = batch_record(user.home.str(), batch->tree);
+  if (record.vectors.empty() && record.shares.empty()) {
+    store_->erase(name);
+    return;
+  }
+  record.supi = user.supi;
+  record.batch_index = batch->batch_index;
+  record.batch_count = batch->batch_count;
+  record.signature = batch->signature;
+  record.round = batch->round;
+  const auto leaves = batch->tree.leaves();
+  record.leaves.reserve(leaves.size() * sizeof(crypto::Sha256Digest));
+  for (const auto& leaf : leaves) record.leaves.insert(record.leaves.end(), leaf.begin(), leaf.end());
+  // DAUTH_DISCLOSE(persisting its shares of K_seaf is the backup's entire job, §4.2.1)
+  store_->put(name, wire::encode(record));
 }
 
 void BackupNetwork::handle_get_vector(ByteView request, sim::Responder responder) {
@@ -391,11 +366,7 @@ void BackupNetwork::handle_get_vector(ByteView request, sim::Responder responder
       }
       const HeldVector held = std::move(user.vectors.front());
       user.vectors.pop_front();
-      if (store_ != nullptr) {
-        store_->erase("vec/" + id.home.str() + "/" + supi.str() + "/" +
-                      to_hex(held.hxres_star));
-      }
-      release_batch(id.home, held.batch);
+      persist_batch(id, held.batch);
       ++metrics_.vectors_served;
       if (journal_ != nullptr) {
         journal_->append(obs::EventKind::kVectorServed, id_.str(), supi.str());
@@ -448,8 +419,9 @@ void BackupNetwork::handle_get_share(ByteView request, sim::Responder responder)
         auto& vectors = user.vectors;
         for (auto vec_it = vectors.begin(); vec_it != vectors.end(); ++vec_it) {
           if (ct_equal(vec_it->hxres_star, proof.hxres_star)) {
-            release_batch(id.home, vec_it->batch);
+            const SharedBatch batch = vec_it->batch;
             vectors.erase(vec_it);
+            persist_batch(id, batch);
             break;
           }
         }
@@ -494,30 +466,30 @@ void BackupNetwork::handle_revoke_shares(ByteView request, sim::Responder respon
     return;
   }
 
-  const auto user_it = users_.find({req.home_network, req.supi});
-  if (user_it != users_.end()) {
+  const UserKey user{req.home_network, req.supi};
+  if (const auto user_it = users_.find(user); user_it != users_.end()) {
     auto& shares = user_it->second.shares;
+    auto& vectors = user_it->second.vectors;
+    std::vector<SharedBatch> touched;  // each written once, after every drop
+    const auto touch = [&](const SharedBatch& batch) {
+      if (std::ranges::find(touched, batch) == touched.end()) touched.push_back(batch);
+    };
     for (const auto& hxres : req.hxres_indices) {
       if (const auto share_it = shares.find(hxres); share_it != shares.end()) {
-        release_batch(req.home_network, share_it->second.batch);
+        touch(share_it->second.batch);
         shares.erase(share_it);
         ++metrics_.shares_revoked;
       }
       // Also drop a matching stored vector (flood-vector replacement path).
-      auto& vectors = user_it->second.vectors;
       for (auto it = vectors.begin(); it != vectors.end(); ++it) {
         if (ct_equal(it->hxres_star, hxres)) {
-          release_batch(req.home_network, it->batch);
+          touch(it->batch);
           vectors.erase(it);
           break;
         }
       }
-      if (store_ != nullptr) {
-        const std::string index = to_hex(hxres);
-        store_->erase("share/" + req.home_network.str() + "/" + req.supi.str() + "/" + index);
-        store_->erase("vec/" + req.home_network.str() + "/" + req.supi.str() + "/" + index);
-      }
     }
+    for (const SharedBatch& batch : touched) persist_batch(user, batch);
   }
   if (journal_ != nullptr && !req.hxres_indices.empty()) {
     journal_->append(obs::EventKind::kRevocation, id_.str(), req.supi.str(),

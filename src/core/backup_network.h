@@ -29,10 +29,66 @@ class EventJournal;
 
 namespace dauth::core {
 
+/// A held vector's own fields in a BatchRecord: its leaf index, then every
+/// signed field its user and batch do not give.
+struct VectorLeaf {
+  std::uint16_t leaf = 0;
+  std::uint64_t sqn = 0;
+  crypto::Rand rand{};
+  aka::Autn autn{};
+  ByteArray<16> hxres_star{};
+  bool flood = false;
+
+  template <typename F, typename Self>
+  static void fields(F& f, Self& m) {
+    f.field(m.leaf, m.sqn, m.rand, m.autn, m.hxres_star, m.flood);
+  }
+};
+
+/// A held key share's own fields in a BatchRecord.
+struct ShareLeaf {
+  std::uint16_t leaf = 0;
+  ByteArray<16> hxres_star{};
+  std::uint8_t x = 0;
+  Secret<32> y;
+
+  template <typename F, typename Self>
+  static void fields(F& f, Self& m) {
+    f.field(m.leaf, m.hxres_star, m.x);
+    f.field(m.y);  // DAUTH_DISCLOSE(Shamir share ordinate: below-threshold subsets reveal nothing, §4.1)
+  }
+};
+
+/// A backup's persisted record of one held batch, the value of
+/// "batch/<home>/<batch root>" in its store: the fields every bundle of the
+/// batch shares, as a BundleBatch holds them, then only the leaves the
+/// backup still holds, each with nothing but its own fields. Every batch is
+/// one user's (split_batches), and a lone bundle is a one-leaf batch. The
+/// bundles served after a restart are rebuilt from it, byte for byte.
+struct BatchRecord {
+  Supi supi;
+  std::uint16_t batch_index = 0;
+  std::uint16_t batch_count = 1;
+  crypto::Ed25519Signature signature{};
+  std::vector<crypto::Sha256Digest> round;  // the round path
+  /// Every leaf hash of the batch, held or not, 32 bytes each: the tree a
+  /// served path is cut from. One byte string, since a hash list on the
+  /// wire is a path of at most 32 and a batch may have 65,535 leaves.
+  Bytes leaves;
+  std::vector<VectorLeaf> vectors;
+  std::vector<ShareLeaf> shares;
+
+  template <typename F, typename Self>
+  static void fields(F& f, Self& m) {
+    f.field(m.supi, m.batch_index, m.batch_count, m.signature, m.round, m.leaves, m.vectors);
+    f.field(m.shares);  // DAUTH_DISCLOSE(a held batch's record keeps the backup's own shares of K_seaf, §4.2.1)
+  }
+};
+
 class BackupNetwork {
  public:
   /// `store` may be null (ephemeral); when set, all delegated material
-  /// (vectors, key shares, pending proofs, per-home keys) is persisted and
+  /// (held batches, pending proofs, per-home keys) is persisted and
   /// restored on construction — a restarted daemon picks up where it left
   /// off (§5.1: "It uses SQLite to store persistent state").
   BackupNetwork(sim::Rpc& rpc, sim::NodeIndex node, NetworkId id,
@@ -71,8 +127,8 @@ class BackupNetwork {
     }
   };
   /// A stored bundle's batch: the fields every bundle of the batch shares
-  /// (Merkle tree, round position, round path, round signature), held once.
-  /// A lone bundle is a one-leaf batch.
+  /// (Merkle tree, round position, round path, round signature), held once,
+  /// in memory as in its BatchRecord. A lone bundle is a one-leaf batch.
   using SharedBatch = std::shared_ptr<const BundleBatch>;
   /// A stored vector holds only its own leaf's fields; served() rebuilds
   /// the signed bundle from them, its user and its batch.
@@ -119,15 +175,22 @@ class BackupNetwork {
   /// simulator queue drains once nothing is pending.
   void arm_report(const NetworkId& home);
   void persist_proof(const NetworkId& home, const UsageProof& proof);
+  /// A held bundle's signed fields, rebuilt from its leaf and its user,
+  /// without its position or signature.
+  static AuthVectorBundle leaf_bundle(const UserKey& user, const HeldVector& held);
+  static KeyShareBundle leaf_bundle(const UserKey& user, const ByteArray<16>& hxres,
+                                    const HeldShare& held);
   /// The exact bundle the home signed, rebuilt from the held fields and
   /// the batch, its inclusion path (in-batch, then round) attached: a
   /// vector encoded, a share decoded (it rides inside a ShareReply).
   static Bytes served(const UserKey& user, const HeldVector& held);
   static KeyShareBundle served(const UserKey& user, const ByteArray<16>& hxres,
                                const HeldShare& held);
-  /// Called before a held bundle is dropped: erases the persisted batch
-  /// record once no stored bundle references the batch any more.
-  void release_batch(const NetworkId& home, const SharedBatch& batch);
+  /// Writes `batch`'s BatchRecord from what `user` still holds of it, or
+  /// erases the record when nothing is left. Every change to a batch's
+  /// held leaves (store, serve, flood-copy drop, revoke) ends here, once
+  /// per batch.
+  void persist_batch(const UserKey& user, const SharedBatch& batch);
   /// Rebuilds in-memory state from the persistent store (called at
   /// construction when a store is present).
   void restore_from_store();

@@ -207,6 +207,7 @@ std::optional<std::vector<BundleBatch>> split_batches(const StoreMaterialRequest
   struct Open {
     BatchPath position;  // the first bundle's, without a path
     crypto::Ed25519Signature signature;
+    const Supi* supi;  // the first bundle's
     std::vector<crypto::Sha256Digest> leaves;
   };
   const std::size_t total = request.vectors.size() + request.shares.size();
@@ -222,13 +223,13 @@ std::optional<std::vector<BundleBatch>> split_batches(const StoreMaterialRequest
           request.round.size() != crypto::merkle_path_length(path.batch_index, path.batch_count)) {
         return false;
       }
-      open = Open{path, bundle.home_signature, {}};
+      open = Open{path, bundle.home_signature, &bundle.supi, {}};
       open->leaves.reserve(path.leaf_count);
     } else if (path.leaf_index != open->leaves.size() ||
                path.leaf_count != open->position.leaf_count ||
                path.batch_index != open->position.batch_index ||
                path.batch_count != open->position.batch_count ||
-               bundle.home_signature != open->signature) {
+               bundle.home_signature != open->signature || bundle.supi != *open->supi) {
       return false;
     }
     open->leaves.push_back(bundle.leaf_hash());

@@ -221,10 +221,10 @@ struct BundleBatch {
 /// their positions declare, in order, hashing each bundle once: a batch's
 /// bundles are the request's next `tree.leaf_count()`. nullopt for a
 /// request without bundles (its other fields are unsigned) and when the
-/// positions are inconsistent: a gap, a leaf count, round position or
-/// signature that changes inside a batch, a carried path, a round path
-/// whose length does not fit a batch's round position, or a bundle of
-/// another home network.
+/// positions are inconsistent: a gap, a leaf count, round position,
+/// signature or user that changes inside a batch (a batch is one user's), a
+/// carried path, a round path whose length does not fit a batch's round
+/// position, or a bundle of another home network.
 std::optional<std::vector<BundleBatch>> split_batches(const StoreMaterialRequest& request);
 
 /// serving -> home or backup: request the next auth vector for a user.

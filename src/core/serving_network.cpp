@@ -714,12 +714,8 @@ void ServingNetwork::handle_handover_context(ByteView frame, sim::Responder resp
     return;
   }
 
-  const auto session_it = guti_table_.find(request.guti);
-  if (session_it == guti_table_.end()) {
-    responder.fail(sim::AppErrorCode::kNotFound, "unknown session");
-    return;
-  }
-
+  // The target's signature is checked before the session is looked up, so
+  // a caller it does not authenticate learns nothing of which GUTIs are live.
   directory_.get_network(request.target, [this, request, responder](
                                              std::optional<directory::NetworkEntry> target) {
     if (!target ||

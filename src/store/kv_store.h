@@ -3,8 +3,8 @@
 // This fills the role SQLite plays in the paper's prototype (§5.1): each
 // dAuth daemon persists subscriber keys, sequence-number state, delegated
 // vectors/key shares and pending auth-event reports so they survive a node
-// restart. Keys are namespaced strings ("vectors/<supi>/<idx>"), values are
-// opaque byte strings produced by wire::Writer.
+// restart. Keys are namespaced strings (a backup's "batch/<home>/<batch
+// root>"), values are opaque byte strings, each a record's wire encoding.
 //
 // Two modes:
 //   * KvStore(path) — durable; every mutation appends to the WAL, state is

@@ -93,6 +93,26 @@ TEST(StandaloneCore, UnknownSubscriberFails) {
   EXPECT_EQ(core.metrics().attaches_failed, 1u);
 }
 
+TEST(StandaloneCore, LteAttachOfAForeignSupiConfirmsKey) {
+  // EPS AKA binds K_ASME to the SERVING network's PLMN (TS 33.401), which
+  // the UE takes from the cell it camps on: a subscriber whose SUPI names
+  // another PLMN (901/55 here, the core serves 315/010) still confirms its
+  // key.
+  Fixture f;
+  StandaloneCore core(f.rpc, f.core_node, "edge", f.cfg, 1);
+  const auto keys = make_keys(1);
+  core.provision_subscriber(kAlice, keys);
+  core.bind_services();
+
+  auto profile = ran::emulated_ran_profile(f.cfg.serving_network_name);
+  profile.lte = true;
+  ran::Ue ue(f.rpc, f.ran_node, f.core_node, kAlice, keys, profile);
+  const auto record = f.attach(ue);
+  EXPECT_TRUE(record.success) << record.failure;
+  EXPECT_EQ(record.path, "local");
+  EXPECT_TRUE(record.key_confirmed);
+}
+
 TEST(StandaloneCore, RoamingViaRemoteHss) {
   Fixture f;
   StandaloneCore serving(f.rpc, f.core_node, "serving", f.cfg, 1);

@@ -8,6 +8,7 @@
 #include "aka/suci.h"
 #include "baseline/standalone_core.h"
 #include "common/rng.h"
+#include "core/backup_network.h"
 #include "core/home_network.h"
 #include "core/messages.h"
 #include "crypto/drbg.h"
@@ -293,6 +294,111 @@ TEST(FuzzDecode, HugeDeclaredLengthsAreBounded) {
   const Bytes frame = std::move(w).take();
   wire::Reader r(frame);
   EXPECT_THROW((void)r.bytes(), wire::WireError);
+}
+
+// ---- A backup's persisted batch record -------------------------------------
+
+/// A backup restored from `store` at construction, on a node of its own.
+struct RestoredBackup {
+  sim::Simulator simulator{1};
+  sim::Network network{simulator};
+  sim::Rpc rpc{network};
+  sim::NodeIndex node = network.add_node({});
+  directory::DirectoryClient directory{rpc, node, node};
+  BackupNetwork backup;
+
+  explicit RestoredBackup(store::KvStore& store)
+      : backup(rpc, node, NetworkId("backup"), directory, FederationConfig{}, &store) {}
+
+  std::size_t held() const {
+    const Supi supi("315010000000001");
+    return backup.stored_vectors(NetworkId("home"), supi) +
+           backup.stored_shares(NetworkId("home"), supi);
+  }
+};
+
+/// Batch 1 of a three-batch round of five vectors and two shares, as the
+/// BatchRecord of a backup that holds all of it, and its store key.
+std::pair<std::string, BatchRecord> valid_batch_record() {
+  std::vector<StoreMaterialRequest> round = signed_round();
+  for (StoreMaterialRequest& batch : round) {
+    for (std::uint8_t i = 0; i < 2; ++i) {
+      KeyShareBundle share;
+      share.home_network = batch.home_network;
+      share.supi = batch.vectors[i].supi;
+      share.hxres_star = batch.vectors[i].hxres_star;
+      share.hxres_star[15] = i;
+      share.share.x = 2;
+      share.share.y = Bytes(32, static_cast<std::uint8_t>(0x30 + i));
+      batch.shares.push_back(share);
+    }
+  }
+  sign_round(round, signer());
+  const StoreMaterialRequest& batch = round[1];
+  BatchRecord record;
+  record.supi = batch.vectors[0].supi;
+  record.batch_index = batch.vectors[0].batch.batch_index;
+  record.batch_count = batch.vectors[0].batch.batch_count;
+  record.signature = batch.vectors[0].home_signature;
+  record.round = batch.round;
+  std::vector<crypto::Sha256Digest> leaves;
+  const auto add_leaf = [&](const auto& bundle) {
+    leaves.push_back(bundle.leaf_hash());
+    record.leaves.insert(record.leaves.end(), leaves.back().begin(), leaves.back().end());
+  };
+  for (const AuthVectorBundle& v : batch.vectors) {
+    add_leaf(v);
+    record.vectors.push_back(
+        {v.batch.leaf_index, v.sqn, v.rand, v.autn, v.hxres_star, v.flood});
+  }
+  for (const KeyShareBundle& share : batch.shares) {
+    add_leaf(share);
+    record.shares.push_back({share.batch.leaf_index, share.hxres_star, share.share.x,
+                             Secret<32>(ByteView(share.share.y))});
+  }
+  const std::string key = "batch/" + batch.home_network.str() + "/" +
+                          to_hex(crypto::MerkleTree(std::move(leaves)).root());
+  return {key, std::move(record)};
+}
+
+TEST(FuzzDecode, BatchRecordTruncationsAndMutationsAreDroppedAtRestore) {
+  // A backup restores a held batch from its record only when every held
+  // leaf still hashes to the leaf the record lists for it: a truncated or
+  // mutated record is dropped whole, without an exception or an allocation
+  // sized by a corrupt count. Only the fields restore does not rehash (the
+  // round signature, round path and round position) may change and still
+  // restore, to a bundle the serving network then refuses.
+  const auto [key, record] = valid_batch_record();
+  const Bytes valid = wire::encode(record);
+  const auto restored_from = [&key = key](ByteView value) {
+    store::KvStore store;
+    store.put(key, value);
+    return RestoredBackup(store).held();
+  };
+  ASSERT_EQ(restored_from(valid), 7u);
+
+  expect_all_truncations_throw(valid, [](ByteView d) { return wire::decode<BatchRecord>(d); });
+  for (std::size_t len = 0; len < valid.size(); ++len) {
+    EXPECT_EQ(restored_from(ByteView(valid.data(), len)), 0u) << "prefix length " << len;
+  }
+
+  Xoshiro256StarStar rng(0xba7c);
+  for (int trial = 0; trial < 500; ++trial) {
+    Bytes mutated = valid;
+    const std::size_t pos = rng.next_below(mutated.size());
+    mutated[pos] ^= static_cast<std::uint8_t>(1 + rng.next_below(255));
+    std::size_t held = 0;
+    ASSERT_NO_THROW(held = restored_from(mutated)) << "mutation at " << pos;
+    if (held == 0) continue;
+    EXPECT_EQ(held, 7u) << "mutation at " << pos;
+    // Restored: the mutation left every rehashed byte as it was.
+    auto unhashed = wire::decode<BatchRecord>(mutated);
+    unhashed.batch_index = record.batch_index;
+    unhashed.batch_count = record.batch_count;
+    unhashed.signature = record.signature;
+    unhashed.round = record.round;
+    EXPECT_EQ(wire::encode(unhashed), valid) << "mutation at " << pos;
+  }
 }
 
 }  // namespace

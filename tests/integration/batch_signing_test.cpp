@@ -200,6 +200,14 @@ TEST(BatchSigning, BackupRejectsForgedBatches) {
            }},
           {"round that disagrees with its bundles",
            [](core::StoreMaterialRequest& r) { r.round[1][0] ^= 1; }},
+          {"home-signed batch of two users",
+           [&](core::StoreMaterialRequest& r) {
+             // A batch is one user's: a backup persists it under that user.
+             auto round = fresh_round(f, kBob, 1, home_keys);
+             round[1].shares[1].supi = kAlice;
+             core::sign_round(round, home_keys);
+             r = round[1];
+           }},
       };
   for (const auto& [name, attack] : attacks) {
     core::StoreMaterialRequest req = fresh_batch(f, kBob, 1, home_keys);
@@ -590,8 +598,10 @@ TEST(BatchSigning, BatchRecordIsErasedWithItsLastBundle) {
   core::RevokeSharesRequest revoke;
   revoke.home_network = f.net(0).id();
   revoke.supi = kAlice;
-  for (const auto& key : durable.keys_with_prefix("share/")) {
-    revoke.hxres_indices.push_back(array_from_hex<16>(key.substr(key.rfind('/') + 1)));
+  for (const core::BatchRecord& record : held_records(durable)) {
+    for (const core::ShareLeaf& share : record.shares) {
+      revoke.hxres_indices.push_back(share.hxres_star);
+    }
   }
   revoke.home_signature = crypto::ed25519_sign(revoke.signed_payload(), f.net(0).signing_keys());
   f.rpc.call(f.net(0).node(), f.net(1).node(), "backup.revoke_shares", revoke.encode(), {},
@@ -716,8 +726,11 @@ TEST(BatchSigning, ReportRefillsEachUserWithOneRevokeAndOneRound) {
   core::RevokeSharesRequest revoke;
   revoke.home_network = home;
   revoke.supi = kAlice;
-  for (const auto& key : durable.keys_with_prefix("share/" + home.str() + "/" + kAlice.str())) {
-    revoke.hxres_indices.push_back(array_from_hex<16>(key.substr(key.rfind('/') + 1)));
+  for (const core::BatchRecord& held : held_records(durable)) {
+    if (held.supi != kAlice) continue;
+    for (const core::ShareLeaf& share : held.shares) {
+      revoke.hxres_indices.push_back(share.hxres_star);
+    }
   }
   revoke.home_signature = crypto::ed25519_sign(revoke.signed_payload(), f.net(0).signing_keys());
   f.rpc.call(f.net(0).node(), f.net(1).node(), "backup.revoke_shares", revoke.encode(), {},

@@ -12,8 +12,19 @@
 #include "core/dauth_node.h"
 #include "ran/gnb.h"
 #include "ran/ue.h"
+#include "store/kv_store.h"
+#include "wire/reader.h"
 
 namespace dauth::testing {
+
+/// Every held batch a store-backed backup has persisted, decoded.
+inline std::vector<core::BatchRecord> held_records(const store::KvStore& store) {
+  std::vector<core::BatchRecord> records;
+  for (const auto& key : store.keys_with_prefix("batch/")) {
+    records.push_back(wire::decode<core::BatchRecord>(store.get(key).value()));
+  }
+  return records;
+}
 
 struct Federation {
   sim::Simulator simulator;

@@ -159,6 +159,26 @@ TEST(Handover, ReplayedHandoverRequestIsRefused) {
   EXPECT_EQ(error.detail, "unknown session");
 }
 
+TEST(Handover, UnsignedContextRequestRevealsNoSession) {
+  // The source checks the target's signature before it looks the session
+  // up: a request it cannot attribute draws the same refusal for a live
+  // GUTI as for an unknown one, so no caller learns which GUTIs are live.
+  Federation f(5);
+  const auto keys = f.provision(kAlice, 0, {1, 2});
+  auto ue = attach_ue(f, keys, 3);
+  const std::uint64_t live = ue->guti()->value;
+
+  for (const std::uint64_t guti : {live, live + 1000}) {
+    core::HandoverContextRequest request{guti, f.net(4).id()};
+    request.signature = crypto::ed25519_sign(request.signed_payload(), f.net(4).signing_keys());
+    request.signature[0] ^= 1;
+    const sim::AppError error = fetch_context_error(f, 4, 3, request);
+    EXPECT_EQ(error.code, sim::AppErrorCode::kUnauthorized) << guti;
+    EXPECT_EQ(error.detail, "invalid target signature") << guti;
+  }
+  EXPECT_EQ(f.net(3).serving().session_count(), 1u);
+}
+
 TEST(Handover, UnlabelledContextSignatureIsRefused) {
   // The target's key signs the handover-context request under its domain
   // label. A signature over the same fields without the label, the form a

@@ -4,6 +4,7 @@
 
 #include <functional>
 
+#include "core/home_network.h"
 #include "federation_fixture.h"
 
 namespace dauth::testing {
@@ -166,6 +167,73 @@ TEST(Persistence, ConsumedVectorsStayConsumedAfterRestart) {
   EXPECT_EQ(restarted->stored_vectors(f.net(0).id(), kAlice), vectors_after_use);
 }
 
+/// Pulls the next stored vector for `supi` straight from a backup, as the
+/// serving network net-5 would receive it.
+core::AuthVectorBundle pull_vector(Federation& f, std::size_t backup, const Supi& supi) {
+  core::GetVectorRequest req;
+  req.serving_network = f.net(4).id();
+  req.supi = supi;
+  std::optional<core::AuthVectorBundle> bundle;
+  f.rpc.call(f.net(4).node(), f.net(backup).node(), "backup.get_vector", req.encode(), {},
+             [&](Bytes reply) { bundle = core::AuthVectorBundle::decode(reply); }, nullptr);
+  f.simulator.run();
+  return bundle.value();
+}
+
+/// Asks a backup for its share of `vector` with net-5's signed proof of use;
+/// true when the share is released.
+bool release_share(Federation& f, std::size_t backup, const core::AuthVectorBundle& vector,
+                   const aka::SubscriberKeys& keys) {
+  core::UsageProof proof;
+  proof.serving_network = f.net(4).id();
+  proof.supi = vector.supi;
+  proof.res_star =
+      aka::generate_auth_vector(keys, vector.sqn, vector.rand, f.config.serving_network_name)
+          .xres_star;
+  proof.hxres_star = core::hxres_index(proof.res_star);
+  proof.timestamp = f.simulator.now();
+  proof.serving_signature = crypto::ed25519_sign(proof.signed_payload(), f.net(4).signing_keys());
+  bool released = false;
+  f.rpc.call(f.net(4).node(), f.net(backup).node(), "backup.get_share", proof.encode(), {},
+             [&](Bytes) { released = true; }, nullptr);
+  f.simulator.run();
+  return released;
+}
+
+TEST(Persistence, FloodCopyDroppedByAProofStaysDropped) {
+  // §4.3: a flood vector goes to every backup. When net-3 serves it and
+  // net-2 releases its share against the proof, net-2 drops its own copy of
+  // the consumed vector; a restart must not bring that copy back, or net-2
+  // would serve it again and the SIM would refuse it as a replay.
+  PersistentFixture fixture;
+  Federation& f = fixture.f;
+  auto durable_backup = std::make_unique<core::BackupNetwork>(
+      f.rpc, f.net(1).node(), f.net(1).id(), f.net(1).directory(), f.config,
+      &fixture.durable);
+  durable_backup->bind_services();
+  const auto keys = f.provision(kAlice, 0, {1, 2, 3});
+  const NetworkId& home = f.net(0).id();
+
+  // Revoking net-4 floods a vector to net-2 and net-3.
+  bool revoked = false;
+  f.net(0).home().revoke_backup(f.net(3).id(), [&] { revoked = true; });
+  f.simulator.run();
+  ASSERT_TRUE(revoked);
+  ASSERT_EQ(durable_backup->stored_vectors(home, kAlice), f.config.vectors_per_backup + 1);
+
+  const core::AuthVectorBundle flood = pull_vector(f, 2, kAlice);
+  ASSERT_TRUE(flood.flood);
+  ASSERT_TRUE(release_share(f, 1, flood, keys));
+  ASSERT_EQ(durable_backup->stored_vectors(home, kAlice), f.config.vectors_per_backup);
+
+  durable_backup.reset();
+  auto restarted = fixture.restart_backup();
+  EXPECT_EQ(restarted->stored_vectors(home, kAlice), f.config.vectors_per_backup);
+  const core::AuthVectorBundle next = pull_vector(f, 1, kAlice);
+  EXPECT_FALSE(next.flood);
+  EXPECT_NE(next.hxres_star, flood.hxres_star);
+}
+
 TEST(Persistence, SuciKeySurvivesRestart) {
   PersistentFixture fixture;
   Federation& f = fixture.f;
@@ -194,13 +262,14 @@ TEST(Persistence, SuciKeySurvivesRestart) {
   (void)narrow;
 }
 
-TEST(Persistence, RestoreDropsABatchWhoseBundlesDisagree) {
-  // A batch record holds no round position or signature: the backup takes
-  // them from the batch's bundles, so a batch whose persisted bundles
-  // disagree on them is dropped whole at restore. Bob's batch is untouched.
-  const std::vector<std::pair<const char*, std::function<void(core::KeyShareBundle&)>>> edits = {
-      {"round signature", [](core::KeyShareBundle& b) { b.home_signature[0] ^= 1; }},
-      {"round position", [](core::KeyShareBundle& b) { b.batch.batch_index = 1; }},
+TEST(Persistence, RestoreDropsABatchWhoseLeafDoesNotHash) {
+  // Restore rehashes every held leaf from its fields, its user and its home,
+  // and drops the whole record when one is not the leaf hash the record
+  // lists for it: that bundle could not be served as the home signed it.
+  // Bob's batch is untouched.
+  const std::vector<std::pair<const char*, std::function<void(core::BatchRecord&)>>> edits = {
+      {"share ordinate", [](core::BatchRecord& r) { r.shares.at(1).y[0] ^= 1; }},
+      {"vector sqn", [](core::BatchRecord& r) { ++r.vectors.at(1).sqn; }},
   };
   for (const auto& [name, edit] : edits) {
     PersistentFixture fixture;
@@ -214,20 +283,68 @@ TEST(Persistence, RestoreDropsABatchWhoseBundlesDisagree) {
     const NetworkId& home = f.net(0).id();
     durable_backup.reset();
 
-    // net-2's batch of Alice's round sits in batch slot 0 of 3; slot 1 has a
-    // round path of the same length, so only the disagreement can refuse it.
-    const std::string key =
-        fixture.durable.keys_with_prefix("share/" + home.str() + "/" + kAlice.str()).front();
-    auto bundle = core::KeyShareBundle::decode(*fixture.durable.get(key));
-    ASSERT_EQ(bundle.batch.batch_index, 0u) << name;
-    edit(bundle);
-    fixture.durable.put(key, bundle.encode());
+    std::size_t edited = 0;
+    for (const auto& key : fixture.durable.keys_with_prefix("batch/")) {
+      auto record = wire::decode<core::BatchRecord>(fixture.durable.get(key).value());
+      if (record.supi != kAlice) continue;
+      edit(record);
+      fixture.durable.put(key, wire::encode(record));
+      ++edited;
+    }
+    ASSERT_EQ(edited, 1u) << name;
 
     auto restarted = fixture.restart_backup();
     EXPECT_EQ(restarted->stored_vectors(home, kAlice), 0u) << name;
     EXPECT_EQ(restarted->stored_shares(home, kAlice), 0u) << name;
     EXPECT_EQ(restarted->stored_vectors(home, kBob), f.config.vectors_per_backup) << name;
     EXPECT_EQ(restarted->stored_shares(home, kBob), 3 * f.config.vectors_per_backup) << name;
+  }
+}
+
+TEST(Persistence, StoreHoldsOneRecordPerBatch) {
+  // A backup persists each held batch once, at its information content: no
+  // record per bundle, and no field two bundles share stored twice.
+  PersistentFixture fixture;
+  Federation& f = fixture.f;
+  auto durable_backup = std::make_unique<core::BackupNetwork>(
+      f.rpc, f.net(1).node(), f.net(1).id(), f.net(1).directory(), f.config,
+      &fixture.durable);
+  durable_backup->bind_services();
+  f.provision(kAlice, 0, {1, 2, 3});
+  f.provision(kBob, 0, {1, 2, 3});
+  const NetworkId& home = f.net(0).id();
+
+  EXPECT_TRUE(fixture.durable.keys_with_prefix("vec/").empty());
+  EXPECT_TRUE(fixture.durable.keys_with_prefix("share/").empty());
+  // Each user's round put one batch here: its own vectors, then its share
+  // of every vector of the round.
+  const auto keys = fixture.durable.keys_with_prefix("batch/");
+  ASSERT_EQ(keys.size(), 2u);
+  const std::size_t vectors = f.config.vectors_per_backup;
+  const std::size_t shares = 3 * f.config.vectors_per_backup;
+  for (const auto& key : keys) {
+    const Bytes value = fixture.durable.get(key).value();
+    const auto record = wire::decode<core::BatchRecord>(value);
+    EXPECT_EQ(record.vectors.size(), vectors);
+    EXPECT_EQ(record.shares.size(), shares);
+    EXPECT_EQ(record.leaves.size(), 32 * (vectors + shares));
+    EXPECT_EQ(durable_backup->stored_vectors(home, record.supi), vectors);
+    EXPECT_EQ(durable_backup->stored_shares(home, record.supi), shares);
+    // Per held leaf: its hash (32), and a vector's framed fields (4 + leaf
+    // 2 + sqn 8 + RAND, AUTN, H(XRES*) 3 x 16 + flood 1 = 63) or a share's
+    // (4 + leaf 2 + H(XRES*) 16 + x 1 + y 32 = 55); once per batch the
+    // header: SUPI 4 + 15, round position 4, signature 64, a two-hash round
+    // path 1 + 64, and three counts 4 each. 1588 B for these 16 leaves, 99
+    // B a leaf, where a bundle record took 157-161 B and a 63 B key.
+    EXPECT_EQ(value.size(), (32 + 63) * vectors + (32 + 55) * shares + 164);
+    EXPECT_LE(value.size(), 100 * (vectors + shares));
+  }
+
+  // Serving a vector rewrites its batch's record without it.
+  (void)pull_vector(f, 1, kAlice);
+  for (const core::BatchRecord& record : held_records(fixture.durable)) {
+    EXPECT_EQ(record.vectors.size(), record.supi == kAlice ? vectors - 1 : vectors);
+    EXPECT_EQ(record.shares.size(), shares);
   }
 }
 

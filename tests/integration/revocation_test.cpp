@@ -193,16 +193,17 @@ TEST(Revocation, RoundQueuedAcrossARevocation) {
   for (std::size_t b : {2u, 3u, 4u}) {
     std::size_t own = 0;
     std::size_t floods = 0;
-    for (const auto& key : stores[b].keys_with_prefix("vec/")) {
-      const auto vector = core::AuthVectorBundle::decode(*stores[b].get(key));
-      if (vector.flood) {
-        EXPECT_EQ(aka::sqn_slice(vector.sqn), 1) << "net-" << b + 1;
-        ++floods;
-      } else {
-        EXPECT_EQ(aka::sqn_slice(vector.sqn), static_cast<int>(b)) << "net-" << b + 1;
-        ++own;
+    for (const core::BatchRecord& record : held_records(stores[b])) {
+      for (const core::VectorLeaf& vector : record.vectors) {
+        if (vector.flood) {
+          EXPECT_EQ(aka::sqn_slice(vector.sqn), 1) << "net-" << b + 1;
+          ++floods;
+        } else {
+          EXPECT_EQ(aka::sqn_slice(vector.sqn), static_cast<int>(b)) << "net-" << b + 1;
+          ++own;
+        }
+        vectors.insert(to_hex(vector.hxres_star));
       }
-      vectors.insert(to_hex(vector.hxres_star));
     }
     EXPECT_EQ(own, f.config.vectors_per_backup) << "net-" << b + 1;
     EXPECT_EQ(floods, 1u) << "net-" << b + 1;
@@ -213,8 +214,8 @@ TEST(Revocation, RoundQueuedAcrossARevocation) {
   // home does not track.
   for (std::size_t b : {2u, 3u, 4u}) {
     std::set<std::string> shares;
-    for (const auto& key : stores[b].keys_with_prefix("share/")) {
-      shares.insert(key.substr(key.rfind('/') + 1));
+    for (const core::BatchRecord& record : held_records(stores[b])) {
+      for (const core::ShareLeaf& share : record.shares) shares.insert(to_hex(share.hxres_star));
     }
     EXPECT_EQ(shares, vectors) << "net-" << b + 1;
     EXPECT_EQ(remaining[b - 2]->stored_shares(home, kAlice), vectors.size()) << "net-" << b + 1;

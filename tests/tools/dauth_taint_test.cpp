@@ -152,6 +152,22 @@ TEST(TaintT1, FieldListSecretMemberReachesEncoder) {
   EXPECT_EQ(a.findings[0].line, 5);
 }
 
+TEST(TaintT1, FieldListSecretTypedMemberReachesEncoder) {
+  // A member declared Secret<N> is secret whatever its name: the ordinate
+  // `y` of a persisted share reaches the encoder through `m.y`.
+  const auto a = run("struct ShareLeaf {\n"
+                     "  std::uint8_t x = 0;\n"
+                     "  Secret<32> y;\n"
+                     "  template <typename F, typename Self>\n"
+                     "  static void fields(F& f, Self& m) {\n"
+                     "    f.field(m.x);\n"
+                     "    f.field(m.y);\n"
+                     "  }\n"
+                     "};");
+  ASSERT_EQ(count_rule(a, "T1"), 1);
+  EXPECT_EQ(a.findings[0].line, 7);
+}
+
 TEST(TaintT2, ToHexOfSecret) {
   const auto a = run("std::string f() { return to_hex(opc_value); }");
   EXPECT_TRUE(has_rule(a, "T2"));

@@ -62,7 +62,6 @@ tools/check_disclosures.sh build/tools/dauth-taint
 WIRE_SITES="\
 src/store/kv_store.cpp 4 the WAL's op-tagged records and the snapshot
 src/obs/journal.cpp 2 the journal's Event record
-src/core/backup_network.cpp 2 the batch record with its u32-counted leaf list
 src/core/messages.cpp 1 the round payload a home signature covers, built from its parts"
 WIRE_FOUND="$(grep -rnE '\bwire::(Writer|Reader)\b' src --include='*.h' --include='*.cpp' \
   | grep -v '^src/wire/' | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' \

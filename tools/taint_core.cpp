@@ -852,11 +852,15 @@ struct Engine {
     const std::string root_type = var_type(c.comps[0]);
     if (!root_type.empty() && type_is_public(root_type)) return 0;
     // A member declared with a public type (a public key, a curve point) is
-    // public whatever its name, and so is anything inside it.
+    // public whatever its name, and so is anything inside it; one declared
+    // Secret<N>/SecretBytes is secret whatever its name.
+    std::uint64_t mask = 0;
     if (c.comps.size() > 1) {
       if (const TypeInfo* owner = owner_of(root_type)) {
         for (const auto& [mname, mtype] : owner->members) {
-          if (mname == c.comps[1] && type_is_public(mtype)) return 0;
+          if (mname != c.comps[1]) continue;
+          if (type_is_public(mtype)) return 0;
+          if (type_is_secret(mtype)) mask |= kSecretBit;
         }
       }
     }
@@ -869,7 +873,6 @@ struct Engine {
     // laundered even though the chain mentions a secret-named base.
     if (c.comps.size() > 1 && in_set(kSanitizers, c.comps.back())) return 0;
 
-    std::uint64_t mask = 0;
     for (const std::string& comp : c.comps) {
       if (lint::is_secret_component(comp)) mask |= kSecretBit;
     }
