@@ -90,12 +90,18 @@ struct DauthBench::Impl {
   std::unique_ptr<sim::FailureInjector> injector;
   std::vector<std::unique_ptr<ran::Ue>> ues;
   std::unique_ptr<ran::LoadGenerator> generator;
+  // Span ids come from their own stream: drawn from the simulator's RNG,
+  // every span would shift the simulation it traces.
+  Xoshiro256StarStar tracer_rng;
   std::unique_ptr<obs::Tracer> tracer;
   std::unique_ptr<obs::MetricsRegistry> registry;
   std::unique_ptr<obs::EventJournal> journal;
 
   explicit Impl(const DauthOptions& opts)
-      : options(opts), simulator(opts.seed), rpc(network, opts.rpc) {
+      : options(opts),
+        simulator(opts.seed),
+        rpc(network, opts.rpc),
+        tracer_rng(opts.seed ^ 0x74726163652d726eULL) {
     note_seed(opts.seed);
     placement = build_placement(network, opts.scenario, /*serving_workers=*/2);
     directory_server.bind(rpc, placement.directory_node);
@@ -154,8 +160,7 @@ struct DauthBench::Impl {
     // Observability goes live only now, so spans/events/counters describe
     // measured attaches rather than the provisioning storm.
     if (opts.trace) {
-      tracer = std::make_unique<obs::Tracer>([this] { return simulator.now(); },
-                                             &simulator.rng());
+      tracer = std::make_unique<obs::Tracer>([this] { return simulator.now(); }, &tracer_rng);
       registry = std::make_unique<obs::MetricsRegistry>();
       journal = std::make_unique<obs::EventJournal>([this] { return simulator.now(); });
       rpc.set_tracer(tracer.get());

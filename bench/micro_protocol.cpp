@@ -71,7 +71,7 @@ void BM_BundleEncodeDecode(benchmark::State& state) {
   const auto signer = crypto::ed25519_generate(rng);
   const auto bundle = make_bundle(rng, signer);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(AuthVectorBundle::decode(bundle.encode()));
+    benchmark::DoNotOptimize(wire::decode<AuthVectorBundle>(wire::encode(bundle)));
   }
 }
 BENCHMARK(BM_BundleEncodeDecode);
@@ -207,7 +207,7 @@ StoreMaterialRequest signed_request(std::size_t batches) {
 void BM_StoreRequestCodec(benchmark::State& state) {
   const StoreMaterialRequest request = signed_request(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(StoreMaterialRequest::decode(request.encode()));
+    benchmark::DoNotOptimize(wire::decode<StoreMaterialRequest>(wire::encode(request)));
   }
 }
 BENCHMARK(BM_StoreRequestCodec)->Arg(8);

@@ -1,11 +1,8 @@
 // The NAS frames between a UE and its serving core: the 5G-AKA
 // registration exchange of TS 24.501/TS 33.501, reduced to what this model
-// carries. ran::Ue, core::ServingNetwork and baseline::StandaloneCore all
-// send them with wire::encode and read them with wire::decode, so one UE
-// drives both systems:
-//   serving.attach_request    AttachRequest -> AttachReply
-//   serving.auth_response     AuthResponse  -> AuthResponseReply
-//   serving.handover_request  HandoverRequest -> HandoverReply   (§7.4)
+// carries, and the UE-facing serving.* services that carry them (declared
+// at the end). ran::Ue calls them; core::ServingNetwork and
+// baseline::StandaloneCore both serve them, so one UE drives both systems.
 #pragma once
 
 #include <cstdint>
@@ -15,6 +12,7 @@
 
 #include "aka/auth_vector.h"
 #include "common/ids.h"
+#include "sim/service.h"
 #include "wire/reader.h"
 #include "wire/writer.h"
 
@@ -118,5 +116,20 @@ struct HandoverReply {
     f.field(m.guti, m.counter, m.confirmation);
   }
 };
+
+// ---- Services -----------------------------------------------------------------
+// RRC connection setup before the first NAS message, and the
+// SecurityModeComplete / RegistrationAccept exchange after key agreement,
+// carry nothing here but cost real round trips.
+
+inline constexpr sim::Service<sim::Ack, sim::Ack> kRrcSetup{"serving.rrc_setup"};
+inline constexpr sim::Service<AttachRequest, AttachReply> kAttachRequest{
+    "serving.attach_request"};
+inline constexpr sim::Service<AuthResponse, AuthResponseReply> kAuthResponse{
+    "serving.auth_response"};
+inline constexpr sim::Service<sim::Ack, sim::Ack> kRegistrationComplete{
+    "serving.registration_complete"};
+inline constexpr sim::Service<HandoverRequest, HandoverReply> kHandoverRequest{
+    "serving.handover_request"};  // §7.4
 
 }  // namespace dauth::aka

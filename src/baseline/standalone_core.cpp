@@ -1,6 +1,5 @@
 #include "baseline/standalone_core.h"
 
-#include "aka/nas.h"
 #include "crypto/hmac.h"
 
 namespace dauth::baseline {
@@ -22,32 +21,23 @@ void StandaloneCore::provision_subscriber(const Supi& supi, const aka::Subscribe
 void StandaloneCore::set_remote_hss(sim::NodeIndex hss_node) { remote_hss_ = hss_node; }
 
 void StandaloneCore::bind_services() {
-  rpc_.register_service(node_, "serving.attach_request",
-                        [this](ByteView req, sim::Responder r) { handle_attach_request(req, r); });
-  rpc_.register_service(node_, "serving.auth_response",
-                        [this](ByteView req, sim::Responder r) { handle_auth_response(req, r); });
-  rpc_.register_service(node_, "hss.get_av",
-                        [this](ByteView req, sim::Responder r) { handle_hss_get_av(req, r); });
-  rpc_.register_service(node_, "serving.rrc_setup",
-                        [](ByteView, sim::Responder r) { r.reply({}); });
-  rpc_.register_service(node_, "serving.registration_complete",
-                        [this](ByteView, sim::Responder r) {
-                          rpc_.network().node(node_).execute(msf(1.5),
-                                                             [r] { r.reply({}); });
-                        });
+  sim::serve(rpc_, node_, aka::kAttachRequest,
+             std::bind_front(&StandaloneCore::handle_attach_request, this));
+  sim::serve(rpc_, node_, aka::kAuthResponse,
+             std::bind_front(&StandaloneCore::handle_auth_response, this));
+  sim::serve(rpc_, node_, kHssGetAv, std::bind_front(&StandaloneCore::handle_hss_get_av, this));
+  sim::serve(rpc_, node_, aka::kRrcSetup,
+             [](sim::Ack, sim::TypedResponder<sim::Ack> r) { r.reply({}); });
+  sim::serve(rpc_, node_, aka::kRegistrationComplete,
+             [this](sim::Ack, sim::TypedResponder<sim::Ack> r) {
+               rpc_.network().node(node_).execute(msf(1.5), [r] { r.reply({}); });
+             });
 }
 
-void StandaloneCore::handle_attach_request(ByteView frame, sim::Responder responder) {
+void StandaloneCore::handle_attach_request(aka::AttachRequest request,
+                                           sim::TypedResponder<aka::AttachReply> responder) {
   // The baseline reads the SUPI and the RAT only: it has no SUCI
   // concealment, and it always runs a full authentication, GUTI or not.
-  aka::AttachRequest request;
-  try {
-    request = wire::decode<aka::AttachRequest>(frame);
-  } catch (const wire::WireError&) {
-    responder.fail("malformed attach request");
-    return;
-  }
-
   auto attach = std::make_shared<Attach>();
   attach->id = next_attach_id_++;
   attach->supi = std::move(request.supi);
@@ -86,7 +76,7 @@ void StandaloneCore::handle_attach_request(ByteView frame, sim::Responder respon
           challenge = {av.rand, av.autn};
         }
         ++metrics_.local_auths;
-        attach->challenge_responder->reply(wire::encode(aka::AttachReply{attach->id, challenge}));
+        attach->challenge_responder->reply(aka::AttachReply{attach->id, challenge});
         attach->challenge_responder.reset();
       });
       return;
@@ -95,7 +85,7 @@ void StandaloneCore::handle_attach_request(ByteView frame, sim::Responder respon
     if (!remote_hss_) {
       ++metrics_.attaches_failed;
       attach->done = true;
-      attach->challenge_responder->fail("unknown subscriber");
+      attach->challenge_responder->fail(sim::AppErrorCode::kNotFound, "unknown subscriber");
       attaches_.erase(attach->id);
       return;
     }
@@ -103,51 +93,39 @@ void StandaloneCore::handle_attach_request(ByteView frame, sim::Responder respon
     // Traditional roaming: S6a/N12 round trip to the home HSS/AUSF. The home
     // network returns the complete vector, including XRES* and K_seaf.
     attach->roaming = true;
-    sim::RpcOptions options;
-    options.timeout = config_.hss_timeout;
+    auto options = sim::RpcOptions::oneshot(config_.hss_timeout);
+    options.use_breaker = false;
     options.force_new_connection = !config_.reuse_roaming_connections;
-    rpc_.call(
-        node_, *remote_hss_, "hss.get_av", wire::encode(HssVectorRequest{attach->supi}), options,
-        [this, attach](Bytes reply) {
-          if (attach->done || !attach->challenge_responder) return;
-          HssVectorReply av;
-          try {
-            av = wire::decode<HssVectorReply>(reply);
-          } catch (const wire::WireError&) {
-            attach->challenge_responder->fail("malformed hss reply");
-            attaches_.erase(attach->id);
-            return;
-          }
-          attach->xres_star = av.xres_star;
-          attach->k_seaf = av.k_seaf;
-          ++metrics_.roaming_auths;
-          attach->challenge_responder->reply(
-              wire::encode(aka::AttachReply{attach->id, aka::Challenge{av.rand, av.autn}}));
-          attach->challenge_responder.reset();
-        },
-        [this, attach](sim::RpcError error) {
-          if (attach->done || !attach->challenge_responder) return;
-          ++metrics_.attaches_failed;
-          attach->done = true;
-          attach->challenge_responder->fail("hss unreachable: " + error.message);
-          attaches_.erase(attach->id);
-        });
+    sim::TypedStub(rpc_, node_, kHssGetAv)
+        .call(*remote_hss_, HssVectorRequest{attach->supi}, options,
+              [this, attach](sim::CallResult<HssVectorReply> result) {
+                if (attach->done || !attach->challenge_responder) return;
+                if (!result.ok()) {
+                  ++metrics_.attaches_failed;
+                  attach->done = true;
+                  attach->challenge_responder->fail(
+                      sim::AppErrorCode::kUpstream,
+                      "hss vector fetch failed: " + result.error().message);
+                  attaches_.erase(attach->id);
+                  return;
+                }
+                attach->xres_star = result->xres_star;
+                attach->k_seaf = result->k_seaf;
+                ++metrics_.roaming_auths;
+                attach->challenge_responder->reply(
+                    aka::AttachReply{attach->id, aka::Challenge{result->rand, result->autn}});
+                attach->challenge_responder.reset();
+              });
   });
 }
 
-void StandaloneCore::handle_auth_response(ByteView frame, sim::Responder responder) {
-  aka::AuthResponse response;
-  try {
-    response = wire::decode<aka::AuthResponse>(frame);
-  } catch (const wire::WireError&) {
-    responder.fail("malformed auth response");
-    return;
-  }
+void StandaloneCore::handle_auth_response(aka::AuthResponse response,
+                                          sim::TypedResponder<aka::AuthResponseReply> responder) {
   const auto& [attach_id, res_star, auts] = response;
 
   const auto it = attaches_.find(attach_id);
   if (it == attaches_.end()) {
-    responder.fail("unknown attach id");
+    responder.fail(sim::AppErrorCode::kNotFound, "unknown attach id");
     return;
   }
   const std::shared_ptr<Attach> attach = it->second;
@@ -159,20 +137,13 @@ void StandaloneCore::handle_auth_response(ByteView frame, sim::Responder respond
   attaches_.erase(attach_id);
 }
 
-void StandaloneCore::handle_hss_get_av(ByteView frame, sim::Responder responder) {
-  Supi supi;
-  try {
-    supi = wire::decode<HssVectorRequest>(frame).supi;
-  } catch (const wire::WireError&) {
-    responder.fail("malformed hss request");
-    return;
-  }
-
+void StandaloneCore::handle_hss_get_av(HssVectorRequest request,
+                                       sim::TypedResponder<HssVectorReply> responder) {
   const Time hss_cost = config_.costs.vector_generation + config_.costs.hss_roaming_overhead;
-  rpc_.network().node(node_).execute(hss_cost, [this, supi, responder] {
+  rpc_.network().node(node_).execute(hss_cost, [this, supi = std::move(request.supi), responder] {
     const auto it = subscribers_.find(supi);
     if (it == subscribers_.end()) {
-      responder.fail("unknown subscriber");
+      responder.fail(sim::AppErrorCode::kNotFound, "unknown subscriber");
       return;
     }
     Subscriber& subscriber = it->second;
@@ -182,11 +153,12 @@ void StandaloneCore::handle_hss_get_av(ByteView frame, sim::Responder responder)
                                   rand, config_.serving_network_name);
     ++metrics_.hss_requests_served;
     // DAUTH_DISCLOSE(baseline 5G AKA ships XRES* and K_seaf to the serving core; dAuth exists to remove this trust)
-    responder.reply(wire::encode(HssVectorReply{av.rand, av.autn, av.xres_star, av.k_seaf}));
+    responder.reply(HssVectorReply{av.rand, av.autn, av.xres_star, av.k_seaf});
   });
 }
 
-void StandaloneCore::finish(const std::shared_ptr<Attach>& attach, sim::Responder responder,
+void StandaloneCore::finish(const std::shared_ptr<Attach>& attach,
+                            const sim::TypedResponder<aka::AuthResponseReply>& responder,
                             bool success, const std::string& failure) {
   attach->done = true;
   if (success) {
@@ -195,9 +167,9 @@ void StandaloneCore::finish(const std::shared_ptr<Attach>& attach, sim::Responde
     ++metrics_.attaches_failed;
   }
   // The baseline does not assign GUTIs in this model.
-  responder.reply(wire::encode(aka::AuthResponseReply{aka::Outcome{
+  responder.reply(aka::AuthResponseReply{aka::Outcome{
       success, attach->roaming ? "roaming" : "local",
-      crypto::hmac_sha256(attach->k_seaf, as_bytes("dauth-smc")), failure, Guti{}}}));
+      crypto::hmac_sha256(attach->k_seaf, as_bytes("dauth-smc")), failure, Guti{}}});
 }
 
 }  // namespace dauth::baseline

@@ -9,8 +9,8 @@
 //     persistent gRPC channels) opens an on-demand connection per request
 //     (§6.3.2).
 //
-// The UE-facing frames are aka/nas.h's, as at core::ServingNetwork, so the
-// same ran::Ue drives both systems; "hss.get_av" is the two structs below.
+// The UE-facing services are aka/nas.h's, as at core::ServingNetwork, so
+// the same ran::Ue drives both systems; "hss.get_av" is declared below.
 #pragma once
 
 #include <map>
@@ -18,12 +18,13 @@
 #include <string_view>
 
 #include "aka/auth_vector.h"
+#include "aka/nas.h"
 #include "aka/sqn.h"
 #include "common/ids.h"
 #include "core/config.h"
 #include "crypto/drbg.h"
 #include "crypto/kdf_3gpp.h"
-#include "sim/rpc.h"
+#include "sim/service.h"
 
 namespace dauth::baseline {
 
@@ -51,6 +52,8 @@ struct HssVectorReply {
     f.field(m.k_seaf);  // DAUTH_DISCLOSE(baseline 5G AKA ships K_seaf to the serving core; dAuth exists to remove this trust)
   }
 };
+
+inline constexpr sim::Service<HssVectorRequest, HssVectorReply> kHssGetAv{"hss.get_av"};
 
 /// The PLMN the baseline core serves. EPS AKA binds K_ASME to it (TS
 /// 33.401), and the default serving_network_name names it.
@@ -87,8 +90,7 @@ class StandaloneCore {
   /// `hss_node` (which must also be a StandaloneCore holding their keys).
   void set_remote_hss(sim::NodeIndex hss_node);
 
-  /// Registers "serving.attach_request" / "serving.auth_response" /
-  /// "hss.get_av" on the node.
+  /// Serves aka/nas.h's serving.* services and hss.get_av on the node.
   void bind_services();
 
   const BaselineMetrics& metrics() const noexcept { return metrics_; }
@@ -101,7 +103,7 @@ class StandaloneCore {
     crypto::ResStar xres_star{};  // 4G: zero-padded 8-byte XRES
     crypto::Key256 k_seaf{};      // 4G: K_ASME
     bool roaming = false;
-    std::optional<sim::Responder> challenge_responder;
+    std::optional<sim::TypedResponder<aka::AttachReply>> challenge_responder;
     bool done = false;
   };
   struct Subscriber {
@@ -109,10 +111,13 @@ class StandaloneCore {
     aka::SqnAllocator sqn;
   };
 
-  void handle_attach_request(ByteView frame, sim::Responder responder);
-  void handle_auth_response(ByteView frame, sim::Responder responder);
-  void handle_hss_get_av(ByteView frame, sim::Responder responder);
-  void finish(const std::shared_ptr<Attach>& attach, sim::Responder responder, bool success,
+  void handle_attach_request(aka::AttachRequest request,
+                             sim::TypedResponder<aka::AttachReply> responder);
+  void handle_auth_response(aka::AuthResponse response,
+                            sim::TypedResponder<aka::AuthResponseReply> responder);
+  void handle_hss_get_av(HssVectorRequest request, sim::TypedResponder<HssVectorReply> responder);
+  void finish(const std::shared_ptr<Attach>& attach,
+              const sim::TypedResponder<aka::AuthResponseReply>& responder, bool success,
               const std::string& failure);
 
   sim::Rpc& rpc_;

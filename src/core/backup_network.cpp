@@ -1,6 +1,7 @@
 #include "core/backup_network.h"
 
 #include <algorithm>
+#include <functional>
 #include <set>
 
 #include "aka/suci.h"
@@ -43,8 +44,7 @@ BackupNetwork::BackupNetwork(sim::Rpc& rpc, sim::NodeIndex node, NetworkId id,
       id_(std::move(id)),
       directory_(directory),
       config_(std::move(config)),
-      store_(store),
-      report_stub_(rpc_, node_, "home.report") {
+      store_(store) {
   if (store_ != nullptr) restore_from_store();
 }
 
@@ -121,7 +121,7 @@ void BackupNetwork::restore_from_store() {
 
   for (const auto& key : store_->keys_with_prefix("proof/")) {
     try {
-      const auto proof = UsageProof::decode(*store_->get(key));
+      const auto proof = wire::decode<UsageProof>(*store_->get(key));
       // Recover the home id from the key: "proof/<home>/<hxres>".
       const std::string rest = key.substr(6);
       const auto slash = rest.find('/');
@@ -136,28 +136,19 @@ void BackupNetwork::restore_from_store() {
 }
 
 void BackupNetwork::bind_services() {
-  rpc_.register_service(node_, "backup.store", [this](ByteView req, sim::Responder r) {
-    handle_store(req, r);
-  });
-  rpc_.register_service(node_, "backup.get_vector", [this](ByteView req, sim::Responder r) {
-    handle_get_vector(req, r);
-  });
-  rpc_.register_service(node_, "backup.get_share", [this](ByteView req, sim::Responder r) {
-    handle_get_share(req, r);
-  });
-  rpc_.register_service(node_, "backup.revoke_shares",
-                        [this](ByteView req, sim::Responder r) { handle_revoke_shares(req, r); });
+  const auto malformed = [this] { ++metrics_.rejected_requests; };
+  sim::serve(rpc_, node_, kBackupStore,
+             std::bind_front(&BackupNetwork::handle_store, this), malformed);
+  sim::serve(rpc_, node_, kBackupGetVector,
+             std::bind_front(&BackupNetwork::handle_get_vector, this), malformed);
+  sim::serve(rpc_, node_, kBackupGetShare,
+             std::bind_front(&BackupNetwork::handle_get_share, this), malformed);
+  sim::serve(rpc_, node_, kBackupRevokeShares,
+             std::bind_front(&BackupNetwork::handle_revoke_shares, this), malformed);
 }
 
-void BackupNetwork::handle_store(ByteView request, sim::Responder responder) {
-  StoreMaterialRequest req;
-  try {
-    req = StoreMaterialRequest::decode(request);
-  } catch (const wire::WireError&) {
-    ++metrics_.rejected_requests;
-    responder.fail(sim::AppErrorCode::kMalformed, "malformed store request");
-    return;
-  }
+void BackupNetwork::handle_store(StoreMaterialRequest req,
+                                 sim::TypedResponder<sim::Ack> responder) {
   // A request with a share ordinate of any other length is malformed.
   for (const KeyShareBundle& share : req.shares) {
     if (share.share.y.size() != kOrdinateBytes) {
@@ -269,11 +260,11 @@ KeyShareBundle BackupNetwork::leaf_bundle(const UserKey& user, const ByteArray<1
   return {user.home, user.supi, hxres, {held.x, SecretBytes(ByteView(held.y))}, {}, {}};
 }
 
-Bytes BackupNetwork::served(const UserKey& user, const HeldVector& held) {
+AuthVectorBundle BackupNetwork::served(const UserKey& user, const HeldVector& held) {
   AuthVectorBundle bundle = leaf_bundle(user, held);
   bundle.batch = held.batch->position(held.leaf);
   bundle.home_signature = held.batch->signature;
-  return bundle.encode();
+  return bundle;
 }
 
 KeyShareBundle BackupNetwork::served(const UserKey& user, const ByteArray<16>& hxres,
@@ -319,16 +310,8 @@ void BackupNetwork::persist_batch(const UserKey& user, const SharedBatch& batch)
   store_->put(name, wire::encode(record));
 }
 
-void BackupNetwork::handle_get_vector(ByteView request, sim::Responder responder) {
-  GetVectorRequest req;
-  try {
-    req = GetVectorRequest::decode(request);
-  } catch (const wire::WireError&) {
-    ++metrics_.rejected_requests;
-    responder.fail(sim::AppErrorCode::kMalformed, "malformed request");
-    return;
-  }
-
+void BackupNetwork::handle_get_vector(GetVectorRequest req,
+                                      sim::TypedResponder<AuthVectorBundle> responder) {
   rpc_.network().node(node_).execute(config_.costs.vector_fetch, [this, req = std::move(req),
                                                                   responder] {
     Supi supi = req.supi;
@@ -379,16 +362,8 @@ void BackupNetwork::handle_get_vector(ByteView request, sim::Responder responder
   });
 }
 
-void BackupNetwork::handle_get_share(ByteView request, sim::Responder responder) {
-  UsageProof proof;
-  try {
-    proof = UsageProof::decode(request);
-  } catch (const wire::WireError&) {
-    ++metrics_.rejected_requests;
-    responder.fail(sim::AppErrorCode::kMalformed, "malformed proof");
-    return;
-  }
-
+void BackupNetwork::handle_get_share(UsageProof proof,
+                                     sim::TypedResponder<ShareReply> responder) {
   // The preimage check is the heart of §4.2.2: the serving network must
   // reveal RES*, proving the UE actually answered the challenge.
   if (!ct_equal(hxres_index(proof.res_star), proof.hxres_star)) {
@@ -434,7 +409,7 @@ void BackupNetwork::handle_get_share(ByteView request, sim::Responder responder)
         reply.share = served(id, bundle_it->first, bundle_it->second);
         reply.vectors_left = static_cast<std::uint32_t>(vectors.size());
         // DAUTH_DISCLOSE(key-share release after RES* preimage and signature checks, §4.2.2)
-        responder.reply(reply.encode());
+        responder.reply(reply);
         return;
       }
       ++metrics_.rejected_requests;
@@ -443,15 +418,8 @@ void BackupNetwork::handle_get_share(ByteView request, sim::Responder responder)
   });
 }
 
-void BackupNetwork::handle_revoke_shares(ByteView request, sim::Responder responder) {
-  RevokeSharesRequest req;
-  try {
-    req = RevokeSharesRequest::decode(request);
-  } catch (const wire::WireError&) {
-    responder.fail(sim::AppErrorCode::kMalformed, "malformed revoke request");
-    return;
-  }
-
+void BackupNetwork::handle_revoke_shares(RevokeSharesRequest req,
+                                         sim::TypedResponder<sim::Ack> responder) {
   // Only the home network itself may revoke its users' material: check the
   // request signature against the home key learned at store time (an
   // unauthenticated revoke would be a share-deletion denial of service).
@@ -504,7 +472,7 @@ void BackupNetwork::persist_proof(const NetworkId& home, const UsageProof& proof
   ++metrics_.proofs_pending;
   if (store_ != nullptr) {
     // DAUTH_DISCLOSE(usage proofs are persisted for the audit report; RES* inside is already spent, §4.2.3)
-    store_->put("proof/" + home.str() + "/" + to_hex(proof.hxres_star), proof.encode());
+    store_->put("proof/" + home.str() + "/" + to_hex(proof.hxres_star), wire::encode(proof));
   }
   arm_report(home);
 }
@@ -544,10 +512,10 @@ void BackupNetwork::report_now(const NetworkId& home) {
     // charges report_processing per proof before it acks, so the attempt may
     // take until the next firing, which re-sends anyway.
     const Time deadline = config_.report_interval > 0 ? config_.report_interval : sec(5);
-    report_stub_.call(
+    sim::TypedStub(rpc_, node_, kHomeReport).call(
         static_cast<sim::NodeIndex>(e->address), report,
         config_.resilience.call_options(deadline),
-        [this, home, sent = std::move(sent)](CallResult<Ack> result) {
+        [this, home, sent = std::move(sent)](sim::CallResult<sim::Ack> result) {
           if (!result.ok()) {
             // Home still down; keep the proofs and retry after an interval.
             arm_report(home);

@@ -18,7 +18,6 @@
 #include "core/config.h"
 #include "core/messages.h"
 #include "core/metrics.h"
-#include "core/typed_stub.h"
 #include "directory/client.h"
 #include "sim/rpc.h"
 #include "store/kv_store.h"
@@ -166,10 +165,11 @@ class BackupNetwork {
     bool report_armed = false;
   };
 
-  void handle_store(ByteView request, sim::Responder responder);
-  void handle_get_vector(ByteView request, sim::Responder responder);
-  void handle_get_share(ByteView request, sim::Responder responder);
-  void handle_revoke_shares(ByteView request, sim::Responder responder);
+  void handle_store(StoreMaterialRequest req, sim::TypedResponder<sim::Ack> responder);
+  void handle_get_vector(GetVectorRequest req,
+                         sim::TypedResponder<AuthVectorBundle> responder);
+  void handle_get_share(UsageProof proof, sim::TypedResponder<ShareReply> responder);
+  void handle_revoke_shares(RevokeSharesRequest req, sim::TypedResponder<sim::Ack> responder);
   /// Arms a one-shot report attempt for `home` after report_interval,
   /// unless one is already armed. Event-driven (no standing timer): the
   /// simulator queue drains once nothing is pending.
@@ -181,9 +181,8 @@ class BackupNetwork {
   static KeyShareBundle leaf_bundle(const UserKey& user, const ByteArray<16>& hxres,
                                     const HeldShare& held);
   /// The exact bundle the home signed, rebuilt from the held fields and
-  /// the batch, its inclusion path (in-batch, then round) attached: a
-  /// vector encoded, a share decoded (it rides inside a ShareReply).
-  static Bytes served(const UserKey& user, const HeldVector& held);
+  /// the batch, its inclusion path (in-batch, then round) attached.
+  static AuthVectorBundle served(const UserKey& user, const HeldVector& held);
   static KeyShareBundle served(const UserKey& user, const ByteArray<16>& hxres,
                                const HeldShare& held);
   /// Writes `batch`'s BatchRecord from what `user` still holds of it, or
@@ -201,8 +200,6 @@ class BackupNetwork {
   directory::DirectoryClient& directory_;
   FederationConfig config_;
   store::KvStore* store_;
-
-  TypedStub<ReportRequest, Ack> report_stub_;
 
   std::map<UserKey, UserState> users_;
   std::map<NetworkId, HomeState> homes_;

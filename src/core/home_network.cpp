@@ -1,6 +1,7 @@
 #include "core/home_network.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "aka/sim_card.h"
 #include "crypto/sha256.h"
@@ -20,17 +21,18 @@ constexpr Time kPushBudget = sec(10);
 }  // namespace
 
 template <typename Request>
-void HomeNetwork::push(const TypedStub<Request, Ack>& stub, const NetworkId& backup,
+void HomeNetwork::push(const sim::Service<Request, sim::Ack>& service, const NetworkId& backup,
                        Request request, std::function<void(bool)> done) {
-  directory_.get_network(backup, [this, &stub, request = std::move(request), done](
+  directory_.get_network(backup, [this, service, request = std::move(request), done](
                                      std::optional<directory::NetworkEntry> entry) {
     if (!entry) {
       if (done) done(false);
       return;
     }
-    stub.call(static_cast<sim::NodeIndex>(entry->address), request,
+    sim::TypedStub(rpc_, node_, service)
+        .call(static_cast<sim::NodeIndex>(entry->address), request,
               config_.resilience.call_options(kPushTimeout, kPushBudget),
-              [done](CallResult<Ack> result) {
+              [done](sim::CallResult<sim::Ack> result) {
                 if (done) done(result.ok());
               });
   });
@@ -58,9 +60,7 @@ HomeNetwork::HomeNetwork(sim::Rpc& rpc, sim::NodeIndex node, NetworkId id,
       suci_key_(suci_key),
       directory_(directory),
       config_(std::move(config)),
-      rng_(std::move(rng)),
-      store_stub_(rpc_, node_, "backup.store"),
-      revoke_stub_(rpc_, node_, "backup.revoke_shares") {}
+      rng_(std::move(rng)) {}
 
 void HomeNetwork::provision_subscriber(const Supi& supi, const aka::SubscriberKeys& keys) {
   Subscriber subscriber;
@@ -205,7 +205,7 @@ void HomeNetwork::send_round(const Supi& supi, std::map<NetworkId, std::size_t> 
       if (--*remaining == 0 && done) done(*ok_count);
     };
     for (std::size_t b = 0; b < backup_ids_.size(); ++b) {
-      push(store_stub_, backup_ids_[b], std::move(requests[b]), finish_one);
+      push(kBackupStore, backup_ids_[b], std::move(requests[b]), finish_one);
     }
   });
 }
@@ -232,20 +232,18 @@ std::optional<AuthVectorBundle> HomeNetwork::resync_and_generate_local(
 }
 
 void HomeNetwork::bind_services() {
-  rpc_.register_service(node_, "home.get_vector", [this](ByteView req, sim::Responder r) {
-    handle_get_vector(req, r);
-  });
-  rpc_.register_service(node_, "home.get_key", [this](ByteView req, sim::Responder r) {
-    handle_get_key(req, r);
-  });
-  rpc_.register_service(node_, "home.report", [this](ByteView req, sim::Responder r) {
-    handle_report(req, r);
-  });
-  rpc_.register_service(node_, "home.resync", [this](ByteView req, sim::Responder r) {
-    handle_resync(req, r);
-  });
-  rpc_.register_service(node_, "home.ping",
-                        [](ByteView, sim::Responder r) { r.reply({}); });
+  const auto malformed = [this] { ++metrics_.rejected_requests; };
+  sim::serve(rpc_, node_, kHomeGetVector,
+             std::bind_front(&HomeNetwork::handle_get_vector, this), malformed);
+  sim::serve(rpc_, node_, kHomeGetKey,
+             std::bind_front(&HomeNetwork::handle_get_key, this), malformed);
+  sim::serve(rpc_, node_, kHomeReport,
+             std::bind_front(&HomeNetwork::handle_report, this), malformed);
+  sim::serve(rpc_, node_, kHomeResync,
+             std::bind_front(&HomeNetwork::handle_resync, this), malformed);
+  sim::serve(
+      rpc_, node_, kHomePing, [](sim::Ack, sim::TypedResponder<sim::Ack> r) { r.reply({}); },
+      malformed);
 }
 
 void HomeNetwork::reset_subscriber_sqn(const Supi& supi) {
@@ -254,16 +252,8 @@ void HomeNetwork::reset_subscriber_sqn(const Supi& supi) {
   it->second.sqn = aka::SqnAllocator();
 }
 
-void HomeNetwork::handle_resync(ByteView request, sim::Responder responder) {
-  ResyncRequest req;
-  try {
-    req = ResyncRequest::decode(request);
-  } catch (const wire::WireError&) {
-    ++metrics_.rejected_requests;
-    responder.fail(sim::AppErrorCode::kMalformed, "malformed resync");
-    return;
-  }
-
+void HomeNetwork::handle_resync(ResyncRequest req,
+                                sim::TypedResponder<AuthVectorBundle> responder) {
   auto it = subscribers_.find(req.supi);
   if (it == subscribers_.end()) {
     ++metrics_.rejected_requests;
@@ -282,16 +272,8 @@ void HomeNetwork::handle_resync(ByteView request, sim::Responder responder) {
   serve_vector(req.supi, responder);
 }
 
-void HomeNetwork::handle_get_vector(ByteView request, sim::Responder responder) {
-  GetVectorRequest req;
-  try {
-    req = GetVectorRequest::decode(request);
-  } catch (const wire::WireError&) {
-    ++metrics_.rejected_requests;
-    responder.fail(sim::AppErrorCode::kMalformed, "malformed request");
-    return;
-  }
-
+void HomeNetwork::handle_get_vector(GetVectorRequest req,
+                                    sim::TypedResponder<AuthVectorBundle> responder) {
   Supi supi = req.supi;
   if (supi.empty() && !req.suci.empty()) {
     // De-conceal the SUCI with our private key.
@@ -319,7 +301,8 @@ void HomeNetwork::handle_get_vector(ByteView request, sim::Responder responder) 
   serve_vector(supi, responder);
 }
 
-void HomeNetwork::serve_vector(const Supi& supi, sim::Responder responder) {
+void HomeNetwork::serve_vector(const Supi& supi,
+                               sim::TypedResponder<AuthVectorBundle> responder) {
   // Model the AUSF/UDM vector-generation cost, then answer.
   rpc_.network().node(node_).execute(config_.costs.vector_generation, [this, supi, responder] {
     auto it = subscribers_.find(supi);
@@ -337,20 +320,11 @@ void HomeNetwork::serve_vector(const Supi& supi, sim::Responder responder) {
     if (journal_ != nullptr) {
       journal_->append(obs::EventKind::kVectorServed, id_.str(), supi.str());
     }
-    responder.reply(bundle.encode());
+    responder.reply(bundle);
   });
 }
 
-void HomeNetwork::handle_get_key(ByteView request, sim::Responder responder) {
-  UsageProof proof;
-  try {
-    proof = UsageProof::decode(request);
-  } catch (const wire::WireError&) {
-    ++metrics_.rejected_requests;
-    responder.fail(sim::AppErrorCode::kMalformed, "malformed proof");
-    return;
-  }
-
+void HomeNetwork::handle_get_key(UsageProof proof, sim::TypedResponder<KeyReply> responder) {
   auto it = subscribers_.find(proof.supi);
   if (it == subscribers_.end()) {
     ++metrics_.rejected_requests;
@@ -397,20 +371,13 @@ void HomeNetwork::handle_get_key(ByteView request, sim::Responder responder) {
                          "to " + proof.serving_network.str());
       }
       // DAUTH_DISCLOSE(K_seaf release to the serving network that proved vector use, §4.2.2)
-      responder.reply(KeyReply{k_seaf}.encode());
+      responder.reply(KeyReply{k_seaf});
     });
   });
 }
 
-void HomeNetwork::handle_report(ByteView request, sim::Responder responder) {
-  ReportRequest report;
-  try {
-    report = ReportRequest::decode(request);
-  } catch (const wire::WireError&) {
-    responder.fail(sim::AppErrorCode::kMalformed, "malformed report");
-    return;
-  }
-
+void HomeNetwork::handle_report(ReportRequest report,
+                                sim::TypedResponder<sim::Ack> responder) {
   const Time cost =
       config_.costs.report_processing * static_cast<Time>(std::max<std::size_t>(1, report.proofs.size()));
   rpc_.network().node(node_).execute(cost, [this, report = std::move(report), responder] {
@@ -438,7 +405,7 @@ void HomeNetwork::handle_report(ByteView request, sim::Responder responder) {
       revoke.home_network = id_;
       revoke.supi = supi;
       revoke.home_signature = crypto::ed25519_sign(revoke.signed_payload(), signing_key_);
-      for (const NetworkId& backup : backup_ids_) push(revoke_stub_, backup, revoke);
+      for (const NetworkId& backup : backup_ids_) push(kBackupRevokeShares, backup, revoke);
       send_round(supi, std::move(refills.at(supi)));
     }
     responder.reply({});
@@ -521,11 +488,10 @@ void HomeNetwork::revoke_backup(const NetworkId& revoked, std::function<void()> 
     // flood vector (or any later vector in the slice) is consumed (§4.3).
     if (max_sqn > 0) subscriber.sqn.advance_past(revoked_slice, max_sqn);
 
-    revoke.home_signature = crypto::ed25519_sign(revoke.signed_payload(), signing_key_);
-
     // Order every remaining backup to delete the sibling shares.
     if (!revoke.hxres_indices.empty()) {
-      for (const NetworkId& backup : backup_ids_) push(revoke_stub_, backup, revoke);
+      revoke.home_signature = crypto::ed25519_sign(revoke.signed_payload(), signing_key_);
+      for (const NetworkId& backup : backup_ids_) push(kBackupRevokeShares, backup, revoke);
     }
 
     // Flood vector: a superseding vector in the revoked slice, handed to all
@@ -542,7 +508,7 @@ void HomeNetwork::revoke_backup(const NetworkId& revoked, std::function<void()> 
         request.home_network = id_;
         request.vectors.push_back(material.vector);
         request.shares.push_back(material.shares[b]);
-        push(store_stub_, backup_ids_[b], std::move(request));
+        push(kBackupStore, backup_ids_[b], std::move(request));
       }
     }
   }

@@ -30,7 +30,6 @@
 #include "core/config.h"
 #include "core/messages.h"
 #include "core/metrics.h"
-#include "core/typed_stub.h"
 #include "directory/client.h"
 #include "sim/rpc.h"
 
@@ -163,13 +162,14 @@ class HomeNetwork {
   void send_round(const Supi& supi, std::map<NetworkId, std::size_t> counts,
                   std::function<void(std::size_t)> done = nullptr);
 
-  void handle_get_vector(ByteView request, sim::Responder responder);
-  void handle_get_key(ByteView request, sim::Responder responder);
-  void handle_report(ByteView request, sim::Responder responder);
-  void handle_resync(ByteView request, sim::Responder responder);
+  void handle_get_vector(GetVectorRequest request,
+                         sim::TypedResponder<AuthVectorBundle> responder);
+  void handle_get_key(UsageProof proof, sim::TypedResponder<KeyReply> responder);
+  void handle_report(ReportRequest report, sim::TypedResponder<sim::Ack> responder);
+  void handle_resync(ResyncRequest request, sim::TypedResponder<AuthVectorBundle> responder);
   /// Issues, signs and sends one slice-0 vector for `supi` after the
   /// vector-generation cost, filing its K_seaf until the RES* proof arrives.
-  void serve_vector(const Supi& supi, sim::Responder responder);
+  void serve_vector(const Supi& supi, sim::TypedResponder<AuthVectorBundle> responder);
   /// Validates one reported proof and records its use: the holder of the
   /// vector it consumed, or nullopt for a bad, repeated or unknown proof.
   std::optional<NetworkId> process_proof(const NetworkId& reporter, const UsageProof& proof);
@@ -182,8 +182,8 @@ class HomeNetwork {
   /// resilience policy. `done(ok)`, when set, fires once; an unresolvable
   /// backup is a failed push.
   template <typename Request>
-  void push(const TypedStub<Request, Ack>& stub, const NetworkId& backup, Request request,
-            std::function<void(bool)> done = nullptr);
+  void push(const sim::Service<Request, sim::Ack>& service, const NetworkId& backup,
+            Request request, std::function<void(bool)> done = nullptr);
 
   sim::Rpc& rpc_;
   sim::NodeIndex node_;
@@ -193,9 +193,6 @@ class HomeNetwork {
   directory::DirectoryClient& directory_;
   FederationConfig config_;
   crypto::DeterministicDrbg rng_;
-
-  TypedStub<StoreMaterialRequest, Ack> store_stub_;
-  TypedStub<RevokeSharesRequest, Ack> revoke_stub_;
 
   std::map<Supi, Subscriber> subscribers_;
   std::vector<NetworkId> backup_ids_;

@@ -37,6 +37,7 @@
 #include "crypto/ed25519.h"
 #include "crypto/merkle.h"
 #include "crypto/shamir.h"
+#include "sim/service.h"
 #include "wire/reader.h"
 #include "wire/writer.h"
 
@@ -95,6 +96,8 @@ struct AuthVectorBundle {
   /// from this bundle's leaf and path; nullopt when the path cannot fit the
   /// declared batch and round.
   std::optional<Bytes> batch_payload() const;
+  /// The benchmark package's bundle codec row calls these two by name
+  /// (fedbench/src/layers.cpp); everything else uses wire::encode/decode.
   Bytes encode() const { return wire::encode(*this); }
   static AuthVectorBundle decode(ByteView data) { return wire::decode<AuthVectorBundle>(data); }
   bool verify(const crypto::Ed25519PublicKey& home_key) const;
@@ -157,8 +160,6 @@ struct UsageProof {
   }
 
   Bytes signed_payload() const { return wire::signed_payload(*this); }
-  Bytes encode() const { return wire::encode(*this); }
-  static UsageProof decode(ByteView data) { return wire::decode<UsageProof>(data); }
   bool verify(const crypto::Ed25519PublicKey& serving_key) const;
 };
 
@@ -185,10 +186,6 @@ struct StoreMaterialRequest {
     f.field(m.suci_secret);  // DAUTH_DISCLOSE(deconcealment secret is provisioned to backups by design, §4.2)
   }
 
-  Bytes encode() const { return wire::encode(*this); }
-  static StoreMaterialRequest decode(ByteView data) {
-    return wire::decode<StoreMaterialRequest>(data);
-  }
 };
 
 /// Signs one user's dissemination round: each request's bundles (vectors,
@@ -239,8 +236,6 @@ struct GetVectorRequest {
   static void fields(F& f, Self& m) {
     f.field(m.serving_network, m.supi, m.suci);
   }
-  Bytes encode() const { return wire::encode(*this); }
-  static GetVectorRequest decode(ByteView data) { return wire::decode<GetVectorRequest>(data); }
 };
 
 /// backup -> serving: the key share released against a usage proof, plus
@@ -259,8 +254,6 @@ struct ShareReply {
     f.field(m.share);  // DAUTH_DISCLOSE(key-share release after RES* preimage and signature checks, §4.2.2)
     f.field(m.vectors_left);
   }
-  Bytes encode() const { return wire::encode(*this); }
-  static ShareReply decode(ByteView data) { return wire::decode<ShareReply>(data); }
 };
 
 /// backup -> home (report, §4.2.3): consumed vectors + proofs.
@@ -272,8 +265,6 @@ struct ReportRequest {
   static void fields(F& f, Self& m) {
     f.field(m.backup_network, m.proofs);
   }
-  Bytes encode() const { return wire::encode(*this); }
-  static ReportRequest decode(ByteView data) { return wire::decode<ReportRequest>(data); }
 };
 
 /// home -> backup (§4.3): delete key shares for the given H(XRES*) indices.
@@ -292,16 +283,10 @@ struct RevokeSharesRequest {
     f.tail(m.home_signature);
   }
   Bytes signed_payload() const { return wire::signed_payload(*this); }
-  Bytes encode() const { return wire::encode(*this); }
-  static RevokeSharesRequest decode(ByteView data) {
-    return wire::decode<RevokeSharesRequest>(data);
-  }
   bool verify(const crypto::Ed25519PublicKey& home_key) const;
 };
 
-// ---- Small typed-stub payloads ---------------------------------------------
-// One (Request, Reply) struct pair per service keeps every call site on the
-// TypedStub path (core/typed_stub.h) instead of hand-rolled wire code.
+// ---- Small service payloads -------------------------------------------------
 
 /// serving -> prior serving (§4.1): map a GUTI back to its subscriber.
 struct GutiResolveRequest {
@@ -310,10 +295,6 @@ struct GutiResolveRequest {
   template <typename F, typename Self>
   static void fields(F& f, Self& m) {
     f.field(m.guti);
-  }
-  Bytes encode() const { return wire::encode(*this); }
-  static GutiResolveRequest decode(ByteView data) {
-    return wire::decode<GutiResolveRequest>(data);
   }
 };
 
@@ -325,8 +306,6 @@ struct GutiResolveReply {
   static void fields(F& f, Self& m) {
     f.field(m.supi, m.home);
   }
-  Bytes encode() const { return wire::encode(*this); }
-  static GutiResolveReply decode(ByteView data) { return wire::decode<GutiResolveReply>(data); }
 };
 
 /// target -> source serving (§7.4): the signed fetch of the session the UE
@@ -344,10 +323,6 @@ struct HandoverContextRequest {
     f.tail(m.signature);
   }
   Bytes signed_payload() const { return wire::signed_payload(*this); }
-  Bytes encode() const { return wire::encode(*this); }
-  static HandoverContextRequest decode(ByteView data) {
-    return wire::decode<HandoverContextRequest>(data);
-  }
 };
 
 struct HandoverContextReply {
@@ -362,10 +337,6 @@ struct HandoverContextReply {
     f.field(m.k_ho);  // DAUTH_DISCLOSE(K_ho handover key; only sent to a signature-verified target network, §4.4)
     f.field(m.counter);
   }
-  Bytes encode() const { return wire::encode(*this); }
-  static HandoverContextReply decode(ByteView data) {
-    return wire::decode<HandoverContextReply>(data);
-  }
 };
 
 /// serving -> home (TS 33.102 §6.3.5): AUTS-driven SQN resynchronisation.
@@ -379,8 +350,6 @@ struct ResyncRequest {
   static void fields(F& f, Self& m) {
     f.field(m.supi, m.rand, m.auts);
   }
-  Bytes encode() const { return wire::encode(*this); }
-  static ResyncRequest decode(ByteView data) { return wire::decode<ResyncRequest>(data); }
 };
 
 /// home -> serving: K_seaf released after a verified usage proof. Wire
@@ -392,8 +361,28 @@ struct KeyReply {
   static void fields(F& f, Self& m) {
     f.field(m.k_seaf);  // DAUTH_DISCLOSE(K_seaf release to the serving network that proved vector use, §4.2.2)
   }
-  Bytes encode() const { return wire::encode(*this); }
-  static KeyReply decode(ByteView data) { return wire::decode<KeyReply>(data); }
 };
+
+// ---- Services -----------------------------------------------------------------
+// Each federation service between dAuth roles, declared once: its name and
+// its (request, reply) pair (sim/service.h). The UE-facing serving.* frames
+// are aka/nas.h's, the dir.* services directory/directory.h's.
+
+inline constexpr sim::Service<StoreMaterialRequest, sim::Ack> kBackupStore{"backup.store"};
+inline constexpr sim::Service<GetVectorRequest, AuthVectorBundle> kBackupGetVector{
+    "backup.get_vector"};
+inline constexpr sim::Service<UsageProof, ShareReply> kBackupGetShare{"backup.get_share"};
+inline constexpr sim::Service<RevokeSharesRequest, sim::Ack> kBackupRevokeShares{
+    "backup.revoke_shares"};
+inline constexpr sim::Service<GetVectorRequest, AuthVectorBundle> kHomeGetVector{
+    "home.get_vector"};
+inline constexpr sim::Service<UsageProof, KeyReply> kHomeGetKey{"home.get_key"};
+inline constexpr sim::Service<ReportRequest, sim::Ack> kHomeReport{"home.report"};
+inline constexpr sim::Service<ResyncRequest, AuthVectorBundle> kHomeResync{"home.resync"};
+inline constexpr sim::Service<sim::Ack, sim::Ack> kHomePing{"home.ping"};
+inline constexpr sim::Service<GutiResolveRequest, GutiResolveReply> kServingResolveGuti{
+    "serving.resolve_guti"};
+inline constexpr sim::Service<HandoverContextRequest, HandoverContextReply>
+    kServingHandoverContext{"serving.handover_context"};
 
 }  // namespace dauth::core

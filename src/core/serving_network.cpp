@@ -1,6 +1,7 @@
 #include "core/serving_network.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "aka/nas.h"
 #include "aka/suci.h"
@@ -52,8 +53,9 @@ struct ServingNetwork::Attach {
   crypto::Key256 local_k_seaf{};    // LocalAuth short-circuit
 
   // The UE request pending now: the attach_request until the challenge goes
-  // out, then the auth_response being served.
-  std::optional<sim::Responder> responder;
+  // out, then the auth_response being served (at most one is set).
+  std::optional<sim::TypedResponder<aka::AttachReply>> attach_responder;
+  std::optional<sim::TypedResponder<aka::AuthResponseReply>> response_responder;
 
   std::vector<directory::NetworkEntry> backups;  // resolved backup entries
   sim::NodeIndex vector_peer = 0;  // backup path: the backup that served `bundle`
@@ -82,14 +84,6 @@ ServingNetwork::ServingNetwork(sim::Rpc& rpc, sim::NodeIndex node, NetworkId id,
       directory_(directory),
       config_(std::move(config)),
       local_home_(local_home),
-      home_vector_stub_(rpc_, node_, "home.get_vector"),
-      home_resync_stub_(rpc_, node_, "home.resync"),
-      home_key_stub_(rpc_, node_, "home.get_key"),
-      backup_vector_stub_(rpc_, node_, "backup.get_vector"),
-      backup_share_stub_(rpc_, node_, "backup.get_share"),
-      guti_stub_(rpc_, node_, "serving.resolve_guti"),
-      handover_stub_(rpc_, node_, "serving.handover_context"),
-      home_ping_stub_(rpc_, node_, "home.ping"),
       verify_cache_(config_.verify_cache_entries) {}
 
 sim::ResilienceObserver ServingNetwork::resilience_observer() {
@@ -151,28 +145,25 @@ void ServingNetwork::check_bundle(const Attach& attach, const Bundle& bundle,
 }
 
 void ServingNetwork::bind_services() {
-  rpc_.register_service(node_, "serving.attach_request",
-                        [this](ByteView req, sim::Responder r) { handle_attach_request(req, r); });
-  rpc_.register_service(node_, "serving.auth_response",
-                        [this](ByteView req, sim::Responder r) { handle_auth_response(req, r); });
-  rpc_.register_service(node_, "serving.resolve_guti",
-                        [this](ByteView req, sim::Responder r) { handle_resolve_guti(req, r); });
-  // Signalling-only exchanges bracketing the auth: RRC connection setup
-  // before the first NAS message, and the SecurityModeComplete /
-  // RegistrationAccept exchange after key agreement. They carry no protocol
+  sim::serve(rpc_, node_, aka::kAttachRequest,
+             std::bind_front(&ServingNetwork::handle_attach_request, this));
+  sim::serve(rpc_, node_, aka::kAuthResponse,
+             std::bind_front(&ServingNetwork::handle_auth_response, this));
+  sim::serve(rpc_, node_, kServingResolveGuti,
+             std::bind_front(&ServingNetwork::handle_resolve_guti, this));
+  sim::serve(rpc_, node_, aka::kHandoverRequest,
+             std::bind_front(&ServingNetwork::handle_handover_request, this));
+  sim::serve(rpc_, node_, kServingHandoverContext,
+             std::bind_front(&ServingNetwork::handle_handover_context, this));
+  // Signalling-only exchanges bracketing the auth. They carry no protocol
   // state here but contribute real round trips — the source of the paper's
   // edge-beats-cloud proximity effect (Fig. 4).
-  rpc_.register_service(node_, "serving.handover_request",
-                        [this](ByteView req, sim::Responder r) { handle_handover_request(req, r); });
-  rpc_.register_service(node_, "serving.handover_context",
-                        [this](ByteView req, sim::Responder r) { handle_handover_context(req, r); });
-  rpc_.register_service(node_, "serving.rrc_setup",
-                        [](ByteView, sim::Responder r) { r.reply({}); });
-  rpc_.register_service(node_, "serving.registration_complete",
-                        [this](ByteView, sim::Responder r) {
-                          rpc_.network().node(node_).execute(msf(1.5),
-                                                             [r] { r.reply({}); });
-                        });
+  sim::serve(rpc_, node_, aka::kRrcSetup,
+             [](sim::Ack, sim::TypedResponder<sim::Ack> r) { r.reply({}); });
+  sim::serve(rpc_, node_, aka::kRegistrationComplete,
+             [this](sim::Ack, sim::TypedResponder<sim::Ack> r) {
+               rpc_.network().node(node_).execute(msf(1.5), [r] { r.reply({}); });
+             });
 }
 
 std::size_t ServingNetwork::session_count() const noexcept { return guti_table_.size(); }
@@ -204,22 +195,17 @@ void ServingNetwork::probe_home(const NetworkId& home, sim::NodeIndex address) {
   // the circuit toward the home is open.
   auto options = sim::RpcOptions::oneshot(config_.home_auth_timeout);
   options.use_breaker = false;
-  home_ping_stub_.call(address, Ack{}, options, [this, home](CallResult<Ack> result) {
-    auto& e = home_health_[home];
-    e.probe_in_flight = false;
-    e.reachable = result.ok();
-    e.observed_at = rpc_.network().simulator().now();
-  });
+  sim::TypedStub(rpc_, node_, kHomePing)
+      .call(address, sim::Ack{}, options, [this, home](sim::CallResult<sim::Ack> result) {
+        auto& e = home_health_[home];
+        e.probe_in_flight = false;
+        e.reachable = result.ok();
+        e.observed_at = rpc_.network().simulator().now();
+      });
 }
 
-void ServingNetwork::handle_attach_request(ByteView frame, sim::Responder responder) {
-  aka::AttachRequest request;
-  try {
-    request = wire::decode<aka::AttachRequest>(frame);
-  } catch (const wire::WireError&) {
-    responder.fail(sim::AppErrorCode::kMalformed, "malformed attach request");
-    return;
-  }
+void ServingNetwork::handle_attach_request(aka::AttachRequest request,
+                                           sim::TypedResponder<aka::AttachReply> responder) {
   if (request.lte) {
     // This implementation's dAuth federation pre-generates 5G-AKA material
     // (see DESIGN.md); 4G devices are served by the baseline MME model.
@@ -234,7 +220,7 @@ void ServingNetwork::handle_attach_request(ByteView frame, sim::Responder respon
   attach->suci = std::move(request.suci);
   attach->home = std::move(request.home);
   attach->guti = std::move(request.guti);
-  attach->responder = responder;
+  attach->attach_responder = std::move(responder);
   attaches_[attach->id] = attach;
   ++metrics_.attaches_started;
   attach->started = rpc_.network().simulator().now();
@@ -379,9 +365,9 @@ void ServingNetwork::try_home_auth(const std::shared_ptr<Attach>& attach) {
   auto options =
       config_.resilience.call_options(config_.home_auth_timeout, config_.home_auth_timeout);
   options.trace_parent = attach->span;
-  home_vector_stub_.call(
+  sim::TypedStub(rpc_, node_, kHomeGetVector).call(
       static_cast<sim::NodeIndex>(attach->home_entry->address), request, options,
-      [this, attach](CallResult<AuthVectorBundle> result) {
+      [this, attach](sim::CallResult<AuthVectorBundle> result) {
         if (attach->phase != Phase::kVector) return;
         if (!result.ok()) {
           if (result.error().code == sim::RpcErrorCode::kBadReply) {
@@ -550,10 +536,10 @@ void ServingNetwork::hedge_backup_vector(const std::shared_ptr<Attach>& attach,
     const auto peer = static_cast<sim::NodeIndex>(attach->backups[order[leg]].address);
     if (leg > 0) ++metrics_.hedges_launched;
     ++hedge->outstanding;
-    hedge->legs.push_back(backup_vector_stub_.call(
+    hedge->legs.push_back(sim::TypedStub(rpc_, node_, kBackupGetVector).call(
         peer, request, leg_options,
         [this, attach, hedge, leg, peer, phase,
-         candidates = order.size()](CallResult<AuthVectorBundle> result) {
+         candidates = order.size()](sim::CallResult<AuthVectorBundle> result) {
           --hedge->outstanding;
           // The backup answered without a vector (exhausted, or any other
           // rejection): rank it last for this user until its next share
@@ -614,9 +600,9 @@ void ServingNetwork::resolve_foreign_guti(const std::shared_ptr<Attach>& attach,
     auto options =
         config_.resilience.call_options(config_.home_auth_timeout, config_.home_auth_timeout);
     options.trace_parent = attach->span;
-    guti_stub_.call(
+    sim::TypedStub(rpc_, node_, kServingResolveGuti).call(
         static_cast<sim::NodeIndex>(prior->address), lookup, options,
-        [this, attach](CallResult<GutiResolveReply> result) {
+        [this, attach](sim::CallResult<GutiResolveReply> result) {
           if (attach->phase != Phase::kResolve) return;
           if (!result.ok()) {
             // Prior serving network unreachable (or the GUTI is unknown
@@ -635,19 +621,13 @@ void ServingNetwork::resolve_foreign_guti(const std::shared_ptr<Attach>& attach,
 }
 
 void ServingNetwork::request_identity(const std::shared_ptr<Attach>& attach) {
-  attach->responder->reply(wire::encode(aka::AttachReply{attach->id, aka::IdentityRequest{}}));
-  attach->responder.reset();
+  attach->attach_responder->reply(aka::AttachReply{attach->id, aka::IdentityRequest{}});
+  attach->attach_responder.reset();
   fail(attach, "identity requested");
 }
 
-void ServingNetwork::handle_resolve_guti(ByteView request, sim::Responder responder) {
-  GutiResolveRequest lookup;
-  try {
-    lookup = GutiResolveRequest::decode(request);
-  } catch (const wire::WireError&) {
-    responder.fail(sim::AppErrorCode::kMalformed, "malformed guti lookup");
-    return;
-  }
+void ServingNetwork::handle_resolve_guti(GutiResolveRequest lookup,
+                                         sim::TypedResponder<GutiResolveReply> responder) {
   const auto it = guti_table_.find(lookup.guti);
   if (it == guti_table_.end()) {
     responder.fail(sim::AppErrorCode::kNotFound, "unknown guti");
@@ -656,19 +636,13 @@ void ServingNetwork::handle_resolve_guti(ByteView request, sim::Responder respon
   GutiResolveReply reply;
   reply.supi = it->second.supi;
   reply.home = it->second.home;
-  responder.reply(reply.encode());
+  responder.reply(reply);
 }
 
-void ServingNetwork::handle_handover_request(ByteView frame, sim::Responder responder) {
+void ServingNetwork::handle_handover_request(aka::HandoverRequest request,
+                                             sim::TypedResponder<aka::HandoverReply> responder) {
   // From the UE (via the target gNB): its GUTI at the source serving
   // network. This network is the TARGET; fetch the context from the source.
-  aka::HandoverRequest request;
-  try {
-    request = wire::decode<aka::HandoverRequest>(frame);
-  } catch (const wire::WireError&) {
-    responder.fail(sim::AppErrorCode::kMalformed, "malformed handover request");
-    return;
-  }
 
   directory_.get_network(request.issuer, [this, request, responder](
                                              std::optional<directory::NetworkEntry> source) {
@@ -681,11 +655,11 @@ void ServingNetwork::handle_handover_request(ByteView frame, sim::Responder resp
     context_request.signature =
         crypto::ed25519_sign(context_request.signed_payload(), signing_key_);
 
-    handover_stub_.call(
+    sim::TypedStub(rpc_, node_, kServingHandoverContext).call(
         static_cast<sim::NodeIndex>(source->address), context_request,
         config_.resilience.call_options(config_.home_auth_timeout,
                                         config_.home_auth_timeout),
-        [this, responder](CallResult<HandoverContextReply> result) {
+        [this, responder](sim::CallResult<HandoverContextReply> result) {
           if (!result.ok()) {
             responder.fail(sim::AppErrorCode::kUpstream,
                            "handover context fetch failed: " + result.error().message);
@@ -695,24 +669,18 @@ void ServingNetwork::handle_handover_request(ByteView frame, sim::Responder resp
           const std::uint64_t new_guti = next_guti_++;
           guti_table_[new_guti] =
               GutiRecord{result->supi, result->home, result->k_ho, 0};
-          responder.reply(wire::encode(
+          responder.reply(
               aka::HandoverReply{Guti{id_, new_guti}, result->counter,
-                                 crypto::hmac_sha256(result->k_ho, as_bytes("dauth-ho"))}));
+                                 crypto::hmac_sha256(result->k_ho, as_bytes("dauth-ho"))});
         },
         resilience_observer());
   });
 }
 
-void ServingNetwork::handle_handover_context(ByteView frame, sim::Responder responder) {
+void ServingNetwork::handle_handover_context(
+    HandoverContextRequest request, sim::TypedResponder<HandoverContextReply> responder) {
   // From the target network: a signed HandoverContextRequest. This network
   // is the SOURCE; it derives and releases the horizontal key.
-  HandoverContextRequest request;
-  try {
-    request = HandoverContextRequest::decode(frame);
-  } catch (const wire::WireError&) {
-    responder.fail(sim::AppErrorCode::kMalformed, "malformed context request");
-    return;
-  }
 
   // The target's signature is checked before the session is looked up, so
   // a caller it does not authenticate learns nothing of which GUTIs are live.
@@ -736,7 +704,7 @@ void ServingNetwork::handle_handover_context(ByteView frame, sim::Responder resp
     reply.k_ho =
         crypto::derive_handover_key(session.k_session, request.target.str(), reply.counter);
     // DAUTH_DISCLOSE(K_ho handover key released to the signature-verified target network, §4.4)
-    responder.reply(reply.encode());
+    responder.reply(reply);
     // The session has moved; retire the local anchor (one handover per GUTI).
     guti_table_.erase(request.guti);
   });
@@ -751,22 +719,17 @@ void ServingNetwork::send_challenge(const std::shared_ptr<Attach>& attach,
   const aka::Challenge challenge{bundle.rand, bundle.autn};
   if (attach->phase == Phase::kVector) {
     attach->phase = Phase::kChallenge;
-    attach->responder->reply(wire::encode(aka::AttachReply{attach->id, challenge}));
+    attach->attach_responder->reply(aka::AttachReply{attach->id, challenge});
+    attach->attach_responder.reset();
   } else {
     attach->phase = Phase::kResyncChallenge;
-    attach->responder->reply(wire::encode(aka::AuthResponseReply{challenge}));
+    attach->response_responder->reply(aka::AuthResponseReply{challenge});
+    attach->response_responder.reset();
   }
-  attach->responder.reset();
 }
 
-void ServingNetwork::handle_auth_response(ByteView frame, sim::Responder responder) {
-  aka::AuthResponse response;
-  try {
-    response = wire::decode<aka::AuthResponse>(frame);
-  } catch (const wire::WireError&) {
-    responder.fail(sim::AppErrorCode::kMalformed, "malformed auth response");
-    return;
-  }
+void ServingNetwork::handle_auth_response(aka::AuthResponse response,
+                                          sim::TypedResponder<aka::AuthResponseReply> responder) {
   const auto& [attach_id, res_star, auts] = response;
 
   const auto it = attaches_.find(attach_id);
@@ -781,7 +744,7 @@ void ServingNetwork::handle_auth_response(ByteView frame, sim::Responder respond
     responder.fail(sim::AppErrorCode::kUnsupported, "auth response out of phase");
     return;
   }
-  attach->responder = responder;
+  attach->response_responder = std::move(responder);
 
   if (auts) {
     // SQN resynchronisation (TS 33.102 §6.3.5): the UE rejected the
@@ -814,10 +777,10 @@ void ServingNetwork::handle_auth_response(ByteView frame, sim::Responder respond
       auto resync_options =
           config_.resilience.call_options(config_.home_auth_timeout, config_.home_auth_timeout);
       resync_options.trace_parent = attach->span;
-      home_resync_stub_.call(
+      sim::TypedStub(rpc_, node_, kHomeResync).call(
           static_cast<sim::NodeIndex>(attach->home_entry->address), resync,
           resync_options,
-          [this, attach](CallResult<AuthVectorBundle> result) {
+          [this, attach](sim::CallResult<AuthVectorBundle> result) {
             if (attach->phase != Phase::kResyncVector) return;
             if (!result.ok()) {
               fail(attach, result.error().code == sim::RpcErrorCode::kBadReply
@@ -892,9 +855,9 @@ void ServingNetwork::complete_with_home_key(const std::shared_ptr<Attach>& attac
   auto options =
       config_.resilience.call_options(config_.key_share_timeout, config_.key_share_timeout);
   options.trace_parent = attach->span;
-  home_key_stub_.call(
+  sim::TypedStub(rpc_, node_, kHomeGetKey).call(
       static_cast<sim::NodeIndex>(attach->home_entry->address), proof, options,
-      [this, attach](CallResult<KeyReply> result) {
+      [this, attach](sim::CallResult<KeyReply> result) {
         if (attach->phase != Phase::kProof) return;
         if (!result.ok()) {
           if (result.error().code == sim::RpcErrorCode::kBadReply) {
@@ -978,9 +941,9 @@ void ServingNetwork::collect_key_shares(const std::shared_ptr<Attach>& attach,
   for (const directory::NetworkEntry* backup : targets) {
     const auto peer = static_cast<sim::NodeIndex>(backup->address);
     const Time sent = rpc_.network().simulator().now();
-    backup_share_stub_.call(
+    sim::TypedStub(rpc_, node_, kBackupGetShare).call(
         peer, proof, options,
-        [this, attach, state, leg_concluded, peer, sent](CallResult<ShareReply> result) {
+        [this, attach, state, leg_concluded, peer, sent](sim::CallResult<ShareReply> result) {
           // Every concluded leg refreshes the peer's RTT estimate. A reply or
           // a rejection samples its elapsed time; a transport failure or
           // timeout samples the whole deadline, so a silently dead backup
@@ -1046,9 +1009,6 @@ void ServingNetwork::collect_key_shares(const std::shared_ptr<Attach>& attach,
 
 void ServingNetwork::finish(const std::shared_ptr<Attach>& attach, const crypto::Key256& k_seaf,
                             const std::string& failure) {
-  // Before the challenge the pending request is the attach_request; from
-  // then on it is the auth_response being served.
-  const bool challenged = attach->phase >= Phase::kChallenge;
   attach->phase = Phase::kDone;
   const bool success = failure.empty();
 
@@ -1094,15 +1054,17 @@ void ServingNetwork::finish(const std::shared_ptr<Attach>& attach, const crypto:
     while (guti_table_.size() > kGutiTableCap) guti_table_.erase(guti_table_.begin());
   }
 
-  if (attach->responder && !challenged) {
-    attach->responder->fail(sim::AppErrorCode::kUpstream, failure);
-  } else if (attach->responder) {
+  // Before the challenge the pending request is the attach_request; from
+  // then on it is the auth_response being served.
+  if (attach->attach_responder) {
+    attach->attach_responder->fail(sim::AppErrorCode::kUpstream, failure);
+  } else if (attach->response_responder) {
     // SecurityModeCommand key confirmation: HMAC(K_seaf, "dauth-smc"). The
     // UE recomputes this with its own derived key; a mismatch aborts the
     // attach. A failed attach assigns no GUTI (value 0).
-    attach->responder->reply(wire::encode(aka::AuthResponseReply{aka::Outcome{
+    attach->response_responder->reply(aka::AuthResponseReply{aka::Outcome{
         success, to_string(attach->path), crypto::hmac_sha256(k_seaf, as_bytes("dauth-smc")),
-        failure, Guti{id_, assigned_guti}}}));
+        failure, Guti{id_, assigned_guti}}});
   }
   attaches_.erase(attach->id);
 }

@@ -59,11 +59,11 @@
 #include <utility>
 #include <vector>
 
+#include "aka/nas.h"
 #include "core/config.h"
 #include "core/home_network.h"
 #include "core/messages.h"
 #include "core/metrics.h"
-#include "core/typed_stub.h"
 #include "crypto/verify_cache.h"
 #include "directory/client.h"
 #include "sim/rpc.h"
@@ -148,11 +148,16 @@ class ServingNetwork {
   };
   struct Attach;  // in-flight attach state
 
-  void handle_attach_request(ByteView frame, sim::Responder responder);
-  void handle_auth_response(ByteView frame, sim::Responder responder);
-  void handle_resolve_guti(ByteView request, sim::Responder responder);
-  void handle_handover_request(ByteView frame, sim::Responder responder);
-  void handle_handover_context(ByteView frame, sim::Responder responder);
+  void handle_attach_request(aka::AttachRequest request,
+                             sim::TypedResponder<aka::AttachReply> responder);
+  void handle_auth_response(aka::AuthResponse response,
+                            sim::TypedResponder<aka::AuthResponseReply> responder);
+  void handle_resolve_guti(GutiResolveRequest lookup,
+                           sim::TypedResponder<GutiResolveReply> responder);
+  void handle_handover_request(aka::HandoverRequest request,
+                               sim::TypedResponder<aka::HandoverReply> responder);
+  void handle_handover_context(HandoverContextRequest request,
+                               sim::TypedResponder<HandoverContextReply> responder);
   void resolve_foreign_guti(const std::shared_ptr<Attach>& attach,
                             const NetworkId& prior_serving, std::uint64_t value);
   /// Sends the UE an IdentityRequest and ends the attach.
@@ -225,17 +230,6 @@ class ServingNetwork {
   directory::DirectoryClient& directory_;
   FederationConfig config_;
   HomeNetwork* local_home_;
-
-  // Typed stubs: one per federation service this role calls (the request /
-  // reply pairs live in core/messages.h).
-  TypedStub<GetVectorRequest, AuthVectorBundle> home_vector_stub_;
-  TypedStub<ResyncRequest, AuthVectorBundle> home_resync_stub_;
-  TypedStub<UsageProof, KeyReply> home_key_stub_;
-  TypedStub<GetVectorRequest, AuthVectorBundle> backup_vector_stub_;
-  TypedStub<UsageProof, ShareReply> backup_share_stub_;
-  TypedStub<GutiResolveRequest, GutiResolveReply> guti_stub_;
-  TypedStub<HandoverContextRequest, HandoverContextReply> handover_stub_;
-  TypedStub<Ack, Ack> home_ping_stub_;
 
   std::uint64_t next_attach_id_ = 1;
   std::map<std::uint64_t, std::shared_ptr<Attach>> attaches_;

@@ -10,10 +10,6 @@ DirectoryClient::DirectoryClient(sim::Rpc& rpc, sim::NodeIndex self,
       self_(self),
       directory_node_(directory_node),
       config_(config),
-      network_stub_(rpc_, self_, "dir.get_network"),
-      user_stub_(rpc_, self_, "dir.get_home"),
-      backups_stub_(rpc_, self_, "dir.get_backups"),
-      publish_stub_(rpc_, self_, "dir.set_backups"),
       verify_cache_(kVerifyMemoEntries) {}
 
 sim::RpcOptions DirectoryClient::lookup_options() const {
@@ -52,9 +48,9 @@ void DirectoryClient::get_network(const NetworkId& id, NetworkCallback callback,
 
   auto options = lookup_options();
   options.trace_parent = parent;
-  network_stub_.call(
+  sim::TypedStub(rpc_, self_, kGetNetwork).call(
       directory_node_, NameLookup{id.str()}, options,
-      [this, id, callback](core::CallResult<NetworkEntry> result) {
+      [this, id, callback](sim::CallResult<NetworkEntry> result) {
         // A validly self-signed entry for another network is still no answer.
         if (!result.ok() || result.value().id != id) {
           callback(std::nullopt);
@@ -81,7 +77,7 @@ const std::string& entry_name(const BackupsEntry& entry) { return entry.home_net
 }  // namespace
 
 template <typename Entry>
-void DirectoryClient::get_home_signed(const core::TypedStub<NameLookup, Entry>& stub,
+void DirectoryClient::get_home_signed(const sim::Service<NameLookup, Entry>& service,
                                       std::map<std::string, Cached<Entry>>& cache,
                                       const std::string& name,
                                       std::function<void(std::optional<Entry>)> callback,
@@ -95,9 +91,9 @@ void DirectoryClient::get_home_signed(const core::TypedStub<NameLookup, Entry>& 
 
   auto options = lookup_options();
   options.trace_parent = parent;
-  stub.call(
+  sim::TypedStub(rpc_, self_, service).call(
       directory_node_, NameLookup{name}, options,
-      [this, &cache, name, callback, parent](core::CallResult<Entry> result) {
+      [this, &cache, name, callback, parent](sim::CallResult<Entry> result) {
         // A validly signed entry for another name is still no answer.
         if (!result.ok() || entry_name(result.value()) != name) {
           callback(std::nullopt);
@@ -124,25 +120,26 @@ void DirectoryClient::get_home_signed(const core::TypedStub<NameLookup, Entry>& 
 
 void DirectoryClient::get_home(const Supi& supi, UserCallback callback,
                                obs::TraceContext parent) {
-  get_home_signed(user_stub_, user_cache_, supi.str(), std::move(callback), parent);
+  get_home_signed(kGetHome, user_cache_, supi.str(), std::move(callback), parent);
 }
 
 void DirectoryClient::get_backups(const NetworkId& home, BackupsCallback callback,
                                   obs::TraceContext parent) {
-  get_home_signed(backups_stub_, backups_cache_, home.str(), std::move(callback), parent);
+  get_home_signed(kGetBackups, backups_cache_, home.str(), std::move(callback), parent);
 }
 
 void DirectoryClient::publish_backups(const BackupsEntry& entry,
                                       std::function<void(bool)> done) {
-  publish_stub_.call(directory_node_, entry, lookup_options(),
-                     [this, entry, done](core::CallResult<core::Ack> result) {
-                       if (!result.ok()) {
-                         if (done) done(false);
-                         return;
-                       }
-                       cache_store(backups_cache_, entry.home_network.str(), entry);
-                       if (done) done(true);
-                     });
+  sim::TypedStub(rpc_, self_, kSetBackups)
+      .call(directory_node_, entry, lookup_options(),
+            [this, entry, done](sim::CallResult<sim::Ack> result) {
+              if (!result.ok()) {
+                if (done) done(false);
+                return;
+              }
+              cache_store(backups_cache_, entry.home_network.str(), entry);
+              if (done) done(true);
+            });
 }
 
 void DirectoryClient::invalidate() {

@@ -12,7 +12,6 @@
 #include <map>
 #include <optional>
 
-#include "core/typed_stub.h"
 #include "crypto/verify_cache.h"
 #include "directory/directory.h"
 
@@ -86,10 +85,10 @@ class DirectoryClient {
   sim::RpcOptions lookup_options() const;
 
   /// The one lookup of a home-signed entry (user mapping, backup list):
-  /// from `cache` when fresh, else fetched through `stub`, bound to `name`
+  /// from `cache` when fresh, else fetched from `service`, bound to `name`
   /// and verified against its home network's key before it is cached.
   template <typename Entry>
-  void get_home_signed(const core::TypedStub<NameLookup, Entry>& stub,
+  void get_home_signed(const sim::Service<NameLookup, Entry>& service,
                        std::map<std::string, Cached<Entry>>& cache, const std::string& name,
                        std::function<void(std::optional<Entry>)> callback,
                        obs::TraceContext parent);
@@ -98,11 +97,6 @@ class DirectoryClient {
   sim::NodeIndex self_;
   sim::NodeIndex directory_node_;
   ClientConfig config_;
-
-  core::TypedStub<NameLookup, NetworkEntry> network_stub_;
-  core::TypedStub<NameLookup, UserEntry> user_stub_;
-  core::TypedStub<NameLookup, BackupsEntry> backups_stub_;
-  core::TypedStub<BackupsEntry, core::Ack> publish_stub_;
 
   std::map<std::string, Cached<NetworkEntry>> network_cache_;
   std::map<std::string, Cached<UserEntry>> user_cache_;

@@ -61,20 +61,21 @@ DirectoryServer::DirectoryServer(store::KvStore* persistent) : store_(persistent
 }
 
 void DirectoryServer::persist(const std::string& path, ByteView value) {
+  // DAUTH_DISCLOSE(the directory stores only what it serves to any caller: public keys, ids and mappings under their owners' signatures, §3.4)
   if (store_ != nullptr) store_->put(path, value);
 }
 
 void DirectoryServer::load_persisted() {
   for (const auto& key : store_->keys_with_prefix(std::string(kNetworkPrefix))) {
-    const auto entry = NetworkEntry::decode(*store_->get(key));
+    const auto entry = wire::decode<NetworkEntry>(*store_->get(key));
     networks_[entry.id] = entry;
   }
   for (const auto& key : store_->keys_with_prefix(std::string(kUserPrefix))) {
-    const auto entry = UserEntry::decode(*store_->get(key));
+    const auto entry = wire::decode<UserEntry>(*store_->get(key));
     users_[entry.supi] = entry;
   }
   for (const auto& key : store_->keys_with_prefix(std::string(kBackupsPrefix))) {
-    const auto entry = BackupsEntry::decode(*store_->get(key));
+    const auto entry = wire::decode<BackupsEntry>(*store_->get(key));
     backups_[entry.home_network] = entry;
   }
 }
@@ -82,7 +83,7 @@ void DirectoryServer::load_persisted() {
 bool DirectoryServer::register_network(const NetworkEntry& entry) {
   if (!entry.verify()) return false;
   networks_[entry.id] = entry;
-  persist(std::string(kNetworkPrefix) + entry.id.str(), entry.encode());
+  persist(std::string(kNetworkPrefix) + entry.id.str(), wire::encode(entry));
   return true;
 }
 
@@ -91,7 +92,7 @@ bool DirectoryServer::register_user(const UserEntry& entry) {
   if (home == networks_.end()) return false;
   if (!entry.verify(home->second.signing_key)) return false;
   users_[entry.supi] = entry;
-  persist(std::string(kUserPrefix) + entry.supi.str(), entry.encode());
+  persist(std::string(kUserPrefix) + entry.supi.str(), wire::encode(entry));
   return true;
 }
 
@@ -100,7 +101,7 @@ bool DirectoryServer::set_backups(const BackupsEntry& entry) {
   if (home == networks_.end()) return false;
   if (!entry.verify(home->second.signing_key)) return false;
   backups_[entry.home_network] = entry;
-  persist(std::string(kBackupsPrefix) + entry.home_network.str(), entry.encode());
+  persist(std::string(kBackupsPrefix) + entry.home_network.str(), wire::encode(entry));
   return true;
 }
 
@@ -123,79 +124,47 @@ std::optional<BackupsEntry> DirectoryServer::backups(const NetworkId& home) cons
 }
 
 void DirectoryServer::bind(sim::Rpc& rpc, sim::NodeIndex node) {
-  rpc.register_service(node, "dir.get_network", [this](ByteView req, sim::Responder r) {
-    NameLookup lookup;
-    try {
-      lookup = NameLookup::decode(req);
-    } catch (const wire::WireError&) {
-      r.fail(sim::AppErrorCode::kMalformed, "malformed lookup");
-      return;
-    }
-    const NetworkId id(lookup.name);
-    const auto entry = network(id);
-    if (!entry) {
-      r.fail(sim::AppErrorCode::kNotFound, "unknown network " + id.str());
-      return;
-    }
-    r.reply(entry->encode());
-  });
+  sim::serve(rpc, node, kGetNetwork,
+             [this](NameLookup lookup, sim::TypedResponder<NetworkEntry> r) {
+               const NetworkId id(lookup.name);
+               const auto entry = network(id);
+               if (!entry) {
+                 r.fail(sim::AppErrorCode::kNotFound, "unknown network " + id.str());
+                 return;
+               }
+               r.reply(*entry);
+             });
 
-  rpc.register_service(node, "dir.get_home", [this](ByteView req, sim::Responder r) {
-    NameLookup lookup;
-    try {
-      lookup = NameLookup::decode(req);
-    } catch (const wire::WireError&) {
-      r.fail(sim::AppErrorCode::kMalformed, "malformed lookup");
-      return;
-    }
+  sim::serve(rpc, node, kGetHome, [this](NameLookup lookup, sim::TypedResponder<UserEntry> r) {
     const auto entry = user(Supi(lookup.name));
     if (!entry) {
       r.fail(sim::AppErrorCode::kNotFound, "unknown user");
       return;
     }
-    r.reply(entry->encode());
+    r.reply(*entry);
   });
 
-  rpc.register_service(node, "dir.get_backups", [this](ByteView req, sim::Responder r) {
-    NameLookup lookup;
-    try {
-      lookup = NameLookup::decode(req);
-    } catch (const wire::WireError&) {
-      r.fail(sim::AppErrorCode::kMalformed, "malformed lookup");
-      return;
-    }
-    const NetworkId home(lookup.name);
-    const auto entry = backups(home);
-    if (!entry) {
-      r.fail(sim::AppErrorCode::kNotFound, "no backups registered for " + home.str());
-      return;
-    }
-    r.reply(entry->encode());
-  });
+  sim::serve(rpc, node, kGetBackups,
+             [this](NameLookup lookup, sim::TypedResponder<BackupsEntry> r) {
+               const NetworkId home(lookup.name);
+               const auto entry = backups(home);
+               if (!entry) {
+                 r.fail(sim::AppErrorCode::kNotFound, "no backups registered for " + home.str());
+                 return;
+               }
+               r.reply(*entry);
+             });
 
-  rpc.register_service(node, "dir.register_network", [this](ByteView req, sim::Responder r) {
-    NetworkEntry entry;
-    try {
-      entry = NetworkEntry::decode(req);
-    } catch (const wire::WireError&) {
-      r.fail(sim::AppErrorCode::kMalformed, "malformed network entry");
-      return;
-    }
-    if (register_network(entry)) {
-      r.reply({});
-    } else {
-      r.fail(sim::AppErrorCode::kUnauthorized, "invalid network entry signature");
-    }
-  });
+  sim::serve(rpc, node, kRegisterNetwork,
+             [this](NetworkEntry entry, sim::TypedResponder<sim::Ack> r) {
+               if (register_network(entry)) {
+                 r.reply({});
+               } else {
+                 r.fail(sim::AppErrorCode::kUnauthorized, "invalid network entry signature");
+               }
+             });
 
-  rpc.register_service(node, "dir.register_user", [this](ByteView req, sim::Responder r) {
-    UserEntry entry;
-    try {
-      entry = UserEntry::decode(req);
-    } catch (const wire::WireError&) {
-      r.fail(sim::AppErrorCode::kMalformed, "malformed user entry");
-      return;
-    }
+  sim::serve(rpc, node, kRegisterUser, [this](UserEntry entry, sim::TypedResponder<sim::Ack> r) {
     if (register_user(entry)) {
       r.reply({});
     } else {
@@ -203,14 +172,7 @@ void DirectoryServer::bind(sim::Rpc& rpc, sim::NodeIndex node) {
     }
   });
 
-  rpc.register_service(node, "dir.set_backups", [this](ByteView req, sim::Responder r) {
-    BackupsEntry entry;
-    try {
-      entry = BackupsEntry::decode(req);
-    } catch (const wire::WireError&) {
-      r.fail(sim::AppErrorCode::kMalformed, "malformed backups entry");
-      return;
-    }
+  sim::serve(rpc, node, kSetBackups, [this](BackupsEntry entry, sim::TypedResponder<sim::Ack> r) {
     if (set_backups(entry)) {
       r.reply({});
     } else {

@@ -23,7 +23,7 @@
 #include "common/ids.h"
 #include "crypto/ed25519.h"
 #include "crypto/x25519.h"
-#include "sim/rpc.h"
+#include "sim/service.h"
 #include "store/kv_store.h"
 #include "wire/reader.h"
 #include "wire/writer.h"
@@ -40,8 +40,6 @@ struct NameLookup {
   static void fields(F& f, Self& m) {
     f.field(m.name);
   }
-  Bytes encode() const { return wire::encode(*this); }
-  static NameLookup decode(ByteView data) { return wire::decode<NameLookup>(data); }
 };
 
 /// Self-signed descriptor of one federation member.
@@ -59,8 +57,6 @@ struct NetworkEntry {
     f.tail(m.signature);
   }
   Bytes signed_payload() const { return wire::signed_payload(*this); }
-  Bytes encode() const { return wire::encode(*this); }
-  static NetworkEntry decode(ByteView data) { return wire::decode<NetworkEntry>(data); }
   bool verify() const;
 };
 
@@ -77,8 +73,6 @@ struct UserEntry {
     f.tail(m.signature);
   }
   Bytes signed_payload() const { return wire::signed_payload(*this); }
-  Bytes encode() const { return wire::encode(*this); }
-  static UserEntry decode(ByteView data) { return wire::decode<UserEntry>(data); }
   bool verify(const crypto::Ed25519PublicKey& home_key) const;
 };
 
@@ -95,8 +89,6 @@ struct BackupsEntry {
     f.tail(m.signature);
   }
   Bytes signed_payload() const { return wire::signed_payload(*this); }
-  Bytes encode() const { return wire::encode(*this); }
-  static BackupsEntry decode(ByteView data) { return wire::decode<BackupsEntry>(data); }
   bool verify(const crypto::Ed25519PublicKey& home_key) const;
 };
 
@@ -119,8 +111,7 @@ class DirectoryServer {
   std::size_t network_count() const noexcept { return networks_.size(); }
 
   // -- RPC binding -------------------------------------------------------------
-  /// Registers "dir.get_network" / "dir.get_home" / "dir.get_backups" /
-  /// "dir.register_*" services on `node`.
+  /// Serves the dir.* services below on `node`.
   void bind(sim::Rpc& rpc, sim::NodeIndex node);
 
  private:
@@ -132,6 +123,15 @@ class DirectoryServer {
   std::map<NetworkId, BackupsEntry> backups_;
   store::KvStore* store_;
 };
+
+/// The directory's services: three lookups by name, and three signed
+/// registrations, each acknowledged once its signature verifies.
+inline constexpr sim::Service<NameLookup, NetworkEntry> kGetNetwork{"dir.get_network"};
+inline constexpr sim::Service<NameLookup, UserEntry> kGetHome{"dir.get_home"};
+inline constexpr sim::Service<NameLookup, BackupsEntry> kGetBackups{"dir.get_backups"};
+inline constexpr sim::Service<NetworkEntry, sim::Ack> kRegisterNetwork{"dir.register_network"};
+inline constexpr sim::Service<UserEntry, sim::Ack> kRegisterUser{"dir.register_user"};
+inline constexpr sim::Service<BackupsEntry, sim::Ack> kSetBackups{"dir.set_backups"};
 
 /// Signing helpers used by networks when producing their own entries.
 NetworkEntry make_network_entry(const NetworkId& id, const crypto::Ed25519KeyPair& key_pair,

@@ -15,6 +15,13 @@ Record failed(std::string reason) {
   return record;
 }
 
+/// Every UE call: one attempt, never gated by a circuit breaker.
+sim::RpcOptions nas_options(Time timeout) {
+  auto options = sim::RpcOptions::oneshot(timeout);
+  options.use_breaker = false;
+  return options;
+}
+
 }  // namespace
 
 Ue::Ue(sim::Rpc& rpc, sim::NodeIndex ran_node, sim::NodeIndex core_node, Supi supi,
@@ -55,14 +62,16 @@ void Ue::attach(std::function<void(const AttachRecord&)> done) {
   };
   // RRC connection setup: one signalling round trip before any NAS.
   simulator.after(radio, [this, finish] {
-    sim::RpcOptions options;
-    options.timeout = config_.attach_timeout;
-    rpc_.call(
-        ran_node_, core_node_, "serving.rrc_setup", {}, options,
-        [this, finish](Bytes) { send_attach_request(finish, /*allow_guti=*/true); },
-        [finish](sim::RpcError error) {
-          finish(failed<AttachRecord>(std::string("rrc setup failed: ") + to_string(error.code)));
-        });  // NOLINT
+    sim::TypedStub(rpc_, ran_node_, aka::kRrcSetup)
+        .call(core_node_, sim::Ack{}, nas_options(config_.attach_timeout),
+              [this, finish](sim::CallResult<sim::Ack> result) {
+                if (!result.ok()) {
+                  finish(failed<AttachRecord>(std::string("rrc setup failed: ") +
+                                              to_string(result.error().code)));
+                  return;
+                }
+                send_attach_request(finish, /*allow_guti=*/true);
+              });
   });
 }
 
@@ -78,37 +87,29 @@ void Ue::send_attach_request(const std::function<void(AttachRecord)>& finish, bo
   }
   request.lte = config_.lte;
 
-  sim::RpcOptions options;
-  options.timeout = config_.attach_timeout;
-  rpc_.call(
-      ran_node_, core_node_, "serving.attach_request", wire::encode(request), options,
-      [this, finish, options](Bytes frame) {
-        aka::AttachReply reply;
-        try {
-          reply = wire::decode<aka::AttachReply>(frame);
-        } catch (const wire::WireError&) {
-          finish(failed<AttachRecord>("malformed challenge"));
-          return;
-        }
-        if (std::holds_alternative<aka::IdentityRequest>(reply.step)) {
-          // The network could not resolve our GUTI (§4.1); retry
-          // immediately with a long-lived identifier.
-          guti_.reset();
-          send_attach_request(finish, /*allow_guti=*/false);
-          return;
-        }
-        run_challenge(reply.attach_id, std::get<aka::Challenge>(reply.step), /*attempt=*/0,
-                      finish, options);
-      },
-      [finish](sim::RpcError error) {
-        finish(failed<AttachRecord>(std::string("attach request failed: ") +
-                                    to_string(error.code) + ": " + error.message));
-      });
+  sim::TypedStub(rpc_, ran_node_, aka::kAttachRequest)
+      .call(core_node_, request, nas_options(config_.attach_timeout),
+            [this, finish](sim::CallResult<aka::AttachReply> reply) {
+              if (!reply.ok()) {
+                finish(failed<AttachRecord>(std::string("attach request failed: ") +
+                                            to_string(reply.error().code) + ": " +
+                                            reply.error().message));
+                return;
+              }
+              if (std::holds_alternative<aka::IdentityRequest>(reply->step)) {
+                // The network could not resolve our GUTI (§4.1); retry
+                // immediately with a long-lived identifier.
+                guti_.reset();
+                send_attach_request(finish, /*allow_guti=*/false);
+                return;
+              }
+              run_challenge(reply->attach_id, std::get<aka::Challenge>(reply->step),
+                            /*attempt=*/0, finish);
+            });
 }
 
 void Ue::run_challenge(std::uint64_t attach_id, const aka::Challenge& challenge, int attempt,
-                       const std::function<void(AttachRecord)>& finish,
-                       const sim::RpcOptions& options) {
+                       const std::function<void(AttachRecord)>& finish) {
   // USIM processing: verify AUTN, update SQN state, derive keys. 4G devices
   // run EPS AKA (RES, K_ASME); 5G devices run 5G AKA (RES*, K_seaf).
   aka::UsimResult result;
@@ -150,23 +151,21 @@ void Ue::run_challenge(std::uint64_t attach_id, const aka::Challenge& challenge,
   }
   const bool sent_auts = !result.ok();
 
-  // DAUTH_DISCLOSE(RES* is the authentication response itself, and an AUTS conceals SQNms under AK*, TS 33.102 §6.3.3)
-  rpc_.call(
-      ran_node_, core_node_, "serving.auth_response", wire::encode(response), options,
-      [this, finish, ue_k_seaf, options, attach_id, attempt, sent_auts](Bytes frame) {
-        aka::AuthResponseReply reply;
-        try {
-          reply = wire::decode<aka::AuthResponseReply>(frame);
-        } catch (const wire::WireError&) {
-          finish(failed<AttachRecord>("malformed outcome"));
+  sim::TypedStub(rpc_, ran_node_, aka::kAuthResponse)
+      .call(core_node_, response, nas_options(config_.attach_timeout),
+            [this, finish, ue_k_seaf, attach_id, attempt,
+             sent_auts](sim::CallResult<aka::AuthResponseReply> reply) {
+        if (!reply.ok()) {
+          finish(failed<AttachRecord>(std::string("auth response failed: ") +
+                                      reply.error().message));
           return;
         }
-        if (const auto* retry = std::get_if<aka::Challenge>(&reply.step)) {
+        if (const auto* retry = std::get_if<aka::Challenge>(&reply->step)) {
           // Resynchronised retry challenge.
-          run_challenge(attach_id, *retry, attempt + 1, finish, options);
+          run_challenge(attach_id, *retry, attempt + 1, finish);
           return;
         }
-        const auto& outcome = std::get<aka::Outcome>(reply.step);
+        const auto& outcome = std::get<aka::Outcome>(reply->step);
         AttachRecord record;
         record.success = outcome.success;
         record.path = outcome.path;
@@ -195,17 +194,15 @@ void Ue::run_challenge(std::uint64_t attach_id, const aka::Challenge& challenge,
         }
         // SecurityModeComplete / RegistrationAccept: the final signalling
         // round trip before user-plane service.
-        rpc_.call(
-            ran_node_, core_node_, "serving.registration_complete", {}, options,
-            [finish, record](Bytes) { finish(record); },
-            [finish, record](sim::RpcError) mutable {
-              record.success = false;
-              record.failure = "registration complete failed";
-              finish(record);
-            });
-      },
-      [finish](sim::RpcError error) {
-        finish(failed<AttachRecord>(std::string("auth response failed: ") + error.message));
+        sim::TypedStub(rpc_, ran_node_, aka::kRegistrationComplete)
+            .call(core_node_, sim::Ack{}, nas_options(config_.attach_timeout),
+                  [finish, record](sim::CallResult<sim::Ack> ack) mutable {
+                    if (!ack.ok()) {
+                      record.success = false;
+                      record.failure = "registration complete failed";
+                    }
+                    finish(record);
+                  });
       });
 }
 
@@ -226,19 +223,15 @@ void Ue::handover_to(sim::NodeIndex target_core,
   }
   busy_ = true;
 
-  sim::RpcOptions options;
-  options.timeout = config_.attach_timeout;
-  rpc_.call(
-      ran_node_, target_core, "serving.handover_request",
-      wire::encode<aka::HandoverRequest>(*guti_), options,
-      [this, finish, target_core](Bytes frame) {
-        aka::HandoverReply reply;
-        try {
-          reply = wire::decode<aka::HandoverReply>(frame);
-        } catch (const wire::WireError&) {
-          finish(failed<HandoverRecord>("malformed handover reply"));
+  sim::TypedStub(rpc_, ran_node_, aka::kHandoverRequest)
+      .call(target_core, *guti_, nas_options(config_.attach_timeout),
+            [this, finish, target_core](sim::CallResult<aka::HandoverReply> result) {
+        if (!result.ok()) {
+          finish(failed<HandoverRecord>(std::string("handover request failed: ") +
+                                        result.error().message));
           return;
         }
+        const aka::HandoverReply& reply = result.value();
         // Derive the same horizontal key as the source network did and
         // check the target's key confirmation — mutual proof that the
         // context transfer used OUR session key.
@@ -254,9 +247,6 @@ void Ue::handover_to(sim::NodeIndex target_core,
         HandoverRecord record;
         record.success = true;
         finish(record);
-      },
-      [finish](sim::RpcError error) {
-        finish(failed<HandoverRecord>(std::string("handover request failed: ") + error.message));
       });
 }
 

@@ -4,8 +4,8 @@
 // over the simulated network:
 //   AttachRequest -> AuthRequest(RAND, AUTN) -> [USIM verify] ->
 //   AuthResponse(RES*) -> SecurityModeCommand(key confirmation) -> done.
-// The frames are aka/nas.h's, which the dAuth serving network and the
-// baseline core decode too.
+// It calls aka/nas.h's serving.* services, which the dAuth serving network
+// and the baseline core both serve.
 // The radio-side overhead (cell sync, RACH, RRC setup) is modelled as a
 // sampled delay before the first NAS message: ~2ms for an emulated RAN
 // (UERANSIM), ~220ms for the physical Baicells+srsUE testbed of Fig. 3,
@@ -109,8 +109,7 @@ class Ue {
   /// Runs one challenge/response round; recurses (once) on the retry
   /// challenge the network sends after an AUTS resync.
   void run_challenge(std::uint64_t attach_id, const aka::Challenge& challenge, int attempt,
-                     const std::function<void(AttachRecord)>& finish,
-                     const sim::RpcOptions& options);
+                     const std::function<void(AttachRecord)>& finish);
 
   sim::Rpc& rpc_;
   sim::NodeIndex ran_node_;

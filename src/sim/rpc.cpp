@@ -18,7 +18,6 @@ const char* to_string(RpcErrorCode code) noexcept {
 
 const char* to_string(AppErrorCode code) noexcept {
   switch (code) {
-    case AppErrorCode::kUnspecified: return "unspecified";
     case AppErrorCode::kMalformed: return "malformed";
     case AppErrorCode::kUnauthorized: return "unauthorized";
     case AppErrorCode::kNotFound: return "not-found";
@@ -48,13 +47,9 @@ struct Rpc::CallState {
   bool done = false;
   /// Attempt span ("rpc:<service>") when a tracer is installed.
   obs::TraceContext span{};
-  /// Set for plain call() handles only; policy runs track settlement in
-  /// their own control block. Weak: the control must not keep the state
-  /// (and thus the callbacks) alive past completion.
-  std::weak_ptr<CallHandle::Cancellable> control;
 };
 
-/// One policy-driven call: the surviving context across retry attempts.
+/// One call: the surviving context across its attempts.
 struct Rpc::PolicyState {
   NodeIndex from;
   NodeIndex to;
@@ -68,7 +63,7 @@ struct Rpc::PolicyState {
   Time start = 0;
   int attempts_issued = 0;
   bool probe = false;  // the in-flight attempt is a half-open breaker probe
-  /// Parent span resolved at call_with_policy entry, so retries issued from
+  /// Parent span resolved when the call is issued, so retries issued from
   /// timer callbacks (no ambient context) stay parented to the caller.
   obs::TraceContext parent{};
   /// Weak: the in-flight attempt is owned by its pending simulator events,
@@ -81,28 +76,9 @@ void Rpc::register_service(NodeIndex node, std::string service, ServiceHandler h
   services_[{node, std::move(service)}] = std::move(handler);
 }
 
-CallHandle Rpc::call(NodeIndex from, NodeIndex to, const std::string& service, Bytes request,
-                     const RpcOptions& options, ReplyCallback on_reply,
-                     ErrorCallback on_error) {
-  auto state = start_call(from, to, service, std::move(request), options,
-                          std::move(on_reply), std::move(on_error));
-  auto control = std::make_shared<CallHandle::Cancellable>();
-  state->control = control;
-  control->abort = [this, weak = std::weak_ptr<CallState>(state)] {
-    auto s = weak.lock();
-    if (!s) return;
-    s->done = true;
-    if (tracer_ != nullptr && s->span.valid()) {
-      tracer_->set_attr(s->span, "cancelled", true);
-      tracer_->end_span(s->span, false);
-    }
-  };
-  return CallHandle(std::move(control));
-}
-
 std::shared_ptr<Rpc::CallState> Rpc::start_call(NodeIndex from, NodeIndex to,
                                                 const std::string& service, Bytes request,
-                                                const RpcOptions& options,
+                                                const RpcOptions& options, int attempt,
                                                 ReplyCallback on_reply,
                                                 ErrorCallback on_error) {
   ++calls_started_;
@@ -115,9 +91,7 @@ std::shared_ptr<Rpc::CallState> Rpc::start_call(NodeIndex from, NodeIndex to,
   if (tracer_ != nullptr) {
     state->span = tracer_->start_span("rpc:" + service, options.trace_parent);
     tracer_->set_attr(state->span, "peer", network_.node(to).name());
-    if (options.trace_attempt > 0) {
-      tracer_->set_attr(state->span, "attempt", options.trace_attempt);
-    }
+    tracer_->set_attr(state->span, "attempt", attempt);
   }
 
   auto& simulator = network_.simulator();
@@ -163,10 +137,9 @@ std::shared_ptr<Rpc::CallState> Rpc::start_call(NodeIndex from, NodeIndex to,
   return state;
 }
 
-CallHandle Rpc::call_with_policy(NodeIndex from, NodeIndex to, const std::string& service,
-                                 Bytes request, const RpcOptions& options,
-                                 ReplyCallback on_reply, ErrorCallback on_error,
-                                 ResilienceObserver observer) {
+CallHandle Rpc::call(NodeIndex from, NodeIndex to, const std::string& service, Bytes request,
+                     const RpcOptions& options, ReplyCallback on_reply, ErrorCallback on_error,
+                     ResilienceObserver observer) {
   auto state = std::make_shared<PolicyState>();
   state->from = from;
   state->to = to;
@@ -250,10 +223,10 @@ void Rpc::attempt(std::shared_ptr<PolicyState> state) {
   attempt_options.timeout = attempt_timeout;
   ++state->attempts_issued;
   attempt_options.trace_parent = state->parent;
-  attempt_options.trace_attempt = state->attempts_issued;
 
   state->current = start_call(
       state->from, state->to, state->service, state->request, attempt_options,
+      state->attempts_issued,
       [this, state](Bytes reply) {
         if (state->control->cancelled || state->control->settled) return;
         if (state->options.use_breaker) breakers_.on_success(state->from, state->to);
@@ -329,17 +302,16 @@ void Rpc::send_request(NodeIndex from, NodeIndex to, const std::string& service,
             handle_span = tracer_->start_span("handle:" + service, state->span);
           }
           auto reply_fn = std::make_shared<Responder::ReplyFn>(
-              [this, from, to, state, handle_span](Bytes reply, bool is_error,
-                                                   AppError app) {
+              [this, from, to, state, handle_span](Bytes reply, std::optional<AppError> app) {
                 if (tracer_ != nullptr && handle_span.valid()) {
-                  tracer_->end_span(handle_span, !is_error);
+                  tracer_->end_span(handle_span, !app.has_value());
                 }
                 const std::size_t reply_size = reply.size() + 64;
                 network_.send(to, from, reply_size,
-                              [this, state, reply = std::move(reply), is_error,
+                              [this, state, reply = std::move(reply),
                                app = std::move(app)]() mutable {
-                                if (is_error) {
-                                  std::string message = app.detail;
+                                if (app.has_value()) {
+                                  std::string message = app->detail;
                                   finish_error(state, {RpcErrorCode::kRejected,
                                                        std::move(message), std::move(app)});
                                 } else {
@@ -361,11 +333,7 @@ void Rpc::finish_ok(const std::shared_ptr<CallState>& state, Bytes reply) {
   if (tracer_ != nullptr && state->span.valid()) {
     tracer_->end_span(state->span, true);
   }
-  if (auto control = state->control.lock()) {
-    control->settled = true;
-    control->abort = nullptr;
-  }
-  // Move the callback out and drop both before invoking: a policy attempt's
+  // Move the callback out and drop both before invoking: an attempt's
   // callbacks own their PolicyState, which must not outlive settlement.
   auto on_reply = std::move(state->on_reply);
   state->on_reply = nullptr;
@@ -382,10 +350,6 @@ void Rpc::finish_error(const std::shared_ptr<CallState>& state, RpcError error) 
       tracer_->set_attr(state->span, "app_error", to_string(error.app->code));
     }
     tracer_->end_span(state->span, false);
-  }
-  if (auto control = state->control.lock()) {
-    control->settled = true;
-    control->abort = nullptr;
   }
   auto on_error = std::move(state->on_error);
   state->on_reply = nullptr;

@@ -8,11 +8,12 @@
 // Handlers are asynchronous: a server may issue further RPCs (e.g. a
 // serving network fanning out to backup networks) before responding.
 //
-// On top of the single-shot `call` path sits the resilience substrate
-// (docs/RESILIENCE.md): `call_with_policy` drives retries with
-// deterministic jittered backoff inside an overall deadline budget, and
-// consults per-peer circuit breakers (sim/resilience.h) so known-down
-// peers fail fast instead of burning a timeout.
+// Every call runs the resilience substrate (docs/RESILIENCE.md): `call`
+// drives retries with deterministic jittered backoff inside an overall
+// deadline budget, and consults per-peer circuit breakers
+// (sim/resilience.h) so known-down peers fail fast instead of burning a
+// timeout. sim/service.h declares services and derives typed stubs and
+// handlers on top of this byte-level layer.
 #pragma once
 
 #include <cstdint>
@@ -39,13 +40,12 @@ enum class RpcErrorCode {
   kNoService,    // no handler registered at the destination
   kRejected,     // application-level failure sent by the handler (see AppError)
   kCircuitOpen,  // failed fast: the peer's circuit breaker is open
-  kBadReply,     // reply arrived but could not be decoded (typed stubs)
+  kBadReply,     // reply arrived but could not be decoded (sim/service.h)
 };
 
 /// Application-level failure taxonomy, carried inside kRejected replies so
 /// callers branch on a code instead of string-matching error messages.
 enum class AppErrorCode {
-  kUnspecified,   // legacy free-text rejection
   kMalformed,     // request failed to decode
   kUnauthorized,  // signature / proof / constant-time check failed
   kNotFound,      // unknown user, network, GUTI, or context
@@ -55,7 +55,7 @@ enum class AppErrorCode {
 };
 
 struct AppError {
-  AppErrorCode code = AppErrorCode::kUnspecified;
+  AppErrorCode code;
   std::string detail;
 };
 
@@ -83,9 +83,9 @@ struct RpcOptions {
   Time timeout = sec(5);
   /// Overall budget across attempts and backoffs; 0 = per-attempt only.
   Time deadline = 0;
-  /// Retry schedule for call_with_policy (plain call() ignores it).
+  /// Retry schedule for transient failures.
   RetryPolicy retry = RetryPolicy::none();
-  /// Consult the per-peer circuit breaker on call_with_policy paths.
+  /// Consult the per-peer circuit breaker.
   bool use_breaker = true;
   /// Pay the connection handshake on THIS call and do not cache the
   /// connection — models stacks that open a fresh transport per request
@@ -96,9 +96,6 @@ struct RpcOptions {
   /// records. Invalid (the default) falls back to the tracer's ambient
   /// context; ignored entirely while no tracer is installed.
   obs::TraceContext trace_parent{};
-  /// 1-based attempt index stamped on the attempt span (policy calls set
-  /// this; 0 = unannotated single-shot call).
-  int trace_attempt = 0;
 
   static RpcOptions oneshot(Time timeout = sec(5)) {
     RpcOptions options;
@@ -121,18 +118,15 @@ struct RpcOptions {
 /// (eventually — the handler may hold onto it across further async work).
 class Responder {
  public:
-  using ReplyFn = std::function<void(Bytes, bool is_error, AppError)>;
+  /// The reply bytes, or the rejection (nullopt for a reply).
+  using ReplyFn = std::function<void(Bytes, std::optional<AppError>)>;
 
   explicit Responder(std::shared_ptr<ReplyFn> fn) : fn_(std::move(fn)) {}
 
-  void reply(Bytes data) const { (*fn_)(std::move(data), false, {}); }
-  void fail(AppError error) const { (*fn_)({}, true, std::move(error)); }
+  void reply(Bytes data) const { (*fn_)(std::move(data), std::nullopt); }
+  void fail(AppError error) const { (*fn_)({}, std::move(error)); }
   void fail(AppErrorCode code, std::string detail) const {
     fail(AppError{code, std::move(detail)});
-  }
-  /// Legacy free-text rejection; prefer the coded overloads.
-  void fail(std::string reason) const {
-    fail(AppError{AppErrorCode::kUnspecified, std::move(reason)});
   }
 
  private:
@@ -154,9 +148,9 @@ enum class ResilienceEvent {
 
 using ResilienceObserver = std::function<void(ResilienceEvent event)>;
 
-/// Cancellable reference to an in-flight call (plain or policy-driven).
-/// cancel() suppresses both callbacks, pending retries and the timeout
-/// accounting — the mechanism behind hedged-request loser cancellation.
+/// Cancellable reference to an in-flight call. cancel() suppresses both
+/// callbacks, pending retries and the timeout accounting — the mechanism
+/// behind hedged-request loser cancellation.
 class CallHandle {
  public:
   CallHandle() = default;
@@ -182,7 +176,7 @@ struct RpcConfig {
   Time server_base_cost = us(120);
   /// Re-use established connections between node pairs (paper §5.1 opt. 1).
   bool connection_reuse = true;
-  /// Per-peer circuit breaker tuning (call_with_policy paths only).
+  /// Per-peer circuit breaker tuning (calls with RpcOptions::use_breaker).
   CircuitBreakerConfig breaker;
 };
 
@@ -194,20 +188,15 @@ class Rpc {
   /// Registers a named service on a node. Overwrites any existing handler.
   void register_service(NodeIndex node, std::string service, ServiceHandler handler);
 
-  /// Issues one asynchronous call attempt. Exactly one of on_reply /
-  /// on_error fires (unless the handle is cancelled first). Ignores the
-  /// retry/deadline/breaker fields of `options`.
+  /// Issues one asynchronous call. Exactly one of on_reply / on_error fires
+  /// (unless the handle is cancelled first). Retries transient failures
+  /// (kTimeout/kUnreachable) per options.retry with jittered backoff drawn
+  /// from the sim RNG, carves per-attempt timeouts from options.deadline,
+  /// and, with options.use_breaker, consults the per-peer circuit breaker
+  /// (fails fast with kCircuitOpen while it is open).
   CallHandle call(NodeIndex from, NodeIndex to, const std::string& service, Bytes request,
-                  const RpcOptions& options, ReplyCallback on_reply, ErrorCallback on_error);
-
-  /// Policy-driven call: retries transient failures (kTimeout/kUnreachable)
-  /// per options.retry with jittered backoff drawn from the sim RNG, carves
-  /// per-attempt timeouts from options.deadline, and consults the per-peer
-  /// circuit breaker (fails fast with kCircuitOpen while it is open).
-  CallHandle call_with_policy(NodeIndex from, NodeIndex to, const std::string& service,
-                              Bytes request, const RpcOptions& options,
-                              ReplyCallback on_reply, ErrorCallback on_error,
-                              ResilienceObserver observer = {});
+                  const RpcOptions& options, ReplyCallback on_reply, ErrorCallback on_error,
+                  ResilienceObserver observer = {});
 
   /// Drops all cached connections involving `node` (e.g. after it fails).
   void reset_connections(NodeIndex node);
@@ -237,8 +226,8 @@ class Rpc {
 
   std::shared_ptr<CallState> start_call(NodeIndex from, NodeIndex to,
                                         const std::string& service, Bytes request,
-                                        const RpcOptions& options, ReplyCallback on_reply,
-                                        ErrorCallback on_error);
+                                        const RpcOptions& options, int attempt,
+                                        ReplyCallback on_reply, ErrorCallback on_error);
   void attempt(std::shared_ptr<PolicyState> state);
   void settle_error(const std::shared_ptr<PolicyState>& state, RpcError error);
   void send_request(NodeIndex from, NodeIndex to, const std::string& service, Bytes request,

@@ -85,14 +85,15 @@ std::vector<std::string> KvStore::keys_with_prefix(std::string_view prefix) cons
 
 void KvStore::compact() {
   if (!wal_) return;
-  wal_->reset();
-  for (const auto& [key, value] : map_) {
-    wire::Writer w;
-    w.u8(kOpPut);
-    w.string(key);  // DAUTH_DISCLOSE(KV keys are namespaced lookup paths, never raw key material)
-    w.bytes(value);
-    wal_->append(w.data());
-  }
+  wal_->rewrite([this](Wal& snapshot) {
+    for (const auto& [key, value] : map_) {
+      wire::Writer w;
+      w.u8(kOpPut);
+      w.string(key);  // DAUTH_DISCLOSE(KV keys are namespaced lookup paths, never raw key material)
+      w.bytes(value);
+      snapshot.append(w.data());
+    }
+  });
 }
 
 }  // namespace dauth::store

@@ -44,7 +44,8 @@ class KvStore {
   std::vector<std::string> keys_with_prefix(std::string_view prefix) const;
 
   /// Rewrites the log as one snapshot record per live key (drops tombstones
-  /// and overwritten versions). No-op for ephemeral stores.
+  /// and overwritten versions), atomically (Wal::rewrite): a crash leaves
+  /// either the old log or the whole snapshot. No-op for ephemeral stores.
   void compact();
 
   /// Number of WAL records replayed at open (0 for ephemeral). For tests.

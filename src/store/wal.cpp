@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include <unistd.h>  // fsync
+
 namespace dauth::store {
 namespace {
 
@@ -80,10 +82,22 @@ std::size_t Wal::replay(const std::function<void(ByteView)>& callback) const {
   return delivered;
 }
 
-void Wal::reset() {
+void Wal::rewrite(const std::function<void(Wal& snapshot)>& write) {
+  const std::string temp = path_ + ".tmp";
+  std::remove(temp.c_str());  // left by a crash before its rename
+  {
+    Wal snapshot(temp);
+    write(snapshot);
+    if (std::fflush(snapshot.file_) != 0 || ::fsync(::fileno(snapshot.file_)) != 0) {
+      throw std::runtime_error("Wal: cannot flush " + temp);
+    }
+  }
+  if (std::rename(temp.c_str(), path_.c_str()) != 0) {
+    throw std::runtime_error("Wal: cannot replace " + path_);
+  }
   std::fclose(file_);
-  file_ = std::fopen(path_.c_str(), "wb");
-  if (file_ == nullptr) throw std::runtime_error("Wal: cannot truncate " + path_);
+  file_ = std::fopen(path_.c_str(), "ab");
+  if (file_ == nullptr) throw std::runtime_error("Wal: cannot reopen " + path_);
 }
 
 }  // namespace dauth::store

@@ -33,8 +33,12 @@ class Wal {
   /// delivered; stops quietly at the first corrupt/torn record.
   std::size_t replay(const std::function<void(ByteView)>& callback) const;
 
-  /// Truncates the log (used after writing a compacted snapshot).
-  void reset();
+  /// Replaces the log with the records `write` appends to `snapshot`,
+  /// atomically: they go to `<path>.tmp`, which is flushed to disk and then
+  /// renamed over the log, and the log is reopened for append. A crash (or
+  /// a throw from `write`) before the rename leaves the old log whole; a
+  /// leftover temp file is never read.
+  void rewrite(const std::function<void(Wal& snapshot)>& write);
 
   const std::string& path() const noexcept { return path_; }
 

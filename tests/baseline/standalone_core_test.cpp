@@ -214,16 +214,18 @@ TEST(StandaloneCore, RatByteOtherThanZeroOrOneIsMalformed) {
   for (const std::uint8_t rat : {0, 2, 255}) {
     Bytes frame = wire::encode(request);
     frame.back() = rat;  // the RAT is the frame's last byte
-    std::optional<std::string> failure;
+    std::optional<sim::AppError> failure;
     f.rpc.call(
         f.ran_node, f.core_node, "serving.attach_request", frame, {},
         [&](Bytes reply) { EXPECT_NO_THROW((void)wire::decode<aka::AttachReply>(reply)); },
-        [&](sim::RpcError e) { failure = e.message; });
+        [&](sim::RpcError e) { failure = e.app; });
     f.s.run();
     if (rat == 0) {
-      EXPECT_EQ(failure, std::nullopt) << "a 5G attach is challenged";
+      EXPECT_FALSE(failure.has_value()) << "a 5G attach is challenged";
     } else {
-      EXPECT_EQ(failure, "malformed attach request") << "rat " << int{rat};
+      ASSERT_TRUE(failure.has_value()) << "rat " << int{rat};
+      EXPECT_EQ(failure->code, sim::AppErrorCode::kMalformed) << "rat " << int{rat};
+      EXPECT_EQ(failure->detail, "malformed serving.attach_request") << "rat " << int{rat};
     }
   }
   EXPECT_EQ(core.metrics().attaches_started, 1u);

@@ -218,12 +218,12 @@ TEST(BundleBatch, OneSignatureCoversEveryBundle) {
     EXPECT_EQ(batch.vectors[i].batch.leaf_index, i);
     EXPECT_EQ(batch.vectors[i].batch.leaf_count, 8u);
     EXPECT_EQ(batch.vectors[i].home_signature, batch.vectors[0].home_signature);
-    EXPECT_TRUE(AuthVectorBundle::decode(batch.vectors[i].encode()).verify(home.public_key));
+    EXPECT_TRUE(wire::decode<AuthVectorBundle>(wire::encode(batch.vectors[i])).verify(home.public_key));
   }
   for (const auto& s : batch.shares) {
     EXPECT_EQ(s.home_signature, batch.vectors[0].home_signature);
     EXPECT_EQ(s.batch.siblings.size(), 3u);
-    EXPECT_TRUE(KeyShareBundle::decode(s.encode()).verify(home.public_key));
+    EXPECT_TRUE(wire::decode<KeyShareBundle>(wire::encode(s)).verify(home.public_key));
   }
 }
 
@@ -236,13 +236,13 @@ TEST(BundleBatch, OneLeafBatchRoundTrip) {
   EXPECT_EQ(v.batch.batch_index, 0u);
   EXPECT_EQ(v.batch.batch_count, 1u);
   EXPECT_TRUE(v.batch.siblings.empty());
-  const AuthVectorBundle decoded = AuthVectorBundle::decode(v.encode());
-  EXPECT_EQ(decoded.encode(), v.encode());
+  const AuthVectorBundle decoded = wire::decode<AuthVectorBundle>(wire::encode(v));
+  EXPECT_EQ(wire::encode(decoded), wire::encode(v));
   EXPECT_TRUE(decoded.verify(home.public_key));
 
   KeyShareBundle s = share_for("901550000000001", 9);
   sign_single(s, home);
-  EXPECT_TRUE(KeyShareBundle::decode(s.encode()).verify(home.public_key));
+  EXPECT_TRUE(wire::decode<KeyShareBundle>(wire::encode(s)).verify(home.public_key));
 }
 
 TEST(BundleBatch, OneSignatureCoversEveryBatchOfARound) {
@@ -256,11 +256,11 @@ TEST(BundleBatch, OneSignatureCoversEveryBatchOfARound) {
       EXPECT_EQ(v.batch.batch_count, 5u);
       EXPECT_EQ(v.batch.leaf_count, 5u);
       EXPECT_EQ(v.home_signature, signature);
-      EXPECT_TRUE(AuthVectorBundle::decode(v.encode()).verify(home.public_key)) << b;
+      EXPECT_TRUE(wire::decode<AuthVectorBundle>(wire::encode(v)).verify(home.public_key)) << b;
     }
     for (const auto& s : round[b].shares) {
       EXPECT_EQ(s.home_signature, signature);
-      EXPECT_TRUE(KeyShareBundle::decode(s.encode()).verify(home.public_key)) << b;
+      EXPECT_TRUE(wire::decode<KeyShareBundle>(wire::encode(s)).verify(home.public_key)) << b;
     }
     // Every bundle of the round verifies against one signed message, which
     // is what lets a verification memo answer all but the first check.
@@ -402,7 +402,7 @@ TEST(SplitBatches, RoundRequestIsOneBatchWithItsRoundPath) {
     StoreMaterialRequest req = round[b];
     for (auto& v : req.vectors) v.batch.siblings.clear();  // as the home sends it
     for (auto& s : req.shares) s.batch.siblings.clear();
-    const auto batches = split_batches(StoreMaterialRequest::decode(req.encode()));
+    const auto batches = split_batches(wire::decode<StoreMaterialRequest>(wire::encode(req)));
     ASSERT_TRUE(batches.has_value()) << b;
     ASSERT_EQ(batches->size(), 1u);
     EXPECT_EQ(batches->front().batch_index, b);
@@ -413,12 +413,12 @@ TEST(SplitBatches, RoundRequestIsOneBatchWithItsRoundPath) {
     for (const auto& v : round[b].vectors) {
       AuthVectorBundle rebuilt = v;
       rebuilt.batch = batches->front().position(v.batch.leaf_index);
-      EXPECT_EQ(rebuilt.encode(), v.encode()) << b;
+      EXPECT_EQ(wire::encode(rebuilt), wire::encode(v)) << b;
     }
     for (const auto& s : round[b].shares) {
       KeyShareBundle rebuilt = s;
       rebuilt.batch = batches->front().position(s.batch.leaf_index);
-      EXPECT_EQ(rebuilt.encode(), s.encode()) << b;
+      EXPECT_EQ(wire::encode(rebuilt), wire::encode(s)) << b;
     }
   }
 }
@@ -477,7 +477,7 @@ TEST(SplitBatches, InconsistentLayoutsAreRejected) {
   for (const auto& [name, mutate] : cases) {
     StoreMaterialRequest req = signed_request(home);
     mutate(req);
-    EXPECT_FALSE(split_batches(StoreMaterialRequest::decode(req.encode())).has_value()) << name;
+    EXPECT_FALSE(split_batches(wire::decode<StoreMaterialRequest>(wire::encode(req))).has_value()) << name;
   }
 }
 
@@ -525,7 +525,7 @@ TEST(SplitBatches, RoundAttacksAreRejectedAtStoreTime) {
     StoreMaterialRequest req = alice[1];
     ASSERT_TRUE(split_batches(req)->front().verify_root(req.home_network, home.public_key));
     mutate(req);
-    const auto batches = split_batches(StoreMaterialRequest::decode(req.encode()));
+    const auto batches = split_batches(wire::decode<StoreMaterialRequest>(wire::encode(req)));
     EXPECT_TRUE(!batches || !batches->front().verify_root(req.home_network, home.public_key))
         << name;
   }

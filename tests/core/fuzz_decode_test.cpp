@@ -33,12 +33,12 @@ Bytes valid_vector_bundle() {
   b.autn = array_from_hex<16>("ffeeddccbbaa99887766554433221100");
   b.hxres_star = array_from_hex<16>("000102030405060708090a0b0c0d0e0f");
   sign_single(b, signer());
-  return b.encode();
+  return wire::encode(b);
 }
 
 /// A three-batch round of vectors: batch b holds five bundles.
 std::vector<StoreMaterialRequest> signed_round() {
-  const AuthVectorBundle base = AuthVectorBundle::decode(valid_vector_bundle());
+  const AuthVectorBundle base = wire::decode<AuthVectorBundle>(valid_vector_bundle());
   std::vector<StoreMaterialRequest> round(3);
   for (std::size_t b = 0; b < round.size(); ++b) {
     round[b].home_network = base.home_network;
@@ -63,7 +63,7 @@ Bytes valid_batched_vector_bundle() {
   served.batch.siblings = crypto::MerkleTree(std::move(leaves)).path(2);
   served.batch.siblings.insert(served.batch.siblings.end(), batch.round.begin(),
                                batch.round.end());
-  return served.encode();
+  return wire::encode(served);
 }
 
 Bytes valid_store_request() {
@@ -79,7 +79,7 @@ Bytes valid_store_request() {
   sign_round(round, signer());
   req = round[1];
   req.suci_secret = Bytes(32, 0x55);
-  return req.encode();
+  return wire::encode(req);
 }
 
 template <typename Decoder>
@@ -98,38 +98,38 @@ void expect_all_truncations_throw(const Bytes& valid, Decoder decode) {
 
 TEST(FuzzDecode, AuthVectorBundleTruncations) {
   expect_all_truncations_throw(valid_vector_bundle(),
-                               [](ByteView d) { return AuthVectorBundle::decode(d); });
+                               [](ByteView d) { return wire::decode<AuthVectorBundle>(d); });
 }
 
 TEST(FuzzDecode, BatchedVectorBundleTruncations) {
   const Bytes frame = valid_batched_vector_bundle();
-  ASSERT_TRUE(AuthVectorBundle::decode(frame).verify(signer().public_key));
-  expect_all_truncations_throw(frame, [](ByteView d) { return AuthVectorBundle::decode(d); });
+  ASSERT_TRUE(wire::decode<AuthVectorBundle>(frame).verify(signer().public_key));
+  expect_all_truncations_throw(frame, [](ByteView d) { return wire::decode<AuthVectorBundle>(d); });
 }
 
 TEST(FuzzDecode, OverlongBatchPathIsRejected) {
   // The sibling count is one byte, but a batch and its round are together
   // at most 32 levels tall: a longer declared path must throw before
   // anything is read into it.
-  AuthVectorBundle b = AuthVectorBundle::decode(valid_vector_bundle());
+  AuthVectorBundle b = wire::decode<AuthVectorBundle>(valid_vector_bundle());
   b.batch.siblings.assign(33, crypto::Sha256Digest{});
-  EXPECT_THROW((void)AuthVectorBundle::decode(b.encode()), wire::WireError);
+  EXPECT_THROW((void)wire::decode<AuthVectorBundle>(wire::encode(b)), wire::WireError);
 }
 
 TEST(FuzzDecode, OverlongRoundPathIsRejected) {
   // 16 levels of batch and 16 of round: 32 hashes is the longest path a
   // u16 position can need, in a bundle or in a store request.
-  StoreMaterialRequest req = StoreMaterialRequest::decode(valid_store_request());
+  StoreMaterialRequest req = wire::decode<StoreMaterialRequest>(valid_store_request());
   ASSERT_EQ(req.round.size(), 1u);
   req.round.assign(32, crypto::Sha256Digest{});
-  EXPECT_NO_THROW((void)StoreMaterialRequest::decode(req.encode()));
+  EXPECT_NO_THROW((void)wire::decode<StoreMaterialRequest>(wire::encode(req)));
   req.round.assign(33, crypto::Sha256Digest{});
-  EXPECT_THROW((void)StoreMaterialRequest::decode(req.encode()), wire::WireError);
+  EXPECT_THROW((void)wire::decode<StoreMaterialRequest>(wire::encode(req)), wire::WireError);
 }
 
 TEST(FuzzDecode, StoreMaterialRequestTruncations) {
   expect_all_truncations_throw(valid_store_request(),
-                               [](ByteView d) { return StoreMaterialRequest::decode(d); });
+                               [](ByteView d) { return wire::decode<StoreMaterialRequest>(d); });
 }
 
 TEST(FuzzDecode, SuciTruncations) {
@@ -202,7 +202,7 @@ TEST(FuzzDecode, UsageProofTruncations) {
   p.res_star = array_from_hex<16>("d0d1d2d3d4d5d6d7d8d9dadbdcdddedf");
   p.hxres_star = hxres_index(p.res_star);
   p.serving_signature = crypto::ed25519_sign(p.signed_payload(), signer());
-  expect_all_truncations_throw(p.encode(), [](ByteView d) { return UsageProof::decode(d); });
+  expect_all_truncations_throw(wire::encode(p), [](ByteView d) { return wire::decode<UsageProof>(d); });
 }
 
 TEST(FuzzDecode, RevokeRequestTruncations) {
@@ -211,8 +211,8 @@ TEST(FuzzDecode, RevokeRequestTruncations) {
   req.supi = Supi("315010000000001");
   req.hxres_indices.push_back(array_from_hex<16>("00000000000000000000000000000001"));
   req.home_signature = crypto::ed25519_sign(req.signed_payload(), signer());
-  expect_all_truncations_throw(req.encode(),
-                               [](ByteView d) { return RevokeSharesRequest::decode(d); });
+  expect_all_truncations_throw(wire::encode(req),
+                               [](ByteView d) { return wire::decode<RevokeSharesRequest>(d); });
 }
 
 TEST(FuzzDecode, RandomMutationsNeverCrash) {
@@ -223,13 +223,13 @@ TEST(FuzzDecode, RandomMutationsNeverCrash) {
   const Bytes frames[] = {valid_vector_bundle(), valid_batched_vector_bundle()};
   Xoshiro256StarStar rng(0xf022);
   for (const Bytes& frame : frames) {
-    ASSERT_TRUE(AuthVectorBundle::decode(frame).verify(keys.public_key));
+    ASSERT_TRUE(wire::decode<AuthVectorBundle>(frame).verify(keys.public_key));
     for (int trial = 0; trial < 2000; ++trial) {
       Bytes mutated = frame;
       const std::size_t pos = rng.next_below(mutated.size());
       mutated[pos] ^= static_cast<std::uint8_t>(1 + rng.next_below(255));
       try {
-        const auto decoded = AuthVectorBundle::decode(mutated);
+        const auto decoded = wire::decode<AuthVectorBundle>(mutated);
         // Decoded despite mutation: verification must now fail. Every byte
         // is signed leaf content, part of the batch path (which the root
         // recomputation covers) or the signature itself.
@@ -246,9 +246,9 @@ TEST(FuzzDecode, RandomGarbageNeverCrashes) {
   for (int trial = 0; trial < 2000; ++trial) {
     Bytes garbage(rng.next_below(300));
     for (auto& b : garbage) b = static_cast<std::uint8_t>(rng.next());
-    EXPECT_THROW((void)AuthVectorBundle::decode(garbage), wire::WireError);
+    EXPECT_THROW((void)wire::decode<AuthVectorBundle>(garbage), wire::WireError);
     try {
-      (void)StoreMaterialRequest::decode(garbage);
+      (void)wire::decode<StoreMaterialRequest>(garbage);
       // Extremely unlikely to parse, but if it does it must be benign.
     } catch (const wire::WireError&) {
     }
@@ -280,11 +280,11 @@ TEST(FuzzDecode, HugeDeclaredCountsAreBounded) {
     w.string("315010000000001");
     w.u32(kHuge);
   });
-  EXPECT_THROW((void)StoreMaterialRequest::decode(store_vectors), wire::WireError);
-  EXPECT_THROW((void)StoreMaterialRequest::decode(store_shares), wire::WireError);
-  EXPECT_THROW((void)ReportRequest::decode(store_vectors), wire::WireError);
-  EXPECT_THROW((void)RevokeSharesRequest::decode(revoke), wire::WireError);
-  EXPECT_THROW((void)directory::BackupsEntry::decode(store_vectors), wire::WireError);
+  EXPECT_THROW((void)wire::decode<StoreMaterialRequest>(store_vectors), wire::WireError);
+  EXPECT_THROW((void)wire::decode<StoreMaterialRequest>(store_shares), wire::WireError);
+  EXPECT_THROW((void)wire::decode<ReportRequest>(store_vectors), wire::WireError);
+  EXPECT_THROW((void)wire::decode<RevokeSharesRequest>(revoke), wire::WireError);
+  EXPECT_THROW((void)wire::decode<directory::BackupsEntry>(store_vectors), wire::WireError);
 }
 
 TEST(FuzzDecode, HugeDeclaredLengthsAreBounded) {

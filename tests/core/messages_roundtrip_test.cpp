@@ -22,7 +22,6 @@
 #include "baseline/standalone_core.h"
 #include "common/rng.h"
 #include "core/messages.h"
-#include "core/typed_stub.h"
 #include "directory/directory.h"
 #include "wire/reader.h"
 
@@ -289,10 +288,10 @@ TEST(MessagesRoundTrip, PositionsAreFixedWidthU16) {
   AuthVectorBundle low;
   AuthVectorBundle high;
   high.batch = {0xffff, 0xffff, 0xffff, 0xffff, {}};
-  const Bytes low_wire = low.encode();
-  const Bytes high_wire = high.encode();
+  const Bytes low_wire = wire::encode(low);
+  const Bytes high_wire = wire::encode(high);
   ASSERT_EQ(low_wire.size(), high_wire.size());
-  const BatchPath decoded = AuthVectorBundle::decode(high_wire).batch;
+  const BatchPath decoded = wire::decode<AuthVectorBundle>(high_wire).batch;
   EXPECT_EQ(decoded.leaf_index, 0xffff);
   EXPECT_EQ(decoded.leaf_count, 0xffff);
   EXPECT_EQ(decoded.batch_index, 0xffff);
@@ -307,7 +306,7 @@ TEST(MessagesRoundTrip, StoreMaterialRequestRoundPath) {
   for (const std::size_t length : {0, 1, 16, 32}) {
     StoreMaterialRequest r = random_store_request(rng);
     r.round.assign(length, random_array<32>(rng));
-    const StoreMaterialRequest decoded = StoreMaterialRequest::decode(r.encode());
+    const StoreMaterialRequest decoded = wire::decode<StoreMaterialRequest>(wire::encode(r));
     EXPECT_EQ(decoded.round, r.round) << length;
   }
 }
@@ -333,17 +332,17 @@ TEST(MessagesRoundTrip, TruncatedShareReplyIsBadReply) {
   const sim::NodeIndex backup = network.add_node(config);
 
   Rng rng(0xA9);
-  const Bytes encoded = random_share_reply(rng).encode();
+  const Bytes encoded = wire::encode(random_share_reply(rng));
   std::size_t cut = 0;
   rpc.register_service(backup, "backup.get_share", [&](ByteView, sim::Responder r) {
     r.reply(Bytes(encoded.begin(), encoded.begin() + static_cast<std::ptrdiff_t>(cut)));
   });
-  const TypedStub<UsageProof, ShareReply> stub(rpc, serving, "backup.get_share");
+  const sim::TypedStub stub(rpc, serving, kBackupGetShare);
   for (const std::size_t length : {std::size_t{0}, encoded.size() / 2, encoded.size() - 1}) {
     cut = length;
     std::optional<sim::RpcErrorCode> code;
     stub.call(backup, UsageProof{}, sim::RpcOptions::oneshot(),
-              [&](CallResult<ShareReply> result) {
+              [&](sim::CallResult<ShareReply> result) {
                 ASSERT_FALSE(result.ok()) << "cut at " << cut;
                 code = result.error().code;
               });

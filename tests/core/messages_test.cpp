@@ -38,7 +38,7 @@ AuthVectorBundle sample_vector(const crypto::Ed25519KeyPair& keys) {
 TEST(Messages, AuthVectorBundleRoundTrip) {
   const auto keys = test_keys(1);
   const AuthVectorBundle original = sample_vector(keys);
-  const AuthVectorBundle decoded = AuthVectorBundle::decode(original.encode());
+  const AuthVectorBundle decoded = wire::decode<AuthVectorBundle>(wire::encode(original));
   EXPECT_EQ(decoded.home_network, original.home_network);
   EXPECT_EQ(decoded.supi, original.supi);
   EXPECT_EQ(decoded.sqn, original.sqn);
@@ -81,7 +81,7 @@ TEST(Messages, KeyShareBundleRoundTrip) {
   b.share.y = Bytes(32, 0x5a);
   sign_single(b, keys);
 
-  const KeyShareBundle decoded = KeyShareBundle::decode(b.encode());
+  const KeyShareBundle decoded = wire::decode<KeyShareBundle>(wire::encode(b));
   EXPECT_EQ(decoded.share.x, 3);
   EXPECT_TRUE(ct_equal(decoded.share.y, b.share.y));
   EXPECT_TRUE(decoded.verify(keys.public_key));
@@ -101,7 +101,7 @@ TEST(Messages, UsageProofRoundTripAndPreimage) {
   p.timestamp = ms(12345);
   p.serving_signature = crypto::ed25519_sign(p.signed_payload(), keys);
 
-  const UsageProof decoded = UsageProof::decode(p.encode());
+  const UsageProof decoded = wire::decode<UsageProof>(wire::encode(p));
   EXPECT_EQ(decoded.serving_network, p.serving_network);
   EXPECT_EQ(decoded.timestamp, ms(12345));
   EXPECT_TRUE(decoded.verify(keys.public_key));
@@ -128,7 +128,7 @@ TEST(Messages, StoreMaterialRequestRoundTrip) {
   sign_batch(req.vectors, req.shares, keys);
   req.suci_secret = Bytes(32, 0x77);
 
-  const StoreMaterialRequest decoded = StoreMaterialRequest::decode(req.encode());
+  const StoreMaterialRequest decoded = wire::decode<StoreMaterialRequest>(wire::encode(req));
   EXPECT_EQ(decoded.home_network, req.home_network);
   ASSERT_EQ(decoded.vectors.size(), 2u);
   ASSERT_EQ(decoded.shares.size(), 1u);
@@ -179,21 +179,21 @@ TEST(Messages, StoreMaterialRequestIsFramedInPlaceAndSizedExactly) {
   req.round.resize(2);
   req.suci_secret = Bytes(32, 0x77);
 
-  const Bytes encoded = req.encode();
+  const Bytes encoded = wire::encode(req);
   EXPECT_EQ(encoded.capacity(), encoded.size());
   wire::Reader r(encoded);
   (void)r.string();
   ASSERT_EQ(r.u32(), 1u);
-  EXPECT_EQ(r.bytes(), req.vectors[0].encode());
+  EXPECT_EQ(r.bytes(), wire::encode(req.vectors[0]));
   ASSERT_EQ(r.u32(), 1u);
-  EXPECT_EQ(r.bytes(), req.shares[0].encode());
+  EXPECT_EQ(r.bytes(), wire::encode(req.shares[0]));
 }
 
 TEST(Messages, GetVectorRequestRoundTrip) {
   GetVectorRequest req;
   req.serving_network = NetworkId("serving");
   req.supi = Supi("901550000000009");
-  const GetVectorRequest decoded = GetVectorRequest::decode(req.encode());
+  const GetVectorRequest decoded = wire::decode<GetVectorRequest>(wire::encode(req));
   EXPECT_EQ(decoded.serving_network, req.serving_network);
   EXPECT_EQ(decoded.supi, req.supi);
   EXPECT_TRUE(decoded.suci.empty());
@@ -212,7 +212,7 @@ TEST(Messages, ReportRequestRoundTrip) {
     p.serving_signature = crypto::ed25519_sign(p.signed_payload(), keys);
     req.proofs.push_back(p);
   }
-  const ReportRequest decoded = ReportRequest::decode(req.encode());
+  const ReportRequest decoded = wire::decode<ReportRequest>(wire::encode(req));
   EXPECT_EQ(decoded.backup_network, req.backup_network);
   ASSERT_EQ(decoded.proofs.size(), 3u);
   for (const auto& p : decoded.proofs) EXPECT_TRUE(p.verify(keys.public_key));
@@ -224,7 +224,7 @@ TEST(Messages, RevokeSharesRequestRoundTrip) {
   req.supi = Supi("901550000000001");
   req.hxres_indices.push_back(array_from_hex<16>("00000000000000000000000000000001"));
   req.hxres_indices.push_back(array_from_hex<16>("00000000000000000000000000000002"));
-  const RevokeSharesRequest decoded = RevokeSharesRequest::decode(req.encode());
+  const RevokeSharesRequest decoded = wire::decode<RevokeSharesRequest>(wire::encode(req));
   EXPECT_EQ(decoded.home_network, req.home_network);
   ASSERT_EQ(decoded.hxres_indices.size(), 2u);
   EXPECT_EQ(decoded.hxres_indices[1][15], 2);
@@ -232,12 +232,12 @@ TEST(Messages, RevokeSharesRequestRoundTrip) {
 
 TEST(Messages, DecodeRejectsGarbage) {
   const Bytes garbage = {1, 2, 3};
-  EXPECT_THROW(AuthVectorBundle::decode(garbage), wire::WireError);
-  EXPECT_THROW(KeyShareBundle::decode(garbage), wire::WireError);
-  EXPECT_THROW(UsageProof::decode(garbage), wire::WireError);
-  EXPECT_THROW(StoreMaterialRequest::decode(garbage), wire::WireError);
-  EXPECT_THROW(ReportRequest::decode(garbage), wire::WireError);
-  EXPECT_THROW(RevokeSharesRequest::decode(garbage), wire::WireError);
+  EXPECT_THROW(wire::decode<AuthVectorBundle>(garbage), wire::WireError);
+  EXPECT_THROW(wire::decode<KeyShareBundle>(garbage), wire::WireError);
+  EXPECT_THROW(wire::decode<UsageProof>(garbage), wire::WireError);
+  EXPECT_THROW(wire::decode<StoreMaterialRequest>(garbage), wire::WireError);
+  EXPECT_THROW(wire::decode<ReportRequest>(garbage), wire::WireError);
+  EXPECT_THROW(wire::decode<RevokeSharesRequest>(garbage), wire::WireError);
 }
 
 TEST(Messages, SignaturesAreDomainSeparated) {
@@ -327,33 +327,33 @@ TEST(Messages, EveryEncodingIsPinned) {
   directory::BackupsEntry backups{home, {NetworkId("b1"), NetworkId("b2")}, pattern<64>(0xb2)};
 
   const std::vector<std::pair<std::string, std::string>> pinned = {
-      {"AuthVectorBundle", digest(vector.encode())},
+      {"AuthVectorBundle", digest(wire::encode(vector))},
       {"AuthVectorBundle signed", digest(vector.signed_payload())},
       {"AuthVectorBundle leaf", to_hex(vector.leaf_hash())},
-      {"KeyShareBundle", digest(share.encode())},
+      {"KeyShareBundle", digest(wire::encode(share))},
       {"KeyShareBundle signed", digest(share.signed_payload())},
       {"KeyShareBundle leaf", to_hex(share.leaf_hash())},
-      {"UsageProof", digest(proof.encode())},
+      {"UsageProof", digest(wire::encode(proof))},
       {"UsageProof signed", digest(proof.signed_payload())},
-      {"StoreMaterialRequest", digest(store.encode())},
-      {"GetVectorRequest", digest(get_vector.encode())},
-      {"ShareReply", digest(share_reply.encode())},
-      {"ReportRequest", digest(report.encode())},
-      {"RevokeSharesRequest", digest(revoke.encode())},
+      {"StoreMaterialRequest", digest(wire::encode(store))},
+      {"GetVectorRequest", digest(wire::encode(get_vector))},
+      {"ShareReply", digest(wire::encode(share_reply))},
+      {"ReportRequest", digest(wire::encode(report))},
+      {"RevokeSharesRequest", digest(wire::encode(revoke))},
       {"RevokeSharesRequest signed", digest(revoke.signed_payload())},
-      {"GutiResolveRequest", digest(guti_request.encode())},
-      {"GutiResolveReply", digest(guti_reply.encode())},
-      {"HandoverContextRequest", digest(handover_request.encode())},
+      {"GutiResolveRequest", digest(wire::encode(guti_request))},
+      {"GutiResolveReply", digest(wire::encode(guti_reply))},
+      {"HandoverContextRequest", digest(wire::encode(handover_request))},
       {"HandoverContextRequest signed", digest(handover_request.signed_payload())},
-      {"HandoverContextReply", digest(handover_reply.encode())},
-      {"ResyncRequest", digest(resync.encode())},
-      {"KeyReply", digest(key_reply.encode())},
-      {"NameLookup", digest(lookup.encode())},
-      {"NetworkEntry", digest(network.encode())},
+      {"HandoverContextReply", digest(wire::encode(handover_reply))},
+      {"ResyncRequest", digest(wire::encode(resync))},
+      {"KeyReply", digest(wire::encode(key_reply))},
+      {"NameLookup", digest(wire::encode(lookup))},
+      {"NetworkEntry", digest(wire::encode(network))},
       {"NetworkEntry signed", digest(network.signed_payload())},
-      {"UserEntry", digest(user.encode())},
+      {"UserEntry", digest(wire::encode(user))},
       {"UserEntry signed", digest(user.signed_payload())},
-      {"BackupsEntry", digest(backups.encode())},
+      {"BackupsEntry", digest(wire::encode(backups))},
       {"BackupsEntry signed", digest(backups.signed_payload())},
   };
   const std::map<std::string, std::string> expected = {

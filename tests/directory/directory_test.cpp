@@ -243,17 +243,17 @@ TEST(DirectoryClient, AnswersForAnotherNameAreDropped) {
   int home_lookups = 0, backups_lookups = 0;
   f.rpc.register_service(f.dir_node, "dir.get_home", [&](ByteView, sim::Responder r) {
     ++home_lookups;
-    r.reply(bob_entry.encode());
+    r.reply(wire::encode(bob_entry));
   });
   f.rpc.register_service(f.dir_node, "dir.get_backups", [&](ByteView, sim::Responder r) {
     ++backups_lookups;
-    r.reply(other_backups.encode());
+    r.reply(wire::encode(other_backups));
   });
   f.rpc.register_service(f.dir_node, "dir.get_network", [&](ByteView q, sim::Responder r) {
     // Honest for "home" (the user and backups checks need its key).
-    const NameLookup lookup = NameLookup::decode(q);
-    r.reply(lookup.name == "home" ? f.server.network(NetworkId("home"))->encode()
-                                  : other_network.encode());
+    const NameLookup lookup = wire::decode<NameLookup>(q);
+    r.reply(wire::encode(lookup.name == "home" ? *f.server.network(NetworkId("home"))
+                                               : other_network));
   });
   DirectoryClient client(f.rpc, f.client_node, f.dir_node);
 

@@ -32,7 +32,7 @@ TEST(Adversarial, TamperedVectorFromBackupIsRejected) {
                            bogus.home_network = f.net(0).id();
                            bogus.supi = kAlice;
                            bogus.autn[0] = 0x42;  // garbage, unsigned
-                           r.reply(bogus.encode());
+                           r.reply(wire::encode(bogus));
                          });
 
   auto ue = f.make_ue(kAlice, keys, 4);
@@ -68,7 +68,7 @@ TEST(Adversarial, ShareWithoutPreimageIsRefused) {
       crypto::ed25519_sign(forged.signed_payload(), f.net(4).signing_keys());
 
   bool rejected = false;
-  f.rpc.call(f.net(4).node(), f.net(1).node(), "backup.get_share", forged.encode(), {},
+  f.rpc.call(f.net(4).node(), f.net(1).node(), "backup.get_share", wire::encode(forged), {},
              [&](Bytes) { FAIL() << "share released without preimage"; },
              [&](sim::RpcError e) {
                rejected = true;
@@ -99,7 +99,7 @@ TEST(Adversarial, ShareWithForgedServingSignatureIsRefused) {
       crypto::ed25519_sign(forged.signed_payload(), f.net(2).signing_keys());  // wrong key
 
   bool rejected = false;
-  f.rpc.call(f.net(2).node(), f.net(1).node(), "backup.get_share", forged.encode(), {},
+  f.rpc.call(f.net(2).node(), f.net(1).node(), "backup.get_share", wire::encode(forged), {},
              [&](Bytes) { FAIL() << "share released on forged signature"; },
              [&](sim::RpcError) { rejected = true; });
   f.simulator.run();
@@ -127,7 +127,7 @@ TEST(Adversarial, ForgedRevokeIsRejected) {
       crypto::ed25519_sign(forged.signed_payload(), f.net(4).signing_keys());  // wrong key
 
   bool rejected = false;
-  f.rpc.call(f.net(4).node(), f.net(1).node(), "backup.revoke_shares", forged.encode(), {},
+  f.rpc.call(f.net(4).node(), f.net(1).node(), "backup.revoke_shares", wire::encode(forged), {},
              nullptr, [&](sim::RpcError) { rejected = true; });
   f.simulator.run();
   EXPECT_TRUE(rejected);
@@ -177,7 +177,7 @@ TEST(Adversarial, EquivocatingReportsAreFlagged) {
   report.backup_network = f.net(3).id();
   report.proofs.push_back(bogus);
 
-  f.rpc.call(f.net(3).node(), f.net(0).node(), "home.report", report.encode(), {}, nullptr,
+  f.rpc.call(f.net(3).node(), f.net(0).node(), "home.report", wire::encode(report), {}, nullptr,
              nullptr);
   f.simulator.run();
   ASSERT_FALSE(f.net(0).home().anomalies().empty());
@@ -209,7 +209,7 @@ TEST(Adversarial, AuthResponseOutOfPhaseIsRejected) {
   f.rpc.register_service(f.net(1).node(), "backup.get_share",
                          [&](ByteView, sim::Responder r) {
                            if (!std::exchange(share_tripped, true)) inject();
-                           r.fail(sim::AppErrorCode::kUnspecified, "share withheld");
+                           r.fail(sim::AppErrorCode::kNotFound, "share withheld");
                          });
 
   auto ue = f.make_ue(kAlice, keys, 4);
@@ -276,7 +276,7 @@ TEST(Adversarial, StoreWithAWrongLengthShareIsRefused) {
     core::sign_batch(req.vectors, req.shares, f.net(0).signing_keys());
 
     std::optional<sim::RpcError> error;
-    f.rpc.call(f.net(0).node(), f.net(1).node(), "backup.store", req.encode(), {}, nullptr,
+    f.rpc.call(f.net(0).node(), f.net(1).node(), "backup.store", wire::encode(req), {}, nullptr,
                [&](sim::RpcError e) { error = e; });
     f.simulator.run();
     if (length == 32) {  // control: the well-formed request is stored

@@ -182,8 +182,7 @@ struct DrainedFastestFederation {
     ue = f.make_ue(kAlice, keys, 5);
 
     if (!f.attach(*ue).success) throw std::runtime_error("warm-up attach failed");
-    core::TypedStub<core::GetVectorRequest, core::AuthVectorBundle> fetch(f.rpc, f.ran_node,
-                                                                           "backup.get_vector");
+    const sim::TypedStub fetch(f.rpc, f.ran_node, core::kBackupGetVector);
     core::GetVectorRequest request;
     request.serving_network = serving().id();
     request.supi = kAlice;

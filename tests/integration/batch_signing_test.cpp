@@ -123,7 +123,7 @@ void edit_positions(core::StoreMaterialRequest& r,
 /// Sends a store request to net-2 as the home would; true when accepted.
 bool store_at_backup(Federation& f, const core::StoreMaterialRequest& req) {
   std::optional<bool> accepted;
-  f.rpc.call(f.net(0).node(), f.net(1).node(), "backup.store", req.encode(), {},
+  f.rpc.call(f.net(0).node(), f.net(1).node(), "backup.store", wire::encode(req), {},
              [&](Bytes) { accepted = true; },
              [&](sim::RpcError e) {
                EXPECT_EQ(e.code, sim::RpcErrorCode::kRejected);
@@ -293,8 +293,8 @@ core::AuthVectorBundle pull_vector(Federation& f, std::size_t backup, const Supi
   req.serving_network = f.net(4).id();
   req.supi = supi;
   std::optional<core::AuthVectorBundle> bundle;
-  f.rpc.call(f.net(4).node(), f.net(backup).node(), "backup.get_vector", req.encode(), {},
-             [&](Bytes reply) { bundle = core::AuthVectorBundle::decode(reply); }, nullptr);
+  f.rpc.call(f.net(4).node(), f.net(backup).node(), "backup.get_vector", wire::encode(req), {},
+             [&](Bytes reply) { bundle = wire::decode<core::AuthVectorBundle>(reply); }, nullptr);
   f.simulator.run();
   return bundle.value();
 }
@@ -315,7 +315,7 @@ TEST(BatchSigning, ServingNetworkRejectsForgedVectors) {
   core::AuthVectorBundle served;
   for (std::size_t b : {1u, 2u, 3u}) {
     f.rpc.register_service(f.net(b).node(), "backup.get_vector",
-                           [&](ByteView, sim::Responder r) { r.reply(served.encode()); });
+                           [&](ByteView, sim::Responder r) { r.reply(wire::encode(served)); });
   }
   auto ue = f.make_ue(kAlice, keys, 4);
 
@@ -381,12 +381,12 @@ TEST(BatchSigning, ServingNetworkRejectsForgedShares) {
   BundleAttack<core::KeyShareBundle> attack;
   f.rpc.register_service(f.net(1).node(), "backup.get_share",
                          [&](ByteView request, sim::Responder r) {
-                           const auto proof = core::UsageProof::decode(request);
+                           const auto proof = wire::decode<core::UsageProof>(request);
                            core::ShareReply reply;
                            reply.share = make_share(proof.supi, proof.hxres_star, 2);
                            reply.vectors_left = 1;  // unsigned ranking hint, never checked
                            if (attack) attack(reply.share);
-                           r.reply(reply.encode());
+                           r.reply(wire::encode(reply));
                          });
   auto ue = f.make_ue(kAlice, keys, 4);
 
@@ -465,7 +465,7 @@ struct SignedBundles {
       bundle.batch.siblings = tree.path(bundle.batch.leaf_index);
       bundle.batch.siblings.insert(bundle.batch.siblings.end(), request.round.begin(),
                                    request.round.end());
-      return bundle.encode();
+      return wire::encode(bundle);
     };
     for (const auto& v : request.vectors) vectors[v.hxres_star] = with_path(v);
     for (const auto& s : request.shares) shares[s.hxres_star] = with_path(s);
@@ -495,11 +495,14 @@ TEST(BatchSigning, ServedBundlesAreTheSignedBytes) {
     f.rpc.register_service(
         f.net(1).node(), service, [&, service](ByteView request, sim::Responder r) {
           if (service == "backup.store") {
-            signed_bundles.add(core::StoreMaterialRequest::decode(request));
+            signed_bundles.add(wire::decode<core::StoreMaterialRequest>(request));
           }
           f.rpc.call(f.net(1).node(), backup_node, service, to_bytes(request), {},
                      [r](Bytes reply) { r.reply(std::move(reply)); },
-                     [r](sim::RpcError e) { r.fail(e.message); });
+                     [r](sim::RpcError e) {
+                       r.fail(e.app.value_or(sim::AppError{sim::AppErrorCode::kUpstream,
+                                                           e.message}));
+                     });
         });
   }
   const auto alice_keys = f.provision(kAlice, 0, {1, 2, 3});
@@ -517,10 +520,10 @@ TEST(BatchSigning, ServedBundlesAreTheSignedBytes) {
     req.serving_network = f.net(4).id();
     req.supi = supi;
     std::optional<Bytes> reply;
-    f.rpc.call(f.net(4).node(), backup_node, "backup.get_vector", req.encode(), {},
+    f.rpc.call(f.net(4).node(), backup_node, "backup.get_vector", wire::encode(req), {},
                [&](Bytes bytes) { reply = std::move(bytes); }, nullptr);
     f.simulator.run();
-    const auto vector = core::AuthVectorBundle::decode(reply.value());
+    const auto vector = wire::decode<core::AuthVectorBundle>(reply.value());
     const auto it = signed_bundles.vectors.find(vector.hxres_star);
     EXPECT_TRUE(it != signed_bundles.vectors.end() && it->second == *reply)
         << when << ": " << supi.str() << " sqn " << vector.sqn;
@@ -540,13 +543,13 @@ TEST(BatchSigning, ServedBundlesAreTheSignedBytes) {
     proof.serving_signature =
         crypto::ed25519_sign(proof.signed_payload(), f.net(4).signing_keys());
     std::optional<core::ShareReply> reply;
-    f.rpc.call(f.net(4).node(), backup_node, "backup.get_share", proof.encode(), {},
-               [&](Bytes bytes) { reply = core::ShareReply::decode(bytes); }, nullptr);
+    f.rpc.call(f.net(4).node(), backup_node, "backup.get_share", wire::encode(proof), {},
+               [&](Bytes bytes) { reply = wire::decode<core::ShareReply>(bytes); }, nullptr);
     f.simulator.run();
     ASSERT_TRUE(reply.has_value()) << when;
     const auto it = signed_bundles.shares.find(vector.hxres_star);
     ASSERT_NE(it, signed_bundles.shares.end()) << when;
-    EXPECT_EQ(reply->share.encode(), it->second) << when << ": " << vector.supi.str();
+    EXPECT_EQ(wire::encode(reply->share), it->second) << when << ": " << vector.supi.str();
   };
 
   // Before a restart: Alice's flood vector (lone), then a round vector.
@@ -604,7 +607,7 @@ TEST(BatchSigning, BatchRecordIsErasedWithItsLastBundle) {
     }
   }
   revoke.home_signature = crypto::ed25519_sign(revoke.signed_payload(), f.net(0).signing_keys());
-  f.rpc.call(f.net(0).node(), f.net(1).node(), "backup.revoke_shares", revoke.encode(), {},
+  f.rpc.call(f.net(0).node(), f.net(1).node(), "backup.revoke_shares", wire::encode(revoke), {},
              nullptr, nullptr);
   f.simulator.run();
   EXPECT_EQ(backup->stored_shares(f.net(0).id(), kAlice), 0u);
@@ -733,7 +736,7 @@ TEST(BatchSigning, ReportRefillsEachUserWithOneRevokeAndOneRound) {
     }
   }
   revoke.home_signature = crypto::ed25519_sign(revoke.signed_payload(), f.net(0).signing_keys());
-  f.rpc.call(f.net(0).node(), f.net(1).node(), "backup.revoke_shares", revoke.encode(), {},
+  f.rpc.call(f.net(0).node(), f.net(1).node(), "backup.revoke_shares", wire::encode(revoke), {},
              nullptr, nullptr);
   f.simulator.run();
   EXPECT_EQ(reporter->stored_shares(home, kAlice), 0u);
@@ -779,7 +782,10 @@ TEST(BatchSigning, DisseminatedBytesArePinned) {
             }
             f.rpc.call(f.net(b).node(), role_node, service, to_bytes(request), {},
                        [r](Bytes reply) { r.reply(std::move(reply)); },
-                       [r](sim::RpcError e) { r.fail(e.message); });
+                       [r](sim::RpcError e) {
+                       r.fail(e.app.value_or(sim::AppError{sim::AppErrorCode::kUpstream,
+                                                           e.message}));
+                     });
           });
     }
   }

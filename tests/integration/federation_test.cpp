@@ -271,7 +271,7 @@ TEST(Federation, SuciWithTrailingByteIsMalformed) {
   fetch.serving_network = f.net(2).id();
   fetch.suci = suci;
   std::optional<sim::RpcError> fetch_error;
-  f.rpc.call(f.net(2).node(), f.net(1).node(), "backup.get_vector", fetch.encode(), {},
+  f.rpc.call(f.net(2).node(), f.net(1).node(), "backup.get_vector", wire::encode(fetch), {},
              [&](Bytes) { ADD_FAILURE() << "vector served for a malformed SUCI"; },
              [&](sim::RpcError e) { fetch_error = e; });
   f.simulator.run();

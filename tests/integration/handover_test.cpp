@@ -36,7 +36,7 @@ sim::AppError fetch_context_error(Federation& f, std::size_t from, std::size_t t
                                   const core::HandoverContextRequest& request) {
   std::optional<sim::AppError> error;
   f.rpc.call(f.net(from).node(), f.net(to).node(), "serving.handover_context",
-             request.encode(), {}, [](Bytes) { ADD_FAILURE() << "context released"; },
+             wire::encode(request), {}, [](Bytes) { ADD_FAILURE() << "context released"; },
              [&](sim::RpcError e) {
                ASSERT_TRUE(e.app.has_value()) << e.message;
                error = e.app;
@@ -200,7 +200,7 @@ TEST(Handover, UnlabelledContextSignatureIsRefused) {
   // The labelled signature over the same request is accepted.
   request.signature = crypto::ed25519_sign(request.signed_payload(), f.net(4).signing_keys());
   bool released = false;
-  f.rpc.call(f.net(4).node(), f.net(3).node(), "serving.handover_context", request.encode(), {},
+  f.rpc.call(f.net(4).node(), f.net(3).node(), "serving.handover_context", wire::encode(request), {},
              [&](Bytes) { released = true; },
              [](sim::RpcError e) { ADD_FAILURE() << e.message; });
   f.simulator.run();

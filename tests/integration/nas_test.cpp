@@ -50,7 +50,7 @@ class Relay {
             },
             [r, frame](sim::RpcError e) {
               frame("error", as_bytes(e.message));
-              r.fail(e.message);
+              r.fail(e.app.value_or(sim::AppError{sim::AppErrorCode::kUpstream, e.message}));
             });
       });
     }

@@ -174,8 +174,8 @@ core::AuthVectorBundle pull_vector(Federation& f, std::size_t backup, const Supi
   req.serving_network = f.net(4).id();
   req.supi = supi;
   std::optional<core::AuthVectorBundle> bundle;
-  f.rpc.call(f.net(4).node(), f.net(backup).node(), "backup.get_vector", req.encode(), {},
-             [&](Bytes reply) { bundle = core::AuthVectorBundle::decode(reply); }, nullptr);
+  f.rpc.call(f.net(4).node(), f.net(backup).node(), "backup.get_vector", wire::encode(req), {},
+             [&](Bytes reply) { bundle = wire::decode<core::AuthVectorBundle>(reply); }, nullptr);
   f.simulator.run();
   return bundle.value();
 }
@@ -194,7 +194,7 @@ bool release_share(Federation& f, std::size_t backup, const core::AuthVectorBund
   proof.timestamp = f.simulator.now();
   proof.serving_signature = crypto::ed25519_sign(proof.signed_payload(), f.net(4).signing_keys());
   bool released = false;
-  f.rpc.call(f.net(4).node(), f.net(backup).node(), "backup.get_share", proof.encode(), {},
+  f.rpc.call(f.net(4).node(), f.net(backup).node(), "backup.get_share", wire::encode(proof), {},
              [&](Bytes) { released = true; }, nullptr);
   f.simulator.run();
   return released;

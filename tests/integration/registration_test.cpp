@@ -1,0 +1,210 @@
+// Every RPC registration, dAuth and baseline, behind the one typed boundary
+// (sim/service.h): a lone 0xff byte and each valid request frame cut short
+// by one byte are refused kMalformed before any handler runs. The home and
+// backup roles count each one in rejected_requests, no role state moves,
+// and the node still serves the valid frame afterwards.
+#include <gtest/gtest.h>
+
+#include <functional>
+#include <map>
+
+#include "baseline/standalone_core.h"
+#include "directory/directory.h"
+#include "federation_fixture.h"
+#include "obs/metrics_registry.h"
+
+namespace dauth::testing {
+namespace {
+
+const Supi kAlice("901550000000001");
+const Supi kBob("901550000000002");
+
+/// One registration: where it is, one valid request frame, and the role
+/// counter that must count a malformed frame (null for the roles without).
+struct Registration {
+  sim::NodeIndex node;
+  std::string service;
+  Bytes valid;
+  const std::uint64_t* rejected = nullptr;
+};
+
+/// The outcome of one raw call: nullopt for a reply, else the rejection.
+using Outcome = std::optional<sim::AppError>;
+
+class Registrations {
+ public:
+  Registrations() {
+    bob_keys = f.provision(kAlice, 0, {1, 2, 3});  // any SIM keys serve the baseline
+    for (std::size_t i = 0; i < f.nets.size(); ++i) {
+      f.net(i).set_observability(&registry, nullptr);
+    }
+    sim::NodeConfig nc;
+    nc.name = "baseline";
+    nc.access.base = ms(2);
+    baseline_node = f.network.add_node(nc);
+    baseline.emplace(f.rpc, baseline_node, "edge", baseline::StandaloneCoreConfig{}, 7);
+    baseline->provision_subscriber(kBob, bob_keys);
+    baseline->bind_services();
+  }
+
+  /// Sends `frame` from the RAN node, ungated, and runs the simulation.
+  Outcome call(sim::NodeIndex node, const std::string& service, Bytes frame) {
+    auto options = sim::RpcOptions::oneshot();
+    options.use_breaker = false;
+    std::optional<Outcome> outcome;
+    f.rpc.call(
+        f.ran_node, node, service, std::move(frame), options,
+        [&](Bytes) { outcome.emplace(); },
+        [&](sim::RpcError e) {
+          ASSERT_EQ(e.code, sim::RpcErrorCode::kRejected) << service << ": " << e.message;
+          outcome.emplace(e.app);
+        });
+    f.simulator.run();
+    EXPECT_TRUE(outcome.has_value()) << service;
+    return outcome.value_or(Outcome{});
+  }
+
+  /// Every piece of role state a handler could move, rejection counters
+  /// aside: all role counters, the held material, sessions and entries.
+  std::map<std::string, std::uint64_t> state() {
+    std::map<std::string, std::uint64_t> out;
+    for (const auto& [name, value] : registry.snapshot().counters) {
+      if (!name.ends_with(".rejected_requests")) out[name] = value;
+    }
+    for (std::size_t i = 0; i < f.nets.size(); ++i) {
+      core::DauthNode& net = f.net(i);
+      const std::string id = net.id().str();
+      out[id + ".vectors"] = net.backup().stored_vectors(f.nets[0]->id(), kAlice);
+      out[id + ".shares"] = net.backup().stored_shares(f.nets[0]->id(), kAlice);
+      out[id + ".reports"] = net.backup().pending_reports(f.nets[0]->id());
+      out[id + ".sessions"] = net.serving().session_count();
+    }
+    out["directory.networks"] = f.directory_server.network_count();
+    const baseline::BaselineMetrics& m = baseline->metrics();
+    out["baseline.started"] = m.attaches_started;
+    out["baseline.failed"] = m.attaches_failed;
+    out["baseline.hss"] = m.hss_requests_served;
+    return out;
+  }
+
+  std::vector<Registration> all() {
+    core::DauthNode& home = f.net(0);
+    core::DauthNode& backup = f.net(1);
+    core::DauthNode& serving = f.net(3);
+    const sim::NodeIndex dir = f.directory_node;
+    const NetworkId home_id = home.id();
+    const crypto::Ed25519KeyPair& home_key = home.signing_keys();
+
+    // A proof with the right preimage, signed by net-4, for a vector no one
+    // holds: decodes, and is refused by the handler's own checks.
+    core::UsageProof proof;
+    proof.serving_network = serving.id();
+    proof.supi = kAlice;
+    proof.res_star = crypto::ResStar{};
+    proof.hxres_star = core::hxres_index(proof.res_star);
+    proof.serving_signature = crypto::ed25519_sign(proof.signed_payload(), serving.signing_keys());
+
+    // A one-batch round for Bob: one vector, one share.
+    core::StoreMaterialRequest store;
+    store.home_network = home_id;
+    store.vectors.resize(1);
+    store.vectors[0].home_network = home_id;
+    store.vectors[0].supi = kBob;
+    store.shares.resize(1);
+    store.shares[0].home_network = home_id;
+    store.shares[0].supi = kBob;
+    store.shares[0].share = {1, Bytes(32, 0x5a)};
+    core::sign_round({&store, 1}, home_key);
+
+    core::RevokeSharesRequest revoke{home_id, kBob, {}, {}};
+    revoke.home_signature = crypto::ed25519_sign(revoke.signed_payload(), home_key);
+
+    core::HandoverContextRequest context{42, f.net(4).id(), {}};
+    context.signature = crypto::ed25519_sign(context.signed_payload(), f.net(4).signing_keys());
+
+    aka::AttachRequest attach;
+    attach.supi = kAlice;
+    aka::AttachRequest baseline_attach;
+    baseline_attach.supi = kBob;
+
+    const std::uint64_t* home_rejected = &home.home().metrics().rejected_requests;
+    const std::uint64_t* backup_rejected = &backup.backup().metrics().rejected_requests;
+    const Bytes ack;
+    return {
+        {dir, "dir.get_network", wire::encode(directory::NameLookup{home_id.str()})},
+        {dir, "dir.get_home", wire::encode(directory::NameLookup{kAlice.str()})},
+        {dir, "dir.get_backups", wire::encode(directory::NameLookup{home_id.str()})},
+        {dir, "dir.register_network",
+         wire::encode(directory::make_network_entry(home_id, home_key,
+                                                    home.suci_keys().public_key, home.node()))},
+        {dir, "dir.register_user",
+         wire::encode(directory::make_user_entry(kAlice, home_id, home_key))},
+        {dir, "dir.set_backups",
+         wire::encode(directory::make_backups_entry(
+             home_id, {f.net(1).id(), f.net(2).id(), f.net(3).id()}, home_key))},
+        {home.node(), "home.get_vector",
+         wire::encode(core::GetVectorRequest{serving.id(), kAlice, {}}), home_rejected},
+        {home.node(), "home.get_key", wire::encode(proof), home_rejected},
+        {home.node(), "home.report", wire::encode(core::ReportRequest{backup.id(), {}}),
+         home_rejected},
+        {home.node(), "home.resync", wire::encode(core::ResyncRequest{kAlice, {}, {}}),
+         home_rejected},
+        {home.node(), "home.ping", ack, home_rejected},
+        {backup.node(), "backup.store", wire::encode(store), backup_rejected},
+        {backup.node(), "backup.get_vector",
+         wire::encode(core::GetVectorRequest{serving.id(), kAlice, {}}), backup_rejected},
+        {backup.node(), "backup.get_share", wire::encode(proof), backup_rejected},
+        {backup.node(), "backup.revoke_shares", wire::encode(revoke), backup_rejected},
+        {serving.node(), "serving.attach_request", wire::encode(attach)},
+        {serving.node(), "serving.auth_response", wire::encode(aka::AuthResponse{99, {}, {}})},
+        {serving.node(), "serving.resolve_guti", wire::encode(core::GutiResolveRequest{7})},
+        {serving.node(), "serving.handover_request", wire::encode(Guti{serving.id(), 7})},
+        {serving.node(), "serving.handover_context", wire::encode(context)},
+        {serving.node(), "serving.rrc_setup", ack},
+        {serving.node(), "serving.registration_complete", ack},
+        {baseline_node, "serving.attach_request", wire::encode(baseline_attach)},
+        {baseline_node, "serving.auth_response", wire::encode(aka::AuthResponse{99, {}, {}})},
+        {baseline_node, "hss.get_av", wire::encode(baseline::HssVectorRequest{kBob})},
+        {baseline_node, "serving.rrc_setup", ack},
+        {baseline_node, "serving.registration_complete", ack},
+    };
+  }
+
+  Federation f{5};
+  aka::SubscriberKeys bob_keys;
+  obs::MetricsRegistry registry;
+  sim::NodeIndex baseline_node = 0;
+  std::optional<baseline::StandaloneCore> baseline;
+};
+
+TEST(Registration, EveryServiceRefusesAMalformedFrameBeforeItsHandler) {
+  Registrations r;
+  const std::vector<Registration> registrations = r.all();
+  ASSERT_EQ(registrations.size(), 27u);
+  for (const Registration& reg : registrations) {
+    const std::string where = r.f.network.node(reg.node).name() + " " + reg.service;
+    std::vector<Bytes> malformed = {Bytes{0xff}};
+    if (!reg.valid.empty()) malformed.emplace_back(reg.valid.begin(), reg.valid.end() - 1);
+    for (const Bytes& frame : malformed) {
+      const auto before = r.state();
+      const std::uint64_t rejected_before = reg.rejected != nullptr ? *reg.rejected : 0;
+      const Outcome outcome = r.call(reg.node, reg.service, frame);
+      ASSERT_TRUE(outcome.has_value()) << where << ": a malformed frame was served";
+      EXPECT_EQ(outcome->code, sim::AppErrorCode::kMalformed) << where;
+      EXPECT_EQ(outcome->detail, "malformed " + reg.service) << where;
+      if (reg.rejected != nullptr) {
+        EXPECT_EQ(*reg.rejected, rejected_before + 1) << where;
+      }
+      EXPECT_EQ(r.state(), before) << where << ": role state moved";
+    }
+    // Still serving: the valid frame reaches the handler, which answers or
+    // refuses it on its own terms.
+    const Outcome outcome = r.call(reg.node, reg.service, reg.valid);
+    if (outcome.has_value()) {
+      EXPECT_NE(outcome->code, sim::AppErrorCode::kMalformed) << where << ": " << outcome->detail;
+    }
+  }
+}
+
+}  // namespace
+}  // namespace dauth::testing

@@ -88,11 +88,14 @@ TEST(Failure, OutageResetsRpcConnections) {
   rpc.register_service(b, "echo", [](ByteView req, Responder r) { r.reply(to_bytes(req)); });
 
   int handshake_count_after = -1;
-  rpc.call(a, b, "echo", {}, {}, [&](Bytes) {}, nullptr);
+  // Ungated: the announced outage also opens a's circuit toward b.
+  RpcOptions ungated;
+  ungated.use_breaker = false;
+  rpc.call(a, b, "echo", {}, ungated, [&](Bytes) {}, nullptr);
   // Take b down at 1s (drops cached connection), bring it back, call again.
   injector.schedule_outage(b, sec(1), sec(1));
   s.at(sec(3), [&] {
-    rpc.call(a, b, "echo", {}, {}, [&](Bytes) {
+    rpc.call(a, b, "echo", {}, ungated, [&](Bytes) {
       handshake_count_after = static_cast<int>(rpc.handshakes());
     }, nullptr);
   });

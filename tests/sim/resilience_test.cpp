@@ -1,6 +1,6 @@
 // Resilience substrate tests: deterministic jittered backoff, circuit
 // breaker state machine (including the half-open probe protocol), and the
-// retry / deadline-budget / breaker semantics of Rpc::call_with_policy.
+// retry / deadline-budget / breaker semantics of Rpc::call.
 #include "sim/resilience.h"
 
 #include <gtest/gtest.h>
@@ -167,7 +167,7 @@ TEST(CircuitBreakerSet, ZeroThresholdTurnsTheBreakersOff) {
   EXPECT_EQ(set.fast_skips(), 0u);
 }
 
-// ---- call_with_policy ------------------------------------------------------
+// ---- call ------------------------------------------------------
 
 struct PolicyFixture {
   Simulator s{1};
@@ -202,7 +202,7 @@ TEST(CallWithPolicy, RetriesThroughAnOutage) {
   retry.max_attempts = 4;
   int retries_seen = 0;
   bool ok = false;
-  f.rpc.call_with_policy(
+  f.rpc.call(
       f.client, f.server, "echo", {}, RpcOptions::durable(sec(8), retry),
       [&](Bytes) { ok = true; }, [&](RpcError) {},
       [&](ResilienceEvent e) { retries_seen += e == ResilienceEvent::kRetry; });
@@ -217,7 +217,7 @@ TEST(CallWithPolicy, NeverRetriesAnApplicationRejection) {
   RetryPolicy retry;
   retry.max_attempts = 5;
   std::optional<RpcError> error;
-  f.rpc.call_with_policy(f.client, f.server, "deny", {},
+  f.rpc.call(f.client, f.server, "deny", {},
                          RpcOptions::durable(sec(10), retry), nullptr,
                          [&](RpcError e) { error = std::move(e); });
   f.s.run();
@@ -236,7 +236,7 @@ TEST(CallWithPolicy, RespectsTheDeadlineBudget) {
   retry.max_attempts = 3;
   std::optional<RpcError> error;
   Time error_at = -1;
-  f.rpc.call_with_policy(f.client, f.server, "echo", {},
+  f.rpc.call(f.client, f.server, "echo", {},
                          RpcOptions::durable(sec(3), retry), nullptr, [&](RpcError e) {
                            error = std::move(e);
                            error_at = f.s.now();
@@ -257,7 +257,7 @@ TEST(CallWithPolicy, OpenBreakerFailsFastWithoutTouchingTheWire) {
   std::optional<RpcError> error;
   bool skipped = false;
   const std::uint64_t started_before = f.rpc.calls_started();
-  f.rpc.call_with_policy(
+  f.rpc.call(
       f.client, f.server, "echo", {}, RpcOptions::oneshot(sec(2)), nullptr,
       [&](RpcError e) { error = std::move(e); },
       [&](ResilienceEvent e) { skipped |= e == ResilienceEvent::kBreakerSkip; });
@@ -293,7 +293,7 @@ TEST(CallWithPolicy, HalfOpenProbeRecoversTheCircuit) {
   bool ok = false;
   bool probed = false;
   s.at(sec(6), [&] {
-    rpc.call_with_policy(
+    rpc.call(
         client, server, "echo", {}, RpcOptions::oneshot(sec(2)),
         [&](Bytes) { ok = true; }, nullptr,
         [&](ResilienceEvent e) { probed |= e == ResilienceEvent::kHalfOpenProbe; });
@@ -311,7 +311,7 @@ TEST(CallWithPolicy, CancelSuppressesCallbacksAndRetries) {
   RetryPolicy retry;
   retry.max_attempts = 5;
   bool any_callback = false;
-  const CallHandle handle = f.rpc.call_with_policy(
+  const CallHandle handle = f.rpc.call(
       f.client, f.server, "echo", {}, RpcOptions::durable(sec(10), retry),
       [&](Bytes) { any_callback = true; }, [&](RpcError) { any_callback = true; });
   f.s.at(ms(100), [&] { handle.cancel(); });
@@ -329,7 +329,7 @@ TEST(CallWithPolicy, IdenticalSeedsProduceIdenticalSchedules) {
     RetryPolicy retry;
     retry.max_attempts = 4;
     Time settled_at = -1;
-    f.rpc.call_with_policy(f.client, f.server, "echo", {},
+    f.rpc.call(f.client, f.server, "echo", {},
                            RpcOptions::durable(sec(6), retry), nullptr,
                            [&](RpcError) { settled_at = f.s.now(); });
     f.s.run();

@@ -130,7 +130,7 @@ TEST(Rpc, CallerOfflineFailsImmediately) {
 TEST(Rpc, HandlerCanFail) {
   Fixture f;
   f.rpc.register_service(f.server, "deny", [](ByteView, Responder r) {
-    r.fail("not authorized");
+    r.fail(AppErrorCode::kUnauthorized, "not authorized");
   });
   RpcError error{RpcErrorCode::kTimeout, "", {}};
   f.rpc.call(f.client, f.server, "deny", {}, {}, nullptr, [&](RpcError e) { error = e; });

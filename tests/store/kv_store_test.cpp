@@ -280,6 +280,65 @@ TEST(KvStore, JournalTornTailAfterCompactKeepsIntactPrefix) {
   EXPECT_EQ(next.seq, 19u);
 }
 
+TEST(KvStore, TornTailAfterCompactionReplaysToTheSnapshot) {
+  TempDir dir;
+  const std::string path = dir.file("state.wal");
+  {
+    KvStore kv(path);
+    for (int i = 0; i < 10; ++i) kv.put("key-" + std::to_string(i), as_bytes("old"));
+    kv.erase("key-0");
+    kv.put("key-1", as_bytes("new"));
+    kv.compact();
+  }
+  // The first append after the compaction is torn by a crash.
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::app);
+    const char partial[] = {0x40, 0x00, 0x00, 0x00, 0x01};  // claims 64B, has 1
+    out.write(partial, sizeof partial);
+  }
+  KvStore reopened(path);
+  EXPECT_EQ(reopened.replayed(), 9u);  // the snapshot, one record per live key
+  EXPECT_EQ(reopened.size(), 9u);
+  EXPECT_FALSE(reopened.contains("key-0"));
+  EXPECT_EQ(reopened.get("key-1"), to_bytes(as_bytes("new")));
+  EXPECT_EQ(reopened.get("key-9"), to_bytes(as_bytes("old")));
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+}
+
+TEST(KvStore, CrashBeforeTheRenameLeavesTheOldLogAuthoritative) {
+  TempDir dir;
+  const std::string path = dir.file("state.wal");
+  {
+    KvStore kv(path);
+    kv.put("a", as_bytes("1"));
+    kv.put("b", as_bytes("2"));
+  }
+  // A compaction dies after writing part of its snapshot: the temp file
+  // holds a record the store never had, and the log is untouched.
+  {
+    Wal wal(path);
+    EXPECT_THROW(wal.rewrite([](Wal& snapshot) {
+      snapshot.append(as_bytes("half a snapshot"));
+      throw std::runtime_error("crash");
+    }),
+                 std::runtime_error);
+  }
+  ASSERT_TRUE(std::filesystem::exists(path + ".tmp"));
+  {
+    KvStore reopened(path);
+    EXPECT_EQ(reopened.replayed(), 2u);
+    EXPECT_EQ(reopened.get("a"), to_bytes(as_bytes("1")));
+    EXPECT_EQ(reopened.get("b"), to_bytes(as_bytes("2")));
+    // The next compaction overwrites the leftover and appends keep working.
+    reopened.compact();
+    reopened.put("c", as_bytes("3"));
+  }
+  KvStore after(path);
+  EXPECT_EQ(after.replayed(), 3u);
+  EXPECT_EQ(after.get("c"), to_bytes(as_bytes("3")));
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+}
+
 TEST(KvStore, BinaryValuesSurvive) {
   TempDir dir;
   const std::string path = dir.file("state.wal");

@@ -496,6 +496,28 @@ TEST(ContractH1, EveryUnknownRegistrationIsFlagged) {
   EXPECT_EQ(count_rule(a, "H1"), 2);
 }
 
+TEST(ContractH1, UncontractedServiceInTheTypedFormIsFlagged) {
+  // A typed registration names its service through the declared constant;
+  // the framework's own forwarding registration names none and is skipped.
+  const auto a = run(
+      "inline constexpr sim::Service<Req, Rsp> kOp{\"svc.op\"};\n"
+      "inline constexpr sim::Service<Req, sim::Ack> kOther{\"svc.other\"};\n"
+      "void Node::install() {\n"
+      "  sim::serve(rpc, node, kOp, [this](Req q, sim::TypedResponder<Rsp> r) {\n"
+      "    handle_op(q, r);\n"
+      "  });\n"
+      "  sim::serve(rpc, node, kOther, [this](Req q, sim::TypedResponder<sim::Ack> r) {\n"
+      "    r.reply({});\n"
+      "  });\n"
+      "  rpc.register_service(node, std::string(service.name), [](ByteView f, Responder r) {\n"
+      "    r.fail(kMalformed, \"malformed \" + name);\n"
+      "  });\n"
+      "}\n",
+      contracts_only({{"svc.op", "", {}, {}, "exempt"}}));
+  ASSERT_EQ(count_rule(a, "H1"), 1);
+  EXPECT_NE(a.findings[0].message.find("'svc.other'"), std::string::npos);
+}
+
 TEST(ContractH2, MissingGuardIsFlagged) {
   const auto a = run(std::string(kRegistration) +
                          "void Node::handle_op(sim::Responder& r, Bytes b) {\n"

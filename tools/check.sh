@@ -7,9 +7,12 @@
 #      DAUTH_DISCLOSE in src/ to suppress at least one finding, then the
 #      codec check: a wire::Writer or wire::Reader object in src/ outside
 #      src/wire/ must be one of the local records listed below, because
-#      every frame between roles declares its fields() once. Seconds, and
-#      catches most hygiene regressions before the sanitizer builds spend
-#      minutes.
+#      every frame between roles declares its fields() once, and the
+#      decode-site check: a caught wire::WireError in src/ outside src/wire/
+#      and the typed RPC boundary (src/sim/service.h) must be one of the
+#      nested or stored records listed below, because every request and
+#      reply frame is decoded once, at that boundary. Seconds, and catches
+#      most hygiene regressions before the sanitizer builds spend minutes.
 #   2. Benchmark package: configure and build fedbench/ (a standalone CMake
 #      project compiling ../src against the bundle and metrics API) and run
 #      its fedbench_selftest, so an API break fails here rather than in a
@@ -70,6 +73,22 @@ WIRE_ALLOWED="$(awk '{print $1, $2}' <<< "$WIRE_SITES" | sort)"
 if [[ "$WIRE_FOUND" != "$WIRE_ALLOWED" ]]; then
   echo "hand-written wire codec outside src/wire/: declare the frame's fields() instead" >&2
   diff <(echo "$WIRE_ALLOWED") <(echo "$WIRE_FOUND") >&2 || true
+  exit 1
+fi
+# The decodes left outside the typed boundary: "file catches reason", one
+# file a line. Each reads a record nested in a frame or kept in a store.
+DECODE_SITES="\
+src/core/home_network.cpp 1 the SUCI inside a home.get_vector request
+src/core/backup_network.cpp 3 the SUCI inside a backup.get_vector request; the restore scans of held batch records and of pending proofs
+src/core/serving_network.cpp 1 the SUCI inside a local attach request
+src/obs/journal.cpp 1 the journal's restore of its stored events"
+DECODE_FOUND="$(grep -rnE 'catch \((const )?(wire::)?WireError' src --include='*.h' --include='*.cpp' \
+  | grep -vE '^src/(wire/|sim/service\.h:)' | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' \
+  | cut -d: -f1 | sort | uniq -c | awk '{print $2, $1}' | sort)"
+DECODE_ALLOWED="$(awk '{print $1, $2}' <<< "$DECODE_SITES" | sort)"
+if [[ "$DECODE_FOUND" != "$DECODE_ALLOWED" ]]; then
+  echo "frame decoded outside the typed RPC boundary: serve or call it through src/sim/service.h" >&2
+  diff <(echo "$DECODE_ALLOWED") <(echo "$DECODE_FOUND") >&2 || true
   exit 1
 fi
 

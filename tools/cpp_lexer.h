@@ -6,8 +6,9 @@
 // from a production lexer:
 //
 //   * String literal CONTENTS are retained (dauth-taint's handler-contract
-//     pass needs the service name in `register_service(node, "backup.store",
-//     ...)`), but they are a distinct token kind, so identifier-matching
+//     pass needs the service name in a declaration `Service<Req, Rsp>
+//     kBackupStore{"backup.store"}` or a `register_service(node, "x", ...)`
+//     call), but they are a distinct token kind, so identifier-matching
 //     rules never fire on text inside quotes.
 //   * Comments are scanned for `DAUTH_DISCLOSE(<reason>)` annotations before
 //     being discarded. An annotation marks the line it sits on (and, when it

@@ -1473,22 +1473,57 @@ struct ContractChecker {
     return false;
   }
 
+  /// Every declared service, `Service<Req, Rsp> name{"svc.name"}` (see
+  /// sim/service.h), by the name of its constant, from every scanned unit.
+  std::map<std::string, std::string> declared_services() const {
+    std::map<std::string, std::string> services;
+    for (const Unit& u : prog.units) {
+      const std::vector<Token>& t = u.tokens;
+      for (std::size_t i = 0; i + 1 < t.size(); ++i) {
+        if (!is_ident(t, i, "Service") || !is_punct(t, i + 1, "<")) continue;
+        const std::size_t name = skip_angles(u, i + 1);
+        if (name == kNone || !is_ident(t, name) || name + 2 >= t.size()) continue;
+        if (!(is_punct(t, name + 1, "{") || is_punct(t, name + 1, "(") ||
+              is_punct(t, name + 1, "="))) {
+          continue;
+        }
+        if (t[name + 2].kind == Token::Kind::kString) services[t[name].text] = t[name + 2].text;
+      }
+    }
+    return services;
+  }
+
+  /// A registration is a call of `register_service` (by name) or `serve`
+  /// (by declared service); its service is the first argument, at the
+  /// call's own nesting level, that is a string literal or a declared
+  /// service's constant. Registrations naming neither (the framework's own
+  /// forwarding) are skipped.
   void check_registrations(const std::vector<HandlerContract>& table) {
+    const std::map<std::string, std::string> declared = declared_services();
     for (Unit& u : prog.units) {
       if (!in_scope(u.path)) continue;
       const std::vector<Token>& t = u.tokens;
       for (std::size_t i = 0; i + 1 < t.size(); ++i) {
-        if (!is_ident(t, i, "register_service") || !is_punct(t, i + 1, "(")) continue;
+        if (!(is_ident(t, i, "register_service") || is_ident(t, i, "serve")) ||
+            !is_punct(t, i + 1, "(")) {
+          continue;
+        }
         const std::size_t close = u.partner[i + 1];
         if (close == kNone) continue;
         std::string service;
-        for (std::size_t j = i + 2; j < close; ++j) {
+        for (std::size_t j = i + 2; j < close && service.empty(); ++j) {
           if (t[j].kind == Token::Kind::kString) {
             service = t[j].text;
-            break;
+          } else if (t[j].kind == Token::Kind::kIdent) {
+            if (const auto it = declared.find(t[j].text); it != declared.end()) {
+              service = it->second;
+            }
+          } else if ((is_punct(t, j, "(") || is_punct(t, j, "[") || is_punct(t, j, "{")) &&
+                     u.partner[j] != kNone) {
+            j = u.partner[j];  // nested: a lambda body or a call's own arguments
           }
         }
-        if (service.empty()) continue;  // the framework's own decl/def
+        if (service.empty()) continue;
         const bool known = std::any_of(table.begin(), table.end(),
                                        [&](const HandlerContract& c) {
                                          return c.service == service;
