@@ -162,9 +162,11 @@ TEST(CircuitBreakerSet, ZeroThresholdTurnsTheBreakersOff) {
     EXPECT_TRUE(set.admit(1, peer, sec(12)).allowed);
   }
   EXPECT_FALSE(set.on_failure(1, 8, sec(13)));
-  EXPECT_EQ(set.state(1, 8, sec(13)), BreakerState::kClosed);
-  EXPECT_EQ(set.opens(), 0u);
-  EXPECT_EQ(set.fast_skips(), 0u);
+  // Nothing opened and nothing is skipped, on either circuit.
+  for (const NodeIndex peer : {NodeIndex{8}, NodeIndex{9}}) {
+    EXPECT_EQ(set.state(1, peer, sec(13)), BreakerState::kClosed);
+    EXPECT_TRUE(set.admit(1, peer, sec(13)).allowed);
+  }
 }
 
 // ---- call ------------------------------------------------------
@@ -318,6 +320,55 @@ TEST(CallWithPolicy, CancelSuppressesCallbacksAndRetries) {
   f.s.run();
   EXPECT_FALSE(any_callback);
   EXPECT_EQ(f.rpc.retries(), 0u);  // cancellation stops the retry ladder
+}
+
+TEST(CallWithPolicy, CancellingTheHalfOpenProbeLetsTheNextCallerProbe) {
+  RpcConfig config;
+  config.breaker.failure_threshold = 1;
+  config.breaker.cooldown = sec(5);
+  Simulator s(1);
+  Network net(s);
+  NodeConfig nc;
+  nc.name = "client";
+  nc.access.base = ms(5);
+  const NodeIndex client = net.add_node(nc);
+  nc.name = "server";
+  const NodeIndex server = net.add_node(nc);
+  Rpc rpc(net, config);
+  rpc.register_service(server, "echo", [](ByteView req, Responder r) {
+    r.reply(to_bytes(req));
+  });
+  rpc.breakers().force_open_peer(server, s.now());
+
+  std::vector<ResilienceEvent> first_events;
+  std::vector<ResilienceEvent> second_events;
+  bool first_callback = false;
+  bool second_ok = false;
+  CallHandle probe;
+  s.at(sec(6), [&] {
+    probe = rpc.call(
+        client, server, "echo", {}, RpcOptions::oneshot(sec(2)),
+        [&](Bytes) { first_callback = true; }, [&](RpcError) { first_callback = true; },
+        [&](ResilienceEvent e) { first_events.push_back(e); });
+  });
+  s.at(sec(6) + ms(10), [&] {
+    // Still probing: a second caller is skipped.
+    EXPECT_FALSE(rpc.breakers().admit(client, server, s.now()).allowed);
+    probe.cancel();
+  });
+  s.at(sec(6) + ms(20), [&] {
+    rpc.call(
+        client, server, "echo", {}, RpcOptions::oneshot(sec(2)),
+        [&](Bytes) { second_ok = true; }, nullptr,
+        [&](ResilienceEvent e) { second_events.push_back(e); });
+  });
+  s.run();
+
+  EXPECT_FALSE(first_callback);
+  EXPECT_EQ(first_events, std::vector<ResilienceEvent>{ResilienceEvent::kHalfOpenProbe});
+  EXPECT_EQ(second_events, std::vector<ResilienceEvent>{ResilienceEvent::kHalfOpenProbe});
+  EXPECT_TRUE(second_ok);
+  EXPECT_EQ(rpc.breakers().state(client, server, s.now()), BreakerState::kClosed);
 }
 
 TEST(CallWithPolicy, IdenticalSeedsProduceIdenticalSchedules) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "obs/tracer.h"
+
 namespace dauth::sim {
 namespace {
 
@@ -223,6 +227,94 @@ TEST(Rpc, ResetConnectionsForcesRehandshake) {
   f.s.run();
   EXPECT_EQ(done, 2);
   EXPECT_EQ(f.rpc.handshakes(), 2u);
+}
+
+// ---- call lifecycle: an attempt's events count only while it is open ----
+
+TEST(RpcLifecycle, TimedOutAttemptsLateReplyIsDroppedDuringBackoff) {
+  Fixture f;
+  // The first request is answered after the attempt has timed out, inside
+  // the retry backoff; the second is answered at once.
+  int handled = 0;
+  f.rpc.register_service(f.server, "slow-once", [&](ByteView, Responder r) {
+    if (++handled == 1) {
+      f.s.after(ms(170), [r] { r.reply(to_bytes(as_bytes("first"))); });
+    } else {
+      r.reply(to_bytes(as_bytes("second")));
+    }
+  });
+  RpcOptions options;
+  options.timeout = ms(200);  // attempt 1: handshake 40ms, reply lands ~230ms
+  options.retry.max_attempts = 2;
+  options.retry.initial_backoff = ms(500);  // attempt 2 starts at 700ms
+  options.retry.jitter = 0.0;
+
+  std::vector<std::pair<Time, Bytes>> replies;
+  int errors = 0;
+  f.rpc.call(f.client, f.server, "slow-once", {}, options,
+             [&](Bytes r) { replies.emplace_back(f.s.now(), std::move(r)); },
+             [&](RpcError) { ++errors; });
+  f.s.run();
+
+  EXPECT_EQ(handled, 2);
+  EXPECT_EQ(errors, 0);
+  ASSERT_EQ(replies.size(), 1u);
+  EXPECT_EQ(replies[0].second, to_bytes(as_bytes("second")));
+  EXPECT_GE(replies[0].first, ms(700));
+  EXPECT_EQ(f.rpc.calls_started(), 2u);
+  EXPECT_EQ(f.rpc.calls_timed_out(), 1u);
+  EXPECT_EQ(f.rpc.calls_succeeded(), 1u);
+  EXPECT_EQ(f.rpc.retries(), 1u);
+}
+
+TEST(RpcLifecycle, RequestArrivingAfterItsAttemptTimedOutNeverRunsTheHandler) {
+  Fixture f;
+  int handled = 0;
+  f.rpc.register_service(f.server, "echo", [&](ByteView req, Responder r) {
+    ++handled;
+    r.reply(to_bytes(req));
+  });
+  // Handshake 40ms, then 10ms on the wire: the request lands at 50ms, after
+  // the 45ms attempt timeout.
+  std::optional<RpcError> error;
+  f.rpc.call(f.client, f.server, "echo", {}, RpcOptions::oneshot(ms(45)), nullptr,
+             [&](RpcError e) { error = std::move(e); });
+  f.s.run();
+  ASSERT_TRUE(error.has_value());
+  EXPECT_EQ(error->code, RpcErrorCode::kTimeout);
+  EXPECT_EQ(handled, 0);
+  EXPECT_EQ(f.net.node(f.server).jobs_completed(), 0u);
+}
+
+TEST(RpcLifecycle, CancelledAttemptSpanEndsFailedAndCancelled) {
+  Fixture f;
+  obs::Tracer tracer([&f] { return f.s.now(); }, &f.s.rng());
+  f.rpc.set_tracer(&tracer);
+  f.net.node(f.server).set_online(false);
+
+  bool any_callback = false;
+  const CallHandle handle =
+      f.rpc.call(f.client, f.server, "echo", {}, RpcOptions::oneshot(sec(2)),
+                 [&](Bytes) { any_callback = true; }, [&](RpcError) { any_callback = true; });
+  f.s.at(ms(100), [&] { handle.cancel(); });
+  f.s.run();
+  f.rpc.set_tracer(nullptr);
+
+  EXPECT_FALSE(any_callback);
+  EXPECT_EQ(f.rpc.calls_timed_out(), 0u);  // the pending timeout no longer counts
+  const obs::Span* attempt = nullptr;
+  for (const obs::Span& span : tracer.spans()) {
+    if (span.name == "rpc:echo") attempt = &span;
+  }
+  ASSERT_NE(attempt, nullptr);
+  EXPECT_TRUE(attempt->finished());
+  EXPECT_EQ(attempt->end, ms(100));
+  EXPECT_FALSE(attempt->ok);
+  bool cancelled = false;
+  for (const obs::Attr& attr : attempt->attrs) {
+    cancelled |= std::strcmp(attr.name, "cancelled") == 0 && attr.value.as_bool();
+  }
+  EXPECT_TRUE(cancelled);
 }
 
 }  // namespace
