@@ -166,8 +166,6 @@ void ServingNetwork::bind_services() {
              });
 }
 
-std::size_t ServingNetwork::session_count() const noexcept { return guti_table_.size(); }
-
 void ServingNetwork::set_home_health(const NetworkId& home, bool reachable) {
   home_health_[home] = {reachable, rpc_.network().simulator().now()};
 }

@@ -111,11 +111,9 @@ class ServingNetwork {
   /// Registers the UE-facing services. Call once.
   void bind_services();
 
-  /// Number of GUTI mappings currently held (tests).
-  std::size_t guti_count() const noexcept { return guti_table_.size(); }
-
-  /// Number of active sessions (successful attaches/handovers) held (tests).
-  std::size_t session_count() const noexcept;
+  /// Number of active sessions (successful attaches/handovers) held, one
+  /// per GUTI mapping (tests).
+  std::size_t session_count() const noexcept { return guti_table_.size(); }
 
   /// Marks a home network as (un)reachable in the health cache; normally
   /// learned from timeouts, but tests/benches can inject it so steady-state

@@ -61,7 +61,6 @@ DirectoryServer::DirectoryServer(store::KvStore* persistent) : store_(persistent
 }
 
 void DirectoryServer::persist(const std::string& path, ByteView value) {
-  // DAUTH_DISCLOSE(the directory stores only what it serves to any caller: public keys, ids and mappings under their owners' signatures, §3.4)
   if (store_ != nullptr) store_->put(path, value);
 }
 

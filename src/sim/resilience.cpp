@@ -89,10 +89,7 @@ CircuitBreaker& CircuitBreakerSet::breaker(NodeIndex from, NodeIndex to) {
 }
 
 CircuitBreaker::Admit CircuitBreakerSet::admit(NodeIndex from, NodeIndex to, Time now) {
-  auto verdict = breaker(from, to).admit(now);
-  if (!verdict.allowed) ++fast_skips_;
-  if (verdict.probe) ++probes_;
-  return verdict;
+  return breaker(from, to).admit(now);
 }
 
 bool CircuitBreakerSet::available(NodeIndex from, NodeIndex to, Time now) const {
@@ -107,9 +104,7 @@ bool CircuitBreakerSet::available(NodeIndex from, NodeIndex to, Time now) const 
 }
 
 bool CircuitBreakerSet::on_failure(NodeIndex from, NodeIndex to, Time now) {
-  const bool opened = breaker(from, to).on_failure(now);
-  if (opened) ++opens_;
-  return opened;
+  return breaker(from, to).on_failure(now);
 }
 
 void CircuitBreakerSet::on_success(NodeIndex from, NodeIndex to) {
@@ -127,10 +122,7 @@ void CircuitBreakerSet::force_open_peer(NodeIndex to, Time now) {
   if (config_.failure_threshold <= 0) return;  // breakers off: drop the hint
   known_down_[to] = now;
   for (auto& [route, circuit] : breakers_) {
-    if (route.second == to) {
-      if (circuit.state(now) == BreakerState::kClosed) ++opens_;
-      circuit.force_open(now);
-    }
+    if (route.second == to) circuit.force_open(now);
   }
 }
 

@@ -4,7 +4,7 @@
 // Table 1 of the paper shows SCN sites living at 87-99% availability; the
 // federation protocol (Algorithm 1) is explicitly designed to authenticate
 // *through* those failures. This header holds the policy vocabulary that
-// Rpc::call_with_policy and the serving network's hedged fan-out speak:
+// Rpc::call and the serving network's hedged fan-out speak:
 //
 //  - RetryPolicy: how many attempts, how the backoff between them grows,
 //    and how much jitter to apply. Jitter is drawn from the *simulation*
@@ -19,7 +19,6 @@
 //    before any caller has burned a timeout on it.
 #pragma once
 
-#include <cstdint>
 #include <map>
 #include <utility>
 
@@ -138,19 +137,12 @@ class CircuitBreakerSet {
 
   BreakerState state(NodeIndex from, NodeIndex to, Time now) const;
 
-  std::uint64_t opens() const noexcept { return opens_; }
-  std::uint64_t fast_skips() const noexcept { return fast_skips_; }
-  std::uint64_t probes() const noexcept { return probes_; }
-
  private:
   CircuitBreaker& breaker(NodeIndex from, NodeIndex to);
 
   CircuitBreakerConfig config_;
   std::map<std::pair<NodeIndex, NodeIndex>, CircuitBreaker> breakers_;
   std::map<NodeIndex, Time> known_down_;  // peer -> time the hint arrived
-  std::uint64_t opens_ = 0;
-  std::uint64_t fast_skips_ = 0;
-  std::uint64_t probes_ = 0;
 };
 
 }  // namespace dauth::sim

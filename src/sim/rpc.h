@@ -12,8 +12,10 @@
 // drives retries with deterministic jittered backoff inside an overall
 // deadline budget, and consults per-peer circuit breakers
 // (sim/resilience.h) so known-down peers fail fast instead of burning a
-// timeout. sim/service.h declares services and derives typed stubs and
-// handlers on top of this byte-level layer.
+// timeout. A call is one record whose attempts are numbered; an event of
+// an attempt that is no longer open (a late reply, a request that lands
+// after its timeout) is dropped. sim/service.h declares services and derives
+// typed stubs and handlers on top of this byte-level layer.
 #pragma once
 
 #include <cstdint>
@@ -23,6 +25,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <variant>
 
 #include "common/bytes.h"
 #include "obs/tracer.h"
@@ -148,26 +151,7 @@ enum class ResilienceEvent {
 
 using ResilienceObserver = std::function<void(ResilienceEvent event)>;
 
-/// Cancellable reference to an in-flight call. cancel() suppresses both
-/// callbacks, pending retries and the timeout accounting — the mechanism
-/// behind hedged-request loser cancellation.
-class CallHandle {
- public:
-  CallHandle() = default;
-
-  void cancel() const;
-  bool active() const;
-
- private:
-  friend class Rpc;
-  struct Cancellable {
-    bool cancelled = false;
-    bool settled = false;
-    std::function<void()> abort;
-  };
-  explicit CallHandle(std::shared_ptr<Cancellable> state) : state_(std::move(state)) {}
-  std::shared_ptr<Cancellable> state_;
-};
+class CallHandle;
 
 struct RpcConfig {
   /// Round trips needed to establish a connection (TCP + TLS 1.3 ≈ 2).
@@ -221,19 +205,15 @@ class Rpc {
   Network& network() noexcept { return network_; }
 
  private:
-  struct CallState;
-  struct PolicyState;
+  friend class CallHandle;
+  struct Call;
+  using Outcome = std::variant<Bytes, RpcError>;
 
-  std::shared_ptr<CallState> start_call(NodeIndex from, NodeIndex to,
-                                        const std::string& service, Bytes request,
-                                        const RpcOptions& options, int attempt,
-                                        ReplyCallback on_reply, ErrorCallback on_error);
-  void attempt(std::shared_ptr<PolicyState> state);
-  void settle_error(const std::shared_ptr<PolicyState>& state, RpcError error);
-  void send_request(NodeIndex from, NodeIndex to, const std::string& service, Bytes request,
-                    std::shared_ptr<CallState> state);
-  void finish_ok(const std::shared_ptr<CallState>& state, Bytes reply);
-  void finish_error(const std::shared_ptr<CallState>& state, RpcError error);
+  void attempt(const std::shared_ptr<Call>& call);
+  void send_request(const std::shared_ptr<Call>& call, int attempt);
+  void end_attempt(const std::shared_ptr<Call>& call, int attempt, Outcome outcome);
+  void settle(Call& call, Outcome outcome);
+  void cancel(Call& call);
 
   Network& network_;
   RpcConfig config_;
@@ -246,6 +226,24 @@ class Rpc {
   std::uint64_t calls_timed_out_ = 0;
   std::uint64_t handshakes_ = 0;
   std::uint64_t retries_ = 0;
+};
+
+/// Cancellable reference to an in-flight call. cancel() suppresses both
+/// callbacks, pending retries and the timeout accounting — the mechanism
+/// behind hedged-request loser cancellation. The handle does not own the
+/// call (its pending events do), so a handle held in a call's own callback
+/// captures, as a hedge's legs are, forms no cycle.
+class CallHandle {
+ public:
+  CallHandle() = default;
+
+  void cancel() const;
+
+ private:
+  friend class Rpc;
+  CallHandle(Rpc* rpc, std::weak_ptr<Rpc::Call> call) : rpc_(rpc), call_(std::move(call)) {}
+  Rpc* rpc_ = nullptr;
+  std::weak_ptr<Rpc::Call> call_;
 };
 
 }  // namespace dauth::sim

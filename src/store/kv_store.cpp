@@ -9,10 +9,26 @@ namespace {
 constexpr std::uint8_t kOpPut = 1;
 constexpr std::uint8_t kOpErase = 2;
 
+/// One mutation's log record: the op, the key and, for a put, the value.
+Bytes log_record(std::uint8_t op, std::string_view key, ByteView value = {}) {
+  wire::Writer w;
+  w.u8(op);
+  w.string(key);  // DAUTH_DISCLOSE(KV keys are namespaced lookup paths, never raw key material)
+  if (op == kOpPut) w.bytes(value);
+  return std::move(w).take();
+}
+
+/// Bytes a put record of a key and a value of these sizes takes in the log:
+/// the WAL header, the op and two u32-length-prefixed strings.
+std::size_t put_bytes(std::size_t key, std::size_t value) {
+  return Wal::kHeaderBytes + 1 + 4 + key + 4 + value;
+}
+
 }  // namespace
 
 KvStore::KvStore(const std::string& path) : wal_(std::make_unique<Wal>(path)) {
   replayed_ = wal_->replay([this](ByteView record) {
+    log_bytes_ += Wal::kHeaderBytes + record.size();
     wire::Reader r(record);
     const std::uint8_t op = r.u8();
     std::string key = r.string();
@@ -23,35 +39,39 @@ KvStore::KvStore(const std::string& path) : wal_(std::make_unique<Wal>(path)) {
     }
     // Unknown ops are skipped for forward compatibility.
   });
+  for (const auto& [key, value] : map_) live_bytes_ += put_bytes(key.size(), value.size());
 }
 
-void KvStore::log_put(std::string_view key, ByteView value) {
-  if (!wal_) return;
-  wire::Writer w;
-  w.u8(kOpPut);
-  w.string(key);  // DAUTH_DISCLOSE(KV keys are namespaced lookup paths, never raw key material)
-  w.bytes(value);
-  wal_->append(w.data());
+void KvStore::append(ByteView record) {
+  wal_->append(record);
+  log_bytes_ += Wal::kHeaderBytes + record.size();
 }
 
-void KvStore::log_erase(std::string_view key) {
-  if (!wal_) return;
-  wire::Writer w;
-  w.u8(kOpErase);
-  w.string(key);  // DAUTH_DISCLOSE(KV keys are namespaced lookup paths, never raw key material)
-  wal_->append(w.data());
+void KvStore::compact_if_due() {
+  if (log_bytes_ > kCompactionFloor && log_bytes_ > kCompactionRatio * live_bytes_) compact();
 }
 
 void KvStore::put(std::string_view key, ByteView value) {
-  log_put(key, value);
+  if (wal_) {
+    append(log_record(kOpPut, key, value));
+    if (const auto it = map_.find(key); it != map_.end()) {
+      live_bytes_ -= put_bytes(key.size(), it->second.size());
+    }
+    live_bytes_ += put_bytes(key.size(), value.size());
+  }
   map_[std::string(key)] = to_bytes(value);
+  compact_if_due();
 }
 
 void KvStore::erase(std::string_view key) {
   const auto it = map_.find(key);
   if (it == map_.end()) return;
-  log_erase(key);
+  if (wal_) {
+    append(log_record(kOpErase, key));
+    live_bytes_ -= put_bytes(key.size(), it->second.size());
+  }
   map_.erase(it);
+  compact_if_due();
 }
 
 std::optional<Bytes> KvStore::get(std::string_view key) const {
@@ -86,14 +106,9 @@ std::vector<std::string> KvStore::keys_with_prefix(std::string_view prefix) cons
 void KvStore::compact() {
   if (!wal_) return;
   wal_->rewrite([this](Wal& snapshot) {
-    for (const auto& [key, value] : map_) {
-      wire::Writer w;
-      w.u8(kOpPut);
-      w.string(key);  // DAUTH_DISCLOSE(KV keys are namespaced lookup paths, never raw key material)
-      w.bytes(value);
-      snapshot.append(w.data());
-    }
+    for (const auto& [key, value] : map_) snapshot.append(log_record(kOpPut, key, value));
   });
+  log_bytes_ = live_bytes_;
 }
 
 }  // namespace dauth::store

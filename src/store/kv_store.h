@@ -8,7 +8,8 @@
 //
 // Two modes:
 //   * KvStore(path) — durable; every mutation appends to the WAL, state is
-//     rebuilt by replay on open, compact() rewrites the log.
+//     rebuilt by replay on open, compact() rewrites the log, and the store
+//     compacts itself before the log outgrows its live records.
 //   * KvStore()     — ephemeral (no file); used by simulations where running
 //     thousands of nodes with real files would be wasteful.
 #pragma once
@@ -27,6 +28,18 @@ namespace dauth::store {
 
 class KvStore {
  public:
+  /// A durable store compacts itself once its log holds more than
+  /// kCompactionRatio times the bytes a snapshot of its live records takes,
+  /// and more than kCompactionFloor bytes. At ratio 4 a compaction, which
+  /// rewrites the live bytes once, follows at least three times as many
+  /// appended bytes, so it adds at most a third to the bytes written, while
+  /// the log and a restart's replay stay within 4x the live state. Below
+  /// the floor a log replays faster than a rewrite and its fsync cost, and
+  /// a small store (a journal's first events) is not rewritten on every
+  /// overwrite.
+  static constexpr std::size_t kCompactionRatio = 4;
+  static constexpr std::size_t kCompactionFloor = 64 * 1024;
+
   /// Ephemeral store.
   KvStore() = default;
 
@@ -51,13 +64,20 @@ class KvStore {
   /// Number of WAL records replayed at open (0 for ephemeral). For tests.
   std::size_t replayed() const noexcept { return replayed_; }
 
+  /// Bytes in the log, and bytes a snapshot of the live records would take,
+  /// framing included (both 0 for ephemeral stores). For tests.
+  std::size_t log_bytes() const noexcept { return log_bytes_; }
+  std::size_t live_bytes() const noexcept { return live_bytes_; }
+
  private:
-  void log_put(std::string_view key, ByteView value);
-  void log_erase(std::string_view key);
+  void append(ByteView record);
+  void compact_if_due();
 
   std::map<std::string, Bytes, std::less<>> map_;
   std::unique_ptr<Wal> wal_;
   std::size_t replayed_ = 0;
+  std::size_t log_bytes_ = 0;
+  std::size_t live_bytes_ = 0;
 };
 
 }  // namespace dauth::store

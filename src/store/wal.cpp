@@ -51,7 +51,7 @@ Wal::~Wal() {
 }
 
 void Wal::append(ByteView record) {
-  std::uint8_t header[8];
+  std::uint8_t header[kHeaderBytes];
   put_u32(header, static_cast<std::uint32_t>(record.size()));
   put_u32(header + 4, crc32(record));
   if (std::fwrite(header, 1, sizeof header, file_) != sizeof header ||
@@ -68,7 +68,7 @@ std::size_t Wal::replay(const std::function<void(ByteView)>& callback) const {
   std::size_t delivered = 0;
   std::vector<std::uint8_t> payload;
   for (;;) {
-    std::uint8_t header[8];
+    std::uint8_t header[kHeaderBytes];
     if (std::fread(header, 1, sizeof header, in) != sizeof header) break;
     const std::uint32_t len = get_u32(header);
     const std::uint32_t expected_crc = get_u32(header + 4);

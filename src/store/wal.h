@@ -19,6 +19,9 @@ std::uint32_t crc32(ByteView data) noexcept;
 
 class Wal {
  public:
+  /// Bytes of framing in front of each record: its length and its CRC.
+  static constexpr std::size_t kHeaderBytes = 8;
+
   /// Opens (creating if needed) the log at `path` for appending.
   explicit Wal(std::string path);
   ~Wal();

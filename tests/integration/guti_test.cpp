@@ -39,7 +39,7 @@ TEST(Guti, AssignedOnSuccessfulAttach) {
   ASSERT_TRUE(ue->guti().has_value());
   EXPECT_EQ(ue->guti()->issuer, f.net(3).id());
   EXPECT_NE(ue->guti()->value, 0u);
-  EXPECT_EQ(f.net(3).serving().guti_count(), 1u);
+  EXPECT_EQ(f.net(3).serving().session_count(), 1u);
 }
 
 TEST(Guti, ReattachUsesLocalMapping) {
@@ -59,7 +59,7 @@ TEST(Guti, ReattachUsesLocalMapping) {
   // The old GUTI was spent and a fresh one assigned.
   ASSERT_TRUE(ue->guti().has_value());
   EXPECT_NE(ue->guti()->value, first_guti.value);
-  EXPECT_EQ(f.net(3).serving().guti_count(), 1u);
+  EXPECT_EQ(f.net(3).serving().session_count(), 1u);
 }
 
 TEST(Guti, ForeignGutiResolvedViaPriorServing) {

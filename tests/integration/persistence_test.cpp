@@ -2,7 +2,11 @@
 // (the role SQLite plays in the paper's prototype, §5.1).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
 #include <functional>
+#include <string>
+#include <unistd.h>
 
 #include "core/home_network.h"
 #include "federation_fixture.h"
@@ -346,6 +350,43 @@ TEST(Persistence, StoreHoldsOneRecordPerBatch) {
     EXPECT_EQ(record.vectors.size(), record.supi == kAlice ? vectors - 1 : vectors);
     EXPECT_EQ(record.shares.size(), shares);
   }
+}
+
+TEST(Persistence, ServingABatchOutKeepsTheDurableLogBounded) {
+  // One user's 64-leaf batch (16 vectors here and a share of each of the
+  // round's 48 at the other backups) served out one vector at a time. Each
+  // release rewrites the batch's whole record; a log that never compacted
+  // kept every copy (92.8 KB for this case).
+  core::FederationConfig config = Federation::test_config();
+  config.vectors_per_backup = 16;
+  Federation f(5, config);
+  const std::filesystem::path path = std::filesystem::temp_directory_path() /
+                                     ("dauth-batch-log-" + std::to_string(::getpid()) + ".wal");
+  std::filesystem::remove(path);
+  {
+    store::KvStore durable(path.string());
+    auto backup = std::make_unique<core::BackupNetwork>(
+        f.rpc, f.net(1).node(), f.net(1).id(), f.net(1).directory(), f.config, &durable);
+    backup->bind_services();
+    f.provision(kAlice, 0, {1, 2, 3});
+    ASSERT_EQ(held_records(durable).size(), 1u);
+    ASSERT_EQ(held_records(durable)[0].leaves.size(), 32u * 64);
+
+    std::size_t largest = 0;
+    for (std::size_t i = 0; i < config.vectors_per_backup; ++i) {
+      (void)pull_vector(f, 1, kAlice);
+      EXPECT_EQ(durable.log_bytes(), std::filesystem::file_size(path));
+      EXPECT_LE(durable.log_bytes(),
+                std::max(store::KvStore::kCompactionRatio * durable.live_bytes(),
+                         store::KvStore::kCompactionFloor));
+      largest = std::max(largest, durable.log_bytes());
+    }
+    EXPECT_EQ(backup->stored_vectors(f.net(0).id(), kAlice), 0u);
+    EXPECT_LE(largest, store::KvStore::kCompactionFloor);
+    durable.compact();
+    EXPECT_EQ(std::filesystem::file_size(path), durable.live_bytes());
+  }
+  std::filesystem::remove(path);
 }
 
 }  // namespace

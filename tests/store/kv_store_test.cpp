@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
 
 #include "obs/journal.h"
@@ -303,6 +305,62 @@ TEST(KvStore, TornTailAfterCompactionReplaysToTheSnapshot) {
   EXPECT_EQ(reopened.get("key-1"), to_bytes(as_bytes("new")));
   EXPECT_EQ(reopened.get("key-9"), to_bytes(as_bytes("old")));
   EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+}
+
+TEST(KvStore, CompactsItselfBeforeTheLogOutgrowsItsLiveRecords) {
+  TempDir dir;
+  const std::string path = dir.file("state.wal");
+  KvStore kv(path);
+  const Bytes value(1024, 0x5a);
+  int compactions = 0;
+  for (int i = 0; i < 200; ++i) {
+    const std::size_t before = kv.log_bytes();
+    kv.put("key-" + std::to_string(i % 4), value);
+    if (i % 7 == 0) kv.erase("key-" + std::to_string((i + 1) % 4));
+    compactions += kv.log_bytes() < before ? 1 : 0;
+    // The counters are the file, and the file stays within the bound.
+    EXPECT_EQ(kv.log_bytes(), std::filesystem::file_size(path));
+    EXPECT_LE(kv.log_bytes(), std::max(KvStore::kCompactionRatio * kv.live_bytes(),
+                                       KvStore::kCompactionFloor));
+  }
+  EXPECT_GE(compactions, 2);
+  kv.compact();
+  EXPECT_EQ(std::filesystem::file_size(path), kv.live_bytes());
+}
+
+TEST(KvStore, EphemeralStoreNeverCountsLogBytes) {
+  KvStore kv;
+  for (int i = 0; i < 100; ++i) kv.put("key", Bytes(4096, 1));
+  EXPECT_EQ(kv.log_bytes(), 0u);
+  EXPECT_EQ(kv.live_bytes(), 0u);
+}
+
+TEST(KvStore, TornTailAfterASelfTriggeredCompactionReplaysToTheSnapshot) {
+  TempDir dir;
+  const std::string path = dir.file("state.wal");
+  std::map<std::string, Bytes> expected;
+  {
+    KvStore kv(path);
+    bool compacted = false;
+    for (int i = 0; i < 1000 && !compacted; ++i) {
+      const std::size_t before = kv.log_bytes();
+      const std::string key = "key-" + std::to_string(i % 8);
+      expected[key] = Bytes(1024, static_cast<std::uint8_t>(i));
+      kv.put(key, expected[key]);
+      compacted = kv.log_bytes() < before;
+    }
+    ASSERT_TRUE(compacted);
+    ASSERT_EQ(kv.log_bytes(), kv.live_bytes());
+  }
+  // The first append after the compaction is torn by a crash.
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::app);
+    const char partial[] = {0x40, 0x00, 0x00, 0x00, 0x01};  // claims 64B, has 1
+    out.write(partial, sizeof partial);
+  }
+  KvStore reopened(path);
+  EXPECT_EQ(reopened.replayed(), expected.size());  // the snapshot, one record per key
+  for (const auto& [key, value] : expected) EXPECT_EQ(reopened.get(key), value) << key;
 }
 
 TEST(KvStore, CrashBeforeTheRenameLeavesTheOldLogAuthoritative) {

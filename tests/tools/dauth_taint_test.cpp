@@ -192,6 +192,48 @@ TEST(TaintT3, SecretIntoWal) {
   EXPECT_TRUE(has_rule(a, "T3"));
 }
 
+TEST(TaintT3, SecretArgumentOfANestedPublicReturningCallIsClean) {
+  // make_entry signs with the key and returns only public fields, so what
+  // reaches keep() is its summary's return, not every argument passed in.
+  // echo() returns its argument, which keeps carrying the secret.
+  const std::string defs =
+      "struct Entry { int id; Bytes signature; };\n"
+      "Entry make_entry(int id, const crypto::Ed25519KeyPair& key_pair) {\n"
+      "  Entry e;\n"
+      "  e.id = id;\n"
+      "  e.signature = crypto::ed25519_sign(e.payload(), key_pair);\n"
+      "  return e;\n"
+      "}\n"
+      "Bytes echo(const Bytes& v) { return v; }\n"
+      "void keep(store::KvStore& store, const Entry& entry) {\n"
+      "  store.put(\"e\", wire::encode(entry));\n"
+      "}\n"
+      "void keep_bytes(store::KvStore& store, const Bytes& value) { store.put(\"b\", value); }\n";
+  const auto clean = run(defs + "void publish(store::KvStore& store, const Bytes& k_seaf) {\n"
+                                "  keep(store, make_entry(1, k_seaf));\n"
+                                "}");
+  EXPECT_FALSE(has_rule(clean, "T3"));
+  const auto carried = run(defs + "void publish(store::KvStore& store, const Bytes& k_seaf) {\n"
+                                  "  keep_bytes(store, echo(k_seaf));\n"
+                                  "}");
+  EXPECT_TRUE(has_rule(carried, "T3"));
+}
+
+TEST(TaintT3, SecretRecordEncodedIntoAStorePutIsReported) {
+  // wire::encode reaches its bytes through the message's field list, which
+  // its summary cannot follow; the encoder still carries the record.
+  const auto a = run("template <typename T> Bytes encode(const T& message) {\n"
+                     "  Writer w;\n"
+                     "  T::fields(w, message);\n"
+                     "  return std::move(w).take();\n"
+                     "}\n"
+                     "struct HeldShares { Bytes share_y; };\n"
+                     "void f(store::KvStore& store, const HeldShares& held) {\n"
+                     "  store.put(\"held\", wire::encode(held));\n"
+                     "}");
+  EXPECT_TRUE(has_rule(a, "T3"));
+}
+
 TEST(TaintT4, SecretIntoRpcPayload) {
   const auto a = run("void f(const Bytes& xres_bytes) { rpc_.call(7, \"svc\", xres_bytes); }");
   EXPECT_TRUE(has_rule(a, "T4"));

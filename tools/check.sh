@@ -21,10 +21,13 @@
 #      raises warnings the other build types do not, and this is the
 #      optimized build of the SHA-NI, AES-NI and word-parallel Shamir kernels
 #   4. Golden BENCH rows: the Release fig5_resilience_outage,
-#      ablation_optimizations and fig7_backup_count_sweep benches rerun
-#      into a temp dir, and tools/bench_diff.py requires their rows and
-#      seed lists to equal the committed results/BENCH_*.json (virtual time
-#      is deterministic; stamps and wall time are ignored)
+#      ablation_optimizations and fig7_backup_count_sweep benches and
+#      fig3_single_ue --trace rerun into a temp dir, and tools/bench_diff.py
+#      requires their rows and seed lists to equal the committed
+#      results/BENCH_*.json (virtual time is deterministic; stamps and wall
+#      time are ignored); the traced attach's TRACE_fig3_backup_attach.json
+#      must equal the committed one byte for byte, so every span's name,
+#      parent, virtual time and attributes hold
 #   5. ASan+UBSan build of everything, -Werror, full ctest suite
 #      (re-runs dauth_lint_check / dauth_taint_check plus their self-tests)
 #   6. Bench smoke: one short deterministically-seeded fig6 sweep on the
@@ -63,7 +66,7 @@ tools/check_disclosures.sh build/tools/dauth-taint
 # The hand-written codecs left in src/: "file objects reason", one site a
 # line. Each is written and read by its own module, in adjacent functions.
 WIRE_SITES="\
-src/store/kv_store.cpp 4 the WAL's op-tagged records and the snapshot
+src/store/kv_store.cpp 2 the WAL's op-tagged records, written once for a mutation and a snapshot
 src/obs/journal.cpp 2 the journal's Event record
 src/core/messages.cpp 1 the round payload a home signature covers, built from its parts"
 WIRE_FOUND="$(grep -rnE '\bwire::(Writer|Reader)\b' src --include='*.h' --include='*.cpp' \
@@ -105,13 +108,18 @@ cmake --build build-release -j "$JOBS"
 ctest --test-dir build-release --output-on-failure \
   -R 'sha256|hmac|kdf|shamir|merkle|ed25519|drbg|aes|milenage'
 
-echo "==> [4/8] golden BENCH rows (fig5 outage, ablation, fig7 vs results/)"
+echo "==> [4/8] golden BENCH rows (fig5 outage, ablation, fig7, fig3 trace vs results/)"
 GOLDEN_OUT="$(mktemp -d)"
 trap 'rm -rf "$GOLDEN_OUT"' EXIT
 for bench in fig5_resilience_outage ablation_optimizations fig7_backup_count_sweep; do
   DAUTH_BENCH_OUT="$GOLDEN_OUT" ./build-release/bench/"$bench" > "$GOLDEN_OUT/$bench.txt"
   python3 tools/bench_diff.py "results/BENCH_$bench.json" "$GOLDEN_OUT/BENCH_$bench.json"
 done
+DAUTH_BENCH_OUT="$GOLDEN_OUT" ./build-release/bench/fig3_single_ue --trace \
+  > "$GOLDEN_OUT/fig3_single_ue_trace.txt"
+cmp results/TRACE_fig3_backup_attach.json "$GOLDEN_OUT/TRACE_fig3_backup_attach.json"
+python3 tools/bench_diff.py results/BENCH_fig3_single_ue_trace.json \
+  "$GOLDEN_OUT/BENCH_fig3_single_ue_trace.json"
 
 echo "==> [5/8] ASan+UBSan build + full test suite"
 cmake -B build-asan -S . \

@@ -87,6 +87,13 @@ const std::set<std::string, std::less<>> kSanitizers = {
     "ed25519_sign", "ed25519_verify", "hxres_index", "deconceal_suci",
     "conceal_supi"};
 
+/// Calls whose result carries every argument whole, whatever their summary
+/// says: the wire codec's entry points build their bytes through a
+/// message's field list (`T::fields(w, message)`), a flow into an encoder
+/// that no summary records. A secret record encoded into a store put must
+/// still read as secret there.
+const std::set<std::string, std::less<>> kCarriers = {"encode", "signed_payload"};
+
 /// Trailing accessors that yield metadata, not the secret bytes.
 const std::set<std::string, std::less<>> kHarmlessTail = {
     "size", "length", "empty", "count", "str", "has_value", "c_str", "x", "id"};
@@ -972,8 +979,9 @@ struct Engine {
   }
 
   /// Taint mask of an expression region [a, b): the union over every access
-  /// chain in it, skipping sanitizer-call interiors and lambda literals, and
-  /// consulting callee summaries for returned secrets.
+  /// chain in it, skipping sanitizer-call interiors and lambda literals. A
+  /// call to a summarized callee contributes only what its summary returns:
+  /// a returned secret, and each argument it carries into its result.
   std::uint64_t region_mask(std::size_t a, std::size_t b) const {
     std::uint64_t mask = 0;
     for (std::size_t i = a; i < b; ++i) {
@@ -1019,6 +1027,16 @@ struct Engine {
         const Func* callee =
             resolve(c.comps.back(), c.comps.size() > 1 ? &base : nullptr, via_scope);
         if (callee != nullptr && callee->sum.returns_secret) mask |= kSecretBit;
+        const std::size_t close = u.partner[call_open];
+        if (callee != nullptr && close != kNone && !in_set(kCarriers, c.comps.back())) {
+          mask |= region_mask(i + 1, call_open);  // calls earlier in the chain
+          const auto args = split_args(call_open, close);
+          for (std::size_t k = 0; k < args.size(); ++k) {
+            if (callee->sum.params_to_return & param_bit(static_cast<int>(k)))
+              mask |= region_mask(args[k].first, args[k].second);
+          }
+          i = close;
+        }
       }
     }
     return mask;
