@@ -37,7 +37,9 @@ struct Rpc::Call {
   NodeIndex from;
   NodeIndex to;
   std::string service;
-  Bytes request;
+  /// Shared with a handler queued for one of its requests, so the call can
+  /// drop it once over without copying it for each attempt.
+  std::shared_ptr<const Bytes> request;
   RpcOptions options;
   ReplyCallback on_reply;
   ErrorCallback on_error;
@@ -67,9 +69,10 @@ void Rpc::register_service(NodeIndex node, std::string service, ServiceHandler h
 CallHandle Rpc::call(NodeIndex from, NodeIndex to, const std::string& service, Bytes request,
                      const RpcOptions& options, ReplyCallback on_reply, ErrorCallback on_error,
                      ResilienceObserver observer) {
-  auto call = std::make_shared<Call>(Call{from, to, service, std::move(request), options,
-                                          std::move(on_reply), std::move(on_error),
-                                          std::move(observer), network_.simulator().now()});
+  auto call = std::make_shared<Call>(
+      Call{from, to, service, std::make_shared<const Bytes>(std::move(request)), options,
+           std::move(on_reply), std::move(on_error), std::move(observer),
+           network_.simulator().now()});
   if (tracer_ != nullptr) {
     call->parent = options.trace_parent.valid() ? options.trace_parent : tracer_->current();
   }
@@ -163,7 +166,7 @@ void Rpc::attempt(const std::shared_ptr<Call>& call) {
 }
 
 void Rpc::send_request(const std::shared_ptr<Call>& call, int n) {
-  const std::size_t request_size = call->request.size() + 64;  // framing overhead
+  const std::size_t request_size = call->request->size() + 64;  // framing overhead
   network_.send(call->from, call->to, request_size, [this, call, n] {
     if (!call->live(n)) return;
 
@@ -180,7 +183,8 @@ void Rpc::send_request(const std::shared_ptr<Call>& call, int n) {
     // Queue the request on the server's worker pool, then run the handler.
     network_.node(call->to).execute(
         config_.server_base_cost,
-        [this, call, n, handler = &handler_it->second, attempt_span = call->span] {
+        [this, call, n, handler = &handler_it->second, attempt_span = call->span,
+         request = call->request] {
           // Server span: covers handler execution up to the moment the reply
           // (or rejection) is handed back to the transport. Made ambient for
           // the synchronous handler body, so RPCs the handler issues inline
@@ -210,7 +214,7 @@ void Rpc::send_request(const std::shared_ptr<Call>& call, int n) {
               });
           std::optional<obs::Tracer::Scope> ambient;
           if (tracer_ != nullptr) ambient.emplace(*tracer_, handle_span);
-          (*handler)(call->request, Responder(std::move(reply_fn)));
+          (*handler)(*request, Responder(std::move(reply_fn)));
         });
   });
 }
@@ -257,8 +261,11 @@ void Rpc::end_attempt(const std::shared_ptr<Call>& call, int n, Outcome outcome)
 void Rpc::settle(Call& call, Outcome outcome) {
   if (call.over) return;
   call.over = true;
-  // Release the caller's callbacks before invoking one: the call must not
-  // keep their captures alive once it has settled.
+  // A call that is over lives on only for its pending events, which read
+  // neither the request nor the caller's callbacks: release both before
+  // invoking one.
+  call.request.reset();
+  call.observer = nullptr;
   auto on_reply = std::exchange(call.on_reply, nullptr);
   auto on_error = std::exchange(call.on_error, nullptr);
   if (auto* reply = std::get_if<Bytes>(&outcome)) {
@@ -276,6 +283,7 @@ void Rpc::cancel(Call& call) {
     tracer_->end_span(call.span, false);
   }
   if (call.probe && call.options.use_breaker) breakers_.abandon_probe(call.from, call.to);
+  call.request.reset();
   call.on_reply = nullptr;
   call.on_error = nullptr;
 }

@@ -1,5 +1,7 @@
 #include "store/kv_store.h"
 
+#include <filesystem>
+
 #include "wire/reader.h"
 #include "wire/writer.h"
 
@@ -40,6 +42,9 @@ KvStore::KvStore(const std::string& path) : wal_(std::make_unique<Wal>(path)) {
     // Unknown ops are skipped for forward compatibility.
   });
   for (const auto& [key, value] : map_) live_bytes_ += put_bytes(key.size(), value.size());
+  // A torn or corrupt tail stays in the file, and a record appended after
+  // it would never replay: rewrite the log as what did.
+  if (log_bytes_ != std::filesystem::file_size(path)) compact();
 }
 
 void KvStore::append(ByteView record) {

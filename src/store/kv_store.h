@@ -30,13 +30,12 @@ class KvStore {
  public:
   /// A durable store compacts itself once its log holds more than
   /// kCompactionRatio times the bytes a snapshot of its live records takes,
-  /// and more than kCompactionFloor bytes. At ratio 4 a compaction, which
-  /// rewrites the live bytes once, follows at least three times as many
-  /// appended bytes, so it adds at most a third to the bytes written, while
-  /// the log and a restart's replay stay within 4x the live state. Below
-  /// the floor a log replays faster than a rewrite and its fsync cost, and
-  /// a small store (a journal's first events) is not rewritten on every
-  /// overwrite.
+  /// and more than kCompactionFloor bytes. At ratio 4, while the live state
+  /// does not shrink, a compaction rewrites the live bytes once per three
+  /// times as many appended bytes, so it adds at most a third to the bytes
+  /// written, and the log and a restart's replay stay within 4x the live
+  /// state. The floor keeps a small store (a journal's first events, a
+  /// directory) from paying a rewrite and an fsync every few overwrites.
   static constexpr std::size_t kCompactionRatio = 4;
   static constexpr std::size_t kCompactionFloor = 64 * 1024;
 

@@ -317,5 +317,30 @@ TEST(RpcLifecycle, CancelledAttemptSpanEndsFailedAndCancelled) {
   EXPECT_TRUE(cancelled);
 }
 
+TEST(RpcLifecycle, LegsHeldByTheirOwnCallbacksAreFreedWithTheSimulation) {
+  // A hedge keeps its legs' handles in state its legs' callbacks capture.
+  // The handles must not own the calls, or a leg still pending when the
+  // simulation is torn down and that state would keep each other alive.
+  struct Hedge {
+    std::vector<CallHandle> legs;
+  };
+  std::weak_ptr<Hedge> watch;
+  {
+    Fixture f;
+    f.net.node(f.server).set_online(false);
+    auto hedge = std::make_shared<Hedge>();
+    watch = hedge;
+    for (int i = 0; i < 2; ++i) {
+      hedge->legs.push_back(f.rpc.call(f.client, f.server, "echo", {},
+                                       RpcOptions::oneshot(sec(1)), [hedge](Bytes) {},
+                                       [hedge](RpcError) {}));
+    }
+    hedge->legs[0].cancel();
+    hedge.reset();
+    EXPECT_FALSE(watch.expired());  // the pending leg still holds it
+  }
+  EXPECT_TRUE(watch.expired());
+}
+
 }  // namespace
 }  // namespace dauth::sim

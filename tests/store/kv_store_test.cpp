@@ -171,6 +171,28 @@ TEST(KvStore, TornTailRecordIsDiscarded) {
   EXPECT_EQ(reopened.get("good"), to_bytes(as_bytes("value")));
 }
 
+TEST(KvStore, PutAfterATornTailSurvivesTheNextReopen) {
+  TempDir dir;
+  const std::string path = dir.file("state.wal");
+  {
+    KvStore kv(path);
+    kv.put("a", as_bytes("1"));
+  }
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::app);
+    const char partial[] = {0x40, 0x00, 0x00, 0x00, 0x01};  // claims 64B, has 1
+    out.write(partial, sizeof partial);
+  }
+  {
+    KvStore kv(path);
+    EXPECT_EQ(kv.log_bytes(), std::filesystem::file_size(path));  // tail dropped
+    kv.put("b", as_bytes("2"));
+  }
+  KvStore reopened(path);
+  EXPECT_EQ(reopened.get("a"), to_bytes(as_bytes("1")));
+  EXPECT_EQ(reopened.get("b"), to_bytes(as_bytes("2")));
+}
+
 TEST(KvStore, CorruptRecordStopsReplay) {
   TempDir dir;
   const std::string path = dir.file("state.wal");
