@@ -1,6 +1,7 @@
 // End-to-end resilience tests: hedged backup fan-out, breaker-driven
 // skipping of known-down backups, graceful fast-fail below the share
-// threshold, the pre-resilience preset of the same ladder
+// threshold (at the vector fetch and again at the share round), a share
+// round that gathers fewer than `threshold` shares, the pre-resilience preset of the same ladder
 // (ResilienceConfig::none() with the breakers off) and its call options,
 // and schedule determinism.
 #include <gtest/gtest.h>
@@ -133,6 +134,77 @@ TEST(Resilience, FastFailsWhenReachableBackupsDropBelowThreshold) {
   EXPECT_EQ(serving.metrics().backup_auths, 0u);
   // "Fast" is the point: no timeout was paid on the way to the verdict.
   EXPECT_LT(elapsed, f.config.backup_auth_timeout);
+}
+
+TEST(Resilience, FastFailsWhenBackupsDropBelowThresholdDuringTheChallenge) {
+  // Every backup is reachable when the vector is fetched; while the UE
+  // answers the challenge, two of the three are announced down. The share
+  // round then finds 1 reachable < threshold 2 and fails fast, before a
+  // single backup.get_share call goes out.
+  Federation f(5);
+  const auto keys = f.provision(kAlice, 0, {1, 2, 3});
+  f.network.node(f.net(0).node()).set_online(false);
+  auto& serving = f.net(4).serving();
+  serving.set_home_health(f.net(0).id(), false);
+  std::size_t share_calls = 0;
+  for (std::size_t b : {1, 2, 3}) {
+    f.rpc.register_service(f.net(b).node(), "backup.get_share",
+                           [&](ByteView, sim::Responder r) {
+                             ++share_calls;
+                             r.fail(sim::AppErrorCode::kNotFound, "counted");
+                           });
+  }
+
+  auto ue = f.make_ue(kAlice, keys, 4);
+  std::optional<ran::AttachRecord> record;
+  bool announced = false;
+  std::function<void()> announce_once_served = [&] {
+    if (record) return;
+    for (std::size_t served : {1, 2, 3}) {
+      if (f.net(served).backup().metrics().vectors_served == 0) continue;
+      for (std::size_t b : {1, 2, 3}) {
+        if (b != served) f.rpc.breakers().force_open_peer(f.net(b).node(), f.simulator.now());
+      }
+      announced = true;
+      return;
+    }
+    f.simulator.after(us(100), announce_once_served);
+  };
+  ue->attach([&](const ran::AttachRecord& r) { record = r; });
+  announce_once_served();
+  f.simulator.run();
+  ASSERT_TRUE(record.has_value());
+  ASSERT_TRUE(announced);
+  EXPECT_FALSE(record->success);
+  EXPECT_NE(record->failure.find("insufficient reachable backups"), std::string::npos)
+      << record->failure;
+  EXPECT_EQ(serving.metrics().fast_failures, 1u);
+  EXPECT_EQ(share_calls, 0u);
+}
+
+TEST(Resilience, TooFewSharesFailsTheAttach) {
+  // Threshold 2, but only net-2 holds the subscriber's share: the home
+  // disseminated to net-2 and net-3, then listed net-2, net-4 and net-5 as
+  // its backups. net-4 and net-5 hold nothing and refuse every share leg,
+  // so one share is all the round can gather.
+  Federation f(6);
+  const auto keys = f.provision(kAlice, 0, {1, 2});
+  f.net(0).set_backups({f.net(1).id(), f.net(3).id(), f.net(4).id()});
+  f.network.node(f.net(0).node()).set_online(false);
+  auto& serving = f.net(5).serving();
+  serving.set_home_health(f.net(0).id(), false);
+
+  auto ue = f.make_ue(kAlice, keys, 5);
+  const auto record = f.attach(*ue);
+  EXPECT_FALSE(record.success);
+  EXPECT_NE(record.failure.find("insufficient key shares"), std::string::npos)
+      << record.failure;
+  EXPECT_EQ(f.net(1).backup().metrics().shares_served, 1u);
+  for (std::size_t b : {3, 4}) {
+    EXPECT_EQ(f.net(b).backup().metrics().shares_served, 0u) << "net-" << b + 1;
+    EXPECT_GE(f.net(b).backup().metrics().rejected_requests, 1u) << "net-" << b + 1;
+  }
+  EXPECT_EQ(serving.metrics().fast_failures, 0u);
 }
 
 TEST(Resilience, DisabledIsAOneLegLadderWithoutPolicy) {
