@@ -9,8 +9,9 @@
 // (failure_threshold 0), so the ladder is one leg wide, no circuit trips
 // and the outage announcement is dropped: an attach whose primary is the
 // dead backup burns the full backup_auth_timeout and fails. That happens
-// until a share-broadcast timeout has marked the dead backup slow in the
-// serving network's RTT estimate (a peer with no sample ranks first). In
+// until a timed-out share leg has marked the dead backup slow in the
+// serving network's RTT estimate: the first share round probes every
+// unsampled backup, and a dead one's leg samples the whole timeout. In
 // the resilient arm the force-opened breaker sorts the dead backup to the
 // back and hedging covers silent stragglers, so the outage is invisible to
 // the UE.

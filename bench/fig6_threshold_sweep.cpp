@@ -3,9 +3,10 @@
 // edge serving core on fiber).
 //
 // Expected shape (§6.4): under load the threshold has NO consistent impact
-// on latency or throughput — all backups are queried concurrently anyway,
-// and at high load server-side queueing (shared across thresholds)
-// dominates over waiting for the M-th share.
+// on latency or throughput — the M-th share comes from the M + 1 fastest
+// backups queried concurrently (all 8 at thresh[8], the paper's broadcast;
+// docs/RESILIENCE.md §5), and at high load server-side queueing (shared
+// across thresholds) dominates over waiting for the M-th share.
 //
 // Every (threshold, load) point is an independent simulation with its own
 // deterministic seed, so the sweep fans out across DAUTH_BENCH_THREADS

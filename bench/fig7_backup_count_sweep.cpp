@@ -4,8 +4,9 @@
 //
 // Expected shape (§6.4 / Appendix E): tail latency degrades and the system
 // saturates at lower load as the number of backups DEcreases — fewer nodes
-// to spread vector fetches across, while the share fan-out hits every
-// backup regardless. Figure 10 is the same data unclipped; we print raw
+// to spread vector fetches across. The share round goes to the three
+// fastest backups (threshold + 1) plus probes, so with more backups each
+// one sees fewer share legs (docs/RESILIENCE.md §5). Figure 10 is the same data unclipped; we print raw
 // values, so both views come from these rows.
 //
 // Each (backup-count, load) point is an independent, deterministically

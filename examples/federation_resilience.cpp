@@ -65,6 +65,7 @@ int main() {
 
   ran::Ue ue(rpc, testbed.ran_sites[1], community_center.node(), user, sim_keys,
              ran::emulated_ran_profile(config.serving_network_name));
+  int failed = 0;  // the exit status: non-zero when any attach failed
   auto attach = [&](const char* label) {
     bool ok = false;
     std::string path;
@@ -75,7 +76,7 @@ int main() {
     simulator.run_until(simulator.now() + sec(20));
     std::printf("[t=%6.1fs] %-34s -> %s (%s)\n", to_sec(simulator.now()), label,
                 ok ? "authenticated" : "FAILED", path.c_str());
-    return ok;
+    if (!ok) ++failed;
   };
 
   banner("normal operation: visiting the community center");
@@ -129,5 +130,5 @@ int main() {
                 nets[i]->backup().stored_vectors(library.id(), user),
                 nets[i]->backup().stored_shares(library.id(), user));
   }
-  return 0;
+  return failed == 0 ? 0 : 1;
 }

@@ -67,10 +67,12 @@ int main() {
   // Note: run_until (not run()) — with the home offline, backups keep
   // polling it to deliver their usage reports, so the event queue never
   // drains on its own. That endless polling is faithful to the paper.
+  int failed = 0;  // the exit status: non-zero when any attach failed
   auto attach_and_report = [&](ran::Ue& ue, const char* what) {
     bool done = false;
     ue.attach([&, what](const ran::AttachRecord& record) {
       done = true;
+      if (!record.success) ++failed;
       std::printf("[%7.1fms] %-28s %s via '%s' path%s\n", to_ms(simulator.now()), what,
                   record.success ? "SUCCESS" : "FAILED", record.path.c_str(),
                   record.key_confirmed ? " (session keys match)" : "");
@@ -100,5 +102,5 @@ int main() {
               static_cast<unsigned long long>(home.home().metrics().reports_processed),
               static_cast<unsigned long long>(home.home().metrics().replenishments));
   std::printf("[report] anomalies detected: %zu\n", home.home().anomalies().size());
-  return 0;
+  return failed == 0 ? 0 : 1;
 }

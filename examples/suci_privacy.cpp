@@ -80,7 +80,9 @@ int main() {
   ran::Ue ue(rpc, ran_node, serving_node, supi, keys, ue_profile);
   ue.configure_suci(home.id(), home.suci_keys().public_key);
 
+  bool attached = false;
   ue.attach([&](const ran::AttachRecord& record) {
+    attached = record.success;
     std::printf("attach with concealed id, home offline: %s via '%s'\n",
                 record.success ? "SUCCESS" : "FAILED", record.path.c_str());
     std::printf("(the backup de-concealed the SUCI with the key the home network\n"
@@ -88,5 +90,5 @@ int main() {
                 " air interface in the clear)\n");
   });
   simulator.run();
-  return 0;
+  return attached ? 0 : 1;
 }

@@ -84,6 +84,7 @@ int main() {
   ran::Ue phone_radio(rpc, ran_node, serving_node, me, sim_keys,
                       ran::emulated_ran_profile(config.serving_network_name));
 
+  int failed = 0;  // the exit status: non-zero when any attach failed
   for (int day = 1; day <= 3; ++day) {
     bool ok = false;
     std::string path;
@@ -94,6 +95,7 @@ int main() {
     simulator.run_until(simulator.now() + sec(30));
     std::printf("day %d attach: %s via '%s' (no home network exists)\n", day,
                 ok ? "SUCCESS" : "FAILED", path.c_str());
+    if (!ok) ++failed;
     simulator.run_until(simulator.now() + hours(24));
   }
 
@@ -104,5 +106,5 @@ int main() {
   std::printf("(when these run out, the phone must re-bootstrap — the §7.3\n"
               "pre-generation budget trade-off applies doubly here)\n");
   (void)phone;
-  return 0;
+  return failed == 0 ? 0 : 1;
 }

@@ -11,15 +11,20 @@
 
 namespace dauth::core {
 
-void PeerRtt::observe(sim::NodeIndex peer, Time sample) {
-  const auto [it, first] = srtt_.try_emplace(peer, sample);
-  if (!first) it->second += (sample - it->second) / 4;
+void PeerRtt::observe(sim::NodeIndex peer, Time sample, Time now) {
+  const auto [it, first] = srtt_.try_emplace(peer, Estimate{sample, now});
+  if (!first) it->second = {it->second.srtt + (sample - it->second.srtt) / 4, now};
 }
 
 std::optional<Time> PeerRtt::estimate(sim::NodeIndex peer) const {
   const auto it = srtt_.find(peer);
   if (it == srtt_.end()) return std::nullopt;
-  return it->second;
+  return it->second.srtt;
+}
+
+bool PeerRtt::fresh(sim::NodeIndex peer, Time now) const {
+  const auto it = srtt_.find(peer);
+  return it != srtt_.end() && now - it->second.sampled_at <= kMaxAge;
 }
 
 bool PeerRtt::before(sim::NodeIndex a, sim::NodeIndex b) const {
@@ -458,8 +463,8 @@ void ServingNetwork::request_backup_vector(const std::shared_ptr<Attach>& attach
     std::swap(order[i - 1], order[rng.next_below(i)]);
   }
   // Rank per backup. Liveness tier: closed circuits first, then half-open
-  // ones (probe-only: the §6.4 share broadcast probes them, a vector fetch
-  // reaches them only when every closed backup has failed), then open ones,
+  // ones (probe-only: every share round sends them a probe leg, a vector
+  // fetch reaches them only when every closed backup has failed), then open ones,
   // which the ladder's breaker-gated legs skip; with the breakers off
   // (failure_threshold 0) every backup is closed. Inside a tier, a slice
   // known to be empty for the user ranks after every other.
@@ -871,11 +876,24 @@ void ServingNetwork::complete_with_home_key(const std::shared_ptr<Attach>& attac
       resilience_observer());
 }
 
+/// One attach's share round: the proof, the ranked backups and how many of
+/// them have a leg, and the shares in hand. Its legs' callbacks and its hedge timer hold
+/// it; it holds no callback, so it is freed with the last of them.
+struct ServingNetwork::ShareRound {
+  UsageProof proof;
+  sim::RpcOptions options;
+  std::vector<std::size_t> ranked;  // closed, freshly sampled backups, fastest first
+  std::size_t next = 0;             // ranked[next] is the next to get a leg
+  std::size_t outstanding = 0;      // legs in flight
+  std::vector<KeyShareBundle> bundles;  // valid shares, distinct x
+};
+
 void ServingNetwork::collect_key_shares(const std::shared_ptr<Attach>& attach,
                                         const crypto::ResStar& res_star) {
-  const UsageProof proof =
-      make_proof(id_, attach->supi, attach->bundle.hxres_star, res_star,
-                 rpc_.network().simulator().now(), signing_key_);
+  const Time now = rpc_.network().simulator().now();
+  auto round = std::make_shared<ShareRound>();
+  round->proof = make_proof(id_, attach->supi, attach->bundle.hxres_star, res_star, now,
+                            signing_key_);
 
   // The proof span marks the point where the UE's RES* preimage has matched
   // HXRES* (checked by handle_auth_response before this runs); every share
@@ -886,123 +904,162 @@ void ServingNetwork::collect_key_shares(const std::shared_ptr<Attach>& attach,
     tracer->set_attr(attach->proof_span, "proof_verified", true);
   }
 
-  // Don't waste a broadcast leg (and a timeout) on a backup whose circuit
-  // is open — and if the reachable set cannot reach the share threshold at
-  // all, fail fast instead of discovering it the slow way.
-  std::vector<const directory::NetworkEntry*> targets;
-  targets.reserve(attach->backups.size());
-  const Time now = rpc_.network().simulator().now();
-  for (const directory::NetworkEntry& backup : attach->backups) {
-    if (breaker_available(backup, now)) {
-      targets.push_back(&backup);
-      continue;
+  // Rank the backups. One whose circuit is open gets no leg. A closed one
+  // with a fresh RTT sample is ranked, fastest first; every other reachable
+  // one (half-open, unsampled or stale) gets a probe leg, the only way it
+  // is probed, sampled and its slice hint refreshed. If the reachable set
+  // cannot reach the share threshold at all, fail fast instead.
+  const std::size_t n = attach->backups.size();
+  const auto address = [&](std::size_t i) {
+    return static_cast<sim::NodeIndex>(attach->backups[i].address);
+  };
+  std::vector<char> leg(n, 0);
+  std::size_t reachable = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    switch (rpc_.breakers().state(node_, address(i), now)) {
+      case sim::BreakerState::kOpen:
+        ++metrics_.breaker_skips;
+        if (obs::Tracer* tracer = rpc_.tracer(); tracer != nullptr) {
+          const auto skip =
+              tracer->instant_span("breaker-skip:backup.get_share", attach->proof_span);
+          tracer->set_attr(skip, "peer", rpc_.network().node(address(i)).name());
+        }
+        continue;
+      case sim::BreakerState::kHalfOpen: leg[i] = 1; break;
+      case sim::BreakerState::kClosed:
+        if (peer_rtt_.fresh(address(i), now)) {
+          round->ranked.push_back(i);
+        } else {
+          leg[i] = 1;
+        }
+        break;
     }
-    ++metrics_.breaker_skips;
-    if (obs::Tracer* tracer = rpc_.tracer(); tracer != nullptr) {
-      const auto skip =
-          tracer->instant_span("breaker-skip:backup.get_share", attach->proof_span);
-      tracer->set_attr(
-          skip, "peer",
-          rpc_.network().node(static_cast<sim::NodeIndex>(backup.address)).name());
-    }
+    ++reachable;
   }
-  if (config_.resilience.fast_fail && targets.size() < config_.threshold) {
+  if (config_.resilience.fast_fail && reachable < config_.threshold) {
     ++metrics_.fast_failures;
     fail(attach, "insufficient reachable backups");
     return;
   }
+  std::stable_sort(round->ranked.begin(), round->ranked.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return peer_rtt_.before(address(a), address(b));
+                   });
+  // The `threshold` fastest plus one spare, so one slow or failed leg costs
+  // nothing. The legs go out in the backups' listed order: with `threshold`
+  // + 1 at or above the reachable backups the round is the §6.4 broadcast,
+  // leg for leg.
+  while (round->next < std::min(config_.threshold + 1, round->ranked.size())) {
+    leg[round->ranked[round->next++]] = 1;
+  }
 
-  struct CollectState {
-    std::vector<KeyShareBundle> bundles;
-    std::size_t outstanding = 0;
-  };
-  auto state = std::make_shared<CollectState>();
-  state->outstanding = targets.size();
+  // Single attempt per leg: the spare and the promotions are the
+  // redundancy, and a share fetch is not blindly retryable (the proof
+  // consumes server-side state).
+  round->options = config_.resilience.call_options(config_.key_share_timeout);
+  round->options.trace_parent = attach->proof_span;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (leg[i]) send_share_leg(attach, round, i);
+  }
+  if (round->outstanding == 0) {
+    fail(attach, "insufficient key shares");  // every circuit open, fast fail off
+    return;
+  }
+  hedge_share_round(attach, round);
+}
 
-  // Single attempt per backup: the broadcast is already redundant (N legs
-  // for `threshold` shares), and a share fetch is not blindly retryable —
-  // the proof consumes server-side state.
-  auto options = config_.resilience.call_options(config_.key_share_timeout);
-  options.trace_parent = attach->proof_span;
-
-  // Fires whenever a backup leg concludes short of the threshold; if every
-  // leg has concluded and we never reached it, fail.
-  auto leg_concluded = [this, attach, state] {
+void ServingNetwork::hedge_share_round(const std::shared_ptr<Attach>& attach,
+                                       const std::shared_ptr<ShareRound>& round) {
+  if (round->next == round->ranked.size()) return;
+  rpc_.network().simulator().after(config_.resilience.hedge_delay, [this, attach, round] {
     if (attach->phase != Phase::kProof) return;
-    if (state->outstanding == 0 && state->bundles.size() < config_.threshold) {
-      fail(attach, "insufficient key shares");
-    }
-  };
+    promote_share_leg(attach, round);
+    hedge_share_round(attach, round);
+  });
+}
 
-  // §6.4: the proof is broadcast to ALL (reachable) backups concurrently;
-  // the first `threshold` distinct valid shares reconstruct K_seaf.
-  for (const directory::NetworkEntry* backup : targets) {
-    const auto peer = static_cast<sim::NodeIndex>(backup->address);
-    const Time sent = rpc_.network().simulator().now();
-    sim::TypedStub(rpc_, node_, kBackupGetShare).call(
-        peer, proof, options,
-        [this, attach, state, leg_concluded, peer, sent](sim::CallResult<ShareReply> result) {
-          // Every concluded leg refreshes the peer's RTT estimate. A reply or
-          // a rejection samples its elapsed time; a transport failure or
-          // timeout samples the whole deadline, so a silently dead backup
-          // stops leading vector fetches after one attach.
-          const bool answered =
-              result.ok() || result.error().code == sim::RpcErrorCode::kRejected;
-          peer_rtt_.observe(peer, answered ? rpc_.network().simulator().now() - sent
-                                           : config_.key_share_timeout);
-          // Every reply also refreshes the peer's slice hint for the user.
-          if (result.ok()) {
-            if (result->vectors_left == 0) {
-              empty_slices_.insert({attach->supi, peer});
-            } else {
-              empty_slices_.erase({attach->supi, peer});
-            }
+void ServingNetwork::promote_share_leg(const std::shared_ptr<Attach>& attach,
+                                       const std::shared_ptr<ShareRound>& round) {
+  if (round->next == round->ranked.size()) return;
+  send_share_leg(attach, round, round->ranked[round->next++]);
+}
+
+void ServingNetwork::share_leg_failed(const std::shared_ptr<Attach>& attach,
+                                      const std::shared_ptr<ShareRound>& round) {
+  promote_share_leg(attach, round);
+  if (round->outstanding == 0) fail(attach, "insufficient key shares");
+}
+
+void ServingNetwork::send_share_leg(const std::shared_ptr<Attach>& attach,
+                                    const std::shared_ptr<ShareRound>& round,
+                                    std::size_t backup) {
+  const auto peer = static_cast<sim::NodeIndex>(attach->backups[backup].address);
+  const Time sent = rpc_.network().simulator().now();
+  ++round->outstanding;
+  sim::TypedStub(rpc_, node_, kBackupGetShare).call(
+      peer, round->proof, round->options,
+      [this, attach, round, peer, sent](sim::CallResult<ShareReply> result) {
+        // Every concluded leg refreshes the peer's RTT estimate. A reply or
+        // a rejection samples its elapsed time; a transport failure or
+        // timeout samples the whole deadline, so a silently dead backup
+        // stops leading vector fetches and share rounds after one attach.
+        const Time now = rpc_.network().simulator().now();
+        const bool answered =
+            result.ok() || result.error().code == sim::RpcErrorCode::kRejected;
+        peer_rtt_.observe(peer, answered ? now - sent : config_.key_share_timeout, now);
+        // Every reply also refreshes the peer's slice hint for the user.
+        if (result.ok()) {
+          if (result->vectors_left == 0) {
+            empty_slices_.insert({attach->supi, peer});
+          } else {
+            empty_slices_.erase({attach->supi, peer});
           }
-          if (!result.ok() || attach->phase != Phase::kProof) {
-            --state->outstanding;
-            leg_concluded();
+        }
+        if (!result.ok() || attach->phase != Phase::kProof) {
+          --round->outstanding;
+          if (attach->phase == Phase::kProof) share_leg_failed(attach, round);
+          return;
+        }
+        const KeyShareBundle& bundle = result->share;
+        check_bundle(*attach, bundle, [this, attach, round, bundle](bool ok) {
+          --round->outstanding;
+          if (attach->phase != Phase::kProof) return;
+          // Distinct x-coordinates only.
+          const auto same_x = [&](const KeyShareBundle& b) {
+            return b.share.x == bundle.share.x;
+          };
+          if (!ok || std::any_of(round->bundles.begin(), round->bundles.end(), same_x)) {
+            share_leg_failed(attach, round);
             return;
           }
-          const KeyShareBundle& bundle = result->share;
-          check_bundle(*attach, bundle, [this, attach, state, leg_concluded, bundle](bool ok) {
-            --state->outstanding;
-            if (attach->phase != Phase::kProof) return;
-            // Distinct x-coordinates only.
-            const auto same_x = [&](const KeyShareBundle& b) {
-              return b.share.x == bundle.share.x;
-            };
-            if (!ok || std::any_of(state->bundles.begin(), state->bundles.end(), same_x)) {
-              leg_concluded();
+          round->bundles.push_back(bundle);
+          if (round->bundles.size() < config_.threshold) {
+            // The last leg may be an accepted one.
+            if (round->outstanding == 0) fail(attach, "insufficient key shares");
+            return;
+          }
+          attach->phase = Phase::kCombine;
+          const Time combine_cost = config_.costs.share_combine_base +
+                                    config_.costs.share_combine_per_share *
+                                        static_cast<Time>(round->bundles.size());
+          rpc_.network().node(node_).execute(combine_cost, [this, attach, round] {
+            crypto::Key256 k_seaf{};
+            try {
+              std::vector<crypto::ShamirShare> shares;
+              shares.reserve(round->bundles.size());
+              for (const auto& b : round->bundles) shares.push_back(b.share);
+              const SecretBytes secret = crypto::shamir_combine(shares);
+              if (secret.size() != 32) throw std::runtime_error("bad secret size");
+              k_seaf = take<32>(secret);
+            } catch (const std::exception& e) {
+              fail(attach, std::string("share combination failed: ") + e.what());
               return;
             }
-            state->bundles.push_back(bundle);
-            if (state->bundles.size() < config_.threshold) {
-              leg_concluded();  // the last leg may be an accepted one
-              return;
-            }
-            attach->phase = Phase::kCombine;
-            const Time combine_cost = config_.costs.share_combine_base +
-                                      config_.costs.share_combine_per_share *
-                                          static_cast<Time>(state->bundles.size());
-            rpc_.network().node(node_).execute(combine_cost, [this, attach, state] {
-              crypto::Key256 k_seaf{};
-              try {
-                std::vector<crypto::ShamirShare> shares;
-                shares.reserve(state->bundles.size());
-                for (const auto& b : state->bundles) shares.push_back(b.share);
-                const SecretBytes secret = crypto::shamir_combine(shares);
-                if (secret.size() != 32) throw std::runtime_error("bad secret size");
-                k_seaf = take<32>(secret);
-              } catch (const std::exception& e) {
-                fail(attach, std::string("share combination failed: ") + e.what());
-                return;
-              }
-              finish(attach, k_seaf);
-            });
+            finish(attach, k_seaf);
           });
-        },
-        resilience_observer());
-  }
+        });
+      },
+      resilience_observer());
 }
 
 void ServingNetwork::finish(const std::shared_ptr<Attach>& attach, const crypto::Key256& k_seaf,

@@ -6,12 +6,19 @@
 //   3. else tries the home network directly (§4.1); on failure or on a
 //      cached "home is down" hint it falls back to the backup scheme
 //      (§4.2.2): fetch a vector through the hedged backup ladder, verify
-//      the home signature, challenge the UE, then broadcast the signed
-//      RES* usage proof to ALL backups and combine the first `threshold`
-//      valid key shares into K_seaf. One ranking orders every rung of
-//      the ladder: circuit state (closed, then half-open backups, which
-//      are probe-only because the share broadcast probes them, then open
-//      ones, which are skipped); then slices known to be empty for the
+//      the home signature, challenge the UE, then send the signed RES*
+//      usage proof to the `threshold` + 1 closed backups with the lowest
+//      fresh share RTT, plus one probe leg to every half-open, unsampled
+//      or stale one, and combine the first `threshold` valid key shares
+//      into K_seaf. A failed, refused or bad-share leg promotes the next
+//      ranked backup at once, and one more goes out each hedge delay
+//      while fewer than `threshold` shares are in (the hedged request of
+//      Dean & Barroso, "The Tail at Scale"); with `threshold` + 1 at or
+//      above the reachable backups this is the paper's §6.4 broadcast.
+//      One ranking orders every rung of the vector ladder: circuit state
+//      (closed, then half-open backups, which are probe-only because every
+//      share round probes them, then open ones, which are skipped); then
+//      slices known to be empty for the
 //      user (from the `vectors_left` count in each share reply, or an
 //      exhausted rejection) last; then smoothed share RTT, unsampled
 //      backups last. So the fastest live backup that still holds a vector
@@ -82,20 +89,36 @@ const char* to_string(AuthPath path) noexcept;
 /// Smoothed round-trip time per backup peer, in virtual time: an EWMA with
 /// a fixed gain of 1/4 (RFC 6298's SRTT uses 1/8), seeded by the first
 /// sample. The serving network feeds it from every concluded share leg and
-/// reads it to rank the rungs of each vector fetch.
+/// reads it to rank the legs of each share round and the rungs of each
+/// vector fetch.
 class PeerRtt {
  public:
-  void observe(sim::NodeIndex peer, Time sample);
+  /// How long a sample stays fresh. A share round sends legs only to the
+  /// best-ranked backups with a fresh sample, so the others stop being
+  /// sampled; once a backup's last sample is this old the next round gives
+  /// it a probe leg, whose sample is averaged in like any other. Without
+  /// the bound a backup whose first sample paid its connection handshake
+  /// would never be re-ranked. 10 s of virtual time spans ~30 attaches at
+  /// 200/min, so the probes cost well under one leg per attach.
+  static constexpr Time kMaxAge = 10 * kSecond;
+
+  void observe(sim::NodeIndex peer, Time sample, Time now);
   /// The smoothed estimate, or nullopt before the peer's first sample.
   std::optional<Time> estimate(sim::NodeIndex peer) const;
+  /// Whether the peer's last sample is at most kMaxAge old at `now`.
+  bool fresh(sim::NodeIndex peer, Time now) const;
   /// Whether `a` should lead before `b`: the lower estimate first, an
-  /// unsampled peer last (the §6.4 share broadcast samples every live
-  /// backup, so no fetch needs to explore); ties keep the current order
-  /// (false).
+  /// unsampled peer last (every share round probes those, so no fetch
+  /// needs to explore); ties keep the current order (false). A stale
+  /// estimate still ranks: an old sample says more than none.
   bool before(sim::NodeIndex a, sim::NodeIndex b) const;
 
  private:
-  std::map<sim::NodeIndex, Time> srtt_;
+  struct Estimate {
+    Time srtt;
+    Time sampled_at;
+  };
+  std::map<sim::NodeIndex, Estimate> srtt_;
 };
 
 class ServingNetwork {
@@ -178,8 +201,23 @@ class ServingNetwork {
   void send_challenge(const std::shared_ptr<Attach>& attach, const AuthVectorBundle& bundle);
   void complete_with_home_key(const std::shared_ptr<Attach>& attach,
                               const crypto::ResStar& res_star);
+  struct ShareRound;  // one attach's share fan-out
   void collect_key_shares(const std::shared_ptr<Attach>& attach,
                           const crypto::ResStar& res_star);
+  /// Sends the round's proof to attach->backups[backup] as one leg.
+  void send_share_leg(const std::shared_ptr<Attach>& attach,
+                      const std::shared_ptr<ShareRound>& round, std::size_t backup);
+  /// Sends the next ranked backup a leg, if one is left.
+  void promote_share_leg(const std::shared_ptr<Attach>& attach,
+                         const std::shared_ptr<ShareRound>& round);
+  /// Arms the round's hedge timer: one more leg each hedge delay while
+  /// the round lasts and ranked backups are left.
+  void hedge_share_round(const std::shared_ptr<Attach>& attach,
+                         const std::shared_ptr<ShareRound>& round);
+  /// A leg concluded without a usable share: promote, then fail the attach
+  /// if no leg is left in flight or to send.
+  void share_leg_failed(const std::shared_ptr<Attach>& attach,
+                        const std::shared_ptr<ShareRound>& round);
   /// The one exit, and the only way into Phase::kDone: an empty `failure`
   /// is a success with `k_seaf`. It reads the path from the attach.
   void finish(const std::shared_ptr<Attach>& attach, const crypto::Key256& k_seaf,

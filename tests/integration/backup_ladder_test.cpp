@@ -78,7 +78,7 @@ TEST(BackupLadder, SlowBackupNeverLeadsAfterWarmUp) {
   LadderFederation lf(ladder_config(), 1, {30, 2, 2, 2, 2});
   auto ue = lf.f.make_ue(kAlice, lf.keys, 6);
 
-  // Warm-up: one attach's share broadcast samples all five backups.
+  // Warm-up: one attach's share round probes all five unsampled backups.
   ASSERT_GE(lf.attach_and_find_server(*ue), 0);
   for (std::size_t b : lf.backups) {
     EXPECT_TRUE(lf.serving().peer_rtt().estimate(lf.f.net(b).node()).has_value());
@@ -104,7 +104,7 @@ TEST(BackupLadder, SilentlyDeadBackupStopsLeadingAfterOneShareTimeout) {
   lf.f.network.node(dead).set_online(false);
   auto ue = lf.f.make_ue(kAlice, lf.keys, 6);
 
-  // Until one attach gets as far as the share broadcast, the dead backup
+  // Until one attach gets as far as the share round, the dead backup
   // is unsampled and may lead (and fail) an attach.
   int warm_up = 0;
   while (!lf.serving().peer_rtt().estimate(dead)) {
@@ -138,7 +138,7 @@ TEST(BackupLadder, HalfOpenBackupIsProbeOnly) {
 
   const std::uint64_t slow_served = lf.served(1);
   for (int i = 0; i < 12; ++i) {
-    // Each attach's share broadcast probes the dead backup and reopens its
+    // Each attach's share round probes the dead backup and reopens its
     // circuit; wait out the cooldown so every fetch sees it half-open.
     lf.f.simulator.run_until(lf.f.simulator.now() + cooldown);
     ASSERT_EQ(lf.f.rpc.breakers().state(lf.serving_node(), dead, lf.f.simulator.now()),
@@ -255,7 +255,7 @@ TEST(BackupLadder, ExhaustedFastestBackupPromotesOnce) {
 
 TEST(BackupLadder, ExhaustedRejectionMarksSliceAtOnce) {
   // The exhausted rejection marks net-2's slice empty at once, before the
-  // attach's own share broadcast brings net-2's count. A second attach for
+  // attach's own share round brings net-2's count. A second attach for
   // the same user, started the moment the first one promotes, leads with
   // net-4: the stale hint still costs exactly one promotion in all.
   DrainedFastestFederation d;

@@ -1,9 +1,9 @@
 // End-to-end resilience tests: hedged backup fan-out, breaker-driven
 // skipping of known-down backups, graceful fast-fail below the share
 // threshold (at the vector fetch and again at the share round), a share
-// round that gathers fewer than `threshold` shares, the pre-resilience preset of the same ladder
-// (ResilienceConfig::none() with the breakers off) and its call options,
-// and schedule determinism.
+// round that gathers fewer than `threshold` shares, the pre-resilience
+// preset of the same ladder (ResilienceConfig::none() with the breakers
+// off) and its call options, and schedule determinism.
 #include <gtest/gtest.h>
 
 #include "federation_fixture.h"
@@ -102,7 +102,7 @@ TEST(Resilience, InjectorFeedSkipsKnownDownBackupInstantly) {
   EXPECT_TRUE(record.success) << record.failure;
   EXPECT_EQ(record.path, "backup");
   // The vector fetch never waits on the dead backup: known-down candidates
-  // sort to the back of the ladder, and the share broadcast skips them
+  // sort to the back of the ladder, and the share round skips them
   // outright. The attach completes well inside one backup_auth_timeout.
   EXPECT_LT(elapsed, f.config.backup_auth_timeout);
   EXPECT_GE(serving.metrics().breaker_skips, 1u);

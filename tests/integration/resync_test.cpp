@@ -159,8 +159,8 @@ struct StaleSliceFederation {
     }
   }
 
-  /// Warms the serving network's RTT estimator: Bob's share broadcast
-  /// samples every backup and leaves Alice's vectors untouched.
+  /// Warms the serving network's RTT estimator: Bob's share round probes
+  /// every unsampled backup and leaves Alice's vectors untouched.
   void warm_up() {
     auto bob = f.make_ue(kBob, bob_keys, 6);
     ASSERT_TRUE(f.attach(*bob).success);

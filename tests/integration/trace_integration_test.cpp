@@ -156,7 +156,7 @@ TEST(TraceIntegration, AnnouncedOutageShowsBreakerSkipUnderProofSpan) {
   Observed obs(f);
 
   // One backup's outage is announced: its breaker force-opens, so the share
-  // broadcast skips it with an instantaneous marker span instead of an RPC.
+  // round skips it with an instantaneous marker span instead of an RPC.
   injector.schedule_outage(f.net(1).node(), f.simulator.now() + ms(1), hours(1));
   f.network.node(f.net(0).node()).set_online(false);
   f.net(4).serving().set_home_health(f.net(0).id(), false);

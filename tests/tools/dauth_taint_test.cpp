@@ -213,10 +213,26 @@ TEST(TaintT3, SecretArgumentOfANestedPublicReturningCallIsClean) {
                                 "  keep(store, make_entry(1, k_seaf));\n"
                                 "}");
   EXPECT_FALSE(has_rule(clean, "T3"));
+  // A field read off the call is as clean as the call, chained or bound to
+  // a local first.
+  const auto chained = run(defs + "void publish(store::KvStore& store, const Bytes& k_seaf) {\n"
+                                  "  keep_bytes(store, make_entry(1, k_seaf).signature);\n"
+                                  "}");
+  EXPECT_FALSE(has_rule(chained, "T3"));
+  const auto bound = run(defs + "void publish(store::KvStore& store, const Bytes& k_seaf) {\n"
+                                "  const Entry entry = make_entry(1, k_seaf);\n"
+                                "  keep_bytes(store, entry.signature);\n"
+                                "}");
+  EXPECT_FALSE(has_rule(bound, "T3"));
   const auto carried = run(defs + "void publish(store::KvStore& store, const Bytes& k_seaf) {\n"
                                   "  keep_bytes(store, echo(k_seaf));\n"
                                   "}");
   EXPECT_TRUE(has_rule(carried, "T3"));
+  const auto carried_chained =
+      run(defs + "void publish(store::KvStore& store, const Bytes& k_seaf) {\n"
+                 "  keep_bytes(store, echo(k_seaf).data());\n"
+                 "}");
+  EXPECT_TRUE(has_rule(carried_chained, "T3"));
 }
 
 TEST(TaintT3, SecretRecordEncodedIntoAStorePutIsReported) {

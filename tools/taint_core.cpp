@@ -1013,47 +1013,72 @@ struct Engine {
       if (in_set(kStmtKeywords, tok.text)) continue;
       const Chain c = build_chain(i);
       mask |= classify(c);
-      // Returned secrets from summarized callees.
-      const std::size_t last = last_comp_index(c);
-      std::size_t call_open = last + 1;
-      const std::size_t past =
-          is_punct(t(), call_open, "<") ? skip_angles(u, call_open) : kNone;
-      if (past != kNone) call_open = past;
-      if (is_punct(t(), call_open, "(") && !in_set(kSanitizers, c.comps.back())) {
-        const bool via_scope =
-            c.comps.size() > 1 && is_punct(t(), last - 1, "::");
-        Chain base = c;
-        base.comps.pop_back();
-        const Func* callee =
-            resolve(c.comps.back(), c.comps.size() > 1 ? &base : nullptr, via_scope);
-        if (callee != nullptr && callee->sum.returns_secret) mask |= kSecretBit;
-        const std::size_t close = u.partner[call_open];
-        if (callee != nullptr && close != kNone && !in_set(kCarriers, c.comps.back())) {
-          mask |= region_mask(i + 1, call_open);  // calls earlier in the chain
-          const auto args = split_args(call_open, close);
-          for (std::size_t k = 0; k < args.size(); ++k) {
-            if (callee->sum.params_to_return & param_bit(static_cast<int>(k)))
-              mask |= region_mask(args[k].first, args[k].second);
-          }
-          i = close;
-        }
-      }
+      i = read_calls(c, mask) - 1;
     }
     return mask;
   }
 
-  /// Token index of the last component of a chain.
-  std::size_t last_comp_index(const Chain& c) const {
-    std::size_t j = c.root;
+  /// Token index of each component of a chain.
+  std::vector<std::size_t> comp_indices(const Chain& c) const {
+    std::vector<std::size_t> at{c.root};
     for (std::size_t n = 1; n < c.comps.size(); ++n) {
-      std::size_t k = j + 1;
+      std::size_t k = at.back() + 1;
       while ((is_punct(t(), k, "(") || is_punct(t(), k, "[")) && u.partner[k] != kNone)
         k = u.partner[k] + 1;
       const std::size_t past = is_punct(t(), k, "<") ? skip_angles(u, k) : kNone;
       if (past != kNone && is_punct(t(), past, "(")) k = past;
-      j = k + 1;  // the identifier after the separator
+      at.push_back(k + 1);  // the identifier after the separator
     }
-    return j;
+    return at;
+  }
+
+  /// Adds to `mask` what the groups of chain `c` carry: each call to a
+  /// summarized callee, wherever it sits in the chain, contributes only its
+  /// summary's return (a returned secret, and each argument it carries into
+  /// its result); every other argument list or subscript is an ordinary
+  /// region. Returns the index just past the chain's last call.
+  std::size_t read_calls(const Chain& c, std::uint64_t& mask) const {
+    const std::vector<std::size_t> at = comp_indices(c);
+    std::size_t end = at.back() + 1;
+    for (std::size_t n = 0; n < at.size(); ++n) {
+      std::size_t open = at[n] + 1;
+      const std::size_t past = is_punct(t(), open, "<") ? skip_angles(u, open) : kNone;
+      if (past != kNone && is_punct(t(), past, "(")) open = past;
+      std::size_t rest = at[n] + 1;  // what follows the component's own call
+      if (is_punct(t(), open, "(") && u.partner[open] != kNone) {
+        mask |= call_mask(c, at, n, open);
+        rest = u.partner[open] + 1;
+      }
+      if (n + 1 < at.size()) {
+        mask |= region_mask(rest, at[n + 1]);  // subscripts, later groups
+      } else {
+        end = rest;
+      }
+    }
+    return end;
+  }
+
+  /// What the call of component `n` of chain `c`, whose argument list opens
+  /// at `open`, carries into its result.
+  std::uint64_t call_mask(const Chain& c, const std::vector<std::size_t>& at, std::size_t n,
+                          std::size_t open) const {
+    const std::string& name = c.comps[n];
+    if (in_set(kSanitizers, name)) return 0;
+    const std::size_t close = u.partner[open];
+    Chain base = c;
+    base.comps.resize(n);
+    base.called.resize(n);
+    const bool via_scope = n > 0 && is_punct(t(), at[n] - 1, "::");
+    const Func* callee = resolve(name, n > 0 ? &base : nullptr, via_scope);
+    if (callee == nullptr) return region_mask(open + 1, close);
+    std::uint64_t mask = callee->sum.returns_secret ? kSecretBit : 0;
+    if (in_set(kCarriers, name)) return mask | region_mask(open + 1, close);
+    const auto args = split_args(open, close);
+    for (std::size_t k = 0; k < args.size(); ++k) {
+      if (callee->sum.params_to_return & param_bit(static_cast<int>(k)))
+        mask |= region_mask(args[k].first, args[k].second);
+    }
+    return mask;
   }
 
   /// Builds the chain ENDING at token `i` (used for assignment left sides):
