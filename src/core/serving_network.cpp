@@ -464,8 +464,8 @@ void ServingNetwork::request_backup_vector(const std::shared_ptr<Attach>& attach
   }
   // Rank per backup. Liveness tier: closed circuits first, then half-open
   // ones (probe-only: every share round sends them a probe leg, a vector
-  // fetch reaches them only when every closed backup has failed), then open ones,
-  // which the ladder's breaker-gated legs skip; with the breakers off
+  // fetch reaches them only when every closed backup has failed), then open
+  // ones, which the ladder's breaker-gated legs skip; with the breakers off
   // (failure_threshold 0) every backup is closed. Inside a tier, a slice
   // known to be empty for the user ranks after every other.
   const Time now = rpc_.network().simulator().now();
@@ -877,8 +877,9 @@ void ServingNetwork::complete_with_home_key(const std::shared_ptr<Attach>& attac
 }
 
 /// One attach's share round: the proof, the ranked backups and how many of
-/// them have a leg, and the shares in hand. Its legs' callbacks and its hedge timer hold
-/// it; it holds no callback, so it is freed with the last of them.
+/// them have a leg, and the shares in hand. Its legs' callbacks and its
+/// hedge timer hold it; it holds no callback, so it is freed with the last
+/// of them.
 struct ServingNetwork::ShareRound {
   UsageProof proof;
   sim::RpcOptions options;

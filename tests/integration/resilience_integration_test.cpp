@@ -182,6 +182,45 @@ TEST(Resilience, FastFailsWhenBackupsDropBelowThresholdDuringTheChallenge) {
   EXPECT_EQ(share_calls, 0u);
 }
 
+TEST(Resilience, ShareRoundWithEveryCircuitOpenFailsWithoutFastFail) {
+  // Fast fail off, breakers on: every backup is announced down once the
+  // vector has been checked, so the share round has no backup to send a leg
+  // to. It fails the attach at once instead of leaving it to the UE's
+  // timeout.
+  core::FederationConfig cfg = Federation::test_config();
+  cfg.resilience.fast_fail = false;
+  Federation f(5, cfg);
+  const auto keys = f.provision(kAlice, 0, {1, 2, 3});
+  f.network.node(f.net(0).node()).set_online(false);
+  auto& serving = f.net(4).serving();
+  serving.set_home_health(f.net(0).id(), false);
+
+  auto ue = f.make_ue(kAlice, keys, 4);
+  std::optional<ran::AttachRecord> record;
+  bool announced = false;
+  std::function<void()> announce_once_checked = [&] {
+    if (record) return;
+    if (serving.metrics().signature_cache_misses == 0) {
+      f.simulator.after(us(100), announce_once_checked);
+      return;
+    }
+    for (std::size_t b : {1, 2, 3}) {
+      f.rpc.breakers().force_open_peer(f.net(b).node(), f.simulator.now());
+    }
+    announced = true;
+  };
+  ue->attach([&](const ran::AttachRecord& r) { record = r; });
+  announce_once_checked();
+  f.simulator.run();
+  ASSERT_TRUE(record.has_value());
+  ASSERT_TRUE(announced);
+  EXPECT_FALSE(record->success);
+  EXPECT_NE(record->failure.find("insufficient key shares"), std::string::npos)
+      << record->failure;
+  EXPECT_EQ(serving.metrics().fast_failures, 0u);
+  EXPECT_EQ(serving.metrics().attaches_failed, 1u);
+}
+
 TEST(Resilience, TooFewSharesFailsTheAttach) {
   // Threshold 2, but only net-2 holds the subscriber's share: the home
   // disseminated to net-2 and net-3, then listed net-2, net-4 and net-5 as

@@ -21,8 +21,9 @@
 #      raises warnings the other build types do not, and this is the
 #      optimized build of the SHA-NI, AES-NI and word-parallel Shamir kernels
 #   4. Golden BENCH rows: the Release fig5_resilience_outage,
-#      ablation_optimizations and fig7_backup_count_sweep benches and
-#      fig3_single_ue --trace rerun into a temp dir, and tools/bench_diff.py
+#      ablation_optimizations, fig6_threshold_sweep and
+#      fig7_backup_count_sweep benches and fig3_single_ue --trace rerun
+#      into a temp dir, and tools/bench_diff.py
 #      requires their rows and seed lists to equal the committed
 #      results/BENCH_*.json (virtual time is deterministic; stamps and wall
 #      time are ignored); the traced attach's TRACE_fig3_backup_attach.json
@@ -108,10 +109,11 @@ cmake --build build-release -j "$JOBS"
 ctest --test-dir build-release --output-on-failure \
   -R 'sha256|hmac|kdf|shamir|merkle|ed25519|drbg|aes|milenage'
 
-echo "==> [4/8] golden BENCH rows (fig5 outage, ablation, fig7, fig3 trace vs results/)"
+echo "==> [4/8] golden BENCH rows (fig5 outage, ablation, fig6, fig7, fig3 trace vs results/)"
 GOLDEN_OUT="$(mktemp -d)"
 trap 'rm -rf "$GOLDEN_OUT"' EXIT
-for bench in fig5_resilience_outage ablation_optimizations fig7_backup_count_sweep; do
+for bench in fig5_resilience_outage ablation_optimizations fig6_threshold_sweep \
+             fig7_backup_count_sweep; do
   DAUTH_BENCH_OUT="$GOLDEN_OUT" ./build-release/bench/"$bench" > "$GOLDEN_OUT/$bench.txt"
   python3 tools/bench_diff.py "results/BENCH_$bench.json" "$GOLDEN_OUT/BENCH_$bench.json"
 done
