@@ -981,14 +981,11 @@ void ServingNetwork::hedge_share_round(const std::shared_ptr<Attach>& attach,
 
 void ServingNetwork::promote_share_leg(const std::shared_ptr<Attach>& attach,
                                        const std::shared_ptr<ShareRound>& round) {
-  if (round->next == round->ranked.size()) return;
-  send_share_leg(attach, round, round->ranked[round->next++]);
-}
-
-void ServingNetwork::share_leg_failed(const std::shared_ptr<Attach>& attach,
-                                      const std::shared_ptr<ShareRound>& round) {
-  promote_share_leg(attach, round);
-  if (round->outstanding == 0) fail(attach, "insufficient key shares");
+  if (round->next < round->ranked.size()) {
+    send_share_leg(attach, round, round->ranked[round->next++]);
+  } else if (round->outstanding == 0) {
+    fail(attach, "insufficient key shares");
+  }
 }
 
 void ServingNetwork::send_share_leg(const std::shared_ptr<Attach>& attach,
@@ -1018,7 +1015,7 @@ void ServingNetwork::send_share_leg(const std::shared_ptr<Attach>& attach,
         }
         if (!result.ok() || attach->phase != Phase::kProof) {
           --round->outstanding;
-          if (attach->phase == Phase::kProof) share_leg_failed(attach, round);
+          if (attach->phase == Phase::kProof) promote_share_leg(attach, round);
           return;
         }
         const KeyShareBundle& bundle = result->share;
@@ -1030,7 +1027,7 @@ void ServingNetwork::send_share_leg(const std::shared_ptr<Attach>& attach,
             return b.share.x == bundle.share.x;
           };
           if (!ok || std::any_of(round->bundles.begin(), round->bundles.end(), same_x)) {
-            share_leg_failed(attach, round);
+            promote_share_leg(attach, round);
             return;
           }
           round->bundles.push_back(bundle);

@@ -18,14 +18,13 @@
 //      One ranking orders every rung of the vector ladder: circuit state
 //      (closed, then half-open backups, which are probe-only because every
 //      share round probes them, then open ones, which are skipped); then
-//      slices known to be empty for the
-//      user (from the `vectors_left` count in each share reply, or an
-//      exhausted rejection) last; then smoothed share RTT, unsampled
-//      backups last. So the fastest live backup that still holds a vector
-//      leads, and a hedge, failed leg or exhausted slice promotes the next
-//      one; a backup that rejects the fetch (an exhausted slice, say)
-//      does so without using up the ladder's width. A sim-RNG shuffle
-//      orders only the ties.
+//      slices known to be empty for the user (from the `vectors_left`
+//      count in each share reply, or an exhausted rejection) last; then
+//      smoothed share RTT, unsampled backups last. So the fastest live
+//      backup that still holds a vector leads, and a hedge, failed leg or
+//      exhausted slice promotes the next one; a backup that rejects the
+//      fetch (an exhausted slice, say) does so without using up the
+//      ladder's width. A sim-RNG shuffle orders only the ties.
 //
 // Each attach is one phase machine (Attach::phase):
 //   resolve -> vector -> challenge -> [resync-vector -> resync-challenge]
@@ -207,17 +206,14 @@ class ServingNetwork {
   /// Sends the round's proof to attach->backups[backup] as one leg.
   void send_share_leg(const std::shared_ptr<Attach>& attach,
                       const std::shared_ptr<ShareRound>& round, std::size_t backup);
-  /// Sends the next ranked backup a leg, if one is left.
+  /// Sends the next ranked backup a leg, if one is left; fails the attach
+  /// once no leg is left in flight either.
   void promote_share_leg(const std::shared_ptr<Attach>& attach,
                          const std::shared_ptr<ShareRound>& round);
   /// Arms the round's hedge timer: one more leg each hedge delay while
   /// the round lasts and ranked backups are left.
   void hedge_share_round(const std::shared_ptr<Attach>& attach,
                          const std::shared_ptr<ShareRound>& round);
-  /// A leg concluded without a usable share: promote, then fail the attach
-  /// if no leg is left in flight or to send.
-  void share_leg_failed(const std::shared_ptr<Attach>& attach,
-                        const std::shared_ptr<ShareRound>& round);
   /// The one exit, and the only way into Phase::kDone: an empty `failure`
   /// is a success with `k_seaf`. It reads the path from the attach.
   void finish(const std::shared_ptr<Attach>& attach, const crypto::Key256& k_seaf,

@@ -79,16 +79,20 @@ struct FanOutFederation {
     return *record;
   }
 
-  /// One attach that must succeed; returns the share legs it sent each
-  /// backup.
-  std::vector<std::uint64_t> attach_legs() {
-    const auto before = legs();
-    const auto record = attach();
-    EXPECT_TRUE(record.success) << record.failure;
-    auto after = legs();
-    for (std::size_t i = 0; i < after.size(); ++i) after[i] -= before[i];
-    return after;
+  /// One attach that must succeed, and the share legs it sent each backup.
+  struct Round {
+    ran::AttachRecord record;
+    std::vector<std::uint64_t> legs;
+  };
+  Round attach_round() {
+    Round round{.record = {}, .legs = legs()};
+    round.record = attach();
+    EXPECT_TRUE(round.record.success) << round.record.failure;
+    const auto after = legs();
+    for (std::size_t i = 0; i < after.size(); ++i) round.legs[i] = after[i] - round.legs[i];
+    return round;
   }
+  std::vector<std::uint64_t> attach_legs() { return attach_round().legs; }
 };
 
 std::uint64_t total(const std::vector<std::uint64_t>& legs) {
@@ -121,11 +125,7 @@ TEST(ShareFanOut, RefusedLegPromotesTheNextBackupAtOnce) {
   FanOutFederation honest;
   (void)honest.attach_legs();
   const Time unhedged = honest.attach().latency();
-  const auto before = ff.legs();
-  const auto record = ff.attach();
-  ASSERT_TRUE(record.success) << record.failure;
-  auto legs = ff.legs();
-  for (std::size_t i = 0; i < legs.size(); ++i) legs[i] -= before[i];
+  const auto [record, legs] = ff.attach_round();
   EXPECT_EQ(legs[0], 1u);
   EXPECT_EQ(legs[2], 1u);
   EXPECT_EQ(legs[4], 1u);
@@ -161,11 +161,7 @@ TEST(ShareFanOut, SilentLegsAreHedgedEachHedgeDelay) {
     ff.f.rpc.register_service(ff.node(i), "backup.get_share",
                               [&](ByteView, sim::Responder) { ++swallowed; });
   }
-  const auto before = ff.legs();
-  const auto record = ff.attach();
-  ASSERT_TRUE(record.success) << record.failure;
-  auto legs = ff.legs();
-  for (std::size_t i = 0; i < legs.size(); ++i) legs[i] -= before[i];
+  const auto [record, legs] = ff.attach_round();
   EXPECT_EQ(swallowed, 2u);
   EXPECT_EQ(legs[4], 1u);
   EXPECT_EQ(legs[1] + legs[3] + legs[5], 1u);  // one hedge
