@@ -5,7 +5,8 @@
 //   * obtain key shares without a valid RES* preimage + serving signature,
 //   * delete other networks' material with forged revocations,
 //   * equivocate in reports without the home network noticing.
-// Nor may a forged UE reply take over another UE's attach.
+// Nor may a forged UE reply take over another UE's attach, nor a lying home
+// or UE get an attach past the serving network's checks.
 #include <gtest/gtest.h>
 
 #include <utility>
@@ -291,6 +292,107 @@ TEST(Adversarial, StoreWithAWrongLengthShareIsRefused) {
     EXPECT_EQ(backup.stored_vectors(home, bob), 0u) << length;
     EXPECT_EQ(backup.stored_shares(home, bob), 0u) << length;
   }
+}
+
+// ---- The serving network's refusals of a lying home and a lying UE --------
+//
+// Each attach runs at net-5 against home net-1 (online) and must end in the
+// named refusal: the UE's record carries its text (behind the NAS call's
+// own prefix when it comes before the challenge), attaches_failed counts
+// it once and no session is opened.
+
+/// Runs one attach of `ue` and checks it is refused with `failure`.
+void expect_refused(Federation& f, ran::Ue& ue, const std::string& failure) {
+  const core::ServingNetwork& serving = f.net(4).serving();
+  const std::uint64_t failed_before = serving.metrics().attaches_failed;
+  const std::size_t sessions_before = serving.session_count();
+  const auto record = f.attach(ue);
+  EXPECT_FALSE(record.success);
+  EXPECT_EQ(record.failure, failure);
+  EXPECT_EQ(serving.metrics().attaches_failed, failed_before + 1);
+  EXPECT_EQ(serving.session_count(), sessions_before);
+}
+
+/// A bundle that decodes but carries no home signature.
+Bytes unsigned_bundle(Federation& f) {
+  core::AuthVectorBundle bogus;
+  bogus.home_network = f.net(0).id();
+  bogus.supi = kAlice;
+  bogus.autn[0] = 0x42;
+  return wire::encode(bogus);
+}
+
+TEST(Adversarial, MalformedVectorFromHomeFailsTheAttach) {
+  Federation f(5);
+  const auto keys = f.provision(kAlice, 0, {1, 2, 3});
+  f.rpc.register_service(f.net(0).node(), "home.get_vector",
+                         [](ByteView, sim::Responder r) { r.reply(Bytes{0xff}); });
+  auto ue = f.make_ue(kAlice, keys, 4);
+  expect_refused(f, *ue, "attach request failed: rejected: malformed vector from home");
+}
+
+TEST(Adversarial, UnsignedVectorFromHomeFailsTheAttach) {
+  Federation f(5);
+  const auto keys = f.provision(kAlice, 0, {1, 2, 3});
+  f.rpc.register_service(f.net(0).node(), "home.get_vector",
+                         [&](ByteView, sim::Responder r) { r.reply(unsigned_bundle(f)); });
+  auto ue = f.make_ue(kAlice, keys, 4);
+  expect_refused(f, *ue, "attach request failed: rejected: bad home signature");
+}
+
+TEST(Adversarial, UnsignedResyncVectorFailsTheAttach) {
+  // The home loses its SQN state, so the UE answers with an AUTS; the
+  // home's resync reply then carries no signature.
+  Federation f(5);
+  const auto keys = f.provision(kAlice, 0, {1, 2, 3});
+  auto ue = f.make_ue(kAlice, keys, 4);
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(f.attach(*ue).success);
+  f.net(0).home().reset_subscriber_sqn(kAlice);
+  f.rpc.register_service(f.net(0).node(), "home.resync",
+                         [&](ByteView, sim::Responder r) { r.reply(unsigned_bundle(f)); });
+  expect_refused(f, *ue, "bad resync signature");
+}
+
+TEST(Adversarial, MalformedKeyFromHomeFailsTheAttach) {
+  Federation f(5);
+  const auto keys = f.provision(kAlice, 0, {1, 2, 3});
+  f.rpc.register_service(f.net(0).node(), "home.get_key",
+                         [](ByteView, sim::Responder r) { r.reply(Bytes{0xff}); });
+  auto ue = f.make_ue(kAlice, keys, 4);
+  expect_refused(f, *ue, "bad key from home");
+}
+
+TEST(Adversarial, MismatchedUeResponseFailsTheAttach) {
+  // A UE that answers the challenge with a RES* it did not derive: the
+  // serving network's own H(RES*) check refuses it.
+  Federation f(5);
+  f.provision(kAlice, 0, {1, 2, 3});
+  const core::ServingNetwork& serving = f.net(4).serving();
+  const std::size_t sessions_before = serving.session_count();
+  aka::AttachRequest request;
+  request.supi = kAlice;
+  std::optional<aka::AttachReply> challenge;
+  sim::TypedStub(f.rpc, f.ran_node, aka::kAttachRequest)
+      .call(f.net(4).node(), request, {},
+            [&](sim::CallResult<aka::AttachReply> reply) { challenge = reply.value(); });
+  f.simulator.run();
+  ASSERT_TRUE(challenge.has_value());
+  ASSERT_TRUE(std::holds_alternative<aka::Challenge>(challenge->step));
+
+  std::optional<aka::Outcome> outcome;
+  const aka::AuthResponse forged{challenge->attach_id, crypto::ResStar{}, std::nullopt};
+  sim::TypedStub(f.rpc, f.ran_node, aka::kAuthResponse)
+      .call(f.net(4).node(), forged, {}, [&](sim::CallResult<aka::AuthResponseReply> reply) {
+        if (!reply.ok()) return;
+        if (const auto* o = std::get_if<aka::Outcome>(&reply->step)) outcome = *o;
+      });
+  f.simulator.run();
+  ASSERT_TRUE(outcome.has_value());
+  EXPECT_FALSE(outcome->success);
+  EXPECT_EQ(outcome->failure, "ue response mismatch");
+  EXPECT_EQ(serving.metrics().ue_rejected, 1u);
+  EXPECT_EQ(serving.metrics().attaches_failed, 1u);
+  EXPECT_EQ(serving.session_count(), sessions_before);
 }
 
 }  // namespace
