@@ -10,9 +10,7 @@
 // backup modes).
 #include <cstdio>
 
-#include "core/dauth_node.h"
 #include "harness.h"
-#include "ran/gnb.h"
 
 using namespace dauth;
 
@@ -21,66 +19,63 @@ namespace {
 constexpr int kMoves = 200;
 constexpr std::uint64_t kSeed = 99;
 
-struct MobilityWorld {
-  sim::Simulator simulator{kSeed};
-  sim::Network network{simulator};
-  sim::Rpc rpc{network};
-  directory::DirectoryServer directory_server;
-  sim::NodeIndex dir_node{};
-  sim::NodeIndex ran_node{};
-  std::vector<std::unique_ptr<core::DauthNode>> nets;  // 0=home, 1..2 serving, 3..6 backups
-  aka::SubscriberKeys keys;
-  const Supi supi{"315010000000001"};
+const Supi kSupi("315010000000001");
 
-  explicit MobilityWorld(bool home_offline) {
-    bench::note_seed(kSeed);
-    auto cfg = sim::profile(sim::NodeClass::kCloud, "directory");
-    dir_node = network.add_node(cfg);
-    directory_server.bind(rpc, dir_node);
-
-    core::FederationConfig config;
-    config.threshold = 2;
-    config.vectors_per_backup = 2 * kMoves + 8;
-    config.report_interval = 0;
-
-    const char* names[] = {"home-net", "serving-a", "serving-b", "backup-1",
-                           "backup-2", "backup-3", "backup-4"};
-    for (int i = 0; i < 7; ++i) {
-      auto node_cfg = sim::profile(sim::NodeClass::kScnEdge, names[i]);
-      const auto node = network.add_node(node_cfg);
-      nets.push_back(std::make_unique<core::DauthNode>(
-          rpc, node, NetworkId(names[i]), dir_node, directory_server, config, 10 + i));
+/// home-net backed up on four networks, two serving networks, all on SCN
+/// edge boxes; keys from seeds 10-16.
+core::FederationSpec mobility_spec() {
+  core::FederationSpec spec;
+  spec.seed = kSeed;
+  spec.config.threshold = 2;
+  spec.config.vectors_per_backup = 2 * kMoves + 8;
+  spec.config.report_interval = 0;
+  const char* names[] = {"home-net", "serving-a", "serving-b", "backup-1",
+                         "backup-2", "backup-3", "backup-4"};
+  spec.topology = [names](sim::Network& network, core::FederationSpec&) {
+    network.add_node(sim::profile(sim::NodeClass::kCloud, "directory"));
+    for (const char* name : names) {
+      network.add_node(sim::profile(sim::NodeClass::kScnEdge, name));
     }
-    ran_node = network.add_node(sim::profile(sim::NodeClass::kRanSite, "ran"));
-
-    nets[0]->set_backups({nets[3]->id(), nets[4]->id(), nets[5]->id(), nets[6]->id()});
-    keys = nets[0]->provision_subscriber(supi);
-    nets[0]->home().disseminate(supi);
-    simulator.run();
-
-    if (home_offline) {
-      network.node(nets[0]->node()).set_online(false);
-      nets[1]->serving().set_home_health(nets[0]->id(), false);
-      nets[2]->serving().set_home_health(nets[0]->id(), false);
-    }
+    network.add_node(sim::profile(sim::NodeClass::kRanSite, "ran"));
+  };
+  for (std::uint64_t i = 0; i < 7; ++i) {
+    spec.networks.push_back({NetworkId(names[i]), names[i], 10 + i});
   }
-};
+  spec.homes = {{NetworkId("home-net"),
+                 {NetworkId("backup-1"), NetworkId("backup-2"), NetworkId("backup-3"),
+                  NetworkId("backup-4")},
+                 {kSupi}}};
+  return spec;
+}
 
-SampleSet run_handover_chain(MobilityWorld& world) {
-  auto profile = ran::emulated_ran_profile("5G:mnc010.mcc315.3gppnetwork.org");
+/// The disseminated world; nets: 0 = home, 1..2 serving, 3..6 backups.
+std::unique_ptr<core::FederationWorld> mobility_world(bool home_offline) {
+  bench::note_seed(kSeed);
+  auto world = core::build(mobility_spec());
+  world->simulator.run();
+  if (home_offline) {
+    core::DauthNode& home = world->net(0);
+    world->network.node(home.node()).set_online(false);
+    world->net(1).serving().set_home_health(home.id(), false);
+    world->net(2).serving().set_home_health(home.id(), false);
+  }
+  return world;
+}
+
+SampleSet run_handover_chain(core::FederationWorld& world) {
+  auto profile = world.ue_profile();
   profile.use_guti = true;
-  ran::Ue ue(world.rpc, world.ran_node, world.nets[1]->node(), world.supi, world.keys,
-             profile);
+  const auto ue = world.make_ue(kSupi, world.net(1).node(), profile);
   bool attached = false;
-  ue.attach([&](const ran::AttachRecord& r) { attached = r.success; });
+  ue->attach([&](const ran::AttachRecord& r) { attached = r.success; });
   world.simulator.run();
   SampleSet latencies;
   if (!attached) return latencies;
 
   for (int i = 0; i < kMoves; ++i) {
-    const auto target = world.nets[1 + (i % 2 == 0 ? 1 : 0)]->node();
+    const auto target = world.net(1 + (i % 2 == 0 ? 1 : 0)).node();
     bool done = false;
-    ue.handover_to(target, [&](const ran::HandoverRecord& r) {
+    ue->handover_to(target, [&](const ran::HandoverRecord& r) {
       done = true;
       if (r.success) latencies.add_time(r.latency());
     });
@@ -90,15 +85,13 @@ SampleSet run_handover_chain(MobilityWorld& world) {
   return latencies;
 }
 
-SampleSet run_reattach_chain(MobilityWorld& world) {
-  auto profile = ran::emulated_ran_profile("5G:mnc010.mcc315.3gppnetwork.org");
-  ran::Ue ue(world.rpc, world.ran_node, world.nets[1]->node(), world.supi, world.keys,
-             profile);
+SampleSet run_reattach_chain(core::FederationWorld& world) {
+  const auto ue = world.make_ue(kSupi, world.net(1).node());
   SampleSet latencies;
   for (int i = 0; i < kMoves; ++i) {
-    ue.move_to(world.nets[1 + (i % 2)]->node());
+    ue->move_to(world.net(1 + (i % 2)).node());
     bool done = false;
-    ue.attach([&](const ran::AttachRecord& r) {
+    ue->attach([&](const ran::AttachRecord& r) {
       done = true;
       if (r.success) latencies.add_time(r.latency());
     });
@@ -131,9 +124,9 @@ int main() {
   std::vector<bench::SweepPoint> points;
   for (const Variant& v : variants) {
     points.push_back({v.label, [v] {
-                        MobilityWorld world(v.home_offline);
-                        auto samples = v.handover ? run_handover_chain(world)
-                                                  : run_reattach_chain(world);
+                        const auto world = mobility_world(v.home_offline);
+                        auto samples = v.handover ? run_handover_chain(*world)
+                                                  : run_reattach_chain(*world);
                         bench::PointResult out;
                         out.text = bench::format_summary(v.label, samples);
                         out.rows.push_back(bench::make_row(v.label, 0, samples, "summary"));

@@ -76,52 +76,31 @@ Supi pool_supi(std::size_t index) {
 
 // ---- DauthBench -------------------------------------------------------------
 
-struct DauthBench::Impl {
-  DauthOptions options;
-  sim::Simulator simulator;
-  sim::Network network{simulator};
-  sim::Rpc rpc;
-  directory::DirectoryServer directory_server;
-  Placement placement;
-  sim::NodeIndex home_node = 0;
-  std::unique_ptr<core::DauthNode> home_net;
-  std::unique_ptr<core::DauthNode> serving_net;  // null when home_is_serving
-  std::vector<std::unique_ptr<core::DauthNode>> backup_nets;
-  std::unique_ptr<sim::FailureInjector> injector;
-  std::vector<std::unique_ptr<ran::Ue>> ues;
-  std::unique_ptr<ran::LoadGenerator> generator;
-  // Span ids come from their own stream: drawn from the simulator's RNG,
-  // every span would shift the simulation it traces.
-  Xoshiro256StarStar tracer_rng;
-  std::unique_ptr<obs::Tracer> tracer;
-  std::unique_ptr<obs::MetricsRegistry> registry;
-  std::unique_ptr<obs::EventJournal> journal;
+namespace {
 
-  explicit Impl(const DauthOptions& opts)
-      : options(opts),
-        simulator(opts.seed),
-        rpc(network, opts.rpc),
-        tracer_rng(opts.seed ^ 0x74726163652d726eULL) {
-    note_seed(opts.seed);
-    placement = build_placement(network, opts.scenario, /*serving_workers=*/2);
-    directory_server.bind(rpc, placement.directory_node);
+/// The scenario's federation: home-net (keys seed + 1), serving-net
+/// (seed + 2, absent when the home serves) and `backup_count` backups drawn
+/// from the pool (seed + 10 + rank), the whole UE pool homed at home-net.
+core::FederationSpec dauth_spec(const DauthOptions& opts) {
+  core::FederationSpec spec;
+  spec.config = opts.config;
+  spec.seed = opts.seed;
+  spec.rpc = opts.rpc;
+  spec.topology = [opts](sim::Network& network, core::FederationSpec& s) {
+    const Placement placement = build_placement(network, opts.scenario, /*serving_workers=*/2);
+    s.ran_node = network.node(placement.ran_node).name();
 
     // Home network: colocated with the serving core (Fig. 3 local mode) or
     // a nearby SCN edge PC on fiber.
-    if (opts.home_is_serving) {
-      home_node = placement.serving_node;
-    } else {
-      auto home_cfg = sim::profile(sim::NodeClass::kScnEdge, "home-pc");
-      home_node = network.add_node(home_cfg);
-    }
-    home_net = std::make_unique<core::DauthNode>(rpc, home_node, NetworkId("home-net"),
-                                                 placement.directory_node, directory_server,
-                                                 opts.config, opts.seed + 1);
-
+    const std::string serving = network.node(placement.serving_node).name();
+    std::string home = serving;
     if (!opts.home_is_serving) {
-      serving_net = std::make_unique<core::DauthNode>(
-          rpc, placement.serving_node, NetworkId("serving-net"), placement.directory_node,
-          directory_server, opts.config, opts.seed + 2);
+      home = "home-pc";
+      network.add_node(sim::profile(sim::NodeClass::kScnEdge, home));
+    }
+    s.networks.push_back({NetworkId("home-net"), home, opts.seed + 1});
+    if (!opts.home_is_serving) {
+      s.networks.push_back({NetworkId("serving-net"), serving, opts.seed + 2});
     }
 
     // Backup networks on testbed core nodes.
@@ -134,76 +113,92 @@ struct DauthBench::Impl {
       candidates = placement.testbed.core_nodes();
     }
     // Deterministic shuffle ("8 random backups", §6.3.2 / Fig. 5).
-    auto& rng = simulator.rng();
+    auto& rng = network.simulator().rng();
     for (std::size_t i = candidates.size(); i > 1; --i) {
       std::swap(candidates[i - 1], candidates[rng.next_below(i)]);
     }
+    core::HomeSpec declared{NetworkId("home-net"), {}, {}};
     const std::size_t count = std::min(opts.backup_count, candidates.size());
-    std::vector<NetworkId> backup_ids;
     for (std::size_t i = 0; i < count; ++i) {
-      const NetworkId id("backup-" + network.node(candidates[i]).name());
-      backup_nets.push_back(std::make_unique<core::DauthNode>(
-          rpc, candidates[i], id, placement.directory_node, directory_server, opts.config,
-          opts.seed + 10 + i));
-      backup_ids.push_back(id);
+      const std::string& node = network.node(candidates[i]).name();
+      const NetworkId id("backup-" + node);
+      s.networks.push_back({id, node, opts.seed + 10 + i});
+      declared.backups.push_back(id);
     }
-    home_net->set_backups(backup_ids);
+    for (std::size_t i = 0; i < opts.pool_size; ++i) declared.subscribers.push_back(pool_supi(i));
+    s.homes.push_back(std::move(declared));
+  };
+  return spec;
+}
 
-    // Subscribers + dissemination.
-    std::vector<aka::SubscriberKeys> keys(opts.pool_size);
-    for (std::size_t i = 0; i < opts.pool_size; ++i) {
-      keys[i] = home_net->provision_subscriber(pool_supi(i));
-      home_net->home().disseminate(pool_supi(i));
-    }
+}  // namespace
+
+struct DauthBench::Impl {
+  DauthOptions options;
+  std::unique_ptr<core::FederationWorld> world;
+  std::unique_ptr<sim::FailureInjector> injector;
+  std::vector<std::unique_ptr<ran::Ue>> ues;
+  std::unique_ptr<ran::LoadGenerator> generator;
+  // Span ids come from their own stream: drawn from the simulator's RNG,
+  // every span would shift the simulation it traces.
+  Xoshiro256StarStar tracer_rng;
+  std::unique_ptr<obs::Tracer> tracer;
+  std::unique_ptr<obs::MetricsRegistry> registry;
+  std::unique_ptr<obs::EventJournal> journal;
+
+  explicit Impl(const DauthOptions& opts)
+      : options(opts), tracer_rng(opts.seed ^ 0x74726163652d726eULL) {
+    note_seed(opts.seed);
+    world = core::build(dauth_spec(opts));
+    sim::Simulator& simulator = world->simulator;
     simulator.run();  // complete all dissemination
 
     // Observability goes live only now, so spans/events/counters describe
     // measured attaches rather than the provisioning storm.
     if (opts.trace) {
-      tracer = std::make_unique<obs::Tracer>([this] { return simulator.now(); }, &tracer_rng);
+      tracer = std::make_unique<obs::Tracer>([&simulator] { return simulator.now(); },
+                                             &tracer_rng);
       registry = std::make_unique<obs::MetricsRegistry>();
-      journal = std::make_unique<obs::EventJournal>([this] { return simulator.now(); });
-      rpc.set_tracer(tracer.get());
-      home_net->set_observability(registry.get(), journal.get());
-      if (serving_net) serving_net->set_observability(registry.get(), journal.get());
-      for (auto& b : backup_nets) b->set_observability(registry.get(), journal.get());
+      journal = std::make_unique<obs::EventJournal>([&simulator] { return simulator.now(); });
+      world->rpc.set_tracer(tracer.get());
+      for (auto& net : world->nets) net->set_observability(registry.get(), journal.get());
     }
 
     if (opts.home_offline) {
-      network.node(home_node).set_online(false);
-      rpc.reset_connections(home_node);
+      world->network.node(home().node()).set_online(false);
+      world->rpc.reset_connections(home().node());
       // Pre-warm the health cache: steady-state backup-mode measurements
       // shouldn't include the one-time 800ms discovery timeout.
-      if (serving_net) serving_net->serving().set_home_health(home_net->id(), false);
+      if (!opts.home_is_serving) serving().serving().set_home_health(home().id(), false);
     }
 
     // Announced backup outages: the injector's liveness feed force-opens the
     // circuits toward the dead nodes at outage start, so the breakers (unless
     // turned off) never burn a timeout discovering them.
     if (opts.backup_outages > 0) {
-      injector = std::make_unique<sim::FailureInjector>(network, &rpc);
-      const std::size_t down = std::min(opts.backup_outages, backup_nets.size());
+      injector = std::make_unique<sim::FailureInjector>(world->network, &world->rpc);
+      const std::size_t first = first_backup();
+      const std::size_t down = std::min(opts.backup_outages, world->nets.size() - first);
       for (std::size_t i = 0; i < down; ++i) {
-        injector->schedule_outage(backup_nets[i]->node(),
-                                  simulator.now() + opts.outage_start,
-                                  opts.outage_duration);
+        injector->schedule_outage(world->net(first + i).node(),
+                                  simulator.now() + opts.outage_start, opts.outage_duration);
       }
     }
 
     // UE pool on the RAN site, attached to the serving core.
-    const auto profile = opts.physical_ran
-                             ? ran::physical_ran_profile(opts.config.serving_network_name)
-                             : ran::emulated_ran_profile(opts.config.serving_network_name);
-    const sim::NodeIndex core_node =
-        opts.home_is_serving ? home_node : placement.serving_node;
+    const auto profile = world->ue_profile(opts.physical_ran);
     for (std::size_t i = 0; i < opts.pool_size; ++i) {
-      ues.push_back(std::make_unique<ran::Ue>(rpc, placement.ran_node, core_node,
-                                              pool_supi(i), keys[i], profile));
+      ues.push_back(world->make_ue(pool_supi(i), serving().node(), profile));
     }
     std::vector<ran::Ue*> pool;
     for (auto& ue : ues) pool.push_back(ue.get());
     generator = std::make_unique<ran::LoadGenerator>(simulator, std::move(pool));
   }
+
+  core::DauthNode& home() { return world->net(0); }
+  /// The network the UEs attach to: the home itself in Fig. 3 local mode.
+  core::DauthNode& serving() { return world->net(options.home_is_serving ? 0 : 1); }
+  std::size_t first_backup() const { return options.home_is_serving ? 1 : 2; }
 };
 
 DauthBench::DauthBench(const DauthOptions& options) : impl_(std::make_unique<Impl>(options)) {}
@@ -217,20 +212,21 @@ ran::AttachRecord DauthBench::single_attach() {
   std::optional<ran::AttachRecord> record;
   impl_->ues.front()->attach([&](const ran::AttachRecord& r) { record = r; });
   // Drain with run_until so any armed report retries don't wedge us.
-  const Time deadline = impl_->simulator.now() + sec(30);
-  while (!record && impl_->simulator.now() < deadline) {
-    impl_->simulator.run_until(impl_->simulator.now() + ms(100));
+  sim::Simulator& simulator = impl_->world->simulator;
+  const Time deadline = simulator.now() + sec(30);
+  while (!record && simulator.now() < deadline) {
+    simulator.run_until(simulator.now() + ms(100));
   }
   if (!record) throw std::runtime_error("single_attach never completed");
   return *record;
 }
 
 const core::ServingMetrics& DauthBench::serving_metrics() const {
-  return impl_->serving_net ? impl_->serving_net->serving().metrics()
-                            : impl_->home_net->serving().metrics();
+  return impl_->serving().serving().metrics();
 }
 
-sim::Simulator& DauthBench::simulator() { return impl_->simulator; }
+sim::Simulator& DauthBench::simulator() { return impl_->world->simulator; }
+const core::FederationWorld& DauthBench::world() const { return *impl_->world; }
 
 obs::Tracer* DauthBench::tracer() { return impl_->tracer.get(); }
 obs::MetricsRegistry* DauthBench::metrics_registry() { return impl_->registry.get(); }

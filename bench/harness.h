@@ -22,7 +22,7 @@
 #include <functional>
 
 #include "baseline/standalone_core.h"
-#include "core/dauth_node.h"
+#include "core/federation_spec.h"
 #include "ran/gnb.h"
 #include "ran/load_generator.h"
 #include "report.h"
@@ -86,6 +86,8 @@ class DauthBench {
 
   const core::ServingMetrics& serving_metrics() const;
   sim::Simulator& simulator();
+  /// The federation the options declare.
+  const core::FederationWorld& world() const;
 
   /// Observability handles; null unless DauthOptions::trace was set.
   obs::Tracer* tracer();

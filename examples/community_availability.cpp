@@ -14,77 +14,67 @@
 #include <cstdio>
 #include <vector>
 
-#include "core/dauth_node.h"
-#include "ran/gnb.h"
+#include "core/federation_spec.h"
 #include "sim/failure.h"
 
 using namespace dauth;
 
 int main() {
-  sim::Simulator simulator(365);
-  sim::Network network(simulator);
-  sim::Rpc rpc(network);
-
-  auto site_cfg = [](const char* name) {
-    sim::NodeConfig cfg;
-    cfg.name = name;
-    cfg.access.base = ms(5);
-    cfg.access.jitter_sigma = 0.3;
-    return cfg;
-  };
   const char* site_names[] = {"coworking", "school-1", "community-center-1",
                               "library-1", "school-2", "community-center-2"};
   const double mtbf_days[] = {21, 21, 14, 10, 10, 8};
   const double availability[] = {0.990, 0.990, 0.958, 0.918, 0.896, 0.872};
 
-  const auto dir_node = network.add_node(site_cfg("directory"));
-  const auto ran_node = network.add_node(site_cfg("ran"));
-  directory::DirectoryServer directory_server;
-  directory_server.bind(rpc, dir_node);
-
-  core::FederationConfig config;
-  config.threshold = 2;
-  config.vectors_per_backup = 31;     // sized for multi-day outages (§7.3)
-  config.report_interval = minutes(10);
-
-  std::vector<sim::NodeIndex> site_nodes;
-  std::vector<std::unique_ptr<core::DauthNode>> sites;
+  core::FederationSpec spec;
+  spec.seed = 365;
+  spec.config.threshold = 2;
+  spec.config.vectors_per_backup = 31;  // sized for multi-day outages (§7.3)
+  spec.config.report_interval = minutes(10);
+  spec.topology = [&site_names](sim::Network& network, core::FederationSpec&) {
+    auto site_cfg = [](const char* name) {
+      sim::NodeConfig cfg;
+      cfg.name = name;
+      cfg.access.base = ms(5);
+      cfg.access.jitter_sigma = 0.3;
+      return cfg;
+    };
+    network.add_node(site_cfg("directory"));
+    network.add_node(site_cfg("ran"));
+    for (const char* name : site_names) network.add_node(site_cfg(name));
+    network.add_node(site_cfg("serving-site"));
+  };
   for (int i = 0; i < 6; ++i) {
-    site_nodes.push_back(network.add_node(site_cfg(site_names[i])));
-    sites.push_back(std::make_unique<core::DauthNode>(
-        rpc, site_nodes[i], NetworkId(site_names[i]), dir_node, directory_server, config,
-        500 + i));
+    spec.networks.push_back({NetworkId(site_names[i]), site_names[i], 500u + i});
   }
-
   // A dedicated, reliable serving site hosts the probes, so the comparison
   // isolates HOME availability (a standalone user doesn't roam at all, so
   // serving-side outages would only muddy the numbers).
-  const auto serving_node = network.add_node(site_cfg("serving-site"));
-  core::DauthNode serving_site(rpc, serving_node, NetworkId("serving-site"), dir_node,
-                               directory_server, config, 999);
-
+  spec.networks.push_back({NetworkId("serving-site"), "serving-site", 999});
   // Each site homes one test subscriber, with every other site as backup.
-  std::vector<aka::SubscriberKeys> keys(6);
+  for (int i = 0; i < 6; ++i) {
+    core::HomeSpec home{NetworkId(site_names[i]), {}, {}};
+    home.subscribers.push_back(Supi("31501000000010" + std::to_string(i)));
+    for (int j = 0; j < 6; ++j) {
+      if (j != i) home.backups.push_back(NetworkId(site_names[j]));
+    }
+    spec.homes.push_back(std::move(home));
+  }
+  const auto world = core::build(spec);
+  sim::Simulator& simulator = world->simulator;
+  sim::Network& network = world->network;
+
+  std::vector<sim::NodeIndex> site_nodes;
   std::vector<std::unique_ptr<ran::Ue>> ues;
   for (int i = 0; i < 6; ++i) {
-    std::vector<NetworkId> backups;
-    for (int j = 0; j < 6; ++j) {
-      if (j != i) backups.push_back(sites[j]->id());
-    }
-    sites[i]->set_backups(backups);
-    const Supi supi("31501000000010" + std::to_string(i));
-    keys[i] = sites[i]->provision_subscriber(supi);
-    sites[i]->home().disseminate(supi);
-    ues.push_back(std::make_unique<ran::Ue>(
-        rpc, ran_node, serving_node, supi, keys[i],
-        ran::emulated_ran_profile(config.serving_network_name)));
+    site_nodes.push_back(world->net(i).node());
+    ues.push_back(world->make_ue(spec.homes[i].subscribers[0], world->net(6).node()));
   }
   simulator.run();
 
   // A quarter-year of random outages (full year would work; quarter keeps
   // the example snappy).
   const Time horizon = 90 * kDay;
-  sim::FailureInjector injector(network, &rpc);
+  sim::FailureInjector injector(network, &world->rpc);
   for (int i = 0; i < 6; ++i) {
     const double u = 1.0 - availability[i];
     const Time mtbf = static_cast<Time>(mtbf_days[i] * static_cast<double>(kDay));

@@ -8,8 +8,7 @@
 // Build & run:  ./build/examples/federation_resilience
 #include <cstdio>
 
-#include "core/dauth_node.h"
-#include "ran/gnb.h"
+#include "core/federation_spec.h"
 #include "sim/failure.h"
 #include "sim/topology.h"
 
@@ -22,54 +21,47 @@ void banner(const char* text) { std::printf("\n--- %s ---\n", text); }
 }  // namespace
 
 int main() {
-  sim::Simulator simulator(20240808);
-  sim::Network network(simulator);
-  sim::Rpc rpc(network);
-
-  // The Appendix C testbed: 10 heterogeneous core-capable nodes + 2 RAN sites.
-  const sim::Testbed testbed = sim::build_appendix_c_testbed(network);
-  const sim::NodeIndex dir_node =
-      network.add_node(sim::profile(sim::NodeClass::kCloud, "directory"));
-
-  directory::DirectoryServer directory_server;
-  directory_server.bind(rpc, dir_node);
-
-  core::FederationConfig config;
-  config.threshold = 2;
-  config.vectors_per_backup = 12;
-  config.report_interval = minutes(5);
-
-  // The library runs the home network; five other sites are its backups;
-  // the community center doubles as the serving network for a visiting user.
-  std::vector<std::unique_ptr<core::DauthNode>> nets;
-  const std::vector<sim::NodeIndex> core_nodes = testbed.core_nodes();
-  for (std::size_t i = 0; i < core_nodes.size(); ++i) {
-    nets.push_back(std::make_unique<core::DauthNode>(
-        rpc, core_nodes[i], NetworkId(network.node(core_nodes[i]).name()), dir_node,
-        directory_server, config, 100 + i));
-  }
-  core::DauthNode& library = *nets[0];            // scn-library (home)
-  core::DauthNode& community_center = *nets[1];   // serving site
-  std::vector<NetworkId> backups;
-  for (std::size_t i = 2; i < 8; ++i) backups.push_back(nets[i]->id());
+  // The Appendix C testbed: 10 heterogeneous core-capable nodes + 2 RAN
+  // sites. The library runs the home network; six other sites are its
+  // backups; the community center doubles as the serving network for a
+  // visiting user.
+  const Supi user("315010000000042");
+  core::FederationSpec spec;
+  spec.seed = 20240808;
+  spec.config.threshold = 2;
+  spec.config.vectors_per_backup = 12;
+  spec.config.report_interval = minutes(5);
+  spec.topology = [user](sim::Network& network, core::FederationSpec& s) {
+    const sim::Testbed testbed = sim::build_appendix_c_testbed(network);
+    network.add_node(sim::profile(sim::NodeClass::kCloud, "directory"));
+    s.ran_node = network.node(testbed.ran_sites[1]).name();
+    core::HomeSpec library{{}, {}, {user}};
+    const std::vector<sim::NodeIndex> core_nodes = testbed.core_nodes();
+    for (std::size_t i = 0; i < core_nodes.size(); ++i) {
+      const std::string& name = network.node(core_nodes[i]).name();
+      s.networks.push_back({NetworkId(name), name, 100 + i});
+      if (i >= 2 && i < 8) library.backups.push_back(NetworkId(name));
+    }
+    library.home = s.networks[0].id;
+    s.homes.push_back(std::move(library));
+  };
 
   banner("provisioning");
-  const Supi user("315010000000042");
-  library.set_backups(backups);
-  const auto sim_keys = library.provision_subscriber(user);
-  library.home().disseminate(user, [&](std::size_t ok) {
-    std::printf("library disseminated vectors+shares to %zu/%zu backups\n", ok,
-                backups.size());
-  });
+  const auto world = core::build(spec);
+  sim::Simulator& simulator = world->simulator;
+  core::DauthNode& library = world->net(0);            // scn-library (home)
+  core::DauthNode& community_center = world->net(1);   // serving site
+  const std::vector<NetworkId>& backups = world->spec.homes[0].backups;
   simulator.run();
+  std::printf("library disseminated vectors+shares to %zu/%zu backups\n",
+              world->disseminated.at(user), backups.size());
 
-  ran::Ue ue(rpc, testbed.ran_sites[1], community_center.node(), user, sim_keys,
-             ran::emulated_ran_profile(config.serving_network_name));
+  const auto ue = world->make_ue(user, community_center.node());
   int failed = 0;  // the exit status: non-zero when any attach failed
   auto attach = [&](const char* label) {
     bool ok = false;
     std::string path;
-    ue.attach([&](const ran::AttachRecord& r) {
+    ue->attach([&](const ran::AttachRecord& r) {
       ok = r.success && r.key_confirmed;
       path = r.path;
     });
@@ -83,7 +75,7 @@ int main() {
   attach("attach while library online");
 
   banner("the library's backhaul goes down for six hours");
-  sim::FailureInjector injector(network, &rpc);
+  sim::FailureInjector injector(world->network, &world->rpc);
   injector.schedule_outage(library.node(), simulator.now() + minutes(1), hours(6));
   simulator.run_until(simulator.now() + minutes(2));
 
@@ -125,10 +117,11 @@ int main() {
   attach("attach post-revocation, home down");
 
   std::printf("\nbackups' view of the revoked site's material:\n");
-  for (std::size_t i = 2; i < 8; ++i) {
-    std::printf("  %-24s vectors=%zu shares=%zu\n", nets[i]->id().str().c_str(),
-                nets[i]->backup().stored_vectors(library.id(), user),
-                nets[i]->backup().stored_shares(library.id(), user));
+  for (const NetworkId& id : backups) {
+    const core::BackupNetwork& backup = world->net(id).backup();
+    std::printf("  %-24s vectors=%zu shares=%zu\n", id.str().c_str(),
+                backup.stored_vectors(library.id(), user),
+                backup.stored_shares(library.id(), user));
   }
   return failed == 0 ? 0 : 1;
 }

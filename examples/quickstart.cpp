@@ -1,8 +1,9 @@
-// Quickstart: a three-network dAuth federation in ~100 lines.
+// Quickstart: a four-network dAuth federation, declared in ~40 lines
+// (quickstart_federation.h) and driven in ~70.
 //
 // Builds a simulated federation (directory + home + two backups + a serving
-// network), provisions one subscriber, and walks through the three
-// authentication paths of the paper:
+// network) from the declaration in quickstart_federation.h, provisions one
+// subscriber, and walks through the three authentication paths of the paper:
 //   1. local auth at the home network,
 //   2. roaming auth through the home network (home online),
 //   3. backup auth while the home network is offline.
@@ -10,58 +11,22 @@
 // Build & run:  ./build/examples/quickstart
 #include <cstdio>
 
-#include "core/dauth_node.h"
-#include "ran/gnb.h"
+#include "quickstart_federation.h"
 
 using namespace dauth;
 
 int main() {
-  // --- Simulation substrate --------------------------------------------------
-  sim::Simulator simulator(/*seed=*/7);
-  sim::Network network(simulator);
-  sim::Rpc rpc(network);
-
-  // Five nodes: a public directory, three operator networks, one RAN site.
-  auto node_cfg = [](const char* name) {
-    sim::NodeConfig cfg;
-    cfg.name = name;
-    cfg.access.base = ms(4);
-    cfg.access.jitter_sigma = 0.2;
-    return cfg;
-  };
-  const sim::NodeIndex dir_node = network.add_node(node_cfg("directory"));
-  const sim::NodeIndex home_node = network.add_node(node_cfg("home"));
-  const sim::NodeIndex backup1_node = network.add_node(node_cfg("backup-1"));
-  const sim::NodeIndex backup2_node = network.add_node(node_cfg("backup-2"));
-  const sim::NodeIndex serving_node = network.add_node(node_cfg("serving"));
-  const sim::NodeIndex ran_node = network.add_node(node_cfg("ran"));
-
   // --- The federation ----------------------------------------------------------
-  directory::DirectoryServer directory_server;
-  directory_server.bind(rpc, dir_node);
-
-  core::FederationConfig config;
-  config.threshold = 2;           // 2-of-2 key shares must cooperate
-  config.vectors_per_backup = 8;  // pre-generated challenges per backup
-  config.report_interval = minutes(1);
-
-  core::DauthNode home(rpc, home_node, NetworkId("home-net"), dir_node, directory_server,
-                       config, 1);
-  core::DauthNode backup1(rpc, backup1_node, NetworkId("backup-net-1"), dir_node,
-                          directory_server, config, 2);
-  core::DauthNode backup2(rpc, backup2_node, NetworkId("backup-net-2"), dir_node,
-                          directory_server, config, 3);
-  core::DauthNode serving(rpc, serving_node, NetworkId("serving-net"), dir_node,
-                          directory_server, config, 4);
-
-  // Alice is a subscriber of home-net, backed up on the two backup networks.
+  // Declared in quickstart_federation.h: a directory, home-net backed up on
+  // two backup networks (threshold 2), serving-net, one RAN site, and Alice.
+  const auto world = core::build(examples::quickstart_spec());
+  sim::Simulator& simulator = world->simulator;
+  core::DauthNode& home = world->net(NetworkId("home-net"));
+  core::DauthNode& serving = world->net(NetworkId("serving-net"));
   const Supi alice("315010000000001");
-  home.set_backups({backup1.id(), backup2.id()});
-  const aka::SubscriberKeys sim_card_keys = home.provision_subscriber(alice);
-  home.home().disseminate(alice, [](std::size_t backups_ok) {
-    std::printf("[setup] key material disseminated to %zu backup networks\n", backups_ok);
-  });
   simulator.run_until(simulator.now() + sec(5));
+  std::printf("[setup] key material disseminated to %zu backup networks\n",
+              world->disseminated.at(alice));
 
   // --- One UE, three attach paths ----------------------------------------------
   // Note: run_until (not run()) — with the home offline, backups keep
@@ -81,22 +46,20 @@ int main() {
   };
 
   // 1. Local authentication: the UE camps on its own home network.
-  ran::Ue local_ue(rpc, ran_node, home_node, alice, sim_card_keys,
-                   ran::emulated_ran_profile(config.serving_network_name));
-  attach_and_report(local_ue, "local attach at home");
+  const auto local_ue = world->make_ue(alice, home.node());
+  attach_and_report(*local_ue, "local attach at home");
 
   // 2. Roaming: the UE appears at serving-net; home-net is online.
-  ran::Ue roaming_ue(rpc, ran_node, serving_node, alice, sim_card_keys,
-                     ran::emulated_ran_profile(config.serving_network_name));
-  attach_and_report(roaming_ue, "roaming attach (home up)");
+  const auto roaming_ue = world->make_ue(alice, serving.node());
+  attach_and_report(*roaming_ue, "roaming attach (home up)");
 
   // 3. Backup auth: home-net goes dark; the backups take over.
-  network.node(home_node).set_online(false);
+  world->network.node(home.node()).set_online(false);
   serving.serving().set_home_health(home.id(), false);  // skip discovery timeout
-  attach_and_report(roaming_ue, "roaming attach (home DOWN)");
+  attach_and_report(*roaming_ue, "roaming attach (home DOWN)");
 
   // The home network comes back and learns what happened while it was out.
-  network.node(home_node).set_online(true);
+  world->network.node(home.node()).set_online(true);
   simulator.run_until(simulator.now() + minutes(3));
   std::printf("[report] home processed %llu usage proofs, %llu vectors replenished\n",
               static_cast<unsigned long long>(home.home().metrics().reports_processed),

@@ -7,8 +7,7 @@
 #include <cstdio>
 
 #include "aka/suci.h"
-#include "core/dauth_node.h"
-#include "ran/gnb.h"
+#include "core/federation_spec.h"
 
 using namespace dauth;
 
@@ -34,54 +33,39 @@ int main() {
               recovered ? recovered->str().c_str() : "(failed)");
 
   std::printf("\n== SUCI attach through a backup network (home offline) ==\n");
-  sim::Simulator simulator(11);
-  sim::Network network(simulator);
-  sim::Rpc rpc(network);
-  auto cfg = [](const char* name) {
-    sim::NodeConfig c;
-    c.name = name;
-    c.access.base = ms(3);
-    return c;
+  core::FederationSpec spec;
+  spec.seed = 11;
+  spec.config.threshold = 2;
+  spec.config.vectors_per_backup = 4;
+  spec.config.report_interval = 0;
+  spec.topology = [](sim::Network& network, core::FederationSpec&) {
+    for (const char* name : {"directory", "home", "backup-1", "backup-2", "serving", "ran"}) {
+      sim::NodeConfig c;
+      c.name = name;
+      c.access.base = ms(3);
+      network.add_node(c);
+    }
   };
-  const auto dir_node = network.add_node(cfg("directory"));
-  const auto home_node = network.add_node(cfg("home"));
-  const auto b1_node = network.add_node(cfg("backup-1"));
-  const auto b2_node = network.add_node(cfg("backup-2"));
-  const auto serving_node = network.add_node(cfg("serving"));
-  const auto ran_node = network.add_node(cfg("ran"));
+  spec.networks = {{NetworkId("home-net"), "home", 1},
+                   {NetworkId("backup-1"), "backup-1", 2},
+                   {NetworkId("backup-2"), "backup-2", 3},
+                   {NetworkId("serving-net"), "serving", 4}};
+  spec.homes = {{NetworkId("home-net"), {NetworkId("backup-1"), NetworkId("backup-2")}, {supi}}};
+  const auto world = core::build(spec);
+  world->simulator.run();
 
-  directory::DirectoryServer directory_server;
-  directory_server.bind(rpc, dir_node);
-
-  core::FederationConfig config;
-  config.threshold = 2;
-  config.vectors_per_backup = 4;
-  config.report_interval = 0;
-
-  core::DauthNode home(rpc, home_node, NetworkId("home-net"), dir_node, directory_server,
-                       config, 1);
-  core::DauthNode b1(rpc, b1_node, NetworkId("backup-1"), dir_node, directory_server,
-                     config, 2);
-  core::DauthNode b2(rpc, b2_node, NetworkId("backup-2"), dir_node, directory_server,
-                     config, 3);
-  core::DauthNode serving(rpc, serving_node, NetworkId("serving-net"), dir_node,
-                          directory_server, config, 4);
-
-  home.set_backups({b1.id(), b2.id()});
-  const auto keys = home.provision_subscriber(supi);
-  home.home().disseminate(supi);
-  simulator.run();
-
-  network.node(home_node).set_online(false);
+  core::DauthNode& home = world->net(NetworkId("home-net"));
+  core::DauthNode& serving = world->net(NetworkId("serving-net"));
+  world->network.node(home.node()).set_online(false);
   serving.serving().set_home_health(home.id(), false);
 
-  auto ue_profile = ran::emulated_ran_profile(config.serving_network_name);
+  auto ue_profile = world->ue_profile();
   ue_profile.use_suci = true;
-  ran::Ue ue(rpc, ran_node, serving_node, supi, keys, ue_profile);
-  ue.configure_suci(home.id(), home.suci_keys().public_key);
+  const auto ue = world->make_ue(supi, serving.node(), ue_profile);
+  ue->configure_suci(home.id(), home.suci_keys().public_key);
 
   bool attached = false;
-  ue.attach([&](const ran::AttachRecord& record) {
+  ue->attach([&](const ran::AttachRecord& record) {
     attached = record.success;
     std::printf("attach with concealed id, home offline: %s via '%s'\n",
                 record.success ? "SUCCESS" : "FAILED", record.path.c_str());
@@ -89,6 +73,6 @@ int main() {
                 " shared during dissemination; the identifier never crossed the\n"
                 " air interface in the clear)\n");
   });
-  simulator.run();
+  world->simulator.run();
   return attached ? 0 : 1;
 }

@@ -11,6 +11,8 @@ DauthNode::DauthNode(sim::Rpc& rpc, sim::NodeIndex node, NetworkId id,
       node_(node),
       id_(std::move(id)),
       directory_server_(directory_server),
+      config_(config),
+      store_(store),
       rng_("dauth-node:" + id_.str(), seed) {
   signing_key_ = crypto::ed25519_generate(rng_);
   suci_key_ = crypto::x25519_generate(rng_);
@@ -48,8 +50,18 @@ void DauthNode::set_backups(const std::vector<NetworkId>& backups) {
   directory_server_.set_backups(directory::make_backups_entry(id_, backups, signing_key_));
 }
 
+void DauthNode::restart_backup() {
+  backup_.reset();
+  backup_ = std::make_unique<BackupNetwork>(rpc_, node_, id_, *directory_client_, config_, store_);
+  backup_->bind_services();
+  if (registry_ != nullptr) register_metrics(*registry_, "backup." + id_.str(), backup_->metrics());
+  backup_->set_journal(journal_);
+}
+
 void DauthNode::set_observability(obs::MetricsRegistry* registry,
                                   obs::EventJournal* journal) {
+  registry_ = registry;
+  journal_ = journal;
   if (registry != nullptr) {
     register_metrics(*registry, "home." + id_.str(), home_->metrics());
     register_metrics(*registry, "backup." + id_.str(), backup_->metrics());

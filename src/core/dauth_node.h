@@ -2,8 +2,8 @@
 //
 // Binds all three roles — home, backup, serving — to a single simulator
 // node, owns the operator's key material and directory client, and handles
-// registration with the public directory. This is the object a federation
-// test or bench instantiates once per participating network.
+// registration with the public directory. core::build (core/federation_spec.h)
+// starts one per network a FederationSpec declares.
 #pragma once
 
 #include <memory>
@@ -50,6 +50,12 @@ class DauthNode {
   /// publishes the signed BackupsEntry.
   void set_backups(const std::vector<NetworkId>& backups);
 
+  /// Crashes and restarts the backup role: the in-memory instance is
+  /// dropped, and a fresh one restores from the store, takes over the
+  /// backup services and the node's observability. Without a store it
+  /// comes back empty.
+  void restart_backup();
+
   /// Wires all three roles into the observability layer: counters register
   /// as `{home,backup,serving}.<id>.*` views, the serving role opens its
   /// attach-latency histogram, and lifecycle events flow into `journal`.
@@ -61,6 +67,10 @@ class DauthNode {
   sim::NodeIndex node_;
   NetworkId id_;
   directory::DirectoryServer& directory_server_;
+  FederationConfig config_;
+  store::KvStore* store_;
+  obs::MetricsRegistry* registry_ = nullptr;
+  obs::EventJournal* journal_ = nullptr;
   crypto::DeterministicDrbg rng_;
   crypto::Ed25519KeyPair signing_key_;
   crypto::X25519KeyPair suci_key_;

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "baseline/standalone_core.h"
-#include "core/dauth_node.h"
+#include "core/federation_spec.h"
 #include "crypto/drbg.h"
 #include "ran/gnb.h"
 
@@ -132,28 +132,25 @@ TEST(Lte, FourGAndFiveGKeysDiffer) {
 TEST(Lte, DauthCoreRejectsLtePolitely) {
   // The dAuth federation in this repo pre-generates 5G material; a 4G UE
   // pointed at a dAuth serving core gets a clean rejection, not a hang.
-  sim::Simulator s(1);
-  sim::Network net(s);
-  sim::Rpc rpc(net);
-  directory::DirectoryServer dir;
-  sim::NodeConfig nc;
-  nc.name = "dir";
-  nc.access.base = ms(2);
-  const auto dir_node = net.add_node(nc);
-  dir.bind(rpc, dir_node);
-  nc.name = "net-1";
-  const auto n1 = net.add_node(nc);
-  core::FederationConfig cfg;
-  cfg.report_interval = 0;
-  core::DauthNode dauth_net(rpc, n1, NetworkId("net-1"), dir_node, dir, cfg, 1);
-  const auto keys = dauth_net.provision_subscriber(kAlice);
-  nc.name = "ran";
-  const auto ran_node = net.add_node(nc);
+  core::FederationSpec spec;
+  spec.config.report_interval = 0;
+  spec.topology = [](sim::Network& net, core::FederationSpec&) {
+    for (const char* name : {"directory", "net-1", "ran"}) {
+      sim::NodeConfig nc;
+      nc.name = name;
+      nc.access.base = ms(2);
+      net.add_node(nc);
+    }
+  };
+  spec.networks = {{NetworkId("net-1"), "net-1", 1}};
+  spec.homes = {{NetworkId("net-1"), {}, {kAlice}}};
+  const auto world = core::build(spec);
 
-  ran::Ue ue(rpc, ran_node, n1, kAlice, keys, lte_profile(cfg.serving_network_name));
+  auto ue = world->make_ue(kAlice, world->net(0).node(),
+                           lte_profile(world->config.serving_network_name));
   std::optional<ran::AttachRecord> record;
-  ue.attach([&](const ran::AttachRecord& r) { record = r; });
-  s.run();
+  ue->attach([&](const ran::AttachRecord& r) { record = r; });
+  world->simulator.run();
   ASSERT_TRUE(record.has_value());
   EXPECT_FALSE(record->success);
   EXPECT_NE(record->failure.find("lte not supported"), std::string::npos);

@@ -365,7 +365,7 @@ TEST(BackupLadder, SuciAttachesDrainEverySlice) {
     if (!resilience) cfg.resilience = core::ResilienceConfig::none();
     LadderFederation lf(cfg, 1, {2, 4, 6, 8, 10},
                         resilience ? sim::RpcConfig{} : Federation::breakers_off());
-    auto profile = ran::emulated_ran_profile(cfg.serving_network_name);
+    auto profile = lf.f.ue_profile();
     profile.use_suci = true;
     profile.use_guti = false;
     ran::Ue ue(lf.f.rpc, lf.f.ran_node, lf.serving_node(), kAlice, lf.keys, profile);

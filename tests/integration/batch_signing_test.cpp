@@ -417,19 +417,19 @@ TEST(BatchSigning, ServingNetworkRejectsForgedShares) {
 
 // ---- Persistence -------------------------------------------------------------
 
-TEST(BatchSigning, RestartedBackupServesVerifiablePaths) {
-  Federation f(5);
-  store::KvStore durable;
-  auto backup = std::make_unique<core::BackupNetwork>(
-      f.rpc, f.net(1).node(), f.net(1).id(), f.net(1).directory(), f.config, &durable);
-  backup->bind_services();
-  const auto keys = f.provision(kAlice, 0, {1, 2});
-  ASSERT_EQ(durable.keys_with_prefix("batch/").size(), 1u);
+/// Five networks, net-2 (index 1) keeping its backup state in a store.
+core::FederationSpec durable_net2(core::FederationConfig cfg = Federation::test_config()) {
+  core::FederationSpec spec = Federation::flat(5, std::move(cfg));
+  spec.networks[1].durable = true;
+  return spec;
+}
 
-  backup.reset();  // crash; restart over the same store
-  backup = std::make_unique<core::BackupNetwork>(f.rpc, f.net(1).node(), f.net(1).id(),
-                                                 f.net(1).directory(), f.config, &durable);
-  backup->bind_services();
+TEST(BatchSigning, RestartedBackupServesVerifiablePaths) {
+  Federation f(durable_net2());
+  const auto keys = f.provision(kAlice, 0, {1, 2});
+  ASSERT_EQ(f.stores[1]->keys_with_prefix("batch/").size(), 1u);
+
+  f.net(1).restart_backup();  // crash; restart over the same store
 
   const core::AuthVectorBundle vector = pull_vector(f, 1, kAlice);
   EXPECT_FALSE(vector.batch.siblings.empty());
@@ -442,7 +442,7 @@ TEST(BatchSigning, RestartedBackupServesVerifiablePaths) {
   const auto record = f.attach(*ue);
   EXPECT_TRUE(record.success) << record.failure;
   EXPECT_TRUE(record.key_confirmed);
-  EXPECT_EQ(backup->metrics().shares_served, 1u);
+  EXPECT_EQ(f.net(1).backup().metrics().shares_served, 1u);
 }
 
 /// The bundles the home signed for one backup, by H(XRES*), each encoded
@@ -579,11 +579,8 @@ TEST(BatchSigning, ServedBundlesAreTheSignedBytes) {
 }
 
 TEST(BatchSigning, BatchRecordIsErasedWithItsLastBundle) {
-  Federation f(5);
-  store::KvStore durable;
-  auto backup = std::make_unique<core::BackupNetwork>(
-      f.rpc, f.net(1).node(), f.net(1).id(), f.net(1).directory(), f.config, &durable);
-  backup->bind_services();
+  Federation f(durable_net2());
+  const store::KvStore& durable = *f.stores[1];
   f.provision(kAlice, 0, {1, 2});
   ASSERT_EQ(durable.keys_with_prefix("batch/").size(), 1u);
 
@@ -610,7 +607,7 @@ TEST(BatchSigning, BatchRecordIsErasedWithItsLastBundle) {
   f.rpc.call(f.net(0).node(), f.net(1).node(), "backup.revoke_shares", wire::encode(revoke), {},
              nullptr, nullptr);
   f.simulator.run();
-  EXPECT_EQ(backup->stored_shares(f.net(0).id(), kAlice), 0u);
+  EXPECT_EQ(f.net(1).backup().stored_shares(f.net(0).id(), kAlice), 0u);
   EXPECT_TRUE(durable.keys_with_prefix("batch/").empty());
 }
 
@@ -621,23 +618,15 @@ TEST(BatchSigning, ReportRefillsEachUserWithOneRevokeAndOneRound) {
   // after the report each of her vectors comes from the refill round.
   core::FederationConfig cfg = Federation::test_config();
   cfg.vectors_per_backup = 2;
-  Federation f(5, cfg);
+  // net-2 runs store-backed; it sends the one report and is later restarted.
+  Federation f(durable_net2(cfg));
   const NetworkId& home = f.net(0).id();
   obs::EventJournal journal([&f] { return f.simulator.now(); });
-  store::KvStore durable;
-  // net-2 runs store-backed; it sends the one report and is later restarted.
-  const auto start_reporter = [&] {
-    auto backup = std::make_unique<core::BackupNetwork>(
-        f.rpc, f.net(1).node(), f.net(1).id(), f.net(1).directory(), f.config, &durable);
-    backup->bind_services();
-    backup->set_journal(&journal);
-    return backup;
-  };
   const auto batch_records = [&] {
-    const std::vector<std::string> keys = durable.keys_with_prefix("batch/");
+    const std::vector<std::string> keys = f.stores[1]->keys_with_prefix("batch/");
     return std::set<std::string>(keys.begin(), keys.end());
   };
-  auto reporter = start_reporter();
+  f.net(1).backup().set_journal(&journal);
   f.net(2).backup().set_journal(&journal);
   f.net(3).backup().set_journal(&journal);
   const auto alice_keys = f.provision(kAlice, 0, {1, 2, 3});
@@ -653,14 +642,14 @@ TEST(BatchSigning, ReportRefillsEachUserWithOneRevokeAndOneRound) {
   auto bob = f.make_ue(kBob, bob_keys, 4);
   for (int i = 0; i < 6; ++i) ASSERT_TRUE(f.attach(*alice).success) << "alice " << i;
   for (int i = 0; i < 2; ++i) ASSERT_TRUE(f.attach(*bob).success) << "bob " << i;
-  ASSERT_EQ(reporter->pending_reports(home), 8u);
+  ASSERT_EQ(f.net(1).backup().pending_reports(home), 8u);
 
   const core::HomeMetrics before = f.net(0).home().metrics();
   const std::size_t mark = journal.events().size();
   f.network.node(f.net(0).node()).set_online(true);
-  reporter->report_now(home);
+  f.net(1).backup().report_now(home);
   f.simulator.run();
-  ASSERT_EQ(reporter->pending_reports(home), 0u);
+  ASSERT_EQ(f.net(1).backup().pending_reports(home), 0u);
 
   // One round signature per user, and every consumed slot refilled once.
   EXPECT_EQ(f.net(0).home().metrics().batches_signed, before.batches_signed + 2);
@@ -686,7 +675,7 @@ TEST(BatchSigning, ReportRefillsEachUserWithOneRevokeAndOneRound) {
       EXPECT_EQ(backup.stored_shares(home, supi), 6u) << name << " " << supi.str();
     }
   };
-  holds_full_round(*reporter, "net-2");
+  holds_full_round(f.net(1).backup(), "net-2");
   holds_full_round(f.net(2).backup(), "net-3");
   holds_full_round(f.net(3).backup(), "net-4");
 
@@ -697,10 +686,10 @@ TEST(BatchSigning, ReportRefillsEachUserWithOneRevokeAndOneRound) {
   EXPECT_TRUE(records.contains(*bob_first_round.begin()));
   EXPECT_EQ(records.size(), 3u);  // Bob's first round, and each user's refill
 
-  // The restarted reporter restores the refill round's records.
-  reporter.reset();
-  reporter = start_reporter();
-  holds_full_round(*reporter, "restarted net-2");
+  // The restarted net-2 restores the refill round's records.
+  f.net(1).restart_backup();
+  f.net(1).backup().set_journal(&journal);
+  holds_full_round(f.net(1).backup(), "restarted net-2");
 
   // Alice's next backup attach is served from the refill round: its new
   // round signature misses the serving network's memo, then verifies.
@@ -715,7 +704,7 @@ TEST(BatchSigning, ReportRefillsEachUserWithOneRevokeAndOneRound) {
   // Every refilled vector sits in its holder's SQN slice (net-2 holds slice
   // 1) and carries a verifiable path, the restarted backup's included.
   for (std::size_t b : {1u, 2u, 3u}) {
-    const core::BackupNetwork& backup = b == 1 ? *reporter : f.net(b).backup();
+    const core::BackupNetwork& backup = f.net(b).backup();
     while (backup.stored_vectors(home, kAlice) > 0) {
       const core::AuthVectorBundle vector = pull_vector(f, b, kAlice);
       EXPECT_EQ(aka::sqn_slice(vector.sqn), static_cast<int>(b)) << "net-" << b + 1;
@@ -729,7 +718,7 @@ TEST(BatchSigning, ReportRefillsEachUserWithOneRevokeAndOneRound) {
   core::RevokeSharesRequest revoke;
   revoke.home_network = home;
   revoke.supi = kAlice;
-  for (const core::BatchRecord& held : held_records(durable)) {
+  for (const core::BatchRecord& held : held_records(*f.stores[1])) {
     if (held.supi != kAlice) continue;
     for (const core::ShareLeaf& share : held.shares) {
       revoke.hxres_indices.push_back(share.hxres_star);
@@ -739,7 +728,7 @@ TEST(BatchSigning, ReportRefillsEachUserWithOneRevokeAndOneRound) {
   f.rpc.call(f.net(0).node(), f.net(1).node(), "backup.revoke_shares", wire::encode(revoke), {},
              nullptr, nullptr);
   f.simulator.run();
-  EXPECT_EQ(reporter->stored_shares(home, kAlice), 0u);
+  EXPECT_EQ(f.net(1).backup().stored_shares(home, kAlice), 0u);
   const std::set<std::string> left = batch_records();
   EXPECT_EQ(left.size(), 2u);
   EXPECT_TRUE(left.contains(*bob_first_round.begin()));

@@ -1,4 +1,5 @@
-// Shared test fixture: a complete dAuth federation on a flat topology.
+// Shared test fixture: a complete dAuth federation on a flat topology,
+// declared as a core::FederationSpec.
 //
 // Layout: node 0 hosts the directory, nodes 1..N host one dAuth network
 // each ("net-1".."net-N"), and the last node hosts the RAN/UE emulator.
@@ -9,9 +10,7 @@
 #include <memory>
 #include <vector>
 
-#include "core/dauth_node.h"
-#include "ran/gnb.h"
-#include "ran/ue.h"
+#include "core/federation_spec.h"
 #include "store/kv_store.h"
 #include "wire/reader.h"
 
@@ -26,38 +25,41 @@ inline std::vector<core::BatchRecord> held_records(const store::KvStore& store) 
   return records;
 }
 
-struct Federation {
-  sim::Simulator simulator;
-  sim::Network network{simulator};
-  sim::Rpc rpc;
-  directory::DirectoryServer directory_server;
-  sim::NodeIndex directory_node = 0;
-  sim::NodeIndex ran_node = 0;
-  std::vector<std::unique_ptr<core::DauthNode>> nets;
-  core::FederationConfig config;
-
+struct Federation : core::FederationWorld {
   explicit Federation(std::size_t n_networks, core::FederationConfig cfg = test_config(),
                       std::uint64_t seed = 1, sim::RpcConfig rpc_config = {})
-      : simulator(seed), rpc(network, rpc_config), config(std::move(cfg)) {
-    sim::NodeConfig nc;
-    nc.name = "directory";
-    nc.access.base = ms(2);
-    nc.access.jitter_sigma = 0.1;
-    nc.workers = 4;
-    directory_node = network.add_node(nc);
-    directory_server.bind(rpc, directory_node);
+      : Federation(flat(n_networks, std::move(cfg), seed, std::move(rpc_config))) {}
+  explicit Federation(core::FederationSpec declared) : FederationWorld(std::move(declared)) {}
 
-    for (std::size_t i = 0; i < n_networks; ++i) {
-      nc.name = "net-" + std::to_string(i + 1);
+  /// Nodes "directory", "net-1".."net-N" and "ran" on one flat profile;
+  /// net-i's keys come from seed + 99 + i.
+  static core::FederationSpec flat(std::size_t n_networks,
+                                   core::FederationConfig cfg = test_config(),
+                                   std::uint64_t seed = 1, sim::RpcConfig rpc_config = {}) {
+    core::FederationSpec declared;
+    declared.config = std::move(cfg);
+    declared.seed = seed;
+    declared.rpc = std::move(rpc_config);
+    declared.topology = [n_networks](sim::Network& network, core::FederationSpec&) {
+      sim::NodeConfig nc;
+      nc.name = "directory";
+      nc.access.base = ms(2);
+      nc.access.jitter_sigma = 0.1;
+      nc.workers = 4;
+      network.add_node(nc);
       nc.workers = 2;
-      const sim::NodeIndex node = network.add_node(nc);
-      nets.push_back(std::make_unique<core::DauthNode>(
-          rpc, node, NetworkId(nc.name), directory_node, directory_server, config,
-          seed + 100 + i));
+      for (std::size_t i = 1; i <= n_networks; ++i) {
+        nc.name = "net-" + std::to_string(i);
+        network.add_node(nc);
+      }
+      nc.name = "ran";
+      network.add_node(nc);
+    };
+    for (std::size_t i = 1; i <= n_networks; ++i) {
+      const std::string name = "net-" + std::to_string(i);
+      declared.networks.push_back({NetworkId(name), name, seed + 99 + i});
     }
-
-    nc.name = "ran";
-    ran_node = network.add_node(nc);
+    return declared;
   }
 
   /// Test-friendly defaults: no periodic report timer (tests drive
@@ -78,35 +80,34 @@ struct Federation {
     return rpc_config;
   }
 
-  core::DauthNode& net(std::size_t index) { return *nets.at(index); }
-
   /// Provisions `supi` at nets[home], sets nets[backups...] as its backup
   /// networks, disseminates, and runs the simulator until dissemination
   /// completes. Returns the SIM keys.
   aka::SubscriberKeys provision(const Supi& supi, std::size_t home,
                                 const std::vector<std::size_t>& backups) {
-    std::vector<NetworkId> backup_ids;
-    backup_ids.reserve(backups.size());
-    for (std::size_t b : backups) backup_ids.push_back(net(b).id());
-    net(home).set_backups(backup_ids);
-    const aka::SubscriberKeys keys = net(home).provision_subscriber(supi);
-
-    bool done = false;
-    net(home).home().disseminate(supi, [&](std::size_t) { done = true; });
+    core::HomeSpec declared{net(home).id(), {}, {supi}};
+    for (std::size_t b : backups) declared.backups.push_back(net(b).id());
+    declare(declared);
     simulator.run();
-    if (!done) throw std::runtime_error("dissemination did not complete");
-    return keys;
+    if (!disseminated.contains(supi)) throw std::runtime_error("dissemination did not complete");
+    return keys.at(supi);
   }
 
+  using FederationWorld::make_ue;
   /// Builds a UE camped on nets[serving]'s RAN.
-  std::unique_ptr<ran::Ue> make_ue(const Supi& supi, const aka::SubscriberKeys& keys,
+  std::unique_ptr<ran::Ue> make_ue(const Supi& supi, const aka::SubscriberKeys& sim_keys,
                                    std::size_t serving) {
-    return std::make_unique<ran::Ue>(
-        rpc, ran_node, net(serving).node(), supi, keys,
-        ran::emulated_ran_profile(config.serving_network_name));
+    return std::make_unique<ran::Ue>(rpc, ran_node, net(serving).node(), supi, sim_keys,
+                                     ue_profile());
   }
 
-  /// Runs one attach to completion and returns the record.
+  /// Runs one attach to completion and returns the record. The drain also
+  /// runs the UE's 15 s NAS timeouts, which stay queued after the attach
+  /// completes: each attach advances virtual time by at least 15 s, past
+  /// PeerRtt::kMaxAge (10 s). So every RTT sample is stale at the next
+  /// attach and a drained suite's share round is always the all-backup
+  /// broadcast; only ShareFanOut, which runs attaches with run_until,
+  /// exercises ranked legs.
   ran::AttachRecord attach(ran::Ue& ue) {
     std::optional<ran::AttachRecord> record;
     ue.attach([&](const ran::AttachRecord& r) { record = r; });

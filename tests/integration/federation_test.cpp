@@ -215,15 +215,11 @@ TEST(Federation, HomeRecoveryRestoresDirectPath) {
 
 TEST(Federation, SuciAttachLocal) {
   Federation f(3);
-  core::FederationConfig cfg = f.config;
-  const auto keys = f.provision(kAlice, 0, {1, 2});
+  f.provision(kAlice, 0, {1, 2});
 
-  auto ue = std::make_unique<ran::Ue>(
-      f.rpc, f.ran_node, f.net(0).node(), kAlice, keys, [&] {
-        auto profile = ran::emulated_ran_profile(cfg.serving_network_name);
-        profile.use_suci = true;
-        return profile;
-      }());
+  auto profile = f.ue_profile();
+  profile.use_suci = true;
+  auto ue = f.make_ue(kAlice, f.net(0).node(), profile);
   ue->configure_suci(f.net(0).id(), f.net(0).suci_keys().public_key);
 
   const auto record = f.attach(*ue);
@@ -233,13 +229,12 @@ TEST(Federation, SuciAttachLocal) {
 
 TEST(Federation, SuciAttachViaBackup) {
   Federation f(5);
-  const auto keys = f.provision(kAlice, 0, {1, 2, 3});
+  f.provision(kAlice, 0, {1, 2, 3});
   f.network.node(f.net(0).node()).set_online(false);
 
-  auto profile = ran::emulated_ran_profile(f.config.serving_network_name);
+  auto profile = f.ue_profile();
   profile.use_suci = true;
-  auto ue = std::make_unique<ran::Ue>(f.rpc, f.ran_node, f.net(4).node(), kAlice, keys,
-                                      profile);
+  auto ue = f.make_ue(kAlice, f.net(4).node(), profile);
   ue->configure_suci(f.net(0).id(), f.net(0).suci_keys().public_key);
 
   // Backups can de-conceal because the home network shared its SUCI key

@@ -22,7 +22,7 @@ const Supi kAlice("901550000000001");
 
 std::unique_ptr<ran::Ue> make_guti_ue(Federation& f, const Supi& supi,
                                       const aka::SubscriberKeys& keys, std::size_t serving) {
-  auto profile = ran::emulated_ran_profile(f.config.serving_network_name);
+  auto profile = f.ue_profile();
   profile.use_guti = true;
   return std::make_unique<ran::Ue>(f.rpc, f.ran_node, f.net(serving).node(), supi, keys,
                                    profile);

@@ -13,7 +13,7 @@ const Supi kAlice("901550000000001");
 
 std::unique_ptr<ran::Ue> attach_ue(Federation& f, const aka::SubscriberKeys& keys,
                                    std::size_t serving) {
-  auto profile = ran::emulated_ran_profile(f.config.serving_network_name);
+  auto profile = f.ue_profile();
   profile.use_guti = true;
   auto ue = std::make_unique<ran::Ue>(f.rpc, f.ran_node, f.net(serving).node(), kAlice,
                                       keys, profile);
@@ -84,7 +84,7 @@ TEST(Handover, MuchFasterThanReattach) {
   auto ue = attach_ue(f, keys, 3);
 
   // Compare a handover to a from-scratch attach at the same target.
-  auto fresh_profile = ran::emulated_ran_profile(f.config.serving_network_name);
+  auto fresh_profile = f.ue_profile();
   ran::Ue fresh(f.rpc, f.ran_node, f.net(4).node(), Supi("901550000000002"),
                 f.net(0).provision_subscriber(Supi("901550000000002")), fresh_profile);
   std::optional<ran::AttachRecord> attach_record;
@@ -114,7 +114,7 @@ TEST(Handover, ChainAcrossThreeNetworks) {
 TEST(Handover, FailsWithoutActiveSession) {
   Federation f(4);
   const auto keys = f.provision(kAlice, 0, {1, 2});
-  auto profile = ran::emulated_ran_profile(f.config.serving_network_name);
+  auto profile = f.ue_profile();
   ran::Ue ue(f.rpc, f.ran_node, f.net(3).node(), kAlice, keys, profile);
 
   std::optional<ran::HandoverRecord> record;

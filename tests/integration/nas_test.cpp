@@ -63,7 +63,7 @@ class Relay {
 };
 
 ran::UeConfig profile(const Federation& f) {
-  return ran::emulated_ran_profile(f.config.serving_network_name);
+  return f.ue_profile();
 }
 
 TEST(Nas, UeFramesArePinned) {

@@ -17,45 +17,26 @@ namespace {
 const Supi kAlice("901550000000001");
 const Supi kBob("901550000000002");
 
-// A federation where one backup (net-2 == index 1) runs with a durable
-// store we can hand to a "restarted" instance.
-struct PersistentFixture {
-  Federation f{5};
-  store::KvStore durable;  // in-memory KvStore standing in for the disk
-
-  PersistentFixture() = default;
-
-  /// Builds a fresh BackupNetwork instance over the same store, as a
-  /// restarted daemon would, and rebinds its services on the node.
-  std::unique_ptr<core::BackupNetwork> restart_backup() {
-    auto restarted = std::make_unique<core::BackupNetwork>(
-        f.rpc, f.net(1).node(), f.net(1).id(), f.net(1).directory(), f.config, &durable);
-    restarted->bind_services();
-    return restarted;
-  }
-};
+/// Five networks, net-2 (index 1) durable: its backup role keeps its state
+/// in a store that outlives a restart.
+core::FederationSpec durable_net2() {
+  core::FederationSpec spec = Federation::flat(5);
+  spec.networks[1].durable = true;
+  return spec;
+}
 
 TEST(Persistence, BackupRestartKeepsServingVectors) {
-  PersistentFixture fixture;
-  Federation& f = fixture.f;
-
-  // Replace net-2's backup role with a store-backed one BEFORE provisioning.
-  auto durable_backup = std::make_unique<core::BackupNetwork>(
-      f.rpc, f.net(1).node(), f.net(1).id(), f.net(1).directory(), f.config,
-      &fixture.durable);
-  durable_backup->bind_services();
-
+  Federation f(durable_net2());
   const auto keys = f.provision(kAlice, 0, {1, 2, 3});
-  ASSERT_GT(durable_backup->stored_vectors(f.net(0).id(), kAlice), 0u);
-  ASSERT_GT(fixture.durable.size(), 0u);
+  ASSERT_GT(f.net(1).backup().stored_vectors(f.net(0).id(), kAlice), 0u);
+  ASSERT_GT(f.stores[1]->size(), 0u);
 
   // "Crash" the daemon: drop the in-memory instance entirely.
-  durable_backup.reset();
-  auto restarted = fixture.restart_backup();
+  f.net(1).restart_backup();
 
   // All material is back.
-  EXPECT_EQ(restarted->stored_vectors(f.net(0).id(), kAlice), f.config.vectors_per_backup);
-  EXPECT_EQ(restarted->stored_shares(f.net(0).id(), kAlice),
+  EXPECT_EQ(f.net(1).backup().stored_vectors(f.net(0).id(), kAlice), f.config.vectors_per_backup);
+  EXPECT_EQ(f.net(1).backup().stored_shares(f.net(0).id(), kAlice),
             3 * f.config.vectors_per_backup);
 
   // And it still serves authentications with the home offline.
@@ -70,43 +51,29 @@ TEST(Persistence, BackupRestartKeepsServingVectors) {
 }
 
 TEST(Persistence, PendingProofsSurviveRestartAndGetReported) {
-  PersistentFixture fixture;
-  Federation& f = fixture.f;
-
-  auto durable_backup = std::make_unique<core::BackupNetwork>(
-      f.rpc, f.net(1).node(), f.net(1).id(), f.net(1).directory(), f.config,
-      &fixture.durable);
-  durable_backup->bind_services();
-
+  Federation f(durable_net2());
   const auto keys = f.provision(kAlice, 0, {1, 2, 3});
   f.network.node(f.net(0).node()).set_online(false);
   auto ue = f.make_ue(kAlice, keys, 4);
   const auto record = f.attach(*ue);
   ASSERT_TRUE(record.success);
-  const std::size_t pending = durable_backup->pending_reports(f.net(0).id());
+  const std::size_t pending = f.net(1).backup().pending_reports(f.net(0).id());
   ASSERT_GT(pending, 0u);
 
   // Crash + restart while the home is still down.
-  durable_backup.reset();
-  auto restarted = fixture.restart_backup();
-  EXPECT_EQ(restarted->pending_reports(f.net(0).id()), pending);
+  f.net(1).restart_backup();
+  EXPECT_EQ(f.net(1).backup().pending_reports(f.net(0).id()), pending);
 
   // Home returns; the restarted daemon can still deliver its proofs.
   f.network.node(f.net(0).node()).set_online(true);
-  restarted->report_now(f.net(0).id());
+  f.net(1).backup().report_now(f.net(0).id());
   f.simulator.run();
-  EXPECT_EQ(restarted->pending_reports(f.net(0).id()), 0u);
+  EXPECT_EQ(f.net(1).backup().pending_reports(f.net(0).id()), 0u);
   EXPECT_GE(f.net(0).home().metrics().reports_processed, 1u);
 }
 
 TEST(Persistence, ProofReleasedDuringAReportSurvivesTheAckAndARestart) {
-  PersistentFixture fixture;
-  Federation& f = fixture.f;
-
-  auto durable_backup = std::make_unique<core::BackupNetwork>(
-      f.rpc, f.net(1).node(), f.net(1).id(), f.net(1).directory(), f.config,
-      &fixture.durable);
-  durable_backup->bind_services();
+  Federation f(durable_net2());
   const auto keys = f.provision(kAlice, 0, {1, 2, 3});
   const NetworkId& home = f.net(0).id();
 
@@ -122,53 +89,45 @@ TEST(Persistence, ProofReleasedDuringAReportSurvivesTheAckAndARestart) {
 
   auto ue = f.make_ue(kAlice, keys, 4);
   ASSERT_TRUE(f.attach(*ue).success);
-  ASSERT_EQ(durable_backup->pending_reports(home), 1u);
+  ASSERT_EQ(f.net(1).backup().pending_reports(home), 1u);
 
   // A second attach releases a share while the report of the first is in
   // flight; the ack clears only the proof it acknowledges.
-  durable_backup->report_now(home);
+  f.net(1).backup().report_now(home);
   std::optional<ran::AttachRecord> second;
   ue->attach([&](const ran::AttachRecord& r) { second = r; });
   f.simulator.run();
   ASSERT_TRUE(second && second->success);
-  ASSERT_EQ(durable_backup->metrics().reports_sent, 1u);
-  EXPECT_EQ(durable_backup->pending_reports(home), 1u);
+  ASSERT_EQ(f.net(1).backup().metrics().reports_sent, 1u);
+  EXPECT_EQ(f.net(1).backup().pending_reports(home), 1u);
 
   // The unacknowledged proof is still on disk after a restart...
-  durable_backup.reset();
-  auto restarted = fixture.restart_backup();
-  EXPECT_EQ(restarted->pending_reports(home), 1u);
+  f.net(1).restart_backup();
+  EXPECT_EQ(f.net(1).backup().pending_reports(home), 1u);
 
   // ...and is reported next time.
   const std::uint64_t processed = f.net(0).home().metrics().reports_processed;
-  restarted->report_now(home);
+  f.net(1).backup().report_now(home);
   f.simulator.run();
-  EXPECT_EQ(restarted->pending_reports(home), 0u);
+  EXPECT_EQ(f.net(1).backup().pending_reports(home), 0u);
   EXPECT_EQ(f.net(0).home().metrics().reports_processed, processed + 1);
   EXPECT_EQ(f.net(0).home().metrics().replenishments, 2u);
 }
 
 TEST(Persistence, ConsumedVectorsStayConsumedAfterRestart) {
-  PersistentFixture fixture;
-  Federation& f = fixture.f;
-
-  auto durable_backup = std::make_unique<core::BackupNetwork>(
-      f.rpc, f.net(1).node(), f.net(1).id(), f.net(1).directory(), f.config,
-      &fixture.durable);
-  durable_backup->bind_services();
+  Federation f(durable_net2());
 
   const auto keys = f.provision(kAlice, 0, {1, 2, 3});
   f.network.node(f.net(0).node()).set_online(false);
 
   auto ue = f.make_ue(kAlice, keys, 4);
   ASSERT_TRUE(f.attach(*ue).success);
-  const std::size_t vectors_after_use = durable_backup->stored_vectors(f.net(0).id(), kAlice);
+  const std::size_t vectors_after_use = f.net(1).backup().stored_vectors(f.net(0).id(), kAlice);
 
-  durable_backup.reset();
-  auto restarted = fixture.restart_backup();
+  f.net(1).restart_backup();
   // A consumed vector must NOT resurrect on restart (it would be served
   // again and rejected by the SIM's replay protection).
-  EXPECT_EQ(restarted->stored_vectors(f.net(0).id(), kAlice), vectors_after_use);
+  EXPECT_EQ(f.net(1).backup().stored_vectors(f.net(0).id(), kAlice), vectors_after_use);
 }
 
 /// Pulls the next stored vector for `supi` straight from a backup, as the
@@ -209,12 +168,7 @@ TEST(Persistence, FloodCopyDroppedByAProofStaysDropped) {
   // net-2 releases its share against the proof, net-2 drops its own copy of
   // the consumed vector; a restart must not bring that copy back, or net-2
   // would serve it again and the SIM would refuse it as a replay.
-  PersistentFixture fixture;
-  Federation& f = fixture.f;
-  auto durable_backup = std::make_unique<core::BackupNetwork>(
-      f.rpc, f.net(1).node(), f.net(1).id(), f.net(1).directory(), f.config,
-      &fixture.durable);
-  durable_backup->bind_services();
+  Federation f(durable_net2());
   const auto keys = f.provision(kAlice, 0, {1, 2, 3});
   const NetworkId& home = f.net(0).id();
 
@@ -223,47 +177,34 @@ TEST(Persistence, FloodCopyDroppedByAProofStaysDropped) {
   f.net(0).home().revoke_backup(f.net(3).id(), [&] { revoked = true; });
   f.simulator.run();
   ASSERT_TRUE(revoked);
-  ASSERT_EQ(durable_backup->stored_vectors(home, kAlice), f.config.vectors_per_backup + 1);
+  ASSERT_EQ(f.net(1).backup().stored_vectors(home, kAlice), f.config.vectors_per_backup + 1);
 
   const core::AuthVectorBundle flood = pull_vector(f, 2, kAlice);
   ASSERT_TRUE(flood.flood);
   ASSERT_TRUE(release_share(f, 1, flood, keys));
-  ASSERT_EQ(durable_backup->stored_vectors(home, kAlice), f.config.vectors_per_backup);
+  ASSERT_EQ(f.net(1).backup().stored_vectors(home, kAlice), f.config.vectors_per_backup);
 
-  durable_backup.reset();
-  auto restarted = fixture.restart_backup();
-  EXPECT_EQ(restarted->stored_vectors(home, kAlice), f.config.vectors_per_backup);
+  f.net(1).restart_backup();
+  EXPECT_EQ(f.net(1).backup().stored_vectors(home, kAlice), f.config.vectors_per_backup);
   const core::AuthVectorBundle next = pull_vector(f, 1, kAlice);
   EXPECT_FALSE(next.flood);
   EXPECT_NE(next.hxres_star, flood.hxres_star);
 }
 
 TEST(Persistence, SuciKeySurvivesRestart) {
-  PersistentFixture fixture;
-  Federation& f = fixture.f;
-
-  auto durable_backup = std::make_unique<core::BackupNetwork>(
-      f.rpc, f.net(1).node(), f.net(1).id(), f.net(1).directory(), f.config,
-      &fixture.durable);
-  durable_backup->bind_services();
-
-  const auto keys = f.provision(kAlice, 0, {1, 2, 3});
+  Federation f(durable_net2());
+  f.provision(kAlice, 0, {1, 2, 3});
   f.network.node(f.net(0).node()).set_online(false);
-
-  durable_backup.reset();
-  auto restarted = fixture.restart_backup();
+  f.net(1).restart_backup();
 
   // SUCI attach routed through the restarted backup must still de-conceal.
-  auto profile = ran::emulated_ran_profile(f.config.serving_network_name);
+  auto profile = f.ue_profile();
   profile.use_suci = true;
-  core::FederationConfig narrow = f.config;
-  auto ue = std::make_unique<ran::Ue>(f.rpc, f.ran_node, f.net(4).node(), kAlice, keys,
-                                      profile);
+  auto ue = f.make_ue(kAlice, f.net(4).node(), profile);
   ue->configure_suci(f.net(0).id(), f.net(0).suci_keys().public_key);
   const auto record = f.attach(*ue);
   EXPECT_TRUE(record.success) << record.failure;
   EXPECT_EQ(record.path, "backup");
-  (void)narrow;
 }
 
 TEST(Persistence, RestoreDropsABatchWhoseLeafDoesNotHash) {
@@ -276,64 +217,53 @@ TEST(Persistence, RestoreDropsABatchWhoseLeafDoesNotHash) {
       {"vector sqn", [](core::BatchRecord& r) { ++r.vectors.at(1).sqn; }},
   };
   for (const auto& [name, edit] : edits) {
-    PersistentFixture fixture;
-    Federation& f = fixture.f;
-    auto durable_backup = std::make_unique<core::BackupNetwork>(
-        f.rpc, f.net(1).node(), f.net(1).id(), f.net(1).directory(), f.config,
-        &fixture.durable);
-    durable_backup->bind_services();
+    Federation f(durable_net2());
     f.provision(kAlice, 0, {1, 2, 3});
     f.provision(kBob, 0, {1, 2, 3});
     const NetworkId& home = f.net(0).id();
-    durable_backup.reset();
 
     std::size_t edited = 0;
-    for (const auto& key : fixture.durable.keys_with_prefix("batch/")) {
-      auto record = wire::decode<core::BatchRecord>(fixture.durable.get(key).value());
+    for (const auto& key : f.stores[1]->keys_with_prefix("batch/")) {
+      auto record = wire::decode<core::BatchRecord>(f.stores[1]->get(key).value());
       if (record.supi != kAlice) continue;
       edit(record);
-      fixture.durable.put(key, wire::encode(record));
+      f.stores[1]->put(key, wire::encode(record));
       ++edited;
     }
     ASSERT_EQ(edited, 1u) << name;
 
-    auto restarted = fixture.restart_backup();
-    EXPECT_EQ(restarted->stored_vectors(home, kAlice), 0u) << name;
-    EXPECT_EQ(restarted->stored_shares(home, kAlice), 0u) << name;
-    EXPECT_EQ(restarted->stored_vectors(home, kBob), f.config.vectors_per_backup) << name;
-    EXPECT_EQ(restarted->stored_shares(home, kBob), 3 * f.config.vectors_per_backup) << name;
+    f.net(1).restart_backup();
+    EXPECT_EQ(f.net(1).backup().stored_vectors(home, kAlice), 0u) << name;
+    EXPECT_EQ(f.net(1).backup().stored_shares(home, kAlice), 0u) << name;
+    EXPECT_EQ(f.net(1).backup().stored_vectors(home, kBob), f.config.vectors_per_backup) << name;
+    EXPECT_EQ(f.net(1).backup().stored_shares(home, kBob), 3 * f.config.vectors_per_backup) << name;
   }
 }
 
 TEST(Persistence, StoreHoldsOneRecordPerBatch) {
   // A backup persists each held batch once, at its information content: no
   // record per bundle, and no field two bundles share stored twice.
-  PersistentFixture fixture;
-  Federation& f = fixture.f;
-  auto durable_backup = std::make_unique<core::BackupNetwork>(
-      f.rpc, f.net(1).node(), f.net(1).id(), f.net(1).directory(), f.config,
-      &fixture.durable);
-  durable_backup->bind_services();
+  Federation f(durable_net2());
   f.provision(kAlice, 0, {1, 2, 3});
   f.provision(kBob, 0, {1, 2, 3});
   const NetworkId& home = f.net(0).id();
 
-  EXPECT_TRUE(fixture.durable.keys_with_prefix("vec/").empty());
-  EXPECT_TRUE(fixture.durable.keys_with_prefix("share/").empty());
+  EXPECT_TRUE(f.stores[1]->keys_with_prefix("vec/").empty());
+  EXPECT_TRUE(f.stores[1]->keys_with_prefix("share/").empty());
   // Each user's round put one batch here: its own vectors, then its share
   // of every vector of the round.
-  const auto keys = fixture.durable.keys_with_prefix("batch/");
+  const auto keys = f.stores[1]->keys_with_prefix("batch/");
   ASSERT_EQ(keys.size(), 2u);
   const std::size_t vectors = f.config.vectors_per_backup;
   const std::size_t shares = 3 * f.config.vectors_per_backup;
   for (const auto& key : keys) {
-    const Bytes value = fixture.durable.get(key).value();
+    const Bytes value = f.stores[1]->get(key).value();
     const auto record = wire::decode<core::BatchRecord>(value);
     EXPECT_EQ(record.vectors.size(), vectors);
     EXPECT_EQ(record.shares.size(), shares);
     EXPECT_EQ(record.leaves.size(), 32 * (vectors + shares));
-    EXPECT_EQ(durable_backup->stored_vectors(home, record.supi), vectors);
-    EXPECT_EQ(durable_backup->stored_shares(home, record.supi), shares);
+    EXPECT_EQ(f.net(1).backup().stored_vectors(home, record.supi), vectors);
+    EXPECT_EQ(f.net(1).backup().stored_shares(home, record.supi), shares);
     // Per held leaf: its hash (32), and a vector's framed fields (4 + leaf
     // 2 + sqn 8 + RAND, AUTN, H(XRES*) 3 x 16 + flood 1 = 63) or a share's
     // (4 + leaf 2 + H(XRES*) 16 + x 1 + y 32 = 55); once per batch the
@@ -346,7 +276,7 @@ TEST(Persistence, StoreHoldsOneRecordPerBatch) {
 
   // Serving a vector rewrites its batch's record without it.
   (void)pull_vector(f, 1, kAlice);
-  for (const core::BatchRecord& record : held_records(fixture.durable)) {
+  for (const core::BatchRecord& record : held_records(*f.stores[1])) {
     EXPECT_EQ(record.vectors.size(), record.supi == kAlice ? vectors - 1 : vectors);
     EXPECT_EQ(record.shares.size(), shares);
   }

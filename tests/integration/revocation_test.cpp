@@ -164,17 +164,12 @@ TEST(Revocation, RoundQueuedAcrossARevocation) {
   // A round queued before a revocation is built when its generation job
   // runs, for the backups left then: no remaining backup stores the revoked
   // backup's slice, and none holds a share the revoke should have covered.
-  Federation f(6);
-  const NetworkId& home = f.net(0).id();
   // The remaining backups run store-backed, so their held indices can be
   // listed.
-  std::map<std::size_t, store::KvStore> stores;
-  std::vector<std::unique_ptr<core::BackupNetwork>> remaining;
-  for (std::size_t b : {2u, 3u, 4u}) {
-    remaining.push_back(std::make_unique<core::BackupNetwork>(
-        f.rpc, f.net(b).node(), f.net(b).id(), f.net(b).directory(), f.config, &stores[b]));
-    remaining.back()->bind_services();
-  }
+  core::FederationSpec spec = Federation::flat(6);
+  for (std::size_t b : {2u, 3u, 4u}) spec.networks[b].durable = true;
+  Federation f(spec);
+  const NetworkId& home = f.net(0).id();
   // Backup net-b gets SQN slice b.
   f.net(0).set_backups({f.net(1).id(), f.net(2).id(), f.net(3).id(), f.net(4).id()});
   (void)f.net(0).provision_subscriber(kAlice);
@@ -193,7 +188,7 @@ TEST(Revocation, RoundQueuedAcrossARevocation) {
   for (std::size_t b : {2u, 3u, 4u}) {
     std::size_t own = 0;
     std::size_t floods = 0;
-    for (const core::BatchRecord& record : held_records(stores[b])) {
+    for (const core::BatchRecord& record : held_records(*f.stores[b])) {
       for (const core::VectorLeaf& vector : record.vectors) {
         if (vector.flood) {
           EXPECT_EQ(aka::sqn_slice(vector.sqn), 1) << "net-" << b + 1;
@@ -214,11 +209,11 @@ TEST(Revocation, RoundQueuedAcrossARevocation) {
   // home does not track.
   for (std::size_t b : {2u, 3u, 4u}) {
     std::set<std::string> shares;
-    for (const core::BatchRecord& record : held_records(stores[b])) {
+    for (const core::BatchRecord& record : held_records(*f.stores[b])) {
       for (const core::ShareLeaf& share : record.shares) shares.insert(to_hex(share.hxres_star));
     }
     EXPECT_EQ(shares, vectors) << "net-" << b + 1;
-    EXPECT_EQ(remaining[b - 2]->stored_shares(home, kAlice), vectors.size()) << "net-" << b + 1;
+    EXPECT_EQ(f.net(b).backup().stored_shares(home, kAlice), vectors.size()) << "net-" << b + 1;
   }
 }
 

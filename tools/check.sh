@@ -11,8 +11,11 @@
 #      decode-site check: a caught wire::WireError in src/ outside src/wire/
 #      and the typed RPC boundary (src/sim/service.h) must be one of the
 #      nested or stored records listed below, because every request and
-#      reply frame is decoded once, at that boundary. Seconds, and catches
-#      most hygiene regressions before the sanitizer builds spend minutes.
+#      reply frame is decoded once, at that boundary, and the federation
+#      check: a DauthNode constructed or a DirectoryServer declared outside
+#      core::FederationSpec must be one of the sites listed below. Seconds,
+#      and catches most hygiene regressions before the sanitizer builds
+#      spend minutes.
 #   2. Benchmark package: configure and build fedbench/ (a standalone CMake
 #      project compiling ../src against the bundle and metrics API) and run
 #      its fedbench_selftest, so an API break fails here rather than in a
@@ -93,6 +96,25 @@ DECODE_ALLOWED="$(awk '{print $1, $2}' <<< "$DECODE_SITES" | sort)"
 if [[ "$DECODE_FOUND" != "$DECODE_ALLOWED" ]]; then
   echo "frame decoded outside the typed RPC boundary: serve or call it through src/sim/service.h" >&2
   diff <(echo "$DECODE_ALLOWED") <(echo "$DECODE_FOUND") >&2 || true
+  exit 1
+fi
+
+# The federations built by hand, outside core::FederationSpec: "file sites
+# reason", one file a line. A DauthNode constructed or a DirectoryServer
+# declared anywhere else in tests/, bench/, examples/, tools/ or fedbench/
+# fails: every other world is declared as a spec and built by core::build.
+FEDERATION_SITES="\
+tests/directory/directory_test.cpp 9 unit tests of the directory server itself
+fedbench/src/federation.cpp 3 ported in the next benchmark revision (ROADMAP item 12)
+fedbench/src/federation.h 1 ported in the next benchmark revision (ROADMAP item 12)"
+FEDERATION_FOUND="$(grep -rnE 'make_unique<(core::)?DauthNode>|\bDauthNode [a-z_][A-Za-z0-9_]*[({]|\bDirectoryServer [a-z_][A-Za-z0-9_]*|make_unique<(directory::)?DirectoryServer>' \
+  tests bench examples tools fedbench --include='*.h' --include='*.cpp' \
+  | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' \
+  | cut -d: -f1 | sort | uniq -c | awk '{print $2, $1}' | sort)"
+FEDERATION_ALLOWED="$(awk '{print $1, $2}' <<< "$FEDERATION_SITES" | sort)"
+if [[ "$FEDERATION_FOUND" != "$FEDERATION_ALLOWED" ]]; then
+  echo "federation wired by hand: declare it as a core::FederationSpec and build it" >&2
+  diff <(echo "$FEDERATION_ALLOWED") <(echo "$FEDERATION_FOUND") >&2 || true
   exit 1
 fi
 
