@@ -146,8 +146,9 @@ TEST(Lte, DauthCoreRejectsLtePolitely) {
   spec.homes = {{NetworkId("net-1"), {}, {kAlice}}};
   const auto world = core::build(spec);
 
-  auto ue = world->make_ue(kAlice, world->net(0).node(),
-                           lte_profile(world->config.serving_network_name));
+  ran::UeConfig profile = world->ue_profile();
+  profile.lte = true;
+  auto ue = world->make_ue(kAlice, world->net(0).node(), profile);
   std::optional<ran::AttachRecord> record;
   ue->attach([&](const ran::AttachRecord& r) { record = r; });
   world->simulator.run();
