@@ -18,7 +18,6 @@ namespace {
 
 struct Placement {
   sim::Testbed testbed;
-  sim::NodeIndex directory_node = 0;
   sim::NodeIndex ran_node = 0;
   sim::NodeIndex serving_node = 0;
 };
@@ -31,9 +30,11 @@ Placement build_placement(sim::Network& network, sim::Scenario scenario,
   Placement p;
   p.testbed = sim::build_appendix_c_testbed(network);
 
+  // The dAuth directory's node; the baseline adds it too, so both systems
+  // number the nodes alike.
   auto dir_cfg = sim::profile(sim::NodeClass::kCloud, "directory");
   dir_cfg.workers = 4;
-  p.directory_node = network.add_node(dir_cfg);
+  network.add_node(dir_cfg);
 
   p.ran_node = sim::is_residential(scenario) ? p.testbed.ran_sites[0]   // home-A
                                              : p.testbed.ran_sites[1];  // uni-lab
