@@ -1,5 +1,7 @@
 #include "core/dauth_node.h"
 
+#include <stdexcept>
+
 namespace dauth::core {
 
 DauthNode::DauthNode(sim::Rpc& rpc, sim::NodeIndex node, NetworkId id,
@@ -51,17 +53,16 @@ void DauthNode::set_backups(const std::vector<NetworkId>& backups) {
 }
 
 void DauthNode::restart_backup() {
+  if (!rpc_.network().simulator().idle()) {
+    throw std::logic_error("restart_backup with events in flight");
+  }
   backup_.reset();
   backup_ = std::make_unique<BackupNetwork>(rpc_, node_, id_, *directory_client_, config_, store_);
   backup_->bind_services();
-  if (registry_ != nullptr) register_metrics(*registry_, "backup." + id_.str(), backup_->metrics());
-  backup_->set_journal(journal_);
 }
 
 void DauthNode::set_observability(obs::MetricsRegistry* registry,
                                   obs::EventJournal* journal) {
-  registry_ = registry;
-  journal_ = journal;
   if (registry != nullptr) {
     register_metrics(*registry, "home." + id_.str(), home_->metrics());
     register_metrics(*registry, "backup." + id_.str(), backup_->metrics());

@@ -51,9 +51,12 @@ class DauthNode {
   void set_backups(const std::vector<NetworkId>& backups);
 
   /// Crashes and restarts the backup role: the in-memory instance is
-  /// dropped, and a fresh one restores from the store, takes over the
-  /// backup services and the node's observability. Without a store it
-  /// comes back empty.
+  /// dropped, and a fresh one restores from the store and takes over the
+  /// backup services. Without a store it comes back empty. Call only once
+  /// the simulator has drained (throws otherwise): a queued report timer,
+  /// lookup or RPC callback would run on the dropped instance. The fresh
+  /// role has no journal and is in no registry; a registry that held the
+  /// old role's views must not be read again.
   void restart_backup();
 
   /// Wires all three roles into the observability layer: counters register
@@ -69,8 +72,6 @@ class DauthNode {
   directory::DirectoryServer& directory_server_;
   FederationConfig config_;
   store::KvStore* store_;
-  obs::MetricsRegistry* registry_ = nullptr;
-  obs::EventJournal* journal_ = nullptr;
   crypto::DeterministicDrbg rng_;
   crypto::Ed25519KeyPair signing_key_;
   crypto::X25519KeyPair suci_key_;

@@ -20,7 +20,7 @@ sim::NodeIndex node_named(const sim::Network& network, const std::string& name) 
 FederationWorld::FederationWorld(FederationSpec declared)
     : spec(std::move(declared)), simulator(spec.seed), rpc(network, spec.rpc) {
   spec.topology(network, spec);
-  directory_node = node_named(network, spec.directory_node);
+  directory_node = node_named(network, kDirectoryNode);
   directory_server.bind(rpc, directory_node);
   for (const NetworkSpec& n : spec.networks) {
     stores.push_back(n.durable ? std::make_unique<store::KvStore>() : nullptr);
@@ -54,14 +54,10 @@ ran::UeConfig FederationWorld::ue_profile(bool physical) const {
                   : ran::emulated_ran_profile(config.serving_network_name);
 }
 
-std::unique_ptr<ran::Ue> FederationWorld::make_ue(const Supi& supi, sim::NodeIndex core_node) {
-  return make_ue(supi, core_node, ue_profile());
-}
-
 std::unique_ptr<ran::Ue> FederationWorld::make_ue(const Supi& supi, sim::NodeIndex core_node,
-                                                  ran::UeConfig profile) {
+                                                  std::optional<ran::UeConfig> profile) {
   return std::make_unique<ran::Ue>(rpc, ran_node, core_node, supi, keys.at(supi),
-                                   std::move(profile));
+                                   profile ? std::move(*profile) : ue_profile());
 }
 
 std::unique_ptr<FederationWorld> build(FederationSpec spec) {

@@ -2,17 +2,18 @@
 //
 // Operators each run one daemon, register it in the public directory, and
 // each home names its backups. A spec says exactly that, plus where the
-// simulation puts it: the nodes and links, which node hosts the directory,
-// the RAN and each network's daemon, and the seeds. build(spec) turns it
-// into a FederationWorld that owns the simulator, network, RPC layer,
-// directory, daemons and the SIM keys it provisioned. Every test, bench and
-// example federation outside fedbench/ is built this way, so a builder
-// states only what differs: its nodes and placement, and its seeds.
+// simulation puts it: the nodes and links, which node hosts the RAN and
+// each network's daemon, and the seeds. build(spec) turns it into a
+// FederationWorld that owns the simulator, network, RPC layer, directory,
+// daemons and the SIM keys it provisioned. Every test, bench and example
+// federation outside fedbench/ is built this way, so a builder states only
+// what differs: its nodes and placement, and its seeds.
 #pragma once
 
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -20,6 +21,9 @@
 #include "ran/ue.h"
 
 namespace dauth::core {
+
+/// The node every topology runs the public directory on.
+inline constexpr char kDirectoryNode[] = "directory";
 
 /// One operator's daemon: its network id, the node it runs on, and the
 /// seed its key pairs and its subscribers' SIM keys are drawn from. A
@@ -49,7 +53,6 @@ struct FederationSpec {
   /// harness's random backups) completes `networks` and `homes` here, so
   /// its draws stay the stream's first.
   std::function<void(sim::Network&, FederationSpec&)> topology;
-  std::string directory_node = "directory";
   std::string ran_node = "ran";
   std::vector<NetworkSpec> networks;  // daemons start in this order
   std::vector<HomeSpec> homes;        // declared after every daemon, in order
@@ -76,10 +79,10 @@ class FederationWorld {
   /// The RAN profile for this federation's serving network name: UERANSIM's,
   /// or the srsUE testbed's when `physical`.
   ran::UeConfig ue_profile(bool physical = false) const;
-  /// A UE at the RAN node, camped on `core_node`, with `supi`'s SIM keys.
-  std::unique_ptr<ran::Ue> make_ue(const Supi& supi, sim::NodeIndex core_node);
+  /// A UE at the RAN node, camped on `core_node`, with `supi`'s SIM keys
+  /// and `profile` (default: ue_profile()).
   std::unique_ptr<ran::Ue> make_ue(const Supi& supi, sim::NodeIndex core_node,
-                                   ran::UeConfig profile);
+                                   std::optional<ran::UeConfig> profile = std::nullopt);
 
   FederationSpec spec;  // as the topology completed it
   const FederationConfig& config = spec.config;

@@ -143,12 +143,11 @@ TEST(Lte, DauthCoreRejectsLtePolitely) {
     }
   };
   spec.networks = {{NetworkId("net-1"), "net-1", 1}};
-  spec.homes = {{NetworkId("net-1"), {}, {kAlice}}};
   const auto world = core::build(spec);
+  world->keys[kAlice] = world->net(0).provision_subscriber(kAlice);
 
-  ran::UeConfig profile = world->ue_profile();
-  profile.lte = true;
-  auto ue = world->make_ue(kAlice, world->net(0).node(), profile);
+  auto ue = world->make_ue(kAlice, world->net(0).node(),
+                           lte_profile(world->config.serving_network_name));
   std::optional<ran::AttachRecord> record;
   ue->attach([&](const ran::AttachRecord& r) { record = r; });
   world->simulator.run();

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <functional>
+#include <stdexcept>
 #include <string>
 #include <unistd.h>
 
@@ -23,6 +24,13 @@ core::FederationSpec durable_net2() {
   core::FederationSpec spec = Federation::flat(5);
   spec.networks[1].durable = true;
   return spec;
+}
+
+TEST(Persistence, RestartWithEventsInFlightThrows) {
+  // A queued event may hold the backup role it was armed by.
+  Federation f(durable_net2());
+  f.simulator.after(sec(1), [] {});
+  EXPECT_THROW(f.net(1).restart_backup(), std::logic_error);
 }
 
 TEST(Persistence, BackupRestartKeepsServingVectors) {
