@@ -424,6 +424,87 @@ TEST(BackupLadder, RejectingBackupLeadsOnce) {
   EXPECT_EQ(lf.serving().metrics().hedges_launched, 1u);
 }
 
+/// Federation of four: net-1 is the (offline) home, net-2 and net-3 its two
+/// backups behind 1 ms and 20 ms links, net-4 serves. Signature checks are
+/// uncached and slow (50 ms), so a reply has a window to land in while a
+/// bundle waits for its check. After a warm-up attach net-2 leads every
+/// vector fetch; from then on it takes each fetch and, when `reject_after`
+/// is set, rejects it kExhausted that long afterwards (else it never answers).
+struct SlowPrimaryFederation {
+  Federation f;
+  aka::SubscriberKeys keys;
+  std::unique_ptr<ran::Ue> ue;
+  Time primary_took = -1;  // when net-2 took the last vector fetch
+
+  static core::FederationConfig config() {
+    core::FederationConfig cfg = ladder_config();
+    cfg.costs.signature_verify = ms(50);
+    cfg.verify_cache_entries = 0;
+    return cfg;
+  }
+
+  explicit SlowPrimaryFederation(std::optional<Time> reject_after) : f(4, config()) {
+    keys = f.provision(kAlice, 0, {1, 2});
+    for (const auto& [backup, link_ms] : {std::pair{1, 1}, std::pair{2, 20}}) {
+      sim::LatencyModel link;
+      link.base = ms(link_ms);
+      f.network.set_link(f.net(3).node(), f.net(backup).node(), link);
+    }
+    f.network.node(f.net(0).node()).set_online(false);
+    serving().set_home_health(f.net(0).id(), false);
+    ue = f.make_ue(kAlice, keys, 3);
+    if (!f.attach(*ue).success) throw std::runtime_error("warm-up attach failed");
+    f.rpc.register_service(
+        f.net(1).node(), "backup.get_vector", [this, reject_after](ByteView, sim::Responder r) {
+          primary_took = f.simulator.now();
+          if (!reject_after) return;
+          f.simulator.after(*reject_after, [r] {
+            r.fail(sim::AppErrorCode::kExhausted, "no vectors left");
+          });
+        });
+  }
+
+  core::ServingNetwork& serving() { return f.net(3).serving(); }
+  std::uint64_t signature_checks() {
+    return serving().metrics().signature_cache_misses + serving().metrics().signature_cache_hits;
+  }
+};
+
+TEST(BackupLadder, RejectionDuringTheWinningCheckKeepsTheAttach) {
+  // net-2 leads and holds its fetch, so net-3 gets the hedge leg and serves
+  // a valid bundle. net-2's rejection lands while that bundle waits for its
+  // signature check: the hedge leg is still outstanding until the check has
+  // judged it, so the rejection finds a leg in flight and the attach goes on.
+  // A first run, in which net-2 never answers, times the check.
+  Time check_started = -1;
+  Time primary_took = -1;
+  {
+    SlowPrimaryFederation probe(std::nullopt);
+    const std::uint64_t checks = probe.signature_checks();
+    const Time started = probe.f.simulator.now();
+    probe.ue->attach([](const ran::AttachRecord&) {});
+    while (probe.signature_checks() == checks) {
+      ASSERT_LT(probe.f.simulator.now(), started + sec(2)) << "no vector reached its check";
+      probe.f.simulator.run_until(probe.f.simulator.now() + us(100));
+    }
+    check_started = probe.f.simulator.now();
+    primary_took = probe.primary_took;
+    ASSERT_GT(primary_took, started);
+    ASSERT_GT(check_started, primary_took + probe.f.config.resilience.hedge_delay);
+  }
+
+  // The same schedule, with net-2 rejecting the moment the check starts.
+  SlowPrimaryFederation lf(check_started - primary_took);
+  const core::ServingMetrics before = lf.serving().metrics();
+  const auto record = lf.f.attach(*lf.ue);
+  EXPECT_EQ(lf.primary_took, primary_took);  // the first run's schedule
+  EXPECT_TRUE(record.success) << record.failure;
+  const core::ServingMetrics& after = lf.serving().metrics();
+  EXPECT_EQ(after.attaches_failed, before.attaches_failed);
+  EXPECT_EQ(after.hedges_launched, before.hedges_launched + 1);
+  EXPECT_EQ(after.hedge_wins, before.hedge_wins + 1);
+}
+
 TEST(BackupLadder, SameSeedPicksSamePrimaries) {
   auto primaries = [](std::uint64_t seed) {
     LadderFederation lf(ladder_config(), seed, {12, 2, 6, 2, 20});
