@@ -444,11 +444,81 @@ void ServingNetwork::start_backup_auth(const std::shared_ptr<Attach>& attach) {
       attach->span);
 }
 
-void ServingNetwork::request_backup_vector(const std::shared_ptr<Attach>& attach) {
+/// One hedged fan-out over the attach's backups (docs/RESILIENCE.md §4): a
+/// vector fetch or a share round. `order` ranks the backups that
+/// promotions and hedges draw from (indices into Attach::backups);
+/// order[next] is the next to get a leg, and at most `width` of them get
+/// one. A leg counts in `outstanding` from its launch until its result has
+/// been judged, signature check included. The round acts only while the
+/// attach is in `phase`. Its legs' callbacks and its hedge timer hold it; it
+/// holds no callback, so it is freed with the last of them.
+struct ServingNetwork::FanOut {
+  Phase phase = Phase::kDone;
+  std::vector<std::size_t> order;
+  std::size_t next = 0;
+  std::size_t width = 0;
+  std::size_t outstanding = 0;
+  sim::RpcOptions options;  // one breaker-gated attempt per leg
+};
+
+/// A vector fetch: the first verified bundle wins and cancels the others.
+struct ServingNetwork::VectorRound : FanOut {
   GetVectorRequest request;
-  request.serving_network = id_;
-  request.supi = attach->supi;
-  request.suci = attach->suci;
+  std::vector<sim::CallHandle> legs;
+  std::string last_error = "no candidates";
+  std::string exhausted() const { return "no backup vector: " + last_error; }
+};
+
+/// A share round: valid shares with distinct x until `threshold` are in.
+struct ServingNetwork::ShareRound : FanOut {
+  UsageProof proof;
+  std::vector<KeyShareBundle> bundles;
+  std::string exhausted() const { return "insufficient key shares"; }
+};
+
+/// Sends the next ranked backup a leg while the width allows; else, once no
+/// leg is in flight either, fails the attach with the round's text.
+template <typename Round>
+void ServingNetwork::promote(const std::shared_ptr<Attach>& attach,
+                             const std::shared_ptr<Round>& round) {
+  if (attach->phase != round->phase) return;
+  if (round->next < round->width) {
+    send_leg(attach, round, round->order[round->next++]);
+    arm_hedge(attach, round);
+  } else if (round->outstanding == 0) {
+    fail(attach, round->exhausted());
+  }
+}
+
+/// A leg concluded without a usable result: the next backup is promoted at
+/// once, and a rejection widens the round by one, so it uses up no width.
+template <typename Round>
+void ServingNetwork::drop_leg(const std::shared_ptr<Attach>& attach,
+                              const std::shared_ptr<Round>& round, bool rejected) {
+  --round->outstanding;
+  if (rejected) round->width = std::min(round->width + 1, round->order.size());
+  promote(attach, round);
+}
+
+/// The hedge timer: the next ranked backup gets a leg one hedge delay after
+/// the newest launch, unless another launch comes first.
+template <typename Round>
+void ServingNetwork::arm_hedge(const std::shared_ptr<Attach>& attach,
+                               const std::shared_ptr<Round>& round) {
+  if (round->next >= round->width) return;
+  rpc_.network().simulator().after(config_.resilience.hedge_delay,
+                                   [this, attach, round, launched = round->next] {
+                                     if (round->next == launched) promote(attach, round);
+                                   });
+}
+
+void ServingNetwork::request_backup_vector(const std::shared_ptr<Attach>& attach) {
+  // The fetch runs in kVector or, after an AUTS, in kResyncVector.
+  auto round = std::make_shared<VectorRound>();
+  round->phase = attach->phase;
+  round->request.serving_network = id_;
+  round->request.supi = attach->supi;
+  round->request.suci = attach->suci;
 
   // §5.1 optimization 3 ordering, one ranking for every rung (adaptive
   // replica selection, as in C3, Suresh et al., NSDI 2015): liveness tier,
@@ -456,7 +526,8 @@ void ServingNetwork::request_backup_vector(const std::shared_ptr<Attach>& attach
   // unsampled backups last. The deterministic shuffle (sim RNG) orders
   // only the ties.
   const std::size_t n = attach->backups.size();
-  std::vector<std::size_t> order(n);
+  std::vector<std::size_t>& order = round->order;
+  order.resize(n);
   for (std::size_t i = 0; i < n; ++i) order[i] = i;
   auto& rng = rpc_.network().simulator().rng();
   for (std::size_t i = n; i > 1; --i) {
@@ -491,101 +562,57 @@ void ServingNetwork::request_backup_vector(const std::shared_ptr<Attach>& attach
   if (attach->phase == Phase::kResyncVector) {
     std::erase_if(order, [&](std::size_t i) { return address(i) == attach->vector_peer; });
   }
-  hedge_backup_vector(attach, request, order);
+  // Under ResilienceConfig::none() the ladder is one leg wide: a leg that
+  // times out, fails in transport or serves a bad signature fails the
+  // attach (a rejection still promotes, drop_leg).
+  round->width =
+      std::min(std::max<std::size_t>(1, config_.resilience.hedge_width), order.size());
+  round->options = config_.resilience.call_options(config_.backup_auth_timeout);
+  round->options.trace_parent = attach->span;
+  promote(attach, round);  // the primary
 }
 
-/// Hedged fan-out: launch to the best backup, arm a hedge timer; if the leg
-/// is still pending after `hedge_delay` — or fails outright — promote the
-/// next-best backup. First verified bundle wins and cancels every losing
-/// leg, so a slow or silently-dead backup costs one hedge delay instead of
-/// a full timeout. A backup that answers without a vector (an exhausted
-/// slice, or any other rejection) is no failed leg: it promotes the next
-/// backup without using up the ladder's width, so an attach fails for lack
-/// of vectors only once every candidate has turned it away. Under
-/// ResilienceConfig::none() the ladder is one leg wide: a leg that times
-/// out, fails in transport or serves a bad signature fails the attach.
-void ServingNetwork::hedge_backup_vector(const std::shared_ptr<Attach>& attach,
-                                         const GetVectorRequest& request,
-                                         const std::vector<std::size_t>& order) {
-  struct Hedge {
-    std::size_t next = 0;         // next candidate (index into `order`)
-    std::size_t width = 0;        // legs the ladder may launch
-    std::size_t outstanding = 0;  // legs in flight
-    std::vector<sim::CallHandle> legs;
-    std::string last_error = "no candidates";
-    std::function<void()> launch;  // holds only a weak self-reference
-  };
-  auto state = std::make_shared<Hedge>();
-  state->width =
-      std::max<std::size_t>(1, std::min(config_.resilience.hedge_width, order.size()));
-
-  // Per leg: single breaker-gated attempt. The ladder itself is the retry —
-  // a breaker skip resolves in the same tick, promoting the next backup for
-  // free (the "known-down backup skipped instantly" path).
-  auto leg_options = config_.resilience.call_options(config_.backup_auth_timeout);
-  leg_options.trace_parent = attach->span;
-
-  // The ladder runs in kVector or, after an AUTS, in kResyncVector; every
-  // leg and timer returns once the attach has left that phase.
-  state->launch = [this, attach, weak = std::weak_ptr<Hedge>(state), request, leg_options,
-                   order, phase = attach->phase] {
-    const auto hedge = weak.lock();
-    if (!hedge || attach->phase != phase) return;
-    if (hedge->next >= hedge->width) {
-      if (hedge->outstanding == 0) fail(attach, "no backup vector: " + hedge->last_error);
-      return;
-    }
-    const std::size_t leg = hedge->next++;
-    const auto peer = static_cast<sim::NodeIndex>(attach->backups[order[leg]].address);
-    if (leg > 0) ++metrics_.hedges_launched;
-    ++hedge->outstanding;
-    hedge->legs.push_back(sim::TypedStub(rpc_, node_, kBackupGetVector).call(
-        peer, request, leg_options,
-        [this, attach, hedge, leg, peer, phase,
-         candidates = order.size()](sim::CallResult<AuthVectorBundle> result) {
-          --hedge->outstanding;
-          // The backup answered without a vector (exhausted, or any other
-          // rejection): rank it last for this user until its next share
-          // reply counts vectors again, and promote the next backup without
-          // using up the ladder's width.
-          if (!result.ok() && result.app_error()) {
-            if (!attach->supi.empty()) empty_slices_.insert({attach->supi, peer});
-            if (hedge->width < candidates) ++hedge->width;
-          }
-          if (attach->phase != phase) return;
-          if (!result.ok()) {
-            hedge->last_error = result.error().message;
-            hedge->launch();  // promote the next backup immediately
+/// A vector leg. The ladder itself is the retry: a breaker skip fails in
+/// the same tick and promotes the next backup for free, and a slow or
+/// silently dead backup costs one hedge delay instead of a full timeout.
+/// The first verified bundle wins and cancels every losing leg. A backup
+/// that answers without a vector (an exhausted slice, or any other
+/// rejection) ranks last for the user until its next share reply counts
+/// vectors again.
+void ServingNetwork::send_leg(const std::shared_ptr<Attach>& attach,
+                              const std::shared_ptr<VectorRound>& round, std::size_t backup) {
+  const auto peer = static_cast<sim::NodeIndex>(attach->backups[backup].address);
+  const bool hedge = !round->legs.empty();  // every leg after the primary
+  if (hedge) ++metrics_.hedges_launched;
+  ++round->outstanding;
+  round->legs.push_back(sim::TypedStub(rpc_, node_, kBackupGetVector).call(
+      peer, round->request, round->options,
+      [this, attach, round, peer, hedge](sim::CallResult<AuthVectorBundle> result) {
+        if (!result.ok()) {
+          const bool rejected = result.app_error().has_value();
+          if (rejected && !attach->supi.empty()) empty_slices_.insert({attach->supi, peer});
+          round->last_error = result.error().message;
+          drop_leg(attach, round, rejected);
+          return;
+        }
+        if (attach->phase != round->phase) {
+          drop_leg(attach, round);  // another leg has won
+          return;
+        }
+        const AuthVectorBundle& bundle = result.value();
+        check_bundle(*attach, bundle, [this, attach, round, peer, hedge, bundle](bool ok) {
+          if (!ok) round->last_error = "bad home signature";
+          if (!ok || attach->phase != round->phase) {
+            drop_leg(attach, round);
             return;
           }
-          const AuthVectorBundle& bundle = result.value();
-          check_bundle(*attach, bundle,
-                       [this, attach, hedge, leg, peer, phase, bundle](bool ok) {
-            if (attach->phase != phase) return;
-            if (!ok) {
-              hedge->last_error = "bad home signature";
-              hedge->launch();
-              return;
-            }
-            if (leg > 0) ++metrics_.hedge_wins;
-            for (const sim::CallHandle& loser : hedge->legs) loser.cancel();
-            attach->vector_peer = peer;
-            send_challenge(attach, bundle);  // leaves `phase`
-          });
-        },
-        resilience_observer()));
-    // Arm the hedge timer: if nothing else has advanced the ladder by then
-    // (a failure promotes instantly), launch the next-best backup anyway.
-    if (hedge->next < hedge->width) {
-      const std::size_t expected_next = hedge->next;
-      rpc_.network().simulator().after(
-          config_.resilience.hedge_delay, [attach, hedge, expected_next, phase] {
-            if (attach->phase != phase || hedge->next != expected_next) return;
-            hedge->launch();
-          });
-    }
-  };
-  state->launch();
+          if (hedge) ++metrics_.hedge_wins;
+          for (const sim::CallHandle& loser : round->legs) loser.cancel();
+          attach->vector_peer = peer;
+          send_challenge(attach, bundle);  // leaves the round's phase
+        });
+      },
+      resilience_observer()));
 }
 
 void ServingNetwork::resolve_foreign_guti(const std::shared_ptr<Attach>& attach,
@@ -876,23 +903,11 @@ void ServingNetwork::complete_with_home_key(const std::shared_ptr<Attach>& attac
       resilience_observer());
 }
 
-/// One attach's share round: the proof, the ranked backups and how many of
-/// them have a leg, and the shares in hand. Its legs' callbacks and its
-/// hedge timer hold it; it holds no callback, so it is freed with the last
-/// of them.
-struct ServingNetwork::ShareRound {
-  UsageProof proof;
-  sim::RpcOptions options;
-  std::vector<std::size_t> ranked;  // closed, freshly sampled backups, fastest first
-  std::size_t next = 0;             // ranked[next] is the next to get a leg
-  std::size_t outstanding = 0;      // legs in flight
-  std::vector<KeyShareBundle> bundles;  // valid shares, distinct x
-};
-
 void ServingNetwork::collect_key_shares(const std::shared_ptr<Attach>& attach,
                                         const crypto::ResStar& res_star) {
   const Time now = rpc_.network().simulator().now();
   auto round = std::make_shared<ShareRound>();
+  round->phase = attach->phase;
   round->proof = make_proof(id_, attach->supi, attach->bundle.hxres_star, res_star, now,
                             signing_key_);
 
@@ -914,6 +929,7 @@ void ServingNetwork::collect_key_shares(const std::shared_ptr<Attach>& attach,
   const auto address = [&](std::size_t i) {
     return static_cast<sim::NodeIndex>(attach->backups[i].address);
   };
+  std::vector<std::size_t>& ranked = round->order;
   std::vector<char> leg(n, 0);
   std::size_t reachable = 0;
   for (std::size_t i = 0; i < n; ++i) {
@@ -929,7 +945,7 @@ void ServingNetwork::collect_key_shares(const std::shared_ptr<Attach>& attach,
       case sim::BreakerState::kHalfOpen: leg[i] = 1; break;
       case sim::BreakerState::kClosed:
         if (peer_rtt_.fresh(address(i), now)) {
-          round->ranked.push_back(i);
+          ranked.push_back(i);
         } else {
           leg[i] = 1;
         }
@@ -942,55 +958,36 @@ void ServingNetwork::collect_key_shares(const std::shared_ptr<Attach>& attach,
     fail(attach, "insufficient reachable backups");
     return;
   }
-  std::stable_sort(round->ranked.begin(), round->ranked.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return peer_rtt_.before(address(a), address(b));
-                   });
-  // The `threshold` fastest plus one spare, so one slow or failed leg costs
-  // nothing. The legs go out in the backups' listed order: with `threshold`
-  // + 1 at or above the reachable backups the round is the §6.4 broadcast,
-  // leg for leg.
-  while (round->next < std::min(config_.threshold + 1, round->ranked.size())) {
-    leg[round->ranked[round->next++]] = 1;
+  std::stable_sort(ranked.begin(), ranked.end(), [&](std::size_t a, std::size_t b) {
+    return peer_rtt_.before(address(a), address(b));
+  });
+  // Every ranked backup may get a leg: `hedge_width` caps only the vector
+  // ladder. The `threshold` fastest plus one spare go first, so one slow
+  // or failed leg costs nothing. The legs go out in the backups' listed
+  // order: with `threshold` + 1 at or above the reachable backups the
+  // round is the §6.4 broadcast, leg for leg.
+  round->width = ranked.size();
+  while (round->next < std::min(config_.threshold + 1, ranked.size())) {
+    leg[ranked[round->next++]] = 1;
   }
-
-  // Single attempt per leg: the spare and the promotions are the
-  // redundancy, and a share fetch is not blindly retryable (the proof
-  // consumes server-side state).
   round->options = config_.resilience.call_options(config_.key_share_timeout);
   round->options.trace_parent = attach->proof_span;
   for (std::size_t i = 0; i < n; ++i) {
-    if (leg[i]) send_share_leg(attach, round, i);
+    if (leg[i]) send_leg(attach, round, i);
   }
   if (round->outstanding == 0) {
-    fail(attach, "insufficient key shares");  // every circuit open, fast fail off
+    fail(attach, round->exhausted());  // every circuit open, fast fail off
     return;
   }
-  hedge_share_round(attach, round);
+  arm_hedge(attach, round);
 }
 
-void ServingNetwork::hedge_share_round(const std::shared_ptr<Attach>& attach,
-                                       const std::shared_ptr<ShareRound>& round) {
-  if (round->next == round->ranked.size()) return;
-  rpc_.network().simulator().after(config_.resilience.hedge_delay, [this, attach, round] {
-    if (attach->phase != Phase::kProof) return;
-    promote_share_leg(attach, round);
-    hedge_share_round(attach, round);
-  });
-}
-
-void ServingNetwork::promote_share_leg(const std::shared_ptr<Attach>& attach,
-                                       const std::shared_ptr<ShareRound>& round) {
-  if (round->next < round->ranked.size()) {
-    send_share_leg(attach, round, round->ranked[round->next++]);
-  } else if (round->outstanding == 0) {
-    fail(attach, "insufficient key shares");
-  }
-}
-
-void ServingNetwork::send_share_leg(const std::shared_ptr<Attach>& attach,
-                                    const std::shared_ptr<ShareRound>& round,
-                                    std::size_t backup) {
+/// A share leg. Single attempt: the spare and the promotions are the
+/// redundancy, and a share fetch is not blindly retryable (the proof
+/// consumes server-side state). Valid shares with distinct x are collected
+/// until `threshold` are in, then combined; the remaining legs run out.
+void ServingNetwork::send_leg(const std::shared_ptr<Attach>& attach,
+                              const std::shared_ptr<ShareRound>& round, std::size_t backup) {
   const auto peer = static_cast<sim::NodeIndex>(attach->backups[backup].address);
   const Time sent = rpc_.network().simulator().now();
   ++round->outstanding;
@@ -1013,27 +1010,26 @@ void ServingNetwork::send_share_leg(const std::shared_ptr<Attach>& attach,
             empty_slices_.erase({attach->supi, peer});
           }
         }
-        if (!result.ok() || attach->phase != Phase::kProof) {
-          --round->outstanding;
-          if (attach->phase == Phase::kProof) promote_share_leg(attach, round);
+        if (!result.ok() || attach->phase != round->phase) {
+          drop_leg(attach, round, !result.ok() && result.app_error().has_value());
           return;
         }
         const KeyShareBundle& bundle = result->share;
         check_bundle(*attach, bundle, [this, attach, round, bundle](bool ok) {
-          --round->outstanding;
-          if (attach->phase != Phase::kProof) return;
-          // Distinct x-coordinates only.
           const auto same_x = [&](const KeyShareBundle& b) {
             return b.share.x == bundle.share.x;
           };
-          if (!ok || std::any_of(round->bundles.begin(), round->bundles.end(), same_x)) {
-            promote_share_leg(attach, round);
+          if (!ok || attach->phase != round->phase ||
+              std::any_of(round->bundles.begin(), round->bundles.end(), same_x)) {
+            drop_leg(attach, round);
             return;
           }
+          --round->outstanding;
           round->bundles.push_back(bundle);
           if (round->bundles.size() < config_.threshold) {
-            // The last leg may be an accepted one.
-            if (round->outstanding == 0) fail(attach, "insufficient key shares");
+            // The last leg in may be an accepted one; with none in flight,
+            // promote sends the next ranked backup a leg or ends the round.
+            if (round->outstanding == 0) promote(attach, round);
             return;
           }
           attach->phase = Phase::kCombine;

@@ -5,26 +5,23 @@
 //   2. if the user is local, generates the vector itself (LocalAuth);
 //   3. else tries the home network directly (§4.1); on failure or on a
 //      cached "home is down" hint it falls back to the backup scheme
-//      (§4.2.2): fetch a vector through the hedged backup ladder, verify
-//      the home signature, challenge the UE, then send the signed RES*
-//      usage proof to the `threshold` + 1 closed backups with the lowest
-//      fresh share RTT, plus one probe leg to every half-open, unsampled
-//      or stale one, and combine the first `threshold` valid key shares
-//      into K_seaf. A failed, refused or bad-share leg promotes the next
-//      ranked backup at once, and one more goes out each hedge delay
-//      while fewer than `threshold` shares are in (the hedged request of
-//      Dean & Barroso, "The Tail at Scale"); with `threshold` + 1 at or
-//      above the reachable backups this is the paper's §6.4 broadcast.
-//      One ranking orders every rung of the vector ladder: circuit state
-//      (closed, then half-open backups, which are probe-only because every
-//      share round probes them, then open ones, which are skipped); then
-//      slices known to be empty for the user (from the `vectors_left`
-//      count in each share reply, or an exhausted rejection) last; then
-//      smoothed share RTT, unsampled backups last. So the fastest live
-//      backup that still holds a vector leads, and a hedge, failed leg or
-//      exhausted slice promotes the next one; a backup that rejects the
-//      fetch (an exhausted slice, say) does so without using up the
-//      ladder's width. A sim-RNG shuffle orders only the ties.
+//      (§4.2.2): fetch a vector from the backups, verify its home
+//      signature, challenge the UE, then redeem the signed RES* usage
+//      proof at the backups for `threshold` key shares and combine them.
+// Both backup requests are one hedged fan-out (FanOut; Dean & Barroso, "The
+// Tail at Scale"): a leg that fails, is refused or carries a bad signature
+// promotes the next ranked backup at once (a refusal without using up the
+// width), the next leg goes out one hedge delay after the newest launch,
+// and a leg is in flight until its result is judged. The vector fetch ranks
+// by circuit state (half-open backups are probe-only, open ones skipped),
+// then slices known empty for the user (share replies' `vectors_left`,
+// rejected fetches), then smoothed share RTT (unsampled last; a sim-RNG
+// shuffle orders the ties), sends at most `hedge_width` legs, and the first
+// verified bundle wins. The share round first sends the `threshold` + 1
+// closed backups with the lowest fresh share RTT, plus a probe leg to each
+// half-open, unsampled or stale one, in listed order (the §6.4 broadcast
+// once `threshold` + 1 covers the reachable backups), and keeps valid
+// shares with distinct x until `threshold` are in.
 //
 // Each attach is one phase machine (Attach::phase):
 //   resolve -> vector -> challenge -> [resync-vector -> resync-challenge]
@@ -194,26 +191,29 @@ class ServingNetwork {
   void try_home_auth(const std::shared_ptr<Attach>& attach);
   void start_backup_auth(const std::shared_ptr<Attach>& attach);
   void request_backup_vector(const std::shared_ptr<Attach>& attach);
-  void hedge_backup_vector(const std::shared_ptr<Attach>& attach,
-                           const GetVectorRequest& request,
-                           const std::vector<std::size_t>& order);
   void send_challenge(const std::shared_ptr<Attach>& attach, const AuthVectorBundle& bundle);
   void complete_with_home_key(const std::shared_ptr<Attach>& attach,
                               const crypto::ResStar& res_star);
-  struct ShareRound;  // one attach's share fan-out
   void collect_key_shares(const std::shared_ptr<Attach>& attach,
                           const crypto::ResStar& res_star);
-  /// Sends the round's proof to attach->backups[backup] as one leg.
-  void send_share_leg(const std::shared_ptr<Attach>& attach,
-                      const std::shared_ptr<ShareRound>& round, std::size_t backup);
-  /// Sends the next ranked backup a leg, if one is left; fails the attach
-  /// once no leg is left in flight either.
-  void promote_share_leg(const std::shared_ptr<Attach>& attach,
-                         const std::shared_ptr<ShareRound>& round);
-  /// Arms the round's hedge timer: one more leg each hedge delay while
-  /// the round lasts and ranked backups are left.
-  void hedge_share_round(const std::shared_ptr<Attach>& attach,
-                         const std::shared_ptr<ShareRound>& round);
+
+  // The hedged fan-out (see the file comment): promote, drop_leg and
+  // arm_hedge are written once and reach each round's leg body through
+  // the send_leg overloads.
+  struct FanOut;
+  struct VectorRound;
+  struct ShareRound;
+  void send_leg(const std::shared_ptr<Attach>& attach, const std::shared_ptr<VectorRound>& round,
+                std::size_t backup);
+  void send_leg(const std::shared_ptr<Attach>& attach, const std::shared_ptr<ShareRound>& round,
+                std::size_t backup);
+  template <typename Round>
+  void promote(const std::shared_ptr<Attach>& attach, const std::shared_ptr<Round>& round);
+  template <typename Round>
+  void drop_leg(const std::shared_ptr<Attach>& attach, const std::shared_ptr<Round>& round,
+                bool rejected = false);
+  template <typename Round>
+  void arm_hedge(const std::shared_ptr<Attach>& attach, const std::shared_ptr<Round>& round);
   /// The one exit, and the only way into Phase::kDone: an empty `failure`
   /// is a success with `k_seaf`. It reads the path from the attach.
   void finish(const std::shared_ptr<Attach>& attach, const crypto::Key256& k_seaf,

@@ -325,6 +325,54 @@ TEST(DirectoryClient, PublishBackupsUpdatesServerAndCache) {
   EXPECT_GE(client.cache_hits(), 1u);
 }
 
+TEST(DirectoryServer, ForgedRegistrationsOverRpcAreRefused) {
+  // Each registration service refuses an entry its signature does not cover
+  // kUnauthorized: a network entry redirected after signing, and a user and
+  // a backups entry signed by a key other than the home's. Every lookup
+  // still returns the prior entry, at the server and over RPC.
+  ClientFixture f;
+  const NetworkId home("home");
+  const Supi alice("901550000000001");
+  const auto attacker = make_keys("attacker");
+  const Bytes prior_network = wire::encode(*f.server.network(home));
+  const Bytes prior_user = wire::encode(*f.server.user(alice));
+  const Bytes prior_backups = wire::encode(*f.server.backups(home));
+
+  const auto refusal = [&](const auto& service, const auto& entry) {
+    std::optional<sim::CallResult<sim::Ack>> result;
+    sim::TypedStub(f.rpc, f.client_node, service)
+        .call(f.dir_node, entry, sim::RpcOptions::oneshot(),
+              [&](sim::CallResult<sim::Ack> r) { result = std::move(r); });
+    f.s.run();
+    std::optional<sim::AppErrorCode> code;
+    if (result && !result->ok() && result->app_error()) code = result->app_error()->code;
+    return code;
+  };
+  auto redirected = make_network_entry(home, f.home_keys, make_suci_key("home"), 42);
+  redirected.address = 99;
+  EXPECT_EQ(refusal(kRegisterNetwork, redirected), sim::AppErrorCode::kUnauthorized);
+  EXPECT_EQ(refusal(kRegisterUser, make_user_entry(alice, home, attacker)),
+            sim::AppErrorCode::kUnauthorized);
+  EXPECT_EQ(refusal(kSetBackups, make_backups_entry(home, {NetworkId("evil")}, attacker)),
+            sim::AppErrorCode::kUnauthorized);
+
+  EXPECT_EQ(wire::encode(*f.server.network(home)), prior_network);
+  EXPECT_EQ(wire::encode(*f.server.user(alice)), prior_user);
+  EXPECT_EQ(wire::encode(*f.server.backups(home)), prior_backups);
+  DirectoryClient client(f.rpc, f.client_node, f.dir_node);
+  std::optional<NetworkEntry> network;
+  std::optional<UserEntry> user;
+  std::optional<BackupsEntry> backups;
+  client.get_network(home, [&](auto e) { network = e; });
+  client.get_home(alice, [&](auto e) { user = e; });
+  client.get_backups(home, [&](auto e) { backups = e; });
+  f.s.run();
+  ASSERT_TRUE(network && user && backups);
+  EXPECT_EQ(wire::encode(*network), prior_network);
+  EXPECT_EQ(wire::encode(*user), prior_user);
+  EXPECT_EQ(wire::encode(*backups), prior_backups);
+}
+
 TEST(DirectoryClient, InvalidateClearsCache) {
   ClientFixture f;
   DirectoryClient client(f.rpc, f.client_node, f.dir_node);

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "aka/nas.h"
+#include "aka/suci.h"
 #include "federation_fixture.h"
 
 namespace dauth::testing {
@@ -393,6 +394,92 @@ TEST(Adversarial, MismatchedUeResponseFailsTheAttach) {
   EXPECT_EQ(serving.metrics().ue_rejected, 1u);
   EXPECT_EQ(serving.metrics().attaches_failed, 1u);
   EXPECT_EQ(serving.session_count(), sessions_before);
+}
+
+// ---- SUCI deconcealment refusals ----------------------------------------
+//
+// A SUCI concealed under another network's key (net-4's) reaches each role
+// that deconceals one: the home and a backup over home.get_vector and
+// backup.get_vector, and the serving network's local path. Each refuses it
+// and consumes no SQN and no vector.
+
+/// Calls `service` at `to` from the serving network and returns the result.
+sim::CallResult<core::AuthVectorBundle> fetch_vector(
+    Federation& f, const sim::Service<core::GetVectorRequest, core::AuthVectorBundle>& service,
+    sim::NodeIndex to, Bytes suci) {
+  core::GetVectorRequest request;
+  request.serving_network = f.net(4).id();
+  request.suci = std::move(suci);
+  std::optional<sim::CallResult<core::AuthVectorBundle>> result;
+  sim::TypedStub(f.rpc, f.net(4).node(), service)
+      .call(to, request, sim::RpcOptions::oneshot(),
+            [&](sim::CallResult<core::AuthVectorBundle> r) { result = std::move(r); });
+  f.simulator.run();
+  if (!result) throw std::runtime_error("vector fetch never ended");
+  return std::move(*result);
+}
+
+void expect_rejected(const sim::CallResult<core::AuthVectorBundle>& result,
+                     sim::AppErrorCode code, const std::string& detail) {
+  ASSERT_FALSE(result.ok());
+  ASSERT_TRUE(result.app_error().has_value()) << result.error().message;
+  EXPECT_EQ(result.app_error()->code, code);
+  EXPECT_EQ(result.app_error()->detail, detail);
+}
+
+Bytes suci_under_wrong_key(Federation& f, const Supi& supi) {
+  crypto::DeterministicDrbg rng("wrong-key suci", 1);
+  return wire::encode(aka::conceal_supi(supi, f.net(3).suci_keys().public_key, rng));
+}
+
+TEST(Adversarial, HomeRefusesASuciItCannotDeconceal) {
+  Federation f(5);
+  f.provision(kAlice, 0, {1, 2, 3});
+  const core::HomeNetwork& home = f.net(0).home();
+  const core::HomeMetrics before = home.metrics();
+
+  expect_rejected(fetch_vector(f, core::kHomeGetVector, f.net(0).node(),
+                               suci_under_wrong_key(f, kAlice)),
+                  sim::AppErrorCode::kUnauthorized, "suci deconcealment failed");
+  EXPECT_EQ(home.metrics().rejected_requests, before.rejected_requests + 1);
+  expect_rejected(fetch_vector(f, core::kHomeGetVector, f.net(0).node(), Bytes{0xff}),
+                  sim::AppErrorCode::kMalformed, "malformed suci");
+  EXPECT_EQ(home.metrics().rejected_requests, before.rejected_requests + 2);
+  // Each vector the home generates takes an SQN.
+  EXPECT_EQ(home.metrics().tokens_generated, before.tokens_generated);
+  EXPECT_EQ(home.metrics().vectors_served, before.vectors_served);
+}
+
+TEST(Adversarial, BackupRefusesASuciNoHomeOfItsCanDeconceal) {
+  Federation f(5);
+  f.provision(kAlice, 0, {1, 2, 3});
+  const core::BackupNetwork& backup = f.net(1).backup();
+  const core::BackupMetrics before = backup.metrics();
+  const std::size_t stored = backup.stored_vectors(f.net(0).id(), kAlice);
+
+  expect_rejected(fetch_vector(f, core::kBackupGetVector, f.net(1).node(),
+                               suci_under_wrong_key(f, kAlice)),
+                  sim::AppErrorCode::kUnauthorized, "suci deconcealment failed");
+  EXPECT_EQ(backup.metrics().rejected_requests, before.rejected_requests + 1);
+  EXPECT_EQ(backup.metrics().vectors_served, before.vectors_served);
+  EXPECT_EQ(backup.stored_vectors(f.net(0).id(), kAlice), stored);
+}
+
+TEST(Adversarial, ServingNetworkRefusesALocalSuciItCannotDeconceal) {
+  // Bob's home is the serving network net-5 itself, so his SUCI takes the
+  // local path; his UE conceals it under net-4's key.
+  Federation f(5);
+  const Supi bob("901550000000002");
+  f.provision(bob, 4, {1, 2, 3});
+  const core::HomeNetwork& local_home = f.net(4).home();
+  const std::uint64_t generated = local_home.metrics().tokens_generated;
+  auto profile = f.ue_profile();
+  profile.use_suci = true;
+  auto ue = f.make_ue(bob, f.net(4).node(), profile);
+  ue->configure_suci(f.net(4).id(), f.net(3).suci_keys().public_key);
+
+  expect_refused(f, *ue, "attach request failed: rejected: suci deconcealment failed");
+  EXPECT_EQ(local_home.metrics().tokens_generated, generated);
 }
 
 }  // namespace

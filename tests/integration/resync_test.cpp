@@ -234,5 +234,29 @@ TEST(Resync, BackupPathAutsFailureReachesUeAsOutcome) {
   EXPECT_EQ(sf.served()[0], warm[0] + 1);  // it led with the stale vector
 }
 
+TEST(Resync, BackupPathAutsWithNoOtherBackupFailsTheAttach) {
+  // The home's only backup served the stale vector, and the AUTS retry
+  // skips it, so the retry's fetch has no candidate: it ends the attach at
+  // once instead of sending a leg to no backup.
+  core::FederationConfig cfg = Federation::test_config();
+  cfg.threshold = 1;
+  Federation f(3, cfg);
+  const auto keys = f.provision(kAlice, 0, {1});
+  f.network.node(f.net(0).node()).set_online(false);
+  f.net(2).serving().set_home_health(f.net(0).id(), false);
+  auto alice = f.make_ue(kAlice, keys, 2);
+  crypto::DeterministicDrbg rng("stale-slice", 1);
+  const aka::AuthVector ahead = aka::generate_auth_vector(
+      keys, 1 + 1000 * aka::kSliceCount, rng.array<16>(), f.config.serving_network_name);
+  ASSERT_TRUE(alice->usim().authenticate(ahead.rand, ahead.autn,
+                                         f.config.serving_network_name).ok());
+
+  const auto record = f.attach(*alice);
+  EXPECT_FALSE(record.success);
+  EXPECT_EQ(record.path, "backup");
+  EXPECT_EQ(record.failure, "no backup vector: no candidates");
+  EXPECT_EQ(f.net(1).backup().metrics().vectors_served, 1u);  // the stale vector
+}
+
 }  // namespace
 }  // namespace dauth::testing

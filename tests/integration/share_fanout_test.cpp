@@ -5,13 +5,23 @@
 // once, and one more leg goes out each hedge delay while the round lacks
 // `threshold` shares. With `threshold` + 1 at or above the backup count the
 // round is the paper's §6.4 broadcast.
+//
+// FanOutRules.* hold the rules the vector fetch's ladder and the share
+// round share, parameterised over the two: a failed, refused or forged leg
+// promotes the next backup at once; a refusal does not use up the width;
+// the next hedge goes out one hedge delay after the newest launch; and a
+// round with nothing left ends the attach with its fan-out's text.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <optional>
+#include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "federation_fixture.h"
+#include "obs/tracer.h"
 
 namespace dauth::testing {
 namespace {
@@ -227,6 +237,165 @@ TEST(ShareFanOut, ThresholdAtOrAboveTheBackupCountBroadcasts) {
       EXPECT_EQ(ff.attach_legs(), std::vector<std::uint64_t>(6, 1)) << "attach " << i;
     }
   }
+}
+
+/// The two hedged fan-outs of a backup attach.
+enum class Fan { kVector, kShare };
+
+/// Every leg the serving network launches on one service while it lives:
+/// the wire attempts the RPC layer traces (one per leg), in launch order.
+/// The tracer draws span ids from its own RNG, so the run is unchanged.
+class LegLog {
+ public:
+  LegLog(Federation& f, const std::string& service)
+      : f_(f), rng_(7), tracer_([&f] { return f.simulator.now(); }, &rng_),
+        name_("rpc:" + service) {
+    f_.rpc.set_tracer(&tracer_);
+  }
+  ~LegLog() { f_.rpc.set_tracer(nullptr); }
+  LegLog(const LegLog&) = delete;
+  LegLog& operator=(const LegLog&) = delete;
+
+  /// Launch times, in order.
+  std::vector<Time> launches() const {
+    std::vector<Time> out;
+    for (const auto& span : tracer_.spans()) {
+      if (span.name == name_) out.push_back(span.start);
+    }
+    return out;
+  }
+
+ private:
+  Federation& f_;
+  Xoshiro256StarStar rng_;
+  obs::Tracer tracer_;
+  std::string name_;
+};
+
+class FanOutRules : public ::testing::TestWithParam<Fan> {
+ protected:
+  static bool vector() { return GetParam() == Fan::kVector; }
+  static std::string service() { return vector() ? "backup.get_vector" : "backup.get_share"; }
+  /// Legs launched together at the start: the ladder's primary, or the
+  /// share round's `threshold` + 1 fastest once every backup is sampled.
+  static std::size_t first_legs() { return vector() ? 1 : 3; }
+
+  /// A federation after a warm-up attach that samples every backup.
+  static std::unique_ptr<FanOutFederation> warm(
+      core::FederationConfig cfg = Federation::test_config(), sim::RpcConfig rpc = {}) {
+    auto ff = std::make_unique<FanOutFederation>(std::move(cfg), rpc);
+    EXPECT_TRUE(ff->attach().success);
+    return ff;
+  }
+
+  /// The backups (indices into `backups`) in the order both fan-outs rank
+  /// them once every one is sampled: the lowest RTT estimate first.
+  static std::vector<std::size_t> ranked(FanOutFederation& ff) {
+    std::vector<std::size_t> order(ff.backups.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+      return ff.serving().peer_rtt().before(ff.node(a), ff.node(b));
+    });
+    return order;
+  }
+
+  /// Makes backup `i` answer this fan-out's legs with `handler`.
+  static void answer(FanOutFederation& ff, std::size_t i, sim::ServiceHandler handler) {
+    ff.f.rpc.register_service(ff.node(i), service(), std::move(handler));
+  }
+  static sim::ServiceHandler refuse() {
+    return [](ByteView, sim::Responder r) { r.fail(sim::AppErrorCode::kNotFound, "refused"); };
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(BothFanOuts, FanOutRules, ::testing::Values(Fan::kVector, Fan::kShare),
+                         [](const auto& fan) {
+                           return std::string(fan.param == Fan::kVector ? "Vector" : "Share");
+                         });
+
+TEST_P(FanOutRules, FailedRefusedOrForgedLegPromotesTheNextBackupAtOnce) {
+  // The fastest backup answers its leg with a frame that does not
+  // decode, a refusal, or a bundle without a valid home signature. Each
+  // promotes one more backup at once, long before a hedge would.
+  const Bytes forged = vector() ? wire::encode(core::AuthVectorBundle{})
+                                : wire::encode(core::ShareReply{});
+  const std::vector<std::pair<const char*, sim::ServiceHandler>> answers{
+      {"malformed", [](ByteView, sim::Responder r) { r.reply(Bytes{0xff}); }},
+      {"refused", refuse()},
+      {"forged", [forged](ByteView, sim::Responder r) { r.reply(forged); }},
+  };
+  for (const auto& [what, handler] : answers) {
+    SCOPED_TRACE(what);
+    auto ff = warm();
+    answer(*ff, ranked(*ff)[0], handler);
+    const std::uint64_t hedges = ff->serving().metrics().hedges_launched;
+    const LegLog log(ff->f, service());
+    const auto record = ff->attach();
+    EXPECT_TRUE(record.success) << record.failure;
+    const auto launches = log.launches();
+    ASSERT_EQ(launches.size(), first_legs() + 1);
+    EXPECT_LT(launches.back() - launches.front(), ff->f.config.resilience.hedge_delay);
+    // hedges_launched counts the ladder's legs after its primary, only.
+    EXPECT_EQ(ff->serving().metrics().hedges_launched, hedges + (vector() ? 1 : 0));
+  }
+}
+
+TEST_P(FanOutRules, RefusalsDoNotUseUpTheWidth) {
+  // ResilienceConfig::none(): the ladder is one leg wide, and `hedge_width`
+  // never caps the share round. Two of the three fastest backups refuse;
+  // each refusal promotes one more backup, and the attach succeeds.
+  core::FederationConfig cfg = Federation::test_config();
+  cfg.resilience = core::ResilienceConfig::none();
+  auto ff = warm(cfg, Federation::breakers_off());
+  for (std::size_t i : {0, 1}) answer(*ff, ranked(*ff)[i], refuse());
+  const LegLog log(ff->f, service());
+  const auto record = ff->attach();
+  EXPECT_TRUE(record.success) << record.failure;
+  EXPECT_EQ(log.launches().size(), first_legs() + 2);
+}
+
+TEST_P(FanOutRules, NextHedgeGoesOutOneHedgeDelayAfterTheNewestLaunch) {
+  // The fastest backup refuses 100 ms after it takes its leg, which
+  // promotes the next one. The next `first_legs()` ranked backups take
+  // their legs and never answer: the ladder's promoted one, or the share
+  // round's two other first legs and its promoted one. The hedge timer
+  // restarts at each launch: the first hedge goes out one hedge delay
+  // after the promotion, not one after the round began, and each later
+  // one a hedge delay after the one before.
+  auto ff = warm();
+  Federation& f = ff->f;
+  const auto order = ranked(*ff);
+  answer(*ff, order[0], [&f](ByteView, sim::Responder r) {
+    f.simulator.after(ms(100), [r] { r.fail(sim::AppErrorCode::kNotFound, "refused"); });
+  });
+  for (std::size_t i = 1; i <= first_legs(); ++i) {
+    answer(*ff, order[i], [](ByteView, sim::Responder) {});
+  }
+  const LegLog log(f, service());
+  const auto record = ff->attach();
+  EXPECT_TRUE(record.success) << record.failure;
+  const auto launches = log.launches();
+  ASSERT_GE(launches.size(), first_legs() + 2);
+  EXPECT_GT(launches[first_legs()] - launches.front(), ms(100));  // the promotion
+  for (std::size_t k = first_legs() + 1; k < launches.size(); ++k) {
+    EXPECT_EQ(launches[k] - launches[k - 1], f.config.resilience.hedge_delay) << "leg " << k;
+  }
+}
+
+TEST_P(FanOutRules, EveryBackupRefusingEndsTheAttachWithTheFanOutsText) {
+  // Every backup refuses: each is asked once, since refusals never use up
+  // the width, and the attach fails with its fan-out's exhaustion text.
+  auto ff = warm();
+  for (std::size_t i = 0; i < ff->backups.size(); ++i) answer(*ff, i, refuse());
+  const std::uint64_t failed = ff->serving().metrics().attaches_failed;
+  const LegLog log(ff->f, service());
+  const auto record = ff->attach();
+  EXPECT_FALSE(record.success);
+  EXPECT_NE(record.failure.find(vector() ? "no backup vector: " : "insufficient key shares"),
+            std::string::npos)
+      << record.failure;
+  EXPECT_EQ(log.launches().size(), ff->backups.size());
+  EXPECT_EQ(ff->serving().metrics().attaches_failed, failed + 1);
 }
 
 }  // namespace

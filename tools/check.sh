@@ -44,6 +44,11 @@
 #   8. TSan build, event-loop/simulator-facing tests only (includes the
 #      bench_determinism_test thread-pool gate)
 #
+# Every stage builds from the live tree, so the gate takes a digest of the
+# sources first and again after each stage, and fails with "source tree
+# changed during check.sh" if an edit landed mid-run: its binaries could mix
+# object files of two trees, and a red stage would mean nothing.
+#
 # Usage: tools/check.sh [--skip-tsan]
 # Build trees land in build-fedbench/, build-release/, build-asan/ and
 # build-tsan/ so the default build/ stays untouched for local iteration.
@@ -60,6 +65,25 @@ for arg in "$@"; do
 done
 
 JOBS="$(nproc 2>/dev/null || echo 4)"
+
+# The digest: src/ bench/ tests/ tools/ examples/ fedbench/ and the
+# top-level CMakeLists.txt (tracked and untracked files, ignored ones
+# excepted), written as a git tree through a temporary index so the real
+# index is untouched.
+tree_digest() {
+  local dir
+  dir="$(mktemp -d)"
+  GIT_INDEX_FILE="$dir/index" git add -A -- src bench tests tools examples fedbench CMakeLists.txt
+  GIT_INDEX_FILE="$dir/index" git write-tree
+  rm -rf "$dir"
+}
+TREE="$(tree_digest)"
+same_tree() {
+  if [[ "$(tree_digest)" != "$TREE" ]]; then
+    echo "source tree changed during check.sh" >&2
+    exit 1
+  fi
+}
 
 echo "==> [1/8] static analysis (dauth-lint + dauth-taint)"
 cmake -B build -S . > /dev/null
@@ -118,10 +142,14 @@ if [[ "$FEDERATION_FOUND" != "$FEDERATION_ALLOWED" ]]; then
   exit 1
 fi
 
+same_tree
+
 echo "==> [2/8] benchmark package (fedbench/ build + self-test)"
 cmake -S fedbench -B build-fedbench -DCMAKE_BUILD_TYPE=Release > /dev/null
 cmake --build build-fedbench -j "$JOBS"
 ./build-fedbench/fedbench_selftest
+
+same_tree
 
 echo "==> [3/8] Release -Werror build + crypto tests"
 cmake -B build-release -S . \
@@ -130,6 +158,8 @@ cmake -B build-release -S . \
 cmake --build build-release -j "$JOBS"
 ctest --test-dir build-release --output-on-failure \
   -R 'sha256|hmac|kdf|shamir|merkle|ed25519|drbg|aes|milenage'
+
+same_tree
 
 echo "==> [4/8] golden BENCH rows (fig5 outage, ablation, fig6, fig7, fig3 trace vs results/)"
 GOLDEN_OUT="$(mktemp -d)"
@@ -145,6 +175,8 @@ cmp results/TRACE_fig3_backup_attach.json "$GOLDEN_OUT/TRACE_fig3_backup_attach.
 python3 tools/bench_diff.py results/BENCH_fig3_single_ue_trace.json \
   "$GOLDEN_OUT/BENCH_fig3_single_ue_trace.json"
 
+same_tree
+
 echo "==> [5/8] ASan+UBSan build + full test suite"
 cmake -B build-asan -S . \
   -DDAUTH_SANITIZE="address;undefined" \
@@ -152,11 +184,15 @@ cmake -B build-asan -S . \
 cmake --build build-asan -j "$JOBS"
 ctest --test-dir build-asan --output-on-failure
 
+same_tree
+
 echo "==> [6/8] bench smoke (short seeded parallel sweep under ASan)"
 DAUTH_BENCH_SMOKE=1 DAUTH_BENCH_THREADS=4 DAUTH_BENCH_OUT=build-asan \
   ./build-asan/bench/fig6_threshold_sweep > build-asan/bench_smoke.txt
 grep -q '^quant,thresh' build-asan/bench_smoke.txt \
   || { echo "bench smoke produced no rows" >&2; exit 1; }
+
+same_tree
 
 echo "==> [7/8] traced scenario (fig3 --trace: exporter + TraceAssert under ASan)"
 DAUTH_BENCH_OUT=build-asan \
@@ -165,6 +201,8 @@ grep -q '^trace,ok,' build-asan/trace_smoke.txt \
   || { echo "traced attach did not validate" >&2; exit 1; }
 [[ -s build-asan/TRACE_fig3_backup_attach.json ]] \
   || { echo "no trace JSON written" >&2; exit 1; }
+
+same_tree
 
 if [[ "$SKIP_TSAN" == 1 ]]; then
   echo "==> [8/8] TSan pass skipped (--skip-tsan)"
@@ -178,4 +216,5 @@ else
     -R 'event_loop_test|node_test|network_test|rpc_test|failure_test|latency_test|determinism_test|federation_test'
 fi
 
+same_tree
 echo "==> check.sh: all gates passed"
