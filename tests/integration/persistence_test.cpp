@@ -199,6 +199,88 @@ TEST(Persistence, FloodCopyDroppedByAProofStaysDropped) {
   EXPECT_NE(next.hxres_star, flood.hxres_star);
 }
 
+/// Folds every batch/ key and value of `store` into `h`, in key order.
+void hash_records(crypto::Sha256& h, const store::KvStore& store) {
+  for (const auto& key : store.keys_with_prefix("batch/")) {
+    h.update(as_bytes(key));
+    h.update(store.get(key).value());
+  }
+}
+
+/// Folds `sqn` into `h` as 8 big-endian bytes.
+void hash_sqn(crypto::Sha256& h, std::uint64_t sqn) {
+  ByteArray<8> be{};
+  for (std::size_t i = 0; i < be.size(); ++i) be[i] = static_cast<std::uint8_t>(sqn >> (56 - 8 * i));
+  h.update(be);
+}
+
+TEST(Persistence, HeldBatchRecordsArePinned) {
+  // The persisted form of every held batch and the order a backup serves
+  // its vectors in, through floods, attaches, a report with its revoke and
+  // refill round, and a restart. net-2 (durable) and net-3 back Alice and
+  // Bob up after net-4 and net-5 are revoked, so each holds two flood
+  // vectors per user on top of its slice. The digest covers every batch/
+  // record at three points and every SQN net-2 serves straight to net-6:
+  // a change to the held layout must leave it as it is.
+  core::FederationSpec spec = Federation::flat(6);
+  spec.networks[1].durable = true;
+  Federation f(std::move(spec));
+  const NetworkId& home = f.net(0).id();
+  const auto alice_keys = f.provision(kAlice, 0, {1, 2, 3, 4});
+  const auto bob_keys = f.provision(kBob, 0, {1, 2, 3, 4});
+  for (std::size_t revoked : {3, 4}) {
+    bool done = false;
+    f.net(0).home().revoke_backup(f.net(revoked).id(), [&] { done = true; });
+    f.simulator.run();
+    ASSERT_TRUE(done);
+  }
+  ASSERT_EQ(f.net(1).backup().stored_vectors(home, kAlice), f.config.vectors_per_backup + 2);
+  ASSERT_EQ(f.net(1).backup().stored_vectors(home, kBob), f.config.vectors_per_backup + 2);
+
+  crypto::Sha256 h;
+  hash_records(h, *f.stores[1]);
+  const auto pull = [&](const Supi& supi) {
+    core::GetVectorRequest req;
+    req.serving_network = f.net(5).id();
+    req.supi = supi;
+    std::optional<core::AuthVectorBundle> bundle;
+    f.rpc.call(f.net(5).node(), f.net(1).node(), "backup.get_vector", wire::encode(req), {},
+               [&](Bytes reply) { bundle = wire::decode<core::AuthVectorBundle>(reply); },
+               nullptr);
+    f.simulator.run();
+    ASSERT_TRUE(bundle.has_value());
+    hash_sqn(h, bundle->sqn);
+  };
+  pull(kAlice);  // the latest flood vector
+  f.net(1).restart_backup();
+  pull(kBob);  // restored floods are served in SQN order
+
+  f.network.node(f.net(0).node()).set_online(false);
+  auto alice = f.make_ue(kAlice, alice_keys, 5);
+  auto bob = f.make_ue(kBob, bob_keys, 5);
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(f.attach(*alice).success) << "alice " << i;
+    ASSERT_TRUE(f.attach(*bob).success) << "bob " << i;
+  }
+  f.network.node(f.net(0).node()).set_online(true);
+  f.net(1).backup().report_now(home);
+  f.net(2).backup().report_now(home);
+  f.simulator.run();  // a revoke and a refill round per user
+  hash_records(h, *f.stores[1]);
+  pull(kAlice);
+  pull(kBob);
+
+  f.net(1).restart_backup();
+  f.network.node(f.net(0).node()).set_online(false);
+  ASSERT_TRUE(f.attach(*alice).success);
+  ASSERT_TRUE(f.attach(*bob).success);
+  for (const Supi& supi : {kAlice, kBob}) {
+    while (f.net(1).backup().stored_vectors(home, supi) > 0) pull(supi);
+  }
+  hash_records(h, *f.stores[1]);
+  EXPECT_EQ(to_hex(h.finish()), "e8db89e1d52fa7aeca3399d21b11a58ebdbd0de81acb92737bdfb66fac1fa17c");
+}
+
 TEST(Persistence, SuciKeySurvivesRestart) {
   Federation f(durable_net2());
   f.provision(kAlice, 0, {1, 2, 3});
