@@ -34,6 +34,33 @@ std::optional<crypto::MerkleTree> record_tree(ByteView leaves) {
   return crypto::MerkleTree(std::move(hashes));
 }
 
+// A held leaf's signed fields, rebuilt with its user, without its position
+// or signature.
+AuthVectorBundle leaf_bundle(const NetworkId& home, const Supi& supi, const VectorLeaf& held) {
+  return {home, supi, held.sqn, held.rand, held.autn, held.hxres_star, held.flood, {}, {}};
+}
+
+KeyShareBundle leaf_bundle(const NetworkId& home, const Supi& supi, const ShareLeaf& held) {
+  return {home, supi, held.hxres_star, {held.x, SecretBytes(ByteView(held.y))}, {}, {}};
+}
+
+// The exact bundle the home signed, rebuilt from the held leaf, its user and
+// its batch, its inclusion path (in-batch, then round) attached.
+template <typename Leaf>
+auto served(const NetworkId& home, const Supi& supi, const BundleBatch& batch,
+            const Leaf& held) {
+  auto bundle = leaf_bundle(home, supi, held);
+  bundle.batch = batch.position(held.leaf);
+  bundle.home_signature = batch.signature;
+  return bundle;
+}
+
+// The serve order of held vectors: floods first (§4.3), then by SQN.
+bool served_before(const VectorLeaf& a, const VectorLeaf& b) {
+  if (a.flood != b.flood) return a.flood;
+  return a.sqn < b.sqn;
+}
+
 }  // namespace
 
 BackupNetwork::BackupNetwork(sim::Rpc& rpc, sim::NodeIndex node, NetworkId id,
@@ -85,38 +112,35 @@ void BackupNetwork::restore_from_store() {
         record.round.size() != crypto::merkle_path_length(record.batch_index, record.batch_count)) {
       continue;
     }
-    const auto batch = std::make_shared<const BundleBatch>(
-        BundleBatch{std::move(*tree), record.batch_index, record.batch_count,
-                    std::move(record.round), record.signature});
-    const UserKey user{home, record.supi};
-    const auto leaves = batch->tree.leaves();
-    bool intact = !record.vectors.empty() || !record.shares.empty();
-    const auto check = [&](std::uint16_t leaf, const auto& bundle) {
-      intact = intact && leaf < leaves.size() && bundle.leaf_hash() == leaves[leaf];
+    HeldBatch held{{std::move(*tree), record.batch_index, record.batch_count,
+                    std::move(record.round), record.signature},
+                   std::move(record.vectors),
+                   std::move(record.shares)};
+    const auto leaves = held.batch.tree.leaves();
+    bool intact = !held.vectors.empty() || !held.shares.empty();
+    const auto check = [&](const auto& leaf) {
+      intact = intact && leaf.leaf < leaves.size() &&
+               leaf_bundle(home, record.supi, leaf).leaf_hash() == leaves[leaf.leaf];
     };
-    std::vector<HeldVector> vectors;
-    for (const VectorLeaf& v : record.vectors) {
-      vectors.push_back({v.sqn, v.rand, v.autn, v.hxres_star, v.flood, v.leaf, batch});
-      check(v.leaf, leaf_bundle(user, vectors.back()));
-    }
-    std::vector<std::pair<ByteArray<16>, HeldShare>> shares;
-    for (const ShareLeaf& held : record.shares) {
-      shares.emplace_back(held.hxres_star, HeldShare{held.x, held.leaf, held.y, batch});
-      check(held.leaf, leaf_bundle(user, held.hxres_star, shares.back().second));
-    }
+    std::ranges::for_each(held.vectors, check);
+    std::ranges::for_each(held.shares, check);
     if (!intact) continue;
-    UserState& state = users_[user];
-    for (HeldVector& held : vectors) state.vectors.push_back(std::move(held));
-    for (auto& [hxres, held] : shares) state.shares.insert_or_assign(hxres, std::move(held));
+    std::ranges::stable_sort(held.vectors, served_before);
+    std::ranges::sort(held.shares, {}, &ShareLeaf::hxres_star);
+    const crypto::Sha256Digest root = held.batch.tree.root();
+    users_[{home, record.supi}].batches.insert_or_assign(root, std::move(held));
   }
-  // Rebuild each user's queue ordered by SQN (the dissemination order),
-  // floods first.
+  // Each user's queue: every held vector, floods first, then by SQN (the
+  // dissemination order), as each batch's vectors now are.
   for (auto& [key, user] : users_) {
-    std::stable_sort(user.vectors.begin(), user.vectors.end(),
-                     [](const HeldVector& a, const HeldVector& b) {
-                       if (a.flood != b.flood) return a.flood;  // floods first
-                       return a.sqn < b.sqn;
-                     });
+    std::vector<std::pair<const VectorLeaf*, HeldBatch*>> order;
+    for (auto& [root, held] : user.batches) {
+      for (const VectorLeaf& leaf : held.vectors) order.emplace_back(&leaf, &held);
+    }
+    std::ranges::stable_sort(order, [](const auto& a, const auto& b) {
+      return served_before(*a.first, *b.first);
+    });
+    for (const auto& entry : order) user.queue.push_back(entry.second);
   }
 
   for (const auto& key : store_->keys_with_prefix("proof/")) {
@@ -169,10 +193,11 @@ void BackupNetwork::handle_store(StoreMaterialRequest req,
 
   // Fetch (usually cached) the home network's key and verify every batch
   // root before accepting anything. (Copy the id first: the move-capture and
-  // the first argument are indeterminately sequenced.)
+  // the first argument are indeterminately sequenced; the handlers below
+  // name the home by this public copy.)
   const NetworkId home_id = req.home_network;
-  directory_.get_network(home_id, [this, req = std::move(req), batches = std::move(*batches),
-                                   responder](
+  directory_.get_network(home_id, [this, home_id, request = std::move(req),
+                                   batches = std::move(*batches), responder](
                                       std::optional<directory::NetworkEntry> home) mutable {
     if (!home) {
       ++metrics_.rejected_requests;
@@ -181,133 +206,141 @@ void BackupNetwork::handle_store(StoreMaterialRequest req,
     }
     const crypto::Ed25519PublicKey home_key = home->signing_key;
     const Time cost = config_.costs.signature_verify * static_cast<Time>(batches.size());
-    rpc_.network().node(node_).execute(cost, [this, req = std::move(req),
+    rpc_.network().node(node_).execute(cost, [this, home_id, request = std::move(request),
                                               batches = std::move(batches), home_key,
                                               responder]() mutable {
       // Round signature verified once per batch, over every received bundle.
       for (const BundleBatch& batch : batches) {
-        if (!batch.verify_root(req.home_network, home_key)) {
+        if (!batch.verify_root(home_id, home_key)) {
           ++metrics_.rejected_requests;
           responder.fail(sim::AppErrorCode::kUnauthorized, "invalid batch signature");
           return;
         }
         ++metrics_.batches_verified;
       }
-      HomeState& home_state = homes_[req.home_network];
+      HomeState& home_state = homes_[home_id];
       home_state.home_key = home_key;
       home_state.home_key_known = true;
       if (store_ != nullptr) {
-        store_->put("homekey/" + req.home_network.str(), home_key);
+        store_->put("homekey/" + home_id.str(), home_key);
       }
-      if (req.suci_secret.size() == 32) {
-        home_state.suci_secret = take<32>(req.suci_secret);
+      if (request.suci_secret.size() == 32) {
+        home_state.suci_secret = take<32>(request.suci_secret);
         if (store_ != nullptr) {
           // DAUTH_DISCLOSE(backups hold the SUCI deconcealment secret by design, §4.2)
-          store_->put("sucikey/" + req.home_network.str(), req.suci_secret);
+          store_->put("sucikey/" + home_id.str(), request.suci_secret);
         }
       }
 
       // Each batch is held once, for all of its bundles; its bundles are the
       // request's next tree.leaf_count() (vectors first, then shares), all of
-      // one user, and each keeps only its own leaf's fields.
-      std::vector<std::pair<UserKey, SharedBatch>> stored;
-      stored.reserve(batches.size());
-      auto next_batch = batches.begin();
-      const auto batch_of = [&](const auto& bundle) {
-        if (bundle.batch.leaf_index == 0) {
-          stored.emplace_back(UserKey{req.home_network, bundle.supi},
-                              std::make_shared<const BundleBatch>(std::move(*next_batch++)));
+      // one user. A batch whose root is already held adds nothing: the home
+      // retries a push whose reply was lost or late, and a second copy of a
+      // vector could be served again as a replayed SQN.
+      const std::size_t vector_count = request.vectors.size();
+      std::size_t next = 0;  // the request's next bundle, vectors then shares
+      for (BundleBatch& batch : batches) {
+        const std::size_t end = next + batch.tree.leaf_count();
+        const std::size_t vectors_end = std::clamp(vector_count, next, end);
+        const UserKey key{home_id, next < vector_count
+                                       ? request.vectors[next].supi
+                                       : request.shares[next - vector_count].supi};
+        UserState& user = users_[key];
+        const crypto::Sha256Digest root = batch.tree.root();
+        const auto [it, fresh] =
+            user.batches.try_emplace(root, HeldBatch{std::move(batch), {}, {}});
+        if (!fresh) {
+          next = end;
+          continue;
         }
-        return stored.back().second;
-      };
-      for (const AuthVectorBundle& vector : req.vectors) {
-        UserState& user = users_[{req.home_network, vector.supi}];
-        HeldVector held{vector.sqn, vector.rand, vector.autn, vector.hxres_star, vector.flood,
-                        vector.batch.leaf_index, batch_of(vector)};
-        if (held.flood) {
-          user.vectors.push_front(std::move(held));  // §4.3: flood vectors served first
-        } else {
-          user.vectors.push_back(std::move(held));
+        HeldBatch& held = it->second;
+        held.vectors.reserve(vectors_end - next);
+        held.shares.reserve(end - vectors_end);
+        for (; next < vectors_end; ++next) {
+          const AuthVectorBundle& v = request.vectors[next];
+          held.vectors.push_back(
+              {v.batch.leaf_index, v.sqn, v.rand, v.autn, v.hxres_star, v.flood});
         }
-        ++metrics_.bundles_stored;
+        for (; next < end; ++next) {
+          const KeyShareBundle& share = request.shares[next - vector_count];
+          held.shares.push_back(
+              {share.batch.leaf_index, share.hxres_star, share.share.x,
+               Secret<32>(ByteView(share.share.y))});
+        }
+        metrics_.bundles_stored += held.vectors.size() + held.shares.size();
+        // §4.3: flood vectors are served first, the latest stored first.
+        const auto rest =
+            std::ranges::stable_partition(held.vectors, &VectorLeaf::flood).begin();
+        std::reverse(held.vectors.begin(), rest);
+        const auto floods = static_cast<std::size_t>(rest - held.vectors.begin());
+        user.queue.insert(user.queue.begin(), floods, &held);
+        user.queue.insert(user.queue.end(), held.vectors.size() - floods, &held);
+        std::ranges::sort(held.shares, {}, &ShareLeaf::hxres_star);
+        persist_batch(key, user, held);
       }
-      for (const KeyShareBundle& share : req.shares) {
-        SharedBatch batch = batch_of(share);
-        users_[{req.home_network, share.supi}].shares[share.hxres_star] = {
-            share.share.x, share.batch.leaf_index, Secret<32>(ByteView(share.share.y)),
-            std::move(batch)};
-        ++metrics_.bundles_stored;
-      }
-      for (const auto& [user, batch] : stored) persist_batch(user, batch);
-      if (journal_ != nullptr && (!req.vectors.empty() || !req.shares.empty())) {
-        journal_->append(obs::EventKind::kBundleStored, id_.str(),
-                         req.home_network.str(),
-                         std::to_string(req.vectors.size()) + " vectors, " +
-                             std::to_string(req.shares.size()) + " shares");
+      if (journal_ != nullptr && (!request.vectors.empty() || !request.shares.empty())) {
+        journal_->append(obs::EventKind::kBundleStored, id_.str(), home_id.str(),
+                         std::to_string(request.vectors.size()) + " vectors, " +
+                             std::to_string(request.shares.size()) + " shares");
       }
       responder.reply({});
     });
   });
 }
 
-AuthVectorBundle BackupNetwork::leaf_bundle(const UserKey& user, const HeldVector& held) {
-  return {user.home,       user.supi,  held.sqn, held.rand, held.autn,
-          held.hxres_star, held.flood, {},       {}};
+auto BackupNetwork::find_share(UserState& user, const ByteArray<16>& hxres)
+    -> std::optional<std::pair<HeldBatch*, std::vector<ShareLeaf>::iterator>> {
+  for (auto& [root, held] : user.batches) {
+    const auto it = std::ranges::lower_bound(held.shares, hxres, {}, &ShareLeaf::hxres_star);
+    if (it != held.shares.end() && it->hxres_star == hxres) return std::pair{&held, it};
+  }
+  return std::nullopt;
 }
 
-KeyShareBundle BackupNetwork::leaf_bundle(const UserKey& user, const ByteArray<16>& hxres,
-                                          const HeldShare& held) {
-  return {user.home, user.supi, hxres, {held.x, SecretBytes(ByteView(held.y))}, {}, {}};
-}
-
-AuthVectorBundle BackupNetwork::served(const UserKey& user, const HeldVector& held) {
-  AuthVectorBundle bundle = leaf_bundle(user, held);
-  bundle.batch = held.batch->position(held.leaf);
-  bundle.home_signature = held.batch->signature;
-  return bundle;
-}
-
-KeyShareBundle BackupNetwork::served(const UserKey& user, const ByteArray<16>& hxres,
-                                     const HeldShare& held) {
-  KeyShareBundle bundle = leaf_bundle(user, hxres, held);
-  bundle.batch = held.batch->position(held.leaf);
-  bundle.home_signature = held.batch->signature;
-  return bundle;
-}
-
-void BackupNetwork::persist_batch(const UserKey& user, const SharedBatch& batch) {
-  if (store_ == nullptr) return;
-  // By root, not by pointer: a batch stored twice is one record.
-  const auto of_batch = [&](const SharedBatch& other) {
-    return other->tree.root() == batch->tree.root();
-  };
-  BatchRecord record;
-  if (const auto it = users_.find(user); it != users_.end()) {
-    for (const HeldVector& held : it->second.vectors) {
-      if (of_batch(held.batch)) {
-        record.vectors.push_back(
-            {held.leaf, held.sqn, held.rand, held.autn, held.hxres_star, held.flood});
+auto BackupNetwork::take_vector(UserState& user, const ByteArray<16>& hxres) -> HeldBatch* {
+  for (auto& [root, held] : user.batches) {
+    const auto leaf = std::ranges::find_if(
+        held.vectors, [&](const VectorLeaf& v) { return ct_equal(v.hxres_star, hxres); });
+    if (leaf == held.vectors.end()) continue;
+    // The queue's entries for this batch are its vectors in order: drop the
+    // one at the leaf's rank.
+    auto rank = leaf - held.vectors.begin();
+    for (auto entry = user.queue.begin(); entry != user.queue.end(); ++entry) {
+      if (*entry == &held && rank-- == 0) {
+        user.queue.erase(entry);
+        break;
       }
     }
-    for (const auto& [hxres, held] : it->second.shares) {
-      if (of_batch(held.batch)) record.shares.push_back({held.leaf, hxres, held.x, held.y});
+    held.vectors.erase(leaf);
+    return &held;
+  }
+  return nullptr;
+}
+
+void BackupNetwork::persist_batch(const UserKey& user, UserState& state,
+                                  const HeldBatch& held) {
+  const bool empty = held.vectors.empty() && held.shares.empty();
+  if (store_ != nullptr) {
+    const std::string name = batch_record(user.home.str(), held.batch.tree);
+    if (empty) {
+      store_->erase(name);
+    } else {
+      BatchRecord record{user.supi,           held.batch.batch_index, held.batch.batch_count,
+                         held.batch.signature, held.batch.round,       {},
+                         held.vectors,         held.shares};
+      const auto leaves = held.batch.tree.leaves();
+      record.leaves.reserve(leaves.size() * sizeof(crypto::Sha256Digest));
+      for (const auto& leaf : leaves) {
+        record.leaves.insert(record.leaves.end(), leaf.begin(), leaf.end());
+      }
+      // DAUTH_DISCLOSE(persisting its shares of K_seaf is the backup's entire job, §4.2.1)
+      store_->put(name, wire::encode(record));
     }
   }
-  const std::string name = batch_record(user.home.str(), batch->tree);
-  if (record.vectors.empty() && record.shares.empty()) {
-    store_->erase(name);
-    return;
+  if (empty) {
+    const crypto::Sha256Digest root = held.batch.tree.root();
+    state.batches.erase(root);
   }
-  record.supi = user.supi;
-  record.batch_index = batch->batch_index;
-  record.batch_count = batch->batch_count;
-  record.signature = batch->signature;
-  record.round = batch->round;
-  const auto leaves = batch->tree.leaves();
-  record.leaves.reserve(leaves.size() * sizeof(crypto::Sha256Digest));
-  for (const auto& leaf : leaves) record.leaves.insert(record.leaves.end(), leaf.begin(), leaf.end());
-  // DAUTH_DISCLOSE(persisting its shares of K_seaf is the backup's entire job, §4.2.1)
-  store_->put(name, wire::encode(record));
 }
 
 void BackupNetwork::handle_get_vector(GetVectorRequest req,
@@ -343,18 +376,21 @@ void BackupNetwork::handle_get_vector(GetVectorRequest req,
     // Find the user under any home network we back up.
     for (auto& [id, user] : users_) {
       if (id.supi != supi) continue;
-      if (user.vectors.empty()) {
+      if (user.queue.empty()) {
         responder.fail(sim::AppErrorCode::kExhausted, "no vectors remaining");
         return;
       }
-      const HeldVector held = std::move(user.vectors.front());
-      user.vectors.pop_front();
-      persist_batch(id, held.batch);
+      HeldBatch& held = *user.queue.front();
+      user.queue.erase(user.queue.begin());
+      const AuthVectorBundle bundle =
+          served(id.home, id.supi, held.batch, held.vectors.front());
+      held.vectors.erase(held.vectors.begin());
+      persist_batch(id, user, held);
       ++metrics_.vectors_served;
       if (journal_ != nullptr) {
         journal_->append(obs::EventKind::kVectorServed, id_.str(), supi.str());
       }
-      responder.reply(served(id, held));
+      responder.reply(bundle);
       return;
     }
     ++metrics_.rejected_requests;
@@ -383,31 +419,25 @@ void BackupNetwork::handle_get_share(UsageProof proof,
     rpc_.network().node(node_).execute(config_.costs.share_fetch, [this, proof, responder] {
       for (auto& [id, user] : users_) {
         if (id.supi != proof.supi) continue;
-        const auto bundle_it = user.shares.find(proof.hxres_star);
-        if (bundle_it == user.shares.end()) continue;
+        const auto share = find_share(user, proof.hxres_star);
+        if (!share) continue;
+        ShareReply reply;
+        reply.share = served(id.home, id.supi, share->first->batch, *share->second);
 
         // Persist the proof for later reporting (§4.2.2: "backups store the
         // received bundle ... to report a proof of consumption").
         persist_proof(id.home, proof);
         // The proof also tells us the vector itself is consumed; drop any
         // copy WE hold (flood vectors are replicated to every backup, §4.3).
-        auto& vectors = user.vectors;
-        for (auto vec_it = vectors.begin(); vec_it != vectors.end(); ++vec_it) {
-          if (ct_equal(vec_it->hxres_star, proof.hxres_star)) {
-            const SharedBatch batch = vec_it->batch;
-            vectors.erase(vec_it);
-            persist_batch(id, batch);
-            break;
-          }
+        if (const HeldBatch* held = take_vector(user, proof.hxres_star)) {
+          persist_batch(id, user, *held);
         }
         ++metrics_.shares_served;
         if (journal_ != nullptr) {
           journal_->append(obs::EventKind::kShareReleased, id_.str(), proof.supi.str(),
                            "to " + proof.serving_network.str());
         }
-        ShareReply reply;
-        reply.share = served(id, bundle_it->first, bundle_it->second);
-        reply.vectors_left = static_cast<std::uint32_t>(vectors.size());
+        reply.vectors_left = static_cast<std::uint32_t>(user.queue.size());
         // DAUTH_DISCLOSE(key-share release after RES* preimage and signature checks, §4.2.2)
         responder.reply(reply);
         return;
@@ -436,28 +466,21 @@ void BackupNetwork::handle_revoke_shares(RevokeSharesRequest req,
 
   const UserKey user{req.home_network, req.supi};
   if (const auto user_it = users_.find(user); user_it != users_.end()) {
-    auto& shares = user_it->second.shares;
-    auto& vectors = user_it->second.vectors;
-    std::vector<SharedBatch> touched;  // each written once, after every drop
-    const auto touch = [&](const SharedBatch& batch) {
-      if (std::ranges::find(touched, batch) == touched.end()) touched.push_back(batch);
+    UserState& state = user_it->second;
+    std::vector<const HeldBatch*> touched;  // each written once, after every drop
+    const auto touch = [&](const HeldBatch* held) {
+      if (std::ranges::find(touched, held) == touched.end()) touched.push_back(held);
     };
     for (const auto& hxres : req.hxres_indices) {
-      if (const auto share_it = shares.find(hxres); share_it != shares.end()) {
-        touch(share_it->second.batch);
-        shares.erase(share_it);
+      if (const auto share = find_share(state, hxres)) {
+        share->first->shares.erase(share->second);
+        touch(share->first);
         ++metrics_.shares_revoked;
       }
       // Also drop a matching stored vector (flood-vector replacement path).
-      for (auto it = vectors.begin(); it != vectors.end(); ++it) {
-        if (ct_equal(it->hxres_star, hxres)) {
-          touch(it->batch);
-          vectors.erase(it);
-          break;
-        }
-      }
+      if (const HeldBatch* held = take_vector(state, hxres)) touch(held);
     }
-    for (const SharedBatch& batch : touched) persist_batch(user, batch);
+    for (const HeldBatch* held : touched) persist_batch(user, state, *held);
   }
   if (journal_ != nullptr && !req.hxres_indices.empty()) {
     journal_->append(obs::EventKind::kRevocation, id_.str(), req.supi.str(),
@@ -545,12 +568,15 @@ void BackupNetwork::report_now(const NetworkId& home) {
 
 std::size_t BackupNetwork::stored_vectors(const NetworkId& home, const Supi& supi) const {
   const auto it = users_.find({home, supi});
-  return it == users_.end() ? 0 : it->second.vectors.size();
+  return it == users_.end() ? 0 : it->second.queue.size();
 }
 
 std::size_t BackupNetwork::stored_shares(const NetworkId& home, const Supi& supi) const {
   const auto it = users_.find({home, supi});
-  return it == users_.end() ? 0 : it->second.shares.size();
+  if (it == users_.end()) return 0;
+  std::size_t shares = 0;
+  for (const auto& [root, held] : it->second.batches) shares += held.shares.size();
+  return shares;
 }
 
 std::size_t BackupNetwork::pending_reports(const NetworkId& home) const {

@@ -9,9 +9,7 @@
 // complete K_seaf, or more than its single share.
 #pragma once
 
-#include <deque>
 #include <map>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -125,37 +123,30 @@ class BackupNetwork {
       return std::tie(home, supi) < std::tie(other.home, other.supi);
     }
   };
-  /// A stored bundle's batch: the fields every bundle of the batch shares
-  /// (Merkle tree, round position, round path, round signature), held once,
-  /// in memory as in its BatchRecord. A lone bundle is a one-leaf batch.
-  using SharedBatch = std::shared_ptr<const BundleBatch>;
-  /// A stored vector holds only its own leaf's fields; served() rebuilds
-  /// the signed bundle from them, its user and its batch.
-  struct HeldVector {
-    std::uint64_t sqn = 0;
-    crypto::Rand rand{};
-    aka::Autn autn{};
-    ByteArray<16> hxres_star{};
-    bool flood = false;
-    std::uint16_t leaf = 0;
-    SharedBatch batch;
+  /// A held batch, in memory as in its BatchRecord: the fields every bundle
+  /// of the batch shares (Merkle tree, round position, round path, round
+  /// signature) once, then the leaves the backup still holds of it, each
+  /// with nothing but its own fields. A lone bundle is a one-leaf batch.
+  /// `vectors` is in the order the backup serves them; `shares` is sorted
+  /// by H(XRES*).
+  struct HeldBatch {
+    BundleBatch batch;
+    std::vector<VectorLeaf> vectors;
+    std::vector<ShareLeaf> shares;
   };
-  /// A stored share: its leaf's fields only (H(XRES*) is its map key).
-  struct HeldShare {
-    std::uint8_t x = 0;
-    std::uint16_t leaf = 0;
-    Secret<32> y;
-    SharedBatch batch;
-  };
-  // Budgets, so a stored bundle cannot silently grow back into a wire blob
-  // (a 157 B share in a 192 B chunk): sqn 8 + RAND, AUTN, H(XRES*) 3 x 16 +
-  // flood 1 + leaf 2, padded to 64, + batch pointer 16 = 80 B per vector;
-  // x 1 + leaf 2 + y 32, padded to 40, + batch pointer 16 = 56 B per share.
-  static_assert(sizeof(HeldVector) <= 80, "HeldVector outgrew its per-leaf budget");
-  static_assert(sizeof(HeldShare) <= 56, "HeldShare outgrew its per-leaf budget");
+  // Budget, so a held share cannot silently grow back into a map node or a
+  // wire blob: leaf 2 + H(XRES*) 16 + x 1 + y 32, padded to 52 B, in its
+  // batch's array. An alignment below a pointer's means no pointer, so no
+  // per-share heap node or reference count either.
+  static_assert(sizeof(ShareLeaf) <= 56 && alignof(ShareLeaf) < alignof(void*),
+                "a held share outgrew its per-leaf budget");
   struct UserState {
-    std::deque<HeldVector> vectors;                // flood vectors at the front
-    std::map<ByteArray<16>, HeldShare> shares;     // by H(XRES*)
+    std::map<crypto::Sha256Digest, HeldBatch> batches;  // by batch root
+    /// The batch of each held vector, in serve order: flood vectors first,
+    /// latest stored first (§4.3), then in store order; after a restart,
+    /// floods first, then by SQN. Each batch's `vectors` is this order
+    /// restricted to it, so the front entry's batch serves its first.
+    std::vector<HeldBatch*> queue;
   };
   struct HomeState {
     std::optional<crypto::X25519Scalar> suci_secret;
@@ -175,21 +166,16 @@ class BackupNetwork {
   /// simulator queue drains once nothing is pending.
   void arm_report(const NetworkId& home);
   void persist_proof(const NetworkId& home, const UsageProof& proof);
-  /// A held bundle's signed fields, rebuilt from its leaf and its user,
-  /// without its position or signature.
-  static AuthVectorBundle leaf_bundle(const UserKey& user, const HeldVector& held);
-  static KeyShareBundle leaf_bundle(const UserKey& user, const ByteArray<16>& hxres,
-                                    const HeldShare& held);
-  /// The exact bundle the home signed, rebuilt from the held fields and
-  /// the batch, its inclusion path (in-batch, then round) attached.
-  static AuthVectorBundle served(const UserKey& user, const HeldVector& held);
-  static KeyShareBundle served(const UserKey& user, const ByteArray<16>& hxres,
-                               const HeldShare& held);
-  /// Writes `batch`'s BatchRecord from what `user` still holds of it, or
-  /// erases the record when nothing is left. Every change to a batch's
-  /// held leaves (store, serve, flood-copy drop, revoke) ends here, once
-  /// per batch.
-  void persist_batch(const UserKey& user, const SharedBatch& batch);
+  /// The held share of `hxres` among `user`'s batches, or nullopt.
+  static std::optional<std::pair<HeldBatch*, std::vector<ShareLeaf>::iterator>> find_share(
+      UserState& user, const ByteArray<16>& hxres);
+  /// Drops `user`'s held vector of `hxres`, if any, and returns its batch.
+  static HeldBatch* take_vector(UserState& user, const ByteArray<16>& hxres);
+  /// Writes `held`'s BatchRecord, or, once it holds nothing, erases the
+  /// record and drops the batch from `state`. Every change to a batch's
+  /// held leaves (store, serve, flood-copy drop, revoke) ends here, once per
+  /// batch.
+  void persist_batch(const UserKey& user, UserState& state, const HeldBatch& held);
   /// Rebuilds in-memory state from the persistent store (called at
   /// construction when a store is present).
   void restore_from_store();

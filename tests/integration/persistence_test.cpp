@@ -5,6 +5,9 @@
 #include <algorithm>
 #include <filesystem>
 #include <functional>
+#include <map>
+#include <optional>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <unistd.h>
@@ -279,6 +282,54 @@ TEST(Persistence, HeldBatchRecordsArePinned) {
   }
   hash_records(h, *f.stores[1]);
   EXPECT_EQ(to_hex(h.finish()), "e8db89e1d52fa7aeca3399d21b11a58ebdbd0de81acb92737bdfb66fac1fa17c");
+}
+
+TEST(Persistence, RedeliveredStoreHoldsEachBundleOnce) {
+  // The home retries a store push whose reply is lost or late, and the
+  // backup then runs the request a second time. A batch whose root it
+  // already holds adds nothing: not a second copy of a vector, which could
+  // be served again as a replayed SQN, nor a second record.
+  Federation f(durable_net2());
+  const NetworkId& home = f.net(0).id();
+  std::optional<Bytes> captured;
+  f.rpc.register_service(f.net(1).node(), "backup.store",
+                         [&](ByteView request, sim::Responder r) {
+                           captured = to_bytes(request);
+                           r.reply(wire::encode(sim::Ack{}));
+                         });
+  const auto keys = f.provision(kAlice, 0, {1, 2, 3});
+  ASSERT_TRUE(captured.has_value());
+  f.net(1).backup().bind_services();
+
+  std::map<std::string, Bytes> first;
+  for (int delivery = 0; delivery < 2; ++delivery) {
+    bool acked = false;
+    f.rpc.call(f.net(0).node(), f.net(1).node(), "backup.store", *captured, {},
+               [&](Bytes) { acked = true; }, nullptr);
+    f.simulator.run();
+    ASSERT_TRUE(acked) << "delivery " << delivery;
+    EXPECT_EQ(f.net(1).backup().stored_vectors(home, kAlice), f.config.vectors_per_backup);
+    EXPECT_EQ(f.net(1).backup().stored_shares(home, kAlice), 3 * f.config.vectors_per_backup);
+    std::map<std::string, Bytes> records;
+    for (const auto& key : f.stores[1]->keys_with_prefix("batch/")) {
+      records[key] = f.stores[1]->get(key).value();
+    }
+    if (delivery == 0) {
+      first = std::move(records);
+    } else {
+      EXPECT_EQ(records, first);
+    }
+  }
+
+  // Attaches through every backup, then net-2's remaining vectors pulled
+  // out straight: no SQN comes out twice.
+  f.network.node(f.net(0).node()).set_online(false);
+  auto ue = f.make_ue(kAlice, keys, 4);
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(f.attach(*ue).success) << "attach " << i;
+  std::set<std::uint64_t> served;
+  while (f.net(1).backup().stored_vectors(home, kAlice) > 0) {
+    EXPECT_TRUE(served.insert(pull_vector(f, 1, kAlice).sqn).second);
+  }
 }
 
 TEST(Persistence, SuciKeySurvivesRestart) {
