@@ -183,7 +183,7 @@ void HomeNetwork::send_round(const Supi& supi, std::map<NetworkId, std::size_t> 
       const int slice = slice_of(backup_ids_[b]);
       for (std::size_t v = count_of(backup_ids_[b]); v > 0; --v) {
         GeneratedMaterial material = generate_material(supi, subscriber, slice, /*flood=*/false);
-        subscriber.outstanding[material.vector.hxres_star].holder = backup_ids_[b];
+        subscriber.outstanding[material.vector.hxres_star].holder = slice;
         requests[b].vectors.push_back(std::move(material.vector));
         for (std::size_t s = 0; s < backup_ids_.size(); ++s) {
           requests[s].shares.push_back(std::move(material.shares[s]));
@@ -387,13 +387,13 @@ void HomeNetwork::handle_report(ReportRequest report,
     std::map<Supi, RevokeSharesRequest> revokes;
     std::map<Supi, std::map<NetworkId, std::size_t>> refills;
     for (const UsageProof& proof : report.proofs) {
-      const std::optional<NetworkId> holder = process_proof(report.backup_network, proof);
-      if (!holder) continue;
+      const std::optional<int> slice = process_proof(report.backup_network, proof);
+      if (!slice) continue;
       revokes[proof.supi].hxres_indices.push_back(proof.hxres_star);
       auto& counts = refills[proof.supi];
-      if (std::find(backup_ids_.begin(), backup_ids_.end(), *holder) == backup_ids_.end()) {
-        continue;  // the holder has left the backup set
-      }
+      const auto holder = std::ranges::find_if(
+          backup_ids_, [&](const NetworkId& backup) { return slice_of(backup) == *slice; });
+      if (holder == backup_ids_.end()) continue;  // the holder has left the backup set
       ++counts[*holder];
       ++metrics_.replenishments;
       if (journal_ != nullptr) {
@@ -412,8 +412,8 @@ void HomeNetwork::handle_report(ReportRequest report,
   });
 }
 
-std::optional<NetworkId> HomeNetwork::process_proof(const NetworkId& reporter,
-                                                    const UsageProof& proof) {
+std::optional<int> HomeNetwork::process_proof(const NetworkId& reporter,
+                                              const UsageProof& proof) {
   auto it = subscribers_.find(proof.supi);
   if (it == subscribers_.end()) {
     note_anomaly("report for unknown subscriber from " + reporter.str());
@@ -450,7 +450,7 @@ std::optional<NetworkId> HomeNetwork::process_proof(const NetworkId& reporter,
     return std::nullopt;
   }
   ++usage_ledger_[proof.serving_network];
-  NetworkId holder = std::move(outstanding_it->second.holder);
+  const int holder = outstanding_it->second.holder;
   subscriber.outstanding.erase(outstanding_it);
   return holder;
 }
@@ -475,7 +475,7 @@ void HomeNetwork::revoke_backup(const NetworkId& revoked, std::function<void()> 
     revoke.supi = supi;
     std::uint64_t max_sqn = 0;
     for (auto it = subscriber.outstanding.begin(); it != subscriber.outstanding.end();) {
-      if (it->second.holder == revoked) {
+      if (it->second.holder == revoked_slice) {
         revoke.hxres_indices.push_back(it->first);
         max_sqn = std::max(max_sqn, it->second.sqn);
         it = subscriber.outstanding.erase(it);
@@ -502,7 +502,7 @@ void HomeNetwork::revoke_backup(const NetworkId& revoked, std::function<void()> 
           generate_material(supi, subscriber, revoked_slice, /*flood=*/true);
       sign_each(material);
       // All remaining backups can serve the flood vector.
-      subscriber.outstanding[material.vector.hxres_star].holder = backup_ids_.front();
+      subscriber.outstanding[material.vector.hxres_star].holder = slice_of(backup_ids_.front());
       for (std::size_t b = 0; b < backup_ids_.size(); ++b) {
         StoreMaterialRequest request;
         request.home_network = id_;

@@ -119,7 +119,7 @@ class HomeNetwork {
  private:
   struct DisseminatedVector {
     std::uint64_t sqn = 0;
-    NetworkId holder;  // backup holding the vector itself
+    int holder = -1;  // SQN slice of the backup holding the vector itself
   };
 
   // Per-vector state is keyed by the vector's H(XRES*) index.
@@ -170,9 +170,10 @@ class HomeNetwork {
   /// Issues, signs and sends one slice-0 vector for `supi` after the
   /// vector-generation cost, filing its K_seaf until the RES* proof arrives.
   void serve_vector(const Supi& supi, sim::TypedResponder<AuthVectorBundle> responder);
-  /// Validates one reported proof and records its use: the holder of the
-  /// vector it consumed, or nullopt for a bad, repeated or unknown proof.
-  std::optional<NetworkId> process_proof(const NetworkId& reporter, const UsageProof& proof);
+  /// Validates one reported proof and records its use: the slice of the
+  /// holder of the vector it consumed, or nullopt for a bad, repeated or
+  /// unknown proof.
+  std::optional<int> process_proof(const NetworkId& reporter, const UsageProof& proof);
   /// Records an accountability anomaly (§4.2.3) in-memory and, when a
   /// journal is attached, as a durable kAnomaly event.
   void note_anomaly(std::string what);
