@@ -262,6 +262,59 @@ TEST(TaintT4, SecretIntoResponderReply) {
   EXPECT_TRUE(has_rule(a, "T4"));
 }
 
+// A held batch, as a backup keeps it: its shares carry secrets, so a handle
+// to it is tainted whole; its tree position and vector leaves are inert.
+// Returns a handler that takes a handle from the batch map, then `body`.
+std::string held_batch_handler(std::string_view body) {
+  return "struct ShareLeaf { std::uint8_t x = 0; Secret<32> y; };\n"
+         "struct VectorLeaf { std::uint64_t sqn = 0; bool flood = false; };\n"
+         "struct BundleBatch { std::uint16_t batch_index = 0; };\n"
+         "struct HeldBatch {\n"
+         "  BundleBatch batch;\n"
+         "  std::vector<VectorLeaf> vectors;\n"
+         "  std::vector<ShareLeaf> shares;\n"
+         "  Bytes blob;\n"
+         "};\n"
+         "void f(sim::Responder& responder, std::map<int, HeldBatch>& batches) {\n"
+         "  HeldBatch* held = next_batch(batches);\n" +
+         std::string(body) + "}";
+}
+
+TEST(TaintT4, SecretPartsOfATaintedHandleReachReply) {
+  // Its shares, the handle whole, and a raw buffer member, which may hold
+  // whatever was copied into it, all keep the handle's taint.
+  for (const char* sunk : {"held->shares", "*held", "held->blob"}) {
+    const auto a = run(held_batch_handler("  responder.reply(" + std::string(sunk) + ");\n"));
+    ASSERT_EQ(count_rule(a, "T4"), 1) << sunk;
+    EXPECT_EQ(a.findings[0].line, 12) << sunk;
+  }
+}
+
+TEST(TaintT4, SameNamedLocalsEachResolveToTheirOwnType) {
+  // Two locals named `link`, of different types, in two blocks; only
+  // Uplink's push sends its argument to the network. A use resolves to the
+  // declaration in scope, so the sink is flagged through the Uplink local
+  // whichever of the two is declared last.
+  const std::string pushes =
+      "struct Uplink { void push(const Bytes& payload); };\n"
+      "struct Logbook { void push(const Bytes& payload); };\n"
+      "void Uplink::push(const Bytes& payload) { rpc.call(7, \"svc\", payload); }\n"
+      "void Logbook::push(const Bytes& payload) { count += payload.size(); }\n"
+      "void f(const Key256& k_seaf) {\n";
+  const auto uplink_first = run(pushes +
+                                "  { Uplink link; link.push(k_seaf); }\n"
+                                "  { Logbook link; link.push(k_seaf); }\n"
+                                "}");
+  ASSERT_EQ(count_rule(uplink_first, "T4"), 1);
+  EXPECT_EQ(uplink_first.findings[0].line, 6);
+  const auto uplink_last = run(pushes +
+                               "  { Logbook link; link.push(k_seaf); }\n"
+                               "  { Uplink link; link.push(k_seaf); }\n"
+                               "}");
+  ASSERT_EQ(count_rule(uplink_last, "T4"), 1);
+  EXPECT_EQ(uplink_last.findings[0].line, 7);
+}
+
 TEST(TaintT5, DisclosureWithoutReason) {
   const auto a = run("void f(wire::Writer& w, const Bytes& k) {\n"
                      "  w.bytes(k);  // DAUTH_DISCLOSE()\n"
@@ -499,6 +552,15 @@ TEST(TaintClean, LambdaCapturesDoNotLeakIntoCallArguments) {
 TEST(TaintClean, ReaderMethodsAreNotSinks) {
   const auto a = run("void f(wire::Reader& r, Bytes& k_out) { k_out = r.bytes(); }");
   EXPECT_FALSE(has_rule(a, "T1"));
+}
+
+TEST(TaintClean, InertMembersOfATaintedHandleAreClean) {
+  // The vector a backup serves is rebuilt from its batch's position and a
+  // vector leaf: neither carries a secret, so neither takes the handle's.
+  const auto a = run(held_batch_handler(
+      "  const AuthVectorBundle bundle = served(held->batch, held->vectors.front());\n"
+      "  responder.reply(bundle);\n"));
+  EXPECT_TRUE(a.findings.empty());
 }
 
 TEST(TaintClean, NonCarryingMessageEncodeIsClean) {

@@ -155,13 +155,22 @@ struct TypeInfo {
   std::vector<std::pair<std::string, std::string>> members;  // name, type
 };
 
+/// One declaration of a name: its type, and the tokens it is in scope for
+/// ([from, to)). A parameter or a class member is in scope for the whole
+/// body.
+struct Decl {
+  std::size_t from = 0;
+  std::size_t to = kNone;
+  std::string type;
+};
+
 struct Func {
   std::size_t unit = 0;
   std::size_t body_open = 0, body_close = 0;
   std::string class_name;  // enclosing/qualifying class, bare name
   std::set<std::string, std::less<>> template_params;  // its own and its class's
   FunctionSummary sum;
-  std::map<std::string, std::string, std::less<>> vars;  // name -> declared type
+  std::map<std::string, std::vector<Decl>, std::less<>> vars;  // name -> its declarations
   std::map<std::string, int, std::less<>> param_index;
   std::map<std::string, std::uint64_t, std::less<>> taint;  // chain -> mask
   std::map<int, std::string> param_sink_rule;  // param -> T-rule of interior sink
@@ -670,7 +679,7 @@ struct Parser {
       if (p.type == "void" && p.name.empty()) continue;
       if (!p.name.empty()) {
         f.param_index[p.name] = static_cast<int>(f.sum.params.size());
-        f.vars[p.name] = p.type;
+        f.vars[p.name] = {{0, kNone, p.type}};
       }
       f.sum.params.push_back(std::move(p));
     }
@@ -728,6 +737,33 @@ bool type_is_carrying(const Program& prog, std::string_view type) {
   return false;
 }
 
+/// True when no value of declared type `type` can hold secret bytes: every
+/// word of it (namespace qualifiers aside) is a scalar, a standard wrapper or
+/// a struct that carries no secret. Raw buffers (Bytes, strings, byte
+/// arrays) are not, and neither are aliases the parser cannot see through
+/// (crypto::Key256 is a Secret<32>).
+bool type_is_inert(const Program& prog, std::string_view type) {
+  static const std::set<std::string, std::less<>> kInertWords = {
+      "std",      "const",   "bool",    "int",    "unsigned", "size_t", "uint16_t", "uint32_t",
+      "uint64_t", "int32_t", "int64_t", "double", "vector",   "optional", "map",  "pair"};
+  bool any = false;
+  std::string word;
+  for (std::size_t i = 0; i <= type.size(); ++i) {
+    if (i < type.size() && ident_char(type[i])) {
+      word += type[i];
+      continue;
+    }
+    const bool qualifier = type.substr(i, 2) == "::";
+    if (!word.empty() && !qualifier) {
+      const bool clean_struct = prog.types.count(word) != 0 && prog.carrying.count(word) == 0;
+      if (!in_set(kInertWords, word) && !clean_struct) return false;
+      any = true;
+    }
+    word.clear();
+  }
+  return any;
+}
+
 // ---------------------------------------------------------------------------
 // Pass 2: the taint engine.
 
@@ -767,9 +803,17 @@ struct Engine {
     }
   }
 
-  std::string var_type(std::string_view name) const {
-    const auto it = f.vars.find(name);
-    return it == f.vars.end() ? std::string() : it->second;
+  /// The declared type of a chain's root: the nearest declaration of its
+  /// name whose scope holds the root's token. Empty when none does.
+  std::string var_type(const Chain& c) const {
+    const auto it = f.vars.find(c.comps[0]);
+    if (it == f.vars.end()) return {};
+    const Decl* nearest = nullptr;
+    for (const Decl& d : it->second) {
+      if (d.from <= c.root && c.root < d.to && (nearest == nullptr || d.from > nearest->from))
+        nearest = &d;
+    }
+    return nearest == nullptr ? std::string() : nearest->type;
   }
 
   /// True when a declared type names one of the function's template type
@@ -856,18 +900,22 @@ struct Engine {
     for (const std::string& comp : c.comps) {
       if (is_public_name(comp)) return 0;
     }
-    const std::string root_type = var_type(c.comps[0]);
+    const std::string root_type = var_type(c);
     if (!root_type.empty() && type_is_public(root_type)) return 0;
     // A member declared with a public type (a public key, a curve point) is
     // public whatever its name, and so is anything inside it; one declared
-    // Secret<N>/SecretBytes is secret whatever its name.
+    // Secret<N>/SecretBytes is secret whatever its name; one of an inert
+    // type (a scalar, a struct carrying no secret) holds no secret bytes, so
+    // it takes no taint from its root, only from a flow into it exactly.
     std::uint64_t mask = 0;
+    bool inert_member = false;
     if (c.comps.size() > 1) {
       if (const TypeInfo* owner = owner_of(root_type)) {
         for (const auto& [mname, mtype] : owner->members) {
           if (mname != c.comps[1]) continue;
           if (type_is_public(mtype)) return 0;
           if (type_is_secret(mtype)) mask |= kSecretBit;
+          inert_member = type_is_inert(prog, mtype);
         }
       }
     }
@@ -890,7 +938,7 @@ struct Engine {
     const auto exact = f.taint.find(joined(c));
     if (exact != f.taint.end()) mask |= exact->second;
     const auto root = f.taint.find(c.comps[0]);
-    if (root != f.taint.end()) mask |= root->second;
+    if (root != f.taint.end() && !inert_member) mask |= root->second;
     // Whole values of secret-carrying types, and their serialized forms.
     if (!root_type.empty() && type_is_carrying(prog, root_type)) {
       if (c.comps.size() == 1) mask |= kSecretBit;
@@ -930,7 +978,7 @@ struct Engine {
           if (c->class_name == base->comps.back()) filtered.push_back(c);
         }
       } else {  // obj.name(...) — match the object's declared type
-        const std::string bt = var_type(base->comps[0]);
+        const std::string bt = var_type(*base);
         if (!bt.empty()) {
           for (const Func* c : cands) {
             if (!c->class_name.empty() && word_in(bt, c->class_name)) filtered.push_back(c);
@@ -938,7 +986,7 @@ struct Engine {
         }
       }
       if (!filtered.empty()) cands = std::move(filtered);
-      else if (!via_scope && !var_type(base->comps[0]).empty())
+      else if (!via_scope && !var_type(*base).empty())
         return nullptr;  // typed object, but no candidate method matches
     }
     if (cands.size() == 1) return cands[0];
@@ -1131,9 +1179,9 @@ struct Engine {
   /// Returns the T-rule for a call `base.method(...)`, or "" if not a sink.
   std::string sink_rule(const std::string& method, const Chain* base) const {
     const std::string root_type =
-        base != nullptr && !base->comps.empty() ? lower(var_type(base->comps[0])) : "";
+        base != nullptr && !base->comps.empty() ? lower(var_type(*base)) : "";
     if (in_set(kWireMethods, method)) {
-      if (base != nullptr) return is_encoder(var_type(base->comps[0])) ? "T1" : "";
+      if (base != nullptr) return is_encoder(var_type(*base)) ? "T1" : "";
       return is_encoder(f.class_name) ? "T1" : "";
     }
     if (method == "to_hex") return "T2";
@@ -1177,8 +1225,10 @@ struct Engine {
 
   void seed() {
     // Parameters and class members with Secret-typed declarations.
-    for (const auto& [name, type] : f.vars) {
-      if (type_is_secret(type)) add_taint(name, kSecretBit);
+    for (const auto& [name, decls] : f.vars) {
+      for (const Decl& d : decls) {
+        if (type_is_secret(d.type)) add_taint(name, kSecretBit);
+      }
     }
     // Inside Secret<N>/SecretBytes themselves every data member is secret.
     if (type_is_secret(f.class_name)) {
@@ -1210,9 +1260,26 @@ struct Engine {
     }
   }
 
+  /// The token that ends the scope of a declaration made inside group
+  /// `open` (a `{` or `(` token; kNone for the body itself). A declaration in
+  /// a parenthesis (a for/if/while head, a lambda's parameters) lives
+  /// through the block that follows it.
+  std::size_t scope_end(std::size_t open) const {
+    if (open == kNone) return f.body_close;
+    if (is_punct(t(), open, "{")) return u.partner[open];
+    std::size_t k = u.partner[open] + 1;
+    while (is_ident(t(), k)) ++k;  // mutable, noexcept
+    if (is_punct(t(), k, "{") && u.partner[k] != kNone) return u.partner[k];
+    return u.partner[open];
+  }
+
   void scan_declarations() {
     const std::vector<Token>& tk = t();
+    std::vector<std::size_t> groups;  // the open `{`/`(` groups around token i
     for (std::size_t i = f.body_open + 1; i < f.body_close; ++i) {
+      while (!groups.empty() && u.partner[groups.back()] < i) groups.pop_back();
+      if ((is_punct(tk, i, "{") || is_punct(tk, i, "(")) && u.partner[i] != kNone)
+        groups.push_back(i);
       if (!is_ident(tk, i)) continue;
       if (i > 0) {
         const Token& p = tk[i - 1];
@@ -1250,7 +1317,10 @@ struct Engine {
       if (!ends) continue;
       const std::string name = tk[name_pos].text;
       const std::string type = render(u, type_begin, type_end);
-      f.vars[name] = type;
+      std::vector<Decl>& decls = f.vars[name];
+      if (std::ranges::none_of(decls, [&](const Decl& d) { return d.from == name_pos; })) {
+        decls.push_back({name_pos, scope_end(groups.empty() ? kNone : groups.back()), type});
+      }
       if (type_is_secret(type)) add_taint(name, kSecretBit);
       // Paren/brace initializers propagate here; '=' is the assignment pass.
       if ((after.text == "{" || after.text == "(") && u.partner[np + 1] != kNone) {
@@ -1467,7 +1537,7 @@ struct Engine {
       static const std::set<std::string, std::less<>> kStreamNames = {
           "os", "out", "oss", "ss", "cout", "cerr", "clog", "stream", "log"};
       streamish = in_set(kStreamNames, lhs.comps.back()) ||
-                  contains(lower(var_type(lhs.comps[0])), "stream");
+                  contains(lower(var_type(lhs)), "stream");
     }
     if (!streamish) return;
     std::size_t j = i + 1;
@@ -1923,7 +1993,7 @@ Analysis analyze(const std::vector<SourceFile>& files, const Options& options) {
     const auto it = prog.types.find(f.class_name);
     if (it == prog.types.end()) continue;
     for (const auto& [mname, mtype] : it->second.members) {
-      f.vars.emplace(mname, mtype);
+      f.vars.emplace(mname, std::vector<Decl>{{0, kNone, mtype}});
     }
   }
 
