@@ -55,7 +55,9 @@ auto served(const NetworkId& home, const Supi& supi, const BundleBatch& batch,
   return bundle;
 }
 
-// The serve order of held vectors: floods first (§4.3), then by SQN.
+// The one serve order of a user's held vectors: floods first (§4.3), then by
+// SQN, the order the USIM accepts a slice's SQNs in. Held batches keep their
+// vectors in it, so it needs no persisted state and survives a restart.
 bool served_before(const VectorLeaf& a, const VectorLeaf& b) {
   if (a.flood != b.flood) return a.flood;
   return a.sqn < b.sqn;
@@ -124,23 +126,7 @@ void BackupNetwork::restore_from_store() {
     };
     std::ranges::for_each(held.vectors, check);
     std::ranges::for_each(held.shares, check);
-    if (!intact) continue;
-    std::ranges::stable_sort(held.vectors, served_before);
-    std::ranges::sort(held.shares, {}, &ShareLeaf::hxres_star);
-    const crypto::Sha256Digest root = held.batch.tree.root();
-    users_[{home, record.supi}].batches.insert_or_assign(root, std::move(held));
-  }
-  // Each user's queue: every held vector, floods first, then by SQN (the
-  // dissemination order), as each batch's vectors now are.
-  for (auto& [key, user] : users_) {
-    std::vector<std::pair<const VectorLeaf*, HeldBatch*>> order;
-    for (auto& [root, held] : user.batches) {
-      for (const VectorLeaf& leaf : held.vectors) order.emplace_back(&leaf, &held);
-    }
-    std::ranges::stable_sort(order, [](const auto& a, const auto& b) {
-      return served_before(*a.first, *b.first);
-    });
-    for (const auto& entry : order) user.queue.push_back(entry.second);
+    if (intact) hold(users_[{home, record.supi}], std::move(held));
   }
 
   for (const auto& key : store_->keys_with_prefix("proof/")) {
@@ -245,15 +231,7 @@ void BackupNetwork::handle_store(StoreMaterialRequest req,
         const UserKey key{home_id, next < vector_count
                                        ? request.vectors[next].supi
                                        : request.shares[next - vector_count].supi};
-        UserState& user = users_[key];
-        const crypto::Sha256Digest root = batch.tree.root();
-        const auto [it, fresh] =
-            user.batches.try_emplace(root, HeldBatch{std::move(batch), {}, {}});
-        if (!fresh) {
-          next = end;
-          continue;
-        }
-        HeldBatch& held = it->second;
+        HeldBatch held{std::move(batch), {}, {}};
         held.vectors.reserve(vectors_end - next);
         held.shares.reserve(end - vectors_end);
         for (; next < vectors_end; ++next) {
@@ -267,16 +245,11 @@ void BackupNetwork::handle_store(StoreMaterialRequest req,
               {share.batch.leaf_index, share.hxres_star, share.share.x,
                Secret<32>(ByteView(share.share.y))});
         }
-        metrics_.bundles_stored += held.vectors.size() + held.shares.size();
-        // §4.3: flood vectors are served first, the latest stored first.
-        const auto rest =
-            std::ranges::stable_partition(held.vectors, &VectorLeaf::flood).begin();
-        std::reverse(held.vectors.begin(), rest);
-        const auto floods = static_cast<std::size_t>(rest - held.vectors.begin());
-        user.queue.insert(user.queue.begin(), floods, &held);
-        user.queue.insert(user.queue.end(), held.vectors.size() - floods, &held);
-        std::ranges::sort(held.shares, {}, &ShareLeaf::hxres_star);
-        persist_batch(key, user, held);
+        UserState& user = users_[key];
+        if (HeldBatch* kept = hold(user, std::move(held))) {
+          metrics_.bundles_stored += kept->vectors.size() + kept->shares.size();
+          persist_batch(key, user, *kept);
+        }
       }
       if (journal_ != nullptr && (!request.vectors.empty() || !request.shares.empty())) {
         journal_->append(obs::EventKind::kBundleStored, id_.str(), home_id.str(),
@@ -286,6 +259,31 @@ void BackupNetwork::handle_store(StoreMaterialRequest req,
       responder.reply({});
     });
   });
+}
+
+auto BackupNetwork::hold(UserState& user, HeldBatch held) -> HeldBatch* {
+  std::ranges::sort(held.vectors, served_before);
+  std::ranges::sort(held.shares, {}, &ShareLeaf::hxres_star);
+  const crypto::Sha256Digest root = held.batch.tree.root();
+  const auto [it, fresh] = user.batches.try_emplace(root, std::move(held));
+  return fresh ? &it->second : nullptr;
+}
+
+auto BackupNetwork::next_batch(UserState& user) -> HeldBatch* {
+  HeldBatch* next = nullptr;
+  for (auto& [root, held] : user.batches) {
+    if (!held.vectors.empty() &&
+        (next == nullptr || served_before(held.vectors.front(), next->vectors.front()))) {
+      next = &held;
+    }
+  }
+  return next;
+}
+
+std::size_t BackupNetwork::UserState::vectors() const {
+  std::size_t count = 0;
+  for (const auto& [root, held] : batches) count += held.vectors.size();
+  return count;
 }
 
 auto BackupNetwork::find_share(UserState& user, const ByteArray<16>& hxres)
@@ -302,15 +300,6 @@ auto BackupNetwork::take_vector(UserState& user, const ByteArray<16>& hxres) -> 
     const auto leaf = std::ranges::find_if(
         held.vectors, [&](const VectorLeaf& v) { return ct_equal(v.hxres_star, hxres); });
     if (leaf == held.vectors.end()) continue;
-    // The queue's entries for this batch are its vectors in order: drop the
-    // one at the leaf's rank.
-    auto rank = leaf - held.vectors.begin();
-    for (auto entry = user.queue.begin(); entry != user.queue.end(); ++entry) {
-      if (*entry == &held && rank-- == 0) {
-        user.queue.erase(entry);
-        break;
-      }
-    }
     held.vectors.erase(leaf);
     return &held;
   }
@@ -376,16 +365,15 @@ void BackupNetwork::handle_get_vector(GetVectorRequest req,
     // Find the user under any home network we back up.
     for (auto& [id, user] : users_) {
       if (id.supi != supi) continue;
-      if (user.queue.empty()) {
+      HeldBatch* held = next_batch(user);
+      if (held == nullptr) {
         responder.fail(sim::AppErrorCode::kExhausted, "no vectors remaining");
         return;
       }
-      HeldBatch& held = *user.queue.front();
-      user.queue.erase(user.queue.begin());
       const AuthVectorBundle bundle =
-          served(id.home, id.supi, held.batch, held.vectors.front());
-      held.vectors.erase(held.vectors.begin());
-      persist_batch(id, user, held);
+          served(id.home, id.supi, held->batch, held->vectors.front());
+      held->vectors.erase(held->vectors.begin());
+      persist_batch(id, user, *held);
       ++metrics_.vectors_served;
       if (journal_ != nullptr) {
         journal_->append(obs::EventKind::kVectorServed, id_.str(), supi.str());
@@ -437,7 +425,7 @@ void BackupNetwork::handle_get_share(UsageProof proof,
           journal_->append(obs::EventKind::kShareReleased, id_.str(), proof.supi.str(),
                            "to " + proof.serving_network.str());
         }
-        reply.vectors_left = static_cast<std::uint32_t>(user.queue.size());
+        reply.vectors_left = static_cast<std::uint32_t>(user.vectors());
         // DAUTH_DISCLOSE(key-share release after RES* preimage and signature checks, §4.2.2)
         responder.reply(reply);
         return;
@@ -568,7 +556,7 @@ void BackupNetwork::report_now(const NetworkId& home) {
 
 std::size_t BackupNetwork::stored_vectors(const NetworkId& home, const Supi& supi) const {
   const auto it = users_.find({home, supi});
-  return it == users_.end() ? 0 : it->second.queue.size();
+  return it == users_.end() ? 0 : it->second.vectors();
 }
 
 std::size_t BackupNetwork::stored_shares(const NetworkId& home, const Supi& supi) const {

@@ -127,8 +127,8 @@ class BackupNetwork {
   /// of the batch shares (Merkle tree, round position, round path, round
   /// signature) once, then the leaves the backup still holds of it, each
   /// with nothing but its own fields. A lone bundle is a one-leaf batch.
-  /// `vectors` is in the order the backup serves them; `shares` is sorted
-  /// by H(XRES*).
+  /// `vectors` is in serve order (`served_before`: floods first, §4.3, then
+  /// by SQN); `shares` is sorted by H(XRES*).
   struct HeldBatch {
     BundleBatch batch;
     std::vector<VectorLeaf> vectors;
@@ -142,11 +142,8 @@ class BackupNetwork {
                 "a held share outgrew its per-leaf budget");
   struct UserState {
     std::map<crypto::Sha256Digest, HeldBatch> batches;  // by batch root
-    /// The batch of each held vector, in serve order: flood vectors first,
-    /// latest stored first (§4.3), then in store order; after a restart,
-    /// floods first, then by SQN. Each batch's `vectors` is this order
-    /// restricted to it, so the front entry's batch serves its first.
-    std::vector<HeldBatch*> queue;
+    /// Vectors held across every batch.
+    std::size_t vectors() const;
   };
   struct HomeState {
     std::optional<crypto::X25519Scalar> suci_secret;
@@ -169,6 +166,13 @@ class BackupNetwork {
   /// The held share of `hxres` among `user`'s batches, or nullopt.
   static std::optional<std::pair<HeldBatch*, std::vector<ShareLeaf>::iterator>> find_share(
       UserState& user, const ByteArray<16>& hxres);
+  /// Holds `held` as one of `user`'s batches, its vectors put in serve order
+  /// and its shares sorted; nullptr when a batch of its root is already held.
+  /// Store and restore enter every batch here.
+  static HeldBatch* hold(UserState& user, HeldBatch held);
+  /// The batch that serves `user`'s next vector: of the batches holding
+  /// one, the one whose front vector is served first. nullptr when none.
+  static HeldBatch* next_batch(UserState& user);
   /// Drops `user`'s held vector of `hxres`, if any, and returns its batch.
   static HeldBatch* take_vector(UserState& user, const ByteArray<16>& hxres);
   /// Writes `held`'s BatchRecord, or, once it holds nothing, erases the

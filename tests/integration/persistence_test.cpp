@@ -11,6 +11,7 @@
 #include <stdexcept>
 #include <string>
 #include <unistd.h>
+#include <vector>
 
 #include "core/home_network.h"
 #include "federation_fixture.h"
@@ -254,9 +255,9 @@ TEST(Persistence, HeldBatchRecordsArePinned) {
     ASSERT_TRUE(bundle.has_value());
     hash_sqn(h, bundle->sqn);
   };
-  pull(kAlice);  // the latest flood vector
+  pull(kAlice);  // the lowest-SQN flood vector
   f.net(1).restart_backup();
-  pull(kBob);  // restored floods are served in SQN order
+  pull(kBob);  // after a restart too, floods first, by SQN
 
   f.network.node(f.net(0).node()).set_online(false);
   auto alice = f.make_ue(kAlice, alice_keys, 5);
@@ -281,7 +282,37 @@ TEST(Persistence, HeldBatchRecordsArePinned) {
     while (f.net(1).backup().stored_vectors(home, supi) > 0) pull(supi);
   }
   hash_records(h, *f.stores[1]);
-  EXPECT_EQ(to_hex(h.finish()), "e8db89e1d52fa7aeca3399d21b11a58ebdbd0de81acb92737bdfb66fac1fa17c");
+  EXPECT_EQ(to_hex(h.finish()), "ae76537973253a2b1ceec14df8a05759e44fc2ca56d5065309b4cbed48679565");
+}
+
+TEST(Persistence, RestartKeepsTheServeOrder) {
+  // §4.3: the SIM accepts an SQN only above its slice's high-water mark, so
+  // the order a backup serves its vectors in is protocol state. Two
+  // revocations leave net-2 (durable) two flood vectors for Alice on top of
+  // its slice; drained, a restarted net-2 serves the same SQN sequence as
+  // one that kept running in the same seeded world.
+  const auto drain = [](bool restart) {
+    core::FederationSpec spec = Federation::flat(6);
+    spec.networks[1].durable = true;
+    Federation f(std::move(spec));
+    const NetworkId& home = f.net(0).id();
+    f.provision(kAlice, 0, {1, 2, 3, 4});
+    for (std::size_t revoked : {3, 4}) {
+      bool done = false;
+      f.net(0).home().revoke_backup(f.net(revoked).id(), [&] { done = true; });
+      f.simulator.run();
+      EXPECT_TRUE(done);
+    }
+    EXPECT_EQ(f.net(1).backup().stored_vectors(home, kAlice), f.config.vectors_per_backup + 2);
+    if (restart) f.net(1).restart_backup();
+    std::vector<std::uint64_t> sqns;
+    while (f.net(1).backup().stored_vectors(home, kAlice) > 0) {
+      sqns.push_back(pull_vector(f, 1, kAlice).sqn);
+    }
+    return sqns;
+  };
+  const std::vector<std::uint64_t> running = drain(false);
+  EXPECT_EQ(drain(true), running);
 }
 
 TEST(Persistence, RedeliveredStoreHoldsEachBundleOnce) {
