@@ -384,12 +384,12 @@ void HomeNetwork::handle_report(ReportRequest report,
     // One revoke and one refill round per user with consumed vectors: the
     // revoke lists every consumed index, and the round refills each holder's
     // slice with as many vectors as it lost (§4.2.3).
-    std::map<Supi, RevokeSharesRequest> revokes;
+    std::map<Supi, std::vector<ByteArray<16>>> revokes;
     std::map<Supi, std::map<NetworkId, std::size_t>> refills;
     for (const UsageProof& proof : report.proofs) {
       const std::optional<int> slice = process_proof(report.backup_network, proof);
       if (!slice) continue;
-      revokes[proof.supi].hxres_indices.push_back(proof.hxres_star);
+      revokes[proof.supi].push_back(proof.hxres_star);
       auto& counts = refills[proof.supi];
       const auto holder = std::ranges::find_if(
           backup_ids_, [&](const NetworkId& backup) { return slice_of(backup) == *slice; });
@@ -401,15 +401,18 @@ void HomeNetwork::handle_report(ReportRequest report,
                          "holder " + holder->str());
       }
     }
-    for (auto& [supi, revoke] : revokes) {
-      revoke.home_network = id_;
-      revoke.supi = supi;
-      revoke.home_signature = crypto::ed25519_sign(revoke.signed_payload(), signing_key_);
-      for (const NetworkId& backup : backup_ids_) push(kBackupRevokeShares, backup, revoke);
+    for (auto& [supi, consumed] : revokes) {
+      send_revoke(supi, std::move(consumed));
       send_round(supi, std::move(refills.at(supi)));
     }
     responder.reply({});
   });
+}
+
+void HomeNetwork::send_revoke(const Supi& supi, std::vector<ByteArray<16>> hxres_indices) {
+  RevokeSharesRequest revoke{id_, supi, std::move(hxres_indices), {}};
+  revoke.home_signature = crypto::ed25519_sign(revoke.signed_payload(), signing_key_);
+  for (const NetworkId& backup : backup_ids_) push(kBackupRevokeShares, backup, revoke);
 }
 
 std::optional<int> HomeNetwork::process_proof(const NetworkId& reporter,
@@ -470,13 +473,11 @@ void HomeNetwork::revoke_backup(const NetworkId& revoked, std::function<void()> 
 
   // Collect, per subscriber, every vector the revoked network held.
   for (auto& [supi, subscriber] : subscribers_) {
-    RevokeSharesRequest revoke;
-    revoke.home_network = id_;
-    revoke.supi = supi;
+    std::vector<ByteArray<16>> held;
     std::uint64_t max_sqn = 0;
     for (auto it = subscriber.outstanding.begin(); it != subscriber.outstanding.end();) {
       if (it->second.holder == revoked_slice) {
-        revoke.hxres_indices.push_back(it->first);
+        held.push_back(it->first);
         max_sqn = std::max(max_sqn, it->second.sqn);
         it = subscriber.outstanding.erase(it);
       } else {
@@ -489,10 +490,7 @@ void HomeNetwork::revoke_backup(const NetworkId& revoked, std::function<void()> 
     if (max_sqn > 0) subscriber.sqn.advance_past(revoked_slice, max_sqn);
 
     // Order every remaining backup to delete the sibling shares.
-    if (!revoke.hxres_indices.empty()) {
-      revoke.home_signature = crypto::ed25519_sign(revoke.signed_payload(), signing_key_);
-      for (const NetworkId& backup : backup_ids_) push(kBackupRevokeShares, backup, revoke);
-    }
+    if (!held.empty()) send_revoke(supi, std::move(held));
 
     // Flood vector: a superseding vector in the revoked slice, handed to all
     // remaining backups so the next auth consumes it and invalidates the

@@ -161,6 +161,10 @@ class HomeNetwork {
   /// `done(ok_count)` fires once every push completes or fails.
   void send_round(const Supi& supi, std::map<NetworkId, std::size_t> counts,
                   std::function<void(std::size_t)> done = nullptr);
+  /// The one revoke path (§4.2.3, §4.3): signs one RevokeSharesRequest of
+  /// `hxres_indices` for `supi` and pushes it to every backup in the set,
+  /// which drops its shares of those vectors and any copy of the vectors.
+  void send_revoke(const Supi& supi, std::vector<ByteArray<16>> hxres_indices);
 
   void handle_get_vector(GetVectorRequest request,
                          sim::TypedResponder<AuthVectorBundle> responder);
