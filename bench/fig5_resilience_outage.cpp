@@ -8,7 +8,7 @@
 // ablated arm runs core::ResilienceConfig::none() with the breakers off
 // (failure_threshold 0), so the ladder is one leg wide, no circuit trips
 // and the outage announcement is dropped: an attach whose primary is the
-// dead backup burns the full backup_auth_timeout and fails. That happens
+// dead backup burns the full kBackupAuthTimeout and fails. That happens
 // until a timed-out share leg has marked the dead backup slow in the
 // serving network's RTT estimate: the first share round probes every
 // unsampled backup, and a dead one's leg samples the whole timeout. In

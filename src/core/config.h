@@ -120,11 +120,6 @@ struct FederationConfig {
   // §4.2.3: backup networks poll/report to the home network at this cadence.
   Time report_interval = minutes(5);
 
-  // RPC deadlines.
-  Time home_auth_timeout = ms(800);   // before falling back to backups
-  Time backup_auth_timeout = sec(2);
-  Time key_share_timeout = sec(2);
-
   // Memoize successful bundle/directory signature verifications (the same
   // signed artifact reaches a serving core several times: hedged backup
   // replies, a vector and a share from one batch, resync re-fetches,

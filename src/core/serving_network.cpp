@@ -196,7 +196,7 @@ void ServingNetwork::probe_home(const NetworkId& home, sim::NodeIndex address) {
   // The health probe bypasses the breaker on purpose: it IS the recovery
   // detector for the home-health cache, so it must reach the wire even while
   // the circuit toward the home is open.
-  auto options = sim::RpcOptions::oneshot(config_.home_auth_timeout);
+  auto options = sim::RpcOptions::oneshot(kHomeAuthTimeout);
   options.use_breaker = false;
   sim::TypedStub(rpc_, node_, kHomePing)
       .call(address, sim::Ack{}, options, [this, home](sim::CallResult<sim::Ack> result) {
@@ -366,7 +366,7 @@ void ServingNetwork::try_home_auth(const std::shared_ptr<Attach>& attach) {
   request.suci = attach->suci;
 
   auto options =
-      config_.resilience.call_options(config_.home_auth_timeout, config_.home_auth_timeout);
+      config_.resilience.call_options(kHomeAuthTimeout, kHomeAuthTimeout);
   options.trace_parent = attach->span;
   sim::TypedStub(rpc_, node_, kHomeGetVector).call(
       static_cast<sim::NodeIndex>(attach->home_entry->address), request, options,
@@ -567,7 +567,7 @@ void ServingNetwork::request_backup_vector(const std::shared_ptr<Attach>& attach
   // attach (a rejection still promotes, drop_leg).
   round->width =
       std::min(std::max<std::size_t>(1, config_.resilience.hedge_width), order.size());
-  round->options = config_.resilience.call_options(config_.backup_auth_timeout);
+  round->options = config_.resilience.call_options(kBackupAuthTimeout);
   round->options.trace_parent = attach->span;
   promote(attach, round);  // the primary
 }
@@ -628,7 +628,7 @@ void ServingNetwork::resolve_foreign_guti(const std::shared_ptr<Attach>& attach,
     GutiResolveRequest lookup;
     lookup.guti = value;
     auto options =
-        config_.resilience.call_options(config_.home_auth_timeout, config_.home_auth_timeout);
+        config_.resilience.call_options(kHomeAuthTimeout, kHomeAuthTimeout);
     options.trace_parent = attach->span;
     sim::TypedStub(rpc_, node_, kServingResolveGuti).call(
         static_cast<sim::NodeIndex>(prior->address), lookup, options,
@@ -687,8 +687,7 @@ void ServingNetwork::handle_handover_request(aka::HandoverRequest request,
 
     sim::TypedStub(rpc_, node_, kServingHandoverContext).call(
         static_cast<sim::NodeIndex>(source->address), context_request,
-        config_.resilience.call_options(config_.home_auth_timeout,
-                                        config_.home_auth_timeout),
+        config_.resilience.call_options(kHomeAuthTimeout, kHomeAuthTimeout),
         [this, responder](sim::CallResult<HandoverContextReply> result) {
           if (!result.ok()) {
             responder.fail(sim::AppErrorCode::kUpstream,
@@ -805,7 +804,7 @@ void ServingNetwork::handle_auth_response(aka::AuthResponse response,
       resync.rand = attach->bundle.rand;
       resync.auts = *auts;
       auto resync_options =
-          config_.resilience.call_options(config_.home_auth_timeout, config_.home_auth_timeout);
+          config_.resilience.call_options(kHomeAuthTimeout, kHomeAuthTimeout);
       resync_options.trace_parent = attach->span;
       sim::TypedStub(rpc_, node_, kHomeResync).call(
           static_cast<sim::NodeIndex>(attach->home_entry->address), resync,
@@ -883,7 +882,7 @@ void ServingNetwork::complete_with_home_key(const std::shared_ptr<Attach>& attac
       make_proof(id_, attach->supi, attach->bundle.hxres_star, res_star,
                  rpc_.network().simulator().now(), signing_key_);
   auto options =
-      config_.resilience.call_options(config_.key_share_timeout, config_.key_share_timeout);
+      config_.resilience.call_options(kKeyShareTimeout, kKeyShareTimeout);
   options.trace_parent = attach->span;
   sim::TypedStub(rpc_, node_, kHomeGetKey).call(
       static_cast<sim::NodeIndex>(attach->home_entry->address), proof, options,
@@ -970,7 +969,7 @@ void ServingNetwork::collect_key_shares(const std::shared_ptr<Attach>& attach,
   while (round->next < std::min(config_.threshold + 1, ranked.size())) {
     leg[ranked[round->next++]] = 1;
   }
-  round->options = config_.resilience.call_options(config_.key_share_timeout);
+  round->options = config_.resilience.call_options(kKeyShareTimeout);
   round->options.trace_parent = attach->proof_span;
   for (std::size_t i = 0; i < n; ++i) {
     if (leg[i]) send_leg(attach, round, i);
@@ -1001,7 +1000,7 @@ void ServingNetwork::send_leg(const std::shared_ptr<Attach>& attach,
         const Time now = rpc_.network().simulator().now();
         const bool answered =
             result.ok() || result.error().code == sim::RpcErrorCode::kRejected;
-        peer_rtt_.observe(peer, answered ? now - sent : config_.key_share_timeout, now);
+        peer_rtt_.observe(peer, answered ? now - sent : kKeyShareTimeout, now);
         // Every reply also refreshes the peer's slice hint for the user.
         if (result.ok()) {
           if (result->vectors_left == 0) {

@@ -125,6 +125,14 @@ class ServingNetwork {
                  crypto::Ed25519KeyPair signing_key, directory::DirectoryClient& directory,
                  FederationConfig config, HomeNetwork* local_home);
 
+  /// Deadlines of the serving path's calls: a home vector, resync or health
+  /// call (the attach then falls back to the backups) and a GUTI or handover
+  /// lookup at the prior serving network; a backup vector leg; a share leg
+  /// or the home-online key fetch.
+  static constexpr Time kHomeAuthTimeout = ms(800);
+  static constexpr Time kBackupAuthTimeout = sec(2);
+  static constexpr Time kKeyShareTimeout = sec(2);
+
   const NetworkId& id() const noexcept { return id_; }
 
   /// Registers the UE-facing services. Call once.

@@ -111,7 +111,7 @@ TEST(BackupLadder, SilentlyDeadBackupStopsLeadingAfterOneShareTimeout) {
     ASSERT_LT(++warm_up, 10);
     (void)lf.f.attach(*ue);
   }
-  EXPECT_EQ(*lf.serving().peer_rtt().estimate(dead), lf.f.config.key_share_timeout);
+  EXPECT_EQ(*lf.serving().peer_rtt().estimate(dead), core::ServingNetwork::kKeyShareTimeout);
 
   for (int i = 0; i < 12; ++i) {
     const auto record = lf.f.attach(*ue);

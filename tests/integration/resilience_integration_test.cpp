@@ -47,7 +47,7 @@ TEST(Resilience, HedgedFanOutSurvivesSilentBackupDeath) {
   // breaker is still closed): the serving network discovers it the hard
   // way. When the ladder leads with it, the hedge timer promotes the
   // next-best backup after hedge_delay instead of waiting out the full
-  // backup_auth_timeout on the dead leg.
+  // kBackupAuthTimeout on the dead leg.
   //
   // The dead backup leads only while the serving network still rates it
   // fast: net-2 has the fastest link during a warm-up attach, then dies,
@@ -77,7 +77,7 @@ TEST(Resilience, HedgedFanOutSurvivesSilentBackupDeath) {
     EXPECT_EQ(record.path, "backup");
     EXPECT_TRUE(record.key_confirmed);
     // A dead first leg costs one hedge delay, never the leg's full timeout.
-    EXPECT_LT(elapsed, f.config.backup_auth_timeout);
+    EXPECT_LT(elapsed, core::ServingNetwork::kBackupAuthTimeout);
     hedges += serving.metrics().hedges_launched;
     hedge_wins += serving.metrics().hedge_wins;
   }
@@ -103,8 +103,8 @@ TEST(Resilience, InjectorFeedSkipsKnownDownBackupInstantly) {
   EXPECT_EQ(record.path, "backup");
   // The vector fetch never waits on the dead backup: known-down candidates
   // sort to the back of the ladder, and the share round skips them
-  // outright. The attach completes well inside one backup_auth_timeout.
-  EXPECT_LT(elapsed, f.config.backup_auth_timeout);
+  // outright. The attach completes well inside one kBackupAuthTimeout.
+  EXPECT_LT(elapsed, core::ServingNetwork::kBackupAuthTimeout);
   EXPECT_GE(serving.metrics().breaker_skips, 1u);
   // Exactly one vector consumed: losers were skipped/cancelled, not served.
   EXPECT_EQ(total_stored_vectors(f, {1, 2, 3}),
@@ -133,7 +133,7 @@ TEST(Resilience, FastFailsWhenReachableBackupsDropBelowThreshold) {
   EXPECT_EQ(serving.metrics().fast_failures, 1u);
   EXPECT_EQ(serving.metrics().backup_auths, 0u);
   // "Fast" is the point: no timeout was paid on the way to the verdict.
-  EXPECT_LT(elapsed, f.config.backup_auth_timeout);
+  EXPECT_LT(elapsed, core::ServingNetwork::kBackupAuthTimeout);
 }
 
 TEST(Resilience, FastFailsWhenBackupsDropBelowThresholdDuringTheChallenge) {
