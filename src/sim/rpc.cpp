@@ -62,8 +62,9 @@ void CallHandle::cancel() const {
   if (const auto call = call_.lock()) rpc_->cancel(*call);
 }
 
-void Rpc::register_service(NodeIndex node, std::string service, ServiceHandler handler) {
-  services_[{node, std::move(service)}] = std::move(handler);
+ServiceHandler Rpc::register_service(NodeIndex node, std::string service,
+                                     ServiceHandler handler) {
+  return std::exchange(services_[{node, std::move(service)}], std::move(handler));
 }
 
 CallHandle Rpc::call(NodeIndex from, NodeIndex to, const std::string& service, Bytes request,

@@ -169,8 +169,9 @@ class Rpc {
   Rpc(Network& network, RpcConfig config = {})
       : network_(network), config_(config), breakers_(config.breaker) {}
 
-  /// Registers a named service on a node. Overwrites any existing handler.
-  void register_service(NodeIndex node, std::string service, ServiceHandler handler);
+  /// Registers a named service on a node. Overwrites any existing handler
+  /// and returns it (empty when there was none), so a caller can wrap it.
+  ServiceHandler register_service(NodeIndex node, std::string service, ServiceHandler handler);
 
   /// Issues one asynchronous call. Exactly one of on_reply / on_error fires
   /// (unless the handle is cancelled first). Retries transient failures

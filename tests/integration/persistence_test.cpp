@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 #include <stdexcept>
@@ -313,6 +314,94 @@ TEST(Persistence, RestartKeepsTheServeOrder) {
   };
   const std::vector<std::uint64_t> running = drain(false);
   EXPECT_EQ(drain(true), running);
+}
+
+/// Wraps net `b`'s backup.get_vector and backup.get_share handlers so that
+/// each reply payload is folded into `h`, after the backup's name and the
+/// service's; `replies` counts them. A restart re-registers the backup's own
+/// handlers, so a restarted backup is wrapped again.
+void tap_served(Federation& f, std::size_t b, crypto::Sha256& h, std::size_t& replies) {
+  for (const char* service : {"backup.get_vector", "backup.get_share"}) {
+    auto inner = std::make_shared<sim::ServiceHandler>();
+    *inner = f.rpc.register_service(
+        f.net(b).node(), service, [&f, &h, &replies, b, service, inner](ByteView request,
+                                                                         sim::Responder r) {
+          const auto fold = [&f, &h, &replies, b, service, r](Bytes reply,
+                                                              std::optional<sim::AppError> error) {
+            if (error) {
+              r.fail(std::move(*error));
+              return;
+            }
+            h.update(as_bytes(f.net(b).id().str() + " " + service));
+            h.update(reply);
+            ++replies;
+            r.reply(std::move(reply));
+          };
+          (*inner)(request, sim::Responder(std::make_shared<sim::Responder::ReplyFn>(fold)));
+        });
+  }
+}
+
+TEST(Persistence, ServedBytesArePinned) {
+  // Every vector and share reply the backups send, byte for byte: the
+  // bundle, its in-batch path and its round path. Revoking net-5 floods a
+  // vector per user to net-2..net-4, so the attaches serve floods and drop
+  // the flood copies of the backups that release shares for them; net-2
+  // (durable) restarts between serves, twice; a report's revoke and refill
+  // round runs in between; and net-2's last vectors are pulled out straight.
+  // A change to how a backup holds its batches or cuts their paths must
+  // leave the digest as it is.
+  core::FederationSpec spec = Federation::flat(6);
+  spec.networks[1].durable = true;
+  Federation f(std::move(spec));
+  const NetworkId& home = f.net(0).id();
+  const auto alice_keys = f.provision(kAlice, 0, {1, 2, 3, 4});
+  const auto bob_keys = f.provision(kBob, 0, {1, 2, 3, 4});
+  bool revoked = false;
+  f.net(0).home().revoke_backup(f.net(4).id(), [&] { revoked = true; });
+  f.simulator.run();
+  ASSERT_TRUE(revoked);
+
+  crypto::Sha256 h;
+  std::size_t replies = 0;
+  for (std::size_t b = 1; b <= 4; ++b) tap_served(f, b, h, replies);
+  const auto held_vectors = [&] {
+    std::size_t held = 0;
+    for (std::size_t b = 1; b <= 3; ++b) {
+      held += f.net(b).backup().stored_vectors(home, kAlice) +
+              f.net(b).backup().stored_vectors(home, kBob);
+    }
+    return held;
+  };
+  const std::size_t before = held_vectors();
+  ASSERT_EQ(before, 2 * 3 * (f.config.vectors_per_backup + 1));
+
+  f.network.node(f.net(0).node()).set_online(false);
+  auto alice = f.make_ue(kAlice, alice_keys, 5);
+  auto bob = f.make_ue(kBob, bob_keys, 5);
+  const auto attach_both = [&] {
+    ASSERT_TRUE(f.attach(*alice).success);
+    ASSERT_TRUE(f.attach(*bob).success);
+  };
+  attach_both();
+  // Two flood vectors served, and every other copy of them dropped.
+  ASSERT_EQ(held_vectors(), before - 2 * 3);
+  f.net(1).restart_backup();
+  tap_served(f, 1, h, replies);
+  attach_both();
+
+  f.network.node(f.net(0).node()).set_online(true);
+  for (std::size_t b = 1; b <= 3; ++b) f.net(b).backup().report_now(home);
+  f.simulator.run();  // a revoke and a refill round per user
+  f.net(1).restart_backup();
+  tap_served(f, 1, h, replies);
+  f.network.node(f.net(0).node()).set_online(false);
+  attach_both();
+  for (const Supi& supi : {kAlice, kBob}) {
+    while (f.net(1).backup().stored_vectors(home, supi) > 0) pull_vector(f, 1, supi);
+  }
+  EXPECT_EQ(replies, 32u);
+  EXPECT_EQ(to_hex(h.finish()), "5a51e2e93ed7c9d9aea6cd8751b58d871342d3690524f4dfcc947a881d3aa7f8");
 }
 
 TEST(Persistence, RedeliveredStoreHoldsEachBundleOnce) {
