@@ -57,7 +57,7 @@ void BM_MerkleRoot(benchmark::State& state) {
     std::vector<Sha256Digest> leaves;
     leaves.reserve(payloads.size());
     for (const auto& p : payloads) leaves.push_back(merkle_leaf_hash(p));
-    benchmark::DoNotOptimize(MerkleTree(std::move(leaves)).root());
+    benchmark::DoNotOptimize(MerkleTree(leaves).root());
   }
 }
 BENCHMARK(BM_MerkleRoot)->Arg(144);

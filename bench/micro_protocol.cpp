@@ -240,7 +240,9 @@ void BM_CheckServedBundle(benchmark::State& state, bool hit) {
   for (const auto& s : batch.shares) add_leaf(s);
   AuthVectorBundle served = batch.vectors[5];
   auto& path = served.batch.siblings;
-  path = crypto::MerkleTree(std::move(leaves)).path(5);
+  const crypto::MerkleTree tree(leaves);
+  const crypto::MerkleGroup group = tree.group(5);
+  path = tree.path(5, std::span(leaves).subspan(group.first, group.size));
   path.insert(path.end(), batch.round.begin(), batch.round.end());
 
   crypto::VerifyCache cache(hit ? crypto::VerifyCache::kDefaultEntries : 0);

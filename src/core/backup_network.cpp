@@ -22,18 +22,6 @@ std::string batch_record(const std::string& home, const crypto::MerkleTree& tree
 // keeps inline.
 constexpr std::size_t kOrdinateBytes = 32;
 
-// A BatchRecord's tree, from its leaf hashes: 32 bytes each, at least one
-// and at most a u16 position's worth; nullopt otherwise.
-std::optional<crypto::MerkleTree> record_tree(ByteView leaves) {
-  constexpr std::size_t kHash = sizeof(crypto::Sha256Digest);
-  const std::size_t count = leaves.size() / kHash;
-  if (count == 0 || count > 0xffff || leaves.size() % kHash != 0) return std::nullopt;
-  std::vector<crypto::Sha256Digest> hashes;
-  hashes.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) hashes.push_back(take<kHash>(leaves.subspan(i * kHash)));
-  return crypto::MerkleTree(std::move(hashes));
-}
-
 // A held leaf's signed fields, rebuilt with its user, without its position
 // or signature.
 AuthVectorBundle leaf_bundle(const NetworkId& home, const Supi& supi, const VectorLeaf& held) {
@@ -45,12 +33,13 @@ KeyShareBundle leaf_bundle(const NetworkId& home, const Supi& supi, const ShareL
 }
 
 // The exact bundle the home signed, rebuilt from the held leaf, its user and
-// its batch, its inclusion path (in-batch, then round) attached.
+// its batch, its inclusion path (in-batch, then round) attached: `group`
+// holds the leaf hashes of the path's group.
 template <typename Leaf>
 auto served(const NetworkId& home, const Supi& supi, const BundleBatch& batch,
-            const Leaf& held) {
+            std::span<const crypto::Sha256Digest> group, const Leaf& held) {
   auto bundle = leaf_bundle(home, supi, held);
-  bundle.batch = batch.position(held.leaf);
+  bundle.batch = batch.position(held.leaf, group);
   bundle.home_signature = batch.signature;
   return bundle;
 }
@@ -94,10 +83,11 @@ void BackupNetwork::restore_from_store() {
   }
 
   // Held batches, one BatchRecord each. A record is dropped whole when it
-  // does not decode, when its leaf hashes do not make the root its key
-  // names, when its round path does not fit its round position, or when a
-  // held leaf's fields do not hash to that leaf: such a bundle could not be
-  // served as the home signed it.
+  // does not decode, when its held and released leaves are not each leaf of
+  // one batch once, when their hashes (a held leaf's rehashed from its
+  // fields) do not make the root its key names, or when its round path does
+  // not fit its round position: such a bundle could not be served as the
+  // home signed it.
   for (const auto& name : store_->keys_with_prefix("batch/")) {
     const auto slash = name.rfind('/');  // the root's hex has none; a home id may
     if (slash < 6) continue;
@@ -108,25 +98,35 @@ void BackupNetwork::restore_from_store() {
     } catch (const wire::WireError&) {
       continue;  // corrupt record; the WAL already filtered torn writes
     }
-    auto tree = record_tree(record.leaves);
-    if (!tree || name != batch_record(home.str(), *tree) ||
-        record.batch_index >= record.batch_count ||
+    const std::size_t count = record.released.size() + record.vectors.size() + record.shares.size();
+    std::vector<crypto::Sha256Digest> leaves(count);
+    std::vector<bool> placed(count);
+    bool intact = count > record.released.size() && count <= 0xffff;  // holds a leaf
+    const auto place = [&](std::uint16_t leaf, const crypto::Sha256Digest& hash) {
+      intact = intact && leaf < count && !placed[leaf];
+      if (intact) {
+        placed[leaf] = true;
+        leaves[leaf] = hash;
+      }
+    };
+    for (const ReleasedLeaf& leaf : record.released) place(leaf.leaf, leaf.hash);
+    const auto rehash = [&](const auto& leaf) {
+      if (intact) place(leaf.leaf, leaf_bundle(home, record.supi, leaf).leaf_hash());
+    };
+    std::ranges::for_each(record.vectors, rehash);
+    std::ranges::for_each(record.shares, rehash);
+    if (!intact) continue;
+    crypto::MerkleTree tree(leaves);
+    if (name != batch_record(home.str(), tree) || record.batch_index >= record.batch_count ||
         record.round.size() != crypto::merkle_path_length(record.batch_index, record.batch_count)) {
       continue;
     }
-    HeldBatch held{{std::move(*tree), record.batch_index, record.batch_count,
-                    std::move(record.round), record.signature},
-                   std::move(record.vectors),
-                   std::move(record.shares)};
-    const auto leaves = held.batch.tree.leaves();
-    bool intact = !held.vectors.empty() || !held.shares.empty();
-    const auto check = [&](const auto& leaf) {
-      intact = intact && leaf.leaf < leaves.size() &&
-               leaf_bundle(home, record.supi, leaf).leaf_hash() == leaves[leaf.leaf];
-    };
-    std::ranges::for_each(held.vectors, check);
-    std::ranges::for_each(held.shares, check);
-    if (intact) hold(users_[{home, record.supi}], std::move(held));
+    hold(users_[{home, record.supi}],
+         {{std::move(tree), record.batch_index, record.batch_count, std::move(record.round),
+           record.signature},
+          std::move(record.released),
+          std::move(record.vectors),
+          std::move(record.shares)});
   }
 
   for (const auto& key : store_->keys_with_prefix("proof/")) {
@@ -231,7 +231,7 @@ void BackupNetwork::handle_store(StoreMaterialRequest req,
         const UserKey key{home_id, next < vector_count
                                        ? request.vectors[next].supi
                                        : request.shares[next - vector_count].supi};
-        HeldBatch held{std::move(batch), {}, {}};
+        HeldBatch held{std::move(batch), {}, {}, {}};
         held.vectors.reserve(vectors_end - next);
         held.shares.reserve(end - vectors_end);
         for (; next < vectors_end; ++next) {
@@ -295,12 +295,41 @@ auto BackupNetwork::find_share(UserState& user, const ByteArray<16>& hxres)
   return std::nullopt;
 }
 
-auto BackupNetwork::take_vector(UserState& user, const ByteArray<16>& hxres) -> HeldBatch* {
+auto BackupNetwork::group(const UserKey& user, const HeldBatch& held, std::uint16_t leaf)
+    -> std::vector<crypto::Sha256Digest> {
+  const crypto::MerkleGroup group = held.batch.tree.group(leaf);
+  std::vector<crypto::Sha256Digest> hashes(group.size);
+  const auto in_group = [&](std::size_t index) { return index - group.first < group.size; };
+  for (const VectorLeaf& vector : held.vectors) {
+    if (in_group(vector.leaf)) {
+      hashes[vector.leaf - group.first] = leaf_bundle(user.home, user.supi, vector).leaf_hash();
+    }
+  }
+  for (const ShareLeaf& share : held.shares) {
+    if (in_group(share.leaf)) {
+      hashes[share.leaf - group.first] = leaf_bundle(user.home, user.supi, share).leaf_hash();
+    }
+  }
+  for (const ReleasedLeaf& released : held.released) {
+    if (in_group(released.leaf)) hashes[released.leaf - group.first] = released.hash;
+  }
+  return hashes;
+}
+
+template <typename Leaf>
+void BackupNetwork::HeldBatch::release(const UserKey& user, std::vector<Leaf>& from,
+                                       typename std::vector<Leaf>::iterator it) {
+  released.push_back({it->leaf, leaf_bundle(user.home, user.supi, *it).leaf_hash()});
+  from.erase(it);
+}
+
+auto BackupNetwork::take_vector(const UserKey& key, UserState& user, const ByteArray<16>& hxres)
+    -> HeldBatch* {
   for (auto& [root, held] : user.batches) {
     const auto leaf = std::ranges::find_if(
         held.vectors, [&](const VectorLeaf& v) { return ct_equal(v.hxres_star, hxres); });
     if (leaf == held.vectors.end()) continue;
-    held.vectors.erase(leaf);
+    held.release(key, held.vectors, leaf);
     return &held;
   }
   return nullptr;
@@ -314,14 +343,9 @@ void BackupNetwork::persist_batch(const UserKey& user, UserState& state,
     if (empty) {
       store_->erase(name);
     } else {
-      BatchRecord record{user.supi,           held.batch.batch_index, held.batch.batch_count,
-                         held.batch.signature, held.batch.round,       {},
-                         held.vectors,         held.shares};
-      const auto leaves = held.batch.tree.leaves();
-      record.leaves.reserve(leaves.size() * sizeof(crypto::Sha256Digest));
-      for (const auto& leaf : leaves) {
-        record.leaves.insert(record.leaves.end(), leaf.begin(), leaf.end());
-      }
+      const BatchRecord record{user.supi,        held.batch.batch_index, held.batch.batch_count,
+                               held.batch.signature, held.batch.round,   held.released,
+                               held.vectors,         held.shares};
       // DAUTH_DISCLOSE(persisting its shares of K_seaf is the backup's entire job, §4.2.1)
       store_->put(name, wire::encode(record));
     }
@@ -370,9 +394,10 @@ void BackupNetwork::handle_get_vector(GetVectorRequest req,
         responder.fail(sim::AppErrorCode::kExhausted, "no vectors remaining");
         return;
       }
+      const VectorLeaf& next = held->vectors.front();
       const AuthVectorBundle bundle =
-          served(id.home, id.supi, held->batch, held->vectors.front());
-      held->vectors.erase(held->vectors.begin());
+          served(id.home, id.supi, held->batch, group(id, *held, next.leaf), next);
+      held->release(id, held->vectors, held->vectors.begin());
       persist_batch(id, user, *held);
       ++metrics_.vectors_served;
       if (journal_ != nullptr) {
@@ -410,14 +435,15 @@ void BackupNetwork::handle_get_share(UsageProof proof,
         const auto share = find_share(user, proof.hxres_star);
         if (!share) continue;
         ShareReply reply;
-        reply.share = served(id.home, id.supi, share->first->batch, *share->second);
+        const auto& [batch, leaf] = *share;
+        reply.share = served(id.home, id.supi, batch->batch, group(id, *batch, leaf->leaf), *leaf);
 
         // Persist the proof for later reporting (§4.2.2: "backups store the
         // received bundle ... to report a proof of consumption").
         persist_proof(id.home, proof);
         // The proof also tells us the vector itself is consumed; drop any
         // copy WE hold (flood vectors are replicated to every backup, §4.3).
-        if (const HeldBatch* held = take_vector(user, proof.hxres_star)) {
+        if (const HeldBatch* held = take_vector(id, user, proof.hxres_star)) {
           persist_batch(id, user, *held);
         }
         ++metrics_.shares_served;
@@ -443,6 +469,7 @@ void BackupNetwork::handle_revoke_shares(RevokeSharesRequest req,
   // unauthenticated revoke would be a share-deletion denial of service).
   const auto home_it = homes_.find(req.home_network);
   if (home_it == homes_.end()) {
+    ++metrics_.rejected_requests;
     responder.fail(sim::AppErrorCode::kNotFound, "unknown home network");
     return;
   }
@@ -461,12 +488,12 @@ void BackupNetwork::handle_revoke_shares(RevokeSharesRequest req,
     };
     for (const auto& hxres : req.hxres_indices) {
       if (const auto share = find_share(state, hxres)) {
-        share->first->shares.erase(share->second);
+        share->first->release(user, share->first->shares, share->second);
         touch(share->first);
         ++metrics_.shares_revoked;
       }
       // Also drop a matching stored vector (flood-vector replacement path).
-      if (const HeldBatch* held = take_vector(state, hxres)) touch(held);
+      if (const HeldBatch* held = take_vector(user, state, hxres)) touch(held);
     }
     for (const HeldBatch* held : touched) persist_batch(user, state, *held);
   }

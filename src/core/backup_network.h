@@ -56,28 +56,39 @@ struct ShareLeaf {
   }
 };
 
+/// A leaf a backup no longer holds, in a BatchRecord: its index and its leaf
+/// hash, which the paths of the leaves still held in its group need.
+struct ReleasedLeaf {
+  std::uint16_t leaf = 0;
+  crypto::Sha256Digest hash{};
+
+  template <typename F, typename Self>
+  static void fields(F& f, Self& m) {
+    f.field(m.leaf, m.hash);
+  }
+};
+
 /// A backup's persisted record of one held batch, the value of
 /// "batch/<home>/<batch root>" in its store: the fields every bundle of the
-/// batch shares, as a BundleBatch holds them, then only the leaves the
-/// backup still holds, each with nothing but its own fields. Every batch is
-/// one user's (split_batches), and a lone bundle is a one-leaf batch. The
-/// bundles served after a restart are rebuilt from it, byte for byte.
+/// batch shares, as a BundleBatch holds them, but for its tree; the leaves
+/// the backup has let go, by hash; then the leaves it still holds, each with
+/// nothing but its own fields. Every leaf of the batch is one or the other,
+/// once, so the hashes give the tree back. Every batch is one user's
+/// (split_batches), and a lone bundle is a one-leaf batch. The bundles served
+/// after a restart are rebuilt from it, byte for byte.
 struct BatchRecord {
   Supi supi;
   std::uint16_t batch_index = 0;
   std::uint16_t batch_count = 1;
   crypto::Ed25519Signature signature{};
   std::vector<crypto::Sha256Digest> round;  // the round path
-  /// Every leaf hash of the batch, held or not, 32 bytes each: the tree a
-  /// served path is cut from. One byte string, since a hash list on the
-  /// wire is a path of at most 32 and a batch may have 65,535 leaves.
-  Bytes leaves;
+  std::vector<ReleasedLeaf> released;       // in the order they were let go
   std::vector<VectorLeaf> vectors;
   std::vector<ShareLeaf> shares;
 
   template <typename F, typename Self>
   static void fields(F& f, Self& m) {
-    f.field(m.supi, m.batch_index, m.batch_count, m.signature, m.round, m.leaves, m.vectors);
+    f.field(m.supi, m.batch_index, m.batch_count, m.signature, m.round, m.released, m.vectors);
     f.field(m.shares);  // DAUTH_DISCLOSE(a held batch's record keeps the backup's own shares of K_seaf, §4.2.1)
   }
 };
@@ -125,14 +136,24 @@ class BackupNetwork {
   };
   /// A held batch, in memory as in its BatchRecord: the fields every bundle
   /// of the batch shares (Merkle tree, round position, round path, round
-  /// signature) once, then the leaves the backup still holds of it, each
-  /// with nothing but its own fields. A lone bundle is a one-leaf batch.
-  /// `vectors` is in serve order (`served_before`: floods first, §4.3, then
-  /// by SQN); `shares` is sorted by H(XRES*).
+  /// signature) once, the leaves the backup has let go (served, a flood copy
+  /// consumed at another backup, revoked) by hash, then the leaves it still
+  /// holds, each with nothing but its own fields. The tree keeps no leaf
+  /// level: a served path's group comes from the held leaves, rehashed, and
+  /// the released ones. A lone bundle is a one-leaf batch. `vectors` is in
+  /// serve order (`served_before`: floods first, §4.3, then by SQN);
+  /// `shares` is sorted by H(XRES*).
   struct HeldBatch {
     BundleBatch batch;
+    std::vector<ReleasedLeaf> released;
     std::vector<VectorLeaf> vectors;
     std::vector<ShareLeaf> shares;
+
+    /// Lets go of held leaf `it` of `from` (vectors or shares), its hash
+    /// kept in `released`.
+    template <typename Leaf>
+    void release(const UserKey& user, std::vector<Leaf>& from,
+                 typename std::vector<Leaf>::iterator it);
   };
   // Budget, so a held share cannot silently grow back into a map node or a
   // wire blob: leaf 2 + H(XRES*) 16 + x 1 + y 32, padded to 52 B, in its
@@ -163,6 +184,11 @@ class BackupNetwork {
   /// simulator queue drains once nothing is pending.
   void arm_report(const NetworkId& home);
   void persist_proof(const NetworkId& home, const UsageProof& proof);
+  /// The leaf hashes of the group of `held`'s leaf `leaf`, which a served
+  /// path is cut from (MerkleTree::path): a held leaf's rehashed from its
+  /// fields and `user`, a released one's as kept.
+  static std::vector<crypto::Sha256Digest> group(const UserKey& user, const HeldBatch& held,
+                                                 std::uint16_t leaf);
   /// The held share of `hxres` among `user`'s batches, or nullopt.
   static std::optional<std::pair<HeldBatch*, std::vector<ShareLeaf>::iterator>> find_share(
       UserState& user, const ByteArray<16>& hxres);
@@ -173,8 +199,8 @@ class BackupNetwork {
   /// The batch that serves `user`'s next vector: of the batches holding
   /// one, the one whose front vector is served first. nullptr when none.
   static HeldBatch* next_batch(UserState& user);
-  /// Drops `user`'s held vector of `hxres`, if any, and returns its batch.
-  static HeldBatch* take_vector(UserState& user, const ByteArray<16>& hxres);
+  /// Releases `user`'s held vector of `hxres`, if any, and returns its batch.
+  static HeldBatch* take_vector(const UserKey& key, UserState& user, const ByteArray<16>& hxres);
   /// Writes `held`'s BatchRecord, or, once it holds nothing, erases the
   /// record and drops the batch from `state`. Every change to a batch's
   /// held leaves (store, serve, flood-copy drop, revoke) ends here, once per

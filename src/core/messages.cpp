@@ -105,17 +105,20 @@ void sign_batches(std::span<const RoundBatch> batches, const crypto::Ed25519KeyP
     };
     for (const auto& v : batch.vectors) add_leaf(v);
     for (const auto& s : batch.shares) add_leaf(s);
-    round_leaves.push_back(round_leaf(static_cast<std::uint16_t>(count),
-                                      crypto::MerkleTree(std::move(leaves)).root()));
+    round_leaves.push_back(
+        round_leaf(static_cast<std::uint16_t>(count), crypto::MerkleTree(leaves).root()));
   }
 
   const auto batch_count = static_cast<std::uint16_t>(batches.size());
-  const crypto::MerkleTree round(std::move(round_leaves));
+  const crypto::MerkleTree round(round_leaves);
   const crypto::Ed25519Signature signature =
       crypto::ed25519_sign(round_signed_payload(*home, batch_count, round.root()), key);
   for (std::uint16_t b = 0; b < batch_count; ++b) {
     const RoundBatch& batch = batches[b];
-    if (batch.round != nullptr) *batch.round = round.path(b);
+    if (batch.round != nullptr) {
+      const crypto::MerkleGroup group = round.group(b);
+      *batch.round = round.path(b, std::span(round_leaves).subspan(group.first, group.size));
+    }
     const auto leaf_count = static_cast<std::uint16_t>(batch.vectors.size() + batch.shares.size());
     std::uint16_t index = 0;
     const auto place = [&](auto& bundle) {
@@ -196,9 +199,10 @@ bool BundleBatch::verify_root(const NetworkId& home,
   return payload && crypto::ed25519_verify(*payload, signature, home_key);
 }
 
-BatchPath BundleBatch::position(std::uint16_t leaf_index) const {
+BatchPath BundleBatch::position(std::uint16_t leaf_index,
+                                std::span<const crypto::Sha256Digest> group) const {
   BatchPath path{leaf_index, static_cast<std::uint16_t>(tree.leaf_count()), batch_index,
-                 batch_count, tree.path(leaf_index)};
+                 batch_count, tree.path(leaf_index, group)};
   path.siblings.insert(path.siblings.end(), round.begin(), round.end());
   return path;
 }
@@ -235,7 +239,7 @@ std::optional<std::vector<BundleBatch>> split_batches(const StoreMaterialRequest
     open->leaves.push_back(bundle.leaf_hash());
     ++position;
     if (open->leaves.size() == open->position.leaf_count) {
-      batches.push_back({crypto::MerkleTree(std::move(open->leaves)),
+      batches.push_back({crypto::MerkleTree(open->leaves),
                          open->position.batch_index, open->position.batch_count, request.round,
                          open->signature});
       open.reset();

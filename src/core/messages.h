@@ -210,8 +210,9 @@ struct BundleBatch {
   /// this batch's root and round path imply.
   bool verify_root(const NetworkId& home, const crypto::Ed25519PublicKey& home_key) const;
   /// The served position of leaf `leaf_index`, its path attached: the
-  /// in-batch path, then the round path.
-  BatchPath position(std::uint16_t leaf_index) const;
+  /// in-batch path, then the round path. `group` holds the leaf hashes of
+  /// tree.group(leaf_index), which the tree does not keep.
+  BatchPath position(std::uint16_t leaf_index, std::span<const crypto::Sha256Digest> group) const;
 };
 
 /// Splits a store request's bundles (vectors, then shares) into the batches

@@ -1,5 +1,7 @@
 #include "crypto/merkle.h"
 
+#include <algorithm>
+#include <array>
 #include <stdexcept>
 
 namespace dauth::crypto {
@@ -8,12 +10,25 @@ namespace {
 constexpr std::uint8_t kLeafTag = 0x00;
 constexpr std::uint8_t kNodeTag = 0x01;
 
-// Levels 1 and 2 are rehashed on demand (see MerkleTree).
+// Levels 0 to 2 are the caller's leaves and their rehash (see MerkleTree).
 constexpr std::size_t kFirstStoredLevel = 3;
+static_assert(kMerkleGroupLeaves == std::size_t{1} << kFirstStoredLevel);
 
 std::size_t level_size(std::size_t leaves, std::size_t level) {
   for (; level > 0; --level) leaves = (leaves + 1) / 2;
   return leaves;
+}
+
+// Writes the level above `below` to `above`, which may be below's own
+// storage: neighbours paired, an odd last node moved up as is. Returns its
+// size.
+std::size_t pair_up(std::span<const Sha256Digest> below, Sha256Digest* above) {
+  std::size_t up = 0;
+  for (std::size_t i = 0; i + 1 < below.size(); i += 2) {
+    above[up++] = merkle_node_hash(below[i], below[i + 1]);
+  }
+  if (below.size() % 2 == 1) above[up++] = below.back();
+  return up;
 }
 
 }  // namespace
@@ -38,44 +53,64 @@ Sha256Digest merkle_node_hash(const Sha256Digest& left, const Sha256Digest& righ
   return h.finish();
 }
 
-MerkleTree::MerkleTree(std::vector<Sha256Digest> leaves) : leaf_count_(leaves.size()) {
+MerkleTree::MerkleTree(std::span<const Sha256Digest> leaves) : leaf_count_(leaves.size()) {
   if (leaf_count_ == 0) throw std::invalid_argument("MerkleTree: no leaves");
-  std::vector<Sha256Digest> level = leaves;
-  nodes_ = std::move(leaves);
-  for (std::size_t depth = 1; level.size() > 1; ++depth) {
-    std::vector<Sha256Digest> up;
-    up.reserve((level.size() + 1) / 2);
-    for (std::size_t i = 0; i + 1 < level.size(); i += 2) {
-      up.push_back(merkle_node_hash(level[i], level[i + 1]));
-    }
-    if (level.size() % 2 == 1) up.push_back(level.back());  // odd node moves up as is
-    if (depth >= kFirstStoredLevel || up.size() == 1) {
-      nodes_.insert(nodes_.end(), up.begin(), up.end());
-    }
-    level = std::move(up);
+  if (leaf_count_ == 1) {
+    nodes_.assign(leaves.begin(), leaves.end());  // the leaf is the root
+    return;
   }
-  nodes_.shrink_to_fit();
+  std::size_t stored = 0;
+  for (std::size_t level = 1, size = leaf_count_; size > 1; ++level) {
+    size = (size + 1) / 2;
+    if (level >= kFirstStoredLevel || size == 1) stored += size;
+  }
+  nodes_.reserve(stored);
+  std::vector<Sha256Digest> level((leaf_count_ + 1) / 2);
+  std::size_t size = pair_up(leaves, level.data());
+  for (std::size_t depth = 1;; ++depth) {
+    if (depth >= kFirstStoredLevel || size == 1) {
+      nodes_.insert(nodes_.end(), level.begin(), level.begin() + static_cast<std::ptrdiff_t>(size));
+    }
+    if (size == 1) break;
+    size = pair_up({level.data(), size}, level.data());
+  }
 }
 
-Sha256Digest MerkleTree::node(std::size_t level, std::size_t index) const {
-  if (level == 0) return nodes_[index];
-  if (level < kFirstStoredLevel) {
-    const std::size_t below = level_size(leaf_count_, level - 1);
-    const Sha256Digest left = node(level - 1, 2 * index);
-    return 2 * index + 1 < below ? merkle_node_hash(left, node(level - 1, 2 * index + 1)) : left;
-  }
-  std::size_t offset = leaf_count_;
+MerkleGroup MerkleTree::group(std::size_t index) const noexcept {
+  const std::size_t first = index / kMerkleGroupLeaves * kMerkleGroupLeaves;
+  return {first, std::min(kMerkleGroupLeaves, leaf_count_ - first)};
+}
+
+const Sha256Digest& MerkleTree::stored(std::size_t level, std::size_t index) const {
+  if (level < kFirstStoredLevel) return nodes_.back();  // the only node kept down there
+  std::size_t offset = 0;
   for (std::size_t l = kFirstStoredLevel; l < level; ++l) offset += level_size(leaf_count_, l);
   return nodes_[offset + index];
 }
 
-std::vector<Sha256Digest> MerkleTree::path(std::size_t index) const {
+std::vector<Sha256Digest> MerkleTree::path(std::size_t index,
+                                           std::span<const Sha256Digest> group) const {
   if (index >= leaf_count_) throw std::out_of_range("MerkleTree: leaf index out of range");
+  const MerkleGroup g = this->group(index);
+  if (group.size() != g.size) throw std::invalid_argument("MerkleTree: not the leaf's group");
+  std::array<Sha256Digest, kMerkleGroupLeaves> nodes{};  // the group's nodes of one level
+  std::ranges::copy(group, nodes.begin());
+  std::size_t in_group = g.size;
   std::vector<Sha256Digest> out;
-  std::size_t size = leaf_count_;
-  for (std::size_t level = 0; size > 1; ++level, size = (size + 1) / 2, index /= 2) {
+  std::size_t size = leaf_count_;  // the level's nodes in the whole tree
+  std::size_t level = 0;
+  for (; level < kFirstStoredLevel && size > 1; ++level, size = (size + 1) / 2, index /= 2) {
     const std::size_t sibling = index ^ 1;
-    if (sibling < size) out.push_back(node(level, sibling));  // none for a promoted node
+    if (sibling < size) out.push_back(nodes[sibling - (g.first >> level)]);  // none if promoted
+    in_group = pair_up({nodes.data(), in_group}, nodes.data());
+  }
+  // The group's top node, rehashed from its leaves, is a node the tree keeps.
+  if (nodes[0] != stored(level, g.first >> level)) {
+    throw std::invalid_argument("MerkleTree: the group does not hash into the tree");
+  }
+  for (; size > 1; ++level, size = (size + 1) / 2, index /= 2) {
+    const std::size_t sibling = index ^ 1;
+    if (sibling < size) out.push_back(stored(level, sibling));
   }
   return out;
 }

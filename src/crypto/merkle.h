@@ -30,26 +30,41 @@ Sha256Digest merkle_leaf_hash(ByteView data) noexcept;
 Sha256 merkle_leaf_hasher() noexcept;
 Sha256Digest merkle_node_hash(const Sha256Digest& left, const Sha256Digest& right) noexcept;
 
-/// One tree, stored level by level in a single array: the leaves, then every
-/// level from the third up to the root. A path rehashes the two missing
-/// levels from the leaves (at most four node hashes), and the tree costs
-/// about 1.25 digests per leaf instead of 2.
+/// Leaves per group: the leaves under one node of a tree's third level.
+inline constexpr std::size_t kMerkleGroupLeaves = 8;
+
+/// The leaves a path needs from its caller: leaf `index`'s group, the up to
+/// kMerkleGroupLeaves leaves [first, first + size).
+struct MerkleGroup {
+  std::size_t first = 0;
+  std::size_t size = 0;
+};
+
+/// One tree, stored from its third level up to its root in a single array:
+/// about 0.25 digests per leaf. The leaves stay with the caller, who hands a
+/// path the hashes of its leaf's group; the path rehashes the two levels
+/// below the stored ones from them (at most seven node hashes).
 class MerkleTree {
  public:
   /// Throws std::invalid_argument on an empty leaf list.
-  explicit MerkleTree(std::vector<Sha256Digest> leaves);
+  explicit MerkleTree(std::span<const Sha256Digest> leaves);
 
   std::size_t leaf_count() const noexcept { return leaf_count_; }
-  std::span<const Sha256Digest> leaves() const noexcept { return {nodes_.data(), leaf_count_}; }
   const Sha256Digest& root() const noexcept { return nodes_.back(); }
 
-  /// RFC 6962 §2.1.1 audit path of leaf `index`, leaf level first. Empty for
-  /// a one-leaf tree. Throws std::out_of_range on a bad index.
-  std::vector<Sha256Digest> path(std::size_t index) const;
+  /// The group of leaf `index` (index < leaf_count()).
+  MerkleGroup group(std::size_t index) const noexcept;
+
+  /// RFC 6962 §2.1.1 audit path of leaf `index`, leaf level first, given the
+  /// leaf hashes of group(index). Empty for a one-leaf tree. Throws
+  /// std::out_of_range on a bad index and std::invalid_argument when
+  /// `group` is not that group of this tree.
+  std::vector<Sha256Digest> path(std::size_t index, std::span<const Sha256Digest> group) const;
 
  private:
-  /// Node `index` of `level` (0 = leaves), looked up or rehashed.
-  Sha256Digest node(std::size_t level, std::size_t index) const;
+  /// Stored node `index` of `level` (0 = leaves): the root, or a node of the
+  /// third level or above.
+  const Sha256Digest& stored(std::size_t level, std::size_t index) const;
 
   std::size_t leaf_count_;
   std::vector<Sha256Digest> nodes_;

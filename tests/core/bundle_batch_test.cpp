@@ -22,6 +22,13 @@ crypto::Ed25519KeyPair keys(std::uint64_t seed) {
   return crypto::ed25519_generate(rng);
 }
 
+/// The path of leaf `i` of `tree`, its group cut from the tree's `leaves`.
+std::vector<Sha256Digest> path_of(const MerkleTree& tree, std::span<const Sha256Digest> leaves,
+                                  std::size_t i) {
+  const crypto::MerkleGroup group = tree.group(i);
+  return tree.path(i, leaves.subspan(group.first, group.size));
+}
+
 std::vector<Sha256Digest> leaves_of(std::size_t n) {
   std::vector<Sha256Digest> out;
   for (std::size_t i = 0; i < n; ++i) {
@@ -83,9 +90,9 @@ ServedBatch served_batch(const char* supi, std::size_t vectors, std::size_t shar
   };
   for (const auto& v : batch.vectors) add_leaf(v);
   for (const auto& s : batch.shares) add_leaf(s);
-  const MerkleTree tree(std::move(leaves));
-  for (auto& v : batch.vectors) v.batch.siblings = tree.path(v.batch.leaf_index);
-  for (auto& s : batch.shares) s.batch.siblings = tree.path(s.batch.leaf_index);
+  const MerkleTree tree(leaves);
+  for (auto& v : batch.vectors) v.batch.siblings = path_of(tree, leaves, v.batch.leaf_index);
+  for (auto& s : batch.shares) s.batch.siblings = path_of(tree, leaves, s.batch.leaf_index);
   return batch;
 }
 
@@ -109,9 +116,9 @@ std::vector<StoreMaterialRequest> served_round(const char* supi, std::size_t bat
     };
     for (const auto& v : request.vectors) add_leaf(v);
     for (const auto& s : request.shares) add_leaf(s);
-    const MerkleTree tree(std::move(leaves));
+    const MerkleTree tree(leaves);
     const auto attach = [&](BatchPath& p) {
-      p.siblings = tree.path(p.leaf_index);
+      p.siblings = path_of(tree, leaves, p.leaf_index);
       p.siblings.insert(p.siblings.end(), request.round.begin(), request.round.end());
     };
     for (auto& v : request.vectors) attach(v.batch);
@@ -151,12 +158,13 @@ TEST(MerkleTree, RootMatchesRfc6962ForEverySize) {
 
 TEST(MerkleTree, EveryPathLeadsToTheRoot) {
   for (std::size_t n : tree_sizes()) {
-    const MerkleTree tree(leaves_of(n));
+    const auto leaves = leaves_of(n);
+    const MerkleTree tree(leaves);
     const auto height = static_cast<std::size_t>(std::ceil(std::log2(static_cast<double>(n))));
     for (std::size_t i = 0; i < n; ++i) {
-      const auto path = tree.path(i);
+      const auto path = path_of(tree, leaves, i);
       EXPECT_LE(path.size(), height);
-      const auto root = crypto::merkle_root_from_path(tree.leaves()[i], i, n, path);
+      const auto root = crypto::merkle_root_from_path(leaves[i], i, n, path);
       ASSERT_TRUE(root.has_value()) << "leaf " << i << " of " << n;
       EXPECT_EQ(*root, tree.root()) << "leaf " << i << " of " << n;
     }
@@ -164,9 +172,10 @@ TEST(MerkleTree, EveryPathLeadsToTheRoot) {
 }
 
 TEST(MerkleTree, PathOfTheWrongShapeIsRejected) {
-  const MerkleTree tree(leaves_of(9));
-  const Sha256Digest leaf = tree.leaves()[4];
-  auto path = tree.path(4);
+  const auto leaves = leaves_of(9);
+  const MerkleTree tree(leaves);
+  const Sha256Digest leaf = leaves[4];
+  auto path = path_of(tree, leaves, 4);
   EXPECT_FALSE(crypto::merkle_root_from_path(leaf, 9, 9, path));  // index out of range
   auto shorter = path;
   shorter.pop_back();
@@ -180,8 +189,8 @@ TEST(MerkleTree, PathOfTheWrongShapeIsRejected) {
 }
 
 TEST(MerkleTree, InteriorNodeIsNeverALeaf) {
-  const MerkleTree tree(leaves_of(4));
-  const auto l = tree.leaves();
+  const auto l = leaves_of(4);
+  const MerkleTree tree(l);
   const Sha256Digest interior = crypto::merkle_node_hash(l[0], l[1]);
   // Domain separation: hashing the node's preimage as leaf data does not
   // reproduce the node...
@@ -189,16 +198,18 @@ TEST(MerkleTree, InteriorNodeIsNeverALeaf) {
   preimage.insert(preimage.end(), l[1].begin(), l[1].end());
   EXPECT_NE(crypto::merkle_leaf_hash(preimage), interior);
   // ...and the node cannot stand in for a leaf of the four-leaf tree.
-  const auto path = tree.path(0);
+  const auto path = path_of(tree, l, 0);
   const std::vector<Sha256Digest> upper(path.begin() + 1, path.end());
   EXPECT_FALSE(crypto::merkle_root_from_path(interior, 0, 4, upper));
 }
 
 TEST(MerkleTree, PathLengthMatchesThePath) {
   for (std::size_t n = 1; n <= 300; ++n) {
-    const MerkleTree tree(leaves_of(n));
+    const auto leaves = leaves_of(n);
+    const MerkleTree tree(leaves);
     for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(crypto::merkle_path_length(i, n), tree.path(i).size()) << i << " of " << n;
+      ASSERT_EQ(crypto::merkle_path_length(i, n), path_of(tree, leaves, i).size())
+          << i << " of " << n;
     }
     EXPECT_EQ(crypto::merkle_path_length(n, n), 0u);
   }
@@ -206,7 +217,27 @@ TEST(MerkleTree, PathLengthMatchesThePath) {
 
 TEST(MerkleTree, EmptyTreeAndBadIndexThrow) {
   EXPECT_THROW(MerkleTree({}), std::invalid_argument);
-  EXPECT_THROW((void)MerkleTree(leaves_of(3)).path(3), std::out_of_range);
+  const auto leaves = leaves_of(3);
+  EXPECT_THROW((void)MerkleTree(leaves).path(3, leaves), std::out_of_range);
+}
+
+TEST(MerkleTree, PathRefusesAGroupNotOfItsLeaf) {
+  // The tree keeps no leaf level, so a path is only as good as the group
+  // its caller hands in: one of the wrong size, or one whose hashes do not
+  // rebuild the node the tree keeps above them, is refused.
+  for (std::size_t n : {1, 5, 8, 20, 144}) {
+    const auto leaves = leaves_of(n);
+    const MerkleTree tree(leaves);
+    const std::size_t i = n - 1;
+    const crypto::MerkleGroup group = tree.group(i);
+    ASSERT_LE(group.size, crypto::kMerkleGroupLeaves);
+    const auto cut = std::span<const Sha256Digest>(leaves).subspan(group.first, group.size);
+    std::vector<Sha256Digest> wrong(cut.begin(), cut.end());
+    wrong.back()[0] ^= 1;
+    EXPECT_THROW((void)tree.path(i, wrong), std::invalid_argument) << n << " leaves";
+    wrong.pop_back();
+    EXPECT_THROW((void)tree.path(i, wrong), std::invalid_argument) << n << " leaves";
+  }
 }
 
 // ---- Signed bundles --------------------------------------------------------
@@ -409,15 +440,23 @@ TEST(SplitBatches, RoundRequestIsOneBatchWithItsRoundPath) {
     EXPECT_EQ(batches->front().batch_count, 3u);
     EXPECT_EQ(batches->front().round, req.round);
     EXPECT_TRUE(batches->front().verify_root(req.home_network, home.public_key)) << b;
-    // The batch rebuilds every bundle's served position, path included.
+    // The batch rebuilds every bundle's served position, path included,
+    // from the leaf hashes of its group.
+    std::vector<Sha256Digest> leaves;
+    for (const auto& v : req.vectors) leaves.push_back(v.leaf_hash());
+    for (const auto& s : req.shares) leaves.push_back(s.leaf_hash());
+    const auto group_of = [&](std::uint16_t i) {
+      const crypto::MerkleGroup group = batches->front().tree.group(i);
+      return std::span<const Sha256Digest>(leaves).subspan(group.first, group.size);
+    };
     for (const auto& v : round[b].vectors) {
       AuthVectorBundle rebuilt = v;
-      rebuilt.batch = batches->front().position(v.batch.leaf_index);
+      rebuilt.batch = batches->front().position(v.batch.leaf_index, group_of(v.batch.leaf_index));
       EXPECT_EQ(wire::encode(rebuilt), wire::encode(v)) << b;
     }
     for (const auto& s : round[b].shares) {
       KeyShareBundle rebuilt = s;
-      rebuilt.batch = batches->front().position(s.batch.leaf_index);
+      rebuilt.batch = batches->front().position(s.batch.leaf_index, group_of(s.batch.leaf_index));
       EXPECT_EQ(wire::encode(rebuilt), wire::encode(s)) << b;
     }
   }

@@ -60,7 +60,9 @@ Bytes valid_batched_vector_bundle() {
     leaves.push_back(b.leaf_hash());
   }
   AuthVectorBundle served = batch.vectors[2];
-  served.batch.siblings = crypto::MerkleTree(std::move(leaves)).path(2);
+  const crypto::MerkleTree tree(leaves);
+  const crypto::MerkleGroup group = tree.group(2);
+  served.batch.siblings = tree.path(2, std::span(leaves).subspan(group.first, group.size));
   served.batch.siblings.insert(served.batch.siblings.end(), batch.round.begin(),
                                batch.round.end());
   return wire::encode(served);
@@ -342,10 +344,7 @@ std::pair<std::string, BatchRecord> valid_batch_record() {
   record.signature = batch.vectors[0].home_signature;
   record.round = batch.round;
   std::vector<crypto::Sha256Digest> leaves;
-  const auto add_leaf = [&](const auto& bundle) {
-    leaves.push_back(bundle.leaf_hash());
-    record.leaves.insert(record.leaves.end(), leaves.back().begin(), leaves.back().end());
-  };
+  const auto add_leaf = [&](const auto& bundle) { leaves.push_back(bundle.leaf_hash()); };
   for (const AuthVectorBundle& v : batch.vectors) {
     add_leaf(v);
     record.vectors.push_back(
@@ -357,7 +356,7 @@ std::pair<std::string, BatchRecord> valid_batch_record() {
                              Secret<32>(ByteView(share.share.y))});
   }
   const std::string key = "batch/" + batch.home_network.str() + "/" +
-                          to_hex(crypto::MerkleTree(std::move(leaves)).root());
+                          to_hex(crypto::MerkleTree(leaves).root());
   return {key, std::move(record)};
 }
 

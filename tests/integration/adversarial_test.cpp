@@ -9,6 +9,9 @@
 // or UE get an attach past the serving network's checks.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <optional>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -463,6 +466,90 @@ TEST(Adversarial, BackupRefusesASuciNoHomeOfItsCanDeconceal) {
   EXPECT_EQ(backup.metrics().rejected_requests, before.rejected_requests + 1);
   EXPECT_EQ(backup.metrics().vectors_served, before.vectors_served);
   EXPECT_EQ(backup.stored_vectors(f.net(0).id(), kAlice), stored);
+}
+
+// ---- Requests from a home network the backup does not know ------------
+//
+// A store push whose home network the directory does not list, and a revoke
+// from a home network that never stored anything here: the backup cannot
+// check either signature, refuses both, counts each, and keeps what it
+// holds.
+
+/// Sends `request` to net-2's `service` from net-5 and returns the result.
+template <typename Req>
+sim::CallResult<sim::Ack> send_to_net2(Federation& f, const sim::Service<Req, sim::Ack>& service,
+                                       const Req& request) {
+  std::optional<sim::CallResult<sim::Ack>> result;
+  sim::TypedStub(f.rpc, f.net(4).node(), service)
+      .call(f.net(1).node(), request, sim::RpcOptions::oneshot(),
+            [&](sim::CallResult<sim::Ack> r) { result = std::move(r); });
+  f.simulator.run();
+  if (!result) throw std::runtime_error("call never ended");
+  return std::move(*result);
+}
+
+/// What net-2 holds for Alice, and the bundles it has stored.
+std::array<std::uint64_t, 3> held_at_net2(Federation& f) {
+  const core::BackupNetwork& backup = f.net(1).backup();
+  return {backup.stored_vectors(f.net(0).id(), kAlice), backup.stored_shares(f.net(0).id(), kAlice),
+          backup.metrics().bundles_stored};
+}
+
+void expect_unknown_home(const sim::CallResult<sim::Ack>& result) {
+  ASSERT_FALSE(result.ok());
+  ASSERT_TRUE(result.app_error().has_value()) << result.error().message;
+  EXPECT_EQ(result.app_error()->code, sim::AppErrorCode::kNotFound);
+  EXPECT_EQ(result.app_error()->detail, "unknown home network");
+}
+
+TEST(Adversarial, BackupRefusesAStoreFromAnUnknownHome) {
+  Federation f(5);
+  f.provision(kAlice, 0, {1, 2, 3});
+  const std::uint64_t rejected = f.net(1).backup().metrics().rejected_requests;
+  const auto held = held_at_net2(f);
+
+  // A well-formed batch, signed by a key no directory entry names.
+  core::StoreMaterialRequest push;
+  push.home_network = NetworkId("ghost-net");
+  core::AuthVectorBundle vector;
+  vector.home_network = push.home_network;
+  vector.supi = kAlice;
+  vector.sqn = 1;
+  push.vectors.push_back(vector);
+  crypto::DeterministicDrbg rng("ghost home", 1);
+  core::sign_batch(push.vectors, push.shares, crypto::ed25519_generate(rng));
+
+  expect_unknown_home(send_to_net2(f, core::kBackupStore, push));
+  EXPECT_EQ(f.net(1).backup().metrics().rejected_requests, rejected + 1);
+  EXPECT_EQ(held_at_net2(f), held);
+  EXPECT_EQ(f.net(1).backup().stored_vectors(push.home_network, kAlice), 0u);
+}
+
+TEST(Adversarial, BackupRefusesARevokeFromAnUnknownHome) {
+  core::FederationSpec spec = Federation::flat(5);
+  spec.networks[1].durable = true;
+  Federation f(std::move(spec));
+  f.provision(kAlice, 0, {1, 2, 3});
+  const std::uint64_t rejected = f.net(1).backup().metrics().rejected_requests;
+  const auto held = held_at_net2(f);
+
+  // It names every share net-2 holds for Alice.
+  core::RevokeSharesRequest revoke;
+  revoke.home_network = NetworkId("ghost-net");
+  revoke.supi = kAlice;
+  for (const core::BatchRecord& record : held_records(*f.stores[1])) {
+    for (const core::ShareLeaf& share : record.shares) {
+      revoke.hxres_indices.push_back(share.hxres_star);
+    }
+  }
+  ASSERT_FALSE(revoke.hxres_indices.empty());
+  crypto::DeterministicDrbg rng("ghost home", 1);
+  revoke.home_signature =
+      crypto::ed25519_sign(revoke.signed_payload(), crypto::ed25519_generate(rng));
+
+  expect_unknown_home(send_to_net2(f, core::kBackupRevokeShares, revoke));
+  EXPECT_EQ(f.net(1).backup().metrics().rejected_requests, rejected + 1);
+  EXPECT_EQ(held_at_net2(f), held);
 }
 
 TEST(Adversarial, ServingNetworkRefusesALocalSuciItCannotDeconceal) {

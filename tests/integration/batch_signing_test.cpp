@@ -373,7 +373,10 @@ TEST(BatchSigning, ServingNetworkRejectsForgedShares) {
       leaves.push_back(s.leaf_hash());
     }
     core::KeyShareBundle share = batch.shares[index % 2];
-    share.batch.siblings = crypto::MerkleTree(std::move(leaves)).path(index % 2);
+    const crypto::MerkleTree tree(leaves);
+    const crypto::MerkleGroup group = tree.group(index % 2);
+    share.batch.siblings =
+        tree.path(index % 2, std::span(leaves).subspan(group.first, group.size));
     share.batch.siblings.insert(share.batch.siblings.end(), batch.round.begin(), batch.round.end());
     return share;
   };
@@ -461,8 +464,11 @@ struct SignedBundles {
     const auto with_path = [&](auto bundle) {
       const auto first = leaves.begin() + static_cast<std::ptrdiff_t>(position++ -
                                                                        bundle.batch.leaf_index);
-      const crypto::MerkleTree tree({first, first + bundle.batch.leaf_count});
-      bundle.batch.siblings = tree.path(bundle.batch.leaf_index);
+      const std::span<const crypto::Sha256Digest> batch(first, bundle.batch.leaf_count);
+      const crypto::MerkleTree tree(batch);
+      const crypto::MerkleGroup group = tree.group(bundle.batch.leaf_index);
+      bundle.batch.siblings =
+          tree.path(bundle.batch.leaf_index, batch.subspan(group.first, group.size));
       bundle.batch.siblings.insert(bundle.batch.siblings.end(), request.round.begin(),
                                    request.round.end());
       return wire::encode(bundle);

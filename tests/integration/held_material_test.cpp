@@ -1,4 +1,4 @@
-// The heap a backup spends per held bundle (docs/PERFORMANCE.md §13, §17).
+// The heap a backup spends per held bundle (docs/PERFORMANCE.md §13, §17, §18).
 //
 // A backup holds one key share of every vector of every user it backs up,
 // so the bytes per held bundle bound how many users one node can back up.
@@ -49,10 +49,11 @@ TEST(HeldMaterial, HeapPerHeldBundleIsWithinBudget) {
   ASSERT_EQ(bundles, kBackups * kUsers * (16 + kBackups * 16));
   ASSERT_GT(disseminated, provisioned);
   const double per_bundle = static_cast<double>(disseminated - provisioned) / bundles;
-  // 112 B measured (x86-64, glibc 2.36 malloc), plus 13 B for allocator and
-  // toolchain drift. A share held as a std::map node with a shared_ptr to
-  // its batch measured 168 B (docs/PERFORMANCE.md §17).
-  EXPECT_LE(per_bundle, 125.0) << "heap per held bundle";
+  // 79 B measured (x86-64, glibc 2.36 malloc), plus 8 B for allocator and
+  // toolchain drift. A batch tree that kept its leaf level measured 112 B
+  // (docs/PERFORMANCE.md §18), and a share held as a std::map node with a
+  // shared_ptr to its batch 168 B (§17).
+  EXPECT_LE(per_bundle, 87.0) << "heap per held bundle";
 #endif
 }
 

@@ -283,7 +283,7 @@ TEST(Persistence, HeldBatchRecordsArePinned) {
     while (f.net(1).backup().stored_vectors(home, supi) > 0) pull(supi);
   }
   hash_records(h, *f.stores[1]);
-  EXPECT_EQ(to_hex(h.finish()), "ae76537973253a2b1ceec14df8a05759e44fc2ca56d5065309b4cbed48679565");
+  EXPECT_EQ(to_hex(h.finish()), "3739b3affb82e0ec3ee59d81606cc6b35324db2bc52ad9c4d153c5e93acd876d");
 }
 
 TEST(Persistence, RestartKeepsTheServeOrder) {
@@ -522,16 +522,17 @@ TEST(Persistence, StoreHoldsOneRecordPerBatch) {
     const auto record = wire::decode<core::BatchRecord>(value);
     EXPECT_EQ(record.vectors.size(), vectors);
     EXPECT_EQ(record.shares.size(), shares);
-    EXPECT_EQ(record.leaves.size(), 32 * (vectors + shares));
+    EXPECT_TRUE(record.released.empty());
     EXPECT_EQ(f.net(1).backup().stored_vectors(home, record.supi), vectors);
     EXPECT_EQ(f.net(1).backup().stored_shares(home, record.supi), shares);
-    // Per held leaf: its hash (32), and a vector's framed fields (4 + leaf
-    // 2 + sqn 8 + RAND, AUTN, H(XRES*) 3 x 16 + flood 1 = 63) or a share's
-    // (4 + leaf 2 + H(XRES*) 16 + x 1 + y 32 = 55); once per batch the
-    // header: SUPI 4 + 15, round position 4, signature 64, a two-hash round
-    // path 1 + 64, and three counts 4 each. 1588 B for these 16 leaves, 99
-    // B a leaf, where a bundle record took 157-161 B and a 63 B key.
-    EXPECT_EQ(value.size(), (32 + 63) * vectors + (32 + 55) * shares + 164);
+    // Per held leaf: a vector's framed fields (4 + leaf 2 + sqn 8 + RAND,
+    // AUTN, H(XRES*) 3 x 16 + flood 1 = 63) or a share's (4 + leaf 2 +
+    // H(XRES*) 16 + x 1 + y 32 = 55); once per batch the header: SUPI 4 +
+    // 15, round position 4, signature 64, a two-hash round path 1 + 64, and
+    // three counts 4 each. 1076 B for these 16 leaves, 68 B a leaf, where a
+    // bundle record took 157-161 B and a 63 B key. A released leaf adds its
+    // framed index and hash, 4 + 2 + 32 = 38 B.
+    EXPECT_EQ(value.size(), 63 * vectors + 55 * shares + 164);
     EXPECT_LE(value.size(), 100 * (vectors + shares));
   }
 
@@ -540,6 +541,7 @@ TEST(Persistence, StoreHoldsOneRecordPerBatch) {
   for (const core::BatchRecord& record : held_records(*f.stores[1])) {
     EXPECT_EQ(record.vectors.size(), record.supi == kAlice ? vectors - 1 : vectors);
     EXPECT_EQ(record.shares.size(), shares);
+    EXPECT_EQ(record.released.size(), record.supi == kAlice ? 1u : 0u);
   }
 }
 
@@ -561,7 +563,8 @@ TEST(Persistence, ServingABatchOutKeepsTheDurableLogBounded) {
     backup->bind_services();
     f.provision(kAlice, 0, {1, 2, 3});
     ASSERT_EQ(held_records(durable).size(), 1u);
-    ASSERT_EQ(held_records(durable)[0].leaves.size(), 32u * 64);
+    const core::BatchRecord held = held_records(durable)[0];
+    ASSERT_EQ(held.vectors.size() + held.shares.size(), 64u);
 
     std::size_t largest = 0;
     for (std::size_t i = 0; i < config.vectors_per_backup; ++i) {

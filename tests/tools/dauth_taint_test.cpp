@@ -563,6 +563,49 @@ TEST(TaintClean, InertMembersOfATaintedHandleAreClean) {
   EXPECT_TRUE(a.findings.empty());
 }
 
+/// A backup's served path, cut from a group of leaf hashes: each held
+/// share's fields, its ordinate among them, go into its leaf's hash
+/// (`sibling` is what one leaf contributes), and the group into a path
+/// that the reply carries.
+std::string share_group_handler(std::string_view sibling) {
+  return "struct ShareLeaf { std::uint16_t leaf = 0; std::uint8_t x = 0; Secret<32> y; };\n"
+         "KeyShareBundle leaf_bundle(const Supi& supi, const ShareLeaf& held) {\n"
+         "  return {supi, held.x, SecretBytes(ByteView(held.y))};\n"
+         "}\n"
+         "std::vector<Sha256Digest> group(const Supi& supi,\n"
+         "                                const std::vector<ShareLeaf>& shares) {\n"
+         "  std::vector<Sha256Digest> hashes(shares.size());\n"
+         "  for (const ShareLeaf& share : shares) {\n"
+         "    hashes[share.leaf] = " +
+         std::string(sibling) +
+         ";\n"
+         "  }\n"
+         "  return hashes;\n"
+         "}\n"
+         "void f(sim::Responder& responder, const Supi& supi,\n"
+         "       const std::vector<ShareLeaf>& shares) {\n"
+         "  responder.reply(tree.path(0, group(supi, shares)));\n"
+         "}";
+}
+
+TEST(TaintClean, LeafHashOfAHeldShareIsAPublicSibling) {
+  // A leaf hash is a one-way digest that every served path publishes: the
+  // shares' ordinates hashed into their leaves leave the path clean.
+  for (const char* sibling : {"leaf_bundle(supi, share).leaf_hash()",
+                              "crypto::merkle_leaf_hash(share.y)"}) {
+    EXPECT_TRUE(run(share_group_handler(sibling)).findings.empty()) << sibling;
+  }
+}
+
+TEST(TaintT4, RawOrdinateInAPathGroupReachesReply) {
+  // The same group with an ordinate copied in, not hashed, is a leak.
+  for (const char* sibling : {"share.y", "leaf_bundle(supi, share).share.y"}) {
+    const auto a = run(share_group_handler(sibling));
+    ASSERT_EQ(count_rule(a, "T4"), 1) << sibling;
+    EXPECT_EQ(a.findings[0].line, 15) << sibling;
+  }
+}
+
 TEST(TaintClean, NonCarryingMessageEncodeIsClean) {
   // AuthVectorBundle-shaped struct: all members public -> encode is clean.
   const auto a = run("struct VectorBundle { Bytes rand_v; Bytes autn_v; Bytes hxres_star;\n"

@@ -79,13 +79,14 @@ const std::set<std::string, std::less<>> kStmtKeywords = {
 /// Calls whose RESULT is clean even when their arguments are secret: constant
 /// -time comparison (one bit), MAC/signature computation and verification
 /// (outputs are published by design), hashing (H(RES*) is the public index,
-/// §4.2.2), and SUCI deconcealment (recovers the identifier, not the key).
-/// Taint is *laundered* through these — flows into them are never reported
-/// and their return values start clean.
+/// §4.2.2; a bundle's Merkle leaf hash is a sibling in every served path),
+/// and SUCI deconcealment (recovers the identifier, not the key). Taint is
+/// *laundered* through these — flows into them are never reported and their
+/// return values start clean.
 const std::set<std::string, std::less<>> kSanitizers = {
-    "ct_equal",     "hmac_sha256",    "hmac_sha512", "sha256",
-    "ed25519_sign", "ed25519_verify", "hxres_index", "deconceal_suci",
-    "conceal_supi"};
+    "ct_equal",       "hmac_sha256",    "hmac_sha512", "sha256",
+    "leaf_hash",      "merkle_leaf_hash", "ed25519_sign", "ed25519_verify",
+    "hxres_index",    "deconceal_suci", "conceal_supi"};
 
 /// Calls whose result carries every argument whole, whatever their summary
 /// says: the wire codec's entry points build their bytes through a
@@ -1061,7 +1062,12 @@ struct Engine {
       if (in_set(kStmtKeywords, tok.text)) continue;
       const Chain c = build_chain(i);
       mask |= classify(c);
-      i = read_calls(c, mask) - 1;
+      // A chain that ends in a sanitizer call is laundered whole, as
+      // classify() reads it: what its earlier calls carry goes into the
+      // sanitizer, not past it.
+      std::uint64_t calls = 0;
+      i = read_calls(c, calls) - 1;
+      if (c.comps.size() < 2 || !in_set(kSanitizers, c.comps.back())) mask |= calls;
     }
     return mask;
   }
