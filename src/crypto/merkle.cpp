@@ -12,7 +12,7 @@ constexpr std::uint8_t kNodeTag = 0x01;
 
 // Levels 0 to 2 are the caller's leaves and their rehash (see MerkleTree).
 constexpr std::size_t kFirstStoredLevel = 3;
-static_assert(kMerkleGroupLeaves == std::size_t{1} << kFirstStoredLevel);
+constexpr std::size_t kGroupLeaves = std::size_t{1} << kFirstStoredLevel;
 
 std::size_t level_size(std::size_t leaves, std::size_t level) {
   for (; level > 0; --level) leaves = (leaves + 1) / 2;
@@ -77,8 +77,8 @@ MerkleTree::MerkleTree(std::span<const Sha256Digest> leaves) : leaf_count_(leave
 }
 
 MerkleGroup MerkleTree::group(std::size_t index) const noexcept {
-  const std::size_t first = index / kMerkleGroupLeaves * kMerkleGroupLeaves;
-  return {first, std::min(kMerkleGroupLeaves, leaf_count_ - first)};
+  const std::size_t first = index / kGroupLeaves * kGroupLeaves;
+  return {first, std::min(kGroupLeaves, leaf_count_ - first)};
 }
 
 const Sha256Digest& MerkleTree::stored(std::size_t level, std::size_t index) const {
@@ -93,7 +93,7 @@ std::vector<Sha256Digest> MerkleTree::path(std::size_t index,
   if (index >= leaf_count_) throw std::out_of_range("MerkleTree: leaf index out of range");
   const MerkleGroup g = this->group(index);
   if (group.size() != g.size) throw std::invalid_argument("MerkleTree: not the leaf's group");
-  std::array<Sha256Digest, kMerkleGroupLeaves> nodes{};  // the group's nodes of one level
+  std::array<Sha256Digest, kGroupLeaves> nodes{};  // the group's nodes of one level
   std::ranges::copy(group, nodes.begin());
   std::size_t in_group = g.size;
   std::vector<Sha256Digest> out;

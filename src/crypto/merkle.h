@@ -30,11 +30,8 @@ Sha256Digest merkle_leaf_hash(ByteView data) noexcept;
 Sha256 merkle_leaf_hasher() noexcept;
 Sha256Digest merkle_node_hash(const Sha256Digest& left, const Sha256Digest& right) noexcept;
 
-/// Leaves per group: the leaves under one node of a tree's third level.
-inline constexpr std::size_t kMerkleGroupLeaves = 8;
-
 /// The leaves a path needs from its caller: leaf `index`'s group, the up to
-/// kMerkleGroupLeaves leaves [first, first + size).
+/// eight leaves [first, first + size) under one node of the third level.
 struct MerkleGroup {
   std::size_t first = 0;
   std::size_t size = 0;
@@ -71,7 +68,7 @@ class MerkleTree {
 };
 
 /// Length of the audit path of leaf `index` in a `count`-leaf tree, i.e.
-/// MerkleTree::path(index).size(); 0 when index >= count.
+/// MerkleTree::path(index, group).size(); 0 when index >= count.
 std::size_t merkle_path_length(std::size_t index, std::size_t count) noexcept;
 
 /// RFC 9162 §2.1.3.2: the root implied by `leaf` at `index` of a `count`-leaf

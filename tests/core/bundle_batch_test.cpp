@@ -230,7 +230,7 @@ TEST(MerkleTree, PathRefusesAGroupNotOfItsLeaf) {
     const MerkleTree tree(leaves);
     const std::size_t i = n - 1;
     const crypto::MerkleGroup group = tree.group(i);
-    ASSERT_LE(group.size, crypto::kMerkleGroupLeaves);
+    ASSERT_LE(group.size, 8u);
     const auto cut = std::span<const Sha256Digest>(leaves).subspan(group.first, group.size);
     std::vector<Sha256Digest> wrong(cut.begin(), cut.end());
     wrong.back()[0] ^= 1;
