@@ -501,6 +501,51 @@ TEST(Persistence, RestoreDropsABatchWhoseLeafDoesNotHash) {
   }
 }
 
+TEST(Persistence, RestoreDropsABatchWhoseReleasedLeavesDoNotFit) {
+  // After one of Alice's vectors is served, her record lists it as released,
+  // by leaf index and hash. Restore places every held and released leaf at
+  // its index and rebuilds the tree: a released hash that changed, a
+  // released leaf missing, or one at an index a held leaf takes gives
+  // another root, or no tree, and the record is dropped whole. Bob's batch
+  // is untouched, and an unedited record restores as it was.
+  const std::vector<std::pair<const char*, std::function<void(core::BatchRecord&)>>> edits = {
+      {"unedited", [](core::BatchRecord&) {}},
+      {"released hash", [](core::BatchRecord& r) { r.released.at(0).hash[0] ^= 1; }},
+      {"released leaf missing", [](core::BatchRecord& r) { r.released.clear(); }},
+      {"released index taken",
+       [](core::BatchRecord& r) { r.released.at(0).leaf = r.vectors.at(0).leaf; }},
+  };
+  for (const auto& [name, edit] : edits) {
+    Federation f(durable_net2());
+    f.provision(kAlice, 0, {1, 2, 3});
+    f.provision(kBob, 0, {1, 2, 3});
+    const NetworkId& home = f.net(0).id();
+    (void)pull_vector(f, 1, kAlice);
+
+    std::size_t edited = 0;
+    for (const auto& key : f.stores[1]->keys_with_prefix("batch/")) {
+      auto record = wire::decode<core::BatchRecord>(f.stores[1]->get(key).value());
+      if (record.supi != kAlice) continue;
+      ASSERT_EQ(record.released.size(), 1u) << name;
+      edit(record);
+      f.stores[1]->put(key, wire::encode(record));
+      ++edited;
+    }
+    ASSERT_EQ(edited, 1u) << name;
+
+    f.net(1).restart_backup();
+    const bool kept = std::string(name) == "unedited";
+    EXPECT_EQ(f.net(1).backup().stored_vectors(home, kAlice),
+              kept ? f.config.vectors_per_backup - 1 : 0u)
+        << name;
+    EXPECT_EQ(f.net(1).backup().stored_shares(home, kAlice),
+              kept ? 3 * f.config.vectors_per_backup : 0u)
+        << name;
+    EXPECT_EQ(f.net(1).backup().stored_vectors(home, kBob), f.config.vectors_per_backup) << name;
+    EXPECT_EQ(f.net(1).backup().stored_shares(home, kBob), 3 * f.config.vectors_per_backup) << name;
+  }
+}
+
 TEST(Persistence, StoreHoldsOneRecordPerBatch) {
   // A backup persists each held batch once, at its information content: no
   // record per bundle, and no field two bundles share stored twice.
