@@ -343,8 +343,8 @@ void BackupNetwork::persist_batch(const UserKey& user, UserState& state,
     if (empty) {
       store_->erase(name);
     } else {
-      const BatchRecord record{user.supi,        held.batch.batch_index, held.batch.batch_count,
-                               held.batch.signature, held.batch.round,   held.released,
+      const BatchRecord record{user.supi,           held.batch.batch_index, held.batch.batch_count,
+                               held.batch.signature, held.batch.round,       held.released,
                                held.vectors,         held.shares};
       // DAUTH_DISCLOSE(persisting its shares of K_seaf is the backup's entire job, §4.2.1)
       store_->put(name, wire::encode(record));

@@ -67,7 +67,6 @@ def run(tree, workload, seed, seconds):
     result = json.loads(out.stdout.strip().splitlines()[-1])
     values = {name: m["value"] for name, m in result["metrics"].items()}
     values["failed"] = result["failed"]
-    values["attempted"] = result["attempted"]
     return values
 
 
