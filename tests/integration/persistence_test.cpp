@@ -404,6 +404,76 @@ TEST(Persistence, ServedBytesArePinned) {
   EXPECT_EQ(to_hex(h.finish()), "5a51e2e93ed7c9d9aea6cd8751b58d871342d3690524f4dfcc947a881d3aa7f8");
 }
 
+/// Wraps the home's home.report handler so that each request payload is
+/// folded into `h`; `reports` counts them.
+void tap_reports(Federation& f, crypto::Sha256& h, std::size_t& reports) {
+  auto inner = std::make_shared<sim::ServiceHandler>();
+  *inner = f.rpc.register_service(f.net(0).node(), "home.report",
+                                  [&h, &reports, inner](ByteView request, sim::Responder r) {
+                                    h.update(request);
+                                    ++reports;
+                                    (*inner)(request, std::move(r));
+                                  });
+}
+
+TEST(Persistence, ReportBytesArePinned) {
+  // Every home.report request the backups send, byte for byte: the proofs
+  // each report lists and their order. An outage leaves proofs of Alice's
+  // and Bob's attaches pending at every backup; once the home is back but
+  // cut off from the serving network, net-2's report is in flight on a slow
+  // link while another attach releases a share there; net-2 (durable)
+  // restarts with that proof pending; then every backup reports and is
+  // acked. A change to how a backup keeps or reports its proofs must leave
+  // the digest as it is.
+  Federation f(durable_net2());
+  const NetworkId& home = f.net(0).id();
+  const auto alice_keys = f.provision(kAlice, 0, {1, 2, 3});
+  const auto bob_keys = f.provision(kBob, 0, {1, 2, 3});
+  crypto::Sha256 h;
+  std::size_t reports = 0;
+  tap_reports(f, h, reports);
+
+  f.network.node(f.net(0).node()).set_online(false);
+  auto alice = f.make_ue(kAlice, alice_keys, 4);
+  auto bob = f.make_ue(kBob, bob_keys, 4);
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(f.attach(*alice).success) << "alice " << i;
+    ASSERT_TRUE(f.attach(*bob).success) << "bob " << i;
+  }
+  f.net(1).backup().report_now(home);
+  f.simulator.run();
+  ASSERT_EQ(reports, 0u);  // the home is down
+  const std::size_t pending = f.net(1).backup().pending_reports(home);
+  ASSERT_EQ(pending, 4u);
+
+  f.network.node(f.net(0).node()).set_online(true);
+  sim::LatencyModel cut;
+  cut.loss = 1.0;
+  f.network.set_link(f.net(4).node(), f.net(0).node(), cut);
+  sim::LatencyModel slow;
+  slow.base = ms(500);
+  f.network.set_link(f.net(1).node(), f.net(0).node(), slow);
+  f.net(1).backup().report_now(home);
+  std::optional<ran::AttachRecord> during;
+  alice->attach([&](const ran::AttachRecord& r) { during = r; });
+  f.simulator.run();
+  ASSERT_TRUE(during && during->success);
+  ASSERT_EQ(reports, 1u);
+  ASSERT_EQ(f.net(1).backup().pending_reports(home), 1u);
+
+  f.net(1).restart_backup();
+  ASSERT_EQ(f.net(1).backup().pending_reports(home), 1u);
+  ASSERT_TRUE(f.attach(*bob).success);
+  for (std::size_t b = 1; b <= 3; ++b) f.net(b).backup().report_now(home);
+  f.simulator.run();
+  for (std::size_t b = 1; b <= 3; ++b) {
+    EXPECT_EQ(f.net(b).backup().pending_reports(home), 0u) << "net-" << b + 1;
+  }
+  EXPECT_TRUE(f.net(0).home().anomalies().empty());
+  EXPECT_EQ(reports, 4u);
+  EXPECT_EQ(to_hex(h.finish()), "72a2be2facd7a7e05ca9750f2b152131d6970311920a53f6dbddcc7c7f432db6");
+}
+
 TEST(Persistence, RedeliveredStoreHoldsEachBundleOnce) {
   // The home retries a store push whose reply is lost or late, and the
   // backup then runs the request a second time. A batch whose root it
