@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <set>
 
 #include "aka/suci.h"
 #include "core/home_network.h"  // hxres_index
@@ -16,6 +15,23 @@ namespace {
 // The store key of a held batch's BatchRecord.
 std::string batch_record(const std::string& home, const crypto::MerkleTree& tree) {
   return "batch/" + home + "/" + to_hex(tree.root());
+}
+
+// The store key of a pending proof is "proof/<home>" then this tail: one
+// record per (H(XRES*), serving network), as in memory.
+std::string proof_record_tail(const ByteArray<16>& hxres, const NetworkId& serving) {
+  return "/" + to_hex(hxres) + "/" + serving.str();
+}
+
+std::string proof_record(const NetworkId& home, const ByteArray<16>& hxres,
+                         const NetworkId& serving) {
+  return "proof/" + home.str() + proof_record_tail(hxres, serving);
+}
+
+// The first four bytes of H(XRES*), which order a home's pending proofs.
+std::uint32_t proof_tag(const ByteArray<16>& hxres) {
+  return static_cast<std::uint32_t>(hxres[0]) << 24 | static_cast<std::uint32_t>(hxres[1]) << 16 |
+         static_cast<std::uint32_t>(hxres[2]) << 8 | hxres[3];
 }
 
 // A share of the 32-byte K_seaf has a 32-byte ordinate, which a held share
@@ -129,19 +145,24 @@ void BackupNetwork::restore_from_store() {
           std::move(record.shares)});
   }
 
+  // Pending proofs, one record each, in key order. A record is dropped when
+  // it does not decode, when its RES* is not the preimage of its H(XRES*),
+  // or when its key does not end in that H(XRES*) and its serving network.
   for (const auto& key : store_->keys_with_prefix("proof/")) {
+    UsageProof proof;
     try {
-      const auto proof = wire::decode<UsageProof>(*store_->get(key));
-      // Recover the home id from the key: "proof/<home>/<hxres>".
-      const std::string rest = key.substr(6);
-      const auto slash = rest.find('/');
-      if (slash == std::string::npos) continue;
-      const NetworkId home(rest.substr(0, slash));
-      homes_[home].pending_proofs.push_back(proof);
-      ++metrics_.proofs_pending;
-      arm_report(home);
+      proof = wire::decode<UsageProof>(*store_->get(key));
     } catch (const wire::WireError&) {
+      continue;
     }
+    const std::string tail = proof_record_tail(proof.hxres_star, proof.serving_network);
+    if (key.size() <= 6 + tail.size() || !key.ends_with(tail) ||
+        !ct_equal(hxres_index(proof.res_star), proof.hxres_star)) {
+      continue;
+    }
+    const NetworkId home(key.substr(6, key.size() - 6 - tail.size()));
+    pend(users_.try_emplace({home, proof.supi}).first->first, proof);
+    arm_report(home);
   }
 }
 
@@ -438,9 +459,18 @@ void BackupNetwork::handle_get_share(UsageProof proof,
         const auto& [batch, leaf] = *share;
         reply.share = served(id.home, id.supi, batch->batch, group(id, *batch, leaf->leaf), *leaf);
 
-        // Persist the proof for later reporting (§4.2.2: "backups store the
-        // received bundle ... to report a proof of consumption").
-        persist_proof(id.home, proof);
+        // Keep the proof for later reporting (§4.2.2: "backups store the
+        // received bundle ... to report a proof of consumption"), once: a
+        // retried or replayed proof releases the share again but is
+        // already pending.
+        if (pend(id, proof)) {
+          if (store_ != nullptr) {
+            // DAUTH_DISCLOSE(usage proofs are persisted for the audit report; RES* inside is already spent, §4.2.3)
+            store_->put(proof_record(id.home, proof.hxres_star, proof.serving_network),
+                        wire::encode(proof));
+          }
+          arm_report(id.home);
+        }
         // The proof also tells us the vector itself is consumed; drop any
         // copy WE hold (flood vectors are replicated to every backup, §4.3).
         if (const HeldBatch* held = take_vector(id, user, proof.hxres_star)) {
@@ -505,14 +535,40 @@ void BackupNetwork::handle_revoke_shares(RevokeSharesRequest req,
   responder.reply({});
 }
 
-void BackupNetwork::persist_proof(const NetworkId& home, const UsageProof& proof) {
-  homes_[home].pending_proofs.push_back(proof);
-  ++metrics_.proofs_pending;
-  if (store_ != nullptr) {
-    // DAUTH_DISCLOSE(usage proofs are persisted for the audit report; RES* inside is already spent, §4.2.3)
-    store_->put("proof/" + home.str() + "/" + to_hex(proof.hxres_star), wire::encode(proof));
+bool BackupNetwork::pend(const UserKey& user, const UsageProof& proof) {
+  HomeState& home = homes_[user.home];
+  auto serving = std::ranges::find(serving_networks_, proof.serving_network);
+  if (serving == serving_networks_.end()) {
+    serving = serving_networks_.insert(serving, proof.serving_network);
   }
-  arm_report(home);
+  PendingProof entry{proof.res_star,
+                     proof.serving_signature,
+                     proof.timestamp,
+                     &user,
+                     static_cast<std::uint32_t>(serving - serving_networks_.begin()),
+                     proof_tag(proof.hxres_star)};
+  // By (H(XRES*), serving network): the tag, then the serving network, and
+  // only when both tie the whole digest.
+  const auto before = [](const PendingProof& a, const PendingProof& b) {
+    if (a.tag != b.tag || a.serving != b.serving) {
+      return std::tie(a.tag, a.serving) < std::tie(b.tag, b.serving);
+    }
+    return hxres_index(a.res_star) < hxres_index(b.res_star);
+  };
+  const auto at = [&home](std::uint64_t seq) -> const PendingProof& {
+    return home.pending[seq - home.first_seq];
+  };
+  const auto it = std::ranges::lower_bound(home.by_proof, entry, before, at);
+  if (it != home.by_proof.end() && !before(entry, at(*it))) return false;
+  home.by_proof.insert(it, home.first_seq + home.pending.size());
+  home.pending.push_back(std::move(entry));
+  ++metrics_.proofs_pending;
+  return true;
+}
+
+UsageProof BackupNetwork::proof_of(const PendingProof& pending) const {
+  return {serving_networks_[pending.serving], pending.user->supi, hxres_index(pending.res_star),
+          pending.res_star,                   pending.timestamp,  pending.signature};
 }
 
 void BackupNetwork::arm_report(const NetworkId& home) {
@@ -520,7 +576,7 @@ void BackupNetwork::arm_report(const NetworkId& home) {
   // report_now() directly).
   if (config_.report_interval <= 0) return;
   HomeState& state = homes_[home];
-  if (state.report_armed || state.pending_proofs.empty()) return;
+  if (state.report_armed || state.pending.empty()) return;
   state.report_armed = true;
   rpc_.network().simulator().after(config_.report_interval, [this, home] {
     auto it = homes_.find(home);
@@ -532,16 +588,16 @@ void BackupNetwork::arm_report(const NetworkId& home) {
 
 void BackupNetwork::report_now(const NetworkId& home) {
   auto it = homes_.find(home);
-  if (it == homes_.end() || it->second.pending_proofs.empty()) return;
+  if (it == homes_.end() || it->second.pending.empty()) return;
 
+  const HomeState& state = it->second;
   ReportRequest report;
   report.backup_network = id_;
-  report.proofs = it->second.pending_proofs;
+  report.proofs.reserve(state.pending.size());
+  for (const PendingProof& pending : state.pending) report.proofs.push_back(proof_of(pending));
+  const std::uint64_t end = state.first_seq + state.pending.size();
 
-  std::set<ByteArray<16>> sent;
-  for (const UsageProof& proof : report.proofs) sent.insert(proof.hxres_star);
-
-  directory_.get_network(home, [this, home, report = std::move(report), sent = std::move(sent)](
+  directory_.get_network(home, [this, home, report = std::move(report), end](
                                    std::optional<directory::NetworkEntry> e) mutable {
     if (!e) return;
     // Reports already have an application-level retry loop (arm_report), so
@@ -553,32 +609,39 @@ void BackupNetwork::report_now(const NetworkId& home) {
     sim::TypedStub(rpc_, node_, kHomeReport).call(
         static_cast<sim::NodeIndex>(e->address), report,
         config_.resilience.call_options(deadline),
-        [this, home, sent = std::move(sent)](sim::CallResult<sim::Ack> result) {
+        [this, home, end](sim::CallResult<sim::Ack> result) {
           if (!result.ok()) {
             // Home still down; keep the proofs and retry after an interval.
             arm_report(home);
             return;
           }
-          // Home acknowledged: clear exactly the proofs we sent, by H(XRES*).
-          // A proof persisted while the report was in flight stays pending.
-          auto home_it = homes_.find(home);
-          if (home_it == homes_.end()) return;
-          auto& pending = home_it->second.pending_proofs;
-          const std::size_t cleared = std::erase_if(
-              pending, [&](const UsageProof& proof) { return sent.contains(proof.hxres_star); });
-          metrics_.proofs_pending -= std::min<std::uint64_t>(cleared, metrics_.proofs_pending);
-          ++metrics_.reports_sent;
-          if (journal_ != nullptr) {
-            journal_->append(obs::EventKind::kReportSent, id_.str(), home.str(),
-                             std::to_string(cleared) + " proofs");
-          }
-          if (store_ != nullptr) {
-            for (const auto& hxres : sent) {
-              store_->erase("proof/" + home.str() + "/" + to_hex(hxres));
-            }
-          }
+          acked(home, end);
         });
   });
+}
+
+void BackupNetwork::acked(const NetworkId& home, std::uint64_t end) {
+  // Home acknowledged: clear exactly the proofs the report listed. A proof
+  // pended while it was in flight stays pending.
+  auto it = homes_.find(home);
+  if (it == homes_.end()) return;
+  HomeState& state = it->second;
+  std::size_t cleared = 0;
+  for (; state.first_seq < end; ++state.first_seq, ++cleared) {
+    const PendingProof& pending = state.pending.front();
+    if (store_ != nullptr) {
+      store_->erase(proof_record(home, hxres_index(pending.res_star),
+                                 serving_networks_[pending.serving]));
+    }
+    state.pending.pop_front();
+  }
+  std::erase_if(state.by_proof, [&](std::uint64_t seq) { return seq < state.first_seq; });
+  metrics_.proofs_pending -= std::min<std::uint64_t>(cleared, metrics_.proofs_pending);
+  ++metrics_.reports_sent;
+  if (journal_ != nullptr) {
+    journal_->append(obs::EventKind::kReportSent, id_.str(), home.str(),
+                     std::to_string(cleared) + " proofs");
+  }
 }
 
 std::size_t BackupNetwork::stored_vectors(const NetworkId& home, const Supi& supi) const {
@@ -596,7 +659,7 @@ std::size_t BackupNetwork::stored_shares(const NetworkId& home, const Supi& supi
 
 std::size_t BackupNetwork::pending_reports(const NetworkId& home) const {
   const auto it = homes_.find(home);
-  return it == homes_.end() ? 0 : it->second.pending_proofs.size();
+  return it == homes_.end() ? 0 : it->second.pending.size();
 }
 
 }  // namespace dauth::core

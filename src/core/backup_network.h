@@ -9,6 +9,7 @@
 // complete K_seaf, or more than its single share.
 #pragma once
 
+#include <deque>
 #include <map>
 #include <optional>
 #include <vector>
@@ -166,11 +167,35 @@ class BackupNetwork {
     /// Vectors held across every batch.
     std::size_t vectors() const;
   };
+  /// A usage proof waiting for its home's ack, at its own bytes: what the
+  /// proof does not share with its user, its home's FIFO and the backup's
+  /// table of serving networks. Its H(XRES*) is H(RES*), recomputed; `tag`
+  /// is that digest's first four bytes, which order the dedupe index
+  /// without a hash per comparison.
+  struct PendingProof {
+    crypto::ResStar res_star{};
+    crypto::Ed25519Signature signature{};
+    Time timestamp = 0;
+    const UserKey* user = nullptr;  // a key of users_, which erases none
+    std::uint32_t serving = 0;      // index into serving_networks_
+    std::uint32_t tag = 0;
+  };
+  // Budget, so a pending proof cannot grow back into two strings in a
+  // vector that only doubles: RES* 16 + signature 64 + timestamp 8 + user 8
+  // + serving 4 + tag 4, in 416 B deque chunks of four.
+  static_assert(sizeof(PendingProof) <= 104, "a pending proof outgrew its budget");
   struct HomeState {
     std::optional<crypto::X25519Scalar> suci_secret;
     crypto::Ed25519PublicKey home_key{};
     bool home_key_known = false;
-    std::vector<UsageProof> pending_proofs;
+    /// Proofs not yet acked, one per (H(XRES*), serving network), oldest
+    /// first; the front's sequence number is `first_seq` and each later
+    /// one's is one more. An ack pops the prefix its report listed.
+    std::deque<PendingProof> pending;
+    std::uint64_t first_seq = 0;
+    /// The sequence numbers of `pending`, sorted by (H(XRES*), serving
+    /// network), so a proof already pending is found and not added again.
+    std::vector<std::uint64_t> by_proof;
     bool report_armed = false;
   };
 
@@ -183,7 +208,16 @@ class BackupNetwork {
   /// unless one is already armed. Event-driven (no standing timer): the
   /// simulator queue drains once nothing is pending.
   void arm_report(const NetworkId& home);
-  void persist_proof(const NetworkId& home, const UsageProof& proof);
+  /// Adds `proof`, of `user`'s (a key of users_), to its home's pending
+  /// proofs unless one of its H(XRES*) and serving network is already there;
+  /// false when it was. Store and restore enter every proof here.
+  bool pend(const UserKey& user, const UsageProof& proof);
+  /// The pending proof `pending` as the serving network signed it.
+  UsageProof proof_of(const PendingProof& pending) const;
+  /// Pops `home`'s pending proofs below sequence number `end`, the ones a
+  /// report listed, from memory and the store; one its home acked already,
+  /// by a later report, is not cleared twice.
+  void acked(const NetworkId& home, std::uint64_t end);
   /// The leaf hashes of the group of `held`'s leaf `leaf`, which a served
   /// path is cut from (MerkleTree::path): a held leaf's rehashed from its
   /// fields and `user`, a released one's as kept.
@@ -219,6 +253,10 @@ class BackupNetwork {
 
   std::map<UserKey, UserState> users_;
   std::map<NetworkId, HomeState> homes_;
+  /// Every serving network a pending proof has named, interned: a proof
+  /// reaches pend only once its signature verified under the directory's
+  /// key for that network, so the table is bounded by the directory.
+  std::vector<NetworkId> serving_networks_;
   BackupMetrics metrics_;
   obs::EventJournal* journal_ = nullptr;
 };

@@ -113,6 +113,12 @@ class HomeNetwork {
     return usage_ledger_;
   }
 
+  /// Disseminated vectors of `supi` not yet reported used (tests).
+  std::size_t outstanding_vectors(const Supi& supi) const {
+    const auto it = subscribers_.find(supi);
+    return it == subscribers_.end() ? 0 : it->second.outstanding.size();
+  }
+
   /// The X25519 SUCI key pair (secret shared with backups at dissemination).
   const crypto::X25519KeyPair& suci_keys() const noexcept { return suci_key_; }
 

@@ -10,8 +10,11 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <functional>
+#include <memory>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -187,6 +190,146 @@ TEST(Adversarial, EquivocatingReportsAreFlagged) {
   f.simulator.run();
   ASSERT_FALSE(f.net(0).home().anomalies().empty());
   EXPECT_NE(f.net(0).home().anomalies().front().find("unknown vector"), std::string::npos);
+}
+
+/// Six networks, net-2 (index 1) durable; net-1 is Alice's home and net-2..4
+/// her backups.
+core::FederationSpec durable_net2() {
+  core::FederationSpec spec = Federation::flat(6);
+  spec.networks[1].durable = true;
+  return spec;
+}
+
+/// Runs one attach of Alice's through net-6 with the home down and returns
+/// the usage proof net-2 received for it, as the serving network sent it.
+core::UsageProof attach_and_capture_proof(Federation& f, const aka::SubscriberKeys& keys) {
+  std::optional<Bytes> captured;
+  auto inner = std::make_shared<sim::ServiceHandler>();
+  *inner = f.rpc.register_service(f.net(1).node(), "backup.get_share",
+                                  [&captured, inner](ByteView request, sim::Responder r) {
+                                    captured = to_bytes(request);
+                                    (*inner)(request, std::move(r));
+                                  });
+  f.network.node(f.net(0).node()).set_online(false);
+  auto ue = f.make_ue(kAlice, keys, 5);
+  const auto record = f.attach(*ue);
+  if (!record.success || !captured) throw std::runtime_error("no proof reached net-2");
+  return wire::decode<core::UsageProof>(*captured);
+}
+
+/// Sends `proof` to net-2's backup.get_share from `from`'s node; true when
+/// the share is released.
+bool send_proof(Federation& f, std::size_t from, const core::UsageProof& proof) {
+  bool released = false;
+  f.rpc.call(f.net(from).node(), f.net(1).node(), "backup.get_share", wire::encode(proof), {},
+             [&](Bytes) { released = true; }, nullptr);
+  f.simulator.run();
+  return released;
+}
+
+TEST(Adversarial, ReplayedProofIsPendingOnce) {
+  // Any holder of one valid proof can send it again: the backup releases
+  // the share again (a retried proof must get it), but keeps and reports
+  // the proof once, in memory and in its store, so a replay grows neither
+  // its memory nor its reports.
+  Federation f(durable_net2());
+  const NetworkId& home = f.net(0).id();
+  const auto keys = f.provision(kAlice, 0, {1, 2, 3});
+  const core::UsageProof proof = attach_and_capture_proof(f, keys);
+  ASSERT_EQ(f.net(1).backup().pending_reports(home), 1u);
+
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(send_proof(f, 5, proof)) << "replay " << i;
+  EXPECT_EQ(f.net(1).backup().pending_reports(home), 1u);
+  EXPECT_EQ(f.net(1).backup().metrics().proofs_pending, 1u);
+  f.net(1).restart_backup();
+  EXPECT_EQ(f.net(1).backup().pending_reports(home), 1u);
+
+  f.network.node(f.net(0).node()).set_online(true);
+  f.net(1).backup().report_now(home);
+  f.simulator.run();
+  EXPECT_EQ(f.net(1).backup().pending_reports(home), 0u);
+  EXPECT_EQ(f.net(0).home().metrics().reports_processed, 1u);
+  EXPECT_TRUE(f.net(0).home().anomalies().empty());
+}
+
+TEST(Adversarial, ConflictingProofSurvivesARestart) {
+  // Two serving networks each sign a proof for the same vector: net-6 ran
+  // the attach, and net-5 claims it too. The backup keeps both, in memory
+  // and as two store records, so after a restart its report still carries
+  // the conflict and the home flags it (§4.2.3).
+  Federation f(durable_net2());
+  const NetworkId& home = f.net(0).id();
+  const auto keys = f.provision(kAlice, 0, {1, 2, 3});
+  core::UsageProof conflict = attach_and_capture_proof(f, keys);
+  conflict.serving_network = f.net(4).id();
+  conflict.serving_signature =
+      crypto::ed25519_sign(conflict.signed_payload(), f.net(4).signing_keys());
+  ASSERT_TRUE(send_proof(f, 4, conflict));
+  EXPECT_EQ(f.net(1).backup().pending_reports(home), 2u);
+
+  f.net(1).restart_backup();
+  EXPECT_EQ(f.net(1).backup().pending_reports(home), 2u);
+  f.network.node(f.net(0).node()).set_online(true);
+  f.net(1).backup().report_now(home);
+  f.simulator.run();
+  EXPECT_EQ(f.net(1).backup().pending_reports(home), 0u);
+  const auto& anomalies = f.net(0).home().anomalies();
+  ASSERT_EQ(anomalies.size(), 1u);
+  EXPECT_NE(anomalies.front().find("conflicting serving networks"), std::string::npos)
+      << anomalies.front();
+}
+
+TEST(Adversarial, ReportCrossChecksRefuseWithoutEffect) {
+  // A report's proof whose RES* is not the preimage of its H(XRES*), or
+  // that names a subscriber the home does not have, is flagged and changes
+  // nothing: no ledger entry, no vector marked used, no refill. Each names
+  // a vector net-2 really holds, so skipping a check would show.
+  const std::vector<std::pair<const char*, std::function<void(core::UsageProof&)>>> cases = {
+      {"bad preimage", [](core::UsageProof& p) { p.res_star[0] ^= 1; }},
+      {"unknown subscriber", [](core::UsageProof& p) { p.supi = Supi("901550000000099"); }},
+  };
+  for (const auto& [name, edit] : cases) {
+    Federation f(5);
+    const auto keys = f.provision(kAlice, 0, {1, 2, 3});
+    core::GetVectorRequest pull;
+    pull.serving_network = f.net(4).id();
+    pull.supi = kAlice;
+    std::optional<core::AuthVectorBundle> vector;
+    f.rpc.call(f.net(4).node(), f.net(1).node(), "backup.get_vector", wire::encode(pull), {},
+               [&](Bytes reply) { vector = wire::decode<core::AuthVectorBundle>(reply); },
+               nullptr);
+    f.simulator.run();
+    ASSERT_TRUE(vector.has_value()) << name;
+
+    core::UsageProof proof;
+    proof.serving_network = f.net(4).id();
+    proof.supi = kAlice;
+    proof.res_star =
+        aka::generate_auth_vector(keys, vector->sqn, vector->rand, f.config.serving_network_name)
+            .xres_star;
+    proof.hxres_star = core::hxres_index(proof.res_star);
+    ASSERT_EQ(proof.hxres_star, vector->hxres_star) << name;
+    edit(proof);
+    proof.timestamp = f.simulator.now();
+    proof.serving_signature =
+        crypto::ed25519_sign(proof.signed_payload(), f.net(4).signing_keys());
+    core::ReportRequest report;
+    report.backup_network = f.net(1).id();
+    report.proofs.push_back(proof);
+
+    const core::HomeNetwork& home = f.net(0).home();
+    const std::size_t outstanding = home.outstanding_vectors(kAlice);
+    bool acked = false;
+    f.rpc.call(f.net(1).node(), f.net(0).node(), "home.report", wire::encode(report), {},
+               [&](Bytes) { acked = true; }, nullptr);
+    f.simulator.run();
+    EXPECT_TRUE(acked) << name;
+    ASSERT_EQ(home.anomalies().size(), 1u) << name;
+    EXPECT_NE(home.anomalies().front().find(name), std::string::npos) << home.anomalies().front();
+    EXPECT_TRUE(home.usage_ledger().empty()) << name;
+    EXPECT_EQ(home.outstanding_vectors(kAlice), outstanding) << name;
+    EXPECT_EQ(home.metrics().replenishments, 0u) << name;
+  }
 }
 
 TEST(Adversarial, AuthResponseOutOfPhaseIsRejected) {

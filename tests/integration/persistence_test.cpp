@@ -156,10 +156,9 @@ core::AuthVectorBundle pull_vector(Federation& f, std::size_t backup, const Supi
   return bundle.value();
 }
 
-/// Asks a backup for its share of `vector` with net-5's signed proof of use;
-/// true when the share is released.
-bool release_share(Federation& f, std::size_t backup, const core::AuthVectorBundle& vector,
-                   const aka::SubscriberKeys& keys) {
+/// net-5's signed proof that it used `vector`.
+core::UsageProof sign_proof(Federation& f, const core::AuthVectorBundle& vector,
+                            const aka::SubscriberKeys& keys) {
   core::UsageProof proof;
   proof.serving_network = f.net(4).id();
   proof.supi = vector.supi;
@@ -169,9 +168,17 @@ bool release_share(Federation& f, std::size_t backup, const core::AuthVectorBund
   proof.hxres_star = core::hxres_index(proof.res_star);
   proof.timestamp = f.simulator.now();
   proof.serving_signature = crypto::ed25519_sign(proof.signed_payload(), f.net(4).signing_keys());
+  return proof;
+}
+
+/// Asks a backup for its share of `vector` with net-5's signed proof of use;
+/// true when the share is released.
+bool release_share(Federation& f, std::size_t backup, const core::AuthVectorBundle& vector,
+                   const aka::SubscriberKeys& keys) {
   bool released = false;
-  f.rpc.call(f.net(4).node(), f.net(backup).node(), "backup.get_share", wire::encode(proof), {},
-             [&](Bytes) { released = true; }, nullptr);
+  f.rpc.call(f.net(4).node(), f.net(backup).node(), "backup.get_share",
+             wire::encode(sign_proof(f, vector, keys)), {}, [&](Bytes) { released = true; },
+             nullptr);
   f.simulator.run();
   return released;
 }
@@ -472,6 +479,70 @@ TEST(Persistence, ReportBytesArePinned) {
   EXPECT_TRUE(f.net(0).home().anomalies().empty());
   EXPECT_EQ(reports, 4u);
   EXPECT_EQ(to_hex(h.finish()), "72a2be2facd7a7e05ca9750f2b152131d6970311920a53f6dbddcc7c7f432db6");
+}
+
+TEST(Persistence, OverlappingAcksClearEachProofOnce) {
+  // Two reports in flight, acked out of order: a report on a slow link
+  // lists one proof; a later one on a fast link lists it and a second and
+  // is acked first. The late ack of the first clears nothing more, and a
+  // proof released after the second report was sent stays pending, in
+  // memory and, after a restart, from the store.
+  Federation f(durable_net2());
+  const NetworkId& home = f.net(0).id();
+  const auto keys = f.provision(kAlice, 0, {1, 2, 3});
+  std::vector<core::UsageProof> proofs;
+  for (int i = 0; i < 4; ++i) proofs.push_back(sign_proof(f, pull_vector(f, 2, kAlice), keys));
+  const auto pending = [&] { return f.net(1).backup().pending_reports(home); };
+  const auto records = [&] { return f.stores[1]->keys_with_prefix("proof/").size(); };
+  const auto link = [&](Time base) {
+    sim::LatencyModel model;
+    model.base = base;
+    f.network.set_link(f.net(1).node(), f.net(0).node(), model);
+  };
+  // Sends net-2 proof `i`, and runs the world for 100 ms.
+  const auto send = [&](std::size_t i) {
+    f.rpc.call(f.net(4).node(), f.net(1).node(), "backup.get_share", wire::encode(proofs[i]),
+               {}, nullptr, nullptr);
+    f.simulator.run_until(f.simulator.now() + ms(100));
+  };
+  const auto report = [&] {
+    f.net(1).backup().report_now(home);
+    f.simulator.run_until(f.simulator.now() + ms(100));
+  };
+
+  // A first report and its ack, so the reports below need no handshake.
+  send(0);
+  report();
+  f.simulator.run();
+  ASSERT_EQ(f.net(1).backup().metrics().reports_sent, 1u);
+
+  send(1);
+  link(ms(600));
+  report();  // lists proof 1
+  send(2);
+  ASSERT_EQ(pending(), 2u);
+  link(ms(1));
+  report();  // lists proofs 1 and 2, and is acked first
+  ASSERT_EQ(f.net(1).backup().metrics().reports_sent, 2u);
+  EXPECT_EQ(pending(), 0u);
+  send(3);
+  EXPECT_EQ(pending(), 1u);
+  f.simulator.run();
+  ASSERT_EQ(f.net(1).backup().metrics().reports_sent, 3u);  // the late ack
+  EXPECT_EQ(pending(), 1u);
+  EXPECT_EQ(f.net(1).backup().metrics().proofs_pending, 1u);
+  EXPECT_EQ(records(), 1u);
+
+  f.net(1).restart_backup();
+  EXPECT_EQ(pending(), 1u);
+  f.net(1).backup().report_now(home);
+  f.simulator.run();
+  EXPECT_EQ(pending(), 0u);
+  EXPECT_EQ(records(), 0u);
+  // Each proof is processed once; the late report's came again and was
+  // recognised.
+  EXPECT_EQ(f.net(0).home().metrics().replenishments, 4u);
+  EXPECT_TRUE(f.net(0).home().anomalies().empty());
 }
 
 TEST(Persistence, RedeliveredStoreHoldsEachBundleOnce) {
