@@ -210,7 +210,8 @@ class BackupNetwork {
   void arm_report(const NetworkId& home);
   /// Adds `proof`, of `user`'s (a key of users_), to its home's pending
   /// proofs unless one of its H(XRES*) and serving network is already there;
-  /// false when it was. Store and restore enter every proof here.
+  /// false when it was. A released share and restore enter every proof
+  /// here.
   bool pend(const UserKey& user, const UsageProof& proof);
   /// The pending proof `pending` as the serving network signed it.
   UsageProof proof_of(const PendingProof& pending) const;

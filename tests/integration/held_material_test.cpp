@@ -5,9 +5,8 @@
 // so the bytes per held bundle bound how many users one node can back up;
 // it keeps a usage proof per share it releases until its home acks a report,
 // so the bytes per pending proof bound how long a home outage it can ride
-// out. The checks read glibc's heap in use (small chunks and mmapped blocks)
-// before and after, so they skip under the sanitizers, whose allocators
-// replace malloc.
+// out. The checks read glibc's heap in use before and after, so they skip
+// under the sanitizers, whose allocators replace malloc.
 #include <gtest/gtest.h>
 
 #include <malloc.h>
@@ -49,9 +48,9 @@ TEST(HeldMaterial, HeapPerHeldBundleIsWithinBudget) {
   // Provisioned, with every round queued (a queued round holds only its
   // per-backup counts), then disseminated.
   f.declare(home);
-  const std::size_t provisioned = heap_in_use();
+  const std::size_t provisioned = mallinfo2().uordblks;
   f.simulator.run();
-  const std::size_t disseminated = heap_in_use();
+  const std::size_t disseminated = mallinfo2().uordblks;
 
   std::size_t bundles = 0;
   for (std::size_t b = 1; b <= kBackups; ++b) {
