@@ -20,7 +20,11 @@ std::string batch_record(const std::string& home, const crypto::MerkleTree& tree
 // The store key of a pending proof is "proof/<home>" then this tail: one
 // record per (H(XRES*), serving network), as in memory.
 std::string proof_record_tail(const ByteArray<16>& hxres, const NetworkId& serving) {
-  return "/" + to_hex(hxres) + "/" + serving.str();
+  std::string tail = "/";  // appended, not `"/" + to_hex(...)`: GCC 12 -Wrestrict at -O3
+  tail += to_hex(hxres);
+  tail += '/';
+  tail += serving.str();
+  return tail;
 }
 
 std::string proof_record(const NetworkId& home, const ByteArray<16>& hxres,
