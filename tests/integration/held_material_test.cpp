@@ -21,13 +21,6 @@
 namespace dauth::testing {
 namespace {
 
-/// Heap in use: small chunks plus mmapped blocks, which hold any single
-/// allocation above glibc's 128 KiB mmap threshold.
-std::size_t heap_in_use() {
-  const struct mallinfo2 info = mallinfo2();
-  return info.uordblks + info.hblkhd;
-}
-
 TEST(HeldMaterial, HeapPerHeldBundleIsWithinBudget) {
 #ifdef DAUTH_SANITIZE
   GTEST_SKIP() << "sanitizer allocators replace malloc";
@@ -120,6 +113,12 @@ TEST(HeldMaterial, HeapPerPendingProofIsWithinBudget) {
       }
     }
   }
+  // Heap in use: small chunks plus mmapped blocks, which hold any single
+  // allocation above glibc's 128 KiB mmap threshold.
+  const auto heap_in_use = [] {
+    const struct mallinfo2 info = mallinfo2();
+    return info.uordblks + info.hblkhd;
+  };
   std::size_t released = 0;
   const auto send = [&](const core::UsageProof& proof) {
     f.rpc.call(f.net(serving).node(), f.net(1).node(), "backup.get_share", wire::encode(proof),
