@@ -213,6 +213,7 @@ core::UsageProof attach_and_capture_proof(Federation& f, const aka::SubscriberKe
   f.network.node(f.net(0).node()).set_online(false);
   auto ue = f.make_ue(kAlice, keys, 5);
   const auto record = f.attach(*ue);
+  f.rpc.register_service(f.net(1).node(), "backup.get_share", *inner);  // net-2's own again
   if (!record.success || !captured) throw std::runtime_error("no proof reached net-2");
   return wire::decode<core::UsageProof>(*captured);
 }
