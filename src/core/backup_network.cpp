@@ -207,9 +207,9 @@ void BackupNetwork::handle_store(StoreMaterialRequest req,
   // the first argument are indeterminately sequenced; the handlers below
   // name the home by this public copy.)
   const NetworkId home_id = req.home_network;
-  directory_.get_network(home_id, [this, home_id, request = std::move(req),
-                                   batches = std::move(*batches), responder](
-                                      std::optional<directory::NetworkEntry> home) mutable {
+  directory_.get_network(home_id, live([this, home_id, request = std::move(req),
+                                        batches = std::move(*batches), responder](
+                                           std::optional<directory::NetworkEntry> home) mutable {
     if (!home) {
       ++metrics_.rejected_requests;
       responder.fail(sim::AppErrorCode::kNotFound, "unknown home network");
@@ -217,9 +217,9 @@ void BackupNetwork::handle_store(StoreMaterialRequest req,
     }
     const crypto::Ed25519PublicKey home_key = home->signing_key;
     const Time cost = config_.costs.signature_verify * static_cast<Time>(batches.size());
-    rpc_.network().node(node_).execute(cost, [this, home_id, request = std::move(request),
-                                              batches = std::move(batches), home_key,
-                                              responder]() mutable {
+    rpc_.network().node(node_).execute(cost, live([this, home_id, request = std::move(request),
+                                                   batches = std::move(batches), home_key,
+                                                   responder]() mutable {
       // Round signature verified once per batch, over every received bundle.
       for (const BundleBatch& batch : batches) {
         if (!batch.verify_root(home_id, home_key)) {
@@ -282,8 +282,8 @@ void BackupNetwork::handle_store(StoreMaterialRequest req,
                              std::to_string(request.shares.size()) + " shares");
       }
       responder.reply({});
-    });
-  });
+    }));
+  }));
 }
 
 auto BackupNetwork::hold(UserState& user, HeldBatch held) -> HeldBatch* {
@@ -383,8 +383,8 @@ void BackupNetwork::persist_batch(const UserKey& user, UserState& state,
 
 void BackupNetwork::handle_get_vector(GetVectorRequest req,
                                       sim::TypedResponder<AuthVectorBundle> responder) {
-  rpc_.network().node(node_).execute(config_.costs.vector_fetch, [this, req = std::move(req),
-                                                                  responder] {
+  rpc_.network().node(node_).execute(config_.costs.vector_fetch, live([this, req = std::move(req),
+                                                                       responder] {
     Supi supi = req.supi;
     if (supi.empty() && !req.suci.empty()) {
       aka::Suci suci;
@@ -433,7 +433,7 @@ void BackupNetwork::handle_get_vector(GetVectorRequest req,
     }
     ++metrics_.rejected_requests;
     responder.fail(sim::AppErrorCode::kNotFound, "user not backed up here");
-  });
+  }));
 }
 
 void BackupNetwork::handle_get_share(UsageProof proof,
@@ -446,15 +446,15 @@ void BackupNetwork::handle_get_share(UsageProof proof,
     return;
   }
 
-  directory_.get_network(proof.serving_network, [this, proof, responder](
-                                                    std::optional<directory::NetworkEntry>
-                                                        serving) {
+  directory_.get_network(proof.serving_network, live([this, proof, responder](
+                                                         std::optional<directory::NetworkEntry>
+                                                             serving) {
     if (!serving || !proof.verify(serving->signing_key)) {
       ++metrics_.rejected_requests;
       responder.fail(sim::AppErrorCode::kUnauthorized, "invalid serving signature");
       return;
     }
-    rpc_.network().node(node_).execute(config_.costs.share_fetch, [this, proof, responder] {
+    rpc_.network().node(node_).execute(config_.costs.share_fetch, live([this, proof, responder] {
       for (auto& [id, user] : users_) {
         if (id.supi != proof.supi) continue;
         const auto share = find_share(user, proof.hxres_star);
@@ -492,8 +492,8 @@ void BackupNetwork::handle_get_share(UsageProof proof,
       }
       ++metrics_.rejected_requests;
       responder.fail(sim::AppErrorCode::kNotFound, "no share for this vector");
-    });
-  });
+    }));
+  }));
 }
 
 void BackupNetwork::handle_revoke_shares(RevokeSharesRequest req,
@@ -582,12 +582,12 @@ void BackupNetwork::arm_report(const NetworkId& home) {
   HomeState& state = homes_[home];
   if (state.report_armed || state.pending.empty()) return;
   state.report_armed = true;
-  rpc_.network().simulator().after(config_.report_interval, [this, home] {
+  rpc_.network().simulator().after(config_.report_interval, live([this, home] {
     auto it = homes_.find(home);
     if (it == homes_.end()) return;
     it->second.report_armed = false;
     report_now(home);
-  });
+  }));
 }
 
 void BackupNetwork::report_now(const NetworkId& home) {
@@ -601,8 +601,8 @@ void BackupNetwork::report_now(const NetworkId& home) {
   for (const PendingProof& pending : state.pending) report.proofs.push_back(proof_of(pending));
   const std::uint64_t end = state.first_seq + state.pending.size();
 
-  directory_.get_network(home, [this, home, report = std::move(report), end](
-                                   std::optional<directory::NetworkEntry> e) mutable {
+  directory_.get_network(home, live([this, home, report = std::move(report), end](
+                                        std::optional<directory::NetworkEntry> e) mutable {
     if (!e) return;
     // Reports already have an application-level retry loop (arm_report), so
     // a single attempt per firing is enough whatever the retry policy; the
@@ -613,15 +613,15 @@ void BackupNetwork::report_now(const NetworkId& home) {
     sim::TypedStub(rpc_, node_, kHomeReport).call(
         static_cast<sim::NodeIndex>(e->address), report,
         config_.resilience.call_options(deadline),
-        [this, home, end](sim::CallResult<sim::Ack> result) {
+        live([this, home, end](sim::CallResult<sim::Ack> result) {
           if (!result.ok()) {
             // Home still down; keep the proofs and retry after an interval.
             arm_report(home);
             return;
           }
           acked(home, end);
-        });
-  });
+        }));
+  }));
 }
 
 void BackupNetwork::acked(const NetworkId& home, std::uint64_t end) {

@@ -11,6 +11,7 @@
 
 #include <deque>
 #include <map>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -244,6 +245,19 @@ class BackupNetwork {
   /// Rebuilds in-memory state from the persistent store (called at
   /// construction when a store is present).
   void restore_from_store();
+  /// `fn`, made to run only while this instance lives. Every callback the
+  /// role queues (a node job, the report timer, a directory lookup, an RPC
+  /// reply) is wrapped here, so that a restart (DauthNode::restart_backup)
+  /// drops the old instance's events, as a crashed daemon's work is lost.
+  /// The node is not crashed (sim::Node::set_online would drop its other
+  /// roles' jobs too), so the token is the role's own.
+  template <typename Fn>
+  auto live(Fn fn) const {
+    return [alive = std::weak_ptr<const bool>(alive_), fn = std::move(fn)](
+               auto&&... args) mutable {
+      if (!alive.expired()) fn(std::forward<decltype(args)>(args)...);
+    };
+  }
 
   sim::Rpc& rpc_;
   sim::NodeIndex node_;
@@ -260,6 +274,8 @@ class BackupNetwork {
   std::vector<NetworkId> serving_networks_;
   BackupMetrics metrics_;
   obs::EventJournal* journal_ = nullptr;
+  /// Expires with this instance; see live().
+  std::shared_ptr<const bool> alive_ = std::make_shared<const bool>(true);
 };
 
 }  // namespace dauth::core

@@ -1,7 +1,5 @@
 #include "core/dauth_node.h"
 
-#include <stdexcept>
-
 namespace dauth::core {
 
 DauthNode::DauthNode(sim::Rpc& rpc, sim::NodeIndex node, NetworkId id,
@@ -53,23 +51,27 @@ void DauthNode::set_backups(const std::vector<NetworkId>& backups) {
 }
 
 void DauthNode::restart_backup() {
-  if (!rpc_.network().simulator().idle()) {
-    throw std::logic_error("restart_backup with events in flight");
-  }
   backup_.reset();
   backup_ = std::make_unique<BackupNetwork>(rpc_, node_, id_, *directory_client_, config_, store_);
   backup_->bind_services();
+  observe_backup();
 }
 
 void DauthNode::set_observability(obs::MetricsRegistry* registry,
                                   obs::EventJournal* journal) {
-  if (registry != nullptr) {
-    register_metrics(*registry, "home." + id_.str(), home_->metrics());
-    register_metrics(*registry, "backup." + id_.str(), backup_->metrics());
-  }
+  registry_ = registry;
+  journal_ = journal;
+  if (registry != nullptr) register_metrics(*registry, "home." + id_.str(), home_->metrics());
   home_->set_journal(journal);
-  backup_->set_journal(journal);
+  observe_backup();
   serving_->set_observability(registry, journal);
+}
+
+void DauthNode::observe_backup() {
+  if (registry_ != nullptr) {
+    register_metrics(*registry_, "backup." + id_.str(), backup_->metrics());
+  }
+  backup_->set_journal(journal_);
 }
 
 }  // namespace dauth::core

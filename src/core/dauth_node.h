@@ -50,13 +50,13 @@ class DauthNode {
   /// publishes the signed BackupsEntry.
   void set_backups(const std::vector<NetworkId>& backups);
 
-  /// Crashes and restarts the backup role: the in-memory instance is
-  /// dropped, and a fresh one restores from the store and takes over the
-  /// backup services. Without a store it comes back empty. Call only once
-  /// the simulator has drained (throws otherwise): a queued report timer,
-  /// lookup or RPC callback would run on the dropped instance. The fresh
-  /// role has no journal and is in no registry; a registry that held the
-  /// old role's views must not be read again.
+  /// Crashes and restarts the backup role, at any point of a run: the
+  /// in-memory instance is dropped with every event it had queued (its
+  /// report timer, lookups, node jobs and RPC replies never run, so a
+  /// request it had taken gets no reply), and a fresh one restores from the
+  /// store and takes over the backup services. Without a store it comes back
+  /// empty. The fresh role reports to the registry and journal that
+  /// set_observability was given, under the same names.
   void restart_backup();
 
   /// Wires all three roles into the observability layer: counters register
@@ -66,6 +66,9 @@ class DauthNode {
   void set_observability(obs::MetricsRegistry* registry, obs::EventJournal* journal);
 
  private:
+  /// Wires the backup role into the registry and journal last set.
+  void observe_backup();
+
   sim::Rpc& rpc_;
   sim::NodeIndex node_;
   NetworkId id_;
@@ -79,6 +82,8 @@ class DauthNode {
   std::unique_ptr<HomeNetwork> home_;
   std::unique_ptr<BackupNetwork> backup_;
   std::unique_ptr<ServingNetwork> serving_;
+  obs::MetricsRegistry* registry_ = nullptr;
+  obs::EventJournal* journal_ = nullptr;
 };
 
 }  // namespace dauth::core

@@ -13,7 +13,8 @@ namespace dauth::core {
 
 void PeerRtt::observe(sim::NodeIndex peer, Time sample, Time now) {
   const auto [it, first] = srtt_.try_emplace(peer, Estimate{sample, now});
-  if (!first) it->second = {it->second.srtt + (sample - it->second.srtt) / 4, now};
+  Estimate& e = it->second;
+  if (!first) e = {now - e.sampled_at <= kMaxAge ? e.srtt + (sample - e.srtt) / 4 : sample, now};
 }
 
 std::optional<Time> PeerRtt::estimate(sim::NodeIndex peer) const {

@@ -84,17 +84,19 @@ const char* to_string(AuthPath path) noexcept;
 
 /// Smoothed round-trip time per backup peer, in virtual time: an EWMA with
 /// a fixed gain of 1/4 (RFC 6298's SRTT uses 1/8), seeded by the first
-/// sample. The serving network feeds it from every concluded share leg and
-/// reads it to rank the legs of each share round and the rungs of each
-/// vector fetch.
+/// sample and re-seeded by the first sample after it went stale. The
+/// serving network feeds it from every concluded share leg and reads it to
+/// rank the legs of each share round and the rungs of each vector fetch.
 class PeerRtt {
  public:
   /// How long a sample stays fresh. A share round sends legs only to the
   /// best-ranked backups with a fresh sample, so the others stop being
   /// sampled; once a backup's last sample is this old the next round gives
-  /// it a probe leg, whose sample is averaged in like any other. Without
-  /// the bound a backup whose first sample paid its connection handshake
-  /// would never be re-ranked. 10 s of virtual time spans ~30 attaches at
+  /// it a probe leg, whose sample replaces the estimate. Averaged in, the
+  /// sample of a backup whose first leg paid its connection handshake
+  /// (about three times its true RTT) would take several probes, one per
+  /// kMaxAge, to bring the estimate back; the stale estimate says no more
+  /// than the probe does. 10 s of virtual time spans ~30 attaches at
   /// 200/min, so the probes cost well under one leg per attach.
   static constexpr Time kMaxAge = 10 * kSecond;
 

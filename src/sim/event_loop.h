@@ -36,9 +36,6 @@ class Simulator {
   /// to `deadline` even if the queue drains early.
   void run_until(Time deadline);
 
-  /// True if no events remain.
-  bool idle() const noexcept { return queue_.empty(); }
-
   std::size_t processed_events() const noexcept { return processed_; }
 
   /// Simulation-wide RNG. Events must draw all randomness here (or from

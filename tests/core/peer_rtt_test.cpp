@@ -52,9 +52,11 @@ TEST(PeerRtt, SampleStaysFreshForTheAgeBound) {
   rtt.observe(2, ms(50), sec(1));
   EXPECT_TRUE(rtt.before(2, 1));
   EXPECT_TRUE(rtt.before(1, 3));
-  rtt.observe(1, ms(40), sec(20));  // 200 + (40 - 200) / 4
+  rtt.observe(1, ms(40), sec(20));  // stale: the sample replaces the estimate
   EXPECT_TRUE(rtt.fresh(1, sec(20)));
-  EXPECT_EQ(rtt.estimate(1), ms(160));
+  EXPECT_EQ(rtt.estimate(1), ms(40));
+  rtt.observe(1, ms(80), sec(20) + PeerRtt::kMaxAge);  // still fresh: 40 + (80 - 40) / 4
+  EXPECT_EQ(rtt.estimate(1), ms(50));
 }
 
 }  // namespace

@@ -51,6 +51,16 @@ struct LadderFederation {
     return f.net(backup).backup().metrics().vectors_served;
   }
 
+  /// Share legs the backups have taken so far: each serves or refuses one.
+  std::uint64_t share_legs() {
+    std::uint64_t legs = 0;
+    for (std::size_t b : backups) {
+      const auto& m = f.net(b).backup().metrics();
+      legs += m.shares_served + m.rejected_requests;
+    }
+    return legs;
+  }
+
   /// Runs one attach on a fresh UE session and returns the index (into
   /// `backups`) of the backup that served its vector, or -1 on failure.
   int attach_and_find_server(ran::Ue& ue) {
@@ -85,9 +95,15 @@ TEST(BackupLadder, SlowBackupNeverLeadsAfterWarmUp) {
   }
   const std::uint64_t slow_served = lf.served(1);
   for (int i = 0; i < 12; ++i) {
+    const std::uint64_t legs = lf.share_legs();
     const int server = lf.attach_and_find_server(*ue);
     ASSERT_GE(server, 0) << "attach " << i;
     EXPECT_NE(server, 0) << "the slow backup led attach " << i;
+    // Every sample is fresh in the first round after the warm-up, so it
+    // goes to the `threshold` + 1 fastest backups, not to all five.
+    if (i == 0) {
+      EXPECT_EQ(lf.share_legs() - legs, lf.f.config.threshold + 1);
+    }
   }
   EXPECT_EQ(lf.served(1), slow_served);
   EXPECT_EQ(lf.serving().metrics().hedges_launched, 0u);

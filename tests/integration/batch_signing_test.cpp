@@ -806,7 +806,7 @@ TEST(BatchSigning, DisseminatedBytesArePinned) {
   std::sort(sent.begin(), sent.end());
   crypto::Sha256 all;
   for (const auto& digest : sent) all.update(digest);
-  EXPECT_EQ(to_hex(all.finish()), "a5b205f771d55234db0b65b8bbd123ed50f6ded34e42918284445c0723dada49")
+  EXPECT_EQ(to_hex(all.finish()), "48f92439853ccb253a9e16dab649afbea687ad847ecd81b869430cc746607840")
       << sent.size() << " store requests";
 }
 

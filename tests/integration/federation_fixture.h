@@ -3,8 +3,11 @@
 //
 // Layout: node 0 hosts the directory, nodes 1..N host one dAuth network
 // each ("net-1".."net-N"), and the last node hosts the RAN/UE emulator.
-// Helpers provision subscribers, run dissemination to completion, and
-// build UEs wired to any serving network.
+// Helpers provision subscribers, run dissemination to completion, build
+// UEs wired to any serving network, and run an attach on the schedule
+// production runs: to its record and one share-leg deadline more, never
+// draining the queue, so RTT samples stay fresh across attaches and share
+// rounds rank their legs as a loaded serving network's do.
 #pragma once
 
 #include <memory>
@@ -101,18 +104,21 @@ struct Federation : core::FederationWorld {
                                      ue_profile());
   }
 
-  /// Runs one attach to completion and returns the record. The drain also
-  /// runs the UE's 15 s NAS timeouts, which stay queued after the attach
-  /// completes: each attach advances virtual time by at least 15 s, past
-  /// PeerRtt::kMaxAge (10 s). So every RTT sample is stale at the next
-  /// attach and a drained suite's share round is always the all-backup
-  /// broadcast; only ShareFanOut, which runs attaches with run_until,
-  /// exercises ranked legs.
+  /// Runs one attach to its record, then one share-leg deadline more
+  /// (ServingNetwork::kKeyShareTimeout; a vector leg times out as soon), so
+  /// every leg the attach launched has concluded, and returns the record.
+  /// Later events stay queued, as they would in production: the UE's NAS
+  /// timeouts, report timers, an injector's outage ends. Every attach in
+  /// tests/integration/ runs here, but for the concurrent and instrumented
+  /// sites tools/check.sh lists (ATTACH_SITES).
   ran::AttachRecord attach(ran::Ue& ue) {
+    constexpr Time kLeg = core::ServingNetwork::kKeyShareTimeout;
     std::optional<ran::AttachRecord> record;
     ue.attach([&](const ran::AttachRecord& r) { record = r; });
-    simulator.run();
+    const Time give_up = simulator.now() + minutes(2);  // past every NAS timeout
+    while (!record && simulator.now() < give_up) simulator.run_until(simulator.now() + kLeg);
     if (!record) throw std::runtime_error("attach never completed");
+    simulator.run_until(record->completed + kLeg);
     return *record;
   }
 };

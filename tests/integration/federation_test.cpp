@@ -141,10 +141,7 @@ TEST(Federation, PeriodicReportTimerFires) {
 
   f.network.node(f.net(0).node()).set_online(false);
   auto ue = f.make_ue(kAlice, keys, 4);
-  std::optional<ran::AttachRecord> record;
-  ue->attach([&](const ran::AttachRecord& r) { record = r; });
-  f.simulator.run_until(f.simulator.now() + sec(30));
-  ASSERT_TRUE(record && record->success);
+  ASSERT_TRUE(f.attach(*ue).success);
 
   // Home returns; within two report intervals the proofs must drain.
   f.network.node(f.net(0).node()).set_online(true);
@@ -165,18 +162,11 @@ TEST(Federation, LargeReportIsAcknowledgedAfterHomeReturns) {
   Federation f(5, cfg);
   const auto keys = f.provision(kAlice, 0, {1, 2, 3});
 
-  // The report timer re-arms while proofs are pending, so the queue never
-  // drains: run each attach until its record arrives, for at most 10 s.
   f.network.node(f.net(0).node()).set_online(false);
   auto ue = f.make_ue(kAlice, keys, 4);
   for (std::size_t i = 0; i < kAttaches; ++i) {
-    std::optional<ran::AttachRecord> record;
-    ue->attach([&](const ran::AttachRecord& r) { record = r; });
-    for (int step = 0; !record && step < 100; ++step) {
-      f.simulator.run_until(f.simulator.now() + ms(100));
-    }
-    ASSERT_TRUE(record) << "attach " << i << " never completed";
-    ASSERT_TRUE(record->success) << "attach " << i << ": " << record->failure;
+    const auto record = f.attach(*ue);
+    ASSERT_TRUE(record.success) << "attach " << i << ": " << record.failure;
   }
   core::BackupNetwork& backup = f.net(1).backup();
   ASSERT_GE(backup.pending_reports(f.net(0).id()), 1000u);

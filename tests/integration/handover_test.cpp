@@ -87,14 +87,12 @@ TEST(Handover, MuchFasterThanReattach) {
   auto fresh_profile = f.ue_profile();
   ran::Ue fresh(f.rpc, f.ran_node, f.net(4).node(), Supi("901550000000002"),
                 f.net(0).provision_subscriber(Supi("901550000000002")), fresh_profile);
-  std::optional<ran::AttachRecord> attach_record;
-  fresh.attach([&](const ran::AttachRecord& r) { attach_record = r; });
-  f.simulator.run();
-  ASSERT_TRUE(attach_record && attach_record->success);
+  const auto attach_record = f.attach(fresh);
+  ASSERT_TRUE(attach_record.success);
 
   const auto ho = handover(f, *ue, 4);
   ASSERT_TRUE(ho.success);
-  EXPECT_LT(ho.latency(), attach_record->latency() / 2);
+  EXPECT_LT(ho.latency(), attach_record.latency() / 2);
 }
 
 TEST(Handover, ChainAcrossThreeNetworks) {

@@ -213,7 +213,7 @@ TEST(Nas, UeFramesArePinned) {
 
   EXPECT_EQ(calls["serving.handover_request"], 1);
   EXPECT_EQ(to_hex(digest.finish()),
-            "ad4bf5c087ba8ea663b6962d9fcb4afd945ea265c6e0e62804a614c8eacf4282")
+            "c8066a1fd126511a12bb0fe0ca839c1740391097fdc0fdc462fd22250880d027")
       << calls["serving.attach_request"] << " attach requests, "
       << calls["serving.auth_response"] << " auth responses";
 }

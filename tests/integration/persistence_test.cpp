@@ -9,13 +9,14 @@
 #include <memory>
 #include <optional>
 #include <set>
-#include <stdexcept>
 #include <string>
 #include <unistd.h>
 #include <vector>
 
 #include "core/home_network.h"
 #include "federation_fixture.h"
+#include "obs/journal.h"
+#include "obs/metrics_registry.h"
 
 namespace dauth::testing {
 namespace {
@@ -29,13 +30,6 @@ core::FederationSpec durable_net2() {
   core::FederationSpec spec = Federation::flat(5);
   spec.networks[1].durable = true;
   return spec;
-}
-
-TEST(Persistence, RestartWithEventsInFlightThrows) {
-  // A queued event may hold the backup role it was armed by.
-  Federation f(durable_net2());
-  f.simulator.after(sec(1), [] {});
-  EXPECT_THROW(f.net(1).restart_backup(), std::logic_error);
 }
 
 TEST(Persistence, BackupRestartKeepsServingVectors) {
@@ -107,10 +101,8 @@ TEST(Persistence, ProofReleasedDuringAReportSurvivesTheAckAndARestart) {
   // A second attach releases a share while the report of the first is in
   // flight; the ack clears only the proof it acknowledges.
   f.net(1).backup().report_now(home);
-  std::optional<ran::AttachRecord> second;
-  ue->attach([&](const ran::AttachRecord& r) { second = r; });
+  ASSERT_TRUE(f.attach(*ue).success);
   f.simulator.run();
-  ASSERT_TRUE(second && second->success);
   ASSERT_EQ(f.net(1).backup().metrics().reports_sent, 1u);
   EXPECT_EQ(f.net(1).backup().pending_reports(home), 1u);
 
@@ -407,8 +399,8 @@ TEST(Persistence, ServedBytesArePinned) {
   for (const Supi& supi : {kAlice, kBob}) {
     while (f.net(1).backup().stored_vectors(home, supi) > 0) pull_vector(f, 1, supi);
   }
-  EXPECT_EQ(replies, 32u);
-  EXPECT_EQ(to_hex(h.finish()), "5a51e2e93ed7c9d9aea6cd8751b58d871342d3690524f4dfcc947a881d3aa7f8");
+  EXPECT_EQ(replies, 33u);
+  EXPECT_EQ(to_hex(h.finish()), "2a42e3eca487a1ad2228b85c0fa0536888570bd203b0ca9788ce55b4358f4342");
 }
 
 /// Wraps the home's home.report handler so that each request payload is
@@ -461,10 +453,8 @@ TEST(Persistence, ReportBytesArePinned) {
   slow.base = ms(500);
   f.network.set_link(f.net(1).node(), f.net(0).node(), slow);
   f.net(1).backup().report_now(home);
-  std::optional<ran::AttachRecord> during;
-  alice->attach([&](const ran::AttachRecord& r) { during = r; });
+  ASSERT_TRUE(f.attach(*alice).success);
   f.simulator.run();
-  ASSERT_TRUE(during && during->success);
   ASSERT_EQ(reports, 1u);
   ASSERT_EQ(f.net(1).backup().pending_reports(home), 1u);
 
@@ -478,7 +468,7 @@ TEST(Persistence, ReportBytesArePinned) {
   }
   EXPECT_TRUE(f.net(0).home().anomalies().empty());
   EXPECT_EQ(reports, 4u);
-  EXPECT_EQ(to_hex(h.finish()), "72a2be2facd7a7e05ca9750f2b152131d6970311920a53f6dbddcc7c7f432db6");
+  EXPECT_EQ(to_hex(h.finish()), "662f6fb9743c1575cb9e95f870b8746689b61551b7175326c1f29dba87f30d59");
 }
 
 TEST(Persistence, OverlappingAcksClearEachProofOnce) {
@@ -543,6 +533,112 @@ TEST(Persistence, OverlappingAcksClearEachProofOnce) {
   // recognised.
   EXPECT_EQ(f.net(0).home().metrics().replenishments, 4u);
   EXPECT_TRUE(f.net(0).home().anomalies().empty());
+}
+
+TEST(Persistence, RestartWithEventsInFlightDropsTheOldRole) {
+  // net-2 (durable) restarts mid-run: its report timer is armed for the
+  // proof of a first attach, and a second attach's share leg is a job on its
+  // node. Every event the old role queued is dropped: it sends no share
+  // reply and no report, and writes nothing to its store. The serving
+  // network's leg to net-2 times out, so net-5, ranked next, takes its place
+  // in the round after. The new role restores the proof and reports it once
+  // its own timer fires.
+  core::FederationConfig cfg = Federation::test_config();
+  cfg.report_interval = minutes(1);
+  core::FederationSpec spec = Federation::flat(6, cfg);
+  spec.networks[1].durable = true;
+  Federation f(std::move(spec));
+  const NetworkId& home = f.net(0).id();
+  const auto keys = f.provision(kAlice, 0, {1, 2, 3, 4});
+  sim::LatencyModel slow;
+  slow.base = ms(40);
+  f.network.set_link(f.net(5).node(), f.net(4).node(), slow);
+  f.network.node(f.net(0).node()).set_online(false);
+  core::ServingNetwork& serving = f.net(5).serving();
+  serving.set_home_health(home, false);
+  std::vector<std::pair<NetworkId, Time>> reports;
+  auto inner = std::make_shared<sim::ServiceHandler>();
+  *inner = f.rpc.register_service(
+      f.net(0).node(), "home.report", [&f, &reports, inner](ByteView request, sim::Responder r) {
+        reports.emplace_back(wire::decode<core::ReportRequest>(request).backup_network,
+                             f.simulator.now());
+        (*inner)(request, std::move(r));
+      });
+  const auto from_net2 = [&] {
+    return std::ranges::count(reports, f.net(1).id(), &std::pair<NetworkId, Time>::first);
+  };
+
+  // A warm-up attach samples every backup and leaves a proof at each: net-2
+  // arms its report timer.
+  auto ue = f.make_ue(kAlice, keys, 5);
+  ASSERT_TRUE(f.attach(*ue).success);
+  ASSERT_EQ(f.net(1).backup().pending_reports(home), 1u);
+  const Time old_timer_by = f.simulator.now() + cfg.report_interval;
+  const std::size_t shares_held = f.net(1).backup().stored_shares(home, kAlice);
+
+  // The next round's legs go to net-2, net-3 and net-4. Once net-2's old
+  // role has taken its leg (its share job queued), the role restarts.
+  Time restarted_at = -1;
+  auto old_handler = std::make_shared<sim::ServiceHandler>();
+  *old_handler = f.rpc.register_service(
+      f.net(1).node(), "backup.get_share",
+      [&f, &restarted_at, old_handler](ByteView request, sim::Responder r) {
+        (*old_handler)(request, std::move(r));
+        f.simulator.after(0, [&f, &restarted_at] {
+          f.net(1).restart_backup();
+          restarted_at = f.simulator.now();
+        });
+      });
+  const auto record = f.attach(*ue);
+  ASSERT_TRUE(record.success) << record.failure;
+  ASSERT_GE(restarted_at, 0);
+  EXPECT_EQ(f.net(1).backup().pending_reports(home), 1u);  // restored
+
+  // No reply: the leg to net-2 ran out its deadline, and the timeout is
+  // net-2's RTT sample. No store write: net-2 still holds the share it was
+  // asked for, and the store one proof.
+  EXPECT_GT(serving.peer_rtt().estimate(f.net(1).node()).value(),
+            core::ServingNetwork::kKeyShareTimeout / 5);
+  std::size_t shares_stored = 0;
+  for (const auto& held : held_records(*f.stores[1])) shares_stored += held.shares.size();
+  EXPECT_EQ(shares_stored, shares_held);
+  EXPECT_EQ(f.stores[1]->keys_with_prefix("proof/").size(), 1u);
+
+  // The leg promotes: the round after goes to net-3, net-4 and net-5.
+  std::vector<std::uint64_t> served;
+  for (std::size_t b = 1; b <= 4; ++b) served.push_back(f.net(b).backup().metrics().shares_served);
+  ASSERT_TRUE(f.attach(*ue).success);
+  for (std::size_t b = 1; b <= 4; ++b) {
+    EXPECT_EQ(f.net(b).backup().metrics().shares_served - served[b - 1], b == 1 ? 0u : 1u)
+        << "net-" << b + 1;
+  }
+
+  // No report from the old role's timer; the new role's reports the proof.
+  f.network.node(f.net(0).node()).set_online(true);
+  f.simulator.run_until(std::max(old_timer_by, restarted_at + cfg.report_interval - ms(1)));
+  EXPECT_EQ(from_net2(), 0);
+  f.simulator.run_until(restarted_at + cfg.report_interval + sec(5));
+  EXPECT_EQ(from_net2(), 1);
+  EXPECT_EQ(f.net(1).backup().metrics().reports_sent, 1u);
+  EXPECT_EQ(f.net(1).backup().pending_reports(home), 0u);
+  EXPECT_TRUE(f.stores[1]->keys_with_prefix("proof/").empty());
+}
+
+TEST(Persistence, RestartedBackupStaysObserved) {
+  // The fresh role reports to the registry and journal its node was given,
+  // under the old role's names: a counter read after a restart is the new
+  // role's, not a view into the role that was dropped.
+  Federation f(durable_net2());
+  f.provision(kAlice, 0, {1, 2, 3});
+  obs::MetricsRegistry registry;
+  obs::EventJournal journal([&f] { return f.simulator.now(); });
+  f.net(1).set_observability(&registry, &journal);
+  f.net(1).restart_backup();
+  pull_vector(f, 1, kAlice);
+  EXPECT_EQ(registry.value("backup.net-2.vectors_served"), 1u);
+  EXPECT_EQ(journal.count(obs::EventKind::kVectorServed), 1u);
+  ASSERT_EQ(journal.for_network("net-2").size(), 1u);
+  EXPECT_EQ(journal.for_network("net-2")[0]->kind, obs::EventKind::kVectorServed);
 }
 
 TEST(Persistence, RedeliveredStoreHoldsEachBundleOnce) {

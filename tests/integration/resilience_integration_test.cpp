@@ -22,26 +22,6 @@ std::size_t total_stored_vectors(Federation& f, const std::vector<std::size_t>& 
   return total;
 }
 
-/// Like Federation::attach, but also reports the simulated instant the
-/// outcome reached the UE (simulator.now() after run() is useless here: the
-/// injector's outage-end events keep the queue busy for hours).
-struct TimedAttach {
-  ran::AttachRecord record;
-  Time elapsed;
-};
-TimedAttach attach_timed(Federation& f, ran::Ue& ue) {
-  std::optional<ran::AttachRecord> record;
-  const Time start = f.simulator.now();
-  Time done_at = -1;
-  ue.attach([&](const ran::AttachRecord& r) {
-    record = r;
-    done_at = f.simulator.now();
-  });
-  f.simulator.run();
-  if (!record) throw std::runtime_error("attach never completed");
-  return {*record, done_at - start};
-}
-
 TEST(Resilience, HedgedFanOutSurvivesSilentBackupDeath) {
   // A backup dies WITHOUT telling anyone (no injector feed, so every
   // breaker is still closed): the serving network discovers it the hard
@@ -72,12 +52,12 @@ TEST(Resilience, HedgedFanOutSurvivesSilentBackupDeath) {
     ASSERT_TRUE(f.attach(*ue).success);  // warm-up: every backup sampled
 
     f.network.node(f.net(1).node()).set_online(false);
-    const auto [record, elapsed] = attach_timed(f, *ue);
+    const auto record = f.attach(*ue);
     EXPECT_TRUE(record.success) << record.failure;
     EXPECT_EQ(record.path, "backup");
     EXPECT_TRUE(record.key_confirmed);
     // A dead first leg costs one hedge delay, never the leg's full timeout.
-    EXPECT_LT(elapsed, core::ServingNetwork::kBackupAuthTimeout);
+    EXPECT_LT(record.latency(), core::ServingNetwork::kBackupAuthTimeout);
     hedges += serving.metrics().hedges_launched;
     hedge_wins += serving.metrics().hedge_wins;
   }
@@ -98,13 +78,13 @@ TEST(Resilience, InjectorFeedSkipsKnownDownBackupInstantly) {
   serving.set_home_health(f.net(0).id(), false);
 
   auto ue = f.make_ue(kAlice, keys, 4);
-  const auto [record, elapsed] = attach_timed(f, *ue);
+  const auto record = f.attach(*ue);
   EXPECT_TRUE(record.success) << record.failure;
   EXPECT_EQ(record.path, "backup");
   // The vector fetch never waits on the dead backup: known-down candidates
   // sort to the back of the ladder, and the share round skips them
   // outright. The attach completes well inside one kBackupAuthTimeout.
-  EXPECT_LT(elapsed, core::ServingNetwork::kBackupAuthTimeout);
+  EXPECT_LT(record.latency(), core::ServingNetwork::kBackupAuthTimeout);
   EXPECT_GE(serving.metrics().breaker_skips, 1u);
   // Exactly one vector consumed: losers were skipped/cancelled, not served.
   EXPECT_EQ(total_stored_vectors(f, {1, 2, 3}),
@@ -126,14 +106,14 @@ TEST(Resilience, FastFailsWhenReachableBackupsDropBelowThreshold) {
   serving.set_home_health(f.net(0).id(), false);
 
   auto ue = f.make_ue(kAlice, keys, 4);
-  const auto [record, elapsed] = attach_timed(f, *ue);
+  const auto record = f.attach(*ue);
   EXPECT_FALSE(record.success);
   EXPECT_NE(record.failure.find("insufficient reachable backups"), std::string::npos)
       << record.failure;
   EXPECT_EQ(serving.metrics().fast_failures, 1u);
   EXPECT_EQ(serving.metrics().backup_auths, 0u);
   // "Fast" is the point: no timeout was paid on the way to the verdict.
-  EXPECT_LT(elapsed, core::ServingNetwork::kBackupAuthTimeout);
+  EXPECT_LT(record.latency(), core::ServingNetwork::kBackupAuthTimeout);
 }
 
 TEST(Resilience, FastFailsWhenBackupsDropBelowThresholdDuringTheChallenge) {
@@ -301,10 +281,10 @@ TEST(Resilience, IdenticalSeedsProduceIdenticalOutcomes) {
     f.net(4).serving().set_home_health(f.net(0).id(), false);
 
     auto ue = f.make_ue(kAlice, keys, 4);
-    const auto [record, elapsed] = attach_timed(f, *ue);
+    const auto record = f.attach(*ue);
     const auto& m = f.net(4).serving().metrics();
     return std::tuple<bool, Time, std::uint64_t, std::uint64_t>{
-        record.success, elapsed, m.hedges_launched, m.retries};
+        record.success, record.latency(), m.hedges_launched, m.retries};
   };
   const auto first = run_once(77);
   const auto second = run_once(77);

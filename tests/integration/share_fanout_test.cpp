@@ -32,7 +32,8 @@ const Supi kAlice("901550000000001");
 /// backups, net-8 serves. Backups net-2, net-4 and net-6 sit behind fast
 /// links (1, 2 and 3 ms one way), the other three behind 40 ms links, so
 /// even a first sample that paid a connection handshake keeps the fast
-/// three ahead.
+/// three ahead. Attaches run on the fixture's schedule (Federation::attach),
+/// as in every other suite.
 struct FanOutFederation {
   Federation f;
   aka::SubscriberKeys keys;
@@ -77,17 +78,10 @@ struct FanOutFederation {
     return out;
   }
 
-  /// Runs one attach for one second of virtual time, enough for it and its
-  /// share legs to conclude. Federation::attach drains the event queue
-  /// instead, and with it the UE's 15 s NAS timeouts, which idles past
-  /// PeerRtt::kMaxAge and leaves every sample stale.
-  ran::AttachRecord attach() {
-    std::optional<ran::AttachRecord> record;
-    ue->attach([&](const ran::AttachRecord& r) { record = r; });
-    f.simulator.run_until(f.simulator.now() + sec(1));
-    if (!record) throw std::runtime_error("attach did not end within a second");
-    return *record;
-  }
+  /// One attach of the UE, run to its record and one share-leg deadline
+  /// more (Federation::attach): each one is about 2.1 s of virtual time, so
+  /// a sample stays fresh (PeerRtt::kMaxAge) for four attaches after it.
+  ran::AttachRecord attach() { return f.attach(*ue); }
 
   /// One attach that must succeed, and the share legs it sent each backup.
   struct Round {
@@ -115,10 +109,11 @@ TEST(ShareFanOut, FreshClosedBackupsGetThresholdPlusOneLegsToTheFastest) {
   FanOutFederation ff;
   // Cold start: every backup is unsampled, so every one gets a probe leg.
   EXPECT_EQ(ff.attach_legs(), std::vector<std::uint64_t>(6, 1));
-  for (int i = 0; i < 5; ++i) {
+  // Four attaches, while the slow three's warm-up samples are fresh.
+  for (int i = 0; i < 4; ++i) {
     EXPECT_EQ(ff.attach_legs(), kFastThree) << "attach " << i;
   }
-  EXPECT_EQ(ff.serving().metrics().attaches_succeeded, 6u);
+  EXPECT_EQ(ff.serving().metrics().attaches_succeeded, 5u);
 }
 
 TEST(ShareFanOut, RefusedLegPromotesTheNextBackupAtOnce) {
@@ -184,14 +179,15 @@ TEST(ShareFanOut, StaleSampleGetsAProbeLeg) {
   // those are older than PeerRtt::kMaxAge, the next round probes each of
   // them once, and the round after is back to the fast three.
   FanOutFederation ff;
-  const Time warm_up = ff.f.simulator.now();
   EXPECT_EQ(ff.attach_legs(), std::vector<std::uint64_t>(6, 1));
-  const Time stale_from = warm_up + sec(1) + core::PeerRtt::kMaxAge;
+  // Every warm-up leg concluded before the attach returned, and none before
+  // it began, about 2.1 s earlier: a round that goes out 3 s before
+  // stale_from finds the slow three fresh.
+  const Time stale_from = ff.f.simulator.now() + core::PeerRtt::kMaxAge;
   int fresh_rounds = 0;
-  while (ff.f.simulator.now() + sec(2) < stale_from) {
+  while (ff.f.simulator.now() + sec(3) < stale_from) {
     EXPECT_EQ(ff.attach_legs(), kFastThree) << "at " << ff.f.simulator.now();
     ++fresh_rounds;
-    ff.f.simulator.run_until(ff.f.simulator.now() + sec(1));
   }
   EXPECT_GE(fresh_rounds, 3);
   ff.f.simulator.run_until(stale_from);

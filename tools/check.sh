@@ -13,7 +13,10 @@
 #      nested or stored records listed below, because every request and
 #      reply frame is decoded once, at that boundary, and the federation
 #      check: a DauthNode constructed or a DirectoryServer declared outside
-#      core::FederationSpec must be one of the sites listed below. Seconds,
+#      core::FederationSpec must be one of the sites listed below, and the
+#      attach check: a UE attach started in tests/integration/ outside
+#      Federation::attach must be one of the concurrent or instrumented
+#      sites listed below. Seconds,
 #      and catches most hygiene regressions before the sanitizer builds
 #      spend minutes.
 #   2. Benchmark package: configure and build fedbench/ (a standalone CMake
@@ -129,8 +132,8 @@ fi
 # fails: every other world is declared as a spec and built by core::build.
 FEDERATION_SITES="\
 tests/directory/directory_test.cpp 9 unit tests of the directory server itself
-fedbench/src/federation.cpp 3 ported in the next benchmark revision (ROADMAP item 12)
-fedbench/src/federation.h 1 ported in the next benchmark revision (ROADMAP item 12)"
+fedbench/src/federation.cpp 3 ported in the next benchmark revision (ROADMAP item 14)
+fedbench/src/federation.h 1 ported in the next benchmark revision (ROADMAP item 14)"
 FEDERATION_FOUND="$(grep -rnE 'make_unique<(core::)?DauthNode>|\bDauthNode [a-z_][A-Za-z0-9_]*[({]|\bDirectoryServer [a-z_][A-Za-z0-9_]*|make_unique<(directory::)?DirectoryServer>' \
   tests bench examples tools fedbench --include='*.h' --include='*.cpp' \
   | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' \
@@ -139,6 +142,25 @@ FEDERATION_ALLOWED="$(awk '{print $1, $2}' <<< "$FEDERATION_SITES" | sort)"
 if [[ "$FEDERATION_FOUND" != "$FEDERATION_ALLOWED" ]]; then
   echo "federation wired by hand: declare it as a core::FederationSpec and build it" >&2
   diff <(echo "$FEDERATION_ALLOWED") <(echo "$FEDERATION_FOUND") >&2 || true
+  exit 1
+fi
+
+# The attaches started outside Federation::attach: "file sites reason", one
+# file a line. Federation::attach runs an attach to its record and one
+# share-leg deadline more, as production would; a test that runs attaches
+# concurrently, or acts on the world while one runs, starts them itself.
+ATTACH_SITES="\
+tests/integration/federation_fixture.h 1 Federation::attach itself
+tests/integration/backup_ladder_test.cpp 4 two UEs, the second started on the first's promotion; attaches chained back to back; a run stepped to a vector's signature check
+tests/integration/federation_test.cpp 1 ten UEs attaching at once
+tests/integration/resilience_integration_test.cpp 2 backups announced down while the attach runs"
+ATTACH_FOUND="$(grep -rnE '(->|\.)attach\(\[' tests/integration --include='*.h' --include='*.cpp' \
+  | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' \
+  | cut -d: -f1 | sort | uniq -c | awk '{print $2, $1}' | sort)"
+ATTACH_ALLOWED="$(awk '{print $1, $2}' <<< "$ATTACH_SITES" | sort)"
+if [[ "$ATTACH_FOUND" != "$ATTACH_ALLOWED" ]]; then
+  echo "attach started by hand: run it with Federation::attach, or list the site and its reason" >&2
+  diff <(echo "$ATTACH_ALLOWED") <(echo "$ATTACH_FOUND") >&2 || true
   exit 1
 fi
 
