@@ -1,6 +1,9 @@
 #include "core/backup_network.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cinttypes>
+#include <cstdio>
 #include <functional>
 
 #include "aka/suci.h"
@@ -17,19 +20,25 @@ std::string batch_record(const std::string& home, const crypto::MerkleTree& tree
   return "batch/" + home + "/" + to_hex(tree.root());
 }
 
-// The store key of a pending proof is "proof/<home>" then this tail: one
-// record per (H(XRES*), serving network), as in memory.
-std::string proof_record_tail(const ByteArray<16>& hxres, const NetworkId& serving) {
-  std::string tail = "/";  // appended, not `"/" + to_hex(...)`: GCC 12 -Wrestrict at -O3
-  tail += to_hex(hxres);
-  tail += '/';
-  tail += serving.str();
-  return tail;
+// The store key prefix of a home's proof segments.
+std::string segment_prefix(const NetworkId& home) { return "proof/" + home.str() + "/"; }
+
+// The store key of a home's segment whose first proof has sequence number
+// `first`, in fixed-width hex, so key order is sequence order.
+std::string segment_key(const NetworkId& home, std::uint64_t first) {
+  char seq[17];
+  std::snprintf(seq, sizeof seq, "%016" PRIx64, first);
+  return segment_prefix(home) + seq;
 }
 
-std::string proof_record(const NetworkId& home, const ByteArray<16>& hxres,
-                         const NetworkId& serving) {
-  return "proof/" + home.str() + proof_record_tail(hxres, serving);
+// The first sequence number a segment key's tail names, or nullopt when the
+// tail is not 16 hex digits.
+std::optional<std::uint64_t> segment_seq(std::string_view tail) {
+  std::uint64_t seq = 0;
+  const char* end = tail.data() + tail.size();
+  const auto [last, error] = std::from_chars(tail.data(), end, seq, 16);
+  if (tail.size() != 16 || error != std::errc{} || last != end) return std::nullopt;
+  return seq;
 }
 
 // The first four bytes of H(XRES*), which order a home's pending proofs.
@@ -149,23 +158,44 @@ void BackupNetwork::restore_from_store() {
           std::move(record.shares)});
   }
 
-  // Pending proofs, one record each, in key order. A record is dropped when
-  // it does not decode, when its RES* is not the preimage of its H(XRES*),
-  // or when its key does not end in that H(XRES*) and its serving network.
-  for (const auto& key : store_->keys_with_prefix("proof/")) {
-    UsageProof proof;
-    try {
-      proof = wire::decode<UsageProof>(*store_->get(key));
-    } catch (const wire::WireError&) {
+  restore_proofs();
+}
+
+void BackupNetwork::restore_proofs() {
+  // The restored proofs are appended anew, as one segment numbered past
+  // every stored one, so no live key is reused; then the old segments are
+  // erased, latest first. A crash in between leaves a prefix of them and
+  // part of the new one: the next restore pends the old entries first and
+  // skips the new ones' copies, which are then pending, so the order holds.
+  std::map<NetworkId, std::vector<std::string>> segments;  // each home's, in key order
+  for (std::string& key : store_->keys_with_prefix("proof/")) {
+    const auto slash = key.rfind('/');  // the sequence number's hex has none; a home id may
+    const auto seq = segment_seq(std::string_view(key).substr(slash + 1));
+    if (slash < 6 || !seq) {
+      store_->erase(key);  // names no segment
       continue;
     }
-    const std::string tail = proof_record_tail(proof.hxres_star, proof.serving_network);
-    if (key.size() <= 6 + tail.size() || !key.ends_with(tail) ||
-        !ct_equal(hxres_index(proof.res_star), proof.hxres_star)) {
-      continue;
+    const NetworkId home(key.substr(6, slash - 6));
+    HomeState& state = homes_[home];
+    state.first_seq = std::max(state.first_seq, *seq + 1);
+    segments[home].push_back(std::move(key));
+  }
+  for (const auto& [home, keys] : segments) {
+    for (const auto& key : keys) {
+      try {
+        wire::decode_each<ProofEntry>(*store_->get(key), [&](const ProofEntry& entry) {
+          const UsageProof proof{entry.serving_network, entry.supi,
+                                 hxres_index(entry.res_star), entry.res_star,
+                                 entry.timestamp, entry.serving_signature};
+          if (pend(users_.try_emplace({home, entry.supi}).first->first, proof)) {
+            persist_proof(home, proof);
+          }
+        });
+      } catch (const wire::WireError&) {
+        continue;  // an entry that does not decode drops the rest of its segment
+      }
     }
-    const NetworkId home(key.substr(6, key.size() - 6 - tail.size()));
-    pend(users_.try_emplace({home, proof.supi}).first->first, proof);
+    std::for_each(keys.rbegin(), keys.rend(), [this](const auto& key) { store_->erase(key); });
     arm_report(home);
   }
 }
@@ -468,11 +498,7 @@ void BackupNetwork::handle_get_share(UsageProof proof,
         // retried or replayed proof releases the share again but is
         // already pending.
         if (pend(id, proof)) {
-          if (store_ != nullptr) {
-            // DAUTH_DISCLOSE(usage proofs are persisted for the audit report; RES* inside is already spent, §4.2.3)
-            store_->put(proof_record(id.home, proof.hxres_star, proof.serving_network),
-                        wire::encode(proof));
-          }
+          if (store_ != nullptr) persist_proof(id.home, proof);
           arm_report(id.home);
         }
         // The proof also tells us the vector itself is consumed; drop any
@@ -570,6 +596,15 @@ bool BackupNetwork::pend(const UserKey& user, const UsageProof& proof) {
   return true;
 }
 
+void BackupNetwork::persist_proof(const NetworkId& home, const UsageProof& proof) {
+  HomeState& state = homes_[home];
+  if (!state.open_segment) state.open_segment = state.first_seq + state.pending.size() - 1;
+  const ProofEntry entry{proof.supi, proof.serving_network, proof.res_star, proof.timestamp,
+                         proof.serving_signature};
+  // DAUTH_DISCLOSE(usage proofs are persisted for the audit report; RES* inside is already spent, §4.2.3)
+  store_->append(segment_key(home, *state.open_segment), wire::encode(entry));
+}
+
 UsageProof BackupNetwork::proof_of(const PendingProof& pending) const {
   return {serving_networks_[pending.serving], pending.user->supi, hxres_index(pending.res_star),
           pending.res_star,                   pending.timestamp,  pending.signature};
@@ -594,12 +629,13 @@ void BackupNetwork::report_now(const NetworkId& home) {
   auto it = homes_.find(home);
   if (it == homes_.end() || it->second.pending.empty()) return;
 
-  const HomeState& state = it->second;
+  HomeState& state = it->second;
   ReportRequest report;
   report.backup_network = id_;
   report.proofs.reserve(state.pending.size());
   for (const PendingProof& pending : state.pending) report.proofs.push_back(proof_of(pending));
   const std::uint64_t end = state.first_seq + state.pending.size();
+  state.open_segment.reset();  // sealed at `end`
 
   directory_.get_network(home, live([this, home, report = std::move(report), end](
                                         std::optional<directory::NetworkEntry> e) mutable {
@@ -631,13 +667,14 @@ void BackupNetwork::acked(const NetworkId& home, std::uint64_t end) {
   if (it == homes_.end()) return;
   HomeState& state = it->second;
   std::size_t cleared = 0;
-  for (; state.first_seq < end; ++state.first_seq, ++cleared) {
-    const PendingProof& pending = state.pending.front();
-    if (store_ != nullptr) {
-      store_->erase(proof_record(home, hxres_index(pending.res_star),
-                                 serving_networks_[pending.serving]));
+  for (; state.first_seq < end; ++state.first_seq, ++cleared) state.pending.pop_front();
+  if (store_ != nullptr) {
+    // Every report ends on a segment boundary, so the segments that start
+    // below `end` hold only proofs it listed.
+    const std::string below = segment_key(home, end);
+    for (const auto& key : store_->keys_with_prefix(segment_prefix(home))) {
+      if (key.size() == below.size() && key < below) store_->erase(key);
     }
-    state.pending.pop_front();
   }
   std::erase_if(state.by_proof, [&](std::uint64_t seq) { return seq < state.first_seq; });
   metrics_.proofs_pending -= std::min<std::uint64_t>(cleared, metrics_.proofs_pending);

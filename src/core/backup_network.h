@@ -95,6 +95,26 @@ struct BatchRecord {
   }
 };
 
+/// A pending usage proof's entry in its home's open segment, the value of
+/// "proof/<home>/<first sequence number>" in a backup's store: what a
+/// restore cannot rebuild. Its H(XRES*) is H(RES*), and the home is the
+/// key's. A segment is its entries' encodings back to back, appended one at
+/// a time (KvStore::append), in the order they were pended.
+struct ProofEntry {
+  Supi supi;
+  NetworkId serving_network;
+  crypto::ResStar res_star{};
+  Time timestamp = 0;
+  crypto::Ed25519Signature serving_signature{};
+
+  template <typename F, typename Self>
+  static void fields(F& f, Self& m) {
+    f.field(m.supi, m.serving_network);
+    f.field(m.res_star);  // DAUTH_DISCLOSE(a pending proof keeps its spent RES* until its home acks the report, §4.2.3)
+    f.field(m.timestamp, m.serving_signature);
+  }
+};
+
 class BackupNetwork {
  public:
   /// `store` may be null (ephemeral); when set, all delegated material
@@ -197,6 +217,11 @@ class BackupNetwork {
     /// The sequence numbers of `pending`, sorted by (H(XRES*), serving
     /// network), so a proof already pending is found and not added again.
     std::vector<std::uint64_t> by_proof;
+    /// With a store: the first sequence number of the segment a released
+    /// share's proof is appended to, unset once report_now has sealed it at
+    /// its report's end, so every report ends on a segment boundary and its
+    /// ack erases whole segments.
+    std::optional<std::uint64_t> open_segment;
     bool report_armed = false;
   };
 
@@ -216,9 +241,13 @@ class BackupNetwork {
   bool pend(const UserKey& user, const UsageProof& proof);
   /// The pending proof `pending` as the serving network signed it.
   UsageProof proof_of(const PendingProof& pending) const;
+  /// Appends `proof`, the last one `home` pended, to its open segment,
+  /// opening one at its sequence number when none is.
+  void persist_proof(const NetworkId& home, const UsageProof& proof);
   /// Pops `home`'s pending proofs below sequence number `end`, the ones a
-  /// report listed, from memory and the store; one its home acked already,
-  /// by a later report, is not cleared twice.
+  /// report listed, from memory, and erases the segments that start below
+  /// `end` from the store; one its home acked already, by a later report,
+  /// is not cleared twice.
   void acked(const NetworkId& home, std::uint64_t end);
   /// The leaf hashes of the group of `held`'s leaf `leaf`, which a served
   /// path is cut from (MerkleTree::path): a held leaf's rehashed from its
@@ -245,6 +274,12 @@ class BackupNetwork {
   /// Rebuilds in-memory state from the persistent store (called at
   /// construction when a store is present).
   void restore_from_store();
+  /// Pends every home's stored segments' entries, in key order and each
+  /// segment's order, appending the restored proofs of each home to one
+  /// segment under a key past its stored ones, then erases those. So a
+  /// sequence number is never reused while its segment is live, and
+  /// `pending` and the segments number their proofs alike.
+  void restore_proofs();
   /// `fn`, made to run only while this instance lives. Every callback the
   /// role queues (a node job, the report timer, a directory lookup, an RPC
   /// reply) is wrapped here, so that a restart (DauthNode::restart_backup)

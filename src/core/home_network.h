@@ -119,6 +119,12 @@ class HomeNetwork {
     return it == subscribers_.end() ? 0 : it->second.outstanding.size();
   }
 
+  /// Keys of home-online vectors of `supi` awaiting their proof (tests).
+  std::size_t pending_keys(const Supi& supi) const {
+    const auto it = subscribers_.find(supi);
+    return it == subscribers_.end() ? 0 : it->second.pending_keys.size();
+  }
+
   /// The X25519 SUCI key pair (secret shared with backups at dissemination).
   const crypto::X25519KeyPair& suci_keys() const noexcept { return suci_key_; }
 

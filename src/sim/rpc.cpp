@@ -38,7 +38,8 @@ struct Rpc::Call {
   NodeIndex to;
   std::string service;
   /// Shared with a handler queued for one of its requests, so the call can
-  /// drop it once over without copying it for each attempt.
+  /// drop it once over without copying it for each attempt; the last
+  /// possible attempt's handler takes it over (send_request).
   std::shared_ptr<const Bytes> request;
   RpcOptions options;
   ReplyCallback on_reply;
@@ -182,10 +183,15 @@ void Rpc::send_request(const std::shared_ptr<Call>& call, int n) {
     }
 
     // Queue the request on the server's worker pool, then run the handler.
+    // The call's last possible attempt hands its request over, so the bytes
+    // go once the handler has decoded them, not when a deferred reply comes;
+    // an earlier one shares it, as a later attempt may still need it.
+    auto request = n >= call->options.retry.max_attempts ? std::move(call->request)
+                                                         : call->request;
     network_.node(call->to).execute(
         config_.server_base_cost,
         [this, call, n, handler = &handler_it->second, attempt_span = call->span,
-         request = call->request] {
+         request = std::move(request)] {
           // Server span: covers handler execution up to the moment the reply
           // (or rejection) is handed back to the transport. Made ambient for
           // the synchronous handler body, so RPCs the handler issues inline

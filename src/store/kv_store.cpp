@@ -10,13 +10,15 @@ namespace {
 
 constexpr std::uint8_t kOpPut = 1;
 constexpr std::uint8_t kOpErase = 2;
+constexpr std::uint8_t kOpAppend = 3;
 
-/// One mutation's log record: the op, the key and, for a put, the value.
+/// One mutation's log record: the op, the key and, for a put or an append,
+/// its bytes.
 Bytes log_record(std::uint8_t op, std::string_view key, ByteView value = {}) {
   wire::Writer w;
   w.u8(op);
   w.string(key);  // DAUTH_DISCLOSE(KV keys are namespaced lookup paths, never raw key material)
-  if (op == kOpPut) w.bytes(value);
+  if (op != kOpErase) w.bytes(value);
   return std::move(w).take();
 }
 
@@ -38,6 +40,10 @@ KvStore::KvStore(const std::string& path) : wal_(std::make_unique<Wal>(path)) {
       map_[std::move(key)] = r.bytes();
     } else if (op == kOpErase) {
       map_.erase(key);
+    } else if (op == kOpAppend) {
+      const Bytes bytes = r.bytes();
+      Bytes& value = map_[std::move(key)];
+      value.insert(value.end(), bytes.begin(), bytes.end());
     }
     // Unknown ops are skipped for forward compatibility.
   });
@@ -47,7 +53,7 @@ KvStore::KvStore(const std::string& path) : wal_(std::make_unique<Wal>(path)) {
   if (log_bytes_ != std::filesystem::file_size(path)) compact();
 }
 
-void KvStore::append(ByteView record) {
+void KvStore::log(ByteView record) {
   wal_->append(record);
   log_bytes_ += Wal::kHeaderBytes + record.size();
 }
@@ -58,7 +64,7 @@ void KvStore::compact_if_due() {
 
 void KvStore::put(std::string_view key, ByteView value) {
   if (wal_) {
-    append(log_record(kOpPut, key, value));
+    log(log_record(kOpPut, key, value));
     if (const auto it = map_.find(key); it != map_.end()) {
       live_bytes_ -= put_bytes(key.size(), it->second.size());
     }
@@ -72,10 +78,21 @@ void KvStore::erase(std::string_view key) {
   const auto it = map_.find(key);
   if (it == map_.end()) return;
   if (wal_) {
-    append(log_record(kOpErase, key));
+    log(log_record(kOpErase, key));
     live_bytes_ -= put_bytes(key.size(), it->second.size());
   }
   map_.erase(it);
+  compact_if_due();
+}
+
+void KvStore::append(std::string_view key, ByteView bytes) {
+  auto it = map_.find(key);
+  if (wal_) {
+    log(log_record(kOpAppend, key, bytes));
+    live_bytes_ += it == map_.end() ? put_bytes(key.size(), bytes.size()) : bytes.size();
+  }
+  if (it == map_.end()) it = map_.emplace(std::string(key), Bytes{}).first;
+  it->second.insert(it->second.end(), bytes.begin(), bytes.end());
   compact_if_due();
 }
 

@@ -4,7 +4,13 @@
 // dAuth daemon persists subscriber keys, sequence-number state, delegated
 // vectors/key shares and pending auth-event reports so they survive a node
 // restart. Keys are namespaced strings (a backup's "batch/<home>/<batch
-// root>"), values are opaque byte strings, each a record's wire encoding.
+// root>"), values are opaque byte strings, each a record's wire encoding or,
+// for a value grown by append, a run of them.
+//
+// Three ops, each one WAL record: put (key, value), erase (key) and append
+// (key, bytes), which adds bytes to the end of a key's value (or makes the
+// key with them), so a growing log-structured value costs its new bytes per
+// write, not a rewrite of the whole value.
 //
 // Two modes:
 //   * KvStore(path) — durable; every mutation appends to the WAL, state is
@@ -47,6 +53,8 @@ class KvStore {
 
   void put(std::string_view key, ByteView value);
   void erase(std::string_view key);
+  /// Appends `bytes` to the value of `key`, which it creates when absent.
+  void append(std::string_view key, ByteView bytes);
 
   std::optional<Bytes> get(std::string_view key) const;
   bool contains(std::string_view key) const;
@@ -56,7 +64,7 @@ class KvStore {
   std::vector<std::string> keys_with_prefix(std::string_view prefix) const;
 
   /// Rewrites the log as one snapshot record per live key (drops tombstones
-  /// and overwritten versions), atomically (Wal::rewrite): a crash leaves
+  /// and overwritten versions, folds appends into their key's put), atomically (Wal::rewrite): a crash leaves
   /// either the old log or the whole snapshot. No-op for ephemeral stores.
   void compact();
 
@@ -69,7 +77,7 @@ class KvStore {
   std::size_t live_bytes() const noexcept { return live_bytes_; }
 
  private:
-  void append(ByteView record);
+  void log(ByteView record);
   void compact_if_due();
 
   std::map<std::string, Bytes, std::less<>> map_;

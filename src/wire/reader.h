@@ -127,6 +127,20 @@ T decode(ByteView data) {
   return message;
 }
 
+/// Decodes a run of messages encoded back to back (a log-structured value,
+/// each entry appended as its encoding), calling `each` on every one in
+/// order. Throws WireError at the first that does not decode, once `each`
+/// has had every one before it.
+template <Message T, typename Fn>
+void decode_each(ByteView data, Fn&& each) {
+  Reader r(data);
+  while (!r.done()) {
+    T message;
+    T::fields(r, message);
+    each(std::move(message));
+  }
+}
+
 template <typename E>
 void Reader::one(std::vector<E>& elements) {
   const std::uint32_t count = u32();

@@ -4,6 +4,11 @@
 // never crash, never loop, never accept trailing garbage silently.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "aka/nas.h"
 #include "aka/suci.h"
 #include "baseline/standalone_core.h"
@@ -397,6 +402,80 @@ TEST(FuzzDecode, BatchRecordTruncationsAndMutationsAreDroppedAtRestore) {
     unhashed.signature = record.signature;
     unhashed.round = record.round;
     EXPECT_EQ(wire::encode(unhashed), valid) << "mutation at " << pos;
+  }
+}
+
+// ---- A backup's persisted proof segment ----------------------------------
+
+/// Three pending proofs' entries, appended back to back as a backup's store
+/// keeps one segment of them, and the offset each entry ends at.
+std::pair<Bytes, std::vector<std::size_t>> valid_segment() {
+  Bytes segment;
+  std::vector<std::size_t> ends;
+  for (std::uint8_t i = 0; i < 3; ++i) {
+    ProofEntry entry{Supi("315010000000001"), NetworkId("serving"), {}, 1000 + i, {}};
+    entry.res_star.fill(static_cast<std::uint8_t>(0x10 + i));
+    entry.serving_signature.fill(static_cast<std::uint8_t>(0x20 + i));
+    const Bytes bytes = wire::encode(entry);
+    segment.insert(segment.end(), bytes.begin(), bytes.end());
+    ends.push_back(segment.size());
+  }
+  return {segment, ends};
+}
+
+/// The proofs a backup restores from `segment`, its home's only one, and
+/// the segment keys its store holds after the restore.
+std::pair<std::size_t, std::vector<std::string>> restore_segment(ByteView segment) {
+  store::KvStore store;
+  store.put("proof/home/0000000000000007", segment);
+  const std::size_t pending = RestoredBackup(store).backup.pending_reports(NetworkId("home"));
+  return {pending, store.keys_with_prefix("proof/")};
+}
+
+TEST(FuzzDecode, ProofSegmentTruncationsAndMutationsAreDroppedAtRestore) {
+  // A backup restores a segment's entries up to the first that does not
+  // decode and drops the rest; it appends what it restored to a segment
+  // numbered past the stored one and erases that. A truncated, mutated or
+  // random value never throws out of the restore.
+  const auto [valid, ends] = valid_segment();
+  const std::string fresh = "proof/home/0000000000000008";
+  ASSERT_EQ(restore_segment(valid), std::pair(std::size_t{3}, std::vector{fresh}));
+
+  for (std::size_t len = 0; len < valid.size(); ++len) {
+    const auto whole = static_cast<std::size_t>(std::ranges::upper_bound(ends, len) - ends.begin());
+    const auto [pending, keys] = restore_segment(ByteView(valid.data(), len));
+    EXPECT_EQ(pending, whole) << "prefix length " << len;
+    EXPECT_EQ(keys, whole == 0 ? std::vector<std::string>{} : std::vector{fresh})
+        << "prefix length " << len;
+  }
+
+  Xoshiro256StarStar rng(0x5e9);
+  for (int trial = 0; trial < 500; ++trial) {
+    Bytes mutated = valid;
+    const std::size_t pos = rng.next_below(mutated.size());
+    mutated[pos] ^= static_cast<std::uint8_t>(1 + rng.next_below(255));
+    std::pair<std::size_t, std::vector<std::string>> restored;
+    ASSERT_NO_THROW(restored = restore_segment(mutated)) << "mutation at " << pos;
+    EXPECT_LE(restored.first, 3u) << "mutation at " << pos;
+    EXPECT_LE(restored.second.size(), 1u) << "mutation at " << pos;
+  }
+  for (int trial = 0; trial < 200; ++trial) {
+    Bytes garbage(rng.next_below(512));
+    for (auto& byte : garbage) byte = static_cast<std::uint8_t>(rng.next_below(256));
+    ASSERT_NO_THROW((void)restore_segment(garbage)) << "trial " << trial;
+  }
+}
+
+TEST(FuzzDecode, ProofSegmentUnderAMalformedKeyIsDroppedAtRestore) {
+  // A key whose tail is not a 16-hex-digit sequence number names no
+  // segment: its value is not read, and the restore erases it.
+  const auto [valid, ends] = valid_segment();
+  for (const std::string key : {"proof/home/7", "proof/home/000000000000000g",
+                                "proof/home/00000000000000007"}) {
+    store::KvStore store;
+    store.put(key, valid);
+    EXPECT_EQ(RestoredBackup(store).backup.pending_reports(NetworkId("home")), 0u) << key;
+    EXPECT_TRUE(store.keys_with_prefix("proof/").empty()) << key;
   }
 }
 

@@ -612,6 +612,98 @@ TEST(Adversarial, BackupRefusesASuciNoHomeOfItsCanDeconceal) {
   EXPECT_EQ(backup.stored_vectors(f.net(0).id(), kAlice), stored);
 }
 
+// ---- The home's K_seaf release guards -----------------------------------
+//
+// home.get_key releases a home-online vector's K_seaf only against its RES*
+// preimage and the serving network's signature over the proof (§4.2.2). A
+// proof that fails either check is refused and counted, and the key stays
+// pending for the honest proof.
+
+/// A home-online vector of Alice's, fetched by net-5, and net-5's signed
+/// proof of its use.
+core::UsageProof home_online_proof(Federation& f, const aka::SubscriberKeys& keys) {
+  core::GetVectorRequest request;
+  request.serving_network = f.net(4).id();
+  request.supi = kAlice;
+  std::optional<core::AuthVectorBundle> vector;
+  sim::TypedStub(f.rpc, f.net(4).node(), core::kHomeGetVector)
+      .call(f.net(0).node(), request, sim::RpcOptions::oneshot(),
+            [&](sim::CallResult<core::AuthVectorBundle> r) {
+              if (r.ok()) vector = r.value();
+            });
+  f.simulator.run();
+  if (!vector) throw std::runtime_error("no home-online vector");
+  core::UsageProof proof;
+  proof.serving_network = f.net(4).id();
+  proof.supi = kAlice;
+  proof.res_star =
+      aka::generate_auth_vector(keys, vector->sqn, vector->rand, f.config.serving_network_name)
+          .xres_star;
+  proof.hxres_star = core::hxres_index(proof.res_star);
+  proof.timestamp = f.simulator.now();
+  proof.serving_signature = crypto::ed25519_sign(proof.signed_payload(), f.net(4).signing_keys());
+  return proof;
+}
+
+/// Sends `proof` to the home's home.get_key from net-5 and returns the result.
+sim::CallResult<core::KeyReply> get_key(Federation& f, const core::UsageProof& proof) {
+  std::optional<sim::CallResult<core::KeyReply>> result;
+  sim::TypedStub(f.rpc, f.net(4).node(), core::kHomeGetKey)
+      .call(f.net(0).node(), proof, sim::RpcOptions::oneshot(),
+            [&](sim::CallResult<core::KeyReply> r) { result = std::move(r); });
+  f.simulator.run();
+  if (!result) throw std::runtime_error("key request never ended");
+  return std::move(*result);
+}
+
+/// `forged` is refused with `detail`, counted once, and leaves Alice's key
+/// pending, which `honest` then obtains.
+void expect_key_refused(Federation& f, const core::UsageProof& forged,
+                        const core::UsageProof& honest, const std::string& detail) {
+  const core::HomeNetwork& home = f.net(0).home();
+  const core::HomeMetrics before = home.metrics();
+  ASSERT_EQ(home.pending_keys(kAlice), 1u);
+
+  const sim::CallResult<core::KeyReply> refused = get_key(f, forged);
+  ASSERT_FALSE(refused.ok());
+  ASSERT_TRUE(refused.app_error().has_value()) << refused.error().message;
+  EXPECT_EQ(refused.app_error()->code, sim::AppErrorCode::kUnauthorized);
+  EXPECT_EQ(refused.app_error()->detail, detail);
+  EXPECT_EQ(home.metrics().rejected_requests, before.rejected_requests + 1);
+  EXPECT_EQ(home.metrics().keys_released, before.keys_released);
+  EXPECT_EQ(home.pending_keys(kAlice), 1u);
+
+  EXPECT_TRUE(get_key(f, honest).ok());
+  EXPECT_EQ(home.metrics().keys_released, before.keys_released + 1);
+  EXPECT_EQ(home.pending_keys(kAlice), 0u);
+}
+
+TEST(Adversarial, HomeRefusesAKeyRequestWithoutThePreimage) {
+  // A serving network that never heard the UE's RES* guesses one and signs
+  // its proof honestly: the guess is not the preimage of the vector's
+  // H(XRES*).
+  Federation f(5);
+  const auto keys = f.provision(kAlice, 0, {1, 2, 3});
+  const core::UsageProof honest = home_online_proof(f, keys);
+  core::UsageProof forged = honest;
+  forged.res_star[0] ^= 0x01;
+  forged.serving_signature =
+      crypto::ed25519_sign(forged.signed_payload(), f.net(4).signing_keys());
+  expect_key_refused(f, forged, honest, "res* preimage mismatch");
+}
+
+TEST(Adversarial, HomeRefusesAKeyRequestWithAForgedServingSignature) {
+  // net-4 saw net-5's proof and re-signs it with its own key, still naming
+  // net-5: the signature does not verify under net-5's directory key.
+  Federation f(5);
+  const auto keys = f.provision(kAlice, 0, {1, 2, 3});
+  const core::UsageProof honest = home_online_proof(f, keys);
+  core::UsageProof forged = honest;
+  forged.serving_signature =
+      crypto::ed25519_sign(forged.signed_payload(), f.net(3).signing_keys());
+  expect_key_refused(f, forged, honest, "invalid serving signature");
+}
+
 // ---- Requests from a home network the backup does not know ------------
 //
 // A store push whose home network the directory does not list, and a revoke

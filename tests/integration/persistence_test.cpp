@@ -535,6 +535,153 @@ TEST(Persistence, OverlappingAcksClearEachProofOnce) {
   EXPECT_TRUE(f.net(0).home().anomalies().empty());
 }
 
+/// Wraps the home's home.report handler so that the H(XRES*) of every proof
+/// a report from net-2 lists is appended to `listed`, in report order.
+void tap_net2_proofs(Federation& f, std::vector<ByteArray<16>>& listed) {
+  auto inner = std::make_shared<sim::ServiceHandler>();
+  *inner = f.rpc.register_service(
+      f.net(0).node(), "home.report", [&f, &listed, inner](ByteView request, sim::Responder r) {
+        const auto report = wire::decode<core::ReportRequest>(request);
+        if (report.backup_network == f.net(1).id()) {
+          for (const core::UsageProof& proof : report.proofs) listed.push_back(proof.hxres_star);
+        }
+        (*inner)(request, std::move(r));
+      });
+}
+
+/// The H(XRES*) of every proof net-2 reports, in order, after it releases
+/// its share of net-3's and net-4's vectors of Alice while the home is down
+/// and, when `restart`, restarts before it reports.
+std::vector<ByteArray<16>> net2_report_sequence(bool restart) {
+  Federation f(durable_net2());
+  const NetworkId& home = f.net(0).id();
+  const auto keys = f.provision(kAlice, 0, {1, 2, 3});
+  std::vector<ByteArray<16>> listed;
+  tap_net2_proofs(f, listed);
+  f.network.node(f.net(0).node()).set_online(false);
+  for (std::size_t b = 2; b <= 3; ++b) {
+    for (std::size_t i = 0; i < f.config.vectors_per_backup; ++i) {
+      EXPECT_TRUE(release_share(f, 1, pull_vector(f, b, kAlice), keys));
+    }
+  }
+  EXPECT_EQ(f.net(1).backup().pending_reports(home), 2 * f.config.vectors_per_backup);
+  if (restart) f.net(1).restart_backup();
+  f.network.node(f.net(0).node()).set_online(true);
+  f.net(1).backup().report_now(home);
+  f.simulator.run();
+  EXPECT_EQ(f.net(1).backup().pending_reports(home), 0u);
+  return listed;
+}
+
+TEST(Persistence, RestartKeepsTheReportOrder) {
+  // A restarted backup reports its pending proofs in the order it pended
+  // them, as one that never restarted does: restore reads each segment's
+  // entries in the order they were appended.
+  const std::vector<ByteArray<16>> unrestarted = net2_report_sequence(false);
+  ASSERT_EQ(unrestarted.size(), 8u);
+  EXPECT_EQ(net2_report_sequence(true), unrestarted);
+}
+
+/// Every proof segment key in a store-backed backup's store, in key order.
+std::vector<std::string> proof_segments(const store::KvStore& store) {
+  return store.keys_with_prefix("proof/");
+}
+
+TEST(Persistence, RestartBetweenAReportAndItsAckReportsEachProofOnce) {
+  // net-2 restarts while its report is on a slow link to the home: the old
+  // role's ack is dropped with it. The new role rewrites the restored
+  // proofs under a key past the live one, lists each once in its own
+  // report, and erases the segment at that report's ack; the home, which
+  // got both reports, processes each proof once.
+  Federation f(durable_net2());
+  const NetworkId& home = f.net(0).id();
+  const auto keys = f.provision(kAlice, 0, {1, 2, 3});
+  std::vector<ByteArray<16>> listed;
+  tap_net2_proofs(f, listed);
+  std::vector<ByteArray<16>> released;
+  for (std::size_t i = 0; i < 3; ++i) {
+    const core::AuthVectorBundle vector = pull_vector(f, 2, kAlice);
+    ASSERT_TRUE(release_share(f, 1, vector, keys));
+    released.push_back(vector.hxres_star);
+  }
+  const std::vector<std::string> before = proof_segments(*f.stores[1]);
+  ASSERT_EQ(before.size(), 1u);
+
+  sim::LatencyModel slow;
+  slow.base = ms(500);
+  f.network.set_link(f.net(1).node(), f.net(0).node(), slow);
+  f.net(1).backup().report_now(home);
+  f.simulator.run_until(f.simulator.now() + ms(100));
+  ASSERT_TRUE(listed.empty());  // in flight
+  f.net(1).restart_backup();
+  ASSERT_EQ(f.net(1).backup().pending_reports(home), 3u);
+  const std::vector<std::string> restored = proof_segments(*f.stores[1]);
+  ASSERT_EQ(restored.size(), 1u);
+  EXPECT_GT(restored[0], before[0]);  // a fresh key, never a live one
+
+  f.simulator.run();
+  ASSERT_EQ(listed, released);  // the old role's report reached the home
+  EXPECT_EQ(f.net(1).backup().metrics().reports_sent, 0u);  // its ack did not
+  f.net(1).backup().report_now(home);
+  f.simulator.run();
+  std::vector<ByteArray<16>> twice = released;
+  twice.insert(twice.end(), released.begin(), released.end());
+  EXPECT_EQ(listed, twice);  // the new role lists each proof once
+  EXPECT_EQ(f.net(1).backup().metrics().reports_sent, 1u);
+  EXPECT_EQ(f.net(1).backup().pending_reports(home), 0u);
+  EXPECT_TRUE(proof_segments(*f.stores[1]).empty());
+  EXPECT_EQ(f.net(0).home().metrics().replenishments, 3u);
+  EXPECT_TRUE(f.net(0).home().anomalies().empty());
+}
+
+TEST(Persistence, RestartWithTwoUnackedSegmentsReportsEachProofOnce) {
+  // Two reports fail while the home is down, each sealing the segment it
+  // listed, and a third proof opens a third. A restart appends all three
+  // proofs to one segment under a key past the three, and erases them; a
+  // proof released after the restart joins it. One report then lists the
+  // four, once each and in the order they were released, and its ack
+  // leaves no segment.
+  Federation f(durable_net2());
+  const NetworkId& home = f.net(0).id();
+  const auto keys = f.provision(kAlice, 0, {1, 2, 3});
+  std::vector<ByteArray<16>> listed;
+  tap_net2_proofs(f, listed);
+  f.network.node(f.net(0).node()).set_online(false);
+  std::vector<ByteArray<16>> released;
+  const auto release = [&] {
+    const core::AuthVectorBundle vector = pull_vector(f, 2, kAlice);
+    ASSERT_TRUE(release_share(f, 1, vector, keys));
+    released.push_back(vector.hxres_star);
+  };
+  for (int report = 0; report < 2; ++report) {
+    release();
+    f.net(1).backup().report_now(home);
+    f.simulator.run();
+  }
+  release();
+  const std::vector<std::string> before = proof_segments(*f.stores[1]);
+  ASSERT_EQ(before.size(), 3u);
+  ASSERT_EQ(f.net(1).backup().metrics().reports_sent, 0u);
+
+  f.net(1).restart_backup();
+  const std::vector<std::string> restored = proof_segments(*f.stores[1]);
+  ASSERT_EQ(restored.size(), 1u);
+  EXPECT_GT(restored[0], before.back());
+  release();
+  EXPECT_EQ(proof_segments(*f.stores[1]), restored);
+  ASSERT_EQ(f.net(1).backup().pending_reports(home), 4u);
+
+  f.network.node(f.net(0).node()).set_online(true);
+  f.net(1).backup().report_now(home);
+  f.simulator.run();
+  EXPECT_EQ(listed, released);
+  EXPECT_EQ(f.net(1).backup().metrics().reports_sent, 1u);
+  EXPECT_EQ(f.net(1).backup().pending_reports(home), 0u);
+  EXPECT_TRUE(proof_segments(*f.stores[1]).empty());
+  EXPECT_EQ(f.net(0).home().metrics().replenishments, 4u);
+  EXPECT_TRUE(f.net(0).home().anomalies().empty());
+}
+
 TEST(Persistence, RestartWithEventsInFlightDropsTheOldRole) {
   // net-2 (durable) restarts mid-run: its report timer is armed for the
   // proof of a first attach, and a second attach's share leg is a job on its

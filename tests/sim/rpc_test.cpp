@@ -1,8 +1,11 @@
 #include "sim/rpc.h"
 
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <cstring>
+#include <optional>
+#include <vector>
 
 #include "obs/tracer.h"
 
@@ -340,6 +343,81 @@ TEST(RpcLifecycle, LegsHeldByTheirOwnCallbacksAreFreedWithTheSimulation) {
     EXPECT_FALSE(watch.expired());  // the pending leg still holds it
   }
   EXPECT_TRUE(watch.expired());
+}
+
+TEST(RpcLifecycle, LastAttemptsHandlerHoldsTheOnlyCopyOfItsRequest) {
+#ifdef DAUTH_SANITIZE
+  GTEST_SKIP() << "sanitizer allocators replace malloc";
+#else
+  // A one-shot call whose handler defers its reply, as the home's report
+  // handler does for the proofs it charges: once the handler has run, the
+  // request's bytes are gone, not kept by the call until the reply.
+  Fixture f;
+  std::optional<Responder> deferred;
+  std::size_t received = 0;
+  f.rpc.register_service(f.server, "defer", [&](ByteView request, Responder r) {
+    received = request.size();
+    deferred = std::move(r);
+  });
+  // Heap in use: a 1 MiB request is above glibc's mmap threshold, so it is
+  // one mmapped block while it lives.
+  const auto heap_in_use = [] {
+    const struct mallinfo2 info = mallinfo2();
+    return info.uordblks + info.hblkhd;
+  };
+  constexpr std::size_t kRequestBytes = 1 << 20;
+  const std::size_t before = heap_in_use();
+  std::optional<Bytes> reply;
+  f.rpc.call(f.client, f.server, "defer", Bytes(kRequestBytes, 0x5a), RpcOptions::oneshot(sec(2)),
+             [&](Bytes r) { reply = std::move(r); }, nullptr);
+  f.s.run_until(ms(500));
+  ASSERT_EQ(received, kRequestBytes);
+  ASSERT_TRUE(deferred.has_value());
+  EXPECT_LT(heap_in_use(), before + kRequestBytes / 16) << "the request outlived its handler";
+
+  deferred->reply(to_bytes(as_bytes("done")));
+  f.s.run();
+  EXPECT_EQ(reply, to_bytes(as_bytes("done")));
+#endif
+}
+
+TEST(RpcLifecycle, EarlierAttemptHandledLateLeavesTheLastAttemptsRequestIntact) {
+  // Attempt 1 waits in the server's queue past its timeout, so the retry,
+  // attempt 2 of 2, is sent and queued behind it. Attempt 1's handler runs
+  // first, and must leave attempt 2 its request: only the last possible
+  // attempt takes the request over.
+  Fixture f;
+  NodeConfig c;
+  c.name = "busy";
+  c.access.base = ms(5);
+  c.access_mbps = 0.0;
+  c.workers = 1;
+  const NodeIndex busy = f.net.add_node(c);
+  std::vector<Bytes> handled;
+  f.rpc.register_service(busy, "echo", [&](ByteView request, Responder r) {
+    handled.push_back(to_bytes(request));
+    r.reply(to_bytes(request));
+  });
+  f.net.node(busy).execute(ms(300), [] {});  // the worker is busy until 300ms
+
+  RpcOptions options;
+  options.timeout = ms(250);  // attempt 1 lands at ~50ms and times out at 250ms
+  options.retry.max_attempts = 2;
+  options.retry.initial_backoff = ms(10);  // attempt 2 lands at ~270ms
+  options.retry.jitter = 0.0;
+  const Bytes request = to_bytes(as_bytes("intact"));
+  std::optional<Bytes> reply;
+  int errors = 0;
+  f.rpc.call(f.client, busy, "echo", request, options, [&](Bytes r) { reply = std::move(r); },
+             [&](RpcError) { ++errors; });
+  f.s.run();
+
+  EXPECT_EQ(f.rpc.retries(), 1u);
+  ASSERT_EQ(handled.size(), 2u);
+  EXPECT_EQ(handled[0], request);
+  EXPECT_EQ(handled[1], request);
+  EXPECT_EQ(errors, 0);
+  EXPECT_EQ(reply, request);
 }
 
 }  // namespace

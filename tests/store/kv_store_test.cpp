@@ -432,5 +432,135 @@ TEST(KvStore, BinaryValuesSurvive) {
   EXPECT_EQ(reopened.get("blob"), blob);
 }
 
+// --- Append ------------------------------------------------------------
+//
+// A backup's pending usage proofs are one value per report window, grown one
+// entry at a time (docs/PERFORMANCE.md §20): each append is one WAL record
+// of the new bytes, which replay adds to the value.
+
+TEST(KvStore, EphemeralAppendGrowsTheValue) {
+  KvStore kv;
+  kv.append("seg", as_bytes("ab"));
+  kv.append("seg", as_bytes("cd"));
+  EXPECT_EQ(kv.get("seg"), to_bytes(as_bytes("abcd")));
+  EXPECT_EQ(kv.size(), 1u);
+  EXPECT_EQ(kv.live_bytes(), 0u);
+}
+
+TEST(KvStore, AppendsReplayInOrder) {
+  TempDir dir;
+  const std::string path = dir.file("state.wal");
+  {
+    KvStore kv(path);
+    kv.append("seg", as_bytes("one,"));
+    kv.put("other", as_bytes("x"));
+    kv.append("seg", as_bytes("two,"));
+    kv.append("seg", as_bytes("three"));
+  }
+  KvStore reopened(path);
+  EXPECT_EQ(reopened.replayed(), 4u);
+  EXPECT_EQ(reopened.get("seg"), to_bytes(as_bytes("one,two,three")));
+  EXPECT_EQ(reopened.get("other"), to_bytes(as_bytes("x")));
+}
+
+TEST(KvStore, AppendToAPutValueExtendsIt) {
+  TempDir dir;
+  const std::string path = dir.file("state.wal");
+  {
+    KvStore kv(path);
+    kv.put("seg", as_bytes("base"));
+    kv.append("seg", as_bytes("+more"));
+    EXPECT_EQ(kv.get("seg"), to_bytes(as_bytes("base+more")));
+  }
+  KvStore reopened(path);
+  EXPECT_EQ(reopened.get("seg"), to_bytes(as_bytes("base+more")));
+}
+
+TEST(KvStore, TornAppendTailKeepsTheAppendsBeforeIt) {
+  TempDir dir;
+  const std::string path = dir.file("state.wal");
+  std::uintmax_t intact = 0;
+  {
+    KvStore kv(path);
+    kv.append("seg", as_bytes("first"));
+    intact = std::filesystem::file_size(path);
+    kv.append("seg", as_bytes("second"));
+  }
+  // A crash tore the second append: its record lost its last byte.
+  std::filesystem::resize_file(path, std::filesystem::file_size(path) - 1);
+  {
+    KvStore reopened(path);
+    EXPECT_EQ(reopened.replayed(), 1u);
+    EXPECT_EQ(reopened.get("seg"), to_bytes(as_bytes("first")));
+    EXPECT_EQ(std::filesystem::file_size(path), intact);  // the torn tail is rewritten away
+    reopened.append("seg", as_bytes("third"));
+  }
+  KvStore after(path);
+  EXPECT_EQ(after.get("seg"), to_bytes(as_bytes("firstthird")));
+}
+
+TEST(KvStore, CompactFoldsAppendsIntoOnePut) {
+  TempDir dir;
+  const std::string path = dir.file("state.wal");
+  Bytes expected;
+  {
+    KvStore kv(path);
+    for (std::uint8_t i = 0; i < 50; ++i) {
+      const Bytes entry(7, i);
+      kv.append("seg", entry);
+      expected.insert(expected.end(), entry.begin(), entry.end());
+    }
+    kv.compact();
+    EXPECT_EQ(kv.log_bytes(), kv.live_bytes());
+    EXPECT_EQ(std::filesystem::file_size(path), kv.live_bytes());
+  }
+  KvStore reopened(path);
+  EXPECT_EQ(reopened.replayed(), 1u);  // one put of the whole value
+  EXPECT_EQ(reopened.get("seg"), expected);
+}
+
+TEST(KvStore, EraseAfterAppendRemovesTheWholeValue) {
+  TempDir dir;
+  const std::string path = dir.file("state.wal");
+  {
+    KvStore kv(path);
+    kv.append("seg", as_bytes("a"));
+    kv.append("seg", as_bytes("b"));
+    kv.put("keep", as_bytes("k"));
+    const std::size_t keep = kv.live_bytes();
+    kv.erase("seg");
+    EXPECT_FALSE(kv.contains("seg"));
+    EXPECT_LT(kv.live_bytes(), keep);
+    kv.compact();
+    EXPECT_EQ(std::filesystem::file_size(path), kv.live_bytes());
+  }
+  KvStore reopened(path);
+  EXPECT_FALSE(reopened.contains("seg"));
+  EXPECT_EQ(reopened.get("keep"), to_bytes(as_bytes("k")));
+  // An append after the erase starts the value afresh.
+  reopened.append("seg", as_bytes("c"));
+  EXPECT_EQ(reopened.get("seg"), to_bytes(as_bytes("c")));
+}
+
+TEST(KvStore, AppendCountsItsLogAndLiveBytes) {
+  TempDir dir;
+  KvStore kv(dir.file("appended.wal"));
+  const std::string key = "proof/home/0000000000000000";
+  const Bytes entry(120, 0x11);
+  // One append's log record: the WAL header, the op, then the key and the
+  // entry, each u32-length-prefixed.
+  const std::size_t record = Wal::kHeaderBytes + 1 + 4 + key.size() + 4 + entry.size();
+  for (int i = 1; i <= 10; ++i) {
+    kv.append(key, entry);
+    EXPECT_EQ(kv.log_bytes(), i * record);
+  }
+  // Live, the value counts as the one put a snapshot writes of it.
+  KvStore put(dir.file("put.wal"));
+  put.put(key, kv.get(key).value());
+  EXPECT_EQ(kv.live_bytes(), put.live_bytes());
+  EXPECT_EQ(kv.live_bytes(), record + 9 * entry.size());
+  EXPECT_EQ(kv.log_bytes(), std::filesystem::file_size(dir.file("appended.wal")));
+}
+
 }  // namespace
 }  // namespace dauth::store

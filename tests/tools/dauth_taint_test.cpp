@@ -250,6 +250,22 @@ TEST(TaintT3, SecretRecordEncodedIntoAStorePutIsReported) {
   EXPECT_TRUE(has_rule(a, "T3"));
 }
 
+TEST(TaintT3, SecretRecordEncodedIntoAStoreAppendIsReported) {
+  // KvStore::append persists as put does: a backup appends each pending
+  // proof's entry, RES* included, to its open segment.
+  const std::string defs = "template <typename T> Bytes encode(const T& message) {\n"
+                           "  Writer w;\n"
+                           "  T::fields(w, message);\n"
+                           "  return std::move(w).take();\n"
+                           "}\n"
+                           "struct ProofEntry { Bytes res_star; };\n";
+  const auto a = run(defs + "void f(store::KvStore* store_, const ProofEntry& entry) {\n"
+                            "  store_->append(\"proof/h/0\", wire::encode(entry));\n"
+                            "}");
+  ASSERT_EQ(count_rule(a, "T3"), 1);
+  EXPECT_EQ(a.findings[0].line, 8);
+}
+
 TEST(TaintT4, SecretIntoRpcPayload) {
   const auto a = run("void f(const Bytes& xres_bytes) { rpc_.call(7, \"svc\", xres_bytes); }");
   EXPECT_TRUE(has_rule(a, "T4"));

@@ -113,7 +113,7 @@ fi
 # file a line. Each reads a record nested in a frame or kept in a store.
 DECODE_SITES="\
 src/core/home_network.cpp 1 the SUCI inside a home.get_vector request
-src/core/backup_network.cpp 3 the SUCI inside a backup.get_vector request; the restore scans of held batch records and of pending proofs
+src/core/backup_network.cpp 3 the SUCI inside a backup.get_vector request; the restore scans of held batch records and of proof segment entries
 src/core/serving_network.cpp 1 the SUCI inside a local attach request
 src/obs/journal.cpp 1 the journal's restore of its stored events"
 DECODE_FOUND="$(grep -rnE 'catch \((const )?(wire::)?WireError' src --include='*.h' --include='*.cpp' \
