@@ -442,7 +442,8 @@ TEST(FuzzDecode, ProofSegmentTruncationsAndMutationsAreDroppedAtRestore) {
   ASSERT_EQ(restore_segment(valid), std::pair(std::size_t{3}, std::vector{fresh}));
 
   for (std::size_t len = 0; len < valid.size(); ++len) {
-    const auto whole = static_cast<std::size_t>(std::ranges::upper_bound(ends, len) - ends.begin());
+    const auto whole =
+        static_cast<std::size_t>(std::ranges::upper_bound(ends, len) - ends.begin());
     const auto [pending, keys] = restore_segment(ByteView(valid.data(), len));
     EXPECT_EQ(pending, whole) << "prefix length " << len;
     EXPECT_EQ(keys, whole == 0 ? std::vector<std::string>{} : std::vector{fresh})

@@ -641,7 +641,8 @@ core::UsageProof home_online_proof(Federation& f, const aka::SubscriberKeys& key
           .xres_star;
   proof.hxres_star = core::hxres_index(proof.res_star);
   proof.timestamp = f.simulator.now();
-  proof.serving_signature = crypto::ed25519_sign(proof.signed_payload(), f.net(4).signing_keys());
+  proof.serving_signature =
+      crypto::ed25519_sign(proof.signed_payload(), f.net(4).signing_keys());
   return proof;
 }
 

@@ -1,5 +1,6 @@
 // The heap a backup spends per held bundle (docs/PERFORMANCE.md §13, §17,
-// §18) and per pending usage proof (§19).
+// §18) and per pending usage proof (§19), its store segment included when
+// it has a store (§20).
 //
 // A backup holds one key share of every vector of every user it backs up,
 // so the bytes per held bundle bound how many users one node can back up;

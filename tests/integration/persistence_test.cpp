@@ -543,7 +543,9 @@ void tap_net2_proofs(Federation& f, std::vector<ByteArray<16>>& listed) {
       f.net(0).node(), "home.report", [&f, &listed, inner](ByteView request, sim::Responder r) {
         const auto report = wire::decode<core::ReportRequest>(request);
         if (report.backup_network == f.net(1).id()) {
-          for (const core::UsageProof& proof : report.proofs) listed.push_back(proof.hxres_star);
+          for (const core::UsageProof& proof : report.proofs) {
+            listed.push_back(proof.hxres_star);
+          }
         }
         (*inner)(request, std::move(r));
       });
@@ -582,11 +584,6 @@ TEST(Persistence, RestartKeepsTheReportOrder) {
   EXPECT_EQ(net2_report_sequence(true), unrestarted);
 }
 
-/// Every proof segment key in a store-backed backup's store, in key order.
-std::vector<std::string> proof_segments(const store::KvStore& store) {
-  return store.keys_with_prefix("proof/");
-}
-
 TEST(Persistence, RestartBetweenAReportAndItsAckReportsEachProofOnce) {
   // net-2 restarts while its report is on a slow link to the home: the old
   // role's ack is dropped with it. The new role rewrites the restored
@@ -604,7 +601,7 @@ TEST(Persistence, RestartBetweenAReportAndItsAckReportsEachProofOnce) {
     ASSERT_TRUE(release_share(f, 1, vector, keys));
     released.push_back(vector.hxres_star);
   }
-  const std::vector<std::string> before = proof_segments(*f.stores[1]);
+  const std::vector<std::string> before = f.stores[1]->keys_with_prefix("proof/");
   ASSERT_EQ(before.size(), 1u);
 
   sim::LatencyModel slow;
@@ -615,7 +612,7 @@ TEST(Persistence, RestartBetweenAReportAndItsAckReportsEachProofOnce) {
   ASSERT_TRUE(listed.empty());  // in flight
   f.net(1).restart_backup();
   ASSERT_EQ(f.net(1).backup().pending_reports(home), 3u);
-  const std::vector<std::string> restored = proof_segments(*f.stores[1]);
+  const std::vector<std::string> restored = f.stores[1]->keys_with_prefix("proof/");
   ASSERT_EQ(restored.size(), 1u);
   EXPECT_GT(restored[0], before[0]);  // a fresh key, never a live one
 
@@ -629,7 +626,7 @@ TEST(Persistence, RestartBetweenAReportAndItsAckReportsEachProofOnce) {
   EXPECT_EQ(listed, twice);  // the new role lists each proof once
   EXPECT_EQ(f.net(1).backup().metrics().reports_sent, 1u);
   EXPECT_EQ(f.net(1).backup().pending_reports(home), 0u);
-  EXPECT_TRUE(proof_segments(*f.stores[1]).empty());
+  EXPECT_TRUE(f.stores[1]->keys_with_prefix("proof/").empty());
   EXPECT_EQ(f.net(0).home().metrics().replenishments, 3u);
   EXPECT_TRUE(f.net(0).home().anomalies().empty());
 }
@@ -659,16 +656,16 @@ TEST(Persistence, RestartWithTwoUnackedSegmentsReportsEachProofOnce) {
     f.simulator.run();
   }
   release();
-  const std::vector<std::string> before = proof_segments(*f.stores[1]);
+  const std::vector<std::string> before = f.stores[1]->keys_with_prefix("proof/");
   ASSERT_EQ(before.size(), 3u);
   ASSERT_EQ(f.net(1).backup().metrics().reports_sent, 0u);
 
   f.net(1).restart_backup();
-  const std::vector<std::string> restored = proof_segments(*f.stores[1]);
+  const std::vector<std::string> restored = f.stores[1]->keys_with_prefix("proof/");
   ASSERT_EQ(restored.size(), 1u);
   EXPECT_GT(restored[0], before.back());
   release();
-  EXPECT_EQ(proof_segments(*f.stores[1]), restored);
+  EXPECT_EQ(f.stores[1]->keys_with_prefix("proof/"), restored);
   ASSERT_EQ(f.net(1).backup().pending_reports(home), 4u);
 
   f.network.node(f.net(0).node()).set_online(true);
@@ -677,7 +674,7 @@ TEST(Persistence, RestartWithTwoUnackedSegmentsReportsEachProofOnce) {
   EXPECT_EQ(listed, released);
   EXPECT_EQ(f.net(1).backup().metrics().reports_sent, 1u);
   EXPECT_EQ(f.net(1).backup().pending_reports(home), 0u);
-  EXPECT_TRUE(proof_segments(*f.stores[1]).empty());
+  EXPECT_TRUE(f.stores[1]->keys_with_prefix("proof/").empty());
   EXPECT_EQ(f.net(0).home().metrics().replenishments, 4u);
   EXPECT_TRUE(f.net(0).home().anomalies().empty());
 }

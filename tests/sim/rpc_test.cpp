@@ -368,8 +368,8 @@ TEST(RpcLifecycle, LastAttemptsHandlerHoldsTheOnlyCopyOfItsRequest) {
   constexpr std::size_t kRequestBytes = 1 << 20;
   const std::size_t before = heap_in_use();
   std::optional<Bytes> reply;
-  f.rpc.call(f.client, f.server, "defer", Bytes(kRequestBytes, 0x5a), RpcOptions::oneshot(sec(2)),
-             [&](Bytes r) { reply = std::move(r); }, nullptr);
+  f.rpc.call(f.client, f.server, "defer", Bytes(kRequestBytes, 0x5a),
+             RpcOptions::oneshot(sec(2)), [&](Bytes r) { reply = std::move(r); }, nullptr);
   f.s.run_until(ms(500));
   ASSERT_EQ(received, kRequestBytes);
   ASSERT_TRUE(deferred.has_value());
