@@ -183,15 +183,10 @@ void Rpc::send_request(const std::shared_ptr<Call>& call, int n) {
     }
 
     // Queue the request on the server's worker pool, then run the handler.
-    // The call's last possible attempt hands its request over, so the bytes
-    // go once the handler has decoded them, not when a deferred reply comes;
-    // an earlier one shares it, as a later attempt may still need it.
-    auto request = n >= call->options.retry.max_attempts ? std::move(call->request)
-                                                         : call->request;
     network_.node(call->to).execute(
         config_.server_base_cost,
         [this, call, n, handler = &handler_it->second, attempt_span = call->span,
-         request = std::move(request)] {
+         request = call->request] {
           // Server span: covers handler execution up to the moment the reply
           // (or rejection) is handed back to the transport. Made ambient for
           // the synchronous handler body, so RPCs the handler issues inline
@@ -223,6 +218,11 @@ void Rpc::send_request(const std::shared_ptr<Call>& call, int n) {
           if (tracer_ != nullptr) ambient.emplace(*tracer_, handle_span);
           (*handler)(*request, Responder(std::move(reply_fn)));
         });
+    // The call's last possible attempt leaves the handler the only copy, so
+    // the bytes go once it has decoded them, not when a deferred reply
+    // comes; an earlier attempt keeps the call's, as a later one may still
+    // need it.
+    if (n >= call->options.retry.max_attempts) call->request.reset();
   });
 }
 
