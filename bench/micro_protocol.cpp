@@ -1,7 +1,8 @@
 // Microbenchmarks for dAuth protocol operations: bundle generation, message
 // (de)serialization, signing/verification of bundles and dissemination
-// rounds, SUCI concealment, and full vector-generation as a home network
-// performs it.
+// rounds, SUCI concealment, full vector-generation as a home network
+// performs it, and a backup serving a vector or a key share from a held
+// batch.
 #include <benchmark/benchmark.h>
 
 #include "micro_main.h"
@@ -9,6 +10,7 @@
 #include "aka/auth_vector.h"
 #include "aka/sim_card.h"
 #include "aka/suci.h"
+#include "core/federation_spec.h"
 #include "core/home_network.h"
 #include "core/messages.h"
 #include "crypto/drbg.h"
@@ -255,6 +257,139 @@ void BM_CheckServedBundle(benchmark::State& state, bool hit) {
 BENCHMARK_CAPTURE(BM_CheckServedBundle, miss, false);
 BENCHMARK_CAPTURE(BM_CheckServedBundle, hit, true);
 
+/// backup_steady's backup layer at two thirds of its users: net-1 homes 64
+/// users and disseminates to net-2..net-9, 16 vectors each, so every backup
+/// holds one 144-leaf batch per user (16 vectors and a share of each of the
+/// round's 128). No store, and no report timer. net-10 serves.
+class HeldBatches {
+ public:
+  static constexpr std::size_t kBackups = 8;
+  static constexpr std::size_t kUsers = 64;
+  static constexpr std::size_t kVectors = 16;  // per backup and user
+
+  HeldBatches() {
+    FederationSpec spec;
+    spec.config.report_interval = 0;
+    spec.config.vectors_per_backup = kVectors;
+    spec.config.threshold = 4;
+    spec.topology = [](sim::Network& network, FederationSpec&) {
+      sim::NodeConfig node;
+      node.access.base = ms(2);
+      node.workers = 2;
+      for (std::size_t i = 0; i <= kBackups + 2; ++i) {
+        node.name = i == 0 ? "directory" : "net-" + std::to_string(i);
+        network.add_node(node);
+      }
+      node.name = "ran";
+      network.add_node(node);
+    };
+    HomeSpec home{NetworkId("net-1"), {}, {}};
+    for (std::size_t i = 1; i <= kBackups + 2; ++i) {
+      const NetworkId id("net-" + std::to_string(i));
+      spec.networks.push_back({id, id.str(), 100 + i});
+      if (i >= 2 && i <= kBackups + 1) home.backups.push_back(id);
+    }
+    for (std::size_t u = 0; u < kUsers; ++u) {
+      home.subscribers.emplace_back("31501000000" + std::to_string(1000 + u));
+    }
+    spec.homes.push_back(home);
+    world_ = build(std::move(spec));
+    world_->simulator.run();
+  }
+
+  FederationWorld& world() { return *world_; }
+  const std::vector<Supi>& users() const { return world_->spec.homes[0].subscribers; }
+
+  /// Calls net-2's registered handler for `service` with `request`, straight,
+  /// with no network hop, and runs what it queues; returns the reply.
+  Bytes call(const char* service, ByteView request) {
+    sim::Rpc& rpc = world_->rpc;
+    const sim::NodeIndex backup = world_->net(1).node();
+    // Registering a handler hands back the one it replaces: net-2's own.
+    sim::ServiceHandler& handler = handlers_[service];
+    if (!handler) {
+      handler = rpc.register_service(backup, service, {});
+      rpc.register_service(backup, service, handler);
+    }
+    Bytes reply;
+    handler(request, sim::Responder(std::make_shared<sim::Responder::ReplyFn>(
+                         [&reply](Bytes bytes, std::optional<sim::AppError> error) {
+                           if (error) throw std::runtime_error(error->detail);
+                           reply = std::move(bytes);
+                         })));
+    world_->simulator.run();
+    return reply;
+  }
+
+ private:
+  std::unique_ptr<FederationWorld> world_;
+  std::map<std::string, sim::ServiceHandler> handlers_;
+};
+
+/// One backup.get_vector request, handled: the held batch that serves the
+/// user's next vector, the bundle rebuilt with its path, and the vector
+/// released from the batch. Each iteration serves another user's next
+/// vector, so the run serves every vector net-2 holds.
+void BM_BackupServeVector(benchmark::State& state) {
+  HeldBatches held;
+  std::vector<Bytes> requests;
+  for (const Supi& supi : held.users()) {
+    GetVectorRequest request;
+    request.serving_network = NetworkId("net-10");
+    request.supi = supi;
+    requests.push_back(wire::encode(request));
+  }
+  std::size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(held.call("backup.get_vector", requests[next++ % requests.size()]));
+  }
+}
+BENCHMARK(BM_BackupServeVector)
+    ->Arg(144)
+    ->Iterations(HeldBatches::kUsers * HeldBatches::kVectors);
+
+/// One backup.get_share request, handled: the serving network's proof
+/// verified, the share found in its held batch and rebuilt with its path,
+/// and the proof pended. The run cycles through proofs of the round's 128
+/// vectors of one user, so after the first pass each proof is one already
+/// pending, as a retried leg's is.
+void BM_BackupServeShare(benchmark::State& state) {
+  HeldBatches held;
+  FederationWorld& world = held.world();
+  const Supi& supi = held.users().front();
+  std::vector<Bytes> proofs;
+  for (std::size_t b = 2; b <= HeldBatches::kBackups + 1; ++b) {
+    for (std::size_t v = 0; v < HeldBatches::kVectors; ++v) {
+      GetVectorRequest request;
+      request.serving_network = NetworkId("net-10");
+      request.supi = supi;
+      std::optional<AuthVectorBundle> vector;
+      sim::TypedStub(world.rpc, world.net(9).node(), kBackupGetVector)
+          .call(world.net(b - 1).node(), request, sim::RpcOptions::oneshot(),
+                [&](sim::CallResult<AuthVectorBundle> r) {
+                  if (r.ok()) vector = r.value();
+                });
+      world.simulator.run();
+      UsageProof proof;
+      proof.serving_network = request.serving_network;
+      proof.supi = supi;
+      proof.res_star = aka::generate_auth_vector(world.keys.at(supi), vector.value().sqn,
+                                                 vector->rand, world.config.serving_network_name)
+                           .xres_star;
+      proof.hxres_star = hxres_index(proof.res_star);
+      proof.timestamp = world.simulator.now();
+      proof.serving_signature =
+          crypto::ed25519_sign(proof.signed_payload(), world.net(9).signing_keys());
+      proofs.push_back(wire::encode(proof));
+    }
+  }
+  std::size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(held.call("backup.get_share", proofs[next++ % proofs.size()]));
+  }
+}
+BENCHMARK(BM_BackupServeShare)->Arg(144);
+
 }  // namespace
 }  // namespace dauth::core
 
@@ -270,6 +405,10 @@ int main(int argc, char** argv) {
       {"BM_StoreRequestCodec/8", 79950.0},
       {"BM_SplitBatches/8", 89894.0},
       {"BM_CheckServedBundle/hit", 3645.0},
+      // ns/op at a2ce131, while a held batch kept decoded leaf arrays
+      // beside its record (docs/PERFORMANCE.md §21).
+      {"BM_BackupServeVector/144/iterations:1024", 2139.0},
+      {"BM_BackupServeShare/144", 32248.0},
   };
   return dauth::bench::run_micro_benchmarks(argc, argv, "micro_protocol", baselines);
 }

@@ -5,6 +5,10 @@
 #include <cinttypes>
 #include <cstdio>
 #include <functional>
+#include <limits>
+#include <numeric>
+#include <ranges>
+#include <type_traits>
 
 #include "aka/suci.h"
 #include "core/home_network.h"  // hxres_index
@@ -62,16 +66,34 @@ KeyShareBundle leaf_bundle(const NetworkId& home, const Supi& supi, const ShareL
 }
 
 // The exact bundle the home signed, rebuilt from the held leaf, its user and
-// its batch, its inclusion path (in-batch, then round) attached: `group`
-// holds the leaf hashes of the path's group.
+// its batch's tree and record header, its inclusion path (in-batch, then
+// round) attached: `group` holds the leaf hashes of the path's group.
 template <typename Leaf>
-auto served(const NetworkId& home, const Supi& supi, const BundleBatch& batch,
-            std::span<const crypto::Sha256Digest> group, const Leaf& held) {
+auto served(const NetworkId& home, const Supi& supi, const crypto::MerkleTree& tree,
+            const BatchHeader& header, std::span<const crypto::Sha256Digest> group,
+            const Leaf& held) {
   auto bundle = leaf_bundle(home, supi, held);
-  bundle.batch = batch.position(held.leaf, group);
-  bundle.home_signature = batch.signature;
+  bundle.batch = batch_position(tree, held.leaf, header.batch_index, header.batch_count,
+                                header.round, group);
+  bundle.home_signature = header.signature;
   return bundle;
 }
+
+// A held share's leading fields, which a held batch reads from its record in
+// place (FixedSequence::prefix): its leaf index, and the H(XRES*) its
+// batch's shares are sorted by.
+struct HxresPrefix {
+  std::uint16_t leaf = 0;
+  ByteArray<16> hxres_star{};
+
+  template <typename F, typename Self>
+  static void fields(F& f, Self& m) {
+    f.field(m.leaf, m.hxres_star);
+  }
+};
+
+// A sequence position past every element: FixedSequence::splice cuts none.
+constexpr std::size_t kNoCut = std::numeric_limits<std::size_t>::max();
 
 // The one serve order of a user's held vectors: floods first (§4.3), then by
 // SQN, the order the USIM accepts a slice's SQNs in. Held batches keep their
@@ -79,6 +101,23 @@ auto served(const NetworkId& home, const Supi& supi, const BundleBatch& batch,
 bool served_before(const VectorLeaf& a, const VectorLeaf& b) {
   if (a.flood != b.flood) return a.flood;
   return a.sqn < b.sqn;
+}
+
+// Sorts `leaves` by `before`, moving each leaf once: a share's ordinate is
+// a Secret<32>, copied and wiped on every move, so the leaves are placed by
+// a sorted index rather than swapped into order. True when any leaf moved.
+template <typename Leaf, typename Before>
+bool sort_leaves(std::vector<Leaf>& leaves, Before before) {
+  if (std::ranges::is_sorted(leaves, before)) return false;
+  std::vector<std::size_t> order(leaves.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::ranges::sort(order,
+                    [&](std::size_t a, std::size_t b) { return before(leaves[a], leaves[b]); });
+  std::vector<Leaf> sorted;
+  sorted.reserve(leaves.size());
+  for (const std::size_t i : order) sorted.push_back(std::move(leaves[i]));
+  leaves = std::move(sorted);
+  return true;
 }
 
 }  // namespace
@@ -121,9 +160,10 @@ void BackupNetwork::restore_from_store() {
     const auto slash = name.rfind('/');  // the root's hex has none; a home id may
     if (slash < 6) continue;
     const NetworkId home(name.substr(6, slash - 6));
+    const store::Value stored = store_->get_shared(name);
     BatchRecord record;
     try {
-      record = wire::decode<BatchRecord>(*store_->get(name));
+      record = wire::decode<BatchRecord>(*stored);
     } catch (const wire::WireError&) {
       continue;  // corrupt record; the WAL already filtered torn writes
     }
@@ -150,12 +190,14 @@ void BackupNetwork::restore_from_store() {
         record.round.size() != crypto::merkle_path_length(record.batch_index, record.batch_count)) {
       continue;
     }
-    hold(users_[{home, record.supi}],
-         {{std::move(tree), record.batch_index, record.batch_count, std::move(record.round),
-           record.signature},
-          std::move(record.released),
-          std::move(record.vectors),
-          std::move(record.shares)});
+    // A record whose leaves are out of order is held sorted and written back
+    // so, since a held batch and its stored record are one buffer.
+    UserState& user = users_[{home, record.supi}];
+    const HeldBatch* held = hold(user, std::move(tree), std::move(record), stored);
+    if (held != nullptr && held->record != stored) {
+      // DAUTH_DISCLOSE(a re-sorted record keeps the backup's own shares of K_seaf, §4.2.1)
+      store_->put(name, held->record);
+    }
   }
 
   restore_proofs();
@@ -286,23 +328,24 @@ void BackupNetwork::handle_store(StoreMaterialRequest req,
         const UserKey key{home_id, next < vector_count
                                        ? request.vectors[next].supi
                                        : request.shares[next - vector_count].supi};
-        HeldBatch held{std::move(batch), {}, {}, {}};
-        held.vectors.reserve(vectors_end - next);
-        held.shares.reserve(end - vectors_end);
+        BatchRecord record{key.supi, batch.batch_index, batch.batch_count, batch.signature,
+                           std::move(batch.round), {}, {}, {}};
+        record.vectors.reserve(vectors_end - next);
+        record.shares.reserve(end - vectors_end);
         for (; next < vectors_end; ++next) {
           const AuthVectorBundle& v = request.vectors[next];
-          held.vectors.push_back(
+          record.vectors.push_back(
               {v.batch.leaf_index, v.sqn, v.rand, v.autn, v.hxres_star, v.flood});
         }
         for (; next < end; ++next) {
           const KeyShareBundle& share = request.shares[next - vector_count];
-          held.shares.push_back(
+          record.shares.push_back(
               {share.batch.leaf_index, share.hxres_star, share.share.x,
                Secret<32>(ByteView(share.share.y))});
         }
         UserState& user = users_[key];
-        if (HeldBatch* kept = hold(user, std::move(held))) {
-          metrics_.bundles_stored += kept->vectors.size() + kept->shares.size();
+        if (HeldBatch* kept = hold(user, std::move(batch.tree), std::move(record))) {
+          metrics_.bundles_stored += kept->vectors().size() + kept->shares().size();
           persist_batch(key, user, *kept);
         }
       }
@@ -316,20 +359,86 @@ void BackupNetwork::handle_store(StoreMaterialRequest req,
   }));
 }
 
-auto BackupNetwork::hold(UserState& user, HeldBatch held) -> HeldBatch* {
-  std::ranges::sort(held.vectors, served_before);
-  std::ranges::sort(held.shares, {}, &ShareLeaf::hxres_star);
-  const crypto::Sha256Digest root = held.batch.tree.root();
-  const auto [it, fresh] = user.batches.try_emplace(root, std::move(held));
-  return fresh ? &it->second : nullptr;
+auto BackupNetwork::hold(UserState& user, crypto::MerkleTree tree, BatchRecord record,
+                         store::Value stored) -> HeldBatch* {
+  const crypto::Sha256Digest root = tree.root();
+  if (user.batches.contains(root)) return nullptr;
+  const bool moved = sort_leaves(record.vectors, served_before) |
+                     sort_leaves(record.shares, [](const ShareLeaf& a, const ShareLeaf& b) {
+                       return a.hxres_star < b.hxres_star;
+                     });
+  if (stored == nullptr || moved) stored = store::make_value(wire::encode(record));
+  HeldBatch& held =
+      user.batches.emplace(root, HeldBatch{std::move(tree), std::move(stored)}).first->second;
+  held.locate(record.released.size(), record.vectors.size(), record.shares.size());
+  return &held;
+}
+
+void BackupNetwork::HeldBatch::locate(std::size_t released_count, std::size_t vector_count,
+                                      std::size_t share_count) {
+  // The record ends with its shares, after its vectors, after its released
+  // leaves.
+  const std::size_t size = record->size();
+  vectors_end = static_cast<std::uint32_t>(size - wire::sequence_size<ShareLeaf>(share_count));
+  vectors_at =
+      static_cast<std::uint32_t>(vectors_end - wire::sequence_size<VectorLeaf>(vector_count));
+  released_at =
+      static_cast<std::uint32_t>(vectors_at - wire::sequence_size<ReleasedLeaf>(released_count));
+}
+
+BatchHeader BackupNetwork::HeldBatch::header() const {
+  return wire::decode<BatchHeader>(ByteView(*record).first(released_at));
+}
+
+wire::FixedSequence<ReleasedLeaf> BackupNetwork::HeldBatch::released() const {
+  return wire::FixedSequence<ReleasedLeaf>(
+      ByteView(*record).subspan(released_at, vectors_at - released_at));
+}
+
+wire::FixedSequence<VectorLeaf> BackupNetwork::HeldBatch::vectors() const {
+  return wire::FixedSequence<VectorLeaf>(
+      ByteView(*record).subspan(vectors_at, vectors_end - vectors_at));
+}
+
+wire::FixedSequence<ShareLeaf> BackupNetwork::HeldBatch::shares() const {
+  return wire::FixedSequence<ShareLeaf>(ByteView(*record).subspan(vectors_end));
+}
+
+template <typename Leaf>
+void BackupNetwork::HeldBatch::release(const UserKey& user, std::size_t index) {
+  constexpr bool vector = std::is_same_v<Leaf, VectorLeaf>;
+  const auto released = this->released();
+  const auto vectors = this->vectors();
+  const auto shares = this->shares();
+  const Leaf leaf = [&] {
+    if constexpr (vector) return vectors[index];
+    else return shares[index];
+  }();
+  const ReleasedLeaf gone{leaf.leaf, leaf_bundle(user.home, user.supi, leaf).leaf_hash()};
+  Bytes next;
+  next.reserve(record->size() + wire::sequence_size<ReleasedLeaf>(1) -
+               wire::sequence_size<Leaf>(1));
+  next.insert(next.end(), record->begin(), record->begin() + released_at);
+  released.splice(next, kNoCut, &gone);
+  vectors.splice(next, vector ? index : kNoCut);
+  shares.splice(next, vector ? kNoCut : index);
+  const std::size_t released_count = released.size() + 1;
+  const std::size_t vector_count = vectors.size() - (vector ? 1 : 0);
+  const std::size_t share_count = shares.size() - (vector ? 0 : 1);
+  record = store::make_value(std::move(next));
+  locate(released_count, vector_count, share_count);
 }
 
 auto BackupNetwork::next_batch(UserState& user) -> HeldBatch* {
   HeldBatch* next = nullptr;
+  VectorLeaf first;  // next's front vector
   for (auto& [root, held] : user.batches) {
-    if (!held.vectors.empty() &&
-        (next == nullptr || served_before(held.vectors.front(), next->vectors.front()))) {
+    const auto vectors = held.vectors();
+    if (vectors.empty()) continue;
+    VectorLeaf front = vectors[0];
+    if (next == nullptr || served_before(front, first)) {
       next = &held;
+      first = front;
     }
   }
   return next;
@@ -337,76 +446,76 @@ auto BackupNetwork::next_batch(UserState& user) -> HeldBatch* {
 
 std::size_t BackupNetwork::UserState::vectors() const {
   std::size_t count = 0;
-  for (const auto& [root, held] : batches) count += held.vectors.size();
+  for (const auto& [root, held] : batches) count += held.vectors().size();
   return count;
 }
 
 auto BackupNetwork::find_share(UserState& user, const ByteArray<16>& hxres)
-    -> std::optional<std::pair<HeldBatch*, std::vector<ShareLeaf>::iterator>> {
+    -> std::optional<std::pair<HeldBatch*, std::size_t>> {
   for (auto& [root, held] : user.batches) {
-    const auto it = std::ranges::lower_bound(held.shares, hxres, {}, &ShareLeaf::hxres_star);
-    if (it != held.shares.end() && it->hxres_star == hxres) return std::pair{&held, it};
+    // A binary search of the record's shares in place, by H(XRES*).
+    const auto shares = held.shares();
+    const auto hxres_of = [&shares](std::size_t i) {
+      return shares.prefix<HxresPrefix>(i).hxres_star;
+    };
+    const auto index = std::views::iota(std::size_t{0}, shares.size());
+    const auto it = std::ranges::lower_bound(index, hxres, {}, hxres_of);
+    if (it != index.end() && hxres_of(*it) == hxres) return std::pair{&held, *it};
   }
   return std::nullopt;
 }
 
 auto BackupNetwork::group(const UserKey& user, const HeldBatch& held, std::uint16_t leaf)
     -> std::vector<crypto::Sha256Digest> {
-  const crypto::MerkleGroup group = held.batch.tree.group(leaf);
+  const crypto::MerkleGroup group = held.tree.group(leaf);
   std::vector<crypto::Sha256Digest> hashes(group.size);
-  const auto in_group = [&](std::size_t index) { return index - group.first < group.size; };
-  for (const VectorLeaf& vector : held.vectors) {
-    if (in_group(vector.leaf)) {
-      hashes[vector.leaf - group.first] = leaf_bundle(user.home, user.supi, vector).leaf_hash();
+  // Element i's place in the group, group.size or more when it lies outside:
+  // every held leaf's encoding starts with its leaf index.
+  const auto slot = [&](const auto& sequence, std::size_t i) -> std::size_t {
+    return sequence.template leading<std::uint16_t>(i) - group.first;
+  };
+  const auto rehash = [&](const auto& sequence) {
+    for (std::size_t i = 0; i < sequence.size(); ++i) {
+      if (const std::size_t at = slot(sequence, i); at < group.size) {
+        hashes[at] = leaf_bundle(user.home, user.supi, sequence[i]).leaf_hash();
+      }
     }
-  }
-  for (const ShareLeaf& share : held.shares) {
-    if (in_group(share.leaf)) {
-      hashes[share.leaf - group.first] = leaf_bundle(user.home, user.supi, share).leaf_hash();
-    }
-  }
-  for (const ReleasedLeaf& released : held.released) {
-    if (in_group(released.leaf)) hashes[released.leaf - group.first] = released.hash;
+  };
+  rehash(held.vectors());
+  rehash(held.shares());
+  const auto released = held.released();
+  for (std::size_t i = 0; i < released.size(); ++i) {
+    if (const std::size_t at = slot(released, i); at < group.size) hashes[at] = released[i].hash;
   }
   return hashes;
-}
-
-template <typename Leaf>
-void BackupNetwork::HeldBatch::release(const UserKey& user, std::vector<Leaf>& from,
-                                       typename std::vector<Leaf>::iterator it) {
-  released.push_back({it->leaf, leaf_bundle(user.home, user.supi, *it).leaf_hash()});
-  from.erase(it);
 }
 
 auto BackupNetwork::take_vector(const UserKey& key, UserState& user, const ByteArray<16>& hxres)
     -> HeldBatch* {
   for (auto& [root, held] : user.batches) {
-    const auto leaf = std::ranges::find_if(
-        held.vectors, [&](const VectorLeaf& v) { return ct_equal(v.hxres_star, hxres); });
-    if (leaf == held.vectors.end()) continue;
-    held.release(key, held.vectors, leaf);
-    return &held;
+    const auto vectors = held.vectors();
+    for (std::size_t i = 0; i < vectors.size(); ++i) {
+      if (!ct_equal(vectors[i].hxres_star, hxres)) continue;
+      held.release<VectorLeaf>(key, i);
+      return &held;
+    }
   }
   return nullptr;
 }
 
 void BackupNetwork::persist_batch(const UserKey& user, UserState& state,
                                   const HeldBatch& held) {
-  const bool empty = held.vectors.empty() && held.shares.empty();
+  const bool empty = held.vectors().empty() && held.shares().empty();
   if (store_ != nullptr) {
-    const std::string name = batch_record(user.home.str(), held.batch.tree);
+    const std::string name = batch_record(user.home.str(), held.tree);
     if (empty) {
       store_->erase(name);
     } else {
-      const BatchRecord record{user.supi,           held.batch.batch_index, held.batch.batch_count,
-                               held.batch.signature, held.batch.round,       held.released,
-                               held.vectors,         held.shares};
-      // DAUTH_DISCLOSE(persisting its shares of K_seaf is the backup's entire job, §4.2.1)
-      store_->put(name, wire::encode(record));
+      store_->put(name, held.record);
     }
   }
   if (empty) {
-    const crypto::Sha256Digest root = held.batch.tree.root();
+    const crypto::Sha256Digest root = held.tree.root();
     state.batches.erase(root);
   }
 }
@@ -449,10 +558,10 @@ void BackupNetwork::handle_get_vector(GetVectorRequest req,
         responder.fail(sim::AppErrorCode::kExhausted, "no vectors remaining");
         return;
       }
-      const VectorLeaf& next = held->vectors.front();
-      const AuthVectorBundle bundle =
-          served(id.home, id.supi, held->batch, group(id, *held, next.leaf), next);
-      held->release(id, held->vectors, held->vectors.begin());
+      const VectorLeaf next = held->vectors()[0];
+      const AuthVectorBundle bundle = served(id.home, id.supi, held->tree, held->header(),
+                                             group(id, *held, next.leaf), next);
+      held->release<VectorLeaf>(id, 0);
       persist_batch(id, user, *held);
       ++metrics_.vectors_served;
       if (journal_ != nullptr) {
@@ -490,8 +599,10 @@ void BackupNetwork::handle_get_share(UsageProof proof,
         const auto share = find_share(user, proof.hxres_star);
         if (!share) continue;
         ShareReply reply;
-        const auto& [batch, leaf] = *share;
-        reply.share = served(id.home, id.supi, batch->batch, group(id, *batch, leaf->leaf), *leaf);
+        const auto& [batch, index] = *share;
+        const ShareLeaf leaf = batch->shares()[index];
+        reply.share = served(id.home, id.supi, batch->tree, batch->header(),
+                             group(id, *batch, leaf.leaf), leaf);
 
         // Keep the proof for later reporting (§4.2.2: "backups store the
         // received bundle ... to report a proof of consumption"), once: a
@@ -548,7 +659,7 @@ void BackupNetwork::handle_revoke_shares(RevokeSharesRequest req,
     };
     for (const auto& hxres : req.hxres_indices) {
       if (const auto share = find_share(state, hxres)) {
-        share->first->release(user, share->first->shares, share->second);
+        share->first->release<ShareLeaf>(user, share->second);
         touch(share->first);
         ++metrics_.shares_revoked;
       }
@@ -694,7 +805,7 @@ std::size_t BackupNetwork::stored_shares(const NetworkId& home, const Supi& supi
   const auto it = users_.find({home, supi});
   if (it == users_.end()) return 0;
   std::size_t shares = 0;
-  for (const auto& [root, held] : it->second.batches) shares += held.shares.size();
+  for (const auto& [root, held] : it->second.batches) shares += held.shares().size();
   return shares;
 }
 

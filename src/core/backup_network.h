@@ -21,6 +21,7 @@
 #include "directory/client.h"
 #include "sim/rpc.h"
 #include "store/kv_store.h"
+#include "wire/sequence.h"
 
 namespace dauth::obs {
 class EventJournal;
@@ -70,14 +71,17 @@ struct ReleasedLeaf {
   }
 };
 
-/// A backup's persisted record of one held batch, the value of
-/// "batch/<home>/<batch root>" in its store: the fields every bundle of the
-/// batch shares, as a BundleBatch holds them, but for its tree; the leaves
-/// the backup has let go, by hash; then the leaves it still holds, each with
+/// A backup's record of one held batch, the value of "batch/<home>/<batch
+/// root>" in its store and, encoded, the batch itself in its memory (one
+/// buffer, shared with the store): the fields every bundle of the batch
+/// shares, as a BundleBatch holds them, but for its tree; the leaves the
+/// backup has let go, by hash; then the leaves it still holds, each with
 /// nothing but its own fields. Every leaf of the batch is one or the other,
 /// once, so the hashes give the tree back. Every batch is one user's
-/// (split_batches), and a lone bundle is a one-leaf batch. The bundles served
-/// after a restart are rebuilt from it, byte for byte.
+/// (split_batches), and a lone bundle is a one-leaf batch. The bundles
+/// served, after a restart too, are rebuilt from it, byte for byte. Every
+/// leaf's fields have a fixed width, so a held batch reads them in place
+/// (wire/sequence.h).
 struct BatchRecord {
   Supi supi;
   std::uint16_t batch_index = 0;
@@ -92,6 +96,21 @@ struct BatchRecord {
   static void fields(F& f, Self& m) {
     f.field(m.supi, m.batch_index, m.batch_count, m.signature, m.round, m.released, m.vectors);
     f.field(m.shares);  // DAUTH_DISCLOSE(a held batch's record keeps the backup's own shares of K_seaf, §4.2.1)
+  }
+};
+
+/// A BatchRecord's leading fields, up to its leaves: what a served bundle
+/// takes from its batch but for the tree.
+struct BatchHeader {
+  Supi supi;
+  std::uint16_t batch_index = 0;
+  std::uint16_t batch_count = 1;
+  crypto::Ed25519Signature signature{};
+  std::vector<crypto::Sha256Digest> round;
+
+  template <typename F, typename Self>
+  static void fields(F& f, Self& m) {
+    f.field(m.supi, m.batch_index, m.batch_count, m.signature, m.round);
   }
 };
 
@@ -156,33 +175,38 @@ class BackupNetwork {
       return std::tie(home, supi) < std::tie(other.home, other.supi);
     }
   };
-  /// A held batch, in memory as in its BatchRecord: the fields every bundle
-  /// of the batch shares (Merkle tree, round position, round path, round
-  /// signature) once, the leaves the backup has let go (served, a flood copy
-  /// consumed at another backup, revoked) by hash, then the leaves it still
-  /// holds, each with nothing but its own fields. The tree keeps no leaf
-  /// level: a served path's group comes from the held leaves, rehashed, and
-  /// the released ones. A lone bundle is a one-leaf batch. `vectors` is in
-  /// serve order (`served_before`: floods first, §4.3, then by SQN);
-  /// `shares` is sorted by H(XRES*).
+  /// A held batch: its tree, which keeps no leaf level (a served path's
+  /// group comes from the held leaves, rehashed, and the released ones),
+  /// and its BatchRecord, encoded, in one immutable buffer that a backup
+  /// with a store shares with it; a backup without one owns the only
+  /// reference. Held vectors, shares and released leaves are read from the
+  /// record's bytes in place, and the offsets of its three leaf sequences
+  /// are kept beside it. The record's vectors are in serve order
+  /// (`served_before`: floods first, §4.3, then by SQN) and its shares
+  /// sorted by H(XRES*). Every change to its leaves builds the record's next
+  /// version and swaps it in.
   struct HeldBatch {
-    BundleBatch batch;
-    std::vector<ReleasedLeaf> released;
-    std::vector<VectorLeaf> vectors;
-    std::vector<ShareLeaf> shares;
+    crypto::MerkleTree tree;
+    store::Value record;
+    std::uint32_t released_at = 0;  // where each leaf sequence starts
+    std::uint32_t vectors_at = 0;
+    std::uint32_t vectors_end = 0;  // the shares' start
 
-    /// Lets go of held leaf `it` of `from` (vectors or shares), its hash
-    /// kept in `released`.
+    /// Finds the record's leaf sequences, given how many leaves each holds.
+    void locate(std::size_t released_count, std::size_t vector_count, std::size_t share_count);
+    BatchHeader header() const;
+    wire::FixedSequence<ReleasedLeaf> released() const;
+    wire::FixedSequence<VectorLeaf> vectors() const;
+    wire::FixedSequence<ShareLeaf> shares() const;
+    /// Lets go of held leaf `index` of the record's `Leaf` sequence (vectors
+    /// or shares): the next record version leaves it out and appends its
+    /// hash to the released leaves.
     template <typename Leaf>
-    void release(const UserKey& user, std::vector<Leaf>& from,
-                 typename std::vector<Leaf>::iterator it);
+    void release(const UserKey& user, std::size_t index);
   };
-  // Budget, so a held share cannot silently grow back into a map node or a
-  // wire blob: leaf 2 + H(XRES*) 16 + x 1 + y 32, padded to 52 B, in its
-  // batch's array. An alignment below a pointer's means no pointer, so no
-  // per-share heap node or reference count either.
-  static_assert(sizeof(ShareLeaf) <= 56 && alignof(ShareLeaf) < alignof(void*),
-                "a held share outgrew its per-leaf budget");
+  // Budget, so the decoded leaves cannot silently grow back beside the
+  // record: a held batch is its tree, a shared record and three offsets.
+  static_assert(sizeof(HeldBatch) <= 64, "a held batch outgrew its budget");
   struct UserState {
     std::map<crypto::Sha256Digest, HeldBatch> batches;  // by batch root
     /// Vectors held across every batch.
@@ -254,22 +278,26 @@ class BackupNetwork {
   /// fields and `user`, a released one's as kept.
   static std::vector<crypto::Sha256Digest> group(const UserKey& user, const HeldBatch& held,
                                                  std::uint16_t leaf);
-  /// The held share of `hxres` among `user`'s batches, or nullopt.
-  static std::optional<std::pair<HeldBatch*, std::vector<ShareLeaf>::iterator>> find_share(
-      UserState& user, const ByteArray<16>& hxres);
-  /// Holds `held` as one of `user`'s batches, its vectors put in serve order
-  /// and its shares sorted; nullptr when a batch of its root is already held.
-  /// Store and restore enter every batch here.
-  static HeldBatch* hold(UserState& user, HeldBatch held);
+  /// The held share of `hxres` among `user`'s batches, as its batch and its
+  /// index in the batch's shares, or nullopt.
+  static std::optional<std::pair<HeldBatch*, std::size_t>> find_share(UserState& user,
+                                                                      const ByteArray<16>& hxres);
+  /// Holds the batch of `tree` and `record` as one of `user`'s, the record's
+  /// vectors put in serve order and its shares sorted. `stored` is the
+  /// record's encoding when it has one (restore), held as it is when the
+  /// record was in order already. nullptr when a batch of its root is
+  /// already held. Store and restore enter every batch here.
+  static HeldBatch* hold(UserState& user, crypto::MerkleTree tree, BatchRecord record,
+                         store::Value stored = nullptr);
   /// The batch that serves `user`'s next vector: of the batches holding
   /// one, the one whose front vector is served first. nullptr when none.
   static HeldBatch* next_batch(UserState& user);
   /// Releases `user`'s held vector of `hxres`, if any, and returns its batch.
   static HeldBatch* take_vector(const UserKey& key, UserState& user, const ByteArray<16>& hxres);
-  /// Writes `held`'s BatchRecord, or, once it holds nothing, erases the
-  /// record and drops the batch from `state`. Every change to a batch's
-  /// held leaves (store, serve, flood-copy drop, revoke) ends here, once per
-  /// batch.
+  /// Puts `held`'s BatchRecord in the store, or, once it holds nothing,
+  /// erases the record and drops the batch from `state`. Every change to a
+  /// batch's held leaves (store, serve, flood-copy drop, revoke) ends here,
+  /// once per batch.
   void persist_batch(const UserKey& user, UserState& state, const HeldBatch& held);
   /// Rebuilds in-memory state from the persistent store (called at
   /// construction when a store is present).

@@ -199,8 +199,10 @@ bool BundleBatch::verify_root(const NetworkId& home,
   return payload && crypto::ed25519_verify(*payload, signature, home_key);
 }
 
-BatchPath BundleBatch::position(std::uint16_t leaf_index,
-                                std::span<const crypto::Sha256Digest> group) const {
+BatchPath batch_position(const crypto::MerkleTree& tree, std::uint16_t leaf_index,
+                         std::uint16_t batch_index, std::uint16_t batch_count,
+                         std::span<const crypto::Sha256Digest> round,
+                         std::span<const crypto::Sha256Digest> group) {
   BatchPath path{leaf_index, static_cast<std::uint16_t>(tree.leaf_count()), batch_index,
                  batch_count, tree.path(leaf_index, group)};
   path.siblings.insert(path.siblings.end(), round.begin(), round.end());

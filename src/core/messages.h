@@ -198,7 +198,7 @@ void sign_round(std::span<StoreMaterialRequest> requests, const crypto::Ed25519K
 
 /// One home-signed batch of a StoreMaterialRequest, rebuilt by the receiving
 /// backup from the bundles themselves: every field its bundles share. A
-/// backup holds it once for all of the batch's bundles.
+/// backup keeps its tree, and its other fields once in the batch's record.
 struct BundleBatch {
   crypto::MerkleTree tree;
   std::uint16_t batch_index = 0;
@@ -209,11 +209,16 @@ struct BundleBatch {
   /// True when `signature` is `home`'s signature over the round root that
   /// this batch's root and round path imply.
   bool verify_root(const NetworkId& home, const crypto::Ed25519PublicKey& home_key) const;
-  /// The served position of leaf `leaf_index`, its path attached: the
-  /// in-batch path, then the round path. `group` holds the leaf hashes of
-  /// tree.group(leaf_index), which the tree does not keep.
-  BatchPath position(std::uint16_t leaf_index, std::span<const crypto::Sha256Digest> group) const;
 };
+
+/// The served position of leaf `leaf_index` of batch `tree`, at
+/// `batch_index` of a `batch_count`-batch round, its path attached: the
+/// in-batch path, then the round path `round`. `group` holds the leaf
+/// hashes of tree.group(leaf_index), which the tree does not keep.
+BatchPath batch_position(const crypto::MerkleTree& tree, std::uint16_t leaf_index,
+                         std::uint16_t batch_index, std::uint16_t batch_count,
+                         std::span<const crypto::Sha256Digest> round,
+                         std::span<const crypto::Sha256Digest> group);
 
 /// Splits a store request's bundles (vectors, then shares) into the batches
 /// their positions declare, in order, hashing each bundle once: a batch's

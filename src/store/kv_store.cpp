@@ -2,6 +2,7 @@
 
 #include <filesystem>
 
+#include "common/secret.h"
 #include "wire/reader.h"
 #include "wire/writer.h"
 
@@ -28,7 +29,17 @@ std::size_t put_bytes(std::size_t key, std::size_t value) {
   return Wal::kHeaderBytes + 1 + 4 + key + 4 + value;
 }
 
+/// A value's buffer, wiped when its last owner frees it.
+struct WipedBytes : Bytes {
+  explicit WipedBytes(Bytes bytes) noexcept : Bytes(std::move(bytes)) {}
+  WipedBytes(const WipedBytes&) = delete;
+  WipedBytes& operator=(const WipedBytes&) = delete;
+  ~WipedBytes() { secure_wipe(data(), size()); }
+};
+
 }  // namespace
+
+Value make_value(Bytes bytes) { return std::make_shared<WipedBytes>(std::move(bytes)); }
 
 KvStore::KvStore(const std::string& path) : wal_(std::make_unique<Wal>(path)) {
   replayed_ = wal_->replay([this](ByteView record) {
@@ -37,17 +48,15 @@ KvStore::KvStore(const std::string& path) : wal_(std::make_unique<Wal>(path)) {
     const std::uint8_t op = r.u8();
     std::string key = r.string();
     if (op == kOpPut) {
-      map_[std::move(key)] = r.bytes();
+      map_[std::move(key)] = make_value(r.bytes());
     } else if (op == kOpErase) {
       map_.erase(key);
     } else if (op == kOpAppend) {
-      const Bytes bytes = r.bytes();
-      Bytes& value = map_[std::move(key)];
-      value.insert(value.end(), bytes.begin(), bytes.end());
+      grow(key, r.bytes());
     }
     // Unknown ops are skipped for forward compatibility.
   });
-  for (const auto& [key, value] : map_) live_bytes_ += put_bytes(key.size(), value.size());
+  for (const auto& [key, value] : map_) live_bytes_ += put_bytes(key.size(), value->size());
   // A torn or corrupt tail stays in the file, and a record appended after
   // it would never replay: rewrite the log as what did.
   if (log_bytes_ != std::filesystem::file_size(path)) compact();
@@ -62,15 +71,20 @@ void KvStore::compact_if_due() {
   if (log_bytes_ > kCompactionFloor && log_bytes_ > kCompactionRatio * live_bytes_) compact();
 }
 
-void KvStore::put(std::string_view key, ByteView value) {
+void KvStore::put(std::string_view key, ByteView value) { put(key, make_value(to_bytes(value))); }
+
+void KvStore::put(std::string_view key, Value value) {
+  auto it = map_.find(key);
   if (wal_) {
-    log(log_record(kOpPut, key, value));
-    if (const auto it = map_.find(key); it != map_.end()) {
-      live_bytes_ -= put_bytes(key.size(), it->second.size());
-    }
-    live_bytes_ += put_bytes(key.size(), value.size());
+    log(log_record(kOpPut, key, *value));
+    if (it != map_.end()) live_bytes_ -= put_bytes(key.size(), it->second->size());
+    live_bytes_ += put_bytes(key.size(), value->size());
   }
-  map_[std::string(key)] = to_bytes(value);
+  if (it == map_.end()) {
+    map_.emplace(std::string(key), std::move(value));
+  } else {
+    it->second = std::move(value);
+  }
   compact_if_due();
 }
 
@@ -79,30 +93,51 @@ void KvStore::erase(std::string_view key) {
   if (it == map_.end()) return;
   if (wal_) {
     log(log_record(kOpErase, key));
-    live_bytes_ -= put_bytes(key.size(), it->second.size());
+    live_bytes_ -= put_bytes(key.size(), it->second->size());
   }
   map_.erase(it);
   compact_if_due();
 }
 
 void KvStore::append(std::string_view key, ByteView bytes) {
-  auto it = map_.find(key);
   if (wal_) {
     log(log_record(kOpAppend, key, bytes));
+    const auto it = map_.find(key);
     live_bytes_ += it == map_.end() ? put_bytes(key.size(), bytes.size()) : bytes.size();
   }
-  if (it == map_.end()) it = map_.emplace(std::string(key), Bytes{}).first;
-  it->second.insert(it->second.end(), bytes.begin(), bytes.end());
+  grow(key, bytes);
   compact_if_due();
+}
+
+void KvStore::grow(std::string_view key, ByteView bytes) {
+  const auto it = map_.find(key);
+  if (it == map_.end()) {
+    map_.emplace(std::string(key), make_value(to_bytes(bytes)));
+  } else if (it->second.use_count() > 1) {
+    Bytes grown;
+    grown.reserve(it->second->size() + bytes.size());
+    grown.assign(it->second->begin(), it->second->end());
+    grown.insert(grown.end(), bytes.begin(), bytes.end());
+    it->second = make_value(std::move(grown));
+  } else {
+    // The store alone owns this buffer, which make_value allocated mutable.
+    Bytes& value = const_cast<Bytes&>(*it->second);
+    value.insert(value.end(), bytes.begin(), bytes.end());
+  }
 }
 
 std::optional<Bytes> KvStore::get(std::string_view key) const {
   const auto it = map_.find(key);
   if (it == map_.end()) return std::nullopt;
-  return it->second;
+  return *it->second;
 }
 
-bool KvStore::contains(std::string_view key) const { return map_.contains(std::string(key)); }
+Value KvStore::get_shared(std::string_view key) const {
+  const auto it = map_.find(key);
+  return it == map_.end() ? nullptr : it->second;
+}
+
+bool KvStore::contains(std::string_view key) const { return map_.find(key) != map_.end(); }
 
 std::vector<std::string> KvStore::keys_with_prefix(std::string_view prefix) const {
   // Pure range scan: [prefix, successor(prefix)), where the successor is the
@@ -128,7 +163,7 @@ std::vector<std::string> KvStore::keys_with_prefix(std::string_view prefix) cons
 void KvStore::compact() {
   if (!wal_) return;
   wal_->rewrite([this](Wal& snapshot) {
-    for (const auto& [key, value] : map_) snapshot.append(log_record(kOpPut, key, value));
+    for (const auto& [key, value] : map_) snapshot.append(log_record(kOpPut, key, *value));
   });
   log_bytes_ = live_bytes_;
 }

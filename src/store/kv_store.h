@@ -12,6 +12,16 @@
 // key with them), so a growing log-structured value costs its new bytes per
 // write, not a rewrite of the whole value.
 //
+// Values are shared, immutable buffers (Value). A writer that keeps the
+// bytes it persists can put its own buffer: the store keeps a reference,
+// not a copy, and get_shared hands the same buffer back, so a backup's held
+// batch and its record are one allocation (docs/PROTOCOL.md §1). Nobody
+// mutates a buffer while another owner may read it: a writer that changes
+// its bytes builds a new buffer and puts that, and append grows a value in
+// place only while the store is its sole owner, copying it first
+// otherwise. Every buffer is wiped when its last owner frees it, since a
+// batch record carries key shares.
+//
 // Two modes:
 //   * KvStore(path) — durable; every mutation appends to the WAL, state is
 //     rebuilt by replay on open, compact() rewrites the log, and the store
@@ -32,6 +42,15 @@
 
 namespace dauth::store {
 
+/// A stored value: bytes the store shares with its writer and readers,
+/// wiped when the last of them frees it.
+using Value = std::shared_ptr<const Bytes>;
+
+/// A buffer holding `bytes`, for a Value. Every value the store makes is
+/// one, and a buffer given to put must be one too: append grows a value in
+/// place once the store owns it alone.
+Value make_value(Bytes bytes);
+
 class KvStore {
  public:
   /// A durable store compacts itself once its log holds more than
@@ -51,12 +70,21 @@ class KvStore {
   /// Durable store backed by a WAL at `path`; replays existing records.
   explicit KvStore(const std::string& path);
 
+  /// Stores a copy of `value`.
   void put(std::string_view key, ByteView value);
+  /// Stores `value` itself, not a copy (a durable store still logs its
+  /// bytes). The writer must not mutate it afterwards.
+  void put(std::string_view key, Value value);
   void erase(std::string_view key);
   /// Appends `bytes` to the value of `key`, which it creates when absent.
+  /// A value someone else still shares is copied first, and theirs is left
+  /// as it was.
   void append(std::string_view key, ByteView bytes);
 
+  /// A copy of the value of `key`.
   std::optional<Bytes> get(std::string_view key) const;
+  /// The value of `key` itself, shared; null when absent.
+  Value get_shared(std::string_view key) const;
   bool contains(std::string_view key) const;
   std::size_t size() const noexcept { return map_.size(); }
 
@@ -80,8 +108,10 @@ class KvStore {
  private:
   void log(ByteView record);
   void compact_if_due();
+  /// Appends `bytes` to the value of `key` in memory (append, replay).
+  void grow(std::string_view key, ByteView bytes);
 
-  std::map<std::string, Bytes, std::less<>> map_;
+  std::map<std::string, Value, std::less<>> map_;
   std::unique_ptr<Wal> wal_;
   std::size_t replayed_ = 0;
   std::size_t log_bytes_ = 0;

@@ -445,18 +445,20 @@ TEST(SplitBatches, RoundRequestIsOneBatchWithItsRoundPath) {
     std::vector<Sha256Digest> leaves;
     for (const auto& v : req.vectors) leaves.push_back(v.leaf_hash());
     for (const auto& s : req.shares) leaves.push_back(s.leaf_hash());
-    const auto group_of = [&](std::uint16_t i) {
-      const crypto::MerkleGroup group = batches->front().tree.group(i);
-      return std::span<const Sha256Digest>(leaves).subspan(group.first, group.size);
+    const BundleBatch& batch = batches->front();
+    const auto position = [&](std::uint16_t i) {
+      const crypto::MerkleGroup group = batch.tree.group(i);
+      return batch_position(batch.tree, i, batch.batch_index, batch.batch_count, batch.round,
+                            std::span<const Sha256Digest>(leaves).subspan(group.first, group.size));
     };
     for (const auto& v : round[b].vectors) {
       AuthVectorBundle rebuilt = v;
-      rebuilt.batch = batches->front().position(v.batch.leaf_index, group_of(v.batch.leaf_index));
+      rebuilt.batch = position(v.batch.leaf_index);
       EXPECT_EQ(wire::encode(rebuilt), wire::encode(v)) << b;
     }
     for (const auto& s : round[b].shares) {
       KeyShareBundle rebuilt = s;
-      rebuilt.batch = batches->front().position(s.batch.leaf_index, group_of(s.batch.leaf_index));
+      rebuilt.batch = position(s.batch.leaf_index);
       EXPECT_EQ(wire::encode(rebuilt), wire::encode(s)) << b;
     }
   }

@@ -373,6 +373,45 @@ TEST(DirectoryServer, ForgedRegistrationsOverRpcAreRefused) {
   EXPECT_EQ(wire::encode(*backups), prior_backups);
 }
 
+TEST(DirectoryServer, LookupsOfUnknownNamesAreRefusedNotFound) {
+  // dir.get_network of a network nobody registered, and dir.get_backups of
+  // a registered network that published no backups list, are refused
+  // kNotFound with the name; every entry stays as it was.
+  ClientFixture f;
+  const NetworkId home("home");
+  const NetworkId quiet("quiet");
+  f.server.register_network(make_network_entry(quiet, make_keys("quiet"),
+                                               make_suci_key("quiet"), 7));
+  const Bytes prior_network = wire::encode(*f.server.network(home));
+  const Bytes prior_backups = wire::encode(*f.server.backups(home));
+
+  const auto refusal = [&]<typename Rsp>(const sim::Service<NameLookup, Rsp>& service,
+                                         const std::string& name) {
+    std::optional<sim::CallResult<Rsp>> result;
+    sim::TypedStub(f.rpc, f.client_node, service)
+        .call(f.dir_node, NameLookup{name}, sim::RpcOptions::oneshot(),
+              [&](sim::CallResult<Rsp> r) { result = std::move(r); });
+    f.s.run();
+    std::optional<sim::AppError> error;
+    if (result && !result->ok()) error = result->app_error();
+    return error;
+  };
+  const auto network = refusal(kGetNetwork, "nowhere");
+  ASSERT_TRUE(network.has_value());
+  EXPECT_EQ(network->code, sim::AppErrorCode::kNotFound);
+  EXPECT_EQ(network->detail, "unknown network nowhere");
+  const auto backups = refusal(kGetBackups, "quiet");
+  ASSERT_TRUE(backups.has_value());
+  EXPECT_EQ(backups->code, sim::AppErrorCode::kNotFound);
+  EXPECT_EQ(backups->detail, "no backups registered for quiet");
+
+  EXPECT_FALSE(f.server.network(NetworkId("nowhere")).has_value());
+  EXPECT_FALSE(f.server.backups(quiet).has_value());
+  EXPECT_TRUE(f.server.network(quiet).has_value());
+  EXPECT_EQ(wire::encode(*f.server.network(home)), prior_network);
+  EXPECT_EQ(wire::encode(*f.server.backups(home)), prior_backups);
+}
+
 TEST(DirectoryClient, InvalidateClearsCache) {
   ClientFixture f;
   DirectoryClient client(f.rpc, f.client_node, f.dir_node);

@@ -705,6 +705,63 @@ TEST(Adversarial, HomeRefusesAKeyRequestWithAForgedServingSignature) {
   expect_key_refused(f, forged, honest, "invalid serving signature");
 }
 
+// ---- Requests for a subscriber the home does not have --------------------
+//
+// home.get_vector, home.resync and home.get_key each look the SUPI up first:
+// one the home does not serve is refused kNotFound and counted, and no
+// subscriber's vector, SQN or pending key moves.
+
+/// Calls the home's `service` with `request` from net-5; expects the refusal
+/// "unknown subscriber", counted once, with Alice's pending keys and the
+/// home's issued vectors and released keys as they were.
+template <typename Req, typename Rsp>
+void expect_unknown_subscriber(Federation& f, const sim::Service<Req, Rsp>& service,
+                               const Req& request) {
+  const core::HomeNetwork& home = f.net(0).home();
+  const core::HomeMetrics before = home.metrics();
+  const std::size_t pending = home.pending_keys(kAlice);
+  std::optional<sim::CallResult<Rsp>> result;
+  sim::TypedStub(f.rpc, f.net(4).node(), service)
+      .call(f.net(0).node(), request, sim::RpcOptions::oneshot(),
+            [&](sim::CallResult<Rsp> r) { result = std::move(r); });
+  f.simulator.run();
+  ASSERT_TRUE(result.has_value()) << service.name;
+  ASSERT_FALSE(result->ok()) << service.name;
+  ASSERT_TRUE(result->app_error().has_value()) << result->error().message;
+  EXPECT_EQ(result->app_error()->code, sim::AppErrorCode::kNotFound) << service.name;
+  EXPECT_EQ(result->app_error()->detail, "unknown subscriber") << service.name;
+  EXPECT_EQ(home.metrics().rejected_requests, before.rejected_requests + 1) << service.name;
+  EXPECT_EQ(home.metrics().vectors_served, before.vectors_served) << service.name;
+  EXPECT_EQ(home.metrics().keys_released, before.keys_released) << service.name;
+  EXPECT_EQ(home.pending_keys(kAlice), pending) << service.name;
+}
+
+TEST(Adversarial, HomeRefusesEveryRequestForAnUnknownSubscriber) {
+  Federation f(5);
+  const auto keys = f.provision(kAlice, 0, {1, 2, 3});
+  const Supi stranger("901559999999999");
+
+  core::GetVectorRequest vector_request;
+  vector_request.serving_network = f.net(4).id();
+  vector_request.supi = stranger;
+  expect_unknown_subscriber(f, core::kHomeGetVector, vector_request);
+
+  core::ResyncRequest resync;
+  resync.supi = stranger;
+  expect_unknown_subscriber(f, core::kHomeResync, resync);
+
+  // Alice's own proof, honestly signed, but naming a SUPI the home lacks:
+  // her key stays pending for the honest proof.
+  const core::UsageProof honest = home_online_proof(f, keys);
+  core::UsageProof renamed = honest;
+  renamed.supi = stranger;
+  renamed.serving_signature =
+      crypto::ed25519_sign(renamed.signed_payload(), f.net(4).signing_keys());
+  ASSERT_EQ(f.net(0).home().pending_keys(kAlice), 1u);
+  expect_unknown_subscriber(f, core::kHomeGetKey, renamed);
+  EXPECT_TRUE(get_key(f, honest).ok());
+}
+
 // ---- Requests from a home network the backup does not know ------------
 //
 // A store push whose home network the directory does not list, and a revoke

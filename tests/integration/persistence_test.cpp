@@ -926,6 +926,51 @@ TEST(Persistence, RestoreDropsABatchWhoseReleasedLeavesDoNotFit) {
   }
 }
 
+TEST(Persistence, RestoreOfAnUnsortedRecordServesTheSameBundles) {
+  // A held batch serves its vectors in its record's order and finds a share
+  // by a binary search of the record's shares in place, so restore holds a
+  // record whose vectors are out of serve order, or whose shares are not
+  // sorted by H(XRES*), sorted, and writes it back so: the record, and every
+  // vector and share net-2 serves after the restart, are as they would be
+  // had nothing been swapped.
+  const auto serve = [](const char* swapped) {
+    Federation f(durable_net2());
+    const auto keys = f.provision(kAlice, 0, {1, 2, 3});
+    const auto names = f.stores[1]->keys_with_prefix("batch/");
+    EXPECT_EQ(names.size(), 1u) << swapped;
+    const std::string& name = names.at(0);
+    const Bytes sorted = f.stores[1]->get(name).value();
+    auto record = wire::decode<core::BatchRecord>(sorted);
+    if (std::string(swapped) == "shares") std::swap(record.shares.at(0), record.shares.at(1));
+    if (std::string(swapped) == "vectors") std::swap(record.vectors.at(0), record.vectors.at(1));
+    f.stores[1]->put(name, wire::encode(record));
+    EXPECT_EQ(f.stores[1]->get(name) == sorted, std::string(swapped) == "nothing") << swapped;
+
+    f.net(1).restart_backup();
+    EXPECT_EQ(f.stores[1]->get(name), sorted) << swapped;
+    // net-2's vectors, then its share of every vector of the round.
+    std::vector<Bytes> served;
+    std::vector<core::AuthVectorBundle> vectors;
+    for (std::size_t b = 1; b <= 3; ++b) {
+      while (f.net(b).backup().stored_vectors(f.net(0).id(), kAlice) > 0) {
+        vectors.push_back(pull_vector(f, b, kAlice));
+        if (b == 1) served.push_back(wire::encode(vectors.back()));
+      }
+    }
+    for (const core::AuthVectorBundle& vector : vectors) {
+      f.rpc.call(f.net(4).node(), f.net(1).node(), "backup.get_share",
+                 wire::encode(sign_proof(f, vector, keys)), {},
+                 [&](Bytes reply) { served.push_back(std::move(reply)); }, nullptr);
+      f.simulator.run();
+    }
+    EXPECT_EQ(served.size(), 4 * f.config.vectors_per_backup) << swapped;
+    return served;
+  };
+  const std::vector<Bytes> unswapped = serve("nothing");
+  EXPECT_EQ(serve("shares"), unswapped);
+  EXPECT_EQ(serve("vectors"), unswapped);
+}
+
 TEST(Persistence, StoreHoldsOneRecordPerBatch) {
   // A backup persists each held batch once, at its information content: no
   // record per bundle, and no field two bundles share stored twice.

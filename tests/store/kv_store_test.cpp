@@ -562,5 +562,82 @@ TEST(KvStore, AppendCountsItsLogAndLiveBytes) {
   EXPECT_EQ(kv.log_bytes(), std::filesystem::file_size(dir.file("appended.wal")));
 }
 
+// --- Shared values -------------------------------------------------------
+//
+// A writer that keeps what it persists (a backup's held batch) puts its own
+// buffer, and the store keeps a reference to it, not a copy
+// (docs/PROTOCOL.md §1).
+
+TEST(KvStore, ASharedPutIsNotCopied) {
+  KvStore kv;
+  const Value value = make_value(to_bytes(as_bytes("record")));
+  kv.put("batch", value);
+  EXPECT_EQ(kv.get_shared("batch").get(), value.get());
+  EXPECT_EQ(value.use_count(), 2);
+  // get still hands out a copy of its own.
+  Bytes copy = kv.get("batch").value();
+  EXPECT_EQ(copy, *value);
+  copy[0] ^= 1;
+  EXPECT_EQ(*kv.get_shared("batch"), to_bytes(as_bytes("record")));
+  EXPECT_EQ(kv.get_shared("absent"), nullptr);
+}
+
+TEST(KvStore, DurableReplayAndCompactionOfSharedPutsReproduceTheValues) {
+  TempDir dir;
+  const std::string path = dir.file("state.wal");
+  {
+    KvStore kv(path);
+    kv.put("a", make_value(to_bytes(as_bytes("first"))));
+    kv.put("b", make_value(to_bytes(as_bytes("other"))));
+    kv.put("a", make_value(to_bytes(as_bytes("second"))));
+  }
+  {
+    KvStore replayed(path);
+    EXPECT_EQ(replayed.replayed(), 3u);
+    EXPECT_EQ(replayed.get("a"), to_bytes(as_bytes("second")));
+    EXPECT_EQ(replayed.get("b"), to_bytes(as_bytes("other")));
+    replayed.compact();
+    EXPECT_EQ(replayed.log_bytes(), replayed.live_bytes());
+  }
+  KvStore compacted(path);
+  EXPECT_EQ(compacted.replayed(), 2u);
+  EXPECT_EQ(compacted.get("a"), to_bytes(as_bytes("second")));
+  EXPECT_EQ(compacted.get("b"), to_bytes(as_bytes("other")));
+}
+
+TEST(KvStore, AppendToAValueTheWriterSharesLeavesTheWritersBufferUntouched) {
+  TempDir dir;
+  KvStore kv(dir.file("state.wal"));
+  const Value value = make_value(to_bytes(as_bytes("ab")));
+  kv.put("seg", value);
+  kv.append("seg", as_bytes("cd"));
+  EXPECT_EQ(*value, to_bytes(as_bytes("ab")));
+  EXPECT_EQ(kv.get("seg"), to_bytes(as_bytes("abcd")));
+  EXPECT_NE(kv.get_shared("seg").get(), value.get());
+  EXPECT_EQ(value.use_count(), 1);
+  // Once the store owns its copy alone, it grows that one in place.
+  const Bytes* grown = kv.get_shared("seg").get();
+  kv.append("seg", as_bytes("ef"));
+  EXPECT_EQ(kv.get_shared("seg").get(), grown);
+  EXPECT_EQ(kv.get("seg"), to_bytes(as_bytes("abcdef")));
+  EXPECT_EQ(KvStore(dir.file("state.wal")).get("seg"), to_bytes(as_bytes("abcdef")));
+}
+
+TEST(KvStore, EraseAndOverwriteDropTheStoresReference) {
+  KvStore kv;
+  const Value erased = make_value(to_bytes(as_bytes("1")));
+  const Value overwritten = make_value(to_bytes(as_bytes("2")));
+  kv.put("a", erased);
+  kv.put("b", overwritten);
+  EXPECT_EQ(erased.use_count(), 2);
+  EXPECT_EQ(overwritten.use_count(), 2);
+  kv.erase("a");
+  kv.put("b", as_bytes("3"));
+  EXPECT_EQ(erased.use_count(), 1);
+  EXPECT_EQ(overwritten.use_count(), 1);
+  EXPECT_EQ(kv.get("b"), to_bytes(as_bytes("3")));
+  EXPECT_EQ(*overwritten, to_bytes(as_bytes("2")));
+}
+
 }  // namespace
 }  // namespace dauth::store

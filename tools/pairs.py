@@ -6,6 +6,7 @@ Usage, from the repository root:
     python3 tools/pairs.py --base <commit> --change <commit> [--pairs 10]
         [--seconds 10] [--workloads backup_steady home_online churn]
         [--scratch <dir>] [--out results/BENCH_fedbench_pairs.json]
+        [--claim <workload>:<metric> ...]
 
 Each commit is exported with `git archive` into its own directory under
 --scratch (a new temporary directory by default), and fedbench is built
@@ -17,8 +18,16 @@ The output holds both commits and their git tree ids, every end-to-end
 metric BENCHMARK.json names for every run, and per workload and metric the
 median and interquartile range of each side, the pairs the change won (and
 tied), and whether the change's median stayed within the metric's bound.
+
+Each --claim names a gain the change claims. It holds, by the choosing-
+metrics rule for a small sandbox, when the change wins at least nine tenths
+of the pairs (a tie counts for neither side) and its median is better than
+the base's by more than the base's interquartile range. The verdicts are
+printed and recorded in the output.
+
 Progress goes to stderr. The exit code is non-zero when a build or a run
-fails.
+fails, when a metric's median broke its bound on any workload, or when a
+claim does not hold.
 """
 import argparse
 import json
@@ -102,6 +111,22 @@ def summarize(pairs, metric):
     }
 
 
+def judge(claim, summary, pairs):
+    """The verdict on one claimed gain, from its metric's summary."""
+    lower = summary["better"] == "lower"
+    gap = (summary["base_median"] - summary["change_median"] if lower
+           else summary["change_median"] - summary["base_median"])
+    won_enough = summary["pairs_won"] * 10 >= 9 * pairs
+    return {
+        "claim": claim,
+        "pairs_won": summary["pairs_won"],
+        "pairs": pairs,
+        "median_gap": gap,
+        "base_iqr": summary["base_iqr"],
+        "holds": won_enough and gap > summary["base_iqr"],
+    }
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--base", required=True, help="the parent commit")
@@ -112,12 +137,19 @@ def main():
     parser.add_argument("--scratch", help="export directory (default: a new temporary one)")
     parser.add_argument("--out", default=os.path.join(ROOT, "results",
                                                       "BENCH_fedbench_pairs.json"))
+    parser.add_argument("--claim", action="append", default=[],
+                        help="a claimed gain, <workload>:<metric> (repeatable)")
     args = parser.parse_args()
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         benchmark = json.load(f)
     seconds = args.seconds or benchmark["run_seconds"]
     workloads = args.workloads or [w["name"] for w in benchmark["workloads"]]
+    metrics = [m["name"] for m in benchmark["end_to_end"]]
+    for claim in args.claim:
+        workload, _, metric = claim.partition(":")
+        if workload not in workloads or metric not in metrics:
+            parser.error(f"--claim {claim}: not a <workload>:<metric> this run measures")
     commits = {side: git("rev-parse", "--verify", f"{ref}^{{commit}}")
                for side, ref in (("base", args.base), ("change", args.change))}
     scratch = args.scratch or tempfile.mkdtemp(prefix="dauth-pairs-")
@@ -160,11 +192,25 @@ def main():
             "metrics": {m["name"]: summarize(pairs, m) for m in benchmark["end_to_end"]},
         }
 
+    broken = [f"{workload}:{name}" for workload, w in record["workloads"].items()
+              for name, m in w["metrics"].items() if not m["bound_held"]]
+    record["bounds_broken"] = broken
+    record["claims"] = []
+    for claim in args.claim:
+        workload, _, metric = claim.partition(":")
+        verdict = judge(claim, record["workloads"][workload]["metrics"][metric], args.pairs)
+        record["claims"].append(verdict)
+        print(f"claim {claim}: {'holds' if verdict['holds'] else 'does not hold'} "
+              f"(won {verdict['pairs_won']}/{args.pairs}, median gap {verdict['median_gap']:.4g}, "
+              f"base IQR {verdict['base_iqr']:.4g})")
+    for name in broken:
+        print(f"bound broken: {name}")
+
     with open(args.out, "w") as f:
         json.dump(record, f, indent=1)
         f.write("\n")
     print(f"pairs: wrote {args.out}", file=sys.stderr)
-    return 0
+    return 1 if broken or not all(v["holds"] for v in record["claims"]) else 0
 
 
 if __name__ == "__main__":

@@ -1846,13 +1846,13 @@ std::vector<HandlerContract> default_contracts() {
       {"backup.get_share",
        "BackupNetwork::handle_get_share",
        {"ct_equal", "verify"},
-       {"persist_proof", "vectors.erase"},
+       {"persist_proof", "take_vector"},
        "key-share release requires the RES* preimage of the stored H(XRES*) plus "
        "the serving network's signature on the usage proof (§4.2.2)"},
       {"backup.revoke_shares",
        "BackupNetwork::handle_revoke_shares",
        {"verify"},
-       {"shares.erase", "vectors.erase", "store_.erase"},
+       {"release", "take_vector", "persist_batch"},
        "an unauthenticated revoke would be a share-deletion denial of service "
        "(§4.3): the home network's signature is required"},
       {"home.get_vector",
