@@ -11,6 +11,7 @@
 
 #include <array>
 #include <functional>
+#include <map>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -844,6 +845,118 @@ TEST(Adversarial, BackupRefusesARevokeFromAnUnknownHome) {
   expect_unknown_home(send_to_net2(f, core::kBackupRevokeShares, revoke));
   EXPECT_EQ(f.net(1).backup().metrics().rejected_requests, rejected + 1);
   EXPECT_EQ(held_at_net2(f), held);
+}
+
+// ---- Store pushes that reach the wrong backup, or changed -------------------
+//
+// A home's store push is addressed to one backup. Another backup of the same
+// home that relays it, or a peer that swaps the SUCI secret it carries, is
+// refused by the receiving backup, which keeps what it held.
+
+/// Seven networks, net-3 (index 2) durable; net-1 is Alice's home and
+/// net-2..4 her backups.
+core::FederationSpec durable_net3() {
+  core::FederationSpec spec = Federation::flat(7);
+  spec.networks[2].durable = true;
+  return spec;
+}
+
+/// Provisions Alice at net-1 with backups net-2..4 and returns the store
+/// push the home sent to net-`backup + 1`, as it arrived.
+Bytes provision_and_capture_push(Federation& f, std::size_t backup) {
+  std::optional<Bytes> captured;
+  auto inner = std::make_shared<sim::ServiceHandler>();
+  *inner = f.rpc.register_service(f.net(backup).node(), "backup.store",
+                                  [&captured, inner](ByteView request, sim::Responder r) {
+                                    if (!captured) captured = to_bytes(request);
+                                    (*inner)(request, std::move(r));
+                                  });
+  f.provision(kAlice, 0, {1, 2, 3});
+  f.rpc.register_service(f.net(backup).node(), "backup.store", *inner);  // its own again
+  if (!captured) throw std::runtime_error("no store push reached the backup");
+  return *captured;
+}
+
+/// Everything a store push can move at net-3: Alice's held vectors and
+/// shares, and every `batch/` and `sucikey/` entry of its store.
+struct Net3Holdings {
+  std::size_t vectors = 0;
+  std::size_t shares = 0;
+  std::map<std::string, Bytes> entries;
+
+  bool operator==(const Net3Holdings&) const = default;
+};
+
+Net3Holdings net3_holdings(Federation& f) {
+  Net3Holdings held{f.net(2).backup().stored_vectors(f.net(0).id(), kAlice),
+                    f.net(2).backup().stored_shares(f.net(0).id(), kAlice),
+                    {}};
+  for (const char* prefix : {"batch/", "sucikey/"}) {
+    for (const auto& key : f.stores[2]->keys_with_prefix(prefix)) {
+      held.entries[key] = f.stores[2]->get(key).value();
+    }
+  }
+  return held;
+}
+
+/// Sends the encoded store push `push` to net-3 from net-`from + 1`'s node.
+sim::CallResult<sim::Ack> send_push_to_net3(Federation& f, std::size_t from, const Bytes& push) {
+  std::optional<sim::CallResult<sim::Ack>> result;
+  sim::TypedStub(f.rpc, f.net(from).node(), core::kBackupStore)
+      .call(f.net(2).node(), wire::decode<core::StoreMaterialRequest>(push),
+            sim::RpcOptions::oneshot(), [&](sim::CallResult<sim::Ack> r) { result = std::move(r); });
+  f.simulator.run();
+  if (!result) throw std::runtime_error("store push never ended");
+  return std::move(*result);
+}
+
+/// `result` is a refused push, net-3 counted it once, and held on to what it
+/// held: its material, its store and its SUCI secret, which still deconceals
+/// the home's SUCIs.
+void expect_push_refused(Federation& f, const sim::CallResult<sim::Ack>& result,
+                         std::uint64_t rejected_before, const Net3Holdings& held_before) {
+  ASSERT_FALSE(result.ok());
+  ASSERT_TRUE(result.app_error().has_value()) << result.error().message;
+  EXPECT_EQ(result.app_error()->code, sim::AppErrorCode::kUnauthorized);
+  EXPECT_EQ(result.app_error()->detail, "invalid store tag");
+  EXPECT_EQ(f.net(2).backup().metrics().rejected_requests, rejected_before + 1);
+  EXPECT_TRUE(net3_holdings(f) == held_before);
+
+  crypto::DeterministicDrbg rng("home suci", 1);
+  const auto deconcealed = fetch_vector(
+      f, core::kBackupGetVector, f.net(2).node(),
+      wire::encode(aka::conceal_supi(kAlice, f.net(0).suci_keys().public_key, rng)));
+  ASSERT_TRUE(deconcealed.ok()) << deconcealed.error().message;
+  EXPECT_EQ(deconcealed.value().supi, kAlice);
+}
+
+TEST(Adversarial, BackupRefusesABatchAddressedToAnotherBackup) {
+  // net-2 relays the genuine, home-signed batch the home pushed to it to
+  // net-3, a backup of the same home, from its own node. Stored, it would
+  // hand net-3 net-2's slice of vectors and net-2's shares of every vector.
+  Federation f(durable_net3());
+  const Bytes to_net2 = provision_and_capture_push(f, 1);
+  const std::uint64_t rejected = f.net(2).backup().metrics().rejected_requests;
+  const Net3Holdings held = net3_holdings(f);
+  ASSERT_GT(held.vectors, 0u);
+
+  expect_push_refused(f, send_push_to_net3(f, 1, to_net2), rejected, held);
+}
+
+TEST(Adversarial, BackupRefusesAStoreWithASwappedSuciSecret) {
+  // The home's own push to net-3, replayed with another SUCI secret in place
+  // of the home's: its batches are net-3's and home-signed, but the secret
+  // it carries is not the home's.
+  Federation f(durable_net3());
+  core::StoreMaterialRequest push =
+      wire::decode<core::StoreMaterialRequest>(provision_and_capture_push(f, 2));
+  ASSERT_EQ(push.suci_secret.size(), 32u);
+  push.suci_secret = to_bytes(ByteView(f.net(3).suci_keys().secret));
+  const std::uint64_t rejected = f.net(2).backup().metrics().rejected_requests;
+  const Net3Holdings held = net3_holdings(f);
+  ASSERT_EQ(held.entries.count("sucikey/" + f.net(0).id().str()), 1u);
+
+  expect_push_refused(f, send_push_to_net3(f, 4, wire::encode(push)), rejected, held);
 }
 
 TEST(Adversarial, ServingNetworkRefusesALocalSuciItCannotDeconceal) {
