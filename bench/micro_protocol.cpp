@@ -1,8 +1,8 @@
 // Microbenchmarks for dAuth protocol operations: bundle generation, message
 // (de)serialization, signing/verification of bundles and dissemination
 // rounds, SUCI concealment, full vector-generation as a home network
-// performs it, and a backup serving a vector or a key share from a held
-// batch.
+// performs it, and a backup holding a pushed batch or serving a vector or
+// a key share from one.
 #include <benchmark/benchmark.h>
 
 #include "micro_main.h"
@@ -14,6 +14,7 @@
 #include "core/home_network.h"
 #include "core/messages.h"
 #include "crypto/drbg.h"
+#include "crypto/pairwise.h"
 #include "crypto/verify_cache.h"
 
 namespace dauth::core {
@@ -153,27 +154,30 @@ void BM_DisseminateOneVector(benchmark::State& state) {
 BENCHMARK(BM_DisseminateOneVector)->Arg(4)->Arg(8)->Arg(16);
 
 /// One user's unsigned dissemination round as fedbench's backup_steady
-/// builds it: `batches` backups, each batch 16 vectors plus one share of
-/// each of the round's 16 x `batches` vectors (144 leaves for 8 backups).
-std::vector<StoreMaterialRequest> unsigned_round(std::size_t batches) {
+/// builds it: `batches` backups, each batch `vectors` vectors plus one share
+/// of each of the round's `vectors` x `batches` vectors (144 leaves for 8
+/// backups and 16 vectors).
+std::vector<StoreMaterialRequest> unsigned_round(std::size_t batches, std::uint64_t vectors = 16,
+                                                 const NetworkId& home = NetworkId("home-net"),
+                                                 const Supi& supi = Supi("315010000000001")) {
   crypto::DeterministicDrbg rng("proto-bench", 10);
   std::vector<StoreMaterialRequest> round(batches);
   for (StoreMaterialRequest& request : round) {
-    request.home_network = NetworkId("home-net");
-    for (std::uint64_t v = 0; v < 16; ++v) {
+    request.home_network = home;
+    for (std::uint64_t v = 0; v < vectors; ++v) {
       AuthVectorBundle bundle;
       bundle.home_network = request.home_network;
-      bundle.supi = Supi("315010000000001");
+      bundle.supi = supi;
       bundle.sqn = 32 * v;
       bundle.rand = rng.array<16>();
       bundle.autn = rng.array<16>();
       bundle.hxres_star = rng.array<16>();
       request.vectors.push_back(bundle);
     }
-    for (std::size_t s = 0; s < 16 * batches; ++s) {
+    for (std::size_t s = 0; s < vectors * batches; ++s) {
       KeyShareBundle share;
       share.home_network = request.home_network;
-      share.supi = Supi("315010000000001");
+      share.supi = supi;
       share.hxres_star = rng.array<16>();
       share.share.x = 1;
       share.share.y = rng.bytes(32);
@@ -390,6 +394,38 @@ void BM_BackupServeShare(benchmark::State& state) {
 }
 BENCHMARK(BM_BackupServeShare)->Arg(144);
 
+/// One backup.store push, handled: net-2, which has no store and has its
+/// home's entry and push key cached already, rebuilds the batch's tree from
+/// its bundles, checks the push's tag over the round it implies, and holds
+/// the batch. The batch has `leaves` leaves, as net-2's batch of an
+/// 8-backup round: a ninth of them vectors, the rest shares (36 for 4
+/// vectors per backup, 144 for 16). Each iteration pushes another user's.
+void BM_BackupStore(benchmark::State& state) {
+  HeldBatches held;
+  FederationWorld& world = held.world();
+  const DauthNode& home = world.net(0);
+  const DauthNode& backup = world.net(1);
+  const auto push_key =
+      crypto::derive_pairwise_key(home.channel_keys().secret, backup.channel_keys().public_key,
+                                  kPushKeyLabel, home.id().str(), backup.id().str());
+  const std::uint64_t vectors = static_cast<std::uint64_t>(state.range(0)) / 9;
+  std::vector<Bytes> pushes;
+  for (std::int64_t p = 0; p < state.max_iterations; ++p) {
+    auto round = unsigned_round(HeldBatches::kBackups, vectors, home.id(),
+                                Supi("31502000000" + std::to_string(1000 + p)));
+    const SignedRound signed_round = sign_round(round, home.signing_keys());
+    StoreMaterialRequest& push = round[1];
+    push.suci_secret = to_bytes(ByteView(home.suci_keys().secret));
+    push.tag = store_tag(push_key.value(), backup.id(), push.suci_secret, {&signed_round, 1});
+    pushes.push_back(wire::encode(push));
+  }
+  std::size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(held.call("backup.store", pushes[next++]));
+  }
+}
+BENCHMARK(BM_BackupStore)->Arg(36)->Arg(144)->Iterations(512);
+
 }  // namespace
 }  // namespace dauth::core
 
@@ -409,6 +445,11 @@ int main(int argc, char** argv) {
       // beside its record (docs/PERFORMANCE.md §21).
       {"BM_BackupServeVector/144/iterations:1024", 2139.0},
       {"BM_BackupServeShare/144", 32248.0},
+      // ns/op at 2e2c8a1 (median of five repetitions), where the backup
+      // Ed25519-verified each batch's round signature (docs/PERFORMANCE.md
+      // §22).
+      {"BM_BackupStore/36/iterations:512", 117685.0},
+      {"BM_BackupStore/144/iterations:512", 195566.0},
   };
   return dauth::bench::run_micro_benchmarks(argc, argv, "micro_protocol", baselines);
 }

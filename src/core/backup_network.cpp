@@ -123,11 +123,13 @@ bool sort_leaves(std::vector<Leaf>& leaves, Before before) {
 }  // namespace
 
 BackupNetwork::BackupNetwork(sim::Rpc& rpc, sim::NodeIndex node, NetworkId id,
+                             crypto::X25519Scalar channel_secret,
                              directory::DirectoryClient& directory, FederationConfig config,
                              store::KvStore* store)
     : rpc_(rpc),
       node_(node),
       id_(std::move(id)),
+      push_keys_(std::move(channel_secret), std::string(kPushKeyLabel)),
       directory_(directory),
       config_(std::move(config)),
       store_(store) {
@@ -274,10 +276,10 @@ void BackupNetwork::handle_store(StoreMaterialRequest req,
     return;
   }
 
-  // Fetch (usually cached) the home network's key and verify every batch
-  // root before accepting anything. (Copy the id first: the move-capture and
-  // the first argument are indeterminately sequenced; the handlers below
-  // name the home by this public copy.)
+  // Fetch (usually cached) the home network's entry and check the push's tag
+  // before accepting anything. (Copy the id first: the move-capture and the
+  // first argument are indeterminately sequenced; the handlers below name
+  // the home by this public copy.)
   const NetworkId home_id = req.home_network;
   directory_.get_network(home_id, live([this, home_id, request = std::move(req),
                                         batches = std::move(*batches), responder](
@@ -288,19 +290,28 @@ void BackupNetwork::handle_store(StoreMaterialRequest req,
       return;
     }
     const crypto::Ed25519PublicKey home_key = home->signing_key;
+    const crypto::X25519Point channel_key = home->channel_key;
     const Time cost = config_.costs.signature_verify * static_cast<Time>(batches.size());
     rpc_.network().node(node_).execute(cost, live([this, home_id, request = std::move(request),
                                                    batches = std::move(batches), home_key,
-                                                   responder]() mutable {
-      // Round signature verified once per batch, over every received bundle.
+                                                   channel_key, responder]() mutable {
+      // The tag under this backup's push key with the home binds the SUCI
+      // secret and every batch to this backup: each batch's rebuilt root,
+      // through the round it implies, and the home's signature, which the
+      // backup holds for the serving networks to check.
+      std::vector<SignedRound> rounds;
+      rounds.reserve(batches.size());
       for (const BundleBatch& batch : batches) {
-        if (!batch.verify_root(home_id, home_key)) {
-          ++metrics_.rejected_requests;
-          responder.fail(sim::AppErrorCode::kUnauthorized, "invalid batch signature");
-          return;
-        }
-        ++metrics_.batches_verified;
+        if (auto round = batch.signed_round(home_id)) rounds.push_back(std::move(*round));
       }
+      const crypto::HmacSha256* push_key = push_keys_.get(home_id.str(), id_.str(), channel_key);
+      if (!push_key || rounds.size() != batches.size() ||
+          !ct_equal(store_tag(*push_key, id_, request.suci_secret, rounds), request.tag)) {
+        ++metrics_.rejected_requests;
+        responder.fail(sim::AppErrorCode::kUnauthorized, "invalid store tag");
+        return;
+      }
+      metrics_.batches_verified += batches.size();
       HomeState& home_state = homes_[home_id];
       home_state.home_key = home_key;
       home_state.home_key_known = true;

@@ -18,6 +18,7 @@
 #include "core/config.h"
 #include "core/messages.h"
 #include "core/metrics.h"
+#include "crypto/pairwise.h"
 #include "directory/client.h"
 #include "sim/rpc.h"
 #include "store/kv_store.h"
@@ -140,9 +141,11 @@ class BackupNetwork {
   /// (held batches, pending proofs, per-home keys) is persisted and
   /// restored on construction — a restarted daemon picks up where it left
   /// off (§5.1: "It uses SQLite to store persistent state").
+  /// `channel_secret` is the network's channel key (DauthNode), from which
+  /// the role derives its push key with each home (store_tag).
   BackupNetwork(sim::Rpc& rpc, sim::NodeIndex node, NetworkId id,
-                directory::DirectoryClient& directory, FederationConfig config,
-                store::KvStore* store = nullptr);
+                crypto::X25519Scalar channel_secret, directory::DirectoryClient& directory,
+                FederationConfig config, store::KvStore* store = nullptr);
 
   const NetworkId& id() const noexcept { return id_; }
 
@@ -325,6 +328,8 @@ class BackupNetwork {
   sim::Rpc& rpc_;
   sim::NodeIndex node_;
   NetworkId id_;
+  /// Keys of the store-push tags, one per home (crypto/pairwise.h).
+  crypto::PairwiseKeys push_keys_;
   directory::DirectoryClient& directory_;
   FederationConfig config_;
   store::KvStore* store_;

@@ -16,12 +16,15 @@ DauthNode::DauthNode(sim::Rpc& rpc, sim::NodeIndex node, NetworkId id,
       rng_("dauth-node:" + id_.str(), seed) {
   signing_key_ = crypto::ed25519_generate(rng_);
   suci_key_ = crypto::x25519_generate(rng_);
+  crypto::DeterministicDrbg channel_rng("channel:" + id_.str(), seed);
+  channel_key_ = crypto::x25519_generate(channel_rng);
 
   directory_client_ = std::make_unique<directory::DirectoryClient>(rpc_, node_, directory_node);
   home_ = std::make_unique<HomeNetwork>(rpc_, node_, id_, signing_key_, suci_key_,
-                                        *directory_client_, config,
+                                        channel_key_.secret, *directory_client_, config,
                                         crypto::DeterministicDrbg("home:" + id_.str(), seed));
-  backup_ = std::make_unique<BackupNetwork>(rpc_, node_, id_, *directory_client_, config, store);
+  backup_ = std::make_unique<BackupNetwork>(rpc_, node_, id_, channel_key_.secret,
+                                            *directory_client_, config, store);
   serving_ = std::make_unique<ServingNetwork>(rpc_, node_, id_, signing_key_,
                                               *directory_client_, config, home_.get());
 
@@ -30,8 +33,9 @@ DauthNode::DauthNode(sim::Rpc& rpc, sim::NodeIndex node, NetworkId id,
   serving_->bind_services();
 
   // Administrative registration: publish our self-signed NetworkEntry.
-  directory_server_.register_network(directory::make_network_entry(
-      id_, signing_key_, suci_key_.public_key, static_cast<std::uint64_t>(node_)));
+  directory_server_.register_network(
+      directory::make_network_entry(id_, signing_key_, suci_key_.public_key,
+                                    channel_key_.public_key, static_cast<std::uint64_t>(node_)));
 }
 
 aka::SubscriberKeys DauthNode::provision_subscriber(const Supi& supi) {
@@ -52,7 +56,8 @@ void DauthNode::set_backups(const std::vector<NetworkId>& backups) {
 
 void DauthNode::restart_backup() {
   backup_.reset();
-  backup_ = std::make_unique<BackupNetwork>(rpc_, node_, id_, *directory_client_, config_, store_);
+  backup_ = std::make_unique<BackupNetwork>(rpc_, node_, id_, channel_key_.secret,
+                                            *directory_client_, config_, store_);
   backup_->bind_services();
   observe_backup();
 }

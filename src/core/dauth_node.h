@@ -21,7 +21,8 @@ namespace dauth::core {
 
 class DauthNode {
  public:
-  /// Creates the daemon on `node`, generates its key pairs from `seed`, and
+  /// Creates the daemon on `node`, generates its key pairs from `seed` (the
+  /// channel key from a stream of its own, so the others do not move), and
   /// registers its NetworkEntry with `directory_server` (setup is performed
   /// synchronously — it is administrative, not part of any measured flow).
   /// `store` (optional) persists backup-role state.
@@ -40,6 +41,8 @@ class DauthNode {
 
   const crypto::Ed25519KeyPair& signing_keys() const noexcept { return signing_key_; }
   const crypto::X25519KeyPair& suci_keys() const noexcept { return suci_key_; }
+  /// The X25519 key its home and backup roles derive their push keys from.
+  const crypto::X25519KeyPair& channel_keys() const noexcept { return channel_key_; }
 
   /// Provisions a subscriber in the home role AND publishes the signed
   /// user->home mapping in the directory. Returns the keys to load into the
@@ -78,6 +81,7 @@ class DauthNode {
   crypto::DeterministicDrbg rng_;
   crypto::Ed25519KeyPair signing_key_;
   crypto::X25519KeyPair suci_key_;
+  crypto::X25519KeyPair channel_key_;
   std::unique_ptr<directory::DirectoryClient> directory_client_;
   std::unique_ptr<HomeNetwork> home_;
   std::unique_ptr<BackupNetwork> backup_;

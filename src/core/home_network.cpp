@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <type_traits>
 
 #include "aka/sim_card.h"
 #include "crypto/sha256.h"
@@ -22,12 +23,22 @@ constexpr Time kPushBudget = sec(10);
 
 template <typename Request>
 void HomeNetwork::push(const sim::Service<Request, sim::Ack>& service, const NetworkId& backup,
-                       Request request, std::function<void(bool)> done) {
-  directory_.get_network(backup, [this, service, request = std::move(request), done](
-                                     std::optional<directory::NetworkEntry> entry) {
+                       Request request, std::vector<SignedRound> rounds,
+                       std::function<void(bool)> done) {
+  directory_.get_network(backup, [this, service, backup, request = std::move(request),
+                                  rounds = std::move(rounds),
+                                  done](std::optional<directory::NetworkEntry> entry) mutable {
     if (!entry) {
       if (done) done(false);
       return;
+    }
+    if constexpr (std::is_same_v<Request, StoreMaterialRequest>) {
+      const crypto::HmacSha256* key = push_keys_.get(id_.str(), backup.str(), entry->channel_key);
+      if (!key) {
+        if (done) done(false);
+        return;
+      }
+      request.tag = store_tag(*key, backup, request.suci_secret, rounds);
     }
     sim::TypedStub(rpc_, node_, service)
         .call(static_cast<sim::NodeIndex>(entry->address), request,
@@ -51,6 +62,7 @@ void HomeNetwork::note_anomaly(std::string what) {
 
 HomeNetwork::HomeNetwork(sim::Rpc& rpc, sim::NodeIndex node, NetworkId id,
                          crypto::Ed25519KeyPair signing_key, crypto::X25519KeyPair suci_key,
+                         crypto::X25519Scalar channel_secret,
                          directory::DirectoryClient& directory, FederationConfig config,
                          crypto::DeterministicDrbg rng)
     : rpc_(rpc),
@@ -58,6 +70,7 @@ HomeNetwork::HomeNetwork(sim::Rpc& rpc, sim::NodeIndex node, NetworkId id,
       id_(std::move(id)),
       signing_key_(signing_key),
       suci_key_(suci_key),
+      push_keys_(std::move(channel_secret), std::string(kPushKeyLabel)),
       directory_(directory),
       config_(std::move(config)),
       rng_(std::move(rng)) {}
@@ -127,10 +140,13 @@ HomeNetwork::GeneratedMaterial HomeNetwork::generate_material(const Supi& supi,
   return material;
 }
 
-void HomeNetwork::sign_each(GeneratedMaterial& material) {
-  sign_single(material.vector, signing_key_);
-  for (KeyShareBundle& share : material.shares) sign_single(share, signing_key_);
-  metrics_.batches_signed += 1 + material.shares.size();
+std::vector<SignedRound> HomeNetwork::sign_each(GeneratedMaterial& material) {
+  std::vector<SignedRound> rounds;
+  rounds.reserve(1 + material.shares.size());
+  rounds.push_back(sign_single(material.vector, signing_key_));
+  for (KeyShareBundle& share : material.shares) rounds.push_back(sign_single(share, signing_key_));
+  metrics_.batches_signed += rounds.size();
+  return rounds;
 }
 
 void HomeNetwork::disseminate(const Supi& supi, std::function<void(std::size_t)> done) {
@@ -194,7 +210,7 @@ void HomeNetwork::send_round(const Supi& supi, std::map<NetworkId, std::size_t> 
     metrics_.shares_disseminated += total_vectors * backup_ids_.size();
     // One signature per (user, round): each backup's request is one batch,
     // and the home signs the root of the tree over the batch roots (§4.2.1).
-    sign_round(requests, signing_key_);
+    const SignedRound round = sign_round(requests, signing_key_);
     ++metrics_.batches_signed;
 
     // Each request moves into its push, so no batch is held twice.
@@ -205,7 +221,7 @@ void HomeNetwork::send_round(const Supi& supi, std::map<NetworkId, std::size_t> 
       if (--*remaining == 0 && done) done(*ok_count);
     };
     for (std::size_t b = 0; b < backup_ids_.size(); ++b) {
-      push(kBackupStore, backup_ids_[b], std::move(requests[b]), finish_one);
+      push(kBackupStore, backup_ids_[b], std::move(requests[b]), {round}, finish_one);
     }
   });
 }
@@ -412,7 +428,7 @@ void HomeNetwork::handle_report(ReportRequest report,
 void HomeNetwork::send_revoke(const Supi& supi, std::vector<ByteArray<16>> hxres_indices) {
   RevokeSharesRequest revoke{id_, supi, std::move(hxres_indices), {}};
   revoke.home_signature = crypto::ed25519_sign(revoke.signed_payload(), signing_key_);
-  for (const NetworkId& backup : backup_ids_) push(kBackupRevokeShares, backup, revoke);
+  for (const NetworkId& backup : backup_ids_) push(kBackupRevokeShares, backup, revoke, {});
 }
 
 std::optional<int> HomeNetwork::process_proof(const NetworkId& reporter,
@@ -498,7 +514,7 @@ void HomeNetwork::revoke_backup(const NetworkId& revoked, std::function<void()> 
     if (!backup_ids_.empty() && backup_ids_.size() >= config_.threshold) {
       GeneratedMaterial material =
           generate_material(supi, subscriber, revoked_slice, /*flood=*/true);
-      sign_each(material);
+      const std::vector<SignedRound> rounds = sign_each(material);
       // All remaining backups can serve the flood vector.
       subscriber.outstanding[material.vector.hxres_star].holder = slice_of(backup_ids_.front());
       for (std::size_t b = 0; b < backup_ids_.size(); ++b) {
@@ -506,7 +522,7 @@ void HomeNetwork::revoke_backup(const NetworkId& revoked, std::function<void()> 
         request.home_network = id_;
         request.vectors.push_back(material.vector);
         request.shares.push_back(material.shares[b]);
-        push(kBackupStore, backup_ids_[b], std::move(request));
+        push(kBackupStore, backup_ids_[b], std::move(request), {rounds.front(), rounds[1 + b]});
       }
     }
   }

@@ -30,6 +30,7 @@
 #include "core/config.h"
 #include "core/messages.h"
 #include "core/metrics.h"
+#include "crypto/pairwise.h"
 #include "directory/client.h"
 #include "sim/rpc.h"
 
@@ -49,6 +50,7 @@ class HomeNetwork {
  public:
   HomeNetwork(sim::Rpc& rpc, sim::NodeIndex node, NetworkId id,
               crypto::Ed25519KeyPair signing_key, crypto::X25519KeyPair suci_key,
+              crypto::X25519Scalar channel_secret,
               directory::DirectoryClient& directory, FederationConfig config,
               crypto::DeterministicDrbg rng);
 
@@ -160,10 +162,10 @@ class HomeNetwork {
   };
   GeneratedMaterial generate_material(const Supi& supi, Subscriber& subscriber, int slice,
                                       bool flood);
-  /// Signs every bundle of `material` as its own one-leaf round. Used only
-  /// for flood vectors (§4.3), which must stay byte-identical at every
-  /// backup.
-  void sign_each(GeneratedMaterial& material);
+  /// Signs every bundle of `material` as its own one-leaf round, and returns
+  /// the rounds: the vector's, then each share's. Used only for flood
+  /// vectors (§4.3), which must stay byte-identical at every backup.
+  std::vector<SignedRound> sign_each(GeneratedMaterial& material);
   /// The one round builder (§4.2.1, §4.2.3). Charges the dissemination
   /// cost of every vector in `counts` as one job; the job then generates
   /// `counts[backup]` vectors in each backup's slice, for the backup set as
@@ -196,17 +198,25 @@ class HomeNetwork {
   int slice_of(const NetworkId& backup) const;
   /// The one home -> backup send path: resolves `backup` in the directory,
   /// then pushes `request` as an idempotent call retried under the
-  /// resilience policy. `done(ok)`, when set, fires once; an unresolvable
-  /// backup is a failed push.
+  /// resilience policy. A store push is tagged for `backup` first
+  /// (store_tag, under the pair's push key), over `rounds`: the round each
+  /// of its batches was signed in, in order. A revoke carries its own
+  /// signature, and no rounds. `done(ok)`, when set, fires once; an
+  /// unresolvable backup, or one whose channel key gives no push key, is a
+  /// failed push.
   template <typename Request>
   void push(const sim::Service<Request, sim::Ack>& service, const NetworkId& backup,
-            Request request, std::function<void(bool)> done = nullptr);
+            Request request, std::vector<SignedRound> rounds,
+            std::function<void(bool)> done = nullptr);
 
   sim::Rpc& rpc_;
   sim::NodeIndex node_;
   NetworkId id_;
   crypto::Ed25519KeyPair signing_key_;
   crypto::X25519KeyPair suci_key_;
+  /// Keys of the store-push tags, one per backup, from this network's
+  /// channel key and the backup's (crypto/pairwise.h).
+  crypto::PairwiseKeys push_keys_;
   directory::DirectoryClient& directory_;
   FederationConfig config_;
   crypto::DeterministicDrbg rng_;

@@ -85,7 +85,7 @@ struct RoundBatch {
   std::vector<crypto::Sha256Digest>* round = nullptr;
 };
 
-void sign_batches(std::span<const RoundBatch> batches, const crypto::Ed25519KeyPair& key) {
+SignedRound sign_batches(std::span<const RoundBatch> batches, const crypto::Ed25519KeyPair& key) {
   if (batches.size() > kMaxPositions) throw std::invalid_argument("sign_round: too many batches");
   const NetworkId* home = nullptr;  // the first bundle's
   std::vector<crypto::Sha256Digest> round_leaves;
@@ -111,8 +111,8 @@ void sign_batches(std::span<const RoundBatch> batches, const crypto::Ed25519KeyP
 
   const auto batch_count = static_cast<std::uint16_t>(batches.size());
   const crypto::MerkleTree round(round_leaves);
-  const crypto::Ed25519Signature signature =
-      crypto::ed25519_sign(round_signed_payload(*home, batch_count, round.root()), key);
+  SignedRound signed_round{round_signed_payload(*home, batch_count, round.root()), {}};
+  signed_round.signature = crypto::ed25519_sign(signed_round.payload, key);
   for (std::uint16_t b = 0; b < batch_count; ++b) {
     const RoundBatch& batch = batches[b];
     if (batch.round != nullptr) {
@@ -123,12 +123,29 @@ void sign_batches(std::span<const RoundBatch> batches, const crypto::Ed25519KeyP
     std::uint16_t index = 0;
     const auto place = [&](auto& bundle) {
       bundle.batch = BatchPath{index++, leaf_count, b, batch_count, {}};
-      bundle.home_signature = signature;
+      bundle.home_signature = signed_round.signature;
     };
     for (auto& v : batch.vectors) place(v);
     for (auto& s : batch.shares) place(s);
   }
+  return signed_round;
 }
+
+// Feeds an HMAC the bytes a wire::Writer would hold.
+class MacEncoder : public wire::Encoder<MacEncoder> {
+ public:
+  explicit MacEncoder(const crypto::HmacSha256& key) noexcept : key_(key), inner_(key.start()) {}
+  MacEncoder(const MacEncoder&) = delete;
+  MacEncoder& operator=(const MacEncoder&) = delete;
+  ~MacEncoder() { secure_wipe(&inner_, sizeof(inner_)); }
+
+  void raw(ByteView data) noexcept { inner_.update(data); }
+  crypto::Sha256Digest finish() noexcept { return key_.finish(inner_); }
+
+ private:
+  const crypto::HmacSha256& key_;
+  crypto::Sha256 inner_;
+};
 
 }  // namespace
 
@@ -154,29 +171,30 @@ bool KeyShareBundle::verify(const crypto::Ed25519PublicKey& home_key) const {
 
 // ---- Dissemination rounds ---------------------------------------------------
 
-void sign_batch(std::span<AuthVectorBundle> vectors, std::span<KeyShareBundle> shares,
-                const crypto::Ed25519KeyPair& key) {
-  if (vectors.empty() && shares.empty()) return;
+SignedRound sign_batch(std::span<AuthVectorBundle> vectors, std::span<KeyShareBundle> shares,
+                       const crypto::Ed25519KeyPair& key) {
+  if (vectors.empty() && shares.empty()) return {};
   const RoundBatch batch{vectors, shares};
-  sign_batches({&batch, 1}, key);
+  return sign_batches({&batch, 1}, key);
 }
 
-void sign_single(AuthVectorBundle& bundle, const crypto::Ed25519KeyPair& key) {
-  sign_batch({&bundle, 1}, {}, key);
+SignedRound sign_single(AuthVectorBundle& bundle, const crypto::Ed25519KeyPair& key) {
+  return sign_batch({&bundle, 1}, {}, key);
 }
 
-void sign_single(KeyShareBundle& bundle, const crypto::Ed25519KeyPair& key) {
-  sign_batch({}, {&bundle, 1}, key);
+SignedRound sign_single(KeyShareBundle& bundle, const crypto::Ed25519KeyPair& key) {
+  return sign_batch({}, {&bundle, 1}, key);
 }
 
-void sign_round(std::span<StoreMaterialRequest> requests, const crypto::Ed25519KeyPair& key) {
-  if (requests.empty()) return;
+SignedRound sign_round(std::span<StoreMaterialRequest> requests,
+                       const crypto::Ed25519KeyPair& key) {
+  if (requests.empty()) return {};
   std::vector<RoundBatch> batches;
   batches.reserve(requests.size());
   for (StoreMaterialRequest& request : requests) {
     batches.push_back({request.vectors, request.shares, &request.round});
   }
-  sign_batches(batches, key);
+  return sign_batches(batches, key);
 }
 
 // ---- Signed requests --------------------------------------------------------
@@ -191,12 +209,20 @@ bool RevokeSharesRequest::verify(const crypto::Ed25519PublicKey& home_key) const
 
 // ---- Store requests -----------------------------------------------------------
 
-bool BundleBatch::verify_root(const NetworkId& home,
-                              const crypto::Ed25519PublicKey& home_key) const {
-  const auto payload =
-      round_payload(home, static_cast<std::uint16_t>(tree.leaf_count()), tree.root(), batch_index,
-                    batch_count, round);
-  return payload && crypto::ed25519_verify(*payload, signature, home_key);
+crypto::Sha256Digest store_tag(const crypto::HmacSha256& key, const NetworkId& backup,
+                               const SecretBytes& suci_secret,
+                               std::span<const SignedRound> rounds) {
+  MacEncoder mac(key);
+  mac.field(backup, suci_secret);  // DAUTH_DISCLOSE(the secret is MACed, not sent: the tag is one-way)
+  for (const SignedRound& round : rounds) mac.field(round);
+  return mac.finish();
+}
+
+std::optional<SignedRound> BundleBatch::signed_round(const NetworkId& home) const {
+  auto payload = round_payload(home, static_cast<std::uint16_t>(tree.leaf_count()), tree.root(),
+                               batch_index, batch_count, round);
+  if (!payload) return std::nullopt;
+  return SignedRound{std::move(*payload), signature};
 }
 
 BatchPath batch_position(const crypto::MerkleTree& tree, std::uint16_t leaf_index,

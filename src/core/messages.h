@@ -35,6 +35,7 @@
 #include "common/secret.h"
 #include "common/time.h"
 #include "crypto/ed25519.h"
+#include "crypto/hmac.h"
 #include "crypto/merkle.h"
 #include "crypto/shamir.h"
 #include "sim/service.h"
@@ -130,16 +131,30 @@ struct KeyShareBundle {
   bool verify(const crypto::Ed25519PublicKey& home_key) const;
 };
 
+/// A round as its home signed it: the message `signature` covers
+/// ("bundle-round-v1" || home || batch_count || round root), and the
+/// signature. A store push's tag covers it for each of the push's batches.
+struct SignedRound {
+  Bytes payload;
+  crypto::Ed25519Signature signature{};
+
+  template <typename F, typename Self>
+  static void fields(F& f, Self& m) {
+    f.field(m.payload, m.signature);
+  }
+};
+
 /// Signs `vectors` then `shares` as a round of ONE batch: a single Ed25519
 /// signature over the Merkle root of their leaves. Sets every bundle's
-/// home_signature and position, with empty paths (see BatchPath). Throws
-/// std::invalid_argument when the bundles name different home networks or
-/// number more than 65,535.
-void sign_batch(std::span<AuthVectorBundle> vectors, std::span<KeyShareBundle> shares,
-                const crypto::Ed25519KeyPair& key);
+/// home_signature and position, with empty paths (see BatchPath), and
+/// returns the round. Throws std::invalid_argument when the bundles name
+/// different home networks or number more than 65,535; signs nothing for no
+/// bundles.
+SignedRound sign_batch(std::span<AuthVectorBundle> vectors, std::span<KeyShareBundle> shares,
+                       const crypto::Ed25519KeyPair& key);
 /// A lone bundle: a round of one batch of one leaf.
-void sign_single(AuthVectorBundle& bundle, const crypto::Ed25519KeyPair& key);
-void sign_single(KeyShareBundle& bundle, const crypto::Ed25519KeyPair& key);
+SignedRound sign_single(AuthVectorBundle& bundle, const crypto::Ed25519KeyPair& key);
+SignedRound sign_single(KeyShareBundle& bundle, const crypto::Ed25519KeyPair& key);
 
 /// Serving network's proof that the UE was present and answered correctly.
 struct UsageProof {
@@ -177,6 +192,10 @@ struct StoreMaterialRequest {
   /// decryption key with the backup networks". Empty when not shared.
   /// A private key in transit — self-wiping, redacted in any formatter.
   SecretBytes suci_secret;
+  /// store_tag under the (home, recipient) push key: what the recipient
+  /// checks before it holds anything. The bundles' home signatures are for
+  /// the networks they are later served to.
+  crypto::Sha256Digest tag{};
 
   template <typename F, typename Self>
   static void fields(F& f, Self& m) {
@@ -184,17 +203,33 @@ struct StoreMaterialRequest {
     f.field(m.shares);  // DAUTH_DISCLOSE(a store push carries the backup's own shares of K_seaf, §4.2.1 and §4.3)
     f.field(m.round);
     f.field(m.suci_secret);  // DAUTH_DISCLOSE(deconcealment secret is provisioned to backups by design, §4.2)
+    f.field(m.tag);
   }
-
 };
+
+/// The label of the home -> backup push keys (crypto/pairwise.h): each is
+/// derived from the home's and the backup's channel keys, for the ordered
+/// pair (home id, backup id).
+inline constexpr std::string_view kPushKeyLabel = "dauth-push-v1";
+
+/// The tag of a store push to `backup` under the pair's push key: an HMAC
+/// over the recipient's id, the push's `suci_secret`, then each of its
+/// batches' signed round, in order, encoded as a message field list would
+/// be. The batch roots in the rounds commit every bundle, so the tag binds
+/// the push's whole content to the one backup it was made for.
+crypto::Sha256Digest store_tag(const crypto::HmacSha256& key, const NetworkId& backup,
+                               const SecretBytes& suci_secret,
+                               std::span<const SignedRound> rounds);
 
 /// Signs one user's dissemination round: each request's bundles (vectors,
 /// then shares) form batch i, and one Ed25519 signature covers the root of
 /// the tree over the batch roots. Sets every bundle's home_signature and
-/// position, with empty paths, and every request's `round` path. Throws
-/// std::invalid_argument when the bundles name different home networks, a
-/// request has no bundles, or a batch or the round passes 65,535 leaves.
-void sign_round(std::span<StoreMaterialRequest> requests, const crypto::Ed25519KeyPair& key);
+/// position, with empty paths, and every request's `round` path, and
+/// returns the round. Throws std::invalid_argument when the bundles name
+/// different home networks, a request has no bundles, or a batch or the
+/// round passes 65,535 leaves; signs nothing for no requests.
+SignedRound sign_round(std::span<StoreMaterialRequest> requests,
+                       const crypto::Ed25519KeyPair& key);
 
 /// One home-signed batch of a StoreMaterialRequest, rebuilt by the receiving
 /// backup from the bundles themselves: every field its bundles share. A
@@ -206,9 +241,10 @@ struct BundleBatch {
   std::vector<crypto::Sha256Digest> round;  // the request's round path
   crypto::Ed25519Signature signature{};
 
-  /// True when `signature` is `home`'s signature over the round root that
-  /// this batch's root and round path imply.
-  bool verify_root(const NetworkId& home, const crypto::Ed25519PublicKey& home_key) const;
+  /// The round this batch's root and round path imply, as `home` would have
+  /// signed it, with `signature`; nullopt when the path cannot fit the
+  /// batch's round position.
+  std::optional<SignedRound> signed_round(const NetworkId& home) const;
 };
 
 /// The served position of leaf `leaf_index` of batch `tree`, at

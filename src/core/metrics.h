@@ -34,7 +34,7 @@ namespace dauth::core {
 
 #define DAUTH_BACKUP_METRICS(X)                                                      \
   X(bundles_stored)                                                                  \
-  X(batches_verified)  /* batch root signatures checked at store */                 \
+  X(batches_verified)  /* batches authenticated by their push's tag at store */      \
   X(vectors_served)                                                                  \
   X(shares_served)                                                                   \
   X(shares_revoked)                                                                  \

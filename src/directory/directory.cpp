@@ -26,11 +26,13 @@ bool BackupsEntry::verify(const crypto::Ed25519PublicKey& home_key) const {
 // ---- Builders ---------------------------------------------------------------
 
 NetworkEntry make_network_entry(const NetworkId& id, const crypto::Ed25519KeyPair& key_pair,
-                                const crypto::X25519Point& suci_key, std::uint64_t address) {
+                                const crypto::X25519Point& suci_key,
+                                const crypto::X25519Point& channel_key, std::uint64_t address) {
   NetworkEntry e;
   e.id = id;
   e.signing_key = key_pair.public_key;
   e.suci_key = suci_key;
+  e.channel_key = channel_key;
   e.address = address;
   e.signature = crypto::ed25519_sign(e.signed_payload(), key_pair);
   return e;

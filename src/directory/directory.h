@@ -1,8 +1,8 @@
 // Public distributed directory service (paper §3.4, §5.3).
 //
 // The directory holds only *non-sensitive, slow-changing* data:
-//   * per-network entries: Ed25519 signing key, X25519 SUCI key, address —
-//     self-signed by the network;
+//   * per-network entries: Ed25519 signing key, X25519 SUCI and channel
+//     keys, address — self-signed by the network;
 //   * subscriber -> home-network mappings — signed by the home network;
 //   * home-network -> backup-network lists — signed by the home network.
 // Because every entry carries its owner's signature, the directory itself
@@ -47,13 +47,17 @@ struct NetworkEntry {
   NetworkId id;
   crypto::Ed25519PublicKey signing_key{};
   crypto::X25519Point suci_key{};
+  /// The key this network derives its pairwise keys with each peer from
+  /// (crypto/pairwise.h). Not the SUCI key: a home hands its SUCI secret to
+  /// every backup.
+  crypto::X25519Point channel_key{};
   std::uint64_t address = 0;  // sim::NodeIndex of the network's dAuth daemon
   crypto::Ed25519Signature signature{};
 
   static constexpr std::string_view kDomain = "network-entry-v1";
   template <typename F, typename Self>
   static void fields(F& f, Self& m) {
-    f.field(m.id, m.signing_key, m.suci_key, m.address);
+    f.field(m.id, m.signing_key, m.suci_key, m.channel_key, m.address);
     f.tail(m.signature);
   }
   Bytes signed_payload() const { return wire::signed_payload(*this); }
@@ -135,7 +139,8 @@ inline constexpr sim::Service<BackupsEntry, sim::Ack> kSetBackups{"dir.set_backu
 
 /// Signing helpers used by networks when producing their own entries.
 NetworkEntry make_network_entry(const NetworkId& id, const crypto::Ed25519KeyPair& key_pair,
-                                const crypto::X25519Point& suci_key, std::uint64_t address);
+                                const crypto::X25519Point& suci_key,
+                                const crypto::X25519Point& channel_key, std::uint64_t address);
 UserEntry make_user_entry(const Supi& supi, const NetworkId& home,
                           const crypto::Ed25519KeyPair& home_key);
 BackupsEntry make_backups_entry(const NetworkId& home, std::vector<NetworkId> backups,

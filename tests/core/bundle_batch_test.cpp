@@ -14,6 +14,14 @@
 namespace dauth::core {
 namespace {
 
+/// What a serving network checks of a stored batch: that the round its root
+/// and round path imply carries `home_key`'s signature.
+bool verify_root(const BundleBatch& batch, const NetworkId& home,
+                 const crypto::Ed25519PublicKey& home_key) {
+  const auto round = batch.signed_round(home);
+  return round && crypto::ed25519_verify(round->payload, round->signature, home_key);
+}
+
 using crypto::MerkleTree;
 using crypto::Sha256Digest;
 
@@ -421,9 +429,9 @@ TEST(SplitBatches, DisseminationRequestIsOneBatch) {
   ASSERT_TRUE(batches.has_value());
   ASSERT_EQ(batches->size(), 1u);
   EXPECT_EQ(batches->front().tree.leaf_count(), 8u);
-  EXPECT_TRUE(batches->front().verify_root(req.home_network, home.public_key));
-  EXPECT_FALSE(batches->front().verify_root(req.home_network, keys(6).public_key));
-  EXPECT_FALSE(batches->front().verify_root(NetworkId("other-home"), home.public_key));
+  EXPECT_TRUE(verify_root(batches->front(), req.home_network, home.public_key));
+  EXPECT_FALSE(verify_root(batches->front(), req.home_network, keys(6).public_key));
+  EXPECT_FALSE(verify_root(batches->front(), NetworkId("other-home"), home.public_key));
 }
 
 TEST(SplitBatches, RoundRequestIsOneBatchWithItsRoundPath) {
@@ -439,7 +447,7 @@ TEST(SplitBatches, RoundRequestIsOneBatchWithItsRoundPath) {
     EXPECT_EQ(batches->front().batch_index, b);
     EXPECT_EQ(batches->front().batch_count, 3u);
     EXPECT_EQ(batches->front().round, req.round);
-    EXPECT_TRUE(batches->front().verify_root(req.home_network, home.public_key)) << b;
+    EXPECT_TRUE(verify_root(batches->front(), req.home_network, home.public_key)) << b;
     // The batch rebuilds every bundle's served position, path included,
     // from the leaf hashes of its group.
     std::vector<Sha256Digest> leaves;
@@ -479,7 +487,7 @@ TEST(SplitBatches, FloodRequestIsOneLeafBatches) {
   ASSERT_EQ(batches->size(), 2u);
   EXPECT_EQ((*batches)[0].tree.leaf_count(), 1u);  // the share's batch starts at bundle 1
   for (const BundleBatch& batch : *batches) {
-    EXPECT_TRUE(batch.verify_root(req.home_network, home.public_key));
+    EXPECT_TRUE(verify_root(batch, req.home_network, home.public_key));
   }
 }
 
@@ -564,10 +572,10 @@ TEST(SplitBatches, RoundAttacksAreRejectedAtStoreTime) {
       };
   for (const auto& [name, mutate] : cases) {
     StoreMaterialRequest req = alice[1];
-    ASSERT_TRUE(split_batches(req)->front().verify_root(req.home_network, home.public_key));
+    ASSERT_TRUE(verify_root(split_batches(req)->front(), req.home_network, home.public_key));
     mutate(req);
     const auto batches = split_batches(wire::decode<StoreMaterialRequest>(wire::encode(req)));
-    EXPECT_TRUE(!batches || !batches->front().verify_root(req.home_network, home.public_key))
+    EXPECT_TRUE(!batches || !verify_root(batches->front(), req.home_network, home.public_key))
         << name;
   }
 }
@@ -582,7 +590,7 @@ TEST(SplitBatches, ConsistentLayoutWithWrongCountFailsTheSignature) {
   for (auto& s : req.shares) s.batch.leaf_count = 6;
   const auto batches = split_batches(req);
   ASSERT_TRUE(batches.has_value());
-  EXPECT_FALSE(batches->front().verify_root(req.home_network, home.public_key));
+  EXPECT_FALSE(verify_root(batches->front(), req.home_network, home.public_key));
 }
 
 }  // namespace

@@ -37,7 +37,7 @@ TEST(FederationSpec, FixtureKeyMaterialIsPinned) {
   Federation f(5);
   f.provision(Supi("901550000000001"), 0, {1, 2, 3});
   EXPECT_EQ(key_material_digest(f),
-            "1f52c0c6b69e6a8e3be585c2a8b7a741780dd3ee8aabf3a63e1d2d35bca87174");
+            "1e303c41a495343136cd08fe0c51fee946f9c4de12de39b67873afc1b131acc4");
 }
 
 TEST(FederationSpec, Fig3BenchKeyMaterialIsPinned) {
@@ -54,13 +54,13 @@ TEST(FederationSpec, Fig3BenchKeyMaterialIsPinned) {
   options.config.report_interval = 0;
   const bench::DauthBench bench(options);
   EXPECT_EQ(key_material_digest(bench.world()),
-            "88a8421570acd6657015debf993ef52ca6c57d5b0996fcc261dff8e9819e78d5");
+            "2f98007d5a24a0367a425b4dca8f32b8ecfe39003659bf67a6a7e569c68f7cc4");
 }
 
 TEST(FederationSpec, QuickstartKeyMaterialIsPinned) {
   const auto world = core::build(examples::quickstart_spec());
   EXPECT_EQ(key_material_digest(*world),
-            "b9062657a584de325f90274aa194cd2911dab7bcbfa01ba1ce24b30c6a2f1e99");
+            "56309e6777466176f1d0d21d79738a9024813f899c7274513c7ce28c72687cef");
 }
 
 }  // namespace

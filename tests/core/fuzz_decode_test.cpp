@@ -315,7 +315,8 @@ struct RestoredBackup {
   BackupNetwork backup;
 
   explicit RestoredBackup(store::KvStore& store)
-      : backup(rpc, node, NetworkId("backup"), directory, FederationConfig{}, &store) {}
+      : backup(rpc, node, NetworkId("backup"), crypto::X25519Scalar{}, directory,
+               FederationConfig{}, &store) {}
 
   std::size_t held() const {
     const Supi supi("315010000000001");

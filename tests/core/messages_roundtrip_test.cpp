@@ -130,6 +130,7 @@ StoreMaterialRequest random_store_request(Rng& rng) {
   for (std::size_t i = 0; i < shares; ++i) r.shares.push_back(random_share_bundle(rng));
   r.round = random_path(rng, 32);
   r.suci_secret = random_bytes(rng, rng.next_below(2) == 1 ? 32 : 0);
+  r.tag = random_array<32>(rng);
   return r;
 }
 
@@ -232,8 +233,8 @@ aka::Outcome random_outcome(Rng& rng) {
 directory::NameLookup random_lookup(Rng& rng) { return {random_network(rng).str()}; }
 
 directory::NetworkEntry random_network_entry(Rng& rng) {
-  return {random_network(rng), random_array<32>(rng), random_array<32>(rng), rng.next(),
-          random_array<64>(rng)};
+  return {random_network(rng), random_array<32>(rng), random_array<32>(rng),
+          random_array<32>(rng), rng.next(), random_array<64>(rng)};
 }
 
 directory::UserEntry random_user_entry(Rng& rng) {

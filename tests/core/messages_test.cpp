@@ -17,6 +17,14 @@
 namespace dauth::core {
 namespace {
 
+/// What a serving network checks of a stored batch: that the round its root
+/// and round path imply carries `home_key`'s signature.
+bool verify_root(const BundleBatch& batch, const NetworkId& home,
+                 const crypto::Ed25519PublicKey& home_key) {
+  const auto round = batch.signed_round(home);
+  return round && crypto::ed25519_verify(round->payload, round->signature, home_key);
+}
+
 crypto::Ed25519KeyPair test_keys(std::uint64_t seed) {
   crypto::DeterministicDrbg rng("msg-test", seed);
   return crypto::ed25519_generate(rng);
@@ -140,7 +148,7 @@ TEST(Messages, StoreMaterialRequestRoundTrip) {
   const auto batches = split_batches(decoded);
   ASSERT_TRUE(batches.has_value());
   ASSERT_EQ(batches->size(), 1u);
-  EXPECT_TRUE(batches->front().verify_root(decoded.home_network, keys.public_key));
+  EXPECT_TRUE(verify_root(batches->front(), decoded.home_network, keys.public_key));
 }
 
 TEST(Messages, LeafHashIsTheHashOfTheSignedPayload) {
@@ -307,6 +315,7 @@ TEST(Messages, EveryEncodingIsPinned) {
   store.shares = {share};
   store.round = {pattern<32>(0x70)};
   store.suci_secret = Bytes(32, 0x77);
+  store.tag = pattern<32>(0x78);
 
   GetVectorRequest get_vector{NetworkId("serving-net"), supi, Bytes{9, 8, 7}};
   ShareReply share_reply{share, 17};
@@ -321,8 +330,8 @@ TEST(Messages, EveryEncodingIsPinned) {
   KeyReply key_reply{pattern<32>(0x3a)};
 
   directory::NameLookup lookup{"home-net"};
-  directory::NetworkEntry network{home, pattern<32>(0x90), pattern<32>(0xa0), 11,
-                                  pattern<64>(0xb0)};
+  directory::NetworkEntry network{home, pattern<32>(0x90), pattern<32>(0xa0), pattern<32>(0xa8),
+                                  11, pattern<64>(0xb0)};
   directory::UserEntry user{supi, home, pattern<64>(0xb1)};
   directory::BackupsEntry backups{home, {NetworkId("b1"), NetworkId("b2")}, pattern<64>(0xb2)};
 
@@ -374,7 +383,7 @@ TEST(Messages, EveryEncodingIsPinned) {
       {"UsageProof signed",
        "867af439db04e53271364c33d8d2099c763db4f3cad0898e2cd3357ef9535841"},
       {"StoreMaterialRequest",
-       "fcad8dbdf198cdea2a75ace8fab4e2b00611d6f63614bf6832ec9bfd0e318380"},
+       "b727a199945edf05749a6b735d4421fb28be51cfba2ee6c2005225a65ababfab"},
       {"GetVectorRequest",
        "cfdfdd98797dcbcd6abc7fccec42fd3c2346bdb4ee0b594089870749a062c491"},
       {"ShareReply",
@@ -402,9 +411,9 @@ TEST(Messages, EveryEncodingIsPinned) {
       {"NameLookup",
        "ec2a3fece604bc5ee99ad92911b270f9002e362bd0d746174e190b74c9c18464"},
       {"NetworkEntry",
-       "da2da03aed479aea2a65ec0a4954f7467a66b07c59535df10f45179af6d79d52"},
+       "d7154e88ac2717a01bbd74d2654a238ec9f2a7b2e7a68c96f081ebcdeb72ce34"},
       {"NetworkEntry signed",
-       "3a3adb38010680bc4d7bf99b70ef958b2621ac05095214110b342de25b01d0fb"},
+       "c135feb8e9a2adbdb4af5459629ba6436be1cd5071b97c516ca521ab1d2a23e0"},
       {"UserEntry",
        "06dc84573c9fff414e2bf215954ad06e253785c2749452ad25e8d12a84f7a34e"},
       {"UserEntry signed",

@@ -17,11 +17,17 @@ crypto::X25519Point make_suci_key(const std::string& label) {
   return crypto::x25519_generate(rng).public_key;
 }
 
+crypto::X25519Point make_channel_key(const std::string& label) {
+  crypto::DeterministicDrbg rng(label + "-channel", 1);
+  return crypto::x25519_generate(rng).public_key;
+}
+
 TEST(DirectoryServer, RegisterAndLookupNetwork) {
   DirectoryServer server;
   const auto keys = make_keys("net-a");
   const auto entry =
-      make_network_entry(NetworkId("net-a"), keys, make_suci_key("net-a"), 7);
+      make_network_entry(NetworkId("net-a"), keys, make_suci_key("net-a"),
+                         make_channel_key("net-a"), 7);
   EXPECT_TRUE(server.register_network(entry));
   EXPECT_EQ(server.network_count(), 1u);
 
@@ -35,7 +41,7 @@ TEST(DirectoryServer, RegisterAndLookupNetwork) {
 TEST(DirectoryServer, RejectsBadNetworkSignature) {
   DirectoryServer server;
   auto entry = make_network_entry(NetworkId("net-a"), make_keys("net-a"),
-                                  make_suci_key("net-a"), 7);
+                                  make_suci_key("net-a"), make_channel_key("net-a"), 7);
   entry.address = 8;  // tamper after signing
   EXPECT_FALSE(server.register_network(entry));
   EXPECT_EQ(server.network_count(), 0u);
@@ -50,7 +56,8 @@ TEST(DirectoryServer, UserEntryRequiresRegisteredHome) {
   EXPECT_FALSE(server.register_user(user));
 
   server.register_network(
-      make_network_entry(NetworkId("home"), home_keys, make_suci_key("home"), 1));
+      make_network_entry(NetworkId("home"), home_keys, make_suci_key("home"),
+                         make_channel_key("home"), 1));
   EXPECT_TRUE(server.register_user(user));
   EXPECT_EQ(server.user(Supi("901550000000001"))->home_network, NetworkId("home"));
 }
@@ -60,7 +67,8 @@ TEST(DirectoryServer, UserEntryRejectsForgedMapping) {
   const auto home_keys = make_keys("home");
   const auto attacker_keys = make_keys("attacker");
   server.register_network(
-      make_network_entry(NetworkId("home"), home_keys, make_suci_key("home"), 1));
+      make_network_entry(NetworkId("home"), home_keys, make_suci_key("home"),
+                         make_channel_key("home"), 1));
 
   // An attacker network cannot claim someone else's user.
   const auto forged =
@@ -72,7 +80,8 @@ TEST(DirectoryServer, BackupsEntrySignedByHome) {
   DirectoryServer server;
   const auto home_keys = make_keys("home");
   server.register_network(
-      make_network_entry(NetworkId("home"), home_keys, make_suci_key("home"), 1));
+      make_network_entry(NetworkId("home"), home_keys, make_suci_key("home"),
+                         make_channel_key("home"), 1));
 
   const auto entry = make_backups_entry(
       NetworkId("home"), {NetworkId("b1"), NetworkId("b2")}, home_keys);
@@ -93,7 +102,8 @@ TEST(DirectoryServer, PersistsAcrossRestart) {
   {
     DirectoryServer server(&persistent);
     server.register_network(
-        make_network_entry(NetworkId("home"), home_keys, make_suci_key("home"), 1));
+        make_network_entry(NetworkId("home"), home_keys, make_suci_key("home"),
+                           make_channel_key("home"), 1));
     server.register_user(
         make_user_entry(Supi("901550000000001"), NetworkId("home"), home_keys));
     server.set_backups(make_backups_entry(NetworkId("home"), {NetworkId("b1")}, home_keys));
@@ -112,6 +122,7 @@ TEST(DirectoryServer, ScalesToManyNetworksAndUsers) {
     keys.push_back(make_keys(name));
     ASSERT_TRUE(server.register_network(
         make_network_entry(NetworkId(name), keys.back(), make_suci_key(name),
+                           make_channel_key(name),
                            static_cast<std::uint64_t>(n))));
   }
   EXPECT_EQ(server.network_count(), 100u);
@@ -151,7 +162,8 @@ struct ClientFixture {
     server.bind(rpc, dir_node);
 
     server.register_network(
-        make_network_entry(NetworkId("home"), home_keys, make_suci_key("home"), 42));
+        make_network_entry(NetworkId("home"), home_keys, make_suci_key("home"),
+                           make_channel_key("home"), 42));
     server.register_user(
         make_user_entry(Supi("901550000000001"), NetworkId("home"), home_keys));
     server.set_backups(
@@ -235,7 +247,8 @@ TEST(DirectoryClient, AnswersForAnotherNameAreDropped) {
   const Supi bob("901550000000002");
   const auto other_keys = make_keys("other");
   f.server.register_network(
-      make_network_entry(NetworkId("other"), other_keys, make_suci_key("other"), 43));
+      make_network_entry(NetworkId("other"), other_keys, make_suci_key("other"),
+                         make_channel_key("other"), 43));
   const UserEntry bob_entry = make_user_entry(bob, NetworkId("home"), f.home_keys);
   const BackupsEntry other_backups =
       make_backups_entry(NetworkId("other"), {NetworkId("b1")}, other_keys);
@@ -348,7 +361,8 @@ TEST(DirectoryServer, ForgedRegistrationsOverRpcAreRefused) {
     if (result && !result->ok() && result->app_error()) code = result->app_error()->code;
     return code;
   };
-  auto redirected = make_network_entry(home, f.home_keys, make_suci_key("home"), 42);
+  auto redirected = make_network_entry(home, f.home_keys, make_suci_key("home"),
+                                       make_channel_key("home"), 42);
   redirected.address = 99;
   EXPECT_EQ(refusal(kRegisterNetwork, redirected), sim::AppErrorCode::kUnauthorized);
   EXPECT_EQ(refusal(kRegisterUser, make_user_entry(alice, home, attacker)),
@@ -381,7 +395,8 @@ TEST(DirectoryServer, LookupsOfUnknownNamesAreRefusedNotFound) {
   const NetworkId home("home");
   const NetworkId quiet("quiet");
   f.server.register_network(make_network_entry(quiet, make_keys("quiet"),
-                                               make_suci_key("quiet"), 7));
+                                               make_suci_key("quiet"),
+                                               make_channel_key("quiet"), 7));
   const Bytes prior_network = wire::encode(*f.server.network(home));
   const Bytes prior_backups = wire::encode(*f.server.backups(home));
 

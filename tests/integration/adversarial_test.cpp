@@ -423,7 +423,9 @@ TEST(Adversarial, StoreWithAWrongLengthShareIsRefused) {
     share.share.x = 1;
     share.share.y = Bytes(length, 0x5a);
     req.shares.push_back(share);
-    core::sign_batch(req.vectors, req.shares, f.net(0).signing_keys());
+    const core::SignedRound round =
+        core::sign_batch(req.vectors, req.shares, f.net(0).signing_keys());
+    f.tag_push(req, 0, 1, {&round, 1});
 
     std::optional<sim::RpcError> error;
     f.rpc.call(f.net(0).node(), f.net(1).node(), "backup.store", wire::encode(req), {}, nullptr,
@@ -904,7 +906,8 @@ sim::CallResult<sim::Ack> send_push_to_net3(Federation& f, std::size_t from, con
   std::optional<sim::CallResult<sim::Ack>> result;
   sim::TypedStub(f.rpc, f.net(from).node(), core::kBackupStore)
       .call(f.net(2).node(), wire::decode<core::StoreMaterialRequest>(push),
-            sim::RpcOptions::oneshot(), [&](sim::CallResult<sim::Ack> r) { result = std::move(r); });
+            sim::RpcOptions::oneshot(),
+            [&](sim::CallResult<sim::Ack> r) { result = std::move(r); });
   f.simulator.run();
   if (!result) throw std::runtime_error("store push never ended");
   return std::move(*result);

@@ -1,10 +1,11 @@
 // Round-signed dissemination end to end (§4.2.1): the home signs one
 // Merkle root per (user, round) over the roots of its (user, backup)
-// batches, each backup checks that signature once per batch, and a bundle
-// served later carries the inclusion path that ties it to the round root. A
-// peer that tampers with a bundle, its path, its round position or the root
-// signature is refused by the backup at store time and by the serving
-// network at attach time.
+// batches and tags each backup's push for that backup, each backup checks
+// the tag over every batch it is pushed, and a bundle served later carries
+// the inclusion path that ties it to the round root, which the serving
+// network checks the signature of. A peer that tampers with a bundle, its
+// path, its round position or the root signature is refused by the backup
+// at store time and by the serving network at attach time.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -113,6 +114,16 @@ core::StoreMaterialRequest fresh_batch(Federation& f, const Supi& supi, std::uin
   return fresh_round(f, supi, tag, signer)[1];
 }
 
+/// Batch 1 of a fresh round, as the home pushes it to nets[backup]: signed
+/// by the home, and tagged for that backup.
+core::StoreMaterialRequest pushed_batch(Federation& f, const Supi& supi, std::uint8_t tag,
+                                        std::size_t backup = 1) {
+  auto round = fresh_round(f, supi, tag, f.net(0).signing_keys());
+  const core::SignedRound signed_round = core::sign_round(round, f.net(0).signing_keys());
+  f.tag_push(round[1], 0, backup, {&signed_round, 1});
+  return round[1];
+}
+
 /// Applies `edit` to the position of every bundle of a store request.
 void edit_positions(core::StoreMaterialRequest& r,
                     const std::function<void(core::BatchPath&)>& edit) {
@@ -134,6 +145,8 @@ bool store_at_backup(Federation& f, const core::StoreMaterialRequest& req) {
 }
 
 TEST(BatchSigning, BackupRejectsForgedBatches) {
+  // Each attack edits a push the home made for net-2 and tagged; the tag
+  // covers every bundle, position, path and signature, and the recipient.
   Federation f(5);
   f.provision(kAlice, 0, {1, 2, 3});
   const auto& home_keys = f.net(0).signing_keys();
@@ -141,6 +154,20 @@ TEST(BatchSigning, BackupRejectsForgedBatches) {
 
   const std::vector<std::pair<const char*, std::function<void(core::StoreMaterialRequest&)>>>
       attacks = {
+          {"no tag", [](core::StoreMaterialRequest& r) { r.tag = {}; }},
+          {"tag under another pair's key",
+           [&](core::StoreMaterialRequest& r) {
+             // net-1's key with net-3, over net-2's push.
+             auto round = fresh_round(f, kBob, 1, home_keys);
+             const core::SignedRound signed_round = core::sign_round(round, home_keys);
+             const auto other = crypto::derive_pairwise_key(
+                 f.net(0).channel_keys().secret, f.net(2).channel_keys().public_key,
+                 core::kPushKeyLabel, f.net(0).id().str(), f.net(2).id().str());
+             r.tag = core::store_tag(other.value(), f.net(1).id(), r.suci_secret,
+                                     {&signed_round, 1});
+           }},
+          {"the home's push to another backup",
+           [&](core::StoreMaterialRequest& r) { r = pushed_batch(f, kBob, 1, 2); }},
           {"tampered leaf", [](core::StoreMaterialRequest& r) { r.shares[1].share.y[0] ^= 1; }},
           {"signature lifted from another user's batch",
            [&](core::StoreMaterialRequest& r) {
@@ -175,6 +202,7 @@ TEST(BatchSigning, BackupRejectsForgedBatches) {
           {"forged root signature",
            [&](core::StoreMaterialRequest& r) {
              auto forged = fresh_round(f, kBob, 1, f.net(3).signing_keys());
+             forged[1].tag = r.tag;
              r = forged[1];
            }},
           {"swapped batch index",
@@ -206,11 +234,12 @@ TEST(BatchSigning, BackupRejectsForgedBatches) {
              auto round = fresh_round(f, kBob, 1, home_keys);
              round[1].shares[1].supi = kAlice;
              core::sign_round(round, home_keys);
+             round[1].tag = r.tag;
              r = round[1];
            }},
       };
   for (const auto& [name, attack] : attacks) {
-    core::StoreMaterialRequest req = fresh_batch(f, kBob, 1, home_keys);
+    core::StoreMaterialRequest req = pushed_batch(f, kBob, 1);
     attack(req);
     const std::uint64_t verified = backup.metrics().batches_verified;
     EXPECT_FALSE(store_at_backup(f, req)) << name;
@@ -219,9 +248,9 @@ TEST(BatchSigning, BackupRejectsForgedBatches) {
     EXPECT_EQ(backup.metrics().batches_verified, verified) << name;
   }
 
-  // The untouched batch is accepted with a single verify.
+  // The untouched push is accepted, its one batch authenticated.
   const std::uint64_t verified = backup.metrics().batches_verified;
-  EXPECT_TRUE(store_at_backup(f, fresh_batch(f, kBob, 1, home_keys)));
+  EXPECT_TRUE(store_at_backup(f, pushed_batch(f, kBob, 1)));
   EXPECT_EQ(backup.stored_vectors(f.net(0).id(), kBob), 3u);
   EXPECT_EQ(backup.stored_shares(f.net(0).id(), kBob), 5u);
   EXPECT_EQ(backup.metrics().batches_verified, verified + 1);
@@ -491,7 +520,8 @@ TEST(BatchSigning, ServedBundlesAreTheSignedBytes) {
   const sim::NodeIndex backup_node = f.network.add_node(nc);
   const auto start_backup = [&] {
     auto backup = std::make_unique<core::BackupNetwork>(
-        f.rpc, backup_node, f.net(1).id(), f.net(1).directory(), f.config, &durable);
+        f.rpc, backup_node, f.net(1).id(), f.net(1).channel_keys().secret, f.net(1).directory(),
+        f.config, &durable);
     backup->bind_services();
     return backup;
   };
@@ -763,7 +793,8 @@ TEST(BatchSigning, DisseminatedBytesArePinned) {
     nc.workers = 2;
     const sim::NodeIndex role_node = f.network.add_node(nc);
     roles.push_back(std::make_unique<core::BackupNetwork>(
-        f.rpc, role_node, f.net(b).id(), f.net(b).directory(), f.config));
+        f.rpc, role_node, f.net(b).id(), f.net(b).channel_keys().secret, f.net(b).directory(),
+        f.config));
     roles.back()->bind_services();
     for (const std::string service :
          {"backup.store", "backup.get_vector", "backup.get_share", "backup.revoke_shares"}) {
@@ -806,7 +837,7 @@ TEST(BatchSigning, DisseminatedBytesArePinned) {
   std::sort(sent.begin(), sent.end());
   crypto::Sha256 all;
   for (const auto& digest : sent) all.update(digest);
-  EXPECT_EQ(to_hex(all.finish()), "48f92439853ccb253a9e16dab649afbea687ad847ecd81b869430cc746607840")
+  EXPECT_EQ(to_hex(all.finish()), "bd7b53cb2435d834569751a06bdc8a3a7096ec85541653f5ee6f6ffd239071d2")
       << sent.size() << " store requests";
 }
 

@@ -11,9 +11,11 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/federation_spec.h"
+#include "crypto/pairwise.h"
 #include "store/kv_store.h"
 #include "wire/reader.h"
 
@@ -94,6 +96,17 @@ struct Federation : core::FederationWorld {
     simulator.run();
     if (!disseminated.contains(supi)) throw std::runtime_error("dissemination did not complete");
     return keys.at(supi);
+  }
+
+  /// Tags `push`, whose batches were signed in `rounds`, as nets[home]'s push
+  /// to nets[backup]: store_tag under their push key, as HomeNetwork::push
+  /// makes it.
+  void tag_push(core::StoreMaterialRequest& push, std::size_t home, std::size_t backup,
+                std::span<const core::SignedRound> rounds) {
+    const auto key = crypto::derive_pairwise_key(
+        net(home).channel_keys().secret, net(backup).channel_keys().public_key,
+        core::kPushKeyLabel, net(home).id().str(), net(backup).id().str());
+    push.tag = core::store_tag(key.value(), net(backup).id(), push.suci_secret, rounds);
   }
 
   using FederationWorld::make_ue;

@@ -468,7 +468,7 @@ TEST(Persistence, ReportBytesArePinned) {
   }
   EXPECT_TRUE(f.net(0).home().anomalies().empty());
   EXPECT_EQ(reports, 4u);
-  EXPECT_EQ(to_hex(h.finish()), "662f6fb9743c1575cb9e95f870b8746689b61551b7175326c1f29dba87f30d59");
+  EXPECT_EQ(to_hex(h.finish()), "1ac77523cb5cec8cc74276a8fab43500cb879c93b251aa2980bf522aa5553e3a");
 }
 
 TEST(Persistence, OverlappingAcksClearEachProofOnce) {
@@ -1029,7 +1029,8 @@ TEST(Persistence, ServingABatchOutKeepsTheDurableLogBounded) {
   {
     store::KvStore durable(path.string());
     auto backup = std::make_unique<core::BackupNetwork>(
-        f.rpc, f.net(1).node(), f.net(1).id(), f.net(1).directory(), f.config, &durable);
+        f.rpc, f.net(1).node(), f.net(1).id(), f.net(1).channel_keys().secret,
+        f.net(1).directory(), f.config, &durable);
     backup->bind_services();
     f.provision(kAlice, 0, {1, 2, 3});
     ASSERT_EQ(held_records(durable).size(), 1u);

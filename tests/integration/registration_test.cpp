@@ -136,7 +136,8 @@ class Registrations {
         {dir, "dir.get_backups", wire::encode(directory::NameLookup{home_id.str()})},
         {dir, "dir.register_network",
          wire::encode(directory::make_network_entry(home_id, home_key,
-                                                    home.suci_keys().public_key, home.node()))},
+                                                    home.suci_keys().public_key,
+                                                    home.channel_keys().public_key, home.node()))},
         {dir, "dir.register_user",
          wire::encode(directory::make_user_entry(kAlice, home_id, home_key))},
         {dir, "dir.set_backups",

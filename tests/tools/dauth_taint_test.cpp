@@ -945,27 +945,27 @@ const char* kStoreRegistration =
     "  });\n"
     "}\n";
 
-TEST(ContractH3, StoreBeforeBatchRootVerifyIsFlagged) {
+TEST(ContractH3, StoreBeforeTagCheckIsFlagged) {
   const auto a = run(std::string(kStoreRegistration) +
                          "void BackupNetwork::handle_store(ByteView q, sim::Responder r) {\n"
                          "  auto batches = split_batches(req);\n"
                          "  users_[{req.home_network, supi}].vectors.push_back(v);\n"
-                         "  for (const BundleBatch& batch : *batches) {\n"
-                         "    if (!batch.verify_root(req.home_network, k)) { r.fail(); return; }\n"
+                         "  if (!ct_equal(store_tag(*k, id_, req.suci_secret, rounds), req.tag)) {\n"
+                         "    r.fail(); return;\n"
                          "  }\n"
                          "}\n",
                      contracts_only(shipped_contract("backup.store")));
   ASSERT_EQ(count_rule(a, "H3"), 1);
-  EXPECT_NE(a.findings[0].message.find("batch root verified over every received bundle"),
+  EXPECT_NE(a.findings[0].message.find("store tag checked under the (home, backup) push key"),
             std::string::npos);
 }
 
-TEST(ContractClean, StoreAfterBatchRootVerifyPasses) {
+TEST(ContractClean, StoreAfterTagCheckPasses) {
   const auto a = run(std::string(kStoreRegistration) +
                          "void BackupNetwork::handle_store(ByteView q, sim::Responder r) {\n"
                          "  auto batches = split_batches(req);\n"
-                         "  for (const BundleBatch& batch : *batches) {\n"
-                         "    if (!batch.verify_root(req.home_network, k)) { r.fail(); return; }\n"
+                         "  if (!ct_equal(store_tag(*k, id_, req.suci_secret, rounds), req.tag)) {\n"
+                         "    r.fail(); return;\n"
                          "  }\n"
                          "  users_[{req.home_network, supi}].vectors.push_back(v);\n"
                          "  store_->put(\"batch/\", leaves);\n"

@@ -1833,10 +1833,11 @@ std::vector<HandlerContract> default_contracts() {
   return {
       {"backup.store",
        "BackupNetwork::handle_store",
-       {"verify_root"},
+       {"ct_equal"},
        {"homes_[", "users_[", "store_.put"},
-       "batch root verified over every received bundle: only the home network "
-       "that Ed25519-signed the batch's Merkle root may store material (§4.2.1)"},
+       "store tag checked under the (home, backup) push key, over every batch's "
+       "signed round and the SUCI secret: only the home, and only in a push made "
+       "for this backup, may store material or set the SUCI secret (§4.2.1)"},
       {"backup.get_vector",
        "BackupNetwork::handle_get_vector",
        {},
