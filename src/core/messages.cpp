@@ -7,26 +7,30 @@ namespace {
 
 constexpr std::size_t kMaxPositions = 0xffff;  // a position is a u16
 
-// Feeds a Merkle leaf hash the bytes a wire::Writer would hold, and wipes
-// its hash state (which can hold a share ordinate) when done.
-class LeafHasher : public wire::Encoder<LeafHasher> {
+// Feeds a SHA-256 state the bytes a wire::Writer would hold, and wipes the
+// state (which can hold a share ordinate, or be an HMAC's keyed inner hash)
+// when done: a Merkle leaf hash from merkle_leaf_hasher(), a MAC from
+// HmacSha256::start().
+class HashEncoder : public wire::Encoder<HashEncoder> {
  public:
-  LeafHasher() = default;
-  LeafHasher(const LeafHasher&) = delete;
-  LeafHasher& operator=(const LeafHasher&) = delete;
-  ~LeafHasher() { secure_wipe(&hash_, sizeof(hash_)); }
+  explicit HashEncoder(crypto::Sha256 start = crypto::merkle_leaf_hasher()) noexcept
+      : hash_(start) {}
+  HashEncoder(const HashEncoder&) = delete;
+  HashEncoder& operator=(const HashEncoder&) = delete;
+  ~HashEncoder() { secure_wipe(&hash_, sizeof(hash_)); }
 
   void raw(ByteView data) noexcept { hash_.update(data); }
   crypto::Sha256Digest finish() noexcept { return hash_.finish(); }
+  crypto::Sha256Digest finish(const crypto::HmacSha256& key) noexcept { return key.finish(hash_); }
 
  private:
-  crypto::Sha256 hash_ = crypto::merkle_leaf_hasher();
+  crypto::Sha256 hash_;
 };
 
 // A batch's leaf in its round tree: its leaf count travels with its root,
 // since an RFC 9162 path does not pin the size of the tree it climbs.
 crypto::Sha256Digest round_leaf(std::uint16_t leaf_count, const crypto::Sha256Digest& batch_root) {
-  LeafHasher leaf;
+  HashEncoder leaf;
   leaf.field(leaf_count, batch_root);
   return leaf.finish();
 }
@@ -53,7 +57,7 @@ std::optional<Bytes> round_payload(const NetworkId& home, std::uint16_t leaf_cou
 
 template <typename Bundle>
 crypto::Sha256Digest leaf_of(const Bundle& b) {
-  LeafHasher leaf;
+  HashEncoder leaf;
   wire::write_signed(leaf, b);
   return leaf.finish();
 }
@@ -131,22 +135,6 @@ SignedRound sign_batches(std::span<const RoundBatch> batches, const crypto::Ed25
   return signed_round;
 }
 
-// Feeds an HMAC the bytes a wire::Writer would hold.
-class MacEncoder : public wire::Encoder<MacEncoder> {
- public:
-  explicit MacEncoder(const crypto::HmacSha256& key) noexcept : key_(key), inner_(key.start()) {}
-  MacEncoder(const MacEncoder&) = delete;
-  MacEncoder& operator=(const MacEncoder&) = delete;
-  ~MacEncoder() { secure_wipe(&inner_, sizeof(inner_)); }
-
-  void raw(ByteView data) noexcept { inner_.update(data); }
-  crypto::Sha256Digest finish() noexcept { return key_.finish(inner_); }
-
- private:
-  const crypto::HmacSha256& key_;
-  crypto::Sha256 inner_;
-};
-
 }  // namespace
 
 // ---- AuthVectorBundle -------------------------------------------------------
@@ -212,10 +200,10 @@ bool RevokeSharesRequest::verify(const crypto::Ed25519PublicKey& home_key) const
 crypto::Sha256Digest store_tag(const crypto::HmacSha256& key, const NetworkId& backup,
                                const SecretBytes& suci_secret,
                                std::span<const SignedRound> rounds) {
-  MacEncoder mac(key);
+  HashEncoder mac(key.start());
   mac.field(backup, suci_secret);  // DAUTH_DISCLOSE(the secret is MACed, not sent: the tag is one-way)
   for (const SignedRound& round : rounds) mac.field(round);
-  return mac.finish();
+  return mac.finish(key);
 }
 
 std::optional<SignedRound> BundleBatch::signed_round(const NetworkId& home) const {
