@@ -147,9 +147,8 @@ class Writer : public Encoder<Writer> {
 
   void reserve(std::size_t size) { buffer_.reserve(size); }
 
-  /// Raw bytes, no length prefix (for fixed-size fields). Inline: every
-  /// field of every encode comes through here.
-  void raw(ByteView data) { append(buffer_, data); }
+  /// Raw bytes, no length prefix (for fixed-size fields).
+  void raw(ByteView data);
 
   const Bytes& data() const noexcept { return buffer_; }
   Bytes take() && noexcept { return std::move(buffer_); }
