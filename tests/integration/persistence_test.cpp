@@ -403,21 +403,30 @@ TEST(Persistence, ServedBytesArePinned) {
   EXPECT_EQ(to_hex(h.finish()), "2a42e3eca487a1ad2228b85c0fa0536888570bd203b0ca9788ce55b4358f4342");
 }
 
-/// Wraps the home's home.report handler so that each request payload is
-/// folded into `h`; `reports` counts them.
+/// Wraps the home's home.report handler so that each report's proofs are
+/// folded into `h`, in report order, each as its reporting backup, SUPI,
+/// serving network, H(XRES*) and RES*; `reports` counts them. A proof's
+/// timestamp and signature are left out: they move with the virtual time
+/// of the attach, so with the size of any message sent before it.
 void tap_reports(Federation& f, crypto::Sha256& h, std::size_t& reports) {
   auto inner = std::make_shared<sim::ServiceHandler>();
-  *inner = f.rpc.register_service(f.net(0).node(), "home.report",
-                                  [&h, &reports, inner](ByteView request, sim::Responder r) {
-                                    h.update(request);
-                                    ++reports;
-                                    (*inner)(request, std::move(r));
-                                  });
+  *inner = f.rpc.register_service(
+      f.net(0).node(), "home.report", [&h, &reports, inner](ByteView request, sim::Responder r) {
+        const auto report = wire::decode<core::ReportRequest>(request);
+        for (const core::UsageProof& proof : report.proofs) {
+          wire::Writer w;
+          w.field(report.backup_network, proof.supi, proof.serving_network, proof.hxres_star,
+                  proof.res_star);
+          h.update(std::move(w).take());
+        }
+        ++reports;
+        (*inner)(request, std::move(r));
+      });
 }
 
 TEST(Persistence, ReportBytesArePinned) {
-  // Every home.report request the backups send, byte for byte: the proofs
-  // each report lists and their order. An outage leaves proofs of Alice's
+  // Every proof the backups report, in report order: which backup reported
+  // it, and what it proves (see tap_reports). An outage leaves proofs of Alice's
   // and Bob's attaches pending at every backup; once the home is back but
   // cut off from the serving network, net-2's report is in flight on a slow
   // link while another attach releases a share there; net-2 (durable)
@@ -468,7 +477,7 @@ TEST(Persistence, ReportBytesArePinned) {
   }
   EXPECT_TRUE(f.net(0).home().anomalies().empty());
   EXPECT_EQ(reports, 4u);
-  EXPECT_EQ(to_hex(h.finish()), "1ac77523cb5cec8cc74276a8fab43500cb879c93b251aa2980bf522aa5553e3a");
+  EXPECT_EQ(to_hex(h.finish()), "38d05111a29466dc8f55935836a588a0e0845c26a0e16983f1eb9a50ad87f2c0");
 }
 
 TEST(Persistence, OverlappingAcksClearEachProofOnce) {
