@@ -138,14 +138,6 @@ BackupNetwork::BackupNetwork(sim::Rpc& rpc, sim::NodeIndex node, NetworkId id,
 
 void BackupNetwork::restore_from_store() {
   // Per-home metadata first (keys needed to serve immediately).
-  for (const auto& key : store_->keys_with_prefix("homekey/")) {
-    const NetworkId home(key.substr(8));
-    const auto value = store_->get(key);
-    if (value && value->size() == 32) {
-      homes_[home].home_key = take<32>(*value);
-      homes_[home].home_key_known = true;
-    }
-  }
   for (const auto& key : store_->keys_with_prefix("sucikey/")) {
     const NetworkId home(key.substr(8));
     const auto value = store_->get(key);
@@ -289,12 +281,11 @@ void BackupNetwork::handle_store(StoreMaterialRequest req,
       responder.fail(sim::AppErrorCode::kNotFound, "unknown home network");
       return;
     }
-    const crypto::Ed25519PublicKey home_key = home->signing_key;
     const crypto::X25519Point channel_key = home->channel_key;
     const Time cost = config_.costs.signature_verify * static_cast<Time>(batches.size());
     rpc_.network().node(node_).execute(cost, live([this, home_id, request = std::move(request),
-                                                   batches = std::move(batches), home_key,
-                                                   channel_key, responder]() mutable {
+                                                   batches = std::move(batches), channel_key,
+                                                   responder]() mutable {
       // The tag under this backup's push key with the home binds the SUCI
       // secret and every batch to this backup: each batch's rebuilt root,
       // through the round it implies, and the home's signature, which the
@@ -313,11 +304,6 @@ void BackupNetwork::handle_store(StoreMaterialRequest req,
       }
       metrics_.batches_verified += batches.size();
       HomeState& home_state = homes_[home_id];
-      home_state.home_key = home_key;
-      home_state.home_key_known = true;
-      if (store_ != nullptr) {
-        store_->put("homekey/" + home_id.str(), home_key);
-      }
       if (request.suci_secret.size() == 32) {
         home_state.suci_secret = take<32>(request.suci_secret);
         if (store_ != nullptr) {
@@ -647,44 +633,50 @@ void BackupNetwork::handle_get_share(UsageProof proof,
 void BackupNetwork::handle_revoke_shares(RevokeSharesRequest req,
                                          sim::TypedResponder<sim::Ack> responder) {
   // Only the home network itself may revoke its users' material: check the
-  // request signature against the home key learned at store time (an
-  // unauthenticated revoke would be a share-deletion denial of service).
-  const auto home_it = homes_.find(req.home_network);
-  if (home_it == homes_.end()) {
-    ++metrics_.rejected_requests;
-    responder.fail(sim::AppErrorCode::kNotFound, "unknown home network");
-    return;
-  }
-  if (!home_it->second.home_key_known || !req.verify(home_it->second.home_key)) {
-    ++metrics_.rejected_requests;
-    responder.fail(sim::AppErrorCode::kUnauthorized, "invalid revoke signature");
-    return;
-  }
-
-  const UserKey user{req.home_network, req.supi};
-  if (const auto user_it = users_.find(user); user_it != users_.end()) {
-    UserState& state = user_it->second;
-    std::vector<const HeldBatch*> touched;  // each written once, after every drop
-    const auto touch = [&](const HeldBatch* held) {
-      if (std::ranges::find(touched, held) == touched.end()) touched.push_back(held);
-    };
-    for (const auto& hxres : req.hxres_indices) {
-      if (const auto share = find_share(state, hxres)) {
-        share->first->release<ShareLeaf>(user, share->second);
-        touch(share->first);
-        ++metrics_.shares_revoked;
-      }
-      // Also drop a matching stored vector (flood-vector replacement path).
-      if (const HeldBatch* held = take_vector(user, state, hxres)) touch(held);
+  // tag under this backup's push key with the home (its channel key comes
+  // from the directory, cached by its first store) before dropping
+  // anything. An unauthenticated revoke would be a share-deletion denial of
+  // service. (Copy the id first, as handle_store does.)
+  const NetworkId home_id = req.home_network;
+  directory_.get_network(home_id, live([this, req = std::move(req), responder](
+                                           std::optional<directory::NetworkEntry> home) {
+    if (!home) {
+      ++metrics_.rejected_requests;
+      responder.fail(sim::AppErrorCode::kNotFound, "unknown home network");
+      return;
     }
-    for (const HeldBatch* held : touched) persist_batch(user, state, *held);
-  }
-  if (journal_ != nullptr && !req.hxres_indices.empty()) {
-    journal_->append(obs::EventKind::kRevocation, id_.str(), req.supi.str(),
-                     std::to_string(req.hxres_indices.size()) + " shares revoked by " +
-                         req.home_network.str());
-  }
-  responder.reply({});
+    const crypto::HmacSha256* push_key =
+        push_keys_.get(req.home_network.str(), id_.str(), home->channel_key);
+    if (!push_key || !ct_equal(revoke_tag(*push_key, id_, req), req.tag)) {
+      ++metrics_.rejected_requests;
+      responder.fail(sim::AppErrorCode::kUnauthorized, "invalid revoke tag");
+      return;
+    }
+    const UserKey user{req.home_network, req.supi};
+    if (const auto user_it = users_.find(user); user_it != users_.end()) {
+      UserState& state = user_it->second;
+      std::vector<const HeldBatch*> touched;  // each written once, after every drop
+      const auto touch = [&](const HeldBatch* held) {
+        if (std::ranges::find(touched, held) == touched.end()) touched.push_back(held);
+      };
+      for (const auto& hxres : req.hxres_indices) {
+        if (const auto share = find_share(state, hxres)) {
+          share->first->release<ShareLeaf>(user, share->second);
+          touch(share->first);
+          ++metrics_.shares_revoked;
+        }
+        // Also drop a matching stored vector (flood-vector replacement path).
+        if (const HeldBatch* held = take_vector(user, state, hxres)) touch(held);
+      }
+      for (const HeldBatch* held : touched) persist_batch(user, state, *held);
+    }
+    if (journal_ != nullptr && !req.hxres_indices.empty()) {
+      journal_->append(obs::EventKind::kRevocation, id_.str(), req.supi.str(),
+                       std::to_string(req.hxres_indices.size()) + " shares revoked by " +
+                           req.home_network.str());
+    }
+    responder.reply({});
+  }));
 }
 
 bool BackupNetwork::pend(const UserKey& user, const UsageProof& proof) {

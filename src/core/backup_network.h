@@ -138,11 +138,11 @@ struct ProofEntry {
 class BackupNetwork {
  public:
   /// `store` may be null (ephemeral); when set, all delegated material
-  /// (held batches, pending proofs, per-home keys) is persisted and
+  /// (held batches, pending proofs, each home's SUCI secret) is persisted and
   /// restored on construction — a restarted daemon picks up where it left
   /// off (§5.1: "It uses SQLite to store persistent state").
   /// `channel_secret` is the network's channel key (DauthNode), from which
-  /// the role derives its push key with each home (store_tag).
+  /// the role derives its push key with each home (store_tag, revoke_tag).
   BackupNetwork(sim::Rpc& rpc, sim::NodeIndex node, NetworkId id,
                 crypto::X25519Scalar channel_secret, directory::DirectoryClient& directory,
                 FederationConfig config, store::KvStore* store = nullptr);
@@ -234,8 +234,6 @@ class BackupNetwork {
   static_assert(sizeof(PendingProof) <= 104, "a pending proof outgrew its budget");
   struct HomeState {
     std::optional<crypto::X25519Scalar> suci_secret;
-    crypto::Ed25519PublicKey home_key{};
-    bool home_key_known = false;
     /// Proofs not yet acked, one per (H(XRES*), serving network), oldest
     /// first; the front's sequence number is `first_seq` and each later
     /// one's is one more. An ack pops the prefix its report listed.
@@ -328,7 +326,7 @@ class BackupNetwork {
   sim::Rpc& rpc_;
   sim::NodeIndex node_;
   NetworkId id_;
-  /// Keys of the store-push tags, one per home (crypto/pairwise.h).
+  /// Keys of the push tags, one per home (crypto/pairwise.h).
   crypto::PairwiseKeys push_keys_;
   directory::DirectoryClient& directory_;
   FederationConfig config_;

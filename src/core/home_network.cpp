@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <type_traits>
 
 #include "aka/sim_card.h"
 #include "crypto/sha256.h"
@@ -21,25 +20,19 @@ constexpr Time kPushBudget = sec(10);
 
 }  // namespace
 
-template <typename Request>
+template <typename Request, typename Tag>
 void HomeNetwork::push(const sim::Service<Request, sim::Ack>& service, const NetworkId& backup,
-                       Request request, std::vector<SignedRound> rounds,
-                       std::function<void(bool)> done) {
+                       Request request, Tag tag, std::function<void(bool)> done) {
   directory_.get_network(backup, [this, service, backup, request = std::move(request),
-                                  rounds = std::move(rounds),
+                                  tag = std::move(tag),
                                   done](std::optional<directory::NetworkEntry> entry) mutable {
-    if (!entry) {
+    const crypto::HmacSha256* key =
+        entry ? push_keys_.get(id_.str(), backup.str(), entry->channel_key) : nullptr;
+    if (!key) {
       if (done) done(false);
       return;
     }
-    if constexpr (std::is_same_v<Request, StoreMaterialRequest>) {
-      const crypto::HmacSha256* key = push_keys_.get(id_.str(), backup.str(), entry->channel_key);
-      if (!key) {
-        if (done) done(false);
-        return;
-      }
-      request.tag = store_tag(*key, backup, request.suci_secret, rounds);
-    }
+    request.tag = tag(*key, backup, request);
     sim::TypedStub(rpc_, node_, service)
         .call(static_cast<sim::NodeIndex>(entry->address), request,
               config_.resilience.call_options(kPushTimeout, kPushBudget),
@@ -140,15 +133,6 @@ HomeNetwork::GeneratedMaterial HomeNetwork::generate_material(const Supi& supi,
   return material;
 }
 
-std::vector<SignedRound> HomeNetwork::sign_each(GeneratedMaterial& material) {
-  std::vector<SignedRound> rounds;
-  rounds.reserve(1 + material.shares.size());
-  rounds.push_back(sign_single(material.vector, signing_key_));
-  for (KeyShareBundle& share : material.shares) rounds.push_back(sign_single(share, signing_key_));
-  metrics_.batches_signed += rounds.size();
-  return rounds;
-}
-
 void HomeNetwork::disseminate(const Supi& supi, std::function<void(std::size_t)> done) {
   if (!subscribers_.contains(supi)) {
     if (done) done(0);
@@ -208,22 +192,31 @@ void HomeNetwork::send_round(const Supi& supi, std::map<NetworkId, std::size_t> 
     }
     metrics_.vectors_disseminated += total_vectors;
     metrics_.shares_disseminated += total_vectors * backup_ids_.size();
-    // One signature per (user, round): each backup's request is one batch,
-    // and the home signs the root of the tree over the batch roots (§4.2.1).
-    const SignedRound round = sign_round(requests, signing_key_);
-    ++metrics_.batches_signed;
-
-    // Each request moves into its push, so no batch is held twice.
-    auto remaining = std::make_shared<std::size_t>(backup_ids_.size());
-    auto ok_count = std::make_shared<std::size_t>(0);
-    auto finish_one = [remaining, ok_count, done](bool ok) {
-      if (ok) ++*ok_count;
-      if (--*remaining == 0 && done) done(*ok_count);
-    };
-    for (std::size_t b = 0; b < backup_ids_.size(); ++b) {
-      push(kBackupStore, backup_ids_[b], std::move(requests[b]), {round}, finish_one);
-    }
+    push_round(std::move(requests), std::move(done));
   });
+}
+
+void HomeNetwork::push_round(std::vector<StoreMaterialRequest> requests,
+                             std::function<void(std::size_t)> done) {
+  // One signature per (user, round): each backup's request is one batch,
+  // and the home signs the root of the tree over the batch roots (§4.2.1).
+  const SignedRound round = sign_round(requests, signing_key_);
+  ++metrics_.batches_signed;
+  const auto tag = [round](const crypto::HmacSha256& key, const NetworkId& backup,
+                           const StoreMaterialRequest& request) {
+    return store_tag(key, backup, request.suci_secret, {&round, 1});
+  };
+
+  // Each request moves into its push, so no batch is held twice.
+  auto remaining = std::make_shared<std::size_t>(requests.size());
+  auto ok_count = std::make_shared<std::size_t>(0);
+  auto finish_one = [remaining, ok_count, done = std::move(done)](bool ok) {
+    if (ok) ++*ok_count;
+    if (--*remaining == 0 && done) done(*ok_count);
+  };
+  for (std::size_t b = 0; b < requests.size(); ++b) {
+    push(kBackupStore, backup_ids_[b], std::move(requests[b]), tag, finish_one);
+  }
 }
 
 AuthVectorBundle HomeNetwork::generate_local_vector(const Supi& supi,
@@ -426,9 +419,8 @@ void HomeNetwork::handle_report(ReportRequest report,
 }
 
 void HomeNetwork::send_revoke(const Supi& supi, std::vector<ByteArray<16>> hxres_indices) {
-  RevokeSharesRequest revoke{id_, supi, std::move(hxres_indices), {}};
-  revoke.home_signature = crypto::ed25519_sign(revoke.signed_payload(), signing_key_);
-  for (const NetworkId& backup : backup_ids_) push(kBackupRevokeShares, backup, revoke, {});
+  const RevokeSharesRequest revoke{id_, supi, std::move(hxres_indices), {}};
+  for (const NetworkId& backup : backup_ids_) push(kBackupRevokeShares, backup, revoke, revoke_tag);
 }
 
 std::optional<int> HomeNetwork::process_proof(const NetworkId& reporter,
@@ -484,7 +476,11 @@ void HomeNetwork::revoke_backup(const NetworkId& revoked, std::function<void()> 
   if (journal_ != nullptr) {
     journal_->append(obs::EventKind::kRevocation, id_.str(), revoked.str());
   }
-  backup_ids_.erase(std::find(backup_ids_.begin(), backup_ids_.end(), revoked));
+  // A network an earlier set_backups dropped is no longer in the set, but
+  // still has its slice, and its vectors are still out.
+  if (const auto member = std::ranges::find(backup_ids_, revoked); member != backup_ids_.end()) {
+    backup_ids_.erase(member);
+  }
   slice_map_.erase(revoked);  // slice retired; never handed to a new backup
 
   // Collect, per subscriber, every vector the revoked network held.
@@ -514,16 +510,16 @@ void HomeNetwork::revoke_backup(const NetworkId& revoked, std::function<void()> 
     if (!backup_ids_.empty() && backup_ids_.size() >= config_.threshold) {
       GeneratedMaterial material =
           generate_material(supi, subscriber, revoked_slice, /*flood=*/true);
-      const std::vector<SignedRound> rounds = sign_each(material);
       // All remaining backups can serve the flood vector.
       subscriber.outstanding[material.vector.hxres_star].holder = slice_of(backup_ids_.front());
+      // One round: backup b's batch is the flood vector and its share of it.
+      std::vector<StoreMaterialRequest> requests(backup_ids_.size());
       for (std::size_t b = 0; b < backup_ids_.size(); ++b) {
-        StoreMaterialRequest request;
-        request.home_network = id_;
-        request.vectors.push_back(material.vector);
-        request.shares.push_back(material.shares[b]);
-        push(kBackupStore, backup_ids_[b], std::move(request), {rounds.front(), rounds[1 + b]});
+        requests[b].home_network = id_;
+        requests[b].vectors.push_back(material.vector);
+        requests[b].shares.push_back(std::move(material.shares[b]));
       }
+      push_round(std::move(requests), nullptr);
     }
   }
 

@@ -7,7 +7,7 @@
 //   * pre-generate vector + key-share material, one SQN slice per backup
 //     network, and disseminate it (§4.2.1);
 //   * process usage reports from backups: per user, invalidate the consumed
-//     vectors' sibling key shares with one signed revoke and refill the
+//     vectors' sibling key shares with one tagged revoke and refill the
 //     consumed slots with one signed round, and cross-check for
 //     inconsistent reports (§4.2.3);
 //   * revoke a compromised backup (§4.3): supersede its SQN slice, flood a
@@ -162,22 +162,23 @@ class HomeNetwork {
   };
   GeneratedMaterial generate_material(const Supi& supi, Subscriber& subscriber, int slice,
                                       bool flood);
-  /// Signs every bundle of `material` as its own one-leaf round, and returns
-  /// the rounds: the vector's, then each share's. Used only for flood
-  /// vectors (§4.3), which must stay byte-identical at every backup.
-  std::vector<SignedRound> sign_each(GeneratedMaterial& material);
   /// The one round builder (§4.2.1, §4.2.3). Charges the dissemination
   /// cost of every vector in `counts` as one job; the job then generates
   /// `counts[backup]` vectors in each backup's slice, for the backup set as
-  /// it stands when the job runs, signs them as one round and pushes one
-  /// StoreMaterialRequest per backup. A queued round thus holds no
-  /// material, and a backup revoked while it waits is out of it.
-  /// `done(ok_count)` fires once every push completes or fails.
+  /// it stands when the job runs, and sends them with push_round. A queued
+  /// round thus holds no material, and a backup revoked while it waits is
+  /// out of it. `done(ok_count)` fires once every push completes or fails.
   void send_round(const Supi& supi, std::map<NetworkId, std::size_t> counts,
                   std::function<void(std::size_t)> done = nullptr);
-  /// The one revoke path (§4.2.3, §4.3): signs one RevokeSharesRequest of
-  /// `hxres_indices` for `supi` and pushes it to every backup in the set,
-  /// which drops its shares of those vectors and any copy of the vectors.
+  /// Signs `requests`, request b for backup b of the set, as one round, and
+  /// pushes each to its backup, tagged over the round. Dissemination,
+  /// refills and floods (§4.3) are all sent here. `done(ok_count)`, when
+  /// set, fires once every push completes or fails.
+  void push_round(std::vector<StoreMaterialRequest> requests,
+                  std::function<void(std::size_t)> done);
+  /// The one revoke path (§4.2.3, §4.3): pushes one RevokeSharesRequest of
+  /// `hxres_indices` for `supi` to every backup in the set, which drops its
+  /// shares of those vectors and any copy of the vectors.
   void send_revoke(const Supi& supi, std::vector<ByteArray<16>> hxres_indices);
 
   void handle_get_vector(GetVectorRequest request,
@@ -197,25 +198,22 @@ class HomeNetwork {
   void note_anomaly(std::string what);
   int slice_of(const NetworkId& backup) const;
   /// The one home -> backup send path: resolves `backup` in the directory,
-  /// then pushes `request` as an idempotent call retried under the
-  /// resilience policy. A store push is tagged for `backup` first
-  /// (store_tag, under the pair's push key), over `rounds`: the round each
-  /// of its batches was signed in, in order. A revoke carries its own
-  /// signature, and no rounds. `done(ok)`, when set, fires once; an
-  /// unresolvable backup, or one whose channel key gives no push key, is a
-  /// failed push.
-  template <typename Request>
+  /// sets the request's `tag` to `tag(key, backup, request)` under the
+  /// pair's push key (store_tag, revoke_tag), then pushes it as an
+  /// idempotent call retried under the resilience policy. `done(ok)`, when
+  /// set, fires once; an unresolvable backup, or one whose channel key
+  /// gives no push key, is a failed push.
+  template <typename Request, typename Tag>
   void push(const sim::Service<Request, sim::Ack>& service, const NetworkId& backup,
-            Request request, std::vector<SignedRound> rounds,
-            std::function<void(bool)> done = nullptr);
+            Request request, Tag tag, std::function<void(bool)> done = nullptr);
 
   sim::Rpc& rpc_;
   sim::NodeIndex node_;
   NetworkId id_;
   crypto::Ed25519KeyPair signing_key_;
   crypto::X25519KeyPair suci_key_;
-  /// Keys of the store-push tags, one per backup, from this network's
-  /// channel key and the backup's (crypto/pairwise.h).
+  /// Keys of the push tags, one per backup, from this network's channel
+  /// key and the backup's (crypto/pairwise.h).
   crypto::PairwiseKeys push_keys_;
   directory::DirectoryClient& directory_;
   FederationConfig config_;

@@ -170,10 +170,6 @@ SignedRound sign_single(AuthVectorBundle& bundle, const crypto::Ed25519KeyPair& 
   return sign_batch({&bundle, 1}, {}, key);
 }
 
-SignedRound sign_single(KeyShareBundle& bundle, const crypto::Ed25519KeyPair& key) {
-  return sign_batch({}, {&bundle, 1}, key);
-}
-
 SignedRound sign_round(std::span<StoreMaterialRequest> requests,
                        const crypto::Ed25519KeyPair& key) {
   if (requests.empty()) return {};
@@ -191,11 +187,7 @@ bool UsageProof::verify(const crypto::Ed25519PublicKey& serving_key) const {
   return crypto::ed25519_verify(signed_payload(), serving_signature, serving_key);
 }
 
-bool RevokeSharesRequest::verify(const crypto::Ed25519PublicKey& home_key) const {
-  return crypto::ed25519_verify(signed_payload(), home_signature, home_key);
-}
-
-// ---- Store requests -----------------------------------------------------------
+// ---- Push tags ----------------------------------------------------------------
 
 crypto::Sha256Digest store_tag(const crypto::HmacSha256& key, const NetworkId& backup,
                                const SecretBytes& suci_secret,
@@ -205,6 +197,16 @@ crypto::Sha256Digest store_tag(const crypto::HmacSha256& key, const NetworkId& b
   for (const SignedRound& round : rounds) mac.field(round);
   return mac.finish(key);
 }
+
+crypto::Sha256Digest revoke_tag(const crypto::HmacSha256& key, const NetworkId& backup,
+                                const RevokeSharesRequest& revoke) {
+  HashEncoder mac(key.start());
+  mac.field(backup);
+  wire::write_signed(mac, revoke);
+  return mac.finish(key);
+}
+
+// ---- Store requests -----------------------------------------------------------
 
 std::optional<SignedRound> BundleBatch::signed_round(const NetworkId& home) const {
   auto payload = round_payload(home, static_cast<std::uint16_t>(tree.leaf_count()), tree.root(),

@@ -13,16 +13,16 @@
 // (wire/writer.h): its encoding, its decoding and, for a signed message, the
 // domain-separated payload its signature covers all come from that list.
 //
-// The home network signs a user's dissemination, and a report's refill of
-// that user's consumed slots, as one round each. Each (user,
+// The home network signs a user's dissemination, a report's refill of
+// that user's consumed slots, and a revocation's flood (§4.3) as one round
+// each. Each (user,
 // backup) store request is a batch: a Merkle tree (crypto/merkle.h) over
 // its bundle payloads. One more tree over the batch roots gives the round
 // root, and one Ed25519 signature covers it. Each bundle carries that
 // signature and its BatchPath, so every bundle stays individually
 // verifiable and attributable to the home, and every bundle of a round
-// verifies against the same signed message. A lone bundle (home-online
-// vectors, resync, flood vectors) is a round of one batch of one leaf, with
-// an empty path.
+// verifies against the same signed message. A lone vector (home-online,
+// resync) is a round of one batch of one leaf, with an empty path.
 #pragma once
 
 #include <cstdint>
@@ -152,9 +152,8 @@ struct SignedRound {
 /// bundles.
 SignedRound sign_batch(std::span<AuthVectorBundle> vectors, std::span<KeyShareBundle> shares,
                        const crypto::Ed25519KeyPair& key);
-/// A lone bundle: a round of one batch of one leaf.
+/// A lone vector (home-online, resync): a round of one batch of one leaf.
 SignedRound sign_single(AuthVectorBundle& bundle, const crypto::Ed25519KeyPair& key);
-SignedRound sign_single(KeyShareBundle& bundle, const crypto::Ed25519KeyPair& key);
 
 /// Serving network's proof that the UE was present and answered correctly.
 struct UsageProof {
@@ -310,23 +309,29 @@ struct ReportRequest {
 };
 
 /// home -> backup (§4.3): delete key shares for the given H(XRES*) indices.
-/// Signed by the home network — an unauthenticated revoke would let any
-/// peer destroy a user's backup material (denial of service).
+/// Tagged by the home network for its recipient (revoke_tag): an
+/// unauthenticated revoke would let any peer destroy a user's backup
+/// material (denial of service).
 struct RevokeSharesRequest {
   NetworkId home_network;
   Supi supi;
   std::vector<ByteArray<16>> hxres_indices;
-  crypto::Ed25519Signature home_signature{};
+  /// revoke_tag under the (home, recipient) push key.
+  crypto::Sha256Digest tag{};
 
   static constexpr std::string_view kDomain = "revoke-shares-v1";
   template <typename F, typename Self>
   static void fields(F& f, Self& m) {
     f.field(m.home_network, m.supi, m.hxres_indices);
-    f.tail(m.home_signature);
+    f.tail(m.tag);
   }
-  Bytes signed_payload() const { return wire::signed_payload(*this); }
-  bool verify(const crypto::Ed25519PublicKey& home_key) const;
 };
+
+/// The tag of a revoke to `backup` under the pair's push key (kPushKeyLabel):
+/// an HMAC over the recipient's id, then every field above `tag`,
+/// domain-separated as wire::write_signed lays them out.
+crypto::Sha256Digest revoke_tag(const crypto::HmacSha256& key, const NetworkId& backup,
+                                const RevokeSharesRequest& revoke);
 
 // ---- Small service payloads -------------------------------------------------
 

@@ -280,7 +280,7 @@ TEST(BundleBatch, OneLeafBatchRoundTrip) {
   EXPECT_TRUE(decoded.verify(home.public_key));
 
   KeyShareBundle s = share_for("901550000000001", 9);
-  sign_single(s, home);
+  sign_batch({}, {&s, 1}, home);
   EXPECT_TRUE(wire::decode<KeyShareBundle>(wire::encode(s)).verify(home.public_key));
 }
 
@@ -472,22 +472,28 @@ TEST(SplitBatches, RoundRequestIsOneBatchWithItsRoundPath) {
   }
 }
 
-TEST(SplitBatches, FloodRequestIsOneLeafBatches) {
-  // A flood vector is signed alone (byte-identical at every backup), and so
-  // is the backup's share of it.
+TEST(SplitBatches, FloodRequestIsOneTwoLeafBatch) {
+  // A flood is one round over the remaining backups (§4.3): backup b's
+  // request is one two-leaf batch, the flood vector and its share b, at
+  // place b of the round, and every copy of the vector verifies against
+  // the one signature.
   const auto home = keys(7);
-  StoreMaterialRequest req;
-  req.home_network = NetworkId("home-net");
-  req.vectors.push_back(vector_for("901550000000001", 5));
-  req.shares.push_back(share_for("901550000000001", 5));
-  sign_single(req.vectors[0], home);
-  sign_single(req.shares[0], home);
-  const auto batches = split_batches(req);
-  ASSERT_TRUE(batches.has_value());
-  ASSERT_EQ(batches->size(), 2u);
-  EXPECT_EQ((*batches)[0].tree.leaf_count(), 1u);  // the share's batch starts at bundle 1
-  for (const BundleBatch& batch : *batches) {
-    EXPECT_TRUE(verify_root(batch, req.home_network, home.public_key));
+  std::vector<StoreMaterialRequest> round(3);
+  for (std::uint8_t b = 0; b < round.size(); ++b) {
+    round[b].home_network = NetworkId("home-net");
+    round[b].vectors.push_back(vector_for("901550000000001", 5));
+    round[b].shares.push_back(share_for("901550000000001", static_cast<std::uint8_t>(5 + b)));
+  }
+  sign_round(round, home);
+  for (std::size_t b = 0; b < round.size(); ++b) {
+    const auto batches = split_batches(round[b]);
+    ASSERT_TRUE(batches.has_value()) << b;
+    ASSERT_EQ(batches->size(), 1u);
+    EXPECT_EQ(batches->front().tree.leaf_count(), 2u);
+    EXPECT_EQ(batches->front().batch_index, b);
+    EXPECT_EQ(batches->front().batch_count, 3u);
+    EXPECT_TRUE(verify_root(batches->front(), round[b].home_network, home.public_key)) << b;
+    EXPECT_EQ(round[b].vectors[0].home_signature, round[0].vectors[0].home_signature);
   }
 }
 

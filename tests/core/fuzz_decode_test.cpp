@@ -217,7 +217,7 @@ TEST(FuzzDecode, RevokeRequestTruncations) {
   req.home_network = NetworkId("home");
   req.supi = Supi("315010000000001");
   req.hxres_indices.push_back(array_from_hex<16>("00000000000000000000000000000001"));
-  req.home_signature = crypto::ed25519_sign(req.signed_payload(), signer());
+  req.tag = revoke_tag(crypto::HmacSha256(ByteArray<32>{}), NetworkId("backup"), req);
   expect_all_truncations_throw(wire::encode(req),
                                [](ByteView d) { return wire::decode<RevokeSharesRequest>(d); });
 }

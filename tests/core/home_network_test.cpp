@@ -39,6 +39,33 @@ TEST(HomeNetwork, SliceAssignmentsStableAcrossReconfiguration) {
   EXPECT_THROW(home.set_backups(ids), std::length_error);
 }
 
+TEST(HomeNetwork, RevokingAFormerBackupKeepsTheCurrentSet) {
+  // A network an earlier set_backups dropped keeps its slice, and its
+  // vectors may still be out, so it can still be revoked (§4.3): its slice
+  // is retired. The current backup set, and the one published to the
+  // directory, stays as it is.
+  Federation f(5);
+  auto& home = f.net(0).home();
+  home.set_backups({f.net(1).id(), f.net(2).id(), f.net(3).id()});
+  home.set_backups({f.net(1).id(), f.net(3).id()});
+  const std::vector<NetworkId> current = {f.net(1).id(), f.net(3).id()};
+
+  bool done = false;
+  home.revoke_backup(f.net(2).id(), [&] { done = true; });
+  f.simulator.run();
+  ASSERT_TRUE(done);
+  EXPECT_EQ(home.metrics().revocations, 1u);
+  EXPECT_EQ(home.backups(), current);
+  const auto published = f.directory_server.backups(f.net(0).id());
+  ASSERT_TRUE(published.has_value());
+  EXPECT_EQ(published->backups, current);
+
+  // The slice is retired: a second revocation of it is a no-op.
+  home.revoke_backup(f.net(2).id());
+  f.simulator.run();
+  EXPECT_EQ(home.metrics().revocations, 1u);
+}
+
 TEST(HomeNetwork, DisseminationCountsMaterial) {
   Federation f(5);
   (void)f.provision(kAlice, 0, {1, 2, 3});

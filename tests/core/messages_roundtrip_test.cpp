@@ -166,7 +166,7 @@ RevokeSharesRequest random_revoke(Rng& rng) {
   r.supi = random_supi(rng);
   const std::size_t indices = rng.next_below(5);
   for (std::size_t i = 0; i < indices; ++i) r.hxres_indices.push_back(random_array<16>(rng));
-  r.home_signature = random_array<64>(rng);
+  r.tag = random_array<32>(rng);
   return r;
 }
 

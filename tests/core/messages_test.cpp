@@ -87,7 +87,7 @@ TEST(Messages, KeyShareBundleRoundTrip) {
   b.hxres_star = array_from_hex<16>("aa0102030405060708090a0b0c0d0eff");
   b.share.x = 3;
   b.share.y = Bytes(32, 0x5a);
-  sign_single(b, keys);
+  sign_batch({}, {&b, 1}, keys);
 
   const KeyShareBundle decoded = wire::decode<KeyShareBundle>(wire::encode(b));
   EXPECT_EQ(decoded.share.x, 3);
@@ -321,7 +321,7 @@ TEST(Messages, EveryEncodingIsPinned) {
   ShareReply share_reply{share, 17};
   ReportRequest report{NetworkId("backup-net"), {proof, proof}};
   RevokeSharesRequest revoke{home, supi, {pattern<16>(0x34), pattern<16>(0x35)},
-                             pattern<64>(0x83)};
+                             pattern<32>(0x83)};
   GutiResolveRequest guti_request{0xfedcba9876543210};
   GutiResolveReply guti_reply{supi, home};
   HandoverContextRequest handover_request{42, NetworkId("target-net"), pattern<64>(0x84)};
@@ -349,7 +349,7 @@ TEST(Messages, EveryEncodingIsPinned) {
       {"ShareReply", digest(wire::encode(share_reply))},
       {"ReportRequest", digest(wire::encode(report))},
       {"RevokeSharesRequest", digest(wire::encode(revoke))},
-      {"RevokeSharesRequest signed", digest(revoke.signed_payload())},
+      {"RevokeSharesRequest signed", digest(wire::signed_payload(revoke))},
       {"GutiResolveRequest", digest(wire::encode(guti_request))},
       {"GutiResolveReply", digest(wire::encode(guti_reply))},
       {"HandoverContextRequest", digest(wire::encode(handover_request))},
@@ -391,7 +391,7 @@ TEST(Messages, EveryEncodingIsPinned) {
       {"ReportRequest",
        "1daec5bbbc92209d51fed4729aac47ed6f9f226fc057574a125914e4530773d9"},
       {"RevokeSharesRequest",
-       "ee0f3357e51bb96ab6b4d41a8b0e14c3778b721a55a398a7928a4e1ee432b8cd"},
+       "6939c4d49035605a3450b8b4e254e71af15eae7cc78a18ae0b380d298aa7de54"},
       {"RevokeSharesRequest signed",
        "d4857a8fcc149154f9735b6f52d86995ebc7c5b8040d8906af79f49ebd0143f1"},
       {"GutiResolveRequest",

@@ -123,7 +123,7 @@ TEST(Adversarial, ForgedRevokeIsRejected) {
   const std::size_t shares_before = f.net(1).backup().stored_shares(f.net(0).id(), kAlice);
   ASSERT_GT(shares_before, 0u);
 
-  // net-4 (not Alice's home) tries to delete her material at net-2.
+  // net-5 (not Alice's home) tries to delete her material at net-2.
   core::RevokeSharesRequest forged;
   forged.home_network = f.net(0).id();  // impersonates the home
   forged.supi = kAlice;
@@ -132,8 +132,7 @@ TEST(Adversarial, ForgedRevokeIsRejected) {
     h[0] = static_cast<std::uint8_t>(key);
     forged.hxres_indices.push_back(h);
   }
-  forged.home_signature =
-      crypto::ed25519_sign(forged.signed_payload(), f.net(4).signing_keys());  // wrong key
+  f.tag_revoke(forged, 4, 1);  // under net-5's push key with net-2: the wrong key
 
   bool rejected = false;
   f.rpc.call(f.net(4).node(), f.net(1).node(), "backup.revoke_shares", wire::encode(forged), {},
@@ -767,10 +766,9 @@ TEST(Adversarial, HomeRefusesEveryRequestForAnUnknownSubscriber) {
 
 // ---- Requests from a home network the backup does not know ------------
 //
-// A store push whose home network the directory does not list, and a revoke
-// from a home network that never stored anything here: the backup cannot
-// check either signature, refuses both, counts each, and keeps what it
-// holds.
+// A store push or a revoke whose home network the directory does not list:
+// the backup has no channel key to check either tag under, refuses both,
+// counts each, and keeps what it holds.
 
 /// Sends `request` to net-2's `service` from net-5 and returns the result.
 template <typename Req>
@@ -823,9 +821,7 @@ TEST(Adversarial, BackupRefusesAStoreFromAnUnknownHome) {
 }
 
 TEST(Adversarial, BackupRefusesARevokeFromAnUnknownHome) {
-  core::FederationSpec spec = Federation::flat(5);
-  spec.networks[1].durable = true;
-  Federation f(std::move(spec));
+  Federation f(durable_net2());
   f.provision(kAlice, 0, {1, 2, 3});
   const std::uint64_t rejected = f.net(1).backup().metrics().rejected_requests;
   const auto held = held_at_net2(f);
@@ -840,13 +836,83 @@ TEST(Adversarial, BackupRefusesARevokeFromAnUnknownHome) {
     }
   }
   ASSERT_FALSE(revoke.hxres_indices.empty());
-  crypto::DeterministicDrbg rng("ghost home", 1);
-  revoke.home_signature =
-      crypto::ed25519_sign(revoke.signed_payload(), crypto::ed25519_generate(rng));
+  f.tag_revoke(revoke, 4, 1);  // a tag net-5 can make; no key of ghost-net's exists
 
   expect_unknown_home(send_to_net2(f, core::kBackupRevokeShares, revoke));
   EXPECT_EQ(f.net(1).backup().metrics().rejected_requests, rejected + 1);
   EXPECT_EQ(held_at_net2(f), held);
+}
+
+// ---- Revokes that reach the wrong backup, or changed ------------------------
+//
+// A home's revoke is tagged for one backup. Delivered to another backup of
+// the same home, or with its index list edited, it is refused by the
+// receiving backup, which keeps every share and batch record it held.
+
+/// The home's revoke of every share net-2 holds for Alice, untagged.
+core::RevokeSharesRequest revoke_of_net2_shares(Federation& f) {
+  core::RevokeSharesRequest revoke{f.net(0).id(), kAlice, {}, {}};
+  for (const core::BatchRecord& record : held_records(*f.stores[1])) {
+    for (const core::ShareLeaf& share : record.shares) {
+      revoke.hxres_indices.push_back(share.hxres_star);
+    }
+  }
+  if (revoke.hxres_indices.size() < 2) throw std::runtime_error("net-2 holds too few shares");
+  return revoke;
+}
+
+/// Every `batch/` entry of net-2's store.
+std::map<std::string, Bytes> net2_records(Federation& f) {
+  std::map<std::string, Bytes> records;
+  for (const auto& key : f.stores[1]->keys_with_prefix("batch/")) {
+    records[key] = f.stores[1]->get(key).value();
+  }
+  return records;
+}
+
+/// `revoke`, sent to net-2, is refused as unauthenticated and counted once,
+/// and net-2 keeps its shares and records.
+void expect_revoke_refused(Federation& f, const core::RevokeSharesRequest& revoke) {
+  const std::uint64_t rejected = f.net(1).backup().metrics().rejected_requests;
+  const auto held = held_at_net2(f);
+  const auto records = net2_records(f);
+  const sim::CallResult<sim::Ack> result = send_to_net2(f, core::kBackupRevokeShares, revoke);
+  ASSERT_FALSE(result.ok());
+  ASSERT_TRUE(result.app_error().has_value()) << result.error().message;
+  EXPECT_EQ(result.app_error()->code, sim::AppErrorCode::kUnauthorized);
+  EXPECT_EQ(result.app_error()->detail, "invalid revoke tag");
+  EXPECT_EQ(f.net(1).backup().metrics().rejected_requests, rejected + 1);
+  EXPECT_EQ(held_at_net2(f), held);
+  EXPECT_TRUE(net2_records(f) == records);
+}
+
+TEST(Adversarial, BackupRefusesARevokeAddressedToAnotherBackup) {
+  // The home's revoke for net-3 names shares net-2 holds too: delivered to
+  // net-2, it would delete them there as well.
+  Federation f(durable_net2());
+  f.provision(kAlice, 0, {1, 2, 3});
+  core::RevokeSharesRequest revoke = revoke_of_net2_shares(f);
+  f.tag_revoke(revoke, 0, 2);
+  expect_revoke_refused(f, revoke);
+}
+
+TEST(Adversarial, BackupRefusesARevokeWithAnEditedIndexList) {
+  // The home's revoke for net-2 of some of its shares, with one more index
+  // added on the way. Unedited, the same revoke is honoured.
+  Federation f(durable_net2());
+  f.provision(kAlice, 0, {1, 2, 3});
+  core::RevokeSharesRequest revoke = revoke_of_net2_shares(f);
+  const ByteArray<16> added = revoke.hxres_indices.back();
+  revoke.hxres_indices.pop_back();
+  f.tag_revoke(revoke, 0, 1);
+  core::RevokeSharesRequest edited = revoke;
+  edited.hxres_indices.push_back(added);
+  expect_revoke_refused(f, edited);
+
+  const std::size_t shares = f.net(1).backup().stored_shares(f.net(0).id(), kAlice);
+  ASSERT_TRUE(send_to_net2(f, core::kBackupRevokeShares, revoke).ok());
+  EXPECT_EQ(f.net(1).backup().stored_shares(f.net(0).id(), kAlice),
+            shares - revoke.hxres_indices.size());
 }
 
 // ---- Store pushes that reach the wrong backup, or changed -------------------

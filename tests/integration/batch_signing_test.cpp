@@ -543,7 +543,8 @@ TEST(BatchSigning, ServedBundlesAreTheSignedBytes) {
   }
   const auto alice_keys = f.provision(kAlice, 0, {1, 2, 3});
   const auto bob_keys = f.provision(kBob, 0, {1, 2, 3});
-  // Revoking net-3 floods each user one lone vector and its lone shares.
+  // Revoking net-3 floods each user one round: a vector and its share at
+  // each backup left.
   bool revoked = false;
   f.net(0).home().revoke_backup(f.net(2).id(), [&] { revoked = true; });
   f.simulator.run();
@@ -639,7 +640,7 @@ TEST(BatchSigning, BatchRecordIsErasedWithItsLastBundle) {
       revoke.hxres_indices.push_back(share.hxres_star);
     }
   }
-  revoke.home_signature = crypto::ed25519_sign(revoke.signed_payload(), f.net(0).signing_keys());
+  f.tag_revoke(revoke, 0, 1);
   f.rpc.call(f.net(0).node(), f.net(1).node(), "backup.revoke_shares", wire::encode(revoke), {},
              nullptr, nullptr);
   f.simulator.run();
@@ -760,7 +761,7 @@ TEST(BatchSigning, ReportRefillsEachUserWithOneRevokeAndOneRound) {
       revoke.hxres_indices.push_back(share.hxres_star);
     }
   }
-  revoke.home_signature = crypto::ed25519_sign(revoke.signed_payload(), f.net(0).signing_keys());
+  f.tag_revoke(revoke, 0, 1);
   f.rpc.call(f.net(0).node(), f.net(1).node(), "backup.revoke_shares", wire::encode(revoke), {},
              nullptr, nullptr);
   f.simulator.run();
@@ -776,7 +777,7 @@ TEST(BatchSigning, ReportRefillsEachUserWithOneRevokeAndOneRound) {
 TEST(BatchSigning, DisseminatedBytesArePinned) {
   // Every backup.store payload the home sends in a fixed-seed federation of
   // two users over four backups: the first rounds, the refill rounds of one
-  // report per backup, and the lone flood bundles of a revocation. Each
+  // report per backup, and the flood rounds of a revocation. Each
   // backup role runs on a node of its own behind a relay on its network's
   // node, which hashes each store request with its destination. The digest
   // changes with any disseminated byte (a vector, a share, a signature, a
@@ -832,12 +833,12 @@ TEST(BatchSigning, DisseminatedBytesArePinned) {
   ASSERT_TRUE(revoked);
 
   // Two first rounds and at least one refill round to each of four backups,
-  // then the flood bundles to the three left.
+  // then the flood rounds to the three left.
   EXPECT_GE(sent.size(), 2u * 4 + 4 + 3);
   std::sort(sent.begin(), sent.end());
   crypto::Sha256 all;
   for (const auto& digest : sent) all.update(digest);
-  EXPECT_EQ(to_hex(all.finish()), "bd7b53cb2435d834569751a06bdc8a3a7096ec85541653f5ee6f6ffd239071d2")
+  EXPECT_EQ(to_hex(all.finish()), "868c3ebca74bc896515ef735af0866735364ee986c4d6a66c486e444431194be")
       << sent.size() << " store requests";
 }
 

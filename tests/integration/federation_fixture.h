@@ -103,10 +103,21 @@ struct Federation : core::FederationWorld {
   /// makes it.
   void tag_push(core::StoreMaterialRequest& push, std::size_t home, std::size_t backup,
                 std::span<const core::SignedRound> rounds) {
-    const auto key = crypto::derive_pairwise_key(
-        net(home).channel_keys().secret, net(backup).channel_keys().public_key,
-        core::kPushKeyLabel, net(home).id().str(), net(backup).id().str());
-    push.tag = core::store_tag(key.value(), net(backup).id(), push.suci_secret, rounds);
+    push.tag = core::store_tag(push_key(home, backup), net(backup).id(), push.suci_secret, rounds);
+  }
+
+  /// Tags `revoke` as nets[home]'s revoke to nets[backup]: revoke_tag under
+  /// their push key, as HomeNetwork::push makes it.
+  void tag_revoke(core::RevokeSharesRequest& revoke, std::size_t home, std::size_t backup) {
+    revoke.tag = core::revoke_tag(push_key(home, backup), net(backup).id(), revoke);
+  }
+
+  /// The push key of nets[home] to nets[backup] (crypto/pairwise.h).
+  crypto::HmacSha256 push_key(std::size_t home, std::size_t backup) {
+    return crypto::derive_pairwise_key(net(home).channel_keys().secret,
+                                       net(backup).channel_keys().public_key, core::kPushKeyLabel,
+                                       net(home).id().str(), net(backup).id().str())
+        .value();
   }
 
   using FederationWorld::make_ue;

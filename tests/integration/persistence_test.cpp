@@ -9,6 +9,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <unistd.h>
 #include <vector>
@@ -282,7 +283,7 @@ TEST(Persistence, HeldBatchRecordsArePinned) {
     while (f.net(1).backup().stored_vectors(home, supi) > 0) pull(supi);
   }
   hash_records(h, *f.stores[1]);
-  EXPECT_EQ(to_hex(h.finish()), "3739b3affb82e0ec3ee59d81606cc6b35324db2bc52ad9c4d153c5e93acd876d");
+  EXPECT_EQ(to_hex(h.finish()), "d56b41e76d11aab2934c9c31d206cfd83f482ac52f27880b75aece37c70e5eb1");
 }
 
 TEST(Persistence, RestartKeepsTheServeOrder) {
@@ -400,7 +401,7 @@ TEST(Persistence, ServedBytesArePinned) {
     while (f.net(1).backup().stored_vectors(home, supi) > 0) pull_vector(f, 1, supi);
   }
   EXPECT_EQ(replies, 33u);
-  EXPECT_EQ(to_hex(h.finish()), "2a42e3eca487a1ad2228b85c0fa0536888570bd203b0ca9788ce55b4358f4342");
+  EXPECT_EQ(to_hex(h.finish()), "3fd89fe5671e8238114b3790a39ee9591664ab5fb0b6e0cf9e11f4fc828d9882");
 }
 
 /// Wraps the home's home.report handler so that each report's proofs are
@@ -839,6 +840,62 @@ TEST(Persistence, RedeliveredStoreHoldsEachBundleOnce) {
   while (f.net(1).backup().stored_vectors(home, kAlice) > 0) {
     EXPECT_TRUE(served.insert(pull_vector(f, 1, kAlice).sqn).second);
   }
+}
+
+TEST(Persistence, RestartedBackupHonoursItsHomesRevoke) {
+  // A backup keeps no key of its home's: it checks a revoke's tag under the
+  // push key it derives from the home's channel key in the directory. After
+  // a restart, with nothing of the home's but its SUCI secret restored, the
+  // home's revoke still applies and a forged one is still refused.
+  Federation f(durable_net2());
+  f.provision(kAlice, 0, {1, 2, 3});
+  const NetworkId& home = f.net(0).id();
+  f.net(1).restart_backup();
+  EXPECT_TRUE(f.stores[1]->keys_with_prefix("homekey/").empty());
+
+  core::RevokeSharesRequest revoke{home, kAlice, {}, {}};
+  for (const core::BatchRecord& record : held_records(*f.stores[1])) {
+    for (const core::ShareLeaf& share : record.shares) {
+      revoke.hxres_indices.push_back(share.hxres_star);
+    }
+  }
+  ASSERT_FALSE(revoke.hxres_indices.empty());
+  const auto send = [&](const core::RevokeSharesRequest& request) {
+    std::optional<sim::CallResult<sim::Ack>> result;
+    sim::TypedStub(f.rpc, f.net(0).node(), core::kBackupRevokeShares)
+        .call(f.net(1).node(), request, sim::RpcOptions::oneshot(),
+              [&](sim::CallResult<sim::Ack> r) { result = std::move(r); });
+    f.simulator.run();
+    if (!result) throw std::runtime_error("revoke never ended");
+    return std::move(*result);
+  };
+  const auto records = [&] {
+    std::map<std::string, Bytes> out;
+    for (const auto& key : f.stores[1]->keys_with_prefix("batch/")) {
+      out[key] = f.stores[1]->get(key).value();
+    }
+    return out;
+  };
+
+  // net-5's tag, not the home's.
+  core::RevokeSharesRequest forged = revoke;
+  f.tag_revoke(forged, 4, 1);
+  const std::uint64_t rejected = f.net(1).backup().metrics().rejected_requests;
+  const std::size_t shares = f.net(1).backup().stored_shares(home, kAlice);
+  const auto held = records();
+  const auto refused = send(forged);
+  ASSERT_FALSE(refused.ok());
+  ASSERT_TRUE(refused.app_error().has_value()) << refused.error().message;
+  EXPECT_EQ(refused.app_error()->code, sim::AppErrorCode::kUnauthorized);
+  EXPECT_EQ(refused.app_error()->detail, "invalid revoke tag");
+  EXPECT_EQ(f.net(1).backup().metrics().rejected_requests, rejected + 1);
+  EXPECT_EQ(f.net(1).backup().stored_shares(home, kAlice), shares);
+  EXPECT_TRUE(records() == held);
+
+  f.tag_revoke(revoke, 0, 1);
+  ASSERT_TRUE(send(revoke).ok());
+  EXPECT_EQ(f.net(1).backup().stored_shares(home, kAlice), 0u);
+  EXPECT_EQ(f.net(1).backup().metrics().rejected_requests, rejected + 1);
 }
 
 TEST(Persistence, SuciKeySurvivesRestart) {

@@ -117,7 +117,7 @@ class Registrations {
     core::sign_round({&store, 1}, home_key);
 
     core::RevokeSharesRequest revoke{home_id, kBob, {}, {}};
-    revoke.home_signature = crypto::ed25519_sign(revoke.signed_payload(), home_key);
+    f.tag_revoke(revoke, 0, 1);
 
     core::HandoverContextRequest context{42, f.net(4).id(), {}};
     context.signature = crypto::ed25519_sign(context.signed_payload(), f.net(4).signing_keys());

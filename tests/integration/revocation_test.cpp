@@ -130,6 +130,47 @@ TEST(Revocation, SimRejectsRevokedVectorAfterFloodConsumption) {
   (void)usim;
 }
 
+TEST(Revocation, EachFloodIsOneSignedRound) {
+  // §4.3: a subscriber's flood is one round. The home signs it once, and
+  // each remaining backup's batch is the flood vector and its own share of
+  // it: two leaves, at the backup's place in the round.
+  const Supi bob("901550000000002");
+  core::FederationSpec spec = Federation::flat(6);
+  for (std::size_t b : {2u, 3u, 4u}) spec.networks[b].durable = true;
+  Federation f(spec);
+  const NetworkId& home = f.net(0).id();
+  (void)f.provision(kAlice, 0, {1, 2, 3, 4});
+  (void)f.provision(bob, 0, {1, 2, 3, 4});
+  const std::uint64_t signed_before = f.net(0).home().metrics().batches_signed;
+
+  bool done = false;
+  f.net(0).home().revoke_backup(f.net(1).id(), [&] { done = true; });
+  f.simulator.run();
+  ASSERT_TRUE(done);
+  EXPECT_EQ(f.net(0).home().metrics().batches_signed, signed_before + 2);  // not 2 * (1 + 3)
+
+  for (const Supi& supi : {kAlice, bob}) {
+    std::set<std::uint16_t> places;  // each backup's batch index in the round
+    std::set<std::string> signatures;
+    for (std::size_t b : {2u, 3u, 4u}) {
+      std::size_t floods = 0;
+      for (const core::BatchRecord& record : held_records(*f.stores[b])) {
+        if (record.supi != supi || record.vectors.empty() || !record.vectors[0].flood) continue;
+        ++floods;
+        EXPECT_EQ(record.vectors.size(), 1u) << "net-" << b + 1;
+        EXPECT_EQ(record.shares.size(), 1u) << "net-" << b + 1;
+        EXPECT_EQ(record.batch_count, 3u) << "net-" << b + 1;
+        places.insert(record.batch_index);
+        signatures.insert(to_hex(record.signature));
+      }
+      EXPECT_EQ(floods, 1u) << "net-" << b + 1;
+      EXPECT_EQ(f.net(b).backup().stored_vectors(home, supi), f.config.vectors_per_backup + 1);
+    }
+    EXPECT_EQ(places, (std::set<std::uint16_t>{0, 1, 2}));
+    EXPECT_EQ(signatures.size(), 1u);
+  }
+}
+
 TEST(Revocation, UnknownBackupIsNoop) {
   Federation f(4);
   (void)f.provision(kAlice, 0, {1, 2});

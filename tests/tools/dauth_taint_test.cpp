@@ -935,8 +935,7 @@ std::vector<HandlerContract> shipped_contract(std::string_view service) {
   return table;
 }
 
-// backup.store: one batch root signature must be verified over every
-// received bundle before any material is kept.
+// backup.store: the push's tag must check before any material is kept.
 
 const char* kStoreRegistration =
     "void BackupNetwork::bind_services() {\n"
@@ -971,6 +970,44 @@ TEST(ContractClean, StoreAfterTagCheckPasses) {
                          "  store_->put(\"batch/\", leaves);\n"
                          "}\n",
                      contracts_only(shipped_contract("backup.store")));
+  EXPECT_TRUE(a.findings.empty());
+}
+
+// backup.revoke_shares: the revoke's tag must check before any share is
+// dropped.
+
+const char* kRevokeRegistration =
+    "void BackupNetwork::bind_services() {\n"
+    "  rpc_.register_service(node_, \"backup.revoke_shares\", [this](ByteView q, sim::Responder r) {\n"
+    "    handle_revoke_shares(q, r);\n"
+    "  });\n"
+    "}\n";
+
+TEST(ContractH3, RevokeBeforeTagCheckIsFlagged) {
+  const auto a = run(std::string(kRevokeRegistration) +
+                         "void BackupNetwork::handle_revoke_shares(ByteView q, sim::Responder r) {\n"
+                         "  share->first->release<ShareLeaf>(user, share->second);\n"
+                         "  if (!ct_equal(revoke_tag(*k, id_, req), req.tag)) {\n"
+                         "    r.fail(); return;\n"
+                         "  }\n"
+                         "}\n",
+                     contracts_only(shipped_contract("backup.revoke_shares")));
+  ASSERT_EQ(count_rule(a, "H3"), 1);
+  EXPECT_NE(a.findings[0].message.find("revoke tag checked under the (home, backup) push key"),
+            std::string::npos);
+}
+
+TEST(ContractClean, RevokeAfterTagCheckPasses) {
+  const auto a = run(std::string(kRevokeRegistration) +
+                         "void BackupNetwork::handle_revoke_shares(ByteView q, sim::Responder r) {\n"
+                         "  if (!ct_equal(revoke_tag(*k, id_, req), req.tag)) {\n"
+                         "    r.fail(); return;\n"
+                         "  }\n"
+                         "  share->first->release<ShareLeaf>(user, share->second);\n"
+                         "  if (const HeldBatch* held = take_vector(user, state, hxres)) touch(held);\n"
+                         "  persist_batch(user, state, *held);\n"
+                         "}\n",
+                     contracts_only(shipped_contract("backup.revoke_shares")));
   EXPECT_TRUE(a.findings.empty());
 }
 

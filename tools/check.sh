@@ -127,6 +127,25 @@ if [[ "$DECODE_FOUND" != "$DECODE_ALLOWED" ]]; then
   exit 1
 fi
 
+# The Ed25519 verifies in src/core/: "file calls reason", one file a line.
+# What only its recipient checks (a home's store push or revoke) carries a
+# MAC under the pair's push key (crypto/pairwise.h), so a backup verifies a
+# signature only where a third party signed: the usage proof.
+VERIFY_SITES="\
+src/core/backup_network.cpp 1 the serving network's usage proof, before a share is released (ROADMAP item 8)
+src/core/home_network.cpp 1 the serving network's usage proof, before K_seaf is released
+src/core/messages.cpp 2 a bundle's home signature over its round; a usage proof's serving signature
+src/core/serving_network.cpp 1 every home signature a serving network checks, through its verify memo"
+VERIFY_FOUND="$(grep -rnE '(ed25519_verify|(\.|->)verify)\(' src/core --include='*.h' --include='*.cpp' \
+  | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' \
+  | cut -d: -f1 | sort | uniq -c | awk '{print $2, $1}' | sort)"
+VERIFY_ALLOWED="$(awk '{print $1, $2}' <<< "$VERIFY_SITES" | sort)"
+if [[ "$VERIFY_FOUND" != "$VERIFY_ALLOWED" ]]; then
+  echo "Ed25519 verify added or removed in src/core/: a check only the recipient makes takes a push tag" >&2
+  diff <(echo "$VERIFY_ALLOWED") <(echo "$VERIFY_FOUND") >&2 || true
+  exit 1
+fi
+
 # The federations built by hand, outside core::FederationSpec: "file sites
 # reason", one file a line. A DauthNode constructed or a DirectoryServer
 # declared anywhere else in tests/, bench/, examples/, tools/ or fedbench/

@@ -1852,10 +1852,12 @@ std::vector<HandlerContract> default_contracts() {
        "the serving network's signature on the usage proof (§4.2.2)"},
       {"backup.revoke_shares",
        "BackupNetwork::handle_revoke_shares",
-       {"verify"},
+       {"ct_equal"},
        {"release", "take_vector", "persist_batch"},
-       "an unauthenticated revoke would be a share-deletion denial of service "
-       "(§4.3): the home network's signature is required"},
+       "revoke tag checked under the (home, backup) push key, over the revoke "
+       "and this backup's id: an unauthenticated revoke would be a share-deletion "
+       "denial of service, and only the home, in a revoke made for this backup, "
+       "may delete its users' shares (§4.3)"},
       {"home.get_vector",
        "HomeNetwork::handle_get_vector",
        {},
