@@ -121,33 +121,31 @@ void BM_SuciDeconceal(benchmark::State& state) {
 BENCHMARK(BM_SuciDeconceal);
 
 /// The home-side dissemination work for ONE vector with N backups: vector
-/// generation + Shamir split + the N+1 batch leaf hashes. The batch
-/// signature is paid once per (user, backup) batch (BM_BundleSign).
+/// generation + Shamir split into the share leaves + the N+1 batch leaf
+/// hashes. The round signature is paid once per (user, round) (BM_SignRound).
 void BM_DisseminateOneVector(benchmark::State& state) {
   crypto::DeterministicDrbg rng("proto-bench", 9);
   const auto keys = bench_keys();
   const auto n_backups = static_cast<std::size_t>(state.range(0));
+  const NetworkId home("home-net");
+  const Supi supi("315010000000001");
+  std::vector<ShareLeaf> shares(n_backups);
+  std::vector<MutableByteView> ordinates;
+  for (ShareLeaf& share : shares) ordinates.push_back(share.y.mutable_view());
   std::uint64_t sqn = 32;
   for (auto _ : state) {
-    const auto v = aka::generate_auth_vector(keys, sqn, rng.array<16>(), kSnn);
+    VectorLeaf vector{0, sqn, rng.array<16>(), {}, {}, false};
+    const auto v = aka::generate_auth_vector(keys, sqn, vector.rand, kSnn);
     sqn += 32;
-    AuthVectorBundle bundle;
-    bundle.home_network = NetworkId("home-net");
-    bundle.supi = Supi("315010000000001");
-    bundle.sqn = v.sqn;
-    bundle.rand = v.rand;
-    bundle.autn = v.autn;
-    bundle.hxres_star = hxres_index(v.xres_star);
-    benchmark::DoNotOptimize(bundle.leaf_hash());
+    vector.autn = v.autn;
+    vector.hxres_star = hxres_index(v.xres_star);
+    benchmark::DoNotOptimize(leaf_hash(home, supi, vector));
 
-    const auto shares = crypto::shamir_split(ByteView(v.k_seaf), 4, n_backups, rng);
-    for (const auto& share : shares) {
-      KeyShareBundle ks;
-      ks.home_network = bundle.home_network;
-      ks.supi = bundle.supi;
-      ks.hxres_star = bundle.hxres_star;
-      ks.share = share;
-      benchmark::DoNotOptimize(ks.leaf_hash());
+    crypto::shamir_split(ByteView(v.k_seaf), 4, ordinates, rng);
+    for (std::size_t s = 0; s < n_backups; ++s) {
+      shares[s].hxres_star = vector.hxres_star;
+      shares[s].x = static_cast<std::uint8_t>(s + 1);
+      benchmark::DoNotOptimize(leaf_hash(home, supi, shares[s]));
     }
   }
 }
@@ -164,24 +162,17 @@ std::vector<StoreMaterialRequest> unsigned_round(std::size_t batches, std::uint6
   std::vector<StoreMaterialRequest> round(batches);
   for (StoreMaterialRequest& request : round) {
     request.home_network = home;
+    StoreBatch& batch = request.batches.emplace_back();
+    batch.supi = supi;
     for (std::uint64_t v = 0; v < vectors; ++v) {
-      AuthVectorBundle bundle;
-      bundle.home_network = request.home_network;
-      bundle.supi = supi;
-      bundle.sqn = 32 * v;
-      bundle.rand = rng.array<16>();
-      bundle.autn = rng.array<16>();
-      bundle.hxres_star = rng.array<16>();
-      request.vectors.push_back(bundle);
+      batch.vectors.push_back(
+          {0, 32 * v, rng.array<16>(), rng.array<16>(), rng.array<16>(), false});
     }
     for (std::size_t s = 0; s < vectors * batches; ++s) {
-      KeyShareBundle share;
-      share.home_network = request.home_network;
-      share.supi = supi;
+      ShareLeaf& share = batch.shares.emplace_back();
       share.hxres_star = rng.array<16>();
-      share.share.x = 1;
-      share.share.y = rng.bytes(32);
-      request.shares.push_back(share);
+      share.x = 1;
+      share.y = rng.array<32>();
     }
   }
   return round;
@@ -195,7 +186,7 @@ void BM_SignRound(benchmark::State& state) {
   auto round = unsigned_round(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
     sign_round(round, signer);
-    benchmark::DoNotOptimize(round.front().vectors.front().home_signature);
+    benchmark::DoNotOptimize(round.front().batches.front().signature);
   }
 }
 BENCHMARK(BM_SignRound)->Arg(8);
@@ -218,15 +209,24 @@ void BM_StoreRequestCodec(benchmark::State& state) {
 }
 BENCHMARK(BM_StoreRequestCodec)->Arg(8);
 
-/// The backup's rebuild of a stored request's batch tree: one leaf hash per
-/// bundle, then the tree.
-void BM_SplitBatches(benchmark::State& state) {
-  const StoreMaterialRequest request = signed_request(static_cast<std::size_t>(state.range(0)));
+/// The backup's store-time work for one push of an 8-batch round, but for
+/// holding it: decode the frame, check its layout, its tag and build the
+/// batch's tree from the pushed nodes. No leaf is hashed.
+void BM_StorePush(benchmark::State& state) {
+  const crypto::HmacSha256 push_key(ByteView(crypto::sha256(as_bytes("proto-bench push key"))));
+  const NetworkId backup("backup-net");
+  StoreMaterialRequest request = signed_request(static_cast<std::size_t>(state.range(0)));
+  request.suci_secret = Bytes(32, 0x55);
+  request.tag = store_tag(push_key, backup, request);
+  const Bytes frame = wire::encode(request);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(split_batches(request));
+    const auto push = wire::decode<StoreMaterialRequest>(frame);
+    bool ok = well_formed(push) && ct_equal(store_tag(push_key, backup, push), push.tag);
+    for (const StoreBatch& batch : push.batches) ok = ok && batch_tree(batch).has_value();
+    if (!ok) state.SkipWithError("push refused");
   }
 }
-BENCHMARK(BM_SplitBatches)->Arg(8);
+BENCHMARK(BM_StorePush)->Arg(8);
 
 /// The serving network's check of a served vector from an 8 x 144-leaf
 /// round (8 in-batch plus 3 round siblings): the path recompute, then the
@@ -237,19 +237,17 @@ void BM_CheckServedBundle(benchmark::State& state, bool hit) {
   const auto signer = crypto::ed25519_generate(rng);
   auto round = unsigned_round(8);
   sign_round(round, signer);
-  const StoreMaterialRequest& batch = round[3];
+  const StoreMaterialRequest& push = round[3];
+  const StoreBatch& batch = push.batches[0];
   std::vector<crypto::Sha256Digest> leaves;
-  const auto add_leaf = [&](const auto& b) {
-    leaves.push_back(b.leaf_hash());
-  };
-  for (const auto& v : batch.vectors) add_leaf(v);
-  for (const auto& s : batch.shares) add_leaf(s);
-  AuthVectorBundle served = batch.vectors[5];
-  auto& path = served.batch.siblings;
+  for (const auto& v : batch.vectors) leaves.push_back(leaf_hash(push.home_network, batch.supi, v));
+  for (const auto& s : batch.shares) leaves.push_back(leaf_hash(push.home_network, batch.supi, s));
+  AuthVectorBundle served = bundle_of(push.home_network, batch.supi, batch.vectors[5]);
   const crypto::MerkleTree tree(leaves);
   const crypto::MerkleGroup group = tree.group(5);
-  path = tree.path(5, std::span(leaves).subspan(group.first, group.size));
-  path.insert(path.end(), batch.round.begin(), batch.round.end());
+  served.batch = batch_position(tree, 5, batch.batch_index, batch.batch_count, batch.round,
+                                std::span(leaves).subspan(group.first, group.size));
+  served.home_signature = batch.signature;
 
   crypto::VerifyCache cache(hit ? crypto::VerifyCache::kDefaultEntries : 0);
   if (hit) cache.verify(*served.batch_payload(), served.home_signature, signer.public_key);
@@ -395,9 +393,9 @@ void BM_BackupServeShare(benchmark::State& state) {
 BENCHMARK(BM_BackupServeShare)->Arg(144);
 
 /// One backup.store push, handled: net-2, which has no store and has its
-/// home's entry and push key cached already, rebuilds the batch's tree from
-/// its bundles, checks the push's tag over the round it implies, and holds
-/// the batch. The batch has `leaves` leaves, as net-2's batch of an
+/// home's entry and push key cached already, checks the push's layout and
+/// tag, builds the batch's tree from the pushed nodes, and holds the
+/// batch. The batch has `leaves` leaves, as net-2's batch of an
 /// 8-backup round: a ninth of them vectors, the rest shares (36 for 4
 /// vectors per backup, 144 for 16). Each iteration pushes another user's.
 void BM_BackupStore(benchmark::State& state) {
@@ -413,10 +411,10 @@ void BM_BackupStore(benchmark::State& state) {
   for (std::int64_t p = 0; p < state.max_iterations; ++p) {
     auto round = unsigned_round(HeldBatches::kBackups, vectors, home.id(),
                                 Supi("31502000000" + std::to_string(1000 + p)));
-    const SignedRound signed_round = sign_round(round, home.signing_keys());
+    sign_round(round, home.signing_keys());
     StoreMaterialRequest& push = round[1];
     push.suci_secret = to_bytes(ByteView(home.suci_keys().secret));
-    push.tag = store_tag(push_key.value(), backup.id(), push.suci_secret, {&signed_round, 1});
+    push.tag = store_tag(push_key.value(), backup.id(), push);
     pushes.push_back(wire::encode(push));
   }
   std::size_t next = 0;
@@ -439,7 +437,6 @@ int main(int argc, char** argv) {
       {"BM_DisseminateOneVector/8", 18331.0},
       {"BM_SignRound/8", 803931.0},
       {"BM_StoreRequestCodec/8", 79950.0},
-      {"BM_SplitBatches/8", 89894.0},
       {"BM_CheckServedBundle/hit", 3645.0},
       // ns/op at a2ce131, while a held batch kept decoded leaf arrays
       // beside its record (docs/PERFORMANCE.md §21).

@@ -51,30 +51,22 @@ std::uint32_t proof_tag(const ByteArray<16>& hxres) {
          static_cast<std::uint32_t>(hxres[2]) << 8 | hxres[3];
 }
 
-// A share of the 32-byte K_seaf has a 32-byte ordinate, which a held share
-// keeps inline.
-constexpr std::size_t kOrdinateBytes = 32;
-
-// A held leaf's signed fields, rebuilt with its user, without its position
-// or signature.
-AuthVectorBundle leaf_bundle(const NetworkId& home, const Supi& supi, const VectorLeaf& held) {
-  return {home, supi, held.sqn, held.rand, held.autn, held.hxres_star, held.flood, {}, {}};
-}
-
-KeyShareBundle leaf_bundle(const NetworkId& home, const Supi& supi, const ShareLeaf& held) {
-  return {home, supi, held.hxres_star, {held.x, SecretBytes(ByteView(held.y))}, {}, {}};
-}
-
 // The exact bundle the home signed, rebuilt from the held leaf, its user and
 // its batch's tree and record header, its inclusion path (in-batch, then
 // round) attached: `group` holds the leaf hashes of the path's group.
+// nullopt when they do not hash into the tree, which only a home that
+// pushed a tree of other leaves can cause.
 template <typename Leaf>
 auto served(const NetworkId& home, const Supi& supi, const crypto::MerkleTree& tree,
             const BatchHeader& header, std::span<const crypto::Sha256Digest> group,
-            const Leaf& held) {
-  auto bundle = leaf_bundle(home, supi, held);
-  bundle.batch = batch_position(tree, held.leaf, header.batch_index, header.batch_count,
-                                header.round, group);
+            const Leaf& held) -> std::optional<decltype(bundle_of(home, supi, held))> {
+  auto bundle = bundle_of(home, supi, held);
+  try {
+    bundle.batch = batch_position(tree, held.leaf, header.batch_index, header.batch_count,
+                                  header.round, group);
+  } catch (const std::invalid_argument&) {
+    return std::nullopt;
+  }
   bundle.home_signature = header.signature;
   return bundle;
 }
@@ -174,7 +166,7 @@ void BackupNetwork::restore_from_store() {
     };
     for (const ReleasedLeaf& leaf : record.released) place(leaf.leaf, leaf.hash);
     const auto rehash = [&](const auto& leaf) {
-      if (intact) place(leaf.leaf, leaf_bundle(home, record.supi, leaf).leaf_hash());
+      if (intact) place(leaf.leaf, leaf_hash(home, record.supi, leaf));
     };
     std::ranges::for_each(record.vectors, rehash);
     std::ranges::for_each(record.shares, rehash);
@@ -250,21 +242,9 @@ void BackupNetwork::bind_services() {
 
 void BackupNetwork::handle_store(StoreMaterialRequest req,
                                  sim::TypedResponder<sim::Ack> responder) {
-  // A request with a share ordinate of any other length is malformed.
-  for (const KeyShareBundle& share : req.shares) {
-    if (share.share.y.size() != kOrdinateBytes) {
-      ++metrics_.rejected_requests;
-      responder.fail(sim::AppErrorCode::kMalformed, "malformed key share");
-      return;
-    }
-  }
-  // Rebuild each batch's Merkle tree from the bundles themselves (one leaf
-  // hash per bundle); the request's round path then leads each batch root
-  // to the one round root the home signed.
-  auto batches = split_batches(req);
-  if (!batches) {
+  if (!well_formed(req)) {
     ++metrics_.rejected_requests;
-    responder.fail(sim::AppErrorCode::kMalformed, "inconsistent bundle batches");
+    responder.fail(sim::AppErrorCode::kMalformed, "inconsistent store batches");
     return;
   }
 
@@ -273,8 +253,7 @@ void BackupNetwork::handle_store(StoreMaterialRequest req,
   // first argument are indeterminately sequenced; the handlers below name
   // the home by this public copy.)
   const NetworkId home_id = req.home_network;
-  directory_.get_network(home_id, live([this, home_id, request = std::move(req),
-                                        batches = std::move(*batches), responder](
+  directory_.get_network(home_id, live([this, home_id, request = std::move(req), responder](
                                            std::optional<directory::NetworkEntry> home) mutable {
     if (!home) {
       ++metrics_.rejected_requests;
@@ -282,27 +261,33 @@ void BackupNetwork::handle_store(StoreMaterialRequest req,
       return;
     }
     const crypto::X25519Point channel_key = home->channel_key;
-    const Time cost = config_.costs.signature_verify * static_cast<Time>(batches.size());
+    const Time cost = config_.costs.signature_verify * static_cast<Time>(request.batches.size());
     rpc_.network().node(node_).execute(cost, live([this, home_id, request = std::move(request),
-                                                   batches = std::move(batches), channel_key,
-                                                   responder]() mutable {
+                                                   channel_key, responder]() mutable {
       // The tag under this backup's push key with the home binds the SUCI
-      // secret and every batch to this backup: each batch's rebuilt root,
-      // through the round it implies, and the home's signature, which the
-      // backup holds for the serving networks to check.
-      std::vector<SignedRound> rounds;
-      rounds.reserve(batches.size());
-      for (const BundleBatch& batch : batches) {
-        if (auto round = batch.signed_round(home_id)) rounds.push_back(std::move(*round));
-      }
+      // secret and every batch, its fields, tree nodes and leaves, to this
+      // backup; the home's signature in it is for the serving networks.
       const crypto::HmacSha256* push_key = push_keys_.get(home_id.str(), id_.str(), channel_key);
-      if (!push_key || rounds.size() != batches.size() ||
-          !ct_equal(store_tag(*push_key, id_, request.suci_secret, rounds), request.tag)) {
+      if (!push_key || !ct_equal(store_tag(*push_key, id_, request), request.tag)) {
         ++metrics_.rejected_requests;
         responder.fail(sim::AppErrorCode::kUnauthorized, "invalid store tag");
         return;
       }
-      metrics_.batches_verified += batches.size();
+      // Each batch's tree is the home's, adopted from its nodes: no leaf is
+      // rehashed here. Nodes that do not hash into one another are refused;
+      // nodes of other leaves than the pushed ones fail at serve.
+      std::vector<crypto::MerkleTree> trees;
+      trees.reserve(request.batches.size());
+      for (const StoreBatch& batch : request.batches) {
+        auto tree = batch_tree(batch);
+        if (!tree) {
+          ++metrics_.rejected_requests;
+          responder.fail(sim::AppErrorCode::kMalformed, "inconsistent batch tree");
+          return;
+        }
+        trees.push_back(std::move(*tree));
+      }
+      metrics_.batches_verified += trees.size();
       HomeState& home_state = homes_[home_id];
       if (request.suci_secret.size() == 32) {
         home_state.suci_secret = take<32>(request.suci_secret);
@@ -312,44 +297,30 @@ void BackupNetwork::handle_store(StoreMaterialRequest req,
         }
       }
 
-      // Each batch is held once, for all of its bundles; its bundles are the
-      // request's next tree.leaf_count() (vectors first, then shares), all of
-      // one user. A batch whose root is already held adds nothing: the home
-      // retries a push whose reply was lost or late, and a second copy of a
-      // vector could be served again as a replayed SQN.
-      const std::size_t vector_count = request.vectors.size();
-      std::size_t next = 0;  // the request's next bundle, vectors then shares
-      for (BundleBatch& batch : batches) {
-        const std::size_t end = next + batch.tree.leaf_count();
-        const std::size_t vectors_end = std::clamp(vector_count, next, end);
-        const UserKey key{home_id, next < vector_count
-                                       ? request.vectors[next].supi
-                                       : request.shares[next - vector_count].supi};
-        BatchRecord record{key.supi, batch.batch_index, batch.batch_count, batch.signature,
-                           std::move(batch.round), {}, {}, {}};
-        record.vectors.reserve(vectors_end - next);
-        record.shares.reserve(end - vectors_end);
-        for (; next < vectors_end; ++next) {
-          const AuthVectorBundle& v = request.vectors[next];
-          record.vectors.push_back(
-              {v.batch.leaf_index, v.sqn, v.rand, v.autn, v.hxres_star, v.flood});
-        }
-        for (; next < end; ++next) {
-          const KeyShareBundle& share = request.shares[next - vector_count];
-          record.shares.push_back(
-              {share.batch.leaf_index, share.hxres_star, share.share.x,
-               Secret<32>(ByteView(share.share.y))});
-        }
+      // Each batch is held once, as its record. A batch whose root is
+      // already held adds nothing: the home retries a push whose reply was
+      // lost or late, and a second copy of a vector could be served again as
+      // a replayed SQN.
+      std::size_t vectors = 0;
+      std::size_t shares = 0;
+      for (std::size_t b = 0; b < trees.size(); ++b) {
+        StoreBatch& batch = request.batches[b];
+        vectors += batch.vectors.size();
+        shares += batch.shares.size();
+        const UserKey key{home_id, batch.supi};
         UserState& user = users_[key];
-        if (HeldBatch* kept = hold(user, std::move(batch.tree), std::move(record))) {
+        BatchRecord record{std::move(batch.supi), batch.batch_index, batch.batch_count,
+                           batch.signature,       std::move(batch.round), {},
+                           std::move(batch.vectors), std::move(batch.shares)};
+        if (HeldBatch* kept = hold(user, std::move(trees[b]), std::move(record))) {
           metrics_.bundles_stored += kept->vectors().size() + kept->shares().size();
           persist_batch(key, user, *kept);
         }
       }
-      if (journal_ != nullptr && (!request.vectors.empty() || !request.shares.empty())) {
+      if (journal_ != nullptr) {
         journal_->append(obs::EventKind::kBundleStored, id_.str(), home_id.str(),
-                         std::to_string(request.vectors.size()) + " vectors, " +
-                             std::to_string(request.shares.size()) + " shares");
+                         std::to_string(vectors) + " vectors, " + std::to_string(shares) +
+                             " shares");
       }
       responder.reply({});
     }));
@@ -411,7 +382,7 @@ void BackupNetwork::HeldBatch::release(const UserKey& user, std::size_t index) {
     if constexpr (vector) return vectors[index];
     else return shares[index];
   }();
-  const ReleasedLeaf gone{leaf.leaf, leaf_bundle(user.home, user.supi, leaf).leaf_hash()};
+  const ReleasedLeaf gone{leaf.leaf, leaf_hash(user.home, user.supi, leaf)};
   Bytes next;
   next.reserve(record->size() + wire::sequence_size<ReleasedLeaf>(1) -
                wire::sequence_size<Leaf>(1));
@@ -474,7 +445,7 @@ auto BackupNetwork::group(const UserKey& user, const HeldBatch& held, std::uint1
   const auto rehash = [&](const auto& sequence) {
     for (std::size_t i = 0; i < sequence.size(); ++i) {
       if (const std::size_t at = slot(sequence, i); at < group.size) {
-        hashes[at] = leaf_bundle(user.home, user.supi, sequence[i]).leaf_hash();
+        hashes[at] = leaf_hash(user.home, user.supi, sequence[i]);
       }
     }
   };
@@ -555,16 +526,22 @@ void BackupNetwork::handle_get_vector(GetVectorRequest req,
         responder.fail(sim::AppErrorCode::kExhausted, "no vectors remaining");
         return;
       }
+      // The front vector is let go whether or not it can be served, so one
+      // its home pushed off its tree does not block the ones behind it.
       const VectorLeaf next = held->vectors()[0];
-      const AuthVectorBundle bundle = served(id.home, id.supi, held->tree, held->header(),
-                                             group(id, *held, next.leaf), next);
+      const auto bundle = served(id.home, id.supi, held->tree, held->header(),
+                                 group(id, *held, next.leaf), next);
       held->release<VectorLeaf>(id, 0);
       persist_batch(id, user, *held);
+      if (!bundle) {
+        responder.fail(sim::AppErrorCode::kUpstream, "vector off its batch tree");
+        return;
+      }
       ++metrics_.vectors_served;
       if (journal_ != nullptr) {
         journal_->append(obs::EventKind::kVectorServed, id_.str(), supi.str());
       }
-      responder.reply(bundle);
+      responder.reply(*bundle);
       return;
     }
     ++metrics_.rejected_requests;
@@ -595,11 +572,15 @@ void BackupNetwork::handle_get_share(UsageProof proof,
         if (id.supi != proof.supi) continue;
         const auto share = find_share(user, proof.hxres_star);
         if (!share) continue;
-        ShareReply reply;
         const auto& [batch, index] = *share;
         const ShareLeaf leaf = batch->shares()[index];
-        reply.share = served(id.home, id.supi, batch->tree, batch->header(),
+        auto bundle = served(id.home, id.supi, batch->tree, batch->header(),
                              group(id, *batch, leaf.leaf), leaf);
+        if (!bundle) {
+          responder.fail(sim::AppErrorCode::kUpstream, "share off its batch tree");
+          return;
+        }
+        ShareReply reply{std::move(*bundle), 0};
 
         // Keep the proof for later reporting (§4.2.2: "backups store the
         // received bundle ... to report a proof of consumption"), once: a

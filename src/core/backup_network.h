@@ -30,36 +30,6 @@ class EventJournal;
 
 namespace dauth::core {
 
-/// A held vector's own fields in a BatchRecord: its leaf index, then every
-/// signed field its user and batch do not give.
-struct VectorLeaf {
-  std::uint16_t leaf = 0;
-  std::uint64_t sqn = 0;
-  crypto::Rand rand{};
-  aka::Autn autn{};
-  ByteArray<16> hxres_star{};
-  bool flood = false;
-
-  template <typename F, typename Self>
-  static void fields(F& f, Self& m) {
-    f.field(m.leaf, m.sqn, m.rand, m.autn, m.hxres_star, m.flood);
-  }
-};
-
-/// A held key share's own fields in a BatchRecord.
-struct ShareLeaf {
-  std::uint16_t leaf = 0;
-  ByteArray<16> hxres_star{};
-  std::uint8_t x = 0;
-  Secret<32> y;
-
-  template <typename F, typename Self>
-  static void fields(F& f, Self& m) {
-    f.field(m.leaf, m.hxres_star, m.x);
-    f.field(m.y);  // DAUTH_DISCLOSE(Shamir share ordinate: below-threshold subsets reveal nothing, §4.1)
-  }
-};
-
 /// A leaf a backup no longer holds, in a BatchRecord: its index and its leaf
 /// hash, which the paths of the leaves still held in its group need.
 struct ReleasedLeaf {
@@ -74,15 +44,14 @@ struct ReleasedLeaf {
 
 /// A backup's record of one held batch, the value of "batch/<home>/<batch
 /// root>" in its store and, encoded, the batch itself in its memory (one
-/// buffer, shared with the store): the fields every bundle of the batch
-/// shares, as a BundleBatch holds them, but for its tree; the leaves the
-/// backup has let go, by hash; then the leaves it still holds, each with
-/// nothing but its own fields. Every leaf of the batch is one or the other,
-/// once, so the hashes give the tree back. Every batch is one user's
-/// (split_batches), and a lone bundle is a one-leaf batch. The bundles
-/// served, after a restart too, are rebuilt from it, byte for byte. Every
-/// leaf's fields have a fixed width, so a held batch reads them in place
-/// (wire/sequence.h).
+/// buffer, shared with the store): the batch as its home pushed it
+/// (StoreBatch), but for its tree; the leaves the backup has let go, by
+/// hash; then the leaves it still holds, each with nothing but its own
+/// fields. Every leaf of the batch is one or the other, once, so the hashes
+/// give the tree back. Every batch is one user's, and a lone bundle is a
+/// one-leaf batch. The bundles served, after a restart too, are rebuilt from
+/// it, byte for byte. Every leaf's fields have a fixed width, so a held
+/// batch reads them in place (wire/sequence.h).
 struct BatchRecord {
   Supi supi;
   std::uint16_t batch_index = 0;
@@ -178,8 +147,9 @@ class BackupNetwork {
       return std::tie(home, supi) < std::tie(other.home, other.supi);
     }
   };
-  /// A held batch: its tree, which keeps no leaf level (a served path's
-  /// group comes from the held leaves, rehashed, and the released ones),
+  /// A held batch: its tree, as its home pushed it or rebuilt at restore,
+  /// which keeps no leaf level (a served path's group comes from the held
+  /// leaves, rehashed, and the released ones),
   /// and its BatchRecord, encoded, in one immutable buffer that a backup
   /// with a store shares with it; a backup without one owns the only
   /// reference. Held vectors, shares and released leaves are read from the

@@ -94,43 +94,36 @@ int HomeNetwork::slice_of(const NetworkId& backup) const {
   return it == slice_map_.end() ? -1 : it->second;
 }
 
-crypto::Key256 HomeNetwork::new_vector(const Supi& supi, Subscriber& subscriber, int slice,
-                                       AuthVectorBundle& bundle) {
-  const std::uint64_t sqn = subscriber.sqn.allocate(slice);
-  const crypto::Rand rand = rng_.array<16>();
+crypto::Key256 HomeNetwork::new_vector(Subscriber& subscriber, int slice, VectorLeaf& leaf) {
+  leaf.sqn = subscriber.sqn.allocate(slice);
+  leaf.rand = rng_.array<16>();
   const aka::AuthVector av =
-      aka::generate_auth_vector(subscriber.keys, sqn, rand, config_.serving_network_name);
-  bundle.home_network = id_;
-  bundle.supi = supi;
-  bundle.sqn = sqn;
-  bundle.rand = rand;
-  bundle.autn = av.autn;
-  bundle.hxres_star = hxres_index(av.xres_star);
+      aka::generate_auth_vector(subscriber.keys, leaf.sqn, leaf.rand, config_.serving_network_name);
+  leaf.autn = av.autn;
+  leaf.hxres_star = hxres_index(av.xres_star);
   return av.k_seaf;
 }
 
-HomeNetwork::GeneratedMaterial HomeNetwork::generate_material(const Supi& supi,
-                                                              Subscriber& subscriber,
-                                                              int slice, bool flood) {
-  GeneratedMaterial material;
-  const crypto::Key256 k_seaf = new_vector(supi, subscriber, slice, material.vector);
-  material.vector.flood = flood;
-  const ByteArray<16>& index = material.vector.hxres_star;
+VectorLeaf HomeNetwork::generate_material(Subscriber& subscriber, int slice, bool flood,
+                                          std::span<StoreMaterialRequest> requests) {
+  VectorLeaf vector;
+  const crypto::Key256 k_seaf = new_vector(subscriber, slice, vector);
+  vector.flood = flood;
   ++metrics_.tokens_generated;
 
-  std::vector<crypto::ShamirShare> shamir_shares =
-      crypto::shamir_split(ByteView(k_seaf), config_.threshold, backup_ids_.size(), rng_);
-  material.shares.resize(backup_ids_.size());
-  for (std::size_t i = 0; i < backup_ids_.size(); ++i) {
-    KeyShareBundle& bundle = material.shares[i];
-    bundle.home_network = id_;
-    bundle.supi = supi;
-    bundle.hxres_star = index;
-    bundle.share = std::move(shamir_shares[i]);
+  // Each backup's share is written in place, into its batch's next leaf.
+  std::vector<MutableByteView> ordinates;
+  ordinates.reserve(requests.size());
+  for (StoreMaterialRequest& request : requests) {
+    ShareLeaf& share = request.batches.front().shares.emplace_back();
+    share.hxres_star = vector.hxres_star;
+    share.x = static_cast<std::uint8_t>(ordinates.size() + 1);
+    ordinates.push_back(share.y.mutable_view());
   }
+  crypto::shamir_split(ByteView(k_seaf), config_.threshold, ordinates, rng_);
 
-  subscriber.outstanding[index].sqn = material.vector.sqn;  // holder set by caller
-  return material;
+  subscriber.outstanding[vector.hxres_star].sqn = vector.sqn;  // holder set by caller
+  return vector;
 }
 
 void HomeNetwork::disseminate(const Supi& supi, std::function<void(std::size_t)> done) {
@@ -170,24 +163,23 @@ void HomeNetwork::send_round(const Supi& supi, std::map<NetworkId, std::size_t> 
     }
     Subscriber& subscriber = subscriber_it->second;
 
-    // One StoreMaterialRequest per backup: its slice's vectors plus its share
-    // of every other backup's vectors.
+    // One StoreMaterialRequest per backup, of one batch: its slice's vectors
+    // plus its share of every other backup's vectors.
     std::vector<StoreMaterialRequest> requests(backup_ids_.size());
     for (std::size_t b = 0; b < backup_ids_.size(); ++b) {
       requests[b].home_network = id_;
       requests[b].suci_secret = to_bytes(ByteView(suci_key_.secret));
-      requests[b].vectors.reserve(count_of(backup_ids_[b]));
-      requests[b].shares.reserve(total_vectors);
+      StoreBatch& batch = requests[b].batches.emplace_back();
+      batch.supi = supi;
+      batch.vectors.reserve(count_of(backup_ids_[b]));
+      batch.shares.reserve(total_vectors);
     }
     for (std::size_t b = 0; b < backup_ids_.size(); ++b) {
       const int slice = slice_of(backup_ids_[b]);
       for (std::size_t v = count_of(backup_ids_[b]); v > 0; --v) {
-        GeneratedMaterial material = generate_material(supi, subscriber, slice, /*flood=*/false);
-        subscriber.outstanding[material.vector.hxres_star].holder = slice;
-        requests[b].vectors.push_back(std::move(material.vector));
-        for (std::size_t s = 0; s < backup_ids_.size(); ++s) {
-          requests[s].shares.push_back(std::move(material.shares[s]));
-        }
+        VectorLeaf vector = generate_material(subscriber, slice, /*flood=*/false, requests);
+        subscriber.outstanding[vector.hxres_star].holder = slice;
+        requests[b].batches.front().vectors.push_back(vector);
       }
     }
     metrics_.vectors_disseminated += total_vectors;
@@ -200,12 +192,8 @@ void HomeNetwork::push_round(std::vector<StoreMaterialRequest> requests,
                              std::function<void(std::size_t)> done) {
   // One signature per (user, round): each backup's request is one batch,
   // and the home signs the root of the tree over the batch roots (§4.2.1).
-  const SignedRound round = sign_round(requests, signing_key_);
+  sign_round(requests, signing_key_);
   ++metrics_.batches_signed;
-  const auto tag = [round](const crypto::HmacSha256& key, const NetworkId& backup,
-                           const StoreMaterialRequest& request) {
-    return store_tag(key, backup, request.suci_secret, {&round, 1});
-  };
 
   // Each request moves into its push, so no batch is held twice.
   auto remaining = std::make_shared<std::size_t>(requests.size());
@@ -215,7 +203,7 @@ void HomeNetwork::push_round(std::vector<StoreMaterialRequest> requests,
     if (--*remaining == 0 && done) done(*ok_count);
   };
   for (std::size_t b = 0; b < requests.size(); ++b) {
-    push(kBackupStore, backup_ids_[b], std::move(requests[b]), tag, finish_one);
+    push(kBackupStore, backup_ids_[b], std::move(requests[b]), store_tag, finish_one);
   }
 }
 
@@ -223,10 +211,10 @@ AuthVectorBundle HomeNetwork::generate_local_vector(const Supi& supi,
                                                     crypto::Key256& k_seaf_out) {
   auto it = subscribers_.find(supi);
   if (it == subscribers_.end()) throw std::invalid_argument("unknown subscriber");
-  AuthVectorBundle bundle;
-  k_seaf_out = new_vector(supi, it->second, aka::kHomeSlice, bundle);
+  VectorLeaf leaf;
+  k_seaf_out = new_vector(it->second, aka::kHomeSlice, leaf);
   ++metrics_.vectors_served;
-  return bundle;
+  return bundle_of(id_, supi, leaf);
 }
 
 std::optional<AuthVectorBundle> HomeNetwork::resync_and_generate_local(
@@ -278,7 +266,7 @@ void HomeNetwork::handle_resync(ResyncRequest req,
   it->second.sqn.resynchronize(sqn_ms);
 
   // Reply with a fresh (now acceptable) vector, as home.get_vector would.
-  serve_vector(req.supi, responder);
+  serve_vector(req.supi, it->second, responder);
 }
 
 void HomeNetwork::handle_get_vector(GetVectorRequest req,
@@ -302,29 +290,27 @@ void HomeNetwork::handle_get_vector(GetVectorRequest req,
     supi = *recovered;
   }
 
-  if (!subscribers_.contains(supi)) {
+  const auto it = subscribers_.find(supi);
+  if (it == subscribers_.end()) {
     ++metrics_.rejected_requests;
     responder.fail(sim::AppErrorCode::kNotFound, "unknown subscriber");
     return;
   }
-  serve_vector(supi, responder);
+  serve_vector(supi, it->second, responder);
 }
 
-void HomeNetwork::serve_vector(const Supi& supi,
+void HomeNetwork::serve_vector(const Supi& supi, Subscriber& subscriber,
                                sim::TypedResponder<AuthVectorBundle> responder) {
   // Model the AUSF/UDM vector-generation cost, then answer.
-  rpc_.network().node(node_).execute(config_.costs.vector_generation, [this, supi, responder] {
-    auto it = subscribers_.find(supi);
-    if (it == subscribers_.end()) {
-      responder.fail(sim::AppErrorCode::kNotFound, "unknown subscriber");
-      return;
-    }
-    AuthVectorBundle bundle;
-    const crypto::Key256 k_seaf = new_vector(supi, it->second, aka::kHomeSlice, bundle);
+  rpc_.network().node(node_).execute(config_.costs.vector_generation, [this, supi, &subscriber,
+                                                                       responder] {
+    VectorLeaf leaf;
+    const crypto::Key256 k_seaf = new_vector(subscriber, aka::kHomeSlice, leaf);
+    AuthVectorBundle bundle = bundle_of(id_, supi, leaf);
     sign_single(bundle, signing_key_);
     ++metrics_.batches_signed;
 
-    it->second.pending_keys[bundle.hxres_star] = k_seaf;
+    subscriber.pending_keys[bundle.hxres_star] = k_seaf;
     ++metrics_.vectors_served;
     if (journal_ != nullptr) {
       journal_->append(obs::EventKind::kVectorServed, id_.str(), supi.str());
@@ -350,7 +336,9 @@ void HomeNetwork::handle_get_key(UsageProof proof, sim::TypedResponder<KeyReply>
 
   // Verify the serving network's signature (its key comes from the
   // directory, almost always cached).
-  directory_.get_network(proof.serving_network, [this, proof, responder](
+  // The subscriber is a value of subscribers_, which erases none.
+  Subscriber& subscriber = it->second;
+  directory_.get_network(proof.serving_network, [this, proof, &subscriber, responder](
                                                     std::optional<directory::NetworkEntry>
                                                         serving) {
     if (!serving || !proof.verify(serving->signing_key)) {
@@ -358,21 +346,17 @@ void HomeNetwork::handle_get_key(UsageProof proof, sim::TypedResponder<KeyReply>
       responder.fail(sim::AppErrorCode::kUnauthorized, "invalid serving signature");
       return;
     }
-    rpc_.network().node(node_).execute(config_.costs.key_release, [this, proof, responder] {
-      auto sub_it = subscribers_.find(proof.supi);
-      if (sub_it == subscribers_.end()) {
-        responder.fail(sim::AppErrorCode::kNotFound, "unknown subscriber");
-        return;
-      }
-      auto pending_it = sub_it->second.pending_keys.find(proof.hxres_star);
-      if (pending_it == sub_it->second.pending_keys.end()) {
+    rpc_.network().node(node_).execute(config_.costs.key_release, [this, proof, &subscriber,
+                                                                   responder] {
+      auto pending_it = subscriber.pending_keys.find(proof.hxres_star);
+      if (pending_it == subscriber.pending_keys.end()) {
         ++metrics_.rejected_requests;
         responder.fail(sim::AppErrorCode::kNotFound, "no pending key for proof");
         return;
       }
       const crypto::Key256 k_seaf = pending_it->second;
-      sub_it->second.pending_keys.erase(pending_it);  // one-time release
-      sub_it->second.seen_proofs[proof.hxres_star] = proof.serving_network;
+      subscriber.pending_keys.erase(pending_it);  // one-time release
+      subscriber.seen_proofs[proof.hxres_star] = proof.serving_network;
       ++usage_ledger_[proof.serving_network];
       ++metrics_.keys_released;
       if (journal_ != nullptr) {
@@ -508,16 +492,18 @@ void HomeNetwork::revoke_backup(const NetworkId& revoked, std::function<void()> 
     // remaining backups so the next auth consumes it and invalidates the
     // revoked network's cache.
     if (!backup_ids_.empty() && backup_ids_.size() >= config_.threshold) {
-      GeneratedMaterial material =
-          generate_material(supi, subscriber, revoked_slice, /*flood=*/true);
-      // All remaining backups can serve the flood vector.
-      subscriber.outstanding[material.vector.hxres_star].holder = slice_of(backup_ids_.front());
       // One round: backup b's batch is the flood vector and its share of it.
       std::vector<StoreMaterialRequest> requests(backup_ids_.size());
-      for (std::size_t b = 0; b < backup_ids_.size(); ++b) {
-        requests[b].home_network = id_;
-        requests[b].vectors.push_back(material.vector);
-        requests[b].shares.push_back(std::move(material.shares[b]));
+      for (StoreMaterialRequest& request : requests) {
+        request.home_network = id_;
+        request.batches.emplace_back().supi = supi;
+      }
+      const VectorLeaf vector =
+          generate_material(subscriber, revoked_slice, /*flood=*/true, requests);
+      // All remaining backups can serve the flood vector.
+      subscriber.outstanding[vector.hxres_star].holder = slice_of(backup_ids_.front());
+      for (StoreMaterialRequest& request : requests) {
+        request.batches.front().vectors.push_back(vector);
       }
       push_round(std::move(requests), nullptr);
     }

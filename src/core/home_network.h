@@ -22,6 +22,7 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "aka/auth_vector.h"
@@ -150,18 +151,14 @@ class HomeNetwork {
   };
 
   /// The one vector issue path: allocates the next SQN in `slice`, then
-  /// draws RAND (the order the home's RNG stream depends on), fills the
-  /// unsigned `bundle` and returns its K_seaf.
-  crypto::Key256 new_vector(const Supi& supi, Subscriber& subscriber, int slice,
-                            AuthVectorBundle& bundle);
+  /// draws RAND (the order the home's RNG stream depends on), fills `leaf`
+  /// and returns its K_seaf.
+  crypto::Key256 new_vector(Subscriber& subscriber, int slice, VectorLeaf& leaf);
 
-  /// Generates one vector + its N key-share bundles for `slice`, unsigned.
-  struct GeneratedMaterial {
-    AuthVectorBundle vector;
-    std::vector<KeyShareBundle> shares;  // one per backup (share i -> backup i)
-  };
-  GeneratedMaterial generate_material(const Supi& supi, Subscriber& subscriber, int slice,
-                                      bool flood);
+  /// Issues one vector in `slice` and returns it, and appends its K_seaf's
+  /// share at x = b + 1 to the batch of `requests[b]`, for each b.
+  VectorLeaf generate_material(Subscriber& subscriber, int slice, bool flood,
+                               std::span<StoreMaterialRequest> requests);
   /// The one round builder (§4.2.1, §4.2.3). Charges the dissemination
   /// cost of every vector in `counts` as one job; the job then generates
   /// `counts[backup]` vectors in each backup's slice, for the backup set as
@@ -171,8 +168,8 @@ class HomeNetwork {
   void send_round(const Supi& supi, std::map<NetworkId, std::size_t> counts,
                   std::function<void(std::size_t)> done = nullptr);
   /// Signs `requests`, request b for backup b of the set, as one round, and
-  /// pushes each to its backup, tagged over the round. Dissemination,
-  /// refills and floods (§4.3) are all sent here. `done(ok_count)`, when
+  /// pushes each to its backup, tagged for it. Dissemination, refills and
+  /// floods (§4.3) are all sent here. `done(ok_count)`, when
   /// set, fires once every push completes or fails.
   void push_round(std::vector<StoreMaterialRequest> requests,
                   std::function<void(std::size_t)> done);
@@ -186,9 +183,11 @@ class HomeNetwork {
   void handle_get_key(UsageProof proof, sim::TypedResponder<KeyReply> responder);
   void handle_report(ReportRequest report, sim::TypedResponder<sim::Ack> responder);
   void handle_resync(ResyncRequest request, sim::TypedResponder<AuthVectorBundle> responder);
-  /// Issues, signs and sends one slice-0 vector for `supi` after the
-  /// vector-generation cost, filing its K_seaf until the RES* proof arrives.
-  void serve_vector(const Supi& supi, sim::TypedResponder<AuthVectorBundle> responder);
+  /// Issues, signs and sends one slice-0 vector for `supi`, a key of
+  /// subscribers_ (which erases none), after the vector-generation cost,
+  /// filing its K_seaf until the RES* proof arrives.
+  void serve_vector(const Supi& supi, Subscriber& subscriber,
+                    sim::TypedResponder<AuthVectorBundle> responder);
   /// Validates one reported proof and records its use: the slice of the
   /// holder of the vector it consumed, or nullopt for a bad, repeated or
   /// unknown proof.

@@ -1,11 +1,13 @@
 #include "core/messages.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace dauth::core {
 namespace {
 
 constexpr std::size_t kMaxPositions = 0xffff;  // a position is a u16
+constexpr std::size_t kOrdinateBytes = 32;     // a share of the 32-byte K_seaf
 
 // Feeds a SHA-256 state the bytes a wire::Writer would hold, and wipes the
 // state (which can hold a share ordinate, or be an HMAC's keyed inner hash)
@@ -44,15 +46,14 @@ Bytes round_signed_payload(const NetworkId& home, std::uint16_t batch_count,
   return std::move(w).take();
 }
 
-// The signed message implied by a batch root and the round path above it.
-std::optional<Bytes> round_payload(const NetworkId& home, std::uint16_t leaf_count,
-                                   const crypto::Sha256Digest& batch_root,
-                                   std::uint16_t batch_index, std::uint16_t batch_count,
-                                   std::span<const crypto::Sha256Digest> round) {
-  const auto root = crypto::merkle_root_from_path(round_leaf(leaf_count, batch_root),
-                                                  batch_index, batch_count, round);
-  if (!root) return std::nullopt;
-  return round_signed_payload(home, batch_count, *root);
+// The leaf of a bundle of type `Bundle` whose signed fields are `fields`:
+// its domain, then the fields, as wire::write_signed lays the bundle out.
+template <typename Bundle, typename... Fields>
+crypto::Sha256Digest bundle_leaf(const Fields&... fields) {
+  HashEncoder leaf;
+  leaf.string(Bundle::kDomain);
+  leaf.field(fields...);
+  return leaf.finish();
 }
 
 template <typename Bundle>
@@ -71,8 +72,11 @@ std::optional<Bytes> bundle_payload(const Bundle& bundle) {
   const auto batch_root = crypto::merkle_root_from_path(bundle.leaf_hash(), p.leaf_index,
                                                         p.leaf_count, path.first(in_batch));
   if (!batch_root) return std::nullopt;
-  return round_payload(bundle.home_network, p.leaf_count, *batch_root, p.batch_index,
-                       p.batch_count, path.subspan(in_batch));
+  const auto root = crypto::merkle_root_from_path(round_leaf(p.leaf_count, *batch_root),
+                                                  p.batch_index, p.batch_count,
+                                                  path.subspan(in_batch));
+  if (!root) return std::nullopt;
+  return round_signed_payload(bundle.home_network, p.batch_count, *root);
 }
 
 template <typename Bundle>
@@ -81,58 +85,43 @@ bool verify_bundle(const Bundle& bundle, const crypto::Ed25519PublicKey& home_ke
   return payload && crypto::ed25519_verify(*payload, bundle.home_signature, home_key);
 }
 
-// One batch of a round being signed: its bundles, and where its round path
-// goes (null when the caller keeps none, as for a round of one batch).
+// One batch of a round being signed: its leaf hashes, and where its round
+// path and its tree's nodes go (null when the caller keeps none, as for a
+// lone bundle).
 struct RoundBatch {
-  std::span<AuthVectorBundle> vectors;
-  std::span<KeyShareBundle> shares;
+  std::vector<crypto::Sha256Digest> leaves;
   std::vector<crypto::Sha256Digest>* round = nullptr;
+  std::vector<TreeNode>* nodes = nullptr;
 };
 
-SignedRound sign_batches(std::span<const RoundBatch> batches, const crypto::Ed25519KeyPair& key) {
+crypto::Ed25519Signature sign_batches(const NetworkId& home, std::span<const RoundBatch> batches,
+                                      const crypto::Ed25519KeyPair& key) {
   if (batches.size() > kMaxPositions) throw std::invalid_argument("sign_round: too many batches");
-  const NetworkId* home = nullptr;  // the first bundle's
   std::vector<crypto::Sha256Digest> round_leaves;
   round_leaves.reserve(batches.size());
   for (const RoundBatch& batch : batches) {
-    const std::size_t count = batch.vectors.size() + batch.shares.size();
+    const std::size_t count = batch.leaves.size();
     if (count == 0) throw std::invalid_argument("sign_round: empty batch");
     if (count > kMaxPositions) throw std::invalid_argument("sign_round: batch too large");
-    std::vector<crypto::Sha256Digest> leaves;
-    leaves.reserve(count);
-    const auto add_leaf = [&](const auto& bundle) {
-      if (home == nullptr) home = &bundle.home_network;
-      if (bundle.home_network != *home) {
-        throw std::invalid_argument("sign_round: bundles of different home networks");
-      }
-      leaves.push_back(bundle.leaf_hash());
-    };
-    for (const auto& v : batch.vectors) add_leaf(v);
-    for (const auto& s : batch.shares) add_leaf(s);
-    round_leaves.push_back(
-        round_leaf(static_cast<std::uint16_t>(count), crypto::MerkleTree(leaves).root()));
+    const crypto::MerkleTree tree(batch.leaves);
+    round_leaves.push_back(round_leaf(static_cast<std::uint16_t>(count), tree.root()));
+    if (batch.nodes != nullptr) {
+      batch.nodes->clear();
+      for (const crypto::Sha256Digest& node : tree.nodes()) batch.nodes->push_back({node});
+    }
   }
 
   const auto batch_count = static_cast<std::uint16_t>(batches.size());
   const crypto::MerkleTree round(round_leaves);
-  SignedRound signed_round{round_signed_payload(*home, batch_count, round.root()), {}};
-  signed_round.signature = crypto::ed25519_sign(signed_round.payload, key);
+  const auto signature =
+      crypto::ed25519_sign(round_signed_payload(home, batch_count, round.root()), key);
   for (std::uint16_t b = 0; b < batch_count; ++b) {
-    const RoundBatch& batch = batches[b];
-    if (batch.round != nullptr) {
+    if (batches[b].round != nullptr) {
       const crypto::MerkleGroup group = round.group(b);
-      *batch.round = round.path(b, std::span(round_leaves).subspan(group.first, group.size));
+      *batches[b].round = round.path(b, std::span(round_leaves).subspan(group.first, group.size));
     }
-    const auto leaf_count = static_cast<std::uint16_t>(batch.vectors.size() + batch.shares.size());
-    std::uint16_t index = 0;
-    const auto place = [&](auto& bundle) {
-      bundle.batch = BatchPath{index++, leaf_count, b, batch_count, {}};
-      bundle.home_signature = signed_round.signature;
-    };
-    for (auto& v : batch.vectors) place(v);
-    for (auto& s : batch.shares) place(s);
   }
-  return signed_round;
+  return signature;
 }
 
 }  // namespace
@@ -159,26 +148,42 @@ bool KeyShareBundle::verify(const crypto::Ed25519PublicKey& home_key) const {
 
 // ---- Dissemination rounds ---------------------------------------------------
 
-SignedRound sign_batch(std::span<AuthVectorBundle> vectors, std::span<KeyShareBundle> shares,
-                       const crypto::Ed25519KeyPair& key) {
-  if (vectors.empty() && shares.empty()) return {};
-  const RoundBatch batch{vectors, shares};
-  return sign_batches({&batch, 1}, key);
+void sign_single(AuthVectorBundle& bundle, const crypto::Ed25519KeyPair& key) {
+  const RoundBatch batch{{bundle.leaf_hash()}};
+  bundle.home_signature = sign_batches(bundle.home_network, {&batch, 1}, key);
+  bundle.batch = BatchPath{};  // leaf 0 of 1, batch 0 of 1
 }
 
-SignedRound sign_single(AuthVectorBundle& bundle, const crypto::Ed25519KeyPair& key) {
-  return sign_batch({&bundle, 1}, {}, key);
-}
-
-SignedRound sign_round(std::span<StoreMaterialRequest> requests,
-                       const crypto::Ed25519KeyPair& key) {
-  if (requests.empty()) return {};
-  std::vector<RoundBatch> batches;
-  batches.reserve(requests.size());
+void sign_round(std::span<StoreMaterialRequest> requests, const crypto::Ed25519KeyPair& key) {
+  std::vector<StoreBatch*> pushed;
   for (StoreMaterialRequest& request : requests) {
-    batches.push_back({request.vectors, request.shares, &request.round});
+    if (request.home_network != requests.front().home_network) {
+      throw std::invalid_argument("sign_round: batches of different home networks");
+    }
+    for (StoreBatch& batch : request.batches) pushed.push_back(&batch);
   }
-  return sign_batches(batches, key);
+  if (pushed.empty()) return;
+  const NetworkId& home = requests.front().home_network;
+  std::vector<RoundBatch> batches(pushed.size());
+  for (std::size_t b = 0; b < pushed.size(); ++b) {
+    StoreBatch& batch = *pushed[b];
+    RoundBatch& signing = batches[b];
+    signing.leaves.reserve(batch.vectors.size() + batch.shares.size());
+    const auto add_leaf = [&](auto& leaf) {
+      leaf.leaf = static_cast<std::uint16_t>(signing.leaves.size());
+      signing.leaves.push_back(leaf_hash(home, batch.supi, leaf));
+    };
+    std::ranges::for_each(batch.vectors, add_leaf);
+    std::ranges::for_each(batch.shares, add_leaf);
+    signing.round = &batch.round;
+    signing.nodes = &batch.nodes;
+  }
+  const auto signature = sign_batches(home, batches, key);
+  for (std::size_t b = 0; b < pushed.size(); ++b) {
+    pushed[b]->batch_index = static_cast<std::uint16_t>(b);
+    pushed[b]->batch_count = static_cast<std::uint16_t>(pushed.size());
+    pushed[b]->signature = signature;
+  }
 }
 
 // ---- Signed requests --------------------------------------------------------
@@ -187,14 +192,34 @@ bool UsageProof::verify(const crypto::Ed25519PublicKey& serving_key) const {
   return crypto::ed25519_verify(signed_payload(), serving_signature, serving_key);
 }
 
-// ---- Push tags ----------------------------------------------------------------
+// ---- Leaves and push tags -----------------------------------------------------
+
+AuthVectorBundle bundle_of(const NetworkId& home, const Supi& supi, const VectorLeaf& leaf) {
+  return {home, supi, leaf.sqn, leaf.rand, leaf.autn, leaf.hxres_star, leaf.flood, {}, {}};
+}
+
+KeyShareBundle bundle_of(const NetworkId& home, const Supi& supi, const ShareLeaf& leaf) {
+  return {home, supi, leaf.hxres_star, {leaf.x, SecretBytes(ByteView(leaf.y))}, {}, {}};
+}
+
+crypto::Sha256Digest leaf_hash(const NetworkId& home, const Supi& supi, const VectorLeaf& leaf) {
+  return bundle_leaf<AuthVectorBundle>(home, supi, leaf.sqn, leaf.rand, leaf.autn, leaf.hxres_star,
+                                       leaf.flood);
+}
+
+crypto::Sha256Digest leaf_hash(const NetworkId& home, const Supi& supi, const ShareLeaf& leaf) {
+  // The ordinate as the bundle's SecretBytes: its length, then its bytes.
+  const auto length = static_cast<std::uint32_t>(kOrdinateBytes);
+  return bundle_leaf<KeyShareBundle>(home, supi, leaf.hxres_star, leaf.x, length, leaf.y);
+}
 
 crypto::Sha256Digest store_tag(const crypto::HmacSha256& key, const NetworkId& backup,
-                               const SecretBytes& suci_secret,
-                               std::span<const SignedRound> rounds) {
+                               const StoreMaterialRequest& push) {
   HashEncoder mac(key.start());
-  mac.field(backup, suci_secret);  // DAUTH_DISCLOSE(the secret is MACed, not sent: the tag is one-way)
-  for (const SignedRound& round : rounds) mac.field(round);
+  mac.field(backup, push.suci_secret);  // DAUTH_DISCLOSE(the secret is MACed, not sent: the tag is one-way)
+  for (const StoreBatch& batch : push.batches) {
+    mac.field(batch);  // DAUTH_DISCLOSE(the MAC's pass over the pushed shares' ordinates: the tag is one-way)
+  }
   return mac.finish(key);
 }
 
@@ -208,11 +233,26 @@ crypto::Sha256Digest revoke_tag(const crypto::HmacSha256& key, const NetworkId& 
 
 // ---- Store requests -----------------------------------------------------------
 
-std::optional<SignedRound> BundleBatch::signed_round(const NetworkId& home) const {
-  auto payload = round_payload(home, static_cast<std::uint16_t>(tree.leaf_count()), tree.root(),
-                               batch_index, batch_count, round);
-  if (!payload) return std::nullopt;
-  return SignedRound{std::move(*payload), signature};
+bool well_formed(const StoreMaterialRequest& push) {
+  const auto batch_ok = [](const StoreBatch& batch) {
+    const std::size_t count = batch.vectors.size() + batch.shares.size();
+    if (count == 0 || count > kMaxPositions || batch.batch_index >= batch.batch_count ||
+        batch.round.size() != crypto::merkle_path_length(batch.batch_index, batch.batch_count)) {
+      return false;
+    }
+    std::size_t next = 0;
+    const auto in_order = [&next](const auto& leaf) { return leaf.leaf == next++; };
+    return std::ranges::all_of(batch.vectors, in_order) &&
+           std::ranges::all_of(batch.shares, in_order);
+  };
+  return !push.batches.empty() && std::ranges::all_of(push.batches, batch_ok);
+}
+
+std::optional<crypto::MerkleTree> batch_tree(const StoreBatch& batch) {
+  std::vector<crypto::Sha256Digest> nodes;
+  nodes.reserve(batch.nodes.size());
+  for (const TreeNode& node : batch.nodes) nodes.push_back(node.hash);
+  return crypto::MerkleTree::from_nodes(batch.vectors.size() + batch.shares.size(), nodes);
 }
 
 BatchPath batch_position(const crypto::MerkleTree& tree, std::uint16_t leaf_index,
@@ -223,55 +263,6 @@ BatchPath batch_position(const crypto::MerkleTree& tree, std::uint16_t leaf_inde
                  batch_count, tree.path(leaf_index, group)};
   path.siblings.insert(path.siblings.end(), round.begin(), round.end());
   return path;
-}
-
-std::optional<std::vector<BundleBatch>> split_batches(const StoreMaterialRequest& request) {
-  struct Open {
-    BatchPath position;  // the first bundle's, without a path
-    crypto::Ed25519Signature signature;
-    const Supi* supi;  // the first bundle's
-    std::vector<crypto::Sha256Digest> leaves;
-  };
-  const std::size_t total = request.vectors.size() + request.shares.size();
-  if (total == 0) return std::nullopt;  // nothing signed: nothing to accept
-  std::vector<BundleBatch> batches;
-  std::optional<Open> open;
-  std::size_t position = 0;
-  const auto add = [&](const auto& bundle) {
-    const BatchPath& path = bundle.batch;
-    if (bundle.home_network != request.home_network || !path.siblings.empty()) return false;
-    if (!open) {
-      if (path.leaf_index != 0 || path.leaf_count == 0 || path.leaf_count > total - position ||
-          request.round.size() != crypto::merkle_path_length(path.batch_index, path.batch_count)) {
-        return false;
-      }
-      open = Open{path, bundle.home_signature, &bundle.supi, {}};
-      open->leaves.reserve(path.leaf_count);
-    } else if (path.leaf_index != open->leaves.size() ||
-               path.leaf_count != open->position.leaf_count ||
-               path.batch_index != open->position.batch_index ||
-               path.batch_count != open->position.batch_count ||
-               bundle.home_signature != open->signature || bundle.supi != *open->supi) {
-      return false;
-    }
-    open->leaves.push_back(bundle.leaf_hash());
-    ++position;
-    if (open->leaves.size() == open->position.leaf_count) {
-      batches.push_back({crypto::MerkleTree(open->leaves),
-                         open->position.batch_index, open->position.batch_count, request.round,
-                         open->signature});
-      open.reset();
-    }
-    return true;
-  };
-  for (const auto& v : request.vectors) {
-    if (!add(v)) return std::nullopt;
-  }
-  for (const auto& s : request.shares) {
-    if (!add(s)) return std::nullopt;
-  }
-  if (open) return std::nullopt;  // the last batch is missing bundles
-  return batches;
 }
 
 }  // namespace dauth::core

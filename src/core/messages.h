@@ -15,14 +15,16 @@
 //
 // The home network signs a user's dissemination, a report's refill of
 // that user's consumed slots, and a revocation's flood (§4.3) as one round
-// each. Each (user,
-// backup) store request is a batch: a Merkle tree (crypto/merkle.h) over
-// its bundle payloads. One more tree over the batch roots gives the round
-// root, and one Ed25519 signature covers it. Each bundle carries that
-// signature and its BatchPath, so every bundle stays individually
-// verifiable and attributable to the home, and every bundle of a round
-// verifies against the same signed message. A lone vector (home-online,
-// resync) is a round of one batch of one leaf, with an empty path.
+// each. Each (user, backup) store request is a batch: a Merkle tree
+// (crypto/merkle.h) over its leaves. One more tree over the batch roots
+// gives the round root, and one Ed25519 signature covers it. A backup holds
+// a batch as it is pushed (StoreBatch): the signature, the round path and
+// the tree once, each leaf with its own fields only. Every bundle it serves
+// is rebuilt from them with its BatchPath, so every bundle stays
+// individually verifiable and attributable to the home, and every bundle of
+// a round verifies against the same signed message. A lone vector
+// (home-online, resync) is a round of one batch of one leaf, with an empty
+// path.
 #pragma once
 
 #include <cstdint>
@@ -58,9 +60,7 @@ struct BatchPath {
   std::uint16_t batch_count = 1;
   /// The in-batch inclusion path, then the round path, each leaf level
   /// first; crypto::merkle_path_length(leaf_index, leaf_count) splits them.
-  /// Empty for a lone bundle and inside a StoreMaterialRequest, whose
-  /// receiver rebuilds the batch tree and takes the round path from the
-  /// request.
+  /// Empty for a lone bundle.
   std::vector<crypto::Sha256Digest> siblings;
 
   template <typename F, typename Self>
@@ -131,29 +131,9 @@ struct KeyShareBundle {
   bool verify(const crypto::Ed25519PublicKey& home_key) const;
 };
 
-/// A round as its home signed it: the message `signature` covers
-/// ("bundle-round-v1" || home || batch_count || round root), and the
-/// signature. A store push's tag covers it for each of the push's batches.
-struct SignedRound {
-  Bytes payload;
-  crypto::Ed25519Signature signature{};
-
-  template <typename F, typename Self>
-  static void fields(F& f, Self& m) {
-    f.field(m.payload, m.signature);
-  }
-};
-
-/// Signs `vectors` then `shares` as a round of ONE batch: a single Ed25519
-/// signature over the Merkle root of their leaves. Sets every bundle's
-/// home_signature and position, with empty paths (see BatchPath), and
-/// returns the round. Throws std::invalid_argument when the bundles name
-/// different home networks or number more than 65,535; signs nothing for no
-/// bundles.
-SignedRound sign_batch(std::span<AuthVectorBundle> vectors, std::span<KeyShareBundle> shares,
-                       const crypto::Ed25519KeyPair& key);
-/// A lone vector (home-online, resync): a round of one batch of one leaf.
-SignedRound sign_single(AuthVectorBundle& bundle, const crypto::Ed25519KeyPair& key);
+/// Signs a lone vector (home-online, resync) as a round of one batch of one
+/// leaf: sets its home_signature, and its position, with an empty path.
+void sign_single(AuthVectorBundle& bundle, const crypto::Ed25519KeyPair& key);
 
 /// Serving network's proof that the UE was present and answered correctly.
 struct UsageProof {
@@ -179,28 +159,96 @@ struct UsageProof {
 
 // ---- RPC payloads -----------------------------------------------------------
 
-/// home -> backup: replace/extend the stored material for a set of users.
+/// A pushed or held vector's own fields: its leaf index in its batch, then
+/// every signed field its user and batch do not give.
+struct VectorLeaf {
+  std::uint16_t leaf = 0;
+  std::uint64_t sqn = 0;
+  crypto::Rand rand{};
+  aka::Autn autn{};
+  ByteArray<16> hxres_star{};
+  bool flood = false;
+
+  template <typename F, typename Self>
+  static void fields(F& f, Self& m) {
+    f.field(m.leaf, m.sqn, m.rand, m.autn, m.hxres_star, m.flood);
+  }
+};
+
+/// A pushed or held key share's own fields.
+struct ShareLeaf {
+  std::uint16_t leaf = 0;
+  ByteArray<16> hxres_star{};
+  std::uint8_t x = 0;
+  Secret<32> y;
+
+  template <typename F, typename Self>
+  static void fields(F& f, Self& m) {
+    f.field(m.leaf, m.hxres_star, m.x);
+    f.field(m.y);  // DAUTH_DISCLOSE(Shamir share ordinate: below-threshold subsets reveal nothing, §4.1)
+  }
+};
+
+/// The bundle `leaf` is, of `home`'s user `supi`: its signed fields, with
+/// no position or signature.
+AuthVectorBundle bundle_of(const NetworkId& home, const Supi& supi, const VectorLeaf& leaf);
+KeyShareBundle bundle_of(const NetworkId& home, const Supi& supi, const ShareLeaf& leaf);
+
+/// The Merkle leaf of `leaf`, of `home`'s user `supi`: bundle_of(home, supi,
+/// leaf).leaf_hash(), hashed from the leaf's fields with no bundle built.
+/// The home signs these, and a backup rehashes them for a served path, a
+/// released leaf and a restored record.
+crypto::Sha256Digest leaf_hash(const NetworkId& home, const Supi& supi, const VectorLeaf& leaf);
+crypto::Sha256Digest leaf_hash(const NetworkId& home, const Supi& supi, const ShareLeaf& leaf);
+
+/// A stored node of a batch tree (crypto::MerkleTree::nodes) on the wire: a
+/// list of digests is a Merkle path there, of at most 32.
+struct TreeNode {
+  crypto::Sha256Digest hash{};
+
+  template <typename F, typename Self>
+  static void fields(F& f, Self& m) {
+    f.field(m.hash);
+  }
+};
+
+/// One (user, backup) batch of a round as its home pushes it, in the layout
+/// its backup holds it (BatchRecord): its user, its place in the round, the
+/// round's signature and the round path, then the nodes its tree stores,
+/// then its leaves, numbered in order, vectors first.
+struct StoreBatch {
+  Supi supi;
+  std::uint16_t batch_index = 0;
+  std::uint16_t batch_count = 1;
+  crypto::Ed25519Signature signature{};
+  std::vector<crypto::Sha256Digest> round;
+  std::vector<TreeNode> nodes;
+  std::vector<VectorLeaf> vectors;
+  std::vector<ShareLeaf> shares;
+
+  template <typename F, typename Self>
+  static void fields(F& f, Self& m) {
+    f.field(m.supi, m.batch_index, m.batch_count, m.signature, m.round, m.nodes, m.vectors);
+    f.field(m.shares);  // DAUTH_DISCLOSE(a store push carries the backup's own shares of K_seaf, §4.2.1 and §4.3)
+  }
+};
+
+/// home -> backup: extend the stored material of its users.
 struct StoreMaterialRequest {
   NetworkId home_network;
-  std::vector<AuthVectorBundle> vectors;
-  std::vector<KeyShareBundle> shares;
-  /// The round path of this request's batch (see BatchPath), carried once
-  /// here instead of in every bundle. Empty for a round of one batch.
-  std::vector<crypto::Sha256Digest> round;
+  std::vector<StoreBatch> batches;
   /// §4.2.1: "if 5G ID encryption is used ... the home network shares the ID
   /// decryption key with the backup networks". Empty when not shared.
   /// A private key in transit — self-wiping, redacted in any formatter.
   SecretBytes suci_secret;
   /// store_tag under the (home, recipient) push key: what the recipient
-  /// checks before it holds anything. The bundles' home signatures are for
-  /// the networks they are later served to.
+  /// checks before it holds anything. The round signatures are for the
+  /// networks the bundles are later served to.
   crypto::Sha256Digest tag{};
 
   template <typename F, typename Self>
   static void fields(F& f, Self& m) {
-    f.field(m.home_network, m.vectors);
-    f.field(m.shares);  // DAUTH_DISCLOSE(a store push carries the backup's own shares of K_seaf, §4.2.1 and §4.3)
-    f.field(m.round);
+    f.field(m.home_network, m.batches);
     f.field(m.suci_secret);  // DAUTH_DISCLOSE(deconcealment secret is provisioned to backups by design, §4.2)
     f.field(m.tag);
   }
@@ -213,38 +261,32 @@ inline constexpr std::string_view kPushKeyLabel = "dauth-push-v1";
 
 /// The tag of a store push to `backup` under the pair's push key: an HMAC
 /// over the recipient's id, the push's `suci_secret`, then each of its
-/// batches' signed round, in order, encoded as a message field list would
-/// be. The batch roots in the rounds commit every bundle, so the tag binds
-/// the push's whole content to the one backup it was made for.
+/// batches, every field, node and leaf, encoded as a message field list
+/// would be. It binds the push's whole content to the one backup it was
+/// made for.
 crypto::Sha256Digest store_tag(const crypto::HmacSha256& key, const NetworkId& backup,
-                               const SecretBytes& suci_secret,
-                               std::span<const SignedRound> rounds);
+                               const StoreMaterialRequest& push);
 
-/// Signs one user's dissemination round: each request's bundles (vectors,
-/// then shares) form batch i, and one Ed25519 signature covers the root of
-/// the tree over the batch roots. Sets every bundle's home_signature and
-/// position, with empty paths, and every request's `round` path, and
-/// returns the round. Throws std::invalid_argument when the bundles name
-/// different home networks, a request has no bundles, or a batch or the
-/// round passes 65,535 leaves; signs nothing for no requests.
-SignedRound sign_round(std::span<StoreMaterialRequest> requests,
-                       const crypto::Ed25519KeyPair& key);
+/// Signs one user's round: the batches of `requests`, in order, are its
+/// batches, and one Ed25519 signature covers the root of the tree over their
+/// roots. Numbers every batch's leaves and sets its place in the round, its
+/// signature, its round path and its tree's nodes. Throws
+/// std::invalid_argument when the requests name different home networks, a
+/// batch has no leaves, or a batch or the round passes 65,535 leaves; signs
+/// nothing for no batches.
+void sign_round(std::span<StoreMaterialRequest> requests, const crypto::Ed25519KeyPair& key);
 
-/// One home-signed batch of a StoreMaterialRequest, rebuilt by the receiving
-/// backup from the bundles themselves: every field its bundles share. A
-/// backup keeps its tree, and its other fields once in the batch's record.
-struct BundleBatch {
-  crypto::MerkleTree tree;
-  std::uint16_t batch_index = 0;
-  std::uint16_t batch_count = 1;
-  std::vector<crypto::Sha256Digest> round;  // the request's round path
-  crypto::Ed25519Signature signature{};
+/// Whether `push` has the layout its home makes: at least one batch, and in
+/// each a place in the round with a round path that fits it, and 1 to
+/// 65,535 leaves numbered in order (vectors, then shares). Hashes nothing: a
+/// backup checks it before the push's tag, and builds the trees (batch_tree)
+/// after.
+bool well_formed(const StoreMaterialRequest& push);
 
-  /// The round this batch's root and round path imply, as `home` would have
-  /// signed it, with `signature`; nullopt when the path cannot fit the
-  /// batch's round position.
-  std::optional<SignedRound> signed_round(const NetworkId& home) const;
-};
+/// The tree of `batch` built from its nodes (crypto::MerkleTree::from_nodes),
+/// or nullopt when they are not as many as its leaves' tree stores or do not
+/// hash into one another.
+std::optional<crypto::MerkleTree> batch_tree(const StoreBatch& batch);
 
 /// The served position of leaf `leaf_index` of batch `tree`, at
 /// `batch_index` of a `batch_count`-batch round, its path attached: the
@@ -254,16 +296,6 @@ BatchPath batch_position(const crypto::MerkleTree& tree, std::uint16_t leaf_inde
                          std::uint16_t batch_index, std::uint16_t batch_count,
                          std::span<const crypto::Sha256Digest> round,
                          std::span<const crypto::Sha256Digest> group);
-
-/// Splits a store request's bundles (vectors, then shares) into the batches
-/// their positions declare, in order, hashing each bundle once: a batch's
-/// bundles are the request's next `tree.leaf_count()`. nullopt for a
-/// request without bundles (its other fields are unsigned) and when the
-/// positions are inconsistent: a gap, a leaf count, round position,
-/// signature or user that changes inside a batch (a batch is one user's), a
-/// carried path, a round path whose length does not fit a batch's round
-/// position, or a bundle of another home network.
-std::optional<std::vector<BundleBatch>> split_batches(const StoreMaterialRequest& request);
 
 /// serving -> home or backup: request the next auth vector for a user.
 /// The user is identified by SUPI (or by SUCI ciphertext, which home/backup

@@ -31,6 +31,16 @@ std::size_t pair_up(std::span<const Sha256Digest> below, Sha256Digest* above) {
   return up;
 }
 
+// The nodes a `leaves`-leaf tree stores (MerkleTree::nodes).
+std::size_t stored_count(std::size_t leaves) {
+  std::size_t stored = leaves == 1 ? 1 : 0;
+  for (std::size_t level = 1, size = leaves; size > 1; ++level) {
+    size = (size + 1) / 2;
+    if (level >= kFirstStoredLevel || size == 1) stored += size;
+  }
+  return stored;
+}
+
 }  // namespace
 
 Sha256 merkle_leaf_hasher() noexcept {
@@ -59,20 +69,34 @@ MerkleTree::MerkleTree(std::span<const Sha256Digest> leaves) : leaf_count_(leave
     nodes_.assign(leaves.begin(), leaves.end());  // the leaf is the root
     return;
   }
-  std::size_t stored = 0;
-  for (std::size_t level = 1, size = leaf_count_; size > 1; ++level) {
-    size = (size + 1) / 2;
-    if (level >= kFirstStoredLevel || size == 1) stored += size;
-  }
-  nodes_.reserve(stored);
+  nodes_.reserve(stored_count(leaf_count_));
   std::vector<Sha256Digest> level((leaf_count_ + 1) / 2);
-  std::size_t size = pair_up(leaves, level.data());
-  for (std::size_t depth = 1;; ++depth) {
-    if (depth >= kFirstStoredLevel || size == 1) {
-      nodes_.insert(nodes_.end(), level.begin(), level.begin() + static_cast<std::ptrdiff_t>(size));
+  level.resize(pair_up(leaves, level.data()));
+  grow(std::move(level), 1);
+}
+
+std::optional<MerkleTree> MerkleTree::from_nodes(std::size_t leaf_count,
+                                                 std::span<const Sha256Digest> nodes) {
+  if (leaf_count == 0 || nodes.size() != stored_count(leaf_count)) return std::nullopt;
+  // A tree of up to four leaves stores its root alone, one of more its
+  // third level first.
+  const bool third = level_size(leaf_count, kFirstStoredLevel - 1) > 1;
+  const std::size_t lowest = third ? level_size(leaf_count, kFirstStoredLevel) : 1;
+  MerkleTree tree(leaf_count, {});
+  tree.nodes_.reserve(nodes.size());
+  tree.grow({nodes.begin(), nodes.begin() + static_cast<std::ptrdiff_t>(lowest)},
+            third ? kFirstStoredLevel : 0);
+  if (!std::ranges::equal(tree.nodes_, nodes)) return std::nullopt;
+  return tree;
+}
+
+void MerkleTree::grow(std::vector<Sha256Digest> level, std::size_t depth) {
+  for (;; ++depth) {
+    if (depth >= kFirstStoredLevel || level.size() == 1) {
+      nodes_.insert(nodes_.end(), level.begin(), level.end());
     }
-    if (size == 1) break;
-    size = pair_up({level.data(), size}, level.data());
+    if (level.size() == 1) return;
+    level.resize(pair_up(level, level.data()));
   }
 }
 

@@ -17,6 +17,7 @@
 #include <cstddef>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.h"
@@ -46,8 +47,18 @@ class MerkleTree {
   /// Throws std::invalid_argument on an empty leaf list.
   explicit MerkleTree(std::span<const Sha256Digest> leaves);
 
+  /// The `leaf_count`-leaf tree that stores `nodes` (see nodes()), built
+  /// without its leaves: the levels above its lowest stored one are rehashed
+  /// from that level and must equal the ones given. nullopt when they do
+  /// not, or when `nodes` is not as many as such a tree stores.
+  static std::optional<MerkleTree> from_nodes(std::size_t leaf_count,
+                                              std::span<const Sha256Digest> nodes);
+
   std::size_t leaf_count() const noexcept { return leaf_count_; }
   const Sha256Digest& root() const noexcept { return nodes_.back(); }
+  /// The nodes the tree stores, level by level from the third (or from the
+  /// root, for a tree of at most four leaves) up to the root.
+  std::span<const Sha256Digest> nodes() const noexcept { return nodes_; }
 
   /// The group of leaf `index` (index < leaf_count()).
   MerkleGroup group(std::size_t index) const noexcept;
@@ -55,10 +66,16 @@ class MerkleTree {
   /// RFC 6962 §2.1.1 audit path of leaf `index`, leaf level first, given the
   /// leaf hashes of group(index). Empty for a one-leaf tree. Throws
   /// std::out_of_range on a bad index and std::invalid_argument when
-  /// `group` is not that group of this tree.
+  /// `group` is not that group of this tree: of another size, or not
+  /// rehashing into the node the tree stores above it.
   std::vector<Sha256Digest> path(std::size_t index, std::span<const Sha256Digest> group) const;
 
  private:
+  MerkleTree(std::size_t leaf_count, std::vector<Sha256Digest> nodes)
+      : leaf_count_(leaf_count), nodes_(std::move(nodes)) {}
+  /// Appends to the stored nodes `level`, the nodes of tree level `depth`,
+  /// when it is stored, and every stored level above it.
+  void grow(std::vector<Sha256Digest> level, std::size_t depth);
   /// Stored node `index` of `level` (0 = leaves): the root, or a node of the
   /// third level or above.
   const Sha256Digest& stored(std::size_t level, std::size_t index) const;

@@ -55,10 +55,28 @@ void store8(MutableByteView bytes, std::size_t offset, std::uint64_t lanes) noex
 
 std::vector<ShamirShare> shamir_split(ByteView secret, std::size_t threshold,
                                       std::size_t share_count, RandomSource& random) {
-  if (threshold == 0) throw std::invalid_argument("shamir_split: threshold must be >= 1");
-  if (threshold > share_count)
-    throw std::invalid_argument("shamir_split: threshold exceeds share count");
   if (share_count > 255) throw std::invalid_argument("shamir_split: at most 255 shares");
+  std::vector<ShamirShare> shares(share_count);
+  std::vector<MutableByteView> ordinates;
+  ordinates.reserve(share_count);
+  for (std::size_t s = 0; s < share_count; ++s) {
+    shares[s].x = static_cast<std::uint8_t>(s + 1);
+    shares[s].y.resize(secret.size());
+    ordinates.push_back(shares[s].y.mutable_view());
+  }
+  shamir_split(secret, threshold, ordinates, random);
+  return shares;
+}
+
+void shamir_split(ByteView secret, std::size_t threshold,
+                  std::span<const MutableByteView> ordinates, RandomSource& random) {
+  if (threshold == 0) throw std::invalid_argument("shamir_split: threshold must be >= 1");
+  if (threshold > ordinates.size())
+    throw std::invalid_argument("shamir_split: threshold exceeds share count");
+  if (ordinates.size() > 255) throw std::invalid_argument("shamir_split: at most 255 shares");
+  for (const MutableByteView& y : ordinates) {
+    if (y.size() != secret.size()) throw std::invalid_argument("shamir_split: ordinate size");
+  }
 
   // Row d of `coefficients` holds the degree-(d+1) coefficient for every
   // secret byte; the constant term (degree 0) is the secret itself.
@@ -72,19 +90,15 @@ std::vector<ShamirShare> shamir_split(ByteView secret, std::size_t threshold,
   };
   for (std::size_t d = 0; d < degree; ++d) random.fill(row(d));
 
-  std::vector<ShamirShare> shares(share_count);
-  for (std::size_t s = 0; s < share_count; ++s) {
+  for (std::size_t s = 0; s < ordinates.size(); ++s) {
     const auto x = static_cast<std::uint8_t>(s + 1);
-    shares[s].x = x;
-    shares[s].y.resize(secret.size());
     for (std::size_t i = 0; i < secret.size(); i += 8) {
       // Horner evaluation: ((c_{k-1} x + c_{k-2}) x + ...) x + secret.
       std::uint64_t acc = 0;
       for (std::size_t d = degree; d-- > 0;) acc = mul8(acc, x) ^ load8(row(d), i);
-      store8(shares[s].y.mutable_view(), i, mul8(acc, x) ^ load8(secret, i));
+      store8(ordinates[s], i, mul8(acc, x) ^ load8(secret, i));
     }
   }
-  return shares;
 }
 
 SecretBytes shamir_combine(const std::vector<ShamirShare>& shares) {

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/bytes.h"
@@ -45,6 +46,12 @@ class RandomSource {
 /// x-coordinates 1..share_count.
 std::vector<ShamirShare> shamir_split(ByteView secret, std::size_t threshold,
                                       std::size_t share_count, RandomSource& random);
+
+/// The same split into the caller's storage: the ordinate of the share at
+/// x = s + 1 into `ordinates[s]`, which must be secret.size() bytes. Draws
+/// the same random bytes as shamir_split, so the shares are equal.
+void shamir_split(ByteView secret, std::size_t threshold,
+                  std::span<const MutableByteView> ordinates, RandomSource& random);
 
 /// Reconstructs the secret from >= threshold distinct shares by Lagrange
 /// interpolation at x = 0. The caller passes exactly the shares to use; with

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <stdexcept>
+
 #include "aka/nas.h"
 #include "crypto/drbg.h"
 #include "ran/gnb.h"
@@ -130,6 +133,43 @@ TEST(StandaloneCore, RoamingViaRemoteHss) {
   EXPECT_EQ(record.path, "roaming");
   EXPECT_TRUE(record.key_confirmed);
   EXPECT_EQ(serving.metrics().roaming_auths, 1u);
+  EXPECT_EQ(home.metrics().hss_requests_served, 1u);
+}
+
+TEST(StandaloneCore, HssRefusesAnUnprovisionedSupi) {
+  // A home HSS answers hss.get_av for its own subscribers only. A request
+  // for another SUPI fails before any vector work: no request is counted
+  // served, no SQN is allocated and no RAND drawn, so the next vector for a
+  // subscriber is the one an HSS that never saw the refusal issues.
+  Fixture f;
+  StandaloneCore home(f.rpc, f.home_node, "home", f.cfg, 2);
+  StandaloneCore twin(f.rpc, f.core_node, "home", f.cfg, 2);  // the same RNG stream
+  const auto keys = make_keys(3);
+  home.provision_subscriber(kAlice, keys);
+  twin.provision_subscriber(kAlice, keys);
+  home.bind_services();
+  twin.bind_services();
+  const auto get_av = [&](sim::NodeIndex hss, const Supi& supi) {
+    std::optional<sim::CallResult<HssVectorReply>> result;
+    sim::TypedStub(f.rpc, f.ran_node, kHssGetAv)
+        .call(hss, HssVectorRequest{supi}, sim::RpcOptions::oneshot(),
+              [&](sim::CallResult<HssVectorReply> r) { result = std::move(r); });
+    f.s.run();
+    if (!result) throw std::runtime_error("hss.get_av never ended");
+    return std::move(*result);
+  };
+
+  const auto refused = get_av(f.home_node, Supi("901550000000002"));
+  ASSERT_FALSE(refused.ok());
+  ASSERT_TRUE(refused.app_error().has_value()) << refused.error().message;
+  EXPECT_EQ(refused.app_error()->code, sim::AppErrorCode::kNotFound);
+  EXPECT_EQ(home.metrics().hss_requests_served, 0u);
+
+  const auto served = get_av(f.home_node, kAlice);
+  const auto unrefused = get_av(f.core_node, kAlice);
+  ASSERT_TRUE(served.ok());
+  ASSERT_TRUE(unrefused.ok());
+  EXPECT_EQ(wire::encode(served.value()), wire::encode(unrefused.value()));
   EXPECT_EQ(home.metrics().hss_requests_served, 1u);
 }
 

@@ -4,6 +4,7 @@
 // the home network did not sign.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
 
@@ -13,14 +14,6 @@
 
 namespace dauth::core {
 namespace {
-
-/// What a serving network checks of a stored batch: that the round its root
-/// and round path imply carries `home_key`'s signature.
-bool verify_root(const BundleBatch& batch, const NetworkId& home,
-                 const crypto::Ed25519PublicKey& home_key) {
-  const auto round = batch.signed_round(home);
-  return round && crypto::ed25519_verify(round->payload, round->signature, home_key);
-}
 
 using crypto::MerkleTree;
 using crypto::Sha256Digest;
@@ -65,16 +58,6 @@ AuthVectorBundle vector_for(const char* supi, std::uint64_t sqn) {
   return b;
 }
 
-KeyShareBundle share_for(const char* supi, std::uint8_t index) {
-  KeyShareBundle b;
-  b.home_network = NetworkId("home-net");
-  b.supi = Supi(supi);
-  b.hxres_star[0] = index;
-  b.share.x = 1;
-  b.share.y = Bytes(32, index);
-  return b;
-}
-
 /// One (user, backup) dissemination batch, signed, with every bundle's
 /// inclusion path attached as a backup would serve it.
 struct ServedBatch {
@@ -82,57 +65,96 @@ struct ServedBatch {
   std::vector<KeyShareBundle> shares;
 };
 
-ServedBatch served_batch(const char* supi, std::size_t vectors, std::size_t shares,
-                         const crypto::Ed25519KeyPair& signer) {
-  ServedBatch batch;
-  for (std::size_t i = 0; i < vectors; ++i) {
-    batch.vectors.push_back(vector_for(supi, 32 * i + 1));
-  }
-  for (std::size_t i = 0; i < shares; ++i) {
-    batch.shares.push_back(share_for(supi, static_cast<std::uint8_t>(i + 1)));
-  }
-  sign_batch(batch.vectors, batch.shares, signer);
-  std::vector<Sha256Digest> leaves;
-  const auto add_leaf = [&](const auto& b) {
-    leaves.push_back(b.leaf_hash());
-  };
-  for (const auto& v : batch.vectors) add_leaf(v);
-  for (const auto& s : batch.shares) add_leaf(s);
-  const MerkleTree tree(leaves);
-  for (auto& v : batch.vectors) v.batch.siblings = path_of(tree, leaves, v.batch.leaf_index);
-  for (auto& s : batch.shares) s.batch.siblings = path_of(tree, leaves, s.batch.leaf_index);
-  return batch;
+VectorLeaf vector_leaf(std::uint64_t sqn) {
+  VectorLeaf v;
+  v.sqn = sqn;
+  v.rand[0] = static_cast<std::uint8_t>(sqn);
+  v.hxres_star[0] = static_cast<std::uint8_t>(sqn);
+  return v;
 }
 
-/// One user's dissemination round of `batches` store requests, signed, each
-/// bundle with its served path (in-batch, then round) attached.
-std::vector<StoreMaterialRequest> served_round(const char* supi, std::size_t batches,
+ShareLeaf share_leaf(std::uint8_t index) {
+  ShareLeaf s;
+  s.hxres_star[0] = index;
+  s.x = 1;
+  ByteArray<32> y;
+  y.fill(index);
+  s.y = y;
+  return s;
+}
+
+/// The bundles of one pushed batch of `home`'s, as a backup serves them:
+/// each rebuilt from its leaf, its inclusion path (in-batch, then round)
+/// cut from the tree of the batch's leaves.
+ServedBatch served_from(const NetworkId& home, const StoreBatch& batch) {
+  std::vector<Sha256Digest> leaves;
+  for (const auto& v : batch.vectors) leaves.push_back(leaf_hash(home, batch.supi, v));
+  for (const auto& s : batch.shares) leaves.push_back(leaf_hash(home, batch.supi, s));
+  const MerkleTree tree(leaves);
+  ServedBatch served;
+  const auto serve = [&](const auto& leaf) {
+    auto bundle = bundle_of(home, batch.supi, leaf);
+    const crypto::MerkleGroup group = tree.group(leaf.leaf);
+    bundle.batch = batch_position(tree, leaf.leaf, batch.batch_index, batch.batch_count,
+                                  batch.round,
+                                  std::span<const Sha256Digest>(leaves).subspan(group.first,
+                                                                                group.size));
+    bundle.home_signature = batch.signature;
+    return bundle;
+  };
+  for (const auto& v : batch.vectors) served.vectors.push_back(serve(v));
+  for (const auto& s : batch.shares) served.shares.push_back(serve(s));
+  return served;
+}
+
+ServedBatch served_batch(const char* supi, std::size_t vectors, std::size_t shares,
+                         const crypto::Ed25519KeyPair& signer) {
+  StoreMaterialRequest push;
+  push.home_network = NetworkId("home-net");
+  StoreBatch& batch = push.batches.emplace_back();
+  batch.supi = Supi(supi);
+  for (std::size_t i = 0; i < vectors; ++i) batch.vectors.push_back(vector_leaf(32 * i + 1));
+  for (std::size_t i = 0; i < shares; ++i) {
+    batch.shares.push_back(share_leaf(static_cast<std::uint8_t>(i + 1)));
+  }
+  sign_round({&push, 1}, signer);
+  return served_from(push.home_network, batch);
+}
+
+/// Whether every bundle served from `batch` verifies under `home_key`.
+bool all_verify(const NetworkId& home, const StoreBatch& batch,
+                const crypto::Ed25519PublicKey& home_key) {
+  const ServedBatch served = served_from(home, batch);
+  return std::ranges::all_of(served.vectors, [&](const auto& b) { return b.verify(home_key); }) &&
+         std::ranges::all_of(served.shares, [&](const auto& b) { return b.verify(home_key); });
+}
+
+/// One user's dissemination round of `batches` store pushes, signed: two
+/// vectors and three shares each.
+std::vector<StoreMaterialRequest> pushed_round(const char* supi, std::size_t batches,
                                                const crypto::Ed25519KeyPair& signer) {
   std::vector<StoreMaterialRequest> round(batches);
   for (std::size_t b = 0; b < batches; ++b) {
     round[b].home_network = NetworkId("home-net");
-    for (std::size_t i = 0; i < 2; ++i) round[b].vectors.push_back(vector_for(supi, 32 * b + i));
+    StoreBatch& batch = round[b].batches.emplace_back();
+    batch.supi = Supi(supi);
+    for (std::size_t i = 0; i < 2; ++i) batch.vectors.push_back(vector_leaf(32 * b + i));
     for (std::size_t i = 0; i < 3; ++i) {
-      round[b].shares.push_back(share_for(supi, static_cast<std::uint8_t>(16 * b + i)));
+      batch.shares.push_back(share_leaf(static_cast<std::uint8_t>(16 * b + i)));
     }
   }
   sign_round(round, signer);
-  for (StoreMaterialRequest& request : round) {
-    std::vector<Sha256Digest> leaves;
-    const auto add_leaf = [&](const auto& b) {
-      leaves.push_back(b.leaf_hash());
-    };
-    for (const auto& v : request.vectors) add_leaf(v);
-    for (const auto& s : request.shares) add_leaf(s);
-    const MerkleTree tree(leaves);
-    const auto attach = [&](BatchPath& p) {
-      p.siblings = path_of(tree, leaves, p.leaf_index);
-      p.siblings.insert(p.siblings.end(), request.round.begin(), request.round.end());
-    };
-    for (auto& v : request.vectors) attach(v.batch);
-    for (auto& s : request.shares) attach(s.batch);
-  }
   return round;
+}
+
+/// The same round, each batch as its bundles are served.
+std::vector<ServedBatch> served_round(const char* supi, std::size_t batches,
+                                      const crypto::Ed25519KeyPair& signer) {
+  std::vector<ServedBatch> served;
+  for (const StoreMaterialRequest& push : pushed_round(supi, batches, signer)) {
+    served.push_back(served_from(push.home_network, push.batches[0]));
+  }
+  return served;
 }
 
 /// The round part of a served path.
@@ -248,6 +270,64 @@ TEST(MerkleTree, PathRefusesAGroupNotOfItsLeaf) {
   }
 }
 
+TEST(MerkleTree, TreeFromItsNodesIsTheTreeOfItsLeaves) {
+  // A backup adopts the nodes its home's tree stores: the tree they build
+  // has the root and every path of the tree of the leaves.
+  for (std::size_t n = 1; n <= 300; ++n) {
+    const auto leaves = leaves_of(n);
+    const MerkleTree tree(leaves);
+    const auto adopted = MerkleTree::from_nodes(n, tree.nodes());
+    ASSERT_TRUE(adopted.has_value()) << n << " leaves";
+    ASSERT_EQ(adopted->leaf_count(), n);
+    ASSERT_EQ(adopted->root(), tree.root()) << n << " leaves";
+    ASSERT_TRUE(std::ranges::equal(adopted->nodes(), tree.nodes())) << n << " leaves";
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(path_of(*adopted, leaves, i), path_of(tree, leaves, i)) << i << " of " << n;
+    }
+  }
+}
+
+TEST(MerkleTree, TreeFromNodesRefusesNodesThatDoNotHashTogether) {
+  for (std::size_t n : {1, 4, 5, 9, 20, 144}) {
+    const auto leaves = leaves_of(n);
+    const MerkleTree tree(leaves);
+    const std::vector<Sha256Digest> nodes(tree.nodes().begin(), tree.nodes().end());
+    EXPECT_FALSE(MerkleTree::from_nodes(0, nodes).has_value()) << n << " leaves";
+    std::vector<Sha256Digest> longer = nodes;
+    longer.push_back(tree.root());
+    EXPECT_FALSE(MerkleTree::from_nodes(n, longer).has_value()) << n << " leaves";
+    EXPECT_FALSE(MerkleTree::from_nodes(n, std::span(nodes).first(nodes.size() - 1)).has_value())
+        << n << " leaves";
+    // Any one node changed: a lone root is the leaves' business (a path's
+    // group check), every other stored node must hash into the ones above.
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      std::vector<Sha256Digest> edited = nodes;
+      edited[i][0] ^= 1;
+      EXPECT_EQ(MerkleTree::from_nodes(n, edited).has_value(), nodes.size() == 1)
+          << "node " << i << " of " << n << " leaves";
+    }
+  }
+}
+
+TEST(MerkleTree, PathRefusesLeavesTheAdoptedTreeWasNotBuiltOver) {
+  // A tree adopted from the nodes of other leaves serves no path for a leaf
+  // whose group differs, and every other path still leads to its root.
+  const auto leaves = leaves_of(20);
+  auto other = leaves;
+  other[9][0] ^= 1;
+  const auto adopted = MerkleTree::from_nodes(20, MerkleTree(other).nodes());
+  ASSERT_TRUE(adopted.has_value());
+  for (std::size_t i = 0; i < leaves.size(); ++i) {
+    if (adopted->group(i).first == adopted->group(9).first) {
+      EXPECT_THROW((void)path_of(*adopted, leaves, i), std::invalid_argument) << i;
+    } else {
+      EXPECT_EQ(crypto::merkle_root_from_path(leaves[i], i, 20, path_of(*adopted, leaves, i)),
+                adopted->root())
+          << i;
+    }
+  }
+}
+
 // ---- Signed bundles --------------------------------------------------------
 
 TEST(BundleBatch, OneSignatureCoversEveryBundle) {
@@ -279,17 +359,22 @@ TEST(BundleBatch, OneLeafBatchRoundTrip) {
   EXPECT_EQ(wire::encode(decoded), wire::encode(v));
   EXPECT_TRUE(decoded.verify(home.public_key));
 
-  KeyShareBundle s = share_for("901550000000001", 9);
-  sign_batch({}, {&s, 1}, home);
+  const KeyShareBundle s = served_batch("901550000000001", 0, 1, home).shares[0];
+  EXPECT_TRUE(s.batch.siblings.empty());
   EXPECT_TRUE(wire::decode<KeyShareBundle>(wire::encode(s)).verify(home.public_key));
 }
 
 TEST(BundleBatch, OneSignatureCoversEveryBatchOfARound) {
   const auto home = keys(10);
+  const auto pushed = pushed_round("901550000000001", 5, home);
   const auto round = served_round("901550000000001", 5, home);
   const auto& signature = round[0].vectors[0].home_signature;
   for (std::size_t b = 0; b < round.size(); ++b) {
-    EXPECT_EQ(round[b].round.size(), crypto::merkle_path_length(b, 5)) << b;
+    const StoreBatch& batch = pushed[b].batches[0];
+    EXPECT_EQ(batch.round.size(), crypto::merkle_path_length(b, 5)) << b;
+    EXPECT_EQ(batch.batch_index, b);
+    EXPECT_EQ(batch.batch_count, 5u);
+    EXPECT_EQ(batch.shares.back().leaf, 4u);
     for (const auto& v : round[b].vectors) {
       EXPECT_EQ(v.batch.batch_index, b);
       EXPECT_EQ(v.batch.batch_count, 5u);
@@ -307,22 +392,34 @@ TEST(BundleBatch, OneSignatureCoversEveryBatchOfARound) {
   }
 }
 
+TEST(BundleBatch, LoneBundleAndLoneLeafAreOneSignature) {
+  // A lone vector signed as a bundle (sign_single) and as a pushed leaf
+  // (sign_round) hash the same leaf into the same round.
+  const auto home = keys(15);
+  AuthVectorBundle bundle = vector_for("901550000000001", 1);  // served_batch's first
+  sign_single(bundle, home);
+  const ServedBatch pushed = served_batch("901550000000001", 1, 0, home);
+  EXPECT_EQ(wire::encode(pushed.vectors[0]), wire::encode(bundle));
+}
+
 TEST(BundleBatch, PositionsPastU16Throw) {
   const auto home = keys(11);
   std::vector<StoreMaterialRequest> too_many(0x10000);
+  for (auto& push : too_many) push.batches.emplace_back().vectors.push_back(vector_leaf(1));
   EXPECT_THROW(sign_round(too_many, home), std::invalid_argument);
-  std::vector<KeyShareBundle> too_large(0x10000, share_for("901550000000001", 1));
-  EXPECT_THROW(sign_batch({}, too_large, home), std::invalid_argument);
+  std::vector<StoreMaterialRequest> too_large(1);
+  too_large[0].batches.emplace_back().shares.assign(0x10000, share_leaf(1));
+  EXPECT_THROW(sign_round(too_large, home), std::invalid_argument);
   std::vector<StoreMaterialRequest> with_empty(2);
-  with_empty[0].vectors.push_back(vector_for("901550000000001", 1));
+  with_empty[0].batches.emplace_back().vectors.push_back(vector_leaf(1));
+  with_empty[1].batches.emplace_back();
   EXPECT_THROW(sign_round(with_empty, home), std::invalid_argument);
 }
 
-TEST(BundleBatch, MixedHomesCannotShareABatch) {
-  std::vector<AuthVectorBundle> vectors = {vector_for("901550000000001", 1)};
-  std::vector<KeyShareBundle> shares = {share_for("901550000000001", 1)};
-  shares[0].home_network = NetworkId("other-home");
-  EXPECT_THROW(sign_batch(vectors, shares, keys(3)), std::invalid_argument);
+TEST(BundleBatch, MixedHomesCannotShareARound) {
+  auto round = pushed_round("901550000000001", 2, keys(3));
+  round[1].home_network = NetworkId("other-home");
+  EXPECT_THROW(sign_round(round, keys(3)), std::invalid_argument);
 }
 
 // Each attack is applied to a vector and a share of the same batch; both
@@ -389,14 +486,14 @@ TEST(BundleBatch, AdversarialRoundPathsAreRejected) {
       {"swapped batch index", [](BatchPath& p) { p.batch_index ^= 1; }},
       {"false batch count", [](BatchPath& p) { ++p.batch_count; }},
       {"round path from another user's round",
-       [&](BatchPath& p) { set_round_part(p, bob[1].round); }},
+       [&](BatchPath& p) { set_round_part(p, round_part(bob[1].vectors[0].batch)); }},
       {"round path one hash short", [](BatchPath& p) { p.siblings.pop_back(); }},
       {"round path one hash long", [](BatchPath& p) { p.siblings.push_back({}); }},
       {"batch root spliced in from another backup",
        [&](BatchPath& p) {
          // Claim batch 2's slot of the same round: its position and round path.
          p.batch_index = 2;
-         set_round_part(p, alice[2].round);
+         set_round_part(p, round_part(alice[2].vectors[0].batch));
        }},
   };
   for (const auto& [name, attack] : attacks) {
@@ -408,71 +505,36 @@ TEST(BundleBatch, AdversarialRoundPathsAreRejected) {
     attack(s.batch);
     EXPECT_FALSE(s.verify(home.public_key)) << "share: " << name;
   }
-  EXPECT_EQ(round_part(alice[1].vectors[0].batch), alice[1].round);
+  EXPECT_EQ(round_part(alice[1].vectors[0].batch),
+            pushed_round("901550000000001", 4, home)[1].batches[0].round);
 }
 
-// ---- Store requests --------------------------------------------------------
+// ---- Store pushes ------------------------------------------------------------
 
-StoreMaterialRequest signed_request(const crypto::Ed25519KeyPair& home) {
-  StoreMaterialRequest req;
-  req.home_network = NetworkId("home-net");
-  for (std::uint64_t i = 0; i < 3; ++i) req.vectors.push_back(vector_for("901550000000001", i));
-  for (std::uint8_t i = 0; i < 5; ++i) req.shares.push_back(share_for("901550000000001", i));
-  sign_batch(req.vectors, req.shares, home);
-  return req;
-}
-
-TEST(SplitBatches, DisseminationRequestIsOneBatch) {
+TEST(StorePush, PushedBatchIsTheBatchTheHomeSigned) {
+  // A pushed batch carries its tree's nodes, its round path and the
+  // signature once: the tree its nodes build is the tree of its leaves, and
+  // every bundle rebuilt from it verifies under the home's key only.
   const auto home = keys(5);
-  const StoreMaterialRequest req = signed_request(home);
-  const auto batches = split_batches(req);
-  ASSERT_TRUE(batches.has_value());
-  ASSERT_EQ(batches->size(), 1u);
-  EXPECT_EQ(batches->front().tree.leaf_count(), 8u);
-  EXPECT_TRUE(verify_root(batches->front(), req.home_network, home.public_key));
-  EXPECT_FALSE(verify_root(batches->front(), req.home_network, keys(6).public_key));
-  EXPECT_FALSE(verify_root(batches->front(), NetworkId("other-home"), home.public_key));
-}
-
-TEST(SplitBatches, RoundRequestIsOneBatchWithItsRoundPath) {
-  const auto home = keys(13);
-  auto round = served_round("901550000000001", 3, home);
+  const auto round = pushed_round("901550000000001", 3, home);
   for (std::size_t b = 0; b < round.size(); ++b) {
-    StoreMaterialRequest req = round[b];
-    for (auto& v : req.vectors) v.batch.siblings.clear();  // as the home sends it
-    for (auto& s : req.shares) s.batch.siblings.clear();
-    const auto batches = split_batches(wire::decode<StoreMaterialRequest>(wire::encode(req)));
-    ASSERT_TRUE(batches.has_value()) << b;
-    ASSERT_EQ(batches->size(), 1u);
-    EXPECT_EQ(batches->front().batch_index, b);
-    EXPECT_EQ(batches->front().batch_count, 3u);
-    EXPECT_EQ(batches->front().round, req.round);
-    EXPECT_TRUE(verify_root(batches->front(), req.home_network, home.public_key)) << b;
-    // The batch rebuilds every bundle's served position, path included,
-    // from the leaf hashes of its group.
+    const StoreMaterialRequest push =
+        wire::decode<StoreMaterialRequest>(wire::encode(round[b]));
+    ASSERT_TRUE(well_formed(push));
+    const StoreBatch& batch = push.batches[0];
+    const auto tree = batch_tree(batch);
+    ASSERT_TRUE(tree.has_value());
     std::vector<Sha256Digest> leaves;
-    for (const auto& v : req.vectors) leaves.push_back(v.leaf_hash());
-    for (const auto& s : req.shares) leaves.push_back(s.leaf_hash());
-    const BundleBatch& batch = batches->front();
-    const auto position = [&](std::uint16_t i) {
-      const crypto::MerkleGroup group = batch.tree.group(i);
-      return batch_position(batch.tree, i, batch.batch_index, batch.batch_count, batch.round,
-                            std::span<const Sha256Digest>(leaves).subspan(group.first, group.size));
-    };
-    for (const auto& v : round[b].vectors) {
-      AuthVectorBundle rebuilt = v;
-      rebuilt.batch = position(v.batch.leaf_index);
-      EXPECT_EQ(wire::encode(rebuilt), wire::encode(v)) << b;
-    }
-    for (const auto& s : round[b].shares) {
-      KeyShareBundle rebuilt = s;
-      rebuilt.batch = position(s.batch.leaf_index);
-      EXPECT_EQ(wire::encode(rebuilt), wire::encode(s)) << b;
-    }
+    for (const auto& v : batch.vectors) leaves.push_back(leaf_hash(push.home_network, batch.supi, v));
+    for (const auto& s : batch.shares) leaves.push_back(leaf_hash(push.home_network, batch.supi, s));
+    EXPECT_EQ(tree->root(), MerkleTree(leaves).root()) << b;
+    EXPECT_TRUE(all_verify(push.home_network, batch, home.public_key)) << b;
+    EXPECT_FALSE(all_verify(push.home_network, batch, keys(6).public_key)) << b;
+    EXPECT_FALSE(all_verify(NetworkId("other-home"), batch, home.public_key)) << b;
   }
 }
 
-TEST(SplitBatches, FloodRequestIsOneTwoLeafBatch) {
+TEST(StorePush, FloodRequestIsOneTwoLeafBatch) {
   // A flood is one round over the remaining backups (§4.3): backup b's
   // request is one two-leaf batch, the flood vector and its share b, at
   // place b of the round, and every copy of the vector verifies against
@@ -481,122 +543,107 @@ TEST(SplitBatches, FloodRequestIsOneTwoLeafBatch) {
   std::vector<StoreMaterialRequest> round(3);
   for (std::uint8_t b = 0; b < round.size(); ++b) {
     round[b].home_network = NetworkId("home-net");
-    round[b].vectors.push_back(vector_for("901550000000001", 5));
-    round[b].shares.push_back(share_for("901550000000001", static_cast<std::uint8_t>(5 + b)));
+    StoreBatch& batch = round[b].batches.emplace_back();
+    batch.supi = Supi("901550000000001");
+    batch.vectors.push_back(vector_leaf(5));
+    batch.shares.push_back(share_leaf(static_cast<std::uint8_t>(5 + b)));
   }
   sign_round(round, home);
   for (std::size_t b = 0; b < round.size(); ++b) {
-    const auto batches = split_batches(round[b]);
-    ASSERT_TRUE(batches.has_value()) << b;
-    ASSERT_EQ(batches->size(), 1u);
-    EXPECT_EQ(batches->front().tree.leaf_count(), 2u);
-    EXPECT_EQ(batches->front().batch_index, b);
-    EXPECT_EQ(batches->front().batch_count, 3u);
-    EXPECT_TRUE(verify_root(batches->front(), round[b].home_network, home.public_key)) << b;
-    EXPECT_EQ(round[b].vectors[0].home_signature, round[0].vectors[0].home_signature);
+    ASSERT_TRUE(well_formed(round[b])) << b;
+    const StoreBatch& batch = round[b].batches[0];
+    EXPECT_EQ(batch_tree(batch)->leaf_count(), 2u);
+    EXPECT_EQ(batch.batch_index, b);
+    EXPECT_EQ(batch.batch_count, 3u);
+    EXPECT_EQ(batch.shares[0].leaf, 1u);
+    EXPECT_TRUE(all_verify(round[b].home_network, batch, home.public_key)) << b;
+    EXPECT_EQ(batch.signature, round[0].batches[0].signature);
   }
 }
 
-TEST(SplitBatches, InconsistentLayoutsAreRejected) {
+TEST(StorePush, InconsistentLayoutsAreRefused) {
+  // A backup refuses these before it checks the tag (well_formed), or
+  // before it holds anything (batch_tree).
   const auto home = keys(8);
-  const std::vector<std::pair<const char*, std::function<void(StoreMaterialRequest&)>>> cases =
+  const std::vector<std::pair<const char*, std::function<void(StoreMaterialRequest&)>>> layouts =
       {
+          {"no batch", [](StoreMaterialRequest& r) { r.batches.clear(); }},
+          {"batch without leaves",
+           [](StoreMaterialRequest& r) {
+             r.batches[0].vectors.clear();
+             r.batches[0].shares.clear();
+           }},
           {"swapped indices",
            [](StoreMaterialRequest& r) {
-             std::swap(r.shares[0].batch.leaf_index, r.shares[1].batch.leaf_index);
+             std::swap(r.batches[0].shares[0].leaf, r.batches[0].shares[1].leaf);
            }},
-          {"changed count inside the batch",
-           [](StoreMaterialRequest& r) { ++r.shares[2].batch.leaf_count; }},
-          {"signature changes inside the batch",
-           [](StoreMaterialRequest& r) { r.shares[4].home_signature[0] ^= 1; }},
-          {"bundle of another home",
-           [](StoreMaterialRequest& r) { r.vectors[1].home_network = NetworkId("other"); }},
-          {"carried path",
-           [](StoreMaterialRequest& r) { r.vectors[0].batch.siblings.push_back({}); }},
-          {"truncated batch", [](StoreMaterialRequest& r) { r.shares.pop_back(); }},
-          {"zero leaf count",
-           [](StoreMaterialRequest& r) {
-             for (auto& v : r.vectors) v.batch.leaf_count = 0;
-             for (auto& s : r.shares) s.batch.leaf_count = 0;
-           }},
-          {"count beyond the request",
-           [](StoreMaterialRequest& r) {
-             for (auto& v : r.vectors) v.batch.leaf_count = 0xffff;
-             for (auto& s : r.shares) s.batch.leaf_count = 0xffff;
-           }},
-          {"round position changes inside the batch",
-           [](StoreMaterialRequest& r) { r.shares[1].batch.batch_count = 2; }},
-          {"round path carried by a round of one batch",
-           [](StoreMaterialRequest& r) { r.round.push_back({}); }},
+          {"index gap", [](StoreMaterialRequest& r) { ++r.batches[0].shares.back().leaf; }},
+          {"vector numbered after the shares",
+           [](StoreMaterialRequest& r) { r.batches[0].vectors[0].leaf = 4; }},
+          {"batch index past the round",
+           [](StoreMaterialRequest& r) { r.batches[0].batch_index = r.batches[0].batch_count; }},
+          {"round path one hash short", [](StoreMaterialRequest& r) { r.batches[0].round.pop_back(); }},
+          {"round path one hash long",
+           [](StoreMaterialRequest& r) { r.batches[0].round.push_back({}); }},
       };
-  for (const auto& [name, mutate] : cases) {
-    StoreMaterialRequest req = signed_request(home);
-    mutate(req);
-    EXPECT_FALSE(split_batches(wire::decode<StoreMaterialRequest>(wire::encode(req))).has_value()) << name;
+  for (const auto& [name, mutate] : layouts) {
+    StoreMaterialRequest push = pushed_round("901550000000001", 4, home)[1];
+    ASSERT_TRUE(well_formed(push)) << name;
+    mutate(push);
+    EXPECT_FALSE(well_formed(wire::decode<StoreMaterialRequest>(wire::encode(push)))) << name;
   }
+
+  const std::vector<std::pair<const char*, std::function<void(StoreBatch&)>>> trees = {
+      {"node missing", [](StoreBatch& b) { b.nodes.pop_back(); }},
+      {"node added", [](StoreBatch& b) { b.nodes.push_back(b.nodes.back()); }},
+  };
+  for (const auto& [name, mutate] : trees) {
+    StoreMaterialRequest push = pushed_round("901550000000001", 4, home)[1];
+    ASSERT_TRUE(batch_tree(push.batches[0]).has_value()) << name;
+    mutate(push.batches[0]);
+    EXPECT_FALSE(batch_tree(push.batches[0]).has_value()) << name;
+  }
+  // A tree of nine leaves or more stores more than its root, and a node that
+  // does not hash into the ones above it is refused.
+  std::vector<StoreMaterialRequest> big(1);
+  big[0].home_network = NetworkId("home-net");
+  StoreBatch& batch = big[0].batches.emplace_back();
+  for (std::uint8_t i = 0; i < 20; ++i) batch.shares.push_back(share_leaf(i));
+  sign_round(big, home);
+  ASSERT_GT(batch.nodes.size(), 1u);
+  batch.nodes[0].hash[0] ^= 1;
+  EXPECT_FALSE(batch_tree(batch).has_value());
 }
 
-TEST(SplitBatches, RoundAttacksAreRejectedAtStoreTime) {
-  // Each attack is either an inconsistent layout (split_batches refuses it)
-  // or a consistent one whose round root the home never signed.
+TEST(StorePush, RoundAttacksFailTheSignature) {
+  // A well-formed batch whose place in the round, round path or leaves were
+  // changed after the home signed it serves no bundle that verifies.
   const auto home = keys(14);
-  const auto as_sent = [&](const char* supi) {
-    auto round = served_round(supi, 4, home);
-    for (auto& req : round) {
-      for (auto& v : req.vectors) v.batch.siblings.clear();
-      for (auto& s : req.shares) s.batch.siblings.clear();
-    }
-    return round;
+  const auto alice = pushed_round("901550000000001", 4, home);
+  const auto bob = pushed_round("901550000000002", 4, home);
+  const std::vector<std::pair<const char*, std::function<void(StoreBatch&)>>> attacks = {
+      {"swapped batch index", [](StoreBatch& b) { b.batch_index ^= 1; }},
+      {"false batch count", [](StoreBatch& b) { b.batch_count = 3; }},
+      {"round path from another user's round",
+       [&](StoreBatch& b) { b.round = bob[1].batches[0].round; }},
+      {"batch root spliced in from another backup",
+       [&](StoreBatch& b) {
+         b.batch_index = 2;
+         b.round = alice[2].batches[0].round;
+       }},
+      {"round that disagrees with its leaves", [](StoreBatch& b) { b.round[0][0] ^= 1; }},
+      {"fewer leaves than signed", [](StoreBatch& b) { b.shares.resize(1); }},
+      {"signature of another user's round",
+       [&](StoreBatch& b) { b.signature = bob[1].batches[0].signature; }},
   };
-  const auto alice = as_sent("901550000000001");
-  const auto bob = as_sent("901550000000002");
-  const auto set_positions = [](StoreMaterialRequest& r, auto&& edit) {
-    for (auto& v : r.vectors) edit(v.batch);
-    for (auto& s : r.shares) edit(s.batch);
-  };
-  const std::vector<std::pair<const char*, std::function<void(StoreMaterialRequest&)>>> cases =
-      {
-          {"swapped batch index",
-           [&](StoreMaterialRequest& r) {
-             set_positions(r, [](BatchPath& p) { p.batch_index ^= 1; });
-           }},
-          {"false batch count",
-           [&](StoreMaterialRequest& r) {
-             set_positions(r, [](BatchPath& p) { ++p.batch_count; });
-           }},
-          {"round path from another user's round",
-           [&](StoreMaterialRequest& r) { r.round = bob[1].round; }},
-          {"round path one hash short", [](StoreMaterialRequest& r) { r.round.pop_back(); }},
-          {"round path one hash long", [](StoreMaterialRequest& r) { r.round.push_back({}); }},
-          {"batch root spliced in from another backup",
-           [&](StoreMaterialRequest& r) {
-             set_positions(r, [](BatchPath& p) { p.batch_index = 2; });
-             r.round = alice[2].round;
-           }},
-          {"round that disagrees with its bundles",
-           [](StoreMaterialRequest& r) { r.round[0][0] ^= 1; }},
-      };
-  for (const auto& [name, mutate] : cases) {
-    StoreMaterialRequest req = alice[1];
-    ASSERT_TRUE(verify_root(split_batches(req)->front(), req.home_network, home.public_key));
-    mutate(req);
-    const auto batches = split_batches(wire::decode<StoreMaterialRequest>(wire::encode(req)));
-    EXPECT_TRUE(!batches || !verify_root(batches->front(), req.home_network, home.public_key))
-        << name;
+  for (const auto& [name, attack] : attacks) {
+    StoreMaterialRequest push = alice[1];
+    ASSERT_TRUE(all_verify(push.home_network, push.batches[0], home.public_key));
+    attack(push.batches[0]);
+    const ServedBatch served = served_from(push.home_network, push.batches[0]);
+    EXPECT_FALSE(served.vectors[0].verify(home.public_key)) << name;
+    EXPECT_FALSE(served.shares[0].verify(home.public_key)) << name;
   }
-}
-
-TEST(SplitBatches, ConsistentLayoutWithWrongCountFailsTheSignature) {
-  // Relabelling every bundle as part of a smaller batch is a valid layout,
-  // but not the batch the home signed.
-  const auto home = keys(9);
-  StoreMaterialRequest req = signed_request(home);
-  req.shares.resize(3);
-  for (auto& v : req.vectors) v.batch.leaf_count = 6;
-  for (auto& s : req.shares) s.batch.leaf_count = 6;
-  const auto batches = split_batches(req);
-  ASSERT_TRUE(batches.has_value());
-  EXPECT_FALSE(verify_root(batches->front(), req.home_network, home.public_key));
 }
 
 }  // namespace

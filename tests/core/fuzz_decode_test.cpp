@@ -41,47 +41,52 @@ Bytes valid_vector_bundle() {
   return wire::encode(b);
 }
 
-/// A three-batch round of vectors: batch b holds five bundles.
+/// A three-batch round of vectors: batch b holds five leaves.
 std::vector<StoreMaterialRequest> signed_round() {
   const AuthVectorBundle base = wire::decode<AuthVectorBundle>(valid_vector_bundle());
   std::vector<StoreMaterialRequest> round(3);
   for (std::size_t b = 0; b < round.size(); ++b) {
     round[b].home_network = base.home_network;
+    StoreBatch& batch = round[b].batches.emplace_back();
+    batch.supi = base.supi;
     for (std::size_t i = 0; i < 5; ++i) {
-      round[b].vectors.push_back(base);
-      round[b].vectors.back().sqn += 8 * b + i;
+      batch.vectors.push_back(
+          {0, base.sqn + 8 * b + i, base.rand, base.autn, base.hxres_star, base.flood});
     }
   }
   sign_round(round, signer());
   return round;
 }
 
+/// The leaf hashes of `batch`, of `home`'s, in leaf order.
+std::vector<crypto::Sha256Digest> leaves_of(const NetworkId& home, const StoreBatch& batch) {
+  std::vector<crypto::Sha256Digest> leaves;
+  for (const auto& v : batch.vectors) leaves.push_back(leaf_hash(home, batch.supi, v));
+  for (const auto& s : batch.shares) leaves.push_back(leaf_hash(home, batch.supi, s));
+  return leaves;
+}
+
 /// Leaf 2 of batch 1 of a round, as a backup serves it: with its in-batch
 /// path, then its round path.
 Bytes valid_batched_vector_bundle() {
-  const StoreMaterialRequest batch = signed_round()[1];
-  std::vector<crypto::Sha256Digest> leaves;
-  for (const auto& b : batch.vectors) {
-    leaves.push_back(b.leaf_hash());
-  }
-  AuthVectorBundle served = batch.vectors[2];
+  const StoreMaterialRequest push = signed_round()[1];
+  const StoreBatch& batch = push.batches[0];
+  const auto leaves = leaves_of(push.home_network, batch);
+  AuthVectorBundle served = bundle_of(push.home_network, batch.supi, batch.vectors[2]);
   const crypto::MerkleTree tree(leaves);
   const crypto::MerkleGroup group = tree.group(2);
-  served.batch.siblings = tree.path(2, std::span(leaves).subspan(group.first, group.size));
-  served.batch.siblings.insert(served.batch.siblings.end(), batch.round.begin(),
-                               batch.round.end());
+  served.batch = batch_position(tree, 2, batch.batch_index, batch.batch_count, batch.round,
+                                std::span(leaves).subspan(group.first, group.size));
+  served.home_signature = batch.signature;
   return wire::encode(served);
 }
 
 Bytes valid_store_request() {
   StoreMaterialRequest req = signed_round()[2];
-  req.vectors.resize(1);
-  KeyShareBundle share;
-  share.home_network = req.home_network;
-  share.supi = Supi("315010000000001");
-  share.share.x = 1;
-  share.share.y = Bytes(32, 0xaa);
-  req.shares.push_back(share);
+  req.batches[0].vectors.resize(1);
+  ShareLeaf& share = req.batches[0].shares.emplace_back();
+  share.x = 1;
+  share.y = ByteArray<32>{0xaa, 0xaa};
   std::vector<StoreMaterialRequest> round = {req, req};
   sign_round(round, signer());
   req = round[1];
@@ -127,10 +132,11 @@ TEST(FuzzDecode, OverlongRoundPathIsRejected) {
   // 16 levels of batch and 16 of round: 32 hashes is the longest path a
   // u16 position can need, in a bundle or in a store request.
   StoreMaterialRequest req = wire::decode<StoreMaterialRequest>(valid_store_request());
-  ASSERT_EQ(req.round.size(), 1u);
-  req.round.assign(32, crypto::Sha256Digest{});
+  std::vector<crypto::Sha256Digest>& round = req.batches.at(0).round;
+  ASSERT_EQ(round.size(), 1u);
+  round.assign(32, crypto::Sha256Digest{});
   EXPECT_NO_THROW((void)wire::decode<StoreMaterialRequest>(wire::encode(req)));
-  req.round.assign(33, crypto::Sha256Digest{});
+  round.assign(33, crypto::Sha256Digest{});
   EXPECT_THROW((void)wire::decode<StoreMaterialRequest>(wire::encode(req)), wire::WireError);
 }
 
@@ -273,25 +279,33 @@ TEST(FuzzDecode, HugeDeclaredCountsAreBounded) {
     write(w);
     return std::move(w).take();
   };
-  const Bytes store_vectors = frame([](wire::Writer& w) {
+  const Bytes store_batches = frame([](wire::Writer& w) {
     w.string("h");
     w.u32(kHuge);
   });
-  const Bytes store_shares = frame([](wire::Writer& w) {
+  const Bytes store_vectors = frame([](wire::Writer& w) {  // inside one batch's frame
+    wire::Writer batch;
+    batch.string("315010000000001");
+    batch.u16(0);
+    batch.u16(1);
+    batch.raw(crypto::Ed25519Signature{});
+    batch.u8(0);  // round path
+    batch.u32(0);  // nodes
+    batch.u32(kHuge);
     w.string("h");
-    w.u32(0);
-    w.u32(kHuge);
+    w.u32(1);
+    w.bytes(batch.data());
   });
   const Bytes revoke = frame([](wire::Writer& w) {
     w.string("h");
     w.string("315010000000001");
     w.u32(kHuge);
   });
+  EXPECT_THROW((void)wire::decode<StoreMaterialRequest>(store_batches), wire::WireError);
   EXPECT_THROW((void)wire::decode<StoreMaterialRequest>(store_vectors), wire::WireError);
-  EXPECT_THROW((void)wire::decode<StoreMaterialRequest>(store_shares), wire::WireError);
-  EXPECT_THROW((void)wire::decode<ReportRequest>(store_vectors), wire::WireError);
+  EXPECT_THROW((void)wire::decode<ReportRequest>(store_batches), wire::WireError);
   EXPECT_THROW((void)wire::decode<RevokeSharesRequest>(revoke), wire::WireError);
-  EXPECT_THROW((void)wire::decode<directory::BackupsEntry>(store_vectors), wire::WireError);
+  EXPECT_THROW((void)wire::decode<directory::BackupsEntry>(store_batches), wire::WireError);
 }
 
 TEST(FuzzDecode, HugeDeclaredLengthsAreBounded) {
@@ -329,41 +343,26 @@ struct RestoredBackup {
 /// BatchRecord of a backup that holds all of it, and its store key.
 std::pair<std::string, BatchRecord> valid_batch_record() {
   std::vector<StoreMaterialRequest> round = signed_round();
-  for (StoreMaterialRequest& batch : round) {
+  for (StoreMaterialRequest& push : round) {
+    StoreBatch& batch = push.batches[0];
     for (std::uint8_t i = 0; i < 2; ++i) {
-      KeyShareBundle share;
-      share.home_network = batch.home_network;
-      share.supi = batch.vectors[i].supi;
+      ShareLeaf& share = batch.shares.emplace_back();
       share.hxres_star = batch.vectors[i].hxres_star;
       share.hxres_star[15] = i;
-      share.share.x = 2;
-      share.share.y = Bytes(32, static_cast<std::uint8_t>(0x30 + i));
-      batch.shares.push_back(share);
+      share.x = 2;
+      ByteArray<32> y;
+      y.fill(static_cast<std::uint8_t>(0x30 + i));
+      share.y = y;
     }
   }
   sign_round(round, signer());
-  const StoreMaterialRequest& batch = round[1];
-  BatchRecord record;
-  record.supi = batch.vectors[0].supi;
-  record.batch_index = batch.vectors[0].batch.batch_index;
-  record.batch_count = batch.vectors[0].batch.batch_count;
-  record.signature = batch.vectors[0].home_signature;
-  record.round = batch.round;
-  std::vector<crypto::Sha256Digest> leaves;
-  const auto add_leaf = [&](const auto& bundle) { leaves.push_back(bundle.leaf_hash()); };
-  for (const AuthVectorBundle& v : batch.vectors) {
-    add_leaf(v);
-    record.vectors.push_back(
-        {v.batch.leaf_index, v.sqn, v.rand, v.autn, v.hxres_star, v.flood});
-  }
-  for (const KeyShareBundle& share : batch.shares) {
-    add_leaf(share);
-    record.shares.push_back({share.batch.leaf_index, share.hxres_star, share.share.x,
-                             Secret<32>(ByteView(share.share.y))});
-  }
-  const std::string key = "batch/" + batch.home_network.str() + "/" +
-                          to_hex(crypto::MerkleTree(leaves).root());
-  return {key, std::move(record)};
+  const StoreMaterialRequest& push = round[1];
+  const StoreBatch& batch = push.batches[0];
+  const BatchRecord record{batch.supi,   batch.batch_index, batch.batch_count, batch.signature,
+                           batch.round,  {},                batch.vectors,     batch.shares};
+  const std::string key = "batch/" + push.home_network.str() + "/" +
+                          to_hex(crypto::MerkleTree(leaves_of(push.home_network, batch)).root());
+  return {key, record};
 }
 
 TEST(FuzzDecode, BatchRecordTruncationsAndMutationsAreDroppedAtRestore) {

@@ -121,14 +121,36 @@ UsageProof random_proof(Rng& rng) {
   return p;
 }
 
+StoreBatch random_store_batch(Rng& rng) {
+  StoreBatch b;
+  b.supi = random_supi(rng);
+  b.batch_index = random_position(rng);
+  b.batch_count = random_position(rng);
+  b.signature = random_array<64>(rng);
+  b.round = random_path(rng, 32);
+  b.nodes.resize(rng.next_below(40));
+  for (TreeNode& node : b.nodes) node.hash = random_array<32>(rng);
+  b.vectors.resize(rng.next_below(3));
+  for (VectorLeaf& v : b.vectors) {
+    v = {random_position(rng),    rng.next(),
+         random_array<16>(rng),   random_array<16>(rng),
+         random_array<16>(rng),   rng.next_below(2) == 1};
+  }
+  b.shares.resize(rng.next_below(3));
+  for (ShareLeaf& s : b.shares) {
+    s.leaf = random_position(rng);
+    s.hxres_star = random_array<16>(rng);
+    s.x = static_cast<std::uint8_t>(rng.next());
+    s.y = random_array<32>(rng);
+  }
+  return b;
+}
+
 StoreMaterialRequest random_store_request(Rng& rng) {
   StoreMaterialRequest r;
   r.home_network = random_network(rng);
-  const std::size_t vectors = rng.next_below(3);
-  for (std::size_t i = 0; i < vectors; ++i) r.vectors.push_back(random_vector_bundle(rng));
-  const std::size_t shares = rng.next_below(3);
-  for (std::size_t i = 0; i < shares; ++i) r.shares.push_back(random_share_bundle(rng));
-  r.round = random_path(rng, 32);
+  const std::size_t batches = rng.next_below(3);
+  for (std::size_t i = 0; i < batches; ++i) r.batches.push_back(random_store_batch(rng));
   r.suci_secret = random_bytes(rng, rng.next_below(2) == 1 ? 32 : 0);
   r.tag = random_array<32>(rng);
   return r;
@@ -306,9 +328,10 @@ TEST(MessagesRoundTrip, StoreMaterialRequestRoundPath) {
   Rng rng(0xAA);
   for (const std::size_t length : {0, 1, 16, 32}) {
     StoreMaterialRequest r = random_store_request(rng);
-    r.round.assign(length, random_array<32>(rng));
+    StoreBatch& batch = r.batches.emplace_back(random_store_batch(rng));
+    batch.round.assign(length, random_array<32>(rng));
     const StoreMaterialRequest decoded = wire::decode<StoreMaterialRequest>(wire::encode(r));
-    EXPECT_EQ(decoded.round, r.round) << length;
+    EXPECT_EQ(decoded.batches.back().round, batch.round) << length;
   }
 }
 

@@ -17,14 +17,6 @@
 namespace dauth::core {
 namespace {
 
-/// What a serving network checks of a stored batch: that the round its root
-/// and round path imply carries `home_key`'s signature.
-bool verify_root(const BundleBatch& batch, const NetworkId& home,
-                 const crypto::Ed25519PublicKey& home_key) {
-  const auto round = batch.signed_round(home);
-  return round && crypto::ed25519_verify(round->payload, round->signature, home_key);
-}
-
 crypto::Ed25519KeyPair test_keys(std::uint64_t seed) {
   crypto::DeterministicDrbg rng("msg-test", seed);
   return crypto::ed25519_generate(rng);
@@ -81,13 +73,20 @@ TEST(Messages, AuthVectorBundleTamperDetected) {
 
 TEST(Messages, KeyShareBundleRoundTrip) {
   const auto keys = test_keys(3);
-  KeyShareBundle b;
-  b.home_network = NetworkId("home-net");
-  b.supi = Supi("901550000000001");
-  b.hxres_star = array_from_hex<16>("aa0102030405060708090a0b0c0d0eff");
-  b.share.x = 3;
-  b.share.y = Bytes(32, 0x5a);
-  sign_batch({}, {&b, 1}, keys);
+  // A lone share, signed as a pushed leaf and served with its empty path.
+  StoreMaterialRequest push;
+  push.home_network = NetworkId("home-net");
+  StoreBatch& batch = push.batches.emplace_back();
+  batch.supi = Supi("901550000000001");
+  ShareLeaf& leaf = batch.shares.emplace_back();
+  leaf.hxres_star = array_from_hex<16>("aa0102030405060708090a0b0c0d0eff");
+  leaf.x = 3;
+  ByteArray<32> y;
+  y.fill(0x5a);
+  leaf.y = y;
+  sign_round({&push, 1}, keys);
+  KeyShareBundle b = bundle_of(push.home_network, batch.supi, leaf);
+  b.home_signature = batch.signature;
 
   const KeyShareBundle decoded = wire::decode<KeyShareBundle>(wire::encode(b));
   EXPECT_EQ(decoded.share.x, 3);
@@ -121,34 +120,59 @@ TEST(Messages, UsageProofRoundTripAndPreimage) {
   EXPECT_NE(hxres_index(forged.res_star), forged.hxres_star);
 }
 
-TEST(Messages, StoreMaterialRequestRoundTrip) {
-  const auto keys = test_keys(6);
+/// A fixed byte pattern: byte i is seed + i.
+template <std::size_t N>
+ByteArray<N> pattern(std::uint8_t seed) {
+  ByteArray<N> out;
+  for (std::size_t i = 0; i < N; ++i) out[i] = static_cast<std::uint8_t>(seed + i);
+  return out;
+}
+
+/// One pushed batch of `supi`'s: two vectors, then a share.
+StoreMaterialRequest sample_push(const crypto::Ed25519KeyPair& keys) {
   StoreMaterialRequest req;
   req.home_network = NetworkId("home-net");
-  req.vectors.push_back(sample_vector(keys));
-  req.vectors.push_back(sample_vector(keys));
-  KeyShareBundle share;
-  share.home_network = req.home_network;
-  share.supi = Supi("901550000000001");
-  share.share.x = 1;
-  share.share.y = Bytes(32, 0x11);
-  req.shares.push_back(share);
-  sign_batch(req.vectors, req.shares, keys);
+  StoreBatch& batch = req.batches.emplace_back();
+  batch.supi = Supi("901550000000001");
+  const AuthVectorBundle v = sample_vector(keys);
+  batch.vectors.assign(2, {0, v.sqn, v.rand, v.autn, v.hxres_star, v.flood});
+  batch.vectors[1].sqn += 1;
+  ShareLeaf& share = batch.shares.emplace_back();
+  share.x = 1;
+  share.y = ByteArray<32>{0x11, 0x22};
+  sign_round({&req, 1}, keys);
   req.suci_secret = Bytes(32, 0x77);
+  return req;
+}
 
+TEST(Messages, StoreMaterialRequestRoundTrip) {
+  const auto keys = test_keys(6);
+  const StoreMaterialRequest req = sample_push(keys);
   const StoreMaterialRequest decoded = wire::decode<StoreMaterialRequest>(wire::encode(req));
+  EXPECT_EQ(wire::encode(decoded), wire::encode(req));
   EXPECT_EQ(decoded.home_network, req.home_network);
-  ASSERT_EQ(decoded.vectors.size(), 2u);
-  ASSERT_EQ(decoded.shares.size(), 1u);
+  ASSERT_EQ(decoded.batches.size(), 1u);
+  const StoreBatch& batch = decoded.batches[0];
+  ASSERT_EQ(batch.vectors.size(), 2u);
+  ASSERT_EQ(batch.shares.size(), 1u);
   EXPECT_TRUE(ct_equal(decoded.suci_secret, req.suci_secret));
-  // One batch of three leaves; inside a store request the paths are empty,
-  // and the receiver rebuilds the tree to check the single root signature.
-  EXPECT_EQ(decoded.shares[0].batch.leaf_index, 2u);
-  EXPECT_EQ(decoded.shares[0].batch.leaf_count, 3u);
-  const auto batches = split_batches(decoded);
-  ASSERT_TRUE(batches.has_value());
-  ASSERT_EQ(batches->size(), 1u);
-  EXPECT_TRUE(verify_root(batches->front(), decoded.home_network, keys.public_key));
+  EXPECT_TRUE(ct_equal(batch.shares[0].y, req.batches[0].shares[0].y));
+  // One batch of three leaves, numbered in order, whose pushed tree is the
+  // tree of its leaves; each bundle rebuilt from it verifies under the one
+  // signature.
+  EXPECT_EQ(batch.vectors[1].leaf, 1u);
+  EXPECT_EQ(batch.shares[0].leaf, 2u);
+  EXPECT_TRUE(well_formed(decoded));
+  const auto tree = batch_tree(batch);
+  ASSERT_TRUE(tree.has_value());
+  std::vector<crypto::Sha256Digest> leaves;
+  for (const VectorLeaf& v : batch.vectors) leaves.push_back(leaf_hash(decoded.home_network, batch.supi, v));
+  leaves.push_back(leaf_hash(decoded.home_network, batch.supi, batch.shares[0]));
+  EXPECT_EQ(tree->root(), crypto::MerkleTree(leaves).root());
+  KeyShareBundle share = bundle_of(decoded.home_network, batch.supi, batch.shares[0]);
+  share.batch = batch_position(*tree, 2, batch.batch_index, batch.batch_count, batch.round, leaves);
+  share.home_signature = batch.signature;
+  EXPECT_TRUE(share.verify(keys.public_key));
 }
 
 TEST(Messages, LeafHashIsTheHashOfTheSignedPayload) {
@@ -169,32 +193,47 @@ TEST(Messages, LeafHashIsTheHashOfTheSignedPayload) {
   EXPECT_EQ(s.leaf_hash(), crypto::merkle_leaf_hash(s.signed_payload()));
 }
 
+TEST(Messages, LeafHashOfALeafIsItsBundlesLeafHash) {
+  // The home signs, and a backup rehashes, a leaf from its own fields: the
+  // leaf of the bundle it is served as, for every field of a vector or a
+  // share.
+  const NetworkId home("home-net");
+  const Supi supi("901550000000001");
+  VectorLeaf vector{4, 0x0102030405060708, pattern<16>(0x10), pattern<16>(0x20),
+                    pattern<16>(0x30), false};
+  ShareLeaf share;
+  share.leaf = 5;
+  share.hxres_star = pattern<16>(0x31);
+  share.x = 9;
+  share.y = pattern<32>(0x5a);
+  const auto check = [&](const char* what) {
+    EXPECT_EQ(leaf_hash(home, supi, vector), bundle_of(home, supi, vector).leaf_hash()) << what;
+    EXPECT_EQ(leaf_hash(home, supi, share), bundle_of(home, supi, share).leaf_hash()) << what;
+  };
+  check("as built");
+  vector.flood = true;
+  vector.autn[15] ^= 1;
+  share.y[31] ^= 1;
+  share.x = 200;
+  check("edited");
+  EXPECT_NE(leaf_hash(home, Supi("901550000000002"), vector), leaf_hash(home, supi, vector));
+  EXPECT_NE(leaf_hash(NetworkId("other"), supi, share), leaf_hash(home, supi, share));
+}
+
 TEST(Messages, StoreMaterialRequestIsFramedInPlaceAndSizedExactly) {
   // A store request is written into a buffer reserved at its exact size, so
-  // a queued push carries no spare capacity, and it frames each bundle in
-  // place, byte-identical to the bundle's own encoding.
-  const auto keys = test_keys(8);
-  StoreMaterialRequest req;
-  req.home_network = NetworkId("home-net");
-  req.vectors.push_back(sample_vector(keys));
-  KeyShareBundle share;
-  share.home_network = req.home_network;
-  share.supi = Supi("901550000000001");
-  share.share.x = 2;
-  share.share.y = Bytes(32, 0x22);
-  req.shares.push_back(share);
-  sign_batch(req.vectors, req.shares, keys);
-  req.round.resize(2);
-  req.suci_secret = Bytes(32, 0x77);
+  // a queued push carries no spare capacity, and it frames each batch in
+  // place, byte-identical to the batch's own encoding.
+  StoreMaterialRequest req = sample_push(test_keys(8));
+  req.batches.push_back(req.batches[0]);
 
   const Bytes encoded = wire::encode(req);
   EXPECT_EQ(encoded.capacity(), encoded.size());
   wire::Reader r(encoded);
   (void)r.string();
-  ASSERT_EQ(r.u32(), 1u);
-  EXPECT_EQ(r.bytes(), wire::encode(req.vectors[0]));
-  ASSERT_EQ(r.u32(), 1u);
-  EXPECT_EQ(r.bytes(), wire::encode(req.shares[0]));
+  ASSERT_EQ(r.u32(), 2u);
+  EXPECT_EQ(r.bytes(), wire::encode(req.batches[0]));
+  EXPECT_EQ(r.bytes(), wire::encode(req.batches[1]));
 }
 
 TEST(Messages, GetVectorRequestRoundTrip) {
@@ -262,15 +301,6 @@ TEST(Messages, SignaturesAreDomainSeparated) {
   EXPECT_FALSE(s.verify(keys.public_key));
 }
 
-
-/// A fixed byte pattern: byte i is seed + i.
-template <std::size_t N>
-ByteArray<N> pattern(std::uint8_t seed) {
-  ByteArray<N> out;
-  for (std::size_t i = 0; i < N; ++i) out[i] = static_cast<std::uint8_t>(seed + i);
-  return out;
-}
-
 std::string digest(ByteView data) { return to_hex(crypto::sha256(data)); }
 
 TEST(Messages, EveryEncodingIsPinned) {
@@ -309,11 +339,26 @@ TEST(Messages, EveryEncodingIsPinned) {
   proof.timestamp = -12345;
   proof.serving_signature = pattern<64>(0x82);
 
+  // The vector twice, then the share, as one pushed batch at the place
+  // `path` names, with the nodes of its tree.
   StoreMaterialRequest store;
   store.home_network = home;
-  store.vectors = {vector, vector};
-  store.shares = {share};
-  store.round = {pattern<32>(0x70)};
+  StoreBatch& batch = store.batches.emplace_back();
+  batch.supi = supi;
+  batch.batch_index = path.batch_index;
+  batch.batch_count = path.batch_count;
+  batch.signature = vector.home_signature;
+  batch.round = {pattern<32>(0x70)};
+  const VectorLeaf vector_leaf{0,           vector.sqn,        vector.rand,
+                               vector.autn, vector.hxres_star, vector.flood};
+  batch.vectors = {vector_leaf, vector_leaf};
+  batch.vectors[1].leaf = 1;
+  ByteArray<32> ordinate;
+  ordinate.fill(0x5a);
+  batch.shares.push_back({2, share.hxres_star, share.share.x, ordinate});
+  const crypto::Sha256Digest leaves[] = {vector.leaf_hash(), vector.leaf_hash(), share.leaf_hash()};
+  const crypto::MerkleTree tree(leaves);
+  for (const auto& node : tree.nodes()) batch.nodes.push_back({node});
   store.suci_secret = Bytes(32, 0x77);
   store.tag = pattern<32>(0x78);
 
@@ -383,7 +428,7 @@ TEST(Messages, EveryEncodingIsPinned) {
       {"UsageProof signed",
        "867af439db04e53271364c33d8d2099c763db4f3cad0898e2cd3357ef9535841"},
       {"StoreMaterialRequest",
-       "b727a199945edf05749a6b735d4421fb28be51cfba2ee6c2005225a65ababfab"},
+       "48c5508c45db8c900d68bcfeecc7f37e8c1e8ba0dcbee15a00aab3898f9e77d3"},
       {"GetVectorRequest",
        "cfdfdd98797dcbcd6abc7fccec42fd3c2346bdb4ee0b594089870749a062c491"},
       {"ShareReply",

@@ -397,51 +397,112 @@ TEST(Adversarial, BelowThresholdCoalitionLearnsNothing) {
   }
 }
 
+/// A pushed share leaf whose ordinate is `N` bytes: ShareLeaf's layout for N
+/// = 32, the only length a backup holds.
+template <std::size_t N>
+struct OrdinateLeaf {
+  std::uint16_t leaf = 0;
+  ByteArray<16> hxres_star{};
+  std::uint8_t x = 0;
+  ByteArray<N> y{};
+
+  template <typename F, typename Self>
+  static void fields(F& f, Self& m) {
+    f.field(m.leaf, m.hxres_star, m.x, m.y);
+  }
+};
+
+/// A pushed batch and push with such share leaves, laid out as StoreBatch
+/// and StoreMaterialRequest are.
+template <std::size_t N>
+struct OrdinateBatch {
+  Supi supi;
+  std::uint16_t batch_index = 0;
+  std::uint16_t batch_count = 1;
+  crypto::Ed25519Signature signature{};
+  std::vector<crypto::Sha256Digest> round;
+  std::vector<core::TreeNode> nodes;
+  std::vector<core::VectorLeaf> vectors;
+  std::vector<OrdinateLeaf<N>> shares;
+
+  template <typename F, typename Self>
+  static void fields(F& f, Self& m) {
+    f.field(m.supi, m.batch_index, m.batch_count, m.signature, m.round, m.nodes, m.vectors,
+            m.shares);
+  }
+};
+
+template <std::size_t N>
+struct OrdinatePush {
+  NetworkId home_network;
+  std::vector<OrdinateBatch<N>> batches;
+  SecretBytes suci_secret;
+  crypto::Sha256Digest tag{};
+
+  template <typename F, typename Self>
+  static void fields(F& f, Self& m) {
+    f.field(m.home_network, m.batches, m.suci_secret, m.tag);
+  }
+};
+
 TEST(Adversarial, StoreWithAWrongLengthShareIsRefused) {
   // A backup holds a share's ordinate inline as the 32 bytes of a K_seaf
-  // share, so a request with an ordinate of another length is malformed,
-  // even when home-signed, and none of its bundles is kept.
+  // share, and a pushed share leaf carries exactly those: a push with an
+  // ordinate of another length does not decode, even home-tagged, and none
+  // of its leaves is kept.
   Federation f(5);
   f.provision(kAlice, 0, {1, 2, 3});
   const NetworkId& home = f.net(0).id();
   const Supi bob("901550000000002");
   core::BackupNetwork& backup = f.net(1).backup();
-  for (const std::size_t length : {0u, 31u, 33u, 32u}) {
-    core::StoreMaterialRequest req;
-    req.home_network = home;
-    core::AuthVectorBundle vector;
-    vector.home_network = home;
-    vector.supi = bob;
-    vector.sqn = 33 + length;
-    vector.hxres_star[0] = static_cast<std::uint8_t>(length);
-    req.vectors.push_back(vector);
-    core::KeyShareBundle share;
-    share.home_network = home;
-    share.supi = bob;
-    share.hxres_star = vector.hxres_star;
-    share.share.x = 1;
-    share.share.y = Bytes(length, 0x5a);
-    req.shares.push_back(share);
-    const core::SignedRound round =
-        core::sign_batch(req.vectors, req.shares, f.net(0).signing_keys());
-    f.tag_push(req, 0, 1, {&round, 1});
+  // The home's round over one vector and its share, tagged for net-2.
+  core::StoreMaterialRequest req;
+  req.home_network = home;
+  core::StoreBatch& batch = req.batches.emplace_back();
+  batch.supi = bob;
+  batch.vectors.emplace_back().sqn = 33;
+  batch.shares.emplace_back().x = 1;
+  core::sign_round({&req, 1}, f.net(0).signing_keys());
+  f.tag_push(req, 0, 1);
+  const auto as_pushed = [&]<std::size_t N>(OrdinatePush<N> push) {
+    push.home_network = home;
+    OrdinateBatch<N>& pushed = push.batches.emplace_back();
+    pushed.supi = bob;
+    pushed.batch_index = batch.batch_index;
+    pushed.batch_count = batch.batch_count;
+    pushed.signature = batch.signature;
+    pushed.nodes = batch.nodes;
+    pushed.vectors = batch.vectors;
+    OrdinateLeaf<N>& share = pushed.shares.emplace_back();
+    share.leaf = 1;
+    share.x = 1;
+    push.tag = req.tag;
+    return wire::encode(push);
+  };
+  ASSERT_EQ(as_pushed(OrdinatePush<32>{}), wire::encode(req));
 
+  for (const Bytes& frame : {as_pushed(OrdinatePush<0>{}), as_pushed(OrdinatePush<31>{}),
+                             as_pushed(OrdinatePush<33>{})}) {
+    const std::uint64_t rejected = backup.metrics().rejected_requests;
     std::optional<sim::RpcError> error;
-    f.rpc.call(f.net(0).node(), f.net(1).node(), "backup.store", wire::encode(req), {}, nullptr,
+    f.rpc.call(f.net(0).node(), f.net(1).node(), "backup.store", frame, {}, nullptr,
                [&](sim::RpcError e) { error = e; });
     f.simulator.run();
-    if (length == 32) {  // control: the well-formed request is stored
-      EXPECT_FALSE(error.has_value());
-      EXPECT_EQ(backup.stored_vectors(home, bob), 1u);
-      EXPECT_EQ(backup.stored_shares(home, bob), 1u);
-      continue;
-    }
-    ASSERT_TRUE(error.has_value()) << length;
-    ASSERT_TRUE(error->app.has_value()) << length;
-    EXPECT_EQ(error->app->code, sim::AppErrorCode::kMalformed) << length;
-    EXPECT_EQ(backup.stored_vectors(home, bob), 0u) << length;
-    EXPECT_EQ(backup.stored_shares(home, bob), 0u) << length;
+    ASSERT_TRUE(error.has_value());
+    ASSERT_TRUE(error->app.has_value());
+    EXPECT_EQ(error->app->code, sim::AppErrorCode::kMalformed);
+    EXPECT_EQ(backup.metrics().rejected_requests, rejected + 1);
+    EXPECT_EQ(backup.stored_vectors(home, bob), 0u);
+    EXPECT_EQ(backup.stored_shares(home, bob), 0u);
   }
+  // Control: the well-formed push is stored.
+  std::optional<sim::RpcError> error;
+  f.rpc.call(f.net(0).node(), f.net(1).node(), "backup.store", wire::encode(req), {}, nullptr,
+             [&](sim::RpcError e) { error = e; });
+  f.simulator.run();
+  EXPECT_FALSE(error.has_value());
+  EXPECT_EQ(backup.stored_vectors(home, bob), 1u);
+  EXPECT_EQ(backup.stored_shares(home, bob), 1u);
 }
 
 // ---- The serving network's refusals of a lying home and a lying UE --------
@@ -806,13 +867,11 @@ TEST(Adversarial, BackupRefusesAStoreFromAnUnknownHome) {
   // A well-formed batch, signed by a key no directory entry names.
   core::StoreMaterialRequest push;
   push.home_network = NetworkId("ghost-net");
-  core::AuthVectorBundle vector;
-  vector.home_network = push.home_network;
-  vector.supi = kAlice;
-  vector.sqn = 1;
-  push.vectors.push_back(vector);
+  core::StoreBatch& batch = push.batches.emplace_back();
+  batch.supi = kAlice;
+  batch.vectors.emplace_back().sqn = 1;
   crypto::DeterministicDrbg rng("ghost home", 1);
-  core::sign_batch(push.vectors, push.shares, crypto::ed25519_generate(rng));
+  core::sign_round({&push, 1}, crypto::ed25519_generate(rng));
 
   expect_unknown_home(send_to_net2(f, core::kBackupStore, push));
   EXPECT_EQ(f.net(1).backup().metrics().rejected_requests, rejected + 1);
@@ -1026,6 +1085,39 @@ TEST(Adversarial, BackupRefusesAStoreWithASwappedSuciSecret) {
   ASSERT_EQ(held.entries.count("sucikey/" + f.net(0).id().str()), 1u);
 
   expect_push_refused(f, send_push_to_net3(f, 4, wire::encode(push)), rejected, held);
+}
+
+TEST(Adversarial, BackupRefusesAPushWithAnEditedLeaf) {
+  // The home's own push to net-3, relayed with one leaf changed: first a
+  // byte of a share's ordinate, then a field of a vector. The tag covers
+  // every leaf, so each is refused before anything is held.
+  Federation f(durable_net3());
+  const core::StoreMaterialRequest push =
+      wire::decode<core::StoreMaterialRequest>(provision_and_capture_push(f, 2));
+  const std::vector<std::function<void(core::StoreBatch&)>> edits = {
+      [](core::StoreBatch& b) { b.shares.at(1).y[0] ^= 1; },
+      [](core::StoreBatch& b) { b.vectors.at(0).autn[3] ^= 1; },
+  };
+  for (const auto& edit : edits) {
+    core::StoreMaterialRequest edited = push;
+    edit(edited.batches.at(0));
+    const std::uint64_t rejected = f.net(2).backup().metrics().rejected_requests;
+    const Net3Holdings held = net3_holdings(f);
+    expect_push_refused(f, send_push_to_net3(f, 1, wire::encode(edited)), rejected, held);
+  }
+}
+
+TEST(Adversarial, BackupRefusesAPushWithAnEditedTreeNode) {
+  // The same relay with a node of the home's batch tree changed: the
+  // backup adopts the tree a push carries, so the tag covers it too.
+  Federation f(durable_net3());
+  core::StoreMaterialRequest push =
+      wire::decode<core::StoreMaterialRequest>(provision_and_capture_push(f, 2));
+  ASSERT_FALSE(push.batches.at(0).nodes.empty());
+  push.batches.at(0).nodes.front().hash[0] ^= 1;
+  const std::uint64_t rejected = f.net(2).backup().metrics().rejected_requests;
+  const Net3Holdings held = net3_holdings(f);
+  expect_push_refused(f, send_push_to_net3(f, 1, wire::encode(push)), rejected, held);
 }
 
 TEST(Adversarial, ServingNetworkRefusesALocalSuciItCannotDeconceal) {

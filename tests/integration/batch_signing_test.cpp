@@ -12,6 +12,7 @@
 #include <functional>
 #include <map>
 #include <set>
+#include <type_traits>
 
 #include "aka/sqn.h"
 #include "federation_fixture.h"
@@ -83,26 +84,22 @@ std::vector<core::StoreMaterialRequest> fresh_round(Federation& f, const Supi& s
   for (std::uint8_t b = 0; b < round.size(); ++b) {
     core::StoreMaterialRequest& req = round[b];
     req.home_network = f.net(0).id();
+    core::StoreBatch& batch = req.batches.emplace_back();
+    batch.supi = supi;
     for (std::uint8_t i = 0; i < 3; ++i) {
-      core::AuthVectorBundle v;
-      v.home_network = req.home_network;
-      v.supi = supi;
+      core::VectorLeaf& v = batch.vectors.emplace_back();
       v.sqn = 100 + 8 * b + i;
       v.hxres_star[0] = tag;
       v.hxres_star[1] = b;
       v.hxres_star[2] = i;
-      req.vectors.push_back(v);
     }
     for (std::uint8_t i = 0; i < 5; ++i) {
-      core::KeyShareBundle s;
-      s.home_network = req.home_network;
-      s.supi = supi;
+      core::ShareLeaf& s = batch.shares.emplace_back();
       s.hxres_star[0] = tag;
       s.hxres_star[1] = b;
       s.hxres_star[2] = static_cast<std::uint8_t>(16 + i);
-      s.share.x = 1;
-      s.share.y = Bytes(32, i);
-      req.shares.push_back(s);
+      s.x = 1;
+      s.y[0] = i;
     }
   }
   core::sign_round(round, signer);
@@ -118,17 +115,31 @@ core::StoreMaterialRequest fresh_batch(Federation& f, const Supi& supi, std::uin
 /// by the home, and tagged for that backup.
 core::StoreMaterialRequest pushed_batch(Federation& f, const Supi& supi, std::uint8_t tag,
                                         std::size_t backup = 1) {
-  auto round = fresh_round(f, supi, tag, f.net(0).signing_keys());
-  const core::SignedRound signed_round = core::sign_round(round, f.net(0).signing_keys());
-  f.tag_push(round[1], 0, backup, {&signed_round, 1});
-  return round[1];
+  core::StoreMaterialRequest push = fresh_batch(f, supi, tag, f.net(0).signing_keys());
+  f.tag_push(push, 0, backup);
+  return push;
 }
 
-/// Applies `edit` to the position of every bundle of a store request.
-void edit_positions(core::StoreMaterialRequest& r,
-                    const std::function<void(core::BatchPath&)>& edit) {
-  for (auto& v : r.vectors) edit(v.batch);
-  for (auto& s : r.shares) edit(s.batch);
+/// Every bundle of `batch`, of `home`'s, as a backup serves it, passed to
+/// `out`: rebuilt from its leaf, with its inclusion path (in-batch, then
+/// round) cut from the tree of the batch's leaves.
+template <typename Out>
+void each_served(const NetworkId& home, const core::StoreBatch& batch, Out out) {
+  std::vector<crypto::Sha256Digest> leaves;
+  for (const auto& v : batch.vectors) leaves.push_back(core::leaf_hash(home, batch.supi, v));
+  for (const auto& s : batch.shares) leaves.push_back(core::leaf_hash(home, batch.supi, s));
+  const crypto::MerkleTree tree(leaves);
+  const auto serve = [&](const auto& leaf) {
+    auto bundle = core::bundle_of(home, batch.supi, leaf);
+    const crypto::MerkleGroup group = tree.group(leaf.leaf);
+    bundle.batch = core::batch_position(
+        tree, leaf.leaf, batch.batch_index, batch.batch_count, batch.round,
+        std::span<const crypto::Sha256Digest>(leaves).subspan(group.first, group.size));
+    bundle.home_signature = batch.signature;
+    out(bundle);
+  };
+  for (const auto& v : batch.vectors) serve(v);
+  for (const auto& s : batch.shares) serve(s);
 }
 
 /// Sends a store request to net-2 as the home would; true when accepted.
@@ -146,101 +157,76 @@ bool store_at_backup(Federation& f, const core::StoreMaterialRequest& req) {
 
 TEST(BatchSigning, BackupRejectsForgedBatches) {
   // Each attack edits a push the home made for net-2 and tagged; the tag
-  // covers every bundle, position, path and signature, and the recipient.
+  // covers every leaf, tree node, position, path and signature, and the
+  // recipient.
   Federation f(5);
   f.provision(kAlice, 0, {1, 2, 3});
   const auto& home_keys = f.net(0).signing_keys();
   core::BackupNetwork& backup = f.net(1).backup();
 
-  const std::vector<std::pair<const char*, std::function<void(core::StoreMaterialRequest&)>>>
-      attacks = {
-          {"no tag", [](core::StoreMaterialRequest& r) { r.tag = {}; }},
-          {"tag under another pair's key",
-           [&](core::StoreMaterialRequest& r) {
-             // net-1's key with net-3, over net-2's push.
-             auto round = fresh_round(f, kBob, 1, home_keys);
-             const core::SignedRound signed_round = core::sign_round(round, home_keys);
-             const auto other = crypto::derive_pairwise_key(
-                 f.net(0).channel_keys().secret, f.net(2).channel_keys().public_key,
-                 core::kPushKeyLabel, f.net(0).id().str(), f.net(2).id().str());
-             r.tag = core::store_tag(other.value(), f.net(1).id(), r.suci_secret,
-                                     {&signed_round, 1});
-           }},
-          {"the home's push to another backup",
-           [&](core::StoreMaterialRequest& r) { r = pushed_batch(f, kBob, 1, 2); }},
-          {"tampered leaf", [](core::StoreMaterialRequest& r) { r.shares[1].share.y[0] ^= 1; }},
-          {"signature lifted from another user's batch",
-           [&](core::StoreMaterialRequest& r) {
-             const auto other = fresh_batch(f, kAlice, 2, home_keys);
-             for (auto& v : r.vectors) v.home_signature = other.vectors[0].home_signature;
-             for (auto& s : r.shares) s.home_signature = other.vectors[0].home_signature;
-           }},
-          {"signature lifted from another backup's batch",
-           [&](core::StoreMaterialRequest& r) {
-             const auto other = fresh_batch(f, kBob, 3, home_keys);
-             for (auto& v : r.vectors) v.home_signature = other.vectors[0].home_signature;
-             for (auto& s : r.shares) s.home_signature = other.vectors[0].home_signature;
-           }},
-          {"swapped leaf indices",
-           [](core::StoreMaterialRequest& r) {
-             std::swap(r.shares[0].batch.leaf_index, r.shares[3].batch.leaf_index);
-           }},
-          {"wrong leaf count",
-           [](core::StoreMaterialRequest& r) {
-             for (auto& v : r.vectors) ++v.batch.leaf_count;
-             for (auto& s : r.shares) ++s.batch.leaf_count;
-             r.shares.push_back(r.shares.back());
-             r.shares.back().batch.leaf_index = 8;
-           }},
-          {"subtree presented as the batch",
-           [](core::StoreMaterialRequest& r) {
-             r.shares.clear();
-             for (auto& v : r.vectors) v.batch.leaf_count = 3;
-           }},
-          {"path carried into the store",
-           [](core::StoreMaterialRequest& r) { r.vectors[0].batch.siblings.push_back({}); }},
-          {"forged root signature",
-           [&](core::StoreMaterialRequest& r) {
-             auto forged = fresh_round(f, kBob, 1, f.net(3).signing_keys());
-             forged[1].tag = r.tag;
-             r = forged[1];
-           }},
-          {"swapped batch index",
-           [](core::StoreMaterialRequest& r) {
-             edit_positions(r, [](core::BatchPath& p) { p.batch_index ^= 1; });
-           }},
-          {"false batch count",
-           [](core::StoreMaterialRequest& r) {
-             edit_positions(r, [](core::BatchPath& p) { p.batch_count = 3; });
-           }},
-          {"round path from another user's round",
-           [&](core::StoreMaterialRequest& r) {
-             r.round = fresh_batch(f, kAlice, 1, home_keys).round;
-           }},
-          {"round path one hash short", [](core::StoreMaterialRequest& r) { r.round.pop_back(); }},
-          {"round path one hash long",
-           [](core::StoreMaterialRequest& r) { r.round.push_back({}); }},
-          {"batch root spliced in from another backup",
-           [&](core::StoreMaterialRequest& r) {
-             // Claim batch 2's slot of the same round: its position and path.
-             edit_positions(r, [](core::BatchPath& p) { p.batch_index = 2; });
-             r.round = fresh_round(f, kBob, 1, home_keys)[2].round;
-           }},
-          {"round that disagrees with its bundles",
-           [](core::StoreMaterialRequest& r) { r.round[1][0] ^= 1; }},
-          {"home-signed batch of two users",
-           [&](core::StoreMaterialRequest& r) {
-             // A batch is one user's: a backup persists it under that user.
-             auto round = fresh_round(f, kBob, 1, home_keys);
-             round[1].shares[1].supi = kAlice;
-             core::sign_round(round, home_keys);
-             round[1].tag = r.tag;
-             r = round[1];
-           }},
-      };
+  using Attack = std::function<void(core::StoreBatch&, core::StoreMaterialRequest&)>;
+  const std::vector<std::pair<const char*, Attack>> attacks = {
+      {"no tag", [](core::StoreBatch&, core::StoreMaterialRequest& r) { r.tag = {}; }},
+      {"tag under another pair's key",
+       [&](core::StoreBatch&, core::StoreMaterialRequest& r) {
+         // net-1's key with net-3, over net-2's push.
+         const auto other = crypto::derive_pairwise_key(
+             f.net(0).channel_keys().secret, f.net(2).channel_keys().public_key,
+             core::kPushKeyLabel, f.net(0).id().str(), f.net(2).id().str());
+         r.tag = core::store_tag(other.value(), f.net(1).id(), r);
+       }},
+      {"the home's push to another backup",
+       [&](core::StoreBatch&, core::StoreMaterialRequest& r) { r = pushed_batch(f, kBob, 1, 2); }},
+      {"tampered share ordinate", [](core::StoreBatch& b, auto&) { b.shares[1].y[0] ^= 1; }},
+      {"tampered vector", [](core::StoreBatch& b, auto&) { b.vectors[2].autn[0] ^= 1; }},
+      {"signature lifted from another user's batch",
+       [&](core::StoreBatch& b, auto&) {
+         b.signature = fresh_batch(f, kAlice, 2, home_keys).batches[0].signature;
+       }},
+      {"signature lifted from another backup's batch",
+       [&](core::StoreBatch& b, auto&) {
+         b.signature = fresh_batch(f, kBob, 3, home_keys).batches[0].signature;
+       }},
+      {"swapped leaf indices",
+       [](core::StoreBatch& b, auto&) { std::swap(b.shares[0].leaf, b.shares[3].leaf); }},
+      {"extra leaf",
+       [](core::StoreBatch& b, auto&) {
+         b.shares.push_back(b.shares.back());
+         b.shares.back().leaf = 8;
+       }},
+      {"subtree presented as the batch", [](core::StoreBatch& b, auto&) { b.shares.clear(); }},
+      {"tree node of another batch",
+       [&](core::StoreBatch& b, auto&) {
+         b.nodes = fresh_batch(f, kBob, 3, home_keys).batches[0].nodes;
+       }},
+      {"forged root signature",
+       [&](core::StoreBatch&, core::StoreMaterialRequest& r) {
+         auto forged = fresh_batch(f, kBob, 1, f.net(3).signing_keys());
+         forged.tag = r.tag;
+         r = forged;
+       }},
+      {"swapped batch index", [](core::StoreBatch& b, auto&) { b.batch_index ^= 1; }},
+      {"false batch count", [](core::StoreBatch& b, auto&) { b.batch_count = 3; }},
+      {"round path from another user's round",
+       [&](core::StoreBatch& b, auto&) {
+         b.round = fresh_batch(f, kAlice, 1, home_keys).batches[0].round;
+       }},
+      {"round path one hash short", [](core::StoreBatch& b, auto&) { b.round.pop_back(); }},
+      {"round path one hash long", [](core::StoreBatch& b, auto&) { b.round.push_back({}); }},
+      {"batch root spliced in from another backup",
+       [&](core::StoreBatch& b, auto&) {
+         // Claim batch 2's slot of the same round: its position and path.
+         b.batch_index = 2;
+         b.round = fresh_round(f, kBob, 1, home_keys)[2].batches[0].round;
+       }},
+      {"round that disagrees with its leaves",
+       [](core::StoreBatch& b, auto&) { b.round[1][0] ^= 1; }},
+      {"batch moved to another user",
+       [](core::StoreBatch& b, auto&) { b.supi = kAlice; }},
+  };
   for (const auto& [name, attack] : attacks) {
     core::StoreMaterialRequest req = pushed_batch(f, kBob, 1);
-    attack(req);
+    attack(req.batches[0], req);
     const std::uint64_t verified = backup.metrics().batches_verified;
     EXPECT_FALSE(store_at_backup(f, req)) << name;
     EXPECT_EQ(backup.stored_vectors(f.net(0).id(), kBob), 0u) << name;
@@ -385,29 +371,24 @@ TEST(BatchSigning, ServingNetworkRejectsForgedShares) {
   const auto make_share = [&](const Supi& supi, const ByteArray<16>& hxres, std::size_t index) {
     std::vector<core::StoreMaterialRequest> round(3);
     for (std::size_t i = 0; i < 6; ++i) {
-      core::KeyShareBundle s;
-      s.home_network = f.net(0).id();
-      s.supi = supi;
+      round[i / 2].home_network = f.net(0).id();
+      if (round[i / 2].batches.empty()) round[i / 2].batches.emplace_back().supi = supi;
+      core::ShareLeaf& s = round[i / 2].batches[0].shares.emplace_back();
       s.hxres_star[0] = static_cast<std::uint8_t>(i);
       if (i == index) s.hxres_star = hxres;
-      s.share.x = 200;
-      s.share.y = Bytes(32, 0x5a);
-      round[i / 2].home_network = s.home_network;
-      round[i / 2].shares.push_back(std::move(s));
+      s.x = 200;
+      ByteArray<32> y;
+      y.fill(0x5a);
+      s.y = y;
     }
     core::sign_round(round, home_keys);
-    const core::StoreMaterialRequest& batch = round[index / 2];
-    std::vector<crypto::Sha256Digest> leaves;
-    for (const auto& s : batch.shares) {
-      leaves.push_back(s.leaf_hash());
-    }
-    core::KeyShareBundle share = batch.shares[index % 2];
-    const crypto::MerkleTree tree(leaves);
-    const crypto::MerkleGroup group = tree.group(index % 2);
-    share.batch.siblings =
-        tree.path(index % 2, std::span(leaves).subspan(group.first, group.size));
-    share.batch.siblings.insert(share.batch.siblings.end(), batch.round.begin(), batch.round.end());
-    return share;
+    std::vector<core::KeyShareBundle> shares;
+    each_served(f.net(0).id(), round[index / 2].batches[0], [&](const auto& bundle) {
+      if constexpr (std::is_same_v<std::decay_t<decltype(bundle)>, core::KeyShareBundle>) {
+        shares.push_back(bundle);
+      }
+    });
+    return shares.at(index % 2);
   };
 
   BundleAttack<core::KeyShareBundle> attack;
@@ -484,26 +465,15 @@ struct SignedBundles {
   std::map<ByteArray<16>, Bytes> shares;
 
   void add(const core::StoreMaterialRequest& request) {
-    std::vector<crypto::Sha256Digest> leaves;
-    for (const auto& v : request.vectors) leaves.push_back(v.leaf_hash());
-    for (const auto& s : request.shares) leaves.push_back(s.leaf_hash());
-    // A bundle's batch is the leaf_count leaves that start leaf_index
-    // bundles before it.
-    std::size_t position = 0;
-    const auto with_path = [&](auto bundle) {
-      const auto first = leaves.begin() + static_cast<std::ptrdiff_t>(position++ -
-                                                                       bundle.batch.leaf_index);
-      const std::span<const crypto::Sha256Digest> batch(first, bundle.batch.leaf_count);
-      const crypto::MerkleTree tree(batch);
-      const crypto::MerkleGroup group = tree.group(bundle.batch.leaf_index);
-      bundle.batch.siblings =
-          tree.path(bundle.batch.leaf_index, batch.subspan(group.first, group.size));
-      bundle.batch.siblings.insert(bundle.batch.siblings.end(), request.round.begin(),
-                                   request.round.end());
-      return wire::encode(bundle);
-    };
-    for (const auto& v : request.vectors) vectors[v.hxres_star] = with_path(v);
-    for (const auto& s : request.shares) shares[s.hxres_star] = with_path(s);
+    for (const core::StoreBatch& batch : request.batches) {
+      each_served(request.home_network, batch, [this](const auto& bundle) {
+        if constexpr (std::is_same_v<std::decay_t<decltype(bundle)>, core::AuthVectorBundle>) {
+          vectors[bundle.hxres_star] = wire::encode(bundle);
+        } else {
+          shares[bundle.hxres_star] = wire::encode(bundle);
+        }
+      });
+    }
   }
 };
 
@@ -646,6 +616,119 @@ TEST(BatchSigning, BatchRecordIsErasedWithItsLastBundle) {
   f.simulator.run();
   EXPECT_EQ(f.net(1).backup().stored_shares(f.net(0).id(), kAlice), 0u);
   EXPECT_TRUE(durable.keys_with_prefix("batch/").empty());
+}
+
+TEST(BatchSigning, HomeTaggedTreeOfOtherLeavesServesNoBadBundle) {
+  // A backup adopts the tree its home pushes without rehashing the leaves.
+  // A home that pushes, and tags, nodes that do not hash into one another
+  // is refused at store. One whose consistent tree was built over other
+  // leaves than it pushes is held: every leaf of a group whose leaves do
+  // not rehash into the stored node above them is refused at serve, every
+  // bundle served verifies under the home's signature, and the record is
+  // dropped at restore.
+  Federation f(durable_net2());
+  f.provision(kAlice, 0, {1, 2});
+  const NetworkId& home = f.net(0).id();
+  core::BackupNetwork* backup = &f.net(1).backup();
+
+  // 10 vectors then 14 shares, three groups of eight leaves. Share i's
+  // H(XRES*) is that of RES* {i}, so a usage proof can claim it.
+  const auto res_of = [](std::size_t i) {
+    crypto::ResStar res{};
+    res[0] = static_cast<std::uint8_t>(i);
+    return res;
+  };
+  core::StoreMaterialRequest push;
+  push.home_network = home;
+  core::StoreBatch& batch = push.batches.emplace_back();
+  batch.supi = kBob;
+  for (std::uint8_t i = 0; i < 10; ++i) {
+    core::VectorLeaf& v = batch.vectors.emplace_back();
+    v.sqn = 200 + i;
+    v.hxres_star[0] = 0xee;
+    v.hxres_star[1] = i;
+  }
+  for (std::size_t i = 0; i < 14; ++i) {
+    core::ShareLeaf& share = batch.shares.emplace_back();
+    share.hxres_star = core::hxres_index(res_of(i));
+    share.x = 1;
+  }
+  core::sign_round({&push, 1}, f.net(0).signing_keys());
+
+  // Nodes that do not hash into one another: refused, nothing held.
+  core::StoreMaterialRequest torn = push;
+  torn.batches[0].nodes.front().hash[0] ^= 1;
+  f.tag_push(torn, 0, 1);
+  EXPECT_FALSE(store_at_backup(f, torn));
+  EXPECT_EQ(backup->stored_shares(home, kBob), 0u);
+
+  // The signed tree, pushed with vector 0 (group 0) and share 13 (group 2)
+  // changed: group 1 still rehashes into it.
+  batch.vectors[0].rand[0] ^= 1;
+  batch.shares[13].y[0] ^= 1;
+  f.tag_push(push, 0, 1);
+  ASSERT_TRUE(store_at_backup(f, push));
+  ASSERT_EQ(backup->stored_vectors(home, kBob), 10u);
+
+  const crypto::Ed25519PublicKey& home_key = f.net(0).signing_keys().public_key;
+  std::size_t vectors_served = 0;
+  std::size_t vectors_refused = 0;
+  for (std::size_t i = 0; i < 10; ++i) {
+    core::GetVectorRequest req;
+    req.serving_network = f.net(4).id();
+    req.supi = kBob;
+    std::optional<sim::CallResult<core::AuthVectorBundle>> result;
+    sim::TypedStub(f.rpc, f.net(4).node(), core::kBackupGetVector)
+        .call(f.net(1).node(), req, sim::RpcOptions::oneshot(),
+              [&](sim::CallResult<core::AuthVectorBundle> r) { result = std::move(r); });
+    f.simulator.run();
+    ASSERT_TRUE(result.has_value());
+    if (result->ok()) {
+      EXPECT_TRUE(result->value().verify(home_key)) << "sqn " << result->value().sqn;
+      ++vectors_served;
+    } else {
+      ASSERT_TRUE(result->app_error().has_value());
+      EXPECT_EQ(result->app_error()->code, sim::AppErrorCode::kUpstream);
+      ++vectors_refused;
+    }
+  }
+  EXPECT_EQ(vectors_refused, 8u);  // group 0
+  EXPECT_EQ(vectors_served, 2u);   // group 1
+  EXPECT_EQ(backup->stored_vectors(home, kBob), 0u);
+
+  std::size_t shares_served = 0;
+  for (std::size_t i = 0; i < 14; ++i) {
+    core::UsageProof proof;
+    proof.serving_network = f.net(4).id();
+    proof.supi = kBob;
+    proof.res_star = res_of(i);
+    proof.hxres_star = core::hxres_index(proof.res_star);
+    proof.timestamp = f.simulator.now();
+    proof.serving_signature =
+        crypto::ed25519_sign(proof.signed_payload(), f.net(4).signing_keys());
+    std::optional<sim::CallResult<core::ShareReply>> result;
+    sim::TypedStub(f.rpc, f.net(4).node(), core::kBackupGetShare)
+        .call(f.net(1).node(), proof, sim::RpcOptions::oneshot(),
+              [&](sim::CallResult<core::ShareReply> r) { result = std::move(r); });
+    f.simulator.run();
+    ASSERT_TRUE(result.has_value());
+    if (result->ok()) {
+      EXPECT_TRUE(result->value().share.verify(home_key)) << "share " << i;
+      EXPECT_LT(i, 6u) << "share " << i << " is not of group 1";
+      ++shares_served;
+    } else {
+      ASSERT_TRUE(result->app_error().has_value());
+      EXPECT_EQ(result->app_error()->code, sim::AppErrorCode::kUpstream);
+    }
+  }
+  EXPECT_EQ(shares_served, 6u);  // group 1
+
+  // Its leaves do not rebuild the root its record is filed under.
+  ASSERT_EQ(f.stores[1]->keys_with_prefix("batch/").size(), 2u);  // Alice's, Bob's
+  f.net(1).restart_backup();
+  backup = &f.net(1).backup();
+  EXPECT_EQ(backup->stored_shares(home, kBob), 0u);
+  EXPECT_GT(backup->stored_shares(home, kAlice), 0u);
 }
 
 // ---- Replenishment -------------------------------------------------------------
@@ -838,7 +921,7 @@ TEST(BatchSigning, DisseminatedBytesArePinned) {
   std::sort(sent.begin(), sent.end());
   crypto::Sha256 all;
   for (const auto& digest : sent) all.update(digest);
-  EXPECT_EQ(to_hex(all.finish()), "868c3ebca74bc896515ef735af0866735364ee986c4d6a66c486e444431194be")
+  EXPECT_EQ(to_hex(all.finish()), "59865031a7d043279a1481c333c4641396251c8960845a4b1cc937f9ebafbf6f")
       << sent.size() << " store requests";
 }
 

@@ -98,12 +98,10 @@ struct Federation : core::FederationWorld {
     return keys.at(supi);
   }
 
-  /// Tags `push`, whose batches were signed in `rounds`, as nets[home]'s push
-  /// to nets[backup]: store_tag under their push key, as HomeNetwork::push
-  /// makes it.
-  void tag_push(core::StoreMaterialRequest& push, std::size_t home, std::size_t backup,
-                std::span<const core::SignedRound> rounds) {
-    push.tag = core::store_tag(push_key(home, backup), net(backup).id(), push.suci_secret, rounds);
+  /// Tags `push` as nets[home]'s push to nets[backup]: store_tag under their
+  /// push key, as HomeNetwork::push makes it.
+  void tag_push(core::StoreMaterialRequest& push, std::size_t home, std::size_t backup) {
+    push.tag = core::store_tag(push_key(home, backup), net(backup).id(), push);
   }
 
   /// Tags `revoke` as nets[home]'s revoke to nets[backup]: revoke_tag under

@@ -107,13 +107,11 @@ class Registrations {
     // A one-batch round for Bob: one vector, one share.
     core::StoreMaterialRequest store;
     store.home_network = home_id;
-    store.vectors.resize(1);
-    store.vectors[0].home_network = home_id;
-    store.vectors[0].supi = kBob;
-    store.shares.resize(1);
-    store.shares[0].home_network = home_id;
-    store.shares[0].supi = kBob;
-    store.shares[0].share = {1, Bytes(32, 0x5a)};
+    core::StoreBatch& batch = store.batches.emplace_back();
+    batch.supi = kBob;
+    batch.vectors.resize(1);
+    batch.shares.resize(1);
+    batch.shares[0].x = 1;
     core::sign_round({&store, 1}, home_key);
 
     core::RevokeSharesRequest revoke{home_id, kBob, {}, {}};

@@ -947,9 +947,9 @@ const char* kStoreRegistration =
 TEST(ContractH3, StoreBeforeTagCheckIsFlagged) {
   const auto a = run(std::string(kStoreRegistration) +
                          "void BackupNetwork::handle_store(ByteView q, sim::Responder r) {\n"
-                         "  auto batches = split_batches(req);\n"
+                         "  if (!well_formed(req)) { r.fail(); return; }\n"
                          "  users_[{req.home_network, supi}].vectors.push_back(v);\n"
-                         "  if (!ct_equal(store_tag(*k, id_, req.suci_secret, rounds), req.tag)) {\n"
+                         "  if (!ct_equal(store_tag(*k, id_, req), req.tag)) {\n"
                          "    r.fail(); return;\n"
                          "  }\n"
                          "}\n",
@@ -962,8 +962,8 @@ TEST(ContractH3, StoreBeforeTagCheckIsFlagged) {
 TEST(ContractClean, StoreAfterTagCheckPasses) {
   const auto a = run(std::string(kStoreRegistration) +
                          "void BackupNetwork::handle_store(ByteView q, sim::Responder r) {\n"
-                         "  auto batches = split_batches(req);\n"
-                         "  if (!ct_equal(store_tag(*k, id_, req.suci_secret, rounds), req.tag)) {\n"
+                         "  if (!well_formed(req)) { r.fail(); return; }\n"
+                         "  if (!ct_equal(store_tag(*k, id_, req), req.tag)) {\n"
                          "    r.fail(); return;\n"
                          "  }\n"
                          "  users_[{req.home_network, supi}].vectors.push_back(v);\n"

@@ -146,14 +146,37 @@ if [[ "$VERIFY_FOUND" != "$VERIFY_ALLOWED" ]]; then
   exit 1
 fi
 
+# The leaf hashes in src/core/: "file form calls reason", one (file, form) a
+# line. A `bundle` leaf hashes a bundle built first (its leaf_hash()), a
+# `leaf` one a leaf's own fields with its user (leaf_hash(home, supi, leaf)).
+# A backup adopts the tree its home pushes, so it rehashes a leaf only
+# where the tree does not keep it: a leaf hash added at store time fails.
+LEAF_HASH_SITES="\
+src/core/backup_network.cpp leaf 3 a held leaf: rehashed at restore, kept when let go, and in a served path's group
+src/core/messages.cpp bundle 2 a served bundle's, checked against its path; a lone bundle's, signed (home-online, resync)
+src/core/messages.cpp leaf 1 a round's leaves, signed by its home"
+LEAF_HASH_FOUND="$( {
+  grep -rnE '(\.|->)leaf_hash\(\)' src/core --include='*.h' --include='*.cpp' \
+    | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' | cut -d: -f1 | sed 's/$/ bundle/' || true
+  grep -rnE '(^|[^.>:A-Za-z_])leaf_hash\([a-z]' src/core --include='*.h' --include='*.cpp' \
+    | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' | grep -v 'leaf_hash(const ' | cut -d: -f1 \
+    | sed 's/$/ leaf/' || true
+} | sort | uniq -c | awk '{print $2, $3, $1}' | sort)"
+LEAF_HASH_ALLOWED="$(awk '{print $1, $2, $3}' <<< "$LEAF_HASH_SITES" | sort)"
+if [[ "$LEAF_HASH_FOUND" != "$LEAF_HASH_ALLOWED" ]]; then
+  echo "leaf hash added or removed in src/core/: a pushed batch's tree is its home's, not rehashed" >&2
+  diff <(echo "$LEAF_HASH_ALLOWED") <(echo "$LEAF_HASH_FOUND") >&2 || true
+  exit 1
+fi
+
 # The federations built by hand, outside core::FederationSpec: "file sites
 # reason", one file a line. A DauthNode constructed or a DirectoryServer
 # declared anywhere else in tests/, bench/, examples/, tools/ or fedbench/
 # fails: every other world is declared as a spec and built by core::build.
 FEDERATION_SITES="\
 tests/directory/directory_test.cpp 9 unit tests of the directory server itself
-fedbench/src/federation.cpp 3 ported in the next benchmark revision (ROADMAP item 14)
-fedbench/src/federation.h 1 ported in the next benchmark revision (ROADMAP item 14)"
+fedbench/src/federation.cpp 3 ported in the next benchmark revision (ROADMAP item 15)
+fedbench/src/federation.h 1 ported in the next benchmark revision (ROADMAP item 15)"
 FEDERATION_FOUND="$(grep -rnE 'make_unique<(core::)?DauthNode>|\bDauthNode [a-z_][A-Za-z0-9_]*[({]|\bDirectoryServer [a-z_][A-Za-z0-9_]*|make_unique<(directory::)?DirectoryServer>' \
   tests bench examples tools fedbench --include='*.h' --include='*.cpp' \
   | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' \

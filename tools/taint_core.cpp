@@ -1835,9 +1835,10 @@ std::vector<HandlerContract> default_contracts() {
        "BackupNetwork::handle_store",
        {"ct_equal"},
        {"homes_[", "users_[", "store_.put"},
-       "store tag checked under the (home, backup) push key, over every batch's "
-       "signed round and the SUCI secret: only the home, and only in a push made "
-       "for this backup, may store material or set the SUCI secret (§4.2.1)"},
+       "store tag checked under the (home, backup) push key, over the SUCI secret "
+       "and every pushed batch's fields, tree nodes and leaves, the record the "
+       "backup holds: only the home, and only in a push made for this backup, "
+       "may store material or set the SUCI secret (§4.2.1)"},
       {"backup.get_vector",
        "BackupNetwork::handle_get_vector",
        {},
