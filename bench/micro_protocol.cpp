@@ -437,6 +437,10 @@ int main(int argc, char** argv) {
       {"BM_DisseminateOneVector/8", 18331.0},
       {"BM_SignRound/8", 803931.0},
       {"BM_StoreRequestCodec/8", 79950.0},
+      // ns/op at b56f982 (median of three), timed in a scratch copy: the
+      // decode, split_batches and the tag over the rounds it rebuilt
+      // (docs/PERFORMANCE.md §24).
+      {"BM_StorePush/8", 70791.0},
       {"BM_CheckServedBundle/hit", 3645.0},
       // ns/op at a2ce131, while a held batch kept decoded leaf arrays
       // beside its record (docs/PERFORMANCE.md §21).
