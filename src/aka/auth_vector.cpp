@@ -22,12 +22,12 @@ AuthVector generate_auth_vector(const SubscriberKeys& keys, std::uint64_t sqn,
   const ByteArray<6> sqn_xor_ak = xor_arrays(sqn_bytes, mil.ak);
   v.autn = make_autn(sqn_xor_ak, amf, mil.mac_a);
 
-  v.xres_star =
-      crypto::derive_res_star(mil.ck, mil.ik, serving_network_name, rand, mil.res);
+  // CK||IK keys both derivations: keyed once.
+  const crypto::HmacSha256 ck_ik = crypto::ck_ik_key(mil.ck, mil.ik);
+  v.xres_star = crypto::derive_res_star(ck_ik, serving_network_name, rand, mil.res);
   v.hxres_star = crypto::derive_hres_star(rand, v.xres_star);
 
-  const crypto::Key256 k_ausf =
-      crypto::derive_k_ausf(mil.ck, mil.ik, serving_network_name, sqn_xor_ak);
+  const crypto::Key256 k_ausf = crypto::derive_k_ausf(ck_ik, serving_network_name, sqn_xor_ak);
   v.k_seaf = crypto::derive_k_seaf(k_ausf, serving_network_name);
   return v;
 }

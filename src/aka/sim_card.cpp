@@ -92,10 +92,11 @@ UsimResult Usim::authenticate(const crypto::Rand& rand, const Autn& autn,
 
   UsimResponse response;
   response.sqn = check.sqn;
-  response.res_star = crypto::derive_res_star(check.mil.ck, check.mil.ik, serving_network_name,
-                                              rand, check.mil.res);
-  const crypto::Key256 k_ausf = crypto::derive_k_ausf(check.mil.ck, check.mil.ik,
-                                                      serving_network_name, check.sqn_xor_ak);
+  const crypto::HmacSha256 ck_ik = crypto::ck_ik_key(check.mil.ck, check.mil.ik);
+  response.res_star =
+      crypto::derive_res_star(ck_ik, serving_network_name, rand, check.mil.res);
+  const crypto::Key256 k_ausf =
+      crypto::derive_k_ausf(ck_ik, serving_network_name, check.sqn_xor_ak);
   response.k_seaf = crypto::derive_k_seaf(k_ausf, serving_network_name);
   result.response = response;
   return result;

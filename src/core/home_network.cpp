@@ -1,6 +1,7 @@
 #include "core/home_network.h"
 
 #include <algorithm>
+#include <array>
 #include <functional>
 
 #include "aka/sim_card.h"
@@ -94,9 +95,10 @@ int HomeNetwork::slice_of(const NetworkId& backup) const {
   return it == slice_map_.end() ? -1 : it->second;
 }
 
-crypto::Key256 HomeNetwork::new_vector(Subscriber& subscriber, int slice, VectorLeaf& leaf) {
+crypto::Key256 HomeNetwork::new_vector(Subscriber& subscriber, int slice,
+                                       const crypto::Rand& rand, VectorLeaf& leaf) {
   leaf.sqn = subscriber.sqn.allocate(slice);
-  leaf.rand = rng_.array<16>();
+  leaf.rand = rand;
   const aka::AuthVector av =
       aka::generate_auth_vector(subscriber.keys, leaf.sqn, leaf.rand, config_.serving_network_name);
   leaf.autn = av.autn;
@@ -104,26 +106,38 @@ crypto::Key256 HomeNetwork::new_vector(Subscriber& subscriber, int slice, Vector
   return av.k_seaf;
 }
 
-VectorLeaf HomeNetwork::generate_material(Subscriber& subscriber, int slice, bool flood,
-                                          std::span<StoreMaterialRequest> requests) {
-  VectorLeaf vector;
-  const crypto::Key256 k_seaf = new_vector(subscriber, slice, vector);
-  vector.flood = flood;
-  ++metrics_.tokens_generated;
+std::vector<VectorLeaf> HomeNetwork::generate_material(
+    Subscriber& subscriber, std::span<const int> slices, bool flood,
+    std::span<StoreMaterialRequest> requests) {
+  // The round's randomness is two generate requests: every RAND, which is
+  // public, then every vector's coefficient rows, which are as secret as
+  // its K_seaf and are wiped when this returns, before the round is signed.
+  const std::size_t rows = (config_.threshold - 1) * sizeof(crypto::Key256);
+  const Bytes rands = rng_.bytes(slices.size() * sizeof(crypto::Rand));
+  SecretBytes coefficients(slices.size() * rows);
+  rng_.fill(coefficients.mutable_view());
 
-  // Each backup's share is written in place, into its batch's next leaf.
-  std::vector<MutableByteView> ordinates;
-  ordinates.reserve(requests.size());
-  for (StoreMaterialRequest& request : requests) {
-    ShareLeaf& share = request.batches.front().shares.emplace_back();
-    share.hxres_star = vector.hxres_star;
-    share.x = static_cast<std::uint8_t>(ordinates.size() + 1);
-    ordinates.push_back(share.y.mutable_view());
+  std::vector<VectorLeaf> vectors(slices.size());
+  std::vector<MutableByteView> ordinates(requests.size());
+  for (std::size_t i = 0; i < slices.size(); ++i) {
+    VectorLeaf& vector = vectors[i];
+    const crypto::Rand rand = take<16>(ByteView(rands).subspan(i * sizeof(crypto::Rand)));
+    const crypto::Key256 k_seaf = new_vector(subscriber, slices[i], rand, vector);
+    vector.flood = flood;
+    ++metrics_.tokens_generated;
+
+    // Each backup's share is written in place, into its batch's next leaf.
+    for (std::size_t b = 0; b < requests.size(); ++b) {
+      ShareLeaf& share = requests[b].batches.front().shares.emplace_back();
+      share.hxres_star = vector.hxres_star;
+      share.x = static_cast<std::uint8_t>(b + 1);
+      ordinates[b] = share.y.mutable_view();
+    }
+    crypto::shamir_split(ByteView(k_seaf), config_.threshold,
+                         ByteView(coefficients).subspan(i * rows, rows), ordinates);
+    subscriber.outstanding[vector.hxres_star].sqn = vector.sqn;  // holder set by caller
   }
-  crypto::shamir_split(ByteView(k_seaf), config_.threshold, ordinates, rng_);
-
-  subscriber.outstanding[vector.hxres_star].sqn = vector.sqn;  // holder set by caller
-  return vector;
+  return vectors;
 }
 
 void HomeNetwork::disseminate(const Supi& supi, std::function<void(std::size_t)> done) {
@@ -174,12 +188,19 @@ void HomeNetwork::send_round(const Supi& supi, std::map<NetworkId, std::size_t> 
       batch.vectors.reserve(count_of(backup_ids_[b]));
       batch.shares.reserve(total_vectors);
     }
+    // Generated backup by backup: the order the home's RNG stream depends on.
+    std::vector<int> slices;
+    slices.reserve(total_vectors);
+    for (const NetworkId& backup : backup_ids_) {
+      slices.insert(slices.end(), count_of(backup), slice_of(backup));
+    }
+    std::vector<VectorLeaf> vectors =
+        generate_material(subscriber, slices, /*flood=*/false, requests);
+    auto next = vectors.begin();
     for (std::size_t b = 0; b < backup_ids_.size(); ++b) {
-      const int slice = slice_of(backup_ids_[b]);
-      for (std::size_t v = count_of(backup_ids_[b]); v > 0; --v) {
-        VectorLeaf vector = generate_material(subscriber, slice, /*flood=*/false, requests);
-        subscriber.outstanding[vector.hxres_star].holder = slice;
-        requests[b].batches.front().vectors.push_back(vector);
+      for (std::size_t v = count_of(backup_ids_[b]); v > 0; --v, ++next) {
+        subscriber.outstanding[next->hxres_star].holder = slice_of(backup_ids_[b]);
+        requests[b].batches.front().vectors.push_back(std::move(*next));
       }
     }
     metrics_.vectors_disseminated += total_vectors;
@@ -212,7 +233,7 @@ AuthVectorBundle HomeNetwork::generate_local_vector(const Supi& supi,
   auto it = subscribers_.find(supi);
   if (it == subscribers_.end()) throw std::invalid_argument("unknown subscriber");
   VectorLeaf leaf;
-  k_seaf_out = new_vector(it->second, aka::kHomeSlice, leaf);
+  k_seaf_out = new_vector(it->second, aka::kHomeSlice, rng_.array<16>(), leaf);
   ++metrics_.vectors_served;
   return bundle_of(id_, supi, leaf);
 }
@@ -305,7 +326,7 @@ void HomeNetwork::serve_vector(const Supi& supi, Subscriber& subscriber,
   rpc_.network().node(node_).execute(config_.costs.vector_generation, [this, supi, &subscriber,
                                                                        responder] {
     VectorLeaf leaf;
-    const crypto::Key256 k_seaf = new_vector(subscriber, aka::kHomeSlice, leaf);
+    const crypto::Key256 k_seaf = new_vector(subscriber, aka::kHomeSlice, rng_.array<16>(), leaf);
     AuthVectorBundle bundle = bundle_of(id_, supi, leaf);
     sign_single(bundle, signing_key_);
     ++metrics_.batches_signed;
@@ -499,7 +520,7 @@ void HomeNetwork::revoke_backup(const NetworkId& revoked, std::function<void()> 
         request.batches.emplace_back().supi = supi;
       }
       const VectorLeaf vector =
-          generate_material(subscriber, revoked_slice, /*flood=*/true, requests);
+          generate_material(subscriber, std::array{revoked_slice}, /*flood=*/true, requests).front();
       // All remaining backups can serve the flood vector.
       subscriber.outstanding[vector.hxres_star].holder = slice_of(backup_ids_.front());
       for (StoreMaterialRequest& request : requests) {

@@ -150,15 +150,19 @@ class HomeNetwork {
     std::map<ByteArray<16>, NetworkId> seen_proofs;
   };
 
-  /// The one vector issue path: allocates the next SQN in `slice`, then
-  /// draws RAND (the order the home's RNG stream depends on), fills `leaf`
-  /// and returns its K_seaf.
-  crypto::Key256 new_vector(Subscriber& subscriber, int slice, VectorLeaf& leaf);
+  /// The one vector issue path: allocates the next SQN in `slice`, fills
+  /// `leaf` with it and `rand` and returns its K_seaf. A lone vector
+  /// (home-online, resync) draws its RAND as one request; a round's come
+  /// from generate_material.
+  crypto::Key256 new_vector(Subscriber& subscriber, int slice, const crypto::Rand& rand,
+                            VectorLeaf& leaf);
 
-  /// Issues one vector in `slice` and returns it, and appends its K_seaf's
-  /// share at x = b + 1 to the batch of `requests[b]`, for each b.
-  VectorLeaf generate_material(Subscriber& subscriber, int slice, bool flood,
-                               std::span<StoreMaterialRequest> requests);
+  /// Issues one vector in each of `slices`, in order, and returns them, and
+  /// appends each K_seaf's share at x = b + 1 to the batch of `requests[b]`,
+  /// for each b. The round's randomness is two requests on rng_: every
+  /// RAND, then every vector's threshold - 1 coefficient rows.
+  std::vector<VectorLeaf> generate_material(Subscriber& subscriber, std::span<const int> slices,
+                                            bool flood, std::span<StoreMaterialRequest> requests);
   /// The one round builder (§4.2.1, §4.2.3). Charges the dissemination
   /// cost of every vector in `counts` as one job; the job then generates
   /// `counts[backup]` vectors in each backup's slice, for the backup set as

@@ -33,14 +33,19 @@ void DeterministicDrbg::update(ByteView provided) {
 }
 
 void DeterministicDrbg::fill(MutableByteView out) {
+  // One generate request per kMaxRequestBytes, each closed by its update.
   std::size_t offset = 0;
-  while (offset < out.size()) {
-    value_ = key_.mac({value_});
-    const std::size_t n = out.size() - offset < 32 ? out.size() - offset : 32;
-    std::memcpy(out.data() + offset, value_.data(), n);
-    offset += n;
-  }
-  update({});
+  do {
+    const std::size_t end =
+        out.size() - offset < kMaxRequestBytes ? out.size() : offset + kMaxRequestBytes;
+    while (offset < end) {
+      value_ = key_.mac({value_});
+      const std::size_t n = end - offset < 32 ? end - offset : 32;
+      std::memcpy(out.data() + offset, value_.data(), n);
+      offset += n;
+    }
+    update({});
+  } while (offset < out.size());
 }
 
 Bytes DeterministicDrbg::bytes(std::size_t n) {

@@ -21,6 +21,11 @@ class DeterministicDrbg final : public RandomSource {
   /// Convenience: seed from a label and 64-bit seed.
   DeterministicDrbg(std::string_view label, std::uint64_t seed);
 
+  /// SP 800-90A's cap on one generate request: 2^19 bits.
+  static constexpr std::size_t kMaxRequestBytes = std::size_t{1} << 16;
+
+  /// One generate request, closed by its update; a fill longer than
+  /// kMaxRequestBytes is served as consecutive requests of at most that.
   void fill(MutableByteView out) override;
 
   Bytes bytes(std::size_t n);

@@ -2,22 +2,24 @@
 
 #include <cstring>
 
-#include "crypto/hmac.h"
-
 namespace dauth::crypto {
 
 Key256 kdf_3gpp(ByteView key, std::uint8_t fc, std::initializer_list<ByteView> params) {
+  return kdf_3gpp(HmacSha256(key), fc, params);
+}
+
+Key256 kdf_3gpp(const HmacSha256& key, std::uint8_t fc,
+                std::initializer_list<ByteView> params) {
   // S = FC || P0 || L0 || P1 || L1 || ..., streamed into the MAC: S can
   // embed secret-derived params, and the keyed hash wipes what it held.
-  const HmacSha256 hmac(key);
-  Sha256 s = hmac.start();
+  Sha256 s = key.start();
   s.update(ByteArray<1>{fc});
   for (ByteView p : params) {
     s.update(p);
     s.update(ByteArray<2>{static_cast<std::uint8_t>(p.size() >> 8),
                           static_cast<std::uint8_t>(p.size() & 0xff)});
   }
-  return hmac.finish(s);
+  return key.finish(s);
 }
 
 namespace {
@@ -33,15 +35,26 @@ Secret<32> ck_ik(const Ck& ck, const Ik& ik) {
 
 }  // namespace
 
+HmacSha256 ck_ik_key(const Ck& ck, const Ik& ik) { return HmacSha256(ck_ik(ck, ik)); }
+
 Key256 derive_k_ausf(const Ck& ck, const Ik& ik, std::string_view serving_network_name_str,
                      const ByteArray<6>& sqn_xor_ak) {
-  return kdf_3gpp(ck_ik(ck, ik), 0x6a,
-                  {as_bytes(serving_network_name_str), ByteView(sqn_xor_ak)});
+  return derive_k_ausf(ck_ik_key(ck, ik), serving_network_name_str, sqn_xor_ak);
+}
+
+Key256 derive_k_ausf(const HmacSha256& ck_ik, std::string_view serving_network_name_str,
+                     const ByteArray<6>& sqn_xor_ak) {
+  return kdf_3gpp(ck_ik, 0x6a, {as_bytes(serving_network_name_str), ByteView(sqn_xor_ak)});
 }
 
 ResStar derive_res_star(const Ck& ck, const Ik& ik, std::string_view serving_network_name_str,
                         const Rand& rand, const Res& res) {
-  const Key256 full = kdf_3gpp(ck_ik(ck, ik), 0x6b,
+  return derive_res_star(ck_ik_key(ck, ik), serving_network_name_str, rand, res);
+}
+
+ResStar derive_res_star(const HmacSha256& ck_ik, std::string_view serving_network_name_str,
+                        const Rand& rand, const Res& res) {
+  const Key256 full = kdf_3gpp(ck_ik, 0x6b,
                                {as_bytes(serving_network_name_str), ByteView(rand), ByteView(res)});
   // RES* is the 128 least significant bits (last 16 bytes) of the output.
   ResStar out;

@@ -10,6 +10,7 @@
 
 #include "common/bytes.h"
 #include "common/secret.h"
+#include "crypto/hmac.h"
 #include "crypto/milenage.h"
 #include "crypto/sha256.h"
 
@@ -26,14 +27,24 @@ using ResStar = Secret<16>;
 /// where each Li is the 2-byte big-endian length of Pi.
 Key256 kdf_3gpp(ByteView key, std::uint8_t fc, std::initializer_list<ByteView> params);
 
+/// The same KDF under a key keyed once, for several derivations from it.
+Key256 kdf_3gpp(const HmacSha256& key, std::uint8_t fc, std::initializer_list<ByteView> params);
+
+/// CK||IK keyed for the KDF: the key of A.2 and A.4, keyed once per vector.
+HmacSha256 ck_ik_key(const Ck& ck, const Ik& ik);
+
 // ---- 5G hierarchy (TS 33.501 Annex A) -------------------------------------
 
 /// A.2: K_AUSF from CK||IK, the serving-network name and SQN^AK.
 Key256 derive_k_ausf(const Ck& ck, const Ik& ik, std::string_view serving_network_name,
                      const ByteArray<6>& sqn_xor_ak);
+Key256 derive_k_ausf(const HmacSha256& ck_ik, std::string_view serving_network_name,
+                     const ByteArray<6>& sqn_xor_ak);
 
 /// A.4: RES* / XRES* from CK||IK, serving-network name, RAND and RES.
 ResStar derive_res_star(const Ck& ck, const Ik& ik, std::string_view serving_network_name,
+                        const Rand& rand, const Res& res);
+ResStar derive_res_star(const HmacSha256& ck_ik, std::string_view serving_network_name,
                         const Rand& rand, const Res& res);
 
 /// A.5: HRES* / HXRES* = 128 most significant bits of SHA-256(RAND || RES*).

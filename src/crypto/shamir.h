@@ -49,9 +49,19 @@ std::vector<ShamirShare> shamir_split(ByteView secret, std::size_t threshold,
 
 /// The same split into the caller's storage: the ordinate of the share at
 /// x = s + 1 into `ordinates[s]`, which must be secret.size() bytes. Draws
-/// the same random bytes as shamir_split, so the shares are equal.
+/// every coefficient row in one request, the same bytes as shamir_split, so
+/// the shares are equal.
 void shamir_split(ByteView secret, std::size_t threshold,
                   std::span<const MutableByteView> ordinates, RandomSource& random);
+
+/// The split with the caller's coefficients, which every form above and the
+/// home's rounds evaluate through: `coefficients` is threshold - 1 rows of
+/// secret.size() bytes, row d the degree-(d+1) coefficient of every secret
+/// byte, and the ordinate of the share at x = s + 1 goes into
+/// `ordinates[s]`. The rows are as sensitive as the secret (threshold - 1
+/// of them and one share leak it): the caller draws them and wipes them.
+void shamir_split(ByteView secret, std::size_t threshold, ByteView coefficients,
+                  std::span<const MutableByteView> ordinates);
 
 /// Reconstructs the secret from >= threshold distinct shares by Lagrange
 /// interpolation at x = 0. The caller passes exactly the shares to use; with
@@ -59,5 +69,32 @@ void shamir_split(ByteView secret, std::size_t threshold,
 /// indistinguishable from random), and with inconsistent share lengths or
 /// duplicate x-coordinates an exception is thrown.
 SecretBytes shamir_combine(const std::vector<ShamirShare>& shares);
+
+/// The split's polynomial evaluation, exposed so the differential test can
+/// pin every implementation to the portable one. Each takes checked
+/// arguments: `coefficients` is whole rows of secret.size() bytes, at most
+/// 254 of them, and every ordinate is secret.size() bytes.
+namespace detail {
+
+/// Word-parallel evaluation, eight byte lanes a std::uint64_t: the
+/// fallback on every CPU without GFNI.
+void shamir_evaluate_portable(ByteView secret, ByteView coefficients,
+                              std::span<const MutableByteView> ordinates) noexcept;
+
+#if defined(__x86_64__)
+/// x86-64 GFNI evaluation, sixteen lanes a GF2P8MULB. Only call it when
+/// shamir_gfni_available() is true.
+void shamir_evaluate_gfni(ByteView secret, ByteView coefficients,
+                          std::span<const MutableByteView> ordinates) noexcept;
+#endif
+
+/// Whether this CPU runs the GFNI evaluation (decided once per process).
+bool shamir_gfni_available() noexcept;
+
+/// The evaluation shamir_split uses: GFNI when available, else portable.
+void shamir_evaluate(ByteView secret, ByteView coefficients,
+                     std::span<const MutableByteView> ordinates) noexcept;
+
+}  // namespace detail
 
 }  // namespace dauth::crypto

@@ -2,7 +2,12 @@
 // local vector generation, and configuration limits.
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "../integration/federation_fixture.h"
+#include "crypto/drbg.h"
+#include "crypto/gf256.h"
+#include "wire/writer.h"
 
 namespace dauth::testing {
 namespace {
@@ -135,6 +140,70 @@ TEST(HomeNetwork, DisseminatedSqnsLandInTheBackupsSlice) {
   ASSERT_GE(accepted.size(), 2u);
   // SQN high-water mark strictly increases per successful attach.
   for (std::size_t i = 1; i < accepted.size(); ++i) EXPECT_GT(accepted[i], accepted[i - 1]);
+}
+
+TEST(HomeNetwork, RoundDrawsEveryRandThenEveryCoefficientRow) {
+  // A round's randomness is two requests on the home's DRBG: every RAND, in
+  // generation order (backup by backup), then every vector's threshold - 1
+  // coefficient rows. A twin DRBG reproduces the pushed RANDs from its
+  // first request and every share ordinate from its second, and each
+  // vector's shares recombine to its K_seaf.
+  core::FederationConfig cfg = Federation::test_config();
+  cfg.threshold = 3;
+  Federation f(5, cfg);
+  const std::vector<std::size_t> backups = {1, 2, 3, 4};
+  std::map<std::size_t, core::StoreBatch> pushed;  // by share x - 1
+  for (std::size_t b = 0; b < backups.size(); ++b) {
+    f.rpc.register_service(f.net(backups[b]).node(), "backup.store",
+                           [&, b](ByteView request, sim::Responder r) {
+                             auto push = wire::decode<core::StoreMaterialRequest>(request);
+                             pushed[b] = std::move(push.batches.at(0));
+                             r.reply(wire::encode(sim::Ack{}));
+                           });
+  }
+  const auto keys = f.provision(kAlice, 0, backups);
+  ASSERT_EQ(pushed.size(), backups.size());
+
+  const std::size_t n = backups.size() * cfg.vectors_per_backup;
+  constexpr std::size_t kRows = 2 * 32;  // threshold - 1 rows of K_seaf's 32 bytes
+  crypto::DeterministicDrbg twin("home:" + f.net(0).id().str(), f.spec.networks[0].key_seed);
+  const Bytes rands = twin.bytes(16 * n);
+  const Bytes coefficients = twin.bytes(n * kRows);
+
+  std::size_t i = 0;  // the vector's place in generation order
+  for (std::size_t b = 0; b < backups.size(); ++b) {
+    for (const core::VectorLeaf& vector : pushed.at(b).vectors) {
+      ASSERT_LT(i, n);
+      EXPECT_EQ(to_bytes(ByteView(vector.rand)), to_bytes(ByteView(rands).subspan(16 * i, 16)))
+          << "vector " << i;
+      const aka::AuthVector av =
+          aka::generate_auth_vector(keys, vector.sqn, vector.rand, cfg.serving_network_name);
+      std::vector<crypto::ShamirShare> shares;
+      for (std::size_t s = 0; s < backups.size(); ++s) {
+        const core::ShareLeaf& share = pushed.at(s).shares.at(i);
+        ASSERT_EQ(share.hxres_star, vector.hxres_star) << "vector " << i << " share " << s;
+        ASSERT_EQ(share.x, s + 1);
+        // K_seaf + c1 x + c2 x^2, byte by byte, from the twin's rows.
+        Bytes expected(32);
+        for (std::size_t j = 0; j < 32; ++j) {
+          const std::uint8_t c1 = coefficients[i * kRows + j];
+          const std::uint8_t c2 = coefficients[i * kRows + 32 + j];
+          const std::uint8_t tail = crypto::gf256::add(crypto::gf256::mul(c2, share.x), c1);
+          expected[j] = crypto::gf256::add(crypto::gf256::mul(tail, share.x), av.k_seaf[j]);
+        }
+        EXPECT_TRUE(ct_equal(ByteView(share.y), expected)) << "vector " << i << " share " << s;
+        shares.push_back({share.x, SecretBytes(ByteView(share.y))});
+      }
+      for (std::size_t first = 0; first + cfg.threshold <= shares.size(); ++first) {
+        const std::vector<crypto::ShamirShare> quorum(
+            shares.begin() + static_cast<std::ptrdiff_t>(first),
+            shares.begin() + static_cast<std::ptrdiff_t>(first + cfg.threshold));
+        EXPECT_TRUE(ct_equal(crypto::shamir_combine(quorum), av.k_seaf)) << "vector " << i;
+      }
+      ++i;
+    }
+  }
+  EXPECT_EQ(i, n);
 }
 
 TEST(ServingNetwork, HealthCacheStatesAndMetrics) {

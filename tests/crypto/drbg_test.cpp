@@ -80,6 +80,32 @@ TEST(Drbg, RandomSourceInterface) {
   EXPECT_NE(buf, Bytes(16, 0));
 }
 
+TEST(Drbg, LongFillIsConsecutiveCappedRequests) {
+  // SP 800-90A caps one generate request at 2^19 bits (64 KiB): a 200 KiB
+  // fill is the stream of a twin's 64 + 64 + 64 + 8 KiB fills, and the
+  // draw after it continues the same stream.
+  static_assert(DeterministicDrbg::kMaxRequestBytes == 64 * 1024);
+  DeterministicDrbg one("drbg-cap", 8);
+  DeterministicDrbg twin("drbg-cap", 8);
+  const Bytes whole = one.bytes(200 * 1024);
+  Bytes pieces;
+  for (const std::size_t kib : {64u, 64u, 64u, 8u}) {
+    const Bytes piece = twin.bytes(kib * 1024);
+    pieces.insert(pieces.end(), piece.begin(), piece.end());
+  }
+  EXPECT_EQ(whole, pieces);
+  EXPECT_EQ(one.bytes(32), twin.bytes(32));
+
+  // At the cap it is one request: a twin's two halves differ from it.
+  DeterministicDrbg capped("drbg-cap", 9);
+  DeterministicDrbg halves("drbg-cap", 9);
+  const Bytes full = capped.bytes(64 * 1024);
+  Bytes split = halves.bytes(32 * 1024);
+  const Bytes second = halves.bytes(32 * 1024);
+  split.insert(split.end(), second.begin(), second.end());
+  EXPECT_NE(full, split);
+}
+
 TEST(Drbg, StreamIsPinned) {
   // A mixed sequence of fill sizes (empty, partial, whole and multi-block
   // draws) and reseeds, hashed: the digest pins every output byte and every

@@ -100,6 +100,24 @@ TEST(Shamir, InvalidParametersThrow) {
   EXPECT_THROW(shamir_split(secret, 2, 256, rng), std::invalid_argument);
 }
 
+TEST(Shamir, CallersCoefficientsAreTheDrawnSplit) {
+  // The core split takes the caller's rows: given the bytes the
+  // RandomSource form draws, in its one request, it writes the same shares,
+  // and it refuses rows that are not threshold - 1 of secret.size() bytes.
+  DeterministicDrbg rng("shamir", 13);
+  DeterministicDrbg twin("shamir", 13);
+  const Bytes secret = test_secret(32);
+  const auto drawn = shamir_split(secret, 3, 5, rng);
+  const SecretBytes coefficients(twin.bytes(2 * 32));
+  std::vector<Bytes> ys(5, Bytes(32, 0));
+  std::vector<MutableByteView> ordinates(ys.begin(), ys.end());
+  shamir_split(secret, 3, coefficients, ordinates);
+  for (std::size_t s = 0; s < 5; ++s) EXPECT_TRUE(ct_equal(drawn[s].y, ys[s])) << "share " << s;
+  EXPECT_THROW(shamir_split(secret, 3, ByteView(coefficients).first(63), ordinates),
+               std::invalid_argument);
+  EXPECT_THROW(shamir_split(secret, 4, coefficients, ordinates), std::invalid_argument);
+}
+
 TEST(Shamir, CombineValidation) {
   DeterministicDrbg rng("shamir", 10);
   const Bytes secret = test_secret(8);
@@ -137,11 +155,10 @@ TEST(Shamir, SharesDifferAcrossRandomness) {
 
 std::vector<ShamirShare> reference_split(ByteView secret, std::size_t threshold,
                                          std::size_t share_count, RandomSource& random) {
-  std::vector<SecretBytes> coefficients(threshold - 1);
-  for (auto& row : coefficients) {
-    row.resize(secret.size());
-    random.fill(row.mutable_view());
-  }
+  // Every coefficient row in one request: row d is the degree-(d+1)
+  // coefficient of every secret byte.
+  SecretBytes coefficients((threshold - 1) * secret.size());
+  random.fill(coefficients.mutable_view());
   std::vector<ShamirShare> shares(share_count);
   for (std::size_t s = 0; s < share_count; ++s) {
     const auto x = static_cast<std::uint8_t>(s + 1);
@@ -149,8 +166,8 @@ std::vector<ShamirShare> reference_split(ByteView secret, std::size_t threshold,
     shares[s].y.resize(secret.size());
     for (std::size_t i = 0; i < secret.size(); ++i) {
       std::uint8_t acc = 0;
-      for (std::size_t d = coefficients.size(); d-- > 0;)
-        acc = gf256::add(gf256::mul(acc, x), coefficients[d][i]);
+      for (std::size_t d = threshold - 1; d-- > 0;)
+        acc = gf256::add(gf256::mul(acc, x), coefficients[d * secret.size() + i]);
       shares[s].y[i] = gf256::add(gf256::mul(acc, x), secret[i]);
     }
   }

@@ -921,7 +921,7 @@ TEST(BatchSigning, DisseminatedBytesArePinned) {
   std::sort(sent.begin(), sent.end());
   crypto::Sha256 all;
   for (const auto& digest : sent) all.update(digest);
-  EXPECT_EQ(to_hex(all.finish()), "59865031a7d043279a1481c333c4641396251c8960845a4b1cc937f9ebafbf6f")
+  EXPECT_EQ(to_hex(all.finish()), "bed7f17d3947bb3f1b41a0ad7e3d33641c5186178c03074a3c20e8db53d94ff9")
       << sent.size() << " store requests";
 }
 

@@ -213,7 +213,7 @@ TEST(Nas, UeFramesArePinned) {
 
   EXPECT_EQ(calls["serving.handover_request"], 1);
   EXPECT_EQ(to_hex(digest.finish()),
-            "c8066a1fd126511a12bb0fe0ca839c1740391097fdc0fdc462fd22250880d027")
+            "7b91cde4e54ea5e0f833153d03185a4970bfffc8f36dbea5a785c58411ce311c")
       << calls["serving.attach_request"] << " attach requests, "
       << calls["serving.auth_response"] << " auth responses";
 }

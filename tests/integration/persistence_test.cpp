@@ -283,7 +283,7 @@ TEST(Persistence, HeldBatchRecordsArePinned) {
     while (f.net(1).backup().stored_vectors(home, supi) > 0) pull(supi);
   }
   hash_records(h, *f.stores[1]);
-  EXPECT_EQ(to_hex(h.finish()), "d56b41e76d11aab2934c9c31d206cfd83f482ac52f27880b75aece37c70e5eb1");
+  EXPECT_EQ(to_hex(h.finish()), "fd3d1db1dbcc8191c43bcad7db3605b65318959761e2da9d84cf5bd2bb52329e");
 }
 
 TEST(Persistence, RestartKeepsTheServeOrder) {
@@ -401,7 +401,7 @@ TEST(Persistence, ServedBytesArePinned) {
     while (f.net(1).backup().stored_vectors(home, supi) > 0) pull_vector(f, 1, supi);
   }
   EXPECT_EQ(replies, 33u);
-  EXPECT_EQ(to_hex(h.finish()), "3fd89fe5671e8238114b3790a39ee9591664ab5fb0b6e0cf9e11f4fc828d9882");
+  EXPECT_EQ(to_hex(h.finish()), "5f468515c4e5eb00e57af6d1b99c42034b706d8ccdc960d4cbe4e80a25f62fa2");
 }
 
 /// Wraps the home's home.report handler so that each report's proofs are
@@ -478,7 +478,7 @@ TEST(Persistence, ReportBytesArePinned) {
   }
   EXPECT_TRUE(f.net(0).home().anomalies().empty());
   EXPECT_EQ(reports, 4u);
-  EXPECT_EQ(to_hex(h.finish()), "38d05111a29466dc8f55935836a588a0e0845c26a0e16983f1eb9a50ad87f2c0");
+  EXPECT_EQ(to_hex(h.finish()), "856ea462bdf79de41c7a65534a5141265506a28136ec17213c792da692cf7f05");
 }
 
 TEST(Persistence, OverlappingAcksClearEachProofOnce) {

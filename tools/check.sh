@@ -169,6 +169,26 @@ if [[ "$LEAF_HASH_FOUND" != "$LEAF_HASH_ALLOWED" ]]; then
   exit 1
 fi
 
+# The home's draws on its DRBG: "file form draws reason", one form a line.
+# Form `array`, `bytes` or `fill` is the DeterministicDrbg call; `source` is
+# rng_ handed whole to a RandomSource taker, which draws as often as it
+# likes. A round's randomness is two requests, its RANDs and then its
+# coefficient rows: a draw added per vector or per coefficient row fails.
+DRAW_SITES="\
+src/core/home_network.cpp array 2 a lone vector's RAND: home-online and resync issue one vector
+src/core/home_network.cpp bytes 1 a round's RANDs, one public request
+src/core/home_network.cpp fill 1 a round's coefficient rows, one secret request wiped before signing"
+DRAW_FOUND="$(grep -nE '\brng_(\.[a-z_]+|[,)])' src/core/home_network.cpp src/core/home_network.h \
+  | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' \
+  | sed -E 's/^([^:]+):.*\brng_(\.([a-z_]+)|[,)]).*/\1 \3/; s/ $/ source/' \
+  | sort | uniq -c | awk '{print $2, $3, $1}' | sort)"
+DRAW_ALLOWED="$(awk '{print $1, $2, $3}' <<< "$DRAW_SITES" | sort)"
+if [[ "$DRAW_FOUND" != "$DRAW_ALLOWED" ]]; then
+  echo "home DRBG draw added or removed: a round draws its randomness in two requests" >&2
+  diff <(echo "$DRAW_ALLOWED") <(echo "$DRAW_FOUND") >&2 || true
+  exit 1
+fi
+
 # The federations built by hand, outside core::FederationSpec: "file sites
 # reason", one file a line. A DauthNode constructed or a DirectoryServer
 # declared anywhere else in tests/, bench/, examples/, tools/ or fedbench/
