@@ -162,7 +162,8 @@ class HomeNetwork {
   /// for each b. The round's randomness is two requests on rng_: every
   /// RAND, then every vector's threshold - 1 coefficient rows.
   std::vector<VectorLeaf> generate_material(Subscriber& subscriber, std::span<const int> slices,
-                                            bool flood, std::span<StoreMaterialRequest> requests);
+                                            bool flood,
+                                            std::span<StoreMaterialRequest> requests);
   /// The one round builder (§4.2.1, §4.2.3). Charges the dissemination
   /// cost of every vector in `counts` as one job; the job then generates
   /// `counts[backup]` vectors in each backup's slice, for the backup set as
