@@ -5,6 +5,8 @@
 // a key share from one.
 #include <benchmark/benchmark.h>
 
+#include <optional>
+
 #include "micro_main.h"
 
 #include "aka/auth_vector.h"
@@ -120,28 +122,58 @@ void BM_SuciDeconceal(benchmark::State& state) {
 }
 BENCHMARK(BM_SuciDeconceal);
 
-/// The home-side dissemination work for ONE vector with N backups: vector
-/// generation + Shamir split into the share leaves + the N+1 batch leaf
-/// hashes. The round signature is paid once per (user, round) (BM_SignRound).
+/// One round's randomness as HomeNetwork::generate_material draws it: two
+/// requests, every RAND and then every vector's threshold - 1 coefficient
+/// rows of K_seaf.
+struct RoundDraws {
+  Bytes rands;
+  SecretBytes coefficients;
+  std::size_t rows = 0;  // bytes of one vector's rows
+
+  RoundDraws(crypto::DeterministicDrbg& rng, std::size_t vectors, std::size_t threshold)
+      : rands(rng.bytes(vectors * sizeof(crypto::Rand))),
+        coefficients(vectors * (threshold - 1) * sizeof(crypto::Key256)),
+        rows((threshold - 1) * sizeof(crypto::Key256)) {
+    rng.fill(coefficients.mutable_view());
+  }
+  crypto::Rand rand(std::size_t v) const {
+    return take<16>(ByteView(rands).subspan(v * sizeof(crypto::Rand)));
+  }
+  ByteView rows_of(std::size_t v) const { return ByteView(coefficients).subspan(v * rows, rows); }
+};
+
+/// The home-side dissemination work for ONE vector with N backups, 4 of
+/// them the threshold: its share of the round's two draws (a round of 16
+/// vectors per backup, as fedbench's backup_steady), vector generation,
+/// the Shamir split into the share leaves and the N+1 batch leaf hashes.
+/// The round signature is paid once per (user, round) (BM_SignRound).
 void BM_DisseminateOneVector(benchmark::State& state) {
+  constexpr std::size_t kThreshold = 4;
   crypto::DeterministicDrbg rng("proto-bench", 9);
   const auto keys = bench_keys();
   const auto n_backups = static_cast<std::size_t>(state.range(0));
+  const std::size_t round_vectors = 16 * n_backups;
   const NetworkId home("home-net");
   const Supi supi("315010000000001");
   std::vector<ShareLeaf> shares(n_backups);
   std::vector<MutableByteView> ordinates;
   for (ShareLeaf& share : shares) ordinates.push_back(share.y.mutable_view());
+  std::optional<RoundDraws> round;
+  std::size_t next = round_vectors;
   std::uint64_t sqn = 32;
   for (auto _ : state) {
-    VectorLeaf vector{0, sqn, rng.array<16>(), {}, {}, false};
+    if (next == round_vectors) {
+      round.emplace(rng, round_vectors, kThreshold);
+      next = 0;
+    }
+    VectorLeaf vector{0, sqn, round->rand(next), {}, {}, false};
     const auto v = aka::generate_auth_vector(keys, sqn, vector.rand, kSnn);
     sqn += 32;
     vector.autn = v.autn;
     vector.hxres_star = hxres_index(v.xres_star);
     benchmark::DoNotOptimize(leaf_hash(home, supi, vector));
 
-    crypto::shamir_split(ByteView(v.k_seaf), 4, ordinates, rng);
+    crypto::shamir_split(ByteView(v.k_seaf), kThreshold, round->rows_of(next++), ordinates);
     for (std::size_t s = 0; s < n_backups; ++s) {
       shares[s].hxres_star = vector.hxres_star;
       shares[s].x = static_cast<std::uint8_t>(s + 1);
@@ -150,6 +182,46 @@ void BM_DisseminateOneVector(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DisseminateOneVector)->Arg(4)->Arg(8)->Arg(16);
+
+/// One user's dissemination round as fedbench's backup_steady generates it,
+/// up to signing: 16 vectors in each of `backups` slices, 4 of them the
+/// threshold; the round's two draws, then per vector Milenage and the 3GPP
+/// KDFs, its H(XRES*) index and the split of its K_seaf into a share leaf
+/// of every backup's batch.
+void BM_GenerateRound(benchmark::State& state) {
+  constexpr std::size_t kThreshold = 4;
+  constexpr std::size_t kVectorsPerBackup = 16;
+  crypto::DeterministicDrbg rng("proto-bench", 14);
+  const auto keys = bench_keys();
+  const auto n_backups = static_cast<std::size_t>(state.range(0));
+  const std::size_t n_vectors = kVectorsPerBackup * n_backups;
+  std::vector<std::vector<ShareLeaf>> batches(n_backups);
+  std::vector<MutableByteView> ordinates(n_backups);
+  std::uint64_t sqn = 32;
+  for (auto _ : state) {
+    const RoundDraws round(rng, n_vectors, kThreshold);
+    for (auto& shares : batches) {
+      shares.clear();
+      shares.reserve(n_vectors);
+    }
+    for (std::size_t i = 0; i < n_vectors; ++i) {
+      VectorLeaf vector{0, sqn, round.rand(i), {}, {}, false};
+      const auto v = aka::generate_auth_vector(keys, sqn, vector.rand, kSnn);
+      sqn += 32;
+      vector.autn = v.autn;
+      vector.hxres_star = hxres_index(v.xres_star);
+      for (std::size_t b = 0; b < n_backups; ++b) {
+        ShareLeaf& share = batches[b].emplace_back();
+        share.hxres_star = vector.hxres_star;
+        share.x = static_cast<std::uint8_t>(b + 1);
+        ordinates[b] = share.y.mutable_view();
+      }
+      crypto::shamir_split(ByteView(v.k_seaf), kThreshold, round.rows_of(i), ordinates);
+      benchmark::DoNotOptimize(vector);
+    }
+  }
+}
+BENCHMARK(BM_GenerateRound)->Arg(8);
 
 /// One user's unsigned dissemination round as fedbench's backup_steady
 /// builds it: `batches` backups, each batch `vectors` vectors plus one share

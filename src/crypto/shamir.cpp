@@ -79,17 +79,12 @@ std::vector<ShamirShare> shamir_split(ByteView secret, std::size_t threshold,
     shares[s].y.resize(secret.size());
     ordinates.push_back(shares[s].y.mutable_view());
   }
-  shamir_split(secret, threshold, ordinates, random);
-  return shares;
-}
-
-void shamir_split(ByteView secret, std::size_t threshold,
-                  std::span<const MutableByteView> ordinates, RandomSource& random) {
   check_split(secret, threshold, ordinates);
   // Every row in one request, in one self-wiping buffer.
   SecretBytes coefficients((threshold - 1) * secret.size());
   random.fill(coefficients.mutable_view());
   shamir_split(secret, threshold, coefficients, ordinates);
+  return shares;
 }
 
 void shamir_split(ByteView secret, std::size_t threshold, ByteView coefficients,

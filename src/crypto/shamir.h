@@ -43,18 +43,11 @@ class RandomSource {
 
 /// Splits `secret` into `share_count` shares with reconstruction threshold
 /// `threshold` (1 <= threshold <= share_count <= 255). Shares receive
-/// x-coordinates 1..share_count.
+/// x-coordinates 1..share_count. Draws every coefficient row in one request.
 std::vector<ShamirShare> shamir_split(ByteView secret, std::size_t threshold,
                                       std::size_t share_count, RandomSource& random);
 
-/// The same split into the caller's storage: the ordinate of the share at
-/// x = s + 1 into `ordinates[s]`, which must be secret.size() bytes. Draws
-/// every coefficient row in one request, the same bytes as shamir_split, so
-/// the shares are equal.
-void shamir_split(ByteView secret, std::size_t threshold,
-                  std::span<const MutableByteView> ordinates, RandomSource& random);
-
-/// The split with the caller's coefficients, which every form above and the
+/// The split with the caller's coefficients, which the form above and the
 /// home's rounds evaluate through: `coefficients` is threshold - 1 rows of
 /// secret.size() bytes, row d the degree-(d+1) coefficient of every secret
 /// byte, and the ordinate of the share at x = s + 1 goes into
