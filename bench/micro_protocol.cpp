@@ -508,6 +508,10 @@ int main(int argc, char** argv) {
       {"BM_BundleEncodeDecode", 425.0},
       {"BM_DisseminateOneVector/8", 18331.0},
       {"BM_SignRound/8", 803931.0},
+      // ns/op at 3df207f (median of five), timed in a scratch copy where
+      // the home drew four DRBG requests per vector (docs/PERFORMANCE.md
+      // §25).
+      {"BM_GenerateRound/8", 539702.0},
       {"BM_StoreRequestCodec/8", 79950.0},
       // ns/op at b56f982 (median of three), timed in a scratch copy: the
       // decode, split_batches and the tag over the rounds it rebuilt

@@ -3,10 +3,6 @@
 #include <cstring>
 #include <stdexcept>
 
-#if defined(__x86_64__)
-#include <immintrin.h>
-#endif
-
 #include "crypto/gf256.h"
 
 namespace dauth::crypto {
@@ -66,6 +62,25 @@ void check_split(ByteView secret, std::size_t threshold,
   }
 }
 
+/// Horner evaluation of every share's polynomial, eight byte lanes a word.
+void evaluate(ByteView secret, ByteView coefficients,
+              std::span<const MutableByteView> ordinates) noexcept {
+  if (secret.empty()) return;
+  const std::size_t degree = coefficients.size() / secret.size();
+  const auto row = [&](std::size_t d) {
+    return coefficients.subspan(d * secret.size(), secret.size());
+  };
+  for (std::size_t s = 0; s < ordinates.size(); ++s) {
+    const auto x = static_cast<std::uint8_t>(s + 1);
+    for (std::size_t i = 0; i < secret.size(); i += 8) {
+      // Horner evaluation: ((c_{k-1} x + c_{k-2}) x + ...) x + secret.
+      std::uint64_t acc = 0;
+      for (std::size_t d = degree; d-- > 0;) acc = mul8(acc, x) ^ load8(row(d), i);
+      store8(ordinates[s], i, mul8(acc, x) ^ load8(secret, i));
+    }
+  }
+}
+
 }  // namespace
 
 std::vector<ShamirShare> shamir_split(ByteView secret, std::size_t threshold,
@@ -92,101 +107,8 @@ void shamir_split(ByteView secret, std::size_t threshold, ByteView coefficients,
   check_split(secret, threshold, ordinates);
   if (coefficients.size() != (threshold - 1) * secret.size())
     throw std::invalid_argument("shamir_split: coefficient rows");
-  detail::shamir_evaluate(secret, coefficients, ordinates);
+  evaluate(secret, coefficients, ordinates);
 }
-
-namespace detail {
-
-void shamir_evaluate_portable(ByteView secret, ByteView coefficients,
-                              std::span<const MutableByteView> ordinates) noexcept {
-  if (secret.empty()) return;
-  const std::size_t degree = coefficients.size() / secret.size();
-  const auto row = [&](std::size_t d) {
-    return coefficients.subspan(d * secret.size(), secret.size());
-  };
-  for (std::size_t s = 0; s < ordinates.size(); ++s) {
-    const auto x = static_cast<std::uint8_t>(s + 1);
-    for (std::size_t i = 0; i < secret.size(); i += 8) {
-      // Horner evaluation: ((c_{k-1} x + c_{k-2}) x + ...) x + secret.
-      std::uint64_t acc = 0;
-      for (std::size_t d = degree; d-- > 0;) acc = mul8(acc, x) ^ load8(row(d), i);
-      store8(ordinates[s], i, mul8(acc, x) ^ load8(secret, i));
-    }
-  }
-}
-
-#if defined(__x86_64__)
-// GF2P8MULB multiplies sixteen byte pairs in GF(2^8) modulo 0x11b, the
-// field of the portable lanes, so both evaluations give the same bytes. It
-// is the legacy-encoded SSE form, compiled for this function only: the
-// dispatch below calls it only on CPUs that report GFNI.
-__attribute__((target("gfni"))) void shamir_evaluate_gfni(
-    ByteView secret, ByteView coefficients,
-    std::span<const MutableByteView> ordinates) noexcept {
-  const std::size_t length = secret.size();
-  if (length == 0) return;
-  const std::size_t degree = coefficients.size() / length;
-  // One 16-byte column of the secret (terms[0]) and of every coefficient
-  // row (terms[d + 1]), loaded once for all shares; a tail column's missing
-  // lanes are zero and never stored. Key material: wiped below.
-  __m128i terms[256];
-  __m128i tail = _mm_setzero_si128();
-  for (std::size_t i = 0; i < length; i += 16) {
-    const std::size_t n = length - i < 16 ? length - i : 16;
-    for (std::size_t d = 0; d <= degree; ++d) {
-      const std::uint8_t* column =
-          d == 0 ? secret.data() + i : coefficients.data() + (d - 1) * length + i;
-      if (n == 16) {
-        terms[d] = _mm_loadu_si128(reinterpret_cast<const __m128i*>(column));
-      } else {
-        terms[d] = _mm_setzero_si128();
-        std::memcpy(&terms[d], column, n);
-      }
-    }
-    for (std::size_t s = 0; s < ordinates.size(); ++s) {
-      // Horner evaluation, as the portable lanes run it.
-      const __m128i x = _mm_set1_epi8(static_cast<char>(s + 1));
-      __m128i acc = terms[degree];
-      for (std::size_t d = degree; d-- > 0;) {
-        acc = _mm_xor_si128(_mm_gf2p8mul_epi8(acc, x), terms[d]);
-      }
-      if (n == 16) {
-        _mm_storeu_si128(reinterpret_cast<__m128i*>(ordinates[s].data() + i), acc);
-      } else {
-        tail = acc;
-        std::memcpy(ordinates[s].data() + i, &tail, n);
-      }
-    }
-  }
-  secure_wipe(terms, (degree + 1) * sizeof(__m128i));
-  secure_wipe(&tail, sizeof(tail));
-}
-#endif
-
-bool shamir_gfni_available() noexcept {
-#if defined(__x86_64__)
-  static const bool available = [] {
-    __builtin_cpu_init();
-    return __builtin_cpu_supports("gfni") != 0;
-  }();
-  return available;
-#else
-  return false;
-#endif
-}
-
-void shamir_evaluate(ByteView secret, ByteView coefficients,
-                     std::span<const MutableByteView> ordinates) noexcept {
-#if defined(__x86_64__)
-  if (shamir_gfni_available()) {
-    shamir_evaluate_gfni(secret, coefficients, ordinates);
-    return;
-  }
-#endif
-  shamir_evaluate_portable(secret, coefficients, ordinates);
-}
-
-}  // namespace detail
 
 SecretBytes shamir_combine(const std::vector<ShamirShare>& shares) {
   if (shares.empty()) throw std::invalid_argument("shamir_combine: no shares");

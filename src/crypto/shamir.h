@@ -63,31 +63,4 @@ void shamir_split(ByteView secret, std::size_t threshold, ByteView coefficients,
 /// duplicate x-coordinates an exception is thrown.
 SecretBytes shamir_combine(const std::vector<ShamirShare>& shares);
 
-/// The split's polynomial evaluation, exposed so the differential test can
-/// pin every implementation to the portable one. Each takes checked
-/// arguments: `coefficients` is whole rows of secret.size() bytes, at most
-/// 254 of them, and every ordinate is secret.size() bytes.
-namespace detail {
-
-/// Word-parallel evaluation, eight byte lanes a std::uint64_t: the
-/// fallback on every CPU without GFNI.
-void shamir_evaluate_portable(ByteView secret, ByteView coefficients,
-                              std::span<const MutableByteView> ordinates) noexcept;
-
-#if defined(__x86_64__)
-/// x86-64 GFNI evaluation, sixteen lanes a GF2P8MULB. Only call it when
-/// shamir_gfni_available() is true.
-void shamir_evaluate_gfni(ByteView secret, ByteView coefficients,
-                          std::span<const MutableByteView> ordinates) noexcept;
-#endif
-
-/// Whether this CPU runs the GFNI evaluation (decided once per process).
-bool shamir_gfni_available() noexcept;
-
-/// The evaluation shamir_split uses: GFNI when available, else portable.
-void shamir_evaluate(ByteView secret, ByteView coefficients,
-                     std::span<const MutableByteView> ordinates) noexcept;
-
-}  // namespace detail
-
 }  // namespace dauth::crypto

@@ -1085,7 +1085,7 @@ TEST(Persistence, ServingABatchOutKeepsTheDurableLogBounded) {
   // One user's 64-leaf batch (16 vectors here and a share of each of the
   // round's 48 at the other backups) served out one vector at a time. Each
   // release rewrites the batch's whole record; a log that never compacted
-  // kept every copy (92.8 KB for this case).
+  // kept every copy (63.0 KB for this case, which never compacts).
   core::FederationConfig config = Federation::test_config();
   config.vectors_per_backup = 16;
   Federation f(5, config);
