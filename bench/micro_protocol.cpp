@@ -5,6 +5,7 @@
 // a key share from one.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <optional>
 
 #include "micro_main.h"
@@ -226,7 +227,7 @@ BENCHMARK(BM_GenerateRound)->Arg(8);
 /// One user's unsigned dissemination round as fedbench's backup_steady
 /// builds it: `batches` backups, each batch `vectors` vectors plus one share
 /// of each of the round's `vectors` x `batches` vectors (144 leaves for 8
-/// backups and 16 vectors).
+/// backups and 16 vectors), laid out as the home pushes them (StoreBatch).
 std::vector<StoreMaterialRequest> unsigned_round(std::size_t batches, std::uint64_t vectors = 16,
                                                  const NetworkId& home = NetworkId("home-net"),
                                                  const Supi& supi = Supi("315010000000001")) {
@@ -236,16 +237,23 @@ std::vector<StoreMaterialRequest> unsigned_round(std::size_t batches, std::uint6
     request.home_network = home;
     StoreBatch& batch = request.batches.emplace_back();
     batch.supi = supi;
+    std::vector<VectorLeaf> held(vectors);
     for (std::uint64_t v = 0; v < vectors; ++v) {
-      batch.vectors.push_back(
-          {0, 32 * v, rng.array<16>(), rng.array<16>(), rng.array<16>(), false});
+      held[v] = {static_cast<std::uint16_t>(v), 32 * v, rng.array<16>(), rng.array<16>(),
+                 rng.array<16>(), false};
     }
-    for (std::size_t s = 0; s < vectors * batches; ++s) {
-      ShareLeaf& share = batch.shares.emplace_back();
+    batch.vectors = wire::EncodedSequence<VectorLeaf>(held);
+    std::vector<ShareLeaf> shares(vectors * batches);
+    for (ShareLeaf& share : shares) {
       share.hxres_star = rng.array<16>();
       share.x = 1;
       share.y = rng.array<32>();
     }
+    std::ranges::sort(shares, {}, &ShareLeaf::hxres_star);
+    for (std::size_t s = 0; s < shares.size(); ++s) {
+      shares[s].leaf = static_cast<std::uint16_t>(vectors + s);
+    }
+    batch.shares = wire::EncodedSequence<ShareLeaf, SecretBytes>(shares);
   }
   return round;
 }
@@ -311,7 +319,7 @@ void BM_CheckServedBundle(benchmark::State& state, bool hit) {
   sign_round(round, signer);
   const StoreMaterialRequest& push = round[3];
   const StoreBatch& batch = push.batches[0];
-  std::vector<crypto::Sha256Digest> leaves;
+  std::vector<crypto::Sha256Digest> leaves;  // in leaf order, as unsigned_round numbers them
   for (const auto& v : batch.vectors) leaves.push_back(leaf_hash(push.home_network, batch.supi, v));
   for (const auto& s : batch.shares) leaves.push_back(leaf_hash(push.home_network, batch.supi, s));
   AuthVectorBundle served = bundle_of(push.home_network, batch.supi, batch.vectors[5]);
@@ -496,6 +504,29 @@ void BM_BackupStore(benchmark::State& state) {
 }
 BENCHMARK(BM_BackupStore)->Arg(36)->Arg(144)->Iterations(512);
 
+/// One user's dissemination round at backup_steady's size, from the home's
+/// generation to eight backups' held batches: HomeNetwork::disseminate
+/// generates 16 vectors for each of eight backups (threshold 4), signs the
+/// round and tags each backup's push, and each backup checks and holds its
+/// 144-leaf batch. No store; the simulated links carry the eight pushes at
+/// the cost of their events. Each iteration disseminates to a new user.
+void BM_RoundToHeld(benchmark::State& state) {
+  HeldBatches held;
+  FederationWorld& world = held.world();
+  HomeNetwork& home = world.net(0).home();
+  const aka::SubscriberKeys keys = world.keys.at(held.users().front());
+  std::size_t next = 0;
+  for (auto _ : state) {
+    const Supi supi("31503000000" + std::to_string(1000 + next++));
+    home.provision_subscriber(supi, keys);
+    std::size_t stored = 0;
+    home.disseminate(supi, [&stored](std::size_t ok) { stored = ok; });
+    world.simulator.run();
+    if (stored != HeldBatches::kBackups) state.SkipWithError("round not held");
+  }
+}
+BENCHMARK(BM_RoundToHeld)->Arg(8)->Iterations(128);
+
 }  // namespace
 }  // namespace dauth::core
 
@@ -507,26 +538,24 @@ int main(int argc, char** argv) {
       {"BM_UsimAuthenticate", 13576.0},
       {"BM_BundleEncodeDecode", 425.0},
       {"BM_DisseminateOneVector/8", 18331.0},
-      {"BM_SignRound/8", 803931.0},
       // ns/op at 3df207f (median of five), timed in a scratch copy where
       // the home drew four DRBG requests per vector (docs/PERFORMANCE.md
       // §25).
       {"BM_GenerateRound/8", 539702.0},
-      {"BM_StoreRequestCodec/8", 79950.0},
-      // ns/op at b56f982 (median of three), timed in a scratch copy: the
-      // decode, split_batches and the tag over the rounds it rebuilt
-      // (docs/PERFORMANCE.md §24).
-      {"BM_StorePush/8", 70791.0},
       {"BM_CheckServedBundle/hit", 3645.0},
       // ns/op at a2ce131, while a held batch kept decoded leaf arrays
       // beside its record (docs/PERFORMANCE.md §21).
       {"BM_BackupServeVector/144/iterations:1024", 2139.0},
       {"BM_BackupServeShare/144", 32248.0},
-      // ns/op at 2e2c8a1 (median of five repetitions), where the backup
-      // Ed25519-verified each batch's round signature (docs/PERFORMANCE.md
-      // §22).
-      {"BM_BackupStore/36/iterations:512", 117685.0},
-      {"BM_BackupStore/144/iterations:512", 195566.0},
+      // ns/op at eb4e433 (median of three or five runs alternating with
+      // this tree's), where a push's leaves were decoded into structs, and a
+      // backup sorted them and encoded its record anew (docs/PERFORMANCE.md
+      // §26).
+      {"BM_SignRound/8", 431243.0},
+      {"BM_StoreRequestCodec/8", 10295.0},
+      {"BM_StorePush/8", 20028.0},
+      {"BM_BackupStore/36/iterations:512", 11585.0},
+      {"BM_BackupStore/144/iterations:512", 39208.0},
   };
   return dauth::bench::run_micro_benchmarks(argc, argv, "micro_protocol", baselines);
 }

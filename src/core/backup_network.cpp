@@ -71,45 +71,30 @@ auto served(const NetworkId& home, const Supi& supi, const crypto::MerkleTree& t
   return bundle;
 }
 
-// A held share's leading fields, which a held batch reads from its record in
-// place (FixedSequence::prefix): its leaf index, and the H(XRES*) its
-// batch's shares are sorted by.
-struct HxresPrefix {
-  std::uint16_t leaf = 0;
-  ByteArray<16> hxres_star{};
-
-  template <typename F, typename Self>
-  static void fields(F& f, Self& m) {
-    f.field(m.leaf, m.hxres_star);
-  }
-};
-
 // A sequence position past every element: FixedSequence::splice cuts none.
 constexpr std::size_t kNoCut = std::numeric_limits<std::size_t>::max();
 
-// The one serve order of a user's held vectors: floods first (§4.3), then by
-// SQN, the order the USIM accepts a slice's SQNs in. Held batches keep their
-// vectors in it, so it needs no persisted state and survives a restart.
-bool served_before(const VectorLeaf& a, const VectorLeaf& b) {
-  if (a.flood != b.flood) return a.flood;
-  return a.sqn < b.sqn;
-}
-
-// Sorts `leaves` by `before`, moving each leaf once: a share's ordinate is
-// a Secret<32>, copied and wiped on every move, so the leaves are placed by
-// a sorted index rather than swapped into order. True when any leaf moved.
-template <typename Leaf, typename Before>
-bool sort_leaves(std::vector<Leaf>& leaves, Before before) {
-  if (std::ranges::is_sorted(leaves, before)) return false;
-  std::vector<std::size_t> order(leaves.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::ranges::sort(order,
-                    [&](std::size_t a, std::size_t b) { return before(leaves[a], leaves[b]); });
-  std::vector<Leaf> sorted;
-  sorted.reserve(leaves.size());
-  for (const std::size_t i : order) sorted.push_back(std::move(leaves[i]));
-  leaves = std::move(sorted);
-  return true;
+// Puts a stored record's leaves in held order: its vectors in serve order,
+// its shares by H(XRES*). A sequence out of order is decoded, placed by a
+// sorted index (a share's ordinate is a Secret<32>, copied and wiped on
+// every move) and encoded again. True when any leaf moved. A pushed batch is
+// held in the order it was pushed (well_formed): only restore sorts.
+bool sort_leaves(BatchRecord& record) {
+  const auto sort = [](auto& sequence, auto before) {
+    using Leaf = typename std::remove_cvref_t<decltype(sequence)>::value_type;
+    std::vector<Leaf> leaves(sequence.begin(), sequence.end());
+    if (std::ranges::is_sorted(leaves, before)) return false;
+    std::vector<std::size_t> order(leaves.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::ranges::sort(order,
+                      [&](std::size_t a, std::size_t b) { return before(leaves[a], leaves[b]); });
+    for (std::size_t i = 0; i < order.size(); ++i) sequence.set(i, leaves[order[i]]);
+    return true;
+  };
+  const auto by_hxres = [](const ShareLeaf& a, const ShareLeaf& b) {
+    return a.hxres_star < b.hxres_star;
+  };
+  return sort(record.vectors, served_before) | sort(record.shares, by_hxres);
 }
 
 }  // namespace
@@ -131,9 +116,10 @@ BackupNetwork::BackupNetwork(sim::Rpc& rpc, sim::NodeIndex node, NetworkId id,
 void BackupNetwork::restore_from_store() {
   // Per-home metadata first (keys needed to serve immediately).
   for (const auto& key : store_->keys_with_prefix("sucikey/")) {
-    const NetworkId home(key.substr(8));
     const auto value = store_->get(key);
-    if (value && value->size() == 32) homes_[home].suci_secret = take<32>(*value);
+    if (value && value->size() == 32) {
+      homes_[NetworkId(key.substr(8))].suci_secret = take<32>(*value);
+    }
   }
 
   // Held batches, one BatchRecord each. A record is dropped whole when it
@@ -165,11 +151,14 @@ void BackupNetwork::restore_from_store() {
       }
     };
     for (const ReleasedLeaf& leaf : record.released) place(leaf.leaf, leaf.hash);
-    const auto rehash = [&](const auto& leaf) {
-      if (intact) place(leaf.leaf, leaf_hash(home, record.supi, leaf));
+    const auto rehash = [&](const auto& sequence, const auto& hasher) {
+      const auto held = sequence.view();
+      for (std::size_t i = 0; intact && i < held.size(); ++i) {
+        place(held.template leading<std::uint16_t>(i), hasher(held.fields(i)));
+      }
     };
-    std::ranges::for_each(record.vectors, rehash);
-    std::ranges::for_each(record.shares, rehash);
+    rehash(record.vectors, LeafHasher<VectorLeaf>(home, record.supi));
+    rehash(record.shares, LeafHasher<ShareLeaf>(home, record.supi));
     if (!intact) continue;
     crypto::MerkleTree tree(leaves);
     if (name != batch_record(home.str(), tree) || record.batch_index >= record.batch_count ||
@@ -178,11 +167,11 @@ void BackupNetwork::restore_from_store() {
     }
     // A record whose leaves are out of order is held sorted and written back
     // so, since a held batch and its stored record are one buffer.
-    UserState& user = users_[{home, record.supi}];
-    const HeldBatch* held = hold(user, std::move(tree), std::move(record), stored);
-    if (held != nullptr && held->record != stored) {
+    const bool sorted = sort_leaves(record);
+    const store::Value held = sorted ? store::make_value(wire::encode(record)) : stored;
+    if (hold(users_[{home, record.supi}], std::move(tree), record, held) != nullptr && sorted) {
       // DAUTH_DISCLOSE(a re-sorted record keeps the backup's own shares of K_seaf, §4.2.1)
-      store_->put(name, held->record);
+      store_->put(name, held);
     }
   }
 
@@ -309,10 +298,13 @@ void BackupNetwork::handle_store(StoreMaterialRequest req,
         shares += batch.shares.size();
         const UserKey key{home_id, batch.supi};
         UserState& user = users_[key];
-        BatchRecord record{std::move(batch.supi), batch.batch_index, batch.batch_count,
-                           batch.signature,       std::move(batch.round), {},
-                           std::move(batch.vectors), std::move(batch.shares)};
-        if (HeldBatch* kept = hold(user, std::move(trees[b]), std::move(record))) {
+        // The batch is held in the order it was pushed, which well_formed
+        // checked: its record is its leaf sequences, copied.
+        const BatchRecord record{std::move(batch.supi),    batch.batch_index,
+                                 batch.batch_count,        batch.signature,
+                                 std::move(batch.round),   {},
+                                 std::move(batch.vectors), std::move(batch.shares)};
+        if (HeldBatch* kept = hold(user, std::move(trees[b]), record)) {
           metrics_.bundles_stored += kept->vectors().size() + kept->shares().size();
           persist_batch(key, user, *kept);
         }
@@ -327,15 +319,11 @@ void BackupNetwork::handle_store(StoreMaterialRequest req,
   }));
 }
 
-auto BackupNetwork::hold(UserState& user, crypto::MerkleTree tree, BatchRecord record,
+auto BackupNetwork::hold(UserState& user, crypto::MerkleTree tree, const BatchRecord& record,
                          store::Value stored) -> HeldBatch* {
   const crypto::Sha256Digest root = tree.root();
   if (user.batches.contains(root)) return nullptr;
-  const bool moved = sort_leaves(record.vectors, served_before) |
-                     sort_leaves(record.shares, [](const ShareLeaf& a, const ShareLeaf& b) {
-                       return a.hxres_star < b.hxres_star;
-                     });
-  if (stored == nullptr || moved) stored = store::make_value(wire::encode(record));
+  if (stored == nullptr) stored = store::make_value(wire::encode(record));
   HeldBatch& held =
       user.batches.emplace(root, HeldBatch{std::move(tree), std::move(stored)}).first->second;
   held.locate(record.released.size(), record.vectors.size(), record.shares.size());
@@ -378,11 +366,12 @@ void BackupNetwork::HeldBatch::release(const UserKey& user, std::size_t index) {
   const auto released = this->released();
   const auto vectors = this->vectors();
   const auto shares = this->shares();
-  const Leaf leaf = [&] {
-    if constexpr (vector) return vectors[index];
-    else return shares[index];
+  const auto held = [&] {
+    if constexpr (vector) return vectors;
+    else return shares;
   }();
-  const ReleasedLeaf gone{leaf.leaf, leaf_hash(user.home, user.supi, leaf)};
+  const ReleasedLeaf gone{held.template leading<std::uint16_t>(index),
+                          LeafHasher<Leaf>(user.home, user.supi)(held.fields(index))};
   Bytes next;
   next.reserve(record->size() + wire::sequence_size<ReleasedLeaf>(1) -
                wire::sequence_size<Leaf>(1));
@@ -424,7 +413,7 @@ auto BackupNetwork::find_share(UserState& user, const ByteArray<16>& hxres)
     // A binary search of the record's shares in place, by H(XRES*).
     const auto shares = held.shares();
     const auto hxres_of = [&shares](std::size_t i) {
-      return shares.prefix<HxresPrefix>(i).hxres_star;
+      return shares.prefix<ShareIndex>(i).hxres_star;
     };
     const auto index = std::views::iota(std::size_t{0}, shares.size());
     const auto it = std::ranges::lower_bound(index, hxres, {}, hxres_of);
@@ -442,15 +431,15 @@ auto BackupNetwork::group(const UserKey& user, const HeldBatch& held, std::uint1
   const auto slot = [&](const auto& sequence, std::size_t i) -> std::size_t {
     return sequence.template leading<std::uint16_t>(i) - group.first;
   };
-  const auto rehash = [&](const auto& sequence) {
+  const auto rehash = [&](const auto& sequence, const auto& hasher) {
     for (std::size_t i = 0; i < sequence.size(); ++i) {
       if (const std::size_t at = slot(sequence, i); at < group.size) {
-        hashes[at] = leaf_hash(user.home, user.supi, sequence[i]);
+        hashes[at] = hasher(sequence.fields(i));
       }
     }
   };
-  rehash(held.vectors());
-  rehash(held.shares());
+  rehash(held.vectors(), LeafHasher<VectorLeaf>(user.home, user.supi));
+  rehash(held.shares(), LeafHasher<ShareLeaf>(user.home, user.supi));
   const auto released = held.released();
   for (std::size_t i = 0; i < released.size(); ++i) {
     if (const std::size_t at = slot(released, i); at < group.size) hashes[at] = released[i].hash;

@@ -47,7 +47,8 @@ struct ReleasedLeaf {
 /// buffer, shared with the store): the batch as its home pushed it
 /// (StoreBatch), but for its tree; the leaves the backup has let go, by
 /// hash; then the leaves it still holds, each with nothing but its own
-/// fields. Every leaf of the batch is one or the other, once, so the hashes
+/// fields, in the order they were pushed. A held batch's first record is
+/// its push's leaf sequences, copied. Every leaf of the batch is one or the other, once, so the hashes
 /// give the tree back. Every batch is one user's, and a lone bundle is a
 /// one-leaf batch. The bundles served, after a restart too, are rebuilt from
 /// it, byte for byte. Every leaf's fields have a fixed width, so a held
@@ -59,8 +60,8 @@ struct BatchRecord {
   crypto::Ed25519Signature signature{};
   std::vector<crypto::Sha256Digest> round;  // the round path
   std::vector<ReleasedLeaf> released;       // in the order they were let go
-  std::vector<VectorLeaf> vectors;
-  std::vector<ShareLeaf> shares;
+  wire::EncodedSequence<VectorLeaf> vectors;
+  wire::EncodedSequence<ShareLeaf, SecretBytes> shares;
 
   template <typename F, typename Self>
   static void fields(F& f, Self& m) {
@@ -246,19 +247,20 @@ class BackupNetwork {
   void acked(const NetworkId& home, std::uint64_t end);
   /// The leaf hashes of the group of `held`'s leaf `leaf`, which a served
   /// path is cut from (MerkleTree::path): a held leaf's rehashed from its
-  /// fields and `user`, a released one's as kept.
+  /// encoded fields and `user`, a released one's as kept.
   static std::vector<crypto::Sha256Digest> group(const UserKey& user, const HeldBatch& held,
                                                  std::uint16_t leaf);
   /// The held share of `hxres` among `user`'s batches, as its batch and its
   /// index in the batch's shares, or nullopt.
   static std::optional<std::pair<HeldBatch*, std::size_t>> find_share(UserState& user,
                                                                       const ByteArray<16>& hxres);
-  /// Holds the batch of `tree` and `record` as one of `user`'s, the record's
-  /// vectors put in serve order and its shares sorted. `stored` is the
-  /// record's encoding when it has one (restore), held as it is when the
-  /// record was in order already. nullptr when a batch of its root is
-  /// already held. Store and restore enter every batch here.
-  static HeldBatch* hold(UserState& user, crypto::MerkleTree tree, BatchRecord record,
+  /// Holds the batch of `tree` and `record`, whose leaves are in held order
+  /// (a pushed batch is well_formed; restore puts a stored record back in
+  /// it), as one of `user`'s. `stored` is the record's encoding when it has
+  /// one (restore); else the record is encoded, its leaf sequences copied.
+  /// nullptr when a batch of its root is already held. Store and restore
+  /// enter every batch here.
+  static HeldBatch* hold(UserState& user, crypto::MerkleTree tree, const BatchRecord& record,
                          store::Value stored = nullptr);
   /// The batch that serves `user`'s next vector: of the batches holding
   /// one, the one whose front vector is served first. nullptr when none.

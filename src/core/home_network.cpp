@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <functional>
+#include <numeric>
 
 #include "aka/sim_card.h"
 #include "crypto/sha256.h"
@@ -108,34 +109,52 @@ crypto::Key256 HomeNetwork::new_vector(Subscriber& subscriber, int slice,
 
 std::vector<VectorLeaf> HomeNetwork::generate_material(
     Subscriber& subscriber, std::span<const int> slices, bool flood,
-    std::span<StoreMaterialRequest> requests) {
+    std::span<StoreMaterialRequest> requests, std::span<const std::size_t> vectors_held) {
   // The round's randomness is two generate requests: every RAND, which is
   // public, then every vector's coefficient rows, which are as secret as
-  // its K_seaf and are wiped when this returns, before the round is signed.
+  // its K_seaf. Both, and every K_seaf, are wiped when this returns, before
+  // the round is signed.
   const std::size_t rows = (config_.threshold - 1) * sizeof(crypto::Key256);
   const Bytes rands = rng_.bytes(slices.size() * sizeof(crypto::Rand));
   SecretBytes coefficients(slices.size() * rows);
   rng_.fill(coefficients.mutable_view());
 
   std::vector<VectorLeaf> vectors(slices.size());
-  std::vector<MutableByteView> ordinates(requests.size());
+  SecretBytes keys(slices.size() * sizeof(crypto::Key256));
   for (std::size_t i = 0; i < slices.size(); ++i) {
     VectorLeaf& vector = vectors[i];
     const crypto::Rand rand = take<16>(ByteView(rands).subspan(i * sizeof(crypto::Rand)));
     const crypto::Key256 k_seaf = new_vector(subscriber, slices[i], rand, vector);
+    std::ranges::copy(ByteView(k_seaf), keys.begin() + i * sizeof(crypto::Key256));
     vector.flood = flood;
     ++metrics_.tokens_generated;
-
-    // Each backup's share is written in place, into its batch's next leaf.
-    for (std::size_t b = 0; b < requests.size(); ++b) {
-      ShareLeaf& share = requests[b].batches.front().shares.emplace_back();
-      share.hxres_star = vector.hxres_star;
-      share.x = static_cast<std::uint8_t>(b + 1);
-      ordinates[b] = share.y.mutable_view();
-    }
-    crypto::shamir_split(ByteView(k_seaf), config_.threshold,
-                         ByteView(coefficients).subspan(i * rows, rows), ordinates);
     subscriber.outstanding[vector.hxres_star].sqn = vector.sqn;  // holder set by caller
+  }
+
+  // Every backup holds its shares by H(XRES*): one permutation puts the
+  // round in that order, and each vector's shares are written in place,
+  // into its element of every batch's share sequence.
+  std::vector<std::size_t> order(slices.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::ranges::sort(order, [&](std::size_t a, std::size_t b) {
+    return vectors[a].hxres_star < vectors[b].hxres_star;
+  });
+  for (StoreMaterialRequest& request : requests) {
+    request.batches.front().shares =
+        wire::EncodedSequence<ShareLeaf, SecretBytes>::zeroed(slices.size());
+  }
+  std::vector<MutableByteView> ordinates(requests.size());
+  for (std::size_t p = 0; p < order.size(); ++p) {
+    const std::size_t i = order[p];
+    for (std::size_t b = 0; b < requests.size(); ++b) {
+      // Share i of a batch follows its vectors.
+      const ShareIndex share{static_cast<std::uint16_t>(vectors_held[b] + i),
+                             vectors[i].hxres_star, static_cast<std::uint8_t>(b + 1)};
+      ordinates[b] = requests[b].batches.front().shares.write_prefix(p, share);
+    }
+    crypto::shamir_split(ByteView(keys).subspan(i * sizeof(crypto::Key256), sizeof(crypto::Key256)),
+                         config_.threshold, ByteView(coefficients).subspan(i * rows, rows),
+                         ordinates);
   }
   return vectors;
 }
@@ -180,28 +199,32 @@ void HomeNetwork::send_round(const Supi& supi, std::map<NetworkId, std::size_t> 
     // One StoreMaterialRequest per backup, of one batch: its slice's vectors
     // plus its share of every other backup's vectors.
     std::vector<StoreMaterialRequest> requests(backup_ids_.size());
+    std::vector<std::size_t> vectors_held(backup_ids_.size());
     for (std::size_t b = 0; b < backup_ids_.size(); ++b) {
       requests[b].home_network = id_;
       requests[b].suci_secret = to_bytes(ByteView(suci_key_.secret));
-      StoreBatch& batch = requests[b].batches.emplace_back();
-      batch.supi = supi;
-      batch.vectors.reserve(count_of(backup_ids_[b]));
-      batch.shares.reserve(total_vectors);
+      requests[b].batches.emplace_back().supi = supi;
+      vectors_held[b] = count_of(backup_ids_[b]);
     }
     // Generated backup by backup: the order the home's RNG stream depends on.
     std::vector<int> slices;
     slices.reserve(total_vectors);
-    for (const NetworkId& backup : backup_ids_) {
-      slices.insert(slices.end(), count_of(backup), slice_of(backup));
+    for (std::size_t b = 0; b < backup_ids_.size(); ++b) {
+      slices.insert(slices.end(), vectors_held[b], slice_of(backup_ids_[b]));
     }
     std::vector<VectorLeaf> vectors =
-        generate_material(subscriber, slices, /*flood=*/false, requests);
+        generate_material(subscriber, slices, /*flood=*/false, requests, vectors_held);
+    // A slice's vectors are issued by SQN, so each batch's are in serve
+    // order: its leaves 0 to count - 1.
     auto next = vectors.begin();
     for (std::size_t b = 0; b < backup_ids_.size(); ++b) {
-      for (std::size_t v = count_of(backup_ids_[b]); v > 0; --v, ++next) {
-        subscriber.outstanding[next->hxres_star].holder = slice_of(backup_ids_[b]);
-        requests[b].batches.front().vectors.push_back(std::move(*next));
+      const std::span<VectorLeaf> held(next, vectors_held[b]);
+      for (std::size_t v = 0; v < held.size(); ++v) {
+        held[v].leaf = static_cast<std::uint16_t>(v);
+        subscriber.outstanding[held[v].hxres_star].holder = slice_of(backup_ids_[b]);
       }
+      requests[b].batches.front().vectors = wire::EncodedSequence<VectorLeaf>(held);
+      next += static_cast<std::ptrdiff_t>(held.size());
     }
     metrics_.vectors_disseminated += total_vectors;
     metrics_.shares_disseminated += total_vectors * backup_ids_.size();
@@ -519,13 +542,14 @@ void HomeNetwork::revoke_backup(const NetworkId& revoked, std::function<void()> 
         request.home_network = id_;
         request.batches.emplace_back().supi = supi;
       }
-      const VectorLeaf vector =
-          generate_material(subscriber, std::array{revoked_slice}, /*flood=*/true, requests).front();
-      // All remaining backups can serve the flood vector.
+      const std::vector<std::size_t> one_each(requests.size(), 1);
+      const VectorLeaf vector = generate_material(subscriber, std::array{revoked_slice},
+                                                  /*flood=*/true, requests, one_each)
+                                    .front();
+      // All remaining backups can serve the flood vector, their leaf 0.
       subscriber.outstanding[vector.hxres_star].holder = slice_of(backup_ids_.front());
-      for (StoreMaterialRequest& request : requests) {
-        request.batches.front().vectors.push_back(vector);
-      }
+      const wire::EncodedSequence<VectorLeaf> flood_leaf({&vector, 1});
+      for (StoreMaterialRequest& request : requests) request.batches.front().vectors = flood_leaf;
       push_round(std::move(requests), nullptr);
     }
   }

@@ -158,12 +158,14 @@ class HomeNetwork {
                             VectorLeaf& leaf);
 
   /// Issues one vector in each of `slices`, in order, and returns them, and
-  /// appends each K_seaf's share at x = b + 1 to the batch of `requests[b]`,
-  /// for each b. The round's randomness is two requests on rng_: every
-  /// RAND, then every vector's threshold - 1 coefficient rows.
+  /// sets the shares of the batch of `requests[b]`, for each b: a share of
+  /// every vector's K_seaf at x = b + 1, the one of vector i numbered
+  /// vectors_held[b] + i (the batch's vectors come first), in H(XRES*)
+  /// order (StoreBatch). The round's randomness is two requests on rng_:
+  /// every RAND, then every vector's threshold - 1 coefficient rows.
   std::vector<VectorLeaf> generate_material(Subscriber& subscriber, std::span<const int> slices,
-                                            bool flood,
-                                            std::span<StoreMaterialRequest> requests);
+                                            bool flood, std::span<StoreMaterialRequest> requests,
+                                            std::span<const std::size_t> vectors_held);
   /// The one round builder (§4.2.1, §4.2.3). Charges the dissemination
   /// cost of every vector in `counts` as one job; the job then generates
   /// `counts[backup]` vectors in each backup's slice, for the backup set as

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <type_traits>
+#include <utility>
 
 namespace dauth::core {
 namespace {
@@ -22,6 +24,7 @@ class HashEncoder : public wire::Encoder<HashEncoder> {
   ~HashEncoder() { secure_wipe(&hash_, sizeof(hash_)); }
 
   void raw(ByteView data) noexcept { hash_.update(data); }
+  const crypto::Sha256& state() const noexcept { return hash_; }
   crypto::Sha256Digest finish() noexcept { return hash_.finish(); }
   crypto::Sha256Digest finish(const crypto::HmacSha256& key) noexcept { return key.finish(hash_); }
 
@@ -44,16 +47,6 @@ Bytes round_signed_payload(const NetworkId& home, std::uint16_t batch_count,
   w.string("bundle-round-v1");
   w.field(home, batch_count, round_root);
   return std::move(w).take();
-}
-
-// The leaf of a bundle of type `Bundle` whose signed fields are `fields`:
-// its domain, then the fields, as wire::write_signed lays the bundle out.
-template <typename Bundle, typename... Fields>
-crypto::Sha256Digest bundle_leaf(const Fields&... fields) {
-  HashEncoder leaf;
-  leaf.string(Bundle::kDomain);
-  leaf.field(fields...);
-  return leaf.finish();
 }
 
 template <typename Bundle>
@@ -83,6 +76,33 @@ template <typename Bundle>
 bool verify_bundle(const Bundle& bundle, const crypto::Ed25519PublicKey& home_key) {
   const auto payload = bundle_payload(bundle);
   return payload && crypto::ed25519_verify(*payload, bundle.home_signature, home_key);
+}
+
+// Whether `batch`'s leaves are laid out as StoreBatch says: 1 to 65,535 of
+// them, the vectors numbered 0 to v - 1 in serve order, the shares numbered
+// v to v + s - 1, each once, in strictly increasing H(XRES*) order. Read in
+// place.
+bool in_held_order(const StoreBatch& batch) {
+  const auto vectors = batch.vectors.view();
+  const auto shares = batch.shares.view();
+  const std::size_t count = vectors.size() + shares.size();
+  if (count == 0 || count > kMaxPositions) return false;
+  for (std::size_t v = 0; v < vectors.size(); ++v) {
+    if (vectors.leading<std::uint16_t>(v) != v) return false;
+    if (v > 0 && served_before(vectors[v], vectors[v - 1])) return false;
+  }
+  // A share's H(XRES*) follows its number in its encoding.
+  const auto hxres = [&shares](std::size_t p) {
+    return shares.fields(p).subspan(sizeof(std::uint16_t), sizeof(ByteArray<16>));
+  };
+  std::vector<bool> numbered(shares.size());
+  for (std::size_t p = 0; p < shares.size(); ++p) {
+    const std::size_t leaf = shares.leading<std::uint16_t>(p);
+    if (leaf < vectors.size() || leaf >= count || numbered[leaf - vectors.size()]) return false;
+    numbered[leaf - vectors.size()] = true;
+    if (p > 0 && !std::ranges::lexicographical_compare(hxres(p - 1), hxres(p))) return false;
+  }
+  return true;
 }
 
 // One batch of a round being signed: its leaf hashes, and where its round
@@ -167,14 +187,18 @@ void sign_round(std::span<StoreMaterialRequest> requests, const crypto::Ed25519K
   std::vector<RoundBatch> batches(pushed.size());
   for (std::size_t b = 0; b < pushed.size(); ++b) {
     StoreBatch& batch = *pushed[b];
+    if (!in_held_order(batch)) throw std::invalid_argument("sign_round: leaves out of held order");
     RoundBatch& signing = batches[b];
-    signing.leaves.reserve(batch.vectors.size() + batch.shares.size());
-    const auto add_leaf = [&](auto& leaf) {
-      leaf.leaf = static_cast<std::uint16_t>(signing.leaves.size());
-      signing.leaves.push_back(leaf_hash(home, batch.supi, leaf));
-    };
-    std::ranges::for_each(batch.vectors, add_leaf);
-    std::ranges::for_each(batch.shares, add_leaf);
+    const auto vectors = batch.vectors.view();
+    const auto shares = batch.shares.view();
+    signing.leaves.resize(vectors.size() + shares.size());
+    // Each leaf at its number: the vectors are the first ones, in order.
+    const LeafHasher<VectorLeaf> vector_leaf(home, batch.supi);
+    for (std::size_t v = 0; v < vectors.size(); ++v) signing.leaves[v] = vector_leaf(vectors.fields(v));
+    const LeafHasher<ShareLeaf> share_leaf(home, batch.supi);
+    for (std::size_t p = 0; p < shares.size(); ++p) {
+      signing.leaves[shares.leading<std::uint16_t>(p)] = share_leaf(shares.fields(p));
+    }
     signing.round = &batch.round;
     signing.nodes = &batch.nodes;
   }
@@ -202,15 +226,53 @@ KeyShareBundle bundle_of(const NetworkId& home, const Supi& supi, const ShareLea
   return {home, supi, leaf.hxres_star, {leaf.x, SecretBytes(ByteView(leaf.y))}, {}, {}};
 }
 
+bool served_before(const VectorLeaf& a, const VectorLeaf& b) {
+  if (a.flood != b.flood) return a.flood;
+  return a.sqn < b.sqn;
+}
+
+template <typename Leaf>
+LeafHasher<Leaf>::LeafHasher(const NetworkId& home, const Supi& supi) noexcept {
+  using Bundle = decltype(bundle_of(home, supi, std::declval<const Leaf&>()));
+  HashEncoder prefix;
+  prefix.string(Bundle::kDomain);
+  prefix.field(home, supi);
+  prefix_ = prefix.state();
+}
+
+template <typename Leaf>
+crypto::Sha256Digest LeafHasher<Leaf>::operator()(ByteView fields) const noexcept {
+  // The bundle's signed fields are the leaf's, but for its number, which
+  // leads it.
+  constexpr std::size_t kNumber = sizeof(std::uint16_t);
+  crypto::Sha256 leaf = prefix_;
+  if constexpr (std::is_same_v<Leaf, VectorLeaf>) {
+    leaf.update(fields.subspan(kNumber));
+  } else {
+    // The ordinate follows the public fields, as the bundle's SecretBytes:
+    // its length, then its bytes.
+    const std::size_t head = wire::fixed_size<ShareIndex>();
+    constexpr std::uint8_t kLength[4] = {kOrdinateBytes, 0, 0, 0};
+    leaf.update(fields.subspan(kNumber, head - kNumber));
+    leaf.update(kLength);
+    leaf.update(fields.subspan(head));
+  }
+  const crypto::Sha256Digest hash = leaf.finish();
+  secure_wipe(&leaf, sizeof(leaf));  // it held a share's ordinate
+  return hash;
+}
+
+template class LeafHasher<VectorLeaf>;
+template class LeafHasher<ShareLeaf>;
+
 crypto::Sha256Digest leaf_hash(const NetworkId& home, const Supi& supi, const VectorLeaf& leaf) {
-  return bundle_leaf<AuthVectorBundle>(home, supi, leaf.sqn, leaf.rand, leaf.autn, leaf.hxres_star,
-                                       leaf.flood);
+  const wire::EncodedSequence<VectorLeaf> encoded({&leaf, 1});
+  return LeafHasher<VectorLeaf>(home, supi)(encoded.view().fields(0));
 }
 
 crypto::Sha256Digest leaf_hash(const NetworkId& home, const Supi& supi, const ShareLeaf& leaf) {
-  // The ordinate as the bundle's SecretBytes: its length, then its bytes.
-  const auto length = static_cast<std::uint32_t>(kOrdinateBytes);
-  return bundle_leaf<KeyShareBundle>(home, supi, leaf.hxres_star, leaf.x, length, leaf.y);
+  const wire::EncodedSequence<ShareLeaf, SecretBytes> encoded({&leaf, 1});
+  return LeafHasher<ShareLeaf>(home, supi)(encoded.view().fields(0));
 }
 
 crypto::Sha256Digest store_tag(const crypto::HmacSha256& key, const NetworkId& backup,
@@ -235,15 +297,9 @@ crypto::Sha256Digest revoke_tag(const crypto::HmacSha256& key, const NetworkId& 
 
 bool well_formed(const StoreMaterialRequest& push) {
   const auto batch_ok = [](const StoreBatch& batch) {
-    const std::size_t count = batch.vectors.size() + batch.shares.size();
-    if (count == 0 || count > kMaxPositions || batch.batch_index >= batch.batch_count ||
-        batch.round.size() != crypto::merkle_path_length(batch.batch_index, batch.batch_count)) {
-      return false;
-    }
-    std::size_t next = 0;
-    const auto in_order = [&next](const auto& leaf) { return leaf.leaf == next++; };
-    return std::ranges::all_of(batch.vectors, in_order) &&
-           std::ranges::all_of(batch.shares, in_order);
+    return batch.batch_index < batch.batch_count &&
+           batch.round.size() == crypto::merkle_path_length(batch.batch_index, batch.batch_count) &&
+           in_held_order(batch);
   };
   return !push.batches.empty() && std::ranges::all_of(push.batches, batch_ok);
 }

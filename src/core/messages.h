@@ -42,6 +42,7 @@
 #include "crypto/shamir.h"
 #include "sim/service.h"
 #include "wire/reader.h"
+#include "wire/sequence.h"
 #include "wire/writer.h"
 
 namespace dauth::core {
@@ -175,6 +176,12 @@ struct VectorLeaf {
   }
 };
 
+/// The one serve order of a user's held vectors: floods first (§4.3), then
+/// by SQN, the order the USIM accepts a slice's SQNs in. A batch is pushed
+/// and held with its vectors in it, so it needs no persisted state and
+/// survives a restart.
+bool served_before(const VectorLeaf& a, const VectorLeaf& b);
+
 /// A pushed or held key share's own fields.
 struct ShareLeaf {
   std::uint16_t leaf = 0;
@@ -189,15 +196,47 @@ struct ShareLeaf {
   }
 };
 
+/// A ShareLeaf's public leading fields, read and written in its encoding
+/// (wire::FixedSequence::prefix, wire::EncodedSequence::write_prefix): the
+/// home writes them and then the ordinate, and a backup finds a held share
+/// by them.
+struct ShareIndex {
+  std::uint16_t leaf = 0;
+  ByteArray<16> hxres_star{};
+  std::uint8_t x = 0;
+
+  template <typename F, typename Self>
+  static void fields(F& f, Self& m) {
+    f.field(m.leaf, m.hxres_star, m.x);
+  }
+};
+
 /// The bundle `leaf` is, of `home`'s user `supi`: its signed fields, with
 /// no position or signature.
 AuthVectorBundle bundle_of(const NetworkId& home, const Supi& supi, const VectorLeaf& leaf);
 KeyShareBundle bundle_of(const NetworkId& home, const Supi& supi, const ShareLeaf& leaf);
 
-/// The Merkle leaf of `leaf`, of `home`'s user `supi`: bundle_of(home, supi,
-/// leaf).leaf_hash(), hashed from the leaf's fields with no bundle built.
-/// The home signs these, and a backup rehashes them for a served path, a
-/// released leaf and a restored record.
+/// The Merkle leaves of `home`'s user `supi`'s leaves of one kind (Leaf is
+/// VectorLeaf or ShareLeaf), each hashed from its encoded fields
+/// (wire::FixedSequence::fields) as bundle_of(home, supi, leaf).leaf_hash(),
+/// with no bundle built. The prefix every one of them shares, the leaf tag,
+/// the bundle's domain, the home and the SUPI, is fed once, when the hasher
+/// is made. The home signs these, and a backup rehashes them for a served
+/// path, a released leaf and a restored record.
+template <typename Leaf>
+class LeafHasher {
+ public:
+  LeafHasher(const NetworkId& home, const Supi& supi) noexcept;
+  crypto::Sha256Digest operator()(ByteView fields) const noexcept;
+
+ private:
+  crypto::Sha256 prefix_;
+};
+extern template class LeafHasher<VectorLeaf>;
+extern template class LeafHasher<ShareLeaf>;
+
+/// The Merkle leaf of `leaf`, of `home`'s user `supi`: its LeafHasher's hash
+/// of its encoding.
 crypto::Sha256Digest leaf_hash(const NetworkId& home, const Supi& supi, const VectorLeaf& leaf);
 crypto::Sha256Digest leaf_hash(const NetworkId& home, const Supi& supi, const ShareLeaf& leaf);
 
@@ -213,9 +252,12 @@ struct TreeNode {
 };
 
 /// One (user, backup) batch of a round as its home pushes it, in the layout
-/// its backup holds it (BatchRecord): its user, its place in the round, the
-/// round's signature and the round path, then the nodes its tree stores,
-/// then its leaves, numbered in order, vectors first.
+/// and the order its backup holds it (BatchRecord): its user, its place in
+/// the round, the round's signature and the round path, then the nodes its
+/// tree stores, then its leaves, each sequence as its encoding. The v
+/// vectors are leaves 0 to v - 1, in serve order (served_before); the s
+/// shares are leaves v to v + s - 1, each once, in the order their vectors
+/// were generated, and are pushed in strictly increasing H(XRES*) order.
 struct StoreBatch {
   Supi supi;
   std::uint16_t batch_index = 0;
@@ -223,8 +265,8 @@ struct StoreBatch {
   crypto::Ed25519Signature signature{};
   std::vector<crypto::Sha256Digest> round;
   std::vector<TreeNode> nodes;
-  std::vector<VectorLeaf> vectors;
-  std::vector<ShareLeaf> shares;
+  wire::EncodedSequence<VectorLeaf> vectors;
+  wire::EncodedSequence<ShareLeaf, SecretBytes> shares;
 
   template <typename F, typename Self>
   static void fields(F& f, Self& m) {
@@ -269,18 +311,21 @@ crypto::Sha256Digest store_tag(const crypto::HmacSha256& key, const NetworkId& b
 
 /// Signs one user's round: the batches of `requests`, in order, are its
 /// batches, and one Ed25519 signature covers the root of the tree over their
-/// roots. Numbers every batch's leaves and sets its place in the round, its
+/// roots. Each batch's leaves are hashed from their encoding and placed in
+/// its tree by their numbers. Sets every batch's place in the round, its
 /// signature, its round path and its tree's nodes. Throws
 /// std::invalid_argument when the requests name different home networks, a
-/// batch has no leaves, or a batch or the round passes 65,535 leaves; signs
-/// nothing for no batches.
+/// batch's leaves are not as StoreBatch lays them out (1 to 65,535 of
+/// them), or the round passes 65,535 batches; signs nothing for no batches.
 void sign_round(std::span<StoreMaterialRequest> requests, const crypto::Ed25519KeyPair& key);
 
 /// Whether `push` has the layout its home makes: at least one batch, and in
 /// each a place in the round with a round path that fits it, and 1 to
-/// 65,535 leaves numbered in order (vectors, then shares). Hashes nothing: a
-/// backup checks it before the push's tag, and builds the trees (batch_tree)
-/// after.
+/// 65,535 leaves laid out as StoreBatch says (vectors numbered in serve
+/// order, shares numbered once each and in strictly increasing H(XRES*)
+/// order). Hashes nothing and reads every leaf in place: a backup checks it
+/// before the push's tag, builds the trees (batch_tree) after, and holds
+/// the batch in the order it was pushed.
 bool well_formed(const StoreMaterialRequest& push);
 
 /// The tree of `batch` built from its nodes (crypto::MerkleTree::from_nodes),

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <iterator>
 #include <stdexcept>
 
 namespace dauth::crypto {
@@ -56,11 +57,20 @@ Sha256Digest merkle_leaf_hash(ByteView data) noexcept {
 }
 
 Sha256Digest merkle_node_hash(const Sha256Digest& left, const Sha256Digest& right) noexcept {
-  Sha256 h;
-  h.update(ByteView(&kNodeTag, 1));
-  h.update(left);
-  h.update(right);
-  return h.finish();
+  // 0x01 || left || right is 65 bytes, a fixed shape: the first block is
+  // compressed as it is, and the second holds right's last byte, the
+  // padding and the 520-bit length.
+  std::uint32_t state[8];
+  std::copy(std::begin(detail::kSha256InitialState), std::end(detail::kSha256InitialState), state);
+  std::uint8_t block[64];
+  block[0] = kNodeTag;
+  std::copy(left.begin(), left.end(), block + 1);
+  std::copy(right.begin(), right.end() - 1, block + 1 + left.size());
+  detail::sha256_compress(state, block);
+  block[0] = right.back();
+  Sha256Digest digest;
+  detail::sha256_final_block(state, block, 1, 1 + left.size() + right.size(), digest.data());
+  return digest;
 }
 
 MerkleTree::MerkleTree(std::span<const Sha256Digest> leaves) : leaf_count_(leaves.size()) {

@@ -108,7 +108,11 @@ class Reader {
   }
   template <typename M>
   void one(M& message) {
-    M::fields(*this, message);
+    if constexpr (requires { M::decode_from(*this); }) {
+      message = M::decode_from(*this);  // held as its encoding (wire/sequence.h)
+    } else {
+      M::fields(*this, message);
+    }
   }
 
   void need(std::size_t n) const;

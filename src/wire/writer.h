@@ -19,7 +19,8 @@
 //   * Bytes, SecretBytes, std::string, NetworkId, Supi: u32 length, bytes;
 //   * std::vector<ByteArray<32>>, a Merkle path: u8 count (at most 32), hashes;
 //   * any other std::vector: u32 count, then each element, a message
-//     element framed by its u32 length;
+//     element framed by its u32 length; an EncodedSequence of fixed-size
+//     messages (wire/sequence.h) as the std::vector of them;
 //   * std::optional<T>: a presence bool, then T when present;
 //   * std::variant<A, B, ...>: a u8 tag, the alternative's index + 1, then
 //     that alternative;
@@ -127,7 +128,11 @@ class Encoder {
   }
   template <typename M>
   void one(const M& message) {
-    M::fields(sink(), message);
+    if constexpr (requires { message.encode_into(sink()); }) {
+      message.encode_into(sink());  // held as its encoding (wire/sequence.h)
+    } else {
+      M::fields(sink(), message);
+    }
   }
 
   Sink& sink() { return *static_cast<Sink*>(this); }

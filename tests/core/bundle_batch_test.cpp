@@ -8,6 +8,7 @@
 #include <cmath>
 #include <functional>
 
+#include "batch_layout.h"
 #include "core/messages.h"
 #include "crypto/drbg.h"
 #include "crypto/merkle.h"
@@ -16,6 +17,9 @@ namespace dauth::core {
 namespace {
 
 using crypto::MerkleTree;
+using testing::edit_leaf;
+using testing::lay_out;
+using testing::leaf_hashes;
 using crypto::Sha256Digest;
 
 crypto::Ed25519KeyPair keys(std::uint64_t seed) {
@@ -87,9 +91,7 @@ ShareLeaf share_leaf(std::uint8_t index) {
 /// each rebuilt from its leaf, its inclusion path (in-batch, then round)
 /// cut from the tree of the batch's leaves.
 ServedBatch served_from(const NetworkId& home, const StoreBatch& batch) {
-  std::vector<Sha256Digest> leaves;
-  for (const auto& v : batch.vectors) leaves.push_back(leaf_hash(home, batch.supi, v));
-  for (const auto& s : batch.shares) leaves.push_back(leaf_hash(home, batch.supi, s));
+  const std::vector<Sha256Digest> leaves = leaf_hashes(home, batch);
   const MerkleTree tree(leaves);
   ServedBatch served;
   const auto serve = [&](const auto& leaf) {
@@ -113,10 +115,13 @@ ServedBatch served_batch(const char* supi, std::size_t vectors, std::size_t shar
   push.home_network = NetworkId("home-net");
   StoreBatch& batch = push.batches.emplace_back();
   batch.supi = Supi(supi);
-  for (std::size_t i = 0; i < vectors; ++i) batch.vectors.push_back(vector_leaf(32 * i + 1));
+  std::vector<VectorLeaf> vector_leaves;
+  for (std::size_t i = 0; i < vectors; ++i) vector_leaves.push_back(vector_leaf(32 * i + 1));
+  std::vector<ShareLeaf> share_leaves;
   for (std::size_t i = 0; i < shares; ++i) {
-    batch.shares.push_back(share_leaf(static_cast<std::uint8_t>(i + 1)));
+    share_leaves.push_back(share_leaf(static_cast<std::uint8_t>(i + 1)));
   }
+  lay_out(batch, vector_leaves, share_leaves);
   sign_round({&push, 1}, signer);
   return served_from(push.home_network, batch);
 }
@@ -138,10 +143,11 @@ std::vector<StoreMaterialRequest> pushed_round(const char* supi, std::size_t bat
     round[b].home_network = NetworkId("home-net");
     StoreBatch& batch = round[b].batches.emplace_back();
     batch.supi = Supi(supi);
-    for (std::size_t i = 0; i < 2; ++i) batch.vectors.push_back(vector_leaf(32 * b + i));
+    std::vector<ShareLeaf> shares;
     for (std::size_t i = 0; i < 3; ++i) {
-      batch.shares.push_back(share_leaf(static_cast<std::uint8_t>(16 * b + i)));
+      shares.push_back(share_leaf(static_cast<std::uint8_t>(16 * b + i)));
     }
+    lay_out(batch, {vector_leaf(32 * b), vector_leaf(32 * b + 1)}, shares);
   }
   sign_round(round, signer);
   return round;
@@ -374,7 +380,7 @@ TEST(BundleBatch, OneSignatureCoversEveryBatchOfARound) {
     EXPECT_EQ(batch.round.size(), crypto::merkle_path_length(b, 5)) << b;
     EXPECT_EQ(batch.batch_index, b);
     EXPECT_EQ(batch.batch_count, 5u);
-    EXPECT_EQ(batch.shares.back().leaf, 4u);
+    EXPECT_EQ(batch.shares[batch.shares.size() - 1].leaf, 4u);
     for (const auto& v : round[b].vectors) {
       EXPECT_EQ(v.batch.batch_index, b);
       EXPECT_EQ(v.batch.batch_count, 5u);
@@ -405,13 +411,18 @@ TEST(BundleBatch, LoneBundleAndLoneLeafAreOneSignature) {
 TEST(BundleBatch, PositionsPastU16Throw) {
   const auto home = keys(11);
   std::vector<StoreMaterialRequest> too_many(0x10000);
-  for (auto& push : too_many) push.batches.emplace_back().vectors.push_back(vector_leaf(1));
+  for (auto& push : too_many) lay_out(push.batches.emplace_back(), {vector_leaf(1)}, {});
   EXPECT_THROW(sign_round(too_many, home), std::invalid_argument);
   std::vector<StoreMaterialRequest> too_large(1);
-  too_large[0].batches.emplace_back().shares.assign(0x10000, share_leaf(1));
+  std::vector<ShareLeaf> shares(0x10000, share_leaf(1));
+  for (std::size_t i = 0; i < shares.size(); ++i) {
+    shares[i].hxres_star[1] = static_cast<std::uint8_t>(i >> 8);
+    shares[i].hxres_star[2] = static_cast<std::uint8_t>(i);
+  }
+  lay_out(too_large[0].batches.emplace_back(), {}, shares);
   EXPECT_THROW(sign_round(too_large, home), std::invalid_argument);
   std::vector<StoreMaterialRequest> with_empty(2);
-  with_empty[0].batches.emplace_back().vectors.push_back(vector_leaf(1));
+  lay_out(with_empty[0].batches.emplace_back(), {vector_leaf(1)}, {});
   with_empty[1].batches.emplace_back();
   EXPECT_THROW(sign_round(with_empty, home), std::invalid_argument);
 }
@@ -524,10 +535,7 @@ TEST(StorePush, PushedBatchIsTheBatchTheHomeSigned) {
     const StoreBatch& batch = push.batches[0];
     const auto tree = batch_tree(batch);
     ASSERT_TRUE(tree.has_value());
-    std::vector<Sha256Digest> leaves;
-    for (const auto& v : batch.vectors) leaves.push_back(leaf_hash(push.home_network, batch.supi, v));
-    for (const auto& s : batch.shares) leaves.push_back(leaf_hash(push.home_network, batch.supi, s));
-    EXPECT_EQ(tree->root(), MerkleTree(leaves).root()) << b;
+    EXPECT_EQ(tree->root(), MerkleTree(leaf_hashes(push.home_network, batch)).root()) << b;
     EXPECT_TRUE(all_verify(push.home_network, batch, home.public_key)) << b;
     EXPECT_FALSE(all_verify(push.home_network, batch, keys(6).public_key)) << b;
     EXPECT_FALSE(all_verify(NetworkId("other-home"), batch, home.public_key)) << b;
@@ -545,8 +553,7 @@ TEST(StorePush, FloodRequestIsOneTwoLeafBatch) {
     round[b].home_network = NetworkId("home-net");
     StoreBatch& batch = round[b].batches.emplace_back();
     batch.supi = Supi("901550000000001");
-    batch.vectors.push_back(vector_leaf(5));
-    batch.shares.push_back(share_leaf(static_cast<std::uint8_t>(5 + b)));
+    lay_out(batch, {vector_leaf(5)}, {share_leaf(static_cast<std::uint8_t>(5 + b))});
   }
   sign_round(round, home);
   for (std::size_t b = 0; b < round.size(); ++b) {
@@ -570,16 +577,40 @@ TEST(StorePush, InconsistentLayoutsAreRefused) {
           {"no batch", [](StoreMaterialRequest& r) { r.batches.clear(); }},
           {"batch without leaves",
            [](StoreMaterialRequest& r) {
-             r.batches[0].vectors.clear();
-             r.batches[0].shares.clear();
+             r.batches[0].vectors = {};
+             r.batches[0].shares = {};
            }},
-          {"swapped indices",
+          {"shares out of H(XRES*) order",
            [](StoreMaterialRequest& r) {
-             std::swap(r.batches[0].shares[0].leaf, r.batches[0].shares[1].leaf);
+             const ShareLeaf first = r.batches[0].shares[0];
+             r.batches[0].shares.set(0, r.batches[0].shares[1]);
+             r.batches[0].shares.set(1, first);
            }},
-          {"index gap", [](StoreMaterialRequest& r) { ++r.batches[0].shares.back().leaf; }},
+          {"two shares of one H(XRES*)",
+           [](StoreMaterialRequest& r) {
+             const ByteArray<16> hxres = r.batches[0].shares[0].hxres_star;
+             edit_leaf(r.batches[0].shares, 1, [&](ShareLeaf& s) { s.hxres_star = hxres; });
+           }},
+          {"share index repeated",
+           [](StoreMaterialRequest& r) {
+             edit_leaf(r.batches[0].shares, 1, [](ShareLeaf& s) { s.leaf = 2; });
+           }},
+          {"share numbered among the vectors",
+           [](StoreMaterialRequest& r) {
+             edit_leaf(r.batches[0].shares, 0, [](ShareLeaf& s) { s.leaf = 1; });
+           }},
+          {"index gap",
+           [](StoreMaterialRequest& r) {
+             edit_leaf(r.batches[0].shares, 2, [](ShareLeaf& s) { s.leaf = 5; });
+           }},
           {"vector numbered after the shares",
-           [](StoreMaterialRequest& r) { r.batches[0].vectors[0].leaf = 4; }},
+           [](StoreMaterialRequest& r) {
+             edit_leaf(r.batches[0].vectors, 0, [](VectorLeaf& v) { v.leaf = 4; });
+           }},
+          {"vectors out of serve order",
+           [](StoreMaterialRequest& r) {
+             edit_leaf(r.batches[0].vectors, 0, [](VectorLeaf& v) { v.sqn = 1000; });
+           }},
           {"batch index past the round",
            [](StoreMaterialRequest& r) { r.batches[0].batch_index = r.batches[0].batch_count; }},
           {"round path one hash short", [](StoreMaterialRequest& r) { r.batches[0].round.pop_back(); }},
@@ -608,7 +639,9 @@ TEST(StorePush, InconsistentLayoutsAreRefused) {
   std::vector<StoreMaterialRequest> big(1);
   big[0].home_network = NetworkId("home-net");
   StoreBatch& batch = big[0].batches.emplace_back();
-  for (std::uint8_t i = 0; i < 20; ++i) batch.shares.push_back(share_leaf(i));
+  std::vector<ShareLeaf> shares;
+  for (std::uint8_t i = 0; i < 20; ++i) shares.push_back(share_leaf(i));
+  lay_out(batch, {}, shares);
   sign_round(big, home);
   ASSERT_GT(batch.nodes.size(), 1u);
   batch.nodes[0].hash[0] ^= 1;
@@ -632,7 +665,11 @@ TEST(StorePush, RoundAttacksFailTheSignature) {
          b.round = alice[2].batches[0].round;
        }},
       {"round that disagrees with its leaves", [](StoreBatch& b) { b.round[0][0] ^= 1; }},
-      {"fewer leaves than signed", [](StoreBatch& b) { b.shares.resize(1); }},
+      {"fewer leaves than signed",
+       [](StoreBatch& b) {
+         const std::vector<ShareLeaf> first = {b.shares[0]};
+         b.shares = wire::EncodedSequence<ShareLeaf, SecretBytes>(first);
+       }},
       {"signature of another user's round",
        [&](StoreBatch& b) { b.signature = bob[1].batches[0].signature; }},
   };

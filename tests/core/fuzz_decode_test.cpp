@@ -5,11 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "aka/nas.h"
+#include "batch_layout.h"
 #include "aka/suci.h"
 #include "baseline/standalone_core.h"
 #include "common/rng.h"
@@ -23,6 +25,8 @@
 
 namespace dauth::core {
 namespace {
+
+using testing::lay_out;
 
 crypto::Ed25519KeyPair signer() {
   crypto::DeterministicDrbg rng("fuzz", 1);
@@ -49,10 +53,12 @@ std::vector<StoreMaterialRequest> signed_round() {
     round[b].home_network = base.home_network;
     StoreBatch& batch = round[b].batches.emplace_back();
     batch.supi = base.supi;
+    std::vector<VectorLeaf> vectors;
     for (std::size_t i = 0; i < 5; ++i) {
-      batch.vectors.push_back(
+      vectors.push_back(
           {0, base.sqn + 8 * b + i, base.rand, base.autn, base.hxres_star, base.flood});
     }
+    lay_out(batch, vectors, {});
   }
   sign_round(round, signer());
   return round;
@@ -60,10 +66,7 @@ std::vector<StoreMaterialRequest> signed_round() {
 
 /// The leaf hashes of `batch`, of `home`'s, in leaf order.
 std::vector<crypto::Sha256Digest> leaves_of(const NetworkId& home, const StoreBatch& batch) {
-  std::vector<crypto::Sha256Digest> leaves;
-  for (const auto& v : batch.vectors) leaves.push_back(leaf_hash(home, batch.supi, v));
-  for (const auto& s : batch.shares) leaves.push_back(leaf_hash(home, batch.supi, s));
-  return leaves;
+  return testing::leaf_hashes(home, batch);
 }
 
 /// Leaf 2 of batch 1 of a round, as a backup serves it: with its in-batch
@@ -83,10 +86,10 @@ Bytes valid_batched_vector_bundle() {
 
 Bytes valid_store_request() {
   StoreMaterialRequest req = signed_round()[2];
-  req.batches[0].vectors.resize(1);
-  ShareLeaf& share = req.batches[0].shares.emplace_back();
+  ShareLeaf share;
   share.x = 1;
   share.y = ByteArray<32>{0xaa, 0xaa};
+  lay_out(req.batches[0], {req.batches[0].vectors[0]}, {share});
   std::vector<StoreMaterialRequest> round = {req, req};
   sign_round(round, signer());
   req = round[1];
@@ -345,8 +348,9 @@ std::pair<std::string, BatchRecord> valid_batch_record() {
   std::vector<StoreMaterialRequest> round = signed_round();
   for (StoreMaterialRequest& push : round) {
     StoreBatch& batch = push.batches[0];
-    for (std::uint8_t i = 0; i < 2; ++i) {
-      ShareLeaf& share = batch.shares.emplace_back();
+    std::vector<ShareLeaf> shares(2);
+    for (std::uint8_t i = 0; i < shares.size(); ++i) {
+      ShareLeaf& share = shares[i];
       share.hxres_star = batch.vectors[i].hxres_star;
       share.hxres_star[15] = i;
       share.x = 2;
@@ -354,6 +358,7 @@ std::pair<std::string, BatchRecord> valid_batch_record() {
       y.fill(static_cast<std::uint8_t>(0x30 + i));
       share.y = y;
     }
+    lay_out(batch, {batch.vectors.begin(), batch.vectors.end()}, shares);
   }
   sign_round(round, signer());
   const StoreMaterialRequest& push = round[1];
@@ -402,6 +407,101 @@ TEST(FuzzDecode, BatchRecordTruncationsAndMutationsAreDroppedAtRestore) {
     unhashed.signature = record.signature;
     unhashed.round = record.round;
     EXPECT_EQ(wire::encode(unhashed), valid) << "mutation at " << pos;
+  }
+}
+
+// ---- Encoded leaf sequences ------------------------------------------------
+
+/// StoreBatch, its push and BatchRecord with every leaf sequence a
+/// std::vector: the field lists the encoded sequences must decode as.
+struct VectorStoreBatch {
+  Supi supi;
+  std::uint16_t batch_index = 0;
+  std::uint16_t batch_count = 1;
+  crypto::Ed25519Signature signature{};
+  std::vector<crypto::Sha256Digest> round;
+  std::vector<TreeNode> nodes;
+  std::vector<VectorLeaf> vectors;
+  std::vector<ShareLeaf> shares;
+
+  template <typename F, typename Self>
+  static void fields(F& f, Self& m) {
+    f.field(m.supi, m.batch_index, m.batch_count, m.signature, m.round, m.nodes, m.vectors,
+            m.shares);
+  }
+};
+
+struct VectorStorePush {
+  NetworkId home_network;
+  std::vector<VectorStoreBatch> batches;
+  SecretBytes suci_secret;
+  crypto::Sha256Digest tag{};
+
+  template <typename F, typename Self>
+  static void fields(F& f, Self& m) {
+    f.field(m.home_network, m.batches, m.suci_secret, m.tag);
+  }
+};
+
+struct VectorBatchRecord {
+  Supi supi;
+  std::uint16_t batch_index = 0;
+  std::uint16_t batch_count = 1;
+  crypto::Ed25519Signature signature{};
+  std::vector<crypto::Sha256Digest> round;
+  std::vector<ReleasedLeaf> released;
+  std::vector<VectorLeaf> vectors;
+  std::vector<ShareLeaf> shares;
+
+  template <typename F, typename Self>
+  static void fields(F& f, Self& m) {
+    f.field(m.supi, m.batch_index, m.batch_count, m.signature, m.round, m.released, m.vectors,
+            m.shares);
+  }
+};
+
+/// Whether `frame` decodes as a T, and then its encoding again.
+template <typename T>
+std::optional<Bytes> reencoded(ByteView frame) {
+  try {
+    return wire::encode(wire::decode<T>(frame));
+  } catch (const wire::WireError&) {
+    return std::nullopt;
+  }
+}
+
+TEST(FuzzDecode, EncodedSequencesDecodeAsTheirVectors) {
+  // A push and a record hold their leaf sequences as their encoding
+  // (wire::EncodedSequence): each decodes exactly the frames the same
+  // field list of std::vectors decodes, to the same bytes, and refuses the
+  // rest: truncations, and random mutations of counts, element frames,
+  // booleans and leaves.
+  const Bytes record = wire::encode(valid_batch_record().second);
+  const std::pair<Bytes, bool> corpora[] = {{valid_store_request(), true}, {record, false}};
+  Xoshiro256StarStar rng(0x5e9);
+  for (const auto& [valid, push] : corpora) {
+    const auto both = [push = push](ByteView frame) {
+      return push ? std::pair{reencoded<StoreMaterialRequest>(frame),
+                              reencoded<VectorStorePush>(frame)}
+                  : std::pair{reencoded<BatchRecord>(frame), reencoded<VectorBatchRecord>(frame)};
+    };
+    ASSERT_EQ(both(valid).first, valid);
+    ASSERT_EQ(both(valid).second, valid);
+    for (std::size_t len = 0; len < valid.size(); ++len) {
+      const auto [encoded, vectors] = both(ByteView(valid).first(len));
+      EXPECT_FALSE(encoded.has_value()) << "prefix length " << len;
+      EXPECT_FALSE(vectors.has_value()) << "prefix length " << len;
+    }
+    std::size_t decoded = 0;
+    for (int trial = 0; trial < 2000; ++trial) {
+      Bytes mutated = valid;
+      const std::size_t pos = rng.next_below(mutated.size());
+      mutated[pos] ^= static_cast<std::uint8_t>(1 + rng.next_below(255));
+      const auto [encoded, vectors] = both(mutated);
+      EXPECT_EQ(encoded, vectors) << "mutation at " << pos;
+      decoded += encoded.has_value() ? 1 : 0;
+    }
+    EXPECT_GT(decoded, 0u);  // the leaves' own bytes decode as any value
   }
 }
 

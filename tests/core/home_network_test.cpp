@@ -2,6 +2,7 @@
 // local vector generation, and configuration limits.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 
 #include "../integration/federation_fixture.h"
@@ -180,7 +181,13 @@ TEST(HomeNetwork, RoundDrawsEveryRandThenEveryCoefficientRow) {
           aka::generate_auth_vector(keys, vector.sqn, vector.rand, cfg.serving_network_name);
       std::vector<crypto::ShamirShare> shares;
       for (std::size_t s = 0; s < backups.size(); ++s) {
-        const core::ShareLeaf& share = pushed.at(s).shares.at(i);
+        // Share i of a batch is its leaf v + i, after its v vectors.
+        const core::StoreBatch& batch = pushed.at(s);
+        const auto numbered = std::ranges::find_if(batch.shares, [&](const core::ShareLeaf& l) {
+          return l.leaf == batch.vectors.size() + i;
+        });
+        ASSERT_NE(numbered, batch.shares.end()) << "vector " << i << " share " << s;
+        const core::ShareLeaf share = *numbered;
         ASSERT_EQ(share.hxres_star, vector.hxres_star) << "vector " << i << " share " << s;
         ASSERT_EQ(share.x, s + 1);
         // K_seaf + c1 x + c2 x^2, byte by byte, from the twin's rows.

@@ -130,19 +130,21 @@ StoreBatch random_store_batch(Rng& rng) {
   b.round = random_path(rng, 32);
   b.nodes.resize(rng.next_below(40));
   for (TreeNode& node : b.nodes) node.hash = random_array<32>(rng);
-  b.vectors.resize(rng.next_below(3));
-  for (VectorLeaf& v : b.vectors) {
+  std::vector<VectorLeaf> vectors(rng.next_below(3));
+  for (VectorLeaf& v : vectors) {
     v = {random_position(rng),    rng.next(),
          random_array<16>(rng),   random_array<16>(rng),
          random_array<16>(rng),   rng.next_below(2) == 1};
   }
-  b.shares.resize(rng.next_below(3));
-  for (ShareLeaf& s : b.shares) {
+  b.vectors = wire::EncodedSequence<VectorLeaf>(vectors);
+  std::vector<ShareLeaf> shares(rng.next_below(3));
+  for (ShareLeaf& s : shares) {
     s.leaf = random_position(rng);
     s.hxres_star = random_array<16>(rng);
     s.x = static_cast<std::uint8_t>(rng.next());
     s.y = random_array<32>(rng);
   }
+  b.shares = wire::EncodedSequence<ShareLeaf, SecretBytes>(shares);
   return b;
 }
 

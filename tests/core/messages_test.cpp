@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "core/home_network.h"  // hxres_index
+#include "core/backup_network.h"  // ReleasedLeaf
+#include "core/home_network.h"    // hxres_index
 #include "crypto/drbg.h"
 #include "crypto/sha256.h"
 #include "directory/directory.h"
@@ -78,12 +81,13 @@ TEST(Messages, KeyShareBundleRoundTrip) {
   push.home_network = NetworkId("home-net");
   StoreBatch& batch = push.batches.emplace_back();
   batch.supi = Supi("901550000000001");
-  ShareLeaf& leaf = batch.shares.emplace_back();
+  ShareLeaf leaf;
   leaf.hxres_star = array_from_hex<16>("aa0102030405060708090a0b0c0d0eff");
   leaf.x = 3;
   ByteArray<32> y;
   y.fill(0x5a);
   leaf.y = y;
+  batch.shares = wire::EncodedSequence<ShareLeaf, SecretBytes>({&leaf, 1});
   sign_round({&push, 1}, keys);
   KeyShareBundle b = bundle_of(push.home_network, batch.supi, leaf);
   b.home_signature = batch.signature;
@@ -135,11 +139,15 @@ StoreMaterialRequest sample_push(const crypto::Ed25519KeyPair& keys) {
   StoreBatch& batch = req.batches.emplace_back();
   batch.supi = Supi("901550000000001");
   const AuthVectorBundle v = sample_vector(keys);
-  batch.vectors.assign(2, {0, v.sqn, v.rand, v.autn, v.hxres_star, v.flood});
-  batch.vectors[1].sqn += 1;
-  ShareLeaf& share = batch.shares.emplace_back();
+  std::vector<VectorLeaf> vectors(2, {0, v.sqn, v.rand, v.autn, v.hxres_star, v.flood});
+  vectors[1].leaf = 1;
+  vectors[1].sqn += 1;
+  batch.vectors = wire::EncodedSequence<VectorLeaf>(vectors);
+  ShareLeaf share;
+  share.leaf = 2;
   share.x = 1;
   share.y = ByteArray<32>{0x11, 0x22};
+  batch.shares = wire::EncodedSequence<ShareLeaf, SecretBytes>({&share, 1});
   sign_round({&req, 1}, keys);
   req.suci_secret = Bytes(32, 0x77);
   return req;
@@ -218,6 +226,110 @@ TEST(Messages, LeafHashOfALeafIsItsBundlesLeafHash) {
   check("edited");
   EXPECT_NE(leaf_hash(home, Supi("901550000000002"), vector), leaf_hash(home, supi, vector));
   EXPECT_NE(leaf_hash(NetworkId("other"), supi, share), leaf_hash(home, supi, share));
+}
+
+// ---- Encoded leaf sequences ----------------------------------------------------
+
+/// `count` leaves of type E, each of other field bytes.
+template <typename E>
+std::vector<E> sample_leaves(std::size_t count) {
+  std::vector<E> leaves(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    Bytes fields = wire::encode(leaves[i]);
+    for (std::size_t k = 0; k < fields.size(); ++k) fields[k] = static_cast<std::uint8_t>(31 * i + k);
+    if constexpr (std::is_same_v<E, VectorLeaf>) fields.back() = i % 2;  // the flood bool
+    leaves[i] = wire::decode<E>(fields);
+  }
+  return leaves;
+}
+
+/// A message of one std::vector<E>, and one of the same encoded sequence.
+template <typename E, typename Buffer>
+struct AsVector {
+  std::vector<E> leaves;
+  template <typename F, typename Self>
+  static void fields(F& f, Self& m) {
+    f.field(m.leaves);
+  }
+};
+template <typename E, typename Buffer>
+struct AsSequence {
+  wire::EncodedSequence<E, Buffer> leaves;
+  template <typename F, typename Self>
+  static void fields(F& f, Self& m) {
+    f.field(m.leaves);
+  }
+};
+
+template <typename E, typename Buffer = Bytes>
+void expect_encoded_as_vector() {
+  for (const std::size_t count : {0, 1, 3, 17}) {
+    const std::vector<E> leaves = sample_leaves<E>(count);
+    const Bytes as_vector = wire::encode(AsVector<E, Buffer>{leaves});
+    const AsSequence<E, Buffer> sequence{wire::EncodedSequence<E, Buffer>(leaves)};
+    EXPECT_EQ(wire::encode(sequence), as_vector) << count;
+    wire::ByteCounter size;
+    size.field(sequence.leaves);
+    EXPECT_EQ(size.size(), as_vector.size()) << count;
+    // Decoded, it is the same leaves, in place and one by one.
+    const auto decoded = wire::decode<AsSequence<E, Buffer>>(as_vector);
+    ASSERT_EQ(decoded.leaves.size(), count);
+    EXPECT_EQ(decoded.leaves.empty(), count == 0);
+    for (std::size_t i = 0; i < count; ++i) {
+      EXPECT_EQ(wire::encode(decoded.leaves[i]), wire::encode(leaves[i])) << count << " " << i;
+    }
+    // Appended one by one, and each rewritten in place, it is the same.
+    wire::EncodedSequence<E, Buffer> built;
+    for (const E& leaf : leaves) built.push_back(E{});
+    for (std::size_t i = 0; i < count; ++i) built.set(i, leaves[i]);
+    EXPECT_EQ(wire::encode(AsSequence<E, Buffer>{built}), as_vector) << count;
+  }
+}
+
+TEST(Messages, EncodedSequenceEncodesAsItsVector) {
+  expect_encoded_as_vector<VectorLeaf>();
+  expect_encoded_as_vector<ShareLeaf, SecretBytes>();
+  expect_encoded_as_vector<ReleasedLeaf>();
+  expect_encoded_as_vector<TreeNode>();
+}
+
+TEST(Messages, EncodedSequenceDecodeRefusesWhatTheVectorRefuses) {
+  using Vectors = AsVector<VectorLeaf, Bytes>;
+  using Sequence = AsSequence<VectorLeaf, Bytes>;
+  const Bytes valid = wire::encode(Vectors{sample_leaves<VectorLeaf>(3)});
+  const std::size_t stride = 4 + wire::fixed_size<VectorLeaf>();
+  const auto refused_by_both = [](const Bytes& frame) {
+    EXPECT_THROW((void)wire::decode<Vectors>(frame), wire::WireError);
+    EXPECT_THROW((void)wire::decode<Sequence>(frame), wire::WireError);
+  };
+  // A buffer short of its last element, or of a count.
+  refused_by_both(Bytes(valid.begin(), valid.end() - 1));
+  refused_by_both(Bytes(valid.begin(), valid.begin() + 3));
+  // An element frame one byte short or long of the element, and one of 2^32 - 1.
+  for (const std::uint8_t frame : {static_cast<std::uint8_t>(stride - 5),
+                                   static_cast<std::uint8_t>(stride - 3)}) {
+    Bytes wrong = valid;
+    wrong[4 + stride] = frame;
+    refused_by_both(wrong);
+  }
+  Bytes huge_frame = valid;
+  std::fill_n(huge_frame.begin() + 4, 4, 0xff);
+  refused_by_both(huge_frame);
+  // A count past the end, by one element and by 2^32 - 1.
+  Bytes past = valid;
+  past[0] = 4;
+  refused_by_both(past);
+  std::fill_n(past.begin(), 4, 0xff);
+  refused_by_both(past);
+  // A flood boolean that is neither 0 nor 1.
+  Bytes boolean = valid;
+  boolean[4 + 2 * stride - 1] = 2;
+  refused_by_both(boolean);
+  // Trailing bytes after the sequence.
+  Bytes trailing = valid;
+  trailing.push_back(0);
+  refused_by_both(trailing);
+  EXPECT_NO_THROW((void)wire::decode<Sequence>(valid));
 }
 
 TEST(Messages, StoreMaterialRequestIsFramedInPlaceAndSizedExactly) {
@@ -351,8 +463,9 @@ TEST(Messages, EveryEncodingIsPinned) {
   batch.round = {pattern<32>(0x70)};
   const VectorLeaf vector_leaf{0,           vector.sqn,        vector.rand,
                                vector.autn, vector.hxres_star, vector.flood};
-  batch.vectors = {vector_leaf, vector_leaf};
-  batch.vectors[1].leaf = 1;
+  batch.vectors.push_back(vector_leaf);
+  batch.vectors.push_back(vector_leaf);
+  batch.vectors.set(1, {1, vector.sqn, vector.rand, vector.autn, vector.hxres_star, vector.flood});
   ByteArray<32> ordinate;
   ordinate.fill(0x5a);
   batch.shares.push_back({2, share.hxres_star, share.share.x, ordinate});

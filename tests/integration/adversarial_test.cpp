@@ -21,6 +21,7 @@
 
 #include "aka/nas.h"
 #include "aka/suci.h"
+#include "../core/batch_layout.h"
 #include "federation_fixture.h"
 
 namespace dauth::testing {
@@ -460,8 +461,11 @@ TEST(Adversarial, StoreWithAWrongLengthShareIsRefused) {
   req.home_network = home;
   core::StoreBatch& batch = req.batches.emplace_back();
   batch.supi = bob;
-  batch.vectors.emplace_back().sqn = 33;
-  batch.shares.emplace_back().x = 1;
+  core::VectorLeaf vector;
+  vector.sqn = 33;
+  core::ShareLeaf share;
+  share.x = 1;
+  lay_out(batch, {vector}, {share});
   core::sign_round({&req, 1}, f.net(0).signing_keys());
   f.tag_push(req, 0, 1);
   const auto as_pushed = [&]<std::size_t N>(OrdinatePush<N> push) {
@@ -472,7 +476,7 @@ TEST(Adversarial, StoreWithAWrongLengthShareIsRefused) {
     pushed.batch_count = batch.batch_count;
     pushed.signature = batch.signature;
     pushed.nodes = batch.nodes;
-    pushed.vectors = batch.vectors;
+    pushed.vectors.assign(batch.vectors.begin(), batch.vectors.end());
     OrdinateLeaf<N>& share = pushed.shares.emplace_back();
     share.leaf = 1;
     share.x = 1;
@@ -869,7 +873,9 @@ TEST(Adversarial, BackupRefusesAStoreFromAnUnknownHome) {
   push.home_network = NetworkId("ghost-net");
   core::StoreBatch& batch = push.batches.emplace_back();
   batch.supi = kAlice;
-  batch.vectors.emplace_back().sqn = 1;
+  core::VectorLeaf vector;
+  vector.sqn = 1;
+  lay_out(batch, {vector}, {});
   crypto::DeterministicDrbg rng("ghost home", 1);
   core::sign_round({&push, 1}, crypto::ed25519_generate(rng));
 
@@ -1095,8 +1101,10 @@ TEST(Adversarial, BackupRefusesAPushWithAnEditedLeaf) {
   const core::StoreMaterialRequest push =
       wire::decode<core::StoreMaterialRequest>(provision_and_capture_push(f, 2));
   const std::vector<std::function<void(core::StoreBatch&)>> edits = {
-      [](core::StoreBatch& b) { b.shares.at(1).y[0] ^= 1; },
-      [](core::StoreBatch& b) { b.vectors.at(0).autn[3] ^= 1; },
+      [](core::StoreBatch& b) { edit_leaf(b.shares, 1, [](core::ShareLeaf& s) { s.y[0] ^= 1; }); },
+      [](core::StoreBatch& b) {
+        edit_leaf(b.vectors, 0, [](core::VectorLeaf& v) { v.autn[3] ^= 1; });
+      },
   };
   for (const auto& edit : edits) {
     core::StoreMaterialRequest edited = push;

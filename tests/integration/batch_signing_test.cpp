@@ -14,6 +14,7 @@
 #include <set>
 #include <type_traits>
 
+#include "../core/batch_layout.h"
 #include "aka/sqn.h"
 #include "federation_fixture.h"
 #include "obs/journal.h"
@@ -86,21 +87,24 @@ std::vector<core::StoreMaterialRequest> fresh_round(Federation& f, const Supi& s
     req.home_network = f.net(0).id();
     core::StoreBatch& batch = req.batches.emplace_back();
     batch.supi = supi;
-    for (std::uint8_t i = 0; i < 3; ++i) {
-      core::VectorLeaf& v = batch.vectors.emplace_back();
+    std::vector<core::VectorLeaf> vectors(3);
+    for (std::uint8_t i = 0; i < vectors.size(); ++i) {
+      core::VectorLeaf& v = vectors[i];
       v.sqn = 100 + 8 * b + i;
       v.hxres_star[0] = tag;
       v.hxres_star[1] = b;
       v.hxres_star[2] = i;
     }
-    for (std::uint8_t i = 0; i < 5; ++i) {
-      core::ShareLeaf& s = batch.shares.emplace_back();
+    std::vector<core::ShareLeaf> shares(5);
+    for (std::uint8_t i = 0; i < shares.size(); ++i) {
+      core::ShareLeaf& s = shares[i];
       s.hxres_star[0] = tag;
       s.hxres_star[1] = b;
       s.hxres_star[2] = static_cast<std::uint8_t>(16 + i);
       s.x = 1;
       s.y[0] = i;
     }
+    lay_out(batch, vectors, shares);
   }
   core::sign_round(round, signer);
   return round;
@@ -125,9 +129,7 @@ core::StoreMaterialRequest pushed_batch(Federation& f, const Supi& supi, std::ui
 /// round) cut from the tree of the batch's leaves.
 template <typename Out>
 void each_served(const NetworkId& home, const core::StoreBatch& batch, Out out) {
-  std::vector<crypto::Sha256Digest> leaves;
-  for (const auto& v : batch.vectors) leaves.push_back(core::leaf_hash(home, batch.supi, v));
-  for (const auto& s : batch.shares) leaves.push_back(core::leaf_hash(home, batch.supi, s));
+  const std::vector<crypto::Sha256Digest> leaves = leaf_hashes(home, batch);
   const crypto::MerkleTree tree(leaves);
   const auto serve = [&](const auto& leaf) {
     auto bundle = core::bundle_of(home, batch.supi, leaf);
@@ -177,8 +179,14 @@ TEST(BatchSigning, BackupRejectsForgedBatches) {
        }},
       {"the home's push to another backup",
        [&](core::StoreBatch&, core::StoreMaterialRequest& r) { r = pushed_batch(f, kBob, 1, 2); }},
-      {"tampered share ordinate", [](core::StoreBatch& b, auto&) { b.shares[1].y[0] ^= 1; }},
-      {"tampered vector", [](core::StoreBatch& b, auto&) { b.vectors[2].autn[0] ^= 1; }},
+      {"tampered share ordinate",
+       [](core::StoreBatch& b, auto&) {
+         edit_leaf(b.shares, 1, [](core::ShareLeaf& s) { s.y[0] ^= 1; });
+       }},
+      {"tampered vector",
+       [](core::StoreBatch& b, auto&) {
+         edit_leaf(b.vectors, 2, [](core::VectorLeaf& v) { v.autn[0] ^= 1; });
+       }},
       {"signature lifted from another user's batch",
        [&](core::StoreBatch& b, auto&) {
          b.signature = fresh_batch(f, kAlice, 2, home_keys).batches[0].signature;
@@ -188,13 +196,19 @@ TEST(BatchSigning, BackupRejectsForgedBatches) {
          b.signature = fresh_batch(f, kBob, 3, home_keys).batches[0].signature;
        }},
       {"swapped leaf indices",
-       [](core::StoreBatch& b, auto&) { std::swap(b.shares[0].leaf, b.shares[3].leaf); }},
+       [](core::StoreBatch& b, auto&) {
+         const std::uint16_t first = b.shares[0].leaf;
+         edit_leaf(b.shares, 0, [&](core::ShareLeaf& s) { s.leaf = b.shares[3].leaf; });
+         edit_leaf(b.shares, 3, [&](core::ShareLeaf& s) { s.leaf = first; });
+       }},
       {"extra leaf",
        [](core::StoreBatch& b, auto&) {
-         b.shares.push_back(b.shares.back());
-         b.shares.back().leaf = 8;
+         core::ShareLeaf extra = b.shares[b.shares.size() - 1];
+         extra.leaf = 8;
+         extra.hxres_star[15] = 1;  // after every other share
+         b.shares.push_back(extra);
        }},
-      {"subtree presented as the batch", [](core::StoreBatch& b, auto&) { b.shares.clear(); }},
+      {"subtree presented as the batch", [](core::StoreBatch& b, auto&) { b.shares = {}; }},
       {"tree node of another batch",
        [&](core::StoreBatch& b, auto&) {
          b.nodes = fresh_batch(f, kBob, 3, home_keys).batches[0].nodes;
@@ -240,6 +254,74 @@ TEST(BatchSigning, BackupRejectsForgedBatches) {
   EXPECT_EQ(backup.stored_vectors(f.net(0).id(), kBob), 3u);
   EXPECT_EQ(backup.stored_shares(f.net(0).id(), kBob), 5u);
   EXPECT_EQ(backup.metrics().batches_verified, verified + 1);
+}
+
+/// Five networks, net-2 (index 1) keeping its backup state in a store.
+core::FederationSpec durable_net2(core::FederationConfig cfg = Federation::test_config()) {
+  core::FederationSpec spec = Federation::flat(5, std::move(cfg));
+  spec.networks[1].durable = true;
+  return spec;
+}
+
+TEST(BatchSigning, PushOutOfHeldOrderIsRefused) {
+  // A backup holds a pushed batch in the order it was pushed, so a push
+  // whose shares are not in strictly increasing H(XRES*) order, or not each
+  // numbered once, is refused as malformed before its tag is checked, even
+  // when the tag is the home's: nothing of it is held, its SUCI secret
+  // neither.
+  Federation f(durable_net2());
+  const NetworkId& home = f.net(0).id();
+  core::BackupNetwork& backup = f.net(1).backup();
+  const auto push_to_net2 = [&](const core::StoreMaterialRequest& push) {
+    std::optional<sim::CallResult<sim::Ack>> result;
+    sim::TypedStub(f.rpc, f.net(0).node(), core::kBackupStore)
+        .call(f.net(1).node(), push, sim::RpcOptions::oneshot(),
+              [&](sim::CallResult<sim::Ack> r) { result = std::move(r); });
+    f.simulator.run();
+    return result.value();
+  };
+  const auto pushed = [&](const std::function<void(core::StoreBatch&)>& edit) {
+    core::StoreMaterialRequest push = fresh_batch(f, kBob, 1, f.net(0).signing_keys());
+    push.suci_secret = SecretBytes(Bytes(32, 0x42));
+    edit(push.batches[0]);
+    f.tag_push(push, 0, 1);
+    return push;
+  };
+
+  const std::vector<std::pair<const char*, std::function<void(core::StoreBatch&)>>> layouts = {
+      {"two shares swapped",
+       [](core::StoreBatch& b) {
+         const core::ShareLeaf first = b.shares[0];
+         b.shares.set(0, b.shares[1]);
+         b.shares.set(1, first);
+       }},
+      {"two shares of one H(XRES*)",
+       [](core::StoreBatch& b) {
+         const ByteArray<16> hxres = b.shares[0].hxres_star;
+         edit_leaf(b.shares, 1, [&](core::ShareLeaf& s) { s.hxres_star = hxres; });
+       }},
+      {"a leaf index repeated",
+       [](core::StoreBatch& b) {
+         const std::uint16_t leaf = b.shares[0].leaf;
+         edit_leaf(b.shares, 1, [&](core::ShareLeaf& s) { s.leaf = leaf; });
+       }},
+  };
+  for (const auto& [name, edit] : layouts) {
+    const std::uint64_t rejected = backup.metrics().rejected_requests;
+    const auto result = push_to_net2(pushed(edit));
+    ASSERT_TRUE(result.app_error().has_value()) << name;
+    EXPECT_EQ(result.app_error()->code, sim::AppErrorCode::kMalformed) << name;
+    EXPECT_EQ(backup.metrics().rejected_requests, rejected + 1) << name;
+    EXPECT_EQ(backup.stored_vectors(home, kBob), 0u) << name;
+    EXPECT_EQ(backup.stored_shares(home, kBob), 0u) << name;
+    EXPECT_FALSE(f.stores[1]->get("sucikey/" + home.str()).has_value()) << name;
+  }
+
+  // The push as the home laid it out is held, its SUCI secret with it.
+  EXPECT_TRUE(push_to_net2(pushed([](core::StoreBatch&) {})).ok());
+  EXPECT_EQ(backup.stored_vectors(home, kBob), 3u);
+  EXPECT_EQ(backup.stored_shares(home, kBob), 5u);
+  EXPECT_TRUE(f.stores[1]->get("sucikey/" + home.str()).has_value());
 }
 
 // ---- Attach-time rejection at the serving network ---------------------------
@@ -367,28 +449,34 @@ TEST(BatchSigning, ServingNetworkRejectsForgedShares) {
   f.network.node(f.net(0).node()).set_online(false);
   const auto& home_keys = f.net(0).signing_keys();
 
-  // Share `index` of a six-share round: three batches of two shares.
+  // Share `index` of a six-share round, of H(XRES*) `hxres`: three batches
+  // of two shares.
   const auto make_share = [&](const Supi& supi, const ByteArray<16>& hxres, std::size_t index) {
     std::vector<core::StoreMaterialRequest> round(3);
-    for (std::size_t i = 0; i < 6; ++i) {
-      round[i / 2].home_network = f.net(0).id();
-      if (round[i / 2].batches.empty()) round[i / 2].batches.emplace_back().supi = supi;
-      core::ShareLeaf& s = round[i / 2].batches[0].shares.emplace_back();
-      s.hxres_star[0] = static_cast<std::uint8_t>(i);
-      if (i == index) s.hxres_star = hxres;
-      s.x = 200;
-      ByteArray<32> y;
-      y.fill(0x5a);
-      s.y = y;
+    for (std::size_t b = 0; b < round.size(); ++b) {
+      round[b].home_network = f.net(0).id();
+      std::vector<core::ShareLeaf> shares(2);
+      for (std::size_t i = 2 * b; i < 2 * b + 2; ++i) {
+        core::ShareLeaf& s = shares[i % 2];
+        s.hxres_star[0] = static_cast<std::uint8_t>(i);
+        if (i == index) s.hxres_star = hxres;
+        s.x = 200;
+        ByteArray<32> y;
+        y.fill(0x5a);
+        s.y = y;
+      }
+      core::StoreBatch& batch = round[b].batches.emplace_back();
+      batch.supi = supi;
+      lay_out(batch, {}, shares);
     }
     core::sign_round(round, home_keys);
-    std::vector<core::KeyShareBundle> shares;
+    std::optional<core::KeyShareBundle> share;
     each_served(f.net(0).id(), round[index / 2].batches[0], [&](const auto& bundle) {
       if constexpr (std::is_same_v<std::decay_t<decltype(bundle)>, core::KeyShareBundle>) {
-        shares.push_back(bundle);
+        if (bundle.hxres_star == hxres) share = bundle;
       }
     });
-    return shares.at(index % 2);
+    return share.value();
   };
 
   BundleAttack<core::KeyShareBundle> attack;
@@ -429,13 +517,6 @@ TEST(BatchSigning, ServingNetworkRejectsForgedShares) {
 }
 
 // ---- Persistence -------------------------------------------------------------
-
-/// Five networks, net-2 (index 1) keeping its backup state in a store.
-core::FederationSpec durable_net2(core::FederationConfig cfg = Federation::test_config()) {
-  core::FederationSpec spec = Federation::flat(5, std::move(cfg));
-  spec.networks[1].durable = true;
-  return spec;
-}
 
 TEST(BatchSigning, RestartedBackupServesVerifiablePaths) {
   Federation f(durable_net2());
@@ -642,17 +723,18 @@ TEST(BatchSigning, HomeTaggedTreeOfOtherLeavesServesNoBadBundle) {
   push.home_network = home;
   core::StoreBatch& batch = push.batches.emplace_back();
   batch.supi = kBob;
-  for (std::uint8_t i = 0; i < 10; ++i) {
-    core::VectorLeaf& v = batch.vectors.emplace_back();
-    v.sqn = 200 + i;
-    v.hxres_star[0] = 0xee;
-    v.hxres_star[1] = i;
+  std::vector<core::VectorLeaf> vectors(10);
+  for (std::uint8_t i = 0; i < vectors.size(); ++i) {
+    vectors[i].sqn = 200 + i;
+    vectors[i].hxres_star[0] = 0xee;
+    vectors[i].hxres_star[1] = i;
   }
-  for (std::size_t i = 0; i < 14; ++i) {
-    core::ShareLeaf& share = batch.shares.emplace_back();
-    share.hxres_star = core::hxres_index(res_of(i));
-    share.x = 1;
+  std::vector<core::ShareLeaf> shares(14);
+  for (std::size_t i = 0; i < shares.size(); ++i) {
+    shares[i].hxres_star = core::hxres_index(res_of(i));
+    shares[i].x = 1;
   }
+  lay_out(batch, vectors, shares);  // share i is leaf 10 + i
   core::sign_round({&push, 1}, f.net(0).signing_keys());
 
   // Nodes that do not hash into one another: refused, nothing held.
@@ -664,8 +746,10 @@ TEST(BatchSigning, HomeTaggedTreeOfOtherLeavesServesNoBadBundle) {
 
   // The signed tree, pushed with vector 0 (group 0) and share 13 (group 2)
   // changed: group 1 still rehashes into it.
-  batch.vectors[0].rand[0] ^= 1;
-  batch.shares[13].y[0] ^= 1;
+  edit_leaf(batch.vectors, 0, [](core::VectorLeaf& v) { v.rand[0] ^= 1; });
+  for (std::size_t p = 0; p < batch.shares.size(); ++p) {
+    if (batch.shares[p].leaf == 23) edit_leaf(batch.shares, p, [](core::ShareLeaf& s) { s.y[0] ^= 1; });
+  }
   f.tag_push(push, 0, 1);
   ASSERT_TRUE(store_at_backup(f, push));
   ASSERT_EQ(backup->stored_vectors(home, kBob), 10u);
@@ -921,7 +1005,7 @@ TEST(BatchSigning, DisseminatedBytesArePinned) {
   std::sort(sent.begin(), sent.end());
   crypto::Sha256 all;
   for (const auto& digest : sent) all.update(digest);
-  EXPECT_EQ(to_hex(all.finish()), "bed7f17d3947bb3f1b41a0ad7e3d33641c5186178c03074a3c20e8db53d94ff9")
+  EXPECT_EQ(to_hex(all.finish()), "6e95e038203655c2d9ab5aebb198c5f96941475858c6a05012f09283fbd29f86")
       << sent.size() << " store requests";
 }
 

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/home_network.h"
+#include "../core/batch_layout.h"
 #include "federation_fixture.h"
 #include "obs/journal.h"
 #include "obs/metrics_registry.h"
@@ -920,8 +921,10 @@ TEST(Persistence, RestoreDropsABatchWhoseLeafDoesNotHash) {
   // lists for it: that bundle could not be served as the home signed it.
   // Bob's batch is untouched.
   const std::vector<std::pair<const char*, std::function<void(core::BatchRecord&)>>> edits = {
-      {"share ordinate", [](core::BatchRecord& r) { r.shares.at(1).y[0] ^= 1; }},
-      {"vector sqn", [](core::BatchRecord& r) { ++r.vectors.at(1).sqn; }},
+      {"share ordinate",
+       [](core::BatchRecord& r) { edit_leaf(r.shares, 1, [](core::ShareLeaf& s) { s.y[0] ^= 1; }); }},
+      {"vector sqn",
+       [](core::BatchRecord& r) { edit_leaf(r.vectors, 1, [](core::VectorLeaf& v) { ++v.sqn; }); }},
   };
   for (const auto& [name, edit] : edits) {
     Federation f(durable_net2());
@@ -959,7 +962,7 @@ TEST(Persistence, RestoreDropsABatchWhoseReleasedLeavesDoNotFit) {
       {"released hash", [](core::BatchRecord& r) { r.released.at(0).hash[0] ^= 1; }},
       {"released leaf missing", [](core::BatchRecord& r) { r.released.clear(); }},
       {"released index taken",
-       [](core::BatchRecord& r) { r.released.at(0).leaf = r.vectors.at(0).leaf; }},
+       [](core::BatchRecord& r) { r.released.at(0).leaf = r.vectors[0].leaf; }},
   };
   for (const auto& [name, edit] : edits) {
     Federation f(durable_net2());
@@ -1007,8 +1010,13 @@ TEST(Persistence, RestoreOfAnUnsortedRecordServesTheSameBundles) {
     const std::string& name = names.at(0);
     const Bytes sorted = f.stores[1]->get(name).value();
     auto record = wire::decode<core::BatchRecord>(sorted);
-    if (std::string(swapped) == "shares") std::swap(record.shares.at(0), record.shares.at(1));
-    if (std::string(swapped) == "vectors") std::swap(record.vectors.at(0), record.vectors.at(1));
+    const auto swap_first_two = [](auto& sequence) {
+      const auto first = sequence[0];
+      sequence.set(0, sequence[1]);
+      sequence.set(1, first);
+    };
+    if (std::string(swapped) == "shares") swap_first_two(record.shares);
+    if (std::string(swapped) == "vectors") swap_first_two(record.vectors);
     f.stores[1]->put(name, wire::encode(record));
     EXPECT_EQ(f.stores[1]->get(name) == sorted, std::string(swapped) == "nothing") << swapped;
 

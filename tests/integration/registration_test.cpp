@@ -10,6 +10,7 @@
 
 #include "baseline/standalone_core.h"
 #include "directory/directory.h"
+#include "../core/batch_layout.h"
 #include "federation_fixture.h"
 #include "obs/metrics_registry.h"
 
@@ -109,9 +110,9 @@ class Registrations {
     store.home_network = home_id;
     core::StoreBatch& batch = store.batches.emplace_back();
     batch.supi = kBob;
-    batch.vectors.resize(1);
-    batch.shares.resize(1);
-    batch.shares[0].x = 1;
+    core::ShareLeaf share;
+    share.x = 1;
+    lay_out(batch, {core::VectorLeaf{}}, {share});
     core::sign_round({&store, 1}, home_key);
 
     core::RevokeSharesRequest revoke{home_id, kBob, {}, {}};

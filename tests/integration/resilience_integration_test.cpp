@@ -3,9 +3,11 @@
 // threshold (at the vector fetch and again at the share round), a share
 // round that gathers fewer than `threshold` shares, the pre-resilience
 // preset of the same ladder (ResilienceConfig::none() with the breakers
-// off) and its call options, and schedule determinism.
+// off) and its call options, schedule determinism, and a home whose
+// backups the directory lists as none, or as none it can resolve.
 #include <gtest/gtest.h>
 
+#include "directory/directory.h"
 #include "federation_fixture.h"
 #include "sim/failure.h"
 
@@ -89,6 +91,66 @@ TEST(Resilience, InjectorFeedSkipsKnownDownBackupInstantly) {
   // Exactly one vector consumed: losers were skipped/cancelled, not served.
   EXPECT_EQ(total_stored_vectors(f, {1, 2, 3}),
             3 * f.config.vectors_per_backup - 1);
+}
+
+/// Republishes the home's backup list in the directory as `backups`,
+/// signed by the home, and runs until the directory holds it.
+void republish_backups(Federation& f, std::vector<NetworkId> backups) {
+  bool published = false;
+  f.net(0).directory().publish_backups(
+      directory::make_backups_entry(f.net(0).id(), std::move(backups), f.net(0).signing_keys()),
+      [&](bool ok) { published = ok; });
+  f.simulator.run();
+  ASSERT_TRUE(published);
+}
+
+/// Takes the home down and runs one attach of Alice's at net-5, which must
+/// fail with `reason` before it asks any backup for anything: every
+/// backup's held material and served counts stay as they were, and the
+/// serving network counts one failed attach and no backup auth.
+void expect_refused_before_any_backup(Federation& f, const aka::SubscriberKeys& keys,
+                                      const std::string& reason) {
+  f.network.node(f.net(0).node()).set_online(false);
+  const auto& serving = f.net(4).serving().metrics();
+  const auto held = [&f] {
+    std::vector<std::size_t> counts;
+    for (std::size_t b : {1u, 2u, 3u}) {
+      const core::BackupNetwork& backup = f.net(b).backup();
+      counts.push_back(backup.stored_vectors(f.net(0).id(), kAlice));
+      counts.push_back(backup.stored_shares(f.net(0).id(), kAlice));
+      counts.push_back(backup.metrics().vectors_served + backup.metrics().shares_served);
+      counts.push_back(backup.pending_reports(f.net(0).id()));
+    }
+    return counts;
+  };
+  const auto before = held();
+  const std::uint64_t failed = serving.attaches_failed;
+
+  auto ue = f.make_ue(kAlice, keys, 4);
+  const auto record = f.attach(*ue);
+  EXPECT_FALSE(record.success);
+  EXPECT_NE(record.failure.find(reason), std::string::npos) << record.failure;
+  EXPECT_EQ(serving.attaches_failed, failed + 1);
+  EXPECT_EQ(serving.backup_auths, 0u);
+  EXPECT_EQ(held(), before);
+}
+
+TEST(Resilience, HomeWithNoBackupNetworksFailsTheAttach) {
+  // The home is down and its directory entry now lists no backups: the
+  // backup path has nowhere to go.
+  Federation f(5);
+  const auto keys = f.provision(kAlice, 0, {1, 2, 3});
+  republish_backups(f, {});
+  expect_refused_before_any_backup(f, keys, "no backup networks");
+}
+
+TEST(Resilience, BackupsTheDirectoryCannotResolveFailTheAttach) {
+  // The home is down and its entry lists only networks the directory has
+  // no entry for: none resolves to an address and a key.
+  Federation f(5);
+  const auto keys = f.provision(kAlice, 0, {1, 2, 3});
+  republish_backups(f, {NetworkId("ghost-a"), NetworkId("ghost-b")});
+  expect_refused_before_any_backup(f, keys, "backups unresolvable");
 }
 
 TEST(Resilience, FastFailsWhenReachableBackupsDropBelowThreshold) {

@@ -148,24 +148,44 @@ fi
 
 # The leaf hashes in src/core/: "file form calls reason", one (file, form) a
 # line. A `bundle` leaf hashes a bundle built first (its leaf_hash()), a
-# `leaf` one a leaf's own fields with its user (leaf_hash(home, supi, leaf)).
+# `leaf` one a leaf's own fields with its user (leaf_hash(home, supi, leaf)),
+# and an `encoded` one a leaf's encoded fields (a core::LeafHasher made).
 # A backup adopts the tree its home pushes, so it rehashes a leaf only
 # where the tree does not keep it: a leaf hash added at store time fails.
 LEAF_HASH_SITES="\
-src/core/backup_network.cpp leaf 3 a held leaf: rehashed at restore, kept when let go, and in a served path's group
+src/core/backup_network.cpp encoded 5 a held leaf: rehashed at restore, kept when let go, and in a served path's group
 src/core/messages.cpp bundle 2 a served bundle's, checked against its path; a lone bundle's, signed (home-online, resync)
-src/core/messages.cpp leaf 1 a round's leaves, signed by its home"
+src/core/messages.cpp encoded 4 a round's vectors and shares, signed by its home; a lone leaf's (leaf_hash)"
 LEAF_HASH_FOUND="$( {
   grep -rnE '(\.|->)leaf_hash\(\)' src/core --include='*.h' --include='*.cpp' \
     | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' | cut -d: -f1 | sed 's/$/ bundle/' || true
   grep -rnE '(^|[^.>:A-Za-z_])leaf_hash\([a-z]' src/core --include='*.h' --include='*.cpp' \
     | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' | grep -v 'leaf_hash(const ' | cut -d: -f1 \
     | sed 's/$/ leaf/' || true
+  grep -rnE 'LeafHasher<[A-Za-z]+>( [a-z_]+)?\(' src/core --include='*.h' --include='*.cpp' \
+    | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' | cut -d: -f1 | sed 's/$/ encoded/' || true
 } | sort | uniq -c | awk '{print $2, $3, $1}' | sort)"
 LEAF_HASH_ALLOWED="$(awk '{print $1, $2, $3}' <<< "$LEAF_HASH_SITES" | sort)"
 if [[ "$LEAF_HASH_FOUND" != "$LEAF_HASH_ALLOWED" ]]; then
   echo "leaf hash added or removed in src/core/: a pushed batch's tree is its home's, not rehashed" >&2
   diff <(echo "$LEAF_HASH_ALLOWED") <(echo "$LEAF_HASH_FOUND") >&2 || true
+  exit 1
+fi
+
+# The leaf sorts in src/core/: "file calls reason", one file a line. A home
+# pushes each batch in the order its backup holds it (core::StoreBatch,
+# checked by well_formed), so a backup holds a push as it came: only a
+# stored record that restore finds out of order is sorted. A sort added at
+# store time fails.
+SORT_SITES="\
+src/core/backup_network.cpp 1 the restore scan: a stored record put back in held order (ROADMAP item 6 names it)"
+SORT_FOUND="$(grep -rnE '(^|[^A-Za-z_])sort_leaves\(' src/core --include='*.h' --include='*.cpp' \
+  | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' | grep -v 'bool sort_leaves(' \
+  | cut -d: -f1 | sort | uniq -c | awk '{print $2, $1}' | sort)"
+SORT_ALLOWED="$(awk '{print $1, $2}' <<< "$SORT_SITES" | sort)"
+if [[ "$SORT_FOUND" != "$SORT_ALLOWED" ]]; then
+  echo "leaf sort added or removed in src/core/: a backup holds a push in the order it was pushed" >&2
+  diff <(echo "$SORT_ALLOWED") <(echo "$SORT_FOUND") >&2 || true
   exit 1
 fi
 
