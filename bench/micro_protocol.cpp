@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <numeric>
 #include <optional>
 
 #include "micro_main.h"
@@ -187,39 +188,52 @@ BENCHMARK(BM_DisseminateOneVector)->Arg(4)->Arg(8)->Arg(16);
 /// One user's dissemination round as fedbench's backup_steady generates it,
 /// up to signing: 16 vectors in each of `backups` slices, 4 of them the
 /// threshold; the round's two draws, then per vector Milenage and the 3GPP
-/// KDFs, its H(XRES*) index and the split of its K_seaf into a share leaf
-/// of every backup's batch.
+/// KDFs and its H(XRES*) index, then the round put in H(XRES*) order and
+/// each K_seaf split into its element of every backup's share sequence, as
+/// HomeNetwork::generate_material does.
 void BM_GenerateRound(benchmark::State& state) {
   constexpr std::size_t kThreshold = 4;
   constexpr std::size_t kVectorsPerBackup = 16;
+  constexpr std::size_t kKey = sizeof(crypto::Key256);
   crypto::DeterministicDrbg rng("proto-bench", 14);
   const auto keys = bench_keys();
   const auto n_backups = static_cast<std::size_t>(state.range(0));
   const std::size_t n_vectors = kVectorsPerBackup * n_backups;
-  std::vector<std::vector<ShareLeaf>> batches(n_backups);
+  std::vector<wire::EncodedSequence<ShareLeaf, SecretBytes>> batches(n_backups);
   std::vector<MutableByteView> ordinates(n_backups);
   std::uint64_t sqn = 32;
   for (auto _ : state) {
     const RoundDraws round(rng, n_vectors, kThreshold);
-    for (auto& shares : batches) {
-      shares.clear();
-      shares.reserve(n_vectors);
-    }
+    std::vector<VectorLeaf> vectors(n_vectors);
+    SecretBytes k_seafs(n_vectors * kKey);
     for (std::size_t i = 0; i < n_vectors; ++i) {
-      VectorLeaf vector{0, sqn, round.rand(i), {}, {}, false};
+      VectorLeaf& vector = vectors[i];
+      vector = {0, sqn, round.rand(i), {}, {}, false};
       const auto v = aka::generate_auth_vector(keys, sqn, vector.rand, kSnn);
       sqn += 32;
       vector.autn = v.autn;
       vector.hxres_star = hxres_index(v.xres_star);
-      for (std::size_t b = 0; b < n_backups; ++b) {
-        ShareLeaf& share = batches[b].emplace_back();
-        share.hxres_star = vector.hxres_star;
-        share.x = static_cast<std::uint8_t>(b + 1);
-        ordinates[b] = share.y.mutable_view();
-      }
-      crypto::shamir_split(ByteView(v.k_seaf), kThreshold, round.rows_of(i), ordinates);
-      benchmark::DoNotOptimize(vector);
+      std::ranges::copy(ByteView(v.k_seaf), k_seafs.begin() + i * kKey);
     }
+    std::vector<std::size_t> order(n_vectors);
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::ranges::sort(order, [&](std::size_t a, std::size_t b) {
+      return vectors[a].hxres_star < vectors[b].hxres_star;
+    });
+    for (auto& shares : batches) {
+      shares = wire::EncodedSequence<ShareLeaf, SecretBytes>::zeroed(n_vectors);
+    }
+    for (std::size_t p = 0; p < n_vectors; ++p) {
+      const std::size_t i = order[p];
+      for (std::size_t b = 0; b < n_backups; ++b) {
+        const ShareIndex share{static_cast<std::uint16_t>(kVectorsPerBackup + i),
+                               vectors[i].hxres_star, static_cast<std::uint8_t>(b + 1)};
+        ordinates[b] = batches[b].write_prefix(p, share);
+      }
+      crypto::shamir_split(ByteView(k_seafs).subspan(i * kKey, kKey), kThreshold,
+                           round.rows_of(i), ordinates);
+    }
+    benchmark::DoNotOptimize(batches.front());
   }
 }
 BENCHMARK(BM_GenerateRound)->Arg(8);

@@ -48,8 +48,8 @@ struct ReleasedLeaf {
 /// (StoreBatch), but for its tree; the leaves the backup has let go, by
 /// hash; then the leaves it still holds, each with nothing but its own
 /// fields, in the order they were pushed. A held batch's first record is
-/// its push's leaf sequences, copied. Every leaf of the batch is one or the other, once, so the hashes
-/// give the tree back. Every batch is one user's, and a lone bundle is a
+/// its push's leaf sequences, copied. Every leaf of the batch is one or the
+/// other, once, so the hashes give the tree back. Every batch is one user's, and a lone bundle is a
 /// one-leaf batch. The bundles served, after a restart too, are rebuilt from
 /// it, byte for byte. Every leaf's fields have a fixed width, so a held
 /// batch reads them in place (wire/sequence.h).

@@ -1,6 +1,7 @@
 #include "core/messages.h"
 
 #include <algorithm>
+#include <cstring>
 #include <stdexcept>
 #include <type_traits>
 #include <utility>
@@ -87,20 +88,23 @@ bool in_held_order(const StoreBatch& batch) {
   const auto shares = batch.shares.view();
   const std::size_t count = vectors.size() + shares.size();
   if (count == 0 || count > kMaxPositions) return false;
+  VectorLeaf previous;
   for (std::size_t v = 0; v < vectors.size(); ++v) {
     if (vectors.leading<std::uint16_t>(v) != v) return false;
-    if (v > 0 && served_before(vectors[v], vectors[v - 1])) return false;
+    VectorLeaf vector = vectors[v];
+    if (v > 0 && served_before(vector, previous)) return false;
+    previous = vector;
   }
-  // A share's H(XRES*) follows its number in its encoding.
+  // A share's H(XRES*), which is public, follows its number in its encoding.
   const auto hxres = [&shares](std::size_t p) {
-    return shares.fields(p).subspan(sizeof(std::uint16_t), sizeof(ByteArray<16>));
+    return shares.fields(p).data() + sizeof(std::uint16_t);
   };
   std::vector<bool> numbered(shares.size());
   for (std::size_t p = 0; p < shares.size(); ++p) {
     const std::size_t leaf = shares.leading<std::uint16_t>(p);
     if (leaf < vectors.size() || leaf >= count || numbered[leaf - vectors.size()]) return false;
     numbered[leaf - vectors.size()] = true;
-    if (p > 0 && !std::ranges::lexicographical_compare(hxres(p - 1), hxres(p))) return false;
+    if (p > 0 && std::memcmp(hxres(p - 1), hxres(p), sizeof(ByteArray<16>)) >= 0) return false;
   }
   return true;
 }
@@ -194,7 +198,9 @@ void sign_round(std::span<StoreMaterialRequest> requests, const crypto::Ed25519K
     signing.leaves.resize(vectors.size() + shares.size());
     // Each leaf at its number: the vectors are the first ones, in order.
     const LeafHasher<VectorLeaf> vector_leaf(home, batch.supi);
-    for (std::size_t v = 0; v < vectors.size(); ++v) signing.leaves[v] = vector_leaf(vectors.fields(v));
+    for (std::size_t v = 0; v < vectors.size(); ++v) {
+      signing.leaves[v] = vector_leaf(vectors.fields(v));
+    }
     const LeafHasher<ShareLeaf> share_leaf(home, batch.supi);
     for (std::size_t p = 0; p < shares.size(); ++p) {
       signing.leaves[shares.leading<std::uint16_t>(p)] = share_leaf(shares.fields(p));
@@ -258,7 +264,7 @@ crypto::Sha256Digest LeafHasher<Leaf>::operator()(ByteView fields) const noexcep
     leaf.update(fields.subspan(head));
   }
   const crypto::Sha256Digest hash = leaf.finish();
-  secure_wipe(&leaf, sizeof(leaf));  // it held a share's ordinate
+  secure_wipe(&leaf, sizeof(leaf));  // a share's state held its ordinate
   return hash;
 }
 

@@ -239,16 +239,6 @@ class EncodedSequence {
     return mutable_fields(i).subspan(fixed_size<P>());
   }
 
-  /// Appends `element`.
-  void push_back(const E& element) {
-    const std::size_t count = size();
-    EncodedSequence next = zeroed(count + 1);
-    std::copy(bytes_.begin(), bytes_.end(), next.bytes_.begin());
-    put_u32(next.bytes_.data(), count + 1);
-    next.set(count, element);
-    *this = std::move(next);
-  }
-
   /// Writes the encoding to an Encoder's sink (wire/writer.h).
   template <typename Sink>
   void encode_into(Sink& sink) const {

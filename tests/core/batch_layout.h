@@ -37,8 +37,12 @@ void edit_leaf(Sequence& sequence, std::size_t i, Edit edit) {
 inline std::vector<crypto::Sha256Digest> leaf_hashes(const NetworkId& home,
                                                      const core::StoreBatch& batch) {
   std::vector<crypto::Sha256Digest> leaves(batch.vectors.size() + batch.shares.size());
-  for (const core::VectorLeaf& v : batch.vectors) leaves.at(v.leaf) = core::leaf_hash(home, batch.supi, v);
-  for (const core::ShareLeaf& s : batch.shares) leaves.at(s.leaf) = core::leaf_hash(home, batch.supi, s);
+  for (const core::VectorLeaf& v : batch.vectors) {
+    leaves.at(v.leaf) = core::leaf_hash(home, batch.supi, v);
+  }
+  for (const core::ShareLeaf& s : batch.shares) {
+    leaves.at(s.leaf) = core::leaf_hash(home, batch.supi, s);
+  }
   return leaves;
 }
 

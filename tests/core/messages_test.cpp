@@ -236,7 +236,9 @@ std::vector<E> sample_leaves(std::size_t count) {
   std::vector<E> leaves(count);
   for (std::size_t i = 0; i < count; ++i) {
     Bytes fields = wire::encode(leaves[i]);
-    for (std::size_t k = 0; k < fields.size(); ++k) fields[k] = static_cast<std::uint8_t>(31 * i + k);
+    for (std::size_t k = 0; k < fields.size(); ++k) {
+      fields[k] = static_cast<std::uint8_t>(31 * i + k);
+    }
     if constexpr (std::is_same_v<E, VectorLeaf>) fields.back() = i % 2;  // the flood bool
     leaves[i] = wire::decode<E>(fields);
   }
@@ -278,9 +280,8 @@ void expect_encoded_as_vector() {
     for (std::size_t i = 0; i < count; ++i) {
       EXPECT_EQ(wire::encode(decoded.leaves[i]), wire::encode(leaves[i])) << count << " " << i;
     }
-    // Appended one by one, and each rewritten in place, it is the same.
-    wire::EncodedSequence<E, Buffer> built;
-    for (const E& leaf : leaves) built.push_back(E{});
+    // Zeroed, then each element written in place, it is the same.
+    auto built = wire::EncodedSequence<E, Buffer>::zeroed(count);
     for (std::size_t i = 0; i < count; ++i) built.set(i, leaves[i]);
     EXPECT_EQ(wire::encode(AsSequence<E, Buffer>{built}), as_vector) << count;
   }
@@ -463,12 +464,13 @@ TEST(Messages, EveryEncodingIsPinned) {
   batch.round = {pattern<32>(0x70)};
   const VectorLeaf vector_leaf{0,           vector.sqn,        vector.rand,
                                vector.autn, vector.hxres_star, vector.flood};
-  batch.vectors.push_back(vector_leaf);
-  batch.vectors.push_back(vector_leaf);
-  batch.vectors.set(1, {1, vector.sqn, vector.rand, vector.autn, vector.hxres_star, vector.flood});
+  const std::vector<VectorLeaf> vectors = {
+      vector_leaf, {1, vector.sqn, vector.rand, vector.autn, vector.hxres_star, vector.flood}};
+  batch.vectors = wire::EncodedSequence<VectorLeaf>(vectors);
   ByteArray<32> ordinate;
   ordinate.fill(0x5a);
-  batch.shares.push_back({2, share.hxres_star, share.share.x, ordinate});
+  const ShareLeaf share_leaf{2, share.hxres_star, share.share.x, ordinate};
+  batch.shares = wire::EncodedSequence<ShareLeaf, SecretBytes>({&share_leaf, 1});
   const crypto::Sha256Digest leaves[] = {vector.leaf_hash(), vector.leaf_hash(), share.leaf_hash()};
   const crypto::MerkleTree tree(leaves);
   for (const auto& node : tree.nodes()) batch.nodes.push_back({node});

@@ -463,9 +463,9 @@ TEST(Adversarial, StoreWithAWrongLengthShareIsRefused) {
   batch.supi = bob;
   core::VectorLeaf vector;
   vector.sqn = 33;
-  core::ShareLeaf share;
-  share.x = 1;
-  lay_out(batch, {vector}, {share});
+  core::ShareLeaf pushed_share;
+  pushed_share.x = 1;
+  lay_out(batch, {vector}, {pushed_share});
   core::sign_round({&req, 1}, f.net(0).signing_keys());
   f.tag_push(req, 0, 1);
   const auto as_pushed = [&]<std::size_t N>(OrdinatePush<N> push) {

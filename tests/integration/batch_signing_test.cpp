@@ -203,10 +203,11 @@ TEST(BatchSigning, BackupRejectsForgedBatches) {
        }},
       {"extra leaf",
        [](core::StoreBatch& b, auto&) {
-         core::ShareLeaf extra = b.shares[b.shares.size() - 1];
-         extra.leaf = 8;
-         extra.hxres_star[15] = 1;  // after every other share
-         b.shares.push_back(extra);
+         std::vector<core::ShareLeaf> shares(b.shares.begin(), b.shares.end());
+         shares.push_back(shares.back());
+         shares.back().leaf = 8;
+         shares.back().hxres_star[15] = 1;  // after every other share
+         b.shares = wire::EncodedSequence<core::ShareLeaf, SecretBytes>(shares);
        }},
       {"subtree presented as the batch", [](core::StoreBatch& b, auto&) { b.shares = {}; }},
       {"tree node of another batch",
@@ -748,7 +749,8 @@ TEST(BatchSigning, HomeTaggedTreeOfOtherLeavesServesNoBadBundle) {
   // changed: group 1 still rehashes into it.
   edit_leaf(batch.vectors, 0, [](core::VectorLeaf& v) { v.rand[0] ^= 1; });
   for (std::size_t p = 0; p < batch.shares.size(); ++p) {
-    if (batch.shares[p].leaf == 23) edit_leaf(batch.shares, p, [](core::ShareLeaf& s) { s.y[0] ^= 1; });
+    if (batch.shares[p].leaf != 23) continue;
+    edit_leaf(batch.shares, p, [](core::ShareLeaf& s) { s.y[0] ^= 1; });
   }
   f.tag_push(push, 0, 1);
   ASSERT_TRUE(store_at_backup(f, push));

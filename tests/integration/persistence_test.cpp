@@ -922,7 +922,9 @@ TEST(Persistence, RestoreDropsABatchWhoseLeafDoesNotHash) {
   // Bob's batch is untouched.
   const std::vector<std::pair<const char*, std::function<void(core::BatchRecord&)>>> edits = {
       {"share ordinate",
-       [](core::BatchRecord& r) { edit_leaf(r.shares, 1, [](core::ShareLeaf& s) { s.y[0] ^= 1; }); }},
+       [](core::BatchRecord& r) {
+         edit_leaf(r.shares, 1, [](core::ShareLeaf& s) { s.y[0] ^= 1; });
+       }},
       {"vector sqn",
        [](core::BatchRecord& r) { edit_leaf(r.vectors, 1, [](core::VectorLeaf& v) { ++v.sqn; }); }},
   };
