@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "crypto/drbg.h"
 
 namespace dauth::crypto {
@@ -32,8 +34,8 @@ TEST(Merkle, NodeHashIsTheStreamedHashOfItsTaggedChildren) {
   EXPECT_EQ(merkle_node_hash(zeros, ones), streamed_node(zeros, ones));
   EXPECT_EQ(merkle_node_hash(ones, zeros), streamed_node(ones, zeros));
   // The tag separates a node from a leaf of the same 64 bytes.
-  Bytes children(zeros.begin(), zeros.end());
-  children.insert(children.end(), ones.begin(), ones.end());
+  ByteArray<64> children{};
+  std::fill(children.begin() + 32, children.end(), 0xff);
   EXPECT_NE(merkle_node_hash(zeros, ones), merkle_leaf_hash(children));
 }
 
