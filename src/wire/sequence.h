@@ -234,9 +234,10 @@ class EncodedSequence {
   /// be written in place.
   template <Message P>
   MutableByteView write_prefix(std::size_t i, const P& head) {
-    SpanWriter fields(mutable_fields(i));
+    const MutableByteView element = mutable_fields(i);
+    SpanWriter fields(element);
     P::fields(fields, head);
-    return mutable_fields(i).subspan(fixed_size<P>());
+    return element.subspan(fixed_size<P>());
   }
 
   /// Writes the encoding to an Encoder's sink (wire/writer.h).
