@@ -46,6 +46,25 @@ void BM_Sha256Block(benchmark::State& state) {
 }
 BENCHMARK(BM_Sha256Block);
 
+/// sha256_each over range(0) messages of range(1) bytes, through the path
+/// this CPU runs: one level of a 144-leaf batch tree (72 node messages of
+/// 65 bytes), and one batch's 128 share leaves (108-byte messages for
+/// fedbench's home-net and its 15-digit SUPIs).
+void BM_Sha256Each(benchmark::State& state) {
+  DeterministicDrbg rng("bench", 16);
+  const auto count = static_cast<std::size_t>(state.range(0));
+  const auto length = static_cast<std::size_t>(state.range(1));
+  const Bytes messages = rng.bytes(count * length);
+  std::vector<Sha256Digest> out(count);
+  for (auto _ : state) {
+    sha256_each(messages, length, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * count));
+}
+BENCHMARK(BM_Sha256Each)->Args({72, 65})->Args({128, 108});
+
 /// One dissemination batch root: 144 bundles per (user, backup) batch as in
 /// fedbench backup_steady (16 vectors + 16 x 8 shares), 96-byte payloads
 /// (the size class of a bundle's signed payload), leaf hashes plus the tree.
@@ -195,15 +214,17 @@ int main(int argc, char** argv) {
   // so each run self-reports its speedups. Ed25519 and SHA-512: the seed
   // revision (ladder verify, linear base-table sign, per-byte SHA
   // buffering). SHA-256: 6181edc, the portable compression
-  // (docs/PERFORMANCE.md §9). AES, Milenage, HMAC, the HMAC-DRBG, the KDF,
-  // the Merkle root and the Shamir split: a01a363, byte-serial AES and an
-  // HMAC that re-keyed and built its message on every call (§14).
+  // (docs/PERFORMANCE.md §9). AES, Milenage, HMAC, the HMAC-DRBG, the KDF
+  // and the Shamir split: a01a363, byte-serial AES and an HMAC that
+  // re-keyed and built its message on every call (§14). The Merkle root:
+  // b966b53 (median of seven runs alternating with this tree's), each node
+  // hashed one message at a time (§27).
   const std::map<std::string, double> baselines = {
       {"BM_Ed25519Verify", 128841.0},
       {"BM_Ed25519Sign", 34732.0},
       {"BM_Sha512_1KiB", 3918.0},
       {"BM_Sha256_1KiB", 7068.0},
-      {"BM_MerkleRoot/144", 61006.0},
+      {"BM_MerkleRoot/144", 38108.0},
       {"BM_HmacSha256", 680.0},
       {"BM_DrbgFill/32", 1624.0},
       {"BM_Aes128Block", 352.0},

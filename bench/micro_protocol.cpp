@@ -565,11 +565,14 @@ int main(int argc, char** argv) {
       // this tree's), where a push's leaves were decoded into structs, and a
       // backup sorted them and encoded its record anew (docs/PERFORMANCE.md
       // §26).
-      {"BM_SignRound/8", 431243.0},
       {"BM_StoreRequestCodec/8", 10295.0},
       {"BM_StorePush/8", 20028.0},
       {"BM_BackupStore/36/iterations:512", 11585.0},
       {"BM_BackupStore/144/iterations:512", 39208.0},
+      // ns/op at b966b53 (median of seven runs alternating with this
+      // tree's), where every leaf and tree node was hashed one message at
+      // a time (docs/PERFORMANCE.md §27).
+      {"BM_SignRound/8", 357388.0},
   };
   return dauth::bench::run_micro_benchmarks(argc, argv, "micro_protocol", baselines);
 }

@@ -153,8 +153,10 @@ void BackupNetwork::restore_from_store() {
     for (const ReleasedLeaf& leaf : record.released) place(leaf.leaf, leaf.hash);
     const auto rehash = [&](const auto& sequence, const auto& hasher) {
       const auto held = sequence.view();
+      std::vector<crypto::Sha256Digest> hashes(held.size());
+      hasher(held, hashes);
       for (std::size_t i = 0; intact && i < held.size(); ++i) {
-        place(held.template leading<std::uint16_t>(i), hasher(held.fields(i)));
+        place(held.template leading<std::uint16_t>(i), hashes[i]);
       }
     };
     rehash(record.vectors, LeafHasher<VectorLeaf>(home, record.supi));
@@ -431,7 +433,7 @@ auto BackupNetwork::group(const UserKey& user, const HeldBatch& held, std::uint1
   const auto slot = [&](const auto& sequence, std::size_t i) -> std::size_t {
     return sequence.template leading<std::uint16_t>(i) - group.first;
   };
-  const auto rehash = [&](const auto& sequence, const auto& hasher) {
+  const auto rehash = [&](const auto& sequence, auto&& hasher) {
     for (std::size_t i = 0; i < sequence.size(); ++i) {
       if (const std::size_t at = slot(sequence, i); at < group.size) {
         hashes[at] = hasher(sequence.fields(i));

@@ -189,6 +189,7 @@ void sign_round(std::span<StoreMaterialRequest> requests, const crypto::Ed25519K
   if (pushed.empty()) return;
   const NetworkId& home = requests.front().home_network;
   std::vector<RoundBatch> batches(pushed.size());
+  std::vector<crypto::Sha256Digest> share_hashes;  // one batch's, in push order
   for (std::size_t b = 0; b < pushed.size(); ++b) {
     StoreBatch& batch = *pushed[b];
     if (!in_held_order(batch)) throw std::invalid_argument("sign_round: leaves out of held order");
@@ -196,14 +197,14 @@ void sign_round(std::span<StoreMaterialRequest> requests, const crypto::Ed25519K
     const auto vectors = batch.vectors.view();
     const auto shares = batch.shares.view();
     signing.leaves.resize(vectors.size() + shares.size());
-    // Each leaf at its number: the vectors are the first ones, in order.
-    const LeafHasher<VectorLeaf> vector_leaf(home, batch.supi);
-    for (std::size_t v = 0; v < vectors.size(); ++v) {
-      signing.leaves[v] = vector_leaf(vectors.fields(v));
-    }
-    const LeafHasher<ShareLeaf> share_leaf(home, batch.supi);
+    // Each leaf at its number: the vectors are the first ones, in order, and
+    // the shares follow, in H(XRES*) order.
+    const std::span<crypto::Sha256Digest> leaves(signing.leaves);
+    LeafHasher<VectorLeaf>(home, batch.supi)(vectors, leaves.first(vectors.size()));
+    share_hashes.resize(shares.size());
+    LeafHasher<ShareLeaf>(home, batch.supi)(shares, share_hashes);
     for (std::size_t p = 0; p < shares.size(); ++p) {
-      signing.leaves[shares.leading<std::uint16_t>(p)] = share_leaf(shares.fields(p));
+      signing.leaves[shares.leading<std::uint16_t>(p)] = share_hashes[p];
     }
     signing.round = &batch.round;
     signing.nodes = &batch.nodes;
@@ -237,35 +238,76 @@ bool served_before(const VectorLeaf& a, const VectorLeaf& b) {
   return a.sqn < b.sqn;
 }
 
+namespace {
+
+// Writes the bytes a wire::Writer would hold to a buffer already sized for
+// them (wire::ByteCounter).
+class SpanEncoder : public wire::Encoder<SpanEncoder> {
+ public:
+  explicit SpanEncoder(std::uint8_t* at) noexcept : at_(at) {}
+  void raw(ByteView data) noexcept { at_ = std::ranges::copy(data, at_).out; }
+
+ private:
+  std::uint8_t* at_;
+};
+
+}  // namespace
+
 template <typename Leaf>
-LeafHasher<Leaf>::LeafHasher(const NetworkId& home, const Supi& supi) noexcept {
+LeafHasher<Leaf>::LeafHasher(const NetworkId& home, const Supi& supi) {
   using Bundle = decltype(bundle_of(home, supi, std::declval<const Leaf&>()));
-  HashEncoder prefix;
-  prefix.string(Bundle::kDomain);
-  prefix.field(home, supi);
-  prefix_ = prefix.state();
+  const auto write_prefix = [&](auto& sink) {
+    sink.u8(crypto::kMerkleLeafTag);
+    sink.string(Bundle::kDomain);
+    sink.field(home, supi);
+  };
+  wire::ByteCounter prefix;
+  write_prefix(prefix);
+  prefix_size_ = prefix.size();
+  // A leaf's own part is its fields but for its number, which leads them; a
+  // share's ordinate is framed as the bundle's SecretBytes.
+  std::size_t own = wire::fixed_size<Leaf>() - sizeof(std::uint16_t);
+  if constexpr (std::is_same_v<Leaf, ShareLeaf>) own += sizeof(std::uint32_t);
+  message_ = SecretBytes(prefix_size_ + own);
+  SpanEncoder at(message_.data());
+  write_prefix(at);
 }
 
 template <typename Leaf>
-crypto::Sha256Digest LeafHasher<Leaf>::operator()(ByteView fields) const noexcept {
-  // The bundle's signed fields are the leaf's, but for its number, which
-  // leads it.
+void LeafHasher<Leaf>::write_fields(ByteView fields, std::uint8_t* at) const noexcept {
   constexpr std::size_t kNumber = sizeof(std::uint16_t);
-  crypto::Sha256 leaf = prefix_;
   if constexpr (std::is_same_v<Leaf, VectorLeaf>) {
-    leaf.update(fields.subspan(kNumber));
+    std::ranges::copy(fields.subspan(kNumber), at);
   } else {
     // The ordinate follows the public fields, as the bundle's SecretBytes:
     // its length, then its bytes.
     const std::size_t head = wire::fixed_size<ShareIndex>();
     constexpr std::uint8_t kLength[4] = {kOrdinateBytes, 0, 0, 0};
-    leaf.update(fields.subspan(kNumber, head - kNumber));
-    leaf.update(kLength);
-    leaf.update(fields.subspan(head));
+    at = std::ranges::copy(fields.subspan(kNumber, head - kNumber), at).out;
+    at = std::ranges::copy(kLength, at).out;
+    std::ranges::copy(fields.subspan(head), at);
   }
-  const crypto::Sha256Digest hash = leaf.finish();
-  secure_wipe(&leaf, sizeof(leaf));  // a share's state held its ordinate
+}
+
+template <typename Leaf>
+crypto::Sha256Digest LeafHasher<Leaf>::operator()(ByteView fields) noexcept {
+  write_fields(fields, message_.data() + prefix_size_);
+  crypto::Sha256Digest hash;
+  crypto::sha256_each(message_, message_.size(), {&hash, 1});
   return hash;
+}
+
+template <typename Leaf>
+void LeafHasher<Leaf>::operator()(wire::FixedSequence<Leaf> leaves,
+                                  std::span<crypto::Sha256Digest> out) const {
+  const std::size_t size = message_.size();
+  SecretBytes messages(leaves.size() * size);
+  for (std::size_t i = 0; i < leaves.size(); ++i) {
+    std::uint8_t* at = messages.data() + i * size;
+    std::copy_n(message_.data(), prefix_size_, at);
+    write_fields(leaves.fields(i), at + prefix_size_);
+  }
+  crypto::sha256_each(messages, size, out);
 }
 
 template class LeafHasher<VectorLeaf>;

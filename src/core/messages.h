@@ -219,18 +219,29 @@ KeyShareBundle bundle_of(const NetworkId& home, const Supi& supi, const ShareLea
 /// The Merkle leaves of `home`'s user `supi`'s leaves of one kind (Leaf is
 /// VectorLeaf or ShareLeaf), each hashed from its encoded fields
 /// (wire::FixedSequence::fields) as bundle_of(home, supi, leaf).leaf_hash(),
-/// with no bundle built. The prefix every one of them shares, the leaf tag,
-/// the bundle's domain, the home and the SUPI, is fed once, when the hasher
-/// is made. The home signs these, and a backup rehashes them for a served
-/// path, a released leaf and a restored record.
+/// with no bundle built. A leaf's message is the prefix every one of them
+/// shares, the leaf tag, the bundle's domain, the home and the SUPI, then
+/// the leaf's own fields as the bundle writes them: all of one kind have one
+/// length, so a batch of them is hashed together (crypto::sha256_each). The
+/// home signs these, and a backup rehashes them for a served path, a
+/// released leaf and a restored record.
 template <typename Leaf>
 class LeafHasher {
  public:
-  LeafHasher(const NetworkId& home, const Supi& supi) noexcept;
-  crypto::Sha256Digest operator()(ByteView fields) const noexcept;
+  LeafHasher(const NetworkId& home, const Supi& supi);
+  /// One leaf's hash. Its message is kept until the hasher is destroyed,
+  /// and wiped then.
+  crypto::Sha256Digest operator()(ByteView fields) noexcept;
+  /// Every leaf of `leaves`, out[i] leaf i's (out.size() == leaves.size()):
+  /// their messages are written into one buffer, wiped when it is freed.
+  void operator()(wire::FixedSequence<Leaf> leaves, std::span<crypto::Sha256Digest> out) const;
 
  private:
-  crypto::Sha256 prefix_;
+  /// Writes the leaf's own part of its message, after the prefix, to `at`.
+  void write_fields(ByteView fields, std::uint8_t* at) const noexcept;
+
+  std::size_t prefix_size_ = 0;
+  SecretBytes message_;  // the prefix, then one leaf's own part
 };
 extern template class LeafHasher<VectorLeaf>;
 extern template class LeafHasher<ShareLeaf>;

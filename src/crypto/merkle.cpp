@@ -2,14 +2,17 @@
 
 #include <algorithm>
 #include <array>
-#include <iterator>
 #include <stdexcept>
 
 namespace dauth::crypto {
 namespace {
 
-constexpr std::uint8_t kLeafTag = 0x00;
 constexpr std::uint8_t kNodeTag = 0x01;
+// A node's message: 0x01 || left || right.
+constexpr std::size_t kNodeMessage = 1 + 2 * sizeof(Sha256Digest);
+// The node messages pair_up writes per sha256_each call, a multiple of its
+// sixteen lanes; a level of more is hashed in runs of this many.
+constexpr std::size_t kNodesPerRun = 64;
 
 // Levels 0 to 2 are the caller's leaves and their rehash (see MerkleTree).
 constexpr std::size_t kFirstStoredLevel = 3;
@@ -20,16 +23,30 @@ std::size_t level_size(std::size_t leaves, std::size_t level) {
   return leaves;
 }
 
+void write_node(std::uint8_t* message, const Sha256Digest& left, const Sha256Digest& right) {
+  message[0] = kNodeTag;
+  std::ranges::copy(left, message + 1);
+  std::ranges::copy(right, message + 1 + left.size());
+}
+
 // Writes the level above `below` to `above`, which may be below's own
 // storage: neighbours paired, an odd last node moved up as is. Returns its
-// size.
+// size. The level's node messages are hashed together (crypto::sha256_each),
+// in runs on the stack.
 std::size_t pair_up(std::span<const Sha256Digest> below, Sha256Digest* above) {
-  std::size_t up = 0;
-  for (std::size_t i = 0; i + 1 < below.size(); i += 2) {
-    above[up++] = merkle_node_hash(below[i], below[i + 1]);
+  const std::size_t pairs = below.size() / 2;
+  std::array<std::uint8_t, kNodesPerRun * kNodeMessage> messages;
+  for (std::size_t first = 0; first < pairs; first += kNodesPerRun) {
+    // A run's nodes overwrite no node of `below` that a later run reads.
+    const std::size_t run = std::min(kNodesPerRun, pairs - first);
+    for (std::size_t i = 0; i < run; ++i) {
+      write_node(&messages[i * kNodeMessage], below[2 * (first + i)], below[2 * (first + i) + 1]);
+    }
+    sha256_each({messages.data(), run * kNodeMessage}, kNodeMessage, {above + first, run});
   }
-  if (below.size() % 2 == 1) above[up++] = below.back();
-  return up;
+  if (below.size() % 2 == 0) return pairs;
+  above[pairs] = below.back();
+  return pairs + 1;
 }
 
 // The nodes a `leaves`-leaf tree stores (MerkleTree::nodes).
@@ -46,7 +63,7 @@ std::size_t stored_count(std::size_t leaves) {
 
 Sha256 merkle_leaf_hasher() noexcept {
   Sha256 h;
-  h.update(ByteView(&kLeafTag, 1));
+  h.update(ByteView(&kMerkleLeafTag, 1));
   return h;
 }
 
@@ -57,19 +74,10 @@ Sha256Digest merkle_leaf_hash(ByteView data) noexcept {
 }
 
 Sha256Digest merkle_node_hash(const Sha256Digest& left, const Sha256Digest& right) noexcept {
-  // 0x01 || left || right is 65 bytes, a fixed shape: the first block is
-  // compressed as it is, and the second holds right's last byte, the
-  // padding and the 520-bit length.
-  std::uint32_t state[8];
-  std::copy(std::begin(detail::kSha256InitialState), std::end(detail::kSha256InitialState), state);
-  std::uint8_t block[64];
-  block[0] = kNodeTag;
-  std::copy(left.begin(), left.end(), block + 1);
-  std::copy(right.begin(), right.end() - 1, block + 1 + left.size());
-  detail::sha256_compress(state, block);
-  block[0] = right.back();
+  std::array<std::uint8_t, kNodeMessage> message;
+  write_node(message.data(), left, right);
   Sha256Digest digest;
-  detail::sha256_final_block(state, block, 1, 1 + left.size() + right.size(), digest.data());
+  sha256_each(message, kNodeMessage, {&digest, 1});
   return digest;
 }
 

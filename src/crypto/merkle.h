@@ -25,6 +25,9 @@
 
 namespace dauth::crypto {
 
+/// The byte a leaf's hashed data follows.
+inline constexpr std::uint8_t kMerkleLeafTag = 0x00;
+
 Sha256Digest merkle_leaf_hash(ByteView data) noexcept;
 /// A SHA-256 context primed with the leaf prefix: fed a leaf's data in
 /// parts, its finish() is merkle_leaf_hash of their concatenation.

@@ -7,6 +7,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <span>
 
 #include "common/bytes.h"
 
@@ -52,6 +53,12 @@ class Sha256 {
 /// One-shot convenience wrapper.
 Sha256Digest sha256(ByteView data) noexcept;
 
+/// The SHA-256 of each of `out.size()` messages of `length` bytes, laid end
+/// to end in `messages` (which holds exactly that many bytes): out[i] is
+/// sha256() of message i. The messages are independent, so on a CPU with
+/// AVX-512 they are hashed sixteen at a time (docs/PERFORMANCE.md §27).
+void sha256_each(ByteView messages, std::size_t length, std::span<Sha256Digest> out) noexcept;
+
 /// The FIPS 180-4 compression function, exposed so the differential test
 /// can pin every implementation to the portable one. Each call folds one
 /// 64-byte block into `state`.
@@ -75,6 +82,25 @@ bool sha256_shani_available() noexcept;
 
 /// The compression Sha256 uses: SHA-NI when available, else portable.
 void sha256_compress(std::uint32_t state[8], const std::uint8_t* block) noexcept;
+
+using Sha256Compress = void (*)(std::uint32_t state[8], const std::uint8_t* block) noexcept;
+
+/// sha256_each one message at a time through `compress`: the path on every
+/// CPU without AVX-512, and for the messages left over from its lanes.
+void sha256_each_serial(Sha256Compress compress, ByteView messages, std::size_t length,
+                        std::span<Sha256Digest> out) noexcept;
+
+#if defined(__x86_64__)
+/// sha256_each through the AVX-512 lanes, sixteen messages at a time, the
+/// rest through sha256_compress. Only call it when
+/// sha256_lanes_available() is true.
+void sha256_each_lanes(ByteView messages, std::size_t length,
+                       std::span<Sha256Digest> out) noexcept;
+#endif
+
+/// Whether this CPU runs the AVX-512 lanes (AVX-512F and AVX-512BW,
+/// decided once per process).
+bool sha256_lanes_available() noexcept;
 
 /// The last block of a `message_bytes`-byte message, whose final `tail`
 /// (at most 55) bytes open `block`: pads them in place, folds the block

@@ -2,13 +2,18 @@
 // (sim/service.h): a lone 0xff byte and each valid request frame cut short
 // by one byte are refused kMalformed before any handler runs. The home and
 // backup roles count each one in rejected_requests, no role state moves,
-// and the node still serves the valid frame afterwards.
+// and the node still serves the valid frame afterwards. Past the boundary,
+// the serving network's attach handler refuses a SUCI for a home the
+// directory lacks, and a SUCI of its own home's that names no subscriber of
+// it, counting the failed attach and moving nothing else.
 #include <gtest/gtest.h>
 
 #include <functional>
 #include <map>
 
+#include "aka/suci.h"
 #include "baseline/standalone_core.h"
+#include "crypto/drbg.h"
 #include "directory/directory.h"
 #include "../core/batch_layout.h"
 #include "federation_fixture.h"
@@ -204,6 +209,46 @@ TEST(Registration, EveryServiceRefusesAMalformedFrameBeforeItsHandler) {
       EXPECT_NE(outcome->code, sim::AppErrorCode::kMalformed) << where << ": " << outcome->detail;
     }
   }
+}
+
+/// Sends `attach` to the serving network, which must refuse it with
+/// `reason` once its handler has started the attach: it counts one attach
+/// started and one failed, and no other role state moves.
+void expect_attach_refused(Registrations& r, const aka::AttachRequest& attach,
+                           const std::string& reason) {
+  core::DauthNode& serving = r.f.net(3);
+  auto expected = r.state();
+  const std::string counters = "serving." + serving.id().str() + ".";
+  ++expected[counters + "attaches_started"];
+  ++expected[counters + "attaches_failed"];
+  const Outcome outcome = r.call(serving.node(), "serving.attach_request", wire::encode(attach));
+  ASSERT_TRUE(outcome.has_value()) << reason << ": the attach was served";
+  EXPECT_EQ(outcome->code, sim::AppErrorCode::kUpstream);
+  EXPECT_EQ(outcome->detail, reason);
+  EXPECT_EQ(r.state(), expected) << reason << ": role state moved";
+}
+
+TEST(Registration, AttachForAHomeTheDirectoryLacksIsRefused) {
+  // The SUCI's routing hint names a network with no directory entry, so
+  // there is no home to ask; the SUCI itself is never read.
+  Registrations r;
+  aka::AttachRequest attach;
+  attach.suci = Bytes{0x01};
+  attach.home = NetworkId("ghost-home");
+  expect_attach_refused(r, attach, "unknown home network");
+}
+
+TEST(Registration, LocalSuciOfNoLocalSubscriberIsRefused) {
+  // A SUCI concealed to the serving network's own home key deconceals, but
+  // to a SUPI its home never provisioned.
+  Registrations r;
+  core::DauthNode& serving = r.f.net(3);
+  crypto::DeterministicDrbg rng("registration", 1);
+  aka::AttachRequest attach;
+  attach.suci = wire::encode(
+      aka::conceal_supi(Supi("901550000000099"), serving.suci_keys().public_key, rng));
+  attach.home = serving.id();
+  expect_attach_refused(r, attach, "unknown local subscriber");
 }
 
 }  // namespace
