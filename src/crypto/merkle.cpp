@@ -40,7 +40,8 @@ std::size_t pair_up(std::span<const Sha256Digest> below, Sha256Digest* above) {
     // A run's nodes overwrite no node of `below` that a later run reads.
     const std::size_t run = std::min(kNodesPerRun, pairs - first);
     for (std::size_t i = 0; i < run; ++i) {
-      write_node(&messages[i * kNodeMessage], below[2 * (first + i)], below[2 * (first + i) + 1]);
+      const std::size_t left = 2 * (first + i);
+      write_node(&messages[i * kNodeMessage], below[left], below[left + 1]);
     }
     sha256_each({messages.data(), run * kNodeMessage}, kNodeMessage, {above + first, run});
   }

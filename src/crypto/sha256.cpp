@@ -54,8 +54,9 @@ void store_digest(const std::uint32_t state[8], std::uint8_t digest[32]) noexcep
 }
 
 // Pads the last `tail` (< 64) bytes of a `message_bytes`-byte message, which
-// open `blocks`, to its last one or two blocks; returns how many.
-std::size_t pad_tail(std::uint8_t blocks[128], std::size_t tail,
+// open `blocks`, to its last one or two blocks (two when tail >= 56);
+// returns how many.
+std::size_t pad_tail(std::uint8_t* blocks, std::size_t tail,
                      std::uint64_t message_bytes) noexcept {
   const std::size_t count = tail < 56 ? 1 : 2;
   // A zero loop, not memset: lint rule L5 reserves memset-shaped calls for
@@ -405,11 +406,7 @@ namespace detail {
 
 void sha256_final_block(std::uint32_t state[8], std::uint8_t block[64], std::size_t tail,
                         std::uint64_t message_bytes, std::uint8_t digest[32]) noexcept {
-  // Zero loops, not memset: lint rule L5 reserves memset-shaped calls for
-  // secure_wipe.
-  block[tail] = 0x80;
-  for (std::size_t i = tail + 1; i < 56; ++i) block[i] = 0;
-  store_be(block + 56, message_bytes * 8);
+  pad_tail(block, tail, message_bytes);
   sha256_compress(state, block);
   store_digest(state, digest);
 }

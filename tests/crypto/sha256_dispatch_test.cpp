@@ -195,11 +195,13 @@ EachPath serial_portable() {
 
 TEST(Sha256Dispatch, LiveLanePathIsTheAvailableOne) {
   const bool lanes_live = detail::sha256_lanes_available();
-  std::printf("[ info     ] live sha256_each path: %s\n", lanes_live ? "avx512 lanes" : "serial");
-  RecordProperty("sha256_each_path", lanes_live ? "avx512 lanes" : "serial");
+  const char* path = lanes_live ? "avx512 lanes" : "serial";
+  std::printf("[ info     ] live sha256_each path: %s\n", path);
+  RecordProperty("sha256_each_path", path);
 #if defined(__x86_64__)
   __builtin_cpu_init();
-  EXPECT_EQ(lanes_live, __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw"));
+  EXPECT_EQ(lanes_live,
+            __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw"));
 #else
   EXPECT_FALSE(lanes_live);
 #endif
@@ -217,7 +219,7 @@ TEST(Sha256Dispatch, LiveLanePathIsTheAvailableOne) {
 class Sha256Each : public ::testing::TestWithParam<EachPath> {
  protected:
   void SetUp() override {
-    if (!GetParam().runnable) GTEST_SKIP() << "CPU lacks " << GetParam().name << "; path skipped";
+    if (!GetParam().runnable) GTEST_SKIP() << "CPU lacks the " << GetParam().name << " path";
   }
 };
 
@@ -233,12 +235,15 @@ TEST_P(Sha256Each, EveryLengthAndCountMatchesSha256) {
   for (std::size_t length = 0; length <= 200; ++length) {
     const ByteView messages = ByteView(data).first(40 * length);
     expected.clear();
-    for (std::size_t i = 0; i < 40; ++i) expected.push_back(sha256(messages.subspan(i * length, length)));
+    for (std::size_t i = 0; i < 40; ++i) {
+      expected.push_back(sha256(messages.subspan(i * length, length)));
+    }
     for (std::size_t count = 0; count <= 40; ++count) {
       out.assign(count + 1, Sha256Digest{});  // one more than asked for: left alone
       each(messages.first(count * length), length, std::span(out).first(count));
       for (std::size_t i = 0; i < count; ++i) {
-        ASSERT_EQ(out[i], expected[i]) << "length " << length << " count " << count << " message " << i;
+        ASSERT_EQ(out[i], expected[i])
+            << "length " << length << " count " << count << " message " << i;
       }
       ASSERT_EQ(out[count], Sha256Digest{}) << "length " << length << " count " << count;
     }

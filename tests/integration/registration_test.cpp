@@ -221,7 +221,8 @@ void expect_attach_refused(Registrations& r, const aka::AttachRequest& attach,
   const std::string counters = "serving." + serving.id().str() + ".";
   ++expected[counters + "attaches_started"];
   ++expected[counters + "attaches_failed"];
-  const Outcome outcome = r.call(serving.node(), "serving.attach_request", wire::encode(attach));
+  const Outcome outcome =
+      r.call(serving.node(), "serving.attach_request", wire::encode(attach));
   ASSERT_TRUE(outcome.has_value()) << reason << ": the attach was served";
   EXPECT_EQ(outcome->code, sim::AppErrorCode::kUpstream);
   EXPECT_EQ(outcome->detail, reason);
