@@ -25,7 +25,6 @@ class HashEncoder : public wire::Encoder<HashEncoder> {
   ~HashEncoder() { secure_wipe(&hash_, sizeof(hash_)); }
 
   void raw(ByteView data) noexcept { hash_.update(data); }
-  const crypto::Sha256& state() const noexcept { return hash_; }
   crypto::Sha256Digest finish() noexcept { return hash_.finish(); }
   crypto::Sha256Digest finish(const crypto::HmacSha256& key) noexcept { return key.finish(hash_); }
 
@@ -238,21 +237,6 @@ bool served_before(const VectorLeaf& a, const VectorLeaf& b) {
   return a.sqn < b.sqn;
 }
 
-namespace {
-
-// Writes the bytes a wire::Writer would hold to a buffer already sized for
-// them (wire::ByteCounter).
-class SpanEncoder : public wire::Encoder<SpanEncoder> {
- public:
-  explicit SpanEncoder(std::uint8_t* at) noexcept : at_(at) {}
-  void raw(ByteView data) noexcept { at_ = std::ranges::copy(data, at_).out; }
-
- private:
-  std::uint8_t* at_;
-};
-
-}  // namespace
-
 template <typename Leaf>
 LeafHasher<Leaf>::LeafHasher(const NetworkId& home, const Supi& supi) {
   using Bundle = decltype(bundle_of(home, supi, std::declval<const Leaf&>()));
@@ -269,7 +253,7 @@ LeafHasher<Leaf>::LeafHasher(const NetworkId& home, const Supi& supi) {
   std::size_t own = wire::fixed_size<Leaf>() - sizeof(std::uint16_t);
   if constexpr (std::is_same_v<Leaf, ShareLeaf>) own += sizeof(std::uint32_t);
   message_ = SecretBytes(prefix_size_ + own);
-  SpanEncoder at(message_.data());
+  wire::SpanWriter at({message_.data(), message_.size()});
   write_prefix(at);
 }
 

@@ -327,14 +327,6 @@ void sha256_compress(std::uint32_t state[8], const std::uint8_t* block) noexcept
   sha256_compress_portable(state, block);
 }
 
-// The compression sha256_compress dispatches to, called directly.
-static Sha256Compress live_compress() noexcept {
-#if defined(__x86_64__)
-  if (sha256_shani_available()) return sha256_compress_shani;
-#endif
-  return sha256_compress_portable;
-}
-
 void sha256_each_serial(Sha256Compress compress, ByteView messages, std::size_t length,
                         std::span<Sha256Digest> out) noexcept {
   const std::size_t full = length / 64;
@@ -359,7 +351,7 @@ void sha256_each_lanes(ByteView messages, std::size_t length,
   const std::size_t groups = length <= kMaxLaneLength ? out.size() / kLanes : 0;
   if (groups > 0) hash_groups(messages.data(), length, groups, out.data());
   const std::size_t done = groups * kLanes;
-  sha256_each_serial(live_compress(), messages.subspan(done * length), length,
+  sha256_each_serial(sha256_compress, messages.subspan(done * length), length,
                      out.subspan(done));
 }
 #endif
@@ -444,7 +436,7 @@ void sha256_each(ByteView messages, std::size_t length, std::span<Sha256Digest> 
     return;
   }
 #endif
-  detail::sha256_each_serial(detail::live_compress(), messages, length, out);
+  detail::sha256_each_serial(detail::sha256_compress, messages, length, out);
 }
 
 }  // namespace dauth::crypto

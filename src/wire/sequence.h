@@ -274,19 +274,6 @@ class EncodedSequence {
   }
 
  private:
-  /// Writes fields over a span, in place.
-  class SpanWriter : public Encoder<SpanWriter> {
-   public:
-    explicit SpanWriter(MutableByteView out) noexcept : out_(out) {}
-    void raw(ByteView data) {
-      std::copy(data.begin(), data.end(), out_.begin());
-      out_ = out_.subspan(data.size());
-    }
-
-   private:
-    MutableByteView out_;
-  };
-
   MutableByteView mutable_fields(std::size_t i) {
     return MutableByteView(bytes_.data(), bytes_.size())
         .subspan(8 + i * FixedSequence<E>::stride(), fixed_size<E>());

@@ -29,6 +29,7 @@
 // bundle's position): part of the encoding, left out of the signed part.
 #pragma once
 
+#include <algorithm>
 #include <concepts>
 #include <cstdint>
 #include <optional>
@@ -172,6 +173,20 @@ class ByteCounter : public Encoder<ByteCounter> {
 
  private:
   std::size_t size_ = 0;
+};
+
+/// Writes the bytes a Writer would hold over a span already sized for them
+/// (ByteCounter), in place.
+class SpanWriter : public Encoder<SpanWriter> {
+ public:
+  explicit SpanWriter(MutableByteView out) noexcept : out_(out) {}
+  void raw(ByteView data) noexcept {
+    std::copy(data.begin(), data.end(), out_.begin());
+    out_ = out_.subspan(data.size());
+  }
+
+ private:
+  MutableByteView out_;
 };
 
 /// A type with a field list.
