@@ -102,12 +102,6 @@ int run_trace_mode() {
   }
 
   const std::string json = obs::chrome_trace_json(tracer);
-  std::string error;
-  if (!obs::validate_chrome_trace(json, &error)) {
-    std::fprintf(stderr, "exported trace does not validate: %s\n", error.c_str());
-    return 1;
-  }
-
   std::string dir = ".";
   if (const char* env = std::getenv("DAUTH_BENCH_OUT"); env && *env) dir = env;
   const std::string path = dir + "/TRACE_fig3_backup_attach.json";

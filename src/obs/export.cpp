@@ -1,6 +1,5 @@
 #include "obs/export.h"
 
-#include <cctype>
 #include <fstream>
 #include <functional>
 #include <iomanip>
@@ -127,258 +126,6 @@ std::string text_tree(const Tracer& tracer, TraceId id) {
   };
   for (const Span* root : roots) render(root, 1);
   return out.str();
-}
-
-// ---- JSON validation --------------------------------------------------------
-
-namespace {
-
-/// Recursive-descent JSON checker with the trace_event shape rules baked in.
-class JsonChecker {
- public:
-  explicit JsonChecker(const std::string& text)
-      : begin_(text.data()), p_(text.data()), end_(text.data() + text.size()) {}
-
-  bool run(std::string* error) {
-    const bool ok = check_top() && at_end();
-    if (!ok && error != nullptr) {
-      *error = err_.empty() ? "trailing content after JSON value" : err_;
-    }
-    return ok;
-  }
-
- private:
-  bool fail(const std::string& why) {
-    if (err_.empty()) {
-      err_ = why + " (at byte " +
-             std::to_string(static_cast<std::size_t>(p_ - begin_)) + ")";
-    }
-    return false;
-  }
-
-  void skip_ws() {
-    while (p_ != end_ && (*p_ == ' ' || *p_ == '\t' || *p_ == '\n' || *p_ == '\r')) ++p_;
-  }
-
-  bool at_end() {
-    skip_ws();
-    return p_ == end_ || fail("trailing content");
-  }
-
-  bool expect(char c, const char* what) {
-    skip_ws();
-    if (p_ == end_ || *p_ != c) return fail(std::string("expected ") + what);
-    ++p_;
-    return true;
-  }
-
-  bool peek_is(char c) {
-    skip_ws();
-    return p_ != end_ && *p_ == c;
-  }
-
-  bool check_string(std::string* out) {
-    skip_ws();
-    if (p_ == end_ || *p_ != '"') return fail("expected string");
-    ++p_;
-    std::string value;
-    while (p_ != end_ && *p_ != '"') {
-      if (*p_ == '\\') {
-        ++p_;
-        if (p_ == end_) return fail("unterminated escape");
-        if (*p_ == 'u') {
-          for (int i = 0; i < 4; ++i) {
-            ++p_;
-            if (p_ == end_ || std::isxdigit(static_cast<unsigned char>(*p_)) == 0) {
-              return fail("bad \\u escape");
-            }
-          }
-        } else if (std::string("\"\\/bfnrt").find(*p_) == std::string::npos) {
-          return fail("bad escape character");
-        }
-        ++p_;
-        continue;
-      }
-      value.push_back(*p_);
-      ++p_;
-    }
-    if (p_ == end_) return fail("unterminated string");
-    ++p_;  // closing quote
-    if (out != nullptr) *out = std::move(value);
-    return true;
-  }
-
-  bool check_number() {
-    if (p_ != end_ && *p_ == '-') ++p_;
-    if (p_ == end_ || std::isdigit(static_cast<unsigned char>(*p_)) == 0) {
-      return fail("bad number");
-    }
-    while (p_ != end_ && std::isdigit(static_cast<unsigned char>(*p_)) != 0) ++p_;
-    if (p_ != end_ && *p_ == '.') {
-      ++p_;
-      if (p_ == end_ || std::isdigit(static_cast<unsigned char>(*p_)) == 0) {
-        return fail("bad fraction");
-      }
-      while (p_ != end_ && std::isdigit(static_cast<unsigned char>(*p_)) != 0) ++p_;
-    }
-    if (p_ != end_ && (*p_ == 'e' || *p_ == 'E')) {
-      ++p_;
-      if (p_ != end_ && (*p_ == '+' || *p_ == '-')) ++p_;
-      if (p_ == end_ || std::isdigit(static_cast<unsigned char>(*p_)) == 0) {
-        return fail("bad exponent");
-      }
-      while (p_ != end_ && std::isdigit(static_cast<unsigned char>(*p_)) != 0) ++p_;
-    }
-    return true;
-  }
-
-  bool check_literal(const char* word) {
-    for (const char* w = word; *w != '\0'; ++w, ++p_) {
-      if (p_ == end_ || *p_ != *w) return fail("bad literal");
-    }
-    return true;
-  }
-
-  bool check_value() {
-    skip_ws();
-    if (p_ == end_) return fail("unexpected end of input");
-    switch (*p_) {
-      case '{':
-        return check_object();
-      case '[':
-        return check_array();
-      case '"':
-        return check_string(nullptr);
-      case 't':
-        return check_literal("true");
-      case 'f':
-        return check_literal("false");
-      case 'n':
-        return check_literal("null");
-      default:
-        return check_number();
-    }
-  }
-
-  bool check_object(std::set<std::string>* members = nullptr) {
-    if (!expect('{', "'{'")) return false;
-    if (peek_is('}')) {
-      ++p_;
-      return true;
-    }
-    while (true) {
-      std::string member;
-      if (!check_string(&member)) return false;
-      if (members != nullptr) members->insert(member);
-      if (!expect(':', "':'")) return false;
-      if (!check_value()) return false;
-      skip_ws();
-      if (p_ == end_) return fail("unterminated object");
-      if (*p_ == ',') {
-        ++p_;
-        continue;
-      }
-      if (*p_ == '}') {
-        ++p_;
-        return true;
-      }
-      return fail("expected ',' or '}'");
-    }
-  }
-
-  bool check_array() {
-    if (!expect('[', "'['")) return false;
-    if (peek_is(']')) {
-      ++p_;
-      return true;
-    }
-    while (true) {
-      if (!check_value()) return false;
-      skip_ws();
-      if (p_ == end_) return fail("unterminated array");
-      if (*p_ == ',') {
-        ++p_;
-        continue;
-      }
-      if (*p_ == ']') {
-        ++p_;
-        return true;
-      }
-      return fail("expected ',' or ']'");
-    }
-  }
-
-  bool check_event() {
-    std::set<std::string> members;
-    if (!check_object(&members)) return false;
-    for (const char* required : {"name", "ph", "ts", "pid", "tid"}) {
-      if (members.count(required) == 0) {
-        return fail(std::string("trace event missing \"") + required + "\"");
-      }
-    }
-    return true;
-  }
-
-  bool check_top() {
-    if (!expect('{', "top-level object")) return false;
-    bool saw_events = false;
-    if (peek_is('}')) {
-      ++p_;
-    } else {
-      while (true) {
-        std::string member;
-        if (!check_string(&member)) return false;
-        if (!expect(':', "':'")) return false;
-        if (member == "traceEvents") {
-          saw_events = true;
-          if (!expect('[', "traceEvents array")) return false;
-          if (peek_is(']')) {
-            ++p_;
-          } else {
-            while (true) {
-              if (!check_event()) return false;
-              skip_ws();
-              if (p_ == end_) return fail("unterminated traceEvents");
-              if (*p_ == ',') {
-                ++p_;
-                continue;
-              }
-              if (*p_ == ']') {
-                ++p_;
-                break;
-              }
-              return fail("expected ',' or ']' in traceEvents");
-            }
-          }
-        } else if (!check_value()) {
-          return false;
-        }
-        skip_ws();
-        if (p_ == end_) return fail("unterminated top-level object");
-        if (*p_ == ',') {
-          ++p_;
-          continue;
-        }
-        if (*p_ == '}') {
-          ++p_;
-          break;
-        }
-        return fail("expected ',' or '}'");
-      }
-    }
-    return saw_events || fail("missing \"traceEvents\"");
-  }
-
-  const char* begin_;
-  const char* p_;
-  const char* end_;
-  std::string err_;
-};
-
-}  // namespace
-
-bool validate_chrome_trace(const std::string& json, std::string* error) {
-  return JsonChecker(json).run(error);
 }
 
 bool write_file(const std::string& path, const std::string& content) {

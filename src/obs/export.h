@@ -1,4 +1,4 @@
-// Trace exporters and a dependency-free JSON well-formedness checker.
+// Trace exporters.
 //
 // Two renderings of the same span data:
 //   * chrome_trace_json — the Chrome `trace_event` format ("X" complete
@@ -8,9 +8,9 @@
 //   * text_tree — a compact indented causal tree of one trace, for test
 //     failure messages and terminal inspection.
 //
-// validate_chrome_trace is a minimal recursive-descent JSON validator (plus
-// trace_event shape checks) so check.sh can gate on "the artifact parses"
-// without assuming python or jq exists in the environment.
+// Export.ChromeTraceBytesArePinned (tests/obs/obs_test.cpp) pins the JSON
+// byte for byte; `tools/bench_diff.py --trace` checks that a written file
+// parses as JSON and has the trace_event shape (docs/OBSERVABILITY.md §4).
 #pragma once
 
 #include <string>
@@ -26,11 +26,6 @@ std::string chrome_trace_json(const Tracer& tracer);
 /// Indented rendering of one trace's span tree (recording order, roots
 /// first). Includes timing, status, and attributes.
 std::string text_tree(const Tracer& tracer, TraceId id);
-
-/// Checks `json` is well-formed JSON whose top level is an object with a
-/// "traceEvents" array of event objects each carrying name/ph/ts/pid/tid.
-/// On failure returns false and, when `error` is non-null, why.
-bool validate_chrome_trace(const std::string& json, std::string* error = nullptr);
 
 /// Writes `content` to `path` (truncating). Returns false on I/O failure.
 bool write_file(const std::string& path, const std::string& content);

@@ -4,9 +4,7 @@
 // *say* they did against what it observed; that only works if each network
 // keeps an ordered, replayable record of its own protocol-visible actions.
 // The journal is that record: monotonically sequenced events stamped with
-// virtual time, optionally persisted through the same WAL-backed KvStore the
-// backup role already uses, so a restarted node recovers its audit history
-// alongside its vectors and shares.
+// virtual time, held in memory for the run.
 //
 // Events carry identifiers and outcomes only — never key material. Field
 // values are names/counts (SUPI, network ids, error strings); the taint
@@ -17,11 +15,11 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/time.h"
 #include "obs/trace.h"
-#include "store/kv_store.h"
 
 namespace dauth::obs {
 
@@ -50,16 +48,11 @@ struct Event {
   std::string subject;  // what it concerns: a SUPI or a peer network id
   std::string detail;   // human-readable context (non-secret by contract)
   TraceId trace_id = 0;  // links the event into a trace; 0 = untraced
-
-  Bytes encode() const;
-  static Event decode(ByteView data);
 };
 
 class EventJournal {
  public:
-  /// `store` may be null (in-memory journal). With a store, previously
-  /// persisted events are reloaded immediately, continuing the sequence.
-  EventJournal(std::function<Time()> clock, store::KvStore* store = nullptr);
+  explicit EventJournal(std::function<Time()> clock) : clock_(std::move(clock)) {}
 
   EventJournal(const EventJournal&) = delete;
   EventJournal& operator=(const EventJournal&) = delete;
@@ -76,11 +69,7 @@ class EventJournal {
   std::vector<const Event*> for_network(const std::string& network) const;
 
  private:
-  /// KvStore path for one event record: "journal/<16-hex-seq>".
-  static std::string record_path(std::uint64_t seq);
-
   std::function<Time()> clock_;
-  store::KvStore* store_;
   std::vector<Event> events_;
   std::uint64_t next_seq_ = 0;
 };

@@ -5,12 +5,17 @@
 // and the node still serves the valid frame afterwards. Past the boundary,
 // the serving network's attach handler refuses a SUCI for a home the
 // directory lacks, and a SUCI of its own home's that names no subscriber of
-// it, counting the failed attach and moving nothing else.
+// it, and its auth_response handler refuses a forged AUTS on the local path
+// and a second AUTS in one attach, each counting the failed attach and
+// moving nothing else.
 #include <gtest/gtest.h>
 
 #include <functional>
 #include <map>
+#include <utility>
+#include <variant>
 
+#include "aka/sim_card.h"
 #include "aka/suci.h"
 #include "baseline/standalone_core.h"
 #include "crypto/drbg.h"
@@ -53,14 +58,19 @@ class Registrations {
     baseline->bind_services();
   }
 
-  /// Sends `frame` from the RAN node, ungated, and runs the simulation.
-  Outcome call(sim::NodeIndex node, const std::string& service, Bytes frame) {
+  /// Sends `frame` from the RAN node, ungated, and runs the simulation. A
+  /// reply's frame lands in `reply` when it is given.
+  Outcome call(sim::NodeIndex node, const std::string& service, Bytes frame,
+               Bytes* reply = nullptr) {
     auto options = sim::RpcOptions::oneshot();
     options.use_breaker = false;
     std::optional<Outcome> outcome;
     f.rpc.call(
         f.ran_node, node, service, std::move(frame), options,
-        [&](Bytes) { outcome.emplace(); },
+        [&](Bytes answer) {
+          if (reply != nullptr) *reply = std::move(answer);
+          outcome.emplace();
+        },
         [&](sim::RpcError e) {
           ASSERT_EQ(e.code, sim::RpcErrorCode::kRejected) << service << ": " << e.message;
           outcome.emplace(e.app);
@@ -250,6 +260,69 @@ TEST(Registration, LocalSuciOfNoLocalSubscriberIsRefused) {
       aka::conceal_supi(Supi("901550000000099"), serving.suci_keys().public_key, rng));
   attach.home = serving.id();
   expect_attach_refused(r, attach, "unknown local subscriber");
+}
+
+/// Starts Alice's attach at her home network, net-0 (the local path), and
+/// returns its id and challenge.
+std::pair<std::uint64_t, aka::Challenge> local_challenge(Registrations& r) {
+  aka::AttachRequest attach;
+  attach.supi = kAlice;
+  Bytes reply;
+  const Outcome outcome =
+      r.call(r.f.net(0).node(), "serving.attach_request", wire::encode(attach), &reply);
+  EXPECT_FALSE(outcome.has_value()) << outcome->detail;
+  const aka::AttachReply challenge = wire::decode<aka::AttachReply>(reply);
+  return {challenge.attach_id, std::get<aka::Challenge>(challenge.step)};
+}
+
+/// Answers attach `id` with `auts`. The serving network must refuse it with
+/// `reason`, in an outcome on the auth_response: it counts one failed
+/// attach, and no other role state moves.
+void expect_auts_refused(Registrations& r, std::uint64_t id, const aka::Auts& auts,
+                         const std::string& reason) {
+  core::DauthNode& serving = r.f.net(0);
+  auto expected = r.state();
+  ++expected["serving." + serving.id().str() + ".attaches_failed"];
+  Bytes reply;
+  const Outcome outcome = r.call(serving.node(), "serving.auth_response",
+                                 wire::encode(aka::AuthResponse{id, {}, auts}), &reply);
+  ASSERT_FALSE(outcome.has_value()) << reason << ": " << outcome->detail;
+  const auto step = wire::decode<aka::AuthResponseReply>(reply).step;
+  ASSERT_TRUE(std::holds_alternative<aka::Outcome>(step)) << reason << ": the attach went on";
+  const aka::Outcome& end = std::get<aka::Outcome>(step);
+  EXPECT_FALSE(end.success);
+  EXPECT_EQ(end.path, "local");
+  EXPECT_EQ(end.failure, reason);
+  EXPECT_EQ(r.state(), expected) << reason << ": role state moved";
+}
+
+TEST(Registration, ForgedAutsOnTheLocalPathIsRefused) {
+  // An AUTS whose MAC-S does not verify under Alice's key: the home cannot
+  // resynchronise her, so the attach ends.
+  Registrations r;
+  const auto [id, challenge] = local_challenge(r);
+  expect_auts_refused(r, id, aka::Auts{}, "invalid auts");
+}
+
+TEST(Registration, SecondAutsOfOneAttachIsRefused) {
+  // Alice's USIM has already accepted the challenge's SQN, so it answers
+  // the challenge with a genuine AUTS, and the home resynchronises and
+  // sends a fresh one. An attach resynchronises once: an AUTS on the fresh
+  // challenge ends it.
+  Registrations r;
+  const std::string& network_name = r.f.config.serving_network_name;
+  const auto [id, challenge] = local_challenge(r);
+  aka::Usim usim(kAlice, r.bob_keys);
+  ASSERT_TRUE(usim.authenticate(challenge.rand, challenge.autn, network_name).ok());
+  const aka::UsimResult replayed = usim.authenticate(challenge.rand, challenge.autn, network_name);
+  ASSERT_TRUE(replayed.auts.has_value());
+  Bytes reply;
+  ASSERT_FALSE(r.call(r.f.net(0).node(), "serving.auth_response",
+                      wire::encode(aka::AuthResponse{id, {}, replayed.auts}), &reply)
+                   .has_value());
+  ASSERT_TRUE(std::holds_alternative<aka::Challenge>(
+      wire::decode<aka::AuthResponseReply>(reply).step));
+  expect_auts_refused(r, id, *replayed.auts, "resync retry also failed");
 }
 
 }  // namespace

@@ -9,8 +9,6 @@
 #include <map>
 #include <string>
 
-#include "obs/journal.h"
-
 namespace dauth::store {
 namespace {
 
@@ -227,62 +225,50 @@ TEST(KvStore, EraseNonexistentIsNoop) {
   EXPECT_EQ(reopened.replayed(), 1u);  // the pointless erase wasn't logged
 }
 
-// --- WAL behavior under journal load -------------------------------------
+// --- WAL behavior under an append-only log's load -----------------------
 //
-// The event journal (src/obs/journal.h) is the heaviest steady-state writer
-// of the store: one put per protocol event, compacted periodically. These
-// tests drive the WAL through that workload and through the crash windows
-// compaction opens up.
+// An append-only record puts one small value per event under keys that sort
+// in sequence order, and is compacted periodically. These tests drive the
+// WAL through that workload and through the crash windows compaction opens
+// up.
+
+/// The key of a log's `seq`th record: zero-padded hex, so that key order is
+/// sequence order.
+std::string log_key(std::uint64_t seq) {
+  char key[32];
+  std::snprintf(key, sizeof key, "journal/%016llx", static_cast<unsigned long long>(seq));
+  return key;
+}
+
+std::string log_value(std::uint64_t seq) { return "imsi-" + std::to_string(seq); }
 
 TEST(KvStore, JournalReplayAfterCompactIsEquivalent) {
   TempDir dir;
   const std::string path = dir.file("journal.wal");
-  Time now = 0;
-  const auto clock = [&now] { return now; };
   {
     KvStore kv(path);
-    obs::EventJournal journal(clock, &kv);
-    for (int i = 0; i < 50; ++i) {
-      now += kMicrosecond;
-      journal.append(obs::EventKind::kAttachStarted, "net-a",
-                     "imsi-" + std::to_string(i));
-    }
+    for (std::uint64_t seq = 0; seq < 50; ++seq) kv.put(log_key(seq), as_bytes(log_value(seq)));
     kv.compact();
-    // Appends after a compact land in the rewritten log.
-    for (int i = 0; i < 10; ++i) {
-      now += kMicrosecond;
-      journal.append(obs::EventKind::kAttachSucceeded, "net-a",
-                     "imsi-" + std::to_string(i));
-    }
+    // Puts after a compact land in the rewritten log.
+    for (std::uint64_t seq = 50; seq < 60; ++seq) kv.put(log_key(seq), as_bytes(log_value(seq)));
   }
   KvStore reopened(path);
-  EXPECT_EQ(reopened.replayed(), 60u);  // 50 snapshot records + 10 appends
-  obs::EventJournal reloaded(clock, &reopened);
-  ASSERT_EQ(reloaded.events().size(), 60u);
-  EXPECT_EQ(reloaded.count(obs::EventKind::kAttachStarted), 50u);
-  EXPECT_EQ(reloaded.count(obs::EventKind::kAttachSucceeded), 10u);
-  // Sequence order and payloads survive the compact + reopen round trip.
-  EXPECT_EQ(reloaded.events().front().seq, 0u);
-  EXPECT_EQ(reloaded.events().front().subject, "imsi-0");
-  EXPECT_EQ(reloaded.events().back().seq, 59u);
-  EXPECT_EQ(reloaded.events().back().at, now);
-  // A fresh append continues the sequence instead of colliding with it.
-  EXPECT_EQ(reloaded.append(obs::EventKind::kAnomaly, "net-a", "x").seq, 60u);
+  EXPECT_EQ(reopened.replayed(), 60u);  // 50 snapshot records + 10 puts
+  // Sequence order and values survive the compact + reopen round trip.
+  const auto keys = reopened.keys_with_prefix("journal/");
+  ASSERT_EQ(keys.size(), 60u);
+  for (std::uint64_t seq = 0; seq < keys.size(); ++seq) {
+    EXPECT_EQ(keys[seq], log_key(seq));
+    EXPECT_EQ(reopened.get(keys[seq]), to_bytes(as_bytes(log_value(seq))));
+  }
 }
 
 TEST(KvStore, JournalTornTailAfterCompactKeepsIntactPrefix) {
   TempDir dir;
   const std::string path = dir.file("journal.wal");
-  Time now = 0;
-  const auto clock = [&now] { return now; };
   {
     KvStore kv(path);
-    obs::EventJournal journal(clock, &kv);
-    for (int i = 0; i < 20; ++i) {
-      now += kMicrosecond;
-      journal.append(obs::EventKind::kShareReleased, "backup-1",
-                     "imsi-" + std::to_string(i));
-    }
+    for (std::uint64_t seq = 0; seq < 20; ++seq) kv.put(log_key(seq), as_bytes(log_value(seq)));
     kv.compact();
   }
   // Crash mid-write of the compacted log's last record: chop off its tail.
@@ -292,16 +278,13 @@ TEST(KvStore, JournalTornTailAfterCompactKeepsIntactPrefix) {
   }
   KvStore reopened(path);
   EXPECT_EQ(reopened.replayed(), 19u);  // the torn record is discarded
-  obs::EventJournal reloaded(clock, &reopened);
-  ASSERT_EQ(reloaded.events().size(), 19u);
-  // The surviving events are exactly the journal's first 19, in order.
-  for (std::size_t i = 0; i < reloaded.events().size(); ++i) {
-    EXPECT_EQ(reloaded.events()[i].seq, i);
-    EXPECT_EQ(reloaded.events()[i].subject, "imsi-" + std::to_string(i));
+  // The surviving records are exactly the log's first 19, in order.
+  const auto keys = reopened.keys_with_prefix("journal/");
+  ASSERT_EQ(keys.size(), 19u);
+  for (std::uint64_t seq = 0; seq < keys.size(); ++seq) {
+    EXPECT_EQ(keys[seq], log_key(seq));
+    EXPECT_EQ(reopened.get(keys[seq]), to_bytes(as_bytes(log_value(seq))));
   }
-  // The journal keeps appending past the truncation point.
-  const auto& next = reloaded.append(obs::EventKind::kAnomaly, "backup-1", "resumed");
-  EXPECT_EQ(next.seq, 19u);
 }
 
 TEST(KvStore, TornTailAfterCompactionReplaysToTheSnapshot) {

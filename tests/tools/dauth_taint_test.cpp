@@ -542,6 +542,29 @@ TEST(TaintClean, FieldTaintDoesNotSmearToParent) {
   EXPECT_TRUE(a.findings.empty());
 }
 
+TEST(TaintClean, TaintFollowsTheDeclarationNotTheName) {
+  // Two locals named `home` in sibling loops: the first is built from a
+  // secret-named `key` and indexes a secret's assignment, the second from a
+  // public name. A use resolves to the declaration in scope, as a variable's
+  // type does, so only the first carries taint.
+  const std::string first_loop =
+      "void BackupNetwork::restore(wire::Writer& w) {\n"
+      "  for (const auto& key : store_->keys_with_prefix(\"sucikey/\")) {\n"
+      "    const NetworkId home(key.substr(8));\n"
+      "    homes_[home].suci_secret = take<32>(*store_->get(key));\n";
+  const auto later_home = run(first_loop +
+                              "  }\n"
+                              "  for (const auto& name : store_->keys_with_prefix(\"batch/\")) {\n"
+                              "    const NetworkId home(name.substr(6));\n"
+                              "    w.bytes(home);\n"
+                              "  }\n"
+                              "}");
+  EXPECT_TRUE(later_home.findings.empty());
+  const auto same_home = run(first_loop + "    w.bytes(home);\n  }\n}");
+  ASSERT_EQ(count_rule(same_home, "T1"), 1);
+  EXPECT_EQ(same_home.findings[0].line, 5);
+}
+
 TEST(TaintClean, ParamFieldUseDoesNotMarkWholeParam) {
   // Only `o.failure` reaches the writer; callers passing secret-carrying
   // outcomes must stay clean (field-precision of params_to_sink).

@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""Check a freshly run BENCH_<name>.json against its committed golden copy.
+"""Check a freshly run BENCH_<name>.json against its committed golden copy,
+or check that a TRACE_<name>.json file is a Chrome trace.
 
 Usage:
 
     python3 tools/bench_diff.py results/BENCH_fig5_resilience_outage.json \
         /tmp/out/BENCH_fig5_resilience_outage.json
+    python3 tools/bench_diff.py --trace results/TRACE_fig3_backup_attach.json
 
 Virtual-time rows are deterministic, so the two records must have equal
 `rows` arrays and equal `seeds` lists, value for value. Rows pair by
@@ -14,6 +16,11 @@ stamp fields (commit, dirty, threads) and the wall time
 (wall_clock_seconds) describe the run, not the result, and are ignored. Exit status 0 when the records
 match; 1, with one line per differing row, when they do not; 2 on a usage
 error.
+
+With --trace the file must be strict JSON (one value and nothing after it,
+no NaN or Infinity) whose top level is an object with a `traceEvents` array,
+each event an object carrying name, ph, ts, pid and tid. Exit status 0 when
+it is; 1, with one `<path>: refused: <why>` line, when it is not.
 """
 import json
 import sys
@@ -52,8 +59,47 @@ def diff(golden, fresh):
     return out
 
 
+TRACE_EVENT_KEYS = ("name", "ph", "ts", "pid", "tid")
+
+
+def trace_problem(text):
+    """Returns why `text` is not a Chrome trace_event file, or None."""
+
+    def refuse_constant(name):
+        raise ValueError(f"{name} is not JSON")
+
+    try:
+        trace = json.loads(text, parse_constant=refuse_constant)
+    except ValueError as error:  # JSONDecodeError and UnicodeDecodeError too
+        return str(error)
+    if not isinstance(trace, dict):
+        return "top level is not an object"
+    events = trace.get("traceEvents")
+    if not isinstance(events, list):
+        return 'no "traceEvents" array'
+    for index, event in enumerate(events):
+        if not isinstance(event, dict):
+            return f"trace event {index} is not an object"
+        missing = [key for key in TRACE_EVENT_KEYS if key not in event]
+        if missing:
+            return f'trace event {index} missing "{missing[0]}"'
+    return None
+
+
+def check_trace(path):
+    with open(path, "rb") as f:
+        problem = trace_problem(f.read())
+    if problem is not None:
+        print(f"{path}: refused: {problem}")
+        return 1
+    print(f"{path}: trace ok")
+    return 0
+
+
 def main():
-    if len(sys.argv) != 3:
+    if len(sys.argv) == 3 and sys.argv[1] == "--trace":
+        return check_trace(sys.argv[2])
+    if len(sys.argv) != 3 or sys.argv[1].startswith("--"):
         print(__doc__, file=sys.stderr)
         return 2
     records = []

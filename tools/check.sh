@@ -6,12 +6,14 @@
 #      build/ tree, then tools/check_disclosures.sh, which requires every
 #      DAUTH_DISCLOSE in src/ to suppress at least one finding, then the
 #      codec check: a wire::Writer or wire::Reader object in src/ outside
-#      src/wire/ must be one of the local records listed below, because
-#      every frame between roles declares its fields() once, and the
-#      decode-site check: a caught wire::WireError in src/ outside src/wire/
-#      and the typed RPC boundary (src/sim/service.h) must be one of the
-#      nested or stored records listed below, because every request and
-#      reply frame is decoded once, at that boundary, and the federation
+#      src/wire/ must be one of the local records listed below (the store's
+#      WAL records and the round payload a home signs), because every frame
+#      between roles declares its fields() once, and the decode-site check:
+#      a caught wire::WireError in src/ outside src/wire/ and the typed RPC
+#      boundary (src/sim/service.h) must be one of the nested or stored
+#      records listed below (a SUCI inside a request, a backup's restore
+#      scans), because every request and reply frame is decoded once, at
+#      that boundary, and the federation
 #      check: a DauthNode constructed or a DirectoryServer declared outside
 #      core::FederationSpec must be one of the sites listed below, and the
 #      attach check: a UE attach started in tests/integration/ outside
@@ -35,16 +37,20 @@
 #      results/BENCH_*.json (virtual time is deterministic; stamps and wall
 #      time are ignored); the traced attach's TRACE_fig3_backup_attach.json
 #      must equal the committed one byte for byte, so every span's name,
-#      parent, virtual time and attributes hold
+#      parent, virtual time and attributes hold, and
+#      tools/bench_diff.py --trace requires the committed file to parse as a
+#      Chrome trace (strict JSON, a traceEvents array of events each
+#      carrying name, ph, ts, pid and tid)
 #   5. ASan+UBSan build of everything, -Werror, full ctest suite
 #      (re-runs dauth_lint_check / dauth_taint_check plus their self-tests)
 #   6. Bench smoke: one short deterministically-seeded fig6 sweep on the
 #      parallel harness under ASan (crypto hot path + thread pool + JSON
 #      reporter end to end)
 #   7. Traced scenario: fig3_single_ue --trace under ASan — one backup-mode
-#      attach with the full observability stack on; the binary itself
-#      validates the exported Chrome trace and the TraceAssert invariants
-#      (docs/OBSERVABILITY.md), the gate checks it said so and wrote the file
+#      attach with the full observability stack on; the binary itself checks
+#      the TraceAssert invariants (docs/OBSERVABILITY.md), the gate checks it
+#      said so, and tools/bench_diff.py --trace checks the Chrome trace it
+#      wrote
 #   8. TSan build, event-loop/simulator-facing tests only (includes the
 #      bench_determinism_test thread-pool gate)
 #
@@ -99,7 +105,6 @@ tools/check_disclosures.sh build/tools/dauth-taint
 # line. Each is written and read by its own module, in adjacent functions.
 WIRE_SITES="\
 src/store/kv_store.cpp 2 the WAL's op-tagged records, written once for a mutation and a snapshot
-src/obs/journal.cpp 2 the journal's Event record
 src/core/messages.cpp 1 the round payload a home signature covers, built from its parts"
 WIRE_FOUND="$(grep -rnE '\bwire::(Writer|Reader)\b' src --include='*.h' --include='*.cpp' \
   | grep -v '^src/wire/' | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' \
@@ -115,8 +120,7 @@ fi
 DECODE_SITES="\
 src/core/home_network.cpp 1 the SUCI inside a home.get_vector request
 src/core/backup_network.cpp 3 the SUCI inside a backup.get_vector request; the restore scans of held batch records and of proof segment entries
-src/core/serving_network.cpp 1 the SUCI inside a local attach request
-src/obs/journal.cpp 1 the journal's restore of its stored events"
+src/core/serving_network.cpp 1 the SUCI inside a local attach request"
 DECODE_FOUND="$(grep -rnE 'catch \((const )?(wire::)?WireError' src --include='*.h' --include='*.cpp' \
   | grep -vE '^src/(wire/|sim/service\.h:)' | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' \
   | cut -d: -f1 | sort | uniq -c | awk '{print $2, $1}' | sort)"
@@ -284,6 +288,7 @@ done
 DAUTH_BENCH_OUT="$GOLDEN_OUT" ./build-release/bench/fig3_single_ue --trace \
   > "$GOLDEN_OUT/fig3_single_ue_trace.txt"
 cmp results/TRACE_fig3_backup_attach.json "$GOLDEN_OUT/TRACE_fig3_backup_attach.json"
+python3 tools/bench_diff.py --trace results/TRACE_fig3_backup_attach.json
 python3 tools/bench_diff.py results/BENCH_fig3_single_ue_trace.json \
   "$GOLDEN_OUT/BENCH_fig3_single_ue_trace.json"
 
@@ -310,9 +315,8 @@ echo "==> [7/8] traced scenario (fig3 --trace: exporter + TraceAssert under ASan
 DAUTH_BENCH_OUT=build-asan \
   ./build-asan/bench/fig3_single_ue --trace > build-asan/trace_smoke.txt
 grep -q '^trace,ok,' build-asan/trace_smoke.txt \
-  || { echo "traced attach did not validate" >&2; exit 1; }
-[[ -s build-asan/TRACE_fig3_backup_attach.json ]] \
-  || { echo "no trace JSON written" >&2; exit 1; }
+  || { echo "traced attach did not pass its trace invariants" >&2; exit 1; }
+python3 tools/bench_diff.py --trace build-asan/TRACE_fig3_backup_attach.json
 
 same_tree
 

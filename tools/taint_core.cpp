@@ -173,7 +173,10 @@ struct Func {
   FunctionSummary sum;
   std::map<std::string, std::vector<Decl>, std::less<>> vars;  // name -> its declarations
   std::map<std::string, int, std::less<>> param_index;
-  std::map<std::string, std::uint64_t, std::less<>> taint;  // chain -> mask
+  // (declaration, chain) -> mask. A chain is keyed by the declaration its
+  // root names (Decl::from; kNone when declared nowhere in the function), so
+  // taint follows one variable, not every variable sharing its name.
+  std::map<std::pair<std::size_t, std::string>, std::uint64_t> taint;
   std::map<int, std::string> param_sink_rule;  // param -> T-rule of interior sink
 };
 
@@ -795,26 +798,38 @@ struct Engine {
   const std::vector<Token>& t() const { return u.tokens; }
 
   // --- taint-map update with change tracking
-  void add_taint(const std::string& chain, std::uint64_t mask) {
+  void add_taint(std::size_t decl, const std::string& chain, std::uint64_t mask) {
     if (mask == 0) return;
-    std::uint64_t& slot = f.taint[chain];
+    std::uint64_t& slot = f.taint[{decl, chain}];
     if ((slot | mask) != slot) {
       slot |= mask;
       changed = true;
     }
   }
 
-  /// The declared type of a chain's root: the nearest declaration of its
-  /// name whose scope holds the root's token. Empty when none does.
-  std::string var_type(const Chain& c) const {
+  /// The declaration a chain's root names: the nearest declaration of its
+  /// name whose scope holds the root's token. nullptr when none does.
+  const Decl* root_decl(const Chain& c) const {
     const auto it = f.vars.find(c.comps[0]);
-    if (it == f.vars.end()) return {};
+    if (it == f.vars.end()) return nullptr;
     const Decl* nearest = nullptr;
     for (const Decl& d : it->second) {
       if (d.from <= c.root && c.root < d.to && (nearest == nullptr || d.from > nearest->from))
         nearest = &d;
     }
-    return nearest == nullptr ? std::string() : nearest->type;
+    return nearest;
+  }
+
+  /// The declared type of a chain's root; empty when it is declared nowhere.
+  std::string var_type(const Chain& c) const {
+    const Decl* d = root_decl(c);
+    return d == nullptr ? std::string() : d->type;
+  }
+
+  /// The taint-map declaration key of a chain's root.
+  std::size_t decl_key(const Chain& c) const {
+    const Decl* d = root_decl(c);
+    return d == nullptr ? kNone : d->from;
   }
 
   /// True when a declared type names one of the function's template type
@@ -936,9 +951,10 @@ struct Engine {
     // variable. Deliberately NOT: tainting the root because a subfield is
     // tainted (that smear is what makes naive field-insensitive analyses
     // unusable on message structs).
-    const auto exact = f.taint.find(joined(c));
+    const std::size_t decl = decl_key(c);
+    const auto exact = f.taint.find({decl, joined(c)});
     if (exact != f.taint.end()) mask |= exact->second;
-    const auto root = f.taint.find(c.comps[0]);
+    const auto root = f.taint.find({decl, c.comps[0]});
     if (root != f.taint.end() && !inert_member) mask |= root->second;
     // Whole values of secret-carrying types, and their serialized forms.
     if (!root_type.empty() && type_is_carrying(prog, root_type)) {
@@ -1233,14 +1249,15 @@ struct Engine {
     // Parameters and class members with Secret-typed declarations.
     for (const auto& [name, decls] : f.vars) {
       for (const Decl& d : decls) {
-        if (type_is_secret(d.type)) add_taint(name, kSecretBit);
+        if (type_is_secret(d.type)) add_taint(d.from, name, kSecretBit);
       }
     }
     // Inside Secret<N>/SecretBytes themselves every data member is secret.
     if (type_is_secret(f.class_name)) {
       const auto it = prog.types.find(f.class_name);
       if (it != prog.types.end()) {
-        for (const auto& [mname, mtype] : it->second.members) add_taint(mname, kSecretBit);
+        // Members are declared for the whole body (Decl::from 0).
+        for (const auto& [mname, mtype] : it->second.members) add_taint(0, mname, kSecretBit);
       }
     }
     // Return type that is itself secret material.
@@ -1327,10 +1344,10 @@ struct Engine {
       if (std::ranges::none_of(decls, [&](const Decl& d) { return d.from == name_pos; })) {
         decls.push_back({name_pos, scope_end(groups.empty() ? kNone : groups.back()), type});
       }
-      if (type_is_secret(type)) add_taint(name, kSecretBit);
+      if (type_is_secret(type)) add_taint(name_pos, name, kSecretBit);
       // Paren/brace initializers propagate here; '=' is the assignment pass.
       if ((after.text == "{" || after.text == "(") && u.partner[np + 1] != kNone) {
-        add_taint(name, region_mask(np + 2, u.partner[np + 1]));
+        add_taint(name_pos, name, region_mask(np + 2, u.partner[np + 1]));
       }
     }
   }
@@ -1364,7 +1381,7 @@ struct Engine {
         }
         ++j;
       }
-      add_taint(joined(lhs), region_mask(i + 1, j));
+      add_taint(decl_key(lhs), joined(lhs), region_mask(i + 1, j));
     }
   }
 
@@ -1530,7 +1547,7 @@ struct Engine {
              (c.comps.back() == "data" || c.comps.back() == "raw" ||
               c.comps.back() == "mutable_view"))
         c.comps.pop_back();
-      add_taint(joined(c), src);
+      add_taint(decl_key(c), joined(c), src);
       return;
     }
   }
