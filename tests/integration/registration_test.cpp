@@ -300,8 +300,7 @@ TEST(Registration, ForgedAutsOnTheLocalPathIsRefused) {
   // An AUTS whose MAC-S does not verify under Alice's key: the home cannot
   // resynchronise her, so the attach ends.
   Registrations r;
-  const auto [id, challenge] = local_challenge(r);
-  expect_auts_refused(r, id, aka::Auts{}, "invalid auts");
+  expect_auts_refused(r, local_challenge(r).first, aka::Auts{}, "invalid auts");
 }
 
 TEST(Registration, SecondAutsOfOneAttachIsRefused) {
